@@ -595,9 +595,10 @@ pub fn fig_latency(quick: bool) -> Figure {
 /// Two families of runs per cardinality:
 ///
 /// * The PR 5 full-checkpoint pair — single engine and 4-worker
-///   coordinated parallel checkpoint — each processes half the stream,
-///   checkpoints (the measured pause), restores into a fresh engine
-///   (the measured recovery), and finishes the stream.
+///   coordinated parallel session — each processes half the stream,
+///   checkpoints (the measured pause: `checkpoint()` on the engine, one
+///   full `Snapshot::cut` on the session), restores into a fresh engine
+///   or session, and finishes the stream.
 /// * The PR 10 delta-chain runs — `HAMLET-delta` and
 ///   `HAMLET-par4-delta` cut an incremental checkpoint into a
 ///   [`MemStore`](hamlet_core::MemStore) every `CUT_CADENCE` events
@@ -686,26 +687,36 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             ms.push(m);
         }
 
-        // 4-worker coordinated checkpoint: barrier + per-shard blobs.
+        // 4-worker coordinated checkpoint through the parallel session:
+        // the pause is one full cut between two `process` calls (every
+        // shard idle at the same stream position, one blob per shard
+        // packed into one container), restored into a fresh session.
         {
             let t0 = Instant::now();
             let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
                 .expect("parallel engine builds");
-            let pre = par.run_to_checkpoint(&events[..cut]);
-            let post = par
-                .resume(&pre.checkpoint, &events[cut..])
+            let mut live = par.session();
+            let mut results = live.process(&events[..cut]).len() as u64;
+            let p0 = Instant::now();
+            let ck = live.cut(CutKind::Full).expect("coordinated cut");
+            let pause = p0.elapsed();
+            drop(live);
+            let mut resumed = par.session();
+            resumed
+                .restore_chain(std::slice::from_ref(&ck))
                 .expect("own checkpoint restores");
+            results += resumed.process(&events[cut..]).len() as u64;
+            results += resumed.flush().len() as u64;
             let mut m = Measurement::zero(
                 System::HamletParallel(4),
                 events.len() as u64,
                 queries.len(),
             );
             m.wall = t0.elapsed();
-            m.results = (pre.report.results.len() + post.results.len()) as u64;
+            m.results = results;
             m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = post.peak_mem.iter().sum();
-            m.checkpoint_bytes = pre.checkpoint.total_bytes() as u64;
-            m.checkpoint_pause = pre.pause;
+            m.checkpoint_bytes = ck.len() as u64;
+            m.checkpoint_pause = pause;
             ms.push(m);
         }
 

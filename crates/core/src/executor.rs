@@ -2078,7 +2078,8 @@ impl HamletEngine {
             return Err(CheckpointError::WorkloadMismatch(format!(
                 "checkpoint was taken at workload epoch {blob_epoch} but the engine is at \
                  epoch {} — the query set has churned since this checkpoint; restore it \
-                 into an engine whose churn history matches (see set_epoch)",
+                 into an engine whose churn history matches, or through a chain restore, \
+                 which adopts the checkpoint's epoch",
                 self.epoch
             )));
         }
@@ -2679,16 +2680,6 @@ impl HamletEngine {
         self.epoch
     }
 
-    /// Declares the engine's workload epoch without churning, for
-    /// restoring a checkpoint taken *after* churn into a freshly built
-    /// engine: build with the final query set
-    /// ([`HamletEngine::new`] starts at epoch 0), set the epoch the blob
-    /// reports ([`checkpoint_epoch`]), then [`restore`](Self::restore).
-    /// Only meaningful on an engine with no live state.
-    pub fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
     /// The registered (original, pre-decomposition) query set.
     pub fn queries(&self) -> &[Query] {
         &self.queries
@@ -3053,10 +3044,9 @@ impl HamletEngine {
 }
 
 /// Reads the workload epoch stamped in an engine checkpoint without
-/// restoring it (v2 blobs predate epochs and report 0). Used by the
-/// parallel/pipeline resume paths to [`HamletEngine::set_epoch`] freshly
-/// built engines before handing them the blob.
-pub fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, crate::checkpoint::CheckpointError> {
+/// restoring it (v2 blobs predate epochs and report 0): the epoch a
+/// chain restore adopts when handed a bare blob as a chain of one.
+fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, crate::checkpoint::CheckpointError> {
     use crate::checkpoint::{CheckpointError, Dec};
     let mut d = Dec::new(bytes);
     d.magic(&crate::checkpoint::ENGINE_MAGIC)?;
@@ -4284,9 +4274,10 @@ mod tests {
             }
             other => panic!("expected WorkloadMismatch, got {other:?}"),
         }
-        // …and succeeds once the epoch is declared.
-        fresh.set_epoch(1);
-        fresh.restore(&blob).unwrap();
+        // …and succeeds through a chain restore, which adopts the
+        // blob's epoch (a bare blob is a chain of one).
+        fresh.restore_chain_bytes(&[&blob]).unwrap();
+        assert_eq!(fresh.epoch(), 1);
         let mut resumed = Vec::new();
         for e in &evs[60..] {
             resumed.extend(fresh.process(e));

@@ -7,24 +7,35 @@
 //!
 //! # Architecture
 //!
-//! A coordinator routes the stream once: for every event it computes the
-//! set of shards that own one of the event's partition keys
-//! ([`HamletEngine::shard_mask`]) and appends the event to those shards'
-//! batch buffers. Full batches are handed to the worker threads over
-//! bounded channels, so routing and processing overlap and no worker ever
-//! scans events it does not own. Each worker therefore processes ~1/w of
-//! the events against ~1/w of the live partitions and holds ~1/w of the
-//! state. (Since the watermark expiration index landed, window expiry no
-//! longer scans live partitions per event, so sharding's win comes from
-//! core parallelism and per-shard state locality rather than from
-//! dividing an O(P) expiry term.)
+//! There is one executor, [`ParallelSession`]: `workers` shard-owning
+//! engines plus the [`ShardRouter`] that maps events to them. Every entry
+//! point — the offline [`ParallelEngine::run`] / `run_batches` /
+//! `run_with_churn` and the live [`ParallelSession::process`] / `flush` —
+//! is a sequence of steps (event slices, churn ops) fed to that one
+//! executor. At one worker the steps run inline on the caller's thread
+//! (the baseline the scaling experiments compare against). Otherwise the
+//! coordinator routes each event once ([`ShardRouter::route`]) into
+//! per-shard batch buffers and hands full batches to one scoped worker
+//! thread per shard over bounded channels, so routing and processing
+//! overlap and no worker ever scans events it does not own; a churn op
+//! rides the same channels, so every shard applies it at the same stream
+//! position. Each worker therefore processes ~1/w of the events against
+//! ~1/w of the live partitions and holds ~1/w of the state. (Since the
+//! watermark expiration index landed, window expiry no longer scans live
+//! partitions per event, so sharding's win comes from core parallelism
+//! and per-shard state locality rather than from dividing an O(P) expiry
+//! term.)
+//!
+//! The engines outlive each call, so processing interleaves with
+//! coordinated checkpoint cuts: the session implements
+//! [`crate::Snapshot`], and that is the only checkpoint surface here.
 //!
 //! # Determinism
 //!
 //! Aggregates are bit-identical to single-threaded execution: every
 //! partition is owned by exactly one shard, and each shard computes it
-//! exactly as the single-threaded engine would. At merge time the report
-//! sorts all window results by `(window_start, query, group_key)`
+//! exactly as the single-threaded engine would. Every call sorts the
+//! results it returns by `(window_start, query, group_key)`
 //! ([`crate::executor::sort_results`]), so [`ParallelReport::results`] is
 //! byte-comparable across runs, worker counts, and against a
 //! single-threaded run sorted the same way. The single-threaded engine is
@@ -32,20 +43,21 @@
 //! expired windows in `(window_start, group, key)` order straight off the
 //! expiration index, never in `HashMap` iteration order.
 //!
-//! This is an offline/batch harness (`run` consumes a finite stream) —
-//! the right tool for throughput measurement over materialized streams.
-//! For *online* feeding — unbounded sources, per-event backpressure,
-//! out-of-order ingestion, live latency metrics — use the
-//! `hamlet-pipeline` crate, which reuses the same [`HamletEngine::shard_mask`]
-//! routing over bounded per-shard channels and drains to the same
-//! bit-identical merged output.
+//! This is an offline/batch harness (it is fed slices) — the right tool
+//! for throughput measurement over materialized streams. For *online*
+//! feeding — unbounded sources, per-event backpressure, out-of-order
+//! ingestion, live latency metrics — use the `hamlet-pipeline` crate,
+//! which drives the same [`ShardRouter`] over its own instrumented
+//! per-shard channels and drains to the same bit-identical merged output.
 
 use crate::checkpoint::{self, CheckpointError, Dec};
 use crate::executor::{
-    checkpoint_epoch, sort_results, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats,
-    HamletEngine, WindowResult,
+    sort_results, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine,
+    WindowResult,
 };
 use crate::metrics::LatencyRecorder;
+use crate::shard::ShardRouter;
+use crate::store::{Checkpoint, CutKind, Snapshot};
 use hamlet_obs::{merge_group_metrics, GroupMetrics};
 use hamlet_query::Query;
 use hamlet_types::{Event, TypeRegistry};
@@ -61,38 +73,30 @@ pub const DEFAULT_BATCH: usize = 1024;
 /// stalls rather than buffering the whole stream for a slow worker).
 const PIPELINE_DEPTH: usize = 4;
 
-/// What one worker returns: results, stats, latency recorder, peak
-/// bytes, per-share-group observability counters, and — when the run
-/// ends at a checkpoint barrier instead of a flush — the shard's
-/// serialized engine state.
-type WorkerOutput = (
-    Vec<WindowResult>,
-    EngineStats,
-    LatencyRecorder,
-    usize,
-    Vec<GroupMetrics>,
-    Option<Vec<u8>>,
-);
+/// Magic tag opening the `HMPC` container a [`ParallelSession`] cut
+/// packs its per-shard records into (docs/checkpoint-format.md).
+const PARALLEL_MAGIC: [u8; 4] = *b"HMPC";
+/// Container format version.
+const PARALLEL_VERSION: u16 = 1;
 
-/// How a parallel run ends: drain every window (`flush`) or freeze the
-/// per-shard engine state at a coordinated barrier (`checkpoint`).
-#[derive(Copy, Clone, PartialEq, Eq)]
-enum EndMode {
-    Flush,
-    Checkpoint,
+/// One unit of work for the executor: a slice of the stream, or a churn
+/// op applied at the barrier after everything before it.
+enum Step<'a> {
+    Events(&'a [Event]),
+    Churn(ChurnOp),
 }
 
-/// What the router sends a shard worker during a churned run: a routed
-/// batch, or a churn op every worker applies at the same stream position
-/// (the coordinated per-shard barrier — channel FIFO order guarantees all
-/// pre-op events are processed first).
+/// What the coordinator sends a shard worker: a routed batch, or a churn
+/// op every worker applies at the same stream position (the coordinated
+/// per-shard barrier — channel FIFO order guarantees all pre-op events
+/// are processed first).
 enum ShardMsg {
     Batch(Vec<Event>),
     Churn(ChurnOp),
 }
 
-/// Applies one validated churn op to an engine, returning the results it
-/// drained at the barrier.
+/// Applies one validated churn op to a shard engine, returning the
+/// results it drained at the barrier.
 fn apply_op(eng: &mut HamletEngine, op: ChurnOp) -> Vec<WindowResult> {
     let report = match op {
         ChurnOp::Add(q) => eng.add_query(q),
@@ -104,80 +108,13 @@ fn apply_op(eng: &mut HamletEngine, op: ChurnOp) -> Vec<WindowResult> {
         .drained
 }
 
-/// Magic tag opening a serialized [`ParallelCheckpoint`] container.
-pub const PARALLEL_MAGIC: [u8; 4] = *b"HMPC";
-/// Container format version.
-pub const PARALLEL_VERSION: u16 = 1;
-
-/// A coordinated checkpoint of a parallel run: one engine checkpoint per
-/// shard, all taken at the same stream barrier (no shard has seen an
-/// event another shard has not been offered).
-///
-/// Produced by [`ParallelEngine::run_to_checkpoint`], consumed by
-/// [`ParallelEngine::resume`]. Because every partition is owned by
-/// exactly one shard, the union of shard states *is* the engine state:
-/// resuming and finishing the stream emits byte-identically to an
-/// uninterrupted run (`tests/checkpoint_equivalence.rs`).
-pub struct ParallelCheckpoint {
-    workers: u32,
-    /// Per-shard engine blobs (index = shard).
-    shards: Vec<Vec<u8>>,
-}
-
-impl ParallelCheckpoint {
-    /// Worker count the checkpoint was taken under (a checkpoint only
-    /// restores into the same sharding — partition ownership depends on
-    /// it).
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
-
-    /// Serialized size across all shards, in bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.shards.iter().map(Vec::len).sum()
-    }
-
-    /// Per-shard blob sizes, in bytes.
-    pub fn shard_bytes(&self) -> Vec<usize> {
-        self.shards.iter().map(Vec::len).collect()
-    }
-
-    /// Serializes the container (magic, version, per-shard blobs) for
-    /// file persistence.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        checkpoint::container_header(
-            &PARALLEL_MAGIC,
-            PARALLEL_VERSION,
-            self.workers,
-            &self.shards,
-        )
-        .finish()
-    }
-
-    /// Mirror of [`to_bytes`](Self::to_bytes).
-    pub fn from_bytes(bytes: &[u8]) -> Result<ParallelCheckpoint, CheckpointError> {
-        let mut d = Dec::new(bytes);
-        let (workers, shards) =
-            checkpoint::read_container(&mut d, &PARALLEL_MAGIC, PARALLEL_VERSION)?;
-        d.expect_end()?;
-        Ok(ParallelCheckpoint { workers, shards })
-    }
-}
-
-/// What [`ParallelEngine::run_to_checkpoint`] hands back: the results
-/// emitted *before* the barrier, the coordinated checkpoint, and how
-/// long the barrier pause took.
-pub struct ParallelCheckpointReport {
-    /// Results emitted before the checkpoint barrier, in the same
-    /// canonical order [`ParallelReport::results`] guarantees. Windows
-    /// still open at the barrier are inside the checkpoint, not here.
-    pub report: ParallelReport,
-    /// The coordinated per-shard checkpoint.
-    pub checkpoint: ParallelCheckpoint,
-    /// Drain-barrier pause: from the moment routing stopped until every
-    /// shard had drained its queue and serialized its state — the time a
-    /// live system would be unavailable for new events.
-    pub pause: Duration,
+/// The coordinator's half of the churn barrier: re-plans routing for the
+/// post-churn workload (the shard masks follow it).
+fn replan(router: &mut ShardRouter, op: &ChurnOp) {
+    router
+        .apply(op)
+        // hamlet-lint: allow(panic-hygiene) -- the schedule was dry-run before execution started; routing on after a failed re-plan would desync the shards
+        .expect("churn ops validated before execution started");
 }
 
 /// Result of a parallel run: the merged, deterministically ordered window
@@ -258,18 +195,12 @@ impl ParallelReport {
     }
 }
 
-/// Partition-parallel executor: `workers` shard-owning engines over the
-/// same workload, fed by a batching router.
+/// Partition-parallel executor over a finite stream: a worker count, a
+/// workload and a routing batch size, from which every run opens a
+/// fresh [`ParallelSession`].
 pub struct ParallelEngine {
-    reg: Arc<TypeRegistry>,
-    queries: Vec<Query>,
-    cfg: EngineConfig,
-    workers: u32,
+    router: ShardRouter,
     batch: usize,
-    /// Routing-only engine (never processes events): owns the compiled
-    /// share groups the router needs to map events to shards with exactly
-    /// the hash the workers' shard filters apply.
-    router: HamletEngine,
 }
 
 impl ParallelEngine {
@@ -281,23 +212,15 @@ impl ParallelEngine {
         cfg: EngineConfig,
         workers: u32,
     ) -> Result<Self, EngineError> {
-        assert!(workers >= 1, "at least one worker");
-        assert!(workers <= 64, "at most 64 workers (shard mask is a u64)");
-        // Compile once up front so construction errors surface here, not
-        // inside worker threads; the compiled engine doubles as the
-        // router's share-group index.
-        let mut router_cfg = cfg.clone();
-        router_cfg.shard = None;
-        router_cfg.track_latency = false;
-        router_cfg.mem_sample_every = 0;
-        let router = HamletEngine::new(reg.clone(), queries.clone(), router_cfg)?;
+        let router = ShardRouter::new(reg, queries, cfg, workers)?;
+        if workers == 1 {
+            // The one-worker router compiles nothing; build the engine
+            // once so construction errors still surface here.
+            router.engines()?;
+        }
         Ok(ParallelEngine {
-            reg,
-            queries,
-            cfg,
-            workers,
-            batch: DEFAULT_BATCH,
             router,
+            batch: DEFAULT_BATCH,
         })
     }
 
@@ -312,26 +235,13 @@ impl ParallelEngine {
     /// sharding: the per-shard engines are built once and held across
     /// calls, so processing can interleave with coordinated chain cuts
     /// ([`crate::Snapshot::cut`]). The offline methods on `self`
-    /// ([`run`](Self::run) etc.) are unaffected.
+    /// ([`run`](Self::run) etc.) each open their own and are unaffected.
     pub fn session(&self) -> ParallelSession {
-        let mut router_cfg = self.cfg.clone();
-        router_cfg.shard = None;
-        router_cfg.track_latency = false;
-        router_cfg.mem_sample_every = 0;
-        let router = HamletEngine::new(self.reg.clone(), self.queries.clone(), router_cfg)
-            // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-            .expect("validated in ParallelEngine::new");
-        let engines = (0..self.workers as usize)
-            .map(|idx| {
-                HamletEngine::new(self.reg.clone(), self.queries.clone(), self.shard_cfg(idx))
-                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                    .expect("validated in ParallelEngine::new")
-            })
-            .collect();
         ParallelSession {
-            workers: self.workers,
-            router,
-            engines,
+            router: self.router.clone(),
+            // hamlet-lint: allow(panic-hygiene) -- the same workload already compiled in ParallelEngine::new; reconstruction is deterministic
+            engines: self.router.engines().expect("validated in new"),
+            batch: self.batch,
         }
     }
 
@@ -345,40 +255,7 @@ impl ParallelEngine {
     /// the caller never needs the whole stream in one slice. Input batch
     /// boundaries only affect pipelining granularity, not results.
     pub fn run_batches<'a>(&self, batches: impl Iterator<Item = &'a [Event]>) -> ParallelReport {
-        self.execute(batches, None, EndMode::Flush)
-            // hamlet-lint: allow(panic-hygiene) -- execute() without a restore blob has no error path (checkpoint decode is the only failure)
-            .expect("no checkpoint to restore, engines validated in new")
-            .report
-    }
-
-    /// Processes a stream *prefix*, then takes a **coordinated
-    /// checkpoint** at the barrier instead of flushing: routing stops,
-    /// every shard drains its queue and serializes its engine. The
-    /// returned report carries the results emitted before the barrier
-    /// (canonically sorted); windows still open travel inside the
-    /// checkpoint and emit after [`resume`](Self::resume).
-    pub fn run_to_checkpoint(&self, events: &[Event]) -> ParallelCheckpointReport {
-        self.execute(events.chunks(self.batch), None, EndMode::Checkpoint)
-            // hamlet-lint: allow(panic-hygiene) -- execute() without a restore blob has no error path (checkpoint decode is the only failure)
-            .expect("no checkpoint to restore, engines validated in new")
-    }
-
-    /// Restores every shard from a coordinated checkpoint and finishes
-    /// the stream: feed the events *after* the checkpoint barrier, drain
-    /// with a full flush. `checkpoint.workers()` must equal this engine's
-    /// worker count and the workload must match (validated per shard via
-    /// the engine fingerprint).
-    ///
-    /// Appending these results to the pre-barrier results and sorting
-    /// canonically is byte-identical to one uninterrupted
-    /// [`run`](Self::run) over the whole stream.
-    pub fn resume(
-        &self,
-        checkpoint: &ParallelCheckpoint,
-        events: &[Event],
-    ) -> Result<ParallelReport, CheckpointError> {
-        self.execute(events.chunks(self.batch), Some(checkpoint), EndMode::Flush)
-            .map(|x| x.report)
+        self.execute(batches.map(Step::Events)).1
     }
 
     /// Processes a finite stream with **runtime query churn**: each
@@ -396,9 +273,9 @@ impl ParallelEngine {
     ///
     /// The whole op sequence is validated (ids, compilability of every
     /// intermediate workload) before any event is processed; on error the
-    /// engine is untouched. On success the engine's query set — and its
-    /// router — end at the final workload, so a subsequent
-    /// [`run`](Self::run) sees the post-churn workload.
+    /// engine is untouched. On success the engine ends at the final
+    /// workload, so a subsequent [`run`](Self::run) sees the post-churn
+    /// query set.
     pub fn run_with_churn(
         &mut self,
         events: &[Event],
@@ -407,428 +284,60 @@ impl ParallelEngine {
         for w in ops.windows(2) {
             assert!(w[0].0 <= w[1].0, "churn positions must be non-decreasing");
         }
-        // Validate the whole op sequence upfront: simulate the query-list
-        // evolution and compile every intermediate workload, so worker
-        // threads can treat churn application as infallible.
-        let mut sim = self.queries.clone();
-        let mut probe_cfg = self.cfg.clone();
-        probe_cfg.shard = None;
-        probe_cfg.track_latency = false;
-        probe_cfg.mem_sample_every = 0;
-        for (_, op) in ops {
-            match op {
-                ChurnOp::Add(q) => {
-                    if sim.iter().any(|p| p.id == q.id) {
-                        return Err(ChurnError::Duplicate(q.id));
-                    }
-                    sim.push(q.clone());
-                }
-                ChurnOp::Remove(id) => {
-                    if !sim.iter().any(|p| p.id == *id) {
-                        return Err(ChurnError::Unknown(*id));
-                    }
-                    sim.retain(|p| p.id != *id);
-                }
-            }
-            HamletEngine::new(self.reg.clone(), sim.clone(), probe_cfg.clone())
-                .map_err(ChurnError::Engine)?;
+        self.router
+            .validate_schedule(ops.iter().map(|(_, op)| op))
+            .map_err(|(_, e)| e)?;
+        let mut steps = Vec::new();
+        let mut pos = 0usize;
+        for (at, op) in ops {
+            let at = (*at).min(events.len());
+            steps.extend(events[pos..at].chunks(self.batch).map(Step::Events));
+            steps.push(Step::Churn(op.clone()));
+            pos = at;
         }
-
-        // hamlet-lint: allow(wallclock) -- run-duration measurement for the report
-        let t0 = Instant::now();
-        let n = self.workers as usize;
-        let mut events_total = 0u64;
-        let outputs: Vec<WorkerOutput> = if n == 1 {
-            let mut eng =
-                HamletEngine::new(self.reg.clone(), self.queries.clone(), self.shard_cfg(0))
-                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                    .expect("validated in ParallelEngine::new");
-            let mut out = Vec::new();
-            let mut pos = 0usize;
-            for (at, op) in ops {
-                let at = (*at).min(events.len());
-                for chunk in events[pos..at].chunks(self.batch.max(1)) {
-                    events_total += chunk.len() as u64;
-                    out.extend(eng.process_batch(chunk));
-                }
-                pos = at;
-                out.extend(apply_op(&mut eng, op.clone()));
-            }
-            for chunk in events[pos..].chunks(self.batch.max(1)) {
-                events_total += chunk.len() as u64;
-                out.extend(eng.process_batch(chunk));
-            }
-            out.extend(eng.flush());
-            vec![(
-                out,
-                *eng.stats(),
-                eng.latency().clone(),
-                eng.peak_memory(),
-                eng.group_metrics().to_vec(),
-                None,
-            )]
-        } else {
-            let batch = self.batch;
-            let workers = self.workers;
-            let cfgs: Vec<EngineConfig> = (0..n).map(|idx| self.shard_cfg(idx)).collect();
-            let reg0 = self.reg.clone();
-            let queries0 = self.queries.clone();
-            let router = &mut self.router;
-            std::thread::scope(|scope| {
-                let mut txs = Vec::with_capacity(n);
-                let mut handles = Vec::with_capacity(n);
-                for cfg in &cfgs {
-                    let (tx, rx) = mpsc::sync_channel::<ShardMsg>(PIPELINE_DEPTH);
-                    txs.push(tx);
-                    let (reg, queries, cfg) = (reg0.clone(), queries0.clone(), cfg.clone());
-                    handles.push(scope.spawn(move || {
-                        let mut eng = HamletEngine::new(reg, queries, cfg)
-                            // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                            .expect("validated in ParallelEngine::new");
-                        let mut out = Vec::new();
-                        while let Ok(msg) = rx.recv() {
-                            match msg {
-                                ShardMsg::Batch(b) => out.extend(eng.process_batch(&b)),
-                                ShardMsg::Churn(op) => out.extend(apply_op(&mut eng, op)),
-                            }
-                        }
-                        out.extend(eng.flush());
-                        (
-                            out,
-                            *eng.stats(),
-                            eng.latency().clone(),
-                            eng.peak_memory(),
-                            eng.group_metrics().to_vec(),
-                            None,
-                        )
-                    }));
-                }
-                let mut buffers: Vec<Vec<Event>> =
-                    (0..n).map(|_| Vec::with_capacity(batch)).collect();
-                let route = |router: &HamletEngine,
-                             buffers: &mut Vec<Vec<Event>>,
-                             span: &[Event],
-                             events_total: &mut u64| {
-                    for e in span {
-                        *events_total += 1;
-                        let mut mask = router.shard_mask(e, workers);
-                        while mask != 0 {
-                            let idx = mask.trailing_zeros() as usize;
-                            mask &= mask - 1;
-                            buffers[idx].push(e.clone());
-                            if buffers[idx].len() >= batch {
-                                let full =
-                                    std::mem::replace(&mut buffers[idx], Vec::with_capacity(batch));
-                                let _ = txs[idx].send(ShardMsg::Batch(full));
-                            }
-                        }
-                    }
-                };
-                let mut pos = 0usize;
-                for (at, op) in ops {
-                    let at = (*at).min(events.len());
-                    route(router, &mut buffers, &events[pos..at], &mut events_total);
-                    pos = at;
-                    // Coordinated barrier: flush every shard's partial
-                    // batch, then enqueue the op on every channel. FIFO
-                    // delivery means each worker applies it after exactly
-                    // the pre-op events — the same cut on every shard.
-                    for (idx, buf) in buffers.iter_mut().enumerate() {
-                        if !buf.is_empty() {
-                            let full = std::mem::take(buf);
-                            let _ = txs[idx].send(ShardMsg::Batch(full));
-                        }
-                    }
-                    for tx in &txs {
-                        let _ = tx.send(ShardMsg::Churn(op.clone()));
-                    }
-                    // Re-plan routing: the router's share groups (and so
-                    // the shard masks) follow the new workload.
-                    apply_op(router, op.clone());
-                }
-                route(router, &mut buffers, &events[pos..], &mut events_total);
-                for (idx, buf) in buffers.into_iter().enumerate() {
-                    if !buf.is_empty() {
-                        let _ = txs[idx].send(ShardMsg::Batch(buf));
-                    }
-                }
-                drop(txs);
-                handles
-                    .into_iter()
-                    // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
-                    .map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            })
-        };
-        if n == 1 {
-            // The degenerate path never touched the router; catch it up so
-            // the engine ends at the final workload either way.
-            for (_, op) in ops {
-                apply_op(&mut self.router, op.clone());
-            }
-        }
-        self.queries = sim;
-
-        let mut report = ParallelReport {
-            results: Vec::new(),
-            stats: Vec::new(),
-            peak_mem: Vec::new(),
-            latency: Vec::new(),
-            group_metrics: Vec::new(),
-            events: events_total,
-            wall: Duration::ZERO,
-        };
-        for (results, stats, latency, peak, groups, _) in outputs {
-            report.results.extend(results);
-            report.stats.push(stats);
-            report.latency.push(latency);
-            report.peak_mem.push(peak);
-            report.group_metrics.push(groups);
-        }
-        sort_results(&mut report.results);
-        report.wall = t0.elapsed();
+        steps.extend(events[pos..].chunks(self.batch).map(Step::Events));
+        let (session, report) = self.execute(steps.into_iter());
+        self.router = session.router;
         Ok(report)
     }
 
-    /// Shard engine configuration for worker `idx`.
-    fn shard_cfg(&self, idx: usize) -> EngineConfig {
-        let mut cfg = self.cfg.clone();
-        if self.workers > 1 {
-            cfg.shard = Some((idx as u32, self.workers));
-        }
-        cfg
-    }
-
-    /// Routes the stream to `workers` shard engines and ends in the
-    /// requested mode. On a resume, every engine is built **and
-    /// restored** up front on the caller's thread, so checkpoint errors
-    /// surface synchronously; on a fresh run, engines are built inside
-    /// their worker threads (workload compilation overlaps with
-    /// routing, as it always did — `new()` already validated it).
+    /// Runs `steps` to the end of the stream on a fresh session and
+    /// reads the report off its engines.
     fn execute<'a>(
         &self,
-        batches: impl Iterator<Item = &'a [Event]>,
-        restore: Option<&ParallelCheckpoint>,
-        mode: EndMode,
-    ) -> Result<ParallelCheckpointReport, CheckpointError> {
+        steps: impl Iterator<Item = Step<'a>>,
+    ) -> (ParallelSession, ParallelReport) {
         // hamlet-lint: allow(wallclock) -- run-duration measurement for the report
         let t0 = Instant::now();
-        let n = self.workers as usize;
-        let mut epoch = None;
-        if let Some(c) = restore {
-            if c.workers != self.workers {
-                return Err(CheckpointError::WorkloadMismatch(format!(
-                    "checkpoint taken under {} workers, resuming under {}",
-                    c.workers, self.workers
-                )));
-            }
-            // All shards of a coordinated checkpoint were taken at the
-            // same barrier, so they must agree on the workload epoch; a
-            // mixed container is corrupt, not restorable shard-by-shard.
-            for s in &c.shards {
-                let e = checkpoint_epoch(s)?;
-                match epoch {
-                    None => epoch = Some(e),
-                    Some(e0) if e0 != e => {
-                        return Err(CheckpointError::WorkloadMismatch(format!(
-                            "mixed workload epochs in checkpoint container ({e0} vs {e})"
-                        )))
-                    }
-                    Some(_) => {}
+        let mut events = 0u64;
+        let mut session = self.session();
+        let results = session.drive(
+            steps.inspect(|step| {
+                if let Step::Events(span) = step {
+                    events += span.len() as u64;
                 }
-            }
-        }
-        let mut engines: Vec<Option<HamletEngine>> = Vec::with_capacity(n);
-        for idx in 0..n {
-            engines.push(match restore {
-                None => None, // built inside the worker thread
-                Some(c) => {
-                    let mut eng = HamletEngine::new(
-                        self.reg.clone(),
-                        self.queries.clone(),
-                        self.shard_cfg(idx),
-                    )
-                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                    .expect("validated in ParallelEngine::new");
-                    if let Some(e) = epoch {
-                        // This engine's query set must be the checkpoint's
-                        // post-churn set (the fingerprint still validates
-                        // that); adopt the blob's churn generation.
-                        eng.set_epoch(e);
-                    }
-                    eng.restore(&c.shards[idx])?;
-                    Some(eng)
-                }
-            });
-        }
-
-        let mut events_total = 0u64;
-        let (outputs, pause) = if n == 1 {
-            // Degenerate case: no routing, no threads — the baseline the
-            // scaling experiments compare against.
-            // hamlet-lint: allow(panic-hygiene) -- engines was built with exactly one slot per worker above
-            let mut eng = engines.pop().expect("one slot").unwrap_or_else(|| {
-                HamletEngine::new(self.reg.clone(), self.queries.clone(), self.shard_cfg(0))
-                    // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                    .expect("validated in ParallelEngine::new")
-            });
-            let mut out = Vec::new();
-            for batch in batches {
-                events_total += batch.len() as u64;
-                out.extend(eng.process_batch(batch));
-            }
-            // hamlet-lint: allow(wallclock) -- barrier-pause measurement for the report
-            let barrier = Instant::now();
-            let ckpt = match mode {
-                EndMode::Flush => {
-                    out.extend(eng.flush());
-                    None
-                }
-                EndMode::Checkpoint => Some(eng.checkpoint()),
-            };
-            let pause = barrier.elapsed();
-            (
-                vec![(
-                    out,
-                    *eng.stats(),
-                    eng.latency().clone(),
-                    eng.peak_memory(),
-                    eng.group_metrics().to_vec(),
-                    ckpt,
-                )],
-                pause,
-            )
-        } else {
-            self.run_sharded(engines, batches, &mut events_total, mode)
+            }),
+            true,
+        );
+        let engines = &session.engines;
+        let report = ParallelReport {
+            results,
+            stats: engines.iter().map(|e| *e.stats()).collect(),
+            peak_mem: engines.iter().map(HamletEngine::peak_memory).collect(),
+            latency: engines.iter().map(|e| e.latency().clone()).collect(),
+            group_metrics: engines.iter().map(|e| e.group_metrics().to_vec()).collect(),
+            events,
+            wall: t0.elapsed(),
         };
-
-        let mut report = ParallelReport {
-            results: Vec::new(),
-            stats: Vec::new(),
-            peak_mem: Vec::new(),
-            latency: Vec::new(),
-            group_metrics: Vec::new(),
-            events: events_total,
-            wall: Duration::ZERO,
-        };
-        let mut shards = Vec::with_capacity(n);
-        for (results, stats, latency, peak, groups, ckpt) in outputs {
-            report.results.extend(results);
-            report.stats.push(stats);
-            report.latency.push(latency);
-            report.peak_mem.push(peak);
-            report.group_metrics.push(groups);
-            if let Some(c) = ckpt {
-                shards.push(c);
-            }
-        }
-        sort_results(&mut report.results);
-        report.wall = t0.elapsed();
-        Ok(ParallelCheckpointReport {
-            report,
-            checkpoint: ParallelCheckpoint {
-                workers: self.workers,
-                shards,
-            },
-            pause,
-        })
-    }
-
-    /// Routes batches to `workers` shard-owning engines on worker
-    /// threads. A `None` slot means "build your engine yourself" —
-    /// compilation then overlaps with routing on the worker thread.
-    fn run_sharded<'a>(
-        &self,
-        engines: Vec<Option<HamletEngine>>,
-        batches: impl Iterator<Item = &'a [Event]>,
-        events_total: &mut u64,
-        mode: EndMode,
-    ) -> (Vec<WorkerOutput>, Duration) {
-        let n = self.workers as usize;
-        std::thread::scope(|scope| {
-            let mut txs = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for (idx, pre_built) in engines.into_iter().enumerate() {
-                let (tx, rx) = mpsc::sync_channel::<Vec<Event>>(PIPELINE_DEPTH);
-                txs.push(tx);
-                let (reg, queries, cfg) =
-                    (self.reg.clone(), self.queries.clone(), self.shard_cfg(idx));
-                handles.push(scope.spawn(move || {
-                    let mut eng = pre_built.unwrap_or_else(|| {
-                        HamletEngine::new(reg, queries, cfg)
-                            // hamlet-lint: allow(panic-hygiene) -- the same config already built an engine in ParallelEngine::new; reconstruction is deterministic
-                            .expect("validated in ParallelEngine::new")
-                    });
-                    let mut out = Vec::new();
-                    while let Ok(batch) = rx.recv() {
-                        out.extend(eng.process_batch(&batch));
-                    }
-                    // Channel closed: the barrier. Flush drains every
-                    // window; checkpoint freezes them instead.
-                    let ckpt = match mode {
-                        EndMode::Flush => {
-                            out.extend(eng.flush());
-                            None
-                        }
-                        EndMode::Checkpoint => Some(eng.checkpoint()),
-                    };
-                    (
-                        out,
-                        *eng.stats(),
-                        eng.latency().clone(),
-                        eng.peak_memory(),
-                        eng.group_metrics().to_vec(),
-                        ckpt,
-                    )
-                }));
-            }
-            let mut buffers: Vec<Vec<Event>> =
-                (0..n).map(|_| Vec::with_capacity(self.batch)).collect();
-            for input in batches {
-                *events_total += input.len() as u64;
-                for e in input {
-                    // One bit per shard that owns one of the event's
-                    // partition keys (usually one; an event local to
-                    // several share groups can carry several keys).
-                    let mut mask = self.router.shard_mask(e, self.workers);
-                    while mask != 0 {
-                        let idx = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        buffers[idx].push(e.clone());
-                        if buffers[idx].len() >= self.batch {
-                            let full = std::mem::replace(
-                                &mut buffers[idx],
-                                Vec::with_capacity(self.batch),
-                            );
-                            // A send only fails if the worker died; the
-                            // join below surfaces its panic.
-                            let _ = txs[idx].send(full);
-                        }
-                    }
-                }
-            }
-            for (idx, buf) in buffers.into_iter().enumerate() {
-                if !buf.is_empty() {
-                    let _ = txs[idx].send(buf);
-                }
-            }
-            drop(txs); // end-of-stream barrier: workers drain, then flush or checkpoint
-                       // hamlet-lint: allow(wallclock) -- barrier-pause measurement for the report
-            let barrier = Instant::now();
-            let outputs = handles
-                .into_iter()
-                // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect();
-            (outputs, barrier.elapsed())
-        })
+        (session, report)
     }
 }
 
-/// A live partition-parallel session (see [`ParallelEngine::session`]):
-/// `workers` shard-owning engines held in memory across calls, plus the
-/// routing engine. Results are canonically sorted per call, so output
-/// is identical across worker counts, call boundary by call boundary.
+/// The shard executor (see the module docs): `workers` shard-owning
+/// engines held in memory across calls, plus the router that feeds
+/// them. Open one with [`ParallelEngine::session`]. Results are
+/// canonically sorted per call, so output is identical across worker
+/// counts, call boundary by call boundary.
 ///
 /// Implements [`crate::Snapshot`]: [`cut`](crate::Snapshot::cut) takes
 /// a coordinated per-shard chain record (every shard at the same stream
@@ -838,62 +347,123 @@ impl ParallelEngine {
 /// decomposes a container chain back into per-shard chains. On a
 /// restore error the session may be partially restored — discard it.
 pub struct ParallelSession {
-    workers: u32,
-    /// Routing-only engine (never processes events); see
-    /// [`ParallelEngine::router`].
-    router: HamletEngine,
+    router: ShardRouter,
     /// One shard-owning engine per worker (index = shard).
     engines: Vec<HamletEngine>,
+    /// Events per routed batch.
+    batch: usize,
 }
 
 impl ParallelSession {
     /// Routes one slice of the stream to the shard engines and returns
     /// the merged, canonically sorted results it emitted.
     pub fn process(&mut self, events: &[Event]) -> Vec<WindowResult> {
-        let n = self.engines.len();
-        let mut out: Vec<WindowResult> = if n == 1 {
-            self.engines[0].process_batch(events)
-        } else {
-            let workers = self.workers;
-            let mut bufs: Vec<Vec<Event>> = vec![Vec::new(); n];
-            for e in events {
-                let mut mask = self.router.shard_mask(e, workers);
-                while mask != 0 {
-                    let idx = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    bufs[idx].push(e.clone());
-                }
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .engines
-                    .iter_mut()
-                    .zip(&bufs)
-                    .map(|(eng, buf)| scope.spawn(move || eng.process_batch(buf)))
-                    .collect();
-                handles
-                    .into_iter()
-                    // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
-                    .flat_map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            })
-        };
-        sort_results(&mut out);
-        out
+        self.drive(std::iter::once(Step::Events(events)), false)
     }
 
     /// Finalizes every in-flight window on every shard (end of stream),
     /// merged and canonically sorted.
     pub fn flush(&mut self) -> Vec<WindowResult> {
-        let mut out: Vec<WindowResult> = if self.engines.len() == 1 {
-            self.engines[0].flush()
+        self.drive(std::iter::empty(), true)
+    }
+
+    /// Number of shard workers in the session.
+    pub fn workers(&self) -> u32 {
+        self.router.workers()
+    }
+
+    /// The executor: feeds `steps` to the shard engines in order, then
+    /// flushes them if `flush`, and returns everything they emitted in
+    /// canonical order. Inline at one worker; otherwise one scoped
+    /// worker thread per shard behind a bounded channel.
+    fn drive<'a>(
+        &mut self,
+        steps: impl Iterator<Item = Step<'a>>,
+        flush: bool,
+    ) -> Vec<WindowResult> {
+        let (router, batch) = (&mut self.router, self.batch);
+        let mut out: Vec<WindowResult> = if let [eng] = self.engines.as_mut_slice() {
+            let mut out = Vec::new();
+            for step in steps {
+                out.extend(match step {
+                    Step::Events(span) => eng.process_batch(span),
+                    Step::Churn(op) => {
+                        replan(router, &op);
+                        apply_op(eng, op)
+                    }
+                });
+            }
+            if flush {
+                out.extend(eng.flush());
+            }
+            out
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
+                let (txs, handles): (Vec<_>, Vec<_>) = self
                     .engines
                     .iter_mut()
-                    .map(|eng| scope.spawn(move || eng.flush()))
-                    .collect();
+                    .map(|eng| {
+                        let (tx, rx) = mpsc::sync_channel::<ShardMsg>(PIPELINE_DEPTH);
+                        let worker = scope.spawn(move || {
+                            let mut out = Vec::new();
+                            while let Ok(msg) = rx.recv() {
+                                out.extend(match msg {
+                                    ShardMsg::Batch(b) => eng.process_batch(&b),
+                                    ShardMsg::Churn(op) => apply_op(eng, op),
+                                });
+                            }
+                            // Channel closed: end of this call's steps.
+                            if flush {
+                                out.extend(eng.flush());
+                            }
+                            out
+                        });
+                        (tx, worker)
+                    })
+                    .unzip();
+                // A send only fails if the worker died; the join below
+                // surfaces its panic.
+                let mut bufs: Vec<Vec<Event>> =
+                    txs.iter().map(|_| Vec::with_capacity(batch)).collect();
+                let ship_partials = |bufs: &mut [Vec<Event>]| {
+                    for (buf, tx) in bufs.iter_mut().zip(&txs) {
+                        if !buf.is_empty() {
+                            let _ = tx.send(ShardMsg::Batch(std::mem::take(buf)));
+                        }
+                    }
+                };
+                for step in steps {
+                    match step {
+                        Step::Events(span) => {
+                            for e in span {
+                                router.route(e.clone(), |idx, e| {
+                                    bufs[idx].push(e);
+                                    if bufs[idx].len() >= batch {
+                                        let full = std::mem::replace(
+                                            &mut bufs[idx],
+                                            Vec::with_capacity(batch),
+                                        );
+                                        let _ = txs[idx].send(ShardMsg::Batch(full));
+                                    }
+                                });
+                            }
+                        }
+                        Step::Churn(op) => {
+                            // Coordinated barrier: every shard gets its
+                            // partial batch, then the op. FIFO delivery
+                            // means each worker applies it after exactly
+                            // the pre-op events — the same cut on every
+                            // shard.
+                            ship_partials(&mut bufs);
+                            for tx in &txs {
+                                let _ = tx.send(ShardMsg::Churn(op.clone()));
+                            }
+                            replan(router, &op);
+                        }
+                    }
+                }
+                ship_partials(&mut bufs);
+                drop(txs); // end of steps: workers drain their queues, then flush or return
                 handles
                     .into_iter()
                     // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
@@ -904,26 +474,16 @@ impl ParallelSession {
         sort_results(&mut out);
         out
     }
-
-    /// Number of shard workers in the session.
-    pub fn workers(&self) -> u32 {
-        self.workers
-    }
 }
 
-impl crate::store::Snapshot for ParallelSession {
-    fn cut(
-        &mut self,
-        kind: crate::store::CutKind,
-    ) -> Result<crate::store::Checkpoint, CheckpointError> {
+impl Snapshot for ParallelSession {
+    fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         // The record kind must be uniform across shards (the container
         // handle peeks the first shard and speaks for all): a delta cut
         // happens only when *every* shard can prove one sound.
         let kind = match kind {
-            crate::store::CutKind::Delta if self.engines.iter().all(HamletEngine::delta_ready) => {
-                crate::store::CutKind::Delta
-            }
-            _ => crate::store::CutKind::Full,
+            CutKind::Delta if self.engines.iter().all(HamletEngine::delta_ready) => CutKind::Delta,
+            _ => CutKind::Full,
         };
         let blobs: Vec<Vec<u8>> = self
             .engines
@@ -931,23 +491,28 @@ impl crate::store::Snapshot for ParallelSession {
             .map(|e| e.cut_record(kind))
             .collect();
         let bytes =
-            checkpoint::container_header(&PARALLEL_MAGIC, PARALLEL_VERSION, self.workers, &blobs)
+            checkpoint::container_header(&PARALLEL_MAGIC, PARALLEL_VERSION, self.workers(), &blobs)
                 .finish();
-        crate::store::Checkpoint::from_bytes(bytes)
+        Checkpoint::from_bytes(bytes)
     }
 
-    fn restore_chain(&mut self, chain: &[crate::store::Checkpoint]) -> Result<(), CheckpointError> {
+    fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
         let n = self.engines.len();
         let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
         for ck in chain {
-            let pc = ParallelCheckpoint::from_bytes(ck.as_bytes())?;
-            if pc.workers != self.workers || pc.shards.len() != n {
+            let mut d = Dec::new(ck.as_bytes());
+            let (workers, shards) =
+                checkpoint::read_container(&mut d, &PARALLEL_MAGIC, PARALLEL_VERSION)?;
+            d.expect_end()?;
+            // A checkpoint only restores into the same sharding —
+            // partition ownership depends on the worker count.
+            if workers != self.workers() || shards.len() != n {
                 return Err(CheckpointError::WorkloadMismatch(format!(
-                    "checkpoint taken under {} workers, restoring under {}",
-                    pc.workers, self.workers
+                    "checkpoint taken under {workers} workers, restoring under {}",
+                    self.workers()
                 )));
             }
-            for (idx, blob) in pc.shards.into_iter().enumerate() {
+            for (idx, blob) in shards.into_iter().enumerate() {
                 per_shard[idx].push(blob);
             }
         }
@@ -1145,9 +710,22 @@ mod tests {
         }
     }
 
-    /// Checkpoint at an arbitrary barrier, resume, finish: the union of
-    /// pre-barrier and post-resume results is byte-identical to one
-    /// uninterrupted run, at 1 and several workers.
+    /// A legacy one-blob-per-shard `HMPC` container, as a session cut
+    /// packs them (here around hand-made bare `HMEN` blobs).
+    fn container(shards: &[Vec<u8>]) -> Checkpoint {
+        let bytes = checkpoint::container_header(
+            &PARALLEL_MAGIC,
+            PARALLEL_VERSION,
+            shards.len() as u32,
+            shards,
+        )
+        .finish();
+        Checkpoint::from_bytes(bytes).unwrap()
+    }
+
+    /// Cut at an arbitrary barrier, restore into a fresh session,
+    /// finish: the union of pre-barrier and post-restore results is
+    /// byte-identical to one uninterrupted run, at 1 and several workers.
     #[test]
     fn checkpoint_resume_matches_uninterrupted() {
         let (reg, queries, events) = setup();
@@ -1161,16 +739,18 @@ mod tests {
             .unwrap();
             let gold = eng.run(&events);
             for cut in [0usize, 63, events.len()] {
-                let pre = eng.run_to_checkpoint(&events[..cut]);
-                assert_eq!(pre.checkpoint.workers(), workers);
-                assert_eq!(pre.checkpoint.shard_bytes().len(), workers as usize);
-                assert!(pre.checkpoint.total_bytes() > 0);
+                let mut victim = eng.session();
+                let mut all = victim.process(&events[..cut]);
+                let ck = victim.cut(CutKind::Full).unwrap();
+                drop(victim); // the crash
+                assert!(!ck.is_delta() && !ck.is_empty());
                 // Serialize/deserialize the container as a file would.
-                let blob = pre.checkpoint.to_bytes();
-                let restored = ParallelCheckpoint::from_bytes(&blob).unwrap();
-                let post = eng.resume(&restored, &events[cut..]).unwrap();
-                let mut all = pre.report.results.clone();
-                all.extend(post.results);
+                let restored = Checkpoint::from_bytes(ck.into_bytes()).unwrap();
+                let mut survivor = eng.session();
+                assert_eq!(survivor.workers(), workers);
+                survivor.restore_chain(&[restored]).unwrap();
+                all.extend(survivor.process(&events[cut..]));
+                all.extend(survivor.flush());
                 sort_results(&mut all);
                 assert_eq!(all, gold.results, "{workers} workers, cut {cut}");
             }
@@ -1181,21 +761,32 @@ mod tests {
     #[test]
     fn resume_validates_worker_count_and_container() {
         let (reg, queries, events) = setup();
-        let four =
-            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4).unwrap();
-        let pre = four.run_to_checkpoint(&events[..50]);
-        let two =
-            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
+        let mk = |workers| {
+            ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap()
+            .session()
+        };
+        let mut four = mk(4);
+        four.process(&events[..50]);
+        let ck = four.cut(CutKind::Full).unwrap();
         assert!(matches!(
-            two.resume(&pre.checkpoint, &events[50..]),
+            mk(2).restore_chain(std::slice::from_ref(&ck)),
             Err(CheckpointError::WorkloadMismatch(_))
         ));
         assert!(matches!(
-            ParallelCheckpoint::from_bytes(b"garbage!"),
+            Checkpoint::from_bytes(b"garbage!".to_vec()),
             Err(CheckpointError::BadMagic)
         ));
-        let blob = pre.checkpoint.to_bytes();
-        assert!(ParallelCheckpoint::from_bytes(&blob[..blob.len() - 2]).is_err());
+        // A truncated container may still peek (only the first shard's
+        // header is read) but never restores.
+        let blob = ck.into_bytes();
+        let truncated = Checkpoint::from_bytes(blob[..blob.len() - 2].to_vec());
+        assert!(truncated.and_then(|ck| mk(4).restore_chain(&[ck])).is_err());
     }
 
     /// Runtime churn at a coordinated barrier: results are identical
@@ -1231,7 +822,7 @@ mod tests {
             }
             // The engine ended at the final (post-churn) workload: another
             // run must behave like a fresh engine over that workload.
-            assert_eq!(eng.queries.len(), queries.len());
+            assert_eq!(eng.router.queries.len(), queries.len());
             let after = eng.run(&events);
             let fresh = ParallelEngine::new(
                 reg.clone(),
@@ -1260,59 +851,49 @@ mod tests {
         ));
     }
 
-    /// A checkpoint taken after churn resumes into a `ParallelEngine`
-    /// built with the final query set (the blob's epoch is adopted from
-    /// the container), and rejects an engine whose set never churned.
+    /// A legacy container of bare engine blobs taken after churn
+    /// restores into a session built with the final query set (the
+    /// chain restore adopts the blob's epoch), and rejects a session
+    /// whose set never churned.
     #[test]
     fn post_churn_checkpoint_resumes_with_epoch() {
         let (reg, queries, events) = setup();
-        // Drive a single-shard churned prefix through the core engine to
-        // get a post-churn parallel container.
-        let mut eng = ParallelEngine::new(
-            reg.clone(),
-            vec![queries[0].clone(), queries[1].clone()],
-            EngineConfig::default(),
-            1,
-        )
-        .unwrap();
-        let _ = eng
-            .run_with_churn(&events[..100], &[(50, ChurnOp::Remove(QueryId(2)))])
-            .unwrap();
-        // Build the same churned state directly on a core engine and
+        // Build the churned state directly on a core engine and
         // checkpoint it as a 1-worker container.
         let mut core =
             HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
-        let mut pre = Vec::new();
         for e in &events[..50] {
-            pre.extend(core.process(e));
+            core.process(e);
         }
-        let rep = core.remove_query(QueryId(2)).unwrap();
-        pre.extend(rep.drained);
+        core.remove_query(QueryId(2)).unwrap();
         for e in &events[50..100] {
-            pre.extend(core.process(e));
+            core.process(e);
         }
-        let container = ParallelCheckpoint {
-            workers: 1,
-            shards: vec![core.checkpoint()],
+        let ck = container(&[core.checkpoint()]);
+        assert_eq!(ck.epoch(), 1);
+        // Restore with the final (one-query) workload: epoch adopted.
+        let mk = |set: Vec<Query>| {
+            ParallelEngine::new(reg.clone(), set, EngineConfig::default(), 1)
+                .unwrap()
+                .session()
         };
-        // Resume with the final (one-query) workload: epoch adopted.
-        let final_set = vec![queries[0].clone()];
-        let resumed = ParallelEngine::new(reg.clone(), final_set, EngineConfig::default(), 1)
-            .unwrap()
-            .resume(&container, &events[100..])
-            .unwrap();
+        let mut resumed = mk(vec![queries[0].clone()]);
+        resumed.restore_chain(std::slice::from_ref(&ck)).unwrap();
+        let mut got = resumed.process(&events[100..]);
+        got.extend(resumed.flush());
+        sort_results(&mut got);
         let mut direct = Vec::new();
         for e in &events[100..] {
             direct.extend(core.process(e));
         }
         direct.extend(core.flush());
         sort_results(&mut direct);
-        assert_eq!(direct, resumed.results);
-        // An engine over the pre-churn two-query set cannot restore it.
-        let err = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 1)
-            .unwrap()
-            .resume(&container, &events[100..]);
-        assert!(matches!(err, Err(CheckpointError::WorkloadMismatch(_))));
+        assert_eq!(direct, got);
+        // A session over the pre-churn two-query set cannot restore it.
+        assert!(matches!(
+            mk(queries.clone()).restore_chain(&[ck]),
+            Err(CheckpointError::WorkloadMismatch(_))
+        ));
     }
 
     /// A live session matches the offline run across worker counts, and
@@ -1321,7 +902,6 @@ mod tests {
     /// `tests/delta_checkpoint.rs`, in miniature).
     #[test]
     fn session_chain_cut_and_restore_matches_offline() {
-        use crate::store::{CutKind, Snapshot};
         let (reg, queries, events) = setup();
         let offline = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
             .unwrap()

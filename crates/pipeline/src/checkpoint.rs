@@ -13,8 +13,9 @@
 //!    time observed (the watermark seed for the resumed policy).
 //!
 //! [`PipelineHandle::checkpoint`](crate::PipelineHandle::checkpoint)
-//! produces one, [`PipelineBuilder::resume`](crate::PipelineBuilder::resume)
-//! consumes it. The container serializes through the same hand-rolled
+//! and every cut of a running pipeline produce one;
+//! [`PipelineBuilder::resume_from`](crate::PipelineBuilder::resume_from)
+//! consumes a chain of them from a store. The container serializes through the same hand-rolled
 //! versioned codec as the engine blobs
 //! ([`hamlet_core::checkpoint`]), so a checkpoint written to disk by one
 //! process restores cleanly in another.
@@ -35,7 +36,8 @@ const PIPELINE_VERSION_V1: u16 = 1;
 
 /// Durable state of a quiesced pipeline (see the module docs for the
 /// three layers). Obtain one via
-/// [`PipelineHandle::checkpoint`](crate::PipelineHandle::checkpoint).
+/// [`PipelineHandle::checkpoint`](crate::PipelineHandle::checkpoint), or
+/// decode a stored record with [`from_bytes`](Self::from_bytes).
 pub struct PipelineCheckpoint {
     pub(crate) workers: u32,
     /// Per-shard engine blobs (index = shard).
@@ -65,8 +67,8 @@ impl PipelineCheckpoint {
         self.workers
     }
 
-    /// Events pulled from the source before the barrier. On resume,
-    /// hand [`PipelineBuilder::resume`](crate::PipelineBuilder::resume)
+    /// Events pulled from the source before the barrier. On resume, hand
+    /// [`PipelineBuilder::resume_from`](crate::PipelineBuilder::resume_from)
     /// a source positioned *after* these events (e.g. a
     /// [`ReplaySource`](crate::ReplaySource) over `events[cursor..]`);
     /// the events the barrier caught in the reorder buffer travel inside

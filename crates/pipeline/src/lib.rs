@@ -23,15 +23,22 @@
 //! * **Backpressure** — every stage boundary is a bounded
 //!   `sync_channel`; a slow engine or sink stalls the source instead of
 //!   buffering the stream.
-//! * **Sharded workers** — `workers > 1` reuses the engine's
-//!   `shard_mask` routing *online*: per-shard channels, each worker
-//!   owning the partitions that hash to it, same bit-identical merged
-//!   results as the offline parallel path.
+//! * **Sharded workers** — `workers > 1` drives the same [`ShardRouter`]
+//!   as the offline parallel path, *online*: per-shard channels, each
+//!   worker owning the partitions that hash to it, same bit-identical
+//!   merged results. Churn and checkpoint cuts are barriers on those
+//!   channels; the router validates and re-plans each churn op once for
+//!   all shards.
 //! * **Drain ≡ flush** — [`PipelineHandle::drain`] stops the source,
 //!   releases the reorder buffer, flushes every engine and hands back
 //!   the sink: for an in-order stream the drained output is
 //!   byte-identical to offline `process`+`flush`
 //!   (`tests/pipeline_equivalence.rs`).
+//! * **One checkpoint surface** — a running pipeline cuts base + delta
+//!   records into a [`CheckpointStore`] (on a cadence, or on demand via
+//!   [`Snapshot::cut`] on the handle); [`PipelineHandle::checkpoint`] is
+//!   the quiescent freeze for a planned stop. Either way recovery is
+//!   [`PipelineBuilder::resume_from`] over a store.
 //! * **Runtime query churn** — queries can be added and removed while
 //!   the pipeline runs, either on a schedule
 //!   ([`PipelineBuilder::churn_at`], applied when the watermark first
@@ -82,12 +89,11 @@ pub use watermark::{BoundedLateness, ReorderBuffer, WatermarkPolicy};
 
 use hamlet_core::checkpoint::CheckpointError;
 use hamlet_core::executor::{
-    checkpoint_epoch, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine,
-    WindowResult,
+    ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine, WindowResult,
 };
 use hamlet_core::{
     Checkpoint, CheckpointStore, CutKind, GroupMetrics, LatencyHistogram, LatencyRecorder,
-    Snapshot, Span, SpanRecorder, Stage,
+    ShardRouter, Snapshot, Span, SpanRecorder, Stage,
 };
 use hamlet_obs::merge_group_metrics;
 use hamlet_query::{Query, QueryId};
@@ -166,7 +172,7 @@ struct IngestExit {
     max_seen: Option<Ts>,
 }
 
-/// Why a [`PipelineBuilder::resume`] failed.
+/// Why a [`PipelineBuilder::resume_from`] failed.
 #[derive(Debug)]
 pub enum ResumeError {
     /// The workload failed to compile (same errors as a fresh spawn).
@@ -269,12 +275,11 @@ impl PipelineBuilder {
         self
     }
 
-    /// Number of shard-owning workers, `1..=64`. With 1 worker events
-    /// flow to a single engine; with more, the router sends each event
-    /// only to the shards owning one of its partition keys.
+    /// Number of shard-owning workers, `1..=64` (checked at spawn). With
+    /// 1 worker events flow to a single engine; with more, the router
+    /// sends each event only to the shards owning one of its partition
+    /// keys.
     pub fn workers(mut self, workers: u32) -> Self {
-        assert!(workers >= 1, "at least one worker");
-        assert!(workers <= 64, "at most 64 workers (shard mask is a u64)");
         self.workers = workers;
         self
     }
@@ -418,54 +423,11 @@ impl PipelineBuilder {
         Src: Source + 'static,
         S: Sink + 'static,
     {
-        self.spawn_inner(source, sink, RestorePlan::Fresh)
+        self.spawn_inner(source, sink, Vec::new())
             .map_err(|e| match e {
                 ResumeError::Engine(err) => err,
                 ResumeError::Checkpoint(_) => unreachable!("no checkpoint on a fresh spawn"),
             })
-    }
-
-    /// Restores a pipeline from a [`PipelineCheckpoint`] and continues
-    /// it: every shard engine is rebuilt and restored, the frozen
-    /// reorder-buffer events are re-injected ahead of the source, the
-    /// watermark policy is re-seeded with the checkpointed stream
-    /// maximum, and the metrics counters continue from where they
-    /// stopped.
-    ///
-    /// The builder must be configured like the original pipeline (same
-    /// workload, worker count, watermark slack); `source` must be
-    /// positioned *after* the first
-    /// [`events_pulled`](PipelineCheckpoint::events_pulled) events of
-    /// the original stream. Continuing to the end of the stream and
-    /// draining yields byte-identical output to a run that never
-    /// stopped (`tests/checkpoint_equivalence.rs`).
-    ///
-    /// Deprecated: this is the raw single-blob path kept for existing
-    /// callers. New code should persist cuts through a
-    /// [`CheckpointStore`] ([`checkpoint_store`](Self::checkpoint_store)
-    /// \+ [`checkpoint_every`](Self::checkpoint_every) or
-    /// [`Snapshot::cut`] on the handle) and recover with
-    /// [`resume_from`](Self::resume_from), which also replays
-    /// incremental delta chains.
-    pub fn resume<Src, S>(
-        self,
-        checkpoint: &PipelineCheckpoint,
-        source: Src,
-        sink: S,
-    ) -> Result<PipelineHandle<S>, ResumeError>
-    where
-        Src: Source + 'static,
-        S: Sink + 'static,
-    {
-        if checkpoint.workers != self.workers {
-            return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                format!(
-                    "checkpoint taken under {} workers, resuming under {}",
-                    checkpoint.workers, self.workers
-                ),
-            )));
-        }
-        self.spawn_inner(source, sink, RestorePlan::Whole(checkpoint))
     }
 
     /// Restores a pipeline from the base + delta chain held in a
@@ -487,6 +449,12 @@ impl PipelineBuilder {
     /// the results the original run had not yet emitted at the cut —
     /// byte-identical to the uninterrupted run's suffix
     /// (`tests/delta_checkpoint.rs`).
+    ///
+    /// A frozen [`PipelineCheckpoint`] (from
+    /// [`PipelineHandle::checkpoint`], or a container written by an
+    /// older release) resumes the same way: append it to a store as a
+    /// chain of one. Its bare per-shard engine blobs restore as bases,
+    /// and each engine adopts the workload epoch stamped in its blob.
     ///
     /// An empty store is an error: recovery from nothing is a fresh
     /// [`spawn`](Self::spawn), and conflating the two would turn a
@@ -528,14 +496,14 @@ impl PipelineBuilder {
             }
             records.push(pc);
         }
-        self.spawn_inner(source, sink, RestorePlan::Chain(records))
+        self.spawn_inner(source, sink, records)
     }
 
     fn spawn_inner<Src, S>(
         mut self,
         source: Src,
         sink: S,
-        restore: RestorePlan<'_>,
+        chain: Vec<PipelineCheckpoint>,
     ) -> Result<PipelineHandle<S>, ResumeError>
     where
         Src: Source + 'static,
@@ -545,13 +513,16 @@ impl PipelineBuilder {
             self.checkpoint_every.is_none() || self.store.is_some(),
             "checkpoint_every requires a checkpoint_store to append to"
         );
+        // The record carrying the pipeline-level tail state (reorder
+        // buffer, source cursor, counters, elapsed) is the chain's
+        // newest — every earlier record's tail is superseded. `None` on
+        // a fresh spawn.
+        let tail = chain.last();
         // Re-seed the watermark policy before destructuring: the resumed
         // policy must never emit a watermark behind the one the
         // checkpointed pipeline already released events under.
-        if let Some(ck) = restore.tail() {
-            if let Some(max_seen) = ck.max_seen {
-                let _ = self.policy.observe(max_seen);
-            }
+        if let Some(max_seen) = tail.and_then(|ck| ck.max_seen) {
+            let _ = self.policy.observe(max_seen);
         }
         let PipelineBuilder {
             reg,
@@ -570,98 +541,38 @@ impl PipelineBuilder {
         } = self;
         let n = workers as usize;
 
-        // The probe configuration used to compile-check churned
-        // workloads without shard filtering or metrics overhead.
-        let mut probe_cfg = engine_cfg.clone();
-        probe_cfg.shard = None;
-        probe_cfg.track_latency = false;
-        probe_cfg.mem_sample_every = 0;
-        probe_cfg.obs = false;
-
-        // Validate the whole churn schedule now: simulate the query-set
-        // evolution and compile every intermediate workload, so workers
-        // can never hit a churn failure mid-stream.
-        {
-            let mut sim = queries.clone();
-            for (i, (_, op)) in churn_at.iter().enumerate() {
-                let invalid = |e: ChurnError| {
-                    ResumeError::Engine(EngineError::Churn(format!("entry {i}: {e}")))
-                };
-                match op {
-                    ChurnOp::Add(q) => {
-                        if sim.iter().any(|x| x.id == q.id) {
-                            return Err(invalid(ChurnError::Duplicate(q.id)));
-                        }
-                        sim.push(q.clone());
-                    }
-                    ChurnOp::Remove(id) => {
-                        if !sim.iter().any(|x| x.id == *id) {
-                            return Err(invalid(ChurnError::Unknown(*id)));
-                        }
-                        sim.retain(|x| x.id != *id);
-                    }
-                }
-                HamletEngine::new(reg.clone(), sim.clone(), probe_cfg.clone())
-                    .map_err(ResumeError::Engine)?;
-            }
-        }
-
-        // A checkpoint taken after churn carries the workload epoch in
-        // every shard blob: all shards must agree (they churn at the same
-        // barrier), and the resumed engines adopt it before restoring.
-        let mut start_epoch = 0u64;
-        if let RestorePlan::Whole(ck) = &restore {
-            let mut agreed = None;
-            for blob in &ck.engines {
-                let e = checkpoint_epoch(blob).map_err(ResumeError::Checkpoint)?;
-                match agreed {
-                    None => agreed = Some(e),
-                    Some(e0) if e0 != e => {
-                        return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                            format!("mixed workload epochs in pipeline checkpoint ({e0} vs {e})"),
-                        )))
-                    }
-                    Some(_) => {}
-                }
-            }
-            start_epoch = agreed.unwrap_or(0);
-        }
+        let router =
+            ShardRouter::new(reg, queries, engine_cfg, workers).map_err(ResumeError::Engine)?;
+        // Dry-run the whole churn schedule now, so workers can never hit
+        // a churn failure mid-stream.
+        router
+            .validate_schedule(churn_at.iter().map(|(_, op)| op))
+            .map_err(|(i, e)| {
+                ResumeError::Engine(match e {
+                    ChurnError::Engine(e) => e,
+                    e => EngineError::Churn(format!("entry {i}: {e}")),
+                })
+            })?;
 
         // Build (and restore) every engine up front so errors are
         // synchronous.
-        let mut engines = Vec::with_capacity(n);
-        for idx in 0..n {
-            let mut cfg = engine_cfg.clone();
-            cfg.shard = (workers > 1).then_some((idx as u32, workers));
-            let mut eng = HamletEngine::new(reg.clone(), queries.clone(), cfg)
-                .map_err(ResumeError::Engine)?;
-            match &restore {
-                RestorePlan::Fresh => {}
-                RestorePlan::Whole(ck) => {
-                    eng.set_epoch(start_epoch);
-                    eng.restore(&ck.engines[idx])
-                        .map_err(ResumeError::Checkpoint)?;
-                }
-                RestorePlan::Chain(records) => {
-                    // This shard's frame from every record in the chain;
-                    // the engine replays base + deltas (and adopts the
-                    // chain's workload epoch) itself.
-                    let mut shard_chain = Vec::with_capacity(records.len());
-                    for pc in records {
-                        shard_chain.push(
-                            Checkpoint::from_bytes(pc.engines[idx].clone())
-                                .map_err(ResumeError::Checkpoint)?,
-                        );
-                    }
-                    eng.restore_chain(&shard_chain)
-                        .map_err(ResumeError::Checkpoint)?;
-                }
+        let mut engines = router.engines().map_err(ResumeError::Engine)?;
+        let mut start_epoch = 0;
+        if !chain.is_empty() {
+            for (idx, eng) in engines.iter_mut().enumerate() {
+                // This shard's frame from every record in the chain; the
+                // engine replays base + deltas (and adopts the chain's
+                // workload epoch) itself.
+                let shard_chain = chain
+                    .iter()
+                    .map(|pc| Checkpoint::from_bytes(pc.engines[idx].clone()))
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(ResumeError::Checkpoint)?;
+                eng.restore_chain(&shard_chain)
+                    .map_err(ResumeError::Checkpoint)?;
             }
-            engines.push(eng);
-        }
-        if let RestorePlan::Chain(_) = &restore {
-            // Chain restore derives each shard's epoch from its frames;
-            // cross-shard agreement is validated after the fact.
+            // Each shard derived its epoch from its own frames; all
+            // shards churn at the same barrier, so they must agree.
             start_epoch = engines.first().map(HamletEngine::epoch).unwrap_or(0);
             if let Some(off) = engines.iter().find(|e| e.epoch() != start_epoch) {
                 return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
@@ -672,15 +583,6 @@ impl PipelineBuilder {
                 )));
             }
         }
-        // The router only maps events to shards; it never processes.
-        let router = if workers > 1 {
-            Some(
-                HamletEngine::new(reg.clone(), queries.clone(), probe_cfg.clone())
-                    .map_err(ResumeError::Engine)?,
-            )
-        } else {
-            None
-        };
 
         // Lane 0 traces the ingest stage, lanes 1..=n the workers.
         let spans = Arc::new(if trace_capacity > 0 {
@@ -688,10 +590,7 @@ impl PipelineBuilder {
         } else {
             SpanRecorder::disabled()
         });
-        let accum = restore
-            .tail()
-            .map(|ck| ck.elapsed)
-            .unwrap_or(Duration::ZERO);
+        let accum = tail.map(|ck| ck.elapsed).unwrap_or(Duration::ZERO);
         let shared = Arc::new(SharedStats::new(n, accum, spans.clone()));
         shared.epoch.store(start_epoch, Ordering::Relaxed);
         let stop = Arc::new(AtomicBool::new(false));
@@ -700,7 +599,7 @@ impl PipelineBuilder {
         // the checkpointed pipeline stopped.
         let mut buffer = ReorderBuffer::new();
         let mut max_seen = None;
-        if let Some(ck) = restore.tail() {
+        if let Some(ck) = tail {
             let [ingested, late, released, results] = ck.counters;
             shared.ingested.store(ingested, Ordering::Relaxed);
             shared.late.store(late, Ordering::Relaxed);
@@ -765,20 +664,20 @@ impl PipelineBuilder {
             policy,
             on_late,
             router,
-            reg,
-            queries,
-            probe_cfg,
             scheduled: churn_at.into(),
             churn_rx,
             cut_rx,
             epoch: start_epoch,
             buffer,
             max_seen,
-            out: (0..n).map(|_| Vec::with_capacity(batch)).collect(),
-            txs: event_txs,
-            workers,
-            batch,
-            last_tick: vec![None; n],
+            lanes: Lanes {
+                out: (0..n).map(|_| Vec::with_capacity(batch)).collect(),
+                txs: event_txs,
+                batch,
+                last_tick: vec![None; n],
+                shared: shared.clone(),
+                stop: stop.clone(),
+            },
             store,
             cut_every: checkpoint_every,
             compact_every,
@@ -807,28 +706,6 @@ impl PipelineBuilder {
     }
 }
 
-/// How [`PipelineBuilder::spawn_inner`] seeds engine state: fresh, from
-/// one whole legacy [`PipelineCheckpoint`], or by replaying a base +
-/// delta chain loaded from a [`CheckpointStore`].
-enum RestorePlan<'a> {
-    Fresh,
-    Whole(&'a PipelineCheckpoint),
-    Chain(Vec<PipelineCheckpoint>),
-}
-
-impl RestorePlan<'_> {
-    /// The record carrying the pipeline-level tail state (reorder
-    /// buffer, source cursor, counters, elapsed): the chain's newest
-    /// record — every earlier record's tail is superseded.
-    fn tail(&self) -> Option<&PipelineCheckpoint> {
-        match self {
-            RestorePlan::Fresh => None,
-            RestorePlan::Whole(ck) => Some(ck),
-            RestorePlan::Chain(records) => records.last(),
-        }
-    }
-}
-
 /// The ingest stage: pulls the source, generates watermarks, reorders,
 /// counts/dead-letters late events, and routes released events to the
 /// shard workers over bounded channels.
@@ -836,13 +713,10 @@ struct Ingest<Src> {
     source: Src,
     policy: Box<dyn WatermarkPolicy>,
     on_late: Option<LateHook>,
-    router: Option<HamletEngine>,
-    /// Workload bookkeeping for churn: the current query set (evolves
-    /// with every applied op) and what is needed to compile-check a
-    /// churned workload before committing to it.
-    reg: Arc<TypeRegistry>,
-    queries: Vec<Query>,
-    probe_cfg: EngineConfig,
+    /// Maps released events to shards, and owns the evolving workload:
+    /// every churn op is validated and re-planned there before any
+    /// worker sees it.
+    router: ShardRouter,
     /// Event-time churn schedule, trigger-ordered (validated at spawn).
     scheduled: VecDeque<(Ts, ChurnOp)>,
     /// Live churn requests from the handle, polled between source events.
@@ -856,14 +730,7 @@ struct Ingest<Src> {
     /// Maximum event time pulled from the source — recorded into
     /// checkpoints as the resumed watermark policy's seed.
     max_seen: Option<Ts>,
-    /// Per-worker batch under construction.
-    out: Vec<Vec<Routed>>,
-    txs: Vec<mpsc::SyncSender<WorkerMsg>>,
-    workers: u32,
-    batch: usize,
-    /// Per-shard event-time tick of the last pushed event — the batching
-    /// boundary (see [`push_to`](Self::push_to)).
-    last_tick: Vec<Option<u64>>,
+    lanes: Lanes,
     /// Where completed cuts are appended (cadence and on-demand).
     store: Option<Arc<dyn CheckpointStore>>,
     /// Cadence: cut after this many released events (None = no cadence).
@@ -874,6 +741,20 @@ struct Ingest<Src> {
     cuts_taken: u64,
     /// `released` counter at the previous cut (cadence anchor).
     last_cut_released: u64,
+    shared: Arc<SharedStats>,
+    stop: Arc<AtomicBool>,
+}
+
+/// The ingest stage's outboxes: one batch under construction and one
+/// bounded channel per shard worker.
+struct Lanes {
+    /// Per-worker batch under construction.
+    out: Vec<Vec<Routed>>,
+    txs: Vec<mpsc::SyncSender<WorkerMsg>>,
+    batch: usize,
+    /// Per-shard event-time tick of the last pushed event — the batching
+    /// boundary (see [`push_to`](Self::push_to)).
+    last_tick: Vec<Option<u64>>,
     shared: Arc<SharedStats>,
     stop: Arc<AtomicBool>,
 }
@@ -948,9 +829,9 @@ impl<Src: Source> Ingest<Src> {
             Vec::new()
         };
         self.shared.reorder_depth.store(0, Ordering::Relaxed);
-        self.flush_batches();
+        self.lanes.flush_batches();
         self.shared.source_done.store(true, Ordering::Relaxed);
-        self.txs.clear(); // hang up: workers drain and await their end command
+        self.lanes.txs.clear(); // hang up: workers drain and await their end command
         IngestExit {
             buffered,
             max_seen: self.max_seen,
@@ -963,59 +844,8 @@ impl<Src: Source> Ingest<Src> {
             .released
             .fetch_add(tranche.len() as u64, Ordering::Relaxed);
         for (e, arrival) in tranche {
-            match &self.router {
-                None => self.push_to(0, e, arrival),
-                Some(router) => {
-                    let mut mask = router.shard_mask(&e, self.workers);
-                    while mask != 0 {
-                        let idx = mask.trailing_zeros() as usize;
-                        mask &= mask - 1;
-                        if mask == 0 {
-                            self.push_to(idx, e, arrival);
-                            break;
-                        }
-                        self.push_to(idx, e.clone(), arrival);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Appends to a shard's batch and flushes it when full (`batch`
-    /// events) or when *this shard's* event time advanced a tick — the
-    /// boundary that costs no result latency: a shard's windows only
-    /// close when one of its own events advances its engine's watermark,
-    /// and exactly that tick-advancing event ships inside the batch its
-    /// push flushes, while same-tick followers (which cannot close
-    /// anything) stay buffered and amortize the channel.
-    fn push_to(&mut self, idx: usize, e: Event, arrival: Instant) {
-        let tick = e.time.ticks();
-        let advanced = self.last_tick[idx].is_some_and(|t| t != tick);
-        self.last_tick[idx] = Some(tick);
-        self.out[idx].push((e, arrival));
-        if advanced || self.out[idx].len() >= self.batch {
-            self.send(idx);
-        }
-    }
-
-    fn flush_batches(&mut self) {
-        for idx in 0..self.out.len() {
-            if !self.out[idx].is_empty() {
-                self.send(idx);
-            }
-        }
-    }
-
-    fn send(&mut self, idx: usize) {
-        let full = std::mem::replace(&mut self.out[idx], Vec::with_capacity(self.batch));
-        self.shared.worker_depths[idx].fetch_add(full.len(), Ordering::Relaxed);
-        // Blocking on a full channel IS the backpressure. A send only
-        // fails if the worker died (panicked): stop pulling the source so
-        // an unbounded run cannot silently discard that shard's events
-        // forever — the drain join then surfaces the worker's panic.
-        if self.txs[idx].send(WorkerMsg::Batch(full)).is_err() {
-            self.shared.worker_depths[idx].store(0, Ordering::Relaxed);
-            self.stop.store(true, Ordering::Relaxed);
+            self.router
+                .route(e, |idx, e| self.lanes.push_to(idx, e, arrival));
         }
     }
 
@@ -1046,53 +876,28 @@ impl<Src: Source> Ingest<Src> {
         }
     }
 
-    /// Applies one churn op at the current watermark barrier: validates
-    /// it against the evolving query set, compile-checks the post-churn
-    /// workload (so the workers' own churn cannot fail), ships every
-    /// partial batch followed by the op down each worker's FIFO channel
-    /// (every shard churns at the same stream cut), re-plans the router,
-    /// and bumps the workload epoch.
+    /// Applies one churn op at the current watermark barrier: the router
+    /// validates it against the evolving query set, compile-checks the
+    /// post-churn workload (so the workers' own churn cannot fail) and
+    /// re-plans routing; then every partial batch followed by the op
+    /// goes down each worker's FIFO channel (every shard churns at the
+    /// same stream cut), and the workload epoch is bumped.
     fn apply_churn(&mut self, op: ChurnOp) -> Result<u64, ChurnError> {
-        let mut wanted = self.queries.clone();
-        match &op {
-            ChurnOp::Add(q) => {
-                if wanted.iter().any(|x| x.id == q.id) {
-                    return Err(ChurnError::Duplicate(q.id));
-                }
-                wanted.push(q.clone());
-            }
-            ChurnOp::Remove(id) => {
-                if !wanted.iter().any(|x| x.id == *id) {
-                    return Err(ChurnError::Unknown(*id));
-                }
-                wanted.retain(|x| x.id != *id);
-            }
-        }
-        HamletEngine::new(self.reg.clone(), wanted.clone(), self.probe_cfg.clone())
-            .map_err(ChurnError::Engine)?;
         let barrier = self.shared.spans.start();
+        // Ingest is the only thread that routes, so re-planning before
+        // the flush is safe: nothing is routed between here and the
+        // sends below, and a rejected op returns with nothing changed
+        // (and no barrier span).
+        self.router.apply(&op)?;
         // The barrier: everything routed so far reaches each worker
         // before the op does (per-channel FIFO), everything after it
         // follows — the same cut on every shard.
-        self.flush_batches();
-        if let Some(router) = &mut self.router {
-            // Re-plan the router before any worker sees the op: ingest
-            // is the only thread that routes, so between the flush above
-            // and the sends below no event observes the routing — and a
-            // rejected re-plan (the dry-run makes that unreachable)
-            // fails the churn cleanly instead of desyncing shards.
-            // It holds no window state to drain.
-            match &op {
-                ChurnOp::Add(q) => drop(router.add_query(q.clone())?),
-                ChurnOp::Remove(id) => drop(router.remove_query(*id)?),
-            }
-        }
-        for idx in 0..self.txs.len() {
-            if self.txs[idx].send(WorkerMsg::Churn(op.clone())).is_err() {
+        self.lanes.flush_batches();
+        for tx in &self.lanes.txs {
+            if tx.send(WorkerMsg::Churn(op.clone())).is_err() {
                 self.stop.store(true, Ordering::Relaxed);
             }
         }
-        self.queries = wanted;
         self.epoch += 1;
         self.shared.epoch.store(self.epoch, Ordering::Relaxed);
         self.shared
@@ -1168,14 +973,14 @@ impl<Src: Source> Ingest<Src> {
     fn coordinated_cut_inner(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         // The same barrier as churn: everything routed so far reaches
         // each worker before the cut marker does (per-channel FIFO).
-        self.flush_batches();
+        self.lanes.flush_batches();
         let (reply_tx, reply_rx) = mpsc::channel();
-        for idx in 0..self.txs.len() {
+        for (idx, tx) in self.lanes.txs.iter().enumerate() {
             let msg = WorkerMsg::Cut {
                 kind,
                 reply: reply_tx.clone(),
             };
-            if self.txs[idx].send(msg).is_err() {
+            if tx.send(msg).is_err() {
                 self.stop.store(true, Ordering::Relaxed);
                 return Err(CheckpointError::Io(format!(
                     "worker {idx} is gone; cannot cut"
@@ -1183,7 +988,7 @@ impl<Src: Source> Ingest<Src> {
             }
         }
         drop(reply_tx);
-        let n = self.txs.len();
+        let n = self.lanes.txs.len();
         let mut frames: Vec<Option<Vec<u8>>> = vec![None; n];
         for _ in 0..n {
             match reply_rx.recv() {
@@ -1223,7 +1028,7 @@ impl<Src: Source> Ingest<Src> {
             self.shared.results.load(Ordering::Relaxed),
         ];
         let pc = PipelineCheckpoint {
-            workers: self.workers,
+            workers: self.router.workers(),
             engines,
             buffered: self.buffer.contents(),
             events_pulled: counters[0],
@@ -1236,6 +1041,46 @@ impl<Src: Source> Ingest<Src> {
             store.append(&ck)?;
         }
         Ok(ck)
+    }
+}
+
+impl Lanes {
+    /// Appends to a shard's batch and flushes it when full (`batch`
+    /// events) or when *this shard's* event time advanced a tick — the
+    /// boundary that costs no result latency: a shard's windows only
+    /// close when one of its own events advances its engine's watermark,
+    /// and exactly that tick-advancing event ships inside the batch its
+    /// push flushes, while same-tick followers (which cannot close
+    /// anything) stay buffered and amortize the channel.
+    fn push_to(&mut self, idx: usize, e: Event, arrival: Instant) {
+        let tick = e.time.ticks();
+        let advanced = self.last_tick[idx].is_some_and(|t| t != tick);
+        self.last_tick[idx] = Some(tick);
+        self.out[idx].push((e, arrival));
+        if advanced || self.out[idx].len() >= self.batch {
+            self.send(idx);
+        }
+    }
+
+    fn flush_batches(&mut self) {
+        for idx in 0..self.out.len() {
+            if !self.out[idx].is_empty() {
+                self.send(idx);
+            }
+        }
+    }
+
+    fn send(&mut self, idx: usize) {
+        let full = std::mem::replace(&mut self.out[idx], Vec::with_capacity(self.batch));
+        self.shared.worker_depths[idx].fetch_add(full.len(), Ordering::Relaxed);
+        // Blocking on a full channel IS the backpressure. A send only
+        // fails if the worker died (panicked): stop pulling the source so
+        // an unbounded run cannot silently discard that shard's events
+        // forever — the drain join then surfaces the worker's panic.
+        if self.txs[idx].send(WorkerMsg::Batch(full)).is_err() {
+            self.shared.worker_depths[idx].store(0, Ordering::Relaxed);
+            self.stop.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -1571,11 +1416,13 @@ impl<S: Sink> PipelineHandle<S> {
     /// threads join.
     ///
     /// The returned [`PipelineCheckpointReport`] carries the
-    /// [`PipelineCheckpoint`] (persist it with
-    /// [`to_bytes`](PipelineCheckpoint::to_bytes)), the sink with every
-    /// result emitted *before* the barrier, and the barrier pause time.
-    /// Windows still open at the barrier emit after
-    /// [`PipelineBuilder::resume`] — exactly once, never twice:
+    /// [`PipelineCheckpoint`], the sink with every result emitted
+    /// *before* the barrier, and the barrier pause time. To resume,
+    /// append the container to a [`CheckpointStore`]
+    /// (`Checkpoint::from_bytes(checkpoint.to_bytes())` — a full record,
+    /// so it starts a new chain) and call
+    /// [`PipelineBuilder::resume_from`]. Windows still open at the
+    /// barrier emit after the resume — exactly once, never twice:
     /// resuming and draining is byte-identical to a run that never
     /// stopped.
     ///
@@ -1583,13 +1430,11 @@ impl<S: Sink> PipelineHandle<S> {
     /// [`stop`](Self::stop)); a finite source that already ended simply
     /// yields a checkpoint whose reorder buffer is empty.
     ///
-    /// Deprecated: this consuming freeze is kept for existing callers
-    /// and for the final cut of a planned shutdown. A pipeline built
-    /// with [`PipelineBuilder::checkpoint_store`] keeps itself durable
-    /// while running (cadence cuts via
-    /// [`PipelineBuilder::checkpoint_every`], on-demand via
-    /// [`Snapshot::cut`]) and recovers with
-    /// [`PipelineBuilder::resume_from`].
+    /// This is the quiescent freeze, the one cut that also captures a
+    /// stopped source's position: the final record of a planned
+    /// shutdown. A pipeline that must survive an *unplanned* stop keeps
+    /// itself durable while running instead
+    /// ([`PipelineBuilder::checkpoint_every`], [`Snapshot::cut`]).
     pub fn checkpoint(self) -> PipelineCheckpointReport<S> {
         // Order matters: the mode flag must be visible to the ingest
         // stage whenever the stop flag is — otherwise ingest could stop
@@ -1653,8 +1498,9 @@ impl<S: Sink> PipelineHandle<S> {
 /// the sink with every pre-barrier result, and the barrier timing.
 pub struct PipelineCheckpointReport<S> {
     /// The durable pipeline state — persist with
-    /// [`PipelineCheckpoint::to_bytes`], resume with
-    /// [`PipelineBuilder::resume`].
+    /// [`PipelineCheckpoint::to_bytes`] (appended to a
+    /// [`CheckpointStore`] as a full record), resume with
+    /// [`PipelineBuilder::resume_from`].
     pub checkpoint: PipelineCheckpoint,
     /// The sink, holding every result emitted before the barrier.
     pub sink: S,
@@ -1785,6 +1631,16 @@ mod tests {
         }
         out.extend(eng.flush());
         out
+    }
+
+    /// A store holding one frozen pipeline as a chain of one — how a
+    /// [`PipelineHandle::checkpoint`] container is resumed.
+    fn store_of(frozen: &PipelineCheckpoint) -> hamlet_core::MemStore {
+        let store = hamlet_core::MemStore::new();
+        store
+            .append(&Checkpoint::from_bytes(frozen.to_bytes()).unwrap())
+            .unwrap();
+        store
     }
 
     #[test]
@@ -1987,13 +1843,15 @@ mod tests {
         assert_eq!(frozen.checkpoint.events_pulled(), cut as u64);
         assert_eq!(frozen.checkpoint.workers(), 1);
         assert!(frozen.checkpoint.engine_bytes() > 0);
-        // Persist + reload, as a crash-recovery path would.
-        let blob = frozen.checkpoint.to_bytes();
-        let restored = PipelineCheckpoint::from_bytes(&blob).unwrap();
+        // Persist + reload through a store, as a crash-recovery path
+        // would.
+        let store = store_of(&frozen.checkpoint);
+        let chain = store.load_chain().unwrap();
+        let restored = PipelineCheckpoint::from_bytes(chain[0].as_bytes()).unwrap();
         let cursor = restored.events_pulled() as usize;
         let resumed = Pipeline::builder(reg, queries)
-            .resume(
-                &restored,
+            .resume_from(
+                &store,
                 ReplaySource::new(events[cursor..].to_vec()),
                 frozen.sink,
             )
@@ -2018,10 +1876,19 @@ mod tests {
         let frozen = handle.checkpoint();
         let err = Pipeline::builder(reg, queries)
             .workers(4)
-            .resume(&frozen.checkpoint, ReplaySource::new(vec![]), NullSink)
+            .resume_from(
+                &store_of(&frozen.checkpoint),
+                ReplaySource::new(vec![]),
+                NullSink,
+            )
             .err();
         assert!(
-            matches!(err, Some(ResumeError::Checkpoint(_))),
+            matches!(
+                err,
+                Some(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
+                    _
+                )))
+            ),
             "wrong worker count must be a checkpoint error: {err:?}"
         );
     }
@@ -2047,7 +1914,9 @@ mod tests {
     #[should_panic(expected = "at most 64 workers")]
     fn too_many_workers_rejected() {
         let (reg, queries, _) = setup();
-        let _ = Pipeline::builder(reg, queries).workers(65);
+        let _ = Pipeline::builder(reg, queries)
+            .workers(65)
+            .spawn(ReplaySource::new(vec![]), NullSink);
     }
 
     fn third_query(reg: &Arc<TypeRegistry>) -> Query {
@@ -2474,12 +2343,13 @@ mod tests {
         let banked = frozen.checkpoint.elapsed();
         assert!(banked >= Duration::from_millis(20), "banked {banked:?}");
         assert_eq!(frozen.wall, banked);
-        let blob = frozen.checkpoint.to_bytes();
-        let restored = PipelineCheckpoint::from_bytes(&blob).unwrap();
+        let store = store_of(&frozen.checkpoint);
+        let stored = store.load_chain().unwrap();
+        let restored = PipelineCheckpoint::from_bytes(stored[0].as_bytes()).unwrap();
         assert_eq!(restored.elapsed(), banked, "elapsed survives the codec");
         let resumed = Pipeline::builder(reg, queries)
-            .resume(
-                &restored,
+            .resume_from(
+                &store,
                 ReplaySource::new(events[cut..].to_vec()),
                 frozen.sink,
             )
@@ -2604,9 +2474,12 @@ mod tests {
         }
     }
 
-    /// Churn bumps the workload epoch inside every shard's checkpoint
-    /// blob; resuming adopts it, and resuming under the pre-churn
-    /// workload is rejected.
+    /// Compatibility: a frozen [`PipelineCheckpoint`] carrying bare
+    /// `HMEN` shard blobs at epoch > 0 (what `checkpoint()` writes, and
+    /// what every pre-chain release wrote), appended to a store, resumes
+    /// byte-identically via `resume_from` — the chain restore adopts
+    /// the blobs' epoch — and resuming under the pre-churn workload is
+    /// rejected.
     #[test]
     fn checkpoint_after_churn_resumes_with_epoch() {
         let (reg, queries, events) = setup();
@@ -2625,18 +2498,17 @@ mod tests {
         assert_eq!(handle.metrics().epoch, 1);
         let frozen = handle.checkpoint();
         for blob in &frozen.checkpoint.engines {
-            assert_eq!(
-                checkpoint_epoch(blob).unwrap(),
-                1,
-                "epoch stamped per shard"
-            );
+            assert_eq!(&blob[..4], b"HMEN", "a bare engine blob, not a chain frame");
+            let record = Checkpoint::from_bytes(blob.clone()).unwrap();
+            assert_eq!(record.epoch(), 1, "epoch stamped per shard");
         }
+        let store = store_of(&frozen.checkpoint);
 
         let mut final_queries = queries.clone();
         final_queries.push(third_query(&reg));
         let resumed = Pipeline::builder(reg.clone(), final_queries)
-            .resume(
-                &frozen.checkpoint,
+            .resume_from(
+                &store,
                 ReplaySource::new(events[cut..].to_vec()),
                 frozen.sink,
             )
@@ -2647,7 +2519,7 @@ mod tests {
 
         // The pre-churn workload no longer matches the checkpoint.
         let err = Pipeline::builder(reg, queries)
-            .resume(&frozen.checkpoint, ReplaySource::new(vec![]), NullSink)
+            .resume_from(&store, ReplaySource::new(vec![]), NullSink)
             .err();
         assert!(
             matches!(

@@ -5,12 +5,12 @@
 //! * the single engine (`HamletEngine::checkpoint`/`restore`), in raw
 //!   emission order, including the round-trip identity
 //!   `checkpoint(restore(blob)) == blob`;
-//! * the offline parallel path (`ParallelEngine::run_to_checkpoint` /
-//!   `resume`) at 1 and 4 workers, in canonical order;
-//! * the online pipeline (`PipelineHandle::checkpoint` /
-//!   `PipelineBuilder::resume`) at 1 and 4 workers, for in-order *and*
-//!   bounded-late delivery — the reorder buffer and source cursor travel
-//!   inside the checkpoint;
+//! * the parallel executor (`ParallelSession` + `Snapshot::cut` /
+//!   `restore_chain`) at 1 and 4 workers, in canonical order;
+//! * the online pipeline (`PipelineHandle::checkpoint`, its container
+//!   appended to a store, `PipelineBuilder::resume_from`) at 1 and 4
+//!   workers, for in-order *and* bounded-late delivery — the reorder
+//!   buffer and source cursor travel inside the checkpoint;
 //! * a proptest over stream shapes and checkpoint positions.
 //!
 //! This is the acceptance property of the checkpoint subsystem: recovery
@@ -105,10 +105,36 @@ fn engine_kill_restore_continue_is_byte_identical() {
     }
 }
 
-/// Offline parallel path at 1 and 4 workers: a coordinated per-shard
-/// checkpoint at an arbitrary barrier, resumed (through the serialized
-/// container, as a crash-recovery path would), equals one uninterrupted
-/// run in canonical order — zero rows included.
+/// Kill a parallel session after `events[..cut]`, restore its full cut
+/// (through the serialized container, as a crash-recovery path would)
+/// into a fresh session, finish the stream: everything emitted, in
+/// canonical order.
+fn parallel_kill_restore_continue(
+    par: &ParallelEngine,
+    events: &[Event],
+    cut: usize,
+) -> Vec<WindowResult> {
+    let mut victim = par.session();
+    let mut all = victim.process(&events[..cut]);
+    let container = victim
+        .cut(CutKind::Full)
+        .expect("session cuts")
+        .into_bytes();
+    drop(victim); // the crash
+    let mut survivor = par.session();
+    let record = Checkpoint::from_bytes(container).expect("container peeks");
+    survivor
+        .restore_chain(&[record])
+        .expect("own checkpoint restores");
+    all.extend(survivor.process(&events[cut..]));
+    all.extend(survivor.flush());
+    sort_results(&mut all);
+    all
+}
+
+/// Parallel executor at 1 and 4 workers: a coordinated per-shard cut at
+/// an arbitrary barrier, restored into a fresh session, equals one
+/// uninterrupted run in canonical order — zero rows included.
 #[test]
 fn parallel_checkpoint_resume_is_identical_at_1_and_4_workers() {
     let (reg, queries) = workload();
@@ -124,15 +150,9 @@ fn parallel_checkpoint_resume_is_identical_at_1_and_4_workers() {
         let gold = eng.run(&events);
         assert!(!gold.results.is_empty());
         for cut in [0, events.len() / 2, events.len()] {
-            let pre = eng.run_to_checkpoint(&events[..cut]);
-            let container = pre.checkpoint.to_bytes();
-            let restored = ParallelCheckpoint::from_bytes(&container).unwrap();
-            let post = eng.resume(&restored, &events[cut..]).unwrap();
-            let mut all = pre.report.results.clone();
-            all.extend(post.results);
-            sort_results(&mut all);
             assert_eq!(
-                all, gold.results,
+                parallel_kill_restore_continue(&eng, &events, cut),
+                gold.results,
                 "{workers} workers, cut {cut}: recovery changed the output"
             );
         }
@@ -150,6 +170,15 @@ fn wait_for<S: Sink>(handle: &PipelineHandle<S>, cond: impl Fn(&MetricsSnapshot)
         assert!(Instant::now() < deadline, "pipeline made no progress");
         std::thread::sleep(Duration::from_millis(1));
     }
+}
+
+/// A store holding one frozen pipeline as a chain of one — how a
+/// `PipelineHandle::checkpoint` container is resumed.
+fn store_of(frozen: &PipelineCheckpoint) -> MemStore {
+    let store = MemStore::new();
+    let record = Checkpoint::from_bytes(frozen.to_bytes()).expect("container peeks");
+    store.append(&record).expect("a full record starts a chain");
+    store
 }
 
 /// Online pipeline, in-order stream, deterministic barrier: run a
@@ -173,13 +202,14 @@ fn pipeline_checkpoint_resume_in_order_1_and_4_workers() {
         assert!(frozen.checkpoint.engine_bytes() > 0);
 
         // Persist, reload, resume in a "new process".
-        let container = frozen.checkpoint.to_bytes();
-        let restored = PipelineCheckpoint::from_bytes(&container).unwrap();
+        let store = store_of(&frozen.checkpoint);
+        let stored = store.load_chain().unwrap();
+        let restored = PipelineCheckpoint::from_bytes(stored[0].as_bytes()).unwrap();
         let cursor = restored.events_pulled() as usize;
         let report = Pipeline::builder(reg.clone(), queries.clone())
             .workers(workers)
-            .resume(
-                &restored,
+            .resume_from(
+                &store,
                 ReplaySource::new(events[cursor..].to_vec()),
                 frozen.sink,
             )
@@ -239,8 +269,8 @@ fn pipeline_checkpoint_resume_bounded_late_mid_flight() {
         let report = Pipeline::builder(reg.clone(), queries.clone())
             .workers(workers)
             .watermark(BoundedLateness::new(lateness))
-            .resume(
-                &frozen.checkpoint,
+            .resume_from(
+                &store_of(&frozen.checkpoint),
                 ReplaySource::new(delivered[cursor..].to_vec()),
                 frozen.sink,
             )
@@ -315,11 +345,7 @@ proptest! {
         let par = ParallelEngine::new(
             reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
         let gold_par = par.run(&events);
-        let pre = par.run_to_checkpoint(&events[..cut]);
-        let post = par.resume(&pre.checkpoint, &events[cut..]).unwrap();
-        let mut all = pre.report.results.clone();
-        all.extend(post.results);
-        sort_results(&mut all);
+        let all = parallel_kill_restore_continue(&par, &events, cut);
         prop_assert_eq!(&all, &gold_par.results, "parallel seed {} cut {}", seed, cut);
     }
 }

@@ -9,7 +9,7 @@
 //! * a proptest over churn positions × stream shapes;
 //! * checkpoint/restore **mid-churn**: a blob taken after churn restores
 //!   only into an engine at the same workload epoch (built with the
-//!   post-churn query set, epoch declared via [`checkpoint_epoch`]) and
+//!   post-churn query set; a chain restore adopts the blob's epoch) and
 //!   then continues byte-identically; a cross-epoch restore is rejected
 //!   with `WorkloadMismatch`.
 //!
@@ -180,9 +180,9 @@ fn invalid_schedule_rejects_upfront_and_leaves_engine_usable() {
 
 /// Checkpoint taken mid-stream *after* churn: restoring demands the same
 /// workload epoch. A fresh engine built with the post-churn query set
-/// (epoch 0) is rejected with `WorkloadMismatch`; after declaring the
-/// blob's epoch via [`checkpoint_epoch`] + `set_epoch`, restore succeeds
-/// and the continuation is byte-identical to the uninterrupted churned
+/// (epoch 0) is rejected by a plain `restore` with `WorkloadMismatch`;
+/// a chain restore — which adopts the blob's epoch, a bare blob being a
+/// chain of one — succeeds and the continuation is byte-identical to the uninterrupted churned
 /// run — raw emission order, no normalization.
 #[test]
 fn mid_churn_checkpoint_restores_at_matching_epoch_only() {
@@ -232,7 +232,8 @@ fn mid_churn_checkpoint_restores_at_matching_epoch_only() {
     let blob = victim.checkpoint();
     drop(victim); // the crash
 
-    assert_eq!(checkpoint_epoch(&blob).unwrap(), 2);
+    let record = Checkpoint::from_bytes(blob.clone()).unwrap();
+    assert_eq!(record.epoch(), 2);
 
     // Epoch 0 engine with the right query set: rejected, engine unharmed.
     let mut survivor =
@@ -242,9 +243,9 @@ fn mid_churn_checkpoint_restores_at_matching_epoch_only() {
         other => panic!("cross-epoch restore must fail with WorkloadMismatch, got {other:?}"),
     }
 
-    // Declare the blob's epoch: restore succeeds and continues exactly.
-    survivor.set_epoch(checkpoint_epoch(&blob).unwrap());
-    survivor.restore(&blob).unwrap();
+    // Chain restore adopts the blob's epoch and continues exactly.
+    survivor.restore_chain(&[record]).unwrap();
+    assert_eq!(survivor.epoch(), 2);
     assert_eq!(
         survivor.checkpoint(),
         blob,

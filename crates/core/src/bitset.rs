@@ -14,8 +14,8 @@ pub struct QSet {
 
 impl QSet {
     /// Empty set.
-    pub fn new() -> Self {
-        QSet::default()
+    pub const fn new() -> Self {
+        QSet { words: Vec::new() }
     }
 
     /// Set containing `0..k`.
@@ -51,6 +51,13 @@ impl QSet {
     pub fn contains(&self, i: usize) -> bool {
         let (w, b) = (i / 64, i % 64);
         self.words.get(w).is_some_and(|x| x & (1 << b) != 0)
+    }
+
+    /// Members `0..64` as a bit mask — the whole set for groups of at
+    /// most 64 members, which is what the cell replay works on.
+    #[inline]
+    pub fn low_word(&self) -> u64 {
+        self.words.first().copied().unwrap_or(0)
     }
 
     /// Number of members.

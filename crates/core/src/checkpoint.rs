@@ -42,11 +42,18 @@ pub const ENGINE_MAGIC: [u8; 4] = *b"HMEN";
 /// Engine checkpoint format version. v2 added the count-only burst tail
 /// (`burst_extra`) to each run's pending-burst record; v3 added the
 /// workload *epoch* (runtime query churn generation) to the header; v4
-/// appended the per-share-group observability counters at the tail.
-/// v2/v3 blobs still restore — v2 into engines at epoch 0 (the only
-/// epoch v2 could describe), v3 with the per-group counters zeroed
-/// (see `docs/checkpoint-format.md`).
-pub const ENGINE_VERSION: u16 = 4;
+/// appended the per-share-group observability counters at the tail; v5
+/// tags the pending-burst record with its representation and writes
+/// non-edge bursts as a cell column instead of events. v2–v4 blobs
+/// still restore — v2 into engines at epoch 0 (the only epoch v2 could
+/// describe), v2/v3 with the per-group counters zeroed, and all three
+/// with their buffered events converted to the representation this
+/// build buffers (see `docs/checkpoint-format.md`).
+pub const ENGINE_VERSION: u16 = 5;
+
+/// The v4 engine format version (pending bursts as events plus a
+/// count-only tail), still accepted by [`crate::HamletEngine::restore`].
+pub const ENGINE_VERSION_V4: u16 = 4;
 
 /// The v3 engine format version (epoch header, no per-group
 /// observability tail), still accepted by
@@ -58,14 +65,43 @@ pub const ENGINE_VERSION_V3: u16 = 3;
 /// workload epoch existed.
 pub const ENGINE_VERSION_V2: u16 = 2;
 
+/// Writes an engine blob's header up to the workload epoch: magic,
+/// current version, epoch.
+pub fn write_engine_header(e: &mut Enc, epoch: u64) {
+    e.raw(&ENGINE_MAGIC);
+    e.u16(ENGINE_VERSION);
+    e.u64(epoch);
+}
+
+/// Mirror of [`write_engine_header`] for every accepted version: reads
+/// an engine blob's header up to the workload epoch — magic,
+/// version, epoch — and returns `(version, epoch)`. v2 blobs predate
+/// the epoch and can only describe an engine that never churned: epoch
+/// 0. Any version this build does not know is `BadVersion`, read before
+/// any state field.
+pub fn read_engine_header(d: &mut Dec<'_>) -> Result<(u16, u64), CheckpointError> {
+    d.magic(&ENGINE_MAGIC)?;
+    match d.u16()? {
+        ENGINE_VERSION_V2 => Ok((ENGINE_VERSION_V2, 0)),
+        v @ (ENGINE_VERSION_V3 | ENGINE_VERSION_V4 | ENGINE_VERSION) => Ok((v, d.u64()?)),
+        other => Err(CheckpointError::BadVersion(other)),
+    }
+}
+
 /// Magic tag opening every delta-chain record (`HMDL`): a *base* (a
 /// full engine blob re-framed as the root of a chain) or an
 /// incremental *delta* (only the partitions, pending halves, and
 /// counters touched since the previous cut). See
 /// `docs/checkpoint-format.md` for the layout and the chain rules.
 pub const DELTA_MAGIC: [u8; 4] = *b"HMDL";
-/// Delta-chain record format version.
-pub const DELTA_VERSION: u16 = 1;
+/// Delta-chain record format version. v2 delta payloads carry the
+/// `HMEN` v5 run-state record; v1 records (the `HMEN` v4 one) still
+/// restore.
+pub const DELTA_VERSION: u16 = 2;
+
+/// The v1 delta-chain record version, still accepted by
+/// [`read_delta_frame`].
+pub const DELTA_VERSION_V1: u16 = 1;
 
 /// Kind byte of an `HMDL` frame carrying a full base snapshot.
 pub const DELTA_KIND_BASE: u8 = 0;
@@ -77,6 +113,9 @@ pub const DELTA_KIND_DELTA: u8 = 1;
 /// payload, plus the payload itself (a full engine blob for a base, a
 /// delta body for a delta).
 pub struct DeltaFrame {
+    /// Frame format version (selects the delta payload's run-state
+    /// record; a base payload carries its own `HMEN` version).
+    pub version: u16,
     /// True for a base record (kind 0), false for a delta (kind 1).
     pub base: bool,
     /// Chain sequence number of this record (monotone per engine).
@@ -112,9 +151,9 @@ pub fn write_delta_frame(base: bool, seq: u64, parent: u64, epoch: u64, payload:
 pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame, CheckpointError> {
     let mut d = Dec::new(bytes);
     d.magic(&DELTA_MAGIC)?;
-    let v = d.u16()?;
-    if v != DELTA_VERSION {
-        return Err(CheckpointError::BadVersion(v));
+    let version = d.u16()?;
+    if version != DELTA_VERSION && version != DELTA_VERSION_V1 {
+        return Err(CheckpointError::BadVersion(version));
     }
     let base = match d.u8()? {
         DELTA_KIND_BASE => true,
@@ -127,6 +166,7 @@ pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame, CheckpointError> {
     let payload = d.bytes()?;
     d.expect_end()?;
     Ok(DeltaFrame {
+        version,
         base,
         seq,
         parent,

@@ -10,10 +10,11 @@
 //! window's end, the run is finalized and one result per member query and
 //! group-by key is emitted.
 
+use crate::burst::{BurstRepr, Cell, Chunk, EventArena, FlushEnv, RunState};
 use crate::general::{self, CombineKind};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::{decide, DivergenceEstimator, SharingPolicy};
-use crate::run::{GroupRuntime, MemberOutput, Run, RunStats};
+use crate::run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 use crate::workload::{self, WorkloadError};
 use hamlet_obs::{GroupMetrics, SpanRecorder, Stage};
 use hamlet_query::{AggFunc, Query, QueryId, Window};
@@ -242,38 +243,8 @@ pub fn sort_results(results: &mut [WindowResult]) {
     });
 }
 
-struct RunState {
-    run: Run,
-    burst_ty: Option<usize>,
-    burst: Vec<Event>,
-    /// Count-only tail of the pending burst: events buffered by the
-    /// batched path for *uniform* groups ([`GroupRuntime::uniform_bursts`])
-    /// carry no information beyond their number, so they are never
-    /// materialized — the flush replays them with the closed-form burst
-    /// advance. Both halves flush together as one burst (one decision).
-    burst_extra: u64,
-    burst_pane: u64,
-    last_arrival: Option<Instant>,
-}
-
-impl RunState {
-    fn new(rt: Arc<GroupRuntime>) -> RunState {
-        RunState {
-            run: Run::new(rt),
-            burst_ty: None,
-            burst: Vec::new(),
-            burst_extra: 0,
-            burst_pane: 0,
-            last_arrival: None,
-        }
-    }
-}
-
 struct GroupExec {
     rt: Arc<GroupRuntime>,
-    /// [`GroupRuntime::uniform_bursts`], checked once at build time: the
-    /// batched path buffers this group's bursts as a bare count.
-    uniform: bool,
     window: Window,
     pane: u64,
     partition_attrs: Vec<Arc<str>>,
@@ -288,6 +259,38 @@ struct GroupExec {
 }
 
 impl GroupExec {
+    /// Serializes one partition — key, then its runs by ascending window
+    /// start — for the full and the delta format alike.
+    fn encode_partition(
+        &self,
+        e: &mut crate::checkpoint::Enc,
+        key: &GroupKey,
+        runs: &BTreeMap<u64, RunState>,
+    ) {
+        e.group_key(key);
+        e.usize(runs.len());
+        for (&start, rs) in runs {
+            e.u64(start);
+            rs.encode(e);
+        }
+    }
+
+    /// Mirror of [`encode_partition`](Self::encode_partition); `legacy`
+    /// as in [`RunState::decode`].
+    fn decode_partition(
+        &self,
+        d: &mut crate::checkpoint::Dec<'_>,
+        legacy: bool,
+    ) -> Result<(GroupKey, BTreeMap<u64, RunState>), crate::checkpoint::CheckpointError> {
+        let key = d.group_key()?;
+        let mut runs = BTreeMap::new();
+        for _ in 0..d.seq_len()? {
+            let start = d.u64()?;
+            runs.insert(start, RunState::decode(d, &self.rt, legacy)?);
+        }
+        Ok((key, runs))
+    }
+
     /// Name-resolving reference form of the key computation; the batched
     /// path uses the slot-resolved [`partition_key_into`] instead.
     ///
@@ -362,65 +365,6 @@ impl Ord for ExpiryEntry {
     }
 }
 
-/// Recycled `Event` attribute buffers for burst appends — the batch
-/// scratch arena. Flushed bursts hand their events' attribute vectors
-/// back here and subsequent appends reuse them, so steady-state burst
-/// buffering allocates nothing per event. Bounded so a burst storm cannot
-/// pin memory forever; never serialized (a restored engine starts empty
-/// and refills from its first flushes).
-struct EventArena {
-    pool: Vec<Vec<AttrValue>>,
-}
-
-impl EventArena {
-    /// Retention cap; beyond it, freed buffers fall through to the
-    /// allocator as before.
-    const MAX_POOLED: usize = 1 << 16;
-
-    fn new() -> EventArena {
-        EventArena { pool: Vec::new() }
-    }
-
-    /// Clones `e` for burst storage, reusing a pooled attribute buffer
-    /// when one is available.
-    #[inline]
-    fn alloc_event(&mut self, e: &Event) -> Event {
-        match self.pool.pop() {
-            Some(mut attrs) => {
-                attrs.clear();
-                attrs.extend_from_slice(&e.attrs);
-                Event {
-                    time: e.time,
-                    ty: e.ty,
-                    attrs,
-                }
-            }
-            None => e.clone(),
-        }
-    }
-
-    /// Takes a flushed burst event's attribute buffer back into the pool.
-    #[inline]
-    fn recycle(&mut self, ev: Event) {
-        if self.pool.len() < Self::MAX_POOLED && ev.attrs.capacity() > 0 {
-            let mut attrs = ev.attrs;
-            attrs.clear();
-            self.pool.push(attrs);
-        }
-    }
-
-    /// Byte footprint of the pooled buffers, reported by
-    /// [`HamletEngine::state_bytes`].
-    fn bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<Vec<AttrValue>>()
-            + self
-                .pool
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<AttrValue>())
-                .sum::<usize>()
-    }
-}
-
 /// One key-grouped bucket of a batch segment: the events (by index into
 /// the segment, with their local type) that one `(group, key)` partition
 /// receives, in stream order.
@@ -468,6 +412,9 @@ struct BatchScratch {
     /// event — the late-guard boundary (grouping reorders processing, so
     /// the guard must use each event's own fold-order watermark).
     wms: Vec<u64>,
+    /// Cells of the range being appended: computed once per (event,
+    /// group), copied into each window instance's burst.
+    cells: Vec<Cell>,
 }
 
 impl BatchScratch {
@@ -485,6 +432,7 @@ impl BatchScratch {
             spare: Vec::new(),
             starts: Vec::new(),
             wms: Vec::new(),
+            cells: Vec::new(),
         }
     }
 }
@@ -609,6 +557,14 @@ struct DeltaStage {
     groups: Vec<GroupDeltaStage>,
     pending_removals: Vec<(usize, GroupKey, u64)>,
     pending_upserts: Vec<PendingHalf>,
+    tail: ScalarTail,
+}
+
+/// The decoded scalar tail every engine record — full blob or delta —
+/// ends with: counters, metrics, the watermark, and the per-group
+/// observability counters (8 `u64`s per group, empty when the writer had
+/// `EngineConfig::obs` off or predates them).
+struct ScalarTail {
     stats: EngineStats,
     latency: LatencyRecorder,
     gauge: MemoryGauge,
@@ -659,6 +615,8 @@ pub struct HamletEngine {
     route: Vec<Vec<(u32, u32, u32, u32)>>,
     /// Recycled burst-event attribute buffers (see [`EventArena`]).
     arena: EventArena,
+    /// Reused optimizer inputs of the per-burst decision — scratch only.
+    burst_ctx: BurstCtx,
     event_counter: u64,
     /// Monotone event-time watermark: the maximum event timestamp seen.
     /// Expiry only ever advances with it, so a window instance that was
@@ -723,6 +681,7 @@ impl HamletEngine {
             scratch: BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes),
             route: compiled.route,
             arena: EventArena::new(),
+            burst_ctx: BurstCtx::default(),
             obs: Vec::new(),
             span: None,
             event_counter: 0,
@@ -827,7 +786,6 @@ impl HamletEngine {
                     .collect();
                 GroupExec {
                     estimator: DivergenceEstimator::new(rt.template.num_types(), rt.k(), alpha),
-                    uniform: rt.uniform_bursts(),
                     rt,
                     window: g.window,
                     pane: pane.max(1),
@@ -1061,8 +1019,6 @@ impl HamletEngine {
     fn process_segment(&mut self, events: &[Event], first: usize, head_wm: Ts) -> usize {
         // hamlet-lint: allow(wallclock) -- latency stamp (only under track_latency); feeds the recorder, not results
         let now = self.cfg.track_latency.then(Instant::now);
-        let policy = self.cfg.policy;
-        let mode = self.cfg.divergence;
         let shard = self.cfg.shard;
         let BatchScratch {
             class_keys,
@@ -1077,6 +1033,7 @@ impl HamletEngine {
             spare,
             starts,
             wms,
+            cells,
         } = &mut self.scratch;
 
         // ---- Scan + bucket phase (fold order) --------------------------
@@ -1195,7 +1152,6 @@ impl HamletEngine {
             let window = g.window;
             let within = window.within;
             let pane = g.pane;
-            let uniform = g.uniform;
             // One partition probe per (segment, key); only a first-seen
             // key pays the clone into the map.
             if !g.partitions.contains_key(&b.key) {
@@ -1203,6 +1159,13 @@ impl HamletEngine {
             }
             // hamlet-lint: allow(panic-hygiene) -- get_mut right after contains_key/insert of the same key; entry() would clone the key on every probe
             let runs = g.partitions.get_mut(&b.key).expect("inserted above");
+            let mut env = FlushEnv {
+                cfg: &self.cfg,
+                estimator: &mut g.estimator,
+                stats: &mut self.stats,
+                arena: &mut self.arena,
+                ctx: &mut self.burst_ctx,
+            };
             let mut late_skipped = false;
             let mut last_time: Option<u64> = None;
             // Watermark at the segment tail — if a window's end beats it,
@@ -1254,6 +1217,7 @@ impl HamletEngine {
                     end_idx += 1;
                 }
                 let range = &b.events[idx..end_idx];
+                let chunk = Chunk::of(g.rt.burst_repr(tl), &g.rt, tl, seg, range, cells);
                 for &start in starts.iter() {
                     let end = window_end(start.ticks(), within);
                     // The fold's late-event guard against each event's own
@@ -1266,7 +1230,7 @@ impl HamletEngine {
                         range.partition_point(|&(sj, _)| end > wms[sj as usize])
                     };
                     if split < range.len() {
-                        self.stats.late_skips += (range.len() - split) as u64;
+                        env.stats.late_skips += (range.len() - split) as u64;
                         late_skipped = true;
                     }
                     if split == 0 {
@@ -1283,37 +1247,17 @@ impl HamletEngine {
                                 group: gi,
                                 key: b.key.clone(),
                             }));
-                            self.stats.expiry_pushes += 1;
+                            env.stats.expiry_pushes += 1;
                             if let Some(m) = self.obs.get_mut(gi) {
                                 m.runs_created += 1;
                             }
                             v.insert(RunState::new(g.rt.clone()))
                         }
                     };
-                    if rs.burst_ty != Some(tl) || rs.burst_pane != pane_idx {
-                        flush_burst(
-                            rs,
-                            policy,
-                            mode,
-                            &mut g.estimator,
-                            &mut self.stats,
-                            &mut self.arena,
-                        );
-                    }
-                    rs.burst_ty = Some(tl);
-                    rs.burst_pane = pane_idx;
-                    if uniform {
-                        // Uniform group: the burst is its length — no
-                        // event clones, no per-event pushes.
-                        rs.burst_extra += split as u64;
-                    } else {
-                        for &(sj, _) in &range[..split] {
-                            rs.burst.push(self.arena.alloc_event(&seg[sj as usize]));
-                        }
-                    }
-                    if let Some(now) = now {
-                        rs.last_arrival = Some(now);
-                    }
+                    // Uniform group: the burst is its length; otherwise a
+                    // memcpy of the range's cells (or, for edge-predicate
+                    // types, arena clones of its events) per instance.
+                    rs.append(tl, pane_idx, chunk.take(split), now, &mut env);
                 }
                 idx = end_idx;
             }
@@ -1373,7 +1317,6 @@ impl HamletEngine {
 
         let mut routed = false;
         let reg = self.reg.clone();
-        let policy = self.cfg.policy;
         for gi in 0..self.groups.len() {
             let Some(tl) = self.groups[gi].rt.template.local(e.ty) else {
                 continue;
@@ -1391,15 +1334,32 @@ impl HamletEngine {
             if self.track_dirty {
                 self.dirty_parts.insert((gi, key.clone()));
             }
-            let (window, pane, rt) = {
-                let g = &self.groups[gi];
-                (g.window, g.pane, g.rt.clone())
-            };
-            let pane_idx = e.time.ticks() / pane;
-            let starts: Vec<Ts> = window.instances_containing(e.time).collect();
-            let mode = self.cfg.divergence;
             let g = &mut self.groups[gi];
-            let within = g.window.within;
+            let (window, within) = (g.window, g.window.within);
+            let pane_idx = e.time.ticks() / g.pane;
+            let starts: Vec<Ts> = window.instances_containing(e.time).collect();
+            // A one-event range through the batched path's constructor —
+            // except that a uniform group's event is still materialized,
+            // as ever: `fig_batch` prices the batched path against this.
+            let repr = match g.rt.burst_repr(tl) {
+                BurstRepr::Count => BurstRepr::Events,
+                repr => repr,
+            };
+            let chunk = Chunk::of(
+                repr,
+                &g.rt,
+                tl,
+                std::slice::from_ref(e),
+                &[(0, 0)],
+                &mut self.scratch.cells,
+            );
+            let mut env = FlushEnv {
+                cfg: &self.cfg,
+                estimator: &mut g.estimator,
+                stats: &mut self.stats,
+                arena: &mut self.arena,
+                ctx: &mut self.burst_ctx,
+            };
             // Zero-clone hit path: only a first-seen key pays the clone
             // into the map (new-run heap pushes below clone either way).
             if !g.partitions.contains_key(&key) {
@@ -1416,7 +1376,7 @@ impl HamletEngine {
                 // on in-order streams (a window containing `e` ends after
                 // `e.time` = watermark).
                 if window_end(start.ticks(), within) <= wm.ticks() {
-                    self.stats.late_skips += 1;
+                    env.stats.late_skips += 1;
                     late_skipped = true;
                     continue;
                 }
@@ -1432,29 +1392,14 @@ impl HamletEngine {
                             group: gi,
                             key: key.clone(),
                         }));
-                        self.stats.expiry_pushes += 1;
+                        env.stats.expiry_pushes += 1;
                         if let Some(m) = self.obs.get_mut(gi) {
                             m.runs_created += 1;
                         }
-                        v.insert(RunState::new(rt.clone()))
+                        v.insert(RunState::new(g.rt.clone()))
                     }
                 };
-                if rs.burst_ty != Some(tl) || rs.burst_pane != pane_idx {
-                    flush_burst(
-                        rs,
-                        policy,
-                        mode,
-                        &mut g.estimator,
-                        &mut self.stats,
-                        &mut self.arena,
-                    );
-                }
-                rs.burst_ty = Some(tl);
-                rs.burst_pane = pane_idx;
-                rs.burst.push(e.clone());
-                if let Some(now) = now {
-                    rs.last_arrival = Some(now);
-                }
+                rs.append(tl, pane_idx, chunk, now, &mut env);
             }
             // A first-seen key whose every window instance was late would
             // leave an empty run map behind — drop it, it holds no state.
@@ -1562,17 +1507,14 @@ impl HamletEngine {
                 .cmp(&(b.2, b.0))
                 .then_with(|| a.1.total_cmp(&b.1))
         });
-        let policy = self.cfg.policy;
-        let mode = self.cfg.divergence;
         for (gi, key, start, mut rs) in finished {
-            flush_burst(
-                &mut rs,
-                policy,
-                mode,
-                &mut self.groups[gi].estimator,
-                &mut self.stats,
-                &mut self.arena,
-            );
+            rs.flush(&mut FlushEnv {
+                cfg: &self.cfg,
+                estimator: &mut self.groups[gi].estimator,
+                stats: &mut self.stats,
+                arena: &mut self.arena,
+                ctx: &mut self.burst_ctx,
+            });
             let outputs = rs.run.finalize();
             self.stats.runs.add(rs.run.stats());
             if let Some(m) = self.obs.get_mut(gi) {
@@ -1864,8 +1806,7 @@ impl HamletEngine {
             // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
             for runs in g.partitions.values() {
                 for rs in runs.values() {
-                    b += rs.run.mem_bytes();
-                    b += rs.burst.iter().map(Event::mem_bytes).sum::<usize>();
+                    b += rs.mem_bytes();
                 }
             }
         }
@@ -1971,9 +1912,7 @@ impl HamletEngine {
     /// ```
     pub fn checkpoint(&self) -> Vec<u8> {
         let mut e = crate::checkpoint::Enc::new();
-        e.raw(&crate::checkpoint::ENGINE_MAGIC);
-        e.u16(crate::checkpoint::ENGINE_VERSION);
-        e.u64(self.epoch);
+        crate::checkpoint::write_engine_header(&mut e, self.epoch);
         e.bytes(&self.fingerprint());
         e.usize(self.groups.len());
         for g in &self.groups {
@@ -1983,25 +1922,7 @@ impl HamletEngine {
             parts.sort_by(|(a, _), (b, _)| a.total_cmp(b));
             e.usize(parts.len());
             for (key, runs) in parts {
-                e.group_key(key);
-                e.usize(runs.len());
-                for (&start, rs) in runs {
-                    e.u64(start);
-                    rs.run.encode(&mut e);
-                    match rs.burst_ty {
-                        None => e.some(false),
-                        Some(tl) => {
-                            e.some(true);
-                            e.usize(tl);
-                        }
-                    }
-                    e.usize(rs.burst.len());
-                    for ev in &rs.burst {
-                        e.event(ev);
-                    }
-                    e.u64(rs.burst_extra);
-                    e.u64(rs.burst_pane);
-                }
+                g.encode_partition(&mut e, key, runs);
             }
             g.estimator.encode(&mut e);
         }
@@ -2010,44 +1931,12 @@ impl HamletEngine {
             (ca, sa).cmp(&(cb, sb)).then_with(|| ka.total_cmp(kb))
         });
         e.usize(pending.len());
-        for ((ci, key, start), (id, count)) in pending {
-            e.usize(*ci);
-            e.group_key(key);
-            e.u64(*start);
+        for (slot, (id, count)) in pending {
+            Self::encode_pending_slot(&mut e, slot);
             e.u32(id.0);
             e.u64(*count);
         }
-        self.stats.encode(&mut e);
-        self.latency.encode(&mut e);
-        self.gauge.encode(&mut e);
-        e.u64(self.event_counter);
-        match self.watermark {
-            None => e.some(false),
-            Some(wm) => {
-                e.some(true);
-                e.u64(wm.ticks());
-            }
-        }
-        // v4 tail: per-share-group observability counters (placement
-        // fields are *not* serialized — benefit/shared are re-priced by
-        // the restoring engine's own build/churn, keeping round-trip
-        // identity independent of estimator drift).
-        e.usize(self.obs.len());
-        for m in &self.obs {
-            // Fixed 8-slot layout, mirrored by restore's counter loop.
-            for c in [
-                m.events_routed,
-                m.runs_created,
-                m.runs_expired,
-                m.shared_bursts,
-                m.solo_bursts,
-                m.graphlet_snapshots,
-                m.event_snapshots,
-                m.results_emitted,
-            ] {
-                e.u64(c);
-            }
-        }
+        self.encode_tail(&mut e);
         e.finish()
     }
 
@@ -2064,16 +1953,9 @@ impl HamletEngine {
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
         use crate::checkpoint::{CheckpointError, Dec};
         let mut d = Dec::new(bytes);
-        d.magic(&crate::checkpoint::ENGINE_MAGIC)?;
-        let version = d.u16()?;
-        // v2 blobs predate the workload epoch; they can only describe an
-        // engine that never churned, i.e. epoch 0. v3/v4 carry the epoch
-        // explicitly. Anything else is unknown.
-        let blob_epoch = match version {
-            crate::checkpoint::ENGINE_VERSION | crate::checkpoint::ENGINE_VERSION_V3 => d.u64()?,
-            crate::checkpoint::ENGINE_VERSION_V2 => 0,
-            other => return Err(CheckpointError::BadVersion(other)),
-        };
+        let (version, blob_epoch) = crate::checkpoint::read_engine_header(&mut d)?;
+        // Blobs before v5 carry the old run-state record.
+        let legacy = version < crate::checkpoint::ENGINE_VERSION;
         if blob_epoch != self.epoch {
             return Err(CheckpointError::WorkloadMismatch(format!(
                 "checkpoint was taken at workload epoch {blob_epoch} but the engine is at \
@@ -2105,45 +1987,7 @@ impl HamletEngine {
             let mut parts: HashMap<GroupKey, BTreeMap<u64, RunState>> =
                 HashMap::with_capacity(n_parts);
             for _ in 0..n_parts {
-                let key = d.group_key()?;
-                let n_runs = d.seq_len()?;
-                let mut runs = BTreeMap::new();
-                for _ in 0..n_runs {
-                    let start = d.u64()?;
-                    let run = Run::decode(&mut d, g.rt.clone())?;
-                    let burst_ty = if d.some()? {
-                        let tl = d.usize()?;
-                        if tl >= g.rt.template.num_types() {
-                            return Err(CheckpointError::Corrupt(format!(
-                                "burst type {tl} of {}",
-                                g.rt.template.num_types()
-                            )));
-                        }
-                        Some(tl)
-                    } else {
-                        None
-                    };
-                    let n_burst = d.seq_len()?;
-                    let mut burst = Vec::with_capacity(n_burst);
-                    for _ in 0..n_burst {
-                        burst.push(d.event()?);
-                    }
-                    let burst_extra = d.u64()?;
-                    let burst_pane = d.u64()?;
-                    runs.insert(
-                        start,
-                        RunState {
-                            run,
-                            burst_ty,
-                            burst,
-                            burst_extra,
-                            burst_pane,
-                            // Wall-clock stamps do not survive a restore;
-                            // the next arrival re-stamps the run.
-                            last_arrival: None,
-                        },
-                    );
-                }
+                let (key, runs) = g.decode_partition(&mut d, legacy)?;
                 parts.insert(key, runs);
             }
             new_partitions.push(parts);
@@ -2156,43 +2000,12 @@ impl HamletEngine {
         let n_pending = d.seq_len()?;
         let mut pending = HashMap::with_capacity(n_pending);
         for _ in 0..n_pending {
-            let ci = d.usize()?;
-            if ci >= self.combiners.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "pending combiner index {ci} out of range"
-                )));
-            }
-            let key = d.group_key()?;
-            let start = d.u64()?;
-            let id = QueryId(d.u32()?);
-            let count = d.u64()?;
-            pending.insert((ci, key, start), (id, count));
+            let slot = self.decode_pending_slot(&mut d)?;
+            pending.insert(slot, (QueryId(d.u32()?), d.u64()?));
         }
-        let stats = EngineStats::decode(&mut d)?;
-        let latency = LatencyRecorder::decode(&mut d)?;
-        let gauge = MemoryGauge::decode(&mut d)?;
-        let event_counter = d.u64()?;
-        let watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
-        // v4 tail: per-group observability counters. Earlier versions
-        // (and blobs from obs-disabled engines, which write length 0)
-        // restore with zeroed counters.
-        let mut obs_counters: Vec<[u64; 8]> = Vec::new();
-        if version == crate::checkpoint::ENGINE_VERSION {
-            let n_obs = d.seq_len()?;
-            if n_obs != 0 && n_obs != self.groups.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "{n_obs} observability records for {} groups",
-                    self.groups.len()
-                )));
-            }
-            for _ in 0..n_obs {
-                let mut c = [0u64; 8];
-                for slot in &mut c {
-                    *slot = d.u64()?;
-                }
-                obs_counters.push(c);
-            }
-        }
+        // Blobs before v4 end without the per-group observability
+        // counters and restore them zeroed.
+        let tail = self.decode_tail(&mut d, version >= crate::checkpoint::ENGINE_VERSION_V4)?;
         d.expect_end()?;
 
         // Commit: swap the decoded state in and rebuild the expiration
@@ -2206,25 +2019,7 @@ impl HamletEngine {
             g.estimator = est;
         }
         self.pending = pending;
-        self.stats = stats;
-        self.latency = latency;
-        self.gauge = gauge;
-        self.event_counter = event_counter;
-        self.watermark = watermark;
-        // Replace the per-group counters wholesale (restore semantics):
-        // a blob without them resets this engine's registry to zero.
-        // Placement fields keep what this engine priced at build/churn.
-        for (gi, m) in self.obs.iter_mut().enumerate() {
-            let c = obs_counters.get(gi).copied().unwrap_or_default();
-            m.events_routed = c[0];
-            m.runs_created = c[1];
-            m.runs_expired = c[2];
-            m.shared_bursts = c[3];
-            m.solo_bursts = c[4];
-            m.graphlet_snapshots = c[5];
-            m.event_snapshots = c[6];
-            m.results_emitted = c[7];
-        }
+        self.apply_tail(tail);
         self.rebuild_derived();
         // A legacy full restore jumps state without going through the
         // dirty log; any open delta interval is void. restore_chain
@@ -2241,6 +2036,13 @@ impl HamletEngine {
     /// arena (restored engines start with an empty pool so
     /// `state_bytes` matches a fresh engine's).
     fn rebuild_derived(&mut self) {
+        self.rebuild_expiry();
+        self.arena = EventArena::new();
+    }
+
+    /// Rebuilds the watermark expiration index from the live runs:
+    /// exactly one entry per run, as `process()` maintains.
+    fn rebuild_expiry(&mut self) {
         self.expiry.clear();
         for (gi, g) in self.groups.iter().enumerate() {
             let within = g.window.within;
@@ -2256,7 +2058,6 @@ impl HamletEngine {
                 }
             }
         }
-        self.arena = EventArena::new();
     }
 
     /// True when the engine can cut a *sound* delta record: dirty
@@ -2343,42 +2144,52 @@ impl HamletEngine {
             }
             e.usize(ups.len());
             for (key, runs) in ups {
-                e.group_key(key);
-                e.usize(runs.len());
-                for (&start, rs) in runs {
-                    e.u64(start);
-                    rs.run.encode(e);
-                    match rs.burst_ty {
-                        None => e.some(false),
-                        Some(tl) => {
-                            e.some(true);
-                            e.usize(tl);
-                        }
-                    }
-                    e.usize(rs.burst.len());
-                    for ev in &rs.burst {
-                        e.event(ev);
-                    }
-                    e.u64(rs.burst_extra);
-                    e.u64(rs.burst_pane);
-                }
+                g.encode_partition(e, key, runs);
             }
             g.estimator.encode(e);
         }
         e.usize(prem.len());
-        for (ci, key, start) in prem {
-            e.usize(*ci);
-            e.group_key(key);
-            e.u64(*start);
+        for slot in prem {
+            Self::encode_pending_slot(e, slot);
         }
         e.usize(pups.len());
-        for ((ci, key, start), (id, count)) in pups {
-            e.usize(*ci);
-            e.group_key(key);
-            e.u64(*start);
+        for (slot, (id, count)) in pups {
+            Self::encode_pending_slot(e, slot);
             e.u32(id.0);
             e.u64(*count);
         }
+        self.encode_tail(e);
+    }
+
+    /// Writes the `(combiner, key, window start)` slot of a pending
+    /// general-query half.
+    fn encode_pending_slot(e: &mut crate::checkpoint::Enc, slot: &(usize, GroupKey, u64)) {
+        e.usize(slot.0);
+        e.group_key(&slot.1);
+        e.u64(slot.2);
+    }
+
+    /// Mirror of [`encode_pending_slot`](Self::encode_pending_slot),
+    /// bounds-checked against the compiled combiners.
+    fn decode_pending_slot(
+        &self,
+        d: &mut crate::checkpoint::Dec,
+    ) -> Result<(usize, GroupKey, u64), crate::checkpoint::CheckpointError> {
+        let ci = d.usize()?;
+        if ci >= self.combiners.len() {
+            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
+                "pending combiner index {ci} out of range"
+            )));
+        }
+        Ok((ci, d.group_key()?, d.u64()?))
+    }
+
+    /// Writes the scalar tail of a full blob or a delta payload
+    /// ([`ScalarTail`]). The per-group counters keep a fixed 8-slot
+    /// layout; placement fields are *not* serialized — benefit/shared
+    /// are re-priced by the restoring engine's own build/churn, keeping
+    /// round-trip identity independent of estimator drift.
+    fn encode_tail(&self, e: &mut crate::checkpoint::Enc) {
         self.stats.encode(e);
         self.latency.encode(e);
         self.gauge.encode(e);
@@ -2392,7 +2203,6 @@ impl HamletEngine {
         }
         e.usize(self.obs.len());
         for m in &self.obs {
-            // Fixed 8-slot layout, shared with the full format.
             for c in [
                 m.events_routed,
                 m.runs_created,
@@ -2408,6 +2218,62 @@ impl HamletEngine {
         }
     }
 
+    /// Mirror of [`encode_tail`](Self::encode_tail); `with_obs` is false
+    /// for formats that end before the per-group counters.
+    fn decode_tail(
+        &self,
+        d: &mut crate::checkpoint::Dec,
+        with_obs: bool,
+    ) -> Result<ScalarTail, crate::checkpoint::CheckpointError> {
+        let stats = EngineStats::decode(d)?;
+        let latency = LatencyRecorder::decode(d)?;
+        let gauge = MemoryGauge::decode(d)?;
+        let event_counter = d.u64()?;
+        let watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
+        let n_obs = if with_obs { d.seq_len()? } else { 0 };
+        if n_obs != 0 && n_obs != self.groups.len() {
+            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
+                "{n_obs} observability records for {} groups",
+                self.groups.len()
+            )));
+        }
+        let mut obs = vec![[0u64; 8]; n_obs];
+        for slot in obs.iter_mut().flatten() {
+            *slot = d.u64()?;
+        }
+        Ok(ScalarTail {
+            stats,
+            latency,
+            gauge,
+            event_counter,
+            watermark,
+            obs,
+        })
+    }
+
+    /// Installs a decoded scalar tail. The per-group counters are
+    /// replaced wholesale (restore semantics): a record without them
+    /// resets this engine's registry to zero; placement fields keep what
+    /// this engine priced at build/churn.
+    fn apply_tail(&mut self, t: ScalarTail) {
+        self.stats = t.stats;
+        self.latency = t.latency;
+        self.gauge = t.gauge;
+        self.event_counter = t.event_counter;
+        self.watermark = t.watermark;
+        for (gi, m) in self.obs.iter_mut().enumerate() {
+            let c = t.obs.get(gi).copied().unwrap_or_default();
+            m.events_routed = c[0];
+            m.runs_created = c[1];
+            m.runs_expired = c[2];
+            m.shared_bursts = c[3];
+            m.solo_bursts = c[4];
+            m.graphlet_snapshots = c[5];
+            m.event_snapshots = c[6];
+            m.results_emitted = c[7];
+        }
+    }
+
     /// Decodes one delta-record payload into a [`DeltaStage`] without
     /// touching engine state (validated against this engine's workload
     /// fingerprint and bounds). Mirror of
@@ -2415,6 +2281,7 @@ impl HamletEngine {
     fn decode_delta(
         &self,
         d: &mut crate::checkpoint::Dec,
+        legacy: bool,
     ) -> Result<DeltaStage, crate::checkpoint::CheckpointError> {
         use crate::checkpoint::CheckpointError;
         let fp = d.bytes()?;
@@ -2440,46 +2307,7 @@ impl HamletEngine {
             let n_ups = d.seq_len()?;
             let mut upserts = Vec::with_capacity(n_ups);
             for _ in 0..n_ups {
-                let key = d.group_key()?;
-                let n_runs = d.seq_len()?;
-                let mut runs = BTreeMap::new();
-                for _ in 0..n_runs {
-                    let start = d.u64()?;
-                    let run = Run::decode(d, g.rt.clone())?;
-                    let burst_ty = if d.some()? {
-                        let tl = d.usize()?;
-                        if tl >= g.rt.template.num_types() {
-                            return Err(CheckpointError::Corrupt(format!(
-                                "burst type {tl} of {}",
-                                g.rt.template.num_types()
-                            )));
-                        }
-                        Some(tl)
-                    } else {
-                        None
-                    };
-                    let n_burst = d.seq_len()?;
-                    let mut burst = Vec::with_capacity(n_burst);
-                    for _ in 0..n_burst {
-                        burst.push(d.event()?);
-                    }
-                    let burst_extra = d.u64()?;
-                    let burst_pane = d.u64()?;
-                    runs.insert(
-                        start,
-                        RunState {
-                            run,
-                            burst_ty,
-                            burst,
-                            burst_extra,
-                            burst_pane,
-                            // As in a full restore: wall-clock stamps do
-                            // not survive; the next arrival re-stamps.
-                            last_arrival: None,
-                        },
-                    );
-                }
-                upserts.push((key, runs));
+                upserts.push(g.decode_partition(d, legacy)?);
             }
             let estimator = DivergenceEstimator::decode(d, g.rt.template.num_types(), g.rt.k())?;
             groups.push(GroupDeltaStage {
@@ -2491,62 +2319,21 @@ impl HamletEngine {
         let n_prem = d.seq_len()?;
         let mut pending_removals = Vec::with_capacity(n_prem);
         for _ in 0..n_prem {
-            let ci = d.usize()?;
-            if ci >= self.combiners.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "pending combiner index {ci} out of range"
-                )));
-            }
-            let key = d.group_key()?;
-            let start = d.u64()?;
-            pending_removals.push((ci, key, start));
+            pending_removals.push(self.decode_pending_slot(d)?);
         }
         let n_pups = d.seq_len()?;
         let mut pending_upserts = Vec::with_capacity(n_pups);
         for _ in 0..n_pups {
-            let ci = d.usize()?;
-            if ci >= self.combiners.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "pending combiner index {ci} out of range"
-                )));
-            }
-            let key = d.group_key()?;
-            let start = d.u64()?;
-            let id = QueryId(d.u32()?);
-            let count = d.u64()?;
-            pending_upserts.push(((ci, key, start), (id, count)));
+            let slot = self.decode_pending_slot(d)?;
+            pending_upserts.push((slot, (QueryId(d.u32()?), d.u64()?)));
         }
-        let stats = EngineStats::decode(d)?;
-        let latency = LatencyRecorder::decode(d)?;
-        let gauge = MemoryGauge::decode(d)?;
-        let event_counter = d.u64()?;
-        let watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
-        let n_obs = d.seq_len()?;
-        if n_obs != 0 && n_obs != self.groups.len() {
-            return Err(CheckpointError::Corrupt(format!(
-                "{n_obs} observability records for {} groups",
-                self.groups.len()
-            )));
-        }
-        let mut obs = Vec::with_capacity(n_obs);
-        for _ in 0..n_obs {
-            let mut c = [0u64; 8];
-            for slot in &mut c {
-                *slot = d.u64()?;
-            }
-            obs.push(c);
-        }
+        let tail = self.decode_tail(d, true)?;
         d.expect_end()?;
         Ok(DeltaStage {
             groups,
             pending_removals,
             pending_upserts,
-            stats,
-            latency,
-            gauge,
-            event_counter,
-            watermark,
-            obs,
+            tail,
         })
     }
 
@@ -2570,22 +2357,7 @@ impl HamletEngine {
         for (slot, val) in s.pending_upserts {
             self.pending.insert(slot, val);
         }
-        self.stats = s.stats;
-        self.latency = s.latency;
-        self.gauge = s.gauge;
-        self.event_counter = s.event_counter;
-        self.watermark = s.watermark;
-        for (gi, m) in self.obs.iter_mut().enumerate() {
-            let c = s.obs.get(gi).copied().unwrap_or_default();
-            m.events_routed = c[0];
-            m.runs_created = c[1];
-            m.runs_expired = c[2];
-            m.shared_bursts = c[3];
-            m.solo_bursts = c[4];
-            m.graphlet_snapshots = c[5];
-            m.event_snapshots = c[6];
-            m.results_emitted = c[7];
-        }
+        self.apply_tail(s.tail);
     }
 
     /// Restores the engine from an ordered checkpoint chain: the last
@@ -2610,6 +2382,7 @@ impl HamletEngine {
             } else {
                 // A bare engine blob restores as a chain of one base.
                 frames.push(DeltaFrame {
+                    version: crate::checkpoint::DELTA_VERSION,
                     base: true,
                     seq: 0,
                     parent: 0,
@@ -2652,7 +2425,8 @@ impl HamletEngine {
         let mut stages = Vec::with_capacity(chain.len().saturating_sub(1));
         for f in &chain[1..] {
             let mut d = Dec::new(&f.payload);
-            stages.push(self.decode_delta(&mut d)?);
+            let legacy = f.version < crate::checkpoint::DELTA_VERSION;
+            stages.push(self.decode_delta(&mut d, legacy)?);
         }
         let saved_epoch = self.epoch;
         self.epoch = chain_epoch;
@@ -2927,21 +2701,7 @@ impl HamletEngine {
         self.dirty_parts.clear();
         self.dirty_pending.clear();
         self.delta_unsound = true;
-        self.expiry.clear();
-        for (gi, g) in self.groups.iter().enumerate() {
-            let within = g.window.within;
-            // hamlet-lint: allow(unordered-iter) -- heap rebuild; expiry drains every due entry before finalize_finished sorts emissions canonically
-            for (key, runs) in &g.partitions {
-                for &start in runs.keys() {
-                    self.expiry.push(Reverse(ExpiryEntry {
-                        end: window_end(start, within),
-                        start,
-                        group: gi,
-                        key: key.clone(),
-                    }));
-                }
-            }
-        }
+        self.rebuild_expiry();
 
         let placements: Vec<GroupPlacement> = self
             .groups
@@ -3044,85 +2804,11 @@ impl HamletEngine {
 }
 
 /// Reads the workload epoch stamped in an engine checkpoint without
-/// restoring it (v2 blobs predate epochs and report 0): the epoch a
-/// chain restore adopts when handed a bare blob as a chain of one.
+/// restoring it: the epoch a chain restore adopts when handed a bare
+/// blob as a chain of one.
 fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, crate::checkpoint::CheckpointError> {
-    use crate::checkpoint::{CheckpointError, Dec};
-    let mut d = Dec::new(bytes);
-    d.magic(&crate::checkpoint::ENGINE_MAGIC)?;
-    match d.u16()? {
-        crate::checkpoint::ENGINE_VERSION | crate::checkpoint::ENGINE_VERSION_V3 => d.u64(),
-        crate::checkpoint::ENGINE_VERSION_V2 => Ok(0),
-        other => Err(CheckpointError::BadVersion(other)),
-    }
-}
-
-fn flush_burst(
-    rs: &mut RunState,
-    policy: SharingPolicy,
-    mode: DivergenceMode,
-    estimator: &mut DivergenceEstimator,
-    stats: &mut EngineStats,
-    arena: &mut EventArena,
-) {
-    let Some(tl) = rs.burst_ty else { return };
-    let b = rs.burst.len() as u64 + rs.burst_extra;
-    if b == 0 {
-        return;
-    }
-    // hamlet-lint: allow(wallclock) -- decision-time accounting only (stats.decision_time)
-    let t0 = Instant::now();
-    let mut ctx = rs.run.burst_shape(tl);
-    let exact = match mode {
-        DivergenceMode::Exact => {
-            // `burst_extra` events exist only for uniform groups, which
-            // have no selection predicates — their divergence is zero,
-            // exactly what scanning them would have produced.
-            ctx.diverging = rs.run.exact_divergence(tl, &rs.burst, &ctx.candidates);
-            true
-        }
-        DivergenceMode::Ema { .. } => {
-            ctx.diverging = ctx
-                .candidates
-                .iter()
-                .map(|&q| estimator.predict(tl, q, b))
-                .collect();
-            false
-        }
-    };
-    let dec = decide(policy, &ctx, b);
-    stats.decision_time += t0.elapsed();
-    stats.decisions += 1;
-    let snaps_before = rs.run.stats().event_snapshots;
-    rs.run
-        .process_burst_ext(tl, &rs.burst, rs.burst_extra, &dec.share);
-    // Feed the statistics back: exact mode learns the true per-member
-    // divergence; EMA mode attributes the event-level snapshots the burst
-    // actually created across the sharing members.
-    if exact {
-        for (i, &q) in ctx.candidates.iter().enumerate() {
-            estimator.observe(tl, q, ctx.diverging[i], b);
-        }
-    } else {
-        let created = rs.run.stats().event_snapshots - snaps_before;
-        let members: Vec<usize> = dec.share.iter().collect();
-        if members.is_empty() {
-            // No sharing happened; decay gently toward the prediction.
-            for &q in &ctx.candidates {
-                let predicted = estimator.predict(tl, q, b);
-                estimator.observe(tl, q, predicted, b);
-            }
-        } else {
-            estimator.observe_aggregate(tl, &members, created, b);
-        }
-    }
-    // Hand the burst's attribute buffers back to the arena for the next
-    // `alloc_event` (keeps the burst Vec's own capacity).
-    for ev in rs.burst.drain(..) {
-        arena.recycle(ev);
-    }
-    rs.burst_extra = 0;
-    rs.burst_ty = None;
+    let mut d = crate::checkpoint::Dec::new(bytes);
+    Ok(crate::checkpoint::read_engine_header(&mut d)?.1)
 }
 
 /// Renders a member's raw output according to its aggregation function.
@@ -3674,18 +3360,19 @@ mod tests {
     /// restore to a fresh-engine accounting.
     #[test]
     fn state_bytes_accounts_for_batch_arena() {
-        use hamlet_query::{CmpOp, SelectionPredicate};
+        use hamlet_query::{CmpOp, EdgePredicate};
         let (reg, a, b, _) = registry();
         let mk = || {
-            // The always-true selection keeps the group non-uniform, so
-            // the batched path materializes bursts through the arena
-            // (uniform groups buffer a bare count and never touch it).
+            // The always-true edge predicate makes `b` an event-buffered
+            // type, so the batched path materializes its bursts through
+            // the arena (uniform groups buffer a bare count, predicate
+            // types without edges a cell column — neither touches it).
             let mut q = Query::count_star(1, seq(a, b), Window::tumbling(10));
-            q.selections.push(SelectionPredicate {
+            q.edges.push(EdgePredicate {
                 ty: b,
-                attr: 1,
-                op: CmpOp::Lt,
-                value: hamlet_types::AttrValue::Float(1e9),
+                cur_attr: 1,
+                op: CmpOp::Ge,
+                prev_attr: 1,
             });
             HamletEngine::new(reg.clone(), vec![q], EngineConfig::default()).unwrap()
         };
@@ -3745,6 +3432,100 @@ mod tests {
         ref_out.extend(ref_eng.flush());
         assert_eq!(mixed_out, ref_out);
         assert_eq!(counters(&mixed), counters(&ref_eng));
+    }
+
+    /// On a predicate workload every path appends through the same
+    /// helper — cells for the selection groups, a count for the uniform
+    /// one — so interleaving `process`, `process_reference` and
+    /// `process_batch` on one engine leaves exactly the state of the
+    /// pure fold: same results, same counters, same checkpoint bytes.
+    #[test]
+    fn interleaved_paths_on_a_predicate_workload_match_the_fold() {
+        use hamlet_query::{AggFunc, CmpOp, SelectionPredicate};
+        let (reg, a, b, c) = registry();
+        let mk = || {
+            let q = |id, first, agg, cut: Option<f64>| {
+                let sel = cut.map(|cut| SelectionPredicate {
+                    ty: b,
+                    attr: 1,
+                    op: CmpOp::Lt,
+                    value: hamlet_types::AttrValue::Float(cut),
+                });
+                let mut q = Query::new(
+                    QueryId(id),
+                    seq(first, b),
+                    agg,
+                    sel.into_iter().collect(),
+                    vec![],
+                    vec![],
+                    vec![],
+                    Window::new(12, 4),
+                )
+                .unwrap();
+                q.group_by = vec![Arc::from("g")];
+                q
+            };
+            let queries = vec![
+                q(1, a, AggFunc::Sum(b, 1), Some(3.0)),
+                q(2, c, AggFunc::Avg(b, 1), Some(6.0)),
+                q(3, a, AggFunc::CountType(b), None),
+                q(4, a, AggFunc::Max(b, 1), Some(5.0)),
+                q(5, c, AggFunc::CountStar, None),
+            ];
+            // No wall clock in the state (latency stamps, decision time)
+            // and no gauge (it samples per segment): what is left of a
+            // checkpoint is a function of the events alone.
+            let cfg = EngineConfig {
+                track_latency: false,
+                obs: false,
+                mem_sample_every: 0,
+                ..EngineConfig::default()
+            };
+            HamletEngine::new(reg.clone(), queries, cfg).unwrap()
+        };
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut step = || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut t = 0u64;
+        let events: Vec<Event> = (0..400)
+            .map(|_| {
+                t += step() % 2;
+                let ty = [a, c, b, b, b][(step() % 5) as usize];
+                ev(&reg, ty, t, (step() % 3) as i64, (step() % 8) as f64)
+            })
+            .collect();
+
+        let mut fold = mk();
+        let mut fold_out = Vec::new();
+        let mut mixed = mk();
+        let mut mixed_out = Vec::new();
+        let mut i = 0;
+        while i < events.len() {
+            let n = (1 + step() % 7).min((events.len() - i) as u64) as usize;
+            let chunk = &events[i..i + n];
+            for e in chunk {
+                fold_out.extend(fold.process(e));
+            }
+            match step() % 3 {
+                0 => mixed_out.extend(mixed.process_batch(chunk)),
+                1 => chunk
+                    .iter()
+                    .for_each(|e| mixed_out.extend(mixed.process(e))),
+                _ => chunk
+                    .iter()
+                    .for_each(|e| mixed_out.extend(mixed.process_reference(e))),
+            }
+            i += n;
+        }
+        assert!(!fold_out.is_empty(), "windows close mid-stream");
+        assert_eq!(mixed_out, fold_out);
+        assert_eq!(counters(&mixed), counters(&fold));
+        assert_eq!(mixed.checkpoint(), fold.checkpoint());
+        assert_eq!(mixed.flush(), fold.flush());
     }
 
     /// Direct evidence for the O(P)→O(log n) claim: at high partition

@@ -124,6 +124,66 @@ impl LinearExpr {
         }
     }
 
+    /// Running-sum update of one uniform shared event, in place:
+    /// `S ← S + propagate(S + 1·x (+ 1·unit), w, is_target)` — Eq. 2 with
+    /// the graphlet snapshot `x`, the unit snapshot and the in-graphlet
+    /// prefix `S` as predecessors. Equal, term for term, to composing
+    /// `clone`, [`add_snapshot`](Self::add_snapshot),
+    /// [`propagate_mut`](Self::propagate_mut) and
+    /// [`add_assign`](Self::add_assign), but allocates nothing once the
+    /// term vector holds `x` and `unit`.
+    pub fn absorb_event(&mut self, x: SnapId, unit: Option<SnapId>, w: TrendVal, is_target: bool) {
+        for id in std::iter::once(x).chain(unit) {
+            if let Err(i) = self.terms.binary_search_by(|t| t.snap.cmp(&id)) {
+                let zero = TrendVal::ZERO;
+                self.terms.insert(
+                    i,
+                    Term {
+                        snap: id,
+                        a: zero,
+                        b_sum: zero,
+                        b_cnt: zero,
+                    },
+                );
+            }
+        }
+        self.c.add(NodeVal::propagate(self.c, false, w, is_target));
+        let two = TrendVal(2);
+        let mut any_zero = false;
+        for t in &mut self.terms {
+            // The event's own term: predecessor coefficient, propagated.
+            let a = if t.snap == x || Some(t.snap) == unit {
+                t.a + TrendVal::ONE
+            } else {
+                t.a
+            };
+            // S + propagate(pred): each coefficient doubles its prefix
+            // share and takes the event's flow from `a`.
+            t.b_sum = two * t.b_sum + w * a;
+            t.b_cnt = two * t.b_cnt + if is_target { a } else { TrendVal::ZERO };
+            t.a += a;
+            any_zero |= t.a.is_zero() && t.b_sum.is_zero() && t.b_cnt.is_zero();
+        }
+        if any_zero {
+            self.terms
+                .retain(|t| !(t.a.is_zero() && t.b_sum.is_zero() && t.b_cnt.is_zero()));
+        }
+    }
+
+    /// Resets the expression to `1 · z`, keeping the term vector's
+    /// capacity (a *fold*: `z` holds the old expression's value per
+    /// member, see [`crate::run`]).
+    pub fn reset_to_snapshot(&mut self, z: SnapId) {
+        self.c = NodeVal::ZERO;
+        self.terms.clear();
+        self.terms.push(Term {
+            snap: z,
+            a: TrendVal::ONE,
+            b_sum: TrendVal::ZERO,
+            b_cnt: TrendVal::ZERO,
+        });
+    }
+
     /// Multiplies the whole expression by the ring scalar `m`. Terms whose
     /// coefficients all wrap to zero are dropped (the sorted-no-zero
     /// invariant).

@@ -42,6 +42,7 @@
 
 pub mod agg;
 pub mod bitset;
+pub mod burst;
 pub mod checkpoint;
 pub mod executor;
 pub mod expr;

@@ -19,9 +19,42 @@
 //! Because `fcount(q) = Σ count(e, q)` over end-type events (Eq. 3), the
 //! final aggregate per member is just the end-type totals of `cum` at
 //! window close — no per-event result bookkeeping is needed.
+//!
+//! # What a burst is, and the `sp ≤ 3` invariant
+//!
+//! A burst reaches [`Run::replay`] in the representation its type was
+//! buffered in ([`GroupRuntime::burst_repr`], a function of the compiled
+//! group alone): a bare count where every event applies the same map
+//! (closed form), the events themselves where an edge predicate needs
+//! pairwise scans (the per-event loop, `process_event`), and otherwise a
+//! column of [`Cell`]s — per event one mask of the members whose
+//! selections accept it and the one number the skeleton reads — which
+//! `replay_cells` walks once, with everything constant over the burst
+//! computed before the loop and no allocation inside it.
+//!
+//! In the shared graphlet the cell replay keeps the running sum
+//! `sum_exprs` at **no more than three terms**. A *uniform* event (every
+//! sharing member accepts it) updates the sum in place over the graphlet
+//! snapshot `x` and the unit snapshot. A *diverging* event needs an
+//! event-level snapshot `z` (Def. 9) for the members that accept it; the
+//! per-event loop appends `1·z` to the sum, which therefore grows by a
+//! term per diverging event and makes every later evaluation
+//! O(snapshots so far). The replay **folds** instead: `z`'s row holds,
+//! for every sharing member, the running sum's current value plus (if
+//! the member accepts the event) the event's own propagated value, and
+//! the sum is reset to `1·z`. That is Fig. 6(f)'s "one consolidated
+//! snapshot" — there taken when solo graphlets merge — applied at every
+//! diverging event: the graphlet's history so far is replaced by its
+//! value per member, which snapshots exist to hold. Nothing is lost
+//! (`eval` of the folded sum equals `eval` of the unfolded one, member
+//! by member); a diverging event costs O(sharing members), a uniform
+//! one O(1); `sp` in Eq. 8 is bounded by 3 (fold snapshot, `x`, unit);
+//! and an event no sharing member accepts contributes the zero
+//! expression and creates no snapshot at all.
 
 use crate::agg::{ring_of_attr, MmVal, NodeVal};
 use crate::bitset::QSet;
+use crate::burst::{Burst, BurstRepr, Cell};
 use crate::expr::{LinearExpr, SnapId};
 use crate::snapshot::SnapTable;
 use crate::template::{MergedTemplate, NegKind};
@@ -52,6 +85,18 @@ pub struct GroupRuntime {
     /// Negation constraints indexed by the *negated* type:
     /// `(member, kind)` pairs in local type indices.
     pub negs: Vec<Vec<(usize, LocalNegKind)>>,
+    /// `relevant[type]` = `involved ∪ neg_involved`: the members whose
+    /// graphlets of *other* types a burst of the type deactivates.
+    pub relevant: Vec<QSet>,
+    /// `candidates[type]` — the members that may share a burst of the
+    /// type (involved, Kleene self-loop, linear skeleton), ascending.
+    pub candidates: Vec<Vec<usize>>,
+    /// `sel_members[type]` — the members with a selection on the type.
+    pub(crate) sel_members: Vec<Vec<usize>>,
+    /// [`GroupRuntime::burst_repr`] per type.
+    pub(crate) repr: Vec<BurstRepr>,
+    /// Average predecessor types per type per query (`p` of Table 2).
+    p: f64,
 }
 
 /// [`NegKind`] with local type indices.
@@ -108,7 +153,28 @@ impl GroupRuntime {
             .iter()
             .map(|per_q| per_q.iter().any(|v| !v.is_empty()))
             .collect();
-        Arc::new(GroupRuntime {
+        let relevant = (0..nt)
+            .map(|tl| {
+                let mut r = tpl.involved[tl].clone();
+                r.union_with(&tpl.neg_involved[tl]);
+                r
+            })
+            .collect();
+        let linear_ok = group.skeleton.supports_sharing();
+        let candidates = (0..nt)
+            .map(|tl| {
+                let (inv, lp) = (&tpl.involved[tl], &tpl.self_loop[tl]);
+                (0..k)
+                    .filter(|&q| linear_ok && inv.contains(q) && lp.contains(q))
+                    .collect()
+            })
+            .collect();
+        let sel_members = sel
+            .iter()
+            .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
+            .collect();
+        let mut rt = GroupRuntime {
+            p: tpl.avg_pred_types().max(1.0),
             template: tpl,
             queries: group.queries.clone(),
             skeleton: group.skeleton.clone(),
@@ -116,7 +182,13 @@ impl GroupRuntime {
             edge,
             type_any_edge,
             negs,
-        })
+            relevant,
+            candidates,
+            sel_members,
+            repr: Vec::new(),
+        };
+        rt.repr = (0..nt).map(|tl| rt.resolve_repr(tl)).collect();
+        Arc::new(rt)
     }
 
     /// Number of members.
@@ -127,8 +199,8 @@ impl GroupRuntime {
 
     /// True iff every burst of this group is *uniform*: each event applies
     /// the same linear map regardless of its content, so a pending burst is
-    /// fully described by its length and [`Run::process_burst_ext`] replays
-    /// it with the closed form of the internal `Run::burst_fast_path`
+    /// fully described by its length and [`Run::replay`] advances it with
+    /// the closed form of the internal `Run::advance_closed_form`
     /// helper. Requires the weight-free
     /// `CountOnly` skeleton, no edge predicates, no selection predicates,
     /// and no negation constraints anywhere in the template. The engine
@@ -141,11 +213,22 @@ impl GroupRuntime {
             && self.negs.iter().all(Vec::is_empty)
     }
 
+    /// True iff every event of a burst of type `tl` applies the same
+    /// linear map to every involved member, so the burst advances in
+    /// closed form whatever it is buffered as: a weight-free `CountOnly`
+    /// skeleton, no edge predicates anywhere in the template, and no
+    /// selection on `tl` among the involved members.
+    fn closed_form(&self, tl: usize) -> bool {
+        matches!(self.skeleton, AggSkeleton::CountOnly)
+            && !self.type_any_edge.iter().any(|&b| b)
+            && !(self.sel_members[tl].iter()).any(|&q| self.template.involved[tl].contains(q))
+    }
+
     /// Skeleton weight of an event: the ring embedding of the target
     /// attribute (0 when the event is not of the target type or no
     /// attribute is read).
     #[inline]
-    fn weight(&self, e: &Event) -> (TrendVal, bool) {
+    pub(crate) fn weight(&self, e: &Event) -> (TrendVal, bool) {
         match &self.skeleton {
             AggSkeleton::CountOnly => (TrendVal::ZERO, false),
             AggSkeleton::Linear { ty, attr } => {
@@ -165,7 +248,7 @@ impl GroupRuntime {
 
     /// True iff member `q`'s selection predicates accept `e` (type `tl`).
     #[inline]
-    fn selects(&self, tl: usize, q: usize, e: &Event) -> bool {
+    pub(crate) fn selects(&self, tl: usize, q: usize, e: &Event) -> bool {
         self.sel[tl][q].iter().all(|p| p.matches(e))
     }
 
@@ -311,7 +394,7 @@ pub struct MemberOutput {
 }
 
 /// Inputs the dynamic optimizer reads before deciding on a burst (§4.1).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BurstCtx {
     /// Events per window so far (`n`).
     pub n: u64,
@@ -414,6 +497,11 @@ impl Run {
         self.rt = rt;
     }
 
+    /// The group runtime the run evaluates.
+    pub fn runtime(&self) -> &GroupRuntime {
+        &self.rt
+    }
+
     /// Events processed so far (`n`).
     pub fn n_events(&self) -> u64 {
         self.n_events
@@ -432,70 +520,41 @@ impl Run {
     /// Collects the cheap structural optimizer inputs for a burst of local
     /// type `tl` — everything except the divergence counts (§4.1). O(k).
     pub fn burst_shape(&self, tl: usize) -> BurstCtx {
-        let tpl = &self.rt.template;
-        let linear_ok = self.rt.skeleton.supports_sharing();
-        let candidates: Vec<usize> = (0..self.k)
-            .filter(|&q| linear_ok && tpl.involved[tl].contains(q) && tpl.self_loop[tl].contains(q))
-            .collect();
-        let has_edge: Vec<bool> = candidates
-            .iter()
-            .map(|&q| !self.rt.edge[tl][q].is_empty())
-            .collect();
-        let diverging = vec![0u64; candidates.len()];
-        let (g, sp, currently_shared) = match &self.active[tl].shared {
-            Some(sh) => (sh.size, sh.sum_exprs.num_terms(), true),
-            None => {
-                let g = self.active[tl]
-                    .solo
-                    .iter()
-                    .flatten()
-                    .map(|s| s.size)
-                    .max()
-                    .unwrap_or(0);
-                (g, 0, false)
-            }
-        };
-        BurstCtx {
-            n: self.n_events,
-            g,
-            sp,
-            p: tpl.avg_pred_types().max(1.0),
-            currently_shared,
-            diverging,
-            has_edge,
-            candidates,
-        }
+        let mut ctx = BurstCtx::default();
+        self.burst_shape_into(tl, &mut ctx);
+        ctx
     }
 
-    /// Exact per-candidate divergence counts of a burst: an event
-    /// "diverges" for a member when its selection outcome differs from at
-    /// least one other candidate — the Def. 9 snapshot trigger. O(k·b);
-    /// the EMA estimator ([`crate::optimizer::stats`]) avoids this scan.
+    /// [`burst_shape`](Self::burst_shape) into a reused context: once its
+    /// vectors have grown to the group's width, a decision allocates
+    /// nothing.
+    pub fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
+        let cands = &self.rt.candidates[tl];
+        ctx.candidates.clone_from(cands);
+        ctx.has_edge.clear();
+        ctx.has_edge
+            .extend(cands.iter().map(|&q| !self.rt.edge[tl][q].is_empty()));
+        ctx.diverging.clear();
+        ctx.diverging.resize(cands.len(), 0);
+        (ctx.g, ctx.sp, ctx.currently_shared) = match &self.active[tl].shared {
+            Some(sh) => (sh.size, sh.sum_exprs.num_terms(), true),
+            None => {
+                let solos = self.active[tl].solo.iter().flatten();
+                (solos.map(|s| s.size).max().unwrap_or(0), 0, false)
+            }
+        };
+        ctx.n = self.n_events;
+        ctx.p = self.rt.p;
+    }
+
+    /// Exact per-candidate divergence counts
+    /// ([`GroupRuntime::divergence`]) of `events` (all of local type
+    /// `tl`), encoded first the way the executor buffers them.
     pub fn exact_divergence(&self, tl: usize, events: &[Event], candidates: &[usize]) -> Vec<u64> {
-        let k = candidates.len();
-        let mut diverging = vec![0u64; k];
-        if k == 0 {
-            return diverging;
-        }
-        // One match-bit buffer for the whole burst, not one per event.
-        let mut m = vec![false; k];
-        for e in events {
-            let mut any_acc = false;
-            let mut any_rej = false;
-            for (i, &q) in candidates.iter().enumerate() {
-                let s = self.rt.selects(tl, q, e);
-                m[i] = s;
-                any_acc |= s;
-                any_rej |= !s;
-            }
-            if any_acc && any_rej {
-                for (i, &acc) in m.iter().enumerate() {
-                    if !acc {
-                        diverging[i] += 1;
-                    }
-                }
-            }
-        }
+        let mut diverging = vec![0u64; candidates.len()];
+        let mut cells = Vec::new();
+        let burst = self.rt.burst_of(tl, events, &mut cells);
+        (self.rt).divergence(tl, &burst, candidates, &mut diverging);
         diverging
     }
 
@@ -513,28 +572,24 @@ impl Run {
     /// burst (must be a subset of the Kleene candidates); everyone else in
     /// `involved[tl]` processes the burst solo. Passing an empty set yields
     /// pure GRETA-style non-shared execution.
+    pub fn replay(&mut self, tl: usize, burst: Burst<'_>, shared_members: &QSet) {
+        self.replay_impl(tl, burst, shared_members, true)
+    }
+
+    /// [`replay`](Self::replay) of `events`, encoded first the way the
+    /// executor buffers a burst of their type.
     pub fn process_burst(&mut self, tl: usize, events: &[Event], shared_members: &QSet) {
-        self.process_burst_impl(tl, events, 0, shared_members, true)
+        debug_assert!(events
+            .iter()
+            .all(|e| { self.rt.template.local(e.ty) == Some(tl) }));
+        let rt = self.rt.clone();
+        let mut cells = Vec::new();
+        self.replay(tl, rt.burst_of(tl, events, &mut cells), shared_members)
     }
 
-    /// [`process_burst`](Self::process_burst) of `events` plus `extra`
-    /// count-only buffered events of the same burst (one flush, one
-    /// sharing decision). `extra > 0` requires
-    /// [`GroupRuntime::uniform_bursts`]: those events carried no
-    /// information beyond their count, so the closed-form fast path
-    /// replays them exactly.
-    pub fn process_burst_ext(
-        &mut self,
-        tl: usize,
-        events: &[Event],
-        extra: u64,
-        shared_members: &QSet,
-    ) {
-        self.process_burst_impl(tl, events, extra, shared_members, true)
-    }
-
-    /// [`process_burst`](Self::process_burst) with the closed-form burst
-    /// fast path disabled — the oracle its unit tests compare against.
+    /// The per-event loop over the raw events with the closed form
+    /// disabled — the oracle the unit tests compare [`replay`](Self::replay)
+    /// against.
     #[cfg(test)]
     pub(crate) fn process_burst_slow(
         &mut self,
@@ -542,32 +597,23 @@ impl Run {
         events: &[Event],
         shared_members: &QSet,
     ) {
-        self.process_burst_impl(tl, events, 0, shared_members, false)
+        self.replay_impl(tl, Burst::Events(events), shared_members, false)
     }
 
-    fn process_burst_impl(
-        &mut self,
-        tl: usize,
-        events: &[Event],
-        extra: u64,
-        shared_members: &QSet,
-        use_fast: bool,
-    ) {
-        debug_assert!(events
-            .iter()
-            .all(|e| { self.rt.template.local(e.ty) == Some(tl) }));
-        debug_assert!(extra == 0 || self.rt.uniform_bursts());
-        if events.is_empty() && extra == 0 {
+    fn replay_impl(&mut self, tl: usize, burst: Burst<'_>, shared_members: &QSet, use_fast: bool) {
+        let b = burst.len();
+        if b == 0 {
             return;
         }
-        let tpl = self.rt.template.clone();
+        // One runtime handle per burst; everything below borrows from it.
+        let rt = self.rt.clone();
+        let tpl = &rt.template;
 
         // Deactivate other types' graphlets for affected members
         // (Algorithm 1 lines 4–6). Conservative: type relevance, not
         // per-event match, triggers deactivation — early closure is always
         // correct, it only forgoes some sharing.
-        let mut relevant = tpl.involved[tl].clone();
-        relevant.union_with(&tpl.neg_involved[tl]);
+        let relevant = &rt.relevant[tl];
         for ty in 0..tpl.num_types() {
             if ty == tl {
                 continue;
@@ -575,7 +621,7 @@ impl Run {
             let close_shared = self.active[ty]
                 .shared
                 .as_ref()
-                .is_some_and(|sh| sh.members.intersects(&relevant));
+                .is_some_and(|sh| sh.members.intersects(relevant));
             if close_shared {
                 self.close_shared(ty);
             }
@@ -589,7 +635,7 @@ impl Run {
         // Negation constraints fire before positive processing (§5): the
         // negated match blocks connections across it.
         if !tpl.neg_involved[tl].is_empty() {
-            self.apply_negations(tl, events);
+            self.apply_negations(&rt, tl, &burst);
         }
 
         if tpl.involved[tl].is_empty() {
@@ -597,48 +643,148 @@ impl Run {
         }
 
         // Effective sharing set: candidates with a Kleene self-loop and a
-        // linear skeleton; sharing needs ≥ 2 members (Def. 4).
-        let mut share: QSet = shared_members
-            .iter()
-            .filter(|&q| {
-                tpl.involved[tl].contains(q)
-                    && tpl.self_loop[tl].contains(q)
-                    && self.rt.skeleton.supports_sharing()
-            })
-            .collect();
+        // linear skeleton; sharing needs ≥ 2 members (Def. 4). The
+        // optimizer only ever picks candidates, so its set is used as is.
+        static NONE: QSet = QSet::new();
+        let cands = &rt.candidates[tl];
+        let filtered: QSet;
+        let mut share = shared_members;
+        if !shared_members.iter().all(|q| cands.contains(&q)) {
+            filtered = (shared_members.iter())
+                .filter(|q| cands.contains(q))
+                .collect();
+            share = &filtered;
+        }
         if share.len() < 2 {
-            share = QSet::new();
+            share = &NONE;
         }
 
-        let t0 = events
-            .first()
-            .map(|e| e.time)
-            .unwrap_or_else(|| 0u64.into());
-        self.transition_graphlets(tl, &share, t0);
+        self.transition_graphlets(&rt, tl, share);
         if share.is_empty() {
             self.stats.solo_bursts += 1;
         } else {
             self.stats.shared_bursts += 1;
         }
 
-        // One runtime handle per burst — the per-event path used to clone
-        // the Arc (and bump its refcount) once per event.
-        let rt = self.rt.clone();
-        let b = events.len() as u64 + extra;
-        if use_fast && self.burst_fast_path(&rt, tl, b, &share) {
-            return;
+        let closed = use_fast && rt.closed_form(tl);
+        match burst {
+            Burst::Cells(cells) if !closed => self.replay_cells(&rt, tl, cells, share),
+            Burst::Events(events) if !closed => {
+                for e in events {
+                    self.process_event(&rt, tl, e, share);
+                }
+            }
+            // Count-only bursts exist only for uniform groups, where the
+            // closed form's preconditions hold by construction.
+            _ => self.advance_closed_form(&rt, tl, b, share),
         }
-        // Count-only buffered events exist only for uniform groups, whose
-        // bursts always take the closed form above.
-        assert!(extra == 0, "count-only burst events require the fast path");
-        for e in events {
-            self.process_event(&rt, tl, e, &share);
-            self.n_events += 1;
-            self.stats.events += 1;
+        self.n_events += b;
+        self.stats.events += b;
+    }
+
+    /// Replays a column of cells of local type `tl` (no edge predicates,
+    /// k ≤ 64) — the one replay loop of such types. The shared graphlet
+    /// runs first, event by event; the solo members follow one at a time
+    /// (they are independent of each other and of the shared path), each
+    /// with everything constant over the burst computed once: the
+    /// external predecessor sum, the start flag, the lattice predecessors.
+    /// Nothing in here allocates.
+    fn replay_cells(&mut self, rt: &GroupRuntime, tl: usize, cells: &[Cell], share: &QSet) {
+        let tpl = &rt.template;
+        let minmax = matches!(rt.skeleton, AggSkeleton::MinMax { .. });
+        let is_target =
+            matches!(&rt.skeleton, AggSkeleton::Linear { ty, .. } if tpl.types[tl] == *ty);
+        // `Cell::val` is the ring weight unless the skeleton is a lattice.
+        let weight = |c: &Cell| TrendVal(if minmax { 0 } else { c.val });
+        let start_mask = (tpl.start[tl].iter())
+            .filter(|&q| !self.start_blocked[q])
+            .fold(0u64, |m, q| m | 1 << q);
+
+        let share_mask = share.low_word();
+        if share_mask != 0 {
+            // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
+            let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
+            let (x, unit) = (sh.x, sh.unit);
+            for c in cells {
+                let (w, m) = (weight(c), c.mask & share_mask);
+                if m == share_mask {
+                    // Eq. 2 symbolically: preds = x (+ unit) + the
+                    // in-graphlet prefix, then the propagation map.
+                    sh.sum_exprs.absorb_event(x, unit, w, is_target);
+                } else if m != 0 {
+                    // Diverging event: fold. One event-level snapshot
+                    // (Def. 9) takes, per sharing member, the running
+                    // sum's value plus — if the member accepts the event
+                    // — the event's own propagated value, and becomes the
+                    // whole running sum.
+                    let z = self.snaps.create_row();
+                    let mut bits = share_mask;
+                    while bits != 0 {
+                        let q = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let mut v = self.snaps.eval(&sh.sum_exprs, q);
+                        if m >> q & 1 == 1 {
+                            let pred = self.snaps.value(x, q).plus(v);
+                            let start = start_mask >> q & 1 == 1;
+                            v.add(NodeVal::propagate(pred, start, w, is_target));
+                        }
+                        self.snaps.set(z, q, v);
+                    }
+                    sh.sum_exprs.reset_to_snapshot(z);
+                    self.stats.event_snapshots += 1;
+                }
+                // An event no sharing member accepts contributes zero.
+            }
+            sh.size += cells.len() as u64;
+        }
+
+        let mut solo_bits = tpl.involved[tl].low_word() & !share_mask;
+        while solo_bits != 0 {
+            let q = solo_bits.trailing_zeros() as usize;
+            solo_bits &= solo_bits - 1;
+            if self.active[tl].solo[q].is_none() {
+                self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
+                self.stats.graphlets += 1;
+            }
+            let ext = self.external_pred(tl, q);
+            let start = start_mask >> q & 1 == 1;
+            let self_loop = tpl.self_loop[tl].contains(q);
+            // Lattice predecessors in closed graphlets (the active one of
+            // this type is folded in per event).
+            let (mut mm_ext, mut alive_ext) = (self.mm_identity, start);
+            for &p in &tpl.pt[tl][q] {
+                mm_ext.fold(self.mm_cum[p][q].0, self.is_min);
+                alive_ext |= self.alive_cum[p][q];
+            }
+            let is_min = self.is_min;
+            // hamlet-lint: allow(panic-hygiene) -- opened just above if it was not already active
+            let solo = self.active[tl].solo[q].as_mut().expect("solo graphlet");
+            for c in cells.iter().filter(|c| c.mask >> q & 1 == 1) {
+                let mut pred = ext;
+                if self_loop {
+                    pred.add(solo.sum);
+                }
+                solo.sum
+                    .add(NodeVal::propagate(pred, start, weight(c), is_target));
+                solo.size += 1;
+                if minmax {
+                    let (mut mm, mut alive) = (mm_ext, alive_ext);
+                    if self_loop {
+                        mm.fold(solo.mm.0, is_min);
+                        alive |= solo.alive;
+                    }
+                    if alive {
+                        mm.fold(f64::from_bits(c.val), is_min);
+                        solo.mm.fold(mm.0, is_min);
+                        solo.alive = true;
+                    }
+                }
+            }
         }
     }
 
-    /// Closed-form burst advance for predicate-free COUNT(*) groups.
+    /// Closed-form burst advance for predicate-free COUNT(*) bursts
+    /// ([`GroupRuntime::closed_form`]).
     ///
     /// When the skeleton carries no weight (`CountOnly` makes
     /// [`GroupRuntime::weight`] return `(0, false)` for every event), the
@@ -656,19 +802,9 @@ impl Run {
     /// All arithmetic is in the wrapping `u64` ring, where the `2ᵇ`
     /// scalars are exact (`b ≥ 64 ⇒ 2ᵇ ≡ 0`), so the result is
     /// bit-identical to the per-event loop — asserted against
-    /// [`process_burst_slow`](Self::process_burst_slow) in tests. Returns
-    /// false (caller falls back to the loop) whenever a precondition
-    /// fails.
-    fn burst_fast_path(&mut self, rt: &Arc<GroupRuntime>, tl: usize, b: u64, share: &QSet) -> bool {
+    /// [`process_burst_slow`](Self::process_burst_slow) in tests.
+    fn advance_closed_form(&mut self, rt: &GroupRuntime, tl: usize, b: u64, share: &QSet) {
         let tpl = &rt.template;
-        if !matches!(rt.skeleton, AggSkeleton::CountOnly) || rt.type_any_edge.iter().any(|&b| b) {
-            return false;
-        }
-        for q in 0..self.k {
-            if tpl.involved[tl].contains(q) && !rt.sel[tl][q].is_empty() {
-                return false;
-            }
-        }
         // 2ᵇ and 2ᵇ−1 in the wrapping ring.
         let m = TrendVal(if b >= 64 { 0 } else { 1u64 << b });
         let g = m - TrendVal::ONE;
@@ -705,18 +841,22 @@ impl Run {
             }
             solo.size += b;
         }
-        self.n_events += b;
-        self.stats.events += b;
-        true
     }
 
     /// Applies Leading/Gap/Trailing negation effects of a burst of negated
     /// type `tl` (§5).
-    fn apply_negations(&mut self, tl: usize, events: &[Event]) {
-        let rt = self.rt.clone();
+    fn apply_negations(&mut self, rt: &GroupRuntime, tl: usize, burst: &Burst<'_>) {
+        let accepted = match burst {
+            Burst::Cells(cells) => cells.iter().fold(0, |m, c| m | c.mask),
+            _ => u64::MAX,
+        };
         for (q, kind) in &rt.negs[tl] {
             // The negated sub-pattern may carry selection predicates.
-            if !events.iter().any(|e| rt.selects(tl, *q, e)) {
+            let hit = match burst {
+                Burst::Events(events) => events.iter().any(|e| rt.selects(tl, *q, e)),
+                _ => accepted >> q & 1 == 1,
+            };
+            if !hit {
                 continue;
             }
             match kind {
@@ -759,7 +899,7 @@ impl Run {
 
     /// Opens/closes graphlets of type `tl` so the active configuration
     /// matches the sharing decision (§4.2 split & merge).
-    fn transition_graphlets(&mut self, tl: usize, share: &QSet, _now: hamlet_types::Ts) {
+    fn transition_graphlets(&mut self, rt: &GroupRuntime, tl: usize, share: &QSet) {
         let keep_shared = self.active[tl]
             .shared
             .as_ref()
@@ -782,7 +922,7 @@ impl Run {
             if was_solo {
                 self.stats.merges += 1;
             }
-            self.open_shared(tl, share.clone());
+            self.open_shared(rt, tl, share.clone());
         }
         // Solo members keep (or lazily open) their graphlets in
         // `process_event`; members newly covered by the shared graphlet
@@ -796,11 +936,11 @@ impl Run {
 
     /// Creates a shared graphlet with its graphlet-level snapshot
     /// (Algorithm 1 lines 7–13).
-    fn open_shared(&mut self, tl: usize, members: QSet) {
-        let tpl = self.rt.template.clone();
-        let mut vals = vec![NodeVal::ZERO; self.k];
+    fn open_shared(&mut self, rt: &GroupRuntime, tl: usize, members: QSet) {
+        let tpl = &rt.template;
+        let x = self.snaps.create_row();
         for q in members.iter() {
-            let scan_self = !self.rt.edge[tl][q].is_empty();
+            let scan_self = !rt.edge[tl][q].is_empty();
             let mut v = NodeVal::ZERO;
             for &p in &tpl.pt[tl][q] {
                 if p == tl && scan_self {
@@ -814,31 +954,23 @@ impl Run {
                     .unwrap_or(NodeVal::ZERO);
                 v.add(self.cum[p][q].minus(blocked));
             }
-            vals[q] = v;
+            self.snaps.set(x, q, v);
         }
-        let x = self.snaps.create(vals);
         self.stats.graphlet_snapshots += 1;
         self.stats.graphlets += 1;
         // Unit snapshot: per-member trend-start indicator (1 iff the type
         // starts trends for the member and no leading negation blocks it).
-        let needs_unit = members
-            .iter()
-            .any(|q| tpl.start[tl].contains(q) && !self.start_blocked[q]);
-        let unit = needs_unit.then(|| {
-            let vals = (0..self.k)
-                .map(|q| {
-                    if members.contains(q) && tpl.start[tl].contains(q) && !self.start_blocked[q] {
-                        NodeVal {
-                            count: TrendVal::ONE,
-                            sum: TrendVal::ZERO,
-                            cnt: TrendVal::ZERO,
-                        }
-                    } else {
-                        NodeVal::ZERO
-                    }
-                })
-                .collect();
-            self.snaps.create(vals)
+        let starts = |q: usize| tpl.start[tl].contains(q) && !self.start_blocked[q];
+        let unit = members.iter().any(starts).then(|| {
+            let u = self.snaps.create_row();
+            for q in members.iter().filter(|&q| starts(q)) {
+                let one = NodeVal {
+                    count: TrendVal::ONE,
+                    ..NodeVal::ZERO
+                };
+                self.snaps.set(u, q, one);
+            }
+            u
         });
         self.active[tl].shared = Some(SharedGraphlet {
             members,
@@ -1447,6 +1579,144 @@ mod tests {
         };
         assert_eq!(bytes(&fast), bytes(&slow));
         assert_eq!(fast.finalize(), slow.finalize());
+    }
+
+    const D: EventTypeId = EventTypeId(3);
+    const N: EventTypeId = EventTypeId(4);
+
+    /// One random share group around `B+`: skeleton `skel` (0 `CountOnly`,
+    /// 1 `Linear`, 2 `MinMax`), 2–5 members with their own head / tail
+    /// types (so `B` starts trends for some members only), Leading / Gap /
+    /// Trailing negations of `N`, and per-member selections on `B` and
+    /// `N` including none and all-reject.
+    fn random_group(next: &mut impl FnMut() -> u64, skel: u64) -> Arc<GroupRuntime> {
+        use hamlet_query::{AggFunc, CmpOp, QueryId, SelectionPredicate};
+        let ty = |t| Pattern::Type(t);
+        let not_n = || Pattern::Not(Box::new(Pattern::Type(N)));
+        let bs = || Pattern::plus(Pattern::Type(B));
+        let is_max = next().is_multiple_of(2);
+        let members: Vec<Arc<Query>> = (0..2 + next() % 4)
+            .map(|i| {
+                // Lattice values cannot be un-blocked: no negation there.
+                let pattern = match next() % if skel == 2 { 4 } else { 7 } {
+                    0 => bs(),
+                    1 => Pattern::seq(vec![ty(A), bs()]),
+                    2 => Pattern::seq(vec![ty(C), bs()]),
+                    3 => Pattern::seq(vec![ty(A), bs(), ty(D)]),
+                    4 => Pattern::seq(vec![not_n(), ty(A), bs()]),
+                    5 => Pattern::seq(vec![ty(A), not_n(), bs()]),
+                    _ => Pattern::seq(vec![ty(C), bs(), not_n()]),
+                };
+                let agg = match (skel, next() % 3) {
+                    (0, _) => AggFunc::CountStar,
+                    (1, 0) => AggFunc::Sum(B, 0),
+                    (1, 1) => AggFunc::Avg(B, 0),
+                    (1, _) => AggFunc::CountType(B),
+                    _ if is_max => AggFunc::Max(B, 0),
+                    _ => AggFunc::Min(B, 0),
+                };
+                let mut selections = Vec::new();
+                for ty in [B, N] {
+                    let (op, cut) = match next() % 4 {
+                        0 => continue,
+                        1 => (CmpOp::Lt, (next() % 10) as f64),
+                        2 => (CmpOp::Ge, (next() % 10) as f64),
+                        _ => (CmpOp::Lt, -1.0), // rejects every event
+                    };
+                    selections.push(SelectionPredicate {
+                        ty,
+                        attr: 0,
+                        op,
+                        value: hamlet_types::AttrValue::Float(cut),
+                    });
+                }
+                let w = Window::tumbling(1000);
+                let q = Query::new(
+                    QueryId(i as u32),
+                    pattern,
+                    agg,
+                    selections,
+                    vec![],
+                    vec![],
+                    vec![],
+                    w,
+                );
+                Arc::new(q.unwrap())
+            })
+            .collect();
+        let plan = crate::workload::analyze(&members).unwrap();
+        assert_eq!(
+            plan.groups.len(),
+            1,
+            "every member has B+ and a compatible aggregate"
+        );
+        GroupRuntime::new(&plan.groups[0])
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The cell replay (masks, hoisted burst invariants, folding) and
+        /// the per-event loop over the raw events with its unfolded
+        /// expressions agree on every output, for random groups × random
+        /// bursts × a random sharing set per burst — and the replay keeps
+        /// its promises: a running sum never carries more than three
+        /// terms, and an event creates a snapshot exactly when some but
+        /// not all sharing members accept it (an all-reject event
+        /// creates none).
+        #[test]
+        fn cell_replay_matches_event_loop(seed in 0u64..u64::MAX, skel in 0u64..3) {
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let mut s = seed | 1;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s >> 11
+            };
+            let rt = random_group(&mut next, skel);
+            let (k, nt) = (rt.k(), rt.template.num_types());
+            let mut fast = Run::new(rt.clone());
+            let mut slow = Run::new(rt.clone());
+            for burst_no in 0..14u64 {
+                // Mostly the Kleene type, so graphlets grow across bursts.
+                let tl = if next().is_multiple_of(3) { (next() % nt as u64) as usize } else { rt.template.local(B).unwrap() };
+                prop_assert_eq!(rt.burst_repr(tl), BurstRepr::Cells);
+                let events: Vec<Event> = (0..1 + next() % 8)
+                    .map(|i| {
+                        let v = hamlet_types::AttrValue::Float((next() % 10) as f64);
+                        Event::new(Ts(burst_no * 10 + i), rt.template.types[tl], vec![v])
+                    })
+                    .collect();
+                let shared: QSet = (0..k).filter(|_| !next().is_multiple_of(3)).collect();
+
+                // What the replay may fold: events some but not all of the
+                // effective sharing set accept.
+                let cands = &rt.candidates[tl];
+                let share = shared.iter().filter(|q| cands.contains(q)).fold(0u64, |m, q| m | 1 << q);
+                let share = if share.count_ones() < 2 { 0 } else { share };
+                let partial = events
+                    .iter()
+                    .map(|e| rt.cell(tl, e).mask & share)
+                    .filter(|&m| m != 0 && m != share)
+                    .count() as u64;
+
+                let before = fast.stats().event_snapshots;
+                fast.process_burst(tl, &events, &shared);
+                slow.process_burst_slow(tl, &events, &shared);
+                prop_assert_eq!(fast.stats().event_snapshots - before, partial);
+                prop_assert!(fast.burst_shape(tl).sp <= 3);
+                prop_assert_eq!(fast.burst_shape(tl).g, slow.burst_shape(tl).g);
+            }
+            prop_assert_eq!(fast.n_events(), slow.n_events());
+            let (f, s) = (*fast.stats(), *slow.stats());
+            prop_assert!(f.event_snapshots <= s.event_snapshots);
+            prop_assert_eq!(
+                RunStats { event_snapshots: 0, ..f },
+                RunStats { event_snapshots: 0, ..s }
+            );
+            prop_assert_eq!(fast.finalize(), slow.finalize());
+        }
     }
 
     #[test]

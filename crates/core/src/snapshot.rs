@@ -45,6 +45,23 @@ impl SnapTable {
         id
     }
 
+    /// Creates a snapshot whose value is zero for every member; the
+    /// caller writes the members it covers with [`set`](Self::set). The
+    /// run's hot path creates snapshots this way — the row lives in the
+    /// table from the start, so no per-snapshot `Vec` is allocated.
+    pub fn create_row(&mut self) -> SnapId {
+        let id = self.len() as SnapId;
+        self.vals.resize(self.vals.len() + self.k, NodeVal::ZERO);
+        id
+    }
+
+    /// Writes member `q`'s value of a snapshot made by
+    /// [`create_row`](Self::create_row), before anything reads it.
+    #[inline]
+    pub fn set(&mut self, x: SnapId, q: usize, v: NodeVal) {
+        self.vals[x as usize * self.k + q] = v;
+    }
+
     /// Value of snapshot `x` for member query `q`.
     #[inline]
     pub fn value(&self, x: SnapId, q: usize) -> NodeVal {

@@ -60,8 +60,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::checkpoint::{
-    read_delta_frame, CheckpointError, Dec, DELTA_MAGIC, ENGINE_MAGIC, ENGINE_VERSION,
-    ENGINE_VERSION_V2, ENGINE_VERSION_V3,
+    read_delta_frame, read_engine_header, CheckpointError, Dec, DELTA_MAGIC, ENGINE_MAGIC,
 };
 use crate::executor::HamletEngine;
 
@@ -119,13 +118,7 @@ fn peek_meta(bytes: &[u8]) -> Result<PeekedMeta, CheckpointError> {
     if magic == ENGINE_MAGIC {
         // Bare engine blob = a full snapshot at chain seq 0.
         let mut d = Dec::new(bytes);
-        d.magic(&ENGINE_MAGIC)?;
-        let v = d.u16()?;
-        let epoch = match v {
-            ENGINE_VERSION | ENGINE_VERSION_V3 => d.u64()?,
-            ENGINE_VERSION_V2 => 0,
-            other => return Err(CheckpointError::BadVersion(other)),
-        };
+        let (v, epoch) = read_engine_header(&mut d)?;
         let fp = d.bytes()?;
         return Ok((CheckpointKind::Full, v, epoch, 0, None, fp));
     }
@@ -142,7 +135,7 @@ fn peek_meta(bytes: &[u8]) -> Result<PeekedMeta, CheckpointError> {
         let fp = d.bytes()?;
         return Ok((
             CheckpointKind::Delta,
-            crate::checkpoint::DELTA_VERSION,
+            f.version,
             f.epoch,
             f.seq,
             Some(f.parent),
@@ -502,6 +495,7 @@ impl CheckpointStore for DirStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::ENGINE_VERSION;
     use crate::executor::EngineConfig;
     use hamlet_query::parse_query;
     use hamlet_types::{Event, TypeRegistry};

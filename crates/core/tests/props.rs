@@ -91,6 +91,64 @@ proptest! {
         }
     }
 
+    /// The in-place running-sum update of a uniform shared event is the
+    /// clone / add_snapshot / propagate / add_assign composition it
+    /// replaces — term for term, normal form included.
+    #[test]
+    fn absorb_event_is_the_composition(
+        s in expr(),
+        x in 0u32..4,
+        unit in 0u32..5,
+        w in any::<u64>(),
+        is_target in any::<bool>(),
+    ) {
+        // No unit snapshot one time in five; never the graphlet's own.
+        let unit = Some(unit).filter(|&u| u != 4 && u != x);
+        let mut pred = s.clone();
+        pred.add_snapshot(x);
+        if let Some(u) = unit {
+            pred.add_snapshot(u);
+        }
+        let composed = s.clone().plus(&pred.propagate(TrendVal(w), is_target));
+        let mut absorbed = s;
+        absorbed.absorb_event(x, unit, TrendVal(w), is_target);
+        prop_assert_eq!(absorbed, composed);
+    }
+
+    /// A fold loses nothing: writing `eval(S, q)` plus the event's own
+    /// value into one snapshot row and resetting `S` to `1·z` evaluates,
+    /// for every member, to what the unfolded `S + 1·z_event` would.
+    #[test]
+    fn fold_equals_the_unfolded_sum(
+        s in expr(),
+        own in (nodeval(), nodeval()),
+        accepts in (any::<bool>(), any::<bool>()),
+        t in table(),
+    ) {
+        let mut t = t;
+        let own = [own.0, own.1];
+        let accepts = [accepts.0, accepts.1];
+        // Unfolded: the event-level snapshot holds the event's value for
+        // the members that accept it, and joins the running sum.
+        let z_event = t.create((0..2).map(|q| if accepts[q] { own[q] } else { NodeVal::ZERO }).collect());
+        let unfolded = s.clone().plus(&LinearExpr::snapshot(z_event));
+        // Folded: one row takes the running sum's value as well.
+        let z = t.create_row();
+        for q in 0..2 {
+            let mut v = t.eval(&s, q);
+            if accepts[q] {
+                v.add(own[q]);
+            }
+            t.set(z, q, v);
+        }
+        let mut folded = s;
+        folded.reset_to_snapshot(z);
+        prop_assert_eq!(folded.num_terms(), 1);
+        for q in 0..2 {
+            prop_assert_eq!(t.eval(&folded, q), t.eval(&unfolded, q));
+        }
+    }
+
     /// Terms stay sorted, unique, and free of all-zero coefficients.
     #[test]
     fn expr_normal_form(a in expr(), b in expr()) {

@@ -215,11 +215,15 @@ const PAIRS: &[(&str, &str)] = &[
     ("container_header", "read_container"),
     ("encode_delta", "decode_delta"),
     ("write_delta_frame", "read_delta_frame"),
+    ("write_engine_header", "read_engine_header"),
+    ("encode_tail", "decode_tail"),
+    ("encode_partition", "decode_partition"),
+    ("encode_pending_slot", "decode_pending_slot"),
 ];
 
 /// Positional class of one codec call. `Len` unifies `usize`/`seq_len`,
 /// `Raw` unifies `raw`/`magic`, `Nested` unifies sub-struct
-/// `encode`/`decode` calls (and the container header helpers).
+/// `encode`/`decode` calls (and the container / engine header helpers).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Slot {
     Fixed(&'static str),
@@ -368,11 +372,15 @@ fn codec_calls(cx: &FileCx, f: &FnSpan, decode_side: bool) -> Vec<(Slot, usize)>
         // Nested sub-struct calls: `x.encode(&mut e)` / `T::decode(&mut d, ..)`,
         // plus the shared container helpers.
         let nested = if decode_side {
-            (w == "decode" || w == "read_container" || w == "read_container_any")
-                && toks.get(i + 1).is_some_and(|t| t.is_p('('))
+            matches!(
+                w,
+                "decode" | "read_container" | "read_container_any" | "read_engine_header"
+            ) && toks.get(i + 1).is_some_and(|t| t.is_p('('))
                 && args_mention(toks, i + 1, &recvs)
         } else {
-            (w == "encode" && i >= 1 && toks[i - 1].is_p('.') || w == "container_header")
+            (w == "encode" && i >= 1 && toks[i - 1].is_p('.')
+                || w == "container_header"
+                || w == "write_engine_header")
                 && toks.get(i + 1).is_some_and(|t| t.is_p('('))
                 && (w == "container_header" || args_mention(toks, i + 1, &recvs))
         };

@@ -47,6 +47,22 @@ fn l2_catches_codec_asymmetry() {
     assert_eq!(rules_for("l2_allowed.rs"), [] as [&str; 0]);
 }
 
+/// The run-state record and the helpers the engine codecs share: a
+/// tagged payload with a nested `Cell` pair and a separately named
+/// legacy reader stay clean, and an asymmetry in the payload arms, in
+/// `encode_tail`/`decode_tail`, or in the engine-header pair is found.
+#[test]
+fn l2_checks_the_run_state_record_and_its_helpers() {
+    assert_eq!(rules_for("l2_tagged_allowed.rs"), [] as [&str; 0]);
+    let findings = hamlet_lint::check_fixture(&fixture("l2_tagged_violation.rs")).unwrap();
+    assert!(findings.iter().all(|f| f.rule == "codec-symmetry"));
+    let pairs: Vec<&str> = ["`decode`", "`decode_tail`", "`restore`"]
+        .into_iter()
+        .filter(|name| findings.iter().any(|f| f.message.contains(name)))
+        .collect();
+    assert_eq!(pairs.len(), 3, "{findings:?}");
+}
+
 #[test]
 fn l3_catches_wallclock_reads() {
     let findings = hamlet_lint::check_fixture(&fixture("l3_violation.rs")).unwrap();

@@ -349,3 +349,178 @@ proptest! {
         prop_assert_eq!(&all, &gold_par.results, "parallel seed {} cut {}", seed, cut);
     }
 }
+
+// ---- Format compatibility: state cut by the previous format ---------
+
+/// The predicate workload the v4 fixtures were cut on at the parent of
+/// PR 15: selection groups (cells now, cloned events then), a uniform
+/// group (a count), a lattice group and an edge-predicate group (events
+/// either way), over sliding windows.
+fn fixture_workload() -> (Arc<TypeRegistry>, Vec<Query>) {
+    let mut reg = TypeRegistry::new();
+    for ty in ["A", "B", "C"] {
+        reg.register(ty, &["g", "v"]);
+    }
+    let reg = Arc::new(reg);
+    let texts = [
+        "RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE B.v < 3 GROUP BY g WITHIN 12 SLIDE 4",
+        "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE B.v < 6 GROUP BY g WITHIN 12 SLIDE 4",
+        "RETURN COUNT(B) PATTERN SEQ(A, B+) GROUP BY g WITHIN 12 SLIDE 4",
+        "RETURN MAX(B.v) PATTERN B+ WHERE B.v < 5 GROUP BY g WITHIN 12 SLIDE 4",
+        "RETURN COUNT(*) PATTERN SEQ(C, B+) GROUP BY g WITHIN 12 SLIDE 4",
+        "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v >= PREV.v GROUP BY g WITHIN 8",
+        "RETURN COUNT(*) PATTERN SEQ(A, B+, NOT C) WHERE C.v < 4 GROUP BY g WITHIN 8",
+    ];
+    let queries = (texts.iter().enumerate())
+        .map(|(i, t)| parse_query(&reg, i as u32 + 1, t).expect("fixture query parses"))
+        .collect();
+    (reg, queries)
+}
+
+/// The fixture stream: bursty (`B` three times in five), three keys,
+/// non-decreasing time — fixed forever, the blobs were cut on it.
+fn fixture_events(reg: &TypeRegistry) -> Vec<Event> {
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    let mut step = || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        s
+    };
+    let mut t = 0u64;
+    (0..240)
+        .map(|_| {
+            t += step() % 2;
+            let ty = ["A", "C", "B", "B", "B"][(step() % 5) as usize];
+            EventBuilder::new(reg, reg.type_id(ty).expect("registered"), t)
+                .attr("g", (step() % 3) as i64)
+                .attr("v", (step() % 8) as f64)
+                .build()
+        })
+        .collect()
+}
+
+/// Events processed before the fixtures' cuts: the full blob (and the
+/// chain's base) after `FIXTURE_CUT`, the chain's delta after
+/// `FIXTURE_CUT_DELTA`.
+const FIXTURE_CUT: usize = 121;
+const FIXTURE_CUT_DELTA: usize = 167;
+
+/// One result per line, the form `tests/fixtures/*.expected` holds.
+fn fixture_lines(results: &[WindowResult]) -> Vec<String> {
+    results
+        .iter()
+        .map(|r| {
+            format!(
+                "{} {:?} {} {:?}",
+                r.query.0,
+                r.group_key,
+                r.window_start.ticks(),
+                r.value
+            )
+        })
+        .collect()
+}
+
+fn unhex(s: &str) -> Vec<u8> {
+    (0..s.len() / 2)
+        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
+/// A fixture under `tests/fixtures/`, one string per line.
+fn fixture(name: &str) -> Vec<String> {
+    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    text.lines().map(str::to_owned).collect()
+}
+
+/// What one engine that never stops emits from event `from` on (flush
+/// included), in raw emission order.
+fn uninterrupted_from(
+    reg: &Arc<TypeRegistry>,
+    queries: &[Query],
+    events: &[Event],
+    from: usize,
+) -> Vec<WindowResult> {
+    let mut eng = HamletEngine::new(reg.clone(), queries.to_vec(), EngineConfig::default())
+        .expect("engine builds");
+    for e in &events[..from] {
+        let _ = eng.process(e);
+    }
+    let mut out: Vec<WindowResult> = events[from..].iter().flat_map(|e| eng.process(e)).collect();
+    out.extend(eng.flush());
+    out
+}
+
+/// An `HMEN` v4 blob cut at the parent of PR 15 — mid-burst, its
+/// pending bursts still cloned events (plus, in the uniform group, the
+/// old mixed events + count-only tail) — restores into this engine,
+/// which buffers the same bursts as cell columns and bare counts, and
+/// finishes the stream byte-identically: to what the old engine went on
+/// to emit (pinned beside the blob), and to this engine never stopping.
+/// From there on the state is v5, and round-trips.
+#[test]
+fn v4_blob_cut_mid_burst_restores_and_finishes_identically() {
+    let (reg, queries) = fixture_workload();
+    let events = fixture_events(&reg);
+    let mk = || HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+
+    let blob = unhex(&fixture("hmen_v4_midburst.hex")[0]);
+    assert_eq!(Checkpoint::from_bytes(blob.clone()).unwrap().version(), 4);
+    let mut survivor = mk();
+    survivor.restore(&blob).unwrap();
+
+    let v5 = survivor.checkpoint();
+    assert_eq!(Checkpoint::from_bytes(v5.clone()).unwrap().version(), 5);
+    assert!(
+        v5.len() < blob.len(),
+        "cells and counts are smaller than events"
+    );
+    let mut again = mk();
+    again.restore(&v5).unwrap();
+    assert_eq!(
+        again.checkpoint(),
+        v5,
+        "checkpoint → restore → checkpoint at v5"
+    );
+
+    let mut rest = Vec::new();
+    for e in &events[FIXTURE_CUT..] {
+        rest.extend(survivor.process(e));
+    }
+    rest.extend(survivor.flush());
+    assert!(rest.len() > 100, "the cut left most of the stream to go");
+    assert_eq!(
+        rest,
+        uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT)
+    );
+    assert_eq!(fixture_lines(&rest), fixture("hmen_v4_midburst.expected"));
+}
+
+/// The same for a chain the old format cut: an `HMDL` v1 base (wrapping
+/// an `HMEN` v4 blob) plus a v1 delta, whose run-state records are the
+/// v4 ones.
+#[test]
+fn v1_delta_chain_restores_and_finishes_identically() {
+    let (reg, queries) = fixture_workload();
+    let events = fixture_events(&reg);
+    let chain: Vec<Checkpoint> = fixture("hmdl_v1_chain.hex")
+        .iter()
+        .map(|line| Checkpoint::from_bytes(unhex(line)).unwrap())
+        .collect();
+    assert!(!chain[0].is_delta() && chain[1].is_delta());
+    let mut survivor =
+        HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+    survivor.restore_chain(&chain).unwrap();
+    let mut rest = Vec::new();
+    for e in &events[FIXTURE_CUT_DELTA..] {
+        rest.extend(survivor.process(e));
+    }
+    rest.extend(survivor.flush());
+    assert_eq!(fixture_lines(&rest), fixture("hmdl_v1_chain.expected"));
+    assert_eq!(
+        rest,
+        uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT_DELTA)
+    );
+}

@@ -631,6 +631,12 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
     const CUT_CADENCE: usize = 500;
     /// Every `COMPACT_EVERY`th cadence cut is a full base.
     const COMPACT_EVERY: u64 = 8;
+    /// Peak byte-accounted state of a session: the sum over its shards of
+    /// what the single-engine rows report for their one engine.
+    fn session_peak(session: &hamlet_core::ParallelSession) -> usize {
+        let shards = session.engines().iter();
+        shards.map(|e| e.peak_memory().max(e.state_bytes())).sum()
+    }
 
     let reg = ridesharing::registry();
     let queries = ridesharing::workload_shared_kleene(&reg, 5, 30);
@@ -701,10 +707,12 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             let ck = live.cut(CutKind::Full).expect("coordinated cut");
             let pause = p0.elapsed();
             drop(live);
+            let r0 = Instant::now();
             let mut resumed = par.session();
             resumed
                 .restore_chain(std::slice::from_ref(&ck))
                 .expect("own checkpoint restores");
+            let recovery = r0.elapsed();
             results += resumed.process(&events[cut..]).len() as u64;
             results += resumed.flush().len() as u64;
             let mut m = Measurement::zero(
@@ -715,8 +723,10 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = t0.elapsed();
             m.results = results;
             m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
+            m.peak_mem_bytes = session_peak(&resumed);
             m.checkpoint_bytes = ck.len() as u64;
             m.checkpoint_pause = pause;
+            m.recovery_time = recovery;
             ms.push(m);
         }
 
@@ -872,6 +882,7 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             m.wall = wall;
             m.results = results;
             m.throughput_eps = events.len() as f64 / wall.as_secs_f64().max(1e-9);
+            m.peak_mem_bytes = session_peak(&live);
             m.checkpoint_bytes = base_bytes;
             m.checkpoint_pause = if cuts > 0 {
                 cut_time / cuts as u32
@@ -1316,6 +1327,7 @@ mod tests {
             );
             for m in ms {
                 assert!(m.results > 0, "{x}/{:?}: run completed", m.system);
+                assert!(m.peak_mem_bytes > 0, "{x}/{:?}: state measured", m.system);
                 if m.system == System::HamletNoCheckpoint {
                     assert_eq!(m.checkpoint_bytes, 0, "{x}: nockpt run cut nothing");
                     continue;
@@ -1326,17 +1338,18 @@ mod tests {
                     "{x}/{:?}: pause measured",
                     m.system
                 );
-            }
-            // Every delta-chain run measured its recovery and its
-            // steady-state delta size (COMPACT_EVERY > the quick cut
-            // count would leave deltas == 0 and gut the sweep).
-            for sys in [System::HamletDeltaChain, System::HamletParallelDelta(4)] {
-                let m = ms.iter().find(|m| m.system == sys).expect("delta row");
+                // No published column is a zero that means "not measured".
                 assert!(
                     m.recovery_time > Duration::ZERO,
                     "{x}/{:?}: recovery measured",
-                    sys
+                    m.system
                 );
+            }
+            // Every delta-chain run measured its steady-state delta size
+            // (COMPACT_EVERY > the quick cut count would leave deltas == 0
+            // and gut the sweep).
+            for sys in [System::HamletDeltaChain, System::HamletParallelDelta(4)] {
+                let m = ms.iter().find(|m| m.system == sys).expect("delta row");
                 assert!(m.delta_bytes > 0, "{x}/{:?}: delta size measured", sys);
             }
         }

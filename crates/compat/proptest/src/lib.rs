@@ -6,7 +6,9 @@
 //! * range / tuple / [`Just`] / [`any`] / [`collection`] strategies;
 //! * the [`proptest!`], [`prop_oneof!`], [`prop_assert!`] and
 //!   [`prop_assert_eq!`] macros;
-//! * [`ProptestConfig::with_cases`].
+//! * [`ProptestConfig::with_cases`];
+//! * one extension real proptest does not have: [`mutation`], seeded
+//!   byte mutation of a known-good input, for decoder fuzz loops.
 //!
 //! Differences from real proptest, by design:
 //!
@@ -29,6 +31,7 @@
 #![forbid(unsafe_code)]
 
 pub mod collection;
+pub mod mutation;
 pub mod strategy;
 pub mod test_runner;
 

@@ -7,7 +7,11 @@
 //! durable, so [`HamletEngine::checkpoint`](crate::HamletEngine::checkpoint)
 //! serializes it into a self-describing byte blob and
 //! [`HamletEngine::restore`](crate::HamletEngine::restore) rebuilds a
-//! freshly constructed engine from it.
+//! freshly constructed engine from it. This module holds the primitives
+//! ([`Enc`]/[`Dec`]), the error type, and the framing every record shares
+//! (engine header, delta-chain frame, container header); the engine's
+//! record itself — its body, how it is cut and how it is restored — is
+//! [`crate::record`].
 //!
 //! # Guarantees
 //!
@@ -39,31 +43,18 @@ use std::time::Duration;
 
 /// Magic tag opening every engine checkpoint blob.
 pub const ENGINE_MAGIC: [u8; 4] = *b"HMEN";
-/// Engine checkpoint format version. v2 added the count-only burst tail
-/// (`burst_extra`) to each run's pending-burst record; v3 added the
-/// workload *epoch* (runtime query churn generation) to the header; v4
-/// appended the per-share-group observability counters at the tail; v5
-/// tags the pending-burst record with its representation and writes
-/// non-edge bursts as a cell column instead of events. v2–v4 blobs
-/// still restore — v2 into engines at epoch 0 (the only epoch v2 could
-/// describe), v2/v3 with the per-group counters zeroed, and all three
-/// with their buffered events converted to the representation this
-/// build buffers (see `docs/checkpoint-format.md`).
+/// Engine checkpoint format version. v4 ended every blob with the
+/// per-share-group observability counters; v5 tags the pending-burst
+/// record with its representation and writes non-edge bursts as a cell
+/// column instead of events. v4 blobs still restore, their buffered
+/// events converted to the representation this build buffers; v2 and v3
+/// (pre-PR 9, never pinned by a fixture) are no longer read (see
+/// `docs/checkpoint-format.md`).
 pub const ENGINE_VERSION: u16 = 5;
 
 /// The v4 engine format version (pending bursts as events plus a
 /// count-only tail), still accepted by [`crate::HamletEngine::restore`].
 pub const ENGINE_VERSION_V4: u16 = 4;
-
-/// The v3 engine format version (epoch header, no per-group
-/// observability tail), still accepted by
-/// [`crate::HamletEngine::restore`].
-pub const ENGINE_VERSION_V3: u16 = 3;
-
-/// The v2 engine format version, still accepted by
-/// [`crate::HamletEngine::restore`] for blobs written before the
-/// workload epoch existed.
-pub const ENGINE_VERSION_V2: u16 = 2;
 
 /// Writes an engine blob's header up to the workload epoch: magic,
 /// current version, epoch.
@@ -74,16 +65,13 @@ pub fn write_engine_header(e: &mut Enc, epoch: u64) {
 }
 
 /// Mirror of [`write_engine_header`] for every accepted version: reads
-/// an engine blob's header up to the workload epoch — magic,
-/// version, epoch — and returns `(version, epoch)`. v2 blobs predate
-/// the epoch and can only describe an engine that never churned: epoch
-/// 0. Any version this build does not know is `BadVersion`, read before
-/// any state field.
+/// an engine blob's header up to the workload epoch — magic, version,
+/// epoch — and returns `(version, epoch)`. Any version this build does
+/// not know is `BadVersion`, read before any state field.
 pub fn read_engine_header(d: &mut Dec<'_>) -> Result<(u16, u64), CheckpointError> {
     d.magic(&ENGINE_MAGIC)?;
     match d.u16()? {
-        ENGINE_VERSION_V2 => Ok((ENGINE_VERSION_V2, 0)),
-        v @ (ENGINE_VERSION_V3 | ENGINE_VERSION_V4 | ENGINE_VERSION) => Ok((v, d.u64()?)),
+        v @ (ENGINE_VERSION_V4 | ENGINE_VERSION) => Ok((v, d.u64()?)),
         other => Err(CheckpointError::BadVersion(other)),
     }
 }
@@ -111,8 +99,8 @@ pub const DELTA_KIND_DELTA: u8 = 1;
 /// Parsed `HMDL` frame: the chain metadata a store or a
 /// [`Checkpoint`](crate::Checkpoint) handle needs without decoding the
 /// payload, plus the payload itself (a full engine blob for a base, a
-/// delta body for a delta).
-pub struct DeltaFrame {
+/// delta body for a delta), borrowed from the record.
+pub struct DeltaFrame<'a> {
     /// Frame format version (selects the delta payload's run-state
     /// record; a base payload carries its own `HMEN` version).
     pub version: u16,
@@ -125,13 +113,20 @@ pub struct DeltaFrame {
     /// Workload epoch the record was cut at.
     pub epoch: u64,
     /// Record payload, opaque at the frame level.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-/// Frames one delta-chain record: magic, version, kind, chain position
-/// (`seq`/`parent`), epoch, then the length-prefixed payload.
-pub fn write_delta_frame(base: bool, seq: u64, parent: u64, epoch: u64, payload: &[u8]) -> Vec<u8> {
-    let mut e = Enc::new();
+/// Frames one delta-chain record onto `e`: magic, version, kind, chain
+/// position (`seq`/`parent`), epoch, then the length-prefixed payload,
+/// which `payload` writes in place.
+pub fn write_delta_frame(
+    e: &mut Enc,
+    base: bool,
+    seq: u64,
+    parent: u64,
+    epoch: u64,
+    payload: impl FnOnce(&mut Enc),
+) {
     e.raw(&DELTA_MAGIC);
     e.u16(DELTA_VERSION);
     e.u8(if base {
@@ -142,13 +137,12 @@ pub fn write_delta_frame(base: bool, seq: u64, parent: u64, epoch: u64, payload:
     e.u64(seq);
     e.u64(parent);
     e.u64(epoch);
-    e.bytes(payload);
-    e.finish()
+    e.bytes_with(payload);
 }
 
 /// Mirror of [`write_delta_frame`]: parses and validates the frame,
 /// returning the chain metadata and the payload.
-pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame, CheckpointError> {
+pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame<'_>, CheckpointError> {
     let mut d = Dec::new(bytes);
     d.magic(&DELTA_MAGIC)?;
     let version = d.u16()?;
@@ -213,56 +207,37 @@ impl fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Writes the shared checkpoint-*container* header — magic, version,
-/// worker count, per-shard blob list — used by both the parallel and
+/// worker count, per-shard record list — used by both the parallel and
 /// pipeline containers. The caller appends any container-specific
 /// fields to the returned encoder before `finish()`.
-pub fn container_header(magic: &[u8; 4], version: u16, workers: u32, blobs: &[Vec<u8>]) -> Enc {
+pub fn container_header(
+    magic: &[u8; 4],
+    version: u16,
+    workers: u32,
+    blobs: &[impl AsRef<[u8]>],
+) -> Enc {
     let mut e = Enc::new();
     e.raw(magic);
     e.u16(version);
     e.u32(workers);
     e.usize(blobs.len());
     for b in blobs {
-        e.bytes(b);
+        e.bytes(b.as_ref());
     }
     e
 }
 
-/// Mirror of [`container_header`]: checks the magic and version, reads
-/// the worker count and per-shard blobs (validating the count matches),
-/// and leaves the decoder positioned at the caller's extra fields.
-pub fn read_container(
-    d: &mut Dec<'_>,
-    magic: &[u8; 4],
-    version: u16,
-) -> Result<(u32, Vec<Vec<u8>>), CheckpointError> {
-    d.magic(magic)?;
-    let v = d.u16()?;
-    if v != version {
-        return Err(CheckpointError::BadVersion(v));
-    }
-    let workers = d.u32()?;
-    let n = d.seq_len()?;
-    if n != workers as usize {
-        return Err(CheckpointError::Corrupt(format!(
-            "{n} shard blobs for {workers} workers"
-        )));
-    }
-    let mut blobs = Vec::with_capacity(n);
-    for _ in 0..n {
-        blobs.push(d.bytes()?);
-    }
-    Ok((workers, blobs))
-}
-
-/// Like [`read_container`] but accepting any of several format
-/// versions; returns which one the blob carries so the caller can
-/// branch on tail fields added by later versions.
-pub fn read_container_any(
-    d: &mut Dec<'_>,
+/// Mirror of [`container_header`]: checks the magic and that the
+/// version is one of `accepted`, reads the worker count and the
+/// per-shard records (validating the count matches; the records stay
+/// borrowed from the container), and leaves the decoder positioned at
+/// the caller's extra fields. Returns which version the blob carries so
+/// the caller can branch on tail fields added by later versions.
+pub fn read_container_any<'a>(
+    d: &mut Dec<'a>,
     magic: &[u8; 4],
     accepted: &[u16],
-) -> Result<(u16, u32, Vec<Vec<u8>>), CheckpointError> {
+) -> Result<(u16, u32, Vec<&'a [u8]>), CheckpointError> {
     d.magic(magic)?;
     let v = d.u16()?;
     if !accepted.contains(&v) {
@@ -298,16 +273,6 @@ impl Enc {
     /// Finishes encoding and hands back the blob.
     pub fn finish(self) -> Vec<u8> {
         self.buf
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True iff nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Raw bytes, verbatim.
@@ -371,6 +336,17 @@ impl Enc {
     pub fn bytes(&mut self, b: &[u8]) {
         self.usize(b.len());
         self.raw(b);
+    }
+
+    /// Length-prefixed byte blob written in place: `fill` appends the
+    /// blob and the prefix is patched in after it — [`bytes`](Self::bytes)
+    /// without first building the blob in a buffer of its own.
+    pub fn bytes_with(&mut self, fill: impl FnOnce(&mut Enc)) {
+        let at = self.buf.len();
+        self.usize(0);
+        fill(self);
+        let len = (self.buf.len() - at - 8) as u64;
+        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
     /// `Option` presence tag; the caller encodes the payload when `true`.
@@ -547,10 +523,10 @@ impl<'a> Dec<'a> {
             .map_err(|e| CheckpointError::Corrupt(format!("invalid utf-8: {e}")))
     }
 
-    /// Length-prefixed byte blob.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, CheckpointError> {
+    /// Length-prefixed byte blob, borrowed from the input.
+    pub fn bytes(&mut self) -> Result<&'a [u8], CheckpointError> {
         let n = self.seq_len()?;
-        Ok(self.take(n)?.to_vec())
+        self.take(n)
     }
 
     /// `Option` presence tag.
@@ -609,6 +585,7 @@ mod tests {
         e.duration(Duration::from_micros(1234));
         e.str("héllo");
         e.bytes(&[1, 2, 3]);
+        e.bytes_with(|e| e.raw(&[4, 5]));
         let blob = e.finish();
         let mut d = Dec::new(&blob);
         assert_eq!(d.u8().unwrap(), 7);
@@ -621,7 +598,8 @@ mod tests {
         assert!(d.bool().unwrap());
         assert_eq!(d.duration().unwrap(), Duration::from_micros(1234));
         assert_eq!(d.str().unwrap(), "héllo");
-        assert_eq!(d.bytes().unwrap(), vec![1, 2, 3]);
+        assert_eq!(d.bytes().unwrap(), [1, 2, 3]);
+        assert_eq!(d.bytes().unwrap(), [4, 5], "written in place, same layout");
         d.expect_end().unwrap();
     }
 

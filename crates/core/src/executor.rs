@@ -14,6 +14,7 @@ use crate::burst::{BurstRepr, Cell, Chunk, EventArena, FlushEnv, RunState};
 use crate::general::{self, CombineKind};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::{decide, DivergenceEstimator, SharingPolicy};
+use crate::record::{DirtyLog, PendingSlot, Runs};
 use crate::run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 use crate::workload::{self, WorkloadError};
 use hamlet_obs::{GroupMetrics, SpanRecorder, Stage};
@@ -21,7 +22,7 @@ use hamlet_query::{AggFunc, Query, QueryId, Window};
 use hamlet_types::time::window_end;
 use hamlet_types::{AttrValue, Event, GroupKey, Ts, TypeRegistry};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeMap, BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -243,54 +244,22 @@ pub fn sort_results(results: &mut [WindowResult]) {
     });
 }
 
-struct GroupExec {
-    rt: Arc<GroupRuntime>,
-    window: Window,
-    pane: u64,
-    partition_attrs: Vec<Arc<str>>,
+pub(crate) struct GroupExec {
+    pub(crate) rt: Arc<GroupRuntime>,
+    pub(crate) window: Window,
+    pub(crate) pane: u64,
+    pub(crate) partition_attrs: Vec<Arc<str>>,
     /// `partition_slots[type][attr_pos]` — the schema slot of each
     /// partition attribute, resolved once at build time so the hot path
     /// never does per-event attribute-name lookups (string compares).
     partition_slots: Vec<Vec<Option<usize>>>,
-    partitions: HashMap<GroupKey, BTreeMap<u64, RunState>>,
+    pub(crate) partitions: HashMap<GroupKey, Runs>,
     /// Stream statistics for O(k) dynamic decisions (shared across the
     /// group's partitions — divergence is a property of the stream).
-    estimator: DivergenceEstimator,
+    pub(crate) estimator: DivergenceEstimator,
 }
 
 impl GroupExec {
-    /// Serializes one partition — key, then its runs by ascending window
-    /// start — for the full and the delta format alike.
-    fn encode_partition(
-        &self,
-        e: &mut crate::checkpoint::Enc,
-        key: &GroupKey,
-        runs: &BTreeMap<u64, RunState>,
-    ) {
-        e.group_key(key);
-        e.usize(runs.len());
-        for (&start, rs) in runs {
-            e.u64(start);
-            rs.encode(e);
-        }
-    }
-
-    /// Mirror of [`encode_partition`](Self::encode_partition); `legacy`
-    /// as in [`RunState::decode`].
-    fn decode_partition(
-        &self,
-        d: &mut crate::checkpoint::Dec<'_>,
-        legacy: bool,
-    ) -> Result<(GroupKey, BTreeMap<u64, RunState>), crate::checkpoint::CheckpointError> {
-        let key = d.group_key()?;
-        let mut runs = BTreeMap::new();
-        for _ in 0..d.seq_len()? {
-            let start = d.u64()?;
-            runs.insert(start, RunState::decode(d, &self.rt, legacy)?);
-        }
-        Ok((key, runs))
-    }
-
     /// Name-resolving reference form of the key computation; the batched
     /// path uses the slot-resolved [`partition_key_into`] instead.
     ///
@@ -438,12 +407,12 @@ impl BatchScratch {
 }
 
 /// Identifies a decomposed general query's halves.
-struct Combiner {
-    orig: QueryId,
+pub(crate) struct Combiner {
+    pub(crate) orig: QueryId,
     kind: CombineKind,
     same_pattern: bool,
-    left: QueryId,
-    right: QueryId,
+    pub(crate) left: QueryId,
+    pub(crate) right: QueryId,
 }
 
 /// Everything [`HamletEngine::compile`] derives from a query list: the
@@ -543,56 +512,16 @@ pub struct ChurnReport {
     pub epoch: u64,
 }
 
-/// One buffered general-query half, as keyed in `HamletEngine::pending`:
-/// the `(combiner index, group, window start)` slot plus the sub-query that
-/// arrived first and its trend count.
-type PendingHalf = ((usize, GroupKey, u64), (QueryId, u64));
-
-/// Decoded-but-not-applied content of one delta record: per-group
-/// partition removals/upserts plus the full scalar tail. Staged so a
-/// chain restore can decode every record before committing any
-/// (chain-level decode-then-commit, mirroring [`HamletEngine::restore`]).
-struct DeltaStage {
-    /// Parallel to `HamletEngine::groups`.
-    groups: Vec<GroupDeltaStage>,
-    pending_removals: Vec<(usize, GroupKey, u64)>,
-    pending_upserts: Vec<PendingHalf>,
-    tail: ScalarTail,
-}
-
-/// The decoded scalar tail every engine record — full blob or delta —
-/// ends with: counters, metrics, the watermark, and the per-group
-/// observability counters (8 `u64`s per group, empty when the writer had
-/// `EngineConfig::obs` off or predates them).
-struct ScalarTail {
-    stats: EngineStats,
-    latency: LatencyRecorder,
-    gauge: MemoryGauge,
-    event_counter: u64,
-    watermark: Option<Ts>,
-    obs: Vec<[u64; 8]>,
-}
-
-/// One group's slice of a [`DeltaStage`]: partitions that vanished
-/// since the parent cut, partitions re-encoded wholesale because they
-/// were (possibly) touched, and the group's full divergence estimator
-/// (small, so deltas always carry it rather than diffing it).
-struct GroupDeltaStage {
-    removals: Vec<GroupKey>,
-    upserts: Vec<(GroupKey, BTreeMap<u64, RunState>)>,
-    estimator: DivergenceEstimator,
-}
-
 /// The multi-query trend aggregation engine (§2.2).
 pub struct HamletEngine {
     reg: Arc<TypeRegistry>,
-    cfg: EngineConfig,
-    groups: Vec<GroupExec>,
-    combiners: Vec<Combiner>,
+    pub(crate) cfg: EngineConfig,
+    pub(crate) groups: Vec<GroupExec>,
+    pub(crate) combiners: Vec<Combiner>,
     /// sub-query id → combiner index.
     sub_of: HashMap<QueryId, usize>,
     /// (combiner, key, window) → the half that arrived first.
-    pending: HashMap<(usize, GroupKey, u64), (QueryId, u64)>,
+    pub(crate) pending: HashMap<PendingSlot, (QueryId, u64)>,
     /// Watermark expiration index: min-heap over the window ends of every
     /// live run, across all groups (see [`ExpiryEntry`]).
     expiry: BinaryHeap<Reverse<ExpiryEntry>>,
@@ -601,9 +530,9 @@ pub struct HamletEngine {
     /// property tests compare the heap path against).
     #[cfg(test)]
     scan_expiry: bool,
-    stats: EngineStats,
-    latency: LatencyRecorder,
-    gauge: MemoryGauge,
+    pub(crate) stats: EngineStats,
+    pub(crate) latency: LatencyRecorder,
+    pub(crate) gauge: MemoryGauge,
     /// Reusable batch-path buffers (see [`BatchScratch`]).
     scratch: BatchScratch,
     /// `route[type]` — the `(group, local type, key class, window class)`
@@ -614,20 +543,20 @@ pub struct HamletEngine {
     /// segment-boundary computation.
     route: Vec<Vec<(u32, u32, u32, u32)>>,
     /// Recycled burst-event attribute buffers (see [`EventArena`]).
-    arena: EventArena,
+    pub(crate) arena: EventArena,
     /// Reused optimizer inputs of the per-burst decision — scratch only.
     burst_ctx: BurstCtx,
-    event_counter: u64,
+    pub(crate) event_counter: u64,
     /// Monotone event-time watermark: the maximum event timestamp seen.
     /// Expiry only ever advances with it, so a window instance that was
     /// emitted stays emitted — late contributions to it are skipped (and
     /// counted in [`EngineStats::late_skips`]) instead of resurrecting
     /// the window and double-emitting it at flush.
-    watermark: Option<Ts>,
+    pub(crate) watermark: Option<Ts>,
     /// Per-share-group observability registry (`cfg.obs`): one
     /// [`GroupMetrics`] per group, parallel to `groups`. Empty when
     /// disabled, so every counter site is a single `get_mut` miss.
-    obs: Vec<GroupMetrics>,
+    pub(crate) obs: Vec<GroupMetrics>,
     /// Attached stage-span recorder and the lane to record on
     /// (`None` = spans off; see [`Self::attach_span_recorder`]).
     span: Option<(Arc<SpanRecorder>, u32)>,
@@ -637,24 +566,9 @@ pub struct HamletEngine {
     /// Workload epoch: 0 at construction, +1 per successful churn.
     /// Stamped into checkpoints so restore can reject state taken under
     /// a different query set generation.
-    epoch: u64,
-    /// Partitions possibly touched since the last chain cut, as
-    /// `(group index, key)`. At cut time a touched key still present is
-    /// re-encoded wholesale (upsert); an absent one becomes a removal.
-    dirty_parts: HashSet<(usize, GroupKey)>,
-    /// Pending general-query half slots possibly touched since the last
-    /// cut (same present/absent → upsert/removal rule).
-    dirty_pending: HashSet<(usize, GroupKey, u64)>,
-    /// Sequence number of the last chain record cut from this engine
-    /// (0 = never cut; the first cut is always a base).
-    cut_seq: u64,
-    /// Dirty tracking is off until the first [`Self::cut_record`], so
-    /// engines that never cut pay nothing for the chain machinery.
-    track_dirty: bool,
-    /// Set when state jumped without going through the dirty log
-    /// (runtime churn, a legacy full `restore`): the next delta cut is
-    /// silently promoted to a base.
-    delta_unsound: bool,
+    pub(crate) epoch: u64,
+    /// What changed since the last chain cut (see [`DirtyLog`]).
+    pub(crate) dirty: DirtyLog,
 }
 
 impl HamletEngine {
@@ -688,11 +602,7 @@ impl HamletEngine {
             watermark: None,
             queries,
             epoch: 0,
-            dirty_parts: HashSet::new(),
-            dirty_pending: HashSet::new(),
-            cut_seq: 0,
-            track_dirty: false,
-            delta_unsound: false,
+            dirty: DirtyLog::default(),
         };
         if eng.cfg.obs {
             eng.obs = eng.build_obs();
@@ -1145,9 +1055,7 @@ impl HamletEngine {
             if let Some(m) = self.obs.get_mut(gi) {
                 m.events_routed += b.events.len() as u64;
             }
-            if self.track_dirty {
-                self.dirty_parts.insert((gi, b.key.clone()));
-            }
+            self.dirty.mark(gi, &b.key);
             let g = &mut self.groups[gi];
             let window = g.window;
             let within = window.within;
@@ -1331,9 +1239,7 @@ impl HamletEngine {
             if let Some(m) = self.obs.get_mut(gi) {
                 m.events_routed += 1;
             }
-            if self.track_dirty {
-                self.dirty_parts.insert((gi, key.clone()));
-            }
+            self.dirty.mark(gi, &key);
             let g = &mut self.groups[gi];
             let (window, within) = (g.window, g.window.within);
             let pane_idx = e.time.ticks() / g.pane;
@@ -1456,9 +1362,7 @@ impl HamletEngine {
             if runs.is_empty() {
                 g.partitions.remove(&e.key);
             }
-            if self.track_dirty {
-                self.dirty_parts.insert((e.group, e.key.clone()));
-            }
+            self.dirty.mark(e.group, &e.key);
             finished.push((e.group, e.key, e.start, rs));
         }
         self.finalize_finished(finished, out);
@@ -1479,9 +1383,7 @@ impl HamletEngine {
                 while let Some((&start, _)) = runs.first_key_value() {
                     if window_end(start, within) <= watermark.ticks() {
                         let rs = runs.remove(&start).expect("first key exists");
-                        if self.track_dirty {
-                            self.dirty_parts.insert((gi, key.clone()));
-                        }
+                        self.dirty.mark(gi, key);
                         finished.push((gi, key.clone(), start, rs));
                     } else {
                         break;
@@ -1554,9 +1456,7 @@ impl HamletEngine {
                 // Half of a decomposed OR/AND query: combine when both
                 // halves of the same (key, window) have arrived.
                 let slot = (ci, key.clone(), start);
-                if self.track_dirty {
-                    self.dirty_pending.insert(slot.clone());
-                }
+                self.dirty.mark_pending(&slot);
                 let count = o.raw.count.0;
                 match self.pending.remove(&slot) {
                     None => {
@@ -1651,10 +1551,8 @@ impl HamletEngine {
         // HashMap, so impose the canonical (window_start, query, key)
         // order before emitting — end-of-stream output must not depend
         // on hash iteration order.
-        if self.track_dirty {
-            for slot in self.pending.keys() {
-                self.dirty_pending.insert(slot.clone());
-            }
+        for slot in self.pending.keys() {
+            self.dirty.mark_pending(slot);
         }
         let mut pending: Vec<_> = self.pending.drain().collect();
         pending.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
@@ -1823,226 +1721,9 @@ impl HamletEngine {
         self.expiry.len()
     }
 
-    /// Workload fingerprint embedded in every checkpoint: the compiled
-    /// shape a blob must match to be restorable — shard assignment, share
-    /// groups (members, windows, panes, partition attributes) and
-    /// general-query combiners. Two engines compiled from the same
-    /// workload under the same sharding always agree on it.
-    fn fingerprint(&self) -> Vec<u8> {
-        let mut e = crate::checkpoint::Enc::new();
-        match self.cfg.shard {
-            None => e.some(false),
-            Some((idx, total)) => {
-                e.some(true);
-                e.u32(idx);
-                e.u32(total);
-            }
-        }
-        e.usize(self.groups.len());
-        for g in &self.groups {
-            e.usize(g.rt.k());
-            e.usize(g.rt.template.num_types());
-            e.u64(g.window.within);
-            e.u64(g.window.slide);
-            e.u64(g.pane);
-            e.usize(g.partition_attrs.len());
-            for a in &g.partition_attrs {
-                e.str(a);
-            }
-            for q in &g.rt.queries {
-                e.u32(q.id.0);
-            }
-        }
-        e.usize(self.combiners.len());
-        for c in &self.combiners {
-            e.u32(c.orig.0);
-            e.u32(c.left.0);
-            e.u32(c.right.0);
-        }
-        e.finish()
-    }
-
-    /// Serializes the engine's complete mutable state into a versioned,
-    /// self-describing blob: every live run (with its snapshot table and
-    /// active graphlets), buffered bursts, pending general-query halves,
-    /// learned divergence statistics, counters, metrics, and the
-    /// watermark. The expiration index is *not* serialized — it is
-    /// derivable (one entry per live run) and
-    /// [`restore`](Self::restore) rebuilds it.
-    ///
-    /// The encoding is deterministic: hash maps are written in their
-    /// canonical total order, so checkpointing the same state twice — or
-    /// checkpointing a just-restored engine — produces identical bytes.
-    ///
-    /// Restoring the blob into a freshly built engine over the same
-    /// workload and continuing the stream yields byte-identical output to
-    /// never having checkpointed (`tests/checkpoint_equivalence.rs`).
-    /// The only state that does not travel is wall-clock arrival stamps
-    /// of in-flight runs (an `Instant` cannot be serialized): latency
-    /// *metrics* for windows open across the checkpoint lose those
-    /// samples, results do not.
-    ///
-    /// See `docs/checkpoint-format.md` for the byte layout.
-    ///
-    /// ```
-    /// use hamlet_core::{EngineConfig, HamletEngine};
-    /// use hamlet_query::parse_query;
-    /// use hamlet_types::{EventBuilder, TypeRegistry};
-    /// use std::sync::Arc;
-    ///
-    /// let mut reg = TypeRegistry::new();
-    /// let a = reg.register("A", &[]);
-    /// let b = reg.register("B", &[]);
-    /// let reg = Arc::new(reg);
-    /// let q = parse_query(&reg, 1, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
-    /// let mk =
-    ///     || HamletEngine::new(reg.clone(), vec![q.clone()], EngineConfig::default()).unwrap();
-    ///
-    /// let mut eng = mk();
-    /// eng.process(&EventBuilder::new(&reg, a, 0).build());
-    /// let blob = eng.checkpoint(); // mid-window: a run is in flight
-    ///
-    /// let mut restored = mk();
-    /// restored.restore(&blob).unwrap();
-    /// assert_eq!(restored.checkpoint(), blob); // round trip is the identity
-    /// // ...and both finish the stream identically.
-    /// let e = EventBuilder::new(&reg, b, 1).build();
-    /// assert_eq!(restored.process(&e), eng.process(&e));
-    /// assert_eq!(restored.flush(), eng.flush());
-    /// ```
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut e = crate::checkpoint::Enc::new();
-        crate::checkpoint::write_engine_header(&mut e, self.epoch);
-        e.bytes(&self.fingerprint());
-        e.usize(self.groups.len());
-        for g in &self.groups {
-            // Canonical key order: the partition map is a HashMap.
-            let mut parts: Vec<(&GroupKey, &BTreeMap<u64, RunState>)> =
-                g.partitions.iter().collect();
-            parts.sort_by(|(a, _), (b, _)| a.total_cmp(b));
-            e.usize(parts.len());
-            for (key, runs) in parts {
-                g.encode_partition(&mut e, key, runs);
-            }
-            g.estimator.encode(&mut e);
-        }
-        let mut pending: Vec<_> = self.pending.iter().collect();
-        pending.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
-            (ca, sa).cmp(&(cb, sb)).then_with(|| ka.total_cmp(kb))
-        });
-        e.usize(pending.len());
-        for (slot, (id, count)) in pending {
-            Self::encode_pending_slot(&mut e, slot);
-            e.u32(id.0);
-            e.u64(*count);
-        }
-        self.encode_tail(&mut e);
-        e.finish()
-    }
-
-    /// Restores the engine's state from a [`checkpoint`](Self::checkpoint)
-    /// blob, replacing whatever state it currently holds.
-    ///
-    /// The engine must have been built ([`HamletEngine::new`]) over the
-    /// same workload and shard configuration the checkpoint was taken
-    /// under — validated via an embedded fingerprint, mismatches return
-    /// [`WorkloadMismatch`](crate::checkpoint::CheckpointError::WorkloadMismatch).
-    /// The watermark expiration index is rebuilt from the restored runs
-    /// (one entry per live run), so expiry behavior continues exactly as
-    /// if the engine had never stopped.
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{CheckpointError, Dec};
-        let mut d = Dec::new(bytes);
-        let (version, blob_epoch) = crate::checkpoint::read_engine_header(&mut d)?;
-        // Blobs before v5 carry the old run-state record.
-        let legacy = version < crate::checkpoint::ENGINE_VERSION;
-        if blob_epoch != self.epoch {
-            return Err(CheckpointError::WorkloadMismatch(format!(
-                "checkpoint was taken at workload epoch {blob_epoch} but the engine is at \
-                 epoch {} — the query set has churned since this checkpoint; restore it \
-                 into an engine whose churn history matches, or through a chain restore, \
-                 which adopts the checkpoint's epoch",
-                self.epoch
-            )));
-        }
-        let fp = d.bytes()?;
-        if fp != self.fingerprint() {
-            return Err(CheckpointError::WorkloadMismatch(
-                "compiled workload, sharding, or combiners differ from the checkpoint".into(),
-            ));
-        }
-        let n_groups = d.seq_len()?;
-        if n_groups != self.groups.len() {
-            return Err(CheckpointError::WorkloadMismatch(format!(
-                "{n_groups} groups in checkpoint, {} compiled",
-                self.groups.len()
-            )));
-        }
-        // Decode into fresh state first so a corrupt blob cannot leave
-        // the engine half-restored.
-        let mut new_partitions: Vec<HashMap<GroupKey, BTreeMap<u64, RunState>>> = Vec::new();
-        let mut new_estimators = Vec::new();
-        for g in &self.groups {
-            let n_parts = d.seq_len()?;
-            let mut parts: HashMap<GroupKey, BTreeMap<u64, RunState>> =
-                HashMap::with_capacity(n_parts);
-            for _ in 0..n_parts {
-                let (key, runs) = g.decode_partition(&mut d, legacy)?;
-                parts.insert(key, runs);
-            }
-            new_partitions.push(parts);
-            new_estimators.push(DivergenceEstimator::decode(
-                &mut d,
-                g.rt.template.num_types(),
-                g.rt.k(),
-            )?);
-        }
-        let n_pending = d.seq_len()?;
-        let mut pending = HashMap::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            let slot = self.decode_pending_slot(&mut d)?;
-            pending.insert(slot, (QueryId(d.u32()?), d.u64()?));
-        }
-        // Blobs before v4 end without the per-group observability
-        // counters and restore them zeroed.
-        let tail = self.decode_tail(&mut d, version >= crate::checkpoint::ENGINE_VERSION_V4)?;
-        d.expect_end()?;
-
-        // Commit: swap the decoded state in and rebuild the expiration
-        // index — exactly one entry per live run, as process() maintains.
-        for (g, (parts, est)) in self
-            .groups
-            .iter_mut()
-            .zip(new_partitions.into_iter().zip(new_estimators))
-        {
-            g.partitions = parts;
-            g.estimator = est;
-        }
-        self.pending = pending;
-        self.apply_tail(tail);
-        self.rebuild_derived();
-        // A legacy full restore jumps state without going through the
-        // dirty log; any open delta interval is void. restore_chain
-        // re-arms tracking after it finishes replaying.
-        self.dirty_parts.clear();
-        self.dirty_pending.clear();
-        self.delta_unsound = true;
-        Ok(())
-    }
-
-    /// Rebuilds the state that is derived rather than serialized after
-    /// any wholesale state swap: the watermark expiration index (exactly
-    /// one entry per live run, as `process()` maintains) and the event
-    /// arena (restored engines start with an empty pool so
-    /// `state_bytes` matches a fresh engine's).
-    fn rebuild_derived(&mut self) {
-        self.rebuild_expiry();
-        self.arena = EventArena::new();
-    }
-
     /// Rebuilds the watermark expiration index from the live runs:
     /// exactly one entry per run, as `process()` maintains.
-    fn rebuild_expiry(&mut self) {
+    pub(crate) fn rebuild_expiry(&mut self) {
         self.expiry.clear();
         for (gi, g) in self.groups.iter().enumerate() {
             let within = g.window.within;
@@ -2058,392 +1739,6 @@ impl HamletEngine {
                 }
             }
         }
-    }
-
-    /// True when the engine can cut a *sound* delta record: dirty
-    /// tracking is armed (a chain cut happened) and state has not
-    /// jumped past the dirty log since (no churn, no legacy restore).
-    pub(crate) fn delta_ready(&self) -> bool {
-        self.track_dirty && !self.delta_unsound && self.cut_seq > 0
-    }
-
-    /// Cuts the next record of this engine's checkpoint chain and
-    /// advances the dirty log: a `Full` cut (or any cut the engine
-    /// cannot prove a sound delta for — the first cut, post-churn,
-    /// post-legacy-restore) emits a base frame wrapping a full
-    /// [`checkpoint`](Self::checkpoint) blob; a `Delta` cut emits only
-    /// the partitions and pending halves touched since the previous
-    /// cut. Restore with [`crate::Snapshot::restore_chain`].
-    pub(crate) fn cut_record(&mut self, kind: crate::store::CutKind) -> Vec<u8> {
-        use crate::checkpoint::{write_delta_frame, Enc};
-        let base = !(matches!(kind, crate::store::CutKind::Delta) && self.delta_ready());
-        let seq = self.cut_seq + 1;
-        let payload = if base {
-            self.checkpoint()
-        } else {
-            let mut e = Enc::new();
-            self.encode_delta(&mut e);
-            e.finish()
-        };
-        let parent = if base { 0 } else { self.cut_seq };
-        let rec = write_delta_frame(base, seq, parent, self.epoch, &payload);
-        self.cut_seq = seq;
-        self.track_dirty = true;
-        self.delta_unsound = false;
-        self.dirty_parts.clear();
-        self.dirty_pending.clear();
-        rec
-    }
-
-    /// Encodes the delta-record payload: everything (possibly) touched
-    /// since the last cut, in the same canonical orders — and the same
-    /// per-run layout — as the full format, plus the full scalar tail
-    /// (estimators, stats, counters, watermark, obs; all small).
-    /// Layout in `docs/checkpoint-format.md`. Mirrored by
-    /// [`decode_delta`](Self::decode_delta).
-    fn encode_delta(&self, e: &mut crate::checkpoint::Enc) {
-        // Split the dirty log per group: a touched key still present is
-        // re-encoded wholesale, a vanished one becomes a removal.
-        let mut removals: Vec<Vec<&GroupKey>> = vec![Vec::new(); self.groups.len()];
-        let mut upserts: Vec<Vec<(&GroupKey, &BTreeMap<u64, RunState>)>> =
-            vec![Vec::new(); self.groups.len()];
-        for (gi, key) in &self.dirty_parts {
-            match self.groups[*gi].partitions.get(key) {
-                Some(runs) => upserts[*gi].push((key, runs)),
-                None => removals[*gi].push(key),
-            }
-        }
-        for v in &mut removals {
-            v.sort_by(|a, b| a.total_cmp(b));
-        }
-        for v in &mut upserts {
-            v.sort_by(|(a, _), (b, _)| a.total_cmp(b));
-        }
-        let mut prem: Vec<&(usize, GroupKey, u64)> = Vec::new();
-        // Borrowed halves of `pending` entries, `(&key, &value)`.
-        let mut pups = Vec::new();
-        for slot in &self.dirty_pending {
-            match self.pending.get_key_value(slot) {
-                Some(kv) => pups.push(kv),
-                None => prem.push(slot),
-            }
-        }
-        prem.sort_by(|(ca, ka, sa), (cb, kb, sb)| {
-            (ca, sa).cmp(&(cb, sb)).then_with(|| ka.total_cmp(kb))
-        });
-        pups.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
-            (ca, sa).cmp(&(cb, sb)).then_with(|| ka.total_cmp(kb))
-        });
-
-        e.bytes(&self.fingerprint());
-        e.usize(self.groups.len());
-        for (g, (rem, ups)) in self.groups.iter().zip(removals.into_iter().zip(upserts)) {
-            e.usize(rem.len());
-            for key in rem {
-                e.group_key(key);
-            }
-            e.usize(ups.len());
-            for (key, runs) in ups {
-                g.encode_partition(e, key, runs);
-            }
-            g.estimator.encode(e);
-        }
-        e.usize(prem.len());
-        for slot in prem {
-            Self::encode_pending_slot(e, slot);
-        }
-        e.usize(pups.len());
-        for (slot, (id, count)) in pups {
-            Self::encode_pending_slot(e, slot);
-            e.u32(id.0);
-            e.u64(*count);
-        }
-        self.encode_tail(e);
-    }
-
-    /// Writes the `(combiner, key, window start)` slot of a pending
-    /// general-query half.
-    fn encode_pending_slot(e: &mut crate::checkpoint::Enc, slot: &(usize, GroupKey, u64)) {
-        e.usize(slot.0);
-        e.group_key(&slot.1);
-        e.u64(slot.2);
-    }
-
-    /// Mirror of [`encode_pending_slot`](Self::encode_pending_slot),
-    /// bounds-checked against the compiled combiners.
-    fn decode_pending_slot(
-        &self,
-        d: &mut crate::checkpoint::Dec,
-    ) -> Result<(usize, GroupKey, u64), crate::checkpoint::CheckpointError> {
-        let ci = d.usize()?;
-        if ci >= self.combiners.len() {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
-                "pending combiner index {ci} out of range"
-            )));
-        }
-        Ok((ci, d.group_key()?, d.u64()?))
-    }
-
-    /// Writes the scalar tail of a full blob or a delta payload
-    /// ([`ScalarTail`]). The per-group counters keep a fixed 8-slot
-    /// layout; placement fields are *not* serialized — benefit/shared
-    /// are re-priced by the restoring engine's own build/churn, keeping
-    /// round-trip identity independent of estimator drift.
-    fn encode_tail(&self, e: &mut crate::checkpoint::Enc) {
-        self.stats.encode(e);
-        self.latency.encode(e);
-        self.gauge.encode(e);
-        e.u64(self.event_counter);
-        match self.watermark {
-            None => e.some(false),
-            Some(wm) => {
-                e.some(true);
-                e.u64(wm.ticks());
-            }
-        }
-        e.usize(self.obs.len());
-        for m in &self.obs {
-            for c in [
-                m.events_routed,
-                m.runs_created,
-                m.runs_expired,
-                m.shared_bursts,
-                m.solo_bursts,
-                m.graphlet_snapshots,
-                m.event_snapshots,
-                m.results_emitted,
-            ] {
-                e.u64(c);
-            }
-        }
-    }
-
-    /// Mirror of [`encode_tail`](Self::encode_tail); `with_obs` is false
-    /// for formats that end before the per-group counters.
-    fn decode_tail(
-        &self,
-        d: &mut crate::checkpoint::Dec,
-        with_obs: bool,
-    ) -> Result<ScalarTail, crate::checkpoint::CheckpointError> {
-        let stats = EngineStats::decode(d)?;
-        let latency = LatencyRecorder::decode(d)?;
-        let gauge = MemoryGauge::decode(d)?;
-        let event_counter = d.u64()?;
-        let watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
-        let n_obs = if with_obs { d.seq_len()? } else { 0 };
-        if n_obs != 0 && n_obs != self.groups.len() {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
-                "{n_obs} observability records for {} groups",
-                self.groups.len()
-            )));
-        }
-        let mut obs = vec![[0u64; 8]; n_obs];
-        for slot in obs.iter_mut().flatten() {
-            *slot = d.u64()?;
-        }
-        Ok(ScalarTail {
-            stats,
-            latency,
-            gauge,
-            event_counter,
-            watermark,
-            obs,
-        })
-    }
-
-    /// Installs a decoded scalar tail. The per-group counters are
-    /// replaced wholesale (restore semantics): a record without them
-    /// resets this engine's registry to zero; placement fields keep what
-    /// this engine priced at build/churn.
-    fn apply_tail(&mut self, t: ScalarTail) {
-        self.stats = t.stats;
-        self.latency = t.latency;
-        self.gauge = t.gauge;
-        self.event_counter = t.event_counter;
-        self.watermark = t.watermark;
-        for (gi, m) in self.obs.iter_mut().enumerate() {
-            let c = t.obs.get(gi).copied().unwrap_or_default();
-            m.events_routed = c[0];
-            m.runs_created = c[1];
-            m.runs_expired = c[2];
-            m.shared_bursts = c[3];
-            m.solo_bursts = c[4];
-            m.graphlet_snapshots = c[5];
-            m.event_snapshots = c[6];
-            m.results_emitted = c[7];
-        }
-    }
-
-    /// Decodes one delta-record payload into a [`DeltaStage`] without
-    /// touching engine state (validated against this engine's workload
-    /// fingerprint and bounds). Mirror of
-    /// [`encode_delta`](Self::encode_delta).
-    fn decode_delta(
-        &self,
-        d: &mut crate::checkpoint::Dec,
-        legacy: bool,
-    ) -> Result<DeltaStage, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
-        let fp = d.bytes()?;
-        if fp != self.fingerprint() {
-            return Err(CheckpointError::WorkloadMismatch(
-                "compiled workload, sharding, or combiners differ from the delta record".into(),
-            ));
-        }
-        let n_groups = d.seq_len()?;
-        if n_groups != self.groups.len() {
-            return Err(CheckpointError::WorkloadMismatch(format!(
-                "{n_groups} groups in delta record, {} compiled",
-                self.groups.len()
-            )));
-        }
-        let mut groups = Vec::with_capacity(n_groups);
-        for g in &self.groups {
-            let n_rem = d.seq_len()?;
-            let mut removals = Vec::with_capacity(n_rem);
-            for _ in 0..n_rem {
-                removals.push(d.group_key()?);
-            }
-            let n_ups = d.seq_len()?;
-            let mut upserts = Vec::with_capacity(n_ups);
-            for _ in 0..n_ups {
-                upserts.push(g.decode_partition(d, legacy)?);
-            }
-            let estimator = DivergenceEstimator::decode(d, g.rt.template.num_types(), g.rt.k())?;
-            groups.push(GroupDeltaStage {
-                removals,
-                upserts,
-                estimator,
-            });
-        }
-        let n_prem = d.seq_len()?;
-        let mut pending_removals = Vec::with_capacity(n_prem);
-        for _ in 0..n_prem {
-            pending_removals.push(self.decode_pending_slot(d)?);
-        }
-        let n_pups = d.seq_len()?;
-        let mut pending_upserts = Vec::with_capacity(n_pups);
-        for _ in 0..n_pups {
-            let slot = self.decode_pending_slot(d)?;
-            pending_upserts.push((slot, (QueryId(d.u32()?), d.u64()?)));
-        }
-        let tail = self.decode_tail(d, true)?;
-        d.expect_end()?;
-        Ok(DeltaStage {
-            groups,
-            pending_removals,
-            pending_upserts,
-            tail,
-        })
-    }
-
-    /// Replays one staged delta on top of the current state. Pure state
-    /// mutation — all validation happened in
-    /// [`decode_delta`](Self::decode_delta). Derived state (expiry
-    /// index, arena) is rebuilt once by the caller after the last delta.
-    fn apply_delta(&mut self, s: DeltaStage) {
-        for (g, gs) in self.groups.iter_mut().zip(s.groups) {
-            for key in gs.removals {
-                g.partitions.remove(&key);
-            }
-            for (key, runs) in gs.upserts {
-                g.partitions.insert(key, runs);
-            }
-            g.estimator = gs.estimator;
-        }
-        for slot in s.pending_removals {
-            self.pending.remove(&slot);
-        }
-        for (slot, val) in s.pending_upserts {
-            self.pending.insert(slot, val);
-        }
-        self.apply_tail(s.tail);
-    }
-
-    /// Restores the engine from an ordered checkpoint chain: the last
-    /// base record (earlier records are obsolete history a store may
-    /// legitimately still hold) followed by its contiguous deltas.
-    /// Validates the whole chain — linkage (`parent` == predecessor
-    /// `seq`), epoch uniformity, workload fingerprints — and decodes
-    /// every record before committing any state. A bare engine blob
-    /// ([`checkpoint`](Self::checkpoint)) is accepted as a chain of one.
-    pub(crate) fn restore_chain_bytes(
-        &mut self,
-        records: &[&[u8]],
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::{read_delta_frame, CheckpointError, Dec, DeltaFrame, DELTA_MAGIC};
-        if records.is_empty() {
-            return Err(CheckpointError::Corrupt("empty checkpoint chain".into()));
-        }
-        let mut frames = Vec::with_capacity(records.len());
-        for r in records {
-            if r.len() >= 4 && r[..4] == DELTA_MAGIC {
-                frames.push(read_delta_frame(r)?);
-            } else {
-                // A bare engine blob restores as a chain of one base.
-                frames.push(DeltaFrame {
-                    version: crate::checkpoint::DELTA_VERSION,
-                    base: true,
-                    seq: 0,
-                    parent: 0,
-                    epoch: checkpoint_epoch(r)?,
-                    payload: r.to_vec(),
-                });
-            }
-        }
-        let Some(base_idx) = frames.iter().rposition(|f| f.base) else {
-            return Err(CheckpointError::Corrupt(
-                "checkpoint chain has no base record".into(),
-            ));
-        };
-        let chain = &frames[base_idx..];
-        let chain_epoch = chain[0].epoch;
-        if checkpoint_epoch(&chain[0].payload)? != chain_epoch {
-            return Err(CheckpointError::Corrupt(
-                "base frame epoch disagrees with its payload".into(),
-            ));
-        }
-        for w in chain.windows(2) {
-            if w[1].epoch != chain_epoch {
-                return Err(CheckpointError::WorkloadMismatch(format!(
-                    "delta seq {} was cut at workload epoch {} but the chain base is at \
-                     epoch {chain_epoch} — the query set churned mid-chain",
-                    w[1].seq, w[1].epoch
-                )));
-            }
-            if w[1].parent != w[0].seq {
-                return Err(CheckpointError::Corrupt(format!(
-                    "broken checkpoint chain: record seq {} expects parent seq {} but \
-                     follows seq {}",
-                    w[1].seq, w[1].parent, w[0].seq
-                )));
-            }
-        }
-        // Stage every delta before committing anything; the bounds they
-        // are validated against (groups, combiners) are workload-derived
-        // and unchanged by the base restore below.
-        let mut stages = Vec::with_capacity(chain.len().saturating_sub(1));
-        for f in &chain[1..] {
-            let mut d = Dec::new(&f.payload);
-            let legacy = f.version < crate::checkpoint::DELTA_VERSION;
-            stages.push(self.decode_delta(&mut d, legacy)?);
-        }
-        let saved_epoch = self.epoch;
-        self.epoch = chain_epoch;
-        if let Err(e) = self.restore(&chain[0].payload) {
-            self.epoch = saved_epoch;
-            return Err(e);
-        }
-        for s in stages {
-            self.apply_delta(s);
-        }
-        self.rebuild_derived();
-        self.cut_seq = chain.last().map(|f| f.seq).unwrap_or(0);
-        self.track_dirty = true;
-        self.delta_unsound = false;
-        self.dirty_parts.clear();
-        self.dirty_pending.clear();
-        Ok(())
     }
 
     /// The engine's workload epoch: 0 at construction, +1 per successful
@@ -2619,7 +1914,7 @@ impl HamletEngine {
             .map(|(i, c)| (c.orig.0, i))
             .collect();
         let mut surviving_pending = HashMap::new();
-        let mut orphaned: Vec<PendingHalf> = Vec::new();
+        let mut orphaned: Vec<(PendingSlot, (QueryId, u64))> = Vec::new();
         // hamlet-lint: allow(unordered-iter) -- re-keys into a map; orphaned halves are sorted canonically before emitting below
         for ((ci, key, start), (id, count)) in self.pending.drain() {
             let oc = &self.combiners[ci];
@@ -2698,9 +1993,7 @@ impl HamletEngine {
         // Group indices just changed meaning; the dirty log keyed by the
         // old layout is useless. The next delta cut is promoted to a
         // base, which re-snapshots everything under the new layout.
-        self.dirty_parts.clear();
-        self.dirty_pending.clear();
-        self.delta_unsound = true;
+        self.dirty.void();
         self.rebuild_expiry();
 
         let placements: Vec<GroupPlacement> = self
@@ -2801,14 +2094,6 @@ impl HamletEngine {
             shared,
         }
     }
-}
-
-/// Reads the workload epoch stamped in an engine checkpoint without
-/// restoring it: the epoch a chain restore adopts when handed a bare
-/// blob as a chain of one.
-fn checkpoint_epoch(bytes: &[u8]) -> Result<u64, crate::checkpoint::CheckpointError> {
-    let mut d = crate::checkpoint::Dec::new(bytes);
-    Ok(crate::checkpoint::read_engine_header(&mut d)?.1)
 }
 
 /// Renders a member's raw output according to its aggregation function.
@@ -4033,17 +3318,14 @@ mod tests {
             out.extend(eng.process(e));
         }
         let pre_churn_blob = eng.checkpoint();
-        assert_eq!(
-            crate::executor::checkpoint_epoch(&pre_churn_blob).unwrap(),
-            0
-        );
+        assert_eq!(crate::record::frame_of(&pre_churn_blob).unwrap().epoch, 0);
         let rep = eng.remove_query(QueryId(2)).unwrap();
         out.extend(rep.drained);
         for e in &evs[40..60] {
             out.extend(eng.process(e));
         }
         let blob = eng.checkpoint();
-        assert_eq!(crate::executor::checkpoint_epoch(&blob).unwrap(), 1);
+        assert_eq!(crate::record::frame_of(&blob).unwrap().epoch, 1);
 
         // Restoring into a fresh engine over the final query set fails
         // without the epoch — the clear cross-epoch error…
@@ -4057,7 +3339,11 @@ mod tests {
         }
         // …and succeeds through a chain restore, which adopts the
         // blob's epoch (a bare blob is a chain of one).
-        fresh.restore_chain_bytes(&[&blob]).unwrap();
+        crate::Snapshot::restore_chain(
+            &mut fresh,
+            &[crate::Checkpoint::from_bytes(blob.clone()).unwrap()],
+        )
+        .unwrap();
         assert_eq!(fresh.epoch(), 1);
         let mut resumed = Vec::new();
         for e in &evs[60..] {

@@ -50,6 +50,7 @@ pub mod general;
 pub mod metrics;
 pub mod optimizer;
 pub mod parallel;
+pub mod record;
 pub mod run;
 pub mod shard;
 pub mod snapshot;
@@ -69,6 +70,6 @@ pub use parallel::{ParallelEngine, ParallelReport, ParallelSession, DEFAULT_BATC
 pub use run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 pub use shard::ShardRouter;
 pub use store::{
-    Checkpoint, CheckpointKind, CheckpointStore, CutKind, DirStore, MemStore, Snapshot,
+    ChainMeta, Checkpoint, CheckpointKind, CheckpointStore, CutKind, DirStore, MemStore, Snapshot,
 };
 pub use workload::{analyze, AggSkeleton, ShareGroup, WorkloadPlan};

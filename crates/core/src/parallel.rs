@@ -56,8 +56,9 @@ use crate::executor::{
     WindowResult,
 };
 use crate::metrics::LatencyRecorder;
+use crate::record;
 use crate::shard::ShardRouter;
-use crate::store::{Checkpoint, CutKind, Snapshot};
+use crate::store::{ChainMeta, Checkpoint, CutKind, Snapshot};
 use hamlet_obs::{merge_group_metrics, GroupMetrics};
 use hamlet_query::Query;
 use hamlet_types::{Event, TypeRegistry};
@@ -344,8 +345,9 @@ impl ParallelEngine {
 /// position — the caller is between `process` calls, so no shard has
 /// seen an event another has not been offered) and packs them into one
 /// `HMPC` container; [`restore_chain`](crate::Snapshot::restore_chain)
-/// decomposes a container chain back into per-shard chains. On a
-/// restore error the session may be partially restored — discard it.
+/// decomposes a container chain back into per-shard chains
+/// ([`record::restore_shards`]); a failed restore leaves every shard
+/// untouched.
 pub struct ParallelSession {
     router: ShardRouter,
     /// One shard-owning engine per worker (index = shard).
@@ -370,6 +372,12 @@ impl ParallelSession {
     /// Number of shard workers in the session.
     pub fn workers(&self) -> u32 {
         self.router.workers()
+    }
+
+    /// The shard engines (index = shard), for reading their statistics,
+    /// state size and metrics between calls.
+    pub fn engines(&self) -> &[HamletEngine] {
+        &self.engines
     }
 
     /// The executor: feeds `steps` to the shard engines in order, then
@@ -479,48 +487,41 @@ impl ParallelSession {
 impl Snapshot for ParallelSession {
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         // The record kind must be uniform across shards (the container
-        // handle peeks the first shard and speaks for all): a delta cut
+        // handle takes the first shard's and speaks for all): a delta cut
         // happens only when *every* shard can prove one sound.
         let kind = match kind {
-            CutKind::Delta if self.engines.iter().all(HamletEngine::delta_ready) => CutKind::Delta,
+            CutKind::Delta if self.engines.iter().all(|e| e.dirty.sound()) => CutKind::Delta,
             _ => CutKind::Full,
         };
-        let blobs: Vec<Vec<u8>> = self
+        let shards: Vec<Checkpoint> = self
             .engines
             .iter_mut()
-            .map(|e| e.cut_record(kind))
+            .map(|e| record::cut(e, kind))
             .collect();
-        let bytes =
-            checkpoint::container_header(&PARALLEL_MAGIC, PARALLEL_VERSION, self.workers(), &blobs)
-                .finish();
-        Checkpoint::from_bytes(bytes)
+        let bytes = checkpoint::container_header(
+            &PARALLEL_MAGIC,
+            PARALLEL_VERSION,
+            self.workers(),
+            &shards,
+        )
+        .finish();
+        let meta = ChainMeta {
+            version: PARALLEL_VERSION,
+            ..shards[0].meta().clone()
+        };
+        Ok(Checkpoint::new(bytes, meta))
     }
 
     fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
-        let n = self.engines.len();
-        let mut per_shard: Vec<Vec<Vec<u8>>> = vec![Vec::new(); n];
+        let mut records = Vec::with_capacity(chain.len());
         for ck in chain {
             let mut d = Dec::new(ck.as_bytes());
-            let (workers, shards) =
-                checkpoint::read_container(&mut d, &PARALLEL_MAGIC, PARALLEL_VERSION)?;
+            let (_, _, shards) =
+                checkpoint::read_container_any(&mut d, &PARALLEL_MAGIC, &[PARALLEL_VERSION])?;
             d.expect_end()?;
-            // A checkpoint only restores into the same sharding —
-            // partition ownership depends on the worker count.
-            if workers != self.workers() || shards.len() != n {
-                return Err(CheckpointError::WorkloadMismatch(format!(
-                    "checkpoint taken under {workers} workers, restoring under {}",
-                    self.workers()
-                )));
-            }
-            for (idx, blob) in shards.into_iter().enumerate() {
-                per_shard[idx].push(blob);
-            }
+            records.push(shards);
         }
-        for (eng, records) in self.engines.iter_mut().zip(&per_shard) {
-            let refs: Vec<&[u8]> = records.iter().map(Vec::as_slice).collect();
-            eng.restore_chain_bytes(&refs)?;
-        }
-        Ok(())
+        record::restore_shards(&mut self.engines, &records).map(drop)
     }
 }
 
@@ -896,6 +897,61 @@ mod tests {
         ));
     }
 
+    /// A hand-built `HMPC` container whose shards disagree on the
+    /// workload epoch — each shard's blob restorable on its own — is
+    /// rejected as a whole, and no shard keeps state from it (the
+    /// pipeline's `resume_from` rejects the same input through the same
+    /// `record::restore_shards`).
+    #[test]
+    fn mixed_epoch_container_is_rejected() {
+        let (reg, queries, events) = setup();
+        let shard = |idx: u32| {
+            let cfg = EngineConfig {
+                shard: Some((idx, 2)),
+                ..EngineConfig::default()
+            };
+            let mut eng = HamletEngine::new(reg.clone(), queries.clone(), cfg).unwrap();
+            eng.process_batch(&events[..80]);
+            eng
+        };
+        let zero = shard(0);
+        // Shard 1 churned twice, back to the same query set: the same
+        // compiled workload, two epochs later.
+        let mut one = shard(1);
+        let extra = parse_query(&reg, 9, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
+        one.add_query(extra).unwrap();
+        one.remove_query(QueryId(9)).unwrap();
+        assert_eq!((zero.epoch(), one.epoch()), (0, 2));
+        let mixed = container(&[zero.checkpoint(), one.checkpoint()]);
+
+        let par =
+            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
+        let mut sess = par.session();
+        let before = sess.cut(CutKind::Full).unwrap();
+        assert!(matches!(
+            sess.restore_chain(&[mixed]),
+            Err(CheckpointError::WorkloadMismatch(_))
+        ));
+        let after = sess.cut(CutKind::Full).unwrap();
+        assert_eq!(
+            record::frame_of(&shards_of(&after)[0]).unwrap().payload,
+            record::frame_of(&shards_of(&before)[0]).unwrap().payload,
+            "shard 0 alone would have restored; it must not have"
+        );
+        // Each half is fine by itself.
+        let mut sess = par.session();
+        sess.restore_chain(&[container(&[zero.checkpoint(), shard(1).checkpoint()])])
+            .unwrap();
+    }
+
+    /// The shard records packed inside an `HMPC` container.
+    fn shards_of(ck: &Checkpoint) -> Vec<Vec<u8>> {
+        let mut d = Dec::new(ck.as_bytes());
+        let (_, _, shards) =
+            checkpoint::read_container_any(&mut d, &PARALLEL_MAGIC, &[PARALLEL_VERSION]).unwrap();
+        shards.into_iter().map(<[u8]>::to_vec).collect()
+    }
+
     /// A live session matches the offline run across worker counts, and
     /// a chain cut mid-stream restores into a fresh session that
     /// finishes the stream identically (the 4-worker delta path of
@@ -922,6 +978,8 @@ mod tests {
                 let ck = sess.cut(CutKind::Delta).unwrap();
                 assert_eq!(ck.is_delta(), i > 0, "first cut promotes to base");
                 assert_eq!(ck.seq(), i as u64 + 1);
+                // The handle the writer assembled is what a reader peeks.
+                assert_eq!(Checkpoint::from_bytes(ck.as_bytes().to_vec()).unwrap(), ck);
                 chain.push(ck);
             }
             // The cut session and a chain-restored session describe the

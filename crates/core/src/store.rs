@@ -59,10 +59,9 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::checkpoint::{
-    read_delta_frame, read_engine_header, CheckpointError, Dec, DELTA_MAGIC, ENGINE_MAGIC,
-};
+use crate::checkpoint::{read_engine_header, CheckpointError, Dec};
 use crate::executor::HamletEngine;
+use crate::record;
 
 /// What kind of chain record to ask a [`Snapshot::cut`] for. `Delta`
 /// is a *request*: a layer that cannot prove a sound delta (first cut,
@@ -87,81 +86,81 @@ pub enum CheckpointKind {
 }
 
 /// A typed handle on one checkpoint record: the raw bytes plus the
-/// metadata every store and resume path needs — kind, format version,
-/// workload epoch, chain position, fingerprint — peeked from the frame
-/// headers without decoding the state payload.
-///
-/// For the container formats (`HMPC`/`HMPL`), chain metadata is taken
-/// from the first shard's record: coordinated cuts stamp every shard
-/// with the same kind, seq, and epoch.
+/// [`ChainMeta`] every store and resume path needs — held by the writer
+/// that just cut the record, or peeked from the frame headers of stored
+/// bytes without decoding the state payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     bytes: Vec<u8>,
-    kind: CheckpointKind,
-    version: u16,
-    epoch: u64,
-    seq: u64,
-    parent: Option<u64>,
-    fingerprint: Vec<u8>,
+    meta: ChainMeta,
 }
 
-/// Chain metadata peeked from a record's frame headers.
-type PeekedMeta = (CheckpointKind, u16, u64, u64, Option<u64>, Vec<u8>);
+/// Where a record sits in its chain and what it may restore into.
+///
+/// For the container formats (`HMPC`/`HMPL`) the chain fields are the
+/// first shard's: coordinated cuts stamp every shard with the same kind,
+/// seq, and epoch.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ChainMeta {
+    /// Format version of the outermost frame that has one of its own:
+    /// the container's, a delta frame's, or a base's engine blob's.
+    pub version: u16,
+    /// The workload epoch the record was cut at.
+    pub epoch: u64,
+    /// Chain sequence number (0 for bare engine blobs).
+    pub seq: u64,
+    /// The seq a delta applies on top of. `None` is what marks a full
+    /// record, which starts a chain.
+    pub parent: Option<u64>,
+    /// The workload fingerprint stamped into the record.
+    pub fingerprint: Vec<u8>,
+}
 
-/// Peeks `(kind, version, epoch, seq, parent, fingerprint)` from any
-/// known record format, recursing through frames and containers.
-fn peek_meta(bytes: &[u8]) -> Result<PeekedMeta, CheckpointError> {
-    if bytes.len() < 4 {
-        return Err(CheckpointError::BadMagic);
-    }
-    let magic: [u8; 4] = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if magic == ENGINE_MAGIC {
-        // Bare engine blob = a full snapshot at chain seq 0.
-        let mut d = Dec::new(bytes);
-        let (v, epoch) = read_engine_header(&mut d)?;
-        let fp = d.bytes()?;
-        return Ok((CheckpointKind::Full, v, epoch, 0, None, fp));
-    }
-    if magic == DELTA_MAGIC {
-        let f = read_delta_frame(bytes)?;
-        if f.base {
-            // The payload is a full engine blob; its fingerprint is the
-            // chain's.
-            let (_, v, _, _, _, fp) = peek_meta(&f.payload)?;
-            return Ok((CheckpointKind::Full, v, f.epoch, f.seq, None, fp));
-        }
-        // Delta payloads open with the workload fingerprint.
-        let mut d = Dec::new(&f.payload);
-        let fp = d.bytes()?;
-        return Ok((
-            CheckpointKind::Delta,
-            f.version,
-            f.epoch,
-            f.seq,
-            Some(f.parent),
-            fp,
-        ));
-    }
+/// Peeks the [`ChainMeta`] of any known record format. Everything but the
+/// fingerprint stays borrowed.
+fn peek_meta(bytes: &[u8]) -> Result<ChainMeta, CheckpointError> {
     // The two container formats share one header shape: magic, version,
-    // worker count, per-shard blobs (`HMPL` is defined by the pipeline
+    // worker count, per-shard records (`HMPL` is defined by the pipeline
     // crate, but its layout is specified alongside ours in
     // docs/checkpoint-format.md, so peeking it here is sound).
-    if &magic == b"HMPC" || &magic == b"HMPL" {
-        let mut d = Dec::new(bytes);
-        d.magic(&magic)?;
-        let container_version = d.u16()?;
+    if bytes.starts_with(b"HMPC") || bytes.starts_with(b"HMPL") {
+        let mut d = Dec::new(&bytes[4..]);
+        let version = d.u16()?;
         let workers = d.u32()?;
-        let n = d.seq_len()?;
-        if workers == 0 || n == 0 {
+        if workers == 0 || d.seq_len()? == 0 {
             return Err(CheckpointError::Corrupt(
                 "container checkpoint with no shards".into(),
             ));
         }
-        let first = d.bytes()?;
-        let (kind, _, epoch, seq, parent, fp) = peek_meta(&first)?;
-        return Ok((kind, container_version, epoch, seq, parent, fp));
+        return Ok(ChainMeta {
+            version,
+            ..peek_meta(d.bytes()?)?
+        });
     }
-    Err(CheckpointError::BadMagic)
+    // A chain record (a bare engine blob being a base at seq 0). A base
+    // payload is an engine blob, whose version speaks for the record;
+    // after its header, as at the start of a delta payload, comes the
+    // workload fingerprint.
+    let f = record::frame_of(bytes)?;
+    let mut d = Dec::new(f.payload);
+    let (version, parent) = if f.base {
+        (read_engine_header(&mut d)?.0, None)
+    } else {
+        (f.version, Some(f.parent))
+    };
+    Ok(ChainMeta {
+        version,
+        epoch: f.epoch,
+        seq: f.seq,
+        parent,
+        fingerprint: d.bytes()?.to_vec(),
+    })
+}
+
+impl AsRef<[u8]> for Checkpoint {
+    fn as_ref(&self) -> &[u8] {
+        &self.bytes
+    }
 }
 
 impl Checkpoint {
@@ -171,55 +170,64 @@ impl Checkpoint {
     /// engine blobs (`HMEN`), chain records (`HMDL`), and the parallel
     /// and pipeline containers (`HMPC`/`HMPL`).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Checkpoint, CheckpointError> {
-        let (kind, version, epoch, seq, parent, fingerprint) = peek_meta(&bytes)?;
-        Ok(Checkpoint {
-            bytes,
-            kind,
-            version,
-            epoch,
-            seq,
-            parent,
-            fingerprint,
-        })
+        let meta = peek_meta(&bytes)?;
+        Ok(Checkpoint { bytes, meta })
+    }
+
+    /// The handle of a record its writer just encoded, from the metadata
+    /// the writer holds — [`from_bytes`](Self::from_bytes) would peek the
+    /// same values back out. A container's writer passes its first
+    /// shard's [`meta`](Self::meta) under the container's own version.
+    pub fn new(bytes: Vec<u8>, meta: ChainMeta) -> Checkpoint {
+        Checkpoint { bytes, meta }
+    }
+
+    /// Everything the handle knows besides the bytes.
+    pub fn meta(&self) -> &ChainMeta {
+        &self.meta
     }
 
     /// What this record holds: a full snapshot or an incremental delta.
     pub fn kind(&self) -> CheckpointKind {
-        self.kind
+        if self.is_delta() {
+            CheckpointKind::Delta
+        } else {
+            CheckpointKind::Full
+        }
     }
 
     /// True when this record is an incremental delta, meaningful only
     /// on top of the chain ending at [`parent`](Self::parent).
     pub fn is_delta(&self) -> bool {
-        self.kind == CheckpointKind::Delta
+        self.meta.parent.is_some()
     }
 
     /// The outermost frame's format version.
     pub fn version(&self) -> u16 {
-        self.version
+        self.meta.version
     }
 
     /// The workload epoch the record was cut at.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.meta.epoch
     }
 
     /// Chain sequence number (0 for legacy bare blobs, which predate
     /// chains).
     pub fn seq(&self) -> u64 {
-        self.seq
+        self.meta.seq
     }
 
     /// The chain seq this delta applies on top of; `None` for full
     /// records, which start a chain.
     pub fn parent(&self) -> Option<u64> {
-        self.parent
+        self.meta.parent
     }
 
     /// The workload fingerprint stamped into the record (for
     /// containers: the first shard's).
     pub fn fingerprint(&self) -> &[u8] {
-        &self.fingerprint
+        &self.meta.fingerprint
     }
 
     /// The raw record bytes.
@@ -265,12 +273,13 @@ pub trait Snapshot {
 
 impl Snapshot for HamletEngine {
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
-        Checkpoint::from_bytes(self.cut_record(kind))
+        Ok(record::cut(self, kind))
     }
 
     fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
-        let records: Vec<&[u8]> = chain.iter().map(|c| c.as_bytes()).collect();
-        self.restore_chain_bytes(&records)
+        // A lone engine is a sharded runtime of one.
+        let records: Vec<Vec<&[u8]>> = chain.iter().map(|ck| vec![ck.as_bytes()]).collect();
+        record::restore_shards(std::slice::from_mut(self), &records).map(drop)
     }
 }
 
@@ -303,6 +312,27 @@ impl MemStore {
     }
 }
 
+/// The linkage rule of [`CheckpointStore::append`]: a delta must extend
+/// the stored chain's tip; a full record may follow anything.
+fn check_extends(ck: &Checkpoint, tip_seq: Option<u64>) -> Result<(), CheckpointError> {
+    if !ck.is_delta() {
+        return Ok(());
+    }
+    let Some(tip_seq) = tip_seq else {
+        return Err(CheckpointError::Corrupt(
+            "delta record appended to an empty store (no base to extend)".into(),
+        ));
+    };
+    if ck.parent() != Some(tip_seq) {
+        return Err(CheckpointError::Corrupt(format!(
+            "delta seq {} expects parent seq {:?} but the stored tip is seq {tip_seq}",
+            ck.seq(),
+            ck.parent(),
+        )));
+    }
+    Ok(())
+}
+
 fn lock_err<T>(_: T) -> CheckpointError {
     CheckpointError::Io("checkpoint store mutex poisoned".into())
 }
@@ -310,31 +340,17 @@ fn lock_err<T>(_: T) -> CheckpointError {
 impl CheckpointStore for MemStore {
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         let mut chain = self.chain.lock().map_err(lock_err)?;
-        if ck.is_delta() {
-            let Some(tip) = chain.last() else {
-                return Err(CheckpointError::Corrupt(
-                    "delta record appended to an empty store (no base to extend)".into(),
-                ));
-            };
-            if ck.parent() != Some(tip.seq()) {
-                return Err(CheckpointError::Corrupt(format!(
-                    "delta seq {} expects parent seq {:?} but the stored tip is seq {}",
-                    ck.seq(),
-                    ck.parent(),
-                    tip.seq()
-                )));
-            }
-            if ck.epoch() != tip.epoch() {
-                return Err(CheckpointError::WorkloadMismatch(format!(
-                    "delta cut at workload epoch {} appended to a chain at epoch {}",
-                    ck.epoch(),
-                    tip.epoch()
-                )));
-            }
-        } else {
+        check_extends(ck, chain.last().map(Checkpoint::seq))?;
+        if !ck.is_delta() {
             // A full record starts a new chain; the old one is
             // compacted away.
             chain.clear();
+        } else if let Some(tip) = chain.last().filter(|tip| tip.epoch() != ck.epoch()) {
+            return Err(CheckpointError::WorkloadMismatch(format!(
+                "delta cut at workload epoch {} appended to a chain at epoch {}",
+                ck.epoch(),
+                tip.epoch()
+            )));
         }
         chain.push(ck.clone());
         Ok(())
@@ -415,20 +431,7 @@ impl CheckpointStore for DirStore {
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         let listing = self.listing()?;
         let base = !ck.is_delta();
-        if ck.is_delta() {
-            let Some(&(tip_seq, _)) = listing.last() else {
-                return Err(CheckpointError::Corrupt(
-                    "delta record appended to an empty store (no base to extend)".into(),
-                ));
-            };
-            if ck.parent() != Some(tip_seq) {
-                return Err(CheckpointError::Corrupt(format!(
-                    "delta seq {} expects parent seq {:?} but the stored tip is seq {tip_seq}",
-                    ck.seq(),
-                    ck.parent(),
-                )));
-            }
-        }
+        check_extends(ck, listing.last().map(|&(seq, _)| seq))?;
         let final_path = self.record_path(ck.seq(), base);
         let tmp_path = self.dir.join(format!(".tmp-ck-{:020}", ck.seq()));
         {
@@ -610,9 +613,12 @@ mod tests {
         let delta = eng.cut(CutKind::Delta).expect("delta");
         assert!(delta.is_delta());
         // Hand-build a chain whose delta claims a different epoch.
-        let f = read_delta_frame(delta.as_bytes()).expect("frame");
-        let forged = crate::checkpoint::write_delta_frame(false, f.seq, f.parent, 7, &f.payload);
-        let forged = Checkpoint::from_bytes(forged).expect("peek");
+        let f = crate::checkpoint::read_delta_frame(delta.as_bytes()).expect("frame");
+        let mut forged = crate::checkpoint::Enc::new();
+        crate::checkpoint::write_delta_frame(&mut forged, false, f.seq, f.parent, 7, |e| {
+            e.raw(f.payload)
+        });
+        let forged = Checkpoint::from_bytes(forged.finish()).expect("peek");
         let mut fresh = engine(&reg, &qs);
         let err = fresh.restore_chain(&[base, forged]);
         assert!(matches!(err, Err(CheckpointError::WorkloadMismatch(_))));
@@ -755,6 +761,14 @@ mod tests {
         assert_eq!(delta.seq(), 2);
         assert_eq!(delta.parent(), Some(1));
         assert_eq!(delta.fingerprint(), base.fingerprint());
+        // The handles `cut` assembles from what it just wrote are the
+        // ones a reader peeks back out of the bytes.
+        for ck in [&base, &delta] {
+            assert_eq!(
+                &Checkpoint::from_bytes(ck.as_bytes().to_vec()).expect("peek"),
+                ck
+            );
+        }
         // (At this toy scale every partition is dirty, so the delta is
         // not materially smaller; fig_checkpoint gates size at 10⁴ keys.)
         assert!(Checkpoint::from_bytes(b"nope".to_vec()).is_err());

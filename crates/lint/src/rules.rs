@@ -211,13 +211,13 @@ fn sorted_nearby(toks: &[Token], idx: usize) -> bool {
 const PAIRS: &[(&str, &str)] = &[
     ("encode", "decode"),
     ("to_bytes", "from_bytes"),
-    ("checkpoint", "restore"),
-    ("container_header", "read_container"),
-    ("encode_delta", "decode_delta"),
+    ("container_header", "read_container_any"),
     ("write_delta_frame", "read_delta_frame"),
     ("write_engine_header", "read_engine_header"),
+    // The one engine-record body (full = delta without removal lists)
+    // and the two helpers it calls on both sides.
+    ("encode_body", "decode_body"),
     ("encode_tail", "decode_tail"),
-    ("encode_partition", "decode_partition"),
     ("encode_pending_slot", "decode_pending_slot"),
 ];
 
@@ -257,6 +257,8 @@ fn codec_class(method: &str, decode_side: bool) -> Option<Slot> {
         "duration" => Slot::Fixed("duration"),
         "str" => Slot::Fixed("str"),
         "bytes" => Slot::Fixed("bytes"),
+        // `bytes` with the blob written in place by a closure.
+        "bytes_with" if !decode_side => Slot::Fixed("bytes"),
         "attr_value" => Slot::Fixed("attr_value"),
         "group_key" => Slot::Fixed("group_key"),
         "event" => Slot::Fixed("event"),
@@ -372,10 +374,8 @@ fn codec_calls(cx: &FileCx, f: &FnSpan, decode_side: bool) -> Vec<(Slot, usize)>
         // Nested sub-struct calls: `x.encode(&mut e)` / `T::decode(&mut d, ..)`,
         // plus the shared container helpers.
         let nested = if decode_side {
-            matches!(
-                w,
-                "decode" | "read_container" | "read_container_any" | "read_engine_header"
-            ) && toks.get(i + 1).is_some_and(|t| t.is_p('('))
+            matches!(w, "decode" | "read_container_any" | "read_engine_header")
+                && toks.get(i + 1).is_some_and(|t| t.is_p('('))
                 && args_mention(toks, i + 1, &recvs)
         } else {
             (w == "encode" && i >= 1 && toks[i - 1].is_p('.')

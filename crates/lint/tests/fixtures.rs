@@ -47,16 +47,17 @@ fn l2_catches_codec_asymmetry() {
     assert_eq!(rules_for("l2_allowed.rs"), [] as [&str; 0]);
 }
 
-/// The run-state record and the helpers the engine codecs share: a
-/// tagged payload with a nested `Cell` pair and a separately named
-/// legacy reader stay clean, and an asymmetry in the payload arms, in
-/// `encode_tail`/`decode_tail`, or in the engine-header pair is found.
+/// The engine's state record: a tagged run-state payload with a nested
+/// `Cell` pair and a separately named legacy reader, under the one body
+/// pair whose removal list only a delta carries, stay clean; an
+/// asymmetry in the payload arms, in `encode_tail`/`decode_tail`, or in
+/// `encode_body`/`decode_body` is found.
 #[test]
-fn l2_checks_the_run_state_record_and_its_helpers() {
+fn l2_checks_the_run_state_record_and_the_one_body_pair() {
     assert_eq!(rules_for("l2_tagged_allowed.rs"), [] as [&str; 0]);
     let findings = hamlet_lint::check_fixture(&fixture("l2_tagged_violation.rs")).unwrap();
     assert!(findings.iter().all(|f| f.rule == "codec-symmetry"));
-    let pairs: Vec<&str> = ["`decode`", "`decode_tail`", "`restore`"]
+    let pairs: Vec<&str> = ["`decode`", "`decode_tail`", "`decode_body`"]
         .into_iter()
         .filter(|name| findings.iter().any(|f| f.message.contains(name)))
         .collect();

@@ -1,8 +1,8 @@
-// L2 fixture: the run-state record of `l2_tagged_allowed.rs` with three
+// L2 fixture: the state record of `l2_tagged_allowed.rs` with three
 // seeded asymmetries — the tagged payload's decode arms read cells
 // before the count, the tail helper reads a `u32` where `u64` was
-// written, and `restore` reads the header but `checkpoint` never writes
-// one. Each must be flagged.
+// written, and `decode_body` reads the removal list after the runs
+// where `encode_body` writes it before them. Each must be flagged.
 pub struct Cell {
     mask: u64,
     val: u64,
@@ -98,48 +98,48 @@ impl RunState {
 }
 
 pub struct Engine {
-    epoch: u64,
+    gone: Vec<u64>,
     runs: Vec<RunState>,
     counter: u64,
 }
 
-impl Engine {
-    fn encode_partition(&self, e: &mut Enc) {
-        e.usize(self.runs.len());
-        for rs in &self.runs {
-            rs.encode(e, 1);
+fn encode_tail(eng: &Engine, e: &mut Enc) {
+    e.u64(eng.counter);
+}
+
+fn decode_tail(d: &mut Dec<'_>) -> Result<u64, CodecError> {
+    Ok(d.u32()? as u64)
+}
+
+fn encode_body(eng: &Engine, delta: bool, e: &mut Enc) {
+    if delta {
+        e.usize(eng.gone.len());
+        for key in &eng.gone {
+            e.u64(*key);
         }
     }
+    e.usize(eng.runs.len());
+    for rs in &eng.runs {
+        rs.encode(e, 1);
+    }
+    encode_tail(eng, e);
+}
 
-    fn decode_partition(&self, d: &mut Dec<'_>, legacy: bool) -> Result<Vec<RunState>, CodecError> {
-        let mut runs = Vec::new();
+fn decode_body(d: &mut Dec<'_>, delta: bool, legacy: bool) -> Result<Engine, CodecError> {
+    let mut runs = Vec::new();
+    for _ in 0..d.seq_len()? {
+        runs.push(RunState::decode(d, legacy)?);
+    }
+    let mut gone = Vec::new();
+    if delta {
         for _ in 0..d.seq_len()? {
-            runs.push(RunState::decode(d, legacy)?);
+            gone.push(d.u64()?);
         }
-        Ok(runs)
     }
-
-    fn encode_tail(&self, e: &mut Enc) {
-        e.u64(self.counter);
-    }
-
-    fn decode_tail(&self, d: &mut Dec<'_>) -> Result<u64, CodecError> {
-        Ok(d.u32()? as u64)
-    }
-
-    pub fn checkpoint(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        self.encode_partition(&mut e);
-        self.encode_tail(&mut e);
-        e.finish()
-    }
-
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), CodecError> {
-        let mut d = Dec::new(bytes);
-        let (version, epoch) = read_engine_header(&mut d)?;
-        self.runs = self.decode_partition(&mut d, version < 5)?;
-        self.counter = self.decode_tail(&mut d)?;
-        self.epoch = epoch;
-        Ok(())
-    }
+    let counter = decode_tail(d)?;
+    Ok(Engine {
+        gone,
+        runs,
+        counter,
+    })
 }

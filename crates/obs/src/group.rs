@@ -66,17 +66,42 @@ impl GroupMetrics {
         }
     }
 
+    /// The eight counters, in the fixed order checkpoints store them
+    /// (`docs/checkpoint-format.md`): everything but the placement
+    /// fields.
+    pub fn counters_mut(&mut self) -> [&mut u64; 8] {
+        [
+            &mut self.events_routed,
+            &mut self.runs_created,
+            &mut self.runs_expired,
+            &mut self.shared_bursts,
+            &mut self.solo_bursts,
+            &mut self.graphlet_snapshots,
+            &mut self.event_snapshots,
+            &mut self.results_emitted,
+        ]
+    }
+
+    /// The values of [`counters_mut`](Self::counters_mut), same order.
+    pub fn counters(&self) -> [u64; 8] {
+        [
+            self.events_routed,
+            self.runs_created,
+            self.runs_expired,
+            self.shared_bursts,
+            self.solo_bursts,
+            self.graphlet_snapshots,
+            self.event_snapshots,
+            self.results_emitted,
+        ]
+    }
+
     /// Add `other`'s counters into `self` (placement fields are left
     /// untouched; shards of one engine agree on them by construction).
     pub fn add_counters(&mut self, other: &GroupMetrics) {
-        self.events_routed += other.events_routed;
-        self.runs_created += other.runs_created;
-        self.runs_expired += other.runs_expired;
-        self.shared_bursts += other.shared_bursts;
-        self.solo_bursts += other.solo_bursts;
-        self.graphlet_snapshots += other.graphlet_snapshots;
-        self.event_snapshots += other.event_snapshots;
-        self.results_emitted += other.results_emitted;
+        for (c, v) in self.counters_mut().into_iter().zip(other.counters()) {
+            *c += v;
+        }
     }
 
     /// Human/exporter label for the signature: `"3"` for a whole

@@ -148,7 +148,7 @@ impl PipelineCheckpoint {
         d.expect_end()?;
         Ok(PipelineCheckpoint {
             workers,
-            engines,
+            engines: engines.into_iter().map(<[u8]>::to_vec).collect(),
             buffered,
             events_pulled,
             max_seen,

@@ -91,9 +91,10 @@ use hamlet_core::checkpoint::CheckpointError;
 use hamlet_core::executor::{
     ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine, WindowResult,
 };
+use hamlet_core::record::restore_shards;
 use hamlet_core::{
-    Checkpoint, CheckpointStore, CutKind, GroupMetrics, LatencyHistogram, LatencyRecorder,
-    ShardRouter, Snapshot, Span, SpanRecorder, Stage,
+    ChainMeta, Checkpoint, CheckpointStore, CutKind, GroupMetrics, LatencyHistogram,
+    LatencyRecorder, ShardRouter, Snapshot, Span, SpanRecorder, Stage,
 };
 use hamlet_obs::merge_group_metrics;
 use hamlet_query::{Query, QueryId};
@@ -475,27 +476,10 @@ impl PipelineBuilder {
                 "the checkpoint store holds no records".into(),
             )));
         }
-        let mut records = Vec::with_capacity(chain.len());
-        for ck in &chain {
-            let pc =
-                PipelineCheckpoint::from_bytes(ck.as_bytes()).map_err(ResumeError::Checkpoint)?;
-            if pc.workers != self.workers {
-                return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                    format!(
-                        "checkpoint taken under {} workers, resuming under {}",
-                        pc.workers, self.workers
-                    ),
-                )));
-            }
-            if pc.engines.len() != pc.workers as usize {
-                return Err(ResumeError::Checkpoint(CheckpointError::Corrupt(format!(
-                    "pipeline record carries {} shard frames for {} workers",
-                    pc.engines.len(),
-                    pc.workers
-                ))));
-            }
-            records.push(pc);
-        }
+        let records = (chain.iter())
+            .map(|ck| PipelineCheckpoint::from_bytes(ck.as_bytes()))
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(ResumeError::Checkpoint)?;
         self.spawn_inner(source, sink, records)
     }
 
@@ -559,29 +543,16 @@ impl PipelineBuilder {
         let mut engines = router.engines().map_err(ResumeError::Engine)?;
         let mut start_epoch = 0;
         if !chain.is_empty() {
-            for (idx, eng) in engines.iter_mut().enumerate() {
-                // This shard's frame from every record in the chain; the
-                // engine replays base + deltas (and adopts the chain's
-                // workload epoch) itself.
-                let shard_chain = chain
-                    .iter()
-                    .map(|pc| Checkpoint::from_bytes(pc.engines[idx].clone()))
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(ResumeError::Checkpoint)?;
-                eng.restore_chain(&shard_chain)
-                    .map_err(ResumeError::Checkpoint)?;
-            }
-            // Each shard derived its epoch from its own frames; all
-            // shards churn at the same barrier, so they must agree.
-            start_epoch = engines.first().map(HamletEngine::epoch).unwrap_or(0);
-            if let Some(off) = engines.iter().find(|e| e.epoch() != start_epoch) {
-                return Err(ResumeError::Checkpoint(CheckpointError::WorkloadMismatch(
-                    format!(
-                        "mixed workload epochs across restored shards ({start_epoch} vs {})",
-                        off.epoch()
-                    ),
-                )));
-            }
+            // Every shard replays its own record out of each container,
+            // base then deltas, and adopts the chain's workload epoch —
+            // which all shards must agree on. A container cut under
+            // another worker count has the wrong number of them.
+            let records: Vec<Vec<&[u8]>> = chain
+                .iter()
+                .map(|pc| pc.engines.iter().map(Vec::as_slice).collect())
+                .collect();
+            start_epoch =
+                restore_shards(&mut engines, &records).map_err(ResumeError::Checkpoint)?;
         }
 
         // Lane 0 traces the ingest stage, lanes 1..=n the workers.
@@ -989,10 +960,10 @@ impl<Src: Source> Ingest<Src> {
         }
         drop(reply_tx);
         let n = self.lanes.txs.len();
-        let mut frames: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut shards: Vec<Option<Checkpoint>> = vec![None; n];
         for _ in 0..n {
             match reply_rx.recv() {
-                Ok((idx, Ok(ck))) => frames[idx] = Some(ck.into_bytes()),
+                Ok((idx, Ok(ck))) => shards[idx] = Some(ck),
                 Ok((_, Err(e))) => return Err(e),
                 Err(_) => {
                     self.stop.store(true, Ordering::Relaxed);
@@ -1000,17 +971,20 @@ impl<Src: Source> Ingest<Src> {
                 }
             }
         }
-        let mut engines = Vec::with_capacity(n);
-        for f in frames {
-            match f {
-                Some(bytes) => engines.push(bytes),
-                None => {
-                    return Err(CheckpointError::Io(
-                        "a shard replied twice during the cut".into(),
-                    ))
-                }
-            }
-        }
+        let Some(shards) = shards.into_iter().collect::<Option<Vec<Checkpoint>>>() else {
+            return Err(CheckpointError::Io(
+                "a shard replied twice during the cut".into(),
+            ));
+        };
+        // The container's chain position is its first shard's (the cut
+        // stamps every shard alike; there is always a shard 0), so the
+        // handle is built from what the workers already hold, not peeked
+        // back out of the container.
+        let meta = ChainMeta {
+            version: PIPELINE_VERSION,
+            ..shards[0].meta().clone()
+        };
+        let engines = shards.into_iter().map(Checkpoint::into_bytes).collect();
         // Every pre-cut result is now enqueued to the sink (each worker
         // sent its results before replying with its frame); wait for the
         // sink thread to land them so the frozen counters are exact.
@@ -1021,12 +995,7 @@ impl<Src: Source> Ingest<Src> {
             }
             std::thread::yield_now();
         }
-        let counters = [
-            self.shared.ingested.load(Ordering::Relaxed),
-            self.shared.late.load(Ordering::Relaxed),
-            self.shared.released.load(Ordering::Relaxed),
-            self.shared.results.load(Ordering::Relaxed),
-        ];
+        let counters = self.shared.counters();
         let pc = PipelineCheckpoint {
             workers: self.router.workers(),
             engines,
@@ -1036,7 +1005,7 @@ impl<Src: Source> Ingest<Src> {
             counters,
             elapsed: self.shared.elapsed(),
         };
-        let ck = Checkpoint::from_bytes(pc.to_bytes())?;
+        let ck = Checkpoint::new(pc.to_bytes(), meta);
         if let Some(store) = &self.store {
             store.append(&ck)?;
         }
@@ -1467,12 +1436,7 @@ impl<S: Sink> PipelineHandle<S> {
         self.shared
             .spans
             .record(0, Stage::CheckpointPause, pause_span, None, 0);
-        let counters = [
-            self.shared.ingested.load(Ordering::Relaxed),
-            self.shared.late.load(Ordering::Relaxed),
-            self.shared.released.load(Ordering::Relaxed),
-            self.shared.results.load(Ordering::Relaxed),
-        ];
+        let counters = self.shared.counters();
         let wall = self.shared.elapsed();
         PipelineCheckpointReport {
             checkpoint: PipelineCheckpoint {
@@ -2282,6 +2246,11 @@ mod tests {
         });
         let ck = handle.cut(hamlet_core::CutKind::Delta).unwrap();
         assert!(ck.epoch() == 0 && !ck.as_bytes().is_empty());
+        assert_eq!(
+            Checkpoint::from_bytes(ck.as_bytes().to_vec()).unwrap(),
+            ck,
+            "the handle the cut assembled is what a reader peeks"
+        );
         let cursor = PipelineCheckpoint::from_bytes(ck.as_bytes())
             .unwrap()
             .events_pulled();

@@ -96,6 +96,13 @@ impl SharedStats {
         self.watermark_set.store(true, Ordering::Release);
     }
 
+    /// The counters a checkpoint carries across a restart, in its
+    /// order: ingested / late / released / results.
+    pub(crate) fn counters(&self) -> [u64; 4] {
+        [&self.ingested, &self.late, &self.released, &self.results]
+            .map(|c| c.load(Ordering::Relaxed))
+    }
+
     /// Total wall time for the logical run: what this incarnation has
     /// run plus what earlier incarnations banked before checkpointing.
     pub(crate) fn elapsed(&self) -> Duration {

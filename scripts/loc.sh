@@ -1,0 +1,25 @@
+#!/bin/sh
+# Report-only: non-test code lines per crate — non-blank, non-comment lines
+# of every src/**/*.rs before the file's first top-level `#[cfg(test)]`.
+# This is the measure ROADMAP's "Deletions and splits" target (<= 13 600)
+# is stated in, so CI prints it instead of it being counted by hand.
+set -eu
+cd "$(dirname "$0")/.."
+
+count() {
+    awk '/^#\[cfg\(test\)\]/ { exit }
+         { l = $0; sub(/^[ \t]+/, "", l); if (l == "" || l ~ /^\/\//) next; n++ }
+         END { print n + 0 }' "$1"
+}
+
+total=0
+for src in src crates/*/src crates/compat/*/src; do
+    [ -d "$src" ] || continue
+    n=0
+    for f in $(find "$src" -name '*.rs' | sort); do
+        n=$((n + $(count "$f")))
+    done
+    printf '%7d  %s\n' "$n" "$src"
+    total=$((total + n))
+done
+printf '%7d  total\n' "$total"

@@ -16,6 +16,9 @@
 //! This is the acceptance property of the checkpoint subsystem: recovery
 //! may never lose a window, emit one twice, or change a single row.
 
+mod common;
+
+use common::{fixture, fixture_workload, unhex};
 use hamlet::prelude::*;
 use hamlet_stream::{bounded_delay_shuffle, max_observed_lateness, ridesharing};
 use proptest::prelude::*;
@@ -352,31 +355,6 @@ proptest! {
 
 // ---- Format compatibility: state cut by the previous format ---------
 
-/// The predicate workload the v4 fixtures were cut on at the parent of
-/// PR 15: selection groups (cells now, cloned events then), a uniform
-/// group (a count), a lattice group and an edge-predicate group (events
-/// either way), over sliding windows.
-fn fixture_workload() -> (Arc<TypeRegistry>, Vec<Query>) {
-    let mut reg = TypeRegistry::new();
-    for ty in ["A", "B", "C"] {
-        reg.register(ty, &["g", "v"]);
-    }
-    let reg = Arc::new(reg);
-    let texts = [
-        "RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE B.v < 3 GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE B.v < 6 GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN COUNT(B) PATTERN SEQ(A, B+) GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN MAX(B.v) PATTERN B+ WHERE B.v < 5 GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN COUNT(*) PATTERN SEQ(C, B+) GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v >= PREV.v GROUP BY g WITHIN 8",
-        "RETURN COUNT(*) PATTERN SEQ(A, B+, NOT C) WHERE C.v < 4 GROUP BY g WITHIN 8",
-    ];
-    let queries = (texts.iter().enumerate())
-        .map(|(i, t)| parse_query(&reg, i as u32 + 1, t).expect("fixture query parses"))
-        .collect();
-    (reg, queries)
-}
-
 /// The fixture stream: bursty (`B` three times in five), three keys,
 /// non-decreasing time — fixed forever, the blobs were cut on it.
 fn fixture_events(reg: &TypeRegistry) -> Vec<Event> {
@@ -420,19 +398,6 @@ fn fixture_lines(results: &[WindowResult]) -> Vec<String> {
             )
         })
         .collect()
-}
-
-fn unhex(s: &str) -> Vec<u8> {
-    (0..s.len() / 2)
-        .map(|i| u8::from_str_radix(&s[2 * i..2 * i + 2], 16).expect("hex fixture"))
-        .collect()
-}
-
-/// A fixture under `tests/fixtures/`, one string per line.
-fn fixture(name: &str) -> Vec<String> {
-    let path = format!("{}/tests/fixtures/{name}", env!("CARGO_MANIFEST_DIR"));
-    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    text.lines().map(str::to_owned).collect()
 }
 
 /// What one engine that never stops emits from event `from` on (flush
@@ -498,29 +463,65 @@ fn v4_blob_cut_mid_burst_restores_and_finishes_identically() {
     assert_eq!(fixture_lines(&rest), fixture("hmen_v4_midburst.expected"));
 }
 
-/// The same for a chain the old format cut: an `HMDL` v1 base (wrapping
-/// an `HMEN` v4 blob) plus a v1 delta, whose run-state records are the
-/// v4 ones.
+/// The current format is pinned too, so "byte formats do not change" is
+/// an assertion: an `HMEN` v5 blob cut at the parent of PR 16 (before
+/// the record codec moved to `core::record`) restores, *re-encodes to
+/// the very same bytes* — the encoder writes what the parent's wrote —
+/// and finishes the stream as the parent's engine did.
 #[test]
-fn v1_delta_chain_restores_and_finishes_identically() {
+fn v5_blob_cut_at_the_parent_re_encodes_byte_identically() {
     let (reg, queries) = fixture_workload();
     let events = fixture_events(&reg);
-    let chain: Vec<Checkpoint> = fixture("hmdl_v1_chain.hex")
-        .iter()
-        .map(|line| Checkpoint::from_bytes(unhex(line)).unwrap())
-        .collect();
-    assert!(!chain[0].is_delta() && chain[1].is_delta());
+    let blob = unhex(&fixture("hmen_v5_midburst.hex")[0]);
+    assert_eq!(Checkpoint::from_bytes(blob.clone()).unwrap().version(), 5);
     let mut survivor =
         HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
-    survivor.restore_chain(&chain).unwrap();
+    survivor.restore(&blob).unwrap();
+    assert_eq!(survivor.checkpoint(), blob);
     let mut rest = Vec::new();
-    for e in &events[FIXTURE_CUT_DELTA..] {
+    for e in &events[FIXTURE_CUT..] {
         rest.extend(survivor.process(e));
     }
     rest.extend(survivor.flush());
-    assert_eq!(fixture_lines(&rest), fixture("hmdl_v1_chain.expected"));
+    assert_eq!(fixture_lines(&rest), fixture("hmen_v5_midburst.expected"));
     assert_eq!(
         rest,
-        uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT_DELTA)
+        uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT)
     );
+}
+
+/// The same for pinned chains: an `HMDL` v1 base (wrapping an `HMEN` v4
+/// blob) plus a v1 delta, whose run-state records are the v4 ones, cut
+/// at the parent of PR 15; and a v2 base + delta cut at the parent of
+/// PR 16.
+#[test]
+fn pinned_delta_chains_restore_and_finish_identically() {
+    let (reg, queries) = fixture_workload();
+    let events = fixture_events(&reg);
+    for (name, version) in [("hmdl_v1_chain", 1), ("hmdl_v2_chain", 2)] {
+        let chain: Vec<Checkpoint> = fixture(&format!("{name}.hex"))
+            .iter()
+            .map(|line| Checkpoint::from_bytes(unhex(line)).unwrap())
+            .collect();
+        assert!(!chain[0].is_delta() && chain[1].is_delta());
+        assert_eq!(chain[1].version(), version, "{name}");
+        let mut survivor =
+            HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+        survivor.restore_chain(&chain).unwrap();
+        let mut rest = Vec::new();
+        for e in &events[FIXTURE_CUT_DELTA..] {
+            rest.extend(survivor.process(e));
+        }
+        rest.extend(survivor.flush());
+        assert_eq!(
+            fixture_lines(&rest),
+            fixture(&format!("{name}.expected")),
+            "{name}"
+        );
+        assert_eq!(
+            rest,
+            uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT_DELTA),
+            "{name}"
+        );
+    }
 }

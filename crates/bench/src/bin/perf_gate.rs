@@ -119,7 +119,7 @@ const CHECKS: [Check; 12] = [
         systems: &["HAMLET", "HAMLET-par4"],
         what: ("checkpoint_pause", "fig_checkpoint", "pause", 0.010),
     }),
-    // 6. The batched hot path must beat the event-at-a-time reference.
+    // 6. The batched hot path must beat the event-at-a-time `process` fold.
     Check::SameRun(&SameRun {
         flag: ("--min-batch-speedup", 2.0, ">=x", 2),
         figures: &["fig_batch"],

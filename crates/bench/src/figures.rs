@@ -85,8 +85,9 @@ pub fn fig9_events(quick: bool) -> Figure {
 }
 
 /// Batching A/B on the `fig9_events` workload: the same engine fed
-/// event-at-a-time through the preserved reference path vs 1024-event
-/// batches through `process_batch`. Both produce byte-identical output
+/// event-at-a-time through `process` (the fold `process_batch` is
+/// specified to equal) vs 1024-event batches through `process_batch`.
+/// Both produce byte-identical output
 /// (equivalence suite); the sweep measures the single-thread throughput
 /// win of the batched hot path, which `perf_gate --min-batch-speedup`
 /// enforces per rate — a machine-independent ratio of two runs from the
@@ -121,12 +122,7 @@ pub fn fig_batch(quick: bool) -> Figure {
         // noise-free cost of either path.
         let ms = [System::HamletEvent, System::HamletBatch(1024)]
             .iter()
-            .map(|&s| {
-                (0..3)
-                    .map(|_| run_system(s, &reg, &queries, &events, &hcfg))
-                    .max_by(|a, b| a.throughput_eps.total_cmp(&b.throughput_eps))
-                    .expect("three reps")
-            })
+            .map(|&s| best_of_three(|| run_system(s, &reg, &queries, &events, &hcfg)))
             .collect();
         rows.push((format!("{rate}"), ms));
     }
@@ -570,11 +566,7 @@ pub fn fig_latency(quick: bool) -> Figure {
             m.throughput_eps = report.throughput_eps();
             m.peak_mem_bytes = report.peak_mem.iter().sum();
             m.results = report.results;
-            let s = report.merged_stats();
-            m.snapshots = s.runs.snapshots();
-            m.shared_bursts = s.runs.shared_bursts;
-            m.solo_bursts = s.runs.solo_bursts;
-            m.transitions = s.runs.merges + s.runs.splits;
+            m.set_sharing(&report.merged_stats());
             ms.push(m);
         }
         rows.push((format!("{rate}"), ms));
@@ -1015,11 +1007,7 @@ fn churn_online(
     m.results = results;
     m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
     m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-    let s = eng.stats();
-    m.snapshots = s.runs.snapshots();
-    m.shared_bursts = s.runs.shared_bursts;
-    m.solo_bursts = s.runs.solo_bursts;
-    m.transitions = s.runs.merges + s.runs.splits;
+    m.set_sharing(eng.stats());
     m
 }
 
@@ -1067,11 +1055,7 @@ fn churn_restart(
     m.results = results;
     m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
     m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-    let s = eng.stats();
-    m.snapshots = s.runs.snapshots();
-    m.shared_bursts = s.runs.shared_bursts;
-    m.solo_bursts = s.runs.solo_bursts;
-    m.transitions = s.runs.merges + s.runs.splits;
+    m.set_sharing(eng.stats());
     m
 }
 
@@ -1172,7 +1156,7 @@ mod tests {
         assert_eq!(fig.x_label, "events/min");
         assert!(fig.rows.len() >= 2);
         // The tentpole claim, measured: the batched hot path clears 2×
-        // the preserved event-at-a-time reference on every swept rate.
+        // the event-at-a-time `process` fold on every swept rate.
         // Readings on a dedicated core sit at 2.1–2.6×; CI's perf gate
         // enforces the same ratio from BENCH.json
         // (--min-batch-speedup 2.0).

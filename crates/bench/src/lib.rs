@@ -11,7 +11,7 @@
 #![warn(missing_docs)]
 
 use hamlet_baselines::{GretaEngine, SharonEngine, TwoStepEngine};
-use hamlet_core::{EngineConfig, HamletEngine, ParallelEngine, SharingPolicy};
+use hamlet_core::{EngineConfig, EngineStats, HamletEngine, ParallelEngine, SharingPolicy};
 use hamlet_pipeline::{CountingSink, Pipeline, ReplaySource};
 use hamlet_query::Query;
 use hamlet_types::{Event, TypeRegistry};
@@ -43,13 +43,15 @@ pub enum System {
     /// workers fed event-by-event through bounded channels. The system
     /// behind the `fig_latency` sustained-load sweep.
     HamletPipeline(u32),
-    /// The dynamic engine driven through the preserved per-event
-    /// reference path (`HamletEngine::process_reference`) — the
-    /// denominator of the `fig_batch` speedup sweep.
+    /// The dynamic engine fed one event per call through
+    /// `HamletEngine::process` — what a per-event caller runs, the fold
+    /// `process_batch`'s contract is written against, and the denominator
+    /// of the `fig_batch` speedup sweep. (The same run as
+    /// [`System::Hamlet`]; it keeps its own name and `BENCH.json` rows.)
     HamletEvent,
     /// The dynamic engine fed `n`-event batches through
     /// `HamletEngine::process_batch` — the numerator of `fig_batch` and
-    /// the path every production caller now uses.
+    /// the way every production caller feeds the engine.
     HamletBatch(usize),
     /// The live engine evolving its workload online via
     /// `HamletEngine::add_query` / `remove_query`: only the share groups
@@ -209,6 +211,15 @@ impl Measurement {
 }
 
 impl Measurement {
+    /// Fills in the sharing counters from an engine's (or a sharded
+    /// run's merged) statistics.
+    pub fn set_sharing(&mut self, s: &EngineStats) {
+        self.snapshots = s.runs.snapshots();
+        self.shared_bursts = s.runs.shared_bursts;
+        self.solo_bursts = s.runs.solo_bursts;
+        self.transitions = s.runs.merges + s.runs.splits;
+    }
+
     /// A zeroed row for `system` over `events` events and `queries`
     /// queries — the starting point every harness fills in.
     pub fn zero(system: System, events: u64, queries: usize) -> Measurement {
@@ -280,11 +291,7 @@ pub fn run_system(
             m.latency_p50 = report.latency.p50();
             m.latency_p99 = report.latency.p99();
             m.peak_mem_bytes = report.peak_mem.iter().sum();
-            let s = report.merged_stats();
-            m.snapshots = s.runs.snapshots();
-            m.shared_bursts = s.runs.shared_bursts;
-            m.solo_bursts = s.runs.solo_bursts;
-            m.transitions = s.runs.merges + s.runs.splits;
+            m.set_sharing(&report.merged_stats());
         }
         System::HamletParallel(workers) => {
             let eng = ParallelEngine::new(
@@ -299,94 +306,47 @@ pub fn run_system(
             m.wall = t0.elapsed();
             m.latency_avg = report.merged_latency().avg();
             m.peak_mem_bytes = report.total_peak_mem();
-            let s = report.merged_stats();
-            m.snapshots = s.runs.snapshots();
-            m.shared_bursts = s.runs.shared_bursts;
-            m.solo_bursts = s.runs.solo_bursts;
-            m.transitions = s.runs.merges + s.runs.splits;
+            m.set_sharing(&report.merged_stats());
         }
-        System::HamletEvent | System::HamletBatch(_) => {
-            // The single-thread batching A/B pair (`fig_batch`): identical
-            // engine and workload, only the feeding strategy differs —
-            // and the outputs are byte-identical (equivalence suite).
-            let mut eng = HamletEngine::new(reg.clone(), queries.to_vec(), EngineConfig::default())
-                .expect("engine builds");
-            match system {
-                System::HamletBatch(size) => {
-                    for batch in events.chunks(size.max(1)) {
-                        m.results += eng.process_batch(batch).len() as u64;
-                    }
-                }
-                _ => {
-                    for e in events {
-                        m.results += eng.process_reference(e).len() as u64;
-                    }
-                }
-            }
-            m.results += eng.flush().len() as u64;
-            m.wall = t0.elapsed();
-            m.latency_avg = eng.latency().avg();
-            m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-            let s = eng.stats();
-            m.snapshots = s.runs.snapshots();
-            m.shared_bursts = s.runs.shared_bursts;
-            m.solo_bursts = s.runs.solo_bursts;
-            m.transitions = s.runs.merges + s.runs.splits;
-        }
-        System::HamletObs | System::HamletNoObs => {
-            // The observability A/B pair (`fig_obs`): the production
-            // batched hot path, identical in every respect except the
-            // `obs` flag — instrumented engines carry per-share-group
-            // counter registries, uninstrumented ones carry none.
-            let mut eng = HamletEngine::new(
-                reg.clone(),
-                queries.to_vec(),
-                EngineConfig {
-                    obs: matches!(system, System::HamletObs),
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("engine builds");
-            for batch in events.chunks(1024) {
-                m.results += eng.process_batch(batch).len() as u64;
-            }
-            m.results += eng.flush().len() as u64;
-            m.wall = t0.elapsed();
-            m.latency_avg = eng.latency().avg();
-            m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-            let s = eng.stats();
-            m.snapshots = s.runs.snapshots();
-            m.shared_bursts = s.runs.shared_bursts;
-            m.solo_bursts = s.runs.solo_bursts;
-            m.transitions = s.runs.merges + s.runs.splits;
-        }
-        System::Hamlet | System::HamletStatic | System::HamletNoShare => {
+        System::Hamlet | System::HamletStatic | System::HamletNoShare | System::HamletEvent => {
+            // Per-event feeding through `process`, under each policy.
             let policy = match system {
-                System::Hamlet => SharingPolicy::Dynamic,
                 System::HamletStatic => SharingPolicy::AlwaysShare,
-                _ => SharingPolicy::NeverShare,
+                System::HamletNoShare => SharingPolicy::NeverShare,
+                _ => SharingPolicy::Dynamic,
             };
-            let mut eng = HamletEngine::new(
-                reg.clone(),
-                queries.to_vec(),
-                EngineConfig {
-                    policy,
-                    ..EngineConfig::default()
-                },
-            )
-            .expect("engine builds");
+            let cfg = EngineConfig {
+                policy,
+                ..EngineConfig::default()
+            };
+            let mut eng =
+                HamletEngine::new(reg.clone(), queries.to_vec(), cfg).expect("engine builds");
             for e in events {
                 m.results += eng.process(e).len() as u64;
             }
-            m.results += eng.flush().len() as u64;
-            m.wall = t0.elapsed();
-            m.latency_avg = eng.latency().avg();
-            m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-            let s = eng.stats();
-            m.snapshots = s.runs.snapshots();
-            m.shared_bursts = s.runs.shared_bursts;
-            m.solo_bursts = s.runs.solo_bursts;
-            m.transitions = s.runs.merges + s.runs.splits;
+            finish_engine_run(&mut m, &mut eng, t0);
+        }
+        System::HamletBatch(_) | System::HamletObs | System::HamletNoObs => {
+            // Batched feeding through `process_batch`. `fig_batch` pairs
+            // `HamletBatch` with `HamletEvent` above (identical engine and
+            // workload, byte-identical output — only the feeding differs);
+            // `fig_obs` pairs the two 1024-event systems, identical in
+            // every respect except the `obs` flag: instrumented engines
+            // carry per-share-group counter registries, the others none.
+            let size = match system {
+                System::HamletBatch(size) => size.max(1),
+                _ => 1024,
+            };
+            let cfg = EngineConfig {
+                obs: system != System::HamletNoObs,
+                ..EngineConfig::default()
+            };
+            let mut eng =
+                HamletEngine::new(reg.clone(), queries.to_vec(), cfg).expect("engine builds");
+            for batch in events.chunks(size) {
+                m.results += eng.process_batch(batch).len() as u64;
+            }
+            finish_engine_run(&mut m, &mut eng, t0);
         }
         System::Greta => {
             let mut eng = GretaEngine::new(reg.clone(), queries.to_vec()).expect("greta builds");
@@ -447,6 +407,16 @@ pub fn run_system(
         0.0
     };
     m
+}
+
+/// Ends a single-engine run: flushes, stops the clock and reads the
+/// engine's latency, peak state and sharing counters into `m`.
+fn finish_engine_run(m: &mut Measurement, eng: &mut HamletEngine, t0: Instant) {
+    m.results += eng.flush().len() as u64;
+    m.wall = t0.elapsed();
+    m.latency_avg = eng.latency().avg();
+    m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
+    m.set_sharing(eng.stats());
 }
 
 /// Serializes measured figures as the machine-readable `BENCH.json`

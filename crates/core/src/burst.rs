@@ -213,9 +213,8 @@ impl GroupRuntime {
 /// Recycled `Event` attribute buffers for burst appends — the batch
 /// scratch arena. It serves the bursts that are still buffered as
 /// events: types with an edge predicate (and groups of more than 64
-/// members), plus the uniform-group events the reference path
-/// materializes ([`RunState`]); every other burst is a count or a cell column and
-/// never touches it. Flushed bursts hand their events' attribute vectors
+/// members); every other burst is a count or a cell column and never
+/// touches it. Flushed bursts hand their events' attribute vectors
 /// back here and subsequent appends reuse them, so steady-state burst
 /// buffering allocates nothing per event. Bounded so a burst storm cannot
 /// pin memory forever; never serialized (a restored engine starts empty
@@ -282,11 +281,9 @@ pub(crate) struct RunState {
     /// *uniform* groups (their events carry no information beyond their
     /// number, and the flush replays them in closed form), a column of
     /// [`Cell`]s for types without edge predicates, cloned events only
-    /// where pairwise scans need them. One exception keeps a benchmark
-    /// denominator what it was: `HamletEngine::process_reference` still
-    /// materializes a uniform group's events, which then sit in `burst`
-    /// beside the count and flush with it as one burst.
-    burst_extra: u64,
+    /// where pairwise scans need them. Exactly one of the three is in use
+    /// at a time.
+    burst_count: u64,
     cells: Vec<Cell>,
     burst: Vec<Event>,
     burst_pane: u64,
@@ -304,17 +301,16 @@ pub(crate) enum Chunk<'a> {
 }
 
 impl<'a> Chunk<'a> {
-    /// `range` of `seg` (all of `rt`'s local type `tl`) as a chunk in
-    /// representation `repr`; `cells` backs the column if there is one.
+    /// `range` of `seg` (all of `rt`'s local type `tl`) as a chunk in the
+    /// type's representation; `cells` backs the column if there is one.
     pub(crate) fn of(
-        repr: BurstRepr,
         rt: &GroupRuntime,
         tl: usize,
         seg: &'a [Event],
         range: &'a [(u32, u32)],
         cells: &'a mut Vec<Cell>,
     ) -> Chunk<'a> {
-        match repr {
+        match rt.burst_repr(tl) {
             BurstRepr::Count => Chunk::Count(range.len() as u64),
             BurstRepr::Cells => {
                 cells.clear();
@@ -356,7 +352,7 @@ impl RunState {
         RunState {
             run,
             burst_ty: None,
-            burst_extra: 0,
+            burst_count: 0,
             cells: Vec::new(),
             burst: Vec::new(),
             burst_pane: 0,
@@ -374,7 +370,7 @@ impl RunState {
 
     /// Appends `chunk` (events of local type `tl` in pane `pane`) to the
     /// pending burst, flushing it first if they open a new one (Def. 10)
-    /// — the one way in for the batched and the reference path alike.
+    /// — the one way into a run.
     pub(crate) fn append(
         &mut self,
         tl: usize,
@@ -389,7 +385,7 @@ impl RunState {
         self.burst_ty = Some(tl);
         self.burst_pane = pane;
         match chunk {
-            Chunk::Count(n) => self.burst_extra += n,
+            Chunk::Count(n) => self.burst_count += n,
             Chunk::Cells(cells) => self.cells.extend_from_slice(cells),
             Chunk::Events(seg, range) => self
                 .burst
@@ -405,7 +401,7 @@ impl RunState {
     pub(crate) fn flush(&mut self, env: &mut FlushEnv<'_>) {
         let Some(tl) = self.burst_ty else { return };
         let burst = match self.run.runtime().burst_repr(tl) {
-            BurstRepr::Count => Burst::Count(self.burst_extra + self.burst.len() as u64),
+            BurstRepr::Count => Burst::Count(self.burst_count),
             BurstRepr::Cells => Burst::Cells(&self.cells),
             BurstRepr::Events => Burst::Events(&self.burst),
         };
@@ -459,7 +455,7 @@ impl RunState {
             env.arena.recycle(ev);
         }
         self.cells.clear();
-        self.burst_extra = 0;
+        self.burst_count = 0;
         self.burst_ty = None;
     }
 
@@ -476,7 +472,7 @@ impl RunState {
                 let repr = self.run.runtime().burst_repr(tl);
                 e.u8(repr.tag());
                 match repr {
-                    BurstRepr::Count => e.u64(self.burst_extra + self.burst.len() as u64),
+                    BurstRepr::Count => e.u64(self.burst_count),
                     BurstRepr::Cells => {
                         e.usize(self.cells.len());
                         for c in &self.cells {
@@ -518,7 +514,7 @@ impl RunState {
                 )));
             }
             match repr {
-                BurstRepr::Count => rs.burst_extra = d.u64()?,
+                BurstRepr::Count => rs.burst_count = d.u64()?,
                 BurstRepr::Cells => {
                     for _ in 0..d.seq_len()? {
                         rs.cells.push(Cell::decode(d)?);
@@ -548,17 +544,17 @@ impl RunState {
         for _ in 0..d.seq_len()? {
             rs.burst.push(d.event()?);
         }
-        rs.burst_extra = d.u64()?;
+        rs.burst_count = d.u64()?;
         rs.burst_pane = d.u64()?;
         if let Some(tl) = rs.burst_ty {
             let repr = rt.burst_repr(tl);
-            if rs.burst_extra != 0 && repr != BurstRepr::Count {
+            if rs.burst_count != 0 && repr != BurstRepr::Count {
                 return Err(CheckpointError::Corrupt(format!(
                     "count-only burst tail on type {tl}, which buffers {repr:?}"
                 )));
             }
             match repr {
-                BurstRepr::Count => rs.burst_extra += rs.burst.drain(..).count() as u64,
+                BurstRepr::Count => rs.burst_count += rs.burst.drain(..).count() as u64,
                 BurstRepr::Cells => rs.cells.extend(rs.burst.drain(..).map(|e| rt.cell(tl, &e))),
                 BurstRepr::Events => {}
             }

@@ -6,26 +6,36 @@
 //! contain each event (`WITHIN`/`SLIDE`), buffers consecutive same-type
 //! events into bursts bounded by pane boundaries (Def. 10), asks the
 //! optimizer for a sharing decision per burst (§4.2), and feeds the burst
-//! to the window's [`Run`]. When the watermark (event time) passes a
-//! window's end, the run is finalized and one result per member query and
-//! group-by key is emitted.
+//! to the window's [`Run`](crate::run::Run). When the watermark (event
+//! time) passes a window's end, the run is finalized and one result per
+//! member query and group-by key is emitted.
+//!
+//! This module holds the engine itself — configuration, result and
+//! statistics types, [`HamletEngine`] with the workload compiler and the
+//! accessors. What the engine *does* lives beside it, one file per path:
+//! [`crate::batch`] (an event's way in), [`crate::expiry`] (a window's
+//! way out), [`crate::churn`] (the workload changing underneath) and
+//! [`crate::record`] (the state as bytes).
 
-use crate::burst::{BurstRepr, Cell, Chunk, EventArena, FlushEnv, RunState};
+use crate::batch::BatchScratch;
+use crate::burst::EventArena;
+use crate::expiry::ExpiryEntry;
 use crate::general::{self, CombineKind};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
-use crate::optimizer::{decide, DivergenceEstimator, SharingPolicy};
+use crate::optimizer::{DivergenceEstimator, SharingPolicy};
 use crate::record::{DirtyLog, PendingSlot, Runs};
-use crate::run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
+use crate::run::{BurstCtx, GroupRuntime, MemberOutput, RunStats};
 use crate::workload::{self, WorkloadError};
-use hamlet_obs::{GroupMetrics, SpanRecorder, Stage};
+use hamlet_obs::{GroupMetrics, SpanRecorder, SpanStart, Stage};
 use hamlet_query::{AggFunc, Query, QueryId, Window};
-use hamlet_types::time::window_end;
 use hamlet_types::{AttrValue, Event, GroupKey, Ts, TypeRegistry};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+pub use crate::churn::{ChurnError, ChurnOp, ChurnReport, GroupPlacement};
 
 /// How the optimizer obtains per-burst divergence counts (`sc`, §4.1).
 #[derive(Copy, Clone, Debug, PartialEq)]
@@ -260,29 +270,12 @@ pub(crate) struct GroupExec {
 }
 
 impl GroupExec {
-    /// Name-resolving reference form of the key computation; the batched
-    /// path uses the slot-resolved [`partition_key_into`] instead.
-    ///
-    /// [`partition_key_into`]: Self::partition_key_into
-    fn partition_key(&self, reg: &TypeRegistry, e: &Event) -> GroupKey {
-        GroupKey(
-            self.partition_attrs
-                .iter()
-                .map(|name| {
-                    reg.attr_index(e.ty, name)
-                        .and_then(|i| e.attr(i).cloned())
-                        .unwrap_or(AttrValue::Int(0))
-                })
-                .collect(),
-        )
-    }
-
     /// Writes `e`'s partition key into `key` (cleared first) through the
-    /// pre-resolved slots — equal to [`partition_key`](Self::partition_key)
-    /// on every event, with no name lookups and no allocation beyond what
-    /// `key` already owns.
+    /// pre-resolved slots: no name lookups, and no allocation beyond what
+    /// `key` already owns. Every classifier — the batch scan, the shard
+    /// filter, the router's `shard_mask` — builds its keys here.
     #[inline]
-    fn partition_key_into(&self, e: &Event, key: &mut GroupKey) {
+    pub(crate) fn partition_key_into(&self, e: &Event, key: &mut GroupKey) {
         key.0.clear();
         for slot in &self.partition_slots[e.ty.idx()] {
             key.0.push(match slot.and_then(|i| e.attr(i)) {
@@ -293,259 +286,64 @@ impl GroupExec {
     }
 }
 
-/// One live run in the watermark expiration index.
-///
-/// The engine keeps a min-heap of these ordered by `(end, start, group,
-/// key)`: `emit_expired(wm)` pops exactly the runs whose window end has
-/// passed `wm` — O(k log n) for k expirations — instead of scanning every
-/// live partition of every group per event. An entry is pushed once per
-/// run creation; if the run is gone by the time its entry surfaces (lazy
-/// invalidation) the pop is a tombstone and is skipped.
-struct ExpiryEntry {
-    /// Window end (`start + within`, saturating — see [`window_end`]).
-    end: u64,
-    /// Window instance start.
-    start: u64,
-    /// Owning share group index.
-    group: usize,
-    /// Partition key within the group.
-    key: GroupKey,
-}
-
-impl PartialEq for ExpiryEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for ExpiryEntry {}
-
-impl PartialOrd for ExpiryEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ExpiryEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.end, self.start, self.group)
-            .cmp(&(other.end, other.start, other.group))
-            .then_with(|| self.key.total_cmp(&other.key))
-    }
-}
-
-/// One key-grouped bucket of a batch segment: the events (by index into
-/// the segment, with their local type) that one `(group, key)` partition
-/// receives, in stream order.
-struct Bucket {
-    group: u32,
-    key: GroupKey,
-    /// `(segment index, local type)` per event.
-    events: Vec<(u32, u32)>,
-}
-
-/// Reusable buffers of [`HamletEngine::process_batch`], kept on the
-/// engine so steady-state batch processing performs no per-event
-/// allocation. Pure scratch: cleared between segments, never serialized,
-/// and holds no semantic state.
-struct BatchScratch {
-    /// Per key class (see [`HamletEngine::route`]): the key built for the
-    /// current event, whether it has been built yet, and whether it
-    /// passes the shard filter. Groups with identical partition-slot
-    /// tables share one key computation (and one shard hash) per event
-    /// instead of one per group.
-    class_keys: Vec<GroupKey>,
-    class_built: Vec<bool>,
-    class_shard_ok: Vec<bool>,
-    /// Per window class: whether this event already folded its earliest
-    /// window end into the segment boundary.
-    wnd_done: Vec<bool>,
-    /// Per key class: map from partition key to *slot* — a row of
-    /// per-group bucket indices in `slots` (stride = number of groups).
-    /// One hash probe resolves the buckets of every group in the class.
-    slot_of: Vec<HashMap<GroupKey, u32>>,
-    /// Flat `slot × group → bucket index` table (`u32::MAX` = none yet).
-    slots: Vec<u32>,
-    /// Per key class: the previous event's key and its slot — bursty
-    /// streams mostly repeat the key, skipping even the one hash probe.
-    prev_keys: Vec<GroupKey>,
-    prev_slot: Vec<u32>,
-    /// Buckets of the current segment, in first-appearance order — a
-    /// deterministic processing order, unlike hash iteration.
-    buckets: Vec<Bucket>,
-    /// Spare bucket-event vectors recycled between segments.
-    spare: Vec<Vec<(u32, u32)>>,
-    /// Window starts of the most recently looked-up event time.
-    starts: Vec<Ts>,
-    /// Per segment event: the watermark the fold would have seen at that
-    /// event — the late-guard boundary (grouping reorders processing, so
-    /// the guard must use each event's own fold-order watermark).
-    wms: Vec<u64>,
-    /// Cells of the range being appended: computed once per (event,
-    /// group), copied into each window instance's burst.
-    cells: Vec<Cell>,
-}
-
-impl BatchScratch {
-    fn new(num_classes: usize, num_wnd_classes: usize) -> BatchScratch {
-        BatchScratch {
-            class_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
-            class_built: vec![false; num_classes],
-            class_shard_ok: vec![false; num_classes],
-            wnd_done: vec![false; num_wnd_classes],
-            slot_of: (0..num_classes).map(|_| HashMap::new()).collect(),
-            slots: Vec::new(),
-            prev_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
-            prev_slot: vec![u32::MAX; num_classes],
-            buckets: Vec::new(),
-            spare: Vec::new(),
-            starts: Vec::new(),
-            wms: Vec::new(),
-            cells: Vec::new(),
-        }
-    }
-}
-
 /// Identifies a decomposed general query's halves.
 pub(crate) struct Combiner {
     pub(crate) orig: QueryId,
-    kind: CombineKind,
-    same_pattern: bool,
+    pub(crate) kind: CombineKind,
+    pub(crate) same_pattern: bool,
     pub(crate) left: QueryId,
     pub(crate) right: QueryId,
 }
 
 /// Everything [`HamletEngine::compile`] derives from a query list: the
 /// share groups with their runtimes, the general-query combiners, and
-/// the batched path's routing/class tables. Built identically by
+/// the classifier's routing/class tables. Built identically by
 /// [`HamletEngine::new`] and by runtime query churn, so a churned engine
 /// and a fresh engine over the same final query set agree on every
 /// compiled structure (and therefore on the workload fingerprint).
-struct CompiledWorkload {
-    groups: Vec<GroupExec>,
-    combiners: Vec<Combiner>,
-    sub_of: HashMap<QueryId, usize>,
-    route: Vec<Vec<(u32, u32, u32, u32)>>,
-    num_classes: usize,
-    num_wnd_classes: usize,
-}
-
-/// One workload-churn operation: register or retire a query on a live
-/// engine (see [`HamletEngine::add_query`] /
-/// [`HamletEngine::remove_query`]).
-#[derive(Clone, Debug)]
-pub enum ChurnOp {
-    /// Register a new query. Its id must be unused.
-    Add(Query),
-    /// Retire the query with this id.
-    Remove(QueryId),
-}
-
-/// Errors from runtime query churn. The engine is never left
-/// half-churned: on any error the previous workload keeps running
-/// untouched.
-#[derive(Debug)]
-pub enum ChurnError {
-    /// `remove_query` named an id that is not registered (including a
-    /// double remove).
-    Unknown(QueryId),
-    /// `add_query` re-used an id that is still registered.
-    Duplicate(QueryId),
-    /// The post-churn workload failed to compile (same errors as
-    /// [`HamletEngine::new`]).
-    Engine(EngineError),
-}
-
-impl fmt::Display for ChurnError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChurnError::Unknown(q) => write!(f, "no query with id {q:?} is registered"),
-            ChurnError::Duplicate(q) => write!(f, "query id {q:?} is already registered"),
-            ChurnError::Engine(e) => write!(f, "post-churn workload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ChurnError {}
-
-/// Post-churn placement of one share group, with the Def. 12 benefit
-/// model re-run against the group's current stream statistics (§4.1) —
-/// the *a-priori* shared-vs-solo call for the new workload. Runtime
-/// per-burst decisions still re-price continuously; this records what
-/// the optimizer thinks at the churn barrier.
-#[derive(Clone, Debug)]
-pub struct GroupPlacement {
-    /// Member (original) query ids.
-    pub members: Vec<QueryId>,
-    /// Whether the group carried live state over from before the churn
-    /// (an untouched group) or started fresh (touched/rebuilt).
-    pub carried_over: bool,
-    /// Def. 12 benefit estimate for sharing this group's sharable burst
-    /// processing (`NonShared − Shared`; positive favors sharing).
-    /// Singleton groups have nothing to share and report 0.
-    pub benefit: f64,
-    /// The placement decision implied by `benefit` and the group size:
-    /// `true` = execute shared (HAMLET graphlets), `false` = solo
-    /// (GRETA-style per-query processing).
-    pub shared: bool,
-}
-
-/// What a successful [`HamletEngine::add_query`] /
-/// [`HamletEngine::remove_query`] hands back.
-#[derive(Debug)]
-pub struct ChurnReport {
-    /// Results of in-flight windows that belonged to *touched* share
-    /// groups, drained at the churn barrier in the canonical
-    /// `(window_start, group, key)` order. Untouched groups keep their
-    /// in-flight state and are not represented here.
-    pub drained: Vec<WindowResult>,
-    /// Share groups whose member set was unchanged: their live runs,
-    /// partitions, and learned divergence statistics carried over.
-    pub groups_carried: usize,
-    /// Share groups that were created or restructured by the churn and
-    /// start empty (their prior in-flight windows are in `drained`).
-    pub groups_rebuilt: usize,
-    /// Per-group placement after re-running the benefit model.
-    pub placements: Vec<GroupPlacement>,
-    /// The engine's workload epoch after the churn (monotone; stamped
-    /// into every subsequent checkpoint).
-    pub epoch: u64,
+pub(crate) struct CompiledWorkload {
+    pub(crate) groups: Vec<GroupExec>,
+    pub(crate) combiners: Vec<Combiner>,
+    pub(crate) sub_of: HashMap<QueryId, usize>,
+    pub(crate) route: Vec<Vec<(u32, u32, u32, u32)>>,
+    pub(crate) key_reps: Vec<Vec<u32>>,
+    pub(crate) num_classes: usize,
+    pub(crate) num_wnd_classes: usize,
 }
 
 /// The multi-query trend aggregation engine (§2.2).
 pub struct HamletEngine {
-    reg: Arc<TypeRegistry>,
+    pub(crate) reg: Arc<TypeRegistry>,
     pub(crate) cfg: EngineConfig,
     pub(crate) groups: Vec<GroupExec>,
     pub(crate) combiners: Vec<Combiner>,
     /// sub-query id → combiner index.
-    sub_of: HashMap<QueryId, usize>,
+    pub(crate) sub_of: HashMap<QueryId, usize>,
     /// (combiner, key, window) → the half that arrived first.
     pub(crate) pending: HashMap<PendingSlot, (QueryId, u64)>,
     /// Watermark expiration index: min-heap over the window ends of every
     /// live run, across all groups (see [`ExpiryEntry`]).
-    expiry: BinaryHeap<Reverse<ExpiryEntry>>,
-    /// Test-only oracle switch: route expiry through the old full
-    /// partition scan instead of the index (kept as the reference the
-    /// property tests compare the heap path against).
-    #[cfg(test)]
-    scan_expiry: bool,
+    pub(crate) expiry: BinaryHeap<Reverse<ExpiryEntry>>,
     pub(crate) stats: EngineStats,
     pub(crate) latency: LatencyRecorder,
     pub(crate) gauge: MemoryGauge,
     /// Reusable batch-path buffers (see [`BatchScratch`]).
-    scratch: BatchScratch,
+    pub(crate) scratch: BatchScratch,
     /// `route[type]` — the `(group, local type, key class, window class)`
     /// rows of every group the type is local to, so the batched scan only
     /// touches matching groups. Key classes number groups with identical
     /// partition-slot tables (one class = one key build per event);
     /// window classes additionally fold in the window, deduplicating the
     /// segment-boundary computation.
-    route: Vec<Vec<(u32, u32, u32, u32)>>,
+    pub(crate) route: Vec<Vec<(u32, u32, u32, u32)>>,
+    /// `key_reps[type]` — one representative group per key class among
+    /// `route[type]`'s rows: the keys (and shard hashes) an event of the
+    /// type carries, each built once ([`Self::shard_mask`]).
+    pub(crate) key_reps: Vec<Vec<u32>>,
     /// Recycled burst-event attribute buffers (see [`EventArena`]).
     pub(crate) arena: EventArena,
     /// Reused optimizer inputs of the per-burst decision — scratch only.
-    burst_ctx: BurstCtx,
+    pub(crate) burst_ctx: BurstCtx,
     pub(crate) event_counter: u64,
     /// Monotone event-time watermark: the maximum event timestamp seen.
     /// Expiry only ever advances with it, so a window instance that was
@@ -562,7 +360,7 @@ pub struct HamletEngine {
     span: Option<(Arc<SpanRecorder>, u32)>,
     /// The original (pre-decomposition) query set, kept so runtime churn
     /// can recompile the workload from scratch.
-    queries: Vec<Query>,
+    pub(crate) queries: Vec<Query>,
     /// Workload epoch: 0 at construction, +1 per successful churn.
     /// Stamped into checkpoints so restore can reject state taken under
     /// a different query set generation.
@@ -587,13 +385,12 @@ impl HamletEngine {
             sub_of: compiled.sub_of,
             pending: HashMap::new(),
             expiry: BinaryHeap::new(),
-            #[cfg(test)]
-            scan_expiry: false,
             stats: EngineStats::default(),
             latency: LatencyRecorder::new(),
             gauge: MemoryGauge::new(),
             scratch: BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes),
             route: compiled.route,
+            key_reps: compiled.key_reps,
             arena: EventArena::new(),
             burst_ctx: BurstCtx::default(),
             obs: Vec::new(),
@@ -634,7 +431,7 @@ impl HamletEngine {
     /// general patterns, clusters by sharability, builds the per-group
     /// runtimes and the batched path's routing tables. Deterministic in
     /// the query list, so churn and `new` agree structure-for-structure.
-    fn compile(
+    pub(crate) fn compile(
         reg: &Arc<TypeRegistry>,
         queries: &[Query],
         cfg: &EngineConfig,
@@ -675,7 +472,7 @@ impl HamletEngine {
             }
         }
         let plan = workload::analyze(&simple).map_err(EngineError::Workload)?;
-        let groups = plan
+        let groups: Vec<GroupExec> = plan
             .groups
             .iter()
             .map(|g| {
@@ -705,41 +502,18 @@ impl HamletEngine {
                 }
             })
             .collect();
-        let groups: Vec<GroupExec> = groups;
-        // Key classes: one per distinct partition-slot table.
-        let mut class_reps: Vec<usize> = Vec::new();
-        let class_of: Vec<u32> = groups
-            .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                match class_reps
-                    .iter()
-                    .position(|&r| groups[r].partition_slots == g.partition_slots)
-                {
-                    Some(i) => i as u32,
-                    None => {
-                        class_reps.push(gi);
-                        (class_reps.len() - 1) as u32
-                    }
-                }
-            })
-            .collect();
-        // Window classes: one per distinct (window, key class) pair — the
+        // Key classes: one per distinct partition-slot table. Window
+        // classes: one per distinct (window, key class) pair — the
         // segment-boundary fold is identical within a class, so the scan
         // computes it once per event.
-        let mut wnd_reps: Vec<(u64, u64, u32)> = Vec::new();
-        let wnd_of: Vec<u32> = groups
+        let mut class_tables = Vec::new();
+        let mut wnd_sigs = Vec::new();
+        let classes: Vec<(u32, u32)> = groups
             .iter()
-            .enumerate()
-            .map(|(gi, g)| {
-                let sig = (g.window.within, g.window.slide, class_of[gi]);
-                match wnd_reps.iter().position(|&r| r == sig) {
-                    Some(i) => i as u32,
-                    None => {
-                        wnd_reps.push(sig);
-                        (wnd_reps.len() - 1) as u32
-                    }
-                }
+            .map(|g| {
+                let class = intern(&mut class_tables, &g.partition_slots);
+                let sig = (g.window.within, g.window.slide, class);
+                (class, intern(&mut wnd_sigs, sig))
             })
             .collect();
         let route: Vec<Vec<(u32, u32, u32, u32)>> = (0..reg.len())
@@ -747,22 +521,37 @@ impl HamletEngine {
                 let id = hamlet_types::EventTypeId(t as u16);
                 groups
                     .iter()
+                    .zip(&classes)
                     .enumerate()
-                    .filter_map(|(gi, g)| {
+                    .filter_map(|(gi, (g, &(class, wnd)))| {
                         g.rt.template
                             .local(id)
-                            .map(|tl| (gi as u32, tl as u32, class_of[gi], wnd_of[gi]))
+                            .map(|tl| (gi as u32, tl as u32, class, wnd))
                     })
                     .collect()
             })
             .collect();
-        let num_classes = class_reps.len().max(1);
-        let num_wnd_classes = wnd_reps.len().max(1);
+        let key_reps = route
+            .iter()
+            .map(|rows| {
+                let (mut seen, mut reps) = (Vec::new(), Vec::new());
+                for &(gi, _, class, _) in rows {
+                    if !seen.contains(&class) {
+                        seen.push(class);
+                        reps.push(gi);
+                    }
+                }
+                reps
+            })
+            .collect();
+        let num_classes = class_tables.len().max(1);
+        let num_wnd_classes = wnd_sigs.len().max(1);
         Ok(CompiledWorkload {
             groups,
             combiners,
             sub_of,
             route,
+            key_reps,
             num_classes,
             num_wnd_classes,
         })
@@ -773,829 +562,11 @@ impl HamletEngine {
         self.groups.len()
     }
 
-    /// Bitmask of the shards (under `total`-way sharding, `total` ≤ 64)
-    /// that must see `e`: for each share group the event is local to, the
-    /// bit of the shard owning its partition key is set. An event can
-    /// carry different keys in different groups, so more than one bit may
-    /// be set; an event no group accepts routes nowhere (empty mask).
-    ///
-    /// Uses the same hash as the `EngineConfig::shard` filter, so a
-    /// sharded engine fed only the events whose mask covers its index
-    /// computes exactly what it would from the full stream.
-    pub fn shard_mask(&self, e: &Event, total: u32) -> u64 {
-        assert!(
-            (1..=64).contains(&total),
-            "shard_mask needs 1..=64 shards, got {total}"
-        );
-        let full: u64 = if total == 64 {
-            u64::MAX
-        } else {
-            (1u64 << total) - 1
-        };
-        let mut mask = 0u64;
-        for g in &self.groups {
-            if g.rt.template.local(e.ty).is_none() {
-                continue;
-            }
-            let key = g.partition_key(&self.reg, e);
-            mask |= 1u64 << shard_index(&key, total);
-            if mask == full {
-                break;
-            }
-        }
-        mask
-    }
-
-    /// Processes one event; returns results of windows closed by the
-    /// watermark advance.
-    ///
-    /// # Incremental feeding contract
-    ///
-    /// `process` may be called any number of times with any interleaving
-    /// of event times; state is carried across calls, so feeding a stream
-    /// event-by-event (online) produces exactly the same results as any
-    /// batched feeding of the same sequence. The watermark is the maximum
-    /// event time seen and only ever advances: an in-order stream closes
-    /// each window exactly once, and an *out-of-order* event whose window
-    /// instance already closed is skipped for that instance (counted in
-    /// [`EngineStats::late_skips`]) rather than resurrecting it — the
-    /// engine never emits the same `(query, key, window)` twice. Ordering
-    /// within still-open windows is the caller's responsibility (the
-    /// `hamlet-pipeline` reorder stage restores it up to a configured
-    /// lateness bound).
-    pub fn process(&mut self, e: &Event) -> Vec<WindowResult> {
-        self.process_batch(std::slice::from_ref(e))
-    }
-
-    /// Processes a batch of events; returns the results of all windows
-    /// the batch's watermark advances close, in the same order the
-    /// per-event fold would emit them.
-    ///
-    /// Output and state evolution are **equal to folding
-    /// [`process`](Self::process) over the batch** — batching is purely an
-    /// execution strategy (this is asserted by the equivalence suite).
-    /// The batch is cut into *expiry-quiet segments*: maximal stretches
-    /// during which the running watermark stays below every pending
-    /// window end, so no window can close mid-segment and the fold's
-    /// per-event expiry drains are all no-ops. Within a segment events
-    /// are grouped by `(share group, partition key)` and appended
-    /// bucket-at-a-time, so each partition probe and run touch happens
-    /// once per (segment, key) instead of once per event, with burst
-    /// storage drawn from a reusable arena instead of per-event clones.
-    /// The two observable deviations from the fold are timing-only: the
-    /// memory gauge samples at segment (not event) granularity, and
-    /// per-burst arrival stamps are taken once per segment.
-    ///
-    /// ```
-    /// use hamlet_core::{EngineConfig, HamletEngine};
-    /// use hamlet_query::parse_query;
-    /// use hamlet_types::{EventBuilder, TypeRegistry};
-    /// use std::sync::Arc;
-    ///
-    /// let mut reg = TypeRegistry::new();
-    /// let a = reg.register("A", &[]);
-    /// let b = reg.register("B", &[]);
-    /// let reg = Arc::new(reg);
-    /// let q = parse_query(&reg, 1, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
-    /// let mk =
-    ///     || HamletEngine::new(reg.clone(), vec![q.clone()], EngineConfig::default()).unwrap();
-    /// let batch: Vec<_> = (0..40)
-    ///     .map(|t| EventBuilder::new(&reg, if t % 4 == 0 { a } else { b }, t).build())
-    ///     .collect();
-    ///
-    /// let (mut batched, mut folded) = (mk(), mk());
-    /// let mut fast = batched.process_batch(&batch);
-    /// fast.extend(batched.flush());
-    /// let mut slow: Vec<_> = batch.iter().flat_map(|e| folded.process(e)).collect();
-    /// slow.extend(folded.flush());
-    /// assert_eq!(fast, slow); // batching never changes results
-    /// ```
-    pub fn process_batch(&mut self, events: &[Event]) -> Vec<WindowResult> {
-        let batch_span = self.span.clone();
-        let batch_t = batch_span.as_ref().map(|(rec, _)| rec.start());
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < events.len() {
-            // Segment head: advance the watermark and drain expiry
-            // exactly as the fold does before routing an event. Monotone
-            // watermark: an out-of-order event must not rewind expiry,
-            // only (possibly) fail its own closed windows' guard.
-            let head_wm = match self.watermark {
-                Some(w) if w >= events[i].time => w,
-                _ => events[i].time,
-            };
-            self.watermark = Some(head_wm);
-            // Span only the drains that will actually pop something —
-            // the per-segment no-op case stays a heap peek.
-            let drain_span = if self.span.is_some()
-                && self
-                    .expiry
-                    .peek()
-                    .is_some_and(|Reverse(e)| e.end <= head_wm.ticks())
-            {
-                self.span.clone()
-            } else {
-                None
-            };
-            let drain_t = drain_span.as_ref().map(|(rec, _)| rec.start());
-            let before = out.len();
-            self.emit_expired(head_wm, &mut out);
-            if let (Some((rec, lane)), Some(t)) = (drain_span, drain_t) {
-                rec.record(
-                    lane,
-                    Stage::ExpiryDrain,
-                    t,
-                    Some(head_wm.ticks()),
-                    (out.len() - before) as u64,
-                );
-            }
-            i = self.process_segment(events, i, head_wm);
-        }
-        if let (Some((rec, lane)), Some(t)) = (batch_span, batch_t) {
-            rec.record(
-                lane,
-                Stage::ProcessBatch,
-                t,
-                self.watermark.map(|w| w.ticks()),
-                events.len() as u64,
-            );
-        }
-        out
-    }
-
-    /// Consumes one expiry-quiet segment starting at `first` and returns
-    /// the index of the first unconsumed event (see
-    /// [`process_batch`](Self::process_batch) for the invariant).
-    fn process_segment(&mut self, events: &[Event], first: usize, head_wm: Ts) -> usize {
-        // hamlet-lint: allow(wallclock) -- latency stamp (only under track_latency); feeds the recorder, not results
-        let now = self.cfg.track_latency.then(Instant::now);
-        let shard = self.cfg.shard;
-        let BatchScratch {
-            class_keys,
-            class_built,
-            class_shard_ok,
-            wnd_done,
-            slot_of,
-            slots,
-            prev_keys,
-            prev_slot,
-            buckets,
-            spare,
-            starts,
-            wms,
-            cells,
-        } = &mut self.scratch;
-
-        // ---- Scan + bucket phase (fold order) --------------------------
-        // The segment extends while the running watermark stays strictly
-        // below every pending window end: the expiry heap's minimum plus
-        // the earliest end any admitted event could create a run with.
-        // Each event also records the watermark the fold would have seen
-        // at it (`wms`) — grouping reorders processing, so the late guard
-        // below must use each event's own fold-order watermark.
-        debug_assert!(buckets.is_empty());
-        wms.clear();
-        let stride = self.groups.len();
-        let mut min_end = match self.expiry.peek() {
-            Some(Reverse(e)) => e.end,
-            None => u64::MAX,
-        };
-        let mut wm = head_wm.ticks();
-        let mut n_routed = 0u64;
-        let mut j = first;
-        while j < events.len() {
-            let e = &events[j];
-            let new_wm = wm.max(e.time.ticks());
-            if j > first && new_wm >= min_end {
-                break; // a window would close here — next segment
-            }
-            wm = new_wm;
-            let mut routed = false;
-            let entries = self.route.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
-            if !entries.is_empty() {
-                for b in class_built.iter_mut() {
-                    *b = false;
-                }
-                for w in wnd_done.iter_mut() {
-                    *w = false;
-                }
-            }
-            for &(gi, tl, class, wnd) in entries {
-                let (gi, ci, wi) = (gi as usize, class as usize, wnd as usize);
-                let g = &self.groups[gi];
-                if !class_built[ci] {
-                    g.partition_key_into(e, &mut class_keys[ci]);
-                    class_built[ci] = true;
-                    let key = &class_keys[ci];
-                    class_shard_ok[ci] = match shard {
-                        Some((idx, total)) => shard_index(key, total) == idx,
-                        None => true,
-                    };
-                    // Resolve the key's slot: previous event's key first
-                    // (bursty streams repeat it), then one hash probe for
-                    // every group in the class.
-                    if class_shard_ok[ci] {
-                        let sl = if prev_slot[ci] != u32::MAX && prev_keys[ci] == *key {
-                            prev_slot[ci]
-                        } else {
-                            let sl = match slot_of[ci].get(key) {
-                                Some(&sl) => sl,
-                                None => {
-                                    let sl = (slots.len() / stride) as u32;
-                                    slot_of[ci].insert(key.clone(), sl);
-                                    slots.resize(slots.len() + stride, u32::MAX);
-                                    sl
-                                }
-                            };
-                            prev_keys[ci].clone_from(key);
-                            sl
-                        };
-                        prev_slot[ci] = sl;
-                    }
-                }
-                if !class_shard_ok[ci] {
-                    continue;
-                }
-                routed = true;
-                // Any run this event creates ends no earlier than its
-                // earliest containing instance (instances yield starts
-                // ascending, so the first has the smallest end) — folded
-                // into the segment boundary once per window class.
-                if !wnd_done[wi] {
-                    wnd_done[wi] = true;
-                    if let Some(s) = g.window.instances_containing(e.time).next() {
-                        min_end = min_end.min(window_end(s.ticks(), g.window.within));
-                    }
-                }
-                let cell = prev_slot[ci] as usize * stride + gi;
-                let mut bi = slots[cell];
-                if bi == u32::MAX {
-                    bi = buckets.len() as u32;
-                    slots[cell] = bi;
-                    buckets.push(Bucket {
-                        group: gi as u32,
-                        key: class_keys[ci].clone(),
-                        events: spare.pop().unwrap_or_default(),
-                    });
-                }
-                buckets[bi as usize].events.push(((j - first) as u32, tl));
-            }
-            if routed {
-                n_routed += 1;
-            }
-            wms.push(wm);
-            j += 1;
-        }
-        self.watermark = Some(Ts(wm));
-        let seg = &events[first..j];
-
-        // ---- Processing phase (first-appearance bucket order) ----------
-        for mut b in buckets.drain(..) {
-            let gi = b.group as usize;
-            if let Some(m) = self.obs.get_mut(gi) {
-                m.events_routed += b.events.len() as u64;
-            }
-            self.dirty.mark(gi, &b.key);
-            let g = &mut self.groups[gi];
-            let window = g.window;
-            let within = window.within;
-            let pane = g.pane;
-            // One partition probe per (segment, key); only a first-seen
-            // key pays the clone into the map.
-            if !g.partitions.contains_key(&b.key) {
-                g.partitions.insert(b.key.clone(), BTreeMap::new());
-            }
-            // hamlet-lint: allow(panic-hygiene) -- get_mut right after contains_key/insert of the same key; entry() would clone the key on every probe
-            let runs = g.partitions.get_mut(&b.key).expect("inserted above");
-            let mut env = FlushEnv {
-                cfg: &self.cfg,
-                estimator: &mut g.estimator,
-                stats: &mut self.stats,
-                arena: &mut self.arena,
-                ctx: &mut self.burst_ctx,
-            };
-            let mut late_skipped = false;
-            let mut last_time: Option<u64> = None;
-            // Watermark at the segment tail — if a window's end beats it,
-            // no event in the segment is late for that window.
-            let seg_wm = wms.last().copied().unwrap_or(0);
-            // Consecutive events that agree on type-local, pane, and
-            // window-instance set form a *range*: one run-map probe, one
-            // flush check, and one expiry push cover the whole range, so
-            // the per-event work shrinks to the burst append itself.
-            let nb = b.events.len();
-            let mut idx = 0;
-            while idx < nb {
-                let (si0, tl) = b.events[idx];
-                let e0 = &seg[si0 as usize];
-                let tl = tl as usize;
-                let t0 = e0.time.ticks();
-                let pane_idx = t0 / pane;
-                if last_time != Some(t0) {
-                    starts.clear();
-                    starts.extend(window.instances_containing(e0.time));
-                    last_time = Some(t0);
-                }
-                let mut end_idx = idx + 1;
-                while end_idx < nb {
-                    let (sj, tlj) = b.events[end_idx];
-                    if tlj as usize != tl {
-                        break;
-                    }
-                    let tj = seg[sj as usize].time.ticks();
-                    if tj != t0 {
-                        if tj / pane != pane_idx {
-                            break;
-                        }
-                        // Same pane but a different tick: join only if the
-                        // instance set is unchanged.
-                        let mut k = 0;
-                        let mut same = true;
-                        for s in window.instances_containing(Ts(tj)) {
-                            if k >= starts.len() || starts[k] != s {
-                                same = false;
-                                break;
-                            }
-                            k += 1;
-                        }
-                        if !same || k != starts.len() {
-                            break;
-                        }
-                    }
-                    end_idx += 1;
-                }
-                let range = &b.events[idx..end_idx];
-                let chunk = Chunk::of(g.rt.burst_repr(tl), &g.rt, tl, seg, range, cells);
-                for &start in starts.iter() {
-                    let end = window_end(start.ticks(), within);
-                    // The fold's late-event guard against each event's own
-                    // watermark (see `process_reference`). `wms` is
-                    // monotone over the segment, so the range splits into
-                    // an on-time prefix and a late suffix.
-                    let split = if end > seg_wm {
-                        range.len()
-                    } else {
-                        range.partition_point(|&(sj, _)| end > wms[sj as usize])
-                    };
-                    if split < range.len() {
-                        env.stats.late_skips += (range.len() - split) as u64;
-                        late_skipped = true;
-                    }
-                    if split == 0 {
-                        continue;
-                    }
-                    let rs = match runs.entry(start.ticks()) {
-                        std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
-                        std::collections::btree_map::Entry::Vacant(v) => {
-                            // New run: index its expiration once (see
-                            // `process_reference`).
-                            self.expiry.push(Reverse(ExpiryEntry {
-                                end,
-                                start: start.ticks(),
-                                group: gi,
-                                key: b.key.clone(),
-                            }));
-                            env.stats.expiry_pushes += 1;
-                            if let Some(m) = self.obs.get_mut(gi) {
-                                m.runs_created += 1;
-                            }
-                            v.insert(RunState::new(g.rt.clone()))
-                        }
-                    };
-                    // Uniform group: the burst is its length; otherwise a
-                    // memcpy of the range's cells (or, for edge-predicate
-                    // types, arena clones of its events) per instance.
-                    rs.append(tl, pane_idx, chunk.take(split), now, &mut env);
-                }
-                idx = end_idx;
-            }
-            // A first-seen key whose every window instance was late would
-            // leave an empty run map behind — drop it, it holds no state.
-            if late_skipped && runs.is_empty() {
-                g.partitions.remove(&b.key);
-            }
-            b.events.clear();
-            spare.push(b.events);
-        }
-        for m in slot_of.iter_mut() {
-            m.clear();
-        }
-        slots.clear();
-        for p in prev_slot.iter_mut() {
-            *p = u32::MAX;
-        }
-
-        self.stats.events_routed += n_routed;
-        let m = self.cfg.mem_sample_every;
-        let before = self.event_counter;
-        self.event_counter += seg.len() as u64;
-        // One gauge sample per crossed sampling interval, segment-batched.
-        let crossed = matches!(
-            (self.event_counter.checked_div(m), before.checked_div(m)),
-            (Some(a), Some(b)) if a > b
-        );
-        if crossed {
-            let bytes = self.live_state_bytes();
-            self.gauge.sample(bytes);
-        }
-        j
-    }
-
-    /// The pre-batching per-event implementation, kept verbatim as the
-    /// reference: the equivalence suite asserts
-    /// [`process_batch`](Self::process_batch) matches a fold of this, and
-    /// the `fig_batch` sweep measures the batched path's speedup against
-    /// it (the `perf_gate --min-batch-speedup` denominator). Shares all
-    /// engine state with the batched path, so the two may be interleaved
-    /// freely.
-    pub fn process_reference(&mut self, e: &Event) -> Vec<WindowResult> {
-        // hamlet-lint: allow(wallclock) -- latency stamp (only under track_latency); feeds the recorder, not results
-        let now = self.cfg.track_latency.then(Instant::now);
-        let mut out = Vec::new();
-        // Monotone watermark: an out-of-order event must not rewind
-        // expiry, only (possibly) fail its own closed windows' guard.
-        let wm = match self.watermark {
-            Some(w) if w >= e.time => w,
-            _ => {
-                self.watermark = Some(e.time);
-                e.time
-            }
-        };
-        self.emit_expired(wm, &mut out);
-
-        let mut routed = false;
-        let reg = self.reg.clone();
-        for gi in 0..self.groups.len() {
-            let Some(tl) = self.groups[gi].rt.template.local(e.ty) else {
-                continue;
-            };
-            let key = self.groups[gi].partition_key(&reg, e);
-            if let Some((idx, total)) = self.cfg.shard {
-                if shard_index(&key, total) != idx {
-                    continue;
-                }
-            }
-            routed = true;
-            if let Some(m) = self.obs.get_mut(gi) {
-                m.events_routed += 1;
-            }
-            self.dirty.mark(gi, &key);
-            let g = &mut self.groups[gi];
-            let (window, within) = (g.window, g.window.within);
-            let pane_idx = e.time.ticks() / g.pane;
-            let starts: Vec<Ts> = window.instances_containing(e.time).collect();
-            // A one-event range through the batched path's constructor —
-            // except that a uniform group's event is still materialized,
-            // as ever: `fig_batch` prices the batched path against this.
-            let repr = match g.rt.burst_repr(tl) {
-                BurstRepr::Count => BurstRepr::Events,
-                repr => repr,
-            };
-            let chunk = Chunk::of(
-                repr,
-                &g.rt,
-                tl,
-                std::slice::from_ref(e),
-                &[(0, 0)],
-                &mut self.scratch.cells,
-            );
-            let mut env = FlushEnv {
-                cfg: &self.cfg,
-                estimator: &mut g.estimator,
-                stats: &mut self.stats,
-                arena: &mut self.arena,
-                ctx: &mut self.burst_ctx,
-            };
-            // Zero-clone hit path: only a first-seen key pays the clone
-            // into the map (new-run heap pushes below clone either way).
-            if !g.partitions.contains_key(&key) {
-                g.partitions.insert(key.clone(), BTreeMap::new());
-            }
-            // hamlet-lint: allow(panic-hygiene) -- get_mut right after contains_key/insert of the same key; entry() would clone the key on every probe
-            let runs = g.partitions.get_mut(&key).expect("inserted above");
-            let mut late_skipped = false;
-            for start in starts {
-                // Late-event guard: this window instance was already
-                // emitted (its end is at or behind the watermark), so the
-                // contribution is dropped — re-creating the run would
-                // double-emit the window at the next flush. Never fires
-                // on in-order streams (a window containing `e` ends after
-                // `e.time` = watermark).
-                if window_end(start.ticks(), within) <= wm.ticks() {
-                    env.stats.late_skips += 1;
-                    late_skipped = true;
-                    continue;
-                }
-                let rs = match runs.entry(start.ticks()) {
-                    std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
-                    std::collections::btree_map::Entry::Vacant(v) => {
-                        // New run: index its expiration once. Re-touching
-                        // an existing (key, start) takes the occupied arm,
-                        // so the heap never holds duplicate live entries.
-                        self.expiry.push(Reverse(ExpiryEntry {
-                            end: window_end(start.ticks(), within),
-                            start: start.ticks(),
-                            group: gi,
-                            key: key.clone(),
-                        }));
-                        env.stats.expiry_pushes += 1;
-                        if let Some(m) = self.obs.get_mut(gi) {
-                            m.runs_created += 1;
-                        }
-                        v.insert(RunState::new(g.rt.clone()))
-                    }
-                };
-                rs.append(tl, pane_idx, chunk, now, &mut env);
-            }
-            // A first-seen key whose every window instance was late would
-            // leave an empty run map behind — drop it, it holds no state.
-            // Guarded by the late path so in-order streams (the hot case)
-            // never pay the extra map probe.
-            if late_skipped && g.partitions.get(&key).is_some_and(|r| r.is_empty()) {
-                g.partitions.remove(&key);
-            }
-        }
-        if routed {
-            self.stats.events_routed += 1;
-        }
-        self.event_counter += 1;
-        if self.cfg.mem_sample_every > 0
-            && self.event_counter.is_multiple_of(self.cfg.mem_sample_every)
-        {
-            let bytes = self.live_state_bytes();
-            self.gauge.sample(bytes);
-        }
-        out
-    }
-
-    /// Emits every window whose end has passed the watermark.
-    ///
-    /// Pops the expiration index instead of scanning live partitions:
-    /// O(k log n) for k expirations, O(1) when nothing expires — the
-    /// common per-event case. Emission follows the defined total order
-    /// `(window_start, group, key)`, so single-threaded output is
-    /// deterministic by construction (the same order
-    /// [`sort_results`] / [`crate::parallel::ParallelReport`] guarantee
-    /// within one window instance).
-    fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
-        #[cfg(test)]
-        if self.scan_expiry {
-            self.emit_expired_scan(watermark, out);
-            return;
-        }
-        let wm = watermark.ticks();
-        let mut finished: Vec<(usize, GroupKey, u64, RunState)> = Vec::new();
-        while self.expiry.peek().is_some_and(|Reverse(e)| e.end <= wm) {
-            let Some(Reverse(e)) = self.expiry.pop() else {
-                break;
-            };
-            let g = &mut self.groups[e.group];
-            // Lazy invalidation: skip entries whose run is already gone.
-            let Some(runs) = g.partitions.get_mut(&e.key) else {
-                self.stats.expiry_tombstones += 1;
-                continue;
-            };
-            let Some(rs) = runs.remove(&e.start) else {
-                self.stats.expiry_tombstones += 1;
-                continue;
-            };
-            if runs.is_empty() {
-                g.partitions.remove(&e.key);
-            }
-            self.dirty.mark(e.group, &e.key);
-            finished.push((e.group, e.key, e.start, rs));
-        }
-        self.finalize_finished(finished, out);
-    }
-
-    /// Reference implementation of expiry selection: the pre-index full
-    /// scan over every live partition of every group (O(P) per call).
-    /// Kept only as the oracle the property tests compare the indexed
-    /// path against — emission goes through the same
-    /// [`finalize_finished`](Self::finalize_finished), so any divergence
-    /// is in *which* runs expire, the property under test.
-    #[cfg(test)]
-    fn emit_expired_scan(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
-        let mut finished: Vec<(usize, GroupKey, u64, RunState)> = Vec::new();
-        for gi in 0..self.groups.len() {
-            let within = self.groups[gi].window.within;
-            for (key, runs) in self.groups[gi].partitions.iter_mut() {
-                while let Some((&start, _)) = runs.first_key_value() {
-                    if window_end(start, within) <= watermark.ticks() {
-                        let rs = runs.remove(&start).expect("first key exists");
-                        self.dirty.mark(gi, key);
-                        finished.push((gi, key.clone(), start, rs));
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.groups[gi]
-                .partitions
-                .retain(|_, runs| !runs.is_empty());
-        }
-        self.finalize_finished(finished, out);
-    }
-
-    /// Finalizes a batch of expired runs and emits their results in the
-    /// defined total order `(window_start, group, key)`.
-    fn finalize_finished(
-        &mut self,
-        mut finished: Vec<(usize, GroupKey, u64, RunState)>,
-        out: &mut Vec<WindowResult>,
-    ) {
-        finished.sort_by(|a, b| {
-            (a.2, a.0)
-                .cmp(&(b.2, b.0))
-                .then_with(|| a.1.total_cmp(&b.1))
-        });
-        for (gi, key, start, mut rs) in finished {
-            rs.flush(&mut FlushEnv {
-                cfg: &self.cfg,
-                estimator: &mut self.groups[gi].estimator,
-                stats: &mut self.stats,
-                arena: &mut self.arena,
-                ctx: &mut self.burst_ctx,
-            });
-            let outputs = rs.run.finalize();
-            self.stats.runs.add(rs.run.stats());
-            if let Some(m) = self.obs.get_mut(gi) {
-                let s = rs.run.stats();
-                m.runs_expired += 1;
-                m.shared_bursts += s.shared_bursts;
-                m.solo_bursts += s.solo_bursts;
-                m.graphlet_snapshots += s.graphlet_snapshots;
-                m.event_snapshots += s.event_snapshots;
-            }
-            if let Some(arr) = rs.last_arrival {
-                self.latency.record(arr.elapsed());
-            }
-            self.emit_run(gi, &key, start, &outputs, out);
-        }
-    }
-
-    /// Test-only: route expiry through the full-scan oracle instead of
-    /// the index (see [`emit_expired_scan`](Self::emit_expired_scan)).
-    #[cfg(test)]
-    fn set_scan_expiry(&mut self, on: bool) {
-        self.scan_expiry = on;
-    }
-
-    fn emit_run(
-        &mut self,
-        gi: usize,
-        key: &GroupKey,
-        start: u64,
-        outputs: &[MemberOutput],
-        out: &mut Vec<WindowResult>,
-    ) {
-        let rt = self.groups[gi].rt.clone();
-        for (qi, o) in outputs.iter().enumerate() {
-            let q = &rt.queries[qi];
-            if let Some(&ci) = self.sub_of.get(&q.id) {
-                // Half of a decomposed OR/AND query: combine when both
-                // halves of the same (key, window) have arrived.
-                let slot = (ci, key.clone(), start);
-                self.dirty.mark_pending(&slot);
-                let count = o.raw.count.0;
-                match self.pending.remove(&slot) {
-                    None => {
-                        self.pending.insert(slot, (q.id, count));
-                    }
-                    Some((other_id, other_count)) => {
-                        let c = &self.combiners[ci];
-                        let (c1, c2) = if other_id == c.left {
-                            (other_count, count)
-                        } else {
-                            debug_assert_eq!(other_id, c.right);
-                            (count, other_count)
-                        };
-                        let combined = general::combine(
-                            c.kind,
-                            hamlet_types::TrendVal(c1),
-                            hamlet_types::TrendVal(c2),
-                            c.same_pattern,
-                        );
-                        out.push(WindowResult {
-                            query: c.orig,
-                            group_key: key.clone(),
-                            window_start: Ts(start),
-                            value: AggValue::Count(combined.0),
-                        });
-                        self.stats.windows_emitted += 1;
-                        // Attributed to the later-finalizing half's
-                        // group: both halves of a (key, window) expire
-                        // at the same watermark in canonical order, so
-                        // the attribution is deterministic and
-                        // shard-invariant.
-                        if let Some(m) = self.obs.get_mut(gi) {
-                            m.results_emitted += 1;
-                        }
-                    }
-                }
-                continue;
-            }
-            out.push(WindowResult {
-                query: q.id,
-                group_key: key.clone(),
-                window_start: Ts(start),
-                value: render(&q.agg, o),
-            });
-            self.stats.windows_emitted += 1;
-            if let Some(m) = self.obs.get_mut(gi) {
-                m.results_emitted += 1;
-            }
-        }
-    }
-
     /// Event-time watermark: the maximum event timestamp processed so
     /// far (`None` before the first event). Windows whose end is at or
     /// behind it have been emitted and will never be emitted again.
     pub fn watermark(&self) -> Option<Ts> {
         self.watermark
-    }
-
-    /// Finalizes all in-flight windows (end of stream).
-    ///
-    /// # Flush contract
-    ///
-    /// `flush` behaves exactly like observing a watermark beyond every
-    /// open window: every in-flight `(query, key, window)` emits once, in
-    /// the canonical `(window_start, group, key)` order, and the engine's
-    /// live state drains to empty. `process`+`flush` over a stream is
-    /// therefore the offline reference the online pipeline's
-    /// drain-on-shutdown is tested to be byte-identical against
-    /// (`tests/pipeline_equivalence.rs`).
-    ///
-    /// The watermark advances to the end of time with the flush, so the
-    /// no-double-emission guarantee survives it: events processed *after*
-    /// a flush find every window instance already closed and are dropped
-    /// as late ([`EngineStats::late_skips`]) instead of resurrecting and
-    /// re-emitting windows the flush already emitted.
-    pub fn flush(&mut self) -> Vec<WindowResult> {
-        let flush_span = self.span.clone();
-        let flush_t = flush_span.as_ref().map(|(rec, _)| rec.start());
-        let wm_before = self.watermark.map(|w| w.ticks());
-        // Capture the end-of-stream state before draining it: short
-        // streams (or small shards) may never hit a periodic sample, and
-        // peak_memory() would otherwise read 0.
-        if self.cfg.mem_sample_every > 0 {
-            let bytes = self.live_state_bytes();
-            self.gauge.sample(bytes);
-        }
-        let mut out = Vec::new();
-        self.watermark = Some(Ts(u64::MAX));
-        self.emit_expired(Ts(u64::MAX), &mut out);
-        // Any unmatched general-query half emits with the other half = 0
-        // (its branch matched nothing in that window). `pending` is a
-        // HashMap, so impose the canonical (window_start, query, key)
-        // order before emitting — end-of-stream output must not depend
-        // on hash iteration order.
-        for slot in self.pending.keys() {
-            self.dirty.mark_pending(slot);
-        }
-        let mut pending: Vec<_> = self.pending.drain().collect();
-        pending.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
-            (sa, self.combiners[*ca].orig)
-                .cmp(&(sb, self.combiners[*cb].orig))
-                .then_with(|| ka.total_cmp(kb))
-        });
-        for ((ci, key, start), (id, count)) in pending {
-            let c = &self.combiners[ci];
-            let (c1, c2) = if id == c.left { (count, 0) } else { (0, count) };
-            let combined = general::combine(
-                c.kind,
-                hamlet_types::TrendVal(c1),
-                hamlet_types::TrendVal(c2),
-                c.same_pattern,
-            );
-            out.push(WindowResult {
-                query: c.orig,
-                group_key: key,
-                window_start: Ts(start),
-                value: AggValue::Count(combined.0),
-            });
-            self.stats.windows_emitted += 1;
-            // Cold path: attribute the unmatched half to the group
-            // that held it (linear group scan, once per orphan half).
-            if let Some(gi) = self.group_of_sub(id) {
-                if let Some(m) = self.obs.get_mut(gi) {
-                    m.results_emitted += 1;
-                }
-            }
-        }
-        if let (Some((rec, lane)), Some(t)) = (flush_span, flush_t) {
-            rec.record(lane, Stage::Flush, t, wm_before, out.len() as u64);
-        }
-        out
-    }
-
-    /// The group index holding (sub-)query `id`, if any. Linear scan —
-    /// only used on cold paths (flush, churn orphan settlement).
-    fn group_of_sub(&self, id: QueryId) -> Option<usize> {
-        self.groups
-            .iter()
-            .position(|g| g.rt.queries.iter().any(|q| q.id == id))
     }
 
     /// Renders the compiled sharing plan: share groups, their members,
@@ -1672,6 +643,18 @@ impl HamletEngine {
         self.span = Some((rec, lane));
     }
 
+    /// Opens a span on the attached recorder (`None` = spans off).
+    pub(crate) fn span_start(&self) -> Option<SpanStart> {
+        self.span.as_ref().map(|(rec, _)| rec.start())
+    }
+
+    /// Closes a span opened by [`span_start`](Self::span_start).
+    pub(crate) fn span_end(&self, stage: Stage, t: Option<SpanStart>, wm: Option<u64>, n: u64) {
+        if let (Some((rec, lane)), Some(t)) = (&self.span, t) {
+            rec.record(*lane, stage, t, wm, n);
+        }
+    }
+
     /// Per-result latency recorder.
     pub fn latency(&self) -> &LatencyRecorder {
         &self.latency
@@ -1698,7 +681,7 @@ impl HamletEngine {
 
     /// Byte-accounted *serializable* state: live runs, burst buffers, and
     /// the watermark expiration index — everything a checkpoint carries.
-    fn live_state_bytes(&self) -> usize {
+    pub(crate) fn live_state_bytes(&self) -> usize {
         let mut b = 0;
         for g in &self.groups {
             // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
@@ -1721,26 +704,6 @@ impl HamletEngine {
         self.expiry.len()
     }
 
-    /// Rebuilds the watermark expiration index from the live runs:
-    /// exactly one entry per run, as `process()` maintains.
-    pub(crate) fn rebuild_expiry(&mut self) {
-        self.expiry.clear();
-        for (gi, g) in self.groups.iter().enumerate() {
-            let within = g.window.within;
-            // hamlet-lint: allow(unordered-iter) -- heap rebuild; expiry drains every due entry before finalize_finished sorts emissions canonically
-            for (key, runs) in &g.partitions {
-                for &start in runs.keys() {
-                    self.expiry.push(Reverse(ExpiryEntry {
-                        end: window_end(start, within),
-                        start,
-                        group: gi,
-                        key: key.clone(),
-                    }));
-                }
-            }
-        }
-    }
-
     /// The engine's workload epoch: 0 at construction, +1 per successful
     /// [`add_query`](Self::add_query) / [`remove_query`](Self::remove_query).
     /// Every checkpoint is stamped with it, and [`restore`](Self::restore)
@@ -1753,347 +716,16 @@ impl HamletEngine {
     pub fn queries(&self) -> &[Query] {
         &self.queries
     }
+}
 
-    /// Registers a query on the live engine (see the churn contract on
-    /// [`remove_query`](Self::remove_query)).
-    ///
-    /// Only the share groups the new query restructures are rebuilt;
-    /// every other group keeps its in-flight runs and learned statistics.
-    /// The Def. 12 benefit model is re-run for the post-churn workload
-    /// ([`ChurnReport::placements`]). Fails with
-    /// [`ChurnError::Duplicate`] if the id is already registered, or
-    /// [`ChurnError::Engine`] if the resulting workload does not compile;
-    /// on any error the engine is untouched.
-    ///
-    /// ```
-    /// use hamlet_core::{EngineConfig, HamletEngine};
-    /// use hamlet_query::{parse_query, QueryId};
-    /// use hamlet_types::{EventBuilder, TypeRegistry};
-    /// use std::sync::Arc;
-    ///
-    /// let mut reg = TypeRegistry::new();
-    /// let a = reg.register("A", &[]);
-    /// let b = reg.register("B", &[]);
-    /// let reg = Arc::new(reg);
-    /// let q1 = parse_query(&reg, 1, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
-    /// let q2 = parse_query(&reg, 2, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 20").unwrap();
-    /// let mut eng = HamletEngine::new(reg.clone(), vec![q1], EngineConfig::default()).unwrap();
-    ///
-    /// eng.process(&EventBuilder::new(&reg, a, 0).build());
-    /// let report = eng.add_query(q2).unwrap(); // churn barrier
-    /// assert_eq!(report.epoch, 1);
-    /// assert_eq!(eng.queries().len(), 2);
-    /// let report = eng.remove_query(QueryId(2)).unwrap();
-    /// assert_eq!(report.epoch, 2);
-    /// ```
-    pub fn add_query(&mut self, q: Query) -> Result<ChurnReport, ChurnError> {
-        if self.queries.iter().any(|p| p.id == q.id) {
-            return Err(ChurnError::Duplicate(q.id));
-        }
-        let mut wanted = self.queries.clone();
-        wanted.push(q);
-        self.apply_churn(wanted)
+/// The index of `x` among the distinct values seen so far, in order of
+/// first appearance (`x` is appended if it is new).
+fn intern<T: PartialEq>(seen: &mut Vec<T>, x: T) -> u32 {
+    let i = seen.iter().position(|s| *s == x).unwrap_or(seen.len());
+    if i == seen.len() {
+        seen.push(x);
     }
-
-    /// Retires a query from the live engine.
-    ///
-    /// # Churn contract
-    ///
-    /// Churn applies at a *watermark barrier*: the stream between two
-    /// `process` calls. Share groups whose member set is unchanged carry
-    /// all in-flight state over — their output is byte-identical to never
-    /// having churned. Groups the churn touches (created, dissolved, or
-    /// re-clustered) drain at the barrier: their in-flight windows emit
-    /// immediately with the data seen so far ([`ChurnReport::drained`],
-    /// canonical `(window_start, group, key)` order), and — for queries
-    /// that remain registered — the window re-opens for post-barrier
-    /// events, so nothing is silently dropped. A removed query's windows
-    /// thus appear exactly once (the drain); a surviving re-grouped
-    /// query's mid-flight windows appear as a drained prefix plus a
-    /// regular suffix emission.
-    ///
-    /// Fails with [`ChurnError::Unknown`] on an unregistered id (double
-    /// removes included); the engine is untouched on error.
-    pub fn remove_query(&mut self, id: QueryId) -> Result<ChurnReport, ChurnError> {
-        if !self.queries.iter().any(|p| p.id == id) {
-            return Err(ChurnError::Unknown(id));
-        }
-        let wanted: Vec<Query> = self
-            .queries
-            .iter()
-            .filter(|p| p.id != id)
-            .cloned()
-            .collect();
-        self.apply_churn(wanted)
-    }
-
-    /// Per-group member signature used to match groups across a churn:
-    /// `(original query id, half tag)` per member, in member order. Half
-    /// ids of decomposed general queries are renumbered whenever the
-    /// query set changes (`compile` numbers them from `max(id)+1`), so
-    /// identity must go through the original id plus which half it is
-    /// (0 = the query itself, 1 = left half, 2 = right half).
-    fn group_sigs(
-        groups: &[GroupExec],
-        sub_of: &HashMap<QueryId, usize>,
-        combiners: &[Combiner],
-    ) -> Vec<Vec<(u32, u8)>> {
-        groups
-            .iter()
-            .map(|g| {
-                g.rt.queries
-                    .iter()
-                    .map(|q| match sub_of.get(&q.id) {
-                        None => (q.id.0, 0u8),
-                        Some(&ci) => {
-                            let c = &combiners[ci];
-                            if q.id == c.left {
-                                (c.orig.0, 1)
-                            } else {
-                                (c.orig.0, 2)
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Rebuilds the engine around `final_queries`, carrying over every
-    /// share group whose membership is unchanged and draining the rest.
-    /// Strong exception safety: the workload is compiled before any
-    /// engine state is touched.
-    fn apply_churn(&mut self, final_queries: Vec<Query>) -> Result<ChurnReport, ChurnError> {
-        let mut compiled =
-            Self::compile(&self.reg, &final_queries, &self.cfg).map_err(ChurnError::Engine)?;
-
-        // Match old groups to new ones by member signature. Each
-        // (query, half) lives in exactly one group on each side, so the
-        // match is a partial bijection; member *order* must also agree
-        // because run state is indexed by member position.
-        let old_sigs = Self::group_sigs(&self.groups, &self.sub_of, &self.combiners);
-        let new_sigs = Self::group_sigs(&compiled.groups, &compiled.sub_of, &compiled.combiners);
-        let mut old_of_new: Vec<Option<usize>> = vec![None; compiled.groups.len()];
-        let mut carried_old: Vec<bool> = vec![false; self.groups.len()];
-        for (oi, os) in old_sigs.iter().enumerate() {
-            if let Some(ni) = new_sigs.iter().position(|ns| ns == os) {
-                old_of_new[ni] = Some(oi);
-                carried_old[oi] = true;
-            }
-        }
-
-        // Drain the in-flight windows of every group that does not carry
-        // over, through the normal finalization path (the old groups,
-        // estimators, and combiners are still installed, so general-query
-        // halves pair correctly).
-        let mut finished: Vec<(usize, GroupKey, u64, RunState)> = Vec::new();
-        for (oi, carried) in carried_old.iter().enumerate() {
-            if *carried {
-                continue;
-            }
-            // hamlet-lint: allow(unordered-iter) -- drained windows flow through finalize_finished, which sorts before emitting
-            for (key, runs) in std::mem::take(&mut self.groups[oi].partitions) {
-                for (start, rs) in runs {
-                    finished.push((oi, key.clone(), start, rs));
-                }
-            }
-        }
-        let mut drained = Vec::new();
-        self.finalize_finished(finished, &mut drained);
-
-        // Settle pending general-query halves. A pending entry's partner
-        // run can no longer exist (both halves of a window expire at the
-        // same watermark), so entries whose original query survives are
-        // re-keyed to the new combiner table, and entries of removed
-        // queries emit now with the missing half = 0, exactly as `flush`
-        // would have.
-        let new_ci_of_orig: HashMap<u32, usize> = compiled
-            .combiners
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.orig.0, i))
-            .collect();
-        let mut surviving_pending = HashMap::new();
-        let mut orphaned: Vec<(PendingSlot, (QueryId, u64))> = Vec::new();
-        // hamlet-lint: allow(unordered-iter) -- re-keys into a map; orphaned halves are sorted canonically before emitting below
-        for ((ci, key, start), (id, count)) in self.pending.drain() {
-            let oc = &self.combiners[ci];
-            match new_ci_of_orig.get(&oc.orig.0) {
-                Some(&nci) => {
-                    let nc = &compiled.combiners[nci];
-                    let nid = if id == oc.left { nc.left } else { nc.right };
-                    surviving_pending.insert((nci, key, start), (nid, count));
-                }
-                None => orphaned.push(((ci, key, start), (id, count))),
-            }
-        }
-        orphaned.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
-            (sa, self.combiners[*ca].orig)
-                .cmp(&(sb, self.combiners[*cb].orig))
-                .then_with(|| ka.total_cmp(kb))
-        });
-        for ((ci, key, start), (id, count)) in orphaned {
-            let c = &self.combiners[ci];
-            let (c1, c2) = if id == c.left { (count, 0) } else { (0, count) };
-            let combined = general::combine(
-                c.kind,
-                hamlet_types::TrendVal(c1),
-                hamlet_types::TrendVal(c2),
-                c.same_pattern,
-            );
-            drained.push(WindowResult {
-                query: c.orig,
-                group_key: key,
-                window_start: Ts(start),
-                value: AggValue::Count(combined.0),
-            });
-            self.stats.windows_emitted += 1;
-            // The old groups are still installed here; attribute the
-            // orphaned half to the (old) group that held it.
-            if let Some(gi) = self.group_of_sub(id) {
-                if let Some(m) = self.obs.get_mut(gi) {
-                    m.results_emitted += 1;
-                }
-            }
-        }
-
-        // Migrate carried groups: the group is recompiled (identical
-        // runtime — deterministic from the member set), the live runs and
-        // learned statistics move over, and each run re-points at the
-        // recompiled runtime.
-        let mut groups_carried = 0;
-        for (ni, oi) in old_of_new.iter().enumerate() {
-            let Some(oi) = *oi else { continue };
-            groups_carried += 1;
-            let ng = &mut compiled.groups[ni];
-            let og = &mut self.groups[oi];
-            ng.partitions = std::mem::take(&mut og.partitions);
-            std::mem::swap(&mut ng.estimator, &mut og.estimator);
-            let rt = ng.rt.clone();
-            // hamlet-lint: allow(unordered-iter) -- uniform retarget of every run; order-free
-            for runs in ng.partitions.values_mut() {
-                for rs in runs.values_mut() {
-                    rs.run.retarget(rt.clone());
-                }
-            }
-        }
-
-        // Commit: swap in the compiled workload, rebuild the expiration
-        // index (group indices changed), keep the stream-global state
-        // (watermark, counters, metrics) running.
-        let groups_rebuilt = compiled.groups.len() - groups_carried;
-        self.groups = compiled.groups;
-        self.combiners = compiled.combiners;
-        self.sub_of = compiled.sub_of;
-        self.route = compiled.route;
-        self.scratch = BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes);
-        self.pending = surviving_pending;
-        self.queries = final_queries;
-        self.epoch += 1;
-        // Group indices just changed meaning; the dirty log keyed by the
-        // old layout is useless. The next delta cut is promoted to a
-        // base, which re-snapshots everything under the new layout.
-        self.dirty.void();
-        self.rebuild_expiry();
-
-        let placements: Vec<GroupPlacement> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(ni, g)| self.placement_for(g, old_of_new[ni].is_some()))
-            .collect();
-
-        // Rebuild the observability registry for the new group layout:
-        // carried groups keep their counters (moved via the signature
-        // match), rebuilt groups start at zero (their history was
-        // drained above), and every group takes the placement the
-        // benefit model just re-priced.
-        if self.cfg.obs {
-            let old_obs = std::mem::take(&mut self.obs);
-            self.obs = new_sigs
-                .iter()
-                .enumerate()
-                .map(|(ni, sig)| {
-                    let mut m = match old_of_new[ni].and_then(|oi| old_obs.get(oi)) {
-                        Some(old) => old.clone(),
-                        None => GroupMetrics::default(),
-                    };
-                    m.group = ni as u32;
-                    m.sig = sig.clone();
-                    m.shared = placements[ni].shared;
-                    m.benefit = placements[ni].benefit;
-                    m
-                })
-                .collect();
-        }
-        Ok(ChurnReport {
-            drained,
-            groups_carried,
-            groups_rebuilt,
-            placements,
-            epoch: self.epoch,
-        })
-    }
-
-    /// Re-runs the Def. 12 benefit model for one group at the churn
-    /// barrier: for each type of the group's template, the a-priori
-    /// sharing decision for a nominal burst, with `sc` predicted from the
-    /// group's divergence statistics (learned, for carried groups; the
-    /// optimistic zero-divergence prior for fresh ones — the same bias
-    /// the per-burst optimizer starts from).
-    fn placement_for(&self, g: &GroupExec, carried_over: bool) -> GroupPlacement {
-        let members: Vec<QueryId> = g.rt.queries.iter().map(|q| q.id).collect();
-        if g.rt.k() < 2 {
-            return GroupPlacement {
-                members,
-                carried_over,
-                benefit: 0.0,
-                shared: false,
-            };
-        }
-        const NOMINAL_BURST: u64 = 16;
-        let probe = Run::new(g.rt.clone());
-        let mut total_benefit = 0.0;
-        let mut shared = false;
-        for tl in 0..g.rt.template.num_types() {
-            let mut ctx = probe.burst_shape(tl);
-            if ctx.candidates.len() < 2 {
-                continue;
-            }
-            ctx.diverging = ctx
-                .candidates
-                .iter()
-                .map(|&q| g.estimator.predict(tl, q, NOMINAL_BURST))
-                .collect();
-            // Def. 12 benefit of sharing the *whole* candidate set (can be
-            // negative — the optimizer would then process solo or share a
-            // subset, which is what `decide` below settles).
-            let bf = NOMINAL_BURST as f64;
-            let sc = 1.0
-                + ctx
-                    .diverging
-                    .iter()
-                    .zip(&ctx.has_edge)
-                    .map(|(&d, &e)| d as f64 + if e { bf } else { 0.0 })
-                    .sum::<f64>();
-            let factors = crate::optimizer::CostFactors {
-                b: bf,
-                n: ctx.n as f64,
-                g: (ctx.g + NOMINAL_BURST) as f64,
-                sp: (ctx.sp as f64).max(1.0),
-                p: ctx.p,
-            };
-            total_benefit += crate::optimizer::benefit(ctx.candidates.len() as f64, sc, &factors);
-            let dec = decide(self.cfg.policy, &ctx, NOMINAL_BURST);
-            shared |= dec.share.len() >= 2;
-        }
-        GroupPlacement {
-            members,
-            carried_over,
-            benefit: total_benefit,
-            shared,
-        }
-    }
+    i as u32
 }
 
 /// Renders a member's raw output according to its aggregation function.
@@ -2124,6 +756,7 @@ mod tests {
     use super::*;
     use hamlet_query::Pattern;
     use hamlet_types::EventTypeId;
+    use std::time::Instant;
 
     fn registry() -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, EventTypeId) {
         let mut reg = TypeRegistry::new();
@@ -2470,8 +1103,8 @@ mod tests {
         #![proptest_config(proptest::ProptestConfig::with_cases(16))]
 
         /// The heap-indexed expiry is bit-identical — per process() call
-        /// and at flush — to the old full-partition scan (kept behind
-        /// cfg(test) as the oracle).
+        /// and at flush — to the old full-partition scan (kept in
+        /// `crate::reference` as the oracle).
         #[test]
         fn heap_expiry_matches_scan_oracle(
             seed in 0u64..10_000,
@@ -2491,7 +1124,6 @@ mod tests {
             };
             let mut heap_eng = mk();
             let mut scan_eng = mk();
-            scan_eng.set_scan_expiry(true);
             // Deterministic pseudo-random stream from the seed (xorshift).
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
             let mut step = || {
@@ -2510,9 +1142,9 @@ mod tests {
                 };
                 let g = (step() % keys as u64) as i64;
                 let e = ev(&reg, ty, t, g, 0.0);
-                prop_assert_eq!(heap_eng.process(&e), scan_eng.process(&e));
+                prop_assert_eq!(heap_eng.process(&e), scan_eng.process_scan_expiry(&e));
             }
-            prop_assert_eq!(heap_eng.flush(), scan_eng.flush());
+            prop_assert_eq!(heap_eng.flush(), scan_eng.flush_scan_expiry());
         }
     }
 
@@ -2684,39 +1316,52 @@ mod tests {
         assert_eq!(resumed.state_bytes(), 0);
     }
 
-    /// Interleaving the batched and reference paths on one engine mixes a
-    /// count-only burst tail (`burst_extra`) with materialized events in a
-    /// single pending burst; the flush must replay both halves as one
-    /// burst — same outputs, same decision and event counters as a pure
-    /// event-at-a-time run.
+    /// Both paths buffer a uniform group's burst as a bare count, so
+    /// interleaving them mid-burst on one engine leaves — before the flush
+    /// — the counters, state bytes and checkpoint of either path alone,
+    /// and the one flush replays the whole burst once.
     #[test]
     fn mixed_compact_and_event_burst_flushes_once() {
         let (reg, a, b, _) = registry();
         let mk = || {
             let q = Query::count_star(1, seq(a, b), Window::tumbling(100));
-            HamletEngine::new(reg.clone(), vec![q], EngineConfig::default()).unwrap()
+            // No wall clock in the state: a checkpoint is a function of
+            // the events alone.
+            let cfg = EngineConfig {
+                track_latency: false,
+                obs: false,
+                mem_sample_every: 0,
+                ..EngineConfig::default()
+            };
+            HamletEngine::new(reg.clone(), vec![q], cfg).unwrap()
         };
         let evs: Vec<Event> = (0..40)
             .map(|i| ev(&reg, if i == 0 { a } else { b }, i, 0, 0.0))
             .collect();
-        let mut mixed = mk();
-        let mut ref_eng = mk();
-        let mut mixed_out = Vec::new();
-        let mut ref_out = Vec::new();
+        let (mut mixed, mut ref_eng, mut fold) = (mk(), mk(), mk());
+        let (mut mixed_out, mut ref_out, mut fold_out) = (Vec::new(), Vec::new(), Vec::new());
         for (i, e) in evs.iter().enumerate() {
-            // Alternate paths within one pane: when the flush fires, the
-            // pending burst holds cloned events *and* a count-only tail.
+            // Alternate paths within one pane.
             if i % 2 == 0 {
                 mixed_out.extend(mixed.process(e));
             } else {
                 mixed_out.extend(mixed.process_reference(e));
             }
             ref_out.extend(ref_eng.process_reference(e));
+            fold_out.extend(fold.process(e));
+        }
+        for alone in [&ref_eng, &fold] {
+            assert_eq!(counters(&mixed), counters(alone));
+            assert_eq!(mixed.state_bytes(), alone.state_bytes());
+            assert_eq!(mixed.checkpoint(), alone.checkpoint());
         }
         mixed_out.extend(mixed.flush());
         ref_out.extend(ref_eng.flush());
+        fold_out.extend(fold.flush());
         assert_eq!(mixed_out, ref_out);
+        assert_eq!(mixed_out, fold_out);
         assert_eq!(counters(&mixed), counters(&ref_eng));
+        assert_eq!(counters(&mixed), counters(&fold));
     }
 
     /// On a predicate workload every path appends through the same
@@ -2843,20 +1488,25 @@ mod tests {
                 ev(&reg, ty, t, (i % 5_000) as i64, 0.0)
             })
             .collect();
-        let time = |eng: &mut HamletEngine| {
+        let time = |eng: &mut HamletEngine, scan: bool| {
             let t0 = Instant::now();
             let mut n = 0usize;
             for e in &evs {
-                n += eng.process(e).len();
+                n += if scan {
+                    eng.process_scan_expiry(e).len()
+                } else {
+                    eng.process(e).len()
+                };
             }
-            n += eng.flush().len();
+            n += if scan {
+                eng.flush_scan_expiry().len()
+            } else {
+                eng.flush().len()
+            };
             (t0.elapsed(), n)
         };
-        let mut heap_eng = mk();
-        let mut scan_eng = mk();
-        scan_eng.set_scan_expiry(true);
-        let (heap_t, heap_n) = time(&mut heap_eng);
-        let (scan_t, scan_n) = time(&mut scan_eng);
+        let (heap_t, heap_n) = time(&mut mk(), false);
+        let (scan_t, scan_n) = time(&mut mk(), true);
         assert_eq!(heap_n, scan_n, "paths emit the same result count");
         // The margin is ~10–100× in release; 2× keeps noisy hosts green.
         assert!(

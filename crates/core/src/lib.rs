@@ -41,16 +41,21 @@
 #![warn(missing_docs)]
 
 pub mod agg;
+pub mod batch;
 pub mod bitset;
 pub mod burst;
 pub mod checkpoint;
+pub mod churn;
 pub mod executor;
+pub mod expiry;
 pub mod expr;
 pub mod general;
 pub mod metrics;
 pub mod optimizer;
 pub mod parallel;
 pub mod record;
+#[cfg(test)]
+mod reference;
 pub mod run;
 pub mod shard;
 pub mod snapshot;

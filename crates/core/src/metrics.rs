@@ -1,7 +1,7 @@
-//! Measurement utilities for the evaluation metrics of §6.1: latency,
-//! throughput, and peak memory.
+//! Measurement utilities for the evaluation metrics of §6.1: latency and
+//! peak memory.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Records per-result latencies: the difference between result output time
 /// and the arrival time of the last event that contributed to the result
@@ -222,49 +222,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Wall-clock throughput meter: events per second over a processing span.
-#[derive(Clone, Debug)]
-pub struct ThroughputMeter {
-    started: Instant,
-    events: u64,
-}
-
-impl Default for ThroughputMeter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ThroughputMeter {
-    /// Starts the clock.
-    pub fn new() -> Self {
-        ThroughputMeter {
-            started: Instant::now(),
-            events: 0,
-        }
-    }
-
-    /// Counts processed events.
-    pub fn add(&mut self, n: u64) {
-        self.events += n;
-    }
-
-    /// Events processed.
-    pub fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Events per second since construction.
-    pub fn events_per_sec(&self) -> f64 {
-        let secs = self.started.elapsed().as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.events as f64 / secs
-        }
-    }
-}
-
 /// Tracks the peak of a byte-accounted state size (§6.1: snapshot
 /// expressions, stored events, per-query aggregates, and the executor's
 /// watermark expiration index — not RSS, for determinism).
@@ -291,11 +248,6 @@ impl MemoryGauge {
     /// Peak bytes observed.
     pub fn peak(&self) -> usize {
         self.peak
-    }
-
-    /// Last sample.
-    pub fn last(&self) -> usize {
-        self.last
     }
 
     /// Serializes the gauge (checkpoint codec).
@@ -333,16 +285,6 @@ mod tests {
         r.merge(&r2);
         assert_eq!(r.count(), 3);
         assert_eq!(r.max(), Duration::from_millis(50));
-    }
-
-    #[test]
-    fn throughput_counts() {
-        let mut t = ThroughputMeter::new();
-        t.add(100);
-        t.add(50);
-        assert_eq!(t.events(), 150);
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(t.events_per_sec() > 0.0);
     }
 
     #[test]
@@ -487,6 +429,5 @@ mod tests {
         g.sample(100);
         g.sample(20);
         assert_eq!(g.peak(), 100);
-        assert_eq!(g.last(), 20);
     }
 }

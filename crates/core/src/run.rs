@@ -587,20 +587,15 @@ impl Run {
         self.replay(tl, rt.burst_of(tl, events, &mut cells), shared_members)
     }
 
-    /// The per-event loop over the raw events with the closed form
-    /// disabled — the oracle the unit tests compare [`replay`](Self::replay)
-    /// against.
-    #[cfg(test)]
-    pub(crate) fn process_burst_slow(
+    /// [`replay`](Self::replay), with the closed form switchable off
+    /// (`use_fast`) for the test oracle `Run::process_burst_slow`.
+    pub(crate) fn replay_impl(
         &mut self,
         tl: usize,
-        events: &[Event],
+        burst: Burst<'_>,
         shared_members: &QSet,
+        use_fast: bool,
     ) {
-        self.replay_impl(tl, Burst::Events(events), shared_members, false)
-    }
-
-    fn replay_impl(&mut self, tl: usize, burst: Burst<'_>, shared_members: &QSet, use_fast: bool) {
         let b = burst.len();
         if b == 0 {
             return;
@@ -802,7 +797,7 @@ impl Run {
     /// All arithmetic is in the wrapping `u64` ring, where the `2ᵇ`
     /// scalars are exact (`b ≥ 64 ⇒ 2ᵇ ≡ 0`), so the result is
     /// bit-identical to the per-event loop — asserted against
-    /// [`process_burst_slow`](Self::process_burst_slow) in tests.
+    /// `Run::process_burst_slow` (`reference.rs`) in tests.
     fn advance_closed_form(&mut self, rt: &GroupRuntime, tl: usize, b: u64, share: &QSet) {
         let tpl = &rt.template;
         // 2ᵇ and 2ᵇ−1 in the wrapping ring.

@@ -9,8 +9,12 @@
 //!   that owns one of its partition keys, using the very hash the shard
 //!   engines' `EngineConfig::shard` filter applies (the router holds a
 //!   routing-only [`HamletEngine`] compiled over the same workload and
-//!   asks it for [`HamletEngine::shard_mask`]); at one worker nothing is
-//!   compiled and every event passes through to shard 0;
+//!   asks it for [`HamletEngine::shard_mask`], which reads the compiled
+//!   classifier tables the shard engines' own scan reads: per routed
+//!   event one slot-resolved key build and one hash per *key class* the
+//!   type is local to — usually one — whatever the number of share
+//!   groups); at one worker nothing is compiled and every event passes
+//!   through to shard 0;
 //! * **the update step** — [`ShardRouter::apply`] is the one churn
 //!   barrier: id check, compile check of the post-churn workload, and
 //!   re-plan of the routing engine, all before any shard sees the op
@@ -349,6 +353,61 @@ mod tests {
                         prop_assert_eq!(owners(&router, e), owners(&fresh, e));
                     }
                 }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// `shard_mask` reads compiled tables (one key per key class);
+        /// by definition the mask has the bit of every group the type is
+        /// local to, under the key looked up by attribute *name*. The two
+        /// agree on every event — a type no group accepts and a type
+        /// index past the registry included — at every worker count and
+        /// through churn.
+        #[test]
+        fn shard_mask_matches_the_by_name_definition(
+            shape in proptest::collection::vec((0usize..4, 0i64..12, 0i64..12), 1..60),
+            ops in proptest::collection::vec(0usize..5, 0..6),
+        ) {
+            use crate::executor::shard_index;
+            let (reg, queries) = setup();
+            let mut events = materialize(&reg, &shape);
+            let mut alien = events[0].clone();
+            alien.ty = hamlet_types::EventTypeId(reg.len() as u16 + 7);
+            events.push(alien);
+            let [q3, q4] = extras(&reg);
+            let pool = [
+                ChurnOp::Add(q3),
+                ChurnOp::Add(q4),
+                ChurnOp::Remove(QueryId(1)),
+                ChurnOp::Remove(QueryId(3)),
+                ChurnOp::Add(queries[1].clone()),
+            ];
+            let mut eng =
+                HamletEngine::new(reg.clone(), queries, EngineConfig::default()).unwrap();
+            let check = |eng: &HamletEngine| {
+                for workers in [1u32, 2, 3, 4, 64] {
+                    for e in &events {
+                        let want = (eng.groups.iter())
+                            .filter(|g| g.rt.template.local(e.ty).is_some())
+                            .fold(0u64, |m, g| {
+                                m | 1 << shard_index(&g.key_by_name(&reg, e), workers)
+                            });
+                        assert_eq!(eng.shard_mask(e, workers), want, "{workers} workers, {e:?}");
+                    }
+                }
+            };
+            check(&eng);
+            for op in ops.into_iter().map(|i| pool[i].clone()) {
+                // A rejected op (duplicate add, unknown remove) leaves the
+                // engine as it was; either way the masks must still agree.
+                let _ = match op {
+                    ChurnOp::Add(q) => eng.add_query(q),
+                    ChurnOp::Remove(id) => eng.remove_query(id),
+                };
+                check(&eng);
             }
         }
     }

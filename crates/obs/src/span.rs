@@ -163,11 +163,6 @@ impl SpanRecorder {
         !self.lanes.is_empty()
     }
 
-    /// Number of lanes.
-    pub fn lane_count(&self) -> usize {
-        self.lanes.len()
-    }
-
     /// Ring capacity per lane.
     pub fn capacity(&self) -> usize {
         self.cap

@@ -113,15 +113,18 @@ pub const DEFAULT_BATCH: usize = 256;
 /// Default bounded depth of each stage channel, in batches.
 pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
 
-/// A routed unit of work: the event plus its ingest stamp (for
-/// end-to-end latency accounting).
+/// A released event plus its ingest stamp (for end-to-end latency
+/// accounting).
 type Routed = (Event, Instant);
 /// What flows over a worker's event channel: routed batches, or a churn
 /// op riding the same FIFO — so every worker applies it at exactly the
 /// same stream cut (after everything the ingest stage routed before it,
 /// before everything after).
 enum WorkerMsg {
-    Batch(Vec<Routed>),
+    /// A batch exactly as the engine takes it, with the ingest stamp of
+    /// its last event — the one every result of the batch is attributed
+    /// to (see [`worker_loop`]).
+    Batch(Vec<Event>, Instant),
     Churn(ChurnOp),
     /// A coordinated checkpoint cut riding the same FIFO: the worker
     /// serializes its engine (full or delta, per `kind`) at exactly this
@@ -643,6 +646,7 @@ impl PipelineBuilder {
             max_seen,
             lanes: Lanes {
                 out: (0..n).map(|_| Vec::with_capacity(batch)).collect(),
+                last_arrival: vec![shared.started; n],
                 txs: event_txs,
                 batch,
                 last_tick: vec![None; n],
@@ -720,7 +724,9 @@ struct Ingest<Src> {
 /// bounded channel per shard worker.
 struct Lanes {
     /// Per-worker batch under construction.
-    out: Vec<Vec<Routed>>,
+    out: Vec<Vec<Event>>,
+    /// Per-worker ingest stamp of the last event pushed into `out`.
+    last_arrival: Vec<Instant>,
     txs: Vec<mpsc::SyncSender<WorkerMsg>>,
     batch: usize,
     /// Per-shard event-time tick of the last pushed event — the batching
@@ -1025,7 +1031,8 @@ impl Lanes {
         let tick = e.time.ticks();
         let advanced = self.last_tick[idx].is_some_and(|t| t != tick);
         self.last_tick[idx] = Some(tick);
-        self.out[idx].push((e, arrival));
+        self.out[idx].push(e);
+        self.last_arrival[idx] = arrival;
         if advanced || self.out[idx].len() >= self.batch {
             self.send(idx);
         }
@@ -1046,7 +1053,8 @@ impl Lanes {
         // fails if the worker died (panicked): stop pulling the source so
         // an unbounded run cannot silently discard that shard's events
         // forever — the drain join then surfaces the worker's panic.
-        if self.txs[idx].send(WorkerMsg::Batch(full)).is_err() {
+        let msg = WorkerMsg::Batch(full, self.last_arrival[idx]);
+        if self.txs[idx].send(msg).is_err() {
             self.shared.worker_depths[idx].store(0, Ordering::Relaxed);
             self.stop.store(true, Ordering::Relaxed);
         }
@@ -1064,9 +1072,6 @@ fn worker_loop(
     shared: &SharedStats,
 ) -> WorkerOutput {
     let mut local = LatencyHistogram::new();
-    // Reused split buffer: the engine takes `&[Event]`, the arrivals only
-    // matter for the batch's last element (see below).
-    let mut events: Vec<Event> = Vec::new();
     let lane = 1 + idx as u32;
     // Periodic group-metrics publish cadence, in batches: frequent
     // enough for live dashboards, rare enough that the clone + try_lock
@@ -1074,8 +1079,8 @@ fn worker_loop(
     const PUBLISH_EVERY: u64 = 64;
     let mut batches = 0u64;
     while let Ok(msg) = rx.recv() {
-        let batch = match msg {
-            WorkerMsg::Batch(batch) => batch,
+        let (batch, arrival) = match msg {
+            WorkerMsg::Batch(batch, arrival) => (batch, arrival),
             WorkerMsg::Churn(op) => {
                 let barrier = shared.spans.start();
                 // The ingest stage validated the op and compiled the
@@ -1127,35 +1132,25 @@ fn worker_loop(
             // perturb the engine with an empty hand-off.
             continue;
         }
-        events.clear();
-        let mut last_arrival = None;
-        for (e, arrival) in batch {
-            events.push(e);
-            last_arrival = Some(arrival);
-        }
-        let emitted = engine.process_batch(&events);
+        let emitted = engine.process_batch(&batch);
         shared.worker_depths[idx].fetch_sub(n, Ordering::Relaxed);
         if !emitted.is_empty() {
             // Every result is attributed to the batch's last event: the
             // router flushes a shard's batch *on* the tick-advancing
-            // event (see `Ingest::push_to`), so that final event is the
+            // event (see `Lanes::push_to`), so that final event is the
             // only one in the batch that can advance this engine's
             // watermark and close windows — identical attribution to the
-            // old per-event loop. A non-empty batch always stamped an
-            // arrival; the `if let` makes that panic-free rather than
-            // asserted.
-            if let Some(arrival) = last_arrival {
-                let latency = arrival.elapsed();
-                for _ in 0..emitted.len() {
-                    local.record(latency);
-                }
-                // One lock per batch, not per result: N workers recording
-                // per-event would contend on the shared histogram and
-                // inflate the very tail latency being measured.
-                // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
-                shared.latency.lock().expect("latency lock").merge(&local);
-                local = LatencyHistogram::new();
+            // old per-event loop.
+            let latency = arrival.elapsed();
+            for _ in 0..emitted.len() {
+                local.record(latency);
             }
+            // One lock per batch, not per result: N workers recording
+            // per-event would contend on the shared histogram and
+            // inflate the very tail latency being measured.
+            // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
+            shared.latency.lock().expect("latency lock").merge(&local);
+            local = LatencyHistogram::new();
             shared
                 .sink_depth
                 .fetch_add(emitted.len(), Ordering::Relaxed);
@@ -1783,6 +1778,62 @@ mod tests {
         let report = handle.drain();
         assert_eq!(report.sink.results, expected, "backpressure lost results");
         assert_eq!(report.events, events.len() as u64);
+    }
+
+    /// Replays `events`, stalling for `pause` before handing out the last
+    /// one; `resumed` is when the stall ended.
+    struct StallBeforeLast {
+        events: std::vec::IntoIter<Event>,
+        pause: Duration,
+        resumed: Arc<std::sync::Mutex<Option<Instant>>>,
+    }
+
+    impl Source for StallBeforeLast {
+        fn next_event(&mut self) -> Option<Event> {
+            let e = self.events.next()?;
+            if self.events.len() == 0 {
+                std::thread::sleep(self.pause);
+                *self.resumed.lock().unwrap() = Some(Instant::now());
+            }
+            Some(e)
+        }
+    }
+
+    /// A batch's results are stamped with its *last* event's arrival.
+    /// The only batch that emits here is `[B@19, A@20]`: `B@19` repeats
+    /// its shard's tick and waits in the outbox through the source's
+    /// stall; `A@20` advances the tick, ships both and closes `[0, 20)`.
+    /// Its results' latency therefore counts from after the stall, however
+    /// long the first event of the batch had been waiting.
+    #[test]
+    fn batch_results_are_stamped_with_the_last_arrival() {
+        let (reg, queries, _) = setup();
+        let (a, b) = (reg.type_id("A").unwrap(), reg.type_id("B").unwrap());
+        let ev = |t, ty| Event::new(Ts(t), ty, vec![AttrValue::Int(0)]);
+        let events = vec![ev(0, a), ev(19, b), ev(19, b), ev(20, a)];
+        let expected = offline(&reg, &queries, &events[..]);
+        let resumed = Arc::new(std::sync::Mutex::new(None));
+        let pause = Duration::from_millis(200);
+        let source = StallBeforeLast {
+            events: events.into_iter(),
+            pause,
+            resumed: resumed.clone(),
+        };
+        let report = Pipeline::builder(reg, queries)
+            .spawn(source, VecSink::new())
+            .unwrap()
+            .drain();
+        let since_resume = resumed.lock().unwrap().expect("source stalled").elapsed();
+        assert_eq!(report.sink.results, expected);
+        // One sample per result of the emitting batch (the drain's flush
+        // records none), each at most the time since the stall ended — a
+        // stamp from the batch's first event would add the whole pause.
+        assert_eq!(report.latency.count(), 2, "[0, 20) of both queries");
+        assert!(
+            report.latency.max() <= since_resume,
+            "latency {:?} counts from before the stall (ended {since_resume:?} ago)",
+            report.latency.max()
+        );
     }
 
     /// Checkpoint after a prefix, resume with the rest of the stream:

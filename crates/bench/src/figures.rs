@@ -584,22 +584,22 @@ pub fn fig_latency(quick: bool) -> Figure {
 /// checkpoint **size**, **pause time**, **sustained cadence overhead**,
 /// and **recovery time** versus partition-key cardinality.
 ///
-/// Two families of runs per cardinality:
+/// Every row is one `checkpoint_row` over what is cut — a single
+/// engine or a 4-worker coordinated parallel session — and how:
 ///
-/// * The PR 5 full-checkpoint pair — single engine and 4-worker
-///   coordinated parallel session — each processes half the stream,
-///   checkpoints (the measured pause: `checkpoint()` on the engine, one
-///   full `Snapshot::cut` on the session), restores into a fresh engine
-///   or session, and finishes the stream.
+/// * The PR 5 full-checkpoint pair processes half the stream, takes one
+///   full `Snapshot::cut` (the measured pause), restores it into a fresh
+///   engine or session, and finishes the stream there.
 /// * The PR 10 delta-chain runs — `HAMLET-delta` and
 ///   `HAMLET-par4-delta` cut an incremental checkpoint into a
 ///   [`MemStore`](hamlet_core::MemStore) every `CUT_CADENCE` events
 ///   (every `COMPACT_EVERY`th cut a full base), then recover a fresh
 ///   engine from the stored chain; `HAMLET-nockpt` is the identical
 ///   loop with no cuts, the denominator for the sustained overhead at
-///   that cadence. Every delta run asserts inline that the recovered
-///   state is **byte-identical** to the survivor's own full checkpoint
-///   at the same barrier.
+///   that cadence.
+///
+/// Every run that cuts asserts inline that the recovered state is
+/// **byte-identical** to the survivor's at the same barrier.
 ///
 /// The cardinality axis doubles as a dirty-fraction sweep: at 100 keys
 /// every partition is touched between cuts (deltas ≈ base size), at
@@ -613,25 +613,23 @@ pub fn fig_latency(quick: bool) -> Figure {
 /// ratio at 10⁴ keys (`--max-delta-ratio`) against the committed
 /// baseline.
 pub fn fig_checkpoint(quick: bool) -> Figure {
-    use hamlet_core::{CheckpointStore, CutKind, MemStore, ParallelEngine, Snapshot};
-
     /// Fixed cut cadence (events between cuts) for the delta-chain runs.
     /// A delta re-encodes every partition touched since the previous cut
     /// (~1 KiB each under this workload), so the cadence bounds the
     /// steady-state delta size: at most `CUT_CADENCE` dirty partitions
     /// per record regardless of how large the total state grows.
     const CUT_CADENCE: usize = 500;
-    /// Every `COMPACT_EVERY`th cadence cut is a full base.
-    const COMPACT_EVERY: u64 = 8;
-    /// Peak byte-accounted state of a session: the sum over its shards of
-    /// what the single-engine rows report for their one engine.
-    fn session_peak(session: &hamlet_core::ParallelSession) -> usize {
-        let shards = session.engines().iter();
-        shards.map(|e| e.peak_memory().max(e.state_bytes())).sum()
-    }
 
     let reg = ridesharing::registry();
     let queries = ridesharing::workload_shared_kleene(&reg, 5, 30);
+    let engine = || {
+        HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
+            .expect("engine builds")
+    };
+    let par =
+        hamlet_core::ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
+            .expect("parallel engine builds");
+    let session = || par.session();
     let cardinalities: Vec<u64> = if quick {
         vec![100, 1_000, 10_000]
     } else {
@@ -649,242 +647,35 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
             max_lateness: 0,
         };
         let events = ridesharing::generate(&reg, &cfg);
-        let cut = events.len() / 2;
-        let mut ms = Vec::new();
-
-        // Single engine: checkpoint at the midpoint, restore, finish.
-        {
-            let t0 = Instant::now();
-            let mut eng = HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
-                .expect("engine builds");
-            let mut results = 0u64;
-            for e in &events[..cut] {
-                results += eng.process(e).len() as u64;
-            }
-            let p0 = Instant::now();
-            let blob = eng.checkpoint();
-            let pause = p0.elapsed();
-            let r0 = Instant::now();
-            let mut resumed =
-                HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
-                    .expect("engine builds");
-            resumed.restore(&blob).expect("own checkpoint restores");
-            let recovery = r0.elapsed();
-            for e in &events[cut..] {
-                results += resumed.process(e).len() as u64;
-            }
-            results += resumed.flush().len() as u64;
-            let mut m = Measurement::zero(System::Hamlet, events.len() as u64, queries.len());
-            m.wall = t0.elapsed();
-            m.results = results;
-            m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = resumed.peak_memory().max(resumed.state_bytes());
-            m.checkpoint_bytes = blob.len() as u64;
-            m.checkpoint_pause = pause;
-            m.recovery_time = recovery;
-            ms.push(m);
-        }
-
-        // 4-worker coordinated checkpoint through the parallel session:
-        // the pause is one full cut between two `process` calls (every
-        // shard idle at the same stream position, one blob per shard
-        // packed into one container), restored into a fresh session.
-        {
-            let t0 = Instant::now();
-            let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
-                .expect("parallel engine builds");
-            let mut live = par.session();
-            let mut results = live.process(&events[..cut]).len() as u64;
-            let p0 = Instant::now();
-            let ck = live.cut(CutKind::Full).expect("coordinated cut");
-            let pause = p0.elapsed();
-            drop(live);
-            let r0 = Instant::now();
-            let mut resumed = par.session();
-            resumed
-                .restore_chain(std::slice::from_ref(&ck))
-                .expect("own checkpoint restores");
-            let recovery = r0.elapsed();
-            results += resumed.process(&events[cut..]).len() as u64;
-            results += resumed.flush().len() as u64;
-            let mut m = Measurement::zero(
+        let (head, tail) = events.split_at(events.len() / 2);
+        let nq = queries.len();
+        let ms = vec![
+            // One full cut at the midpoint, the rest on the restored side.
+            checkpoint_row(System::Hamlet, &engine, nq, (head, head.len()), tail),
+            checkpoint_row(
                 System::HamletParallel(4),
-                events.len() as u64,
-                queries.len(),
-            );
-            m.wall = t0.elapsed();
-            m.results = results;
-            m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = session_peak(&resumed);
-            m.checkpoint_bytes = ck.len() as u64;
-            m.checkpoint_pause = pause;
-            m.recovery_time = recovery;
-            ms.push(m);
-        }
-
-        // Fixed-cadence delta chain on the single engine: sustained
-        // overhead while cutting every CUT_CADENCE events, then chain
-        // recovery into a fresh engine, with an inline byte-identity
-        // assert against the surviving engine at the same barrier.
-        {
-            let store = MemStore::new();
-            let t0 = Instant::now();
-            let mut eng = HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
-                .expect("engine builds");
-            let mut results = 0u64;
-            let mut cuts = 0u64;
-            let mut cut_time = Duration::ZERO;
-            let (mut delta_sum, mut deltas, mut base_bytes) = (0u64, 0u64, 0u64);
-            for chunk in events.chunks(CUT_CADENCE) {
-                for e in chunk {
-                    results += eng.process(e).len() as u64;
-                }
-                // Every chunk ends with a cut — the final, possibly
-                // partial one too, so the chain tip and the survivor
-                // freeze the same barrier.
-                let kind = if cuts.is_multiple_of(COMPACT_EVERY) {
-                    CutKind::Full
-                } else {
-                    CutKind::Delta
-                };
-                let p0 = Instant::now();
-                let ck = eng.cut(kind).expect("cadence cut");
-                cut_time += p0.elapsed();
-                if ck.is_delta() {
-                    delta_sum += ck.len() as u64;
-                    deltas += 1;
-                } else {
-                    base_bytes = ck.len() as u64;
-                }
-                store.append(&ck).expect("chain append");
-                cuts += 1;
-            }
-            let wall = t0.elapsed();
-            let chain = store.load_chain().expect("chain loads");
-            let r0 = Instant::now();
-            let mut recovered =
-                HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
-                    .expect("engine builds");
-            recovered.restore_chain(&chain).expect("chain restores");
-            let recovery = r0.elapsed();
-            // Byte-identity: base + delta replay reproduces exactly the
-            // state the surviving engine holds at the same barrier.
-            assert!(
-                recovered.checkpoint() == eng.checkpoint(),
-                "chain restore must be byte-identical to the survivor at {keys} keys"
-            );
-            results += eng.flush().len() as u64;
-            let mut m =
-                Measurement::zero(System::HamletDeltaChain, events.len() as u64, queries.len());
-            m.wall = wall;
-            m.results = results;
-            m.throughput_eps = events.len() as f64 / wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-            m.checkpoint_bytes = base_bytes;
-            m.checkpoint_pause = if cuts > 0 {
-                cut_time / cuts as u32
-            } else {
-                Duration::ZERO
-            };
-            m.delta_bytes = delta_sum.checked_div(deltas).unwrap_or(0);
-            m.recovery_time = recovery;
-            ms.push(m);
-        }
-
-        // The identical loop with no cuts at all: the denominator for
-        // the sustained cadence overhead (`--max-cadence-overhead`).
-        {
-            let t0 = Instant::now();
-            let mut eng = HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default())
-                .expect("engine builds");
-            let mut results = 0u64;
-            for e in &events {
-                results += eng.process(e).len() as u64;
-            }
-            results += eng.flush().len() as u64;
-            let mut m = Measurement::zero(
-                System::HamletNoCheckpoint,
-                events.len() as u64,
-                queries.len(),
-            );
-            m.wall = t0.elapsed();
-            m.results = results;
-            m.throughput_eps = events.len() as f64 / m.wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = eng.peak_memory().max(eng.state_bytes());
-            ms.push(m);
-        }
-
-        // 4-worker coordinated delta chain through the parallel
-        // session: per-shard delta frames packed into one container per
-        // cut, recovery decomposes and replays them per shard.
-        {
-            let store = MemStore::new();
-            let t0 = Instant::now();
-            let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
-                .expect("parallel engine builds");
-            let mut live = par.session();
-            let mut results = 0u64;
-            let mut cuts = 0u64;
-            let mut cut_time = Duration::ZERO;
-            let (mut delta_sum, mut deltas, mut base_bytes) = (0u64, 0u64, 0u64);
-            for chunk in events.chunks(CUT_CADENCE) {
-                results += live.process(chunk).len() as u64;
-                let kind = if cuts.is_multiple_of(COMPACT_EVERY) {
-                    CutKind::Full
-                } else {
-                    CutKind::Delta
-                };
-                let p0 = Instant::now();
-                let ck = live.cut(kind).expect("coordinated cut");
-                cut_time += p0.elapsed();
-                if ck.is_delta() {
-                    delta_sum += ck.len() as u64;
-                    deltas += 1;
-                } else {
-                    base_bytes = ck.len() as u64;
-                }
-                store.append(&ck).expect("chain append");
-                cuts += 1;
-            }
-            let wall = t0.elapsed();
-            let chain = store.load_chain().expect("chain loads");
-            let r0 = Instant::now();
-            let par2 =
-                ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
-                    .expect("parallel engine builds");
-            let mut recovered = par2.session();
-            recovered.restore_chain(&chain).expect("chain restores");
-            let recovery = r0.elapsed();
-            // Byte-identity at the shared barrier: both sessions cut a
-            // full container before either processes anything further.
-            assert!(
-                recovered
-                    .cut(CutKind::Full)
-                    .expect("verify cut")
-                    .into_bytes()
-                    == live.cut(CutKind::Full).expect("verify cut").into_bytes(),
-                "parallel chain restore must be byte-identical to the survivor at {keys} keys"
-            );
-            results += live.flush().len() as u64;
-            let mut m = Measurement::zero(
+                &session,
+                nq,
+                (head, head.len()),
+                tail,
+            ),
+            // A cut every CUT_CADENCE events, the final partial chunk too.
+            checkpoint_row(
+                System::HamletDeltaChain,
+                &engine,
+                nq,
+                (&events, CUT_CADENCE),
+                &[],
+            ),
+            checkpoint_row(System::HamletNoCheckpoint, &engine, nq, (&[], 1), &events),
+            checkpoint_row(
                 System::HamletParallelDelta(4),
-                events.len() as u64,
-                queries.len(),
-            );
-            m.wall = wall;
-            m.results = results;
-            m.throughput_eps = events.len() as f64 / wall.as_secs_f64().max(1e-9);
-            m.peak_mem_bytes = session_peak(&live);
-            m.checkpoint_bytes = base_bytes;
-            m.checkpoint_pause = if cuts > 0 {
-                cut_time / cuts as u32
-            } else {
-                Duration::ZERO
-            };
-            m.delta_bytes = delta_sum.checked_div(deltas).unwrap_or(0);
-            m.recovery_time = recovery;
-            ms.push(m);
-        }
+                &session,
+                nq,
+                (&events, CUT_CADENCE),
+                &[],
+            ),
+        ];
         rows.push((format!("{keys}"), ms));
     }
     Figure {
@@ -895,6 +686,118 @@ pub fn fig_checkpoint(quick: bool) -> Figure {
         rows,
         x_label: "partition keys",
     }
+}
+
+/// What a [`fig_checkpoint`] row cuts: anything that snapshots and can be
+/// driven — a lone engine, or a session of shard engines.
+trait CutSubject: hamlet_core::Snapshot {
+    /// Processes `events`; the number of results.
+    fn feed(&mut self, events: &[Event]) -> u64;
+    /// Flushes; the number of results.
+    fn finish(&mut self) -> u64;
+    /// Peak byte-accounted state.
+    fn peak(&self) -> usize;
+}
+
+impl CutSubject for HamletEngine {
+    fn feed(&mut self, events: &[Event]) -> u64 {
+        events.iter().map(|e| self.process(e).len() as u64).sum()
+    }
+    fn finish(&mut self) -> u64 {
+        self.flush().len() as u64
+    }
+    fn peak(&self) -> usize {
+        self.peak_memory().max(self.state_bytes())
+    }
+}
+
+impl CutSubject for hamlet_core::ParallelSession {
+    fn feed(&mut self, events: &[Event]) -> u64 {
+        self.process(events).len() as u64
+    }
+    fn finish(&mut self) -> u64 {
+        self.flush().len() as u64
+    }
+    fn peak(&self) -> usize {
+        self.engines().iter().map(CutSubject::peak).sum()
+    }
+}
+
+/// One [`fig_checkpoint`] row. `cut` is fed in pieces of `chunk` events
+/// with a cut into a store after each (every `COMPACT_EVERY`th a full
+/// base, the others deltas); the chain is then recovered into a fresh
+/// subject, checked byte-identical to the survivor at that barrier, and
+/// the recovered side finishes the run over `rest`. An empty `cut` is a
+/// run with no checkpointing at all. `wall` is the feeding and cutting;
+/// recovery is reported beside it.
+fn checkpoint_row<T: CutSubject>(
+    system: System,
+    mk: &dyn Fn() -> T,
+    queries: usize,
+    (cut, chunk): (&[Event], usize),
+    rest: &[Event],
+) -> Measurement {
+    use hamlet_core::{CheckpointStore, CutKind, MemStore};
+    /// Every `COMPACT_EVERY`th cadence cut is a full base.
+    const COMPACT_EVERY: u64 = 8;
+
+    let store = MemStore::new();
+    let t0 = Instant::now();
+    let mut live = mk();
+    let mut results = 0u64;
+    let (mut cuts, mut cut_time) = (0u64, Duration::ZERO);
+    let (mut delta_sum, mut deltas, mut base_bytes) = (0u64, 0u64, 0u64);
+    for piece in cut.chunks(chunk) {
+        results += live.feed(piece);
+        let kind = if cuts.is_multiple_of(COMPACT_EVERY) {
+            CutKind::Full
+        } else {
+            CutKind::Delta
+        };
+        let p0 = Instant::now();
+        let ck = live.cut(kind).expect("cut");
+        cut_time += p0.elapsed();
+        if ck.is_delta() {
+            delta_sum += ck.len() as u64;
+            deltas += 1;
+        } else {
+            base_bytes = ck.len() as u64;
+        }
+        store.append(&ck).expect("chain append");
+        cuts += 1;
+    }
+    let mut wall = t0.elapsed();
+    let mut recovery = Duration::ZERO;
+    if cuts > 0 {
+        let chain = store.load_chain().expect("chain loads");
+        let r0 = Instant::now();
+        let mut recovered = mk();
+        recovered.restore_chain(&chain).expect("chain restores");
+        recovery = r0.elapsed();
+        // Byte-identity at the shared barrier: both sides cut a full
+        // record before either processes anything further.
+        assert!(
+            recovered.cut(CutKind::Full).expect("verify cut").as_bytes()
+                == live.cut(CutKind::Full).expect("verify cut").as_bytes(),
+            "{}: chain restore must be byte-identical to the survivor",
+            system.name()
+        );
+        live = recovered;
+    }
+    let t1 = Instant::now();
+    results += live.feed(rest) + live.finish();
+    wall += t1.elapsed();
+    let events = (cut.len() + rest.len()) as u64;
+    let mut m = Measurement::zero(system, events, queries);
+    m.wall = wall;
+    m.results = results;
+    m.throughput_eps = events as f64 / wall.as_secs_f64().max(1e-9);
+    m.peak_mem_bytes = live.peak();
+    m.checkpoint_bytes = base_bytes;
+    m.checkpoint_pause = cut_time.checked_div(cuts as u32).unwrap_or_default();
+    m.delta_bytes = delta_sum.checked_div(deltas).unwrap_or(0);
+    m.recovery_time = recovery;
+    m
 }
 
 /// Runtime-churn experiment (beyond the paper, PR 7): online
@@ -991,11 +894,7 @@ fn churn_online(
     let mut next = 0usize;
     for (idx, e) in events.iter().enumerate() {
         while next < schedule.len() && schedule[next].0 <= idx {
-            let report = match schedule[next].1.clone() {
-                ChurnOp::Add(q) => eng.add_query(q),
-                ChurnOp::Remove(id) => eng.remove_query(id),
-            }
-            .expect("churn schedule is valid");
+            let report = (eng.apply(schedule[next].1.clone())).expect("churn schedule is valid");
             results += report.drained.len() as u64;
             next += 1;
         }

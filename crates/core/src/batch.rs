@@ -156,8 +156,7 @@ impl HamletEngine {
     /// per-event expiry drains are all no-ops. Within a segment events
     /// are grouped by `(share group, partition key)` and appended
     /// bucket-at-a-time, so each partition probe and run touch happens
-    /// once per (segment, key) instead of once per event, with burst
-    /// storage drawn from a reusable arena instead of per-event clones.
+    /// once per (segment, key) instead of once per event.
     /// The two observable deviations from the fold are timing-only: the
     /// memory gauge samples at segment (not event) granularity, and
     /// per-burst arrival stamps are taken once per segment.
@@ -358,7 +357,6 @@ impl HamletEngine {
                 cfg: &self.cfg,
                 estimator: &mut g.estimator,
                 stats: &mut self.stats,
-                arena: &mut self.arena,
                 ctx: &mut self.burst_ctx,
             };
             let mut late_skipped = false;
@@ -428,7 +426,7 @@ impl HamletEngine {
                     let rs = part.run_at(start.ticks(), end, env.stats);
                     // Uniform group: the burst is its length; otherwise a
                     // memcpy of the range's cells (or, for edge-predicate
-                    // types, arena clones of its events) per instance.
+                    // types, clones of its events) per instance.
                     rs.append(tl, pane_idx, chunk.take(split), now, &mut env);
                 }
                 idx = end_idx;
@@ -457,7 +455,7 @@ impl HamletEngine {
             (Some(a), Some(b)) if a > b
         );
         if crossed {
-            let bytes = self.live_state_bytes();
+            let bytes = self.state_bytes();
             self.gauge.sample(bytes);
         }
         j

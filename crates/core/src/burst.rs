@@ -16,7 +16,7 @@ use crate::executor::{DivergenceMode, EngineConfig, EngineStats};
 use crate::optimizer::{decide, DivergenceEstimator};
 use crate::run::{BurstCtx, GroupRuntime, Run};
 use crate::workload::AggSkeleton;
-use hamlet_types::{AttrValue, Event};
+use hamlet_types::Event;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -210,68 +210,6 @@ impl GroupRuntime {
     }
 }
 
-/// Recycled `Event` attribute buffers for burst appends — the batch
-/// scratch arena. It serves the bursts that are still buffered as
-/// events: types with an edge predicate (and groups of more than 64
-/// members); every other burst is a count or a cell column and never
-/// touches it. Flushed bursts hand their events' attribute vectors
-/// back here and subsequent appends reuse them, so steady-state burst
-/// buffering allocates nothing per event. Bounded so a burst storm cannot
-/// pin memory forever; never serialized (a restored engine starts empty
-/// and refills from its first flushes).
-pub(crate) struct EventArena {
-    pool: Vec<Vec<AttrValue>>,
-}
-
-impl EventArena {
-    /// Retention cap; beyond it, freed buffers fall through to the
-    /// allocator as before.
-    const MAX_POOLED: usize = 1 << 16;
-
-    pub(crate) fn new() -> EventArena {
-        EventArena { pool: Vec::new() }
-    }
-
-    /// Clones `e` for burst storage, reusing a pooled attribute buffer
-    /// when one is available.
-    #[inline]
-    fn alloc_event(&mut self, e: &Event) -> Event {
-        match self.pool.pop() {
-            Some(mut attrs) => {
-                attrs.clear();
-                attrs.extend_from_slice(&e.attrs);
-                Event {
-                    time: e.time,
-                    ty: e.ty,
-                    attrs,
-                }
-            }
-            None => e.clone(),
-        }
-    }
-
-    /// Takes a flushed burst event's attribute buffer back into the pool.
-    #[inline]
-    fn recycle(&mut self, ev: Event) {
-        if self.pool.len() < Self::MAX_POOLED && ev.attrs.capacity() > 0 {
-            let mut attrs = ev.attrs;
-            attrs.clear();
-            self.pool.push(attrs);
-        }
-    }
-
-    /// Byte footprint of the pooled buffers, reported by
-    /// [`HamletEngine::state_bytes`](crate::HamletEngine::state_bytes).
-    pub(crate) fn bytes(&self) -> usize {
-        self.pool.capacity() * std::mem::size_of::<Vec<AttrValue>>()
-            + self
-                .pool
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<AttrValue>())
-                .sum::<usize>()
-    }
-}
-
 /// One window instance's run and the burst pending in front of it.
 pub(crate) struct RunState {
     pub(crate) run: Run,
@@ -337,7 +275,6 @@ pub(crate) struct FlushEnv<'a> {
     pub(crate) cfg: &'a EngineConfig,
     pub(crate) estimator: &'a mut DivergenceEstimator,
     pub(crate) stats: &'a mut EngineStats,
-    pub(crate) arena: &'a mut EventArena,
     pub(crate) ctx: &'a mut BurstCtx,
 }
 
@@ -389,7 +326,7 @@ impl RunState {
             Chunk::Cells(cells) => self.cells.extend_from_slice(cells),
             Chunk::Events(seg, range) => self
                 .burst
-                .extend((range.iter()).map(|&(sj, _)| env.arena.alloc_event(&seg[sj as usize]))),
+                .extend((range.iter()).map(|&(sj, _)| seg[sj as usize].clone())),
         }
         if let Some(now) = now {
             self.last_arrival = Some(now);
@@ -449,11 +386,7 @@ impl RunState {
                 env.estimator.observe_aggregate(tl, &members, created, b);
             }
         }
-        // Hand the burst's attribute buffers back to the arena for the
-        // next `alloc_event`; all three buffers keep their capacity.
-        for ev in self.burst.drain(..) {
-            env.arena.recycle(ev);
-        }
+        self.burst.clear();
         self.cells.clear();
         self.burst_count = 0;
         self.burst_ty = None;

@@ -172,6 +172,16 @@ impl HamletEngine {
         self.apply_churn(wanted)
     }
 
+    /// Applies one churn op: [`add_query`](Self::add_query) or
+    /// [`remove_query`](Self::remove_query), whichever `op` names — what
+    /// every runtime that ships ops to shard engines calls.
+    pub fn apply(&mut self, op: ChurnOp) -> Result<ChurnReport, ChurnError> {
+        match op {
+            ChurnOp::Add(q) => self.add_query(q),
+            ChurnOp::Remove(id) => self.remove_query(id),
+        }
+    }
+
     /// Per-group member signature used to match groups across a churn:
     /// `(original query id, half tag)` per member, in member order. Half
     /// ids of decomposed general queries are renumbered whenever the

@@ -18,7 +18,6 @@
 //! [`crate::record`] (the state as bytes).
 
 use crate::batch::BatchScratch;
-use crate::burst::EventArena;
 use crate::expiry::ExpiryEntry;
 use crate::general::{self, CombineKind};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
@@ -340,8 +339,6 @@ pub struct HamletEngine {
     /// `route[type]`'s rows: the keys (and shard hashes) an event of the
     /// type carries, each built once ([`Self::shard_mask`]).
     pub(crate) key_reps: Vec<Vec<u32>>,
-    /// Recycled burst-event attribute buffers (see [`EventArena`]).
-    pub(crate) arena: EventArena,
     /// Reused optimizer inputs of the per-burst decision — scratch only.
     pub(crate) burst_ctx: BurstCtx,
     pub(crate) event_counter: u64,
@@ -391,7 +388,6 @@ impl HamletEngine {
             scratch: BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes),
             route: compiled.route,
             key_reps: compiled.key_reps,
-            arena: EventArena::new(),
             burst_ctx: BurstCtx::default(),
             obs: Vec::new(),
             span: None,
@@ -665,23 +661,10 @@ impl HamletEngine {
         self.gauge.peak()
     }
 
-    /// Current byte-accounted state across all live runs, buffers, the
-    /// watermark expiration index, and the batch scratch arena's pooled
-    /// buffers.
-    ///
-    /// The memory gauge (peak-memory metric, §6.1) samples the internal
-    /// `live_state_bytes` (everything but the arena) instead: the arena is
-    /// path-dependent (it remembers how bursts happened to flush) and is
-    /// not checkpointed, so including it would make gauge readings — and
-    /// with them checkpoint bytes — differ between an uninterrupted run
-    /// and a restored one.
+    /// Current byte-accounted state: live runs, burst buffers, and the
+    /// watermark expiration index — everything a checkpoint carries, and
+    /// what the memory gauge (peak-memory metric, §6.1) samples.
     pub fn state_bytes(&self) -> usize {
-        self.live_state_bytes() + self.arena.bytes()
-    }
-
-    /// Byte-accounted *serializable* state: live runs, burst buffers, and
-    /// the watermark expiration index — everything a checkpoint carries.
-    pub(crate) fn live_state_bytes(&self) -> usize {
         let mut b = 0;
         for g in &self.groups {
             // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
@@ -1270,50 +1253,6 @@ mod tests {
         assert!(eng.process_batch(&[]).is_empty());
         assert_eq!(eng.checkpoint(), before);
         assert_eq!(eng.flush().len(), 1);
-    }
-
-    /// Satellite invariant: the public byte accounting covers the batch
-    /// scratch arena, while checkpoints (which don't carry the arena)
-    /// restore to a fresh-engine accounting.
-    #[test]
-    fn state_bytes_accounts_for_batch_arena() {
-        use hamlet_query::{CmpOp, EdgePredicate};
-        let (reg, a, b, _) = registry();
-        let mk = || {
-            // The always-true edge predicate makes `b` an event-buffered
-            // type, so the batched path materializes its bursts through
-            // the arena (uniform groups buffer a bare count, predicate
-            // types without edges a cell column — neither touches it).
-            let mut q = Query::count_star(1, seq(a, b), Window::tumbling(10));
-            q.edges.push(EdgePredicate {
-                ty: b,
-                cur_attr: 1,
-                op: CmpOp::Ge,
-                prev_attr: 1,
-            });
-            HamletEngine::new(reg.clone(), vec![q], EngineConfig::default()).unwrap()
-        };
-        let mut eng = mk();
-        assert_eq!(eng.state_bytes(), 0);
-        let events: Vec<Event> = (0..64)
-            .map(|i| ev(&reg, if i % 8 == 0 { a } else { b }, i, 0, 0.0))
-            .collect();
-        eng.process_batch(&events);
-        eng.flush();
-        // Everything live has drained, but the arena keeps the bursts'
-        // attribute buffers pooled for reuse — the public accounting
-        // must still see those bytes.
-        assert_eq!(eng.live_state_bytes(), 0);
-        assert!(eng.state_bytes() > 0);
-        // restore() drops the pool: a restored engine accounts like a
-        // fresh one.
-        let blob = eng.checkpoint();
-        let mut resumed = mk();
-        resumed.process_batch(&events);
-        resumed.flush();
-        assert!(resumed.state_bytes() > 0);
-        resumed.restore(&blob).unwrap();
-        assert_eq!(resumed.state_bytes(), 0);
     }
 
     /// Both paths buffer a uniform group's burst as a bare count, so

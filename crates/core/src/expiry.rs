@@ -173,7 +173,6 @@ impl HamletEngine {
                 cfg: &self.cfg,
                 estimator: &mut self.groups[gi].estimator,
                 stats: &mut self.stats,
-                arena: &mut self.arena,
                 ctx: &mut self.burst_ctx,
             });
             let outputs = rs.run.finalize();
@@ -313,7 +312,7 @@ impl HamletEngine {
         // streams (or small shards) may never hit a periodic sample, and
         // peak_memory() would otherwise read 0.
         if self.cfg.mem_sample_every > 0 {
-            let bytes = self.live_state_bytes();
+            let bytes = self.state_bytes();
             self.gauge.sample(bytes);
         }
         let mut out = Vec::new();

@@ -99,11 +99,7 @@ enum ShardMsg {
 /// Applies one validated churn op to a shard engine, returning the
 /// results it drained at the barrier.
 fn apply_op(eng: &mut HamletEngine, op: ChurnOp) -> Vec<WindowResult> {
-    let report = match op {
-        ChurnOp::Add(q) => eng.add_query(q),
-        ChurnOp::Remove(id) => eng.remove_query(id),
-    };
-    report
+    eng.apply(op)
         // hamlet-lint: allow(panic-hygiene) -- a shard failing a pre-validated churn must not run past the cut; the panic surfaces at join
         .expect("churn ops validated before execution started")
         .drained

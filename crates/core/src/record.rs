@@ -19,7 +19,7 @@
 //! [`HamletEngine::restore`] for one bare blob. Byte layouts are in
 //! `docs/checkpoint-format.md`.
 
-use crate::burst::{EventArena, RunState};
+use crate::burst::RunState;
 use crate::checkpoint::{
     read_delta_frame, read_engine_header, write_delta_frame, write_engine_header, CheckpointError,
     Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION,
@@ -473,10 +473,8 @@ fn install(eng: &mut HamletEngine, state: Staged) {
         }
     }
     // Derived, not serialized: one expiration-index entry per live run,
-    // as `process()` maintains, and an empty event arena (so a restored
-    // engine's `state_bytes` matches a fresh one's).
+    // as `process()` maintains.
     eng.rebuild_expiry();
-    eng.arena = EventArena::new();
 }
 
 /// Restores shard engines from an ordered chain of records, `records[r]`

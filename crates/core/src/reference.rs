@@ -95,7 +95,6 @@ impl HamletEngine {
                 cfg: &self.cfg,
                 estimator: &mut g.estimator,
                 stats: &mut self.stats,
-                arena: &mut self.arena,
                 ctx: &mut self.burst_ctx,
             };
             let mut late_skipped = false;
@@ -124,7 +123,7 @@ impl HamletEngine {
         if self.cfg.mem_sample_every > 0
             && self.event_counter.is_multiple_of(self.cfg.mem_sample_every)
         {
-            let bytes = self.live_state_bytes();
+            let bytes = self.state_bytes();
             self.gauge.sample(bytes);
         }
         out

@@ -403,10 +403,7 @@ mod tests {
             for op in ops.into_iter().map(|i| pool[i].clone()) {
                 // A rejected op (duplicate add, unknown remove) leaves the
                 // engine as it was; either way the masks must still agree.
-                let _ = match op {
-                    ChurnOp::Add(q) => eng.add_query(q),
-                    ChurnOp::Remove(id) => eng.remove_query(id),
-                };
+                let _ = eng.apply(op);
                 check(&eng);
             }
         }

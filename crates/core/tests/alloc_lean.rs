@@ -1,8 +1,9 @@
 //! Allocation-count regression test for the batched hot path.
 //!
 //! The PR-6 batching work removed the per-event `Event`/`GroupKey`/`Arc`
-//! clone churn from the engine core: burst storage is drawn from a
-//! recycling arena and every per-batch buffer is reused. This test pins
+//! clone churn from the engine core: a burst is buffered as a count or a
+//! cell column (events are cloned only for edge-predicate types) and every
+//! per-batch buffer is reused. This test pins
 //! that property with a counting global allocator so the churn cannot
 //! silently return: a warmed engine must process a 1024-event batch with
 //! fewer than one allocation per 8 events.
@@ -75,9 +76,8 @@ fn batched_hot_path_is_allocation_lean() {
             .attr("v", 0.0)
             .build()
     };
-    // Warm-up: a full B burst, flushed into the arena by the type switch
-    // to A — afterwards the pool holds `n` recycled attribute buffers and
-    // every scratch vector has its steady-state capacity.
+    // Warm-up: a full B burst, flushed by the type switch to A —
+    // afterwards every scratch vector has its steady-state capacity.
     let warm: Vec<_> = (0..n).map(|t| ev(b, t)).collect();
     let measured: Vec<_> = (0..n).map(|t| ev(b, n + 1 + t)).collect();
 

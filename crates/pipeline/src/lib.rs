@@ -26,18 +26,22 @@
 //! * **Sharded workers** — `workers > 1` drives the same [`ShardRouter`]
 //!   as the offline parallel path, *online*: per-shard channels, each
 //!   worker owning the partitions that hash to it, same bit-identical
-//!   merged results. Churn and checkpoint cuts are barriers on those
-//!   channels; the router validates and re-plans each churn op once for
-//!   all shards.
-//! * **Drain ≡ flush** — [`PipelineHandle::drain`] stops the source,
-//!   releases the reorder buffer, flushes every engine and hands back
-//!   the sink: for an in-order stream the drained output is
+//!   merged results. The router validates and re-plans each churn op
+//!   once for all shards.
+//! * **One control plane** — a [`PipelineHandle`] reaches its pipeline
+//!   over one channel to the ingest stage, and whatever it asks for —
+//!   churn, a checkpoint cut, the end of the run — becomes a barrier on
+//!   the worker FIFOs: every shard meets it at the same stream cut.
+//! * **Drain ≡ flush** — [`PipelineHandle::drain`] lets the source run
+//!   dry, releases the reorder buffer, flushes every engine and hands
+//!   back the sink: for an in-order stream the drained output is
 //!   byte-identical to offline `process`+`flush`
 //!   (`tests/pipeline_equivalence.rs`).
-//! * **One checkpoint surface** — a running pipeline cuts base + delta
-//!   records into a [`CheckpointStore`] (on a cadence, or on demand via
-//!   [`Snapshot::cut`] on the handle); [`PipelineHandle::checkpoint`] is
-//!   the quiescent freeze for a planned stop. Either way recovery is
+//! * **One checkpoint surface** — a pipeline cuts base + delta records
+//!   into a [`CheckpointStore`] (on a cadence, or on demand via
+//!   [`Snapshot::cut`] on the handle, before or after its source ended);
+//!   [`PipelineHandle::checkpoint`] ends the run with one more such cut
+//!   instead of a flush. Either way recovery is
 //!   [`PipelineBuilder::resume_from`] over a store.
 //! * **Runtime query churn** — queries can be added and removed while
 //!   the pipeline runs, either on a schedule
@@ -116,65 +120,56 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
 /// A released event plus its ingest stamp (for end-to-end latency
 /// accounting).
 type Routed = (Event, Instant);
-/// What flows over a worker's event channel: routed batches, or a churn
-/// op riding the same FIFO — so every worker applies it at exactly the
-/// same stream cut (after everything the ingest stage routed before it,
-/// before everything after).
+/// What flows over a worker's event channel: routed batches, or one of
+/// the three barriers — churn, cut, end — riding the same FIFO, so every
+/// worker reaches each at exactly the same stream cut (after everything
+/// the ingest stage routed before it, before everything after).
 enum WorkerMsg {
     /// A batch exactly as the engine takes it, with the ingest stamp of
     /// its last event — the one every result of the batch is attributed
     /// to (see [`worker_loop`]).
     Batch(Vec<Event>, Instant),
     Churn(ChurnOp),
-    /// A coordinated checkpoint cut riding the same FIFO: the worker
-    /// serializes its engine (full or delta, per `kind`) at exactly this
-    /// stream position and replies with `(shard, frame)`.
+    /// A coordinated checkpoint cut: the worker serializes its engine
+    /// (full or delta, per `kind`) at exactly this stream position and
+    /// replies with `(shard, frame)`.
     Cut {
         kind: CutKind,
         reply: mpsc::Sender<(usize, Result<Checkpoint, CheckpointError>)>,
     },
-}
-/// A live churn request from a [`PipelineHandle`] to the ingest stage;
-/// the ack carries the post-churn workload epoch (or the rejection).
-struct ChurnRequest {
-    op: ChurnOp,
-    ack: mpsc::Sender<Result<u64, ChurnError>>,
-}
-/// An on-demand [`Snapshot::cut`] request from a [`PipelineHandle`] to
-/// the ingest stage; applied at the next barrier between source events.
-struct CutRequest {
-    kind: CutKind,
-    ack: mpsc::Sender<Result<Checkpoint, CheckpointError>>,
-}
-/// What one worker thread returns at shutdown; the final slot carries
-/// the shard's serialized engine state when the run ended at a
-/// checkpoint barrier instead of a flush.
-type WorkerOutput = (
-    EngineStats,
-    LatencyRecorder,
-    usize,
-    Vec<GroupMetrics>,
-    Option<Vec<u8>>,
-);
-
-/// How a worker ends once its event channel closes: drain every open
-/// window into the sink, or freeze the engine state into a checkpoint.
-/// Sent over a per-worker control channel by
-/// [`PipelineHandle::drain`] / [`PipelineHandle::checkpoint`], so the
-/// choice is explicit and can never race with a source ending early.
-#[derive(Copy, Clone)]
-enum WorkerEnd {
+    /// The end of a drained run: flush every open window into the sink.
+    /// The hang-up follows it; a channel that closes *without* it ends a
+    /// frozen run, whose open windows stay in the final cut instead.
     Flush,
-    Checkpoint,
 }
-
-/// What the ingest thread hands back when it stops: the reorder-buffer
-/// remainder (only kept on a checkpoint — a drain releases it
-/// downstream instead) and the maximum event time observed.
-struct IngestExit {
-    buffered: Vec<Event>,
-    max_seen: Option<Ts>,
+/// How a run ends: every open window flushed into the sink, or frozen
+/// into a [`PipelineCheckpoint`].
+#[derive(Copy, Clone, PartialEq)]
+enum End {
+    Drain,
+    Freeze,
 }
+/// Everything a [`PipelineHandle`] asks of its pipeline, over the one
+/// control channel to the ingest stage. Each request is taken at a
+/// barrier between two source events, or after the last one.
+enum Control {
+    /// Live churn; the ack carries the post-churn workload epoch.
+    Churn {
+        op: ChurnOp,
+        ack: mpsc::Sender<Result<u64, PipelineChurnError>>,
+    },
+    /// An on-demand [`Snapshot::cut`].
+    Cut {
+        kind: CutKind,
+        ack: mpsc::Sender<Result<Checkpoint, CheckpointError>>,
+    },
+    End(End),
+}
+/// What one worker thread returns at shutdown.
+type WorkerOutput = (EngineStats, LatencyRecorder, usize, Vec<GroupMetrics>);
+/// What the ingest thread returns: the frozen container if it was told
+/// to [`End::Freeze`].
+type IngestOutput = Option<Result<PipelineCheckpoint, CheckpointError>>;
 
 /// Why a [`PipelineBuilder::resume_from`] failed.
 #[derive(Debug)]
@@ -204,9 +199,10 @@ pub enum PipelineChurnError {
     /// The op was rejected (duplicate/unknown id or a non-compiling
     /// post-churn workload); the running workload is unchanged.
     Rejected(ChurnError),
-    /// The pipeline is no longer ingesting: the source ended,
-    /// [`PipelineHandle::stop`] was called, or a drain/checkpoint is in
-    /// progress. The op was not applied.
+    /// The pipeline is no longer ingesting: the source ended or
+    /// [`PipelineHandle::stop`] was called — the ingest stage answers so
+    /// itself while it waits to be told how the run ends — or the stage
+    /// is gone. The op was not applied.
     Stopped,
 }
 
@@ -457,8 +453,9 @@ impl PipelineBuilder {
     /// A frozen [`PipelineCheckpoint`] (from
     /// [`PipelineHandle::checkpoint`], or a container written by an
     /// older release) resumes the same way: append it to a store as a
-    /// chain of one. Its bare per-shard engine blobs restore as bases,
-    /// and each engine adopts the workload epoch stamped in its blob.
+    /// chain of one. Its per-shard records — base frames, or the bare
+    /// engine blobs older releases froze — restore as bases, and each
+    /// engine adopts the workload epoch stamped in its record.
     ///
     /// An empty store is an error: recovery from nothing is a fresh
     /// [`spawn`](Self::spawn), and conflating the two would turn a
@@ -599,7 +596,6 @@ impl PipelineBuilder {
 
         let (result_tx, result_rx) = mpsc::sync_channel::<Vec<WindowResult>>(channel_capacity * n);
         let mut event_txs = Vec::with_capacity(n);
-        let mut ctrl_txs = Vec::with_capacity(n);
         let mut worker_handles = Vec::with_capacity(n);
         for (idx, mut engine) in engines.into_iter().enumerate() {
             if spans.is_enabled() {
@@ -611,13 +607,11 @@ impl PipelineBuilder {
             shared.publish_groups(idx, engine.group_metrics().to_vec());
             let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(channel_capacity);
             event_txs.push(tx);
-            let (ctrl_tx, ctrl_rx) = mpsc::channel::<WorkerEnd>();
-            ctrl_txs.push(ctrl_tx);
             let shared = shared.clone();
             let result_tx = result_tx.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("hamlet-pipe-worker-{idx}"))
-                .spawn(move || worker_loop(idx, &mut engine, &rx, &ctrl_rx, &result_tx, &shared))
+                .spawn(move || worker_loop(idx, &mut engine, &rx, &result_tx, &shared))
                 // hamlet-lint: allow(panic-hygiene) -- thread spawn failing at startup leaves nothing to clean up; abort the pipeline
                 .expect("spawn worker thread");
             worker_handles.push(handle);
@@ -631,16 +625,14 @@ impl PipelineBuilder {
             // hamlet-lint: allow(panic-hygiene) -- thread spawn failing at startup leaves nothing to clean up; abort the pipeline
             .expect("spawn sink thread");
 
-        let (churn_tx, churn_rx) = mpsc::channel::<ChurnRequest>();
-        let (cut_tx, cut_rx) = mpsc::channel::<CutRequest>();
+        let (control_tx, control_rx) = mpsc::channel::<Control>();
         let mut ingest = Ingest {
             source,
             policy,
             on_late,
             router,
             scheduled: churn_at.into(),
-            churn_rx,
-            cut_rx,
+            control: control_rx,
             epoch: start_epoch,
             buffer,
             max_seen,
@@ -657,6 +649,7 @@ impl PipelineBuilder {
             cut_every: checkpoint_every,
             compact_every,
             cuts_taken: 0,
+            rebase: false,
             last_cut_released: shared.released.load(Ordering::Relaxed),
             shared: shared.clone(),
             stop: stop.clone(),
@@ -672,11 +665,8 @@ impl PipelineBuilder {
             stop,
             ingest: ingest_handle,
             workers: worker_handles,
-            ctrl: ctrl_txs,
-            churn: churn_tx,
-            cut: cut_tx,
+            control: control_tx,
             sink: sink_handle,
-            n_workers: workers,
         })
     }
 }
@@ -694,10 +684,9 @@ struct Ingest<Src> {
     router: ShardRouter,
     /// Event-time churn schedule, trigger-ordered (validated at spawn).
     scheduled: VecDeque<(Ts, ChurnOp)>,
-    /// Live churn requests from the handle, polled between source events.
-    churn_rx: mpsc::Receiver<ChurnRequest>,
-    /// On-demand checkpoint cuts from the handle, polled alongside.
-    cut_rx: mpsc::Receiver<CutRequest>,
+    /// The handle's requests — churn, cut, end — polled between source
+    /// events and awaited once the source has ended.
+    control: mpsc::Receiver<Control>,
     /// Workload epoch — incremented by every applied churn op, in
     /// lockstep with every worker engine.
     epoch: u64,
@@ -714,6 +703,9 @@ struct Ingest<Src> {
     compact_every: u64,
     /// Cadence cuts taken by this incarnation (drives compaction).
     cuts_taken: u64,
+    /// The previous cut failed: the shards' dirty logs are re-armed past
+    /// the store's tip, so the next cut must be a base.
+    rebase: bool,
     /// `released` counter at the previous cut (cadence anchor).
     last_cut_released: u64,
     shared: Arc<SharedStats>,
@@ -737,17 +729,19 @@ struct Lanes {
 }
 
 impl<Src: Source> Ingest<Src> {
-    fn run(&mut self) -> IngestExit {
-        // Acquire pairs with checkpoint()'s Release store of `stop`: if
-        // the loop exits because a checkpoint set the flag, everything
-        // stored before it — the checkpoint_mode flag in particular —
-        // is visible below.
-        while !self.stop.load(Ordering::Acquire) {
-            // Live churn and on-demand cuts are applied *between* source
-            // events — the watermark barrier. A source blocked inside
-            // `next_event` delays pending requests until it yields.
-            self.poll_live_churn();
-            self.poll_cut_requests();
+    /// Runs the stage until the run has ended the way the handle said.
+    fn run(&mut self) -> IngestOutput {
+        let mut end = None;
+        // Relaxed: `stop` publishes nothing but itself.
+        while end != Some(End::Freeze) && !self.stop.load(Ordering::Relaxed) {
+            // Control is taken *between* source events — the watermark
+            // barrier. A source blocked inside `next_event` delays
+            // pending requests until it yields. A drain told early only
+            // settles how the run ends: the source is still pulled dry.
+            if let Ok(request) = self.control.try_recv() {
+                end = self.obey(request, true).or(end);
+                continue;
+            }
             let pull = self.shared.spans.start();
             let Some(e) = self.source.next_event() else {
                 break;
@@ -791,28 +785,67 @@ impl<Src: Source> Ingest<Src> {
             self.fire_scheduled_churn(wm);
             self.maybe_cadence_cut();
         }
-        // End of stream, drain, or checkpoint. A drain releases the
-        // buffered remainder downstream in order — exactly like a
-        // watermark advancing past the stream's end. A checkpoint must
-        // NOT: those events were never released, so they are frozen into
-        // the checkpoint and re-injected on resume.
-        let buffered: Vec<Event> = if self.shared.checkpoint_mode.load(Ordering::Relaxed) {
-            self.buffer.drain().into_iter().map(|(e, _)| e).collect()
-        } else {
+        // The source ended or `stop()` cut it: the buffered remainder is
+        // released downstream in order — exactly like a watermark
+        // advancing past the stream's end. A freeze must NOT: those
+        // events were never released, so they stay in the buffer the
+        // final cut records, and are re-injected on resume.
+        if end != Some(End::Freeze) {
             let rest = self.buffer.drain();
             if !rest.is_empty() {
                 self.route_tranche(rest);
             }
-            Vec::new()
-        };
-        self.shared.reorder_depth.store(0, Ordering::Relaxed);
+            self.shared.reorder_depth.store(0, Ordering::Relaxed);
+        }
         self.lanes.flush_batches();
         self.shared.source_done.store(true, Ordering::Relaxed);
-        self.lanes.txs.clear(); // hang up: workers drain and await their end command
-        IngestExit {
-            buffered,
-            max_seen: self.max_seen,
+        // Everything pulled is on its way to the sink; what is left is
+        // to be told how the run ends. Cuts are still served meanwhile,
+        // churn is not (nothing is ingesting); a dropped handle means
+        // drain.
+        while end.is_none() {
+            end = match self.control.recv() {
+                Ok(request) => self.obey(request, false),
+                Err(_) => Some(End::Drain),
+            };
         }
+        // The end is the third barrier on the worker FIFOs: a final full
+        // cut and a bare hang-up, or `Flush` and then the hang-up.
+        let frozen = (end == Some(End::Freeze)).then(|| {
+            let span = self.shared.spans.start();
+            let cut = self.coordinated_cut(CutKind::Full);
+            self.shared
+                .spans
+                .record(0, Stage::CheckpointPause, span, None, 0);
+            cut.map(|(container, _)| container)
+        });
+        for tx in self.lanes.txs.drain(..) {
+            if frozen.is_none() {
+                let _ = tx.send(WorkerMsg::Flush);
+            }
+        }
+        frozen
+    }
+
+    /// Serves one request from the handle; `live` is whether the source
+    /// is still being pulled. Returns how the run is to end, if that is
+    /// what was said.
+    fn obey(&mut self, request: Control, live: bool) -> Option<End> {
+        match request {
+            Control::Churn { op, ack } => {
+                let outcome = if live {
+                    self.apply_churn(op).map_err(PipelineChurnError::Rejected)
+                } else {
+                    Err(PipelineChurnError::Stopped)
+                };
+                let _ = ack.send(outcome);
+            }
+            Control::Cut { kind, ack } => {
+                let _ = ack.send(self.cut_into_store(kind));
+            }
+            Control::End(end) => return Some(end),
+        }
+        None
     }
 
     /// Routes one released-in-order tranche to the owning shard(s).
@@ -835,21 +868,7 @@ impl<Src: Source> Ingest<Src> {
             let Some((_, op)) = self.scheduled.pop_front() else {
                 break;
             };
-            if self.apply_churn(op).is_err() {
-                self.shared.churns_rejected.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Drains pending live churn requests and acks each with the
-    /// post-churn epoch (or the rejection).
-    fn poll_live_churn(&mut self) {
-        while let Ok(req) = self.churn_rx.try_recv() {
-            let outcome = self.apply_churn(req.op);
-            if outcome.is_err() {
-                self.shared.churns_rejected.fetch_add(1, Ordering::Relaxed);
-            }
-            let _ = req.ack.send(outcome);
+            let _ = self.apply_churn(op);
         }
     }
 
@@ -858,14 +877,18 @@ impl<Src: Source> Ingest<Src> {
     /// post-churn workload (so the workers' own churn cannot fail) and
     /// re-plans routing; then every partial batch followed by the op
     /// goes down each worker's FIFO channel (every shard churns at the
-    /// same stream cut), and the workload epoch is bumped.
+    /// same stream cut), and the workload epoch is bumped. A rejected op
+    /// is counted and changes nothing.
     fn apply_churn(&mut self, op: ChurnOp) -> Result<u64, ChurnError> {
         let barrier = self.shared.spans.start();
         // Ingest is the only thread that routes, so re-planning before
         // the flush is safe: nothing is routed between here and the
         // sends below, and a rejected op returns with nothing changed
         // (and no barrier span).
-        self.router.apply(&op)?;
+        if let Err(e) = self.router.apply(&op) {
+            self.shared.churns_rejected.fetch_add(1, Ordering::Relaxed);
+            return Err(e);
+        }
         // The barrier: everything routed so far reaches each worker
         // before the op does (per-channel FIFO), everything after it
         // follows — the same cut on every shard.
@@ -881,16 +904,6 @@ impl<Src: Source> Ingest<Src> {
             .spans
             .record(0, Stage::ChurnBarrier, barrier, None, 0);
         Ok(self.epoch)
-    }
-
-    /// Drains pending on-demand cut requests; each runs a coordinated
-    /// cut at the current barrier and is acked with the assembled
-    /// [`Checkpoint`].
-    fn poll_cut_requests(&mut self) {
-        while let Ok(req) = self.cut_rx.try_recv() {
-            let outcome = self.coordinated_cut(req.kind);
-            let _ = req.ack.send(outcome);
-        }
     }
 
     /// Runs a cadence cut once enough events have been released since
@@ -911,19 +924,30 @@ impl<Src: Source> Ingest<Src> {
         } else {
             CutKind::Delta
         };
-        if self.coordinated_cut(kind).is_ok() {
+        if self.cut_into_store(kind).is_ok() {
             self.cuts_taken += 1;
         }
     }
 
-    /// A coordinated checkpoint cut at the current barrier: flushes
-    /// every partial batch down the worker FIFOs (so every shard
-    /// serializes at exactly the same stream position), collects one
-    /// frame per shard, assembles the pipeline container, and appends it
-    /// to the configured store.
-    fn coordinated_cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
+    /// Cuts the next record of the store's chain: one coordinated cut,
+    /// serialized and appended to the configured store — every cadence
+    /// and on-demand cut.
+    ///
+    /// A cut that fails anywhere (a shard's frame, a dead worker, the
+    /// append) leaves shards whose dirty logs are already re-armed on a
+    /// record the store never took; a delta onto it could never be
+    /// appended, so the next cut is a base whatever was asked.
+    fn cut_into_store(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         let span = self.shared.spans.start();
-        let result = self.coordinated_cut_inner(kind);
+        let kind = if self.rebase { CutKind::Full } else { kind };
+        let result = self.coordinated_cut(kind).and_then(|(container, meta)| {
+            let ck = Checkpoint::new(container.to_bytes(), meta);
+            if let Some(store) = &self.store {
+                store.append(&ck)?;
+            }
+            Ok(ck)
+        });
+        self.rebase = result.is_err();
         self.shared
             .spans
             .record(0, Stage::CheckpointPause, span, None, 0);
@@ -947,7 +971,15 @@ impl<Src: Source> Ingest<Src> {
         result
     }
 
-    fn coordinated_cut_inner(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
+    /// A coordinated checkpoint cut at the current barrier: flushes
+    /// every partial batch down the worker FIFOs (so every shard
+    /// serializes at exactly the same stream position), collects one
+    /// frame per shard, and assembles the pipeline container with its
+    /// chain position.
+    fn coordinated_cut(
+        &mut self,
+        kind: CutKind,
+    ) -> Result<(PipelineCheckpoint, ChainMeta), CheckpointError> {
         // The same barrier as churn: everything routed so far reaches
         // each worker before the cut marker does (per-channel FIFO).
         self.lanes.flush_batches();
@@ -1002,7 +1034,7 @@ impl<Src: Source> Ingest<Src> {
             std::thread::yield_now();
         }
         let counters = self.shared.counters();
-        let pc = PipelineCheckpoint {
+        let container = PipelineCheckpoint {
             workers: self.router.workers(),
             engines,
             buffered: self.buffer.contents(),
@@ -1011,11 +1043,7 @@ impl<Src: Source> Ingest<Src> {
             counters,
             elapsed: self.shared.elapsed(),
         };
-        let ck = Checkpoint::new(pc.to_bytes(), meta);
-        if let Some(store) = &self.store {
-            store.append(&ck)?;
-        }
-        Ok(ck)
+        Ok((container, meta))
     }
 }
 
@@ -1061,13 +1089,26 @@ impl Lanes {
     }
 }
 
+/// Hands one worker's results to the sink stage.
+fn emit(
+    results: Vec<WindowResult>,
+    result_tx: &mpsc::SyncSender<Vec<WindowResult>>,
+    shared: &SharedStats,
+) {
+    if !results.is_empty() {
+        shared
+            .sink_depth
+            .fetch_add(results.len(), Ordering::Relaxed);
+        let _ = result_tx.send(results);
+    }
+}
+
 /// One shard worker: an engine fed released, in-order events; results go
 /// to the sink channel with end-to-end latency recorded per result.
 fn worker_loop(
     idx: usize,
     engine: &mut HamletEngine,
     rx: &mpsc::Receiver<WorkerMsg>,
-    ctrl_rx: &mpsc::Receiver<WorkerEnd>,
     result_tx: &mpsc::SyncSender<Vec<WindowResult>>,
     shared: &SharedStats,
 ) -> WorkerOutput {
@@ -1088,19 +1129,10 @@ fn worker_loop(
                 // same stream cut (FIFO channel order). Windows of
                 // touched share groups drain here and reach the sink —
                 // exactly once, like any other result.
-                let drained = match op {
-                    ChurnOp::Add(q) => engine.add_query(q),
-                    ChurnOp::Remove(id) => engine.remove_query(id),
-                }
-                // hamlet-lint: allow(panic-hygiene) -- ingest dry-ran this op; a worker that cannot apply it must not keep running on a diverged shard
-                .expect("churn ops are validated by the ingest stage")
-                .drained;
-                if !drained.is_empty() {
-                    shared
-                        .sink_depth
-                        .fetch_add(drained.len(), Ordering::Relaxed);
-                    let _ = result_tx.send(drained);
-                }
+                let report = (engine.apply(op))
+                    // hamlet-lint: allow(panic-hygiene) -- ingest dry-ran this op; a worker that cannot apply it must not keep running on a diverged shard
+                    .expect("churn ops are validated by the ingest stage");
+                emit(report.drained, result_tx, shared);
                 shared
                     .spans
                     .record(lane, Stage::ChurnBarrier, barrier, None, 0);
@@ -1121,6 +1153,12 @@ fn worker_loop(
                     .spans
                     .record(lane, Stage::CheckpointPause, pause, None, 0);
                 let _ = reply.send((idx, frame));
+                continue;
+            }
+            WorkerMsg::Flush => {
+                // The end barrier of a drained run: every in-flight
+                // window emits, exactly once (drain ≡ offline flush).
+                emit(engine.flush(), result_tx, shared);
                 continue;
             }
         };
@@ -1151,33 +1189,15 @@ fn worker_loop(
             // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
             shared.latency.lock().expect("latency lock").merge(&local);
             local = LatencyHistogram::new();
-            shared
-                .sink_depth
-                .fetch_add(emitted.len(), Ordering::Relaxed);
-            let _ = result_tx.send(emitted);
+            emit(emitted, result_tx, shared);
         }
         batches += 1;
         if batches.is_multiple_of(PUBLISH_EVERY) {
             shared.try_publish_groups(idx, engine.group_metrics());
         }
     }
-    // Channel closed: the queue is drained — the barrier. The handle
-    // says how to end: drain() flushes every in-flight window into the
-    // sink (drain ≡ offline flush, every window emits exactly once);
-    // checkpoint() freezes the engine state instead, so those windows
-    // emit after a resume. A disconnected control channel means the
-    // handle was abandoned: flush, preserving drain semantics.
-    let checkpoint = match ctrl_rx.recv() {
-        Ok(WorkerEnd::Checkpoint) => Some(engine.checkpoint()),
-        Ok(WorkerEnd::Flush) | Err(_) => {
-            let finale = engine.flush();
-            if !finale.is_empty() {
-                shared.sink_depth.fetch_add(finale.len(), Ordering::Relaxed);
-                let _ = result_tx.send(finale);
-            }
-            None
-        }
-    };
+    // Channel closed: the run has ended, the way the last barrier on
+    // the FIFO said (`Flush`, or the final cut of a freeze).
     // Final publish is blocking: the shard's last word must land even if
     // a snapshot reader holds the lock right now.
     let groups = engine.group_metrics().to_vec();
@@ -1187,7 +1207,6 @@ fn worker_loop(
         engine.latency().clone(),
         engine.peak_memory(),
         groups,
-        checkpoint,
     )
 }
 
@@ -1213,16 +1232,12 @@ fn sink_loop<S: Sink>(
 pub struct PipelineHandle<S> {
     shared: Arc<SharedStats>,
     stop: Arc<AtomicBool>,
-    ingest: JoinHandle<IngestExit>,
+    /// Churn, cuts and the end of the run: the one channel to the
+    /// ingest stage.
+    control: mpsc::Sender<Control>,
+    ingest: JoinHandle<IngestOutput>,
     workers: Vec<JoinHandle<WorkerOutput>>,
-    /// Per-worker end-of-run command channel (flush vs checkpoint).
-    ctrl: Vec<mpsc::Sender<WorkerEnd>>,
-    /// Live churn requests to the ingest stage.
-    churn: mpsc::Sender<ChurnRequest>,
-    /// On-demand checkpoint cuts to the ingest stage.
-    cut: mpsc::Sender<CutRequest>,
     sink: JoinHandle<S>,
-    n_workers: u32,
 }
 
 impl<S: Sink> Snapshot for PipelineHandle<S> {
@@ -1232,20 +1247,14 @@ impl<S: Sink> Snapshot for PipelineHandle<S> {
     /// assembled container is back — appended to the configured
     /// [`CheckpointStore`] first, if one was set at build time. The
     /// pipeline keeps running afterwards; the frame chains onto any
-    /// cadence cuts taken so far. A source blocked inside `next_event`,
-    /// or one that already ended, delays or fails the cut (the ingest
-    /// stage only reaches barriers while events flow).
+    /// cadence cuts taken so far. A source blocked inside `next_event`
+    /// delays the cut until it yields; one that already ended (or was
+    /// [`stop`](PipelineHandle::stop)ped) does not: the ingest stage
+    /// serves cuts until it is told how the run ends, so the last record
+    /// of a finished stream is one more `cut`.
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.cut
-            .send(CutRequest { kind, ack: ack_tx })
-            .map_err(|_| CheckpointError::Io("the pipeline has stopped ingesting".into()))?;
-        match ack_rx.recv() {
-            Ok(outcome) => outcome,
-            Err(_) => Err(CheckpointError::Io(
-                "the pipeline stopped before reaching the cut barrier".into(),
-            )),
-        }
+        self.ask(|ack| Control::Cut { kind, ack })
+            .unwrap_or_else(|| Err(CheckpointError::Io("the ingest stage is gone".into())))
     }
 
     /// A live pipeline cannot restore in place — its engines are owned
@@ -1280,10 +1289,13 @@ impl<S: Sink> PipelineHandle<S> {
         hamlet_obs::export::chrome_trace(&self.shared.spans.snapshot(), self.shared.spans.dropped())
     }
 
-    /// Requests shutdown without waiting: the source stops being pulled
-    /// after its current event; everything already ingested still flows
-    /// through. Idempotent. (A source blocked inside `next_event` is
-    /// interrupted only when it yields.)
+    /// Stops pulling the source, without waiting: after its current
+    /// event the ingest stage releases what the reorder stage still
+    /// holds, everything ingested flows through to the sink, and the
+    /// pipeline idles — still serving [`cut`](Snapshot::cut) — until
+    /// [`drain`](Self::drain) or [`checkpoint`](Self::checkpoint) says
+    /// how the run ends. Idempotent. (A source blocked inside
+    /// `next_event` is interrupted only when it yields.)
     pub fn stop(&self) {
         self.stop.store(true, Ordering::Relaxed);
     }
@@ -1312,77 +1324,89 @@ impl<S: Sink> PipelineHandle<S> {
     }
 
     fn churn(&self, op: ChurnOp) -> Result<u64, PipelineChurnError> {
-        let (ack_tx, ack_rx) = mpsc::channel();
-        self.churn
-            .send(ChurnRequest { op, ack: ack_tx })
-            .map_err(|_| PipelineChurnError::Stopped)?;
-        match ack_rx.recv() {
-            Ok(Ok(epoch)) => Ok(epoch),
-            Ok(Err(e)) => Err(PipelineChurnError::Rejected(e)),
-            // The ingest stage exited with the request still queued.
-            Err(_) => Err(PipelineChurnError::Stopped),
-        }
+        self.ask(|ack| Control::Churn { op, ack })
+            .unwrap_or(Err(PipelineChurnError::Stopped))
+    }
+
+    /// Sends one request down the control channel and waits for its
+    /// answer; `None` when the ingest stage is gone.
+    fn ask<T>(&self, request: impl FnOnce(mpsc::Sender<T>) -> Control) -> Option<T> {
+        let (ack, answer) = mpsc::channel();
+        self.control.send(request(ack)).ok()?;
+        answer.recv().ok()
+    }
+
+    /// Tells the ingest stage how the run ends and joins every thread —
+    /// the one way out of a pipeline.
+    fn finish(self, end: End) -> (Arc<SharedStats>, IngestOutput, Vec<WorkerOutput>, S) {
+        // A failed send means ingest died; its join below says how.
+        let _ = self.control.send(Control::End(end));
+        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
+        let frozen = self.ingest.join().expect("ingest thread panicked");
+        let workers = (self.workers.into_iter())
+            // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
+            .map(|handle| handle.join().expect("worker thread panicked"))
+            .collect();
+        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
+        let sink = self.sink.join().expect("sink thread panicked");
+        (self.shared, frozen, workers, sink)
     }
 
     /// Gracefully drains the pipeline and returns the final report:
-    /// waits for the source to end (call [`stop`](Self::stop) first to
-    /// cut an unbounded source), releases the reorder buffer in order,
-    /// lets every worker process its queue and `flush()`, delivers the
-    /// last results to the sink, and joins all threads.
+    /// waits for the source to end — a source still being pulled is
+    /// pulled dry, not cut short; call [`stop`](Self::stop) first to cut
+    /// an unbounded one — releases the reorder buffer in order, lets
+    /// every worker process its queue and `flush()` at the end barrier,
+    /// delivers the last results to the sink, and joins all threads.
+    /// Dropping the handle instead ends the run the same way, unobserved.
     ///
     /// Equivalent to an offline `process`+`flush` over exactly the
     /// events the pipeline released (see `tests/pipeline_equivalence.rs`
     /// for the byte-identity property).
     pub fn drain(self) -> PipelineReport<S> {
-        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-        self.ingest.join().expect("ingest thread panicked");
-        for tx in &self.ctrl {
-            let _ = tx.send(WorkerEnd::Flush);
-        }
-        let mut stats = Vec::with_capacity(self.workers.len());
-        let mut peak_mem = Vec::with_capacity(self.workers.len());
+        let (shared, _, workers, sink) = self.finish(End::Drain);
+        let mut stats = Vec::with_capacity(workers.len());
+        let mut peak_mem = Vec::with_capacity(workers.len());
         let mut engine_latency = LatencyRecorder::new();
-        let mut worker_groups = Vec::with_capacity(self.workers.len());
-        for handle in self.workers {
-            // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-            let (s, lat, peak, groups, _) = handle.join().expect("worker thread panicked");
+        let mut worker_groups = Vec::with_capacity(workers.len());
+        for (s, lat, peak, groups) in workers {
             stats.push(s);
             peak_mem.push(peak);
             engine_latency.merge(&lat);
             worker_groups.push(groups);
         }
-        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-        let sink = self.sink.join().expect("sink thread panicked");
         // hamlet-lint: allow(panic-hygiene) -- a poisoned lock means a recorder panicked; propagate it
-        let latency = self.shared.latency.lock().expect("latency lock").clone();
+        let latency = shared.latency.lock().expect("latency lock").clone();
         PipelineReport {
             sink,
-            events: self.shared.ingested.load(Ordering::Relaxed),
-            released: self.shared.released.load(Ordering::Relaxed),
-            late: self.shared.late.load(Ordering::Relaxed),
-            results: self.shared.results.load(Ordering::Relaxed),
-            wall: self.shared.elapsed(),
+            events: shared.ingested.load(Ordering::Relaxed),
+            released: shared.released.load(Ordering::Relaxed),
+            late: shared.late.load(Ordering::Relaxed),
+            results: shared.results.load(Ordering::Relaxed),
+            wall: shared.elapsed(),
             stats,
             peak_mem,
             engine_latency,
             latency,
             group_metrics: merge_group_metrics(worker_groups),
-            spans: self.shared.spans.snapshot(),
-            dropped_spans: self.shared.spans.dropped(),
+            spans: shared.spans.snapshot(),
+            dropped_spans: shared.spans.dropped(),
         }
     }
 
-    /// Quiesces the pipeline at a **drain barrier** and freezes its
-    /// state instead of flushing it: the source stops being pulled, the
-    /// reorder stage keeps (rather than releases) its buffered events,
-    /// every worker drains its queue and serializes its engine, and the
-    /// sink receives everything that was already in flight — then all
-    /// threads join.
+    /// Ends the run by freezing its state instead of flushing it: the
+    /// source stops being pulled, the reorder stage keeps (rather than
+    /// releases) its buffered events, and one last full coordinated cut
+    /// — the same barrier every cadence and on-demand cut takes —
+    /// records every shard engine; the workers then stop *without*
+    /// flushing, the sink receives everything that was already in
+    /// flight, and all threads join.
     ///
     /// The returned [`PipelineCheckpointReport`] carries the
     /// [`PipelineCheckpoint`], the sink with every result emitted
-    /// *before* the barrier, and the barrier pause time. To resume,
-    /// append the container to a [`CheckpointStore`]
+    /// *before* the barrier, and the barrier pause time. The container
+    /// is handed to the caller, not appended to the pipeline's own
+    /// store: to resume, append it to a [`CheckpointStore`]
     /// (`Checkpoint::from_bytes(checkpoint.to_bytes())` — a full record,
     /// so it starts a new chain) and call
     /// [`PipelineBuilder::resume_from`]. Windows still open at the
@@ -1390,65 +1414,30 @@ impl<S: Sink> PipelineHandle<S> {
     /// resuming and draining is byte-identical to a run that never
     /// stopped.
     ///
-    /// An unbounded source is cut mid-stream (like
-    /// [`stop`](Self::stop)); a finite source that already ended simply
-    /// yields a checkpoint whose reorder buffer is empty.
+    /// An unbounded source is cut mid-stream; a source that already
+    /// ended (or was [`stop`](Self::stop)ped) has released its reorder
+    /// buffer by then, so the container's is empty.
     ///
-    /// This is the quiescent freeze, the one cut that also captures a
-    /// stopped source's position: the final record of a planned
-    /// shutdown. A pipeline that must survive an *unplanned* stop keeps
-    /// itself durable while running instead
+    /// A pipeline that must survive an *unplanned* stop keeps itself
+    /// durable while running instead
     /// ([`PipelineBuilder::checkpoint_every`], [`Snapshot::cut`]).
     pub fn checkpoint(self) -> PipelineCheckpointReport<S> {
-        // Order matters: the mode flag must be visible to the ingest
-        // stage whenever the stop flag is — otherwise ingest could stop
-        // for the checkpoint yet release (instead of freeze) its reorder
-        // buffer. The mode store is sequenced before the Release store
-        // of `stop`, and ingest's loop reads `stop` with Acquire, so
-        // stop-observed ⇒ mode-visible.
-        self.shared.checkpoint_mode.store(true, Ordering::Relaxed);
-        self.stop.store(true, Ordering::Release);
-        let pause_span = self.shared.spans.start();
         // hamlet-lint: allow(wallclock) -- checkpoint-pause measurement for the report
         let barrier = Instant::now();
-        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-        let exit = self.ingest.join().expect("ingest thread panicked");
-        for tx in &self.ctrl {
-            let _ = tx.send(WorkerEnd::Checkpoint);
-        }
-        let mut stats = Vec::with_capacity(self.workers.len());
-        let mut engines = Vec::with_capacity(self.workers.len());
-        for handle in self.workers {
-            // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-            let (s, _, _, _, blob) = handle.join().expect("worker thread panicked");
-            stats.push(s);
-            // hamlet-lint: allow(panic-hygiene) -- every worker was sent WorkerEnd::Checkpoint before this join
-            engines.push(blob.expect("worker was told to checkpoint"));
-        }
-        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean drain
-        let sink = self.sink.join().expect("sink thread panicked");
-        let pause = barrier.elapsed();
-        self.shared
-            .spans
-            .record(0, Stage::CheckpointPause, pause_span, None, 0);
-        let counters = self.shared.counters();
-        let wall = self.shared.elapsed();
+        let (shared, frozen, workers, sink) = self.finish(End::Freeze);
+        let checkpoint = frozen
+            // hamlet-lint: allow(panic-hygiene) -- End::Freeze is what makes ingest return a container
+            .expect("a frozen run returns its container")
+            // hamlet-lint: allow(panic-hygiene) -- every worker joined cleanly above, so only a shard's own encoder can have failed; there is no state to hand back
+            .expect("the final cut of a freeze");
         PipelineCheckpointReport {
-            checkpoint: PipelineCheckpoint {
-                workers: self.n_workers,
-                engines,
-                buffered: exit.buffered,
-                events_pulled: counters[0],
-                max_seen: exit.max_seen,
-                counters,
-                elapsed: wall,
-            },
+            wall: checkpoint.elapsed(),
+            checkpoint,
             sink,
-            pause,
-            wall,
-            stats,
-            spans: self.shared.spans.snapshot(),
-            dropped_spans: self.shared.spans.dropped(),
+            pause: barrier.elapsed(),
+            stats: workers.into_iter().map(|w| w.0).collect(),
+            spans: shared.spans.snapshot(),
+            dropped_spans: shared.spans.dropped(),
         }
     }
 }
@@ -1467,8 +1456,8 @@ pub struct PipelineCheckpointReport<S> {
     /// stage had quiesced and serialized — the unavailability window a
     /// live deployment would see.
     pub pause: Duration,
-    /// Wall time of the logical run up to checkpoint completion
-    /// (accumulated across resumes).
+    /// Wall time of the logical run up to the barrier (accumulated
+    /// across resumes) — what the container carries as `elapsed`.
     pub wall: Duration,
     /// Per-worker engine statistics at the barrier.
     pub stats: Vec<EngineStats>,
@@ -1960,11 +1949,7 @@ mod tests {
         for e in events {
             out.extend(eng.process(e));
             while next < schedule.len() && schedule[next].0 <= e.time {
-                let report = match schedule[next].1.clone() {
-                    ChurnOp::Add(q) => eng.add_query(q),
-                    ChurnOp::Remove(id) => eng.remove_query(id),
-                }
-                .unwrap();
+                let report = eng.apply(schedule[next].1.clone()).unwrap();
                 out.extend(report.drained);
                 next += 1;
             }
@@ -2494,11 +2479,12 @@ mod tests {
         }
     }
 
-    /// Compatibility: a frozen [`PipelineCheckpoint`] carrying bare
-    /// `HMEN` shard blobs at epoch > 0 (what `checkpoint()` writes, and
-    /// what every pre-chain release wrote), appended to a store, resumes
-    /// byte-identically via `resume_from` — the chain restore adopts
-    /// the blobs' epoch — and resuming under the pre-churn workload is
+    /// A frozen [`PipelineCheckpoint`] at epoch > 0 holds one base frame
+    /// per shard, as any full cut writes; the same container with the
+    /// frames unwrapped to bare `HMEN` blobs is what every release before
+    /// this one froze. Either, appended to a store, resumes
+    /// byte-identically via `resume_from` — the chain restore adopts the
+    /// records' epoch — and resuming under the pre-churn workload is
     /// rejected.
     #[test]
     fn checkpoint_after_churn_resumes_with_epoch() {
@@ -2516,26 +2502,32 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(handle.metrics().epoch, 1);
-        let frozen = handle.checkpoint();
-        for blob in &frozen.checkpoint.engines {
-            assert_eq!(&blob[..4], b"HMEN", "a bare engine blob, not a chain frame");
-            let record = Checkpoint::from_bytes(blob.clone()).unwrap();
-            assert_eq!(record.epoch(), 1, "epoch stamped per shard");
-        }
+        let mut frozen = handle.checkpoint();
         let store = store_of(&frozen.checkpoint);
+        for record in &mut frozen.checkpoint.engines {
+            let frame = hamlet_core::checkpoint::read_delta_frame(record).unwrap();
+            assert!(frame.base && frame.epoch == 1, "a base, epoch stamped");
+            assert_eq!(&frame.payload[..4], b"HMEN");
+            *record = frame.payload.to_vec();
+        }
+        let legacy_store = store_of(&frozen.checkpoint);
 
         let mut final_queries = queries.clone();
         final_queries.push(third_query(&reg));
-        let resumed = Pipeline::builder(reg.clone(), final_queries)
-            .resume_from(
-                &store,
-                ReplaySource::new(events[cut..].to_vec()),
-                frozen.sink,
-            )
-            .unwrap();
-        assert_eq!(resumed.metrics().epoch, 1, "resume adopts the blob epoch");
-        let report = resumed.drain();
-        assert_eq!(report.sink.results, expected, "churned resume diverged");
+        let pre = frozen.sink.results.len();
+        let resume = |store: &hamlet_core::MemStore, sink: VecSink| {
+            let resumed = Pipeline::builder(reg.clone(), final_queries.clone())
+                .resume_from(store, ReplaySource::new(events[cut..].to_vec()), sink)
+                .unwrap();
+            assert_eq!(resumed.metrics().epoch, 1, "resume adopts the epoch");
+            resumed.drain().sink.results
+        };
+        assert_eq!(resume(&store, frozen.sink), expected, "resume diverged");
+        assert_eq!(
+            resume(&legacy_store, VecSink::new()),
+            expected[pre..],
+            "bare-blob resume diverged"
+        );
 
         // The pre-churn workload no longer matches the checkpoint.
         let err = Pipeline::builder(reg, queries)
@@ -2550,5 +2542,260 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    fn wait_idle<S: Sink>(handle: &PipelineHandle<S>) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !(handle.metrics().source_done && handle.metrics().queued() == 0) {
+            assert!(Instant::now() < deadline, "stream never drained");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// The ingest stage serves cuts until it is told how the run ends,
+    /// so a finished stream is cut like a flowing one: the record lands
+    /// in the store, later cuts chain onto it, and resuming from the
+    /// store with nothing left to replay flushes exactly the windows the
+    /// first run still held open.
+    #[test]
+    fn cut_after_the_source_ended_resumes_to_the_same_output() {
+        let (reg, queries, events) = setup();
+        let mut expected = offline(&reg, &queries, &events);
+        sort_results(&mut expected);
+        for workers in [1u32, 4] {
+            let store = Arc::new(hamlet_core::MemStore::new());
+            let build = || {
+                Pipeline::builder(reg.clone(), queries.clone())
+                    .workers(workers)
+                    .checkpoint_store(store.clone())
+            };
+            let mut handle = build()
+                .spawn(ReplaySource::new(events.clone()), VecSink::new())
+                .unwrap();
+            wait_idle(&handle);
+            let base = handle.cut(CutKind::Delta).expect("cut after the end");
+            assert!(!base.is_delta(), "the first cut promotes to a base");
+            assert_eq!(store.load_chain().unwrap(), [base]);
+            let tip = handle.cut(CutKind::Delta).expect("second cut");
+            assert_eq!(tip.parent(), Some(1), "later cuts chain on");
+            assert_eq!(store.load_chain().unwrap().len(), 2);
+            assert_eq!(handle.metrics().checkpoint_failures, 0);
+            let cursor = PipelineCheckpoint::from_bytes(tip.as_bytes()).unwrap();
+            assert_eq!(cursor.events_pulled(), events.len() as u64);
+            // The cut barrier landed every earlier result in the sink.
+            let emitted = cursor.counters[3] as usize;
+            let mut first = handle.drain().sink.results;
+            let mut resumed = build()
+                .resume_from(store.as_ref(), ReplaySource::new(vec![]), VecSink::new())
+                .unwrap()
+                .drain()
+                .sink
+                .results;
+            let mut stitched = first[..emitted].to_vec();
+            stitched.append(&mut resumed);
+            sort_results(&mut first);
+            sort_results(&mut stitched);
+            assert_eq!(first, expected, "{workers} workers: cuts perturbed");
+            assert_eq!(stitched, expected, "{workers} workers: resume diverged");
+        }
+    }
+
+    /// Hands its results on when the sink thread ends, so a test can
+    /// observe a pipeline whose handle is gone.
+    struct Bequeath(Vec<WindowResult>, mpsc::Sender<Vec<WindowResult>>);
+
+    impl Sink for Bequeath {
+        fn accept(&mut self, batch: Vec<WindowResult>) {
+            self.0.extend(batch);
+        }
+    }
+
+    impl Drop for Bequeath {
+        fn drop(&mut self) {
+            let _ = self.1.send(std::mem::take(&mut self.0));
+        }
+    }
+
+    /// A dropped handle is a drain nobody waits for: every open window
+    /// still reaches the sink, once.
+    #[test]
+    fn dropped_handle_still_flushes_every_window_once() {
+        let (reg, queries, events) = setup();
+        let expected = offline(&reg, &queries, &events);
+        let (heir, will) = mpsc::channel();
+        drop(
+            Pipeline::builder(reg, queries)
+                .spawn(ReplaySource::new(events), Bequeath(Vec::new(), heir))
+                .unwrap(),
+        );
+        let got = will.recv_timeout(Duration::from_secs(10));
+        assert_eq!(got.expect("the abandoned pipeline never ended"), expected);
+    }
+
+    /// Telling a pipeline to drain settles how its run ends, not when:
+    /// the source is pulled dry first. The request is sent by hand (it
+    /// is the first thing `drain()` does) so that it provably arrives
+    /// with half the stream still to come.
+    #[test]
+    fn drain_does_not_cut_a_flowing_source_short() {
+        let (reg, queries, events) = setup();
+        let expected = offline(&reg, &queries, &events);
+        let (tx_ev, rx_ev) = mpsc::channel::<Event>();
+        let handle = Pipeline::builder(reg, queries)
+            .spawn(ChannelSource(rx_ev), VecSink::new())
+            .unwrap();
+        handle.control.send(Control::End(End::Drain)).unwrap();
+        for e in &events {
+            tx_ev.send(e.clone()).unwrap();
+        }
+        drop(tx_ev);
+        let report = handle.drain();
+        assert_eq!(report.events, events.len() as u64);
+        assert_eq!(report.sink.results, expected);
+    }
+
+    /// An endless stream delivered in reversed blocks of eight: never in
+    /// order, never later than seven ticks.
+    struct Scrambled(u64, fn(u64) -> Event);
+
+    impl Source for Scrambled {
+        fn next_event(&mut self) -> Option<Event> {
+            self.0 += 1;
+            Some(self.1(self.0 - 1))
+        }
+    }
+
+    /// A freeze mid-stream keeps what the reorder stage holds — the
+    /// container carries it, nothing of it was released — and resuming
+    /// with the rest of the delivery order equals the in-order run.
+    #[test]
+    fn mid_stream_freeze_keeps_the_reorder_buffer() {
+        let (reg, queries, _) = setup();
+        let (a, b, c) = (EventTypeId(0), EventTypeId(1), EventTypeId(2));
+        assert_eq!(reg.type_id("A"), Some(a));
+        fn scrambled(i: u64) -> Event {
+            let t = i / 8 * 8 + 7 - i % 8;
+            let ty = EventTypeId([0, 2, 1, 1, 1][(t % 5) as usize]);
+            Event::new(Ts(t), ty, vec![AttrValue::Int((t % 7) as i64)])
+        }
+        assert_eq!(
+            (scrambled(7).ty, scrambled(6).ty, scrambled(5).ty),
+            (a, c, b)
+        );
+        for workers in [1u32, 4] {
+            let build = || {
+                Pipeline::builder(reg.clone(), queries.clone())
+                    .workers(workers)
+                    .watermark(BoundedLateness::new(7))
+            };
+            let handle = build()
+                .spawn(Scrambled(0, scrambled), VecSink::new())
+                .unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while handle.metrics().ingested < 200 {
+                assert!(Instant::now() < deadline, "pipeline made no progress");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let frozen = handle.checkpoint();
+            let ck = &frozen.checkpoint;
+            let [pulled, late, released, _] = ck.counters;
+            assert!(ck.buffered_len() > 0, "a mid-stream buffer is never empty");
+            assert_eq!((pulled, late), (ck.events_pulled(), 0));
+            assert_eq!(released + ck.buffered_len() as u64, pulled, "frozen");
+            let total = (pulled / 8 + 20) * 8;
+            let report = build()
+                .resume_from(
+                    &store_of(ck),
+                    ReplaySource::new((pulled..total).map(scrambled).collect()),
+                    frozen.sink,
+                )
+                .unwrap()
+                .drain();
+            assert_eq!((report.events, report.late), (total, 0));
+            let mut in_order: Vec<Event> = (0..total).map(scrambled).collect();
+            in_order.sort_by_key(|e| e.time);
+            let (mut got, mut want) = (report.sink.results, offline(&reg, &queries, &in_order));
+            sort_results(&mut got);
+            sort_results(&mut want);
+            assert_eq!(got, want, "{workers} workers");
+        }
+    }
+
+    /// A store whose `fail_at`-th append fails once; it logs what it
+    /// took and checks after every append that its chain still links.
+    struct FailOnce {
+        inner: hamlet_core::MemStore,
+        fail_at: usize,
+        appends: std::sync::Mutex<usize>,
+        taken: std::sync::Mutex<Vec<(u64, Option<u64>)>>,
+    }
+
+    impl CheckpointStore for FailOnce {
+        fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
+            let mut appends = self.appends.lock().unwrap();
+            *appends += 1;
+            if *appends == self.fail_at {
+                return Err(CheckpointError::Io("injected append failure".into()));
+            }
+            self.inner.append(ck)?;
+            self.taken.lock().unwrap().push((ck.seq(), ck.parent()));
+            let chain = self.inner.load_chain()?;
+            let linked =
+                !chain[0].is_delta() && chain.windows(2).all(|w| w[1].parent() == Some(w[0].seq()));
+            if linked {
+                Ok(())
+            } else {
+                Err(CheckpointError::Corrupt("the stored chain broke".into()))
+            }
+        }
+
+        fn load_chain(&self) -> Result<Vec<Checkpoint>, CheckpointError> {
+            self.inner.load_chain()
+        }
+    }
+
+    /// One failed append costs one record, not the chain: the shards'
+    /// dirty logs are re-armed on a record the store never took, so the
+    /// next cut is a base, deltas chain onto it again, and recovery from
+    /// the store equals the uninterrupted run's suffix.
+    #[test]
+    fn failed_cut_is_followed_by_a_base() {
+        let (reg, queries, events) = setup();
+        let expected = offline(&reg, &queries, &events);
+        let store = Arc::new(FailOnce {
+            inner: hamlet_core::MemStore::new(),
+            fail_at: 2,
+            appends: Default::default(),
+            taken: Default::default(),
+        });
+        let handle = Pipeline::builder(reg.clone(), queries.clone())
+            .checkpoint_store(store.clone())
+            .checkpoint_every(15)
+            .compact_every(100)
+            .spawn(ReplaySource::new(events[..250].to_vec()), VecSink::new())
+            .unwrap();
+        wait_idle(&handle);
+        let m = handle.metrics();
+        assert_eq!((m.checkpoints, m.checkpoint_failures), (15, 1));
+        handle.drain();
+        // Cuts at released 15, 30, .. 240 are seqs 1..=16; seq 2 is lost.
+        let mut want = vec![(1, None), (3, None)];
+        want.extend((4..=16).map(|seq| (seq, Some(seq - 1))));
+        assert_eq!(*store.taken.lock().unwrap(), want);
+
+        let mut oracle =
+            HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+        let pre: usize = (events[..240].iter())
+            .map(|e| oracle.process(e).len())
+            .sum();
+        let report = Pipeline::builder(reg, queries)
+            .resume_from(
+                store.as_ref(),
+                ReplaySource::new(events[240..].to_vec()),
+                VecSink::new(),
+            )
+            .unwrap()
+            .drain();
+        assert_eq!(report.sink.results, expected[pre..], "resume diverged");
     }
 }

@@ -3,7 +3,7 @@
 //! A [`Source`] is a pull-based, possibly unbounded supplier of events.
 //! The pipeline's ingest thread owns it and pulls one event at a time;
 //! pulling stops when the source ends ([`Source::next_event`] returns
-//! `None`) or the pipeline is drained. Because the ingest thread feeds
+//! `None`) or the pipeline is stopped or frozen. Because the ingest thread feeds
 //! *bounded* channels, a source is naturally backpressured: when the
 //! engine falls behind, `next_event` simply is not called — a paced
 //! source (e.g. [`RateLimitedSource`]) then measures real queueing
@@ -16,10 +16,18 @@ use std::time::{Duration, Instant};
 ///
 /// Implementations may block inside [`next_event`](Self::next_event)
 /// (pacing, polling an external feed); the pipeline treats a `None` as
-/// end-of-stream and begins its drain.
+/// end-of-stream: it flushes everything pulled through to the sink and
+/// waits to be told how the run ends.
 pub trait Source: Send {
     /// The next event, or `None` at end of stream.
     fn next_event(&mut self) -> Option<Event>;
+}
+
+/// A boxed source is a source, so a caller can pick one at run time.
+impl<S: Source + ?Sized> Source for Box<S> {
+    fn next_event(&mut self) -> Option<Event> {
+        (**self).next_event()
+    }
 }
 
 /// Replays a pre-materialized stream — the adapter that connects the

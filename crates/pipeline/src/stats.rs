@@ -36,12 +36,9 @@ pub(crate) struct SharedStats {
     /// Watermark ticks (valid iff `watermark_set`).
     pub(crate) watermark: AtomicU64,
     pub(crate) watermark_set: AtomicBool,
-    /// Source exhausted (or drain requested) and the reorder buffer has
-    /// been flushed downstream.
+    /// The source is no longer pulled (it ended, or `stop()` or a freeze
+    /// cut it) and everything released has been flushed downstream.
     pub(crate) source_done: AtomicBool,
-    /// The pipeline is ending at a checkpoint barrier: the ingest stage
-    /// must freeze (not release) its reorder buffer.
-    pub(crate) checkpoint_mode: AtomicBool,
     /// Events currently held by the reorder stage.
     pub(crate) reorder_depth: AtomicUsize,
     /// Events currently queued to each worker (routed, not yet processed).
@@ -78,7 +75,6 @@ impl SharedStats {
             watermark: AtomicU64::new(0),
             watermark_set: AtomicBool::new(false),
             source_done: AtomicBool::new(false),
-            checkpoint_mode: AtomicBool::new(false),
             reorder_depth: AtomicUsize::new(0),
             worker_depths: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             sink_depth: AtomicUsize::new(0),
@@ -213,8 +209,9 @@ pub struct MetricsSnapshot {
     pub results: u64,
     /// Current event-time watermark.
     pub watermark: Option<Ts>,
-    /// The source is exhausted (or a drain was requested) and the
-    /// reorder buffer has been flushed.
+    /// The source is no longer pulled — it ended, or
+    /// [`PipelineHandle::stop`](crate::PipelineHandle::stop) cut it —
+    /// and the reorder buffer has been flushed downstream.
     pub source_done: bool,
     /// Events held by the reorder stage.
     pub reorder_depth: usize,

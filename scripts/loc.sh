@@ -1,10 +1,15 @@
 #!/bin/sh
-# Report-only: non-test code lines per crate — non-blank, non-comment lines
-# of every src/**/*.rs before the file's first top-level `#[cfg(test)]`.
+# Non-test code lines per crate — non-blank, non-comment lines of every
+# src/**/*.rs before the file's first top-level `#[cfg(test)]`.
 # This is the measure ROADMAP's "Deletions and splits" target (<= 13 600)
 # is stated in, so CI prints it instead of it being counted by hand. The
 # five largest files by the same measure follow the table: that is where
 # "no module a newcomer cannot hold" stays visible.
+#
+# `--check` makes it a ratchet: it fails when the total exceeds the number
+# committed in scripts/loc.ceiling. A PR that must add lines raises the
+# ceiling in its own diff, where a reviewer sees it; one that removes
+# lines lowers it.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -31,3 +36,11 @@ done
 printf '%7d  total\n' "$total"
 printf 'largest files:\n'
 printf '%s' "$files" | sort -rn | head -5
+if [ "${1:-}" = "--check" ]; then
+    ceiling=$(cat scripts/loc.ceiling)
+    if [ "$total" -gt "$ceiling" ]; then
+        printf 'loc: total %d exceeds scripts/loc.ceiling (%d)\n' "$total" "$ceiling" >&2
+        exit 1
+    fi
+    printf 'loc: total %d within scripts/loc.ceiling (%d)\n' "$total" "$ceiling"
+fi

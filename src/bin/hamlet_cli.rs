@@ -573,27 +573,16 @@ fn run_pipeline(
         }
     }
     let replay = ReplaySource::new(feed);
-    let spawn = match (args.resume, args.eps > 0.0) {
-        (true, true) => builder
-            .resume_from(
-                store.as_deref().expect("validated above"),
-                RateLimitedSource::new(replay, args.eps),
-                VecSink::new(),
-            )
-            .map_err(|e| format!("{e}")),
-        (true, false) => builder
-            .resume_from(
-                store.as_deref().expect("validated above"),
-                replay,
-                VecSink::new(),
-            )
-            .map_err(|e| format!("{e}")),
-        (false, true) => builder
-            .spawn(RateLimitedSource::new(replay, args.eps), VecSink::new())
-            .map_err(|e| format!("{e}")),
-        (false, false) => builder
-            .spawn(replay, VecSink::new())
-            .map_err(|e| format!("{e}")),
+    let source: Box<dyn Source> = if args.eps > 0.0 {
+        Box::new(RateLimitedSource::new(replay, args.eps))
+    } else {
+        Box::new(replay)
+    };
+    let spawn = if args.resume {
+        let st = store.as_deref().expect("validated above");
+        (builder.resume_from(st, source, VecSink::new())).map_err(|e| e.to_string())
+    } else {
+        (builder.spawn(source, VecSink::new())).map_err(|e| e.to_string())
     };
     let mut handle = match spawn {
         Ok(h) => h,
@@ -642,76 +631,33 @@ fn run_pipeline(
             }
             cut_taken = true;
             let st = store.as_ref().expect("validated above");
-            // Prefer a live full cut at the next source barrier: the
-            // coordinated cut appends to the store itself and chains
-            // onto any `--checkpoint-every` cadence cuts already taken.
-            match handle.cut(CutKind::Full) {
-                Ok(ck) => {
-                    let pc = match PipelineCheckpoint::from_bytes(ck.as_bytes()) {
-                        Ok(pc) => pc,
-                        Err(e) => {
-                            eprintln!("error: decode own cut: {e}");
-                            std::process::exit(1);
-                        }
-                    };
-                    println!(
-                        "\ncheckpointed to {} (record seq {}, {} bytes, {} buffered events) \
-                         after {} events; stopping the source",
-                        st.path().display(),
-                        ck.seq(),
-                        ck.len(),
-                        pc.buffered_len(),
-                        pc.events_pulled(),
-                    );
-                    println!(
-                        "resume with: hamlet-cli pipeline ... --resume --state {}",
-                        st.path().display()
-                    );
-                    // The drain path below prints the final summary.
-                    handle.stop();
-                }
-                Err(_) => {
-                    // The source already ended — no barrier left to cut
-                    // at. Freeze the quiesced pipeline the legacy way
-                    // and append the container to the store as a base.
-                    // Exporters snapshot first: `checkpoint` consumes
-                    // the handle.
-                    if let Some(p) = &args.prom_out {
-                        write_export(p, "prometheus metrics", &handle.export_prometheus());
-                    }
-                    if let Some(p) = &args.trace_out {
-                        write_export(p, "chrome trace", &handle.export_chrome_trace());
-                    }
-                    let frozen = handle.checkpoint();
-                    let ck = match Checkpoint::from_bytes(frozen.checkpoint.to_bytes()) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            eprintln!("error: package end-of-stream checkpoint: {e}");
-                            std::process::exit(1);
-                        }
-                    };
-                    if let Err(e) = st.append(&ck) {
-                        eprintln!("error: append to {}: {e}", st.path().display());
-                        std::process::exit(1);
-                    }
-                    println!(
-                        "\ncheckpointed to {} after {} events: {} bytes ({} engine state, \
-                         {} buffered events), barrier pause {:?}, {} results already emitted",
-                        st.path().display(),
-                        frozen.checkpoint.events_pulled(),
-                        ck.len(),
-                        frozen.checkpoint.engine_bytes(),
-                        frozen.checkpoint.buffered_len(),
-                        frozen.pause,
-                        frozen.sink.results.len(),
-                    );
-                    println!(
-                        "resume with: hamlet-cli pipeline ... --resume --state {}",
-                        st.path().display()
-                    );
-                    return;
-                }
-            }
+            // A full cut at the next barrier — between two source
+            // events, or after the last one: the coordinated cut appends
+            // to the store itself and chains onto any `--checkpoint-every`
+            // cadence cuts already taken.
+            let cut = handle.cut(CutKind::Full).and_then(|ck| {
+                let pc = PipelineCheckpoint::from_bytes(ck.as_bytes())?;
+                Ok((ck, pc))
+            });
+            let (ck, pc) = cut.unwrap_or_else(|e| {
+                eprintln!("error: checkpoint to {}: {e}", st.path().display());
+                std::process::exit(1);
+            });
+            println!(
+                "\ncheckpointed to {} (record seq {}, {} bytes, {} buffered events) \
+                 after {} events; stopping the source",
+                st.path().display(),
+                ck.seq(),
+                ck.len(),
+                pc.buffered_len(),
+                pc.events_pulled(),
+            );
+            println!(
+                "resume with: hamlet-cli pipeline ... --resume --state {}",
+                st.path().display()
+            );
+            // The drain path below prints the final summary.
+            handle.stop();
         }
         if stream_over {
             break;

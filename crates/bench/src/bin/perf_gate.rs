@@ -92,10 +92,11 @@ const CHECKS: [Check; 12] = [
         notes: ["", "workers sweep", "run the full sweep"],
     }),
     // 3. Throughput must stay flat(ish) in partition cardinality, on the two
-    //    decades quick and full sweeps both measure: the O(live partitions)
-    //    per-event scan the expiry index replaced reads ~0.018, it 0.038-0.06.
+    //    decades quick and full sweeps both measure: an O(live partitions)
+    //    scan per event reads ~0.018, one per gauge sample 0.048-0.06, none
+    //    0.13.
     Check::SameRun(&SameRun {
-        flag: ("--min-expiry-flatness", 0.03, ">=", 3),
+        flag: ("--min-expiry-flatness", 0.06, ">=", 3),
         figures: &["fig_expiry"],
         of: [(GATED, TP, Some("10000")), (GATED, TP, Some("100"))],
         claim: ("fig_expiry: 10000 keys", "100 keys"),

@@ -11,7 +11,7 @@
 
 use crate::burst::{Cell, Chunk, FlushEnv};
 use crate::executor::{shard_index, HamletEngine, WindowResult};
-use crate::expiry::{runs_of, Partition};
+use crate::expiry::Partition;
 use hamlet_obs::Stage;
 use hamlet_types::time::window_end;
 use hamlet_types::{Event, GroupKey, Ts};
@@ -22,6 +22,7 @@ use std::time::Instant;
 /// One key-grouped bucket of a batch segment: the events (by index into
 /// the segment, with their local type) that one `(group, key)` partition
 /// receives, in stream order.
+#[derive(Default)]
 struct Bucket {
     group: u32,
     key: GroupKey,
@@ -58,8 +59,9 @@ pub(crate) struct BatchScratch {
     /// Buckets of the current segment, in first-appearance order — a
     /// deterministic processing order, unlike hash iteration.
     buckets: Vec<Bucket>,
-    /// Spare bucket-event vectors recycled between segments.
-    spare: Vec<Vec<(u32, u32)>>,
+    /// Emptied buckets recycled between segments, key and event buffers
+    /// kept.
+    spare: Vec<Bucket>,
     /// Window starts of the most recently looked-up event time.
     starts: Vec<Ts>,
     /// Per segment event: the watermark the fold would have seen at that
@@ -291,7 +293,7 @@ impl HamletEngine {
                                     sl
                                 }
                             };
-                            prev_keys[ci].clone_from(key);
+                            prev_keys[ci].0.clone_from(&key.0);
                             sl
                         };
                         prev_slot[ci] = sl;
@@ -316,11 +318,10 @@ impl HamletEngine {
                 if bi == u32::MAX {
                     bi = buckets.len() as u32;
                     slots[cell] = bi;
-                    buckets.push(Bucket {
-                        group: gi as u32,
-                        key: class_keys[ci].clone(),
-                        events: spare.pop().unwrap_or_default(),
-                    });
+                    let mut b = spare.pop().unwrap_or_default();
+                    b.group = gi as u32;
+                    b.key.0.clone_from(&class_keys[ci].0);
+                    buckets.push(b);
                 }
                 buckets[bi as usize].events.push(((j - first) as u32, tl));
             }
@@ -344,9 +345,14 @@ impl HamletEngine {
             let window = g.window;
             let within = window.within;
             let pane = g.pane;
-            // One partition probe per (segment, key).
+            // One partition probe per (segment, key); only a first-seen
+            // key pays a second one and the clone into the map.
             let mut part = Partition {
-                runs: runs_of(&mut g.partitions, &b.key),
+                runs: match g.partitions.get_mut(&b.key) {
+                    Some(runs) => runs,
+                    None => g.partitions.entry(b.key.clone()).or_default(),
+                },
+                slab: &mut g.slab,
                 group: gi,
                 key: &b.key,
                 rt: &g.rt,
@@ -358,6 +364,7 @@ impl HamletEngine {
                 estimator: &mut g.estimator,
                 stats: &mut self.stats,
                 ctx: &mut self.burst_ctx,
+                bytes: &mut self.run_bytes,
             };
             let mut late_skipped = false;
             let mut last_time: Option<u64> = None;
@@ -423,7 +430,7 @@ impl HamletEngine {
                     if split == 0 {
                         continue;
                     }
-                    let rs = part.run_at(start.ticks(), end, env.stats);
+                    let rs = part.run_at(start.ticks(), end, &mut env);
                     // Uniform group: the burst is its length; otherwise a
                     // memcpy of the range's cells (or, for edge-predicate
                     // types, clones of its events) per instance.
@@ -437,7 +444,7 @@ impl HamletEngine {
                 g.partitions.remove(&b.key);
             }
             b.events.clear();
-            spare.push(b.events);
+            spare.push(b);
         }
         for m in slot_of.iter_mut() {
             m.clear();

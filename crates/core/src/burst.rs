@@ -226,6 +226,10 @@ pub(crate) struct RunState {
     burst: Vec<Event>,
     burst_pane: u64,
     pub(crate) last_arrival: Option<Instant>,
+    /// [`mem_bytes`](Self::mem_bytes) as the engine's byte counter
+    /// (`FlushEnv::bytes`) holds it: kept by `append`, re-measured once
+    /// per replayed burst, taken back out when the run is released.
+    pub(crate) accounted: usize,
 }
 
 /// Events of one type, pane and window-instance set on their way into a
@@ -276,6 +280,9 @@ pub(crate) struct FlushEnv<'a> {
     pub(crate) estimator: &'a mut DivergenceEstimator,
     pub(crate) stats: &'a mut EngineStats,
     pub(crate) ctx: &'a mut BurstCtx,
+    /// The engine's count of byte-accounted run state
+    /// ([`HamletEngine::state_bytes`](crate::HamletEngine::state_bytes)).
+    pub(crate) bytes: &'a mut usize,
 }
 
 impl RunState {
@@ -287,6 +294,7 @@ impl RunState {
     /// stamps do not survive a restore; the next arrival re-stamps).
     fn around(run: Run) -> RunState {
         RunState {
+            accounted: run.mem_bytes(),
             run,
             burst_ty: None,
             burst_count: 0,
@@ -295,6 +303,20 @@ impl RunState {
             burst_pane: 0,
             last_arrival: None,
         }
+    }
+
+    /// Back to [`RunState::new`] over the same runtime with every buffer's
+    /// capacity kept — what a finished run's slot holds until the next
+    /// window instance of its group takes it.
+    pub(crate) fn recycle(&mut self) {
+        self.run.recycle();
+        self.burst_ty = None;
+        self.burst_count = 0;
+        self.cells.clear();
+        self.burst.clear();
+        self.burst_pane = 0;
+        self.last_arrival = None;
+        self.accounted = self.run.mem_bytes();
     }
 
     /// Byte-accounted state: the run plus the buffered burst (§6.1
@@ -321,13 +343,24 @@ impl RunState {
         }
         self.burst_ty = Some(tl);
         self.burst_pane = pane;
-        match chunk {
-            Chunk::Count(n) => self.burst_count += n,
-            Chunk::Cells(cells) => self.cells.extend_from_slice(cells),
-            Chunk::Events(seg, range) => self
-                .burst
-                .extend((range.iter()).map(|&(sj, _)| seg[sj as usize].clone())),
-        }
+        // The buffer grows by exactly what is appended.
+        let grown = match chunk {
+            Chunk::Count(n) => {
+                self.burst_count += n;
+                0
+            }
+            Chunk::Cells(cells) => {
+                self.cells.extend_from_slice(cells);
+                std::mem::size_of_val(cells)
+            }
+            Chunk::Events(seg, range) => {
+                let at = self.burst.len();
+                (self.burst).extend((range.iter()).map(|&(sj, _)| seg[sj as usize].clone()));
+                self.burst[at..].iter().map(Event::mem_bytes).sum()
+            }
+        };
+        self.accounted += grown;
+        *env.bytes += grown;
         if let Some(now) = now {
             self.last_arrival = Some(now);
         }
@@ -390,6 +423,11 @@ impl RunState {
         self.cells.clear();
         self.burst_count = 0;
         self.burst_ty = None;
+        // A replay moves the run's size by what only a measurement knows
+        // (snapshots, graphlets, stored events): one per burst.
+        let now = self.mem_bytes();
+        *env.bytes = *env.bytes - self.accounted + now;
+        self.accounted = now;
     }
 
     /// Serializes the run and its pending burst — the one run-state
@@ -461,6 +499,7 @@ impl RunState {
             }
         }
         rs.burst_pane = d.u64()?;
+        rs.accounted = rs.mem_bytes();
         Ok(rs)
     }
 
@@ -492,6 +531,7 @@ impl RunState {
                 BurstRepr::Events => {}
             }
         }
+        rs.accounted = rs.mem_bytes();
         Ok(rs)
     }
 }

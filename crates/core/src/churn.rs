@@ -6,13 +6,11 @@
 //! over, the rest drain.
 
 use crate::batch::BatchScratch;
-use crate::burst::RunState;
 use crate::executor::{Combiner, EngineError, GroupExec, HamletEngine, WindowResult};
 use crate::optimizer::decide;
 use crate::run::Run;
 use hamlet_obs::GroupMetrics;
 use hamlet_query::{Query, QueryId};
-use hamlet_types::GroupKey;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -241,20 +239,16 @@ impl HamletEngine {
         // over, through the normal finalization path (the old groups,
         // estimators, and combiners are still installed, so general-query
         // halves pair correctly).
-        let mut finished: Vec<(usize, GroupKey, u64, RunState)> = Vec::new();
+        let mut finished = Vec::new();
         for (oi, carried) in carried_old.iter().enumerate() {
             if *carried {
                 continue;
             }
-            // hamlet-lint: allow(unordered-iter) -- drained windows flow through finalize_finished, which sorts before emitting
-            for (key, runs) in std::mem::take(&mut self.groups[oi].partitions) {
-                for (start, rs) in runs {
-                    finished.push((oi, key.clone(), start, rs));
-                }
-            }
+            self.groups[oi].partitions.clear();
+            finished.extend(self.groups[oi].slab.live().map(|h| (oi as u32, h)));
         }
         let mut drained = Vec::new();
-        self.finalize_finished(finished, &mut drained);
+        self.finalize_finished(&mut finished, &mut drained);
 
         // Settle pending general-query halves. A pending entry's partner
         // run can no longer exist (both halves of a window expire at the
@@ -297,13 +291,12 @@ impl HamletEngine {
             let ng = &mut compiled.groups[ni];
             let og = &mut self.groups[oi];
             ng.partitions = std::mem::take(&mut og.partitions);
+            ng.slab = std::mem::take(&mut og.slab);
             std::mem::swap(&mut ng.estimator, &mut og.estimator);
-            let rt = ng.rt.clone();
-            // hamlet-lint: allow(unordered-iter) -- uniform retarget of every run; order-free
-            for runs in ng.partitions.values_mut() {
-                for rs in runs.values_mut() {
-                    rs.run.retarget(rt.clone());
-                }
+            // Recycled runs of the old runtime stay behind with it.
+            ng.slab.drop_free(&mut ng.partitions);
+            for slot in ng.slab.slots_mut() {
+                slot.rs.run.retarget(ng.rt.clone());
             }
         }
 

@@ -18,11 +18,11 @@
 //! [`crate::record`] (the state as bytes).
 
 use crate::batch::BatchScratch;
-use crate::expiry::ExpiryEntry;
+use crate::expiry::{ExpiryEntry, RunSlab, Runs};
 use crate::general::{self, CombineKind};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::{DivergenceEstimator, SharingPolicy};
-use crate::record::{DirtyLog, PendingSlot, Runs};
+use crate::record::{DirtyLog, PendingSlot};
 use crate::run::{BurstCtx, GroupRuntime, MemberOutput, RunStats};
 use crate::workload::{self, WorkloadError};
 use hamlet_obs::{GroupMetrics, SpanRecorder, SpanStart, Stage};
@@ -59,7 +59,9 @@ pub struct EngineConfig {
     /// Divergence statistics for dynamic decisions.
     pub divergence: DivergenceMode,
     /// Sample the byte-accounted state size every this many events
-    /// (0 disables the memory gauge).
+    /// (0 disables the memory gauge). A sample reads a counter
+    /// ([`HamletEngine::state_bytes`] is O(1)), so the interval sets the
+    /// gauge's resolution, not a cost.
     pub mem_sample_every: u64,
     /// Track per-result latency with wall-clock arrival stamps.
     pub track_latency: bool,
@@ -262,7 +264,13 @@ pub(crate) struct GroupExec {
     /// partition attribute, resolved once at build time so the hot path
     /// never does per-event attribute-name lookups (string compares).
     partition_slots: Vec<Vec<Option<usize>>>,
+    /// Per partition key, its live runs as handles into `slab`.
     pub(crate) partitions: HashMap<GroupKey, Runs>,
+    /// The group's runs (see [`RunSlab`]).
+    pub(crate) slab: RunSlab,
+    /// Per member: the combiner it is a half of, if it is a sub-query of
+    /// a decomposed general query (`sub_of`, resolved once).
+    pub(crate) combiner_of: Vec<Option<usize>>,
     /// Stream statistics for O(k) dynamic decisions (shared across the
     /// group's partitions — divergence is a property of the stream).
     pub(crate) estimator: DivergenceEstimator,
@@ -323,6 +331,13 @@ pub struct HamletEngine {
     /// Watermark expiration index: min-heap over the window ends of every
     /// live run, across all groups (see [`ExpiryEntry`]).
     pub(crate) expiry: BinaryHeap<Reverse<ExpiryEntry>>,
+    /// Byte-accounted size of the live runs, kept by deltas where it
+    /// changes (see [`Self::state_bytes`]).
+    pub(crate) run_bytes: usize,
+    /// Reused buffers of `emit_expired`: the expired runs of one drain,
+    /// and one run's member outputs — scratch only.
+    pub(crate) finished: Vec<(u32, u32)>,
+    pub(crate) outputs: Vec<MemberOutput>,
     pub(crate) stats: EngineStats,
     pub(crate) latency: LatencyRecorder,
     pub(crate) gauge: MemoryGauge,
@@ -382,6 +397,9 @@ impl HamletEngine {
             sub_of: compiled.sub_of,
             pending: HashMap::new(),
             expiry: BinaryHeap::new(),
+            run_bytes: 0,
+            finished: Vec::new(),
+            outputs: Vec::new(),
             stats: EngineStats::default(),
             latency: LatencyRecorder::new(),
             gauge: MemoryGauge::new(),
@@ -489,12 +507,16 @@ impl HamletEngine {
                     .collect();
                 GroupExec {
                     estimator: DivergenceEstimator::new(rt.template.num_types(), rt.k(), alpha),
+                    combiner_of: (rt.queries.iter())
+                        .map(|q| sub_of.get(&q.id).copied())
+                        .collect(),
                     rt,
                     window: g.window,
                     pane: pane.max(1),
                     partition_attrs: g.partition_attrs.clone(),
                     partition_slots,
                     partitions: HashMap::new(),
+                    slab: RunSlab::default(),
                 }
             })
             .collect();
@@ -656,7 +678,10 @@ impl HamletEngine {
         &self.latency
     }
 
-    /// Peak byte-accounted state (§6.1 memory metric).
+    /// Peak byte-accounted state (§6.1 memory metric): the largest
+    /// [`state_bytes`](Self::state_bytes) the memory gauge sampled — every
+    /// [`EngineConfig::mem_sample_every`] events and once at
+    /// [`flush`](Self::flush), before the drain.
     pub fn peak_memory(&self) -> usize {
         self.gauge.peak()
     }
@@ -664,19 +689,31 @@ impl HamletEngine {
     /// Current byte-accounted state: live runs, burst buffers, and the
     /// watermark expiration index — everything a checkpoint carries, and
     /// what the memory gauge (peak-memory metric, §6.1) samples.
+    ///
+    /// O(1): the run bytes are a counter kept by deltas at the places they
+    /// change — a run's creation, an append to its pending burst (by what
+    /// was appended), the replay of a burst (the run is re-measured once),
+    /// its release — and re-derived by a walk over the live runs only
+    /// after a restore or a churn. Recycled runs waiting on a group's free
+    /// list are not state and are not counted; there are at most as many
+    /// as the group ever had live at once, and `flush()` releases them.
     pub fn state_bytes(&self) -> usize {
+        debug_assert_eq!(self.run_bytes, self.walk_run_bytes());
+        self.run_bytes + self.expiry.len() * std::mem::size_of::<ExpiryEntry>()
+    }
+
+    /// What `run_bytes` counts, by definition: every live run, reached
+    /// through its key, measured. The oracle of the counter — debug builds
+    /// compare the two at every [`state_bytes`](Self::state_bytes) call.
+    pub(crate) fn walk_run_bytes(&self) -> usize {
         let mut b = 0;
         for g in &self.groups {
             // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
             for runs in g.partitions.values() {
-                for rs in runs.values() {
-                    b += rs.mem_bytes();
+                for &(_, handle) in runs.as_slice() {
+                    b += g.slab.get(handle).rs.mem_bytes();
                 }
             }
-        }
-        for Reverse(e) in &self.expiry {
-            b += std::mem::size_of::<ExpiryEntry>()
-                + e.key.0.capacity() * std::mem::size_of::<AttrValue>();
         }
         b
     }
@@ -1128,6 +1165,133 @@ mod tests {
                 prop_assert_eq!(heap_eng.process(&e), scan_eng.process_scan_expiry(&e));
             }
             prop_assert_eq!(heap_eng.flush(), scan_eng.flush_scan_expiry());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        /// The O(1) byte counter behind `state_bytes()` equals the walk
+        /// over every live run after every call of every path that can
+        /// move it: batches cut anywhere, the per-event fold, the
+        /// reference and scan-expiry oracles, late events (including a
+        /// first-seen key late for every instance), churn, a chain cut
+        /// restored into a fresh engine, and `flush` — over groups that
+        /// buffer counts, cells and events, a lattice skeleton, a
+        /// negation and a decomposed `OR` query, under all three policies.
+        #[test]
+        fn state_bytes_counter_equals_the_walk(seed in 0u64..u64::MAX, policy in 0usize..3) {
+            use crate::store::{CheckpointStore, CutKind, MemStore, Snapshot};
+            use hamlet_query::{AggFunc, CmpOp, EdgePredicate, SelectionPredicate};
+            use proptest::prelude::{prop_assert, prop_assert_eq};
+            let (reg, a, b, c) = registry();
+            let mut s = seed | 1;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s >> 11
+            };
+            let windows = [Window::tumbling(6), Window::new(12, 4), Window::new(10, 5)];
+            let mut mk_q = |id: u32, pattern: Pattern, agg, sel: bool, edge: bool| {
+                let selections = sel.then(|| SelectionPredicate {
+                    ty: b,
+                    attr: 1,
+                    op: CmpOp::Lt,
+                    value: AttrValue::Float((2 + next() % 6) as f64),
+                });
+                let edges = edge.then_some(EdgePredicate { ty: b, cur_attr: 1, op: CmpOp::Ge, prev_attr: 1 });
+                let w = windows[(next() % 3) as usize];
+                let mut q = Query::new(
+                    QueryId(id),
+                    pattern,
+                    agg,
+                    selections.into_iter().collect(),
+                    edges.into_iter().collect(),
+                    vec![],
+                    vec![],
+                    w,
+                )
+                .unwrap();
+                q.group_by = vec![Arc::from("g")];
+                q
+            };
+            let not_c = Pattern::seq(vec![
+                Pattern::Type(a),
+                Pattern::Not(Box::new(Pattern::Type(c))),
+                Pattern::plus(Pattern::Type(b)),
+            ]);
+            let or = Pattern::Or(Box::new(seq(a, b)), Box::new(Pattern::plus(Pattern::Type(c))));
+            let queries = vec![
+                mk_q(1, seq(a, b), AggFunc::CountStar, false, false), // counts
+                mk_q(2, seq(c, b), AggFunc::CountStar, false, false),
+                mk_q(3, seq(a, b), AggFunc::Sum(b, 1), true, false), // cells
+                mk_q(4, seq(c, b), AggFunc::Max(b, 1), true, false), // lattice
+                mk_q(5, seq(a, b), AggFunc::CountStar, false, true), // events
+                mk_q(6, not_c, AggFunc::CountStar, false, false),    // negation
+                mk_q(7, or, AggFunc::CountStar, false, false),       // two halves
+            ];
+            let extra = mk_q(9, seq(c, b), AggFunc::CountType(b), true, false);
+            let cfg = EngineConfig {
+                policy: [SharingPolicy::Dynamic, SharingPolicy::AlwaysShare, SharingPolicy::NeverShare][policy],
+                mem_sample_every: 16,
+                ..EngineConfig::default()
+            };
+            let mk = |queries: &[Query]| HamletEngine::new(reg.clone(), queries.to_vec(), cfg.clone()).unwrap();
+            let mut eng = mk(&queries);
+            let reprs: std::collections::BTreeSet<u8> = (eng.groups.iter())
+                .flat_map(|g| (0..g.rt.template.num_types()).map(|tl| g.rt.burst_repr(tl).tag()))
+                .collect();
+            prop_assert_eq!(reprs.len(), 3, "counts, cells and events are all buffered");
+
+            let store = MemStore::new();
+            let (mut t, mut fresh_key, mut has_extra) = (0u64, 1000i64, false);
+            for _ in 0..60 {
+                let n = 1 + next() % 12;
+                let chunk: Vec<Event> = (0..n)
+                    .map(|_| {
+                        t += next() % 2;
+                        let ty = [a, c, b, b, b][(next() % 5) as usize];
+                        let v = (next() % 8) as f64;
+                        match next() % 16 {
+                            // A key never seen, behind every open window.
+                            0 => {
+                                fresh_key += 1;
+                                ev(&reg, ty, t.saturating_sub(30), fresh_key, v)
+                            }
+                            // A straggler: late for some instances at most.
+                            1 | 2 => ev(&reg, ty, t.saturating_sub(next() % 8), (next() % 4) as i64, v),
+                            _ => ev(&reg, ty, t, (next() % 4) as i64, v),
+                        }
+                    })
+                    .collect();
+                match next() % 12 {
+                    0..=4 => drop(eng.process_batch(&chunk)),
+                    5 | 6 => chunk.iter().for_each(|e| drop(eng.process(e))),
+                    7 => chunk.iter().for_each(|e| drop(eng.process_reference(e))),
+                    8 => chunk.iter().for_each(|e| drop(eng.process_scan_expiry(e))),
+                    9 => {
+                        if has_extra {
+                            eng.remove_query(QueryId(9)).unwrap();
+                        } else {
+                            eng.add_query(extra.clone()).unwrap();
+                        }
+                        has_extra = !has_extra;
+                    }
+                    _ => {
+                        let kind = if next() % 3 == 0 { CutKind::Full } else { CutKind::Delta };
+                        store.append(&eng.cut(kind).unwrap()).unwrap();
+                        let mut restored = mk(eng.queries());
+                        restored.restore_chain(&store.load_chain().unwrap()).unwrap();
+                        prop_assert_eq!(restored.state_bytes(), eng.state_bytes());
+                        eng = restored;
+                    }
+                }
+                prop_assert_eq!(eng.run_bytes, eng.walk_run_bytes());
+            }
+            prop_assert!(eng.stats().late_skips > 0);
+            eng.flush();
+            prop_assert_eq!((eng.run_bytes, eng.state_bytes()), (0, 0));
         }
     }
 

@@ -25,28 +25,26 @@ use crate::checkpoint::{
     Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION,
 };
 use crate::executor::{EngineStats, HamletEngine};
+use crate::expiry::{RunSlab, Runs};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::DivergenceEstimator;
 use crate::store::{ChainMeta, Checkpoint, CutKind};
 use hamlet_query::QueryId;
 use hamlet_types::{GroupKey, Ts};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 /// Where a pending general-query half waits: `(combiner index, key,
 /// window start)`.
 pub(crate) type PendingSlot = (usize, GroupKey, u64);
 
-/// One partition's live runs, by ascending window start.
-pub(crate) type Runs = BTreeMap<u64, RunState>;
-
 /// What the engine touched since its last chain cut — the difference the
 /// next delta record writes.
 #[derive(Default)]
 pub(crate) struct DirtyLog {
-    /// Partitions possibly touched, as `(group index, key)`. At cut time
-    /// a touched key still present is re-encoded wholesale (upsert); an
+    /// Partition keys possibly touched, per group index. At cut time a
+    /// touched key still present is re-encoded wholesale (upsert); an
     /// absent one becomes a removal.
-    parts: HashSet<(usize, GroupKey)>,
+    parts: Vec<HashSet<GroupKey>>,
     /// Pending-half slots possibly touched (same present/absent rule).
     pending: HashSet<PendingSlot>,
     /// Sequence number of the last chain record cut from (or restored
@@ -61,11 +59,17 @@ pub(crate) struct DirtyLog {
 }
 
 impl DirtyLog {
-    /// Notes that partition `key` of group `gi` may have changed.
+    /// Notes that partition `key` of group `gi` may have changed; only
+    /// the first mark of a key since the last cut clones it.
     #[inline]
     pub(crate) fn mark(&mut self, gi: usize, key: &GroupKey) {
         if self.tracking {
-            self.parts.insert((gi, key.clone()));
+            if self.parts.len() <= gi {
+                self.parts.resize_with(gi + 1, HashSet::new);
+            }
+            if !self.parts[gi].contains(key) {
+                self.parts[gi].insert(key.clone());
+            }
         }
     }
 
@@ -93,7 +97,7 @@ impl DirtyLog {
     /// Starts a new interval on top of record `seq`, which now describes
     /// the engine exactly.
     fn rearm(&mut self, seq: u64) {
-        self.parts.clear();
+        self.parts.iter_mut().for_each(HashSet::clear);
         self.pending.clear();
         self.cut_seq = seq;
         self.tracking = true;
@@ -160,11 +164,13 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
     let mut slots_gone: Vec<&PendingSlot> = Vec::new();
     let mut slots_live: Vec<(&PendingSlot, &(QueryId, u64))> = Vec::new();
     if delta {
-        // hamlet-lint: allow(unordered-iter) -- only buckets per group; every bucket is sorted canonically before it is written below
-        for (gi, key) in &eng.dirty.parts {
-            match eng.groups[*gi].partitions.get_key_value(key) {
-                Some(kv) => live[*gi].push(kv),
-                None => gone[*gi].push(key),
+        for (gi, keys) in eng.dirty.parts.iter().enumerate() {
+            // hamlet-lint: allow(unordered-iter) -- only buckets per group; every bucket is sorted canonically before it is written below
+            for key in keys {
+                match eng.groups[gi].partitions.get_key_value(key) {
+                    Some(kv) => live[gi].push(kv),
+                    None => gone[gi].push(key),
+                }
             }
         }
         // hamlet-lint: allow(unordered-iter) -- as above: sorted by `slot_cmp` before writing
@@ -195,10 +201,10 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
         e.usize(live.len());
         for (key, runs) in live {
             e.group_key(key);
-            e.usize(runs.len());
-            for (&start, rs) in runs {
+            e.usize(runs.as_slice().len());
+            for &(start, handle) in runs.as_slice() {
                 e.u64(start);
-                rs.encode(e);
+                g.slab.get(handle).rs.encode(e);
             }
         }
         g.estimator.encode(e);
@@ -231,9 +237,10 @@ struct Staged {
     /// Sequence number of the chain's last record.
     seq: u64,
     /// Per share group (parallel to `HamletEngine::groups`), its
-    /// partitions and divergence estimator (small, so every record
-    /// carries it whole rather than diffing it).
-    groups: Vec<(HashMap<GroupKey, Runs>, DivergenceEstimator)>,
+    /// partitions with the slab their runs live in, and its divergence
+    /// estimator (small, so every record carries it whole rather than
+    /// diffing it).
+    groups: Vec<(HashMap<GroupKey, Runs>, RunSlab, DivergenceEstimator)>,
     pending: HashMap<PendingSlot, (QueryId, u64)>,
     // The scalar tail every record body ends with; the newest wins.
     stats: EngineStats,
@@ -244,6 +251,14 @@ struct Staged {
     /// Per-group observability counters, 8 `u64`s per group; empty when
     /// the writer had `EngineConfig::obs` off.
     obs: Vec<[u64; 8]>,
+}
+
+/// Takes `key` out of a staged group: a key a later record of the chain
+/// removes or re-sends gives its slots back.
+fn vacate(partitions: &mut HashMap<GroupKey, Runs>, slab: &mut RunSlab, key: &GroupKey) {
+    for &(_, handle) in partitions.remove(key).iter().flat_map(Runs::as_slice) {
+        slab.release(handle);
+    }
 }
 
 /// Mirror of [`encode_body`]: decodes one body — with removal lists iff
@@ -270,20 +285,27 @@ fn decode_body(
             eng.groups.len()
         )));
     }
-    for (g, (parts, estimator)) in eng.groups.iter().zip(&mut state.groups) {
+    for (g, (parts, slab, estimator)) in eng.groups.iter().zip(&mut state.groups) {
         if delta {
             for _ in 0..d.seq_len()? {
-                parts.remove(&d.group_key()?);
+                vacate(parts, slab, &d.group_key()?);
             }
         }
         let n_parts = d.seq_len()?;
         parts.reserve(if delta { 0 } else { n_parts });
         for _ in 0..n_parts {
             let key = d.group_key()?;
-            let mut runs = Runs::new();
+            vacate(parts, slab, &key);
+            let mut runs = Runs::default();
             for _ in 0..d.seq_len()? {
                 let start = d.u64()?;
-                runs.insert(start, RunState::decode(d, &g.rt, legacy)?);
+                let Err(at) = runs.find(start) else {
+                    return Err(CheckpointError::Corrupt(format!(
+                        "window start {start} twice in one partition"
+                    )));
+                };
+                let rs = RunState::decode(d, &g.rt, legacy)?;
+                runs.insert(at, start, slab.occupy(&g.rt, &key, start, Some(rs)));
             }
             parts.insert(key, runs);
         }
@@ -424,7 +446,7 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
         epoch,
         seq: chain[chain.len() - 1].seq,
         groups: (eng.groups.iter())
-            .map(|g| (HashMap::new(), g.estimator.clone()))
+            .map(|g| (HashMap::new(), RunSlab::default(), g.estimator.clone()))
             .collect(),
         ..Staged::default()
     };
@@ -453,9 +475,10 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
 /// state mutation; all validation happened in [`stage`].
 fn install(eng: &mut HamletEngine, state: Staged) {
     eng.epoch = state.epoch;
-    for (g, (parts, estimator)) in eng.groups.iter_mut().zip(state.groups) {
-        g.partitions = parts;
-        g.estimator = estimator;
+    for (g, (parts, slab, estimator)) in eng.groups.iter_mut().zip(state.groups) {
+        (g.partitions, g.slab, g.estimator) = (parts, slab, estimator);
+        // Slots a delta of the chain vacated: not state, not installed.
+        g.slab.drop_free(&mut g.partitions);
     }
     eng.pending = state.pending;
     eng.stats = state.stats;
@@ -473,7 +496,7 @@ fn install(eng: &mut HamletEngine, state: Staged) {
         }
     }
     // Derived, not serialized: one expiration-index entry per live run,
-    // as `process()` maintains.
+    // as `process()` maintains, and the byte count.
     eng.rebuild_expiry();
 }
 

@@ -15,9 +15,9 @@
 //! test may interleave them with it freely.
 
 use crate::bitset::QSet;
-use crate::burst::{Burst, Chunk, FlushEnv, RunState};
+use crate::burst::{Burst, Chunk, FlushEnv};
 use crate::executor::{shard_index, GroupExec, HamletEngine, WindowResult};
-use crate::expiry::{runs_of, Partition};
+use crate::expiry::Partition;
 use crate::run::Run;
 use hamlet_types::time::window_end;
 use hamlet_types::{AttrValue, Event, GroupKey, Ts, TypeRegistry};
@@ -84,7 +84,8 @@ impl HamletEngine {
                 &mut self.scratch.cells,
             );
             let mut part = Partition {
-                runs: runs_of(&mut g.partitions, &key),
+                runs: g.partitions.entry(key.clone()).or_default(),
+                slab: &mut g.slab,
                 group: gi,
                 key: &key,
                 rt: &g.rt,
@@ -96,6 +97,7 @@ impl HamletEngine {
                 estimator: &mut g.estimator,
                 stats: &mut self.stats,
                 ctx: &mut self.burst_ctx,
+                bytes: &mut self.run_bytes,
             };
             let mut late_skipped = false;
             for start in starts {
@@ -107,7 +109,7 @@ impl HamletEngine {
                     late_skipped = true;
                     continue;
                 }
-                let rs = part.run_at(start.ticks(), end, env.stats);
+                let rs = part.run_at(start.ticks(), end, &mut env);
                 rs.append(tl, pane_idx, chunk, now, &mut env);
             }
             // A first-seen key whose every window instance was late would
@@ -134,24 +136,23 @@ impl HamletEngine {
     /// the same [`finalize_finished`](Self::finalize_finished) as the
     /// indexed path, so any divergence is in *which* runs expire.
     fn emit_expired_scan(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
-        let mut finished: Vec<(usize, GroupKey, u64, RunState)> = Vec::new();
+        let mut finished = Vec::new();
         for gi in 0..self.groups.len() {
             let within = self.groups[gi].window.within;
             for (key, runs) in self.groups[gi].partitions.iter_mut() {
-                while let Some(first) = runs.first_entry() {
-                    if window_end(*first.key(), within) > watermark.ticks() {
+                while let Some(&(start, _)) = runs.as_slice().first() {
+                    if window_end(start, within) > watermark.ticks() {
                         break;
                     }
-                    let (start, rs) = first.remove_entry();
                     self.dirty.mark(gi, key);
-                    finished.push((gi, key.clone(), start, rs));
+                    finished.push((gi as u32, runs.remove(0)));
                 }
             }
             self.groups[gi]
                 .partitions
                 .retain(|_, runs| !runs.is_empty());
         }
-        self.finalize_finished(finished, out);
+        self.finalize_finished(&mut finished, out);
     }
 
     /// [`process`](Self::process) with expiry decided by the full scan:

@@ -484,6 +484,27 @@ impl Run {
         }
     }
 
+    /// Puts every field back to what [`Run::new`] gives it for the same
+    /// runtime, keeping every buffer's capacity: a finished run handed
+    /// back to its group's slab is the next window's empty run, and
+    /// re-using it allocates nothing.
+    pub(crate) fn recycle(&mut self) {
+        self.n_events = 0;
+        self.cum.iter_mut().for_each(|v| v.fill(NodeVal::ZERO));
+        (self.mm_cum.iter_mut()).for_each(|v| v.fill(self.mm_identity));
+        self.alive_cum.iter_mut().for_each(|v| v.fill(false));
+        self.start_blocked.fill(false);
+        self.gap_blocked.clear();
+        self.result_blocked.fill(NodeVal::ZERO);
+        self.snaps.clear();
+        for a in &mut self.active {
+            a.shared = None;
+            a.solo.fill(None);
+        }
+        self.stored.iter_mut().for_each(Vec::clear);
+        self.stats = RunStats::default();
+    }
+
     /// Re-points the run at a freshly compiled runtime of the *same*
     /// shape (identical template type count and member count). Used by
     /// runtime query churn when a share group survives a workload change
@@ -1218,29 +1239,36 @@ impl Run {
     /// Closes all graphlets and returns the per-member window outputs
     /// (Eq. 3 over end-type totals, minus trailing-negation blocks).
     pub fn finalize(&mut self) -> Vec<MemberOutput> {
-        let tpl = self.rt.template.clone();
-        for ty in 0..tpl.num_types() {
+        let mut out = Vec::with_capacity(self.k);
+        self.finalize_into(&mut out);
+        out
+    }
+
+    /// [`finalize`](Self::finalize) into a reused buffer (cleared first):
+    /// the engine finalizes every expiring run through one.
+    pub fn finalize_into(&mut self, out: &mut Vec<MemberOutput>) {
+        for ty in 0..self.active.len() {
             self.close_shared(ty);
             for q in 0..self.k {
                 self.close_solo(ty, q);
             }
         }
-        (0..self.k)
-            .map(|q| {
-                let mut raw = NodeVal::ZERO;
-                let mut mm = self.mm_identity;
-                for ty in 0..tpl.num_types() {
-                    if tpl.end[ty].contains(q) {
-                        raw.add(self.cum[ty][q]);
-                        mm.fold(self.mm_cum[ty][q].0, self.is_min);
-                    }
+        let tpl = &self.rt.template;
+        out.clear();
+        out.extend((0..self.k).map(|q| {
+            let mut raw = NodeVal::ZERO;
+            let mut mm = self.mm_identity;
+            for ty in 0..tpl.num_types() {
+                if tpl.end[ty].contains(q) {
+                    raw.add(self.cum[ty][q]);
+                    mm.fold(self.mm_cum[ty][q].0, self.is_min);
                 }
-                MemberOutput {
-                    raw: raw.minus(self.result_blocked[q]),
-                    mm: mm.0,
-                }
-            })
-            .collect()
+            }
+            MemberOutput {
+                raw: raw.minus(self.result_blocked[q]),
+                mm: mm.0,
+            }
+        }));
     }
 
     /// Serializes the run's complete evaluation state (checkpoint codec):
@@ -1712,6 +1740,113 @@ mod tests {
             );
             prop_assert_eq!(fast.finalize(), slow.finalize());
         }
+    }
+
+    /// A run that has been through everything a run can hold — shared and
+    /// solo graphlets, a split and a merge, a gap-negation block, stored
+    /// edge-predicate events, snapshots, a pending burst — is, recycled,
+    /// the run `Run::new` builds: same record bytes, same accounted size.
+    #[test]
+    fn recycled_run_is_a_fresh_run() {
+        use crate::burst::{Chunk, FlushEnv, RunState};
+        use hamlet_query::{AggFunc, CmpOp, EdgePredicate, QueryId};
+        let edge = EdgePredicate {
+            ty: B,
+            cur_attr: 0,
+            op: CmpOp::Ge,
+            prev_attr: 0,
+        };
+        let q = |id, pattern, edges| {
+            let w = Window::tumbling(1000);
+            let q = Query::new(
+                QueryId(id),
+                pattern,
+                AggFunc::CountStar,
+                vec![],
+                edges,
+                vec![],
+                vec![],
+                w,
+            );
+            Arc::new(q.unwrap())
+        };
+        let gap = Pattern::seq(vec![
+            Pattern::Type(A),
+            Pattern::Not(Box::new(Pattern::Type(N))),
+            Pattern::plus(Pattern::Type(B)),
+        ]);
+        let members = [
+            q(0, seq(A, B), vec![]),
+            q(1, seq(C, B), vec![edge]),
+            q(2, gap, vec![]),
+            q(3, seq(C, B), vec![]),
+        ];
+        let plan = crate::workload::analyze(&members).unwrap();
+        assert_eq!(plan.groups.len(), 1);
+        let rt = GroupRuntime::new(&plan.groups[0]);
+        let tl = |t| rt.template.local(t).unwrap();
+        let evs = |ty: EventTypeId, t0: u64, n: u64| -> Vec<Event> {
+            let v = |i| hamlet_types::AttrValue::Float(((t0 + i) % 3) as f64);
+            (0..n)
+                .map(|i| Event::new(Ts(t0 + i), ty, vec![v(i)]))
+                .collect()
+        };
+
+        let mut rs = RunState::new(rt.clone());
+        let fresh_bytes = rs.accounted;
+        let all = QSet::all(4);
+        rs.run.process_burst(tl(A), &evs(A, 0, 2), &all);
+        rs.run.process_burst(tl(C), &evs(C, 2, 1), &all);
+        rs.run.process_burst(tl(B), &evs(B, 3, 4), &all); // shared
+        rs.run.process_burst(tl(B), &evs(B, 7, 3), &QSet::new()); // split
+        rs.run.process_burst(tl(B), &evs(B, 10, 3), &all); // merge
+        rs.run.process_burst(tl(N), &evs(N, 13, 1), &all); // blocks q2's gap
+        rs.run.process_burst(tl(B), &evs(B, 14, 2), &all);
+        let st = *rs.run.stats();
+        assert!(st.shared_bursts > 0 && st.solo_bursts > 0, "{st:?}");
+        assert!(
+            st.splits > 0 && st.merges > 0 && st.snapshots() > 0,
+            "{st:?}"
+        );
+        assert!(!rs.run.gap_blocked.is_empty(), "the negation blocked");
+        assert!(!rs.run.stored[tl(B)].is_empty(), "edge events are stored");
+        // …and a pending burst of events on top.
+        let (seg, mut bytes) = (evs(B, 20, 2), rs.run.mem_bytes());
+        rs.accounted = bytes;
+        let cfg = crate::executor::EngineConfig::default();
+        let mut env = FlushEnv {
+            cfg: &cfg,
+            estimator: &mut crate::optimizer::DivergenceEstimator::new(
+                rt.template.num_types(),
+                4,
+                0.5,
+            ),
+            stats: &mut crate::executor::EngineStats::default(),
+            ctx: &mut BurstCtx::default(),
+            bytes: &mut bytes,
+        };
+        let range = [(0, 0), (1, 0)];
+        rs.append(tl(B), 2, Chunk::Events(&seg, &range), None, &mut env);
+        assert_eq!((bytes, rs.accounted), (rs.mem_bytes(), rs.mem_bytes()));
+        assert!(bytes > fresh_bytes);
+
+        rs.recycle();
+        let record = |rs: &RunState| {
+            let mut e = crate::checkpoint::Enc::new();
+            rs.encode(&mut e);
+            e.finish()
+        };
+        let fresh = RunState::new(rt.clone());
+        assert_eq!(record(&rs), record(&fresh));
+        assert_eq!(rs.accounted, fresh_bytes);
+        assert_eq!(rs.mem_bytes(), fresh.mem_bytes());
+        // It runs like one, too.
+        let mut new = Run::new(rt.clone());
+        for run in [&mut rs.run, &mut new] {
+            run.process_burst(tl(A), &evs(A, 0, 1), &all);
+            run.process_burst(tl(B), &evs(B, 1, 5), &all);
+        }
+        assert_eq!(rs.run.finalize(), new.finalize());
     }
 
     #[test]

@@ -37,6 +37,12 @@ impl SnapTable {
         self.vals.is_empty()
     }
 
+    /// Forgets every snapshot, keeping the table's capacity (a recycled
+    /// run starts with an empty table).
+    pub fn clear(&mut self) {
+        self.vals.clear();
+    }
+
     /// Creates a snapshot from its per-query values (`values.len() == k`).
     pub fn create(&mut self, values: Vec<NodeVal>) -> SnapId {
         assert_eq!(values.len(), self.k, "snapshot arity mismatch");

@@ -17,8 +17,6 @@
 //! bit-exactly in tests.
 
 use hamlet_core::agg::{ring_of_attr, MmVal, NodeVal};
-#[cfg(test)]
-use hamlet_core::executor::AggValue;
 use hamlet_core::executor::{render, WindowResult};
 use hamlet_core::metrics::{LatencyRecorder, MemoryGauge};
 use hamlet_core::run::MemberOutput;
@@ -428,6 +426,7 @@ pub fn run_workload(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hamlet_core::executor::AggValue;
     use hamlet_query::{Pattern, Window};
 
     fn registry() -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, EventTypeId) {

@@ -14,8 +14,6 @@
 //! correctness oracle for every other strategy in the workspace.
 
 use hamlet_core::agg::{ring_of_attr, MmVal, NodeVal};
-#[cfg(test)]
-use hamlet_core::executor::AggValue;
 use hamlet_core::executor::{render, WindowResult};
 use hamlet_core::metrics::{LatencyRecorder, MemoryGauge};
 use hamlet_core::run::MemberOutput;
@@ -421,6 +419,7 @@ fn enumerate(tq: &TQuery, events: &[Event], budget: Option<u64>) -> (MemberOutpu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hamlet_core::executor::AggValue;
     use hamlet_query::{Pattern, QueryId, Window};
 
     fn registry() -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, EventTypeId) {

@@ -8,70 +8,52 @@
 //! cargo run -p hamlet-bench --release --bin figures -- --quick --bench-json out.json
 //! ```
 //!
-//! Available ids: fig9_events fig_batch fig_obs fig9_queries fig11_nyc
-//! fig11_sh fig11_queries fig12_events fig12_queries fig_scaling
-//! fig_expiry fig_latency fig_checkpoint fig_churn overhead all
+//! Ids: every row of `hamlet_bench::figures::SWEEPS`, `overhead`, and
+//! `all` (the default); an id that is none of these exits 2 and lists
+//! them.
 //!
 //! Flags:
 //! - `--quick`            small sweeps (CI-sized)
-//! - `--json <dir>`       also write one JSON series file per figure
+//! - `--json <dir>`       also write one report per figure, `<dir>/<id>.json`
 //! - `--bench-json <path>` consolidated report path (default `BENCH.json`)
 //! - `--no-bench-json`    skip the consolidated report
 
-use hamlet_bench::figures::{self, Figure};
+use hamlet_bench::figures::{self, Figure, SWEEPS};
 use hamlet_bench::{bench_json, markdown_table};
 
-const ALL_FIGURES: [&str; 14] = [
-    "fig9_events",
-    "fig_batch",
-    "fig_obs",
-    "fig9_queries",
-    "fig11_nyc",
-    "fig11_sh",
-    "fig11_queries",
-    "fig12_events",
-    "fig12_queries",
-    "fig_scaling",
-    "fig_expiry",
-    "fig_latency",
-    "fig_checkpoint",
-    "fig_churn",
-];
-
-fn print_figure(fig: &Figure, json_dir: Option<&str>) {
-    println!("\n## {} — {}\n", fig.id, fig.title);
-    print!("{}", markdown_table(fig.x_label, &fig.rows));
-    if let Some(dir) = json_dir {
-        let rows: Vec<String> = fig
-            .rows
-            .iter()
-            .map(|(x, ms)| {
-                let measurements: Vec<String> =
-                    ms.iter().map(|m| format!("    {}", m.to_json())).collect();
-                format!(
-                    "  {{\"x\": {:?}, \"measurements\": [\n{}\n  ]}}",
-                    x,
-                    measurements.join(",\n")
-                )
-            })
-            .collect();
-        let body = format!("[\n{}\n]\n", rows.join(",\n"));
-        let path = format!("{dir}/{}.json", fig.id);
-        if let Err(e) = std::fs::write(&path, body) {
+/// Writes `figs` as a `hamlet-bench-v1` report; exits 1 if it cannot.
+fn write_report(path: &str, mode: &str, figs: &[Figure]) {
+    match std::fs::write(path, bench_json(mode, figs)) {
+        Ok(()) => println!("\n(machine-readable report written to {path})"),
+        Err(e) => {
             eprintln!("could not write {path}: {e}");
-        } else {
-            println!("\n(data written to {path})");
+            std::process::exit(1);
         }
     }
 }
 
+fn print_overhead(quick: bool) {
+    let r = figures::overhead(quick);
+    println!("\n## overhead — §6.2 optimizer overhead\n");
+    println!(
+        "- one-time workload analysis: {:?} (paper: ≤ 81 ms)",
+        r.analysis
+    );
+    for (label, (total, n, wall)) in [("Exact pre-scan", r.exact), ("EMA statistics", r.ema)] {
+        println!(
+            "- {label}: {n} decisions took {total:?} = {:.3}% of {wall:?} \
+             processing (paper, statistics-based: < 0.2%)",
+            100.0 * total.as_secs_f64() / wall.as_secs_f64().max(1e-9),
+        );
+    }
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
     let mut json_dir: Option<String> = None;
     let mut bench_path: Option<String> = Some("BENCH.json".into());
     let mut targets: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--quick" => quick = true,
@@ -85,79 +67,40 @@ fn main() {
             other => targets.push(other.to_string()),
         }
     }
-    if let Some(dir) = &json_dir {
-        let _ = std::fs::create_dir_all(dir);
+    let ids = || SWEEPS.iter().map(|s| s.id).chain(["overhead"]);
+    if let Some(bad) = (targets.iter()).find(|t| *t != "all" && !ids().any(|id| id == *t)) {
+        let ids: Vec<&str> = ids().collect();
+        eprintln!("unknown figure id: {bad}\navailable: {} all", ids.join(" "));
+        std::process::exit(2);
     }
-    let targets: Vec<String> = if targets.is_empty() || targets.iter().any(|t| t == "all") {
-        ALL_FIGURES
-            .iter()
-            .map(|s| s.to_string())
-            .chain(std::iter::once("overhead".to_string()))
-            .collect()
-    } else {
-        targets
-    };
+    if targets.is_empty() || targets.iter().any(|t| t == "all") {
+        targets = ids().map(String::from).collect();
+    }
 
-    println!(
-        "# HAMLET figure reproduction ({} mode)",
-        if quick { "quick" } else { "full" }
-    );
+    let mode = if quick { "quick" } else { "full" };
+    println!("# HAMLET figure reproduction ({mode} mode)");
     let mut measured: Vec<Figure> = Vec::new();
     for t in &targets {
-        let fig = match t.as_str() {
-            "fig9_events" => figures::fig9_events(quick),
-            "fig_batch" => figures::fig_batch(quick),
-            "fig_obs" => figures::fig_obs(quick),
-            "fig9_queries" => figures::fig9_queries(quick),
-            "fig11_nyc" => figures::fig11_nyc(quick),
-            "fig11_sh" => figures::fig11_smart_home(quick),
-            "fig11_queries" => figures::fig11_queries(quick),
-            "fig12_events" => figures::fig12_events(quick),
-            "fig12_queries" => figures::fig12_queries(quick),
-            "fig_scaling" => figures::fig_scaling(quick),
-            "fig_expiry" => figures::fig_expiry(quick),
-            "fig_latency" => figures::fig_latency(quick),
-            "fig_checkpoint" => figures::fig_checkpoint(quick),
-            "fig_churn" => figures::fig_churn(quick),
-            "overhead" => {
-                let r = figures::overhead(quick);
-                println!("\n## overhead — §6.2 optimizer overhead\n");
-                println!(
-                    "- one-time workload analysis: {:?} (paper: ≤ 81 ms)",
-                    r.analysis
-                );
-                for (label, (total, n, wall)) in
-                    [("Exact pre-scan", r.exact), ("EMA statistics", r.ema)]
-                {
-                    println!(
-                        "- {label}: {n} decisions took {total:?} = {:.3}% of {wall:?} \
-                         processing (paper, statistics-based: < 0.2%)",
-                        100.0 * total.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-                    );
-                }
-                continue;
-            }
-            other => {
-                eprintln!("unknown figure id: {other}");
-                continue;
-            }
+        let Some(sweep) = figures::sweep(t) else {
+            print_overhead(quick);
+            continue;
         };
-        print_figure(&fig, json_dir.as_deref());
+        let fig = sweep.run(quick);
+        println!("\n## {} — {}\n", sweep.id, sweep.title);
+        print!("{}", markdown_table(sweep.axis.label(), &fig.rows));
+        if let Some(dir) = &json_dir {
+            let _ = std::fs::create_dir_all(dir);
+            write_report(
+                &format!("{dir}/{}.json", sweep.id),
+                mode,
+                std::slice::from_ref(&fig),
+            );
+        }
         measured.push(fig);
     }
-
-    if let Some(path) = bench_path {
-        if measured.is_empty() {
-            eprintln!("no figures measured; skipping {path}");
-        } else {
-            let doc = bench_json(if quick { "quick" } else { "full" }, &measured);
-            match std::fs::write(&path, doc) {
-                Ok(()) => println!("\n(machine-readable report written to {path})"),
-                Err(e) => {
-                    eprintln!("could not write {path}: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
+    match bench_path {
+        Some(path) if measured.is_empty() => eprintln!("no figures measured; skipping {path}"),
+        Some(path) => write_report(&path, mode, &measured),
+        None => {}
     }
 }

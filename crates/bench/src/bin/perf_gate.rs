@@ -21,7 +21,7 @@
 //! failure; so is a sweep a same-run check cannot find, and a zero time
 //! against a nonzero baseline (nothing was measured). A figure measured
 //! now but absent from the baseline gets one `SKIP` line, not a silent
-//! half-gate. Regenerate the baseline from three `figures --quick
+//! half-gate. Regenerate the baseline from five `figures --quick
 //! --bench-json bench-baseline.json` runs, keeping per point the min
 //! throughput and the max p99 / pause / recovery time.
 //!
@@ -78,18 +78,22 @@ const CHECKS: [Check; 12] = [
         systems: &[GATED],
         what: (TP, "", "", 0.0),
     }),
-    // 2. The workers sweep must not go pathological. (Single-core hosts
-    //    measure mostly routing overhead, ~0.85-1.1x.)
+    // 2. The second worker must not collapse the parallel path. A no-collapse
+    //    floor, not a scaling bar: on this 2-core host two workers and the
+    //    router share two cores and five sweeps read 0.700-0.735 (lower
+    //    quartile 0.70, less 10%; the final five 0.679-0.720, the same
+    //    floor; 0.645 the lowest of twenty-five). ROADMAP direction 3
+    //    raises it to 1.3.
     Check::SameRun(&SameRun {
-        flag: ("--min-scaling", 0.7, ">=x", 2),
+        flag: ("--min-scaling", 0.63, ">=x", 2),
         figures: &["fig_scaling"],
         of: [
-            ("HAMLET-par4", TP, Some("4")),
+            ("HAMLET-par2", TP, Some("2")),
             ("HAMLET-par1", TP, Some("1")),
         ],
-        claim: ("fig_scaling: 4 workers", "1 worker"),
+        claim: ("fig_scaling: 2 workers", "1 worker"),
         swept: [""; 4],
-        notes: ["", "workers sweep", "run the full sweep"],
+        notes: ["", "workers sweep", "run the sweep"],
     }),
     // 3. Throughput must stay flat(ish) in partition cardinality, on the two
     //    decades quick and full sweeps both measure: an O(live partitions)
@@ -438,4 +442,42 @@ fn main() {
         std::process::exit(1);
     }
     println!("perf gate: all checks passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hamlet_bench::figures::{sweep, Sweep};
+
+    /// Every figure, system and pinned x a check reads is a cell of the
+    /// figure table in both modes — a misspelt name fails here, not as a
+    /// `FAIL … missing` in CI. `GATED` stands for the default `--system`.
+    #[test]
+    fn every_check_reads_cells_the_table_has() {
+        let assert_cell = |figure: &str, system: &str, x: Option<&str>| {
+            let system = if system == GATED { "HAMLET" } else { system };
+            let row = sweep(figure).unwrap_or_else(|| panic!("no sweep {figure}"));
+            for xs in row.xs {
+                let found = xs.iter().any(|&v| {
+                    x.is_none_or(|x| x == v.to_string())
+                        && (row.columns.iter()).any(|(column, _)| Sweep::label(column, v) == system)
+                });
+                assert!(found, "{figure} has no {system} cell at x = {x:?}");
+            }
+        };
+        for check in &CHECKS {
+            match check {
+                Check::VsBaseline(c) if c.what.1.is_empty() => {}
+                Check::VsBaseline(c) => {
+                    (c.systems.iter()).for_each(|s| assert_cell(c.what.1, s, None))
+                }
+                Check::SameRun(c) => {
+                    for figure in c.figures {
+                        c.of.iter()
+                            .for_each(|&(system, _, x)| assert_cell(figure, system, x));
+                    }
+                }
+            }
+        }
+    }
 }

@@ -331,7 +331,12 @@ mod tests {
 
     #[test]
     fn roundtrips_harness_measurements() {
-        let mut m = crate::Measurement::zero(crate::System::HamletParallel(4), 100, 10);
+        let mut m = crate::Measurement {
+            system: "HAMLET-par4".into(),
+            events: 100,
+            queries: 10,
+            ..Default::default()
+        };
         m.wall = std::time::Duration::from_millis(5);
         m.latency_avg = std::time::Duration::from_micros(7);
         m.latency_p50 = std::time::Duration::from_micros(5);
@@ -372,7 +377,11 @@ mod tests {
         assert_eq!(num(f64::INFINITY), "0");
         assert_eq!(num(f64::NEG_INFINITY), "0");
         assert_eq!(num(f64::NAN), "0");
-        let mut m = crate::Measurement::zero(crate::System::Hamlet, 0, 1);
+        let mut m = crate::Measurement {
+            system: "HAMLET".into(),
+            queries: 1,
+            ..Default::default()
+        };
         m.throughput_eps = f64::INFINITY;
         let v = parse(&m.to_json()).expect("inf must not break the report");
         assert_eq!(v.get("throughput_eps").and_then(Json::as_f64), Some(0.0));

@@ -3,6 +3,17 @@
 
 use std::time::Duration;
 
+/// `total / count` in `u128` nanoseconds (zero when `count` is zero): a
+/// `Duration` divides only by a `u32`, and a long run records more than
+/// 2³² samples.
+fn mean(total: Duration, count: u64) -> Duration {
+    let Some(ns) = total.as_nanos().checked_div(u128::from(count)) else {
+        return Duration::ZERO;
+    };
+    // A mean is at most `total`, so the seconds fit a `u64`.
+    Duration::new((ns / 1_000_000_000) as u64, (ns % 1_000_000_000) as u32)
+}
+
 /// Records per-result latencies: the difference between result output time
 /// and the arrival time of the last event that contributed to the result
 /// (§2.2 / §6.1).
@@ -28,11 +39,7 @@ impl LatencyRecorder {
 
     /// Average latency (zero when no samples).
     pub fn avg(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / self.count as u32
-        }
+        mean(self.total, self.count)
     }
 
     /// Maximum latency observed.
@@ -156,11 +163,7 @@ impl LatencyHistogram {
 
     /// Mean latency (zero when empty).
     pub fn avg(&self) -> Duration {
-        if self.count == 0 {
-            Duration::ZERO
-        } else {
-            self.total / u32::try_from(self.count).unwrap_or(u32::MAX)
-        }
+        mean(self.total, self.count)
     }
 
     /// Maximum recorded latency.
@@ -285,6 +288,24 @@ mod tests {
         r.merge(&r2);
         assert_eq!(r.count(), 3);
         assert_eq!(r.max(), Duration::from_millis(50));
+    }
+
+    /// Past 2³² samples the mean still divides by the whole count: a
+    /// recorder of 1 ms samples doubled through `merge` 33 times (2³³
+    /// samples — a count whose low 32 bits are zero) averages 1 ms.
+    #[test]
+    fn mean_divides_by_the_whole_count_past_u32() {
+        let (mut r, mut h) = (LatencyRecorder::new(), LatencyHistogram::new());
+        r.record(Duration::from_millis(1));
+        h.record(Duration::from_millis(1));
+        for _ in 0..33 {
+            r.merge(&r.clone());
+            h.merge(&h.clone());
+        }
+        assert_eq!(r.count(), 1 << 33);
+        assert_eq!(r.avg(), Duration::from_millis(1));
+        assert_eq!(h.count(), 1 << 33);
+        assert_eq!(h.avg(), Duration::from_millis(1));
     }
 
     #[test]

@@ -69,7 +69,7 @@
 //! ```
 
 use hamlet::prelude::*;
-use hamlet_stream::{nyc_taxi, ridesharing, smart_home, stock};
+use hamlet_stream::Dataset;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -263,37 +263,13 @@ fn main() {
         seed: args.seed,
         max_lateness: if args.pipeline { args.max_lateness } else { 0 },
     };
-    let (reg, events, pool): (Arc<TypeRegistry>, Vec<Event>, Vec<Query>) =
-        match args.dataset.as_str() {
-            "ridesharing" => {
-                let reg = ridesharing::registry();
-                let ev = ridesharing::generate(&reg, &gen);
-                let qs = ridesharing::workload_shared_kleene(&reg, pool_size, args.window);
-                (reg, ev, qs)
-            }
-            "nyc" => {
-                let reg = nyc_taxi::registry();
-                let ev = nyc_taxi::generate(&reg, &gen);
-                let qs = nyc_taxi::workload(&reg, pool_size, args.window);
-                (reg, ev, qs)
-            }
-            "smarthome" => {
-                let reg = smart_home::registry();
-                let ev = smart_home::generate(&reg, &gen);
-                let qs = smart_home::workload(&reg, pool_size, args.window);
-                (reg, ev, qs)
-            }
-            "stock" => {
-                let reg = stock::registry();
-                let ev = stock::generate(&reg, &gen);
-                let qs = stock::workload_diverse(&reg, pool_size, args.seed);
-                (reg, ev, qs)
-            }
-            other => {
-                eprintln!("unknown dataset {other}");
-                std::process::exit(2);
-            }
-        };
+    let Some(dataset) = Dataset::from_name(&args.dataset) else {
+        eprintln!("unknown dataset {}", args.dataset);
+        std::process::exit(2);
+    };
+    let reg = dataset.registry();
+    let events = dataset.generate(&reg, &gen);
+    let pool = dataset.workload(&reg, pool_size, args.window, args.seed);
     let queries: Vec<Query> = pool[..args.queries].to_vec();
     let schedule: Vec<(Ts, ChurnOp)> = script
         .iter()

@@ -8,23 +8,35 @@
 //! # Architecture
 //!
 //! There is one executor, [`ParallelSession`]: `workers` shard-owning
-//! engines plus the [`ShardRouter`] that maps events to them. Every entry
-//! point — the offline [`ParallelEngine::run`] / `run_batches` /
-//! `run_with_churn` and the live [`ParallelSession::process`] / `flush` —
-//! is a sequence of steps (event slices, churn ops) fed to that one
-//! executor. At one worker the steps run inline on the caller's thread
-//! (the baseline the scaling experiments compare against). Otherwise the
-//! coordinator routes each event once ([`ShardRouter::route`]) into
-//! per-shard batch buffers and hands full batches to one scoped worker
-//! thread per shard over bounded channels, so routing and processing
-//! overlap and no worker ever scans events it does not own; a churn op
-//! rides the same channels, so every shard applies it at the same stream
-//! position. Each worker therefore processes ~1/w of the events against
-//! ~1/w of the live partitions and holds ~1/w of the state. (Since the
-//! watermark expiration index landed, window expiry no longer scans live
-//! partitions per event, so sharding's win comes from core parallelism
-//! and per-shard state locality rather than from dividing an O(P) expiry
-//! term.)
+//! engines plus the [`ShardRouter`] that maps events to them, and
+//! [`ParallelSession::feed`] — the only code in the tree that buffers per
+//! shard, owns the worker channels, runs a shard's receive loop or
+//! implements a barrier. For the length of one `feed` call the caller
+//! holds a [`Feed`]: every event it pushes is routed once
+//! ([`ShardRouter::route`]) into per-shard batch buffers, full batches go
+//! to one scoped worker thread per shard over bounded channels (routing
+//! and processing overlap, and no worker ever scans events it does not
+//! own), and the three barriers — [`Feed::churn`], [`Feed::cut`],
+//! [`Feed::flush`] — ride the same FIFOs, so every shard meets each at
+//! the same stream position. Each worker therefore processes ~1/w of the
+//! events against ~1/w of the live partitions and holds ~1/w of the
+//! state. (Window expiry is an index pop, not a scan of live partitions,
+//! so sharding's win comes from core parallelism and per-shard state
+//! locality rather than from dividing an O(P) expiry term.)
+//!
+//! Two front ends feed it, and what differs between them is an argument
+//! of the one loop, never a second loop: the offline
+//! [`ParallelEngine::run`] / `run_batches` / `run_with_churn` and the
+//! live [`ParallelSession::process`] / `flush` push slices (tag `()`,
+//! [`BatchCut::Size`], nothing observed); the `hamlet-pipeline` ingest
+//! stage pushes released events as its `Source` yields them (tag = the
+//! arrival `Instant`, [`BatchCut::SizeOrTick`], a [`ShardHooks`] impl
+//! for its sink channel and metrics). A slice feed at one worker runs
+//! inline on the caller's thread — a slice never blocks, so a channel
+//! and a second thread would buy nothing, and that run is the baseline
+//! the scaling experiments divide by. A pipeline keeps its worker thread
+//! at one shard: its feed blocks inside `Source::next_event`, and the
+//! engine must keep draining meanwhile.
 //!
 //! The engines outlive each call, so processing interleaves with
 //! coordinated checkpoint cuts: the session implements
@@ -42,13 +54,6 @@
 //! itself deterministic by construction: each watermark advance emits its
 //! expired windows in `(window_start, group, key)` order straight off the
 //! expiration index, never in `HashMap` iteration order.
-//!
-//! This is an offline/batch harness (it is fed slices) — the right tool
-//! for throughput measurement over materialized streams. For *online*
-//! feeding — unbounded sources, per-event backpressure, out-of-order
-//! ingestion, live latency metrics — use the `hamlet-pipeline` crate,
-//! which drives the same [`ShardRouter`] over its own instrumented
-//! per-shard channels and drains to the same bit-identical merged output.
 
 use crate::checkpoint::{self, CheckpointError, Dec};
 use crate::executor::{
@@ -58,8 +63,8 @@ use crate::executor::{
 use crate::metrics::LatencyRecorder;
 use crate::record;
 use crate::shard::ShardRouter;
-use crate::store::{ChainMeta, Checkpoint, CutKind, Snapshot};
-use hamlet_obs::{merge_group_metrics, GroupMetrics};
+use crate::store::{Checkpoint, CutKind, Snapshot};
+use hamlet_obs::{merge_group_metrics, GroupMetrics, Stage};
 use hamlet_query::Query;
 use hamlet_types::{Event, TypeRegistry};
 use std::sync::{mpsc, Arc};
@@ -70,8 +75,9 @@ use std::time::{Duration, Instant};
 /// streams.
 pub const DEFAULT_BATCH: usize = 1024;
 
-/// Bounded depth of each worker's batch channel (backpressure: the router
-/// stalls rather than buffering the whole stream for a slow worker).
+/// Bounded depth of each worker's batch channel under a slice feed
+/// (backpressure: the router stalls rather than buffering the whole
+/// stream for a slow worker).
 const PIPELINE_DEPTH: usize = 4;
 
 /// Magic tag opening the `HMPC` container a [`ParallelSession`] cut
@@ -80,38 +86,238 @@ const PARALLEL_MAGIC: [u8; 4] = *b"HMPC";
 /// Container format version.
 const PARALLEL_VERSION: u16 = 1;
 
-/// One unit of work for the executor: a slice of the stream, or a churn
+/// One unit of work of a slice feed: a slice of the stream, or a churn
 /// op applied at the barrier after everything before it.
 enum Step<'a> {
     Events(&'a [Event]),
     Churn(ChurnOp),
 }
 
-/// What the coordinator sends a shard worker: a routed batch, or a churn
-/// op every worker applies at the same stream position (the coordinated
-/// per-shard barrier — channel FIFO order guarantees all pre-op events
-/// are processed first).
-enum ShardMsg {
-    Batch(Vec<Event>),
+/// What the coordinator puts on a shard worker's FIFO: a routed batch
+/// with the tag of its last event, or one of the three barriers — every
+/// worker meets each after exactly the events routed before it (channel
+/// FIFO order), the same stream cut on every shard.
+enum ShardMsg<T> {
+    Batch(Vec<Event>, T),
     Churn(ChurnOp),
+    /// The worker cuts its engine's next chain record (full or delta,
+    /// per the kind) and replies with `(shard, record)`.
+    Cut(CutKind, mpsc::Sender<(usize, Checkpoint)>),
+    /// End of stream: every open window emits. A FIFO that closes
+    /// without it ends a call whose open windows stay in the engine.
+    Flush,
 }
 
-/// Applies one validated churn op to a shard engine, returning the
-/// results it drained at the barrier.
-fn apply_op(eng: &mut HamletEngine, op: ChurnOp) -> Vec<WindowResult> {
-    eng.apply(op)
-        // hamlet-lint: allow(panic-hygiene) -- a shard failing a pre-validated churn must not run past the cut; the panic surfaces at join
-        .expect("churn ops validated before execution started")
-        .drained
+/// A churn step of a pre-validated schedule (or one the router accepted
+/// a moment ago) cannot fail.
+fn validated<T>(step: Result<T, ChurnError>) -> T {
+    // hamlet-lint: allow(panic-hygiene) -- a shard that cannot apply a pre-validated op must not run past the cut on a diverged workload; the panic surfaces at the join
+    step.expect("churn ops validated before execution started")
 }
 
-/// The coordinator's half of the churn barrier: re-plans routing for the
-/// post-churn workload (the shard masks follow it).
-fn replan(router: &mut ShardRouter, op: &ChurnOp) {
-    router
-        .apply(op)
-        // hamlet-lint: allow(panic-hygiene) -- the schedule was dry-run before execution started; routing on after a failed re-plan would desync the shards
-        .expect("churn ops validated before execution started");
+/// When a shard's batch under construction is handed to its worker.
+/// Fixed by each front end, never exposed to a user: the two that exist
+/// need different values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BatchCut {
+    /// At the session's batch size: a slice feed has no latency to
+    /// protect.
+    Size,
+    /// At the batch size, or as soon as *this shard's* event time
+    /// advances a tick — the boundary that costs no result latency: a
+    /// shard's windows only close when one of its own events advances
+    /// its engine's watermark, and exactly that tick-advancing event
+    /// ships inside the batch its push cuts, while same-tick followers
+    /// (which cannot close anything) stay buffered and amortize the
+    /// channel.
+    SizeOrTick,
+}
+
+/// What a front end observes of the executor — nothing, unless it
+/// overrides a method. The executor is monomorphized over the impl, so
+/// the slice feed's `()` costs nothing.
+pub trait ShardHooks<T>: Sync {
+    /// Coordinator side: `events` more events are on `shard`'s FIFO.
+    fn queued(&self, _shard: usize, _events: usize) {}
+
+    /// Coordinator side: `shard`'s worker hung up mid-run — it
+    /// panicked, and the join at the end of the feed says how.
+    fn lost(&self, _shard: usize) {}
+
+    /// Worker side: what `shard`'s engine just emitted (possibly
+    /// nothing) — for a batch of `batch.0` events tagged `batch.1`, or
+    /// (`None`) at a churn or flush barrier. A front end that delivers
+    /// results itself takes them out of `results`; what it leaves is
+    /// what [`ParallelSession::feed`] returns.
+    fn emitted(
+        &self,
+        _shard: usize,
+        _eng: &HamletEngine,
+        _batch: Option<(usize, T)>,
+        _results: &mut Vec<WindowResult>,
+    ) {
+    }
+}
+
+impl ShardHooks<()> for () {}
+
+/// One shard's outbox: its bounded FIFO and the batch under
+/// construction.
+struct Lane<T> {
+    tx: mpsc::SyncSender<ShardMsg<T>>,
+    buf: Vec<Event>,
+    /// Tag of the last event pushed into `buf`; `None` iff it is empty.
+    tag: Option<T>,
+    /// Event-time tick of the last event pushed ([`BatchCut::SizeOrTick`]).
+    tick: Option<u64>,
+}
+
+impl<T> Lane<T> {
+    /// Blocking on a full FIFO *is* the backpressure. A send only fails
+    /// if the worker died; the front end is told, so an unbounded run
+    /// cannot silently discard that shard's events forever.
+    fn send(&self, idx: usize, msg: ShardMsg<T>, hooks: &impl ShardHooks<T>) {
+        if self.tx.send(msg).is_err() {
+            hooks.lost(idx);
+        }
+    }
+
+    /// Hands the batch under construction, if any, to the worker.
+    fn ship(&mut self, idx: usize, batch: usize, hooks: &impl ShardHooks<T>) {
+        let Some(tag) = self.tag.take() else { return };
+        let full = std::mem::replace(&mut self.buf, Vec::with_capacity(batch));
+        hooks.queued(idx, full.len());
+        self.send(idx, ShardMsg::Batch(full, tag), hooks);
+    }
+}
+
+/// The coordinator's end of a running executor
+/// ([`ParallelSession::feed`]): events go in tagged, barriers go in
+/// between them, and when the feed ends every partial batch is shipped,
+/// the FIFOs close and the workers are joined.
+pub struct Feed<'a, T, H> {
+    router: &'a mut ShardRouter,
+    lanes: Vec<Lane<T>>,
+    batch: usize,
+    cut: BatchCut,
+    hooks: &'a H,
+}
+
+impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
+    /// Routes `e` to every shard owning one of its partition keys;
+    /// `tag` rides with the batch `e` is the last event of.
+    pub fn push(&mut self, e: Event, tag: T) {
+        let (batch, cut, hooks, lanes) = (self.batch, self.cut, self.hooks, &mut self.lanes);
+        self.router.route(e, |idx, e| {
+            let lane = &mut lanes[idx];
+            let tick = e.time.ticks();
+            let advanced =
+                cut == BatchCut::SizeOrTick && lane.tick.replace(tick).is_some_and(|t| t != tick);
+            lane.buf.push(e);
+            lane.tag = Some(tag);
+            if advanced || lane.buf.len() >= batch {
+                lane.ship(idx, batch, hooks);
+            }
+        });
+    }
+
+    /// Hands every partial batch to its worker now — for a feed about
+    /// to wait on something other than events.
+    pub fn ship_partials(&mut self) {
+        for (idx, lane) in self.lanes.iter_mut().enumerate() {
+            lane.ship(idx, self.batch, self.hooks);
+        }
+    }
+
+    /// The one barrier: each shard gets its partial batch, then `msg`.
+    /// FIFO delivery means each worker meets it after exactly the events
+    /// pushed before it — the same cut on every shard.
+    fn barrier(&mut self, msg: impl Fn() -> ShardMsg<T>) {
+        for (idx, lane) in self.lanes.iter_mut().enumerate() {
+            lane.ship(idx, self.batch, self.hooks);
+            lane.send(idx, msg(), self.hooks);
+        }
+    }
+
+    /// The churn barrier: the router validates `op` against the
+    /// evolving workload, compile-checks the post-churn one (so the
+    /// workers' own churn cannot fail) and re-plans routing; then every
+    /// shard applies it at the same stream position. The coordinator is
+    /// the only thread that routes, so re-planning before the sends is
+    /// safe. A rejected op changes nothing.
+    pub fn churn(&mut self, op: ChurnOp) -> Result<(), ChurnError> {
+        self.router.apply(&op)?;
+        self.barrier(|| ShardMsg::Churn(op.clone()));
+        Ok(())
+    }
+
+    /// The cut barrier: every shard cuts its next chain record at the
+    /// same stream position (each engine promotes a delta it cannot
+    /// vouch for to a base); blocks until all have replied and returns
+    /// the records in shard order, for
+    /// [`Checkpoint::container_meta`] to judge.
+    pub fn cut(&mut self, kind: CutKind) -> Result<Vec<Checkpoint>, CheckpointError> {
+        let (reply, replies) = mpsc::channel();
+        self.barrier(|| ShardMsg::Cut(kind, reply.clone()));
+        drop(reply);
+        // Ends when every worker has replied or died.
+        let mut shards: Vec<(usize, Checkpoint)> = replies.iter().collect();
+        if shards.len() != self.lanes.len() {
+            return Err(CheckpointError::Io(
+                "a shard worker died during the cut".into(),
+            ));
+        }
+        shards.sort_by_key(|(idx, _)| *idx);
+        Ok(shards.into_iter().map(|(_, ck)| ck).collect())
+    }
+
+    /// The end-of-stream barrier: every open window on every shard
+    /// emits. A feed that ends without it leaves them in the engines.
+    pub fn flush(&mut self) {
+        self.barrier(|| ShardMsg::Flush);
+    }
+}
+
+/// One shard worker: applies its FIFO to its engine, in order, until
+/// the coordinator hangs up; returns the results `hooks` left it.
+fn shard_loop<T>(
+    idx: usize,
+    eng: &mut HamletEngine,
+    rx: &mpsc::Receiver<ShardMsg<T>>,
+    hooks: &impl ShardHooks<T>,
+) -> Vec<WindowResult> {
+    let mut out = Vec::new();
+    let mut emit = |eng: &HamletEngine, batch, mut results: Vec<WindowResult>| {
+        hooks.emitted(idx, eng, batch, &mut results);
+        out.append(&mut results);
+    };
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ShardMsg::Batch(events, tag) => {
+                let results = eng.process_batch(&events);
+                emit(eng, Some((events.len(), tag)), results);
+            }
+            ShardMsg::Churn(op) => {
+                // Windows of touched share groups drain here, exactly
+                // once, like any other result.
+                let t = eng.span_start();
+                let drained = validated(eng.apply(op)).drained;
+                emit(eng, None, drained);
+                eng.span_end(Stage::ChurnBarrier, t, None, 0);
+            }
+            ShardMsg::Cut(kind, reply) => {
+                let t = eng.span_start();
+                let record = record::cut(eng, kind);
+                eng.span_end(Stage::CheckpointPause, t, None, 0);
+                let _ = reply.send((idx, record));
+            }
+            ShardMsg::Flush => {
+                let flushed = eng.flush();
+                emit(eng, None, flushed);
+            }
+        }
+    }
+    out
 }
 
 /// Result of a parallel run: the merged, deterministically ordered window
@@ -234,12 +440,8 @@ impl ParallelEngine {
     /// ([`crate::Snapshot::cut`]). The offline methods on `self`
     /// ([`run`](Self::run) etc.) each open their own and are unaffected.
     pub fn session(&self) -> ParallelSession {
-        ParallelSession {
-            router: self.router.clone(),
-            // hamlet-lint: allow(panic-hygiene) -- the same workload already compiled in ParallelEngine::new; reconstruction is deterministic
-            engines: self.router.engines().expect("validated in new"),
-            batch: self.batch,
-        }
+        // hamlet-lint: allow(panic-hygiene) -- the same workload already compiled in ParallelEngine::new; reconstruction is deterministic
+        ParallelSession::open(self.router.clone(), self.batch).expect("validated in new")
     }
 
     /// Processes a finite stream and merges the window results.
@@ -353,6 +555,16 @@ pub struct ParallelSession {
 }
 
 impl ParallelSession {
+    /// Builds `router`'s shard engines over its current workload;
+    /// `batch` is the events per routed batch.
+    pub fn open(router: ShardRouter, batch: usize) -> Result<ParallelSession, EngineError> {
+        Ok(ParallelSession {
+            engines: router.engines()?,
+            router,
+            batch,
+        })
+    }
+
     /// Routes one slice of the stream to the shard engines and returns
     /// the merged, canonically sorted results it emitted.
     pub fn process(&mut self, events: &[Event]) -> Vec<WindowResult> {
@@ -376,24 +588,30 @@ impl ParallelSession {
         &self.engines
     }
 
-    /// The executor: feeds `steps` to the shard engines in order, then
-    /// flushes them if `flush`, and returns everything they emitted in
-    /// canonical order. Inline at one worker; otherwise one scoped
-    /// worker thread per shard behind a bounded channel.
+    /// The shard engines, for what is done to each before a run:
+    /// restoring per-shard records ([`record::restore_shards`]),
+    /// attaching a span recorder.
+    pub fn engines_mut(&mut self) -> &mut [HamletEngine] {
+        &mut self.engines
+    }
+
+    /// The slice feed: `steps` in order, then the flush barrier if
+    /// `flush`, and everything the shards emitted in canonical order.
+    /// Inline at one worker (see the module docs); otherwise through
+    /// [`feed`](Self::feed).
     fn drive<'a>(
         &mut self,
         steps: impl Iterator<Item = Step<'a>>,
         flush: bool,
     ) -> Vec<WindowResult> {
-        let (router, batch) = (&mut self.router, self.batch);
         let mut out: Vec<WindowResult> = if let [eng] = self.engines.as_mut_slice() {
             let mut out = Vec::new();
             for step in steps {
                 out.extend(match step {
                     Step::Events(span) => eng.process_batch(span),
                     Step::Churn(op) => {
-                        replan(router, &op);
-                        apply_op(eng, op)
+                        validated(self.router.apply(&op));
+                        validated(eng.apply(op)).drained
                     }
                 });
             }
@@ -402,88 +620,83 @@ impl ParallelSession {
             }
             out
         } else {
-            std::thread::scope(|scope| {
-                let (txs, handles): (Vec<_>, Vec<_>) = self
-                    .engines
-                    .iter_mut()
-                    .map(|eng| {
-                        let (tx, rx) = mpsc::sync_channel::<ShardMsg>(PIPELINE_DEPTH);
-                        let worker = scope.spawn(move || {
-                            let mut out = Vec::new();
-                            while let Ok(msg) = rx.recv() {
-                                out.extend(match msg {
-                                    ShardMsg::Batch(b) => eng.process_batch(&b),
-                                    ShardMsg::Churn(op) => apply_op(eng, op),
-                                });
-                            }
-                            // Channel closed: end of this call's steps.
-                            if flush {
-                                out.extend(eng.flush());
-                            }
-                            out
-                        });
-                        (tx, worker)
-                    })
-                    .unzip();
-                // A send only fails if the worker died; the join below
-                // surfaces its panic.
-                let mut bufs: Vec<Vec<Event>> =
-                    txs.iter().map(|_| Vec::with_capacity(batch)).collect();
-                let ship_partials = |bufs: &mut [Vec<Event>]| {
-                    for (buf, tx) in bufs.iter_mut().zip(&txs) {
-                        if !buf.is_empty() {
-                            let _ = tx.send(ShardMsg::Batch(std::mem::take(buf)));
-                        }
-                    }
-                };
+            let body = |feed: &mut Feed<'_, (), ()>| {
                 for step in steps {
                     match step {
-                        Step::Events(span) => {
-                            for e in span {
-                                router.route(e.clone(), |idx, e| {
-                                    bufs[idx].push(e);
-                                    if bufs[idx].len() >= batch {
-                                        let full = std::mem::replace(
-                                            &mut bufs[idx],
-                                            Vec::with_capacity(batch),
-                                        );
-                                        let _ = txs[idx].send(ShardMsg::Batch(full));
-                                    }
-                                });
-                            }
-                        }
-                        Step::Churn(op) => {
-                            // Coordinated barrier: every shard gets its
-                            // partial batch, then the op. FIFO delivery
-                            // means each worker applies it after exactly
-                            // the pre-op events — the same cut on every
-                            // shard.
-                            ship_partials(&mut bufs);
-                            for tx in &txs {
-                                let _ = tx.send(ShardMsg::Churn(op.clone()));
-                            }
-                            replan(router, &op);
-                        }
+                        Step::Events(span) => span.iter().for_each(|e| feed.push(e.clone(), ())),
+                        Step::Churn(op) => validated(feed.churn(op)),
                     }
                 }
-                ship_partials(&mut bufs);
-                drop(txs); // end of steps: workers drain their queues, then flush or return
-                handles
-                    .into_iter()
-                    // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
-                    .flat_map(|h| h.join().expect("worker thread panicked"))
-                    .collect()
-            })
+                if flush {
+                    feed.flush();
+                }
+            };
+            self.feed(BatchCut::Size, PIPELINE_DEPTH, &(), body).1
         };
         sort_results(&mut out);
         out
+    }
+
+    /// The executor: one scoped worker thread per shard engine behind a
+    /// FIFO of `depth` batches, fed by `body` on the caller's thread for
+    /// as long as it runs. When `body` returns, every partial batch is
+    /// shipped, the FIFOs close, the workers drain them and are joined;
+    /// returns `body`'s value and the results `hooks` did not take
+    /// ([`ShardHooks::emitted`]), unsorted. A worker that panicked takes
+    /// the caller with it here — the one join.
+    pub fn feed<T, H, R>(
+        &mut self,
+        cut: BatchCut,
+        depth: usize,
+        hooks: &H,
+        body: impl FnOnce(&mut Feed<'_, T, H>) -> R,
+    ) -> (R, Vec<WindowResult>)
+    where
+        T: Copy + Send,
+        H: ShardHooks<T>,
+    {
+        let batch = self.batch;
+        std::thread::scope(|scope| {
+            let (lanes, handles): (Vec<_>, Vec<_>) = (self.engines.iter_mut().enumerate())
+                .map(|(idx, eng)| {
+                    let (tx, rx) = mpsc::sync_channel(depth);
+                    let handle = std::thread::Builder::new()
+                        .name(format!("hamlet-shard-{idx}"))
+                        .spawn_scoped(scope, move || shard_loop(idx, eng, &rx, hooks))
+                        // hamlet-lint: allow(panic-hygiene) -- no thread, no shard: nothing has run yet, so there is nothing to clean up
+                        .expect("spawn shard worker");
+                    let lane = Lane {
+                        tx,
+                        buf: Vec::with_capacity(batch),
+                        tag: None,
+                        tick: None,
+                    };
+                    (lane, handle)
+                })
+                .unzip();
+            let mut feed = Feed {
+                router: &mut self.router,
+                lanes,
+                batch,
+                cut,
+                hooks,
+            };
+            let out = body(&mut feed);
+            feed.ship_partials();
+            drop(feed); // hang up: the workers drain their FIFOs and return
+            let left = (handles.into_iter())
+                // hamlet-lint: allow(panic-hygiene) -- join propagates a worker panic; swallowing it would fake a clean run
+                .flat_map(|h| h.join().expect("worker thread panicked"))
+                .collect();
+            (out, left)
+        })
     }
 }
 
 impl Snapshot for ParallelSession {
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         // The record kind must be uniform across shards (the container
-        // handle takes the first shard's and speaks for all): a delta cut
+        // speaks for all of them with one chain position): a delta cut
         // happens only when *every* shard can prove one sound.
         let kind = match kind {
             CutKind::Delta if self.engines.iter().all(|e| e.dirty.sound()) => CutKind::Delta,
@@ -494,6 +707,7 @@ impl Snapshot for ParallelSession {
             .iter_mut()
             .map(|e| record::cut(e, kind))
             .collect();
+        let meta = Checkpoint::container_meta(PARALLEL_VERSION, &shards)?;
         let bytes = checkpoint::container_header(
             &PARALLEL_MAGIC,
             PARALLEL_VERSION,
@@ -501,10 +715,6 @@ impl Snapshot for ParallelSession {
             &shards,
         )
         .finish();
-        let meta = ChainMeta {
-            version: PARALLEL_VERSION,
-            ..shards[0].meta().clone()
-        };
         Ok(Checkpoint::new(bytes, meta))
     }
 
@@ -623,19 +833,137 @@ mod tests {
         }
     }
 
+    /// What differs between the two front ends is an argument of the
+    /// one executor, so it is tested as one: every cell of cut rule ×
+    /// batch × workers × {plain, a churn op mid-stream, a delta cut and
+    /// a chain restore mid-stream} is byte-identical to the
+    /// single-engine run. (One worker goes through `feed` here, as a
+    /// pipeline's does; the inline slice path is the public `run`.)
     #[test]
     fn batch_size_does_not_change_results() {
         let (reg, queries, events) = setup();
-        let base = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
+        let q9 = parse_query(
+            &reg,
+            9,
+            "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 10",
+        )
+        .unwrap();
+        let (a, b) = (67, 131);
+        let single = |op: Option<ChurnOp>| {
+            let mut eng =
+                HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+            let mut out = eng.process_batch(&events[..b]);
+            if let Some(op) = op {
+                out.extend(eng.apply(op).unwrap().drained);
+            }
+            out.extend(eng.process_batch(&events[b..]));
+            out.extend(eng.flush());
+            sort_results(&mut out);
+            out
+        };
+        let (plain, churned) = (single(None), single(Some(ChurnOp::Add(q9.clone()))));
+        for (cut, batch, workers) in [BatchCut::Size, BatchCut::SizeOrTick]
+            .into_iter()
+            .flat_map(|c| [1usize, 7, 1024].map(|b| (c, b)))
+            .flat_map(|(c, b)| [1u32, 2, 4].map(|w| (c, b, w)))
+        {
+            let cell = format!("{cut:?}, batch {batch}, {workers} workers");
+            let par = ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
             .unwrap()
-            .run(&events);
-        for batch in [1usize, 7, 1024] {
-            let par = ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 4)
-                .unwrap()
-                .with_batch_size(batch)
-                .run(&events);
-            assert_eq!(base.results, par.results, "batch {batch}");
+            .with_batch_size(batch);
+            assert_eq!(par.run(&events).results, plain, "{cell}, run");
+            // Feeds `span` through the executor under this cell's
+            // parameters, with `then` as the last thing before the
+            // hang-up.
+            let feed = |sess: &mut ParallelSession,
+                        span: &[Event],
+                        then: &mut dyn FnMut(&mut Feed<'_, (), ()>)| {
+                let body = |feed: &mut Feed<'_, (), ()>| {
+                    span.iter().for_each(|e| feed.push(e.clone(), ()));
+                    then(feed);
+                };
+                sess.feed(cut, PIPELINE_DEPTH, &(), body).1
+            };
+            let sorted = |mut out: Vec<WindowResult>| {
+                sort_results(&mut out);
+                out
+            };
+
+            let mut sess = par.session();
+            let mut out = feed(&mut sess, &events[..b], &mut |_| ());
+            out.extend(feed(&mut sess, &events[b..], &mut |f| f.flush()));
+            assert_eq!(sorted(out), plain, "{cell}, plain");
+
+            let mut sess = par.session();
+            let add = &mut |f: &mut Feed<'_, (), ()>| f.churn(ChurnOp::Add(q9.clone())).unwrap();
+            let mut out = feed(&mut sess, &events[..b], add);
+            out.extend(feed(&mut sess, &events[b..], &mut |f| f.flush()));
+            assert_eq!(sorted(out), churned, "{cell}, churn");
+
+            // A base at `a`, a delta at `b`, both taken at the in-run
+            // barrier; the victim is dropped with its windows open.
+            let mut chain = Vec::new();
+            let mut cut_now = |f: &mut Feed<'_, (), ()>| {
+                let shards = f.cut(CutKind::Delta).unwrap();
+                Checkpoint::container_meta(PARALLEL_VERSION, &shards).unwrap();
+                chain.push(container(&shards));
+            };
+            let mut sess = par.session();
+            let mut out = feed(&mut sess, &events[..a], &mut cut_now);
+            out.extend(feed(&mut sess, &events[a..b], &mut cut_now));
+            drop(sess);
+            assert_eq!(
+                [chain[0].is_delta(), chain[1].is_delta()],
+                [false, true],
+                "{cell}"
+            );
+            let mut sess = par.session();
+            sess.restore_chain(&chain).unwrap();
+            out.extend(feed(&mut sess, &events[b..], &mut |f| f.flush()));
+            assert_eq!(sorted(out), plain, "{cell}, delta cut + chain restore");
         }
+    }
+
+    /// A set of shard records that is no coordinated cut — one shard's
+    /// delta beside another's base, or records one cut apart — has no
+    /// chain position a container could speak with.
+    #[test]
+    fn container_meta_rejects_mixed_shard_records() {
+        let (reg, queries, events) = setup();
+        let mut shards: Vec<HamletEngine> = (0..2)
+            .map(|idx| {
+                let cfg = EngineConfig {
+                    shard: Some((idx, 2)),
+                    ..EngineConfig::default()
+                };
+                let mut eng = HamletEngine::new(reg.clone(), queries.clone(), cfg).unwrap();
+                eng.process_batch(&events[..80]);
+                eng
+            })
+            .collect();
+        let mut cut = |idx: usize, kind| record::cut(&mut shards[idx], kind);
+        let bases = [cut(0, CutKind::Full), cut(1, CutKind::Full)];
+        let meta = Checkpoint::container_meta(PARALLEL_VERSION, &bases).unwrap();
+        assert_eq!(
+            (meta.version, meta.seq, meta.parent),
+            (PARALLEL_VERSION, 1, None)
+        );
+        // Shard 0 cuts a delta, shard 1 a base: same seq, mixed kinds.
+        let mixed = [cut(0, CutKind::Delta), cut(1, CutKind::Full)];
+        assert!(mixed[0].is_delta() && !mixed[1].is_delta());
+        assert!(matches!(
+            Checkpoint::container_meta(PARALLEL_VERSION, &mixed),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        // Same kind, one cut apart.
+        let skewed = [bases[0].clone(), mixed[1].clone()];
+        assert!(Checkpoint::container_meta(PARALLEL_VERSION, &skewed).is_err());
+        assert!(Checkpoint::container_meta(PARALLEL_VERSION, &[]).is_err());
     }
 
     #[test]
@@ -709,7 +1037,7 @@ mod tests {
 
     /// A legacy one-blob-per-shard `HMPC` container, as a session cut
     /// packs them (here around hand-made bare `HMEN` blobs).
-    fn container(shards: &[Vec<u8>]) -> Checkpoint {
+    fn container(shards: &[impl AsRef<[u8]>]) -> Checkpoint {
         let bytes = checkpoint::container_header(
             &PARALLEL_MAGIC,
             PARALLEL_VERSION,

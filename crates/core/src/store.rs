@@ -176,10 +176,39 @@ impl Checkpoint {
 
     /// The handle of a record its writer just encoded, from the metadata
     /// the writer holds — [`from_bytes`](Self::from_bytes) would peek the
-    /// same values back out. A container's writer passes its first
-    /// shard's [`meta`](Self::meta) under the container's own version.
+    /// same values back out. A container's writer passes
+    /// [`container_meta`](Self::container_meta) of its shard records.
     pub fn new(bytes: Vec<u8>, meta: ChainMeta) -> Checkpoint {
         Checkpoint { bytes, meta }
+    }
+
+    /// The chain position a container (`HMPC`/`HMPL`, at `version`) of
+    /// these per-shard records speaks with: the first shard's — which a
+    /// reader peeks back out — provided every shard agrees on it. A set
+    /// whose kinds, seqs or epochs differ (one shard promoted its delta
+    /// to a base, or missed a cut) is no coordinated cut: stored, its
+    /// chain would extend on some shards and break on others.
+    pub fn container_meta(
+        version: u16,
+        shards: &[Checkpoint],
+    ) -> Result<ChainMeta, CheckpointError> {
+        let position = |ck: &Checkpoint| (ck.parent(), ck.seq(), ck.epoch());
+        let Some(first) = shards.first() else {
+            return Err(CheckpointError::Corrupt(
+                "container checkpoint with no shards".into(),
+            ));
+        };
+        if let Some(off) = shards.iter().find(|ck| position(ck) != position(first)) {
+            return Err(CheckpointError::Corrupt(format!(
+                "shard records disagree on their chain position: {:?} vs {:?} (parent, seq, epoch)",
+                position(first),
+                position(off)
+            )));
+        }
+        Ok(ChainMeta {
+            version,
+            ..first.meta.clone()
+        })
     }
 
     /// Everything the handle knows besides the bytes.

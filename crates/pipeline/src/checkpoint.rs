@@ -39,8 +39,8 @@ const PIPELINE_VERSION_V1: u16 = 1;
 /// [`PipelineHandle::checkpoint`](crate::PipelineHandle::checkpoint), or
 /// decode a stored record with [`from_bytes`](Self::from_bytes).
 pub struct PipelineCheckpoint {
-    pub(crate) workers: u32,
-    /// Per-shard engine blobs (index = shard).
+    /// Per-shard engine blobs (index = shard); their number is the
+    /// worker count.
     pub(crate) engines: Vec<Vec<u8>>,
     /// Reorder-buffer events not yet released, in `(time, arrival)`
     /// order.
@@ -64,7 +64,7 @@ impl PipelineCheckpoint {
     /// resumes under the same sharding (partition ownership depends on
     /// it); this is validated on resume.
     pub fn workers(&self) -> u32 {
-        self.workers
+        self.engines.len() as u32
     }
 
     /// Events pulled from the source before the barrier. On resume, hand
@@ -98,7 +98,7 @@ impl PipelineCheckpoint {
         let mut e = hamlet_core::checkpoint::container_header(
             &PIPELINE_MAGIC,
             PIPELINE_VERSION,
-            self.workers,
+            self.workers(),
             &self.engines,
         );
         e.usize(self.buffered.len());
@@ -124,7 +124,7 @@ impl PipelineCheckpoint {
     /// Mirror of [`to_bytes`](Self::to_bytes).
     pub fn from_bytes(bytes: &[u8]) -> Result<PipelineCheckpoint, CheckpointError> {
         let mut d = Dec::new(bytes);
-        let (version, workers, engines) = hamlet_core::checkpoint::read_container_any(
+        let (version, _, engines) = hamlet_core::checkpoint::read_container_any(
             &mut d,
             &PIPELINE_MAGIC,
             &[PIPELINE_VERSION, PIPELINE_VERSION_V1],
@@ -147,7 +147,6 @@ impl PipelineCheckpoint {
         };
         d.expect_end()?;
         Ok(PipelineCheckpoint {
-            workers,
             engines: engines.into_iter().map(<[u8]>::to_vec).collect(),
             buffered,
             events_pulled,
@@ -166,7 +165,6 @@ mod tests {
     #[test]
     fn container_round_trips() {
         let ck = PipelineCheckpoint {
-            workers: 2,
             engines: vec![vec![1, 2, 3], vec![4]],
             buffered: vec![Event::new(Ts(9), EventTypeId(1), vec![])],
             events_pulled: 42,
@@ -191,7 +189,6 @@ mod tests {
     #[test]
     fn v1_blob_restores_with_zero_elapsed() {
         let ck = PipelineCheckpoint {
-            workers: 1,
             engines: vec![vec![7]],
             buffered: vec![],
             events_pulled: 3,
@@ -203,7 +200,7 @@ mod tests {
         let mut e = hamlet_core::checkpoint::container_header(
             &PIPELINE_MAGIC,
             PIPELINE_VERSION_V1,
-            ck.workers,
+            ck.workers(),
             &ck.engines,
         );
         e.usize(0);
@@ -225,7 +222,6 @@ mod tests {
             Err(CheckpointError::BadMagic)
         ));
         let ck = PipelineCheckpoint {
-            workers: 1,
             engines: vec![vec![]],
             buffered: vec![],
             events_pulled: 0,

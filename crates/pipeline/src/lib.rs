@@ -23,11 +23,14 @@
 //! * **Backpressure** — every stage boundary is a bounded
 //!   `sync_channel`; a slow engine or sink stalls the source instead of
 //!   buffering the stream.
-//! * **Sharded workers** — `workers > 1` drives the same [`ShardRouter`]
-//!   as the offline parallel path, *online*: per-shard channels, each
-//!   worker owning the partitions that hash to it, same bit-identical
-//!   merged results. The router validates and re-plans each churn op
-//!   once for all shards.
+//! * **Sharded workers** — the ingest stage runs as the body of one
+//!   [`ParallelSession::feed`] call, the shard executor the offline
+//!   parallel path feeds slices to: per-shard batches and channels, each
+//!   worker owning the partitions that hash to it, the same barriers and
+//!   the same bit-identical merged results. What the pipeline adds is an
+//!   argument of that one loop — the arrival stamp its batches carry,
+//!   the tick cut rule, its channel depth, and the hooks that send
+//!   results to the sink stage and keep the live metrics.
 //! * **One control plane** — a [`PipelineHandle`] reaches its pipeline
 //!   over one channel to the ingest stage, and whatever it asks for —
 //!   churn, a checkpoint cut, the end of the run — becomes a barrier on
@@ -95,10 +98,11 @@ use hamlet_core::checkpoint::CheckpointError;
 use hamlet_core::executor::{
     ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine, WindowResult,
 };
+use hamlet_core::parallel::{BatchCut, Feed, ShardHooks};
 use hamlet_core::record::restore_shards;
 use hamlet_core::{
     ChainMeta, Checkpoint, CheckpointStore, CutKind, GroupMetrics, LatencyHistogram,
-    LatencyRecorder, ShardRouter, Snapshot, Span, SpanRecorder, Stage,
+    LatencyRecorder, ParallelSession, ShardRouter, Snapshot, Span, SpanRecorder, Stage,
 };
 use hamlet_obs::merge_group_metrics;
 use hamlet_query::{Query, QueryId};
@@ -106,7 +110,7 @@ use hamlet_types::{Event, Ts, TypeRegistry};
 use stats::SharedStats;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -120,28 +124,10 @@ pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
 /// A released event plus its ingest stamp (for end-to-end latency
 /// accounting).
 type Routed = (Event, Instant);
-/// What flows over a worker's event channel: routed batches, or one of
-/// the three barriers — churn, cut, end — riding the same FIFO, so every
-/// worker reaches each at exactly the same stream cut (after everything
-/// the ingest stage routed before it, before everything after).
-enum WorkerMsg {
-    /// A batch exactly as the engine takes it, with the ingest stamp of
-    /// its last event — the one every result of the batch is attributed
-    /// to (see [`worker_loop`]).
-    Batch(Vec<Event>, Instant),
-    Churn(ChurnOp),
-    /// A coordinated checkpoint cut: the worker serializes its engine
-    /// (full or delta, per `kind`) at exactly this stream position and
-    /// replies with `(shard, frame)`.
-    Cut {
-        kind: CutKind,
-        reply: mpsc::Sender<(usize, Result<Checkpoint, CheckpointError>)>,
-    },
-    /// The end of a drained run: flush every open window into the sink.
-    /// The hang-up follows it; a channel that closes *without* it ends a
-    /// frozen run, whose open windows stay in the final cut instead.
-    Flush,
-}
+/// The ingest stage's end of the shard executor: released events go in
+/// tagged with their ingest stamp, and the three barriers — churn, cut,
+/// end — go in between them.
+type ShardFeed<'a> = Feed<'a, Instant, Observer>;
 /// How a run ends: every open window flushed into the sink, or frozen
 /// into a [`PipelineCheckpoint`].
 #[derive(Copy, Clone, PartialEq)]
@@ -165,9 +151,7 @@ enum Control {
     },
     End(End),
 }
-/// What one worker thread returns at shutdown.
-type WorkerOutput = (EngineStats, LatencyRecorder, usize, Vec<GroupMetrics>);
-/// What the ingest thread returns: the frozen container if it was told
+/// What the ingest stage ends with: the frozen container if it was told
 /// to [`End::Freeze`].
 type IngestOutput = Option<Result<PipelineCheckpoint, CheckpointError>>;
 
@@ -502,35 +486,20 @@ impl PipelineBuilder {
         // newest — every earlier record's tail is superseded. `None` on
         // a fresh spawn.
         let tail = chain.last();
-        // Re-seed the watermark policy before destructuring: the resumed
-        // policy must never emit a watermark behind the one the
-        // checkpointed pipeline already released events under.
+        // Re-seed the watermark policy: the resumed policy must never
+        // emit a watermark behind the one the checkpointed pipeline
+        // already released events under.
         if let Some(max_seen) = tail.and_then(|ck| ck.max_seen) {
             let _ = self.policy.observe(max_seen);
         }
-        let PipelineBuilder {
-            reg,
-            queries,
-            engine_cfg,
-            workers,
-            batch,
-            channel_capacity,
-            policy,
-            on_late,
-            churn_at,
-            trace_capacity,
-            store,
-            checkpoint_every,
-            compact_every,
-        } = self;
-        let n = workers as usize;
+        let n = self.workers as usize;
 
-        let router =
-            ShardRouter::new(reg, queries, engine_cfg, workers).map_err(ResumeError::Engine)?;
+        let router = ShardRouter::new(self.reg, self.queries, self.engine_cfg, self.workers)
+            .map_err(ResumeError::Engine)?;
         // Dry-run the whole churn schedule now, so workers can never hit
         // a churn failure mid-stream.
         router
-            .validate_schedule(churn_at.iter().map(|(_, op)| op))
+            .validate_schedule(self.churn_at.iter().map(|(_, op)| op))
             .map_err(|(i, e)| {
                 ResumeError::Engine(match e {
                     ChurnError::Engine(e) => e,
@@ -540,7 +509,7 @@ impl PipelineBuilder {
 
         // Build (and restore) every engine up front so errors are
         // synchronous.
-        let mut engines = router.engines().map_err(ResumeError::Engine)?;
+        let mut session = ParallelSession::open(router, self.batch).map_err(ResumeError::Engine)?;
         let mut start_epoch = 0;
         if !chain.is_empty() {
             // Every shard replays its own record out of each container,
@@ -552,19 +521,18 @@ impl PipelineBuilder {
                 .map(|pc| pc.engines.iter().map(Vec::as_slice).collect())
                 .collect();
             start_epoch =
-                restore_shards(&mut engines, &records).map_err(ResumeError::Checkpoint)?;
+                restore_shards(session.engines_mut(), &records).map_err(ResumeError::Checkpoint)?;
         }
 
         // Lane 0 traces the ingest stage, lanes 1..=n the workers.
-        let spans = Arc::new(if trace_capacity > 0 {
-            SpanRecorder::new(n + 1, trace_capacity)
+        let spans = Arc::new(if self.trace_capacity > 0 {
+            SpanRecorder::new(n + 1, self.trace_capacity)
         } else {
             SpanRecorder::disabled()
         });
         let accum = tail.map(|ck| ck.elapsed).unwrap_or(Duration::ZERO);
         let shared = Arc::new(SharedStats::new(n, accum, spans.clone()));
         shared.epoch.store(start_epoch, Ordering::Relaxed);
-        let stop = Arc::new(AtomicBool::new(false));
 
         // Metrics continuity across a restore: the counters pick up where
         // the checkpointed pipeline stopped.
@@ -577,7 +545,7 @@ impl PipelineBuilder {
             shared.released.store(released, Ordering::Relaxed);
             shared.results.store(results, Ordering::Relaxed);
             if let Some(t) = ck.max_seen {
-                if let Some(wm) = policy.current() {
+                if let Some(wm) = self.policy.current() {
                     shared.set_watermark(wm);
                 }
                 max_seen = Some(t);
@@ -594,10 +562,9 @@ impl PipelineBuilder {
             shared.reorder_depth.store(buffer.len(), Ordering::Relaxed);
         }
 
+        let channel_capacity = self.channel_capacity;
         let (result_tx, result_rx) = mpsc::sync_channel::<Vec<WindowResult>>(channel_capacity * n);
-        let mut event_txs = Vec::with_capacity(n);
-        let mut worker_handles = Vec::with_capacity(n);
-        for (idx, mut engine) in engines.into_iter().enumerate() {
+        for (idx, engine) in session.engines_mut().iter_mut().enumerate() {
             if spans.is_enabled() {
                 engine.attach_span_recorder(spans.clone(), 1 + idx as u32);
             }
@@ -605,18 +572,13 @@ impl PipelineBuilder {
             // so a snapshot taken immediately after spawn already shows
             // the optimizer's placement decisions.
             shared.publish_groups(idx, engine.group_metrics().to_vec());
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(channel_capacity);
-            event_txs.push(tx);
-            let shared = shared.clone();
-            let result_tx = result_tx.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("hamlet-pipe-worker-{idx}"))
-                .spawn(move || worker_loop(idx, &mut engine, &rx, &result_tx, &shared))
-                // hamlet-lint: allow(panic-hygiene) -- thread spawn failing at startup leaves nothing to clean up; abort the pipeline
-                .expect("spawn worker thread");
-            worker_handles.push(handle);
         }
-        drop(result_tx); // sink ends when the last worker hangs up
+        // The sink ends when the observer — the one sender — is dropped.
+        let observer = Observer {
+            shared: shared.clone(),
+            result_tx,
+            batches: (0..n).map(|_| AtomicU64::new(0)).collect(),
+        };
 
         let sink_shared = shared.clone();
         let sink_handle = std::thread::Builder::new()
@@ -628,43 +590,46 @@ impl PipelineBuilder {
         let (control_tx, control_rx) = mpsc::channel::<Control>();
         let mut ingest = Ingest {
             source,
-            policy,
-            on_late,
-            router,
-            scheduled: churn_at.into(),
+            policy: self.policy,
+            on_late: self.on_late,
+            scheduled: self.churn_at.into(),
             control: control_rx,
-            epoch: start_epoch,
             buffer,
             max_seen,
-            lanes: Lanes {
-                out: (0..n).map(|_| Vec::with_capacity(batch)).collect(),
-                last_arrival: vec![shared.started; n],
-                txs: event_txs,
-                batch,
-                last_tick: vec![None; n],
-                shared: shared.clone(),
-                stop: stop.clone(),
-            },
-            store,
-            cut_every: checkpoint_every,
-            compact_every,
+            store: self.store,
+            cut_every: self.checkpoint_every,
+            compact_every: self.compact_every,
             cuts_taken: 0,
             rebase: false,
             last_cut_released: shared.released.load(Ordering::Relaxed),
             shared: shared.clone(),
-            stop: stop.clone(),
         };
+        // The ingest loop is the body of one `feed` call: the shard
+        // workers are scoped to it and borrow the engines the session
+        // keeps, so what the run measured is read off the session once
+        // the stage has returned. One worker keeps its thread too — the
+        // body blocks inside `Source::next_event`.
         let ingest_handle = std::thread::Builder::new()
             .name("hamlet-pipe-ingest".into())
-            .spawn(move || ingest.run())
+            .spawn(move || {
+                let (frozen, _) =
+                    session.feed(BatchCut::SizeOrTick, channel_capacity, &observer, |feed| {
+                        ingest.run(feed)
+                    });
+                // Blocking: each shard's last word must land even if a
+                // snapshot reader holds the lock right now.
+                for (idx, engine) in session.engines().iter().enumerate() {
+                    let groups = engine.group_metrics().to_vec();
+                    observer.shared.publish_groups(idx, groups);
+                }
+                (session, frozen)
+            })
             // hamlet-lint: allow(panic-hygiene) -- thread spawn failing at startup leaves nothing to clean up; abort the pipeline
             .expect("spawn ingest thread");
 
         Ok(PipelineHandle {
             shared,
-            stop,
             ingest: ingest_handle,
-            workers: worker_handles,
             control: control_tx,
             sink: sink_handle,
         })
@@ -672,29 +637,21 @@ impl PipelineBuilder {
 }
 
 /// The ingest stage: pulls the source, generates watermarks, reorders,
-/// counts/dead-letters late events, and routes released events to the
-/// shard workers over bounded channels.
+/// counts/dead-letters late events, and feeds released events and the
+/// handle's barriers to the shard executor ([`ShardFeed`]).
 struct Ingest<Src> {
     source: Src,
     policy: Box<dyn WatermarkPolicy>,
     on_late: Option<LateHook>,
-    /// Maps released events to shards, and owns the evolving workload:
-    /// every churn op is validated and re-planned there before any
-    /// worker sees it.
-    router: ShardRouter,
     /// Event-time churn schedule, trigger-ordered (validated at spawn).
     scheduled: VecDeque<(Ts, ChurnOp)>,
     /// The handle's requests — churn, cut, end — polled between source
     /// events and awaited once the source has ended.
     control: mpsc::Receiver<Control>,
-    /// Workload epoch — incremented by every applied churn op, in
-    /// lockstep with every worker engine.
-    epoch: u64,
     buffer: ReorderBuffer,
     /// Maximum event time pulled from the source — recorded into
     /// checkpoints as the resumed watermark policy's seed.
     max_seen: Option<Ts>,
-    lanes: Lanes,
     /// Where completed cuts are appended (cadence and on-demand).
     store: Option<Arc<dyn CheckpointStore>>,
     /// Cadence: cut after this many released events (None = no cadence).
@@ -709,37 +666,20 @@ struct Ingest<Src> {
     /// `released` counter at the previous cut (cadence anchor).
     last_cut_released: u64,
     shared: Arc<SharedStats>,
-    stop: Arc<AtomicBool>,
-}
-
-/// The ingest stage's outboxes: one batch under construction and one
-/// bounded channel per shard worker.
-struct Lanes {
-    /// Per-worker batch under construction.
-    out: Vec<Vec<Event>>,
-    /// Per-worker ingest stamp of the last event pushed into `out`.
-    last_arrival: Vec<Instant>,
-    txs: Vec<mpsc::SyncSender<WorkerMsg>>,
-    batch: usize,
-    /// Per-shard event-time tick of the last pushed event — the batching
-    /// boundary (see [`push_to`](Self::push_to)).
-    last_tick: Vec<Option<u64>>,
-    shared: Arc<SharedStats>,
-    stop: Arc<AtomicBool>,
 }
 
 impl<Src: Source> Ingest<Src> {
     /// Runs the stage until the run has ended the way the handle said.
-    fn run(&mut self) -> IngestOutput {
+    fn run(&mut self, feed: &mut ShardFeed<'_>) -> IngestOutput {
         let mut end = None;
         // Relaxed: `stop` publishes nothing but itself.
-        while end != Some(End::Freeze) && !self.stop.load(Ordering::Relaxed) {
+        while end != Some(End::Freeze) && !self.shared.stop.load(Ordering::Relaxed) {
             // Control is taken *between* source events — the watermark
             // barrier. A source blocked inside `next_event` delays
             // pending requests until it yields. A drain told early only
             // settles how the run ends: the source is still pulled dry.
             if let Ok(request) = self.control.try_recv() {
-                end = self.obey(request, true).or(end);
+                end = self.obey(feed, request, true).or(end);
                 continue;
             }
             let pull = self.shared.spans.start();
@@ -777,13 +717,13 @@ impl<Src: Source> Ingest<Src> {
                     .spans
                     .record(0, Stage::ReorderRelease, release, Some(wm.ticks()), n);
                 let route = self.shared.spans.start();
-                self.route_tranche(tranche);
+                self.route_tranche(feed, tranche);
                 self.shared
                     .spans
                     .record(0, Stage::Route, route, Some(wm.ticks()), n);
             }
-            self.fire_scheduled_churn(wm);
-            self.maybe_cadence_cut();
+            self.fire_scheduled_churn(feed, wm);
+            self.maybe_cadence_cut(feed);
         }
         // The source ended or `stop()` cut it: the buffered remainder is
         // released downstream in order — exactly like a watermark
@@ -793,11 +733,11 @@ impl<Src: Source> Ingest<Src> {
         if end != Some(End::Freeze) {
             let rest = self.buffer.drain();
             if !rest.is_empty() {
-                self.route_tranche(rest);
+                self.route_tranche(feed, rest);
             }
             self.shared.reorder_depth.store(0, Ordering::Relaxed);
         }
-        self.lanes.flush_batches();
+        feed.ship_partials();
         self.shared.source_done.store(true, Ordering::Relaxed);
         // Everything pulled is on its way to the sink; what is left is
         // to be told how the run ends. Cuts are still served meanwhile,
@@ -805,43 +745,41 @@ impl<Src: Source> Ingest<Src> {
         // drain.
         while end.is_none() {
             end = match self.control.recv() {
-                Ok(request) => self.obey(request, false),
+                Ok(request) => self.obey(feed, request, false),
                 Err(_) => Some(End::Drain),
             };
         }
         // The end is the third barrier on the worker FIFOs: a final full
-        // cut and a bare hang-up, or `Flush` and then the hang-up.
-        let frozen = (end == Some(End::Freeze)).then(|| {
-            let span = self.shared.spans.start();
-            let cut = self.coordinated_cut(CutKind::Full);
-            self.shared
-                .spans
-                .record(0, Stage::CheckpointPause, span, None, 0);
-            cut.map(|(container, _)| container)
-        });
-        for tx in self.lanes.txs.drain(..) {
-            if frozen.is_none() {
-                let _ = tx.send(WorkerMsg::Flush);
-            }
+        // cut and a bare hang-up, or the flush and then the hang-up
+        // (which follows when this body returns).
+        if end != Some(End::Freeze) {
+            feed.flush();
+            return None;
         }
-        frozen
+        let span = self.shared.spans.start();
+        let cut = self.coordinated_cut(feed, CutKind::Full);
+        self.shared
+            .spans
+            .record(0, Stage::CheckpointPause, span, None, 0);
+        Some(cut.map(|(container, _)| container))
     }
 
     /// Serves one request from the handle; `live` is whether the source
     /// is still being pulled. Returns how the run is to end, if that is
     /// what was said.
-    fn obey(&mut self, request: Control, live: bool) -> Option<End> {
+    fn obey(&mut self, feed: &mut ShardFeed<'_>, request: Control, live: bool) -> Option<End> {
         match request {
             Control::Churn { op, ack } => {
                 let outcome = if live {
-                    self.apply_churn(op).map_err(PipelineChurnError::Rejected)
+                    self.apply_churn(feed, op)
+                        .map_err(PipelineChurnError::Rejected)
                 } else {
                     Err(PipelineChurnError::Stopped)
                 };
                 let _ = ack.send(outcome);
             }
             Control::Cut { kind, ack } => {
-                let _ = ack.send(self.cut_into_store(kind));
+                let _ = ack.send(self.cut_into_store(feed, kind));
             }
             Control::End(end) => return Some(end),
         }
@@ -849,13 +787,12 @@ impl<Src: Source> Ingest<Src> {
     }
 
     /// Routes one released-in-order tranche to the owning shard(s).
-    fn route_tranche(&mut self, tranche: Vec<Routed>) {
+    fn route_tranche(&mut self, feed: &mut ShardFeed<'_>, tranche: Vec<Routed>) {
         self.shared
             .released
             .fetch_add(tranche.len() as u64, Ordering::Relaxed);
         for (e, arrival) in tranche {
-            self.router
-                .route(e, |idx, e| self.lanes.push_to(idx, e, arrival));
+            feed.push(e, arrival);
         }
     }
 
@@ -863,47 +800,33 @@ impl<Src: Source> Ingest<Src> {
     /// reached. The schedule was validated at spawn, but a live op may
     /// have invalidated an entry since (e.g. already removed the id):
     /// such entries are skipped and counted, never applied half-way.
-    fn fire_scheduled_churn(&mut self, wm: Ts) {
+    fn fire_scheduled_churn(&mut self, feed: &mut ShardFeed<'_>, wm: Ts) {
         while self.scheduled.front().is_some_and(|(t, _)| *t <= wm) {
             let Some((_, op)) = self.scheduled.pop_front() else {
                 break;
             };
-            let _ = self.apply_churn(op);
+            let _ = self.apply_churn(feed, op);
         }
     }
 
-    /// Applies one churn op at the current watermark barrier: the router
-    /// validates it against the evolving query set, compile-checks the
-    /// post-churn workload (so the workers' own churn cannot fail) and
-    /// re-plans routing; then every partial batch followed by the op
-    /// goes down each worker's FIFO channel (every shard churns at the
-    /// same stream cut), and the workload epoch is bumped. A rejected op
-    /// is counted and changes nothing.
-    fn apply_churn(&mut self, op: ChurnOp) -> Result<u64, ChurnError> {
+    /// Applies one churn op at the current watermark barrier
+    /// ([`Feed::churn`]: validated and re-planned once for all shards,
+    /// then applied by every shard at the same stream cut) and bumps the
+    /// workload epoch. A rejected op is counted and changes nothing (and
+    /// leaves no barrier span).
+    fn apply_churn(&mut self, feed: &mut ShardFeed<'_>, op: ChurnOp) -> Result<u64, ChurnError> {
         let barrier = self.shared.spans.start();
-        // Ingest is the only thread that routes, so re-planning before
-        // the flush is safe: nothing is routed between here and the
-        // sends below, and a rejected op returns with nothing changed
-        // (and no barrier span).
-        if let Err(e) = self.router.apply(&op) {
+        if let Err(e) = feed.churn(op) {
             self.shared.churns_rejected.fetch_add(1, Ordering::Relaxed);
             return Err(e);
         }
-        // The barrier: everything routed so far reaches each worker
-        // before the op does (per-channel FIFO), everything after it
-        // follows — the same cut on every shard.
-        self.lanes.flush_batches();
-        for tx in &self.lanes.txs {
-            if tx.send(WorkerMsg::Churn(op.clone())).is_err() {
-                self.stop.store(true, Ordering::Relaxed);
-            }
-        }
-        self.epoch += 1;
-        self.shared.epoch.store(self.epoch, Ordering::Relaxed);
+        // In lockstep with every shard engine's own epoch; ingest is the
+        // only writer.
+        let epoch = self.shared.epoch.fetch_add(1, Ordering::Relaxed) + 1;
         self.shared
             .spans
             .record(0, Stage::ChurnBarrier, barrier, None, 0);
-        Ok(self.epoch)
+        Ok(epoch)
     }
 
     /// Runs a cadence cut once enough events have been released since
@@ -911,7 +834,7 @@ impl<Src: Source> Ingest<Src> {
     /// promoted to a full base, compacting the store's chain. A failed
     /// cut is counted and the pipeline keeps running — the next cadence
     /// boundary tries again.
-    fn maybe_cadence_cut(&mut self) {
+    fn maybe_cadence_cut(&mut self, feed: &mut ShardFeed<'_>) {
         let Some(every) = self.cut_every else { return };
         let released = self.shared.released.load(Ordering::Relaxed);
         if released.saturating_sub(self.last_cut_released) < every {
@@ -924,7 +847,7 @@ impl<Src: Source> Ingest<Src> {
         } else {
             CutKind::Delta
         };
-        if self.cut_into_store(kind).is_ok() {
+        if self.cut_into_store(feed, kind).is_ok() {
             self.cuts_taken += 1;
         }
     }
@@ -933,20 +856,27 @@ impl<Src: Source> Ingest<Src> {
     /// serialized and appended to the configured store — every cadence
     /// and on-demand cut.
     ///
-    /// A cut that fails anywhere (a shard's frame, a dead worker, the
-    /// append) leaves shards whose dirty logs are already re-armed on a
-    /// record the store never took; a delta onto it could never be
-    /// appended, so the next cut is a base whatever was asked.
-    fn cut_into_store(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
+    /// A cut that fails anywhere (a dead worker, shards that disagree on
+    /// their chain position, the append) leaves shards whose dirty logs
+    /// are already re-armed on a record the store never took; a delta
+    /// onto it could never be appended, so the next cut is a base
+    /// whatever was asked.
+    fn cut_into_store(
+        &mut self,
+        feed: &mut ShardFeed<'_>,
+        kind: CutKind,
+    ) -> Result<Checkpoint, CheckpointError> {
         let span = self.shared.spans.start();
         let kind = if self.rebase { CutKind::Full } else { kind };
-        let result = self.coordinated_cut(kind).and_then(|(container, meta)| {
-            let ck = Checkpoint::new(container.to_bytes(), meta);
-            if let Some(store) = &self.store {
-                store.append(&ck)?;
-            }
-            Ok(ck)
-        });
+        let result = self
+            .coordinated_cut(feed, kind)
+            .and_then(|(container, meta)| {
+                let ck = Checkpoint::new(container.to_bytes(), meta);
+                if let Some(store) = &self.store {
+                    store.append(&ck)?;
+                }
+                Ok(ck)
+            });
         self.rebase = result.is_err();
         self.shared
             .spans
@@ -971,57 +901,17 @@ impl<Src: Source> Ingest<Src> {
         result
     }
 
-    /// A coordinated checkpoint cut at the current barrier: flushes
-    /// every partial batch down the worker FIFOs (so every shard
-    /// serializes at exactly the same stream position), collects one
-    /// frame per shard, and assembles the pipeline container with its
-    /// chain position.
+    /// A coordinated checkpoint cut at the current barrier
+    /// ([`Feed::cut`]: every shard serializes at exactly the same stream
+    /// position), assembled into the pipeline container with the chain
+    /// position its shard records agree on.
     fn coordinated_cut(
         &mut self,
+        feed: &mut ShardFeed<'_>,
         kind: CutKind,
     ) -> Result<(PipelineCheckpoint, ChainMeta), CheckpointError> {
-        // The same barrier as churn: everything routed so far reaches
-        // each worker before the cut marker does (per-channel FIFO).
-        self.lanes.flush_batches();
-        let (reply_tx, reply_rx) = mpsc::channel();
-        for (idx, tx) in self.lanes.txs.iter().enumerate() {
-            let msg = WorkerMsg::Cut {
-                kind,
-                reply: reply_tx.clone(),
-            };
-            if tx.send(msg).is_err() {
-                self.stop.store(true, Ordering::Relaxed);
-                return Err(CheckpointError::Io(format!(
-                    "worker {idx} is gone; cannot cut"
-                )));
-            }
-        }
-        drop(reply_tx);
-        let n = self.lanes.txs.len();
-        let mut shards: Vec<Option<Checkpoint>> = vec![None; n];
-        for _ in 0..n {
-            match reply_rx.recv() {
-                Ok((idx, Ok(ck))) => shards[idx] = Some(ck),
-                Ok((_, Err(e))) => return Err(e),
-                Err(_) => {
-                    self.stop.store(true, Ordering::Relaxed);
-                    return Err(CheckpointError::Io("a worker died during the cut".into()));
-                }
-            }
-        }
-        let Some(shards) = shards.into_iter().collect::<Option<Vec<Checkpoint>>>() else {
-            return Err(CheckpointError::Io(
-                "a shard replied twice during the cut".into(),
-            ));
-        };
-        // The container's chain position is its first shard's (the cut
-        // stamps every shard alike; there is always a shard 0), so the
-        // handle is built from what the workers already hold, not peeked
-        // back out of the container.
-        let meta = ChainMeta {
-            version: PIPELINE_VERSION,
-            ..shards[0].meta().clone()
-        };
+        let shards = feed.cut(kind)?;
+        let meta = Checkpoint::container_meta(PIPELINE_VERSION, &shards)?;
         let engines = shards.into_iter().map(Checkpoint::into_bytes).collect();
         // Every pre-cut result is now enqueued to the sink (each worker
         // sent its results before replying with its frame); wait for the
@@ -1035,7 +925,6 @@ impl<Src: Source> Ingest<Src> {
         }
         let counters = self.shared.counters();
         let container = PipelineCheckpoint {
-            workers: self.router.workers(),
             engines,
             buffered: self.buffer.contents(),
             events_pulled: counters[0],
@@ -1047,167 +936,89 @@ impl<Src: Source> Ingest<Src> {
     }
 }
 
-impl Lanes {
-    /// Appends to a shard's batch and flushes it when full (`batch`
-    /// events) or when *this shard's* event time advanced a tick — the
-    /// boundary that costs no result latency: a shard's windows only
-    /// close when one of its own events advances its engine's watermark,
-    /// and exactly that tick-advancing event ships inside the batch its
-    /// push flushes, while same-tick followers (which cannot close
-    /// anything) stay buffered and amortize the channel.
-    fn push_to(&mut self, idx: usize, e: Event, arrival: Instant) {
-        let tick = e.time.ticks();
-        let advanced = self.last_tick[idx].is_some_and(|t| t != tick);
-        self.last_tick[idx] = Some(tick);
-        self.out[idx].push(e);
-        self.last_arrival[idx] = arrival;
-        if advanced || self.out[idx].len() >= self.batch {
-            self.send(idx);
-        }
-    }
+/// What the pipeline observes of the shard executor: queue depths,
+/// end-to-end latency, live share-group metrics — and where the results
+/// go, the sink stage.
+struct Observer {
+    shared: Arc<SharedStats>,
+    result_tx: mpsc::SyncSender<Vec<WindowResult>>,
+    /// Batches each worker has processed (the publish cadence).
+    batches: Vec<AtomicU64>,
+}
 
-    fn flush_batches(&mut self) {
-        for idx in 0..self.out.len() {
-            if !self.out[idx].is_empty() {
-                self.send(idx);
-            }
-        }
-    }
+/// Periodic group-metrics publish cadence, in batches: frequent enough
+/// for live dashboards, rare enough that the clone + try_lock never show
+/// up next to the engine's own batch cost.
+const PUBLISH_EVERY: u64 = 64;
 
-    fn send(&mut self, idx: usize) {
-        let full = std::mem::replace(&mut self.out[idx], Vec::with_capacity(self.batch));
-        self.shared.worker_depths[idx].fetch_add(full.len(), Ordering::Relaxed);
-        // Blocking on a full channel IS the backpressure. A send only
-        // fails if the worker died (panicked): stop pulling the source so
-        // an unbounded run cannot silently discard that shard's events
-        // forever — the drain join then surfaces the worker's panic.
-        let msg = WorkerMsg::Batch(full, self.last_arrival[idx]);
-        if self.txs[idx].send(msg).is_err() {
-            self.shared.worker_depths[idx].store(0, Ordering::Relaxed);
-            self.stop.store(true, Ordering::Relaxed);
+impl Observer {
+    /// Hands one worker's results to the sink stage.
+    fn emit(&self, results: Vec<WindowResult>) {
+        if !results.is_empty() {
+            self.shared
+                .sink_depth
+                .fetch_add(results.len(), Ordering::Relaxed);
+            let _ = self.result_tx.send(results);
         }
     }
 }
 
-/// Hands one worker's results to the sink stage.
-fn emit(
-    results: Vec<WindowResult>,
-    result_tx: &mpsc::SyncSender<Vec<WindowResult>>,
-    shared: &SharedStats,
-) {
-    if !results.is_empty() {
-        shared
-            .sink_depth
-            .fetch_add(results.len(), Ordering::Relaxed);
-        let _ = result_tx.send(results);
+impl ShardHooks<Instant> for Observer {
+    fn queued(&self, shard: usize, events: usize) {
+        self.shared.worker_depths[shard].fetch_add(events, Ordering::Relaxed);
     }
-}
 
-/// One shard worker: an engine fed released, in-order events; results go
-/// to the sink channel with end-to-end latency recorded per result.
-fn worker_loop(
-    idx: usize,
-    engine: &mut HamletEngine,
-    rx: &mpsc::Receiver<WorkerMsg>,
-    result_tx: &mpsc::SyncSender<Vec<WindowResult>>,
-    shared: &SharedStats,
-) -> WorkerOutput {
-    let mut local = LatencyHistogram::new();
-    let lane = 1 + idx as u32;
-    // Periodic group-metrics publish cadence, in batches: frequent
-    // enough for live dashboards, rare enough that the clone + try_lock
-    // never show up next to the engine's own batch cost.
-    const PUBLISH_EVERY: u64 = 64;
-    let mut batches = 0u64;
-    while let Ok(msg) = rx.recv() {
-        let (batch, arrival) = match msg {
-            WorkerMsg::Batch(batch, arrival) => (batch, arrival),
-            WorkerMsg::Churn(op) => {
-                let barrier = shared.spans.start();
-                // The ingest stage validated the op and compiled the
-                // post-churn workload; every worker applies it at the
-                // same stream cut (FIFO channel order). Windows of
-                // touched share groups drain here and reach the sink —
-                // exactly once, like any other result.
-                let report = (engine.apply(op))
-                    // hamlet-lint: allow(panic-hygiene) -- ingest dry-ran this op; a worker that cannot apply it must not keep running on a diverged shard
-                    .expect("churn ops are validated by the ingest stage");
-                emit(report.drained, result_tx, shared);
-                shared
-                    .spans
-                    .record(lane, Stage::ChurnBarrier, barrier, None, 0);
-                // Churn replaces the share groups: re-publish promptly so
-                // snapshots never show the pre-churn layout for long.
-                shared.try_publish_groups(idx, engine.group_metrics());
-                continue;
-            }
-            WorkerMsg::Cut { kind, reply } => {
-                // Coordinated cut: the queue ahead of this marker is
-                // already processed (FIFO), so the frame captures the
-                // shard at exactly the barrier's stream position. The
-                // engine decides full vs delta (it promotes a delta to a
-                // base when it has no sound dirty log yet).
-                let pause = shared.spans.start();
-                let frame = engine.cut(kind);
-                shared
-                    .spans
-                    .record(lane, Stage::CheckpointPause, pause, None, 0);
-                let _ = reply.send((idx, frame));
-                continue;
-            }
-            WorkerMsg::Flush => {
-                // The end barrier of a drained run: every in-flight
-                // window emits, exactly once (drain ≡ offline flush).
-                emit(engine.flush(), result_tx, shared);
-                continue;
-            }
+    /// Stop pulling the source, so an unbounded run cannot silently
+    /// discard the dead shard's events forever.
+    fn lost(&self, shard: usize) {
+        self.shared.worker_depths[shard].store(0, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::Relaxed);
+    }
+
+    fn emitted(
+        &self,
+        shard: usize,
+        engine: &HamletEngine,
+        batch: Option<(usize, Instant)>,
+        results: &mut Vec<WindowResult>,
+    ) {
+        let results = std::mem::take(results);
+        let Some((events, arrival)) = batch else {
+            // A churn or flush barrier. Churn replaces the share groups:
+            // re-publish promptly so snapshots never show the pre-churn
+            // layout for long.
+            self.emit(results);
+            self.shared
+                .try_publish_groups(shard, engine.group_metrics());
+            return;
         };
-        let n = batch.len();
-        if n == 0 {
-            // A zero-length batch is a no-op — no watermark side-effect,
-            // no latency sample. The router never sends one, but a
-            // checkpoint/resume or future source must not be able to
-            // perturb the engine with an empty hand-off.
-            continue;
-        }
-        let emitted = engine.process_batch(&batch);
-        shared.worker_depths[idx].fetch_sub(n, Ordering::Relaxed);
-        if !emitted.is_empty() {
+        self.shared.worker_depths[shard].fetch_sub(events, Ordering::Relaxed);
+        if !results.is_empty() {
             // Every result is attributed to the batch's last event: the
-            // router flushes a shard's batch *on* the tick-advancing
-            // event (see `Lanes::push_to`), so that final event is the
-            // only one in the batch that can advance this engine's
-            // watermark and close windows — identical attribution to the
-            // old per-event loop.
+            // executor cuts a shard's batch *on* the tick-advancing event
+            // (`BatchCut::SizeOrTick`), so that final event is the only
+            // one in the batch that can advance this engine's watermark
+            // and close windows — the attribution a per-event loop gives.
             let latency = arrival.elapsed();
-            for _ in 0..emitted.len() {
+            let mut local = LatencyHistogram::new();
+            for _ in 0..results.len() {
                 local.record(latency);
             }
             // One lock per batch, not per result: N workers recording
             // per-event would contend on the shared histogram and
             // inflate the very tail latency being measured.
             // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
-            shared.latency.lock().expect("latency lock").merge(&local);
-            local = LatencyHistogram::new();
-            emit(emitted, result_tx, shared);
+            let mut shared = self.shared.latency.lock().expect("latency lock");
+            shared.merge(&local);
+            drop(shared);
+            self.emit(results);
         }
-        batches += 1;
+        let batches = self.batches[shard].fetch_add(1, Ordering::Relaxed) + 1;
         if batches.is_multiple_of(PUBLISH_EVERY) {
-            shared.try_publish_groups(idx, engine.group_metrics());
+            self.shared
+                .try_publish_groups(shard, engine.group_metrics());
         }
     }
-    // Channel closed: the run has ended, the way the last barrier on
-    // the FIFO said (`Flush`, or the final cut of a freeze).
-    // Final publish is blocking: the shard's last word must land even if
-    // a snapshot reader holds the lock right now.
-    let groups = engine.group_metrics().to_vec();
-    shared.publish_groups(idx, groups.clone());
-    (
-        *engine.stats(),
-        engine.latency().clone(),
-        engine.peak_memory(),
-        groups,
-    )
 }
 
 /// The sink stage: delivers result batches and keeps the counters live.
@@ -1231,12 +1042,12 @@ fn sink_loop<S: Sink>(
 /// [`checkpoint`](Self::checkpoint) to resume later.
 pub struct PipelineHandle<S> {
     shared: Arc<SharedStats>,
-    stop: Arc<AtomicBool>,
     /// Churn, cuts and the end of the run: the one channel to the
     /// ingest stage.
     control: mpsc::Sender<Control>,
-    ingest: JoinHandle<IngestOutput>,
-    workers: Vec<JoinHandle<WorkerOutput>>,
+    /// Hands back the session — its shard engines hold what the run
+    /// measured — and the frozen container, if any.
+    ingest: JoinHandle<(ParallelSession, IngestOutput)>,
     sink: JoinHandle<S>,
 }
 
@@ -1297,7 +1108,7 @@ impl<S: Sink> PipelineHandle<S> {
     /// how the run ends. Idempotent. (A source blocked inside
     /// `next_event` is interrupted only when it yields.)
     pub fn stop(&self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.shared.stop.store(true, Ordering::Relaxed);
     }
 
     /// Adds a query to the live workload and blocks until it is applied,
@@ -1337,19 +1148,16 @@ impl<S: Sink> PipelineHandle<S> {
     }
 
     /// Tells the ingest stage how the run ends and joins every thread —
-    /// the one way out of a pipeline.
-    fn finish(self, end: End) -> (Arc<SharedStats>, IngestOutput, Vec<WorkerOutput>, S) {
+    /// the one way out of a pipeline. (The shard workers are scoped to
+    /// the ingest stage's feed; a worker's panic arrives as its.)
+    fn finish(self, end: End) -> (Arc<SharedStats>, ParallelSession, IngestOutput, S) {
         // A failed send means ingest died; its join below says how.
         let _ = self.control.send(Control::End(end));
         // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
-        let frozen = self.ingest.join().expect("ingest thread panicked");
-        let workers = (self.workers.into_iter())
-            // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
-            .map(|handle| handle.join().expect("worker thread panicked"))
-            .collect();
+        let (session, frozen) = self.ingest.join().expect("ingest thread panicked");
         // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
         let sink = self.sink.join().expect("sink thread panicked");
-        (self.shared, frozen, workers, sink)
+        (self.shared, session, frozen, sink)
     }
 
     /// Gracefully drains the pipeline and returns the final report:
@@ -1364,16 +1172,11 @@ impl<S: Sink> PipelineHandle<S> {
     /// events the pipeline released (see `tests/pipeline_equivalence.rs`
     /// for the byte-identity property).
     pub fn drain(self) -> PipelineReport<S> {
-        let (shared, _, workers, sink) = self.finish(End::Drain);
-        let mut stats = Vec::with_capacity(workers.len());
-        let mut peak_mem = Vec::with_capacity(workers.len());
+        let (shared, session, _, sink) = self.finish(End::Drain);
+        let engines = session.engines();
         let mut engine_latency = LatencyRecorder::new();
-        let mut worker_groups = Vec::with_capacity(workers.len());
-        for (s, lat, peak, groups) in workers {
-            stats.push(s);
-            peak_mem.push(peak);
-            engine_latency.merge(&lat);
-            worker_groups.push(groups);
+        for engine in engines {
+            engine_latency.merge(engine.latency());
         }
         // hamlet-lint: allow(panic-hygiene) -- a poisoned lock means a recorder panicked; propagate it
         let latency = shared.latency.lock().expect("latency lock").clone();
@@ -1384,11 +1187,11 @@ impl<S: Sink> PipelineHandle<S> {
             late: shared.late.load(Ordering::Relaxed),
             results: shared.results.load(Ordering::Relaxed),
             wall: shared.elapsed(),
-            stats,
-            peak_mem,
+            stats: engines.iter().map(|e| *e.stats()).collect(),
+            peak_mem: engines.iter().map(HamletEngine::peak_memory).collect(),
             engine_latency,
             latency,
-            group_metrics: merge_group_metrics(worker_groups),
+            group_metrics: merge_group_metrics(engines.iter().map(|e| e.group_metrics().to_vec())),
             spans: shared.spans.snapshot(),
             dropped_spans: shared.spans.dropped(),
         }
@@ -1424,18 +1227,18 @@ impl<S: Sink> PipelineHandle<S> {
     pub fn checkpoint(self) -> PipelineCheckpointReport<S> {
         // hamlet-lint: allow(wallclock) -- checkpoint-pause measurement for the report
         let barrier = Instant::now();
-        let (shared, frozen, workers, sink) = self.finish(End::Freeze);
+        let (shared, session, frozen, sink) = self.finish(End::Freeze);
         let checkpoint = frozen
             // hamlet-lint: allow(panic-hygiene) -- End::Freeze is what makes ingest return a container
             .expect("a frozen run returns its container")
-            // hamlet-lint: allow(panic-hygiene) -- every worker joined cleanly above, so only a shard's own encoder can have failed; there is no state to hand back
+            // hamlet-lint: allow(panic-hygiene) -- every worker joined cleanly above, so the shards themselves disagreed on the cut; there is no state to hand back
             .expect("the final cut of a freeze");
         PipelineCheckpointReport {
             wall: checkpoint.elapsed(),
             checkpoint,
             sink,
             pause: barrier.elapsed(),
-            stats: workers.into_iter().map(|w| w.0).collect(),
+            stats: session.engines().iter().map(|e| *e.stats()).collect(),
             spans: shared.spans.snapshot(),
             dropped_spans: shared.spans.dropped(),
         }
@@ -1537,6 +1340,7 @@ mod tests {
     use hamlet_core::executor::sort_results;
     use hamlet_query::parse_query;
     use hamlet_types::{AttrValue, EventTypeId, Ts};
+    use std::sync::atomic::AtomicBool;
 
     fn setup() -> (Arc<TypeRegistry>, Vec<Query>, Vec<Event>) {
         let mut reg = TypeRegistry::new();

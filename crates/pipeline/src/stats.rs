@@ -36,6 +36,10 @@ pub(crate) struct SharedStats {
     /// Watermark ticks (valid iff `watermark_set`).
     pub(crate) watermark: AtomicU64,
     pub(crate) watermark_set: AtomicBool,
+    /// Set to stop pulling the source: by `PipelineHandle::stop`, or by
+    /// the ingest stage when a shard worker died. Relaxed everywhere — it
+    /// publishes nothing but itself.
+    pub(crate) stop: AtomicBool,
     /// The source is no longer pulled (it ended, or `stop()` or a freeze
     /// cut it) and everything released has been flushed downstream.
     pub(crate) source_done: AtomicBool,
@@ -74,6 +78,7 @@ impl SharedStats {
             results: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
             watermark_set: AtomicBool::new(false),
+            stop: AtomicBool::new(false),
             source_done: AtomicBool::new(false),
             reorder_depth: AtomicUsize::new(0),
             worker_depths: (0..workers).map(|_| AtomicUsize::new(0)).collect(),

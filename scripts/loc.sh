@@ -4,7 +4,7 @@
 # `#[cfg(test)]` whose next line opens an inline `mod name {`. (A
 # `#[cfg(test)]` on anything else — an import, an out-of-line
 # `mod name;` — hides nothing below it.)
-# This is the measure ROADMAP's "Deletions and splits" target (<= 13 600)
+# This is the measure ROADMAP's "Deletions and splits" target (<= 15 900)
 # is stated in, so CI prints it instead of it being counted by hand. The
 # five largest files by the same measure follow the table: that is where
 # "no module a newcomer cannot hold" stays visible.

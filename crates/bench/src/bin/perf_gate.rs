@@ -1,223 +1,247 @@
-//! CI perf gate: runs the checks of [`CHECKS`], in order, over a fresh
-//! `BENCH.json` and a committed baseline, and fails on any regression.
+//! CI perf gate: runs the checks of [`CHECKS`], in order, over one
+//! `BENCH.json` and fails if any of them does.
 //!
 //! ```text
-//! cargo run -p hamlet-bench --release --bin perf_gate -- BENCH.json bench-baseline.json
+//! cargo run -p hamlet-bench --release --bin perf_gate -- BENCH.json
 //! ```
 //!
-//! The table is the documentation. Every check has one threshold flag
-//! (`--<name> <number>`), and `--system <name>` picks the system checks 1
-//! and 3 gate on (default `HAMLET`). A check compares either **against
-//! the baseline**, per (figure, x, system) point — a throughput may drop
-//! by at most the flag's fraction, a time may grow to `baseline × (1 +
-//! flag) + floor` (tails and pauses are short and noisy on shared hosts)
-//! — or two measurements of the **same run**, whose ratio cancels host
-//! speed out: one pinned pair of points, or the geometric mean over every
-//! x two systems share (one overall claim, robust to a single noisy
-//! point). A threshold of 0 disables its check, except `--max-regression`,
-//! where 0 allows no drop.
+//! The table is the documentation, and it has one kind of row: a ratio of
+//! two measurements of the **same run** — one pinned pair of cells, or the
+//! geometric mean over every x two systems share (one overall claim,
+//! robust to a single noisy point) — against a constant that lives in the
+//! row. Host speed cancels out of a ratio, so the verdict means the same
+//! on a laptop, on this repo's 2-vCPU container and on a CI runner; no
+//! committed measurement is read, and there is nothing to regenerate when
+//! the engine gets faster. There are no flags: a threshold has one value,
+//! and it is in the table. A new gate is a new row.
 //!
-//! A point the baseline has but the current report lacks is a `MISS`
-//! failure; so is a sweep a same-run check cannot find, and a zero time
-//! against a nonzero baseline (nothing was measured). A figure measured
-//! now but absent from the baseline gets one `SKIP` line, not a silent
-//! half-gate. Regenerate the baseline from five `figures --quick
-//! --bench-json bench-baseline.json` runs, keeping per point the min
-//! throughput and the max p99 / pause / recovery time.
+//! Every cell a row names must hold a positive number. A sweep that is
+//! absent, a system that was renamed and a time or a size of 0 (nothing
+//! was measured) all fail the row — a zero denominator cannot pass.
 //!
-//! Exit code 0 = pass, 1 = regression/scaling failure, 2 = usage or
+//! Exit code 0 = pass, 1 = a check failed, 2 = usage or
 //! unreadable/invalid input.
 
 use hamlet_bench::json::{self, Json};
+use std::fmt::Write;
 
-/// The measurement field most checks read; any other reads 0 where
-/// absent (offline harnesses, old baselines).
 const TP: &str = "throughput_eps";
-/// A system name standing for the `--system` under test.
-const GATED: &str = "";
 
-/// One side of a same-run ratio: `(system, field, pinned x)`. No x pairs
-/// the two sides at every x they share and gates the geometric mean.
+/// One side of a ratio: `(system, field, pinned x)`. A numerator with no x
+/// is read at every x of the sweep and the row gates the geometric mean of
+/// the ratios; a denominator with no x is read at the numerator's.
 type Side = (&'static str, &'static str, Option<&'static str>);
 
-/// Against the baseline. `what` is `(field, figure, noun, floor seconds)`;
-/// a throughput is compared on every figure and has no noun or floor.
-struct VsBaseline {
-    flag: (&'static str, f64),
-    systems: &'static [&'static str],
-    what: (&'static str, &'static str, &'static str, f64),
+/// The largest cardinality and offered rate quick and full sweeps share.
+const TOP_KEYS: Option<&str> = Some("10000");
+const TOP_RATE: Option<&str> = Some("100000");
+
+#[derive(Debug)]
+enum Needs {
+    AtLeast(f64),
+    AtMost(f64),
+}
+use Needs::{AtLeast, AtMost};
+
+impl Needs {
+    fn met(&self, value: f64) -> bool {
+        match *self {
+            AtLeast(floor) => value >= floor,
+            AtMost(ceiling) => value <= ceiling,
+        }
+    }
 }
 
-struct SameRun {
-    /// Name, default, `>=`/`<=` the flag (`1->=`: `>= 1 − flag`, a budget)
-    /// with the unit the limit prints with, digits ratios print with.
-    flag: (&'static str, f64, &'static str, usize),
+struct Check {
+    /// What the verdict line and the docs call the row.
+    name: &'static str,
+    /// The sweeps whose cells it reads.
     figures: &'static [&'static str],
     /// Numerator and denominator.
     of: [Side; 2],
-    /// Verdict line: `<claim.0> = <ratio>x of <claim.1> (.. needs ..)`;
-    /// `{num}`/`{den}` stand for a pinned pair's values.
-    claim: (&'static str, &'static str),
-    /// Geomean only: `<figure>/<x><swept.0>: <swept.1> .. of <swept.2> ..`
-    /// per point, `geomean of <n> <swept.3>`.
-    swept: [&'static str; 4],
-    /// What a FAIL probably means; what an absent sweep is, how to get it.
-    notes: [&'static str; 3],
+    needs: Needs,
 }
 
-enum Check {
-    VsBaseline(VsBaseline),
-    SameRun(&'static SameRun),
-}
-
-/// The gate, in output order.
-const CHECKS: [Check; 12] = [
-    // 1. Throughput of the gated system must not regress at any point.
-    Check::VsBaseline(VsBaseline {
-        flag: ("--max-regression", 0.25),
-        systems: &[GATED],
-        what: (TP, "", "", 0.0),
-    }),
-    // 2. The second worker must not collapse the parallel path. A no-collapse
-    //    floor, not a scaling bar: on this 2-core host two workers and the
-    //    router share two cores and five sweeps read 0.700-0.735 (lower
-    //    quartile 0.70, less 10%; the final five 0.679-0.720, the same
-    //    floor; 0.645 the lowest of twenty-five). ROADMAP direction 3
-    //    raises it to 1.3.
-    Check::SameRun(&SameRun {
-        flag: ("--min-scaling", 0.63, ">=x", 2),
+/// The gate, in output order; the comment on a row is what a FAIL of it
+/// probably means. A floor is the lower quartile of five quick sweeps on
+/// this repo's 2-vCPU container less 10%, or a budget the row states. A
+/// ceiling sits between the worst clean sweep and three times the reading
+/// of `BENCH_20.json`, because a tripling is what it is there to catch
+/// (EXPERIMENTS.md, "The CI perf gate", lists every sweep).
+const CHECKS: &[Check] = &[
+    // The paper's headline (abstract, Fig. 11) and the engine-wide
+    // regression check: a uniform slowdown of HAMLET moves this ratio by as
+    // much on any host (20% reads ~17.6). Five sweeps read 19.8-23.4, lower
+    // quartile 20.85. `fig11_sh` is measured and not gated: its GRETA cells
+    // (14 MB of state, 1-6 runs each) follow the host's memory regime and
+    // its ratio read 28-49 in sixteen sweeps.
+    Check {
+        name: "vs-greta",
+        figures: &["fig11_nyc", "fig11_queries"],
+        of: [("HAMLET", TP, None), ("GRETA", TP, None)],
+        needs: AtLeast(18.8),
+    },
+    // The second worker must not collapse the parallel path. A no-collapse
+    // floor, not a scaling bar: on a 2-core host two workers and the
+    // router share two cores (0.645 the lowest of PR 20's twenty-five
+    // sweeps). ROADMAP direction 3 raises it to 1.3.
+    Check {
+        name: "scaling",
         figures: &["fig_scaling"],
         of: [
             ("HAMLET-par2", TP, Some("2")),
             ("HAMLET-par1", TP, Some("1")),
         ],
-        claim: ("fig_scaling: 2 workers", "1 worker"),
-        swept: [""; 4],
-        notes: ["", "workers sweep", "run the sweep"],
-    }),
-    // 3. Throughput must stay flat(ish) in partition cardinality, on the two
-    //    decades quick and full sweeps both measure: an O(live partitions)
-    //    scan per event reads ~0.018, one per gauge sample 0.048-0.06, none
-    //    0.13.
-    Check::SameRun(&SameRun {
-        flag: ("--min-expiry-flatness", 0.06, ">=", 3),
+        needs: AtLeast(0.63),
+    },
+    // Throughput must stay flat(ish) in partition cardinality, on the two
+    // decades quick and full sweeps both measure: an O(live partitions)
+    // scan per event reads ~0.018, one per gauge sample 0.048-0.06, none
+    // 0.13.
+    Check {
+        name: "expiry-flatness",
         figures: &["fig_expiry"],
-        of: [(GATED, TP, Some("10000")), (GATED, TP, Some("100"))],
-        claim: ("fig_expiry: 10000 keys", "100 keys"),
-        swept: [""; 4],
-        notes: [
-            "; the expiry scan is back to O(live partitions) per event?",
-            "cardinality sweep",
-            "run the full sweep",
+        of: [("HAMLET", TP, TOP_KEYS), ("HAMLET", TP, Some("100"))],
+        needs: AtLeast(0.06),
+    },
+    // The online pipeline's sustained-load p99 at the top offered rate, as
+    // a fraction of the run. The run is paced — 30 000 events at 100 000
+    // ev/s, 0.302-0.308 s in every sweep — so no cell of the sweep is a
+    // denominator that moves with the host, and this is a fixed ceiling in
+    // the table's one shape: 21 ms, five times the worst p99 of sixteen
+    // clean sweeps (4.2 ms on an unsteady host) and sixty times the usual
+    // 0.33 ms. A stage gone quadratic or an unbounded queue blows past it.
+    Check {
+        name: "p99-1-worker",
+        figures: &["fig_latency"],
+        of: [
+            ("HAMLET-pipe1", "latency_p99", TOP_RATE),
+            ("HAMLET-pipe1", "wall", TOP_RATE),
         ],
-    }),
-    // 4. The online pipeline's sustained-load p99 must not blow up.
-    Check::VsBaseline(VsBaseline {
-        flag: ("--max-p99-regression", 3.0),
-        systems: &["HAMLET-pipe1", "HAMLET-pipe4"],
-        what: ("latency_p99", "fig_latency", "p99", 0.0005),
-    }),
-    // 5. Nor the checkpoint drain-barrier pause: a serialization
-    //    regression shows here before a production window is lost to it.
-    Check::VsBaseline(VsBaseline {
-        flag: ("--max-checkpoint-pause", 3.0),
-        systems: &["HAMLET", "HAMLET-par4"],
-        what: ("checkpoint_pause", "fig_checkpoint", "pause", 0.010),
-    }),
-    // 6. The batched hot path must beat the event-at-a-time `process` fold.
-    Check::SameRun(&SameRun {
-        flag: ("--min-batch-speedup", 2.0, ">=x", 2),
-        figures: &["fig_batch"],
-        of: [("HAMLET-batch", TP, None), ("HAMLET-event", TP, None)],
-        claim: ("fig_batch: batched path", "event-at-a-time"),
-        swept: ["", "batch", "event", "rates"],
-        notes: ["", "batching sweep", "run the sweep"],
-    }),
-    // 7. Online churn must beat restart-per-change; if re-planning
-    //    degenerated into a full rebuild per op this collapses toward 1.
-    Check::SameRun(&SameRun {
-        flag: ("--min-churn-advantage", 1.5, ">=x", 2),
-        figures: &["fig_churn"],
-        of: [("HAMLET-churn", TP, None), ("HAMLET-restart", TP, None)],
-        claim: ("fig_churn: online churn", "restart-per-change"),
-        swept: [" ops", "online", "restart", "op counts"],
-        notes: ["", "churn sweep", "run the sweep"],
-    }),
-    // 8. The per-share-group metrics registry rides the hot path and must
-    //    stay near-free: obs on (the default) against obs off.
-    Check::SameRun(&SameRun {
-        flag: ("--max-obs-overhead", 0.03, "1->=x", 3),
-        figures: &["fig_obs"],
-        of: [("HAMLET-obs", TP, None), ("HAMLET-noobs", TP, None)],
-        claim: ("fig_obs: instrumented", "bare"),
-        swept: ["", "instrumented", "bare", "rates"],
-        notes: [
-            " — the metrics registry is taxing the hot path",
-            "observability sweep",
-            "run the sweep",
+        needs: AtMost(0.07),
+    },
+    Check {
+        name: "p99-4-workers",
+        figures: &["fig_latency"],
+        of: [
+            ("HAMLET-pipe4", "latency_p99", TOP_RATE),
+            ("HAMLET-pipe4", "wall", TOP_RATE),
         ],
-    }),
-    // 9. Recovery must stay an operational answer: the full restore and
-    //    the base+delta chain replays.
-    Check::VsBaseline(VsBaseline {
-        flag: ("--max-recovery-time", 3.0),
-        systems: &["HAMLET", "HAMLET-delta", "HAMLET-par4-delta"],
-        what: ("recovery_time", "fig_checkpoint", "recovery", 0.010),
-    }),
-    // 10. The sustained price of cutting a delta every CUT_CADENCE events
-    //     (check 5 sees only the per-cut stall), against the same loop uncut.
-    Check::SameRun(&SameRun {
-        flag: ("--max-cadence-overhead", 0.5, "1->=x", 3),
-        figures: &["fig_checkpoint"],
-        of: [("HAMLET-delta", TP, None), ("HAMLET-nockpt", TP, None)],
-        claim: ("fig_checkpoint: delta cadence", "no-checkpoint"),
-        swept: [" keys", "delta-cadence", "no-checkpoint", "cardinalities"],
-        notes: [
-            " — cutting a delta is taxing the hot path",
-            "delta-cadence pair",
-            "run the sweep",
-        ],
-    }),
-    // 11. A delta must be incremental: mean delta over full base at 10^4
-    //     keys, where at most CUT_CADENCE of them are touched between cuts.
-    //     (At low cardinality every partition is dirty by the next cut.)
-    Check::SameRun(&SameRun {
-        flag: ("--max-delta-ratio", 0.5, "<=x", 3),
+        needs: AtMost(0.07),
+    },
+    // The checkpoint drain-barrier pause, as a fraction of the run it
+    // interrupts, where state is largest: a serialization regression shows
+    // here before a production window is lost to it. 0.12-0.27 in fifteen
+    // clean sweeps (0.06-0.13 at 4 workers); `BENCH_20.json` reads 0.10
+    // (0.16), tripled 0.31 (0.47).
+    Check {
+        name: "pause",
         figures: &["fig_checkpoint"],
         of: [
-            ("HAMLET-delta", "delta_bytes", Some("10000")),
-            ("HAMLET-delta", "checkpoint_bytes", Some("10000")),
+            ("HAMLET", "checkpoint_pause", TOP_KEYS),
+            ("HAMLET", "wall", TOP_KEYS),
         ],
-        claim: (
-            "fig_checkpoint/10000 HAMLET-delta: mean delta {num} B",
-            "base {den} B",
-        ),
-        swept: [""; 4],
-        notes: [
-            " — deltas are re-encoding most of the state",
-            "HAMLET-delta 10000-key point (with delta and base sizes)",
-            "run the sweep",
+        needs: AtMost(0.30),
+    },
+    Check {
+        name: "pause-4-workers",
+        figures: &["fig_checkpoint"],
+        of: [
+            ("HAMLET-par4", "checkpoint_pause", TOP_KEYS),
+            ("HAMLET-par4", "wall", TOP_KEYS),
         ],
-    }),
-    // 12. Dynamic sharing must not cost more than it saves on the paper's
-    //     diverse workload: 0.962-0.977 measured, 0.92-0.93 before PR 15. A
-    //     floor under bookkeeping; the claim proper is ROADMAP direction 1.
-    Check::SameRun(&SameRun {
-        flag: ("--min-dynamic-ratio", 0.91, ">=x", 3),
+        needs: AtMost(0.25),
+    },
+    // The batched hot path must beat the event-at-a-time `process` fold.
+    Check {
+        name: "batch-speedup",
+        figures: &["fig_batch"],
+        of: [("HAMLET-batch", TP, None), ("HAMLET-event", TP, None)],
+        needs: AtLeast(2.0),
+    },
+    // Online churn must beat restart-per-change; if re-planning
+    // degenerated into a full rebuild per op this collapses toward 1.
+    Check {
+        name: "churn-advantage",
+        figures: &["fig_churn"],
+        of: [("HAMLET-churn", TP, None), ("HAMLET-restart", TP, None)],
+        needs: AtLeast(1.5),
+    },
+    // The per-share-group metrics registry rides the hot path and must
+    // stay near-free: obs on (the default) within 3% of obs off.
+    Check {
+        name: "obs-overhead",
+        figures: &["fig_obs"],
+        of: [("HAMLET-obs", TP, None), ("HAMLET-noobs", TP, None)],
+        needs: AtLeast(0.97),
+    },
+    // Recovery must stay an operational answer: rebuilding the state from
+    // a full base, and from a base + delta chain, costs a bounded fraction
+    // of reprocessing the stream that built it. Fifteen clean sweeps read
+    // 0.29-0.57, 0.10-0.22 and 0.04-0.11; `BENCH_20.json` tripled 0.83,
+    // 0.54 and 0.32.
+    Check {
+        name: "recovery",
+        figures: &["fig_checkpoint"],
+        of: [
+            ("HAMLET", "recovery_time", TOP_KEYS),
+            ("HAMLET", "wall", TOP_KEYS),
+        ],
+        needs: AtMost(0.75),
+    },
+    Check {
+        name: "recovery-chain",
+        figures: &["fig_checkpoint"],
+        of: [
+            ("HAMLET-delta", "recovery_time", TOP_KEYS),
+            ("HAMLET-delta", "wall", TOP_KEYS),
+        ],
+        needs: AtMost(0.35),
+    },
+    Check {
+        name: "recovery-chain-4-workers",
+        figures: &["fig_checkpoint"],
+        of: [
+            ("HAMLET-par4-delta", "recovery_time", TOP_KEYS),
+            ("HAMLET-par4-delta", "wall", TOP_KEYS),
+        ],
+        needs: AtMost(0.20),
+    },
+    // The sustained price of cutting a delta every CUT_CADENCE events
+    // (`pause` sees only the per-cut stall), against the same loop uncut.
+    // State is tiny at low cardinality, so the fixed per-cut cost looms
+    // large there.
+    Check {
+        name: "cadence-overhead",
+        figures: &["fig_checkpoint"],
+        of: [("HAMLET-delta", TP, None), ("HAMLET-nockpt", TP, None)],
+        needs: AtLeast(0.4),
+    },
+    // A delta must be incremental: mean delta over full base at 10^4
+    // keys, where at most CUT_CADENCE of them are touched between cuts.
+    // (At low cardinality every partition is dirty by the next cut.)
+    Check {
+        name: "delta-size",
+        figures: &["fig_checkpoint"],
+        of: [
+            ("HAMLET-delta", "delta_bytes", TOP_KEYS),
+            ("HAMLET-delta", "checkpoint_bytes", TOP_KEYS),
+        ],
+        needs: AtMost(0.5),
+    },
+    // Dynamic sharing must not cost more than it saves on the paper's
+    // diverse workload: 0.962-0.977 measured, 0.92-0.93 before PR 15. A
+    // floor under bookkeeping; the claim proper is ROADMAP direction 1.
+    Check {
+        name: "dynamic-sharing",
         figures: &["fig12_events", "fig12_queries"],
         of: [("HAMLET", TP, None), ("HAMLET-noshare", TP, None)],
-        claim: ("fig12: dynamic sharing", "never sharing"),
-        swept: ["", "dynamic", "never-share", "points"],
-        notes: ["", "dynamic-vs-noshare sweeps", "run the sweeps"],
-    }),
+        needs: AtLeast(0.91),
+    },
 ];
 
-/// One measurement of one system: `(figure, x, measurement)`.
-type Point<'a> = (&'a str, &'a str, &'a Json);
-
-fn value(p: &Point, field: &str) -> f64 {
-    p.2.get(field).and_then(Json::as_f64).unwrap_or(0.0)
-}
+/// One cell a side names: `(figure, x, value)`; 0 where the field is absent.
+type Cell<'a> = (&'a str, &'a str, f64);
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
@@ -236,212 +260,90 @@ fn text<'a>(node: &'a Json, key: &str) -> &'a str {
     node.get(key).and_then(Json::as_str).unwrap_or("?")
 }
 
-/// Every point with a throughput measured for `system`, in document order.
-fn points<'a>(doc: &'a Json, system: &str) -> Vec<Point<'a>> {
+/// The cells of `figures` a side names, in document order.
+fn cells<'a>(doc: &'a Json, figures: &[&str], (system, field, x): Side) -> Vec<Cell<'a>> {
     let mut out = Vec::new();
-    for fig in arr(doc, "figures") {
-        for row in arr(fig, "rows") {
-            for m in arr(row, "measurements") {
-                if text(m, "system") == system && m.get(TP).and_then(Json::as_f64).is_some() {
-                    out.push((text(fig, "id"), text(row, "x"), m));
-                }
+    let figs = arr(doc, "figures").iter();
+    for fig in figs.filter(|fig| figures.contains(&text(fig, "id"))) {
+        let rows = arr(fig, "rows").iter();
+        for row in rows.filter(|row| x.is_none_or(|x| text(row, "x") == x)) {
+            let ms = arr(row, "measurements").iter();
+            for m in ms.filter(|m| text(m, "system") == system) {
+                let value = m.get(field).and_then(Json::as_f64).unwrap_or(0.0);
+                out.push((text(fig, "id"), text(row, "x"), value));
             }
         }
     }
     out
 }
 
-const VERDICT: [&str; 2] = ["FAIL", "OK  "];
-
-/// `(current report, baseline, --system under test, current report's path)`.
-type Gate<'a> = (&'a Json, &'a Json, &'a str, &'a str);
-
-fn system<'s>(gate: Gate<'s>, name: &'s str) -> &'s str {
-    Some(name).filter(|n| *n != GATED).unwrap_or(gate.2)
-}
-
-/// Runs one check against its threshold; returns its failure count.
-fn run(gate: Gate, check: &Check, limit: f64) -> u32 {
-    match check {
-        Check::VsBaseline(c) if c.what.0 != TP && limit <= 0.0 => 0,
-        Check::VsBaseline(c) => (c.systems.iter())
-            .map(|name| vs_baseline(gate, system(gate, name), c.what, limit))
-            .sum(),
-        Check::SameRun(_) if limit <= 0.0 => 0,
-        Check::SameRun(c) => same_run(gate, c, limit),
+/// The value a check reads off `doc` — the ratio of its pinned pair, or
+/// the geometric mean over the pairs at every x — after one line per pair
+/// in `out`. `Err` names what it could not read: a sweep without the
+/// numerator's system, or the first cell that is absent or not positive.
+fn read(doc: &Json, c: &Check, out: &mut String) -> Result<f64, String> {
+    let [(ns, nf, _), (ds, df, dx)] = c.of;
+    let [nums, dens] = c.of.map(|side| cells(doc, c.figures, side));
+    if let Some(figure) = (c.figures.iter()).find(|f| !nums.iter().any(|n| n.0 == **f)) {
+        return Err(format!("{figure} {ns}"));
     }
-}
-
-fn vs_baseline(gate: Gate, system: &str, what: (&str, &str, &str, f64), limit: f64) -> u32 {
-    let ((current, baseline, ..), (field, figure, noun, floor)) = (gate, what);
-    let cur = points(current, system);
-    let mut failures = 0;
-    for bp in points(baseline, system) {
-        let (fig, x, base) = (bp.0, bp.1, value(&bp, field));
-        if field != TP && (fig != figure || base <= 0.0) {
-            continue;
+    let mut logs = 0.0;
+    for &(figure, x, n) in &nums {
+        let dx = dx.unwrap_or(x);
+        let partner = dens.iter().find(|d| d.0 == figure && d.1 == dx);
+        let m = partner.map_or(0.0, |d| d.2);
+        for (x, system, field, v) in [(x, ns, nf, n), (dx, ds, df, m)] {
+            if v <= 0.0 {
+                return Err(format!("{figure}/{x} {system} {field}"));
+            }
         }
-        let Some(cp) = cur.iter().find(|p| p.0 == fig && p.1 == x) else {
-            println!("MISS {fig}/{x} {system}: point present in baseline but not measured now");
-            failures += 1;
-            continue;
-        };
-        let now = value(cp, field);
-        let (ok, line) = if field == TP {
-            let ratio = now / base.max(f64::MIN_POSITIVE);
-            let pct = (ratio - 1.0) * 100.0;
-            let line = format!("{now:.0} ev/s vs baseline {base:.0} ({pct:+.1}%)");
-            (ratio >= 1.0 - limit, line)
-        } else {
-            // A current time of 0 against a nonzero baseline means
-            // the run measured nothing.
-            let max = base * (1.0 + limit) + floor;
-            let [now_ms, base_ms, max_ms] = [now, base, max].map(|s| s * 1e3);
-            let line =
-                format!("{noun} {now_ms:.3}ms vs baseline {base_ms:.3}ms (limit {max_ms:.3}ms)");
-            (now <= max && now > 0.0, line)
-        };
-        failures += u32::from(!ok);
-        println!("{} {fig}/{x} {system}: {line}", VERDICT[usize::from(ok)]);
+        let ratio = n / m;
+        let _ = writeln!(
+            out,
+            "     {figure}: {ns} {nf} at {x} {n:.4e} / {ds} {df} at {dx} {m:.4e} = {ratio:.4}"
+        );
+        logs += ratio.ln();
     }
-    failures
+    Ok((logs / nums.len() as f64).exp())
 }
 
-fn same_run(gate: Gate, c: &SameRun, limit: f64) -> u32 {
-    let ((current, _, _, path), (flag, _, needs, d)) = (gate, c.flag);
-    // A size of 0 means "not recorded", like an absent point.
-    let [(nums, nf, pinned), (dens, df, _)] = c.of.map(|(name, field, x)| {
-        let mut side = points(current, system(gate, name));
-        side.retain(|p| {
-            c.figures.contains(&p.0)
-                && x.is_none_or(|x| p.1 == x)
-                && (field == TP || value(p, field) > 0.0)
-        });
-        (side, field, x.is_some())
-    });
-    let mut pairs = Vec::new();
-    let same_x = |np: &Point, p: &Point| p.0 == np.0 && (pinned || p.1 == np.1);
-    for (np, dp) in nums
-        .iter()
-        .filter_map(|np| Some((np, dens.iter().find(|p| same_x(np, p))?)))
-    {
-        let (n, m) = (value(np, nf), value(dp, df));
-        let ratio = n / m.max(f64::MIN_POSITIVE);
-        if !pinned {
-            let ([unit, name, of, _], (fig, x, _)) = (c.swept, np);
-            println!("     {fig}/{x}{unit}: {name} {n:.0} ev/s = {ratio:.d$}x of {of} {m:.0} ev/s");
-        }
-        pairs.push((ratio, n, m));
+/// Runs `checks` over `doc`: the report, and how many of them failed.
+fn gate(doc: &Json, checks: &[Check]) -> (String, usize) {
+    let (mut out, mut failures) = (String::new(), 0);
+    for c in checks {
+        let value = read(doc, c, &mut out);
+        let ok = value.as_ref().is_ok_and(|&v| c.needs.met(v));
+        let verdict = ["FAIL", "OK  "][usize::from(ok)];
+        let _ = match value {
+            Ok(v) => writeln!(out, "{verdict} {}: {v:.4} ({:?})", c.name, c.needs),
+            Err(cell) => writeln!(out, "{verdict} {}: {cell} is missing or zero", c.name),
+        };
+        failures += usize::from(!ok);
     }
-    let [fail_note, what, how] = c.notes;
-    let Some(&(first, n, m)) = pairs.first() else {
-        let label = c.claim.0.split([':', '/']).next().unwrap_or("");
-        println!("FAIL {label}: {what} missing from {path} ({how} or pass {flag} 0)");
-        return 1;
-    };
-    let logs = pairs.iter().map(|p| p.0.max(f64::MIN_POSITIVE).ln());
-    let (value, over) = if pinned {
-        (first, String::new())
-    } else {
-        let over = format!("geomean of {} {}, ", pairs.len(), c.swept[3]);
-        ((logs.sum::<f64>() / pairs.len() as f64).exp(), over)
-    };
-    let (limit, needs) = match needs.strip_prefix("1-") {
-        Some(needs) => (1.0 - limit, needs),
-        None => (limit, needs),
-    };
-    let (cmp, unit) = needs.split_at(2);
-    let ok = [value >= limit, value <= limit][usize::from(cmp == "<=")];
-    let [subject, object] = [c.claim.0, c.claim.1].map(|s| {
-        s.replace("{num}", &format!("{n:.0}"))
-            .replace("{den}", &format!("{m:.0}"))
-    });
-    println!(
-        "{} {subject} = {value:.d$}x of {object} ({over}needs {cmp} {limit:.d$}{unit}{})",
-        VERDICT[usize::from(ok)],
-        if ok { "" } else { fail_note },
-    );
-    u32::from(!ok)
-}
-
-fn usage_exit(msg: String) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2);
+    (out, failures)
 }
 
 fn main() {
-    let flag_of = |check: &Check| match check {
-        Check::VsBaseline(c) => c.flag,
-        Check::SameRun(c) => (c.flag.0, c.flag.1),
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let doc = match args.as_slice() {
+        [path] if !path.starts_with('-') => load(path),
+        _ => Err("usage: perf_gate <BENCH.json>  (no flags: thresholds live in CHECKS)".into()),
     };
-    let mut paths: Vec<String> = Vec::new();
-    let mut limits = CHECKS.each_ref().map(|check| flag_of(check).1);
-    let mut system = "HAMLET".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut take = || {
-            it.next()
-                .unwrap_or_else(|| usage_exit(format!("{arg} needs a value")))
-        };
-        if let Some(i) = CHECKS.iter().position(|check| flag_of(check).0 == arg) {
-            limits[i] = take()
-                .parse()
-                .unwrap_or_else(|e| usage_exit(format!("bad {arg}: {e}")));
-        } else if arg == "--system" {
-            system = take();
-        } else if arg.starts_with("--") {
-            usage_exit(format!("unknown flag: {arg}"));
-        } else {
-            paths.push(arg);
-        }
-    }
-    let [path, baseline_path] = paths.as_slice() else {
-        usage_exit("usage: perf_gate <current BENCH.json> <baseline.json> [flags]".into());
-    };
-    let (current, baseline) = match (load(path), load(baseline_path)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (c, b) => {
-            let errs: Vec<String> = [c.err(), b.err()].into_iter().flatten().collect();
-            usage_exit(errs.join("\n"));
-        }
-    };
-
-    // A figure measured now but absent from the committed baseline gets one
-    // explicit SKIP line: no per-point baseline comparison below sees it.
-    let ids = |doc| -> Vec<&str> { (arr(doc, "figures").iter().map(|f| text(f, "id"))).collect() };
-    let base_figs = ids(&baseline);
-    for fig in ids(&current) {
-        if !base_figs.contains(&fig) {
-            println!(
-                "SKIP {fig}: present in {path} but missing from the baseline \
-                 {baseline_path} — no baseline comparison ran for it; regenerate the \
-                 baseline to gate this sweep"
-            );
-        }
-    }
-
-    // A system the baseline has but the current report lacks entirely (a
-    // dropped sweep, a renamed system) is one clear failure, not MISS noise.
-    let base_points = points(&baseline, &system).len();
-    if base_points == 0 {
-        eprintln!("warning: baseline has no {system} measurements; nothing gated");
-    } else if points(&current, &system).is_empty() {
+    let doc = doc.unwrap_or_else(|msg| {
+        eprintln!("{msg}");
+        std::process::exit(2);
+    });
+    let (report, failures) = gate(&doc, CHECKS);
+    print!("{report}");
+    if failures > 0 {
         eprintln!(
-            "error: {path} has no \"{system}\" measurements, but the baseline \
-             {baseline_path} has {base_points} — was the sweep dropped or the system renamed?"
+            "perf gate: {failures} of {} checks failed (what each guards: CHECKS in {})",
+            CHECKS.len(),
+            file!()
         );
         std::process::exit(1);
     }
-
-    let gate: Gate = (&current, &baseline, &system, path);
-    let failures: u32 = (CHECKS.iter().zip(limits))
-        .map(|(check, limit)| run(gate, check, limit))
-        .sum();
-    if failures > 0 {
-        eprintln!("perf gate: {failures} failure(s)");
-        std::process::exit(1);
-    }
-    println!("perf gate: all checks passed");
+    println!("perf gate: all {} checks passed", CHECKS.len());
 }
 
 #[cfg(test)]
@@ -451,33 +353,141 @@ mod tests {
 
     /// Every figure, system and pinned x a check reads is a cell of the
     /// figure table in both modes — a misspelt name fails here, not as a
-    /// `FAIL … missing` in CI. `GATED` stands for the default `--system`.
+    /// `FAIL … is missing or zero` in CI.
     #[test]
     fn every_check_reads_cells_the_table_has() {
-        let assert_cell = |figure: &str, system: &str, x: Option<&str>| {
-            let system = if system == GATED { "HAMLET" } else { system };
-            let row = sweep(figure).unwrap_or_else(|| panic!("no sweep {figure}"));
-            for xs in row.xs {
-                let found = xs.iter().any(|&v| {
-                    x.is_none_or(|x| x == v.to_string())
-                        && (row.columns.iter()).any(|(column, _)| Sweep::label(column, v) == system)
-                });
-                assert!(found, "{figure} has no {system} cell at x = {x:?}");
-            }
-        };
-        for check in &CHECKS {
-            match check {
-                Check::VsBaseline(c) if c.what.1.is_empty() => {}
-                Check::VsBaseline(c) => {
-                    (c.systems.iter()).for_each(|s| assert_cell(c.what.1, s, None))
-                }
-                Check::SameRun(c) => {
-                    for figure in c.figures {
-                        c.of.iter()
-                            .for_each(|&(system, _, x)| assert_cell(figure, system, x));
+        for check in CHECKS {
+            for figure in check.figures {
+                let row = sweep(figure).unwrap_or_else(|| panic!("no sweep {figure}"));
+                for (system, _, x) in check.of {
+                    for xs in row.xs {
+                        let found = xs.iter().any(|&v| {
+                            x.is_none_or(|x| x == v.to_string())
+                                && (row.columns.iter())
+                                    .any(|(column, _)| Sweep::label(column, v) == system)
+                        });
+                        assert!(found, "{figure} has no {system} cell at x = {x:?}");
                     }
                 }
             }
         }
+    }
+    /// One measurement: `(figure, x, system, [(field, value)])`.
+    type Row<'a> = (&'a str, &'a str, &'a str, &'a [(&'a str, f64)]);
+
+    /// A report of measurements, each in a figure entry of its own.
+    fn report(cells: &[Row]) -> Json {
+        let figures: Vec<String> = (cells.iter())
+            .map(|(figure, x, system, fields)| {
+                let fields: String = (fields.iter())
+                    .map(|(field, value)| format!(",\"{field}\":{value}"))
+                    .collect();
+                format!(
+                    "{{\"id\":\"{figure}\",\"rows\":[{{\"x\":\"{x}\",\"measurements\":\
+                     [{{\"system\":\"{system}\"{fields}}}]}}]}}"
+                )
+            })
+            .collect();
+        json::parse(&format!("{{\"figures\":[{}]}}", figures.join(","))).expect("parses")
+    }
+
+    /// Throughputs of systems A and B at `f/1`.
+    fn pair(a: f64, b: f64) -> Json {
+        report(&[("f", "1", "A", &[(TP, a)]), ("f", "1", "B", &[(TP, b)])])
+    }
+
+    fn check(figures: &'static [&'static str], of: [Side; 2], needs: Needs) -> [Check; 1] {
+        [Check {
+            name: "row",
+            figures,
+            of,
+            needs,
+        }]
+    }
+
+    const PAIR: [Side; 2] = [("A", TP, None), ("B", TP, None)];
+
+    #[test]
+    fn a_ratio_under_its_floor_fails_and_one_over_it_passes() {
+        for (needs, failures) in [
+            (AtLeast(2.9), 0),
+            (AtLeast(3.1), 1),
+            (AtMost(3.1), 0),
+            (AtMost(2.9), 1),
+        ] {
+            let (out, failed) = gate(&pair(30.0, 10.0), &check(&["f"], PAIR, needs));
+            assert_eq!(failed, failures, "{out}");
+            assert!(out.contains(["OK   row: 3.0000", "FAIL row: 3.0000"][failures]));
+        }
+    }
+
+    #[test]
+    fn a_missing_sweep_is_a_failure() {
+        let (out, failed) = gate(&pair(30.0, 10.0), &check(&["f", "g"], PAIR, AtLeast(1.0)));
+        assert_eq!(failed, 1, "{out}");
+        assert!(out.contains("FAIL row: g A is missing"), "{out}");
+        // So is a sweep that lost (or renamed) the denominator's system.
+        let of = [("A", TP, None), ("C", TP, None)];
+        let (out, failed) = gate(&pair(30.0, 10.0), &check(&["f"], of, AtLeast(1.0)));
+        assert_eq!(failed, 1, "{out}");
+        assert!(out.contains("FAIL row: f/1 C throughput_eps is missing"));
+    }
+
+    #[test]
+    fn a_geomean_row_reads_every_x_and_a_pinned_row_only_its_pair() {
+        // Ratios 4 at f/1 and 1 at g/2: geomean 2. The other cells —
+        // another system, another field, another sweep — would move it if
+        // they were read.
+        let doc = report(&[
+            ("f", "1", "A", &[(TP, 4.0)]),
+            ("f", "1", "B", &[(TP, 1.0)]),
+            ("g", "2", "A", &[(TP, 5.0)]),
+            ("g", "2", "B", &[("wall", 1e-9), (TP, 5.0)]),
+            ("g", "2", "C", &[(TP, 1e9)]),
+            ("h", "2", "A", &[(TP, 1e9)]),
+            ("h", "2", "B", &[(TP, 1.0)]),
+        ]);
+        let row = check(&["f", "g"], PAIR, AtLeast(0.0));
+        let value = read(&doc, &row[0], &mut String::new());
+        assert_eq!(value.map(|v| (v * 1e9).round()), Ok(2e9));
+        // Pinned: A at x = 2 over B at x = 1 of the same sweep, whatever
+        // the sweep holds at its other points.
+        let doc = report(&[
+            ("f", "1", "A", &[(TP, 1e9)]),
+            ("f", "1", "B", &[(TP, 2.0)]),
+            ("f", "2", "A", &[(TP, 3.0), ("wall", 7.5)]),
+            ("f", "2", "B", &[(TP, 1e-9)]),
+        ]);
+        let value = |of| {
+            read(
+                &doc,
+                &check(&["f"], of, AtLeast(0.0))[0],
+                &mut String::new(),
+            )
+        };
+        assert_eq!(value([("A", TP, Some("2")), ("B", TP, Some("1"))]), Ok(1.5));
+        // Two fields of one cell: a time as a fraction of its own run.
+        let own = [("A", "wall", Some("2")), ("A", TP, Some("2"))];
+        assert_eq!(value(own), Ok(2.5));
+    }
+
+    #[test]
+    fn a_zero_denominator_cannot_pass() {
+        // 30 / 0 would clear any floor and 0 / 10 any ceiling.
+        for (a, b, needs) in [
+            (30.0, 0.0, AtLeast(1.0)),
+            (0.0, 10.0, AtMost(1.0)),
+            (30.0, -1.0, AtMost(1.0)),
+        ] {
+            let (out, failed) = gate(&pair(a, b), &check(&["f"], PAIR, needs));
+            assert_eq!(failed, 1, "{out}");
+            assert!(out.contains("is missing or zero"), "{out}");
+        }
+        // An absent field reads 0.
+        let of = [("A", TP, None), ("B", "wall", None)];
+        assert_eq!(
+            gate(&pair(30.0, 10.0), &check(&["f"], of, AtLeast(1.0))).1,
+            1
+        );
     }
 }

@@ -147,8 +147,8 @@ pub const SWEEPS: &[Sweep] = &[
         ],
     },
     // Batching A/B on the fig9_events workload: byte-identical output
-    // (equivalence suite), only the feeding differs. `perf_gate
-    // --min-batch-speedup` gates the ratio per rate.
+    // (equivalence suite), only the feeding differs. `perf_gate`'s
+    // `batch-speedup` row gates the ratio.
     Sweep {
         id: "fig_batch",
         title: "Batched vs per-event engine core (Ridesharing, 10 queries)",
@@ -166,7 +166,7 @@ pub const SWEEPS: &[Sweep] = &[
     // Observability overhead (not a paper figure): the production engine
     // against itself without its per-share-group counters, which ride
     // the hot path — event routing, run creation, burst classification,
-    // snapshot reuse. `perf_gate --max-obs-overhead` bounds the loss.
+    // snapshot reuse. `perf_gate`'s `obs-overhead` row bounds the loss.
     Sweep {
         id: "fig_obs",
         title: "Observability overhead: instrumented vs uninstrumented engine (Ridesharing, 10 queries)",
@@ -317,7 +317,7 @@ pub const SWEEPS: &[Sweep] = &[
     // Sustained load (beyond the paper, PR 4): end-to-end (ingest ->
     // emit) p50/p99 under an open-loop paced source — the offline
     // drivers feed slices already in memory, so their latency excludes
-    // every queueing effect. `perf_gate --max-p99-regression` gates p99.
+    // every queueing effect. `perf_gate`'s `p99-*` rows gate the tail.
     Sweep {
         id: "fig_latency",
         title: "Sustained load: pipeline p50/p99 latency vs offered rate (Ridesharing, 10 queries)",
@@ -341,8 +341,8 @@ pub const SWEEPS: &[Sweep] = &[
     // every partition is touched between cuts (deltas ~ base size), at
     // 10^4 at most CUT_CADENCE/10^4 = 5% are (deltas << base); state
     // grows with the live partitions, so the same axis stresses blob size
-    // and serialization pause. Gated by `perf_gate --max-checkpoint-pause
-    // / --max-recovery-time / --max-cadence-overhead / --max-delta-ratio`.
+    // and serialization pause. Gated by `perf_gate`'s `pause*`,
+    // `recovery*`, `cadence-overhead` and `delta-size` rows.
     Sweep {
         id: "fig_checkpoint",
         title: "Checkpoint: full vs delta-chain size, pause, cadence overhead, and recovery \
@@ -367,7 +367,7 @@ pub const SWEEPS: &[Sweep] = &[
     // Runtime churn (beyond the paper, PR 7) on the Fig. 12 workload,
     // whose windows span 5-20 minutes over a 4-minute stream: nearly the
     // whole prefix is live state at every change, which is what a
-    // restart must replay. `perf_gate --min-churn-advantage`.
+    // restart must replay. `perf_gate`'s `churn-advantage` row.
     Sweep {
         id: "fig_churn",
         title: "Runtime churn: online re-planning vs restart-per-change (Stock-like, diverse)",
@@ -665,7 +665,7 @@ mod tests {
         // the event-at-a-time `process` fold on every swept rate.
         // Readings on a dedicated core sit at 2.1–2.6×; CI's perf gate
         // enforces the same ratio from BENCH.json
-        // (--min-batch-speedup 2.0).
+        // (`batch-speedup`, 2.0).
         for (rate, ms) in &fig.rows {
             let event = ms
                 .iter()
@@ -693,8 +693,7 @@ mod tests {
         // Local readings sit at 0.99–1.01x (the registry is a handful of
         // u64 increments per burst, not per event); the test allows 10%
         // for shared-host noise while CI's perf gate enforces the 3%
-        // budget on the geomean from BENCH.json (--max-obs-overhead
-        // 0.03).
+        // budget on the geomean from BENCH.json (`obs-overhead`, 0.97).
         for (rate, ms) in &fig.rows {
             let obs = ms
                 .iter()
@@ -730,7 +729,7 @@ mod tests {
         let tp = |x: &str| {
             fig.rows.iter().find(|(k, _)| k == x).expect("worker row").1[0].throughput_eps
         };
-        // A no-collapse bound on the pair the gate pins (`--min-scaling`,
+        // A no-collapse bound on the pair the gate pins (`scaling`,
         // par2 ÷ par1), a little looser than its floor: slow-tier tests
         // run beside each other. The reading has shrunk every time the
         // single-threaded engine got faster — the expiration index, the
@@ -769,7 +768,7 @@ mod tests {
         // the pre-index O(P) scan measured ~55–85×. The 25× bound
         // separates the last from the rest with headroom for noisy CI
         // hosts; CI's perf gate holds the tighter line
-        // (--min-expiry-flatness 0.06).
+        // (`expiry-flatness`, 0.06).
         assert!(
             tp("10000") > tp("100") / 25.0,
             "expiry cost grew with partition count: {} vs {}",
@@ -859,7 +858,7 @@ mod tests {
         // partitions are dirty between cuts, so the steady-state delta
         // must be a small fraction of its base — while at 10^2 keys
         // every partition is touched and deltas buy little. CI gates
-        // the same ratio (--max-delta-ratio).
+        // the same ratio (`delta-size`).
         let delta = |x: &str| {
             fig.rows
                 .iter()
@@ -901,7 +900,7 @@ mod tests {
             // gap must widen with churn frequency (the restart baseline
             // replays the open-window prefix at every op). The per-point
             // bound here is looser than the CI gate's geomean floor
-            // (--min-churn-advantage) to keep slow-tier runs robust on
+            // (`churn-advantage`) to keep slow-tier runs robust on
             // noisy hosts.
             assert!(
                 online > restart,

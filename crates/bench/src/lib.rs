@@ -66,19 +66,19 @@ pub struct Measurement {
     pub checkpoint_bytes: u64,
     /// Checkpoint pause: how long the drain barrier + state
     /// serialization stalled processing (`fig_checkpoint` runs only) —
-    /// the tail CI gates via `perf_gate --max-checkpoint-pause`. For
+    /// CI gates it as a fraction of `wall` (`perf_gate`'s `pause` rows). For
     /// delta-chain runs this is the *mean* per-cut pause at the fixed
     /// cadence.
     pub checkpoint_pause: Duration,
     /// Mean serialized size of one incremental delta record
     /// (delta-chain `fig_checkpoint` runs only; 0 when the run cut no
     /// deltas). CI gates the ratio against `checkpoint_bytes` — the
-    /// base size — via `perf_gate --max-delta-ratio`.
+    /// base size — in `perf_gate`'s `delta-size` row.
     pub delta_bytes: u64,
     /// Recovery time: building a fresh engine and replaying the stored
     /// base + delta chain into it (`fig_checkpoint` runs only; 0 when
-    /// the run measured no recovery). CI gates it against the committed
-    /// baseline via `perf_gate --max-recovery-time`.
+    /// the run measured no recovery). CI gates it as a fraction of `wall`
+    /// (`perf_gate`'s `recovery*` rows).
     pub recovery_time: Duration,
 }
 
@@ -567,7 +567,7 @@ pub fn measure<F: FnMut() -> Measurement>(columns: &mut [F]) -> Vec<Measurement>
 /// report: one document with the run mode and, per figure, its id,
 /// x-axis, and per-system measurements (throughput, latency, peak
 /// memory, sharing counters). The CI perf gate (`perf_gate` binary)
-/// consumes this format and compares it against a committed baseline.
+/// consumes this format: every check is a ratio of two of its cells.
 pub fn bench_json(mode: &str, figs: &[figures::Figure]) -> String {
     let row = |(x, ms): &(String, Vec<Measurement>)| {
         let measurements: Vec<String> = ms

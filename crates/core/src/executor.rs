@@ -460,7 +460,7 @@ impl HamletEngine {
             {
                 return Err(EngineError::Unsupported(format!(
                     "query {:?}: MIN/MAX with negation (lattice values cannot be \
-                     un-blocked; see DESIGN.md)",
+                     un-blocked; see ARCHITECTURE.md, \"Deviations from the paper\")",
                     q.id
                 )));
             }

@@ -13,7 +13,7 @@
 //! requires a pattern-intersection construction; this implementation covers
 //! the two cases that arise in practice — identical branches
 //! (`C1,2 = C1`) and branches over differing type sets (`C1,2 = 0`) — and
-//! rejects the rest (documented in DESIGN.md).
+//! rejects the rest (ARCHITECTURE.md, "Deviations from the paper").
 //!
 //! Negation (`SEQ(P1, NOT N, P2)`) is handled natively inside the run
 //! engine via blocking watermarks (see [`crate::run`]), not here.
@@ -131,7 +131,8 @@ pub fn decompose(
 }
 
 /// `c·(c−1)/2` in the ring: one of the factors is even before wrapping, so
-/// divide that one. (Exact for true counts below 2⁶⁴; see DESIGN.md.)
+/// divide that one. (Exact for true counts below 2⁶⁴; ARCHITECTURE.md,
+/// "Deviations from the paper".)
 fn choose2(c: TrendVal) -> TrendVal {
     if c.0.is_multiple_of(2) {
         TrendVal(c.0 / 2) * (c - TrendVal::ONE)

@@ -6,11 +6,11 @@
 //! functions can be shared, (iii) their windows are compatible, and
 //! (iv) their grouping attributes coincide.
 //!
-//! Deviation from the paper (documented in DESIGN.md): window
-//! compatibility here means *equal* `(WITHIN, SLIDE)` rather than merely
-//! overlapping — the paper's pane mechanism does not specify how trend
-//! aggregates are stitched across panes of different windows, so we share
-//! only among aligned windows. Queries that fail any condition run in
+//! Deviation from the paper (ARCHITECTURE.md, "Deviations from the
+//! paper"): window compatibility here means *equal* `(WITHIN, SLIDE)`
+//! rather than merely overlapping — the paper's pane mechanism does not
+//! specify how trend aggregates are stitched across panes of different
+//! windows, so we share only among aligned windows. Queries that fail any condition run in
 //! singleton groups (GRETA-style non-shared execution).
 
 use crate::template::{MergedTemplate, TemplateError};
@@ -35,7 +35,8 @@ pub enum AggSkeleton {
         attr: Option<usize>,
     },
     /// `MIN`/`MAX` members: lattice propagation; never executed via shared
-    /// graphlets (the lattice is not ring-linear, see DESIGN.md).
+    /// graphlets (the lattice is not ring-linear; ARCHITECTURE.md,
+    /// "Deviations from the paper").
     MinMax {
         /// The target event type.
         ty: EventTypeId,

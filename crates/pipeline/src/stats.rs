@@ -241,8 +241,9 @@ pub struct MetricsSnapshot {
     pub checkpoint_failures: u64,
     /// End-to-end (ingest → emit) result latency.
     pub latency: LatencySummary,
-    /// Sparse latency histogram: `(bucket low edge in ns, samples)`
-    /// pairs, ascending — the full distribution behind [`Self::latency`].
+    /// Sparse latency histogram: `(inclusive bucket low edge in ns,
+    /// samples)` pairs, ascending — the full distribution behind
+    /// [`Self::latency`].
     pub latency_buckets: Vec<(u64, u64)>,
     /// Per-share-group metrics (Def. 12 benefit, events routed, runs,
     /// bursts, snapshots, results), merged across shard workers. Empty
@@ -371,12 +372,12 @@ impl MetricsSnapshot {
         p.sample_u64("hamlet_latency_seconds_count", &[], self.latency.count);
         p.header(
             "hamlet_latency_bucket_total",
-            "Latency histogram: samples per bucket (label = bucket low edge, ns).",
+            "Latency histogram: samples per bucket (label = inclusive bucket low edge, ns).",
             "counter",
         );
         for &(ns, n) in &self.latency_buckets {
             let edge = ns.to_string();
-            p.sample_u64("hamlet_latency_bucket_total", &[("le_ns", &edge)], n);
+            p.sample_u64("hamlet_latency_bucket_total", &[("ge_ns", &edge)], n);
         }
         p.header(
             "hamlet_dropped_spans_total",
@@ -456,6 +457,74 @@ impl MetricsSnapshot {
             }
         }
         p.finish()
+    }
+
+    /// Renders the snapshot as one JSON object on one line, for tooling
+    /// (`hamlet_cli --metrics-json`): the run totals, queue depths, the
+    /// latency summary with its sparse histogram (`buckets_ns`:
+    /// `[inclusive low edge in ns, count]` pairs) and one row per share
+    /// group. Hand-rolled (the workspace has no serde); a non-finite
+    /// float is written as `0`, so a stalled pipeline's 0-duration rates
+    /// can never emit invalid JSON.
+    pub fn to_json(&self) -> String {
+        let num = |v: f64| if v.is_finite() { v } else { 0.0 };
+        let secs = |d: Duration| num(d.as_secs_f64());
+        let depths: Vec<String> = self.worker_depths.iter().map(|d| d.to_string()).collect();
+        let buckets: Vec<String> = (self.latency_buckets.iter())
+            .map(|(low, n)| format!("[{low},{n}]"))
+            .collect();
+        let groups: Vec<String> = (self.groups.iter())
+            .map(|g| {
+                format!(
+                    "{{\"group\":{:?},\"shared\":{},\"benefit\":{},\"events_routed\":{},\
+                     \"runs_created\":{},\"runs_expired\":{},\"shared_bursts\":{},\
+                     \"solo_bursts\":{},\"graphlet_snapshots\":{},\"event_snapshots\":{},\
+                     \"results\":{}}}",
+                    g.sig_label(),
+                    g.shared,
+                    num(g.benefit),
+                    g.events_routed,
+                    g.runs_created,
+                    g.runs_expired,
+                    g.shared_bursts,
+                    g.solo_bursts,
+                    g.graphlet_snapshots,
+                    g.event_snapshots,
+                    g.results_emitted,
+                )
+            })
+            .collect();
+        format!(
+            "{{\"elapsed\":{},\"ingested\":{},\"late\":{},\"released\":{},\"results\":{},\
+             \"watermark\":{},\"source_done\":{},\"reorder_depth\":{},\"worker_depths\":[{}],\
+             \"sink_depth\":{},\"ingest_eps\":{},\"latency\":{{\"count\":{},\"avg\":{},\
+             \"p50\":{},\"p99\":{},\"max\":{},\"buckets_ns\":[{}]}},\"dropped_spans\":{},\
+             \"checkpoints\":{},\"checkpoint_bytes\":{},\"checkpoint_failures\":{},\
+             \"groups\":[{}]}}",
+            secs(self.elapsed),
+            self.ingested,
+            self.late,
+            self.released,
+            self.results,
+            self.watermark
+                .map_or_else(|| "null".into(), |w| w.ticks().to_string()),
+            self.source_done,
+            self.reorder_depth,
+            depths.join(","),
+            self.sink_depth,
+            num(self.ingest_eps()),
+            self.latency.count,
+            secs(self.latency.avg),
+            secs(self.latency.p50),
+            secs(self.latency.p99),
+            secs(self.latency.max),
+            buckets.join(","),
+            self.dropped_spans,
+            self.checkpoints,
+            self.checkpoint_bytes,
+            self.checkpoint_failures,
+            groups.join(","),
+        )
     }
 
     /// Ingest throughput in events/second over the run so far.
@@ -539,5 +608,37 @@ mod tests {
         s.latency.lock().unwrap().record(Duration::from_micros(10));
         let snap = s.snapshot();
         assert_eq!(snap.latency_buckets.iter().map(|&(_, n)| n).sum::<u64>(), 2);
+    }
+
+    /// The `--metrics-json` line, byte for byte as `hamlet_cli` has
+    /// written it since PR 9: key order, `null` for no watermark,
+    /// durations as fractional seconds, a non-finite float as `0`.
+    #[test]
+    fn to_json_is_the_cli_metrics_line() {
+        let s = test_stats(2);
+        let mut snap = s.snapshot();
+        let mut g = GroupMetrics::new(0, vec![(1, 0), (2, 1)]);
+        (g.shared, g.benefit, g.events_routed, g.results_emitted) = (true, f64::NAN, 7, 3);
+        snap.elapsed = Duration::from_secs(2);
+        snap.ingested = 100;
+        snap.worker_depths = vec![4, 0];
+        snap.latency.count = 3;
+        snap.latency.p99 = Duration::from_micros(1500);
+        snap.latency_buckets = vec![(1024, 2), (1280, 1)];
+        snap.groups = vec![g];
+        assert_eq!(
+            snap.to_json(),
+            "{\"elapsed\":2,\"ingested\":100,\"late\":0,\"released\":0,\"results\":0,\
+             \"watermark\":null,\"source_done\":false,\"reorder_depth\":0,\
+             \"worker_depths\":[4,0],\"sink_depth\":0,\"ingest_eps\":50,\
+             \"latency\":{\"count\":3,\"avg\":0,\"p50\":0,\"p99\":0.0015,\"max\":0,\
+             \"buckets_ns\":[[1024,2],[1280,1]]},\"dropped_spans\":0,\"checkpoints\":0,\
+             \"checkpoint_bytes\":0,\"checkpoint_failures\":0,\"groups\":[{\"group\":\"1+2L\",\
+             \"shared\":true,\"benefit\":0,\"events_routed\":7,\"runs_created\":0,\
+             \"runs_expired\":0,\"shared_bursts\":0,\"solo_bursts\":0,\
+             \"graphlet_snapshots\":0,\"event_snapshots\":0,\"results\":3}]}"
+        );
+        snap.watermark = Some(Ts(55));
+        assert!(snap.to_json().contains("\"watermark\":55,"));
     }
 }

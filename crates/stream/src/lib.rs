@@ -13,7 +13,8 @@
 //! their published stream statistics — schemas, default rates, type mixes —
 //! and add explicit *burstiness* control (mean same-type run length), which
 //! is the stream property HAMLET's dynamic optimizer reacts to
-//! (documented substitution, see DESIGN.md).
+//! (a documented substitution: ARCHITECTURE.md, "Deviations from the
+//! paper").
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

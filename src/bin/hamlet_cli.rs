@@ -30,16 +30,18 @@
 //! diverse predicate-heavy workload of Figs. 12–13; the others use the
 //! shared-Kleene workload of Fig. 9).
 //!
-//! Pipeline-mode flags: `--workers N` (shard workers), `--eps F` (offered
-//! wall-clock rate, 0 = unpaced), `--max-lateness T` (shuffle the
-//! generated stream so events trail the stream maximum by up to `T`
-//! ticks), `--slack T` (reorder-stage watermark slack; events later than
-//! this are dead-lettered), `--metrics-ms M` (live metrics print
-//! interval, 0 = quiet), `--metrics-json` (emit each metrics snapshot as
-//! one JSON line for tooling, including per-share-group counters and
-//! the latency histogram buckets), `--prom-out FILE` (write the final
-//! metrics snapshot as a Prometheus text-format scrape), `--trace-out
-//! FILE` (record stage spans and write a Chrome `trace_event` JSON file
+//! Pipeline-mode flags (refused without the `pipeline` word):
+//! `--workers N` (shard workers), `--eps F` (offered wall-clock rate, 0 =
+//! unpaced), `--max-lateness T` (shuffle the generated stream so events
+//! trail the stream maximum by up to `T` ticks), `--slack T`
+//! (reorder-stage watermark slack; events later than this are
+//! dead-lettered), `--metrics-ms M` (live metrics print interval, 0 =
+//! quiet), `--metrics-json` (emit each metrics snapshot as one JSON line
+//! for tooling, including per-share-group counters and the latency
+//! histogram as `[bucket low edge in ns, count]` pairs), `--prom-out
+//! FILE` (write the final metrics snapshot as a Prometheus text-format
+//! scrape), `--trace-out FILE` (record stage spans and write a Chrome
+//! `trace_event` JSON file
 //! — open in `chrome://tracing` or Perfetto), `--state DIR` (a
 //! [`DirStore`] checkpoint directory holding one base + delta chain;
 //! required by every checkpoint flag), `--checkpoint-every N` (while
@@ -104,6 +106,25 @@ struct Args {
     churn_script: Option<String>,
 }
 
+/// The flags only `hamlet-cli pipeline` reads. The offline mode refuses
+/// them: it would otherwise run one thread, unpaced, and ignore them.
+const PIPELINE_ONLY: [&str; 14] = [
+    "--workers",
+    "--eps",
+    "--slack",
+    "--max-lateness",
+    "--metrics-ms",
+    "--metrics-json",
+    "--trace-out",
+    "--prom-out",
+    "--checkpoint-after",
+    "--checkpoint-every",
+    "--compact-every",
+    "--state",
+    "--resume",
+    "--churn-script",
+];
+
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         pipeline: false,
@@ -140,6 +161,11 @@ fn parse_args() -> Result<Args, String> {
         it.next();
     }
     while let Some(a) = it.next() {
+        if !args.pipeline && PIPELINE_ONLY.contains(&a.as_str()) {
+            return Err(format!(
+                "{a} is a pipeline-mode flag: hamlet-cli pipeline {a} ..."
+            ));
+        }
         let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match a.as_str() {
             "--dataset" => args.dataset = val("--dataset")?,
@@ -225,16 +251,8 @@ fn main() {
     // A churn script references workload queries by id; ids at or above
     // `--queries` draw extra queries from the same deterministic
     // generator, so the pool is sized to the largest id the script adds.
-    if !args.pipeline && (args.trace_out.is_some() || args.prom_out.is_some()) {
-        eprintln!("error: --trace-out/--prom-out are pipeline-mode flags");
-        std::process::exit(2);
-    }
     let script: Vec<(u64, bool, u32)> = match &args.churn_script {
         Some(path) => {
-            if !args.pipeline {
-                eprintln!("error: --churn-script is a pipeline-mode flag");
-                std::process::exit(2);
-            }
             let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
                 eprintln!("error: read {path}: {e}");
                 std::process::exit(2);
@@ -261,7 +279,7 @@ fn main() {
         num_groups: args.groups,
         group_skew: args.skew,
         seed: args.seed,
-        max_lateness: if args.pipeline { args.max_lateness } else { 0 },
+        max_lateness: args.max_lateness,
     };
     let Some(dataset) = Dataset::from_name(&args.dataset) else {
         eprintln!("unknown dataset {}", args.dataset);
@@ -328,75 +346,6 @@ fn parse_churn_script(text: &str) -> Result<Vec<(u64, bool, u32)>, String> {
         out.push((ts, add, id));
     }
     Ok(out)
-}
-
-/// One [`MetricsSnapshot`] as a single JSON line for tooling — the same
-/// hand-rolled, non-finite-guarded formatting as `BENCH.json`
-/// (`hamlet_bench::json::num`), so a stalled pipeline (0-duration rates)
-/// can never emit invalid JSON. Includes the sparse latency histogram
-/// (`[upper_bound_ns, count]` pairs) and one row per share group.
-fn metrics_json_line(m: &MetricsSnapshot) -> String {
-    use hamlet_bench::json::num;
-    let depths: Vec<String> = m.worker_depths.iter().map(|d| d.to_string()).collect();
-    let buckets: Vec<String> = m
-        .latency_buckets
-        .iter()
-        .map(|(le, n)| format!("[{le},{n}]"))
-        .collect();
-    let groups: Vec<String> = m.groups.iter().map(group_json).collect();
-    format!(
-        "{{\"elapsed\":{},\"ingested\":{},\"late\":{},\"released\":{},\"results\":{},\
-         \"watermark\":{},\"source_done\":{},\"reorder_depth\":{},\"worker_depths\":[{}],\
-         \"sink_depth\":{},\"ingest_eps\":{},\"latency\":{{\"count\":{},\"avg\":{},\
-         \"p50\":{},\"p99\":{},\"max\":{},\"buckets_ns\":[{}]}},\"dropped_spans\":{},\
-         \"checkpoints\":{},\"checkpoint_bytes\":{},\"checkpoint_failures\":{},\
-         \"groups\":[{}]}}",
-        num(m.elapsed.as_secs_f64()),
-        m.ingested,
-        m.late,
-        m.released,
-        m.results,
-        m.watermark
-            .map(|w| w.ticks().to_string())
-            .unwrap_or_else(|| "null".into()),
-        m.source_done,
-        m.reorder_depth,
-        depths.join(","),
-        m.sink_depth,
-        num(m.ingest_eps()),
-        m.latency.count,
-        num(m.latency.avg.as_secs_f64()),
-        num(m.latency.p50.as_secs_f64()),
-        num(m.latency.p99.as_secs_f64()),
-        num(m.latency.max.as_secs_f64()),
-        buckets.join(","),
-        m.dropped_spans,
-        m.checkpoints,
-        m.checkpoint_bytes,
-        m.checkpoint_failures,
-        groups.join(","),
-    )
-}
-
-/// One share group's counters as a JSON object (see [`GroupMetrics`]).
-fn group_json(g: &GroupMetrics) -> String {
-    use hamlet_bench::json::num;
-    format!(
-        "{{\"group\":{:?},\"shared\":{},\"benefit\":{},\"events_routed\":{},\
-         \"runs_created\":{},\"runs_expired\":{},\"shared_bursts\":{},\"solo_bursts\":{},\
-         \"graphlet_snapshots\":{},\"event_snapshots\":{},\"results\":{}}}",
-        g.sig_label(),
-        g.shared,
-        num(g.benefit),
-        g.events_routed,
-        g.runs_created,
-        g.runs_expired,
-        g.shared_bursts,
-        g.solo_bursts,
-        g.graphlet_snapshots,
-        g.event_snapshots,
-        g.results_emitted,
-    )
 }
 
 /// Writes an exporter artifact, failing loudly: an observability file
@@ -573,7 +522,7 @@ fn run_pipeline(
     loop {
         let m = handle.metrics();
         if args.metrics_json {
-            println!("{}", metrics_json_line(&m));
+            println!("{}", m.to_json());
         } else if args.metrics_ms > 0 {
             println!(
                 "[{:>7.2}s] in={} out={} late={} wm={} queues: reorder={} workers={:?} sink={} \

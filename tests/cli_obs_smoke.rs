@@ -6,8 +6,8 @@
 //! round-trip through a JSON parser (`hamlet_bench::json`) and contain
 //! pipeline stage spans, the Prometheus text must carry the engine and
 //! per-share-group families, and every `--metrics-json` line must be
-//! valid JSON with group rows. Also checks that both exporter flags are
-//! rejected outside pipeline mode.
+//! valid JSON with group rows. Also checks that every flag only the
+//! pipeline reads is rejected outside pipeline mode.
 
 use hamlet_bench::json::{self, Json};
 use std::process::Command;
@@ -138,13 +138,32 @@ fn exporters_write_parseable_artifacts() {
 
 #[test]
 fn exporter_flags_are_pipeline_only() {
-    let out = cli(&["--trace-out", "/tmp/never-written.json"]);
-    assert!(
-        !out.status.success(),
-        "offline mode must reject --trace-out"
-    );
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("pipeline-mode flag"),
-        "error should say the flags are pipeline-only"
-    );
+    // Offline, `--workers 4` would run one thread and say nothing. Every
+    // flag only the pipeline reads is refused at parse time, with exit 2,
+    // before a stream is generated.
+    for flag in [
+        &["--workers", "4"][..],
+        &["--eps", "1000"],
+        &["--slack", "5"],
+        &["--max-lateness", "5"],
+        &["--metrics-ms", "100"],
+        &["--metrics-json"],
+        &["--trace-out", "/tmp/never-written.json"],
+        &["--prom-out", "/tmp/never-written.prom"],
+        &["--checkpoint-after", "100"],
+        &["--checkpoint-every", "100"],
+        &["--compact-every", "4"],
+        &["--state", "/tmp/never-created"],
+        &["--resume"],
+        &["--churn-script", "/tmp/never-read.churn"],
+    ] {
+        let out = cli(&[&["--rate", "100"], flag].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{} is a pipeline-mode flag", flag[0])),
+            "{flag:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag:?} ran anyway");
+    }
 }

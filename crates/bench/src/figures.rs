@@ -9,7 +9,7 @@
 use crate::{measure, Cuts, Driver, HarnessConfig, Measurement, Point};
 use hamlet_core::{EngineConfig, SharingPolicy};
 use hamlet_query::parse_query;
-use hamlet_stream::{Dataset, GenConfig};
+use hamlet_stream::{ridesharing, Dataset, GenConfig};
 use std::time::{Duration, Instant};
 
 /// One measured experiment: a sweep and its series.
@@ -53,7 +53,8 @@ pub enum Workload {
     /// `[quick, full]` queries (ignored under [`Axis::Queries`]) from the
     /// data set's own builder, over windows of this many seconds.
     Builtin([usize; 2], u64),
-    /// This many queries, query `i` parsed from the text `(i, x)` names.
+    /// This many queries (ignored under [`Axis::Queries`]), query `i`
+    /// parsed from the text `(i, x)` names.
     Text(u32, fn(u64, u64) -> String),
 }
 
@@ -445,6 +446,33 @@ pub const SWEEPS: &[Sweep] = &[
         xs: [&[1, 8, 64], &[1, 8, 64]],
         columns: &[("HAMLET", HAMLET)],
     },
+    // Ablation: members per share group. Every query is sharable with
+    // every other, each with a selection of its own on the Kleene type,
+    // so x queries are one group up to `QSet::CAPACITY` (64) and
+    // ⌈x/64⌉ from there on: no step at 65 (EXPERIMENTS.md, "One word
+    // wide"). The first half of ROADMAP 1(d): dynamic ÷ noshare over k.
+    Sweep {
+        id: "abl_width",
+        title: "Ablation: share-group width, x pairwise-sharable queries with diverse selections (Ridesharing)",
+        dataset: Dataset::Ridesharing,
+        rate: [20_000, 20_000],
+        minutes: 2,
+        burst: 40.0,
+        keys: [8, 8],
+        seed: 7,
+        workload: Workload::Text(0, |i, k| {
+            let heads = ridesharing::TYPES.iter().filter(|t| **t != "Travel");
+            let first = heads.cycle().nth(i as usize).expect("head types");
+            let below = 10 + 45 * i / k;
+            format!(
+                "RETURN COUNT(*) PATTERN SEQ({first}, Travel+) WHERE Travel.speed < {below} \
+                 GROUP BY district WITHIN 30"
+            )
+        }),
+        axis: Axis::Queries,
+        xs: [&[8, 64, 65], &[2, 8, 32, 64, 65, 128]],
+        columns: POLICIES,
+    },
 ];
 
 /// The row of [`SWEEPS`] called `id`.
@@ -477,6 +505,10 @@ impl Sweep {
         }
         let reg = self.dataset.registry();
         let mut harness = HarnessConfig::default();
+        let swept = |k: usize| match self.axis {
+            Axis::Queries => x as usize,
+            _ => k,
+        };
         let queries = match self.workload {
             Workload::Builtin(k, window) => {
                 // SHARON must flatten E+ up to the longest possible match —
@@ -484,15 +516,10 @@ impl Sweep {
                 // (§6.1). This is what makes flattening blow up on Kleene
                 // workloads (Fig. 9).
                 harness.sharon_max_len = ((gen.events_per_min * window / 60) as usize).max(16);
-                let k = if self.axis == Axis::Queries {
-                    x as usize
-                } else {
-                    k[mode]
-                };
                 // 99 seeds the stock data set's diverse workload.
-                self.dataset.workload(&reg, k, window, 99)
+                self.dataset.workload(&reg, swept(k[mode]), window, 99)
             }
-            Workload::Text(k, text) => (0..k)
+            Workload::Text(k, text) => (0..swept(k as usize) as u32)
                 .map(|i| parse_query(&reg, i, &text(i.into(), x)).expect("table query parses"))
                 .collect(),
         };
@@ -598,7 +625,7 @@ mod tests {
     /// Nothing renamed, nothing dropped — without running anything: the
     /// quick-mode cells the table enumerates are those of the committed
     /// `BENCH_19.json`, minus the two retired worker points, plus the
-    /// three ablation rows.
+    /// ablation rows.
     #[test]
     fn table_enumerates_the_committed_series() {
         let doc = json::parse(include_str!("../../../BENCH_19.json")).expect("BENCH_19.json");
@@ -620,7 +647,8 @@ mod tests {
         assert_eq!(have.len(), want.len(), "a cell is in the table twice");
         assert_eq!(have.into_iter().collect::<BTreeSet<_>>(), want);
         let ablations: Vec<_> = ablations.into_iter().map(|s| s.id).collect();
-        assert_eq!(ablations, ["abl_snapshots", "abl_windows", "abl_fanout"]);
+        let ids = ["abl_snapshots", "abl_windows", "abl_fanout", "abl_width"];
+        assert_eq!(ablations, ids);
     }
 
     // Slow tier: runs every figure sweep (all systems × all axes) and

@@ -11,6 +11,7 @@
 //! The replay is [`crate::run::Run::replay`].
 
 use crate::agg::MmVal;
+use crate::bitset::QSet;
 use crate::checkpoint::{CheckpointError, Dec, Enc};
 use crate::executor::{DivergenceMode, EngineConfig, EngineStats};
 use crate::optimizer::{decide, DivergenceEstimator};
@@ -26,11 +27,10 @@ use std::time::Instant;
 pub enum BurstRepr {
     /// [`GroupRuntime::uniform_bursts`] groups: a burst is its length.
     Count,
-    /// Types without edge predicates in a group of at most 64 members: a
-    /// burst is a column of [`Cell`]s.
+    /// Types without an edge predicate: a burst is a column of [`Cell`]s.
     Cells,
-    /// Types with an edge predicate (pairwise scans need the events) and
-    /// groups too wide for a one-word mask: cloned events.
+    /// Types with an edge predicate, and no other: pairwise scans need
+    /// the events, so they are cloned.
     Events,
 }
 
@@ -49,9 +49,10 @@ impl BurstRepr {
 /// type, computed once per (event, group) when the event is appended.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub struct Cell {
-    /// Bit `q` is set iff member `q`'s selections on the type accept the
-    /// event (members without one always accept).
-    pub mask: u64,
+    /// Holds `q` iff member `q`'s selections on the type accept the
+    /// event (members without one always accept; so does every index past
+    /// the group's width).
+    pub mask: QSet,
     /// The one number the skeleton reads: the ring weight for `Linear`
     /// (0 off the target type), the target attribute's `f64` bits for
     /// `MinMax` (the lattice identity off the target type), 0 otherwise.
@@ -61,14 +62,14 @@ pub struct Cell {
 impl Cell {
     /// Serializes the cell (checkpoint codec).
     pub(crate) fn encode(&self, e: &mut Enc) {
-        e.u64(self.mask);
+        e.u64(self.mask.0);
         e.u64(self.val);
     }
 
     /// Mirror of [`encode`](Self::encode).
     pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Cell, CheckpointError> {
         Ok(Cell {
-            mask: d.u64()?,
+            mask: QSet(d.u64()?),
             val: d.u64()?,
         })
     }
@@ -114,7 +115,7 @@ impl GroupRuntime {
     pub(crate) fn resolve_repr(&self, tl: usize) -> BurstRepr {
         if self.uniform_bursts() {
             BurstRepr::Count
-        } else if self.type_any_edge[tl] || self.k() > 64 {
+        } else if self.type_any_edge[tl] {
             BurstRepr::Events
         } else {
             BurstRepr::Cells
@@ -125,10 +126,10 @@ impl GroupRuntime {
     /// ([`BurstRepr::Cells`] types only).
     #[inline]
     pub fn cell(&self, tl: usize, e: &Event) -> Cell {
-        let mut mask = u64::MAX;
-        for &q in &self.sel_members[tl] {
+        let mut mask = !QSet::new();
+        for q in self.sel_members[tl].iter() {
             if !self.selects(tl, q, e) {
-                mask &= !(1 << q);
+                mask.remove(q);
             }
         }
         let val = match &self.skeleton {
@@ -165,47 +166,28 @@ impl GroupRuntime {
     }
 
     /// Exact per-candidate divergence counts of a burst, added into
-    /// `diverging`: an event "diverges" for a member when the member
-    /// rejects it while at least one other candidate accepts — the Def. 9
-    /// snapshot trigger. A cell column answers from its masks (word ops,
-    /// no second predicate pass); only buffered events are scanned,
-    /// O(k·b). The EMA estimator ([`crate::optimizer::stats`]) avoids
-    /// both.
-    pub fn divergence(
-        &self,
-        tl: usize,
-        burst: &Burst<'_>,
-        candidates: &[usize],
-        diverging: &mut [u64],
-    ) {
+    /// `diverging` (one slot per member of `candidates[tl]`, ascending):
+    /// an event "diverges" for a member when the member rejects it while
+    /// at least one other candidate accepts — the Def. 9 snapshot
+    /// trigger. A cell column answers from its masks (word ops, no second
+    /// predicate pass); only buffered events are scanned, O(k·b). The EMA
+    /// estimator ([`crate::optimizer::stats`]) avoids both.
+    pub fn divergence(&self, tl: usize, burst: &Burst<'_>, diverging: &mut [u64]) {
+        let cands = self.candidates[tl];
+        let mut count = |accepting: QSet| {
+            let rejecting = cands & !accepting;
+            if !rejecting.is_empty() && rejecting != cands {
+                for (d, q) in diverging.iter_mut().zip(cands.iter()) {
+                    *d += rejecting.contains(q) as u64;
+                }
+            }
+        };
         match burst {
             // Uniform groups have no selections: nothing diverges.
             Burst::Count(_) => {}
-            Burst::Cells(cells) => {
-                let cand_mask = candidates.iter().fold(0u64, |m, &q| m | 1 << q);
-                for c in *cells {
-                    let rej = cand_mask & !c.mask;
-                    if rej != 0 && rej != cand_mask {
-                        for (d, &q) in diverging.iter_mut().zip(candidates) {
-                            *d += rej >> q & 1;
-                        }
-                    }
-                }
-            }
-            Burst::Events(events) => {
-                // One match-bit buffer for the whole burst, not one per event.
-                let mut m = vec![false; candidates.len()];
-                for e in *events {
-                    for (acc, &q) in m.iter_mut().zip(candidates) {
-                        *acc = self.selects(tl, q, e);
-                    }
-                    if m.contains(&true) && m.contains(&false) {
-                        for (d, &acc) in diverging.iter_mut().zip(&m) {
-                            *d += !acc as u64;
-                        }
-                    }
-                }
-            }
+            Burst::Cells(cells) => cells.iter().for_each(|c| count(c.mask)),
+            Burst::Events(events) => (events.iter())
+                .for_each(|e| count(cands.iter().filter(|&q| self.selects(tl, q, e)).collect())),
         }
     }
 }
@@ -386,7 +368,7 @@ impl RunState {
         self.run.burst_shape_into(tl, ctx);
         let exact = matches!(env.cfg.divergence, DivergenceMode::Exact);
         if exact {
-            (self.run.runtime()).divergence(tl, &burst, &ctx.candidates, &mut ctx.diverging);
+            (self.run.runtime()).divergence(tl, &burst, &mut ctx.diverging);
         } else {
             for (d, &q) in ctx.diverging.iter_mut().zip(&ctx.candidates) {
                 *d = env.estimator.predict(tl, q, b);
@@ -398,7 +380,7 @@ impl RunState {
         }
         env.stats.decisions += 1;
         let snaps_before = self.run.stats().event_snapshots;
-        self.run.replay(tl, burst, &dec.share);
+        self.run.replay(tl, burst, dec.share);
         // Feed the statistics back: exact mode learns the true per-member
         // divergence; EMA mode attributes the event-level snapshots the
         // burst actually created across the sharing members.
@@ -408,15 +390,14 @@ impl RunState {
             }
         } else {
             let created = self.run.stats().event_snapshots - snaps_before;
-            let members: Vec<usize> = dec.share.iter().collect();
-            if members.is_empty() {
+            if dec.share.is_empty() {
                 // No sharing happened; decay gently toward the prediction.
                 for &q in &ctx.candidates {
                     let predicted = env.estimator.predict(tl, q, b);
                     env.estimator.observe(tl, q, predicted, b);
                 }
             } else {
-                env.estimator.observe_aggregate(tl, &members, created, b);
+                env.estimator.observe_aggregate(tl, dec.share, created, b);
             }
         }
         self.burst.clear();

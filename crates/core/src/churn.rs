@@ -101,7 +101,9 @@ impl HamletEngine {
     /// [`remove_query`](Self::remove_query)).
     ///
     /// Only the share groups the new query restructures are rebuilt;
-    /// every other group keeps its in-flight runs and learned statistics.
+    /// every other group keeps its in-flight runs and learned statistics
+    /// — a *full* group (`QSet::CAPACITY` members) among them: the query
+    /// it would have joined opens the next group instead.
     /// The Def. 12 benefit model is re-run for the post-churn workload
     /// ([`ChurnReport::placements`]). Fails with
     /// [`ChurnError::Duplicate`] if the id is already registered, or

@@ -8,8 +8,9 @@
 //! the paper's optimizer (§4.3 "Consequence of Pruning Principles") — to
 //! plans with one shared set plus singletons (Levels 1–2 of Fig. 7).
 //! Tests assert the pruned choice achieves the exhaustive minimum cost.
-//! It is exponential in the candidate count and intended for tests and
-//! ablation benchmarks only.
+//! It is exponential in the candidate count and compiled only for
+//! `hamlet-core`'s own unit tests (`#[cfg(test)] mod exhaustive`), like
+//! `reference.rs`.
 
 use super::benefit::{nonshared_cost, shared_cost, CostFactors};
 use crate::bitset::QSet;

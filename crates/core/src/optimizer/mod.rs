@@ -7,7 +7,8 @@
 //! executor to split or merge graphlets accordingly (§4.2).
 
 pub mod benefit;
-pub mod exhaustive;
+#[cfg(test)]
+mod exhaustive;
 pub mod queryset;
 pub mod stats;
 
@@ -15,7 +16,6 @@ pub use benefit::{benefit, nonshared_cost, shared_cost, CostFactors};
 pub use queryset::{choose_query_set, Decision};
 pub use stats::DivergenceEstimator;
 
-use crate::bitset::QSet;
 use crate::run::BurstCtx;
 
 /// Executor-level sharing policy.
@@ -34,21 +34,11 @@ pub enum SharingPolicy {
 /// Decides the sharing set for one burst under the given policy.
 pub fn decide(policy: SharingPolicy, ctx: &BurstCtx, burst_len: u64) -> Decision {
     match policy {
-        SharingPolicy::NeverShare => Decision {
-            share: QSet::new(),
+        SharingPolicy::AlwaysShare if ctx.candidates.len() >= 2 => Decision {
+            share: ctx.candidates.iter().copied().collect(),
             estimated_benefit: 0.0,
         },
-        SharingPolicy::AlwaysShare => {
-            let share = if ctx.candidates.len() >= 2 {
-                ctx.candidates.iter().copied().collect()
-            } else {
-                QSet::new()
-            };
-            Decision {
-                share,
-                estimated_benefit: 0.0,
-            }
-        }
+        SharingPolicy::NeverShare | SharingPolicy::AlwaysShare => Decision::none(),
         SharingPolicy::Dynamic => choose_query_set(ctx, burst_len),
     }
 }

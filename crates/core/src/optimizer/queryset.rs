@@ -15,15 +15,15 @@
 //! `k` queries always consists of the `k` smallest-`sc` candidates. The
 //! optimizer therefore sorts candidates by their snapshot cost and picks
 //! the cost-minimal prefix: O(m log m), *exactly* optimal over the
-//! Level-1/2 plan space (validated against exhaustive search in
-//! [`crate::optimizer::exhaustive`]).
+//! Level-1/2 plan space (validated against the exhaustive search of the
+//! `#[cfg(test)]` oracle `optimizer/exhaustive.rs`).
 
 use super::benefit::{nonshared_cost, shared_cost, CostFactors};
 use crate::bitset::QSet;
 use crate::run::BurstCtx;
 
 /// Outcome of the per-burst optimization.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Decision {
     /// Members that share the burst's graphlet (empty ⇒ no sharing).
     pub share: QSet,
@@ -33,7 +33,8 @@ pub struct Decision {
 }
 
 impl Decision {
-    fn none() -> Decision {
+    /// No sharing: every member processes the burst solo.
+    pub(super) fn none() -> Decision {
         Decision {
             share: QSet::new(),
             estimated_benefit: 0.0,
@@ -62,14 +63,12 @@ pub fn choose_query_set(ctx: &BurstCtx, b: u64) -> Decision {
 
     // Per-candidate snapshot estimate: selection divergence counts one
     // event-level snapshot per diverging event (Def. 9); edge predicates
-    // force one per burst event.
-    let mut ranked: Vec<(f64, usize)> = (0..m)
-        .map(|i| {
-            let sc = ctx.diverging[i] as f64 + if ctx.has_edge[i] { bf } else { 0.0 };
-            (sc, i)
-        })
-        .collect();
-    ranked.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // force one per burst event. Candidates are members of one share
+    // group, so their ranking (ties by position) fits on the stack.
+    let sc = |i: usize| ctx.diverging[i] as f64 + if ctx.has_edge[i] { bf } else { 0.0 };
+    let mut ranked: [usize; QSet::CAPACITY] = std::array::from_fn(|i| i);
+    let ranked = &mut ranked[..m];
+    ranked.sort_unstable_by(|&a, &b| sc(a).total_cmp(&sc(b)).then(a.cmp(&b)));
 
     let solo_one = nonshared_cost(1.0, &factors);
     let all_solo = m as f64 * solo_one;
@@ -80,8 +79,8 @@ pub fn choose_query_set(ctx: &BurstCtx, b: u64) -> Decision {
     let mut best_cost = all_solo;
     let mut best_k = 0usize;
     let mut acc = 1.0;
-    for (k, (sc, _)) in ranked.iter().enumerate() {
-        acc += sc;
+    for (k, &i) in ranked.iter().enumerate() {
+        acc += sc(i);
         let members = k + 1;
         if members < 2 {
             continue;
@@ -94,17 +93,13 @@ pub fn choose_query_set(ctx: &BurstCtx, b: u64) -> Decision {
     }
 
     if best_k < 2 {
-        return Decision {
-            share: QSet::new(),
-            estimated_benefit: 0.0,
-        };
+        return Decision::none();
     }
-    let share: QSet = ranked[..best_k]
-        .iter()
-        .map(|&(_, i)| ctx.candidates[i])
-        .collect();
     Decision {
-        share,
+        share: ranked[..best_k]
+            .iter()
+            .map(|&i| ctx.candidates[i])
+            .collect(),
         estimated_benefit: all_solo - best_cost,
     }
 }

@@ -12,6 +12,8 @@
 //! sharing set is chosen, the run engine produces exact aggregates
 //! (asserted in the integration tests).
 
+use crate::bitset::QSet;
+
 /// Per-(type, member) exponential moving average of divergence rates.
 #[derive(Clone, Debug)]
 pub struct DivergenceEstimator {
@@ -60,12 +62,12 @@ impl DivergenceEstimator {
     /// Records an aggregate observation (event-level snapshots created
     /// per burst, attributed uniformly across `members`) — used when the
     /// exact per-member scan was skipped.
-    pub fn observe_aggregate(&mut self, ty: usize, members: &[usize], snapshots: u64, b: u64) {
+    pub fn observe_aggregate(&mut self, ty: usize, members: QSet, snapshots: u64, b: u64) {
         if members.is_empty() || b == 0 {
             return;
         }
-        let per_member = snapshots / members.len().max(1) as u64;
-        for &q in members {
+        let per_member = snapshots / members.len() as u64;
+        for q in members.iter() {
             self.observe(ty, q, per_member.min(b), b);
         }
     }
@@ -182,11 +184,11 @@ mod tests {
     #[test]
     fn aggregate_attribution() {
         let mut e = DivergenceEstimator::new(1, 4, 1.0);
-        e.observe_aggregate(0, &[1, 3], 20, 40);
+        e.observe_aggregate(0, [1, 3].into_iter().collect(), 20, 40);
         assert!((e.rate(0, 1) - 0.25).abs() < 1e-9);
         assert!((e.rate(0, 3) - 0.25).abs() < 1e-9);
         assert_eq!(e.rate(0, 0), 0.0);
-        e.observe_aggregate(0, &[], 20, 40); // no-op
+        e.observe_aggregate(0, QSet::new(), 20, 40); // no-op
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! * [`HamletEngine::process_scan_expiry`] /
 //!   [`flush_scan_expiry`](HamletEngine::flush_scan_expiry) — expiry by
 //!   the pre-index full scan over every live partition;
-//! * [`Run::process_burst_slow`] — the per-event replay loop with the
-//!   closed form disabled.
+//! * [`Run::process_burst_slow`] — the raw events through the per-event
+//!   replay loop (`run/edge.rs`), whatever their type buffers.
 //!
 //! All of them share the engine's state with the path they check, so a
 //! test may interleave them with it freely.
@@ -177,14 +177,14 @@ impl HamletEngine {
 }
 
 impl Run {
-    /// The per-event loop over the raw events with the closed form
-    /// disabled — what [`replay`](Self::replay) must equal.
+    /// The per-event loop over the raw events — what
+    /// [`replay`](Self::replay) of their cells or their count must equal.
     pub(crate) fn process_burst_slow(
         &mut self,
         tl: usize,
         events: &[Event],
         shared_members: &QSet,
     ) {
-        self.replay_impl(tl, Burst::Events(events), shared_members, false)
+        self.replay(tl, Burst::Events(events), *shared_members)
     }
 }

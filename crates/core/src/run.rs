@@ -24,13 +24,18 @@
 //!
 //! A burst reaches [`Run::replay`] in the representation its type was
 //! buffered in ([`GroupRuntime::burst_repr`], a function of the compiled
-//! group alone): a bare count where every event applies the same map
-//! (closed form), the events themselves where an edge predicate needs
-//! pairwise scans (the per-event loop, `process_event`), and otherwise a
-//! column of [`Cell`]s — per event one mask of the members whose
-//! selections accept it and the one number the skeleton reads — which
-//! `replay_cells` walks once, with everything constant over the burst
-//! computed before the loop and no allocation inside it.
+//! group alone), and that representation is the replay's only switch: a
+//! bare count where every event applies the same map (closed form), the
+//! events themselves where — and only where — an edge predicate needs
+//! pairwise scans (the per-event loop, with everything only it uses, in
+//! the child module `run/edge.rs`), and otherwise a column of [`Cell`]s
+//! — per event the set of members whose selections accept it and the one
+//! number the skeleton reads — which `replay_cells` walks once, with
+//! everything constant over the burst computed before the loop and no
+//! allocation inside it. A share group is at most [`QSet::CAPACITY`]
+//! members wide (`workload::analyze` splits there), so every member set
+//! in this file — the sharing decision, a graphlet's owners, a cell's
+//! mask, the compiled per-type tables — is one `Copy` word.
 //!
 //! In the shared graphlet the cell replay keeps the running sum
 //! `sum_exprs` at **no more than three terms**. A *uniform* event (every
@@ -52,6 +57,8 @@
 //! and an event no sharing member accepts contributes the zero
 //! expression and creates no snapshot at all.
 
+mod edge;
+
 use crate::agg::{ring_of_attr, MmVal, NodeVal};
 use crate::bitset::QSet;
 use crate::burst::{Burst, BurstRepr, Cell};
@@ -59,6 +66,7 @@ use crate::expr::{LinearExpr, SnapId};
 use crate::snapshot::SnapTable;
 use crate::template::{MergedTemplate, NegKind};
 use crate::workload::{AggSkeleton, ShareGroup};
+use edge::StoredEvent;
 use hamlet_query::{CompiledSelection, EdgePredicate, Query};
 use hamlet_types::{Event, TrendVal};
 use std::collections::HashMap;
@@ -89,10 +97,10 @@ pub struct GroupRuntime {
     /// graphlets of *other* types a burst of the type deactivates.
     pub relevant: Vec<QSet>,
     /// `candidates[type]` — the members that may share a burst of the
-    /// type (involved, Kleene self-loop, linear skeleton), ascending.
-    pub candidates: Vec<Vec<usize>>,
+    /// type (involved, Kleene self-loop, linear skeleton).
+    pub candidates: Vec<QSet>,
     /// `sel_members[type]` — the members with a selection on the type.
-    pub(crate) sel_members: Vec<Vec<usize>>,
+    pub(crate) sel_members: Vec<QSet>,
     /// [`GroupRuntime::burst_repr`] per type.
     pub(crate) repr: Vec<BurstRepr>,
     /// Average predecessor types per type per query (`p` of Table 2).
@@ -154,21 +162,15 @@ impl GroupRuntime {
             .map(|per_q| per_q.iter().any(|v| !v.is_empty()))
             .collect();
         let relevant = (0..nt)
-            .map(|tl| {
-                let mut r = tpl.involved[tl].clone();
-                r.union_with(&tpl.neg_involved[tl]);
-                r
-            })
+            .map(|tl| tpl.involved[tl] | tpl.neg_involved[tl])
             .collect();
-        let linear_ok = group.skeleton.supports_sharing();
-        let candidates = (0..nt)
-            .map(|tl| {
-                let (inv, lp) = (&tpl.involved[tl], &tpl.self_loop[tl]);
-                (0..k)
-                    .filter(|&q| linear_ok && inv.contains(q) && lp.contains(q))
-                    .collect()
-            })
-            .collect();
+        let candidates = if group.skeleton.supports_sharing() {
+            (0..nt)
+                .map(|tl| tpl.involved[tl] & tpl.self_loop[tl])
+                .collect()
+        } else {
+            vec![QSet::new(); nt]
+        };
         let sel_members = sel
             .iter()
             .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
@@ -221,7 +223,7 @@ impl GroupRuntime {
     fn closed_form(&self, tl: usize) -> bool {
         matches!(self.skeleton, AggSkeleton::CountOnly)
             && !self.type_any_edge.iter().any(|&b| b)
-            && !(self.sel_members[tl].iter()).any(|&q| self.template.involved[tl].contains(q))
+            && !self.sel_members[tl].intersects(&self.template.involved[tl])
     }
 
     /// Skeleton weight of an event: the ring embedding of the target
@@ -250,12 +252,6 @@ impl GroupRuntime {
     #[inline]
     pub(crate) fn selects(&self, tl: usize, q: usize, e: &Event) -> bool {
         self.sel[tl][q].iter().all(|p| p.matches(e))
-    }
-
-    /// True iff member `q`'s edge predicates accept the pair `prev → cur`.
-    #[inline]
-    fn edge_holds(&self, tl: usize, q: usize, prev: &Event, cur: &Event) -> bool {
-        self.edge[tl][q].iter().all(|p| p.matches(prev, cur))
     }
 }
 
@@ -300,18 +296,6 @@ impl SoloGraphlet {
 struct Active {
     shared: Option<SharedGraphlet>,
     solo: Vec<Option<SoloGraphlet>>,
-}
-
-/// Stored per-event data for types with edge predicates (pairwise scans
-/// need the raw events and per-member evaluable contributions).
-struct StoredEvent {
-    event: Event,
-    /// Members covered by the symbolic contribution.
-    shared: Option<(QSet, LinearExpr)>,
-    /// Per-member numeric contributions (solo path).
-    solo: Vec<(u16, NodeVal)>,
-    /// Per-member lattice contributions (min/max path).
-    mm: Vec<(u16, MmVal)>,
 }
 
 /// Counters exposed for the evaluation section's figures.
@@ -434,11 +418,8 @@ pub struct Run {
     stats: RunStats,
     mm_identity: MmVal,
     is_min: bool,
-    /// Reused per-event match buffer of the shared path — scratch only,
-    /// never serialized.
-    matched_scratch: Vec<(usize, bool)>,
-    /// Reused expression buffer of the uniform shared path — scratch
-    /// only, never serialized.
+    /// Reused expression buffer of the per-event loop's uniform shared
+    /// path — scratch only, never serialized.
     pred_scratch: LinearExpr,
 }
 
@@ -479,7 +460,6 @@ impl Run {
             rt,
             mm_identity,
             is_min,
-            matched_scratch: Vec::new(),
             pred_scratch: LinearExpr::zero(),
         }
     }
@@ -550,11 +530,12 @@ impl Run {
     /// vectors have grown to the group's width, a decision allocates
     /// nothing.
     pub fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
-        let cands = &self.rt.candidates[tl];
-        ctx.candidates.clone_from(cands);
+        let cands = self.rt.candidates[tl];
+        ctx.candidates.clear();
+        ctx.candidates.extend(cands.iter());
         ctx.has_edge.clear();
         ctx.has_edge
-            .extend(cands.iter().map(|&q| !self.rt.edge[tl][q].is_empty()));
+            .extend(cands.iter().map(|q| !self.rt.edge[tl][q].is_empty()));
         ctx.diverging.clear();
         ctx.diverging.resize(cands.len(), 0);
         (ctx.g, ctx.sp, ctx.currently_shared) = match &self.active[tl].shared {
@@ -568,55 +549,17 @@ impl Run {
         ctx.p = self.rt.p;
     }
 
-    /// Exact per-candidate divergence counts
-    /// ([`GroupRuntime::divergence`]) of `events` (all of local type
-    /// `tl`), encoded first the way the executor buffers them.
-    pub fn exact_divergence(&self, tl: usize, events: &[Event], candidates: &[usize]) -> Vec<u64> {
-        let mut diverging = vec![0u64; candidates.len()];
-        let mut cells = Vec::new();
-        let burst = self.rt.burst_of(tl, events, &mut cells);
-        (self.rt).divergence(tl, &burst, candidates, &mut diverging);
-        diverging
-    }
-
-    /// Full optimizer inputs with exact divergence (§4.1). `events` must
-    /// all have local type `tl`.
-    pub fn burst_context(&self, tl: usize, events: &[Event]) -> BurstCtx {
-        let mut ctx = self.burst_shape(tl);
-        ctx.diverging = self.exact_divergence(tl, events, &ctx.candidates);
-        ctx
-    }
-
     /// Processes one complete burst of local type `tl`.
     ///
     /// `shared_members` is the optimizer's choice of queries that share the
-    /// burst (must be a subset of the Kleene candidates); everyone else in
+    /// burst (the Kleene candidates among them do); everyone else in
     /// `involved[tl]` processes the burst solo. Passing an empty set yields
-    /// pure GRETA-style non-shared execution.
-    pub fn replay(&mut self, tl: usize, burst: Burst<'_>, shared_members: &QSet) {
-        self.replay_impl(tl, burst, shared_members, true)
-    }
-
-    /// [`replay`](Self::replay) of `events`, encoded first the way the
-    /// executor buffers a burst of their type.
-    pub fn process_burst(&mut self, tl: usize, events: &[Event], shared_members: &QSet) {
-        debug_assert!(events
-            .iter()
-            .all(|e| { self.rt.template.local(e.ty) == Some(tl) }));
-        let rt = self.rt.clone();
-        let mut cells = Vec::new();
-        self.replay(tl, rt.burst_of(tl, events, &mut cells), shared_members)
-    }
-
-    /// [`replay`](Self::replay), with the closed form switchable off
-    /// (`use_fast`) for the test oracle `Run::process_burst_slow`.
-    pub(crate) fn replay_impl(
-        &mut self,
-        tl: usize,
-        burst: Burst<'_>,
-        shared_members: &QSet,
-        use_fast: bool,
-    ) {
+    /// pure GRETA-style non-shared execution. The burst itself is the only
+    /// switch: a count advances in closed form, a cell column in closed
+    /// form or through `replay_cells`, events — what a type with an edge
+    /// predicate buffers, and what the test oracle hands in — through the
+    /// per-event loop of `run/edge.rs`.
+    pub fn replay(&mut self, tl: usize, burst: Burst<'_>, shared_members: QSet) {
         let b = burst.len();
         if b == 0 {
             return;
@@ -629,22 +572,14 @@ impl Run {
         // (Algorithm 1 lines 4–6). Conservative: type relevance, not
         // per-event match, triggers deactivation — early closure is always
         // correct, it only forgoes some sharing.
-        let relevant = &rt.relevant[tl];
-        for ty in 0..tpl.num_types() {
-            if ty == tl {
-                continue;
-            }
-            let close_shared = self.active[ty]
-                .shared
-                .as_ref()
-                .is_some_and(|sh| sh.members.intersects(relevant));
-            if close_shared {
+        let relevant = rt.relevant[tl];
+        for ty in (0..tpl.num_types()).filter(|&ty| ty != tl) {
+            let shared = self.active[ty].shared.as_ref();
+            if shared.is_some_and(|sh| sh.members.intersects(&relevant)) {
                 self.close_shared(ty);
             }
-            for q in 0..self.k {
-                if relevant.contains(q) && self.active[ty].solo[q].is_some() {
-                    self.close_solo(ty, q);
-                }
+            for q in relevant.iter() {
+                self.close_solo(ty, q);
             }
         }
 
@@ -659,20 +594,10 @@ impl Run {
         }
 
         // Effective sharing set: candidates with a Kleene self-loop and a
-        // linear skeleton; sharing needs ≥ 2 members (Def. 4). The
-        // optimizer only ever picks candidates, so its set is used as is.
-        static NONE: QSet = QSet::new();
-        let cands = &rt.candidates[tl];
-        let filtered: QSet;
-        let mut share = shared_members;
-        if !shared_members.iter().all(|q| cands.contains(&q)) {
-            filtered = (shared_members.iter())
-                .filter(|q| cands.contains(q))
-                .collect();
-            share = &filtered;
-        }
+        // linear skeleton; sharing needs ≥ 2 members (Def. 4).
+        let mut share = shared_members & rt.candidates[tl];
         if share.len() < 2 {
-            share = &NONE;
+            share = QSet::new();
         }
 
         self.transition_graphlets(&rt, tl, share);
@@ -682,67 +607,71 @@ impl Run {
             self.stats.shared_bursts += 1;
         }
 
-        let closed = use_fast && rt.closed_form(tl);
         match burst {
-            Burst::Cells(cells) if !closed => self.replay_cells(&rt, tl, cells, share),
-            Burst::Events(events) if !closed => {
+            Burst::Cells(cells) if !rt.closed_form(tl) => self.replay_cells(&rt, tl, cells, share),
+            Burst::Events(events) => {
                 for e in events {
                     self.process_event(&rt, tl, e, share);
                 }
             }
-            // Count-only bursts exist only for uniform groups, where the
-            // closed form's preconditions hold by construction.
-            _ => self.advance_closed_form(&rt, tl, b, share),
+            // Cells of a closed-form type, or a count: those exist only
+            // for uniform groups, where the closed form's preconditions
+            // hold by construction.
+            Burst::Cells(_) | Burst::Count(_) => self.advance_closed_form(&rt, tl, b, share),
         }
         self.n_events += b;
         self.stats.events += b;
     }
 
-    /// Replays a column of cells of local type `tl` (no edge predicates,
-    /// k ≤ 64) — the one replay loop of such types. The shared graphlet
-    /// runs first, event by event; the solo members follow one at a time
+    /// [`replay`](Self::replay) of `events`, encoded first the way the
+    /// executor buffers a burst of their type.
+    pub fn process_burst(&mut self, tl: usize, events: &[Event], shared_members: &QSet) {
+        debug_assert!(events
+            .iter()
+            .all(|e| { self.rt.template.local(e.ty) == Some(tl) }));
+        let rt = self.rt.clone();
+        let mut cells = Vec::new();
+        self.replay(tl, rt.burst_of(tl, events, &mut cells), *shared_members)
+    }
+
+    /// Replays a column of cells of local type `tl` (no edge predicates)
+    /// — the one replay loop of such types. The shared graphlet runs
+    /// first, event by event; the solo members follow one at a time
     /// (they are independent of each other and of the shared path), each
     /// with everything constant over the burst computed once: the
     /// external predecessor sum, the start flag, the lattice predecessors.
     /// Nothing in here allocates.
-    fn replay_cells(&mut self, rt: &GroupRuntime, tl: usize, cells: &[Cell], share: &QSet) {
+    fn replay_cells(&mut self, rt: &GroupRuntime, tl: usize, cells: &[Cell], share: QSet) {
         let tpl = &rt.template;
         let minmax = matches!(rt.skeleton, AggSkeleton::MinMax { .. });
         let is_target =
             matches!(&rt.skeleton, AggSkeleton::Linear { ty, .. } if tpl.types[tl] == *ty);
         // `Cell::val` is the ring weight unless the skeleton is a lattice.
         let weight = |c: &Cell| TrendVal(if minmax { 0 } else { c.val });
-        let start_mask = (tpl.start[tl].iter())
-            .filter(|&q| !self.start_blocked[q])
-            .fold(0u64, |m, q| m | 1 << q);
+        let starts = self.starts(tpl, tl);
 
-        let share_mask = share.low_word();
-        if share_mask != 0 {
+        if !share.is_empty() {
             // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
             let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
             let (x, unit) = (sh.x, sh.unit);
             for c in cells {
-                let (w, m) = (weight(c), c.mask & share_mask);
-                if m == share_mask {
+                let (w, m) = (weight(c), c.mask & share);
+                if m == share {
                     // Eq. 2 symbolically: preds = x (+ unit) + the
                     // in-graphlet prefix, then the propagation map.
                     sh.sum_exprs.absorb_event(x, unit, w, is_target);
-                } else if m != 0 {
+                } else if !m.is_empty() {
                     // Diverging event: fold. One event-level snapshot
                     // (Def. 9) takes, per sharing member, the running
                     // sum's value plus — if the member accepts the event
                     // — the event's own propagated value, and becomes the
                     // whole running sum.
                     let z = self.snaps.create_row();
-                    let mut bits = share_mask;
-                    while bits != 0 {
-                        let q = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
+                    for q in share.iter() {
                         let mut v = self.snaps.eval(&sh.sum_exprs, q);
-                        if m >> q & 1 == 1 {
+                        if m.contains(q) {
                             let pred = self.snaps.value(x, q).plus(v);
-                            let start = start_mask >> q & 1 == 1;
-                            v.add(NodeVal::propagate(pred, start, w, is_target));
+                            v.add(NodeVal::propagate(pred, starts.contains(q), w, is_target));
                         }
                         self.snaps.set(z, q, v);
                     }
@@ -754,16 +683,13 @@ impl Run {
             sh.size += cells.len() as u64;
         }
 
-        let mut solo_bits = tpl.involved[tl].low_word() & !share_mask;
-        while solo_bits != 0 {
-            let q = solo_bits.trailing_zeros() as usize;
-            solo_bits &= solo_bits - 1;
+        for q in (tpl.involved[tl] & !share).iter() {
             if self.active[tl].solo[q].is_none() {
                 self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
                 self.stats.graphlets += 1;
             }
             let ext = self.external_pred(tl, q);
-            let start = start_mask >> q & 1 == 1;
+            let start = starts.contains(q);
             let self_loop = tpl.self_loop[tl].contains(q);
             // Lattice predecessors in closed graphlets (the active one of
             // this type is folded in per event).
@@ -775,7 +701,7 @@ impl Run {
             let is_min = self.is_min;
             // hamlet-lint: allow(panic-hygiene) -- opened just above if it was not already active
             let solo = self.active[tl].solo[q].as_mut().expect("solo graphlet");
-            for c in cells.iter().filter(|c| c.mask >> q & 1 == 1) {
+            for c in cells.iter().filter(|c| c.mask.contains(q)) {
                 let mut pred = ext;
                 if self_loop {
                     pred.add(solo.sum);
@@ -799,6 +725,15 @@ impl Run {
         }
     }
 
+    /// The members for which an event of local type `tl` starts a trend
+    /// now: the type's start set less the members a leading negation has
+    /// blocked.
+    fn starts(&self, tpl: &MergedTemplate, tl: usize) -> QSet {
+        (tpl.start[tl].iter())
+            .filter(|&q| !self.start_blocked[q])
+            .collect()
+    }
+
     /// Closed-form burst advance for predicate-free COUNT(*) bursts
     /// ([`GroupRuntime::closed_form`]).
     ///
@@ -819,8 +754,9 @@ impl Run {
     /// scalars are exact (`b ≥ 64 ⇒ 2ᵇ ≡ 0`), so the result is
     /// bit-identical to the per-event loop — asserted against
     /// `Run::process_burst_slow` (`reference.rs`) in tests.
-    fn advance_closed_form(&mut self, rt: &GroupRuntime, tl: usize, b: u64, share: &QSet) {
+    fn advance_closed_form(&mut self, rt: &GroupRuntime, tl: usize, b: u64, share: QSet) {
         let tpl = &rt.template;
+        let starts = self.starts(tpl, tl);
         // 2ᵇ and 2ᵇ−1 in the wrapping ring.
         let m = TrendVal(if b >= 64 { 0 } else { 1u64 << b });
         let g = m - TrendVal::ONE;
@@ -835,16 +771,13 @@ impl Run {
             }
             sh.size += b;
         }
-        for q in 0..self.k {
-            if !tpl.involved[tl].contains(q) || share.contains(q) {
-                continue;
-            }
+        for q in (tpl.involved[tl] & !share).iter() {
             if self.active[tl].solo[q].is_none() {
                 self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
                 self.stats.graphlets += 1;
             }
             let mut step = self.external_pred(tl, q);
-            if tpl.start[tl].contains(q) && !self.start_blocked[q] {
+            if starts.contains(q) {
                 step.count += TrendVal::ONE;
             }
             // hamlet-lint: allow(panic-hygiene) -- a solo query reaching here implies its solo graphlet was created when the burst opened
@@ -862,17 +795,14 @@ impl Run {
     /// Applies Leading/Gap/Trailing negation effects of a burst of negated
     /// type `tl` (§5).
     fn apply_negations(&mut self, rt: &GroupRuntime, tl: usize, burst: &Burst<'_>) {
-        let accepted = match burst {
-            Burst::Cells(cells) => cells.iter().fold(0, |m, c| m | c.mask),
-            _ => u64::MAX,
+        // The negated sub-pattern may carry selection predicates.
+        let hit = |q: usize| match burst {
+            Burst::Count(_) => true,
+            Burst::Cells(cells) => cells.iter().any(|c| c.mask.contains(q)),
+            Burst::Events(events) => events.iter().any(|e| rt.selects(tl, q, e)),
         };
         for (q, kind) in &rt.negs[tl] {
-            // The negated sub-pattern may carry selection predicates.
-            let hit = match burst {
-                Burst::Events(events) => events.iter().any(|e| rt.selects(tl, *q, e)),
-                _ => accepted >> q & 1 == 1,
-            };
-            if !hit {
+            if !hit(*q) {
                 continue;
             }
             match kind {
@@ -915,11 +845,11 @@ impl Run {
 
     /// Opens/closes graphlets of type `tl` so the active configuration
     /// matches the sharing decision (§4.2 split & merge).
-    fn transition_graphlets(&mut self, rt: &GroupRuntime, tl: usize, share: &QSet) {
+    fn transition_graphlets(&mut self, rt: &GroupRuntime, tl: usize, share: QSet) {
         let keep_shared = self.active[tl]
             .shared
             .as_ref()
-            .is_some_and(|sh| sh.members == *share);
+            .is_some_and(|sh| sh.members == share);
         if !keep_shared && self.active[tl].shared.is_some() {
             // Split (or re-form with a different member set).
             self.close_shared(tl);
@@ -938,15 +868,13 @@ impl Run {
             if was_solo {
                 self.stats.merges += 1;
             }
-            self.open_shared(rt, tl, share.clone());
+            self.open_shared(rt, tl, share);
         }
-        // Solo members keep (or lazily open) their graphlets in
-        // `process_event`; members newly covered by the shared graphlet
-        // must not also run solo.
+        // Solo members keep (or lazily open) their graphlets in the
+        // replay; members newly covered by the shared graphlet must not
+        // also run solo.
         for q in share.iter() {
-            if self.active[tl].solo[q].is_some() {
-                self.close_solo(tl, q);
-            }
+            self.close_solo(tl, q);
         }
     }
 
@@ -976,10 +904,10 @@ impl Run {
         self.stats.graphlets += 1;
         // Unit snapshot: per-member trend-start indicator (1 iff the type
         // starts trends for the member and no leading negation blocks it).
-        let starts = |q: usize| tpl.start[tl].contains(q) && !self.start_blocked[q];
-        let unit = members.iter().any(starts).then(|| {
+        let starts = self.starts(tpl, tl) & members;
+        let unit = (!starts.is_empty()).then(|| {
             let u = self.snaps.create_row();
-            for q in members.iter().filter(|&q| starts(q)) {
+            for q in starts.iter() {
                 let one = NodeVal {
                     count: TrendVal::ONE,
                     ..NodeVal::ZERO
@@ -1044,196 +972,6 @@ impl Run {
             v.add(self.cum[p][q].minus(blocked));
         }
         v
-    }
-
-    /// Lattice predecessor fold for member `q` at type `tl`.
-    fn mm_pred(&self, tl: usize, q: usize) -> (MmVal, bool) {
-        let tpl = &self.rt.template;
-        let mut mm = self.mm_identity;
-        let mut alive = false;
-        for &p in &tpl.pt[tl][q] {
-            mm.fold(self.mm_cum[p][q].0, self.is_min);
-            alive |= self.alive_cum[p][q];
-            if p == tl {
-                if let Some(solo) = &self.active[p].solo[q] {
-                    mm.fold(solo.mm.0, self.is_min);
-                    alive |= solo.alive;
-                }
-            }
-        }
-        (mm, alive)
-    }
-
-    /// Pairwise scan over stored same-type events for an edge-predicate
-    /// member: Σ of contributions of events whose edge to `e` holds.
-    fn scan_pred(&self, tl: usize, q: usize, e: &Event) -> NodeVal {
-        let mut v = NodeVal::ZERO;
-        for se in &self.stored[tl] {
-            if !self.rt.edge_holds(tl, q, &se.event, e) {
-                continue;
-            }
-            if let Some((members, expr)) = &se.shared {
-                if members.contains(q) {
-                    v.add(self.snaps.eval(expr, q));
-                    continue;
-                }
-            }
-            if let Some((_, sv)) = se.solo.iter().find(|(m, _)| *m as usize == q) {
-                v.add(*sv);
-            }
-        }
-        v
-    }
-
-    /// Lattice variant of [`Run::scan_pred`].
-    fn scan_mm(&self, tl: usize, q: usize, e: &Event) -> (MmVal, bool) {
-        let mut mm = self.mm_identity;
-        let mut alive = false;
-        for se in &self.stored[tl] {
-            if !self.rt.edge_holds(tl, q, &se.event, e) {
-                continue;
-            }
-            if let Some((_, sv)) = se.mm.iter().find(|(m, _)| *m as usize == q) {
-                mm.fold(sv.0, self.is_min);
-                alive = true;
-            }
-        }
-        (mm, alive)
-    }
-
-    /// Processes a single event within its (already transitioned) burst.
-    /// `rt` is the run's own runtime, passed in so the burst loop clones
-    /// the `Arc` once instead of once per event.
-    fn process_event(&mut self, rt: &Arc<GroupRuntime>, tl: usize, e: &Event, share: &QSet) {
-        let tpl = &rt.template;
-        let (w, is_target) = rt.weight(e);
-        let store_needed = rt.type_any_edge[tl];
-        let mut stored_shared: Option<(QSet, LinearExpr)> = None;
-        let mut stored_solo: Vec<(u16, NodeVal)> = Vec::new();
-        let mut stored_mm: Vec<(u16, MmVal)> = Vec::new();
-
-        // ---- Shared path -------------------------------------------------
-        if !share.is_empty() {
-            let mut matched = std::mem::take(&mut self.matched_scratch);
-            matched.clear();
-            matched.extend(share.iter().map(|q| (q, rt.selects(tl, q, e))));
-            let any_edge = share.iter().any(|q| !rt.edge[tl][q].is_empty());
-            let uniform = !any_edge && matched.iter().all(|&(_, m)| m);
-            // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
-            let sh = self.active[tl].shared.as_ref().expect("shared graphlet");
-            let expr = if uniform {
-                // Eq. 2 symbolically: preds = x (+ unit) + in-graphlet
-                // prefix; then the per-event propagation map. Built in a
-                // reused buffer: `clone_from` keeps the term vector's
-                // capacity, so the steady state allocates nothing.
-                let mut pred = std::mem::take(&mut self.pred_scratch);
-                pred.clone_from(&sh.sum_exprs);
-                pred.add_snapshot(sh.x);
-                if let Some(u) = sh.unit {
-                    pred.add_snapshot(u);
-                }
-                pred.propagate_mut(w, is_target);
-                pred
-            } else {
-                // Event-level snapshot (Def. 9): per-member numeric values.
-                let mut vals = vec![NodeVal::ZERO; self.k];
-                for &(q, m) in &matched {
-                    if !m {
-                        continue;
-                    }
-                    let mut pred = self.snaps.value(sh.x, q);
-                    if !rt.edge[tl][q].is_empty() {
-                        pred.add(self.scan_pred(tl, q, e));
-                    } else {
-                        pred.add(self.snaps.eval(&sh.sum_exprs, q));
-                    }
-                    let start = tpl.start[tl].contains(q) && !self.start_blocked[q];
-                    vals[q] = NodeVal::propagate(pred, start, w, is_target);
-                }
-                let z = self.snaps.create(vals);
-                self.stats.event_snapshots += 1;
-                LinearExpr::snapshot(z)
-            };
-            // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
-            let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
-            sh.sum_exprs.add_assign(&expr);
-            sh.size += 1;
-            if store_needed {
-                stored_shared = Some((sh.members.clone(), expr));
-            } else {
-                // Hand the buffer back for the next event.
-                self.pred_scratch = expr;
-            }
-            self.matched_scratch = matched;
-        }
-
-        // ---- Solo path ----------------------------------------------------
-        for q in 0..self.k {
-            if !tpl.involved[tl].contains(q) || share.contains(q) {
-                continue;
-            }
-            if self.active[tl].solo[q].is_none() {
-                self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
-                self.stats.graphlets += 1;
-            }
-            if !rt.selects(tl, q, e) {
-                continue;
-            }
-            let has_edge = !rt.edge[tl][q].is_empty();
-            let mut pred = self.external_pred(tl, q);
-            if has_edge {
-                pred.add(self.scan_pred(tl, q, e));
-            } else if tpl.self_loop[tl].contains(q) {
-                if let Some(solo) = &self.active[tl].solo[q] {
-                    pred.add(solo.sum);
-                }
-            }
-            let start = tpl.start[tl].contains(q) && !self.start_blocked[q];
-            let val = NodeVal::propagate(pred, start, w, is_target);
-
-            // Lattice propagation for MIN/MAX members.
-            let mut mmv = self.mm_identity;
-            let mut alive_out = false;
-            if let AggSkeleton::MinMax { ty, attr, .. } = &rt.skeleton {
-                let (mut mm, mut alive) = if has_edge {
-                    self.scan_mm(tl, q, e)
-                } else {
-                    self.mm_pred(tl, q)
-                };
-                alive |= start;
-                if alive {
-                    if e.ty == *ty {
-                        if let Some(v) = e.attr(*attr) {
-                            mm.fold(v.as_f64(), self.is_min);
-                        }
-                    }
-                    mmv = mm;
-                    alive_out = true;
-                }
-            }
-
-            // hamlet-lint: allow(panic-hygiene) -- a solo query reaching here implies its solo graphlet was created when the burst opened
-            let solo = self.active[tl].solo[q].as_mut().expect("solo graphlet");
-            solo.sum.add(val);
-            solo.mm.fold(mmv.0, self.is_min);
-            solo.alive |= alive_out;
-            solo.size += 1;
-            if store_needed {
-                stored_solo.push((q as u16, val));
-                if alive_out {
-                    stored_mm.push((q as u16, mmv));
-                }
-            }
-        }
-
-        if store_needed {
-            self.stored[tl].push(StoredEvent {
-                event: e.clone(),
-                shared: stored_shared,
-                solo: stored_solo,
-                mm: stored_mm,
-            });
-        }
     }
 
     /// Closes all graphlets and returns the per-member window outputs
@@ -1351,25 +1089,7 @@ impl Run {
         for per_ty in &self.stored {
             e.usize(per_ty.len());
             for se in per_ty {
-                e.event(&se.event);
-                match &se.shared {
-                    None => e.some(false),
-                    Some((members, expr)) => {
-                        e.some(true);
-                        members.encode(e);
-                        expr.encode(e);
-                    }
-                }
-                e.usize(se.solo.len());
-                for (q, v) in &se.solo {
-                    e.u16(*q);
-                    v.encode(e);
-                }
-                e.usize(se.mm.len());
-                for (q, v) in &se.mm {
-                    e.u16(*q);
-                    e.f64(v.0);
-                }
+                se.encode(e);
             }
         }
         self.stats.encode(e);
@@ -1466,28 +1186,7 @@ impl Run {
         for per_ty in &mut run.stored {
             let n = d.seq_len()?;
             for _ in 0..n {
-                let event = d.event()?;
-                let shared = if d.some()? {
-                    Some((QSet::decode(d)?, LinearExpr::decode(d, run.snaps.len())?))
-                } else {
-                    None
-                };
-                let n_solo = d.seq_len()?;
-                let mut solo = Vec::with_capacity(n_solo);
-                for _ in 0..n_solo {
-                    solo.push((d.u16()?, NodeVal::decode(d)?));
-                }
-                let n_mm = d.seq_len()?;
-                let mut mm = Vec::with_capacity(n_mm);
-                for _ in 0..n_mm {
-                    mm.push((d.u16()?, MmVal(d.f64()?)));
-                }
-                per_ty.push(StoredEvent {
-                    event,
-                    shared,
-                    solo,
-                    mm,
-                });
+                per_ty.push(StoredEvent::decode(d, run.snaps.len())?);
             }
         }
         run.stats = RunStats::decode(d)?;
@@ -1506,17 +1205,9 @@ impl Run {
             }
             b += a.solo.iter().flatten().count() * std::mem::size_of::<SoloGraphlet>();
         }
-        for per_ty in &self.stored {
-            for se in per_ty {
-                b += se.event.mem_bytes();
-                if let Some((_, ex)) = &se.shared {
-                    b += ex.mem_bytes();
-                }
-                b += se.solo.len() * (2 + std::mem::size_of::<NodeVal>());
-                b += se.mm.len() * (2 + std::mem::size_of::<MmVal>());
-            }
-        }
-        b
+        b + (self.stored.iter().flatten())
+            .map(StoredEvent::mem_bytes)
+            .sum::<usize>()
     }
 }
 
@@ -1715,13 +1406,12 @@ mod tests {
 
                 // What the replay may fold: events some but not all of the
                 // effective sharing set accept.
-                let cands = &rt.candidates[tl];
-                let share = shared.iter().filter(|q| cands.contains(q)).fold(0u64, |m, q| m | 1 << q);
-                let share = if share.count_ones() < 2 { 0 } else { share };
+                let share = shared & rt.candidates[tl];
+                let share = if share.len() < 2 { QSet::new() } else { share };
                 let partial = events
                     .iter()
                     .map(|e| rt.cell(tl, e).mask & share)
-                    .filter(|&m| m != 0 && m != share)
+                    .filter(|&m| !m.is_empty() && m != share)
                     .count() as u64;
 
                 let before = fast.stats().event_snapshots;

@@ -245,6 +245,10 @@ pub struct MergedTemplate {
 impl MergedTemplate {
     /// Merges the templates of `queries` (their order defines member
     /// indices).
+    ///
+    /// # Panics
+    /// On more than [`QSet::CAPACITY`] queries: a share group is one word
+    /// wide, and [`crate::workload::analyze`] never asks for a wider one.
     pub fn build(queries: &[&Query]) -> Result<MergedTemplate, TemplateError> {
         let k = queries.len();
         let per_query: Vec<QueryTemplate> = queries

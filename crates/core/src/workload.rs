@@ -6,13 +6,17 @@
 //! functions can be shared, (iii) their windows are compatible, and
 //! (iv) their grouping attributes coincide.
 //!
-//! Deviation from the paper (ARCHITECTURE.md, "Deviations from the
+//! Deviations from the paper (ARCHITECTURE.md, "Deviations from the
 //! paper"): window compatibility here means *equal* `(WITHIN, SLIDE)`
 //! rather than merely overlapping — the paper's pane mechanism does not
 //! specify how trend aggregates are stitched across panes of different
 //! windows, so we share only among aligned windows. Queries that fail any condition run in
-//! singleton groups (GRETA-style non-shared execution).
+//! singleton groups (GRETA-style non-shared execution). And a share group
+//! holds at most [`QSet::CAPACITY`] members, so that a subset of them is
+//! one machine word everywhere below: the next sharable query opens
+//! another group.
 
+use crate::bitset::QSet;
 use crate::template::{MergedTemplate, TemplateError};
 use hamlet_query::{AggFunc, Query, Window};
 use hamlet_types::EventTypeId;
@@ -173,13 +177,14 @@ pub fn sharable(a: &Query, b: &Query) -> bool {
 /// Clustering is greedy-first-fit: a query joins the first group where it
 /// is pairwise sharable with *every* member (aggregate sharability is not
 /// transitive — e.g. `COUNT(E)` shares with both `SUM(E.a1)` and
-/// `SUM(E.a2)`, which do not share with each other).
+/// `SUM(E.a2)`, which do not share with each other) and that is not full
+/// ([`QSet::CAPACITY`] members; the split is by arrival order).
 pub fn analyze(queries: &[Arc<Query>]) -> Result<WorkloadPlan, WorkloadError> {
     let mut buckets: Vec<Vec<Arc<Query>>> = Vec::new();
     for q in queries {
         let mut placed = false;
         for bucket in &mut buckets {
-            if bucket.iter().all(|m| sharable(m, q)) {
+            if bucket.len() < QSet::CAPACITY && bucket.iter().all(|m| sharable(m, q)) {
                 bucket.push(q.clone());
                 placed = true;
                 break;

@@ -165,7 +165,7 @@ proptest! {
 
     /// QSet agrees with a BTreeSet model under inserts/removes.
     #[test]
-    fn qset_models_a_set(ops in proptest::collection::vec((0usize..150, any::<bool>()), 0..60)) {
+    fn qset_models_a_set(ops in proptest::collection::vec((0..QSet::CAPACITY, any::<bool>()), 0..60)) {
         let mut qs = QSet::new();
         let mut model = BTreeSet::new();
         for (i, insert) in ops {
@@ -187,12 +187,12 @@ proptest! {
     /// QSet union/subset/intersect agree with the set model.
     #[test]
     fn qset_set_algebra(
-        xs in proptest::collection::btree_set(0usize..100, 0..20),
-        ys in proptest::collection::btree_set(0usize..100, 0..20),
+        xs in proptest::collection::btree_set(0..QSet::CAPACITY, 0..20),
+        ys in proptest::collection::btree_set(0..QSet::CAPACITY, 0..20),
     ) {
         let a: QSet = xs.iter().copied().collect();
         let b: QSet = ys.iter().copied().collect();
-        let mut u = a.clone();
+        let mut u = a;
         u.union_with(&b);
         let model_union: BTreeSet<usize> = xs.union(&ys).copied().collect();
         prop_assert_eq!(u.iter().collect::<Vec<_>>(), model_union.iter().copied().collect::<Vec<_>>());

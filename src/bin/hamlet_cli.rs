@@ -237,7 +237,22 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument {other}")),
         }
     }
-    Ok(args)
+    // What the workload builders, the generators and the shard router
+    // assert, as usage errors (NaN fails its comparison too).
+    let ranges = [
+        (args.window >= 1, "--window must be at least 1"),
+        (args.groups >= 1, "--groups must be at least 1"),
+        (args.mean_burst >= 1.0, "--burst must be at least 1"),
+        (args.skew >= 0.0, "--skew must not be negative"),
+        (
+            (1..=64).contains(&args.workers),
+            "--workers must be 1 to 64",
+        ),
+    ];
+    match ranges.iter().find(|(ok, _)| !ok) {
+        Some((_, what)) => Err((*what).into()),
+        None => Ok(args),
+    }
 }
 
 fn main() {

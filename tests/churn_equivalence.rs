@@ -113,6 +113,41 @@ fn parallel_churn_matches_single_engine_at_1_and_4_workers() {
     }
 }
 
+/// A share group is full at 64 members: the 65th sharable query opens a
+/// second group, so the full one carries over — nothing of it drains —
+/// and every result is what a fresh engine over all 65 emits (the late
+/// query's own windows opened after the barrier; it never saw the prefix).
+#[test]
+fn the_65th_query_joins_a_second_group_and_the_full_one_carries_over() {
+    let reg = ridesharing::registry();
+    let queries = ridesharing::workload_shared_kleene(&reg, 65, 30);
+    let events = stream(&reg, 5, 3_000, 4);
+    // Two thirds into the first window: the full group is live.
+    let (at, late) = (events.partition_point(|e| e.time.ticks() < 20), QueryId(64));
+    let barrier = events[at].time;
+
+    let mut eng = HamletEngine::new(reg.clone(), queries[..64].to_vec(), EngineConfig::default())
+        .expect("engine builds");
+    assert_eq!(eng.num_groups(), 1);
+    let mut got: Vec<WindowResult> = events[..at].iter().flat_map(|e| eng.process(e)).collect();
+    let report = eng.add_query(queries[64].clone()).expect("add applies");
+    assert_eq!((report.groups_carried, report.groups_rebuilt), (1, 1));
+    assert!(report.drained.is_empty(), "{:?}", report.drained);
+    assert_eq!(eng.num_groups(), 2);
+    got.extend(events[at..].iter().flat_map(|e| eng.process(e)));
+    got.extend(eng.flush());
+
+    let mut fresh = HamletEngine::new(reg.clone(), queries, EngineConfig::default()).unwrap();
+    let mut want: Vec<WindowResult> = events.iter().flat_map(|e| fresh.process(e)).collect();
+    want.extend(fresh.flush());
+    for rs in [&mut got, &mut want] {
+        rs.retain(|r| r.query != late || r.window_start > barrier);
+        sort_results(rs);
+    }
+    assert!(want.iter().any(|r| r.query == late), "the late query emits");
+    assert_eq!(got, want);
+}
+
 /// Churn barriers at the stream's very edges — before any event, between
 /// adjacent events, and after the last — are just as valid as mid-stream
 /// ones, and back-to-back ops at one position apply in sequence.

@@ -166,4 +166,23 @@ fn exporter_flags_are_pipeline_only() {
         );
         assert!(out.stdout.is_empty(), "{flag:?} ran anyway");
     }
+    // A number a generator or the shard router would `assert!` on three
+    // crates down is a usage error like any other, not a backtrace.
+    for bad in [
+        &["--window", "0"][..],
+        &["--groups", "0"],
+        &["--burst", "0"],
+        &["--skew", "-1"],
+        &["pipeline", "--workers", "0"],
+        &["pipeline", "--workers", "65"],
+    ] {
+        let out = cli(&[bad, &["--rate", "100"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --") && stderr.contains("(try --help)"),
+            "{bad:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{bad:?} ran anyway");
+    }
 }

@@ -406,6 +406,75 @@ fn pure_kleene_three_queries_mixed_lengths() {
     assert_all_agree(&reg, &queries, &events);
 }
 
+/// `n` pairwise-sharable queries — every one has `B+`, `COUNT(*)`, the
+/// same window and grouping — with a selection of their own on the
+/// Kleene type. With `or_at = Some(i)`, query `i` is `P OR P`, which
+/// compiles to two sharable halves in its place; the second vector is
+/// the same workload for an engine without `OR` (`COUNT(P ∨ P) = COUNT(P)`).
+fn wide_workload(
+    reg: &TypeRegistry,
+    n: u32,
+    window: &str,
+    or_at: Option<u32>,
+) -> (Vec<Query>, Vec<Query>) {
+    let text = |i: u32, or: bool| {
+        let p = format!("SEQ({}, B+)", ["A", "C", "D"][i as usize % 3]);
+        let pattern = if or { format!("{p} OR {p}") } else { p };
+        let th = i % 10;
+        format!("RETURN COUNT(*) PATTERN {pattern} WHERE B.v < {th}.5 GROUP BY g {window}")
+    };
+    let parse = |i: u32, or: bool| parse_query(reg, i, &text(i, or)).expect("query parses");
+    (
+        (0..n).map(|i| parse(i, or_at == Some(i))).collect(),
+        (0..n).map(|i| parse(i, false)).collect(),
+    )
+}
+
+/// A share group is at most 64 members wide: the 65th pairwise-sharable
+/// query opens a second group, and nothing about the results shows it.
+#[test]
+fn wide_workloads_split_into_groups_of_64_and_agree() {
+    let reg = registry();
+    let mut s = 0x9E37_79B9_7F4A_7C15u64;
+    let events: Vec<Event> = (0..160u64)
+        .map(|t| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            // B in bursts of ~6, the head types between them.
+            let name = if t % 8 < 6 {
+                "B"
+            } else {
+                ["A", "C", "D"][(s % 3) as usize]
+            };
+            ev(&reg, name, t, (t / 8 % 2) as i64, ((s >> 8) % 10) as f64)
+        })
+        .collect();
+    for window in ["WITHIN 40", "WITHIN 40 SLIDE 20"] {
+        // 63 queries and one `OR`: 65 members, the halves either side of
+        // the group boundary.
+        for (n, or_at, groups) in [(65, None, 2), (130, None, 3), (64, Some(63), 2)] {
+            let (queries, plain) = wide_workload(&reg, n, window, or_at);
+            let eng = HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default());
+            assert_eq!(eng.unwrap().num_groups(), groups, "{n} queries, {window}");
+            let base = normalize(run_greta(&reg, &plain, &events));
+            assert!(
+                base.len() > n as usize,
+                "the stream matches: {}",
+                base.len()
+            );
+            for policy in [
+                SharingPolicy::Dynamic,
+                SharingPolicy::AlwaysShare,
+                SharingPolicy::NeverShare,
+            ] {
+                let got = normalize(run_hamlet(&reg, &queries, &events, policy));
+                assert_eq!(base, got, "{n} queries, {window}, {policy:?} vs GRETA");
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

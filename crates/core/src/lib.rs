@@ -74,7 +74,5 @@ pub use optimizer::SharingPolicy;
 pub use parallel::{ParallelEngine, ParallelReport, ParallelSession, DEFAULT_BATCH};
 pub use run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 pub use shard::ShardRouter;
-pub use store::{
-    ChainMeta, Checkpoint, CheckpointKind, CheckpointStore, CutKind, DirStore, MemStore, Snapshot,
-};
+pub use store::{ChainMeta, Checkpoint, CheckpointStore, CutKind, DirStore, MemStore, Snapshot};
 pub use workload::{analyze, AggSkeleton, ShareGroup, WorkloadPlan};

@@ -75,16 +75,6 @@ pub enum CutKind {
     Delta,
 }
 
-/// What a [`Checkpoint`] actually holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// A complete snapshot (a bare engine blob, a base chain record, or
-    /// a container whose shards hold either).
-    Full,
-    /// An incremental record, meaningful only on top of its parent.
-    Delta,
-}
-
 /// A typed handle on one checkpoint record: the raw bytes plus the
 /// [`ChainMeta`] every store and resume path needs — held by the writer
 /// that just cut the record, or peeked from the frame headers of stored
@@ -214,15 +204,6 @@ impl Checkpoint {
     /// Everything the handle knows besides the bytes.
     pub fn meta(&self) -> &ChainMeta {
         &self.meta
-    }
-
-    /// What this record holds: a full snapshot or an incremental delta.
-    pub fn kind(&self) -> CheckpointKind {
-        if self.is_delta() {
-            CheckpointKind::Delta
-        } else {
-            CheckpointKind::Full
-        }
     }
 
     /// True when this record is an incremental delta, meaningful only
@@ -773,7 +754,7 @@ mod tests {
         }
         // Legacy bare blob: full, seq 0, no parent.
         let bare = Checkpoint::from_bytes(eng.checkpoint()).expect("peek");
-        assert_eq!(bare.kind(), CheckpointKind::Full);
+        assert!(!bare.is_delta());
         assert_eq!(bare.seq(), 0);
         assert_eq!(bare.parent(), None);
         assert_eq!(bare.epoch(), 0);

@@ -462,8 +462,9 @@ impl MetricsSnapshot {
     /// Renders the snapshot as one JSON object on one line, for tooling
     /// (`hamlet_cli --metrics-json`): the run totals, queue depths, the
     /// latency summary with its sparse histogram (`buckets_ns`:
-    /// `[inclusive low edge in ns, count]` pairs) and one row per share
-    /// group. Hand-rolled (the workspace has no serde); a non-finite
+    /// `[inclusive low edge in ns, count]` pairs), the checkpoint
+    /// counters, the workload epoch with the churn ops rejected, and one
+    /// row per share group. Hand-rolled (the workspace has no serde); a non-finite
     /// float is written as `0`, so a stalled pipeline's 0-duration rates
     /// can never emit invalid JSON.
     pub fn to_json(&self) -> String {
@@ -500,7 +501,7 @@ impl MetricsSnapshot {
              \"sink_depth\":{},\"ingest_eps\":{},\"latency\":{{\"count\":{},\"avg\":{},\
              \"p50\":{},\"p99\":{},\"max\":{},\"buckets_ns\":[{}]}},\"dropped_spans\":{},\
              \"checkpoints\":{},\"checkpoint_bytes\":{},\"checkpoint_failures\":{},\
-             \"groups\":[{}]}}",
+             \"epoch\":{},\"churns_rejected\":{},\"groups\":[{}]}}",
             secs(self.elapsed),
             self.ingested,
             self.late,
@@ -523,6 +524,8 @@ impl MetricsSnapshot {
             self.checkpoints,
             self.checkpoint_bytes,
             self.checkpoint_failures,
+            self.epoch,
+            self.churns_rejected,
             groups.join(","),
         )
     }
@@ -610,9 +613,9 @@ mod tests {
         assert_eq!(snap.latency_buckets.iter().map(|&(_, n)| n).sum::<u64>(), 2);
     }
 
-    /// The `--metrics-json` line, byte for byte as `hamlet_cli` has
-    /// written it since PR 9: key order, `null` for no watermark,
-    /// durations as fractional seconds, a non-finite float as `0`.
+    /// The `--metrics-json` line, byte for byte as `hamlet_cli` writes
+    /// it: key order, `null` for no watermark, durations as fractional
+    /// seconds, a non-finite float as `0`.
     #[test]
     fn to_json_is_the_cli_metrics_line() {
         let s = test_stats(2);
@@ -633,7 +636,8 @@ mod tests {
              \"worker_depths\":[4,0],\"sink_depth\":0,\"ingest_eps\":50,\
              \"latency\":{\"count\":3,\"avg\":0,\"p50\":0,\"p99\":0.0015,\"max\":0,\
              \"buckets_ns\":[[1024,2],[1280,1]]},\"dropped_spans\":0,\"checkpoints\":0,\
-             \"checkpoint_bytes\":0,\"checkpoint_failures\":0,\"groups\":[{\"group\":\"1+2L\",\
+             \"checkpoint_bytes\":0,\"checkpoint_failures\":0,\"epoch\":0,\
+             \"churns_rejected\":0,\"groups\":[{\"group\":\"1+2L\",\
              \"shared\":true,\"benefit\":0,\"events_routed\":7,\"runs_created\":0,\
              \"runs_expired\":0,\"shared_bursts\":0,\"solo_bursts\":0,\
              \"graphlet_snapshots\":0,\"event_snapshots\":0,\"results\":3}]}"

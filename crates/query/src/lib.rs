@@ -30,7 +30,6 @@ pub mod parser;
 pub mod pattern;
 pub mod predicate;
 pub mod query;
-pub mod render;
 pub mod window;
 
 pub use aggregate::AggFunc;
@@ -38,5 +37,4 @@ pub use parser::{parse_pattern, parse_query, ParseError};
 pub use pattern::{Pattern, PatternError};
 pub use predicate::{CmpOp, CompiledSelection, EdgePredicate, SelectionPredicate};
 pub use query::{Query, QueryId};
-pub use render::to_sase;
 pub use window::Window;

@@ -1,60 +1,48 @@
-//! `hamlet-cli` — run a generated workload over a synthetic stream and
-//! report aggregates, sharing statistics, and the compiled plan.
+//! `hamlet_cli` — run a generated workload through the online pipeline
+//! and report aggregates, sharing statistics, and the compiled plan.
 //!
 //! ```text
-//! # Offline run (default mode):
-//! cargo run --release --bin hamlet-cli -- \
+//! # One run, with the plan and the sharing statistics:
+//! cargo run --release --bin hamlet_cli -- \
 //!     --dataset ridesharing --rate 10000 --minutes 2 --queries 10 \
 //!     --policy dynamic --window 60 --explain
 //!
-//! # Live pipeline: paced source, out-of-order injection, live metrics:
-//! cargo run --release --bin hamlet-cli -- pipeline \
+//! # Paced source, out-of-order injection, live metrics:
+//! cargo run --release --bin hamlet_cli -- \
 //!     --dataset ridesharing --rate 60000 --queries 10 --window 30 \
 //!     --workers 4 --eps 50000 --max-lateness 5 --slack 5 --metrics-ms 250
 //!
-//! # Keep a live pipeline durable with periodic delta checkpoints,
-//! # then kill it and resume from the chain on disk:
-//! cargo run --release --bin hamlet-cli -- pipeline \
+//! # Keep a run durable with periodic delta checkpoints, then kill it
+//! # and resume from the chain on disk:
+//! cargo run --release --bin hamlet_cli -- \
 //!     --dataset ridesharing --rate 60000 --checkpoint-every 10000 \
 //!     --state /tmp/hamlet-ck
-//! cargo run --release --bin hamlet-cli -- pipeline \
+//! cargo run --release --bin hamlet_cli -- \
 //!     --dataset ridesharing --rate 60000 --resume --state /tmp/hamlet-ck
 //!
 //! # One-shot: cut a full checkpoint after ~50k events and stop:
-//! cargo run --release --bin hamlet-cli -- pipeline \
+//! cargo run --release --bin hamlet_cli -- \
 //!     --dataset ridesharing --rate 60000 --checkpoint-after 50000 \
 //!     --state /tmp/hamlet-ck
 //! ```
+//!
+//! Every run is the pipeline (source → reorder → shard workers → sink);
+//! at one worker its results are those of `HamletEngine::process` +
+//! `flush`, byte for byte. A leading `pipeline` word is accepted and
+//! selects nothing. Every flag is one row of [`FLAGS`], which also
+//! writes `--help`.
 //!
 //! Datasets: ridesharing | nyc | smarthome | stock (stock uses the
 //! diverse predicate-heavy workload of Figs. 12–13; the others use the
 //! shared-Kleene workload of Fig. 9).
 //!
-//! Pipeline-mode flags (refused without the `pipeline` word):
-//! `--workers N` (shard workers), `--eps F` (offered wall-clock rate, 0 =
-//! unpaced), `--max-lateness T` (shuffle the generated stream so events
-//! trail the stream maximum by up to `T` ticks), `--slack T`
-//! (reorder-stage watermark slack; events later than this are
-//! dead-lettered), `--metrics-ms M` (live metrics print interval, 0 =
-//! quiet), `--metrics-json` (emit each metrics snapshot as one JSON line
-//! for tooling, including per-share-group counters and the latency
-//! histogram as `[bucket low edge in ns, count]` pairs), `--prom-out
-//! FILE` (write the final metrics snapshot as a Prometheus text-format
-//! scrape), `--trace-out FILE` (record stage spans and write a Chrome
-//! `trace_event` JSON file
-//! — open in `chrome://tracing` or Perfetto), `--state DIR` (a
-//! [`DirStore`] checkpoint directory holding one base + delta chain;
-//! required by every checkpoint flag), `--checkpoint-every N` (while
-//! the pipeline runs, cut an incremental **delta** checkpoint into the
-//! store every N released events; every `--compact-every`th cut is
-//! promoted to a full base, compacting the chain), `--checkpoint-after
-//! N` (one-shot: cut a full checkpoint once N events have been
-//! ingested, then stop the source and drain), `--resume` (restore from
-//! the newest base + delta chain in `--state` and continue the same
-//! generated stream to completion — the stream is regenerated
-//! deterministically from the seed, so the chain's source cursor
-//! repositions it exactly), `--churn-script FILE` (apply timestamped
-//! add/remove ops to the live workload).
+//! `--state DIR` is a [`DirStore`] holding one base + delta chain.
+//! `--checkpoint-every N` cuts a delta into it every N released events
+//! (every `--compact-every`th cut a full base, compacting the chain);
+//! `--checkpoint-after N` cuts one full record once N events are in and
+//! stops the source; `--resume` restores the newest chain and continues
+//! the same stream, regenerated deterministically from the seed, so the
+//! chain's source cursor repositions it exactly.
 //!
 //! A churn script holds one op per line — `<ts> add <query-id>` or
 //! `<ts> remove <query-id>`, with blank lines and `#` comments ignored —
@@ -72,11 +60,12 @@
 
 use hamlet::prelude::*;
 use hamlet_stream::Dataset;
+use std::fmt::{Display, Write};
+use std::str::FromStr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 struct Args {
-    pipeline: bool,
     dataset: String,
     rate: u64,
     minutes: u64,
@@ -89,7 +78,6 @@ struct Args {
     seed: u64,
     explain: bool,
     show_results: usize,
-    // Pipeline mode.
     workers: u32,
     eps: f64,
     slack: u64,
@@ -106,28 +94,203 @@ struct Args {
     churn_script: Option<String>,
 }
 
-/// The flags only `hamlet-cli pipeline` reads. The offline mode refuses
-/// them: it would otherwise run one thread, unpaced, and ignore them.
-const PIPELINE_ONLY: [&str; 14] = [
-    "--workers",
-    "--eps",
-    "--slack",
-    "--max-lateness",
-    "--metrics-ms",
-    "--metrics-json",
-    "--trace-out",
-    "--prom-out",
-    "--checkpoint-after",
-    "--checkpoint-every",
-    "--compact-every",
-    "--state",
-    "--resume",
-    "--churn-script",
+/// One command-line flag. A switch has no `metavar` and its setter is
+/// handed `"true"`; an error from `set` is reported under `name`.
+struct Flag {
+    name: &'static str,
+    metavar: &'static str,
+    help: &'static str,
+    set: fn(&mut Args, &str) -> Result<(), String>,
+}
+
+/// Every flag the CLI takes, in `--help` order.
+const FLAGS: &[Flag] = &[
+    Flag {
+        name: "--dataset",
+        metavar: "NAME",
+        help: "ridesharing | nyc | smarthome | stock",
+        set: |a, v| parse(v, &mut a.dataset),
+    },
+    Flag {
+        name: "--rate",
+        metavar: "N",
+        help: "generated events per minute",
+        set: |a, v| parse(v, &mut a.rate),
+    },
+    Flag {
+        name: "--minutes",
+        metavar: "N",
+        help: "stream length in minutes",
+        set: |a, v| parse(v, &mut a.minutes),
+    },
+    Flag {
+        name: "--queries",
+        metavar: "K",
+        help: "queries in the generated workload",
+        set: |a, v| parse(v, &mut a.queries),
+    },
+    Flag {
+        name: "--window",
+        metavar: "SECS",
+        help: "window length of every query",
+        set: |a, v| parse(v, &mut a.window),
+    },
+    Flag {
+        name: "--policy",
+        metavar: "P",
+        help: "dynamic | static | noshare",
+        set: |a, v| policy(v).map(|p| a.policy = p),
+    },
+    Flag {
+        name: "--burst",
+        metavar: "B",
+        help: "mean burst length of the generator",
+        set: |a, v| parse(v, &mut a.mean_burst),
+    },
+    Flag {
+        name: "--groups",
+        metavar: "G",
+        help: "distinct group-by keys",
+        set: |a, v| parse(v, &mut a.groups),
+    },
+    Flag {
+        name: "--skew",
+        metavar: "Z",
+        help: "Zipf skew of the keys (0 = uniform)",
+        set: |a, v| parse(v, &mut a.skew),
+    },
+    Flag {
+        name: "--seed",
+        metavar: "S",
+        help: "seed of the stream and the workload",
+        set: |a, v| parse(v, &mut a.seed),
+    },
+    Flag {
+        name: "--show",
+        metavar: "N",
+        help: "sample results to print",
+        set: |a, v| parse(v, &mut a.show_results),
+    },
+    Flag {
+        name: "--explain",
+        metavar: "",
+        help: "print the compiled plan before the run",
+        set: |a, v| parse(v, &mut a.explain),
+    },
+    Flag {
+        name: "--workers",
+        metavar: "W",
+        help: "shard workers, 1 to 64",
+        set: |a, v| parse(v, &mut a.workers),
+    },
+    Flag {
+        name: "--eps",
+        metavar: "F",
+        help: "offered wall-clock rate (0 = unpaced)",
+        set: |a, v| parse(v, &mut a.eps),
+    },
+    Flag {
+        name: "--slack",
+        metavar: "TICKS",
+        help: "reorder watermark slack; later events are dead-lettered",
+        set: |a, v| parse(v, &mut a.slack),
+    },
+    Flag {
+        name: "--max-lateness",
+        metavar: "TICKS",
+        help: "shuffle the stream so events trail its maximum by up to TICKS",
+        set: |a, v| parse(v, &mut a.max_lateness),
+    },
+    Flag {
+        name: "--metrics-ms",
+        metavar: "MS",
+        help: "live metrics interval (0 = quiet)",
+        set: |a, v| parse(v, &mut a.metrics_ms),
+    },
+    Flag {
+        name: "--metrics-json",
+        metavar: "",
+        help: "print each metrics snapshot as one JSON line",
+        set: |a, v| parse(v, &mut a.metrics_json),
+    },
+    Flag {
+        name: "--trace-out",
+        metavar: "FILE",
+        help: "write stage spans as Chrome trace_event JSON",
+        set: |a, v| parse(v, a.trace_out.get_or_insert_default()),
+    },
+    Flag {
+        name: "--prom-out",
+        metavar: "FILE",
+        help: "write the final metrics in Prometheus text format",
+        set: |a, v| parse(v, a.prom_out.get_or_insert_default()),
+    },
+    Flag {
+        name: "--state",
+        metavar: "DIR",
+        help: "checkpoint chain directory",
+        set: |a, v| parse(v, a.state.get_or_insert_default()),
+    },
+    Flag {
+        name: "--checkpoint-every",
+        metavar: "N",
+        help: "cut a delta checkpoint every N released events",
+        set: |a, v| parse(v, &mut a.checkpoint_every),
+    },
+    Flag {
+        name: "--compact-every",
+        metavar: "K",
+        help: "make every Kth cadence cut a full base",
+        set: |a, v| parse(v, &mut a.compact_every),
+    },
+    Flag {
+        name: "--checkpoint-after",
+        metavar: "N",
+        help: "cut one full checkpoint after N events, then stop",
+        set: |a, v| parse(v, &mut a.checkpoint_after),
+    },
+    Flag {
+        name: "--resume",
+        metavar: "",
+        help: "continue from the newest chain in --state",
+        set: |a, v| parse(v, &mut a.resume),
+    },
+    Flag {
+        name: "--churn-script",
+        metavar: "FILE",
+        help: "timestamped workload changes, lines `<ts> add|remove <query-id>`",
+        set: |a, v| parse(v, a.churn_script.get_or_insert_default()),
+    },
 ];
+
+fn parse<T: FromStr>(v: &str, slot: &mut T) -> Result<(), String>
+where
+    T::Err: Display,
+{
+    *slot = v.parse().map_err(|e: T::Err| e.to_string())?;
+    Ok(())
+}
+
+fn policy(v: &str) -> Result<SharingPolicy, String> {
+    match v {
+        "dynamic" => Ok(SharingPolicy::Dynamic),
+        "static" => Ok(SharingPolicy::AlwaysShare),
+        "noshare" => Ok(SharingPolicy::NeverShare),
+        other => Err(format!("unknown policy {other}")),
+    }
+}
+
+fn usage() -> String {
+    let mut s = String::from("usage: hamlet_cli [pipeline] [FLAG ...]\n");
+    for f in FLAGS {
+        let flag = format!("{} {}", f.name, f.metavar);
+        let _ = writeln!(s, "  {flag:<26}{}", f.help);
+    }
+    s
+}
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        pipeline: false,
         dataset: "ridesharing".into(),
         rate: 10_000,
         minutes: 1,
@@ -156,90 +319,33 @@ fn parse_args() -> Result<Args, String> {
         churn_script: None,
     };
     let mut it = std::env::args().skip(1).peekable();
-    if it.peek().map(String::as_str) == Some("pipeline") {
-        args.pipeline = true;
-        it.next();
-    }
+    // Accepted and ignored, so invocations written with it keep working.
+    it.next_if_eq("pipeline");
     while let Some(a) = it.next() {
-        if !args.pipeline && PIPELINE_ONLY.contains(&a.as_str()) {
-            return Err(format!(
-                "{a} is a pipeline-mode flag: hamlet-cli pipeline {a} ..."
-            ));
+        if a == "--help" || a == "-h" {
+            print!("{}", usage());
+            std::process::exit(0);
         }
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        match a.as_str() {
-            "--dataset" => args.dataset = val("--dataset")?,
-            "--rate" => args.rate = val("--rate")?.parse().map_err(|e| format!("{e}"))?,
-            "--minutes" => args.minutes = val("--minutes")?.parse().map_err(|e| format!("{e}"))?,
-            "--queries" => args.queries = val("--queries")?.parse().map_err(|e| format!("{e}"))?,
-            "--window" => args.window = val("--window")?.parse().map_err(|e| format!("{e}"))?,
-            "--burst" => args.mean_burst = val("--burst")?.parse().map_err(|e| format!("{e}"))?,
-            "--groups" => args.groups = val("--groups")?.parse().map_err(|e| format!("{e}"))?,
-            "--skew" => args.skew = val("--skew")?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = val("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--show" => args.show_results = val("--show")?.parse().map_err(|e| format!("{e}"))?,
-            "--workers" => args.workers = val("--workers")?.parse().map_err(|e| format!("{e}"))?,
-            "--eps" => args.eps = val("--eps")?.parse().map_err(|e| format!("{e}"))?,
-            "--slack" => args.slack = val("--slack")?.parse().map_err(|e| format!("{e}"))?,
-            "--max-lateness" => {
-                args.max_lateness = val("--max-lateness")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--metrics-ms" => {
-                args.metrics_ms = val("--metrics-ms")?.parse().map_err(|e| format!("{e}"))?
-            }
-            "--metrics-json" => args.metrics_json = true,
-            "--trace-out" => args.trace_out = Some(val("--trace-out")?),
-            "--prom-out" => args.prom_out = Some(val("--prom-out")?),
-            "--checkpoint-after" => {
-                args.checkpoint_after = val("--checkpoint-after")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--checkpoint-every" => {
-                args.checkpoint_every = val("--checkpoint-every")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--compact-every" => {
-                args.compact_every = val("--compact-every")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?
-            }
-            "--state" => args.state = Some(val("--state")?),
-            "--resume" => args.resume = true,
-            "--churn-script" => args.churn_script = Some(val("--churn-script")?),
-            "--policy" => {
-                args.policy = match val("--policy")?.as_str() {
-                    "dynamic" => SharingPolicy::Dynamic,
-                    "static" => SharingPolicy::AlwaysShare,
-                    "noshare" => SharingPolicy::NeverShare,
-                    other => return Err(format!("unknown policy {other}")),
-                }
-            }
-            "--explain" => args.explain = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: hamlet-cli [pipeline] [--dataset ridesharing|nyc|smarthome|stock] \
-                     [--rate N] [--minutes N] [--queries K] [--window SECS] \
-                     [--policy dynamic|static|noshare] [--burst B] [--groups G] \
-                     [--skew Z] [--seed S] [--show N] [--explain]\n\
-                     pipeline mode: [--workers W] [--eps OFFERED_RATE] [--slack TICKS] \
-                     [--max-lateness TICKS] [--metrics-ms MS] [--metrics-json] \
-                     [--trace-out FILE (Chrome trace_event JSON)] \
-                     [--prom-out FILE (Prometheus text format)] \
-                     [--state DIR (checkpoint chain directory)] \
-                     [--checkpoint-every N [--compact-every K]] \
-                     [--checkpoint-after N] [--resume] \
-                     [--churn-script FILE (lines: `<ts> add|remove <query-id>`)]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
+        let Some(flag) = FLAGS.iter().find(|f| f.name == a) else {
+            return Err(format!("unknown argument {a}"));
+        };
+        let v = if flag.metavar.is_empty() {
+            "true".into()
+        } else {
+            it.next().ok_or_else(|| format!("missing value for {a}"))?
+        };
+        (flag.set)(&mut args, &v).map_err(|e| format!("{a}: {e}"))?;
     }
-    // What the workload builders, the generators and the shard router
-    // assert, as usage errors (NaN fails its comparison too).
-    let ranges = [
+    // Usage errors, all found before a stream is generated or a
+    // directory created: what the workload builders, the generators and
+    // the shard router assert (NaN fails its comparison too), and the
+    // flags that mean nothing without another.
+    let cut = args.checkpoint_after > 0 || args.checkpoint_every > 0 || args.resume;
+    let checks = [
+        (
+            Dataset::from_name(&args.dataset).is_some(),
+            "--dataset must be ridesharing, nyc, smarthome or stock",
+        ),
         (args.window >= 1, "--window must be at least 1"),
         (args.groups >= 1, "--groups must be at least 1"),
         (args.mean_burst >= 1.0, "--burst must be at least 1"),
@@ -248,34 +354,42 @@ fn parse_args() -> Result<Args, String> {
             (1..=64).contains(&args.workers),
             "--workers must be 1 to 64",
         ),
+        (
+            !cut || args.state.is_some(),
+            "--checkpoint-after/--checkpoint-every/--resume need --state DIR",
+        ),
+        (
+            args.checkpoint_after == 0 || !args.resume,
+            "--checkpoint-after and --resume are mutually exclusive",
+        ),
+        (
+            args.compact_every == 0 || args.checkpoint_every > 0,
+            "--compact-every needs --checkpoint-every",
+        ),
     ];
-    match ranges.iter().find(|(ok, _)| !ok) {
+    match checks.iter().find(|(ok, _)| !ok) {
         Some((_, what)) => Err((*what).into()),
         None => Ok(args),
     }
 }
 
+/// Reports a failure and exits: 2 when what the user passed is wrong,
+/// 1 when the run itself failed.
+fn die(code: i32, msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(code)
+}
+
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e} (try --help)");
-            std::process::exit(2);
-        }
-    };
+    let args = parse_args().unwrap_or_else(|e| die(2, format!("{e} (try --help)")));
     // A churn script references workload queries by id; ids at or above
     // `--queries` draw extra queries from the same deterministic
     // generator, so the pool is sized to the largest id the script adds.
     let script: Vec<(u64, bool, u32)> = match &args.churn_script {
         Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("error: read {path}: {e}");
-                std::process::exit(2);
-            });
-            parse_churn_script(&text).unwrap_or_else(|e| {
-                eprintln!("error: {path}: {e}");
-                std::process::exit(2);
-            })
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| die(2, format!("read {path}: {e}")));
+            parse_churn_script(&text).unwrap_or_else(|e| die(2, format!("{path}: {e}")))
         }
         None => Vec::new(),
     };
@@ -296,10 +410,7 @@ fn main() {
         seed: args.seed,
         max_lateness: args.max_lateness,
     };
-    let Some(dataset) = Dataset::from_name(&args.dataset) else {
-        eprintln!("unknown dataset {}", args.dataset);
-        std::process::exit(2);
-    };
+    let dataset = Dataset::from_name(&args.dataset).expect("checked by parse_args");
     let reg = dataset.registry();
     let events = dataset.generate(&reg, &gen);
     let pool = dataset.workload(&reg, pool_size, args.window, args.seed);
@@ -315,12 +426,7 @@ fn main() {
             (Ts(ts), op)
         })
         .collect();
-
-    if args.pipeline {
-        run_pipeline(&args, reg, events, queries, schedule);
-    } else {
-        run_offline(&args, reg, events, queries);
-    }
+    run(&args, reg, events, queries, schedule);
 }
 
 /// Parses a churn script: one `<ts> add|remove <query-id>` per line;
@@ -367,40 +473,37 @@ fn parse_churn_script(text: &str) -> Result<Vec<(u64, bool, u32)>, String> {
 /// the user asked for silently missing is worse than a hard exit.
 fn write_export(path: &str, what: &str, body: &str) {
     if let Err(e) = std::fs::write(path, body) {
-        eprintln!("error: write {what} {path}: {e}");
-        std::process::exit(1);
+        die(1, format!("write {what} {path}: {e}"));
     }
     println!("{what} written to {path}");
 }
 
-/// Live mode: feed the stream through the online pipeline, printing
-/// metrics snapshots while it runs, then drain (or checkpoint) and
-/// summarize.
-fn run_pipeline(
+/// A latency summary's `name value` pairs after its sample count, or
+/// `no samples`: results emitted at the drain's flush barrier carry no
+/// arrival stamp, and a run whose windows all close there has no
+/// latency to report rather than a latency of zero.
+fn latency(count: u64, parts: &[(&str, Duration)]) -> String {
+    if count == 0 {
+        return "no samples".into();
+    }
+    let parts: Vec<String> = parts.iter().map(|(k, d)| format!("{k} {d:?}")).collect();
+    format!("{count} samples, {}", parts.join(" "))
+}
+
+/// Feeds the stream through the online pipeline, printing metrics
+/// snapshots while it runs, then drains (or checkpoints) and summarizes.
+fn run(
     args: &Args,
     reg: Arc<TypeRegistry>,
     events: Vec<Event>,
     queries: Vec<Query>,
     schedule: Vec<(Ts, ChurnOp)>,
 ) {
-    if (args.checkpoint_after > 0 || args.checkpoint_every > 0 || args.resume)
-        && args.state.is_none()
-    {
-        eprintln!("error: --checkpoint-after/--checkpoint-every/--resume need --state DIR");
-        std::process::exit(2);
-    }
-    if args.checkpoint_after > 0 && args.resume {
-        eprintln!("error: --checkpoint-after and --resume are mutually exclusive");
-        std::process::exit(2);
-    }
     // `--state DIR` is a DirStore: one file per chain record, written
     // atomically, compacted whenever a full base lands.
-    let store: Option<Arc<DirStore>> = args.state.as_deref().map(|dir| match DirStore::open(dir) {
-        Ok(s) => Arc::new(s),
-        Err(e) => {
-            eprintln!("error: open checkpoint store {dir}: {e}");
-            std::process::exit(2);
-        }
+    let store: Option<Arc<DirStore>> = args.state.as_deref().map(|dir| {
+        let st = DirStore::open(dir);
+        Arc::new(st.unwrap_or_else(|e| die(2, format!("open checkpoint store {dir}: {e}"))))
     });
 
     // Resume: read the newest base + delta chain and reposition the
@@ -408,22 +511,21 @@ fn run_pipeline(
     // cursor; the events the cut froze in the reorder buffer travel
     // inside the chain itself.
     let cursor = if args.resume {
-        let st = store.as_ref().expect("validated above");
-        let chain = st.load_chain().unwrap_or_else(|e| {
-            eprintln!("error: load checkpoint chain: {e}");
-            std::process::exit(2);
-        });
+        let st = store.as_ref().expect("checked by parse_args");
+        let chain = st
+            .load_chain()
+            .unwrap_or_else(|e| die(2, format!("load checkpoint chain: {e}")));
         let Some(tip) = chain.last() else {
-            eprintln!(
-                "error: {} holds no checkpoint records — nothing to resume",
-                st.path().display()
+            die(
+                2,
+                format!(
+                    "{} holds no checkpoint records — nothing to resume",
+                    st.path().display()
+                ),
             );
-            std::process::exit(2);
         };
-        let tip_ck = PipelineCheckpoint::from_bytes(tip.as_bytes()).unwrap_or_else(|e| {
-            eprintln!("error: decode chain tip: {e}");
-            std::process::exit(2);
-        });
+        let tip_ck = PipelineCheckpoint::from_bytes(tip.as_bytes())
+            .unwrap_or_else(|e| die(2, format!("decode chain tip: {e}")));
         println!(
             "restoring from {}: {} record(s) (base seq {} + {} delta(s)), tip seq {} at event {}",
             st.path().display(),
@@ -438,12 +540,14 @@ fn run_pipeline(
         0
     };
     if cursor > events.len() {
-        eprintln!(
-            "error: checkpoint cursor {cursor} beyond the generated stream \
-             ({} events) — different --rate/--minutes/--seed than the original run?",
-            events.len()
+        die(
+            2,
+            format!(
+                "checkpoint cursor {cursor} beyond the generated stream ({} events) — \
+                 different --rate/--minutes/--seed than the original run?",
+                events.len()
+            ),
         );
-        std::process::exit(2);
     }
     let feed = events[cursor..].to_vec();
 
@@ -467,6 +571,16 @@ fn run_pipeline(
             String::new()
         },
     );
+    let config = EngineConfig {
+        policy: args.policy,
+        ..EngineConfig::default()
+    };
+    if args.explain {
+        match HamletEngine::new(reg.clone(), queries.clone(), config.clone()) {
+            Ok(engine) => println!("\n{}", engine.explain()),
+            Err(e) => die(1, e),
+        }
+    }
     // Capped dead-letter log: a slack/lateness mismatch can make a large
     // fraction of the stream late, and per-event stderr writes on the
     // ingest thread would throttle the very pipeline being measured. The
@@ -484,10 +598,7 @@ fn run_pipeline(
         } else {
             0
         })
-        .engine_config(EngineConfig {
-            policy: args.policy,
-            ..EngineConfig::default()
-        })
+        .engine_config(config)
         .workers(args.workers)
         .churn_at(schedule)
         .watermark(BoundedLateness::new(args.slack))
@@ -519,18 +630,12 @@ fn run_pipeline(
         Box::new(replay)
     };
     let spawn = if args.resume {
-        let st = store.as_deref().expect("validated above");
+        let st = store.as_deref().expect("checked by parse_args");
         (builder.resume_from(st, source, VecSink::new())).map_err(|e| e.to_string())
     } else {
         (builder.spawn(source, VecSink::new())).map_err(|e| e.to_string())
     };
-    let mut handle = match spawn {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("engine error: {e}");
-            std::process::exit(1);
-        }
-    };
+    let mut handle = spawn.unwrap_or_else(|e| die(1, e));
     // Live view until the source is exhausted and the queues are empty —
     // or the checkpoint threshold is crossed.
     let mut cut_taken = false;
@@ -541,7 +646,7 @@ fn run_pipeline(
         } else if args.metrics_ms > 0 {
             println!(
                 "[{:>7.2}s] in={} out={} late={} wm={} queues: reorder={} workers={:?} sink={} \
-                 | latency p50={:?} p99={:?}",
+                 | latency {}",
                 m.elapsed.as_secs_f64(),
                 m.ingested,
                 m.results,
@@ -550,8 +655,10 @@ fn run_pipeline(
                 m.reorder_depth,
                 m.worker_depths,
                 m.sink_depth,
-                m.latency.p50,
-                m.latency.p99,
+                latency(
+                    m.latency.count,
+                    &[("p50", m.latency.p50), ("p99", m.latency.p99)]
+                ),
             );
         }
         // Take the checkpoint at the threshold — or at end-of-stream if
@@ -570,7 +677,7 @@ fn run_pipeline(
                 );
             }
             cut_taken = true;
-            let st = store.as_ref().expect("validated above");
+            let st = store.as_ref().expect("checked by parse_args");
             // A full cut at the next barrier — between two source
             // events, or after the last one: the coordinated cut appends
             // to the store itself and chains onto any `--checkpoint-every`
@@ -579,10 +686,8 @@ fn run_pipeline(
                 let pc = PipelineCheckpoint::from_bytes(ck.as_bytes())?;
                 Ok((ck, pc))
             });
-            let (ck, pc) = cut.unwrap_or_else(|e| {
-                eprintln!("error: checkpoint to {}: {e}", st.path().display());
-                std::process::exit(1);
-            });
+            let (ck, pc) = cut
+                .unwrap_or_else(|e| die(1, format!("checkpoint to {}: {e}", st.path().display())));
             println!(
                 "\ncheckpointed to {} (record seq {}, {} bytes, {} buffered events) \
                  after {} events; stopping the source",
@@ -593,7 +698,7 @@ fn run_pipeline(
                 pc.events_pulled(),
             );
             println!(
-                "resume with: hamlet-cli pipeline ... --resume --state {}",
+                "resume with: hamlet_cli ... --resume --state {}",
                 st.path().display()
             );
             // The drain path below prints the final summary.
@@ -615,6 +720,7 @@ fn run_pipeline(
         write_export(p, "chrome trace", &handle.export_chrome_trace());
     }
     let report = handle.drain();
+    let stats = report.merged_stats();
     println!(
         "\ndrained in {:?}: {} events ({:.0} ev/s), {} late, {} results",
         report.wall,
@@ -632,16 +738,34 @@ fn run_pipeline(
             final_metrics.checkpoint_failures,
         );
     }
+    let lat = &report.latency;
     println!(
-        "end-to-end latency avg {:?} p50 {:?} p99 {:?} max {:?} · engine latency avg {:?} · \
-         peak state {} KB · late skips {}",
-        report.latency.avg(),
-        report.latency.p50(),
-        report.latency.p99(),
-        report.latency.max(),
+        "end-to-end latency {} · engine latency avg {:?} · peak state {} KB · late skips {}",
+        latency(
+            lat.count(),
+            &[
+                ("avg", lat.avg()),
+                ("p50", lat.p50()),
+                ("p99", lat.p99()),
+                ("max", lat.max()),
+            ]
+        ),
         report.engine_latency.avg(),
         report.peak_mem.iter().sum::<usize>() / 1024,
-        report.merged_stats().late_skips,
+        stats.late_skips,
+    );
+    // Decision time sums every shard worker's, so past one worker the
+    // share weighs CPU time against one wall clock.
+    println!(
+        "{} snapshots · {} shared / {} solo bursts · {} merges · {} splits · \
+         decisions {:?} ({:.2}% of wall)",
+        stats.runs.snapshots(),
+        stats.runs.shared_bursts,
+        stats.runs.solo_bursts,
+        stats.runs.merges,
+        stats.runs.splits,
+        stats.decision_time,
+        100.0 * stats.decision_time.as_secs_f64() / report.wall.as_secs_f64().max(1e-9),
     );
     if churned {
         println!(
@@ -652,73 +776,6 @@ fn run_pipeline(
     if args.show_results > 0 {
         println!("\nsample results:");
         for r in report.sink.results.iter().take(args.show_results) {
-            println!(
-                "  {} key={} window@{}: {:?}",
-                r.query, r.group_key, r.window_start, r.value
-            );
-        }
-    }
-}
-
-/// Offline mode: the original slice-at-a-time run.
-fn run_offline(args: &Args, reg: Arc<TypeRegistry>, events: Vec<Event>, queries: Vec<Query>) {
-    println!(
-        "dataset={} events={} queries={} policy={:?}",
-        args.dataset,
-        events.len(),
-        queries.len(),
-        args.policy
-    );
-    let mut engine = match HamletEngine::new(
-        reg.clone(),
-        queries,
-        EngineConfig {
-            policy: args.policy,
-            ..EngineConfig::default()
-        },
-    ) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("engine error: {e}");
-            std::process::exit(1);
-        }
-    };
-    if args.explain {
-        println!("\n{}", engine.explain());
-    }
-
-    // hamlet-lint: allow(wallclock) -- CLI throughput measurement for --metrics output
-    let t0 = Instant::now();
-    let mut results = Vec::new();
-    for e in &events {
-        results.extend(engine.process(e));
-    }
-    results.extend(engine.flush());
-    let wall = t0.elapsed();
-
-    let stats = engine.stats();
-    println!(
-        "\nprocessed in {wall:?} ({:.0} events/s), {} window results",
-        events.len() as f64 / wall.as_secs_f64(),
-        results.len()
-    );
-    println!(
-        "latency avg {:?} · peak state {} KB · {} snapshots · \
-         {} shared / {} solo bursts · {} merges · {} splits · \
-         decisions {:?} ({:.2}% of wall)",
-        engine.latency().avg(),
-        engine.peak_memory() / 1024,
-        stats.runs.snapshots(),
-        stats.runs.shared_bursts,
-        stats.runs.solo_bursts,
-        stats.runs.merges,
-        stats.runs.splits,
-        stats.decision_time,
-        100.0 * stats.decision_time.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-    );
-    if args.show_results > 0 {
-        println!("\nsample results:");
-        for r in results.iter().take(args.show_results) {
             println!(
                 "  {} key={} window@{}: {:?}",
                 r.query, r.group_key, r.window_start, r.value

@@ -66,10 +66,10 @@ pub use hamlet_types;
 pub mod prelude {
     pub use hamlet_baselines::{GretaEngine, SharonEngine, TwoStepEngine};
     pub use hamlet_core::{
-        sort_results, AggValue, Checkpoint, CheckpointError, CheckpointKind, CheckpointStore,
-        ChurnError, ChurnOp, ChurnReport, CutKind, DirStore, EngineConfig, GroupMetrics,
-        HamletEngine, MemStore, ParallelEngine, ParallelReport, ParallelSession, ShardRouter,
-        SharingPolicy, Snapshot, WindowResult,
+        sort_results, AggValue, Checkpoint, CheckpointError, CheckpointStore, ChurnError, ChurnOp,
+        ChurnReport, CutKind, DirStore, EngineConfig, GroupMetrics, HamletEngine, MemStore,
+        ParallelEngine, ParallelReport, ParallelSession, ShardRouter, SharingPolicy, Snapshot,
+        WindowResult,
     };
     pub use hamlet_pipeline::{
         BoundedLateness, CountingSink, MetricsSnapshot, NullSink, Pipeline, PipelineCheckpoint,

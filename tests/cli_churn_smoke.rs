@@ -1,11 +1,10 @@
 //! Smoke test: the CLI's `--churn-script` path end-to-end.
 //!
-//! Drives the `hamlet_cli` binary in pipeline mode with a temp script
-//! that removes, re-adds, and adds a genuinely new query, and asserts
-//! the run completes with the expected workload epoch in the summary.
-//! Also checks the two documented rejection paths: a malformed script
-//! line and using the flag outside pipeline mode both exit non-zero
-//! with an error that names the problem.
+//! Drives the `hamlet_cli` binary with a temp script that removes,
+//! re-adds, and adds a genuinely new query, and asserts the run
+//! completes with the expected workload epoch in the summary and in the
+//! last `--metrics-json` line. Also checks that a malformed script line
+//! exits non-zero with an error that names the line.
 
 use std::process::Command;
 
@@ -76,23 +75,39 @@ fn churn_script_runs_and_reports_final_epoch() {
 }
 
 #[test]
-fn malformed_script_and_offline_mode_are_rejected() {
+fn metrics_json_reports_the_final_epoch() {
+    let script = std::env::temp_dir().join(format!("hamlet-churn-json-{}.txt", std::process::id()));
+    std::fs::write(&script, "10 remove 3\n20 add 3\n30 add 10\n").unwrap();
+    let out = cli(&[
+        "--rate",
+        "3000",
+        "--queries",
+        "6",
+        "--metrics-json",
+        "--churn-script",
+        script.to_str().unwrap(),
+    ]);
+    std::fs::remove_file(&script).ok();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{stdout}");
+    let last = (stdout.lines().rfind(|l| l.starts_with('{'))).expect("metrics-json lines emitted");
+    assert!(
+        last.contains("\"epoch\":3,\"churns_rejected\":0,"),
+        "{last}"
+    );
+}
+
+#[test]
+fn malformed_script_is_rejected() {
     let dir = std::env::temp_dir();
     let script = dir.join(format!("hamlet-churn-bad-{}.txt", std::process::id()));
     std::fs::write(&script, "10 frobnicate 3\n").unwrap();
     let out = cli(&["pipeline", "--churn-script", script.to_str().unwrap()]);
+    std::fs::remove_file(&script).ok();
     assert!(!out.status.success(), "malformed script must be rejected");
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stderr.contains("line 1"),
         "error should cite the offending line:\n{stderr}"
-    );
-    std::fs::write(&script, "10 remove 0\n").unwrap();
-    let out = cli(&["--churn-script", script.to_str().unwrap()]);
-    std::fs::remove_file(&script).ok();
-    assert!(!out.status.success(), "offline mode must reject the flag");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("pipeline-mode flag"),
-        "error should say the flag is pipeline-only"
     );
 }

@@ -1,13 +1,14 @@
 //! Smoke test: the CLI's observability exporters end-to-end.
 //!
-//! Drives the `hamlet_cli` binary in pipeline mode with `--trace-out`,
-//! `--prom-out`, and `--metrics-json`, then checks each artifact with
-//! the same strictness a downstream tool would: the Chrome trace must
-//! round-trip through a JSON parser (`hamlet_bench::json`) and contain
-//! pipeline stage spans, the Prometheus text must carry the engine and
-//! per-share-group families, and every `--metrics-json` line must be
-//! valid JSON with group rows. Also checks that every flag only the
-//! pipeline reads is rejected outside pipeline mode.
+//! Drives the `hamlet_cli` binary with `--trace-out`, `--prom-out`, and
+//! `--metrics-json`, then checks each artifact with the same strictness
+//! a downstream tool would: the Chrome trace must round-trip through a
+//! JSON parser (`hamlet_bench::json`) and contain pipeline stage spans,
+//! the Prometheus text must carry the engine and per-share-group
+//! families, and every `--metrics-json` line must be valid JSON with
+//! group rows. Also checks the CLI's one run path (a leading `pipeline`
+//! word changes nothing), its `--help`, and that every usage error exits
+//! 2 before anything runs.
 
 use hamlet_bench::json::{self, Json};
 use std::process::Command;
@@ -137,35 +138,99 @@ fn exporters_write_parseable_artifacts() {
 }
 
 #[test]
-fn exporter_flags_are_pipeline_only() {
-    // Offline, `--workers 4` would run one thread and say nothing. Every
-    // flag only the pipeline reads is refused at parse time, with exit 2,
-    // before a stream is generated.
-    for flag in [
-        &["--workers", "4"][..],
-        &["--eps", "1000"],
-        &["--slack", "5"],
-        &["--max-lateness", "5"],
-        &["--metrics-ms", "100"],
-        &["--metrics-json"],
-        &["--trace-out", "/tmp/never-written.json"],
-        &["--prom-out", "/tmp/never-written.prom"],
-        &["--checkpoint-after", "100"],
-        &["--checkpoint-every", "100"],
-        &["--compact-every", "4"],
-        &["--state", "/tmp/never-created"],
-        &["--resume"],
-        &["--churn-script", "/tmp/never-read.churn"],
+fn one_run_path_explains_and_summarizes() {
+    let out = cli(&[
+        "--rate",
+        "3000",
+        "--queries",
+        "6",
+        "--workers",
+        "2",
+        "--explain",
+        "--metrics-json",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "run failed with {}:\n{stdout}\n{}",
+        out.status,
+        String::from_utf8_lossy(&out.stderr),
+    );
+    for needle in [
+        "workload plan:",
+        "shared / ",
+        "% of wall)",
+        "drained in ",
+        "end-to-end latency ",
     ] {
-        let out = cli(&[&["--rate", "100"], flag].concat());
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{flag:?}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{} is a pipeline-mode flag", flag[0])),
-            "{flag:?}: {stderr}"
-        );
-        assert!(out.stdout.is_empty(), "{flag:?} ran anyway");
+        assert!(stdout.contains(needle), "no {needle:?} in:\n{stdout}");
     }
+    let plan = stdout.find("workload plan:").unwrap();
+    assert!(
+        plan < stdout.find("drained in ").unwrap(),
+        "the plan prints before the run"
+    );
+}
+
+#[test]
+fn the_pipeline_word_changes_nothing() {
+    let args = ["--rate", "3000", "--queries", "6", "--show", "1000"];
+    let results = |out: std::process::Output| -> Vec<String> {
+        assert!(out.status.success(), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        (stdout.lines())
+            .filter(|l| l.contains(" window@"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let plain = results(cli(&args));
+    let worded = results(cli(&[&["pipeline"][..], &args].concat()));
+    assert!(!plain.is_empty(), "the run printed result lines");
+    assert_eq!(plain, worded);
+}
+
+#[test]
+fn help_names_every_flag() {
+    let out = cli(&["--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8_lossy(&out.stdout);
+    let flags = [
+        "--dataset",
+        "--rate",
+        "--minutes",
+        "--queries",
+        "--window",
+        "--policy",
+        "--burst",
+        "--groups",
+        "--skew",
+        "--seed",
+        "--show",
+        "--explain",
+        "--workers",
+        "--eps",
+        "--slack",
+        "--max-lateness",
+        "--metrics-ms",
+        "--metrics-json",
+        "--trace-out",
+        "--prom-out",
+        "--state",
+        "--checkpoint-every",
+        "--compact-every",
+        "--checkpoint-after",
+        "--resume",
+        "--churn-script",
+    ];
+    let rows: Vec<&str> = (help.lines())
+        .filter_map(|l| l.trim_start().split(' ').next())
+        .filter(|w| w.starts_with("--"))
+        .collect();
+    assert_eq!(rows, flags, "one --help row per flag:\n{help}");
+}
+
+#[test]
+fn usage_errors_exit_2_before_a_run() {
     // A number a generator or the shard router would `assert!` on three
     // crates down is a usage error like any other, not a backtrace.
     for bad in [
@@ -184,5 +249,27 @@ fn exporter_flags_are_pipeline_only() {
             "{bad:?}: {stderr}"
         );
         assert!(out.stdout.is_empty(), "{bad:?} ran anyway");
+    }
+    // A value that does not parse names its flag.
+    let out = cli(&["--rate", "abc"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.starts_with("error: --rate: "), "{stderr}");
+    assert!(out.stdout.is_empty());
+    // A flag that means nothing without another is refused before a
+    // stream is generated or the state directory is created.
+    let dir = std::env::temp_dir().join(format!("hamlet-never-{}", std::process::id()));
+    let dir = dir.to_str().unwrap();
+    for bad in [
+        &["--compact-every", "4"][..],
+        &["--checkpoint-every", "10"],
+        &["--checkpoint-after", "5", "--resume", "--state", dir],
+    ] {
+        let out = cli(&[bad, &["--rate", "100"]].concat());
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad:?}: {stderr}");
+        assert!(stderr.starts_with("error: --"), "{bad:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bad:?} ran anyway");
+        assert!(!std::path::Path::new(dir).exists(), "{bad:?} created {dir}");
     }
 }

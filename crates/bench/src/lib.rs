@@ -14,8 +14,8 @@
 
 use hamlet_baselines::{GretaEngine, SharonEngine, TwoStepEngine};
 use hamlet_core::{
-    ChurnOp, CutKind, EngineConfig, EngineStats, HamletEngine, LatencyRecorder, ParallelEngine,
-    ParallelSession, SharingPolicy, Snapshot,
+    Checkpoint, CheckpointError, ChurnOp, CutKind, EngineConfig, EngineStats, HamletEngine,
+    LatencyRecorder, ParallelEngine, ParallelSession, SharingPolicy, Snapshot,
 };
 use hamlet_pipeline::{CountingSink, Pipeline, RateLimitedSource, ReplaySource};
 use hamlet_query::Query;
@@ -378,12 +378,14 @@ impl Driver {
             }
             Driver::Churn(restart) => churn(&mut m, p, restart, t0),
             Driver::Checkpoint(None, cuts) => {
-                checkpoint(&mut m, p, cuts, &|| p.engine(EngineConfig::default()))
+                let mk = || p.engine(EngineConfig::default());
+                checkpoint(&mut m, p, cuts, &mk, HamletEngine::restore_chain)
             }
             Driver::Checkpoint(Some(workers), cuts) => {
                 // Compiling the router is neither feeding nor recovery.
                 let par = p.parallel(workers);
-                checkpoint(&mut m, p, cuts, &|| par.session())
+                let mk = || par.session();
+                checkpoint(&mut m, p, cuts, &mk, ParallelSession::restore_chain)
             }
         }
         m.throughput_eps = m.events as f64 / m.wall.as_secs_f64().max(1e-9);
@@ -437,12 +439,14 @@ fn churn(m: &mut Measurement, p: &Point, restart: bool, t0: Instant) {
     m.set_sharing(eng.stats());
 }
 
-/// The body of [`Driver::Checkpoint`] over subjects built by `mk`.
+/// The body of [`Driver::Checkpoint`] over subjects built by `mk` and
+/// recovered by `restore`.
 fn checkpoint<T: Subject + Snapshot>(
     m: &mut Measurement,
     p: &Point,
     cuts: Cuts,
     mk: &dyn Fn() -> T,
+    restore: fn(&mut T, &[Checkpoint]) -> Result<(), CheckpointError>,
 ) {
     use hamlet_core::{CheckpointStore, MemStore};
     let (cut, chunk, rest) = match cuts {
@@ -482,7 +486,7 @@ fn checkpoint<T: Subject + Snapshot>(
         let chain = store.load_chain().expect("chain loads");
         let r0 = Instant::now();
         let mut recovered = mk();
-        recovered.restore_chain(&chain).expect("chain restores");
+        restore(&mut recovered, &chain).expect("chain restores");
         m.recovery_time = r0.elapsed();
         // Byte-identity at the shared barrier: both sides cut a full
         // record before either processes anything further.

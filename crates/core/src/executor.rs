@@ -2092,11 +2092,9 @@ mod tests {
         }
         // …and succeeds through a chain restore, which adopts the
         // blob's epoch (a bare blob is a chain of one).
-        crate::Snapshot::restore_chain(
-            &mut fresh,
-            &[crate::Checkpoint::from_bytes(blob.clone()).unwrap()],
-        )
-        .unwrap();
+        fresh
+            .restore_chain(&[crate::Checkpoint::from_bytes(blob.clone()).unwrap()])
+            .unwrap();
         assert_eq!(fresh.epoch(), 1);
         let mut resumed = Vec::new();
         for e in &evs[60..] {

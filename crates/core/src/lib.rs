@@ -71,7 +71,7 @@ pub use executor::{
 pub use hamlet_obs::{GroupMetrics, Span, SpanRecorder, Stage};
 pub use metrics::{LatencyHistogram, LatencyRecorder};
 pub use optimizer::SharingPolicy;
-pub use parallel::{ParallelEngine, ParallelReport, ParallelSession, DEFAULT_BATCH};
+pub use parallel::{ParallelEngine, ParallelReport, ParallelSession};
 pub use run::{BurstCtx, GroupRuntime, MemberOutput, Run, RunStats};
 pub use shard::ShardRouter;
 pub use store::{ChainMeta, Checkpoint, CheckpointStore, CutKind, DirStore, MemStore, Snapshot};

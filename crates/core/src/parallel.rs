@@ -26,21 +26,26 @@
 //!
 //! Two front ends feed it, and what differs between them is an argument
 //! of the one loop, never a second loop: the offline
-//! [`ParallelEngine::run`] / `run_batches` / `run_with_churn` and the
-//! live [`ParallelSession::process`] / `flush` push slices (tag `()`,
-//! [`BatchCut::Size`], nothing observed); the `hamlet-pipeline` ingest
-//! stage pushes released events as its `Source` yields them (tag = the
-//! arrival `Instant`, [`BatchCut::SizeOrTick`], a [`ShardHooks`] impl
-//! for its sink channel and metrics). A slice feed at one worker runs
-//! inline on the caller's thread — a slice never blocks, so a channel
-//! and a second thread would buy nothing, and that run is the baseline
-//! the scaling experiments divide by. A pipeline keeps its worker thread
-//! at one shard: its feed blocks inside `Source::next_event`, and the
-//! engine must keep draining meanwhile.
+//! [`ParallelEngine::run`] and [`ParallelSession::process`] / `flush`
+//! push slices (tag `()`, [`BatchCut::Size`], nothing observed); the
+//! `hamlet-pipeline` ingest stage pushes released events as its
+//! `Source` yields them (tag = the arrival `Instant`,
+//! [`BatchCut::SizeOrTick`], a [`ShardHooks`] impl for its sink channel
+//! and metrics). The cut rule also fixes the batch size and the FIFO
+//! depth: the front end picks them, a user never does. A slice feed at
+//! one worker runs inline on the caller's thread — a slice never
+//! blocks, so a channel and a second thread would buy nothing, and that
+//! run is the baseline the scaling experiments divide by. A pipeline
+//! keeps its worker thread at one shard: its feed blocks inside
+//! `Source::next_event`, and the engine must keep draining meanwhile.
 //!
-//! The engines outlive each call, so processing interleaves with
-//! coordinated checkpoint cuts: the session implements
-//! [`crate::Snapshot`], and that is the only checkpoint surface here.
+//! The engines outlive each call, so the offline front end is one
+//! session with four calls — `process`, [`ParallelSession::churn`],
+//! `cut` ([`crate::Snapshot`]) and `flush` — and a session starts from
+//! a stored chain with [`ParallelSession::restore_chain`]. Churn and
+//! cuts between calls run when no worker thread exists: the router and
+//! every shard engine apply them in place, with the same code at one
+//! worker and at many.
 //!
 //! # Determinism
 //!
@@ -70,28 +75,11 @@ use hamlet_types::{Event, TypeRegistry};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-/// Default number of events per routed batch. Large enough to amortize
-/// channel traffic, small enough to keep all workers busy on short
-/// streams.
-pub const DEFAULT_BATCH: usize = 1024;
-
-/// Bounded depth of each worker's batch channel under a slice feed
-/// (backpressure: the router stalls rather than buffering the whole
-/// stream for a slow worker).
-const PIPELINE_DEPTH: usize = 4;
-
 /// Magic tag opening the `HMPC` container a [`ParallelSession`] cut
 /// packs its per-shard records into (docs/checkpoint-format.md).
 const PARALLEL_MAGIC: [u8; 4] = *b"HMPC";
 /// Container format version.
 const PARALLEL_VERSION: u16 = 1;
-
-/// One unit of work of a slice feed: a slice of the stream, or a churn
-/// op applied at the barrier after everything before it.
-enum Step<'a> {
-    Events(&'a [Event]),
-    Churn(ChurnOp),
-}
 
 /// What the coordinator puts on a shard worker's FIFO: a routed batch
 /// with the tag of its last event, or one of the three barriers — every
@@ -108,29 +96,51 @@ enum ShardMsg<T> {
     Flush,
 }
 
-/// A churn step of a pre-validated schedule (or one the router accepted
-/// a moment ago) cannot fail.
+/// A churn op the router accepted a moment ago cannot fail on a shard.
 fn validated<T>(step: Result<T, ChurnError>) -> T {
-    // hamlet-lint: allow(panic-hygiene) -- a shard that cannot apply a pre-validated op must not run past the cut on a diverged workload; the panic surfaces at the join
-    step.expect("churn ops validated before execution started")
+    // hamlet-lint: allow(panic-hygiene) -- a shard that cannot apply an op the router accepted must not run past the cut on a diverged workload; the panic surfaces at the join
+    step.expect("the router accepted the churn op before any shard saw it")
 }
 
-/// When a shard's batch under construction is handed to its worker.
-/// Fixed by each front end, never exposed to a user: the two that exist
-/// need different values.
+/// When a shard's batch under construction is handed to its worker, and
+/// how many batches its FIFO holds. Fixed by each front end, never
+/// exposed to a user: the two that exist need different values, and
+/// this type is the only place they are written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchCut {
-    /// At the session's batch size: a slice feed has no latency to
-    /// protect.
+    /// At 1024 events, behind a FIFO of 4 batches: a slice feed has no
+    /// latency to protect, so a batch is large enough to amortize
+    /// channel traffic, and the FIFO short enough that the router stalls
+    /// rather than buffering the stream for a slow worker.
     Size,
-    /// At the batch size, or as soon as *this shard's* event time
-    /// advances a tick — the boundary that costs no result latency: a
-    /// shard's windows only close when one of its own events advances
-    /// its engine's watermark, and exactly that tick-advancing event
-    /// ships inside the batch its push cuts, while same-tick followers
-    /// (which cannot close anything) stay buffered and amortize the
-    /// channel.
+    /// At 256 events — the pipeline is latency-first — or as soon as
+    /// *this shard's* event time advances a tick, behind a FIFO of 8
+    /// batches that absorbs bursts. The tick is the boundary that costs
+    /// no result latency: a shard's windows only close when one of its
+    /// own events advances its engine's watermark, and exactly that
+    /// tick-advancing event ships inside the batch its push cuts, while
+    /// same-tick followers (which cannot close anything) stay buffered
+    /// and amortize the channel.
     SizeOrTick,
+}
+
+impl BatchCut {
+    /// Events per routed batch.
+    fn size(self) -> usize {
+        match self {
+            BatchCut::Size => 1024,
+            BatchCut::SizeOrTick => 256,
+        }
+    }
+
+    /// Bound of each worker's FIFO, in batches. A full FIFO blocks the
+    /// feed: that is the backpressure.
+    pub fn depth(self) -> usize {
+        match self {
+            BatchCut::Size => 4,
+            BatchCut::SizeOrTick => 8,
+        }
+    }
 }
 
 /// What a front end observes of the executor — nothing, unless it
@@ -377,11 +387,6 @@ impl ParallelReport {
         self.peak_mem.iter().sum()
     }
 
-    /// Largest single-worker peak — what capacity each shard needs.
-    pub fn max_peak_mem(&self) -> usize {
-        self.peak_mem.iter().copied().max().unwrap_or(0)
-    }
-
     /// End-to-end events per second (router input over wall time).
     pub fn throughput_eps(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
@@ -398,17 +403,16 @@ impl ParallelReport {
     }
 }
 
-/// Partition-parallel executor over a finite stream: a worker count, a
-/// workload and a routing batch size, from which every run opens a
-/// fresh [`ParallelSession`].
+/// Partition-parallel executor over a finite stream: a worker count and
+/// a workload, from which every run opens a fresh [`ParallelSession`].
 pub struct ParallelEngine {
     router: ShardRouter,
-    batch: usize,
 }
 
 impl ParallelEngine {
     /// Validates the workload once and prepares a `workers`-way sharding.
-    /// `workers` must be in `1..=64` (the shard mask is a `u64`).
+    /// `workers` outside `1..=64` (the shard mask is a `u64`) is
+    /// [`EngineError::Unsupported`].
     pub fn new(
         reg: Arc<TypeRegistry>,
         queries: Vec<Query>,
@@ -421,114 +425,36 @@ impl ParallelEngine {
             // once so construction errors still surface here.
             router.engines()?;
         }
-        Ok(ParallelEngine {
-            router,
-            batch: DEFAULT_BATCH,
-        })
-    }
-
-    /// Overrides the routing batch size (events per channel send).
-    pub fn with_batch_size(mut self, batch: usize) -> Self {
-        assert!(batch >= 1, "batch size must be positive");
-        self.batch = batch;
-        self
+        Ok(ParallelEngine { router })
     }
 
     /// Opens a **live session** over this engine's workload and
     /// sharding: the per-shard engines are built once and held across
-    /// calls, so processing can interleave with coordinated chain cuts
-    /// ([`crate::Snapshot::cut`]). The offline methods on `self`
-    /// ([`run`](Self::run) etc.) each open their own and are unaffected.
+    /// calls, so processing can interleave with churn and coordinated
+    /// chain cuts ([`crate::Snapshot::cut`]). [`run`](Self::run) opens
+    /// its own and is unaffected.
     pub fn session(&self) -> ParallelSession {
         // hamlet-lint: allow(panic-hygiene) -- the same workload already compiled in ParallelEngine::new; reconstruction is deterministic
-        ParallelSession::open(self.router.clone(), self.batch).expect("validated in new")
+        ParallelSession::open(self.router.clone()).expect("validated in new")
     }
 
-    /// Processes a finite stream and merges the window results.
+    /// Processes a finite stream on a fresh session to the end of the
+    /// stream, and reads the report off its engines.
     pub fn run(&self, events: &[Event]) -> ParallelReport {
-        self.run_batches(events.chunks(self.batch))
-    }
-
-    /// Streaming variant of [`run`](Self::run): consumes the input batch
-    /// by batch (e.g. from the `batches` helper in `hamlet-stream`) so
-    /// the caller never needs the whole stream in one slice. Input batch
-    /// boundaries only affect pipelining granularity, not results.
-    pub fn run_batches<'a>(&self, batches: impl Iterator<Item = &'a [Event]>) -> ParallelReport {
-        self.execute(batches.map(Step::Events)).1
-    }
-
-    /// Processes a finite stream with **runtime query churn**: each
-    /// `(position, op)` pair applies its add/remove after `position`
-    /// events of the stream have been routed (positions non-decreasing).
-    ///
-    /// Churn applies at a coordinated per-shard barrier: routing pauses,
-    /// every in-flight batch is flushed to its shard, every shard applies
-    /// the op at the same stream position (channel FIFO order), and the
-    /// router re-plans before routing resumes. Results drained at the
-    /// barriers (see the churn contract on
-    /// [`HamletEngine::remove_query`]) are
-    /// merged into the report's canonically sorted results, so nothing is
-    /// dropped.
-    ///
-    /// The whole op sequence is validated (ids, compilability of every
-    /// intermediate workload) before any event is processed; on error the
-    /// engine is untouched. On success the engine ends at the final
-    /// workload, so a subsequent [`run`](Self::run) sees the post-churn
-    /// query set.
-    pub fn run_with_churn(
-        &mut self,
-        events: &[Event],
-        ops: &[(usize, ChurnOp)],
-    ) -> Result<ParallelReport, ChurnError> {
-        for w in ops.windows(2) {
-            assert!(w[0].0 <= w[1].0, "churn positions must be non-decreasing");
-        }
-        self.router
-            .validate_schedule(ops.iter().map(|(_, op)| op))
-            .map_err(|(_, e)| e)?;
-        let mut steps = Vec::new();
-        let mut pos = 0usize;
-        for (at, op) in ops {
-            let at = (*at).min(events.len());
-            steps.extend(events[pos..at].chunks(self.batch).map(Step::Events));
-            steps.push(Step::Churn(op.clone()));
-            pos = at;
-        }
-        steps.extend(events[pos..].chunks(self.batch).map(Step::Events));
-        let (session, report) = self.execute(steps.into_iter());
-        self.router = session.router;
-        Ok(report)
-    }
-
-    /// Runs `steps` to the end of the stream on a fresh session and
-    /// reads the report off its engines.
-    fn execute<'a>(
-        &self,
-        steps: impl Iterator<Item = Step<'a>>,
-    ) -> (ParallelSession, ParallelReport) {
         // hamlet-lint: allow(wallclock) -- run-duration measurement for the report
         let t0 = Instant::now();
-        let mut events = 0u64;
         let mut session = self.session();
-        let results = session.drive(
-            steps.inspect(|step| {
-                if let Step::Events(span) = step {
-                    events += span.len() as u64;
-                }
-            }),
-            true,
-        );
+        let results = session.drive(events, true);
         let engines = &session.engines;
-        let report = ParallelReport {
+        ParallelReport {
             results,
             stats: engines.iter().map(|e| *e.stats()).collect(),
             peak_mem: engines.iter().map(HamletEngine::peak_memory).collect(),
             latency: engines.iter().map(|e| e.latency().clone()).collect(),
             group_metrics: engines.iter().map(|e| e.group_metrics().to_vec()).collect(),
-            events,
+            events: events.len() as u64,
             wall: t0.elapsed(),
-        };
-        (session, report)
+        }
     }
 }
 
@@ -542,39 +468,69 @@ impl ParallelEngine {
 /// a coordinated per-shard chain record (every shard at the same stream
 /// position — the caller is between `process` calls, so no shard has
 /// seen an event another has not been offered) and packs them into one
-/// `HMPC` container; [`restore_chain`](crate::Snapshot::restore_chain)
-/// decomposes a container chain back into per-shard chains
+/// `HMPC` container; [`restore_chain`](Self::restore_chain) decomposes a
+/// container chain back into per-shard chains
 /// ([`record::restore_shards`]); a failed restore leaves every shard
 /// untouched.
 pub struct ParallelSession {
     router: ShardRouter,
     /// One shard-owning engine per worker (index = shard).
     engines: Vec<HamletEngine>,
-    /// Events per routed batch.
-    batch: usize,
 }
 
 impl ParallelSession {
-    /// Builds `router`'s shard engines over its current workload;
-    /// `batch` is the events per routed batch.
-    pub fn open(router: ShardRouter, batch: usize) -> Result<ParallelSession, EngineError> {
+    /// Builds `router`'s shard engines over its current workload.
+    pub fn open(router: ShardRouter) -> Result<ParallelSession, EngineError> {
         Ok(ParallelSession {
             engines: router.engines()?,
             router,
-            batch,
         })
     }
 
     /// Routes one slice of the stream to the shard engines and returns
     /// the merged, canonically sorted results it emitted.
     pub fn process(&mut self, events: &[Event]) -> Vec<WindowResult> {
-        self.drive(std::iter::once(Step::Events(events)), false)
+        self.drive(events, false)
+    }
+
+    /// Applies a churn op after everything processed so far: the router
+    /// validates it against the current workload, compile-checks the
+    /// post-churn one and re-plans routing ([`ShardRouter::apply`]), then
+    /// every shard engine applies it ([`HamletEngine::apply`]). Returns
+    /// the windows the op drained (see the churn contract on
+    /// [`HamletEngine::remove_query`]), canonically sorted. A rejected
+    /// op returns its error and changes nothing.
+    pub fn churn(&mut self, op: ChurnOp) -> Result<Vec<WindowResult>, ChurnError> {
+        self.router.apply(&op)?;
+        let mut drained = Vec::new();
+        for eng in &mut self.engines {
+            drained.append(&mut validated(eng.apply(op.clone())).drained);
+        }
+        sort_results(&mut drained);
+        Ok(drained)
     }
 
     /// Finalizes every in-flight window on every shard (end of stream),
     /// merged and canonically sorted.
     pub fn flush(&mut self) -> Vec<WindowResult> {
-        self.drive(std::iter::empty(), true)
+        self.drive(&[], true)
+    }
+
+    /// Restores every shard from an ordered chain of `HMPC` containers
+    /// (as loaded by [`crate::CheckpointStore::load_chain`]): the last
+    /// full record in the slice and its contiguous deltas. Validates
+    /// linkage, epoch uniformity, worker count and workload fingerprints
+    /// before committing any state.
+    pub fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
+        let mut records = Vec::with_capacity(chain.len());
+        for ck in chain {
+            let mut d = Dec::new(ck.as_bytes());
+            let (_, _, shards) =
+                checkpoint::read_container_any(&mut d, &PARALLEL_MAGIC, &[PARALLEL_VERSION])?;
+            d.expect_end()?;
+            records.push(shards);
+        }
+        record::restore_shards(&mut self.engines, &records).map(drop)
     }
 
     /// Number of shard workers in the session.
@@ -595,59 +551,43 @@ impl ParallelSession {
         &mut self.engines
     }
 
-    /// The slice feed: `steps` in order, then the flush barrier if
-    /// `flush`, and everything the shards emitted in canonical order.
-    /// Inline at one worker (see the module docs); otherwise through
-    /// [`feed`](Self::feed).
-    fn drive<'a>(
-        &mut self,
-        steps: impl Iterator<Item = Step<'a>>,
-        flush: bool,
-    ) -> Vec<WindowResult> {
+    /// The slice feed: `events`, then the flush barrier if `flush`, and
+    /// everything the shards emitted in canonical order. Inline at one
+    /// worker (see the module docs), in [`BatchCut::Size`] batches;
+    /// otherwise through [`feed`](Self::feed).
+    fn drive(&mut self, events: &[Event], flush: bool) -> Vec<WindowResult> {
         let mut out: Vec<WindowResult> = if let [eng] = self.engines.as_mut_slice() {
-            let mut out = Vec::new();
-            for step in steps {
-                out.extend(match step {
-                    Step::Events(span) => eng.process_batch(span),
-                    Step::Churn(op) => {
-                        validated(self.router.apply(&op));
-                        validated(eng.apply(op)).drained
-                    }
-                });
-            }
+            let mut out: Vec<WindowResult> = (events.chunks(BatchCut::Size.size()))
+                .flat_map(|span| eng.process_batch(span))
+                .collect();
             if flush {
                 out.extend(eng.flush());
             }
             out
         } else {
             let body = |feed: &mut Feed<'_, (), ()>| {
-                for step in steps {
-                    match step {
-                        Step::Events(span) => span.iter().for_each(|e| feed.push(e.clone(), ())),
-                        Step::Churn(op) => validated(feed.churn(op)),
-                    }
-                }
+                events.iter().for_each(|e| feed.push(e.clone(), ()));
                 if flush {
                     feed.flush();
                 }
             };
-            self.feed(BatchCut::Size, PIPELINE_DEPTH, &(), body).1
+            self.feed(BatchCut::Size, &(), body).1
         };
         sort_results(&mut out);
         out
     }
 
     /// The executor: one scoped worker thread per shard engine behind a
-    /// FIFO of `depth` batches, fed by `body` on the caller's thread for
-    /// as long as it runs. When `body` returns, every partial batch is
-    /// shipped, the FIFOs close, the workers drain them and are joined;
-    /// returns `body`'s value and the results `hooks` did not take
-    /// ([`ShardHooks::emitted`]), unsorted. A worker that panicked takes
-    /// the caller with it here — the one join.
+    /// FIFO of [`cut.depth()`](BatchCut::depth) batches, fed by `body`
+    /// on the caller's thread for as long as it runs. When `body`
+    /// returns, every partial batch is shipped, the FIFOs close, the
+    /// workers drain them and are joined; returns `body`'s value and the
+    /// results `hooks` did not take ([`ShardHooks::emitted`]), unsorted.
+    /// A worker that panicked takes the caller with it here — the one
+    /// join.
     pub fn feed<T, H, R>(
         &mut self,
         cut: BatchCut,
-        depth: usize,
         hooks: &H,
         body: impl FnOnce(&mut Feed<'_, T, H>) -> R,
     ) -> (R, Vec<WindowResult>)
@@ -655,11 +595,11 @@ impl ParallelSession {
         T: Copy + Send,
         H: ShardHooks<T>,
     {
-        let batch = self.batch;
+        let batch = cut.size();
         std::thread::scope(|scope| {
             let (lanes, handles): (Vec<_>, Vec<_>) = (self.engines.iter_mut().enumerate())
                 .map(|(idx, eng)| {
-                    let (tx, rx) = mpsc::sync_channel(depth);
+                    let (tx, rx) = mpsc::sync_channel(cut.depth());
                     let handle = std::thread::Builder::new()
                         .name(format!("hamlet-shard-{idx}"))
                         .spawn_scoped(scope, move || shard_loop(idx, eng, &rx, hooks))
@@ -716,18 +656,6 @@ impl Snapshot for ParallelSession {
         )
         .finish();
         Ok(Checkpoint::new(bytes, meta))
-    }
-
-    fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
-        let mut records = Vec::with_capacity(chain.len());
-        for ck in chain {
-            let mut d = Dec::new(ck.as_bytes());
-            let (_, _, shards) =
-                checkpoint::read_container_any(&mut d, &PARALLEL_MAGIC, &[PARALLEL_VERSION])?;
-            d.expect_end()?;
-            records.push(shards);
-        }
-        record::restore_shards(&mut self.engines, &records).map(drop)
     }
 }
 
@@ -799,26 +727,25 @@ mod tests {
         }
     }
 
-    /// Zero-length and ragged input batches are inert: a hand-off
-    /// sequence with empty head/middle/tail batches and a trailing
-    /// partial produces bit-identical results to the whole-slice run —
-    /// an empty batch must be a no-op, not a watermark side-effect.
+    /// Zero-length and ragged `process` calls are inert: a call sequence
+    /// with empty head/middle/tail slices and a trailing partial produces
+    /// bit-identical results to the whole-slice run — an empty call must
+    /// be a no-op, not a watermark side-effect.
     #[test]
     fn empty_and_partial_input_batches_are_inert() {
         let (reg, queries, events) = setup();
         for workers in [1u32, 4] {
-            let mk = || {
-                ParallelEngine::new(
-                    reg.clone(),
-                    queries.clone(),
-                    EngineConfig::default(),
-                    workers,
-                )
-                .unwrap()
-            };
-            let base = mk().run(&events);
-            let seq: Vec<&[Event]> = vec![
-                &[],
+            let par = ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap();
+            let mut sess = par.session();
+            let mut got = Vec::new();
+            for span in [
+                &[][..],
                 &events[0..1],
                 &[],
                 &events[1..64],
@@ -826,19 +753,23 @@ mod tests {
                 &events[64..199],
                 &events[199..200],
                 &[],
-            ];
-            let got = mk().run_batches(seq.into_iter());
-            assert_eq!(base.results, got.results, "{workers} workers");
-            assert_eq!(base.events, got.events);
+            ] {
+                got.extend(sess.process(span));
+            }
+            got.extend(sess.flush());
+            sort_results(&mut got);
+            assert_eq!(par.run(&events).results, got, "{workers} workers");
         }
     }
 
     /// What differs between the two front ends is an argument of the
     /// one executor, so it is tested as one: every cell of cut rule ×
-    /// batch × workers × {plain, a churn op mid-stream, a delta cut and
-    /// a chain restore mid-stream} is byte-identical to the
-    /// single-engine run. (One worker goes through `feed` here, as a
-    /// pipeline's does; the inline slice path is the public `run`.)
+    /// feed-call length × workers × {plain, a churn op mid-stream, a
+    /// delta cut and a chain restore mid-stream} is byte-identical to
+    /// the single-engine run. Each `feed` call ships its partial batches
+    /// when it returns, so the call length varies the batch boundaries.
+    /// (One worker goes through `feed` here, as a pipeline's does; the
+    /// inline slice path is the public `run`.)
     #[test]
     fn batch_size_does_not_change_results() {
         let (reg, queries, events) = setup();
@@ -862,32 +793,38 @@ mod tests {
             out
         };
         let (plain, churned) = (single(None), single(Some(ChurnOp::Add(q9.clone()))));
-        for (cut, batch, workers) in [BatchCut::Size, BatchCut::SizeOrTick]
+        for (cut, len, workers) in [BatchCut::Size, BatchCut::SizeOrTick]
             .into_iter()
-            .flat_map(|c| [1usize, 7, 1024].map(|b| (c, b)))
-            .flat_map(|(c, b)| [1u32, 2, 4].map(|w| (c, b, w)))
+            .flat_map(|c| [1usize, 7, 1024].map(|l| (c, l)))
+            .flat_map(|(c, l)| [1u32, 2, 4].map(|w| (c, l, w)))
         {
-            let cell = format!("{cut:?}, batch {batch}, {workers} workers");
+            let cell = format!("{cut:?}, calls of {len}, {workers} workers");
             let par = ParallelEngine::new(
                 reg.clone(),
                 queries.clone(),
                 EngineConfig::default(),
                 workers,
             )
-            .unwrap()
-            .with_batch_size(batch);
+            .unwrap();
             assert_eq!(par.run(&events).results, plain, "{cell}, run");
-            // Feeds `span` through the executor under this cell's
-            // parameters, with `then` as the last thing before the
-            // hang-up.
+            // Feeds `span` through the executor under this cell's cut
+            // rule in calls of `len` events, with `then` as the last
+            // thing before the last call's hang-up.
             let feed = |sess: &mut ParallelSession,
                         span: &[Event],
                         then: &mut dyn FnMut(&mut Feed<'_, (), ()>)| {
-                let body = |feed: &mut Feed<'_, (), ()>| {
-                    span.iter().for_each(|e| feed.push(e.clone(), ()));
-                    then(feed);
-                };
-                sess.feed(cut, PIPELINE_DEPTH, &(), body).1
+                let calls: Vec<&[Event]> = span.chunks(len).collect();
+                let mut out = Vec::new();
+                for (i, call) in calls.iter().enumerate() {
+                    let body = |feed: &mut Feed<'_, (), ()>| {
+                        call.iter().for_each(|e| feed.push(e.clone(), ()));
+                        if i + 1 == calls.len() {
+                            then(feed);
+                        }
+                    };
+                    out.extend(sess.feed(cut, &(), body).1);
+                }
+                out
             };
             let sorted = |mut out: Vec<WindowResult>| {
                 sort_results(&mut out);
@@ -993,7 +930,6 @@ mod tests {
         );
         assert_eq!(merged.windows_emitted, par.results.len() as u64);
         assert_eq!(par.total_peak_mem(), par.peak_mem.iter().sum::<usize>());
-        assert!(par.max_peak_mem() <= par.total_peak_mem());
         assert_eq!(
             par.merged_latency().count(),
             par.latency.iter().map(|l| l.count()).sum::<u64>()
@@ -1114,66 +1050,67 @@ mod tests {
         assert!(truncated.and_then(|ck| mk(4).restore_chain(&[ck])).is_err());
     }
 
-    /// Runtime churn at a coordinated barrier: results are identical
-    /// across worker counts (the 1-worker path is the reference), ops
-    /// validate upfront, and the engine ends at the final workload.
+    /// Churn between slices is a session call: at 1, 2 and 4 workers the
+    /// results — drained windows included — equal a single engine's that
+    /// applies the same ops at the same stream positions, and the
+    /// session ends at the final workload. A rejected op returns its
+    /// error and changes nothing.
     #[test]
     fn churned_run_is_worker_count_invariant() {
         let (reg, queries, events) = setup();
-        let q3 = parse_query(
+        let q9 = parse_query(
             &reg,
             9,
             "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 10",
         )
         .unwrap();
-        let ops = vec![
-            (60usize, ChurnOp::Add(q3.clone())),
+        let ops = [
+            (60usize, ChurnOp::Add(q9)),
             (140usize, ChurnOp::Remove(QueryId(9))),
         ];
-        let mut reference = None;
+        let mut eng =
+            HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+        let (mut reference, mut pos) = (Vec::new(), 0);
+        for (at, op) in &ops {
+            reference.extend(eng.process_batch(&events[pos..*at]));
+            reference.extend(eng.apply(op.clone()).unwrap().drained);
+            pos = *at;
+        }
+        reference.extend(eng.process_batch(&events[pos..]));
+        reference.extend(eng.flush());
+        sort_results(&mut reference);
+        // The churned results include q9's windows (drained or closed).
+        assert!(reference.iter().any(|x| x.query == QueryId(9)));
+
         for workers in [1u32, 2, 4] {
-            let mut eng = ParallelEngine::new(
-                reg.clone(),
-                queries.clone(),
-                EngineConfig::default(),
-                workers,
-            )
-            .unwrap();
-            let rep = eng.run_with_churn(&events, &ops).unwrap();
-            assert_eq!(rep.events, events.len() as u64, "{workers} workers");
-            match &reference {
-                None => reference = Some(rep.results),
-                Some(r) => assert_eq!(r, &rep.results, "{workers} workers"),
-            }
-            // The engine ended at the final (post-churn) workload: another
-            // run must behave like a fresh engine over that workload.
-            assert_eq!(eng.router.queries.len(), queries.len());
-            let after = eng.run(&events);
-            let fresh = ParallelEngine::new(
+            let mut sess = ParallelEngine::new(
                 reg.clone(),
                 queries.clone(),
                 EngineConfig::default(),
                 workers,
             )
             .unwrap()
-            .run(&events);
-            assert_eq!(after.results, fresh.results, "{workers} workers, after");
+            .session();
+            assert!(matches!(
+                sess.churn(ChurnOp::Remove(QueryId(77))),
+                Err(ChurnError::Unknown(QueryId(77)))
+            ));
+            assert!(matches!(
+                sess.churn(ChurnOp::Add(queries[0].clone())),
+                Err(ChurnError::Duplicate(QueryId(1)))
+            ));
+            let (mut got, mut pos) = (Vec::new(), 0);
+            for (at, op) in &ops {
+                got.extend(sess.process(&events[pos..*at]));
+                got.extend(sess.churn(op.clone()).unwrap());
+                pos = *at;
+            }
+            got.extend(sess.process(&events[pos..]));
+            got.extend(sess.flush());
+            sort_results(&mut got);
+            assert_eq!(got, reference, "{workers} workers");
+            assert_eq!(sess.router.queries.len(), queries.len());
         }
-        // The churned results include q9's windows (drained or closed).
-        let r = reference.unwrap();
-        assert!(r.iter().any(|x| x.query == QueryId(9)));
-
-        // Validation: a bad op sequence is rejected before any processing.
-        let mut eng =
-            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
-        assert!(matches!(
-            eng.run_with_churn(&events, &[(0, ChurnOp::Remove(QueryId(77)))]),
-            Err(ChurnError::Unknown(QueryId(77)))
-        ));
-        assert!(matches!(
-            eng.run_with_churn(&events, &[(0, ChurnOp::Add(queries[0].clone()))]),
-            Err(ChurnError::Duplicate(QueryId(1)))
-        ));
     }
 
     /// A legacy container of bare engine blobs taken after churn
@@ -1325,16 +1262,20 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one worker")]
     fn zero_workers_rejected() {
         let (reg, queries, _) = setup();
-        let _ = ParallelEngine::new(reg, queries, EngineConfig::default(), 0);
+        assert!(matches!(
+            ParallelEngine::new(reg, queries, EngineConfig::default(), 0),
+            Err(EngineError::Unsupported(_))
+        ));
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 workers")]
     fn too_many_workers_rejected() {
         let (reg, queries, _) = setup();
-        let _ = ParallelEngine::new(reg, queries, EngineConfig::default(), 65);
+        assert!(matches!(
+            ParallelEngine::new(reg, queries, EngineConfig::default(), 65),
+            Err(EngineError::Unsupported(_))
+        ));
     }
 }

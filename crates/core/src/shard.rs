@@ -46,10 +46,11 @@ pub struct ShardRouter {
 }
 
 impl ShardRouter {
-    /// Prepares a `workers`-way sharding of the workload. `workers` must
-    /// be in `1..=64` (the shard mask is a `u64`). With more than one
-    /// worker the workload is compiled here, so construction errors
-    /// surface synchronously; at one worker nothing is compiled and
+    /// Prepares a `workers`-way sharding of the workload. `workers`
+    /// outside `1..=64` (the shard mask is a `u64`) is
+    /// [`EngineError::Unsupported`]. With more than one worker the
+    /// workload is compiled here, so construction errors surface
+    /// synchronously; at one worker nothing is compiled and
     /// [`engines`](Self::engines) is where they surface.
     pub fn new(
         reg: Arc<TypeRegistry>,
@@ -57,8 +58,11 @@ impl ShardRouter {
         cfg: EngineConfig,
         workers: u32,
     ) -> Result<ShardRouter, EngineError> {
-        assert!(workers >= 1, "at least one worker");
-        assert!(workers <= 64, "at most 64 workers (shard mask is a u64)");
+        if !(1..=64).contains(&workers) {
+            return Err(EngineError::Unsupported(format!(
+                "{workers} workers: a sharding has 1 to 64 (the shard mask is a u64)"
+            )));
+        }
         let mut router = ShardRouter {
             reg,
             queries,

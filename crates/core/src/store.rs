@@ -1,9 +1,12 @@
-//! The unified snapshot API: one [`Snapshot`] trait for every layer
-//! that can checkpoint itself, a typed [`Checkpoint`] handle that peeks
-//! chain metadata (kind, epoch, version, fingerprint, chain position)
-//! without a full decode, and a [`CheckpointStore`] abstraction
-//! ([`MemStore`], [`DirStore`]) managing base+delta chains and
-//! compaction GC.
+//! The unified snapshot API: one [`Snapshot`] trait through which every
+//! layer cuts its chain records, a typed [`Checkpoint`] handle that
+//! peeks chain metadata (kind, epoch, version, fingerprint, chain
+//! position) without a full decode, and a [`CheckpointStore`]
+//! abstraction ([`MemStore`], [`DirStore`]) managing base+delta chains
+//! and compaction GC. Restoring is each layer's own:
+//! [`HamletEngine::restore_chain`],
+//! [`ParallelSession::restore_chain`](crate::ParallelSession::restore_chain),
+//! and `PipelineBuilder::resume_from` in `hamlet-pipeline`.
 //!
 //! A *chain* is one base record (a full snapshot) followed by zero or
 //! more contiguous delta records, each carrying only the state touched
@@ -261,32 +264,33 @@ impl Checkpoint {
     }
 }
 
-/// The one checkpoint surface every layer implements — the engine
+/// The one cut surface every layer implements — the engine
 /// ([`HamletEngine`]), the parallel session
 /// ([`crate::parallel::ParallelSession`]), and the live pipeline
-/// (`hamlet_pipeline::PipelineHandle`). `cut` emits the next record of
-/// the layer's chain; `restore_chain` replays an ordered chain (as
-/// loaded by [`CheckpointStore::load_chain`]) into a freshly built
-/// layer over the same workload.
+/// (`hamlet_pipeline::PipelineHandle`): `cut` emits the next record of
+/// the layer's chain. Restoring is each layer's own: an engine or a
+/// session replays an ordered chain into itself (`restore_chain`); a
+/// pipeline is rebuilt from a store (`PipelineBuilder::resume_from`).
 pub trait Snapshot {
     /// Cuts the next chain record. A `Delta` request is promoted to a
     /// full base whenever a sound delta cannot be proven (first cut,
     /// after runtime churn, after a legacy full restore).
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError>;
-
-    /// Restores state from an ordered chain: the last full record in
-    /// the slice and its contiguous deltas. Validates linkage, epoch
-    /// uniformity, and workload fingerprints before committing any
-    /// state.
-    fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError>;
 }
 
 impl Snapshot for HamletEngine {
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         Ok(record::cut(self, kind))
     }
+}
 
-    fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
+impl HamletEngine {
+    /// Restores state from an ordered chain (as loaded by
+    /// [`CheckpointStore::load_chain`]) into a freshly built engine over
+    /// the same workload: the last full record in the slice and its
+    /// contiguous deltas. Validates linkage, epoch uniformity, and
+    /// workload fingerprints before committing any state.
+    pub fn restore_chain(&mut self, chain: &[Checkpoint]) -> Result<(), CheckpointError> {
         // A lone engine is a sharded runtime of one.
         let records: Vec<Vec<&[u8]>> = chain.iter().map(|ck| vec![ck.as_bytes()]).collect();
         record::restore_shards(std::slice::from_mut(self), &records).map(drop)

@@ -29,8 +29,9 @@
 //!   worker owning the partitions that hash to it, the same barriers and
 //!   the same bit-identical merged results. What the pipeline adds is an
 //!   argument of that one loop — the arrival stamp its batches carry,
-//!   the tick cut rule, its channel depth, and the hooks that send
-//!   results to the sink stage and keep the live metrics.
+//!   the tick cut rule (which fixes its batch size and channel depth:
+//!   `BatchCut::SizeOrTick`), and the hooks that send results to the
+//!   sink stage and keep the live metrics.
 //! * **One control plane** — a [`PipelineHandle`] reaches its pipeline
 //!   over one channel to the ingest stage, and whatever it asks for —
 //!   churn, a checkpoint cut, the end of the run — becomes a barrier on
@@ -114,12 +115,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Default events per routed batch (small: the pipeline is latency-first;
-/// the offline `ParallelEngine` uses 1024 for pure throughput).
-pub const DEFAULT_BATCH: usize = 256;
-/// Default bounded depth of each stage channel, in batches.
-pub const DEFAULT_CHANNEL_CAPACITY: usize = 8;
 
 /// A released event plus its ingest stamp (for end-to-end latency
 /// accounting).
@@ -216,8 +211,6 @@ impl Pipeline {
             queries,
             engine_cfg: EngineConfig::default(),
             workers: 1,
-            batch: DEFAULT_BATCH,
-            channel_capacity: DEFAULT_CHANNEL_CAPACITY,
             policy: Box::new(BoundedLateness::new(0)),
             on_late: None,
             churn_at: Vec::new(),
@@ -240,8 +233,6 @@ pub struct PipelineBuilder {
     queries: Vec<Query>,
     engine_cfg: EngineConfig,
     workers: u32,
-    batch: usize,
-    channel_capacity: usize,
     policy: Box<dyn WatermarkPolicy>,
     on_late: Option<LateHook>,
     churn_at: Vec<(Ts, ChurnOp)>,
@@ -259,27 +250,12 @@ impl PipelineBuilder {
         self
     }
 
-    /// Number of shard-owning workers, `1..=64` (checked at spawn). With
-    /// 1 worker events flow to a single engine; with more, the router
-    /// sends each event only to the shards owning one of its partition
-    /// keys.
+    /// Number of shard-owning workers, `1..=64` (checked at spawn: any
+    /// other count is [`EngineError::Unsupported`]). With 1 worker
+    /// events flow to a single engine; with more, the router sends each
+    /// event only to the shards owning one of its partition keys.
     pub fn workers(mut self, workers: u32) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Maximum events per routed batch (latency/throughput knob).
-    pub fn batch(mut self, events: usize) -> Self {
-        assert!(events >= 1, "batch size must be positive");
-        self.batch = events;
-        self
-    }
-
-    /// Bounded depth of each stage channel, in batches — the knob that
-    /// trades queueing latency for burst absorption.
-    pub fn channel_capacity(mut self, batches: usize) -> Self {
-        assert!(batches >= 1, "channel capacity must be positive");
-        self.channel_capacity = batches;
         self
     }
 
@@ -509,7 +485,7 @@ impl PipelineBuilder {
 
         // Build (and restore) every engine up front so errors are
         // synchronous.
-        let mut session = ParallelSession::open(router, self.batch).map_err(ResumeError::Engine)?;
+        let mut session = ParallelSession::open(router).map_err(ResumeError::Engine)?;
         let mut start_epoch = 0;
         if !chain.is_empty() {
             // Every shard replays its own record out of each container,
@@ -562,8 +538,10 @@ impl PipelineBuilder {
             shared.reorder_depth.store(buffer.len(), Ordering::Relaxed);
         }
 
-        let channel_capacity = self.channel_capacity;
-        let (result_tx, result_rx) = mpsc::sync_channel::<Vec<WindowResult>>(channel_capacity * n);
+        // The sink channel holds as many result batches as the worker
+        // FIFOs hold event batches.
+        let depth = BatchCut::SizeOrTick.depth() * n;
+        let (result_tx, result_rx) = mpsc::sync_channel::<Vec<WindowResult>>(depth);
         for (idx, engine) in session.engines_mut().iter_mut().enumerate() {
             if spans.is_enabled() {
                 engine.attach_span_recorder(spans.clone(), 1 + idx as u32);
@@ -613,9 +591,7 @@ impl PipelineBuilder {
             .name("hamlet-pipe-ingest".into())
             .spawn(move || {
                 let (frozen, _) =
-                    session.feed(BatchCut::SizeOrTick, channel_capacity, &observer, |feed| {
-                        ingest.run(feed)
-                    });
+                    session.feed(BatchCut::SizeOrTick, &observer, |feed| ingest.run(feed));
                 // Blocking: each shard's last word must land even if a
                 // snapshot reader holds the lock right now.
                 for (idx, engine) in session.engines().iter().enumerate() {
@@ -1067,17 +1043,6 @@ impl<S: Sink> Snapshot for PipelineHandle<S> {
         self.ask(|ack| Control::Cut { kind, ack })
             .unwrap_or_else(|| Err(CheckpointError::Io("the ingest stage is gone".into())))
     }
-
-    /// A live pipeline cannot restore in place — its engines are owned
-    /// by running worker threads. Always fails; rebuild the pipeline
-    /// with [`PipelineBuilder::resume_from`] instead.
-    fn restore_chain(&mut self, _chain: &[Checkpoint]) -> Result<(), CheckpointError> {
-        Err(CheckpointError::WorkloadMismatch(
-            "a live pipeline cannot restore in place; rebuild it with \
-             Pipeline::builder(...).resume_from(store, source, sink)"
-                .into(),
-        ))
-    }
 }
 
 impl<S: Sink> PipelineHandle<S> {
@@ -1424,7 +1389,6 @@ mod tests {
         for workers in [2u32, 4] {
             let handle = Pipeline::builder(reg.clone(), queries.clone())
                 .workers(workers)
-                .batch(16)
                 .spawn(ReplaySource::new(events.clone()), VecSink::new())
                 .unwrap();
             let report = handle.drain();
@@ -1512,7 +1476,6 @@ mod tests {
         let a = reg.type_id("A").unwrap();
         let b = reg.type_id("B").unwrap();
         let handle = Pipeline::builder(reg, queries)
-            .batch(32)
             .spawn(Endless { t: 0, a, b }, CountingSink::new())
             .unwrap();
         // Let it run until it has demonstrably made progress.
@@ -1536,38 +1499,50 @@ mod tests {
         assert_eq!(report.sink.count, report.results);
     }
 
-    /// A deliberately slow sink with single-slot channels: backpressure
-    /// must stall the source rather than losing or duplicating results.
-    struct SlowVec {
+    /// A sink that holds its first batch until the test opens the gate.
+    struct Gated {
         results: Vec<WindowResult>,
-        delayed: u32,
+        gate: Option<mpsc::Receiver<()>>,
     }
 
-    impl Sink for SlowVec {
+    impl Sink for Gated {
         fn accept(&mut self, batch: Vec<WindowResult>) {
-            if self.delayed < 20 {
-                self.delayed += 1;
-                std::thread::sleep(Duration::from_millis(2));
+            if let Some(gate) = self.gate.take() {
+                let _ = gate.recv();
             }
             self.results.extend(batch);
         }
     }
 
+    /// Backpressure at the fixed channel depths: while the sink holds
+    /// its first batch, the sink channel fills, then the worker's FIFO,
+    /// and the source stalls — the stream (one batch per tick, a result
+    /// batch every 20) is longer than every channel together holds. Once
+    /// the sink lets go, no result is lost or duplicated.
     #[test]
     fn backpressure_preserves_every_result() {
         let (reg, queries, events) = setup();
         let expected = offline(&reg, &queries, &events);
+        let (open, gate) = mpsc::channel();
+        let sink = Gated {
+            results: Vec::new(),
+            gate: Some(gate),
+        };
         let handle = Pipeline::builder(reg, queries)
-            .batch(4)
-            .channel_capacity(1)
-            .spawn(
-                ReplaySource::new(events.clone()),
-                SlowVec {
-                    results: Vec::new(),
-                    delayed: 0,
-                },
-            )
+            .spawn(ReplaySource::new(events.clone()), sink)
             .unwrap();
+        // With bounded channels the source cannot finish while the sink
+        // is held, however long this waits; the wait is what a channel
+        // deep enough for the whole stream would need to show itself.
+        std::thread::sleep(Duration::from_millis(100));
+        let m = handle.metrics();
+        assert!(
+            !m.source_done && m.ingested < events.len() as u64,
+            "a held sink must stall the source: {} of {} events ingested",
+            m.ingested,
+            events.len()
+        );
+        open.send(()).unwrap();
         let report = handle.drain();
         assert_eq!(report.sink.results, expected, "backpressure lost results");
         assert_eq!(report.events, events.len() as u64);
@@ -1719,12 +1694,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at most 64 workers")]
     fn too_many_workers_rejected() {
         let (reg, queries, _) = setup();
-        let _ = Pipeline::builder(reg, queries)
+        let err = Pipeline::builder(reg, queries)
             .workers(65)
-            .spawn(ReplaySource::new(vec![]), NullSink);
+            .spawn(ReplaySource::new(vec![]), NullSink)
+            .err();
+        assert!(matches!(err, Some(EngineError::Unsupported(_))), "{err:?}");
     }
 
     fn third_query(reg: &Arc<TypeRegistry>) -> Query {
@@ -1787,7 +1763,6 @@ mod tests {
         for workers in [2u32, 4] {
             let handle = Pipeline::builder(reg.clone(), queries.clone())
                 .workers(workers)
-                .batch(16)
                 .churn_at(schedule.clone())
                 .spawn(ReplaySource::new(events.clone()), VecSink::new())
                 .unwrap();
@@ -1852,7 +1827,6 @@ mod tests {
             }
             let handle = Pipeline::builder(reg.clone(), queries.clone())
                 .workers(workers)
-                .batch(16)
                 .spawn(ChannelSource(rx_ev), VecSink::new())
                 .unwrap();
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -2186,7 +2160,6 @@ mod tests {
         let cap = 64;
         let handle = Pipeline::builder(reg, queries)
             .trace(cap)
-            .batch(16)
             .spawn(ReplaySource::new(events), VecSink::new())
             .unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -2246,7 +2219,6 @@ mod tests {
         let run = |workers: u32| {
             let handle = Pipeline::builder(reg.clone(), queries.clone())
                 .workers(workers)
-                .batch(16)
                 .spawn(ReplaySource::new(events.clone()), VecSink::new())
                 .unwrap();
             handle.drain().group_metrics

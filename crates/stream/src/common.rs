@@ -263,16 +263,6 @@ pub fn max_observed_lateness(events: &[Event]) -> u64 {
     late
 }
 
-/// Iterates a stream in contiguous batches of at most `size` events — the
-/// unit of work the parallel router hands to shard workers. The final
-/// batch holds the remainder. Feeding `ParallelEngine::run_batches` with
-/// these batches pipelines routing and processing without materializing
-/// per-shard copies of the whole stream up front.
-pub fn batches(events: &[Event], size: usize) -> impl Iterator<Item = &[Event]> {
-    assert!(size >= 1, "batch size must be positive");
-    events.chunks(size)
-}
-
 /// Measures the empirical mean same-type run length of a stream (used in
 /// tests to validate the burst model).
 pub fn mean_run_length(events: &[Event]) -> f64 {
@@ -361,43 +351,6 @@ mod tests {
     #[should_panic(expected = "empty type mix")]
     fn empty_mix_rejected() {
         BurstyMix::new(&[], 2.0);
-    }
-
-    #[test]
-    fn batches_cover_stream_in_order() {
-        let (_, ts) = mini_registry();
-        let evs: Vec<Event> = (0..10).map(|t| Event::new(Ts(t), ts[0], vec![])).collect();
-        let got: Vec<&[Event]> = batches(&evs, 4).collect();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0].len(), 4);
-        assert_eq!(got[2].len(), 2); // remainder
-        let flat: Vec<Event> = got.into_iter().flatten().cloned().collect();
-        assert_eq!(flat, evs);
-        assert_eq!(batches(&[], 4).count(), 0);
-    }
-
-    /// A stream whose length is an exact multiple of the batch size must
-    /// not yield a trailing zero-length batch: downstream consumers feed
-    /// each batch to the engine, and an empty hand-off must never exist
-    /// to begin with (the engine additionally treats one as a no-op).
-    #[test]
-    fn exact_multiple_has_no_empty_tail() {
-        let (_, ts) = mini_registry();
-        let evs: Vec<Event> = (0..12).map(|t| Event::new(Ts(t), ts[0], vec![])).collect();
-        let got: Vec<&[Event]> = batches(&evs, 4).collect();
-        assert_eq!(got.len(), 3);
-        assert!(got.iter().all(|b| b.len() == 4));
-        // Oversized batch: one chunk carrying the whole stream, again no
-        // empty tail.
-        let whole: Vec<&[Event]> = batches(&evs, 100).collect();
-        assert_eq!(whole.len(), 1);
-        assert_eq!(whole[0].len(), 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size must be positive")]
-    fn zero_batch_rejected() {
-        let _ = batches(&[], 0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub mod smart_home;
 pub mod stock;
 pub mod zipf;
 
-pub use common::{batches, bounded_delay_shuffle, max_observed_lateness, GenConfig};
+pub use common::{bounded_delay_shuffle, max_observed_lateness, GenConfig};
 use hamlet_query::Query;
 use hamlet_types::{Event, TypeRegistry};
 use std::sync::Arc;

@@ -113,12 +113,9 @@ fn main() {
     // Partition-parallel run over the same stream must agree bit-for-bit:
     // ParallelReport.results is sorted by (window, query, key), so sorting
     // the sequential run the same way makes the two directly comparable.
-    // Fed batch-by-batch through the streaming entry point (the batches
-    // could come straight off a generator without holding the full
-    // stream).
     let par: ParallelReport = ParallelEngine::new(reg.clone(), queries, EngineConfig::default(), 4)
         .expect("example setup is valid")
-        .run_batches(hamlet_stream::batches(&events, 2048));
+        .run(&events);
     sort_results(&mut results);
     assert_eq!(results, par.results);
 

@@ -3,9 +3,10 @@
 //! window lost, none duplicated, untouched share groups byte-identical
 //! to never having churned. Proven across the stack:
 //!
-//! * the offline parallel path (`ParallelEngine::run_with_churn`) at 1
-//!   and 4 workers against a single-engine reference that applies the
-//!   same ops at the same stream positions, in canonical order;
+//! * the offline parallel path (one `ParallelSession`: `process` between
+//!   the churn positions, `churn` at each) at 1, 2 and 4 workers against
+//!   a single-engine reference that applies the same ops at the same
+//!   stream positions, in canonical order;
 //! * a proptest over churn positions × stream shapes;
 //! * checkpoint/restore **mid-churn**: a blob taken after churn restores
 //!   only into an engine at the same workload epoch (built with the
@@ -78,7 +79,39 @@ fn churned_reference(
     out
 }
 
-/// The parallel path's coordinated churn barrier at 1 and 4 workers
+/// The parallel path over the same schedule: one session at `workers`
+/// workers, `process` up to each of `churned_reference`'s positions and
+/// `churn` there, then `flush`. Canonical order.
+fn session_churned(
+    reg: &Arc<TypeRegistry>,
+    initial: &[Query],
+    events: &[Event],
+    ops: &[(usize, ChurnOp)],
+    workers: u32,
+) -> Vec<WindowResult> {
+    let mut session = ParallelEngine::new(
+        reg.clone(),
+        initial.to_vec(),
+        EngineConfig::default(),
+        workers,
+    )
+    .expect("engine builds")
+    .session();
+    let mut out = Vec::new();
+    let mut pos = 0usize;
+    for (at, op) in ops {
+        let at = (*at).min(events.len());
+        out.extend(session.process(&events[pos..at]));
+        pos = at;
+        out.extend(session.churn(op.clone()).expect("churn applies"));
+    }
+    out.extend(session.process(&events[pos..]));
+    out.extend(session.flush());
+    sort_results(&mut out);
+    out
+}
+
+/// The parallel path's churn between slices at 1, 2 and 4 workers
 /// equals the single-engine reference, drained barrier results included,
 /// for a schedule that exercises remove-from-shared-group, add-new-query,
 /// and re-add-after-remove.
@@ -97,17 +130,10 @@ fn parallel_churn_matches_single_engine_at_1_and_4_workers() {
     let gold = churned_reference(&reg, &initial, &events, &ops);
     assert!(!gold.is_empty(), "workload emits under churn");
 
-    for workers in [1u32, 4] {
-        let mut eng = ParallelEngine::new(
-            reg.clone(),
-            initial.clone(),
-            EngineConfig::default(),
-            workers,
-        )
-        .unwrap();
-        let report = eng.run_with_churn(&events, &ops).unwrap();
+    for workers in [1u32, 2, 4] {
         assert_eq!(
-            report.results, gold,
+            session_churned(&reg, &initial, &events, &ops, workers),
+            gold,
             "{workers} workers: churned run diverged from the reference"
         );
     }
@@ -164,53 +190,45 @@ fn churn_at_stream_edges_and_back_to_back() {
         (n, ChurnOp::Add(pool[1].clone())),     // after the last event
     ];
     let gold = churned_reference(&reg, &initial, &events, &ops);
-    for workers in [1u32, 4] {
-        let mut eng = ParallelEngine::new(
-            reg.clone(),
-            initial.clone(),
-            EngineConfig::default(),
-            workers,
-        )
-        .unwrap();
-        let report = eng.run_with_churn(&events, &ops).unwrap();
-        assert_eq!(report.results, gold, "{workers} workers diverged");
+    for workers in [1u32, 2, 4] {
+        assert_eq!(
+            session_churned(&reg, &initial, &events, &ops, workers),
+            gold,
+            "{workers} workers diverged"
+        );
     }
 }
 
-/// An invalid op *anywhere* in the schedule rejects the whole run before
-/// any event is processed: the engine still produces the untouched
-/// workload's output afterwards.
+/// A rejected op returns its error, and the session then runs exactly
+/// like an untouched one: after q1's removal between the two halves, a
+/// second removal of q1 and a re-add of the still-present q2 are both
+/// refused, and the output equals the session that never tried them.
 #[test]
 fn invalid_schedule_rejects_upfront_and_leaves_engine_usable() {
     let (reg, pool) = pool();
     let initial: Vec<Query> = pool[..4].to_vec();
     let events = stream(&reg, 3, 1_000, 6);
-    let mut eng =
-        ParallelEngine::new(reg.clone(), initial.clone(), EngineConfig::default(), 4).unwrap();
-    let gold = eng.run(&events);
-
-    // Second op removes an id the first op already removed.
-    let bad = vec![
-        (0usize, ChurnOp::Remove(QueryId(1))),
-        (events.len() / 2, ChurnOp::Remove(QueryId(1))),
-    ];
-    match eng.run_with_churn(&events, &bad) {
-        Err(ChurnError::Unknown(id)) => assert_eq!(id, QueryId(1)),
-        Err(other) => panic!("expected Unknown(1), got {other:?}"),
-        Ok(_) => panic!("expected Unknown(1), got a successful run"),
-    }
-    // Duplicate add deep in the schedule is caught the same way.
-    let dup = vec![
-        (0usize, ChurnOp::Add(pool[6].clone())),
-        (1usize, ChurnOp::Add(pool[6].clone())),
-    ];
-    match eng.run_with_churn(&events, &dup) {
-        Err(ChurnError::Duplicate(id)) => assert_eq!(id, pool[6].id),
-        Err(other) => panic!("expected Duplicate, got {other:?}"),
-        Ok(_) => panic!("expected Duplicate, got a successful run"),
-    }
-    // The failed churns changed nothing: a plain run still matches.
-    assert_eq!(eng.run(&events).results, gold.results);
+    let (head, tail) = events.split_at(events.len() / 2);
+    let par = ParallelEngine::new(reg.clone(), initial, EngineConfig::default(), 4).unwrap();
+    let run = |rejected: &[ChurnOp]| {
+        let mut session = par.session();
+        let mut out = session.process(head);
+        out.extend(session.churn(ChurnOp::Remove(QueryId(1))).unwrap());
+        for op in rejected {
+            match (op, session.churn(op.clone())) {
+                (ChurnOp::Remove(id), Err(ChurnError::Unknown(got))) => assert_eq!(got, *id),
+                (ChurnOp::Add(q), Err(ChurnError::Duplicate(got))) => assert_eq!(got, q.id),
+                (op, other) => panic!("{op:?} must be refused by id, got {other:?}"),
+            }
+        }
+        out.extend(session.process(tail));
+        out.extend(session.flush());
+        out
+    };
+    let untouched = run(&[]);
+    assert!(!untouched.is_empty(), "workload emits");
+    let refused = [ChurnOp::Remove(QueryId(1)), ChurnOp::Add(pool[2].clone())];
+    assert_eq!(run(&refused), untouched);
 }
 
 /// Checkpoint taken mid-stream *after* churn: restoring demands the same
@@ -314,7 +332,7 @@ proptest! {
 
     /// Random stream shape, random churn barrier positions: a remove of
     /// a random initial query and a later add of a never-seen query.
-    /// The parallel path at 1 and 4 workers equals the single-engine
+    /// The parallel path at 1, 2 and 4 workers equals the single-engine
     /// reference in canonical order.
     #[test]
     fn random_churn_positions_and_streams_are_equivalent(
@@ -346,17 +364,9 @@ proptest! {
             (second, ChurnOp::Add(pool[7].clone())),
         ];
         let gold = churned_reference(&reg, &initial, &events, &ops);
-        for workers in [1u32, 4] {
-            let mut eng = ParallelEngine::new(
-                reg.clone(),
-                initial.clone(),
-                EngineConfig::default(),
-                workers,
-            )
-            .unwrap();
-            let report = eng.run_with_churn(&events, &ops).unwrap();
+        for workers in [1u32, 2, 4] {
             prop_assert_eq!(
-                &report.results,
+                &session_churned(&reg, &initial, &events, &ops, workers),
                 &gold,
                 "{} workers, cut ({}, {}): churn changed the output",
                 workers,

@@ -615,8 +615,10 @@ proptest! {
         prop_assert_eq!(resumed_out, gold);
     }
 
-    /// The sharded parallel engine (which feeds workers whole batches)
-    /// returns identical reports for 1 and 4 workers across batch sizes.
+    /// A parallel session returns identical results for 1 and 4 workers
+    /// whatever the batch boundaries: each `process` call ships its
+    /// partial batches when it returns, so calls of `batch_size` events
+    /// vary them.
     #[test]
     fn parallel_batching_is_inert(
         types in proptest::collection::vec(0..3usize, 1..40),
@@ -636,11 +638,15 @@ proptest! {
         ];
         use hamlet_core::ParallelEngine;
         let run = |workers: u32, batch: usize| {
-            ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), workers)
-                .unwrap()
-                .with_batch_size(batch)
-                .run(&events)
-                .results
+            let mut sess =
+                ParallelEngine::new(reg.clone(), queries.clone(), EngineConfig::default(), workers)
+                    .unwrap()
+                    .session();
+            let mut out: Vec<WindowResult> =
+                events.chunks(batch).flat_map(|call| sess.process(call)).collect();
+            out.extend(sess.flush());
+            hamlet_core::sort_results(&mut out);
+            out
         };
         let base = run(1, 1);
         prop_assert_eq!(&run(1, batch_size), &base);

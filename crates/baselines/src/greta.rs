@@ -16,22 +16,21 @@
 //! `hamlet-core`'s run engine so the two cross-validate each other
 //! bit-exactly in tests.
 
+use crate::windowed::{Unit, Windowed};
 use hamlet_core::agg::{ring_of_attr, MmVal, NodeVal};
 use hamlet_core::executor::{render, WindowResult};
-use hamlet_core::metrics::{LatencyRecorder, MemoryGauge};
 use hamlet_core::run::MemberOutput;
 use hamlet_core::template::{NegKind, QueryTemplate, TemplateError};
 use hamlet_core::workload::AggSkeleton;
 use hamlet_query::{Query, QueryId};
-use hamlet_types::{AttrValue, Event, EventTypeId, GroupKey, TrendVal, Ts, TypeRegistry};
-use std::collections::{BTreeMap, HashMap};
+use hamlet_types::{Event, EventTypeId, GroupKey, TrendVal, Ts, TypeRegistry};
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Per-window evaluation state of one query and partition: the GRETA
 /// graph (all matched events with their intermediate aggregates) plus
 /// per-type totals for emission.
-struct GRun {
+pub struct GRun {
     cum: Vec<NodeVal>,
     /// The query graph: stored `(event, value, mm, alive)` per type; new
     /// events scan these predecessor lists (Eq. 2).
@@ -41,32 +40,6 @@ struct GRun {
     /// not connect to successors of type `s`.
     gap_blocked: HashMap<(usize, usize), usize>,
     result_blocked: NodeVal,
-    last_arrival: Option<Instant>,
-}
-
-impl GRun {
-    fn new(nt: usize, _mm_identity: MmVal) -> GRun {
-        GRun {
-            cum: vec![NodeVal::ZERO; nt],
-            stored: (0..nt).map(|_| Vec::new()).collect(),
-            start_blocked: false,
-            gap_blocked: HashMap::new(),
-            result_blocked: NodeVal::ZERO,
-            last_arrival: None,
-        }
-    }
-
-    fn mem_bytes(&self) -> usize {
-        let mut b = std::mem::size_of::<GRun>();
-        b += self.cum.len() * std::mem::size_of::<NodeVal>();
-        for per_ty in &self.stored {
-            b += per_ty
-                .iter()
-                .map(|(e, _, _, _)| e.mem_bytes() + std::mem::size_of::<NodeVal>() + 9)
-                .sum::<usize>();
-        }
-        b
-    }
 }
 
 /// Local negation info.
@@ -76,15 +49,9 @@ enum GNeg {
     Trailing,
 }
 
-/// One compiled query: immutable metadata plus mutable partition state,
-/// kept as separate fields so borrows stay disjoint.
-struct QueryExec {
-    meta: QMeta,
-    partitions: HashMap<GroupKey, BTreeMap<u64, GRun>>,
-}
-
-/// Immutable compiled query info.
-struct QMeta {
+/// One compiled query, the unit a [`GretaEngine`] evaluates: its graph
+/// shape, immutable once built.
+pub struct GretaQuery {
     query: Arc<Query>,
     types: Vec<EventTypeId>,
     local: HashMap<EventTypeId, usize>,
@@ -96,18 +63,10 @@ struct QMeta {
     negs: Vec<Vec<GNeg>>,
 
     skeleton: AggSkeleton,
-    partition_attrs: Vec<Arc<str>>,
 }
 
 /// The GRETA baseline engine: a workload processed one query at a time.
-pub struct GretaEngine {
-    reg: Arc<TypeRegistry>,
-    queries: Vec<QueryExec>,
-    latency: LatencyRecorder,
-    gauge: MemoryGauge,
-    events: u64,
-    mem_sample_every: u64,
-}
+pub type GretaEngine = Windowed<GretaQuery>;
 
 impl GretaEngine {
     /// Compiles the workload. Patterns with `OR`/`AND` are rejected (the
@@ -155,118 +114,64 @@ impl GretaEngine {
                     };
                     negs[nl].push(g);
                 }
-                Ok(QueryExec {
-                    meta: QMeta {
-                        skeleton: AggSkeleton::of(&q.agg),
-                        partition_attrs: q.partition_attrs(),
-                        query: Arc::new(q),
-                        types,
-                        local,
-                        pt,
-                        start,
-                        end,
-                        negs,
-                    },
-                    partitions: HashMap::new(),
-                })
+                let (attrs, window) = (q.partition_attrs(), q.window);
+                let unit = GretaQuery {
+                    skeleton: AggSkeleton::of(&q.agg),
+                    query: Arc::new(q),
+                    types,
+                    local,
+                    pt,
+                    start,
+                    end,
+                    negs,
+                };
+                Ok((unit, attrs, window))
             })
             .collect::<Result<Vec<_>, TemplateError>>()?;
-        Ok(GretaEngine {
-            reg,
-            queries: compiled,
-            latency: LatencyRecorder::new(),
-            gauge: MemoryGauge::new(),
-            events: 0,
-            mem_sample_every: 256,
-        })
+        Ok(Windowed::over(reg, compiled))
+    }
+}
+
+impl Unit for GretaQuery {
+    type State = GRun;
+
+    fn accepts(&self, e: &Event) -> bool {
+        self.local.contains_key(&e.ty)
     }
 
-    /// Processes one event for every query; returns closed-window results.
-    pub fn process(&mut self, e: &Event) -> Vec<WindowResult> {
-        // hamlet-lint: allow(wallclock) -- arrival stamp for the latency recorder; never reaches results
-        let now = Instant::now();
-        let mut out = Vec::new();
-        self.emit_expired(e.time, &mut out);
-        let reg = self.reg.clone();
-        for qx in &mut self.queries {
-            let meta = &qx.meta;
-            let Some(&tl) = meta.local.get(&e.ty) else {
-                continue;
-            };
-            let key = partition_key(&reg, &meta.partition_attrs, e);
-            let window = meta.query.window;
-            let nt = meta.types.len();
-            let (mm_id, is_min) = mm_identity(&meta.skeleton);
-            let runs = qx.partitions.entry(key).or_default();
-            for start in window.instances_containing(e.time) {
-                let run = runs
-                    .entry(start.ticks())
-                    .or_insert_with(|| GRun::new(nt, mm_id));
-                process_event(meta, run, tl, e, is_min, mm_id);
-                run.last_arrival = Some(now);
-            }
-        }
-        self.events += 1;
-        if self.mem_sample_every > 0 && self.events.is_multiple_of(self.mem_sample_every) {
-            let b = self.state_bytes();
-            self.gauge.sample(b);
-        }
-        out
-    }
-
-    fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
-        for qx in &mut self.queries {
-            let meta = &qx.meta;
-            let within = meta.query.window.within;
-            let (mm_id, _) = mm_identity(&meta.skeleton);
-            // hamlet-lint: allow(unordered-iter) -- baseline emission order is unspecified; the harness sorts before comparing (tests/equivalence.rs)
-            for (key, runs) in qx.partitions.iter_mut() {
-                while let Some((&start, _)) = runs.first_key_value() {
-                    if hamlet_types::time::window_end(start, within) > watermark.ticks() {
-                        break;
-                    }
-                    let run = runs.remove(&start).expect("first key exists");
-                    if let Some(arr) = run.last_arrival {
-                        self.latency.record(arr.elapsed());
-                    }
-                    out.push(emit(meta, &run, key.clone(), start, mm_id));
-                }
-            }
-            // hamlet-lint: allow(unordered-iter) -- prunes empty partitions; no order-sensitive effect
-            qx.partitions.retain(|_, r| !r.is_empty());
+    fn open(&self) -> GRun {
+        let nt = self.types.len();
+        GRun {
+            cum: vec![NodeVal::ZERO; nt],
+            stored: (0..nt).map(|_| Vec::new()).collect(),
+            start_blocked: false,
+            gap_blocked: HashMap::new(),
+            result_blocked: NodeVal::ZERO,
         }
     }
 
-    /// Finalizes all open windows.
-    pub fn flush(&mut self) -> Vec<WindowResult> {
-        let mut out = Vec::new();
-        self.emit_expired(Ts(u64::MAX), &mut out);
-        out
+    fn fold(&self, run: &mut GRun, e: &Event) {
+        let (mm_id, is_min) = mm_identity(&self.skeleton);
+        process_event(self, run, self.local[&e.ty], e, is_min, mm_id);
     }
 
-    /// Per-result latency recorder.
-    pub fn latency(&self) -> &LatencyRecorder {
-        &self.latency
+    fn emit(&mut self, run: GRun, key: &GroupKey, start: Ts, out: &mut Vec<WindowResult>) {
+        let (mm_id, _) = mm_identity(&self.skeleton);
+        out.push(emit(self, &run, key.clone(), start.ticks(), mm_id));
     }
 
-    /// Peak byte-accounted state (§6.1 memory metric).
-    pub fn peak_memory(&self) -> usize {
-        self.gauge.peak()
-    }
-
-    /// Current byte-accounted state.
-    pub fn state_bytes(&self) -> usize {
-        self.queries
-            .iter()
-            .map(|qx| {
-                qx.partitions
-                    // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
-                    .values()
-                    .flat_map(|r| r.values())
-                    .map(GRun::mem_bytes)
-                    .sum::<usize>()
-            })
-            .sum()
+    /// The graph: every stored event with its aggregate, plus the
+    /// per-type totals (§6.1 memory metric).
+    fn bytes(&self, run: &GRun) -> usize {
+        let mut b = std::mem::size_of::<GRun>();
+        b += run.cum.len() * std::mem::size_of::<NodeVal>();
+        for per_ty in &run.stored {
+            b += per_ty
+                .iter()
+                .map(|(e, _, _, _)| e.mem_bytes() + std::mem::size_of::<NodeVal>() + 9)
+                .sum::<usize>();
+        }
+        b
     }
 }
 
@@ -276,19 +181,6 @@ fn mm_identity(sk: &AggSkeleton) -> (MmVal, bool) {
         AggSkeleton::MinMax { is_min: false, .. } => (MmVal::MAX_IDENTITY, false),
         _ => (MmVal::MIN_IDENTITY, true),
     }
-}
-
-fn partition_key(reg: &TypeRegistry, attrs: &[Arc<str>], e: &Event) -> GroupKey {
-    GroupKey(
-        attrs
-            .iter()
-            .map(|name| {
-                reg.attr_index(e.ty, name)
-                    .and_then(|i| e.attr(i).cloned())
-                    .unwrap_or(AttrValue::Int(0))
-            })
-            .collect(),
-    )
 }
 
 fn weight(sk: &AggSkeleton, e: &Event) -> (TrendVal, bool) {
@@ -304,7 +196,14 @@ fn weight(sk: &AggSkeleton, e: &Event) -> (TrendVal, bool) {
     }
 }
 
-fn process_event(qx: &QMeta, run: &mut GRun, tl: usize, e: &Event, is_min: bool, mm_id: MmVal) {
+fn process_event(
+    qx: &GretaQuery,
+    run: &mut GRun,
+    tl: usize,
+    e: &Event,
+    is_min: bool,
+    mm_id: MmVal,
+) {
     // Negation effects (§5): the event may be a negated match for this
     // query; it is never also positive (duplicate types are rejected).
     if !qx.negs[tl].is_empty() {
@@ -377,7 +276,7 @@ fn process_event(qx: &QMeta, run: &mut GRun, tl: usize, e: &Event, is_min: bool,
     run.stored[tl].push((e.clone(), val, mm_out, alive_out || start));
 }
 
-fn emit(qx: &QMeta, run: &GRun, key: GroupKey, start: u64, mm_id: MmVal) -> WindowResult {
+fn emit(qx: &GretaQuery, run: &GRun, key: GroupKey, start: u64, mm_id: MmVal) -> WindowResult {
     let is_min = matches!(qx.skeleton, AggSkeleton::MinMax { is_min: true, .. })
         || !matches!(qx.skeleton, AggSkeleton::MinMax { .. });
     let mut raw = NodeVal::ZERO;
@@ -428,6 +327,7 @@ mod tests {
     use super::*;
     use hamlet_core::executor::AggValue;
     use hamlet_query::{Pattern, Window};
+    use hamlet_types::AttrValue;
 
     fn registry() -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, EventTypeId) {
         let mut reg = TypeRegistry::new();
@@ -526,7 +426,6 @@ mod tests {
         let (reg, a, b, _) = registry();
         let q = Query::count_star(0, seq(a, b), Window::tumbling(4));
         let mut eng = GretaEngine::new(reg, vec![q]).unwrap();
-        eng.mem_sample_every = 1;
         for t in 0..20u64 {
             let e = ev(if t % 4 == 0 { a } else { b }, t);
             eng.process(&e);

@@ -10,15 +10,13 @@
 //! slower on Kleene workloads (Fig. 9). Matches longer than `l` are
 //! undercounted — SHARON's inherent limitation.
 
+use crate::windowed::{Unit, Windowed};
 use hamlet_core::agg::NodeVal;
 use hamlet_core::executor::{AggValue, WindowResult};
-use hamlet_core::metrics::{LatencyRecorder, MemoryGauge};
 use hamlet_query::{AggFunc, Pattern, Query};
-use hamlet_types::{AttrValue, Event, EventTypeId, GroupKey, TrendVal, Ts, TypeRegistry};
-use std::collections::{BTreeMap, HashMap};
+use hamlet_types::{Event, EventTypeId, GroupKey, TrendVal, Ts, TypeRegistry};
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Construction errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,34 +36,21 @@ impl fmt::Display for SharonError {
 
 impl std::error::Error for SharonError {}
 
-/// One flattened query: a chain of positions; `kleene` marks the block of
-/// `l` positions that encodes `E×1 … E×l`.
-struct Flat {
+/// One flattened query, the unit a [`SharonEngine`] evaluates: a chain
+/// of positions; `kleene` marks the block of `l` positions that encodes
+/// `E×1 … E×l`. A window instance holds one dynamic-program cell per
+/// position.
+pub struct FlatQuery {
     query: Arc<Query>,
     /// Position types: prefix types, then `l` copies of the Kleene type,
     /// then suffix types.
     positions: Vec<EventTypeId>,
     /// Index range of the Kleene block.
     kleene: std::ops::Range<usize>,
-    partition_attrs: Vec<Arc<str>>,
-    partitions: HashMap<GroupKey, BTreeMap<u64, SRun>>,
-}
-
-struct SRun {
-    dp: Vec<NodeVal>,
-    last_arrival: Option<Instant>,
 }
 
 /// The SHARON baseline engine.
-pub struct SharonEngine {
-    reg: Arc<TypeRegistry>,
-    flats: Vec<Flat>,
-    /// Estimated longest Kleene match (`l`).
-    pub max_len: usize,
-    latency: LatencyRecorder,
-    gauge: MemoryGauge,
-    events: u64,
-}
+pub type SharonEngine = Windowed<FlatQuery>;
 
 fn flatten_pattern(p: &Pattern) -> Result<(Vec<EventTypeId>, usize), SharonError> {
     // Returns (type chain with the Kleene type appearing once, index of the
@@ -103,13 +88,18 @@ fn flatten_pattern(p: &Pattern) -> Result<(Vec<EventTypeId>, usize), SharonError
 }
 
 impl SharonEngine {
-    /// Flattens the workload with maximum Kleene length `max_len`.
+    /// Flattens the workload with maximum Kleene length `max_len` (`l`,
+    /// at least 1).
     pub fn new(
         reg: Arc<TypeRegistry>,
         queries: Vec<Query>,
         max_len: usize,
     ) -> Result<Self, SharonError> {
-        assert!(max_len >= 1);
+        if max_len == 0 {
+            return Err(SharonError::Unsupported(
+                "the longest Kleene match l must be at least 1".into(),
+            ));
+        }
         let flats = queries
             .into_iter()
             .map(|q| {
@@ -125,160 +115,78 @@ impl SharonEngine {
                 let kleene = positions.len()..positions.len() + max_len;
                 positions.extend(std::iter::repeat_n(kleene_ty, max_len));
                 positions.extend_from_slice(&chain[kat + 1..]);
-                Ok(Flat {
-                    partition_attrs: q.partition_attrs(),
+                let (attrs, window) = (q.partition_attrs(), q.window);
+                let flat = FlatQuery {
                     query: Arc::new(q),
                     positions,
                     kleene,
-                    partitions: HashMap::new(),
-                })
+                };
+                Ok((flat, attrs, window))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(SharonEngine {
-            reg,
-            flats,
-            max_len,
-            latency: LatencyRecorder::new(),
-            gauge: MemoryGauge::new(),
-            events: 0,
-        })
+        Ok(Windowed::over(reg, flats))
+    }
+}
+
+impl Unit for FlatQuery {
+    type State = Vec<NodeVal>;
+
+    fn accepts(&self, e: &Event) -> bool {
+        self.positions.contains(&e.ty) && self.query.selects(e)
     }
 
-    /// Processes one event; returns closed-window results.
-    pub fn process(&mut self, e: &Event) -> Vec<WindowResult> {
-        // hamlet-lint: allow(wallclock) -- arrival stamp for the latency recorder; never reaches results
-        let now = Instant::now();
-        let mut out = Vec::new();
-        self.emit_expired(e.time, &mut out);
-        let reg = self.reg.clone();
-        for flat in &mut self.flats {
-            if !flat.positions.contains(&e.ty) {
+    fn open(&self) -> Vec<NodeVal> {
+        vec![NodeVal::ZERO; self.positions.len()]
+    }
+
+    fn fold(&self, dp: &mut Vec<NodeVal>, e: &Event) {
+        // Fixed-length sequence DP: scan positions from the back so one
+        // event extends each flattened query at most once. The first
+        // suffix position accepts any Kleene length `j`, so it sums over
+        // the whole block (prefix sharing across the flattened family).
+        for i in (0..dp.len()).rev() {
+            if self.positions[i] != e.ty {
                 continue;
             }
-            if !flat.query.selects(e) {
-                continue;
-            }
-            let key = GroupKey(
-                flat.partition_attrs
-                    .iter()
-                    .map(|name| {
-                        reg.attr_index(e.ty, name)
-                            .and_then(|i| e.attr(i).cloned())
-                            .unwrap_or(AttrValue::Int(0))
-                    })
-                    .collect(),
-            );
-            let np = flat.positions.len();
-            let window = flat.query.window;
-            let runs = flat.partitions.entry(key).or_default();
-            for start in window.instances_containing(e.time) {
-                let run = runs.entry(start.ticks()).or_insert_with(|| SRun {
-                    dp: vec![NodeVal::ZERO; np],
-                    last_arrival: None,
-                });
-                // Fixed-length sequence DP: scan positions from the back so
-                // one event extends each flattened query at most once. The
-                // first suffix position accepts any Kleene length `j`, so
-                // it sums over the whole block (prefix sharing across the
-                // flattened family).
-                for i in (0..np).rev() {
-                    if flat.positions[i] != e.ty {
-                        continue;
-                    }
-                    let inc = if i == 0 {
-                        NodeVal {
-                            count: TrendVal::ONE,
-                            ..NodeVal::ZERO
-                        }
-                    } else if i == flat.kleene.end {
-                        let mut s = NodeVal::ZERO;
-                        for j in flat.kleene.clone() {
-                            s.add(run.dp[j]);
-                        }
-                        s
-                    } else {
-                        run.dp[i - 1]
-                    };
-                    run.dp[i].add(inc);
+            let inc = if i == 0 {
+                NodeVal {
+                    count: TrendVal::ONE,
+                    ..NodeVal::ZERO
                 }
-                run.last_arrival = Some(now);
-            }
-        }
-        self.events += 1;
-        if self.events.is_multiple_of(256) {
-            let b = self.state_bytes();
-            self.gauge.sample(b);
-        }
-        out
-    }
-
-    fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
-        for flat in &mut self.flats {
-            let within = flat.query.window.within;
-            // hamlet-lint: allow(unordered-iter) -- baseline emission order is unspecified; the harness sorts before comparing (tests/equivalence.rs)
-            for (key, runs) in flat.partitions.iter_mut() {
-                while let Some((&start, _)) = runs.first_key_value() {
-                    if hamlet_types::time::window_end(start, within) > watermark.ticks() {
-                        break;
-                    }
-                    let run = runs.remove(&start).expect("first key exists");
-                    if let Some(arr) = run.last_arrival {
-                        self.latency.record(arr.elapsed());
-                    }
-                    // Total = Σ over flattened queries: sequences ending at
-                    // the last position of each `SEQ(…, E×j, …)`.
-                    let total: TrendVal = if flat.kleene.end == flat.positions.len() {
-                        run.dp[flat.kleene.clone()].iter().map(|v| v.count).sum()
-                    } else {
-                        // A suffix exists; only full chains count. The
-                        // suffix block is shared across j, so the final
-                        // position holds the total.
-                        run.dp[flat.positions.len() - 1].count
-                    };
-                    out.push(WindowResult {
-                        query: flat.query.id,
-                        group_key: key.clone(),
-                        window_start: Ts(start),
-                        value: AggValue::Count(total.0),
-                    });
+            } else if i == self.kleene.end {
+                let mut s = NodeVal::ZERO;
+                for j in self.kleene.clone() {
+                    s.add(dp[j]);
                 }
-            }
-            // hamlet-lint: allow(unordered-iter) -- prunes empty partitions; no order-sensitive effect
-            flat.partitions.retain(|_, r| !r.is_empty());
+                s
+            } else {
+                dp[i - 1]
+            };
+            dp[i].add(inc);
         }
     }
 
-    /// Finalizes all open windows.
-    pub fn flush(&mut self) -> Vec<WindowResult> {
-        let mut out = Vec::new();
-        self.emit_expired(Ts(u64::MAX), &mut out);
-        out
+    fn emit(&mut self, dp: Vec<NodeVal>, key: &GroupKey, start: Ts, out: &mut Vec<WindowResult>) {
+        // Total = Σ over flattened queries: sequences ending at the last
+        // position of each `SEQ(…, E×j, …)`.
+        let total: TrendVal = if self.kleene.end == self.positions.len() {
+            dp[self.kleene.clone()].iter().map(|v| v.count).sum()
+        } else {
+            // A suffix exists; only full chains count. The suffix block
+            // is shared across j, so the final position holds the total.
+            dp[self.positions.len() - 1].count
+        };
+        out.push(WindowResult {
+            query: self.query.id,
+            group_key: key.clone(),
+            window_start: start,
+            value: AggValue::Count(total.0),
+        });
     }
 
-    /// Per-result latency recorder.
-    pub fn latency(&self) -> &LatencyRecorder {
-        &self.latency
-    }
-
-    /// Peak byte-accounted state (dp tables per flattened query — the
-    /// memory blow-up of Fig. 10).
-    pub fn peak_memory(&self) -> usize {
-        self.gauge.peak()
-    }
-
-    /// Current byte-accounted state.
-    pub fn state_bytes(&self) -> usize {
-        self.flats
-            .iter()
-            .map(|f| {
-                f.partitions
-                    // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
-                    .values()
-                    .flat_map(|r| r.values())
-                    .map(|run| run.dp.len() * std::mem::size_of::<NodeVal>())
-                    .sum::<usize>()
-            })
-            .sum()
+    /// The dp tables per flattened query — the memory blow-up of Fig. 10.
+    fn bytes(&self, dp: &Vec<NodeVal>) -> usize {
+        dp.len() * std::mem::size_of::<NodeVal>()
     }
 }
 
@@ -286,6 +194,7 @@ impl SharonEngine {
 mod tests {
     use super::*;
     use hamlet_query::{QueryId, Window};
+    use hamlet_types::AttrValue;
 
     fn registry() -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, EventTypeId) {
         let mut reg = TypeRegistry::new();
@@ -366,6 +275,17 @@ mod tests {
         let no_kleene = Pattern::seq(vec![Pattern::Type(a), Pattern::Type(c)]);
         let q = Query::count_star(0, no_kleene, Window::tumbling(10));
         assert!(SharonEngine::new(reg, vec![q], 4).is_err());
+    }
+
+    /// `l` = 0 would flatten `E+` into no sequence at all: rejected.
+    #[test]
+    fn zero_max_len_is_an_error() {
+        let (reg, a, b, _) = registry();
+        let q = Query::count_star(0, seq(a, b), Window::tumbling(10));
+        assert!(matches!(
+            SharonEngine::new(reg, vec![q], 0),
+            Err(SharonError::Unsupported(_))
+        ));
     }
 
     #[test]

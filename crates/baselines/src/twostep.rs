@@ -13,17 +13,16 @@
 //! bites). With an unlimited budget this engine doubles as the brute-force
 //! correctness oracle for every other strategy in the workspace.
 
+use crate::windowed::{Unit, Windowed};
 use hamlet_core::agg::{ring_of_attr, MmVal, NodeVal};
 use hamlet_core::executor::{render, WindowResult};
-use hamlet_core::metrics::{LatencyRecorder, MemoryGauge};
 use hamlet_core::run::MemberOutput;
 use hamlet_core::template::{NegKind, QueryTemplate, TemplateError};
 use hamlet_core::workload::AggSkeleton;
 use hamlet_query::Query;
-use hamlet_types::{AttrValue, Event, EventTypeId, GroupKey, TrendVal, Ts, TypeRegistry};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use hamlet_types::{Event, EventTypeId, GroupKey, TrendVal, Ts, TypeRegistry};
+use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A compiled member query.
 struct TQuery {
@@ -32,32 +31,20 @@ struct TQuery {
     skeleton: AggSkeleton,
 }
 
-/// Construction-sharing group (equal partition attrs and window).
-struct TGroup {
+/// A construction-sharing group (equal partition attrs and window), the
+/// unit a [`TwoStepEngine`] evaluates. A window instance holds the
+/// group's stored events (step 1, shared).
+pub struct ConstructionGroup {
     queries: Vec<TQuery>,
-    partition_attrs: Vec<Arc<str>>,
-    window: hamlet_query::Window,
-    partitions: HashMap<GroupKey, BTreeMap<u64, TRun>>,
-}
-
-/// Shared step-1 state: the stored events of one window instance.
-struct TRun {
-    events: Vec<Event>,
-    last_arrival: Option<Instant>,
+    /// Maximum DFS steps per (query, window); `None` = unlimited (oracle
+    /// mode).
+    budget: Option<u64>,
+    /// Enumerations of this group cut short by the budget.
+    truncated: u64,
 }
 
 /// The two-step baseline engine.
-pub struct TwoStepEngine {
-    reg: Arc<TypeRegistry>,
-    groups: Vec<TGroup>,
-    /// Maximum DFS steps per (query, window); `None` = unlimited (oracle
-    /// mode).
-    pub budget: Option<u64>,
-    truncated: u64,
-    latency: LatencyRecorder,
-    gauge: MemoryGauge,
-    events: u64,
-}
+pub type TwoStepEngine = Windowed<ConstructionGroup>;
 
 impl TwoStepEngine {
     /// Compiles the workload, grouping queries that can share trend
@@ -67,7 +54,7 @@ impl TwoStepEngine {
         queries: Vec<Query>,
         budget: Option<u64>,
     ) -> Result<Self, TemplateError> {
-        let mut groups: Vec<TGroup> = Vec::new();
+        let mut groups: Vec<(ConstructionGroup, Vec<Arc<str>>, hamlet_query::Window)> = Vec::new();
         for q in queries {
             let tpl = QueryTemplate::build(&q.pattern)?;
             let tq = TQuery {
@@ -79,143 +66,64 @@ impl TwoStepEngine {
             let window = tq.query.window;
             match groups
                 .iter_mut()
-                .find(|g| g.partition_attrs == attrs && g.window == window)
+                .find(|(_, a, w)| *a == attrs && *w == window)
             {
-                Some(g) => g.queries.push(tq),
-                None => groups.push(TGroup {
-                    queries: vec![tq],
-                    partition_attrs: attrs,
+                Some((g, _, _)) => g.queries.push(tq),
+                None => groups.push((
+                    ConstructionGroup {
+                        queries: vec![tq],
+                        budget,
+                        truncated: 0,
+                    },
+                    attrs,
                     window,
-                    partitions: HashMap::new(),
-                }),
+                )),
             }
         }
-        Ok(TwoStepEngine {
-            reg,
-            groups,
-            budget,
-            truncated: 0,
-            latency: LatencyRecorder::new(),
-            gauge: MemoryGauge::new(),
-            events: 0,
-        })
-    }
-
-    /// Processes one event (step 1: shared graph construction).
-    pub fn process(&mut self, e: &Event) -> Vec<WindowResult> {
-        // hamlet-lint: allow(wallclock) -- arrival stamp for the latency recorder; never reaches results
-        let now = Instant::now();
-        let mut out = Vec::new();
-        self.emit_expired(e.time, &mut out);
-        let reg = self.reg.clone();
-        for g in &mut self.groups {
-            let relevant = g.queries.iter().any(|tq| {
-                tq.tpl.states.contains(&e.ty) || tq.tpl.negations.iter().any(|n| n.neg_ty == e.ty)
-            });
-            if !relevant {
-                continue;
-            }
-            let key = GroupKey(
-                g.partition_attrs
-                    .iter()
-                    .map(|name| {
-                        reg.attr_index(e.ty, name)
-                            .and_then(|i| e.attr(i).cloned())
-                            .unwrap_or(AttrValue::Int(0))
-                    })
-                    .collect(),
-            );
-            let runs = g.partitions.entry(key).or_default();
-            for start in g.window.instances_containing(e.time) {
-                let run = runs.entry(start.ticks()).or_insert_with(|| TRun {
-                    events: Vec::new(),
-                    last_arrival: None,
-                });
-                run.events.push(e.clone());
-                run.last_arrival = Some(now);
-            }
-        }
-        self.events += 1;
-        if self.events.is_multiple_of(256) {
-            let b = self.state_bytes();
-            self.gauge.sample(b);
-        }
-        out
-    }
-
-    fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
-        let budget = self.budget;
-        for g in &mut self.groups {
-            let within = g.window.within;
-            let mut finished = Vec::new();
-            // hamlet-lint: allow(unordered-iter) -- baseline emission order is unspecified; the harness sorts before comparing (tests/equivalence.rs)
-            for (key, runs) in g.partitions.iter_mut() {
-                while let Some((&start, _)) = runs.first_key_value() {
-                    if hamlet_types::time::window_end(start, within) > watermark.ticks() {
-                        break;
-                    }
-                    let run = runs.remove(&start).expect("first key exists");
-                    finished.push((key.clone(), start, run));
-                }
-            }
-            // hamlet-lint: allow(unordered-iter) -- prunes empty partitions; no order-sensitive effect
-            g.partitions.retain(|_, r| !r.is_empty());
-            for (key, start, run) in finished {
-                if let Some(arr) = run.last_arrival {
-                    self.latency.record(arr.elapsed());
-                }
-                for tq in &g.queries {
-                    // Step 2: per-query trend enumeration + aggregation.
-                    let (output, truncated) = enumerate(tq, &run.events, budget);
-                    if truncated {
-                        self.truncated += 1;
-                    }
-                    out.push(WindowResult {
-                        query: tq.query.id,
-                        group_key: key.clone(),
-                        window_start: Ts(start),
-                        value: render(&tq.query.agg, &output),
-                    });
-                }
-            }
-        }
-    }
-
-    /// Finalizes all open windows.
-    pub fn flush(&mut self) -> Vec<WindowResult> {
-        let mut out = Vec::new();
-        self.emit_expired(Ts(u64::MAX), &mut out);
-        out
+        Ok(Windowed::over(reg, groups))
     }
 
     /// Number of enumerations cut short by the work budget.
     pub fn truncated(&self) -> u64 {
-        self.truncated
+        self.units().map(|g| g.truncated).sum()
+    }
+}
+
+impl Unit for ConstructionGroup {
+    type State = Vec<Event>;
+
+    fn accepts(&self, e: &Event) -> bool {
+        self.queries.iter().any(|tq| {
+            tq.tpl.states.contains(&e.ty) || tq.tpl.negations.iter().any(|n| n.neg_ty == e.ty)
+        })
     }
 
-    /// Per-result latency recorder.
-    pub fn latency(&self) -> &LatencyRecorder {
-        &self.latency
+    fn open(&self) -> Vec<Event> {
+        Vec::new()
     }
 
-    /// Peak byte-accounted state (stored events + the current trend, §6.1).
-    pub fn peak_memory(&self) -> usize {
-        self.gauge.peak()
+    /// Step 1: shared graph construction.
+    fn fold(&self, events: &mut Vec<Event>, e: &Event) {
+        events.push(e.clone());
     }
 
-    /// Current byte-accounted state.
-    pub fn state_bytes(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| {
-                g.partitions
-                    // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
-                    .values()
-                    .flat_map(|r| r.values())
-                    .map(|run| run.events.iter().map(Event::mem_bytes).sum::<usize>())
-                    .sum::<usize>()
-            })
-            .sum()
+    fn emit(&mut self, events: Vec<Event>, key: &GroupKey, start: Ts, out: &mut Vec<WindowResult>) {
+        for tq in &self.queries {
+            // Step 2: per-query trend enumeration + aggregation.
+            let (output, truncated) = enumerate(tq, &events, self.budget);
+            self.truncated += u64::from(truncated);
+            out.push(WindowResult {
+                query: tq.query.id,
+                group_key: key.clone(),
+                window_start: start,
+                value: render(&tq.query.agg, &output),
+            });
+        }
+    }
+
+    /// The stored events (§6.1).
+    fn bytes(&self, events: &Vec<Event>) -> usize {
+        events.iter().map(Event::mem_bytes).sum()
     }
 }
 
@@ -421,6 +329,7 @@ mod tests {
     use super::*;
     use hamlet_core::executor::AggValue;
     use hamlet_query::{Pattern, QueryId, Window};
+    use hamlet_types::AttrValue;
 
     fn registry() -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, EventTypeId) {
         let mut reg = TypeRegistry::new();
@@ -469,7 +378,7 @@ mod tests {
         let q1 = Query::count_star(1, seq(a, b), Window::tumbling(100));
         let q2 = Query::count_star(2, seq(c, b), Window::tumbling(100));
         let mut eng = TwoStepEngine::new(reg, vec![q1, q2], None).unwrap();
-        assert_eq!(eng.groups.len(), 1); // construction shared
+        assert_eq!(eng.units().count(), 1); // construction shared
         let evs = vec![ev(a, 1), ev(a, 2), ev(c, 3), ev(b, 4)];
         let mut out = run(&mut eng, &evs);
         out.sort_by_key(|r| r.query);

@@ -485,6 +485,15 @@ impl HamletEngine {
                 None => simple.push(Arc::new(q.clone())),
             }
         }
+        let alpha = match cfg.divergence {
+            DivergenceMode::Ema { alpha } if (0.0..=1.0).contains(&alpha) => alpha,
+            DivergenceMode::Ema { alpha } => {
+                return Err(EngineError::Unsupported(format!(
+                    "EMA smoothing factor {alpha} is outside [0, 1]"
+                )))
+            }
+            DivergenceMode::Exact => 0.5,
+        };
         let plan = workload::analyze(&simple).map_err(EngineError::Workload)?;
         let groups: Vec<GroupExec> = plan
             .groups
@@ -492,10 +501,6 @@ impl HamletEngine {
             .map(|g| {
                 let pane = hamlet_types::time::gcd(g.window.within, g.window.slide);
                 let rt = GroupRuntime::new(g);
-                let alpha = match cfg.divergence {
-                    DivergenceMode::Ema { alpha } => alpha,
-                    DivergenceMode::Exact => 0.5,
-                };
                 let partition_slots = (0..reg.len())
                     .map(|t| {
                         let id = hamlet_types::EventTypeId(t as u16);
@@ -2196,5 +2201,24 @@ mod tests {
             windows(&out, 2),
             "OR query covers the same windows"
         );
+    }
+
+    /// An EMA smoothing factor outside `[0, 1]`, or NaN, is a compile
+    /// error — from the engine and from the sharded executor built on it
+    /// — not a panic inside the divergence estimator.
+    #[test]
+    fn ema_alpha_outside_the_unit_interval_is_an_error() {
+        let (reg, a, b, _) = registry();
+        let q = Query::count_star(1, seq(a, b), Window::tumbling(20));
+        for alpha in [-0.1, 1.5, f64::NAN] {
+            let cfg = EngineConfig {
+                divergence: DivergenceMode::Ema { alpha },
+                ..EngineConfig::default()
+            };
+            let eng = HamletEngine::new(reg.clone(), vec![q.clone()], cfg.clone());
+            assert!(matches!(eng, Err(EngineError::Unsupported(_))), "{alpha}");
+            let par = crate::ParallelEngine::new(reg.clone(), vec![q.clone()], cfg, 2);
+            assert!(matches!(par, Err(EngineError::Unsupported(_))), "{alpha}");
+        }
     }
 }

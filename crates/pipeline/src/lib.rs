@@ -291,7 +291,10 @@ impl PipelineBuilder {
     /// The [`CheckpointStore`] cadence cuts and on-demand
     /// [`Snapshot::cut`]s append to — base/delta chain management
     /// (linkage validation, compaction GC) is the store's job. Required
-    /// when [`checkpoint_every`](Self::checkpoint_every) is set;
+    /// when [`checkpoint_every`](Self::checkpoint_every) is set (a cadence
+    /// without a store is [`EngineError::Unsupported`] from
+    /// [`spawn`](Self::spawn), [`ResumeError::Engine`] from
+    /// [`resume_from`](Self::resume_from));
     /// [`Pipeline::builder`]`(…).resume_from` reads the same store back.
     pub fn checkpoint_store(mut self, store: Arc<dyn CheckpointStore>) -> Self {
         self.store = Some(store);
@@ -315,8 +318,11 @@ impl PipelineBuilder {
     /// last completed cut and the crash are re-emitted on resume
     /// (at-least-once across a crash — a run that resumes from a cut it
     /// took itself never duplicates).
+    ///
+    /// `released` must be positive: 0 is [`EngineError::Unsupported`]
+    /// from [`spawn`](Self::spawn) and [`ResumeError::Engine`] from
+    /// [`resume_from`](Self::resume_from).
     pub fn checkpoint_every(mut self, released: u64) -> Self {
-        assert!(released >= 1, "checkpoint cadence must be positive");
         self.checkpoint_every = Some(released);
         self
     }
@@ -324,9 +330,9 @@ impl PipelineBuilder {
     /// Every `cuts`-th cadence cut is promoted from a delta to a full
     /// base, compacting the store's chain (default
     /// [`DEFAULT_COMPACT_EVERY`]). `1` makes every cut a full
-    /// checkpoint.
+    /// checkpoint; 0 is reported like a zero
+    /// [`checkpoint_every`](Self::checkpoint_every).
     pub fn compact_every(mut self, cuts: u64) -> Self {
-        assert!(cuts >= 1, "compaction cadence must be positive");
         self.compact_every = cuts;
         self
     }
@@ -453,10 +459,15 @@ impl PipelineBuilder {
         Src: Source + 'static,
         S: Sink + 'static,
     {
-        assert!(
-            self.checkpoint_every.is_none() || self.store.is_some(),
-            "checkpoint_every requires a checkpoint_store to append to"
-        );
+        let bad_cadence = match (self.checkpoint_every, &self.store) {
+            (Some(0), _) => Some("checkpoint_every must be positive"),
+            (Some(_), None) => Some("checkpoint_every requires a checkpoint_store to append to"),
+            _ if self.compact_every == 0 => Some("compact_every must be positive"),
+            _ => None,
+        };
+        if let Some(why) = bad_cadence {
+            return Err(ResumeError::Engine(EngineError::Unsupported(why.into())));
+        }
         // The record carrying the pipeline-level tail state (reorder
         // buffer, source cursor, counters, elapsed) is the chain's
         // newest — every earlier record's tail is superseded. `None` on
@@ -2003,12 +2014,61 @@ mod tests {
             ),
             "{err:?}"
         );
-        let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Pipeline::builder(reg, queries)
-                .checkpoint_every(10)
-                .spawn(ReplaySource::new(vec![]), NullSink)
-        }));
-        assert!(res.is_err(), "checkpoint_every without a store must panic");
+        let res = Pipeline::builder(reg, queries)
+            .checkpoint_every(10)
+            .spawn(ReplaySource::new(vec![]), NullSink);
+        assert!(
+            matches!(res, Err(EngineError::Unsupported(_))),
+            "checkpoint_every without a store must be rejected"
+        );
+    }
+
+    /// Zero cadences and a cadence without a store are construction
+    /// errors from `spawn` and from `resume_from`, not panics in the
+    /// builder or on the spawning thread; so is an invalid engine
+    /// configuration.
+    #[test]
+    fn invalid_cadences_are_errors_from_spawn_and_resume() {
+        let (reg, queries, events) = setup();
+        let store = Arc::new(hamlet_core::MemStore::new());
+        let builder = || Pipeline::builder(reg.clone(), queries.clone());
+        let with_store = || builder().checkpoint_store(store.clone());
+        // A chain to resume from.
+        with_store()
+            .checkpoint_every(20)
+            .spawn(ReplaySource::new(events[..50].to_vec()), NullSink)
+            .unwrap()
+            .drain();
+        let ema = EngineConfig {
+            divergence: hamlet_core::executor::DivergenceMode::Ema { alpha: 2.0 },
+            ..EngineConfig::default()
+        };
+        let bad = [
+            builder().checkpoint_every(10),
+            with_store().checkpoint_every(0),
+            with_store().checkpoint_every(10).compact_every(0),
+            with_store().compact_every(0),
+            builder().engine_config(ema),
+        ];
+        for (i, b) in bad.into_iter().enumerate() {
+            let res = b.spawn(ReplaySource::new(events.clone()), NullSink);
+            assert!(
+                matches!(res, Err(EngineError::Unsupported(_))),
+                "case {i}: spawn"
+            );
+        }
+        let bad = [
+            builder().checkpoint_every(10),
+            with_store().checkpoint_every(0),
+            with_store().compact_every(0),
+        ];
+        for (i, b) in bad.into_iter().enumerate() {
+            let res = b.resume_from(store.as_ref(), ReplaySource::new(vec![]), NullSink);
+            assert!(
+                matches!(res, Err(ResumeError::Engine(EngineError::Unsupported(_)))),
+                "case {i}: resume_from"
+            );
+        }
     }
 
     /// On-demand `Snapshot::cut` on a live handle: the cut lands at a

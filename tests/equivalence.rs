@@ -654,3 +654,50 @@ proptest! {
         prop_assert_eq!(&run(4, batch_size), &base);
     }
 }
+
+/// SHARON flattens `Travel+` into `SEQ(X, Travel×j)` for `j = 1..l`. With
+/// `l` at least the stream length no match is cut short, so on the
+/// paper's shared-Kleene workload (`SEQ(X, Travel+)`, `COUNT(*)`,
+/// `GROUP BY district`) it counts exactly what GRETA counts — every
+/// district, every window instance, tumbling and sliding.
+#[test]
+fn sharon_with_a_long_enough_flattening_equals_greta() {
+    use hamlet_baselines::SharonEngine;
+    use hamlet_query::Window;
+    use hamlet_stream::{ridesharing, GenConfig};
+    let reg = ridesharing::registry();
+    for (seed, within, slide) in [
+        (1, 10, 10),
+        (2, 30, 30),
+        (3, 60, 60),
+        (4, 30, 10),
+        (5, 20, 5),
+    ] {
+        let cfg = GenConfig {
+            events_per_min: 120,
+            minutes: 1,
+            mean_burst: 8.0,
+            num_groups: 4,
+            group_skew: 0.0,
+            seed,
+            max_lateness: 0,
+        };
+        let events = ridesharing::generate(&reg, &cfg);
+        let mut queries = ridesharing::workload_shared_kleene(&reg, 6, within);
+        for q in &mut queries {
+            q.window = Window::new(within, slide);
+        }
+        let mut sharon =
+            SharonEngine::new(reg.clone(), queries.clone(), events.len()).expect("flattens");
+        let mut got: Vec<WindowResult> = events.iter().flat_map(|e| sharon.process(e)).collect();
+        got.extend(sharon.flush());
+        let mut want = run_greta(&reg, &queries, &events);
+        hamlet_core::sort_results(&mut got);
+        hamlet_core::sort_results(&mut want);
+        assert!(
+            want.iter().any(|r| r.value.as_count() > 0),
+            "seed {seed}: the stream matches"
+        );
+        assert_eq!(got, want, "seed {seed}, WITHIN {within} SLIDE {slide}");
+    }
+}

@@ -602,8 +602,15 @@ mod tests {
     use super::*;
     use crate::json::{self, Json};
     use std::collections::BTreeSet;
+    use std::sync::{Mutex, PoisonError};
+
+    /// Held through every sweep: the slow-tier tests assert on timing,
+    /// and two sweeps measured side by side on a small host read each
+    /// other's load.
+    static ONE_SWEEP_AT_A_TIME: Mutex<()> = Mutex::new(());
 
     fn quick(id: &str) -> Figure {
+        let _held = (ONE_SWEEP_AT_A_TIME.lock()).unwrap_or_else(PoisonError::into_inner);
         sweep(id).expect("a table row").run(true)
     }
 

@@ -252,12 +252,13 @@ impl HamletEngine {
         let mut drained = Vec::new();
         self.finalize_finished(&mut finished, &mut drained);
 
-        // Settle pending general-query halves. A pending entry's partner
-        // run can no longer exist (both halves of a window expire at the
-        // same watermark), so entries whose original query survives are
-        // re-keyed to the new combiner table, and entries of removed
-        // queries emit now with the missing half = 0, exactly as `flush`
-        // would have.
+        // Settle pending general-query halves. A closed window's halves
+        // settle when it expires, so every pending entry's window is still
+        // open: a half a churn drained (this one or an earlier one), whose
+        // partner may still run in a carried group. Entries whose original
+        // query survives are re-keyed to the new combiner table and keep
+        // waiting; entries of removed queries emit now with the missing
+        // half = 0, as their window's close would have.
         let new_ci_of_orig: HashMap<u32, usize> = compiled
             .combiners
             .iter()

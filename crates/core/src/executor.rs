@@ -300,6 +300,9 @@ pub(crate) struct Combiner {
     pub(crate) same_pattern: bool,
     pub(crate) left: QueryId,
     pub(crate) right: QueryId,
+    /// The query's window length: a pending half's window ends at
+    /// `start + within`.
+    pub(crate) within: u64,
 }
 
 /// Everything [`HamletEngine::compile`] derives from a query list: the
@@ -477,6 +480,7 @@ impl HamletEngine {
                         same_pattern: d.same_pattern,
                         left: d.left.id,
                         right: d.right.id,
+                        within: q.window.within,
                     });
                     simple.push(Arc::new(d.left));
                     simple.push(Arc::new(d.right));

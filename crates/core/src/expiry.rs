@@ -299,6 +299,28 @@ impl HamletEngine {
         }
         self.finalize_finished(&mut finished, out);
         self.finished = finished;
+        if !self.pending.is_empty() {
+            self.settle_closed(wm, out);
+        }
+    }
+
+    /// Settles every pending general-query half whose window has closed
+    /// at `wm`. Both halves of a `(key, window)` close at the same
+    /// watermark, so a half still waiting then had no partner run — its
+    /// branch matched nothing in that window — and emits now with the
+    /// missing half = 0, marked in the dirty log so the next delta cut
+    /// records the removal. A half that a churn drained mid-window has
+    /// not closed yet and keeps waiting for its partner.
+    fn settle_closed(&mut self, wm: u64, out: &mut Vec<WindowResult>) {
+        let combiners = &self.combiners;
+        // Out of a HashMap: settle_orphans sorts before emitting.
+        let closed: Vec<_> = (self.pending)
+            .extract_if(|(ci, _, start), _| window_end(*start, combiners[*ci].within) <= wm)
+            .collect();
+        for (slot, _) in &closed {
+            self.dirty.mark_pending(slot);
+        }
+        self.settle_orphans(closed, out);
     }
 
     /// Finalizes a batch of expired runs — `(group, handle)` of runs
@@ -431,9 +453,9 @@ impl HamletEngine {
         }
     }
 
-    /// Emits general-query halves whose partner run can no longer exist,
-    /// with the other half = 0 (its branch matched nothing in that
-    /// window), in the canonical `(window_start, query, key)` order —
+    /// Emits general-query halves whose partner will never arrive, with
+    /// the other half = 0 (its branch matched nothing in that window), in
+    /// the canonical `(window_start, query, key)` order —
     /// they come out of a `HashMap`, and output must not depend on hash
     /// iteration order. Cold path: each is attributed to the group that
     /// held it by a linear group scan.
@@ -489,12 +511,7 @@ impl HamletEngine {
             debug_assert!(g.partitions.is_empty());
             g.slab = RunSlab::default();
         }
-        // Out of a HashMap: settle_orphans sorts before emitting.
-        let orphans: Vec<_> = self.pending.drain().collect();
-        for (slot, _) in &orphans {
-            self.dirty.mark_pending(slot);
-        }
-        self.settle_orphans(orphans, &mut out);
+        debug_assert!(self.pending.is_empty(), "every window closed");
         self.span_end(Stage::Flush, flush_t, wm_before, out.len() as u64);
         out
     }
@@ -620,6 +637,77 @@ mod tests {
             eng.groups[0].slab.slots.is_empty(),
             "flush releases the slab"
         );
+    }
+
+    /// `SEQ(A, B+) <op> SEQ(C, D+)` over tumbling windows of 10, with a
+    /// registry of the four types and A, B; the tests generate only A/B
+    /// events, so the right half never has a run.
+    fn general(
+        op: fn(Box<Pattern>, Box<Pattern>) -> Pattern,
+    ) -> (Arc<TypeRegistry>, EventTypeId, EventTypeId, Query) {
+        let mut reg = TypeRegistry::new();
+        let [a, b, c, d] = ["A", "B", "C", "D"].map(|t| reg.register(t, &["g"]));
+        let seq = |x, y| Pattern::seq(vec![Pattern::Type(x), Pattern::plus(Pattern::Type(y))]);
+        let pattern = op(Box::new(seq(a, b)), Box::new(seq(c, d)));
+        let q = Query::count_star(1, pattern, Window::tumbling(10));
+        (Arc::new(reg), a, b, q)
+    }
+
+    /// A half of an OR / AND query whose partner branch had no run in a
+    /// `(key, window)` is emitted when that window closes — every closed
+    /// window before `flush`, as a plain query's — and does not stay
+    /// behind as state.
+    #[test]
+    fn general_results_emit_when_their_window_closes() {
+        for op in [Pattern::Or, Pattern::And] {
+            let (reg, a, b, q) = general(op);
+            let mut eng = HamletEngine::new(reg.clone(), vec![q], cfg()).unwrap();
+            let out = eng.process_batch(&stream(&reg, a, b, 0, 1000));
+            let starts: Vec<u64> = out.iter().map(|r| r.window_start.ticks()).collect();
+            assert_eq!(starts, (0..99).map(|w| w * 10).collect::<Vec<_>>());
+            assert!(out.iter().all(|r| r.query == QueryId(1)));
+            assert!(eng.pending.is_empty(), "no closed window waits");
+            let last = eng.flush();
+            assert_eq!(last.len(), 1, "only the open window [990, 1000)");
+            assert_eq!(last[0].window_start, Ts(990));
+        }
+    }
+
+    /// A half a churn drains mid-window waits for its partner across a
+    /// base cut, settles when the window closes, and the delta cut after
+    /// that records it gone: the restored chain's `flush` emits nothing
+    /// the original already emitted.
+    #[test]
+    fn a_settled_half_leaves_the_chain() {
+        let (reg, a, b, q_or) = general(Pattern::Or);
+        let plain = |id| {
+            let pat = Pattern::seq(vec![Pattern::Type(a), Pattern::plus(Pattern::Type(b))]);
+            Query::count_star(id, pat, Window::tumbling(10))
+        };
+        let mut eng = HamletEngine::new(reg.clone(), vec![q_or.clone(), plain(7)], cfg()).unwrap();
+        let mut out = eng.process_batch(&stream(&reg, a, b, 0, 25));
+        // A third member rebuilds the left half's group: its run of
+        // [20, 30) drains and waits, as no right-half run exists.
+        out.extend(eng.add_query(plain(8)).unwrap().drained);
+        assert_eq!(eng.pending.len(), 1, "the drained left half waits");
+        let base = eng.cut(CutKind::Full).unwrap();
+        let before = out.len();
+        out.extend(eng.process_batch(&stream(&reg, a, b, 30, 15)));
+        let settled = out[before..].iter().filter(|r| r.query == QueryId(1));
+        assert_eq!(
+            settled.map(|r| r.window_start).collect::<Vec<_>>(),
+            [Ts(20), Ts(30)],
+            "the close of [20, 30) settles the half; [30, 40) closes as usual"
+        );
+        assert!(eng.pending.is_empty());
+        let delta = eng.cut(CutKind::Delta).unwrap();
+        assert!(delta.is_delta());
+
+        let queries = vec![q_or, plain(7), plain(8)];
+        let mut restored = HamletEngine::new(reg, queries, cfg()).unwrap();
+        restored.restore_chain(&[base, delta]).unwrap();
+        assert!(restored.pending.is_empty());
+        assert_eq!(restored.flush(), eng.flush());
     }
 
     /// A carried group's recycled runs stay behind with the old runtime:

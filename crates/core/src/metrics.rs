@@ -7,11 +7,14 @@ use std::time::Duration;
 /// `Duration` divides only by a `u32`, and a long run records more than
 /// 2³² samples.
 fn mean(total: Duration, count: u64) -> Duration {
-    let Some(ns) = total.as_nanos().checked_div(u128::from(count)) else {
-        return Duration::ZERO;
-    };
-    // A mean is at most `total`, so the seconds fit a `u64`.
-    Duration::new((ns / 1_000_000_000) as u64, (ns % 1_000_000_000) as u32)
+    (total.as_nanos().checked_div(u128::from(count))).map_or(Duration::ZERO, nanos)
+}
+
+/// `ns` nanoseconds as a `Duration`, saturating at `Duration::MAX`.
+fn nanos(ns: u128) -> Duration {
+    u64::try_from(ns / 1_000_000_000).map_or(Duration::MAX, |s| {
+        Duration::new(s, (ns % 1_000_000_000) as u32)
+    })
 }
 
 /// Records per-result latencies: the difference between result output time
@@ -149,16 +152,32 @@ impl LatencyHistogram {
     /// overflowing, so even `Duration::MAX` outliers cannot panic the
     /// hot path.
     pub fn record(&mut self, d: Duration) {
+        self.record_n(d, 1);
+    }
+
+    /// Records `n` samples of `d` as one weighted sample: the same
+    /// buckets, count, total and max as `n` calls to
+    /// [`record`](Self::record), at the cost of one.
+    pub fn record_n(&mut self, d: Duration, n: u64) {
+        if n == 0 {
+            return;
+        }
         let ns = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        self.buckets[Self::index(ns)] += 1;
-        self.count += 1;
-        self.total = self.total.saturating_add(d);
+        self.buckets[Self::index(ns)] += n;
+        self.count += n;
+        let add = nanos(d.as_nanos().saturating_mul(u128::from(n)));
+        self.total = self.total.saturating_add(add);
         self.max = self.max.max(d);
     }
 
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
+    }
+
+    /// Sum of every sample (saturating at `Duration::MAX`).
+    pub fn total(&self) -> Duration {
+        self.total
     }
 
     /// Mean latency (zero when empty).
@@ -212,16 +231,6 @@ impl LatencyHistogram {
             .filter(|(_, &n)| n > 0)
             .map(|(i, &n)| (Self::value(i), n))
             .collect()
-    }
-
-    /// Merges another histogram (bucket-wise).
-    pub fn merge(&mut self, o: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(o.buckets.iter()) {
-            *a += b;
-        }
-        self.count += o.count;
-        self.total = self.total.saturating_add(o.total);
-        self.max = self.max.max(o.max);
     }
 }
 
@@ -291,16 +300,16 @@ mod tests {
     }
 
     /// Past 2³² samples the mean still divides by the whole count: a
-    /// recorder of 1 ms samples doubled through `merge` 33 times (2³³
-    /// samples — a count whose low 32 bits are zero) averages 1 ms.
+    /// recorder of 1 ms samples doubled through `merge` 33 times, and a
+    /// histogram given them as one weighted sample (2³³ samples — a count
+    /// whose low 32 bits are zero), average 1 ms.
     #[test]
     fn mean_divides_by_the_whole_count_past_u32() {
         let (mut r, mut h) = (LatencyRecorder::new(), LatencyHistogram::new());
         r.record(Duration::from_millis(1));
-        h.record(Duration::from_millis(1));
+        h.record_n(Duration::from_millis(1), 1 << 33);
         for _ in 0..33 {
             r.merge(&r.clone());
-            h.merge(&h.clone());
         }
         assert_eq!(r.count(), 1 << 33);
         assert_eq!(r.avg(), Duration::from_millis(1));
@@ -355,17 +364,32 @@ mod tests {
         }
     }
 
+    /// `record_n(d, n)` leaves exactly what `n` calls to `record(d)` do —
+    /// buckets, count, total and max — including zero weight, zero
+    /// durations and a total that saturates.
     #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(Duration::from_micros(10));
-        b.record(Duration::from_micros(500));
-        b.record(Duration::from_micros(20));
-        a.merge(&b);
-        assert_eq!(a.count(), 3);
-        assert_eq!(a.max(), Duration::from_micros(500));
-        assert!(a.quantile(1.0) >= Duration::from_micros(375));
+    fn weighted_record_equals_repeated_records() {
+        let cases = [
+            (Duration::from_nanos(1300), 3),
+            (Duration::ZERO, 5),
+            (Duration::from_millis(7), 0),
+            (Duration::from_secs(u64::MAX / 2), 3),
+        ];
+        for (d, n) in cases {
+            let (mut weighted, mut repeated) = (LatencyHistogram::new(), LatencyHistogram::new());
+            weighted.record(Duration::from_micros(5));
+            repeated.record(Duration::from_micros(5));
+            weighted.record_n(d, n);
+            for _ in 0..n {
+                repeated.record(d);
+            }
+            assert_eq!(weighted.buckets, repeated.buckets, "{d:?} × {n}");
+            assert_eq!(
+                (weighted.count(), weighted.total(), weighted.max()),
+                (repeated.count(), repeated.total(), repeated.max()),
+                "{d:?} × {n}"
+            );
+        }
     }
 
     /// Zero samples: every quantile and summary statistic must be an

@@ -66,6 +66,21 @@ impl GroupMetrics {
         }
     }
 
+    /// The exported name and help text of each of the eight counters, in
+    /// [`counters`](Self::counters) order: a group row's key in
+    /// `--metrics-json`, and the Prometheus family
+    /// `hamlet_group_<name>_total`.
+    pub const COUNTERS: [(&'static str, &'static str); 8] = [
+        ("events_routed", "Events routed into the group."),
+        ("runs_created", "Per-key window runs created."),
+        ("runs_expired", "Runs finalized by watermark expiry."),
+        ("shared_bursts", "Bursts processed shared."),
+        ("solo_bursts", "Bursts processed per-query."),
+        ("graphlet_snapshots", "Graphlet-level snapshots taken."),
+        ("event_snapshots", "Event-level snapshots taken."),
+        ("results", "Window results emitted by the group."),
+    ];
+
     /// The eight counters, in the fixed order checkpoints store them
     /// (`docs/checkpoint-format.md`): everything but the placement
     /// fields.

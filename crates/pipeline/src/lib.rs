@@ -92,7 +92,7 @@ mod watermark;
 pub use checkpoint::{PipelineCheckpoint, PIPELINE_MAGIC, PIPELINE_VERSION};
 pub use sink::{CountingSink, NullSink, Sink, VecSink};
 pub use source::{RateLimitedSource, ReplaySource, Source};
-pub use stats::{LatencySummary, MetricsSnapshot};
+pub use stats::MetricsSnapshot;
 pub use watermark::{BoundedLateness, ReorderBuffer, WatermarkPolicy};
 
 use hamlet_core::checkpoint::CheckpointError;
@@ -986,18 +986,12 @@ impl ShardHooks<Instant> for Observer {
             // (`BatchCut::SizeOrTick`), so that final event is the only
             // one in the batch that can advance this engine's watermark
             // and close windows — the attribution a per-event loop gives.
-            let latency = arrival.elapsed();
-            let mut local = LatencyHistogram::new();
-            for _ in 0..results.len() {
-                local.record(latency);
-            }
-            // One lock per batch, not per result: N workers recording
-            // per-event would contend on the shared histogram and
-            // inflate the very tail latency being measured.
+            // One lock and one weighted sample per batch, not per result:
+            // N workers recording per result would contend on the shared
+            // histogram and inflate the very tail latency being measured.
+            let (latency, n) = (arrival.elapsed(), results.len() as u64);
             // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
-            let mut shared = self.shared.latency.lock().expect("latency lock");
-            shared.merge(&local);
-            drop(shared);
+            (self.shared.latency.lock().expect("latency lock")).record_n(latency, n);
             self.emit(results);
         }
         let batches = self.batches[shard].fetch_add(1, Ordering::Relaxed) + 1;

@@ -3,7 +3,7 @@
 //! at any moment of a run.
 
 use hamlet_core::{GroupMetrics, LatencyHistogram, SpanRecorder};
-use hamlet_obs::merge_group_metrics;
+use hamlet_obs::{export::PromText, merge_group_metrics};
 use hamlet_types::Ts;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -133,20 +133,8 @@ impl SharedStats {
     }
 
     pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        let (latency, latency_buckets) = {
-            // hamlet-lint: allow(panic-hygiene) -- a poisoned lock means a recorder panicked; propagate it
-            let h = self.latency.lock().expect("latency lock");
-            (
-                LatencySummary {
-                    count: h.count(),
-                    avg: h.avg(),
-                    p50: h.p50(),
-                    p99: h.p99(),
-                    max: h.max(),
-                },
-                h.sparse_buckets(),
-            )
-        };
+        // hamlet-lint: allow(panic-hygiene) -- a poisoned lock means a recorder panicked; propagate it
+        let latency = self.latency.lock().expect("latency lock").clone();
         let groups = {
             let slots = self.groups.lock().unwrap_or_else(PoisonError::into_inner);
             merge_group_metrics(slots.iter().cloned())
@@ -175,26 +163,10 @@ impl SharedStats {
             checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
             checkpoint_failures: self.checkpoint_failures.load(Ordering::Relaxed),
             latency,
-            latency_buckets,
             groups,
             dropped_spans: self.spans.dropped(),
         }
     }
-}
-
-/// Tail summary of the end-to-end result latency histogram.
-#[derive(Clone, Copy, Debug)]
-pub struct LatencySummary {
-    /// Latency samples recorded (one per emitted result).
-    pub count: u64,
-    /// Mean latency.
-    pub avg: Duration,
-    /// Median latency.
-    pub p50: Duration,
-    /// 99th-percentile latency.
-    pub p99: Duration,
-    /// Maximum latency.
-    pub max: Duration,
 }
 
 /// One consistent-enough view of a live pipeline: what came in, what
@@ -239,12 +211,12 @@ pub struct MetricsSnapshot {
     /// Cuts that failed (a worker died mid-cut or the configured store
     /// rejected the append). The pipeline keeps running.
     pub checkpoint_failures: u64,
-    /// End-to-end (ingest → emit) result latency.
-    pub latency: LatencySummary,
-    /// Sparse latency histogram: `(inclusive bucket low edge in ns,
-    /// samples)` pairs, ascending — the full distribution behind
-    /// [`Self::latency`].
-    pub latency_buckets: Vec<(u64, u64)>,
+    /// End-to-end (ingest → emit) result latency, one sample per result:
+    /// the histogram the workers record into. Read quantiles with
+    /// [`p50`](LatencyHistogram::p50) or
+    /// [`quantile`](LatencyHistogram::quantile), the distribution with
+    /// [`sparse_buckets`](LatencyHistogram::sparse_buckets).
+    pub latency: LatencyHistogram,
     /// Per-share-group metrics (Def. 12 benefit, events routed, runs,
     /// bursts, snapshots, results), merged across shard workers. Empty
     /// when the engines run with observability disabled.
@@ -253,207 +225,144 @@ pub struct MetricsSnapshot {
     pub dropped_spans: u64,
 }
 
+/// One exported run total: its `--metrics-json` key, its Prometheus help
+/// text and type, and where the snapshot keeps it. The Prometheus family
+/// is `hamlet_<key>_total` for a counter and `hamlet_<key>` for a gauge.
+struct Total {
+    key: &'static str,
+    help: &'static str,
+    counter: bool,
+    read: Read,
+}
+
+/// Where a snapshot keeps a run total.
+type Read = fn(&MetricsSnapshot) -> u64;
+
+const fn counter(key: &'static str, help: &'static str, read: Read) -> Total {
+    Total {
+        key,
+        help,
+        counter: true,
+        read,
+    }
+}
+
+const fn gauge(key: &'static str, help: &'static str, read: Read) -> Total {
+    Total {
+        key,
+        help,
+        counter: false,
+        read,
+    }
+}
+
+/// The run totals both exporters write, in the order of the
+/// `--metrics-json` line: its first [`FLOW`] rows come before the queue
+/// and latency fields, the rest after them. The Prometheus page writes
+/// them all after uptime, in this order. Adding an exported total is one
+/// row here.
+const TOTALS: [Total; 10] = [
+    counter("ingested", "Events pulled from the source.", |m| m.ingested),
+    counter("late", "Late events dropped.", |m| m.late),
+    counter("released", "Events released to workers.", |m| m.released),
+    counter("results", "Window results delivered to the sink.", |m| {
+        m.results
+    }),
+    counter(
+        "dropped_spans",
+        "Stage spans shed by full or contended trace rings.",
+        |m| m.dropped_spans,
+    ),
+    counter(
+        "checkpoints",
+        "Coordinated checkpoint cuts completed.",
+        |m| m.checkpoints,
+    ),
+    counter(
+        "checkpoint_bytes",
+        "Serialized bytes across all completed cuts.",
+        |m| m.checkpoint_bytes,
+    ),
+    counter("checkpoint_failures", "Checkpoint cuts that failed.", |m| {
+        m.checkpoint_failures
+    }),
+    gauge("epoch", "Workload epoch (churn ops applied).", |m| m.epoch),
+    counter(
+        "churns_rejected",
+        "Scheduled churn ops skipped as invalidated.",
+        |m| m.churns_rejected,
+    ),
+];
+
+/// The rows of [`TOTALS`] that open the `--metrics-json` line.
+const FLOW: usize = 4;
+
 impl MetricsSnapshot {
-    /// Renders the snapshot in the Prometheus text exposition format —
-    /// run totals, queue depths, the latency summary plus full sparse
-    /// histogram, and one labeled sample set per share group (keyed by
-    /// the group's query signature, e.g. `1+2L`). Output for a fixed
-    /// snapshot is byte-stable.
+    /// Renders the snapshot in the Prometheus text exposition format:
+    /// uptime, one family per row of the run-total table (in its order),
+    /// the watermark, per-stage queue depths, the latency summary plus
+    /// its full sparse histogram, and one labeled sample set per share
+    /// group (keyed by the group's query signature, e.g. `1+2L`). Output
+    /// for a fixed snapshot is byte-stable.
     pub fn to_prometheus(&self) -> String {
-        use hamlet_obs::export::PromText;
         let mut p = PromText::new();
         p.header("hamlet_uptime_seconds", "Run wall time.", "gauge");
         p.sample_f64("hamlet_uptime_seconds", &[], self.elapsed.as_secs_f64());
-        p.header(
-            "hamlet_ingested_total",
-            "Events pulled from the source.",
-            "counter",
-        );
-        p.sample_u64("hamlet_ingested_total", &[], self.ingested);
-        p.header("hamlet_late_total", "Late events dropped.", "counter");
-        p.sample_u64("hamlet_late_total", &[], self.late);
-        p.header(
-            "hamlet_released_total",
-            "Events released to workers.",
-            "counter",
-        );
-        p.sample_u64("hamlet_released_total", &[], self.released);
-        p.header(
-            "hamlet_results_total",
-            "Window results delivered to the sink.",
-            "counter",
-        );
-        p.sample_u64("hamlet_results_total", &[], self.results);
+        for t in &TOTALS {
+            let (name, ty) = match t.counter {
+                true => (format!("hamlet_{}_total", t.key), "counter"),
+                false => (format!("hamlet_{}", t.key), "gauge"),
+            };
+            p.header(&name, t.help, ty);
+            p.sample_u64(&name, &[], (t.read)(self));
+        }
         if let Some(wm) = self.watermark {
-            p.header(
-                "hamlet_watermark",
-                "Current event-time watermark (ticks).",
-                "gauge",
-            );
+            let help = "Current event-time watermark (ticks).";
+            p.header("hamlet_watermark", help, "gauge");
             p.sample_u64("hamlet_watermark", &[], wm.ticks());
         }
-        p.header(
-            "hamlet_queue_depth",
-            "Events or results queued per pipeline stage.",
-            "gauge",
-        );
-        p.sample_u64(
-            "hamlet_queue_depth",
-            &[("stage", "reorder")],
-            self.reorder_depth as u64,
-        );
+        let depth = "hamlet_queue_depth";
+        let help = "Events or results queued per pipeline stage.";
+        p.header(depth, help, "gauge");
+        p.sample_u64(depth, &[("stage", "reorder")], self.reorder_depth as u64);
         for (i, d) in self.worker_depths.iter().enumerate() {
-            let worker = i.to_string();
-            p.sample_u64(
-                "hamlet_queue_depth",
-                &[("stage", "worker"), ("worker", &worker)],
-                *d as u64,
-            );
+            let worker = [("stage", "worker"), ("worker", &i.to_string())];
+            p.sample_u64(depth, &worker, *d as u64);
         }
-        p.sample_u64(
-            "hamlet_queue_depth",
-            &[("stage", "sink")],
-            self.sink_depth as u64,
-        );
-        p.header(
-            "hamlet_epoch",
-            "Workload epoch (churn ops applied).",
-            "gauge",
-        );
-        p.sample_u64("hamlet_epoch", &[], self.epoch);
-        p.header(
-            "hamlet_churns_rejected_total",
-            "Scheduled churn ops skipped as invalidated.",
-            "counter",
-        );
-        p.sample_u64("hamlet_churns_rejected_total", &[], self.churns_rejected);
-        p.header(
-            "hamlet_checkpoints_total",
-            "Coordinated checkpoint cuts completed.",
-            "counter",
-        );
-        p.sample_u64("hamlet_checkpoints_total", &[], self.checkpoints);
-        p.header(
-            "hamlet_checkpoint_bytes_total",
-            "Serialized bytes across all completed cuts.",
-            "counter",
-        );
-        p.sample_u64("hamlet_checkpoint_bytes_total", &[], self.checkpoint_bytes);
-        p.header(
-            "hamlet_checkpoint_failures_total",
-            "Checkpoint cuts that failed.",
-            "counter",
-        );
-        p.sample_u64(
-            "hamlet_checkpoint_failures_total",
-            &[],
-            self.checkpoint_failures,
-        );
-        p.header(
-            "hamlet_latency_seconds",
-            "End-to-end (ingest to emit) result latency.",
-            "summary",
-        );
-        p.sample_f64(
-            "hamlet_latency_seconds",
-            &[("quantile", "0.5")],
-            self.latency.p50.as_secs_f64(),
-        );
-        p.sample_f64(
-            "hamlet_latency_seconds",
-            &[("quantile", "0.99")],
-            self.latency.p99.as_secs_f64(),
-        );
-        p.sample_f64(
-            "hamlet_latency_seconds_sum",
-            &[],
-            self.latency.avg.as_secs_f64() * self.latency.count as f64,
-        );
-        p.sample_u64("hamlet_latency_seconds_count", &[], self.latency.count);
-        p.header(
-            "hamlet_latency_bucket_total",
-            "Latency histogram: samples per bucket (label = inclusive bucket low edge, ns).",
-            "counter",
-        );
-        for &(ns, n) in &self.latency_buckets {
-            let edge = ns.to_string();
-            p.sample_u64("hamlet_latency_bucket_total", &[("ge_ns", &edge)], n);
+        p.sample_u64(depth, &[("stage", "sink")], self.sink_depth as u64);
+        let (l, lat) = (&self.latency, "hamlet_latency_seconds");
+        let help = "End-to-end (ingest to emit) result latency.";
+        p.header(lat, help, "summary");
+        p.sample_f64(lat, &[("quantile", "0.5")], l.p50().as_secs_f64());
+        p.sample_f64(lat, &[("quantile", "0.99")], l.p99().as_secs_f64());
+        p.sample_f64("hamlet_latency_seconds_sum", &[], l.total().as_secs_f64());
+        p.sample_u64("hamlet_latency_seconds_count", &[], l.count());
+        let bucket = "hamlet_latency_bucket_total";
+        let help = "Latency histogram: samples per bucket (label = inclusive bucket low edge, ns).";
+        p.header(bucket, help, "counter");
+        for (ns, n) in l.sparse_buckets() {
+            p.sample_u64(bucket, &[("ge_ns", &ns.to_string())], n);
         }
-        p.header(
-            "hamlet_dropped_spans_total",
-            "Stage spans shed by full or contended trace rings.",
-            "counter",
-        );
-        p.sample_u64("hamlet_dropped_spans_total", &[], self.dropped_spans);
-        if !self.groups.is_empty() {
-            p.header(
-                "hamlet_group_shared",
-                "1 if the optimizer placed the group shared, else 0.",
-                "gauge",
-            );
-            p.header(
-                "hamlet_group_benefit",
-                "Def. 12 sharing benefit priced at placement.",
-                "gauge",
-            );
+        if self.groups.is_empty() {
+            return p.finish();
+        }
+        let shared = "1 if the optimizer placed the group shared, else 0.";
+        p.header("hamlet_group_shared", shared, "gauge");
+        for g in &self.groups {
+            let (sig, shared) = (g.sig_label(), u64::from(g.shared));
+            p.sample_u64("hamlet_group_shared", &[("group", &sig)], shared);
+        }
+        let benefit = "Def. 12 sharing benefit priced at placement.";
+        p.header("hamlet_group_benefit", benefit, "gauge");
+        for g in &self.groups {
+            let sig = g.sig_label();
+            p.sample_f64("hamlet_group_benefit", &[("group", &sig)], g.benefit);
+        }
+        for (i, (key, help)) in GroupMetrics::COUNTERS.into_iter().enumerate() {
+            let name = format!("hamlet_group_{key}_total");
+            p.header(&name, help, "counter");
             for g in &self.groups {
-                let sig = g.sig_label();
-                p.sample_u64(
-                    "hamlet_group_shared",
-                    &[("group", &sig)],
-                    u64::from(g.shared),
-                );
-                p.sample_f64("hamlet_group_benefit", &[("group", &sig)], g.benefit);
-            }
-            type Get = fn(&GroupMetrics) -> u64;
-            let counters: [(&str, &str, Get); 8] = [
-                (
-                    "hamlet_group_events_routed_total",
-                    "Events routed into the group.",
-                    |g| g.events_routed,
-                ),
-                (
-                    "hamlet_group_runs_created_total",
-                    "Per-key window runs created.",
-                    |g| g.runs_created,
-                ),
-                (
-                    "hamlet_group_runs_expired_total",
-                    "Runs finalized by watermark expiry.",
-                    |g| g.runs_expired,
-                ),
-                (
-                    "hamlet_group_shared_bursts_total",
-                    "Bursts processed shared.",
-                    |g| g.shared_bursts,
-                ),
-                (
-                    "hamlet_group_solo_bursts_total",
-                    "Bursts processed per-query.",
-                    |g| g.solo_bursts,
-                ),
-                (
-                    "hamlet_group_graphlet_snapshots_total",
-                    "Graphlet-level snapshots taken.",
-                    |g| g.graphlet_snapshots,
-                ),
-                (
-                    "hamlet_group_event_snapshots_total",
-                    "Event-level snapshots taken.",
-                    |g| g.event_snapshots,
-                ),
-                (
-                    "hamlet_group_results_total",
-                    "Window results emitted by the group.",
-                    |g| g.results_emitted,
-                ),
-            ];
-            for (name, help, get) in counters {
-                p.header(name, help, "counter");
-                for g in &self.groups {
-                    let sig = g.sig_label();
-                    p.sample_u64(name, &[("group", &sig)], get(g));
-                }
+                p.sample_u64(&name, &[("group", &g.sig_label())], g.counters()[i]);
             }
         }
         p.finish()
@@ -470,43 +379,37 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let num = |v: f64| if v.is_finite() { v } else { 0.0 };
         let secs = |d: Duration| num(d.as_secs_f64());
+        let fields = |rows: &[Total]| -> Vec<String> {
+            (rows.iter())
+                .map(|t| format!("\"{}\":{}", t.key, (t.read)(self)))
+                .collect()
+        };
+        let (flow, rest) = TOTALS.split_at(FLOW);
         let depths: Vec<String> = self.worker_depths.iter().map(|d| d.to_string()).collect();
-        let buckets: Vec<String> = (self.latency_buckets.iter())
+        let l = &self.latency;
+        let buckets: Vec<String> = (l.sparse_buckets().iter())
             .map(|(low, n)| format!("[{low},{n}]"))
             .collect();
         let groups: Vec<String> = (self.groups.iter())
             .map(|g| {
+                let counters: String = (GroupMetrics::COUNTERS.iter().zip(g.counters()))
+                    .map(|((key, _), v)| format!(",\"{key}\":{v}"))
+                    .collect();
                 format!(
-                    "{{\"group\":{:?},\"shared\":{},\"benefit\":{},\"events_routed\":{},\
-                     \"runs_created\":{},\"runs_expired\":{},\"shared_bursts\":{},\
-                     \"solo_bursts\":{},\"graphlet_snapshots\":{},\"event_snapshots\":{},\
-                     \"results\":{}}}",
+                    "{{\"group\":{:?},\"shared\":{},\"benefit\":{}{counters}}}",
                     g.sig_label(),
                     g.shared,
                     num(g.benefit),
-                    g.events_routed,
-                    g.runs_created,
-                    g.runs_expired,
-                    g.shared_bursts,
-                    g.solo_bursts,
-                    g.graphlet_snapshots,
-                    g.event_snapshots,
-                    g.results_emitted,
                 )
             })
             .collect();
         format!(
-            "{{\"elapsed\":{},\"ingested\":{},\"late\":{},\"released\":{},\"results\":{},\
-             \"watermark\":{},\"source_done\":{},\"reorder_depth\":{},\"worker_depths\":[{}],\
-             \"sink_depth\":{},\"ingest_eps\":{},\"latency\":{{\"count\":{},\"avg\":{},\
-             \"p50\":{},\"p99\":{},\"max\":{},\"buckets_ns\":[{}]}},\"dropped_spans\":{},\
-             \"checkpoints\":{},\"checkpoint_bytes\":{},\"checkpoint_failures\":{},\
-             \"epoch\":{},\"churns_rejected\":{},\"groups\":[{}]}}",
+            "{{\"elapsed\":{},{},\"watermark\":{},\"source_done\":{},\"reorder_depth\":{},\
+             \"worker_depths\":[{}],\"sink_depth\":{},\"ingest_eps\":{},\"latency\":{{\
+             \"count\":{},\"avg\":{},\"p50\":{},\"p99\":{},\"max\":{},\"buckets_ns\":[{}]}},\
+             {},\"groups\":[{}]}}",
             secs(self.elapsed),
-            self.ingested,
-            self.late,
-            self.released,
-            self.results,
+            fields(flow).join(","),
             self.watermark
                 .map_or_else(|| "null".into(), |w| w.ticks().to_string()),
             self.source_done,
@@ -514,18 +417,13 @@ impl MetricsSnapshot {
             depths.join(","),
             self.sink_depth,
             num(self.ingest_eps()),
-            self.latency.count,
-            secs(self.latency.avg),
-            secs(self.latency.p50),
-            secs(self.latency.p99),
-            secs(self.latency.max),
+            l.count(),
+            secs(l.avg()),
+            secs(l.p50()),
+            secs(l.p99()),
+            secs(l.max()),
             buckets.join(","),
-            self.dropped_spans,
-            self.checkpoints,
-            self.checkpoint_bytes,
-            self.checkpoint_failures,
-            self.epoch,
-            self.churns_rejected,
+            fields(rest).join(","),
             groups.join(","),
         )
     }
@@ -572,7 +470,7 @@ mod tests {
         assert_eq!(snap.watermark, Some(Ts(55)));
         assert_eq!(snap.worker_depths, vec![0, 7, 0]);
         assert_eq!(snap.queued(), 4 + 7 + 1);
-        assert_eq!(snap.latency.count, 1);
+        assert_eq!(snap.latency.count(), 1);
         assert!(snap.ingest_eps() > 0.0);
         assert!(!snap.source_done);
     }
@@ -610,39 +508,191 @@ mod tests {
         s.latency.lock().unwrap().record(Duration::from_micros(10));
         s.latency.lock().unwrap().record(Duration::from_micros(10));
         let snap = s.snapshot();
-        assert_eq!(snap.latency_buckets.iter().map(|&(_, n)| n).sum::<u64>(), 2);
+        let buckets = snap.latency.sparse_buckets();
+        assert_eq!(buckets.iter().map(|&(_, n)| n).sum::<u64>(), 2);
+    }
+
+    /// A snapshot built the way a run builds one: totals through the
+    /// shared atomics, latency through recorded samples (two at 1024 ns,
+    /// one at 1300 ns), group rows through worker publishes. Every
+    /// exported number is distinct, so a value read into the wrong key
+    /// shows up; only `elapsed` is set afterwards, to make it exact.
+    fn exported() -> MetricsSnapshot {
+        let s = test_stats(2);
+        for (total, v) in [
+            (&s.ingested, 100),
+            (&s.late, 2),
+            (&s.released, 97),
+            (&s.results, 3),
+            (&s.epoch, 5),
+            (&s.churns_rejected, 6),
+            (&s.checkpoints, 7),
+            (&s.checkpoint_bytes, 4096),
+            (&s.checkpoint_failures, 1),
+        ] {
+            total.store(v, Ordering::Relaxed);
+        }
+        s.reorder_depth.store(9, Ordering::Relaxed);
+        s.worker_depths[0].store(4, Ordering::Relaxed);
+        s.sink_depth.store(8, Ordering::Relaxed);
+        s.set_watermark(Ts(55));
+        for ns in [1024, 1024, 1300] {
+            s.latency.lock().unwrap().record(Duration::from_nanos(ns));
+        }
+        let mut shared = GroupMetrics::new(0, vec![(1, 0), (2, 1)]);
+        (shared.shared, shared.benefit) = (true, f64::NAN);
+        for (c, v) in shared.counters_mut().into_iter().zip(10..) {
+            *c = v;
+        }
+        let mut solo = GroupMetrics::new(0, vec![(3, 0)]);
+        (solo.benefit, solo.events_routed) = (2.5, 1);
+        s.publish_groups(0, vec![shared]);
+        s.publish_groups(1, vec![solo]);
+        let mut snap = s.snapshot();
+        snap.elapsed = Duration::from_secs(2);
+        snap
     }
 
     /// The `--metrics-json` line, byte for byte as `hamlet_cli` writes
-    /// it: key order, `null` for no watermark, durations as fractional
-    /// seconds, a non-finite float as `0`.
+    /// it: key order, durations as fractional seconds, a non-finite float
+    /// as `0`, `null` for no watermark.
     #[test]
     fn to_json_is_the_cli_metrics_line() {
-        let s = test_stats(2);
-        let mut snap = s.snapshot();
-        let mut g = GroupMetrics::new(0, vec![(1, 0), (2, 1)]);
-        (g.shared, g.benefit, g.events_routed, g.results_emitted) = (true, f64::NAN, 7, 3);
-        snap.elapsed = Duration::from_secs(2);
-        snap.ingested = 100;
-        snap.worker_depths = vec![4, 0];
-        snap.latency.count = 3;
-        snap.latency.p99 = Duration::from_micros(1500);
-        snap.latency_buckets = vec![(1024, 2), (1280, 1)];
-        snap.groups = vec![g];
+        let mut snap = exported();
         assert_eq!(
             snap.to_json(),
-            "{\"elapsed\":2,\"ingested\":100,\"late\":0,\"released\":0,\"results\":0,\
-             \"watermark\":null,\"source_done\":false,\"reorder_depth\":0,\
-             \"worker_depths\":[4,0],\"sink_depth\":0,\"ingest_eps\":50,\
-             \"latency\":{\"count\":3,\"avg\":0,\"p50\":0,\"p99\":0.0015,\"max\":0,\
-             \"buckets_ns\":[[1024,2],[1280,1]]},\"dropped_spans\":0,\"checkpoints\":0,\
-             \"checkpoint_bytes\":0,\"checkpoint_failures\":0,\"epoch\":0,\
-             \"churns_rejected\":0,\"groups\":[{\"group\":\"1+2L\",\
-             \"shared\":true,\"benefit\":0,\"events_routed\":7,\"runs_created\":0,\
-             \"runs_expired\":0,\"shared_bursts\":0,\"solo_bursts\":0,\
-             \"graphlet_snapshots\":0,\"event_snapshots\":0,\"results\":3}]}"
+            "{\"elapsed\":2,\"ingested\":100,\"late\":2,\"released\":97,\"results\":3,\
+             \"watermark\":55,\"source_done\":false,\"reorder_depth\":9,\
+             \"worker_depths\":[4,0],\"sink_depth\":8,\"ingest_eps\":50,\
+             \"latency\":{\"count\":3,\"avg\":0.000001116,\"p50\":0.000001024,\
+             \"p99\":0.0000013,\"max\":0.0000013,\"buckets_ns\":[[1024,2],[1280,1]]},\
+             \"dropped_spans\":0,\"checkpoints\":7,\"checkpoint_bytes\":4096,\
+             \"checkpoint_failures\":1,\"epoch\":5,\"churns_rejected\":6,\"groups\":[\
+             {\"group\":\"1+2L\",\"shared\":true,\"benefit\":0,\"events_routed\":10,\
+             \"runs_created\":11,\"runs_expired\":12,\"shared_bursts\":13,\"solo_bursts\":14,\
+             \"graphlet_snapshots\":15,\"event_snapshots\":16,\"results\":17},\
+             {\"group\":\"3\",\"shared\":false,\"benefit\":2.5,\"events_routed\":1,\
+             \"runs_created\":0,\"runs_expired\":0,\"shared_bursts\":0,\"solo_bursts\":0,\
+             \"graphlet_snapshots\":0,\"event_snapshots\":0,\"results\":0}]}"
         );
-        snap.watermark = Some(Ts(55));
-        assert!(snap.to_json().contains("\"watermark\":55,"));
+        snap.watermark = None;
+        assert!(snap.to_json().contains("\"watermark\":null,"));
+    }
+
+    /// A Prometheus page as its families, each from one `# HELP` line to
+    /// the next, sorted: the order of families is free, everything inside
+    /// one (name, help, type, labels, values, sample order) is pinned.
+    fn families(page: &str) -> Vec<String> {
+        let mut blocks: Vec<String> = Vec::new();
+        for line in page.lines() {
+            if blocks.is_empty() || line.starts_with("# HELP ") {
+                blocks.push(String::new());
+            }
+            let block = blocks.last_mut().unwrap();
+            block.push_str(line);
+            block.push('\n');
+        }
+        blocks.sort();
+        blocks
+    }
+
+    /// The Prometheus page of the same snapshot, family by family.
+    #[test]
+    fn to_prometheus_is_the_golden_page() {
+        let golden = "\
+# HELP hamlet_uptime_seconds Run wall time.
+# TYPE hamlet_uptime_seconds gauge
+hamlet_uptime_seconds 2
+# HELP hamlet_ingested_total Events pulled from the source.
+# TYPE hamlet_ingested_total counter
+hamlet_ingested_total 100
+# HELP hamlet_late_total Late events dropped.
+# TYPE hamlet_late_total counter
+hamlet_late_total 2
+# HELP hamlet_released_total Events released to workers.
+# TYPE hamlet_released_total counter
+hamlet_released_total 97
+# HELP hamlet_results_total Window results delivered to the sink.
+# TYPE hamlet_results_total counter
+hamlet_results_total 3
+# HELP hamlet_watermark Current event-time watermark (ticks).
+# TYPE hamlet_watermark gauge
+hamlet_watermark 55
+# HELP hamlet_queue_depth Events or results queued per pipeline stage.
+# TYPE hamlet_queue_depth gauge
+hamlet_queue_depth{stage=\"reorder\"} 9
+hamlet_queue_depth{stage=\"worker\",worker=\"0\"} 4
+hamlet_queue_depth{stage=\"worker\",worker=\"1\"} 0
+hamlet_queue_depth{stage=\"sink\"} 8
+# HELP hamlet_epoch Workload epoch (churn ops applied).
+# TYPE hamlet_epoch gauge
+hamlet_epoch 5
+# HELP hamlet_churns_rejected_total Scheduled churn ops skipped as invalidated.
+# TYPE hamlet_churns_rejected_total counter
+hamlet_churns_rejected_total 6
+# HELP hamlet_checkpoints_total Coordinated checkpoint cuts completed.
+# TYPE hamlet_checkpoints_total counter
+hamlet_checkpoints_total 7
+# HELP hamlet_checkpoint_bytes_total Serialized bytes across all completed cuts.
+# TYPE hamlet_checkpoint_bytes_total counter
+hamlet_checkpoint_bytes_total 4096
+# HELP hamlet_checkpoint_failures_total Checkpoint cuts that failed.
+# TYPE hamlet_checkpoint_failures_total counter
+hamlet_checkpoint_failures_total 1
+# HELP hamlet_latency_seconds End-to-end (ingest to emit) result latency.
+# TYPE hamlet_latency_seconds summary
+hamlet_latency_seconds{quantile=\"0.5\"} 0.000001024
+hamlet_latency_seconds{quantile=\"0.99\"} 0.0000013
+hamlet_latency_seconds_sum 0.000003348
+hamlet_latency_seconds_count 3
+# HELP hamlet_latency_bucket_total Latency histogram: samples per bucket (label = inclusive bucket low edge, ns).
+# TYPE hamlet_latency_bucket_total counter
+hamlet_latency_bucket_total{ge_ns=\"1024\"} 2
+hamlet_latency_bucket_total{ge_ns=\"1280\"} 1
+# HELP hamlet_dropped_spans_total Stage spans shed by full or contended trace rings.
+# TYPE hamlet_dropped_spans_total counter
+hamlet_dropped_spans_total 0
+# HELP hamlet_group_shared 1 if the optimizer placed the group shared, else 0.
+# TYPE hamlet_group_shared gauge
+hamlet_group_shared{group=\"1+2L\"} 1
+hamlet_group_shared{group=\"3\"} 0
+# HELP hamlet_group_benefit Def. 12 sharing benefit priced at placement.
+# TYPE hamlet_group_benefit gauge
+hamlet_group_benefit{group=\"1+2L\"} NaN
+hamlet_group_benefit{group=\"3\"} 2.5
+# HELP hamlet_group_events_routed_total Events routed into the group.
+# TYPE hamlet_group_events_routed_total counter
+hamlet_group_events_routed_total{group=\"1+2L\"} 10
+hamlet_group_events_routed_total{group=\"3\"} 1
+# HELP hamlet_group_runs_created_total Per-key window runs created.
+# TYPE hamlet_group_runs_created_total counter
+hamlet_group_runs_created_total{group=\"1+2L\"} 11
+hamlet_group_runs_created_total{group=\"3\"} 0
+# HELP hamlet_group_runs_expired_total Runs finalized by watermark expiry.
+# TYPE hamlet_group_runs_expired_total counter
+hamlet_group_runs_expired_total{group=\"1+2L\"} 12
+hamlet_group_runs_expired_total{group=\"3\"} 0
+# HELP hamlet_group_shared_bursts_total Bursts processed shared.
+# TYPE hamlet_group_shared_bursts_total counter
+hamlet_group_shared_bursts_total{group=\"1+2L\"} 13
+hamlet_group_shared_bursts_total{group=\"3\"} 0
+# HELP hamlet_group_solo_bursts_total Bursts processed per-query.
+# TYPE hamlet_group_solo_bursts_total counter
+hamlet_group_solo_bursts_total{group=\"1+2L\"} 14
+hamlet_group_solo_bursts_total{group=\"3\"} 0
+# HELP hamlet_group_graphlet_snapshots_total Graphlet-level snapshots taken.
+# TYPE hamlet_group_graphlet_snapshots_total counter
+hamlet_group_graphlet_snapshots_total{group=\"1+2L\"} 15
+hamlet_group_graphlet_snapshots_total{group=\"3\"} 0
+# HELP hamlet_group_event_snapshots_total Event-level snapshots taken.
+# TYPE hamlet_group_event_snapshots_total counter
+hamlet_group_event_snapshots_total{group=\"1+2L\"} 16
+hamlet_group_event_snapshots_total{group=\"3\"} 0
+# HELP hamlet_group_results_total Window results emitted by the group.
+# TYPE hamlet_group_results_total counter
+hamlet_group_results_total{group=\"1+2L\"} 17
+hamlet_group_results_total{group=\"3\"} 0
+";
+        assert_eq!(families(&exported().to_prometheus()), families(golden));
     }
 }

@@ -76,8 +76,8 @@ fn main() {
             m.results,
             m.late,
             m.queued(),
-            m.latency.p50,
-            m.latency.p99,
+            m.latency.p50(),
+            m.latency.p99(),
         );
         if m.source_done && m.queued() == 0 {
             break;

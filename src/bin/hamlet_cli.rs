@@ -656,8 +656,8 @@ fn run(
                 m.worker_depths,
                 m.sink_depth,
                 latency(
-                    m.latency.count,
-                    &[("p50", m.latency.p50), ("p99", m.latency.p99)]
+                    m.latency.count(),
+                    &[("p50", m.latency.p50()), ("p99", m.latency.p99())]
                 ),
             );
         }

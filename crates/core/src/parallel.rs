@@ -30,9 +30,14 @@
 //! push slices (tag `()`, [`BatchCut::Size`], nothing observed); the
 //! `hamlet-pipeline` ingest stage pushes released events as its
 //! `Source` yields them (tag = the arrival `Instant`,
-//! [`BatchCut::SizeOrTick`], a [`ShardHooks`] impl for its sink channel
+//! [`BatchCut::SizeOrClose`], a [`ShardHooks`] impl for its sink channel
 //! and metrics). The cut rule also fixes the batch size and the FIFO
-//! depth: the front end picks them, a user never does. A slice feed at
+//! depth: the front end picks them, a user never does. The pipeline's
+//! rule ships a batch on the event that may close windows — the first
+//! to reach the next point of the workload's window grid
+//! ([`ShardRouter`] keeps it, and moves it with churn) — and otherwise
+//! lets it fill while the worker is busy: a busy worker gets batches of
+//! up to 256 events, an idle one every tick. A slice feed at
 //! one worker runs inline on the caller's thread — a slice never
 //! blocks, so a channel and a second thread would buy nothing, and that
 //! run is the baseline the scaling experiments divide by. A pipeline
@@ -113,15 +118,20 @@ pub enum BatchCut {
     /// channel traffic, and the FIFO short enough that the router stalls
     /// rather than buffering the stream for a slow worker.
     Size,
-    /// At 256 events — the pipeline is latency-first — or as soon as
-    /// *this shard's* event time advances a tick, behind a FIFO of 8
-    /// batches that absorbs bursts. The tick is the boundary that costs
-    /// no result latency: a shard's windows only close when one of its
-    /// own events advances its engine's watermark, and exactly that
-    /// tick-advancing event ships inside the batch its push cuts, while
-    /// same-tick followers (which cannot close anything) stay buffered
-    /// and amortize the channel.
-    SizeOrTick,
+    /// At 256 events — the pipeline is latency-first — or where a window
+    /// may close, behind a FIFO of 8 batches that absorbs bursts. Every
+    /// window end lies on the workload's grid (the gcd of every `within`
+    /// and `slide`), and a shard's windows close only when one of its
+    /// own events reaches the next grid point past its engine's
+    /// watermark; exactly that event ships as the last of the batch its
+    /// push cuts. So a batch's last event is the only one that can close
+    /// windows, and a close never waits in the outbox. Between grid
+    /// points a tick advance cuts only while the shard's worker has
+    /// nothing queued ([`ShardHooks::backlog`]): an idle worker gets
+    /// every tick as before, so the work left at a close is one tick's;
+    /// a busy one gets batches that fill to 256 events or the grid, so
+    /// its fixed cost per batch is spread over many events.
+    SizeOrClose,
 }
 
 impl BatchCut {
@@ -129,7 +139,7 @@ impl BatchCut {
     fn size(self) -> usize {
         match self {
             BatchCut::Size => 1024,
-            BatchCut::SizeOrTick => 256,
+            BatchCut::SizeOrClose => 256,
         }
     }
 
@@ -138,7 +148,7 @@ impl BatchCut {
     pub fn depth(self) -> usize {
         match self {
             BatchCut::Size => 4,
-            BatchCut::SizeOrTick => 8,
+            BatchCut::SizeOrClose => 8,
         }
     }
 }
@@ -153,6 +163,14 @@ pub trait ShardHooks<T>: Sync {
     /// Coordinator side: `shard`'s worker hung up mid-run — it
     /// panicked, and the join at the end of the feed says how.
     fn lost(&self, _shard: usize) {}
+
+    /// Coordinator side: events on `shard`'s FIFO that its worker has
+    /// not finished, as the front end counts them. Under
+    /// [`BatchCut::SizeOrClose`] a tick advance cuts only at 0 — the
+    /// default, so a front end that does not count gets every tick.
+    fn backlog(&self, _shard: usize) -> usize {
+        0
+    }
 
     /// Worker side: what `shard`'s engine just emitted (possibly
     /// nothing) — for a batch of `batch.0` events tagged `batch.1`, or
@@ -178,11 +196,32 @@ struct Lane<T> {
     buf: Vec<Event>,
     /// Tag of the last event pushed into `buf`; `None` iff it is empty.
     tag: Option<T>,
-    /// Event-time tick of the last event pushed ([`BatchCut::SizeOrTick`]).
-    tick: Option<u64>,
+    /// Event-time tick of the last event pushed ([`BatchCut::SizeOrClose`]).
+    tick: u64,
+    /// The first grid point past `tick`: an event that reaches it may
+    /// close windows. 0 until the lane's first event, which may close
+    /// windows of an engine that ran before this feed.
+    close: u64,
+}
+
+/// The first multiple of `grid` past `tick`.
+fn next_close(tick: u64, grid: u64) -> u64 {
+    (tick / grid).saturating_add(1).saturating_mul(grid)
 }
 
 impl<T> Lane<T> {
+    /// The [`BatchCut::SizeOrClose`] cut for an event at `tick` on a
+    /// `grid`, short of size: whether it may close windows, or advances
+    /// the tick of a worker that `idle` says has nothing queued.
+    fn cuts_at(&mut self, tick: u64, grid: u64, idle: impl FnOnce() -> bool) -> bool {
+        let advanced = std::mem::replace(&mut self.tick, tick) != tick;
+        if tick >= self.close {
+            self.close = next_close(tick, grid);
+            return true;
+        }
+        advanced && idle()
+    }
+
     /// Blocking on a full FIFO *is* the backpressure. A send only fails
     /// if the worker died; the front end is told, so an unbounded run
     /// cannot silently discard that shard's events forever.
@@ -217,15 +256,15 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
     /// Routes `e` to every shard owning one of its partition keys;
     /// `tag` rides with the batch `e` is the last event of.
     pub fn push(&mut self, e: Event, tag: T) {
-        let (batch, cut, hooks, lanes) = (self.batch, self.cut, self.hooks, &mut self.lanes);
+        let (batch, hooks, lanes) = (self.batch, self.hooks, &mut self.lanes);
+        let grid = (self.cut == BatchCut::SizeOrClose).then_some(self.router.grid);
         self.router.route(e, |idx, e| {
             let lane = &mut lanes[idx];
-            let tick = e.time.ticks();
-            let advanced =
-                cut == BatchCut::SizeOrTick && lane.tick.replace(tick).is_some_and(|t| t != tick);
+            let close =
+                grid.is_some_and(|g| lane.cuts_at(e.time.ticks(), g, || hooks.backlog(idx) == 0));
             lane.buf.push(e);
             lane.tag = Some(tag);
-            if advanced || lane.buf.len() >= batch {
+            if close || lane.buf.len() >= batch {
                 lane.ship(idx, batch, hooks);
             }
         });
@@ -252,12 +291,17 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
     /// The churn barrier: the router validates `op` against the
     /// evolving workload, compile-checks the post-churn one (so the
     /// workers' own churn cannot fail) and re-plans routing; then every
-    /// shard applies it at the same stream position. The coordinator is
-    /// the only thread that routes, so re-planning before the sends is
-    /// safe. A rejected op changes nothing.
+    /// shard applies it at the same stream position, and the lanes move
+    /// to the post-churn window grid. The coordinator is the only thread
+    /// that routes, so re-planning before the sends is safe. A rejected
+    /// op changes nothing.
     pub fn churn(&mut self, op: ChurnOp) -> Result<(), ChurnError> {
         self.router.apply(&op)?;
         self.barrier(|| ShardMsg::Churn(op.clone()));
+        let grid = self.router.grid;
+        for lane in self.lanes.iter_mut().filter(|l| l.close != 0) {
+            lane.close = next_close(lane.tick, grid);
+        }
         Ok(())
     }
 
@@ -609,7 +653,8 @@ impl ParallelSession {
                         tx,
                         buf: Vec::with_capacity(batch),
                         tag: None,
-                        tick: None,
+                        tick: 0,
+                        close: 0,
                     };
                     (lane, handle)
                 })
@@ -664,6 +709,8 @@ mod tests {
     use super::*;
     use hamlet_query::{parse_query, QueryId};
     use hamlet_types::{AttrValue, Ts};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn setup() -> (Arc<TypeRegistry>, Vec<Query>, Vec<Event>) {
         let mut reg = TypeRegistry::new();
@@ -793,7 +840,7 @@ mod tests {
             out
         };
         let (plain, churned) = (single(None), single(Some(ChurnOp::Add(q9.clone()))));
-        for (cut, len, workers) in [BatchCut::Size, BatchCut::SizeOrTick]
+        for (cut, len, workers) in [BatchCut::Size, BatchCut::SizeOrClose]
             .into_iter()
             .flat_map(|c| [1usize, 7, 1024].map(|l| (c, l)))
             .flat_map(|(c, l)| [1u32, 2, 4].map(|w| (c, l, w)))
@@ -863,6 +910,225 @@ mod tests {
             sess.restore_chain(&chain).unwrap();
             out.extend(feed(&mut sess, &events[b..], &mut |f| f.flush()));
             assert_eq!(sorted(out), plain, "{cell}, delta cut + chain restore");
+        }
+    }
+
+    /// A [`ShardHooks`] that counts each shard's backlog the way the
+    /// pipeline does, records every batch its workers finish as (events,
+    /// tag of the last), and holds them inside `emitted` while `held` is
+    /// set — until `until` at the latest, so a cut rule that overfills
+    /// the FIFOs fails its test instead of hanging it.
+    struct Recorder {
+        backlog: Vec<AtomicUsize>,
+        batches: Mutex<Vec<Vec<(usize, usize)>>>,
+        held: AtomicBool,
+        until: Instant,
+    }
+
+    impl ShardHooks<usize> for Recorder {
+        fn queued(&self, shard: usize, events: usize) {
+            self.backlog[shard].fetch_add(events, Ordering::Relaxed);
+        }
+
+        fn backlog(&self, shard: usize) -> usize {
+            self.backlog[shard].load(Ordering::Relaxed)
+        }
+
+        fn emitted(
+            &self,
+            shard: usize,
+            _: &HamletEngine,
+            batch: Option<(usize, usize)>,
+            _: &mut Vec<WindowResult>,
+        ) {
+            let Some(batch) = batch else { return };
+            while self.held.load(Ordering::Relaxed) && Instant::now() < self.until {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            self.batches.lock().unwrap()[shard].push(batch);
+            self.backlog[shard].fetch_sub(batch.0, Ordering::Relaxed);
+        }
+    }
+
+    /// `per_tick` events at each tick of `ticks`, types cycling `A`, `C`,
+    /// `B`, `B`, `B` and keys over seven values.
+    fn burst_stream(reg: &TypeRegistry, ticks: std::ops::Range<u64>, per_tick: u64) -> Vec<Event> {
+        let [a, b, c] = ["A", "B", "C"].map(|ty| reg.type_id(ty).unwrap());
+        let ty = |i: u64| [a, c, b, b, b][(i % 5) as usize];
+        (ticks.flat_map(|t| (0..per_tick).map(move |k| (t, t * per_tick + k))))
+            .map(|(t, i)| Event::new(Ts(t), ty(i), vec![AttrValue::Int((i % 7) as i64)]))
+            .collect()
+    }
+
+    /// One shard's view of a [`BatchCut::SizeOrClose`] feed: the tick of
+    /// every event it was routed, the grid in force for each, whether
+    /// each ended a batch, and every batch as (position of its last
+    /// event, events).
+    #[derive(Default)]
+    struct Cuts {
+        ticks: Vec<u64>,
+        grids: Vec<u64>,
+        ends: Vec<bool>,
+        batches: Vec<(usize, usize)>,
+    }
+
+    impl Cuts {
+        /// Whether event `p` may close windows: the first of the shard's,
+        /// or one that passes a multiple of the grid.
+        fn closes(&self, p: usize) -> bool {
+            let g = self.grids[p];
+            p == 0 || self.ticks[p] / g > self.ticks[p - 1] / g
+        }
+
+        fn advances(&self, p: usize) -> bool {
+            p > 0 && self.ticks[p] != self.ticks[p - 1]
+        }
+    }
+
+    /// Feeds `events` to a fresh `workers`-way session under the
+    /// pipeline's cut rule — `churn` before the event it names — either
+    /// with every worker held in `emitted` for the whole feed, or
+    /// waiting before each push until every worker is idle; returns each
+    /// shard's [`Cuts`].
+    fn cuts(
+        workers: u32,
+        events: &[Event],
+        held: bool,
+        churn: Option<(usize, ChurnOp)>,
+    ) -> Vec<Cuts> {
+        let (reg, queries, _) = setup();
+        let mut sess = ParallelEngine::new(reg, queries, EngineConfig::default(), workers)
+            .unwrap()
+            .session();
+        let n = workers as usize;
+        // Who owns what, from a router that takes the same churn.
+        let mut router = sess.router.clone();
+        let mut shards: Vec<Cuts> = (0..n).map(|_| Cuts::default()).collect();
+        let mut owners: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (i, e) in events.iter().enumerate() {
+            if let Some((_, op)) = churn.as_ref().filter(|(at, _)| *at == i) {
+                router.apply(op).unwrap();
+            }
+            router.route(e.clone(), |idx, e| {
+                owners[idx].push(i);
+                shards[idx].ticks.push(e.time.ticks());
+                shards[idx].grids.push(router.grid);
+            });
+        }
+        let hooks = Recorder {
+            backlog: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            batches: Mutex::new(vec![Vec::new(); n]),
+            held: AtomicBool::new(held),
+            until: Instant::now() + Duration::from_secs(5),
+        };
+        let body = |feed: &mut Feed<'_, usize, Recorder>| {
+            for (i, e) in events.iter().enumerate() {
+                if let Some((_, op)) = churn.as_ref().filter(|(at, _)| *at == i) {
+                    feed.churn(op.clone()).unwrap();
+                }
+                while !held && hooks.backlog.iter().any(|b| b.load(Ordering::Relaxed) > 0) {
+                    std::thread::yield_now();
+                }
+                feed.push(e.clone(), i);
+            }
+            hooks.held.store(false, Ordering::Relaxed);
+        };
+        sess.feed(BatchCut::SizeOrClose, &hooks, body);
+        for (idx, (shard, batches)) in shards
+            .iter_mut()
+            .zip(hooks.batches.into_inner().unwrap())
+            .enumerate()
+        {
+            let mut pos = 0;
+            shard.ends = vec![false; shard.ticks.len()];
+            for (len, last) in batches {
+                pos += len;
+                assert_eq!(owners[idx][pos - 1], last, "shard {idx}: batch tag");
+                shard.ends[pos - 1] = true;
+                shard.batches.push((pos - 1, len));
+            }
+            assert_eq!(
+                pos,
+                shard.ticks.len(),
+                "shard {idx}: every event in a batch"
+            );
+        }
+        shards
+    }
+
+    /// Every event that may close windows ends its batch, busy worker
+    /// or idle, at one shard and at two.
+    #[test]
+    fn an_event_that_may_close_windows_ends_its_batch() {
+        let (reg, _, _) = setup();
+        let events = burst_stream(&reg, 0..60, 20);
+        for (workers, held) in [(1, true), (1, false), (2, true), (2, false)] {
+            for (idx, shard) in cuts(workers, &events, held, None).iter().enumerate() {
+                assert!(shard.grids.iter().all(|&g| g == 20));
+                for p in (0..shard.ticks.len()).filter(|&p| shard.closes(p)) {
+                    assert!(
+                        shard.ends[p],
+                        "{workers} workers, held {held}, shard {idx}: {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A busy worker's batches end only at 256 events, where a window
+    /// may close, or at the end of the feed: same-pane tick advances
+    /// leave them filling. An idle worker's still end at every tick
+    /// advance.
+    #[test]
+    fn a_busy_worker_gets_full_batches_and_an_idle_one_every_tick() {
+        let (reg, _, _) = setup();
+        let events = burst_stream(&reg, 0..60, 20);
+        let held = cuts(1, &events, true, None).remove(0);
+        let last = held.ticks.len() - 1;
+        for &(end, len) in &held.batches {
+            assert!(
+                len == 256 || held.closes(end) || end == last,
+                "{len} to {end}"
+            );
+        }
+        // After the first event's own batch, each 400-event pane is one
+        // full batch and the rest up to the event that closes it.
+        let sizes: Vec<usize> = held.batches.iter().map(|b| b.1).collect();
+        assert_eq!(sizes, [1, 256, 144, 256, 144, 256, 143]);
+        assert!((0..last).any(|p| held.advances(p) && !held.ends[p]));
+
+        let idle = cuts(1, &events, false, None).remove(0);
+        for p in (0..idle.ticks.len()).filter(|&p| idle.advances(p)) {
+            assert!(idle.ends[p], "idle worker, event {p} advances the tick");
+        }
+    }
+
+    /// Churn moves the grid: adding a `WITHIN 7` query to a `WITHIN 20`
+    /// workload makes every tick a grid point (gcd 1), so a busy
+    /// worker's batches that spanned a whole pane end at every tick
+    /// advance after the barrier — mid-pane, before the old grid's next
+    /// point.
+    #[test]
+    fn churn_moves_the_grid() {
+        let (reg, _, _) = setup();
+        let mut events = burst_stream(&reg, 0..30, 3);
+        let at = events.len();
+        events.extend(burst_stream(&reg, 30..34, 3));
+        let q9 = parse_query(
+            &reg,
+            9,
+            "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 7",
+        )
+        .unwrap();
+        let shard = cuts(1, &events, true, Some((at, ChurnOp::Add(q9)))).remove(0);
+        assert_eq!((shard.grids[at - 1], shard.grids[at]), (20, 1));
+        let before: Vec<usize> = (1..at).filter(|&p| shard.advances(p)).collect();
+        assert!(before.iter().any(|&p| !shard.ends[p]), "a pane spans ticks");
+        for p in (at..events.len()).filter(|&p| shard.advances(p)) {
+            assert!(
+                shard.ends[p],
+                "after the churn, event {p} advances the tick"
+            );
         }
     }
 

@@ -36,6 +36,11 @@ pub struct ShardRouter {
     reg: Arc<TypeRegistry>,
     /// The current workload; evolves with every [`apply`](Self::apply).
     pub(crate) queries: Vec<Query>,
+    /// The workload's window grid: the gcd of every query's `within` and
+    /// `slide`. Window instances start on multiples of their slide, so
+    /// every window end is a multiple of it — an event can close a
+    /// window only by reaching the next one. 1 for an empty workload.
+    pub(crate) grid: u64,
     /// The shard engines' configuration (`shard` is set per shard).
     cfg: EngineConfig,
     workers: u32,
@@ -65,6 +70,7 @@ impl ShardRouter {
         }
         let mut router = ShardRouter {
             reg,
+            grid: grid_of(&queries),
             queries,
             cfg,
             workers,
@@ -165,6 +171,7 @@ impl ShardRouter {
         if self.engine.is_some() {
             self.engine = Some(Arc::new(engine));
         }
+        self.grid = grid_of(&next);
         self.queries = next;
         Ok(())
     }
@@ -181,6 +188,14 @@ impl ShardRouter {
         }
         Ok(())
     }
+}
+
+/// The gcd of every query's `within` and `slide`; 1 when there is none.
+fn grid_of(queries: &[Query]) -> u64 {
+    let spans = queries
+        .iter()
+        .flat_map(|q| [q.window.within, q.window.slide]);
+    hamlet_types::time::gcd_all(spans).unwrap_or(1).max(1)
 }
 
 #[cfg(test)]

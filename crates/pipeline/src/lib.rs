@@ -29,9 +29,10 @@
 //!   worker owning the partitions that hash to it, the same barriers and
 //!   the same bit-identical merged results. What the pipeline adds is an
 //!   argument of that one loop — the arrival stamp its batches carry,
-//!   the tick cut rule (which fixes its batch size and channel depth:
-//!   `BatchCut::SizeOrTick`), and the hooks that send results to the
-//!   sink stage and keep the live metrics.
+//!   the cut rule that ships a batch where a window may close (which
+//!   fixes its batch size and channel depth: `BatchCut::SizeOrClose`),
+//!   and the hooks that send results to the sink stage, report each
+//!   worker's backlog to that rule and keep the live metrics.
 //! * **One control plane** — a [`PipelineHandle`] reaches its pipeline
 //!   over one channel to the ingest stage, and whatever it asks for —
 //!   churn, a checkpoint cut, the end of the run — becomes a barrier on
@@ -111,7 +112,7 @@ use hamlet_types::{Event, Ts, TypeRegistry};
 use stats::SharedStats;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -551,7 +552,7 @@ impl PipelineBuilder {
 
         // The sink channel holds as many result batches as the worker
         // FIFOs hold event batches.
-        let depth = BatchCut::SizeOrTick.depth() * n;
+        let depth = BatchCut::SizeOrClose.depth() * n;
         let (result_tx, result_rx) = mpsc::sync_channel::<Vec<WindowResult>>(depth);
         for (idx, engine) in session.engines_mut().iter_mut().enumerate() {
             if spans.is_enabled() {
@@ -566,7 +567,6 @@ impl PipelineBuilder {
         let observer = Observer {
             shared: shared.clone(),
             result_tx,
-            batches: (0..n).map(|_| AtomicU64::new(0)).collect(),
         };
 
         let sink_shared = shared.clone();
@@ -602,7 +602,7 @@ impl PipelineBuilder {
             .name("hamlet-pipe-ingest".into())
             .spawn(move || {
                 let (frozen, _) =
-                    session.feed(BatchCut::SizeOrTick, &observer, |feed| ingest.run(feed));
+                    session.feed(BatchCut::SizeOrClose, &observer, |feed| ingest.run(feed));
                 // Blocking: each shard's last word must land even if a
                 // snapshot reader holds the lock right now.
                 for (idx, engine) in session.engines().iter().enumerate() {
@@ -929,8 +929,6 @@ impl<Src: Source> Ingest<Src> {
 struct Observer {
     shared: Arc<SharedStats>,
     result_tx: mpsc::SyncSender<Vec<WindowResult>>,
-    /// Batches each worker has processed (the publish cadence).
-    batches: Vec<AtomicU64>,
 }
 
 /// Periodic group-metrics publish cadence, in batches: frequent enough
@@ -962,6 +960,10 @@ impl ShardHooks<Instant> for Observer {
         self.shared.stop.store(true, Ordering::Relaxed);
     }
 
+    fn backlog(&self, shard: usize) -> usize {
+        self.shared.worker_depths[shard].load(Ordering::Relaxed)
+    }
+
     fn emitted(
         &self,
         shard: usize,
@@ -982,10 +984,10 @@ impl ShardHooks<Instant> for Observer {
         self.shared.worker_depths[shard].fetch_sub(events, Ordering::Relaxed);
         if !results.is_empty() {
             // Every result is attributed to the batch's last event: the
-            // executor cuts a shard's batch *on* the tick-advancing event
-            // (`BatchCut::SizeOrTick`), so that final event is the only
-            // one in the batch that can advance this engine's watermark
-            // and close windows — the attribution a per-event loop gives.
+            // executor cuts a shard's batch *on* the first event to reach
+            // the next point of the window grid (`BatchCut::SizeOrClose`),
+            // so that final event is the only one in the batch that can
+            // close windows — the attribution a per-event loop gives.
             // One lock and one weighted sample per batch, not per result:
             // N workers recording per result would contend on the shared
             // histogram and inflate the very tail latency being measured.
@@ -994,7 +996,7 @@ impl ShardHooks<Instant> for Observer {
             (self.shared.latency.lock().expect("latency lock")).record_n(latency, n);
             self.emit(results);
         }
-        let batches = self.batches[shard].fetch_add(1, Ordering::Relaxed) + 1;
+        let batches = self.shared.batches[shard].fetch_add(1, Ordering::Relaxed) + 1;
         if batches.is_multiple_of(PUBLISH_EVERY) {
             self.shared
                 .try_publish_groups(shard, engine.group_metrics());
@@ -1314,9 +1316,9 @@ mod tests {
 
     fn setup() -> (Arc<TypeRegistry>, Vec<Query>, Vec<Event>) {
         let mut reg = TypeRegistry::new();
-        let a = reg.register("A", &["g"]);
-        let b = reg.register("B", &["g"]);
-        let c = reg.register("C", &["g"]);
+        for ty in ["A", "B", "C"] {
+            reg.register(ty, &["g"]);
+        }
         let reg = Arc::new(reg);
         let queries = vec![
             parse_query(
@@ -1332,16 +1334,24 @@ mod tests {
             )
             .unwrap(),
         ];
-        let mut events = Vec::new();
-        for t in 0..300u64 {
-            let ty = match t % 5 {
-                0 => a,
-                1 => c,
-                _ => b,
-            };
-            events.push(Event::new(Ts(t), ty, vec![AttrValue::Int((t % 7) as i64)]));
-        }
+        let events = stream(&reg, 300);
         (reg, queries, events)
+    }
+
+    /// One event per tick over ticks `0..len`: `A`, `C`, then three `B`s,
+    /// over seven keys.
+    fn stream(reg: &TypeRegistry, len: u64) -> Vec<Event> {
+        let [a, b, c] = ["A", "B", "C"].map(|ty| reg.type_id(ty).unwrap());
+        (0..len)
+            .map(|t| {
+                let ty = match t % 5 {
+                    0 => a,
+                    1 => c,
+                    _ => b,
+                };
+                Event::new(Ts(t), ty, vec![AttrValue::Int((t % 7) as i64)])
+            })
+            .collect()
     }
 
     fn offline(reg: &Arc<TypeRegistry>, queries: &[Query], events: &[Event]) -> Vec<WindowResult> {
@@ -1521,12 +1531,16 @@ mod tests {
 
     /// Backpressure at the fixed channel depths: while the sink holds
     /// its first batch, the sink channel fills, then the worker's FIFO,
-    /// and the source stalls — the stream (one batch per tick, a result
-    /// batch every 20) is longer than every channel together holds. Once
-    /// the sink lets go, no result is lost or duplicated.
+    /// and the source stalls. One event per tick closes a window every
+    /// 20 events, so the sink channel's 8 result batches hold 160 ticks
+    /// of stream; the worker blocked on it is busy, so its batches fill
+    /// to the 20-tick grid, and its FIFO's 8 hold 160 more — 1000 events
+    /// are longer than every channel together holds. Once the sink lets
+    /// go, no result is lost or duplicated.
     #[test]
     fn backpressure_preserves_every_result() {
-        let (reg, queries, events) = setup();
+        let (reg, queries, _) = setup();
+        let events = stream(&reg, 1000);
         let expected = offline(&reg, &queries, &events);
         let (open, gate) = mpsc::channel();
         let sink = Gated {

@@ -31,6 +31,9 @@ pub(crate) struct SharedStats {
     pub(crate) late: AtomicU64,
     /// Events released by the reorder stage into the worker channels.
     pub(crate) released: AtomicU64,
+    /// Event batches each worker has processed (also its group-metrics
+    /// publish cadence).
+    pub(crate) batches: Vec<AtomicU64>,
     /// Window results delivered to the sink.
     pub(crate) results: AtomicU64,
     /// Watermark ticks (valid iff `watermark_set`).
@@ -75,6 +78,7 @@ impl SharedStats {
             ingested: AtomicU64::new(0),
             late: AtomicU64::new(0),
             released: AtomicU64::new(0),
+            batches: (0..workers).map(|_| AtomicU64::new(0)).collect(),
             results: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
             watermark_set: AtomicBool::new(false),
@@ -144,6 +148,7 @@ impl SharedStats {
             ingested: self.ingested.load(Ordering::Relaxed),
             late: self.late.load(Ordering::Relaxed),
             released: self.released.load(Ordering::Relaxed),
+            batches: self.batches.iter().map(|b| b.load(Ordering::Relaxed)).sum(),
             results: self.results.load(Ordering::Relaxed),
             watermark: self
                 .watermark_set
@@ -182,6 +187,10 @@ pub struct MetricsSnapshot {
     pub late: u64,
     /// Events released downstream by the reorder stage.
     pub released: u64,
+    /// Event batches the shard workers have processed, summed over
+    /// workers and counted from this spawn (a resume starts at 0):
+    /// `released ÷ batches` is the mean batch a worker is fed.
+    pub batches: u64,
     /// Window results delivered to the sink.
     pub results: u64,
     /// Current event-time watermark.
@@ -261,10 +270,11 @@ const fn gauge(key: &'static str, help: &'static str, read: Read) -> Total {
 /// and latency fields, the rest after them. The Prometheus page writes
 /// them all after uptime, in this order. Adding an exported total is one
 /// row here.
-const TOTALS: [Total; 10] = [
+const TOTALS: [Total; 11] = [
     counter("ingested", "Events pulled from the source.", |m| m.ingested),
     counter("late", "Late events dropped.", |m| m.late),
     counter("released", "Events released to workers.", |m| m.released),
+    counter("batches", "Event batches workers processed.", |m| m.batches),
     counter("results", "Window results delivered to the sink.", |m| {
         m.results
     }),
@@ -295,7 +305,7 @@ const TOTALS: [Total; 10] = [
 ];
 
 /// The rows of [`TOTALS`] that open the `--metrics-json` line.
-const FLOW: usize = 4;
+const FLOW: usize = 5;
 
 impl MetricsSnapshot {
     /// Renders the snapshot in the Prometheus text exposition format:
@@ -513,7 +523,8 @@ mod tests {
     }
 
     /// A snapshot built the way a run builds one: totals through the
-    /// shared atomics, latency through recorded samples (two at 1024 ns,
+    /// shared atomics (`batches` as two workers' counts, which the
+    /// snapshot sums), latency through recorded samples (two at 1024 ns,
     /// one at 1300 ns), group rows through worker publishes. Every
     /// exported number is distinct, so a value read into the wrong key
     /// shows up; only `elapsed` is set afterwards, to make it exact.
@@ -532,6 +543,8 @@ mod tests {
         ] {
             total.store(v, Ordering::Relaxed);
         }
+        s.batches[0].store(20, Ordering::Relaxed);
+        s.batches[1].store(13, Ordering::Relaxed);
         s.reorder_depth.store(9, Ordering::Relaxed);
         s.worker_depths[0].store(4, Ordering::Relaxed);
         s.sink_depth.store(8, Ordering::Relaxed);
@@ -561,7 +574,7 @@ mod tests {
         let mut snap = exported();
         assert_eq!(
             snap.to_json(),
-            "{\"elapsed\":2,\"ingested\":100,\"late\":2,\"released\":97,\"results\":3,\
+            "{\"elapsed\":2,\"ingested\":100,\"late\":2,\"released\":97,\"batches\":33,\"results\":3,\
              \"watermark\":55,\"source_done\":false,\"reorder_depth\":9,\
              \"worker_depths\":[4,0],\"sink_depth\":8,\"ingest_eps\":50,\
              \"latency\":{\"count\":3,\"avg\":0.000001116,\"p50\":0.000001024,\
@@ -612,6 +625,9 @@ hamlet_late_total 2
 # HELP hamlet_released_total Events released to workers.
 # TYPE hamlet_released_total counter
 hamlet_released_total 97
+# HELP hamlet_batches_total Event batches workers processed.
+# TYPE hamlet_batches_total counter
+hamlet_batches_total 33
 # HELP hamlet_results_total Window results delivered to the sink.
 # TYPE hamlet_results_total counter
 hamlet_results_total 3

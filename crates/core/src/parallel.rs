@@ -30,8 +30,8 @@
 //! push slices (tag `()`, [`BatchCut::Size`], nothing observed); the
 //! `hamlet-pipeline` ingest stage pushes released events as its
 //! `Source` yields them (tag = the arrival `Instant`,
-//! [`BatchCut::SizeOrClose`], a [`ShardHooks`] impl for its sink channel
-//! and metrics). The cut rule also fixes the batch size and the FIFO
+//! [`BatchCut::SizeOrClose`], a [`ShardHooks`] impl through which each
+//! worker delivers into its sink and keeps its metrics). The cut rule also fixes the batch size and the FIFO
 //! depth: the front end picks them, a user never does. The pipeline's
 //! rule ships a batch on the event that may close windows — the first
 //! to reach the next point of the workload's window grid
@@ -145,7 +145,7 @@ impl BatchCut {
 
     /// Bound of each worker's FIFO, in batches. A full FIFO blocks the
     /// feed: that is the backpressure.
-    pub fn depth(self) -> usize {
+    fn depth(self) -> usize {
         match self {
             BatchCut::Size => 4,
             BatchCut::SizeOrClose => 8,
@@ -622,7 +622,7 @@ impl ParallelSession {
     }
 
     /// The executor: one scoped worker thread per shard engine behind a
-    /// FIFO of [`cut.depth()`](BatchCut::depth) batches, fed by `body`
+    /// FIFO of as many batches as `cut` fixes, fed by `body`
     /// on the caller's thread for as long as it runs. When `body`
     /// returns, every partial batch is shipped, the FIFOs close, the
     /// workers drain them and are joined; returns `body`'s value and the

@@ -20,9 +20,10 @@
 //!   a bounded-lateness watermark holds events back just long enough to
 //!   restore timestamp order; events behind the watermark are counted
 //!   and dead-lettered, never fed to the engine.
-//! * **Backpressure** — every stage boundary is a bounded
-//!   `sync_channel`; a slow engine or sink stalls the source instead of
-//!   buffering the stream.
+//! * **Backpressure** — ingest hands batches to the workers over bounded
+//!   `sync_channel`s, and a worker delivers its results into the sink
+//!   itself; a slow engine or sink holds its worker, whose full channel
+//!   stalls the source instead of buffering the stream.
 //! * **Sharded workers** — the ingest stage runs as the body of one
 //!   [`ParallelSession::feed`] call, the shard executor the offline
 //!   parallel path feeds slices to: per-shard batches and channels, each
@@ -31,8 +32,9 @@
 //!   argument of that one loop — the arrival stamp its batches carry,
 //!   the cut rule that ships a batch where a window may close (which
 //!   fixes its batch size and channel depth: `BatchCut::SizeOrClose`),
-//!   and the hooks that send results to the sink stage, report each
-//!   worker's backlog to that rule and keep the live metrics.
+//!   and the hooks through which each worker delivers its results into
+//!   the sink, reports its backlog to that rule and keeps the live
+//!   metrics.
 //! * **One control plane** — a [`PipelineHandle`] reaches its pipeline
 //!   over one channel to the ingest stage, and whatever it asks for —
 //!   churn, a checkpoint cut, the end of the run — becomes a barrier on
@@ -113,7 +115,7 @@ use stats::SharedStats;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::Ordering;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -382,9 +384,9 @@ impl PipelineBuilder {
     }
 
     /// Validates the workload, builds every engine, and spawns the
-    /// pipeline threads: `ingest → [workers] → sink`, every arrow a
-    /// bounded channel. Construction errors surface here, not inside
-    /// threads.
+    /// pipeline threads: `ingest → [workers]`, every arrow a bounded
+    /// channel, and each worker hands its results to the sink itself.
+    /// Construction errors surface here, not inside threads.
     pub fn spawn<Src, S>(self, source: Src, sink: S) -> Result<PipelineHandle<S>, EngineError>
     where
         Src: Source + 'static,
@@ -550,10 +552,6 @@ impl PipelineBuilder {
             shared.reorder_depth.store(buffer.len(), Ordering::Relaxed);
         }
 
-        // The sink channel holds as many result batches as the worker
-        // FIFOs hold event batches.
-        let depth = BatchCut::SizeOrClose.depth() * n;
-        let (result_tx, result_rx) = mpsc::sync_channel::<Vec<WindowResult>>(depth);
         for (idx, engine) in session.engines_mut().iter_mut().enumerate() {
             if spans.is_enabled() {
                 engine.attach_span_recorder(spans.clone(), 1 + idx as u32);
@@ -563,18 +561,14 @@ impl PipelineBuilder {
             // the optimizer's placement decisions.
             shared.publish_groups(idx, engine.group_metrics().to_vec());
         }
-        // The sink ends when the observer — the one sender — is dropped.
+        // The workers deliver into the sink themselves, through the
+        // observer's handle on it; the typed one comes back once the
+        // observer is gone.
+        let sink = Arc::new(Mutex::new(sink));
         let observer = Observer {
             shared: shared.clone(),
-            result_tx,
+            sink: sink.clone(),
         };
-
-        let sink_shared = shared.clone();
-        let sink_handle = std::thread::Builder::new()
-            .name("hamlet-pipe-sink".into())
-            .spawn(move || sink_loop(sink, &result_rx, &sink_shared))
-            // hamlet-lint: allow(panic-hygiene) -- thread spawn failing at startup leaves nothing to clean up; abort the pipeline
-            .expect("spawn sink thread");
 
         let (control_tx, control_rx) = mpsc::channel::<Control>();
         let mut ingest = Ingest {
@@ -609,7 +603,11 @@ impl PipelineBuilder {
                     let groups = engine.group_metrics().to_vec();
                     observer.shared.publish_groups(idx, groups);
                 }
-                (session, frozen)
+                drop(observer);
+                let sink = Arc::into_inner(sink).and_then(|sink| sink.into_inner().ok());
+                // hamlet-lint: allow(panic-hygiene) -- the observer dropped above held the only other handle, and a sink that panicked took this thread down at the feed's join
+                let sink = sink.expect("the workers are done with the sink");
+                (session, frozen, sink)
             })
             // hamlet-lint: allow(panic-hygiene) -- thread spawn failing at startup leaves nothing to clean up; abort the pipeline
             .expect("spawn ingest thread");
@@ -618,7 +616,6 @@ impl PipelineBuilder {
             shared,
             ingest: ingest_handle,
             control: control_tx,
-            sink: sink_handle,
         })
     }
 }
@@ -891,7 +888,9 @@ impl<Src: Source> Ingest<Src> {
     /// A coordinated checkpoint cut at the current barrier
     /// ([`Feed::cut`]: every shard serializes at exactly the same stream
     /// position), assembled into the pipeline container with the chain
-    /// position its shard records agree on.
+    /// position its shard records agree on. Each worker handed its
+    /// pre-cut results to the sink before it answered the cut, so the
+    /// recorded counters are exact.
     fn coordinated_cut(
         &mut self,
         feed: &mut ShardFeed<'_>,
@@ -900,16 +899,6 @@ impl<Src: Source> Ingest<Src> {
         let shards = feed.cut(kind)?;
         let meta = Checkpoint::container_meta(PIPELINE_VERSION, &shards)?;
         let engines = shards.into_iter().map(Checkpoint::into_bytes).collect();
-        // Every pre-cut result is now enqueued to the sink (each worker
-        // sent its results before replying with its frame); wait for the
-        // sink thread to land them so the frozen counters are exact.
-        // Bounded, so a wedged sink cannot hang ingest forever.
-        for _ in 0..1_000_000 {
-            if self.shared.sink_depth.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-        }
         let counters = self.shared.counters();
         let container = PipelineCheckpoint {
             engines,
@@ -925,10 +914,10 @@ impl<Src: Source> Ingest<Src> {
 
 /// What the pipeline observes of the shard executor: queue depths,
 /// end-to-end latency, live share-group metrics — and where the results
-/// go, the sink stage.
+/// go: each worker hands its own to the sink.
 struct Observer {
     shared: Arc<SharedStats>,
-    result_tx: mpsc::SyncSender<Vec<WindowResult>>,
+    sink: Arc<Mutex<dyn Sink>>,
 }
 
 /// Periodic group-metrics publish cadence, in batches: frequent enough
@@ -937,14 +926,18 @@ struct Observer {
 const PUBLISH_EVERY: u64 = 64;
 
 impl Observer {
-    /// Hands one worker's results to the sink stage.
+    /// Hands one worker's results to the sink, on the worker's thread: a
+    /// slow sink holds the worker, whose full FIFO then holds ingest.
     fn emit(&self, results: Vec<WindowResult>) {
-        if !results.is_empty() {
-            self.shared
-                .sink_depth
-                .fetch_add(results.len(), Ordering::Relaxed);
-            let _ = self.result_tx.send(results);
+        let n = results.len();
+        if n == 0 {
+            return;
         }
+        self.shared.sink_depth.fetch_add(n, Ordering::Relaxed);
+        // hamlet-lint: allow(panic-hygiene) -- a poisoned sink lock means another worker's accept panicked; propagate it
+        self.sink.lock().expect("sink lock").accept(results);
+        self.shared.sink_depth.fetch_sub(n, Ordering::Relaxed);
+        self.shared.results.fetch_add(n as u64, Ordering::Relaxed);
     }
 }
 
@@ -1004,22 +997,6 @@ impl ShardHooks<Instant> for Observer {
     }
 }
 
-/// The sink stage: delivers result batches and keeps the counters live.
-fn sink_loop<S: Sink>(
-    mut sink: S,
-    rx: &mpsc::Receiver<Vec<WindowResult>>,
-    shared: &SharedStats,
-) -> S {
-    while let Ok(batch) = rx.recv() {
-        shared.sink_depth.fetch_sub(batch.len(), Ordering::Relaxed);
-        shared
-            .results
-            .fetch_add(batch.len() as u64, Ordering::Relaxed);
-        sink.accept(batch);
-    }
-    sink
-}
-
 /// A live pipeline: observe it with [`metrics`](Self::metrics), end it
 /// with [`drain`](Self::drain) — or freeze it with
 /// [`checkpoint`](Self::checkpoint) to resume later.
@@ -1029,9 +1006,8 @@ pub struct PipelineHandle<S> {
     /// ingest stage.
     control: mpsc::Sender<Control>,
     /// Hands back the session — its shard engines hold what the run
-    /// measured — and the frozen container, if any.
-    ingest: JoinHandle<(ParallelSession, IngestOutput)>,
-    sink: JoinHandle<S>,
+    /// measured — the frozen container, if any, and the sink.
+    ingest: JoinHandle<(ParallelSession, IngestOutput, S)>,
 }
 
 impl<S: Sink> Snapshot for PipelineHandle<S> {
@@ -1119,16 +1095,14 @@ impl<S: Sink> PipelineHandle<S> {
         answer.recv().ok()
     }
 
-    /// Tells the ingest stage how the run ends and joins every thread —
-    /// the one way out of a pipeline. (The shard workers are scoped to
-    /// the ingest stage's feed; a worker's panic arrives as its.)
+    /// Tells the ingest stage how the run ends and joins it — the one way
+    /// out of a pipeline. (The shard workers are scoped to the ingest
+    /// stage's feed; a worker's panic, or its sink's, arrives as its.)
     fn finish(self, end: End) -> (Arc<SharedStats>, ParallelSession, IngestOutput, S) {
         // A failed send means ingest died; its join below says how.
         let _ = self.control.send(Control::End(end));
         // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
-        let (session, frozen) = self.ingest.join().expect("ingest thread panicked");
-        // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
-        let sink = self.sink.join().expect("sink thread panicked");
+        let (session, frozen, sink) = self.ingest.join().expect("ingest thread panicked");
         (self.shared, session, frozen, sink)
     }
 
@@ -1529,14 +1503,14 @@ mod tests {
         }
     }
 
-    /// Backpressure at the fixed channel depths: while the sink holds
-    /// its first batch, the sink channel fills, then the worker's FIFO,
-    /// and the source stalls. One event per tick closes a window every
-    /// 20 events, so the sink channel's 8 result batches hold 160 ticks
-    /// of stream; the worker blocked on it is busy, so its batches fill
-    /// to the 20-tick grid, and its FIFO's 8 hold 160 more — 1000 events
-    /// are longer than every channel together holds. Once the sink lets
-    /// go, no result is lost or duplicated.
+    /// Backpressure at the fixed FIFO depth: while the sink holds its
+    /// first batch, it holds the worker delivering it, the worker's FIFO
+    /// fills, and the source stalls. One event per tick closes a window
+    /// every 20 events; the held worker is busy, so its batches fill to
+    /// the 20-tick grid, and its FIFO's 8 hold 160 ticks of stream —
+    /// 1000 events are longer than the FIFO and the batch being built
+    /// hold together. Once the sink lets go, no result is lost or
+    /// duplicated.
     #[test]
     fn backpressure_preserves_every_result() {
         let (reg, queries, _) = setup();
@@ -1565,6 +1539,81 @@ mod tests {
         let report = handle.drain();
         assert_eq!(report.sink.results, expected, "backpressure lost results");
         assert_eq!(report.events, events.len() as u64);
+    }
+
+    /// A sink that sleeps `pause` in every batch it accepts.
+    struct Slow {
+        results: Vec<WindowResult>,
+        pause: Duration,
+    }
+
+    impl Sink for Slow {
+        fn accept(&mut self, batch: Vec<WindowResult>) {
+            std::thread::sleep(self.pause);
+            self.results.extend(batch);
+        }
+    }
+
+    /// A freeze behind a sink slower than the stream records exactly the
+    /// results the sink holds: each worker delivers its pre-cut results
+    /// before it answers the cut, however long the sink takes. Resuming
+    /// from the container counts on from there, and the stitched output
+    /// equals the uninterrupted run.
+    #[test]
+    fn a_freeze_behind_a_slow_sink_records_exact_counters() {
+        let (reg, queries, _) = setup();
+        let events = stream(&reg, 1000);
+        let expected = offline(&reg, &queries, &events);
+        let sink = Slow {
+            results: Vec::new(),
+            pause: Duration::from_millis(100),
+        };
+        let handle = Pipeline::builder(reg.clone(), queries.clone())
+            .spawn(ReplaySource::new(events.clone()), sink)
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.metrics().ingested < 100 {
+            assert!(Instant::now() < deadline, "pipeline made no progress");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut frozen = handle.checkpoint();
+        let ck = &frozen.checkpoint;
+        let counted = ck.counters[3];
+        assert!(ck.events_pulled() < events.len() as u64, "froze mid-stream");
+        assert!(counted > 0, "results reached the sink before the freeze");
+        assert_eq!(
+            counted,
+            frozen.sink.results.len() as u64,
+            "the container's results counter"
+        );
+
+        frozen.sink.pause = Duration::ZERO;
+        let (tx_ev, rx_ev) = mpsc::channel::<Event>();
+        let resumed = Pipeline::builder(reg, queries)
+            .resume_from(&store_of(ck), ChannelSource(rx_ev), frozen.sink)
+            .unwrap();
+        assert_eq!(resumed.metrics().results, counted, "counters continue");
+        for e in &events[ck.events_pulled() as usize..] {
+            tx_ev.send(e.clone()).unwrap();
+        }
+        drop(tx_ev);
+        let report = resumed.drain();
+        assert_eq!(report.results, expected.len() as u64);
+        assert_eq!(report.sink.results, expected, "resume diverged");
+    }
+
+    /// A sink that panics takes its worker down, and with it the feed:
+    /// the panic surfaces at the caller's join instead of a clean end.
+    #[test]
+    #[should_panic(expected = "ingest thread panicked")]
+    fn a_panicking_sink_surfaces_at_the_join() {
+        let (reg, queries, events) = setup();
+        let sink = |_: Vec<WindowResult>| panic!("the sink gave up");
+        Pipeline::builder(reg, queries)
+            .workers(2)
+            .spawn(ReplaySource::new(events), sink)
+            .unwrap()
+            .drain();
     }
 
     /// Replays `events`, stalling for `pause` before handing out the last
@@ -2444,7 +2493,7 @@ mod tests {
         }
     }
 
-    /// Hands its results on when the sink thread ends, so a test can
+    /// Hands its results on when the pipeline lets go of it, so a test can
     /// observe a pipeline whose handle is gone.
     struct Bequeath(Vec<WindowResult>, mpsc::Sender<Vec<WindowResult>>);
 

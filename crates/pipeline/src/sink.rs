@@ -1,8 +1,9 @@
 //! Result sinks: where a live pipeline's window results go.
 //!
-//! A [`Sink`] runs on its own thread behind a bounded channel, so a slow
-//! sink backpressures the workers (and transitively the source) instead
-//! of buffering unbounded results. The sink is handed back by
+//! Each shard worker hands its results to the [`Sink`] itself, one
+//! worker at a time, so a slow sink holds the workers (and through their
+//! bounded channels the source) instead of buffering unbounded results.
+//! The sink is handed back by
 //! [`PipelineHandle::drain`](crate::PipelineHandle::drain), so whatever
 //! it accumulated is available after shutdown.
 

@@ -50,7 +50,8 @@ pub(crate) struct SharedStats {
     pub(crate) reorder_depth: AtomicUsize,
     /// Events currently queued to each worker (routed, not yet processed).
     pub(crate) worker_depths: Vec<AtomicUsize>,
-    /// Results currently queued to the sink.
+    /// Results workers have handed to the sink and it has not yet
+    /// accepted.
     pub(crate) sink_depth: AtomicUsize,
     /// Workload epoch: number of churn ops ever applied to this
     /// workload (continues across checkpoint/resume).
@@ -203,7 +204,8 @@ pub struct MetricsSnapshot {
     pub reorder_depth: usize,
     /// Per-worker queued events (routed, not yet processed).
     pub worker_depths: Vec<usize>,
-    /// Results queued to the sink.
+    /// Results handed to the sink and not yet accepted: workers waiting
+    /// for it, or inside its `accept`.
     pub sink_depth: usize,
     /// Workload epoch: churn ops applied so far (0 until the first
     /// add/remove; continues across checkpoint/resume).

@@ -351,6 +351,10 @@ fn parse_args() -> Result<Args, String> {
         (args.mean_burst >= 1.0, "--burst must be at least 1"),
         (args.skew >= 0.0, "--skew must not be negative"),
         (
+            args.eps.is_finite() && args.eps >= 0.0,
+            "--eps must be a finite rate >= 0",
+        ),
+        (
             (1..=64).contains(&args.workers),
             "--workers must be 1 to 64",
         ),

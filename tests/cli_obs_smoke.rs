@@ -238,6 +238,8 @@ fn usage_errors_exit_2_before_a_run() {
         &["--groups", "0"],
         &["--burst", "0"],
         &["--skew", "-1"],
+        &["--eps", "inf"],
+        &["--eps", "-1"],
         &["pipeline", "--workers", "0"],
         &["pipeline", "--workers", "65"],
     ] {

@@ -107,15 +107,20 @@ impl HamletEngine {
     /// fed only the events whose mask covers its index computes exactly
     /// what it would from the full stream.
     pub fn shard_mask(&self, e: &Event, total: u32) -> u64 {
+        self.shard_mask_into(e, total, &mut GroupKey(Vec::new()))
+    }
+
+    /// [`shard_mask`](Self::shard_mask), building each key into `key`: a
+    /// caller that keeps one scratch key routes without allocating.
+    pub(crate) fn shard_mask_into(&self, e: &Event, total: u32, key: &mut GroupKey) -> u64 {
         assert!(
             (1..=64).contains(&total),
             "shard_mask needs 1..=64 shards, got {total}"
         );
         let mut mask = 0u64;
-        let mut key = GroupKey(Vec::new());
         for &gi in self.key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice) {
-            self.groups[gi as usize].partition_key_into(e, &mut key);
-            mask |= 1u64 << shard_index(&key, total);
+            self.groups[gi as usize].partition_key_into(e, key);
+            mask |= 1u64 << shard_index(key, total);
         }
         mask
     }

@@ -1009,10 +1009,11 @@ mod tests {
             if let Some((_, op)) = churn.as_ref().filter(|(at, _)| *at == i) {
                 router.apply(op).unwrap();
             }
+            let grid = router.grid;
             router.route(e.clone(), |idx, e| {
                 owners[idx].push(i);
                 shards[idx].ticks.push(e.time.ticks());
-                shards[idx].grids.push(router.grid);
+                shards[idx].grids.push(grid);
             });
         }
         let hooks = Recorder {

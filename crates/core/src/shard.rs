@@ -26,7 +26,7 @@
 
 use crate::executor::{ChurnError, ChurnOp, EngineConfig, EngineError, HamletEngine};
 use hamlet_query::Query;
-use hamlet_types::{Event, TypeRegistry};
+use hamlet_types::{Event, GroupKey, TypeRegistry};
 use std::sync::Arc;
 
 /// Maps events to the shards of a `workers`-way sharded runtime and
@@ -48,6 +48,8 @@ pub struct ShardRouter {
     /// `shard_mask`. `None` at one worker (pass-through). Shared so a
     /// clone of the router costs no compile.
     engine: Option<Arc<HamletEngine>>,
+    /// Scratch partition key every routed event's keys are built into.
+    key: GroupKey,
 }
 
 impl ShardRouter {
@@ -75,6 +77,7 @@ impl ShardRouter {
             cfg,
             workers,
             engine: None,
+            key: GroupKey::default(),
         };
         if workers > 1 {
             router.engine = Some(Arc::new(router.compile(&router.queries)?));
@@ -117,12 +120,13 @@ impl ShardRouter {
     /// takes the event itself. Usually that is one shard (an event local
     /// to several share groups can carry several keys); an event no
     /// share group accepts is pushed nowhere. At one worker every event
-    /// goes to shard 0 unexamined.
-    pub fn route(&self, e: Event, mut push: impl FnMut(usize, Event)) {
+    /// goes to shard 0 unexamined. Keys are built into the router's one
+    /// scratch key, so routing allocates nothing of its own.
+    pub fn route(&mut self, e: Event, mut push: impl FnMut(usize, Event)) {
         let Some(engine) = &self.engine else {
             return push(0, e);
         };
-        let mut mask = engine.shard_mask(&e, self.workers);
+        let mut mask = engine.shard_mask_into(&e, self.workers, &mut self.key);
         while mask != 0 {
             let idx = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -283,7 +287,7 @@ mod tests {
 
     /// The shards `route` pushes `e` to, in push order; every pushed
     /// event must be `e` itself.
-    fn owners(router: &ShardRouter, e: &Event) -> Vec<usize> {
+    fn owners(router: &mut ShardRouter, e: &Event) -> Vec<usize> {
         let mut got = Vec::new();
         router.route(e.clone(), |idx, pushed| {
             assert_eq!(&pushed, e, "a shard was handed a different event");
@@ -335,7 +339,7 @@ mod tests {
                 let mut router =
                     ShardRouter::new(reg.clone(), queries.clone(), EngineConfig::default(), workers)
                         .unwrap();
-                let check = |router: &ShardRouter| {
+                let check = |router: &mut ShardRouter| {
                     for e in &events {
                         let want = if workers == 1 {
                             vec![0]
@@ -345,7 +349,7 @@ mod tests {
                         assert_eq!(owners(router, e), want, "{workers} workers, {e:?}");
                     }
                 };
-                check(&router);
+                check(&mut router);
                 for op in ops.iter().map(|&i| &pool[i]) {
                     let before: Vec<QueryId> = router.queries.iter().map(|q| q.id).collect();
                     let dry = router.validate_schedule([op]).map_err(|(_, e)| e);
@@ -360,8 +364,8 @@ mod tests {
                     if after.is_empty() {
                         break; // nothing left to route for
                     }
-                    check(&router);
-                    let fresh = ShardRouter::new(
+                    check(&mut router);
+                    let mut fresh = ShardRouter::new(
                         reg.clone(),
                         router.queries.clone(),
                         EngineConfig::default(),
@@ -369,7 +373,7 @@ mod tests {
                     )
                     .unwrap();
                     for e in &events {
-                        prop_assert_eq!(owners(&router, e), owners(&fresh, e));
+                        prop_assert_eq!(owners(&mut router, e), owners(&mut fresh, e));
                     }
                 }
             }
@@ -434,13 +438,14 @@ mod tests {
     #[test]
     fn an_event_with_two_keys_reaches_both_owners() {
         let (reg, queries) = setup();
-        let router = ShardRouter::new(reg.clone(), queries, EngineConfig::default(), 4).unwrap();
+        let mut router =
+            ShardRouter::new(reg.clone(), queries, EngineConfig::default(), 4).unwrap();
         let shape: Vec<(usize, i64, i64)> = (0..12)
             .flat_map(|g| (0..12).map(move |h| (1, g, h)))
             .collect();
         let two: Vec<Vec<usize>> = materialize(&reg, &shape)
             .iter()
-            .map(|e| owners(&router, e))
+            .map(|e| owners(&mut router, e))
             .filter(|o| o.len() == 2)
             .collect();
         assert!(!two.is_empty(), "no B event had two owners");

@@ -9,6 +9,8 @@
 //! fewer than one allocation per 8 events. The second case pins what
 //! creating a run costs once its share group's slab is warm: the result
 //! keys and a few key clones, not the ~45 allocations of building one.
+//! The third pins the router: a warm `ShardRouter` builds keys into its
+//! one scratch key, so routing a single-owner event allocates nothing.
 //!
 //! Lives in its own integration binary on purpose (it replaces the global
 //! allocator); the counter is per thread, so the cases — which the
@@ -185,4 +187,51 @@ fn run_creation_in_a_warm_group_is_allocation_lean() {
         k + 4
     );
     assert!(eng.peak_memory() > 0);
+}
+
+/// Routing builds every key into the router's one scratch key: at two
+/// workers, events with one owner each are routed without a single
+/// allocation (a second owner would cost the event's clone).
+#[cfg(debug_assertions)]
+#[test]
+fn routing_a_single_owner_event_does_not_allocate() {
+    use hamlet_core::executor::EngineConfig;
+    use hamlet_core::ShardRouter;
+    use hamlet_query::{Pattern, Query, Window};
+    use hamlet_types::{EventBuilder, TypeRegistry};
+    use std::sync::Arc;
+
+    let mut reg = TypeRegistry::new();
+    let a = reg.register("A", &["g"]);
+    let b = reg.register("B", &["g"]);
+    let reg = Arc::new(reg);
+    let pat = Pattern::seq(vec![Pattern::Type(a), Pattern::plus(Pattern::Type(b))]);
+    let mut q = Query::count_star(1, pat, Window::tumbling(100));
+    q.group_by = vec![Arc::from("g")];
+    let mut router = ShardRouter::new(reg.clone(), vec![q], EngineConfig::default(), 2).unwrap();
+    let n = 1024u64;
+    let events = |from: u64| -> Vec<_> {
+        (from..from + n)
+            .map(|t| {
+                EventBuilder::new(&reg, b, t)
+                    .attr("g", (t % 13) as i64)
+                    .build()
+            })
+            .collect()
+    };
+    let mut shards: [Vec<_>; 2] = [Vec::with_capacity(2 * n as usize), Vec::new()];
+    shards[1].reserve(2 * n as usize);
+    let mut route = |router: &mut ShardRouter, events: Vec<_>| {
+        for e in events {
+            router.route(e, |idx, e| shards[idx].push(e));
+        }
+    };
+    route(&mut router, events(0));
+    let measured = events(n);
+    let before = allocs();
+    route(&mut router, measured);
+    let spent = allocs() - before;
+    assert_eq!(spent, 0, "{spent} allocations routing {n} events");
+    assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 2 * n as usize);
+    assert!(shards.iter().all(|s| !s.is_empty()), "both shards own keys");
 }

@@ -108,7 +108,7 @@ use hamlet_core::{
     ChainMeta, Checkpoint, CheckpointStore, CutKind, GroupMetrics, LatencyHistogram,
     LatencyRecorder, ParallelSession, ShardRouter, Snapshot, Span, SpanRecorder, Stage,
 };
-use hamlet_obs::merge_group_metrics;
+use hamlet_obs::{merge_group_metrics, SpanStart};
 use hamlet_query::{Query, QueryId};
 use hamlet_types::{Event, Ts, TypeRegistry};
 use stats::SharedStats;
@@ -550,6 +550,7 @@ impl PipelineBuilder {
                 buffer.push(ev.clone(), now);
             }
             shared.reorder_depth.store(buffer.len(), Ordering::Relaxed);
+            (shared.reorder_depth_peak).store(buffer.len(), Ordering::Relaxed);
         }
 
         for (idx, engine) in session.engines_mut().iter_mut().enumerate() {
@@ -577,7 +578,9 @@ impl PipelineBuilder {
             on_late: self.on_late,
             scheduled: self.churn_at.into(),
             control: control_rx,
+            depth_peak: buffer.len(),
             buffer,
+            tranche: Vec::new(),
             max_seen,
             store: self.store,
             cut_every: self.checkpoint_every,
@@ -633,6 +636,13 @@ struct Ingest<Src> {
     /// events and awaited once the source has ended.
     control: mpsc::Receiver<Control>,
     buffer: ReorderBuffer,
+    /// What the reorder stage lets go, on its way to the router: an
+    /// in-order event or a released run of held ones. Empty between
+    /// events, its capacity kept.
+    tranche: Vec<Routed>,
+    /// The most events the buffer has held at once since spawn (mirrors
+    /// the `reorder_depth_peak` gauge, which is stored only when it grows).
+    depth_peak: usize,
     /// Maximum event time pulled from the source — recorded into
     /// checkpoints as the resumed watermark policy's seed.
     max_seen: Option<Ts>,
@@ -689,23 +699,22 @@ impl<Src: Source> Ingest<Src> {
                 }
                 continue;
             }
-            self.buffer.push(e, arrival);
             let release = self.shared.spans.start();
-            let tranche = self.buffer.release(wm);
-            self.shared
-                .reorder_depth
-                .store(self.buffer.len(), Ordering::Relaxed);
-            if !tranche.is_empty() {
-                let n = tranche.len() as u64;
-                self.shared
-                    .spans
-                    .record(0, Stage::ReorderRelease, release, Some(wm.ticks()), n);
-                let route = self.shared.spans.start();
-                self.route_tranche(feed, tranche);
-                self.shared
-                    .spans
-                    .record(0, Stage::Route, route, Some(wm.ticks()), n);
+            if self.buffer.is_empty() && e.time <= wm {
+                // In order — nothing held, and the watermark has reached
+                // `e`: it skips the buffer, straight on to routing.
+                self.tranche.push((e, arrival));
+            } else {
+                self.buffer.push(e, arrival);
+                self.buffer.release_into(wm, &mut self.tranche);
+                let depth = self.buffer.len();
+                self.shared.reorder_depth.store(depth, Ordering::Relaxed);
+                if depth > self.depth_peak {
+                    self.depth_peak = depth;
+                    (self.shared.reorder_depth_peak).store(depth, Ordering::Relaxed);
+                }
             }
+            self.route_tranche(feed, release, wm);
             self.fire_scheduled_churn(feed, wm);
             self.maybe_cadence_cut(feed);
         }
@@ -715,10 +724,9 @@ impl<Src: Source> Ingest<Src> {
         // events were never released, so they stay in the buffer the
         // final cut records, and are re-injected on resume.
         if end != Some(End::Freeze) {
-            let rest = self.buffer.drain();
-            if !rest.is_empty() {
-                self.route_tranche(feed, rest);
-            }
+            (self.buffer).release_into(Ts(u64::MAX), &mut self.tranche);
+            let release = self.shared.spans.start();
+            self.route_tranche(feed, release, Ts(u64::MAX));
             self.shared.reorder_depth.store(0, Ordering::Relaxed);
         }
         feed.ship_partials();
@@ -770,14 +778,23 @@ impl<Src: Source> Ingest<Src> {
         None
     }
 
-    /// Routes one released-in-order tranche to the owning shard(s).
-    fn route_tranche(&mut self, feed: &mut ShardFeed<'_>, tranche: Vec<Routed>) {
-        self.shared
-            .released
-            .fetch_add(tranche.len() as u64, Ordering::Relaxed);
-        for (e, arrival) in tranche {
+    /// Routes the tranche the reorder stage let go at watermark `wm` — an
+    /// event that passed it by, or what it released, in order — to the
+    /// owning shard(s), under a release span (begun at `release`) and a
+    /// route span. The tranche is left empty, its capacity kept.
+    fn route_tranche(&mut self, feed: &mut ShardFeed<'_>, release: SpanStart, wm: Ts) {
+        let n = self.tranche.len() as u64;
+        if n == 0 {
+            return;
+        }
+        let (spans, wm) = (&self.shared.spans, Some(wm.ticks()));
+        spans.record(0, Stage::ReorderRelease, release, wm, n);
+        let route = spans.start();
+        self.shared.released.fetch_add(n, Ordering::Relaxed);
+        for (e, arrival) in self.tranche.drain(..) {
             feed.push(e, arrival);
         }
+        spans.record(0, Stage::Route, route, wm, n);
     }
 
     /// Applies every scheduled churn op whose trigger the watermark has
@@ -936,8 +953,8 @@ impl Observer {
         self.shared.sink_depth.fetch_add(n, Ordering::Relaxed);
         // hamlet-lint: allow(panic-hygiene) -- a poisoned sink lock means another worker's accept panicked; propagate it
         self.sink.lock().expect("sink lock").accept(results);
-        self.shared.sink_depth.fetch_sub(n, Ordering::Relaxed);
         self.shared.results.fetch_add(n as u64, Ordering::Relaxed);
+        self.shared.sink_depth.fetch_sub(n, Ordering::Relaxed);
     }
 }
 
@@ -974,7 +991,6 @@ impl ShardHooks<Instant> for Observer {
                 .try_publish_groups(shard, engine.group_metrics());
             return;
         };
-        self.shared.worker_depths[shard].fetch_sub(events, Ordering::Relaxed);
         if !results.is_empty() {
             // Every result is attributed to the batch's last event: the
             // executor cuts a shard's batch *on* the first event to reach
@@ -989,6 +1005,9 @@ impl ShardHooks<Instant> for Observer {
             (self.shared.latency.lock().expect("latency lock")).record_n(latency, n);
             self.emit(results);
         }
+        // Only now: until the sink has its results, `queued()` must count
+        // the batch somewhere.
+        self.shared.worker_depths[shard].fetch_sub(events, Ordering::Relaxed);
         let batches = self.shared.batches[shard].fetch_add(1, Ordering::Relaxed) + 1;
         if batches.is_multiple_of(PUBLISH_EVERY) {
             self.shared
@@ -2612,6 +2631,82 @@ mod tests {
             sort_results(&mut want);
             assert_eq!(got, want, "{workers} workers");
         }
+    }
+
+    /// The peak gauge reads what the reorder stage held at most: 0 on an
+    /// in-order stream, whose events all pass it by, and 7 on blocks of
+    /// eight ticks delivered backwards under slack 7 (a block's last
+    /// seven arrivals wait for its first tick).
+    #[test]
+    fn reorder_depth_peak_is_the_most_the_buffer_held() {
+        let (reg, queries, events) = setup();
+        let backwards = (0..400u64)
+            .map(|i| i / 8 * 8 + 7 - i % 8)
+            .map(|t| Event::new(Ts(t), EventTypeId((t % 3) as u16), vec![AttrValue::Int(0)]));
+        for (slack, events, peak) in [(0, events, 0), (7, backwards.collect(), 7)] {
+            let handle = Pipeline::builder(reg.clone(), queries.clone())
+                .workers(2)
+                .watermark(BoundedLateness::new(slack))
+                .spawn(ReplaySource::new(events), VecSink::new())
+                .unwrap();
+            wait_idle(&handle);
+            let m = handle.metrics();
+            assert_eq!((m.reorder_depth_peak, m.late), (peak, 0), "slack {slack}");
+            assert!(m
+                .to_json()
+                .contains(&format!("\"reorder_depth_peak\":{peak}")));
+            handle.drain();
+        }
+    }
+
+    /// A worker's batch counts in `queued()` until the sink has accepted
+    /// its results: with the latency lock held, the worker stops between
+    /// its engine and the sink, and its events must still be queued —
+    /// else a `source_done && queued() == 0` poll calls a run quiescent
+    /// while results are on their way. (Read off the atomics: a snapshot
+    /// takes the lock this test holds.)
+    #[test]
+    fn queued_counts_a_batch_until_the_sink_accepts_its_results() {
+        let (reg, queries, events) = setup();
+        let results = offline(&reg, &queries, &events);
+        let engine = HamletEngine::new(reg, queries, EngineConfig::default()).unwrap();
+        let spans = Arc::new(SpanRecorder::disabled());
+        let shared = Arc::new(SharedStats::new(1, Duration::ZERO, spans));
+        let observer = Observer {
+            shared: shared.clone(),
+            sink: Arc::new(Mutex::new(VecSink::new())),
+        };
+        let queued = || {
+            let depths = [
+                &shared.reorder_depth,
+                &shared.worker_depths[0],
+                &shared.sink_depth,
+            ];
+            depths
+                .map(|d| d.load(Ordering::Relaxed))
+                .iter()
+                .sum::<usize>()
+        };
+        observer.queued(0, 5);
+        let held = shared.latency.lock().unwrap();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let mut out = results.clone();
+                observer.emitted(0, &engine, Some((5, Instant::now())), &mut out);
+            });
+            for _ in 0..50 {
+                assert!(
+                    queued() > 0,
+                    "the batch left the queue before the sink had it"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            drop(held);
+            worker.join().unwrap();
+        });
+        let accepted = shared.results.load(Ordering::Relaxed);
+        assert_eq!((queued(), accepted), (0, results.len() as u64));
+        assert_eq!(shared.snapshot().queued(), 0);
     }
 
     /// A store whose `fail_at`-th append fails once; it logs what it

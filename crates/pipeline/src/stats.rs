@@ -48,6 +48,8 @@ pub(crate) struct SharedStats {
     pub(crate) source_done: AtomicBool,
     /// Events currently held by the reorder stage.
     pub(crate) reorder_depth: AtomicUsize,
+    /// The most events the reorder stage has held at once since spawn.
+    pub(crate) reorder_depth_peak: AtomicUsize,
     /// Events currently queued to each worker (routed, not yet processed).
     pub(crate) worker_depths: Vec<AtomicUsize>,
     /// Results workers have handed to the sink and it has not yet
@@ -86,6 +88,7 @@ impl SharedStats {
             stop: AtomicBool::new(false),
             source_done: AtomicBool::new(false),
             reorder_depth: AtomicUsize::new(0),
+            reorder_depth_peak: AtomicUsize::new(0),
             worker_depths: (0..workers).map(|_| AtomicUsize::new(0)).collect(),
             sink_depth: AtomicUsize::new(0),
             epoch: AtomicU64::new(0),
@@ -157,6 +160,7 @@ impl SharedStats {
                 .then(|| Ts(self.watermark.load(Ordering::Relaxed))),
             source_done: self.source_done.load(Ordering::Relaxed),
             reorder_depth: self.reorder_depth.load(Ordering::Relaxed),
+            reorder_depth_peak: self.reorder_depth_peak.load(Ordering::Relaxed),
             worker_depths: self
                 .worker_depths
                 .iter()
@@ -202,6 +206,10 @@ pub struct MetricsSnapshot {
     pub source_done: bool,
     /// Events held by the reorder stage.
     pub reorder_depth: usize,
+    /// The most events the reorder stage has held at once, counted from
+    /// this spawn (a resume starts at the frozen buffer's size). 0 on an
+    /// in-order stream: its events pass the buffer by.
+    pub reorder_depth_peak: usize,
     /// Per-worker queued events (routed, not yet processed).
     pub worker_depths: Vec<usize>,
     /// Results handed to the sink and not yet accepted: workers waiting
@@ -272,7 +280,7 @@ const fn gauge(key: &'static str, help: &'static str, read: Read) -> Total {
 /// and latency fields, the rest after them. The Prometheus page writes
 /// them all after uptime, in this order. Adding an exported total is one
 /// row here.
-const TOTALS: [Total; 11] = [
+const TOTALS: [Total; 12] = [
     counter("ingested", "Events pulled from the source.", |m| m.ingested),
     counter("late", "Late events dropped.", |m| m.late),
     counter("released", "Events released to workers.", |m| m.released),
@@ -303,6 +311,11 @@ const TOTALS: [Total; 11] = [
         "churns_rejected",
         "Scheduled churn ops skipped as invalidated.",
         |m| m.churns_rejected,
+    ),
+    gauge(
+        "reorder_depth_peak",
+        "Most events the reorder stage has held at once.",
+        |m| m.reorder_depth_peak as u64,
     ),
 ];
 
@@ -450,7 +463,14 @@ impl MetricsSnapshot {
         }
     }
 
-    /// Total events currently queued anywhere in the pipeline.
+    /// Work still on its way to the sink: events held by the reorder
+    /// stage or queued to a worker — a worker's batch counts until the
+    /// sink has accepted its results — plus results handed to the sink
+    /// and not yet accepted. Events of a partial batch still in a shard's
+    /// outbox, routed but not yet shipped, are not counted; once the
+    /// source is done there are none (`source_done` is set after every
+    /// partial batch has shipped), so `source_done && queued() == 0`
+    /// means every result so far has reached the sink.
     pub fn queued(&self) -> usize {
         self.reorder_depth + self.worker_depths.iter().sum::<usize>() + self.sink_depth
     }
@@ -548,6 +568,7 @@ mod tests {
         s.batches[0].store(20, Ordering::Relaxed);
         s.batches[1].store(13, Ordering::Relaxed);
         s.reorder_depth.store(9, Ordering::Relaxed);
+        s.reorder_depth_peak.store(12, Ordering::Relaxed);
         s.worker_depths[0].store(4, Ordering::Relaxed);
         s.sink_depth.store(8, Ordering::Relaxed);
         s.set_watermark(Ts(55));
@@ -582,7 +603,8 @@ mod tests {
              \"latency\":{\"count\":3,\"avg\":0.000001116,\"p50\":0.000001024,\
              \"p99\":0.0000013,\"max\":0.0000013,\"buckets_ns\":[[1024,2],[1280,1]]},\
              \"dropped_spans\":0,\"checkpoints\":7,\"checkpoint_bytes\":4096,\
-             \"checkpoint_failures\":1,\"epoch\":5,\"churns_rejected\":6,\"groups\":[\
+             \"checkpoint_failures\":1,\"epoch\":5,\"churns_rejected\":6,\"reorder_depth_peak\":12,\
+             \"groups\":[\
              {\"group\":\"1+2L\",\"shared\":true,\"benefit\":0,\"events_routed\":10,\
              \"runs_created\":11,\"runs_expired\":12,\"shared_bursts\":13,\"solo_bursts\":14,\
              \"graphlet_snapshots\":15,\"event_snapshots\":16,\"results\":17},\
@@ -648,6 +670,9 @@ hamlet_epoch 5
 # HELP hamlet_churns_rejected_total Scheduled churn ops skipped as invalidated.
 # TYPE hamlet_churns_rejected_total counter
 hamlet_churns_rejected_total 6
+# HELP hamlet_reorder_depth_peak Most events the reorder stage has held at once.
+# TYPE hamlet_reorder_depth_peak gauge
+hamlet_reorder_depth_peak 12
 # HELP hamlet_checkpoints_total Coordinated checkpoint cuts completed.
 # TYPE hamlet_checkpoints_total counter
 hamlet_checkpoints_total 7

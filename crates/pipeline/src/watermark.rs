@@ -15,6 +15,13 @@
 //! handed to the dead-letter hook, and never fed to the engine (whose own
 //! [`late_skips`](hamlet_core::EngineStats::late_skips) guard is the
 //! second line of defense).
+//!
+//! The buffer keeps one arrival-ordered bucket per distinct timestamp and
+//! recycles the buckets it empties, so neither holding nor releasing an
+//! event allocates once the buffer is warm. The ingest stage does not
+//! touch it at all for an event that is already in order — nothing held
+//! and the watermark at or past the event: that event passes straight
+//! through to routing, a compare instead of a push and a release.
 
 use hamlet_types::{Event, Ts};
 use std::collections::BTreeMap;
@@ -78,6 +85,9 @@ impl WatermarkPolicy for BoundedLateness {
     }
 }
 
+/// An event held by the reorder stage, with its ingest stamp.
+type Held = (Event, Instant);
+
 /// Buffers out-of-order events until the watermark passes them, then
 /// releases them in `(timestamp, arrival)` order.
 ///
@@ -85,11 +95,18 @@ impl WatermarkPolicy for BoundedLateness {
 /// never reordered in flight (the bounded-delay model) is reconstructed
 /// *exactly* — byte-identical inputs to the engine, not merely
 /// time-sorted ones.
+///
+/// One arrival-ordered bucket per distinct timestamp: a release pops
+/// whole buckets off the front of the map, and an emptied bucket is kept
+/// for the next new timestamp, so a warm buffer fed through
+/// [`release_into`](Self::release_into) allocates nothing per event.
 #[derive(Default)]
 pub struct ReorderBuffer {
-    /// `(event time, arrival sequence) → (event, ingest stamp)`.
-    held: BTreeMap<(u64, u64), (Event, Instant)>,
-    seq: u64,
+    /// `event time → the events at that time, in arrival order`.
+    held: BTreeMap<u64, Vec<Held>>,
+    /// Emptied buckets, capacity kept.
+    spare: Vec<Vec<Held>>,
+    len: usize,
 }
 
 impl ReorderBuffer {
@@ -100,43 +117,51 @@ impl ReorderBuffer {
 
     /// Buffers one event with its ingest stamp (for end-to-end latency).
     pub fn push(&mut self, e: Event, arrival: Instant) {
-        let key = (e.time.ticks(), self.seq);
-        self.seq += 1;
-        self.held.insert(key, (e, arrival));
+        (self.held.entry(e.time.ticks()))
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+            .push((e, arrival));
+        self.len += 1;
+    }
+
+    /// Appends every buffered event with `time <= watermark` to `out`,
+    /// in `(time, arrival)` order.
+    pub fn release_into(&mut self, watermark: Ts, out: &mut Vec<Held>) {
+        let wm = watermark.ticks();
+        while let Some(entry) = self.held.first_entry().filter(|e| *e.key() <= wm) {
+            let mut bucket = entry.remove();
+            self.len -= bucket.len();
+            out.append(&mut bucket);
+            self.spare.push(bucket);
+        }
     }
 
     /// Releases every buffered event with `time <= watermark`, in
     /// `(time, arrival)` order.
-    pub fn release(&mut self, watermark: Ts) -> Vec<(Event, Instant)> {
-        let wm = watermark.ticks();
-        if wm == u64::MAX {
-            return self.drain();
-        }
-        // Everything strictly after the watermark stays buffered.
-        let rest = self.held.split_off(&(wm + 1, 0));
-        let released = std::mem::replace(&mut self.held, rest);
-        released.into_values().collect()
+    pub fn release(&mut self, watermark: Ts) -> Vec<Held> {
+        let mut out = Vec::new();
+        self.release_into(watermark, &mut out);
+        out
     }
 
     /// Releases everything (end of stream / drain), in order.
-    pub fn drain(&mut self) -> Vec<(Event, Instant)> {
-        std::mem::take(&mut self.held).into_values().collect()
+    pub fn drain(&mut self) -> Vec<Held> {
+        self.release(Ts(u64::MAX))
     }
 
     /// The buffered events in release order, without draining them —
     /// what a checkpoint cut freezes while the pipeline keeps running.
     pub fn contents(&self) -> Vec<Event> {
-        self.held.values().map(|(e, _)| e.clone()).collect()
+        self.held.values().flatten().map(|h| h.0.clone()).collect()
     }
 
     /// Number of buffered events.
     pub fn len(&self) -> usize {
-        self.held.len()
+        self.len
     }
 
     /// True iff nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.held.is_empty()
+        self.len == 0
     }
 }
 
@@ -215,5 +240,96 @@ mod tests {
         let out = b.release(Ts(u64::MAX));
         assert_eq!(out.len(), 2);
         assert!(b.is_empty());
+    }
+
+    /// The reorder buffer as one map entry per event, keyed `(time,
+    /// arrival sequence)`: the release order the bucketed buffer must
+    /// reproduce, event for event.
+    #[derive(Default)]
+    struct Oracle {
+        held: BTreeMap<(u64, u64), Held>,
+        seq: u64,
+    }
+
+    impl Oracle {
+        fn push(&mut self, e: Event, arrival: Instant) {
+            self.held.insert((e.time.ticks(), self.seq), (e, arrival));
+            self.seq += 1;
+        }
+
+        fn release(&mut self, watermark: Ts) -> Vec<Held> {
+            let wm = watermark.ticks();
+            let rest = match wm.checked_add(1) {
+                Some(next) => self.held.split_off(&(next, 0)),
+                None => BTreeMap::new(),
+            };
+            std::mem::replace(&mut self.held, rest)
+                .into_values()
+                .collect()
+        }
+
+        fn contents(&self) -> Vec<Event> {
+            self.held.values().map(|(e, _)| e.clone()).collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// Random pushes and releases through both buffers: timestamps
+        /// from a small range with many ties, plus `0` and `u64::MAX`;
+        /// monotone watermarks with jumps, `u64::MAX` last. After every
+        /// step the released sequences (events and stamps), `len` and
+        /// `contents` agree, and a fresh buffer fed `contents` — the
+        /// resume path — releases them in the same order.
+        #[test]
+        fn buckets_release_like_the_per_event_map(
+            steps in proptest::collection::vec((0u8..3, 0u64..18, 0u64..4), 1..150),
+        ) {
+            let base = Instant::now();
+            let (mut b, mut oracle, mut out) = (ReorderBuffer::new(), Oracle::default(), Vec::new());
+            let mut wm = 0u64;
+            let last = steps.len() - 1;
+            for (i, &(op, t, jump)) in steps.iter().enumerate() {
+                if op > 0 && i < last {
+                    let t = match t {
+                        16 => 0,
+                        17 => u64::MAX,
+                        t => t,
+                    };
+                    let mut e = ev(t);
+                    e.attrs = vec![hamlet_types::AttrValue::Int(i as i64)];
+                    let stamp = base + std::time::Duration::from_nanos(i as u64);
+                    b.push(e.clone(), stamp);
+                    oracle.push(e, stamp);
+                } else {
+                    wm = match (i == last, jump) {
+                        (true, _) => u64::MAX,
+                        (_, 3) => wm + 7,
+                        (_, j) => wm + j,
+                    };
+                    let want = oracle.release(Ts(wm));
+                    let got = if i % 2 == 0 {
+                        b.release(Ts(wm))
+                    } else {
+                        out.clear();
+                        b.release_into(Ts(wm), &mut out);
+                        std::mem::take(&mut out)
+                    };
+                    proptest::prop_assert_eq!(got, want, "release at {}", wm);
+                }
+                proptest::prop_assert_eq!(b.len(), oracle.held.len());
+                proptest::prop_assert_eq!(b.is_empty(), oracle.held.is_empty());
+                let contents = b.contents();
+                proptest::prop_assert_eq!(&contents, &oracle.contents());
+                let mut resumed = ReorderBuffer::new();
+                for e in &contents {
+                    resumed.push(e.clone(), base);
+                }
+                let replayed: Vec<Event> = resumed.drain().into_iter().map(|(e, _)| e).collect();
+                proptest::prop_assert_eq!(replayed, contents);
+            }
+            proptest::prop_assert!(b.is_empty() && oracle.held.is_empty());
+        }
     }
 }

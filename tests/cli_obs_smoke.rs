@@ -104,6 +104,7 @@ fn exporters_write_parseable_artifacts() {
         "hamlet_group_events_routed_total{group=",
         "hamlet_group_shared{group=",
         "hamlet_latency_seconds_count",
+        "# TYPE hamlet_reorder_depth_peak gauge",
     ] {
         assert!(
             prom_text.contains(needle),
@@ -124,6 +125,8 @@ fn exporters_write_parseable_artifacts() {
         .and_then(Json::as_arr)
         .expect("groups array");
     assert!(!groups.is_empty(), "final snapshot has share-group rows");
+    let peak = last.get("reorder_depth_peak").and_then(Json::as_f64);
+    assert_eq!(peak, Some(0.0), "an in-order stream skips the buffer");
     for g in groups {
         assert!(g.get("events_routed").and_then(Json::as_f64).is_some());
         assert!(g.get("benefit").and_then(Json::as_f64).is_some());

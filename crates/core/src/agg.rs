@@ -17,6 +17,7 @@
 //! values enter the ring as ×10⁶ fixed-point integers so float sums stay
 //! exact and strategy-independent.
 
+use crate::checkpoint::codec_struct;
 use hamlet_types::TrendVal;
 
 /// Fixed-point scale for embedding attribute values into the ring.
@@ -124,29 +125,15 @@ impl NodeVal {
         };
         NodeVal { count, sum, cnt }
     }
-
-    /// Serializes the three ring components (checkpoint codec).
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        e.u64(self.count.0);
-        e.u64(self.sum.0);
-        e.u64(self.cnt.0);
-    }
-
-    /// Mirror of [`encode`](Self::encode).
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<NodeVal, crate::checkpoint::CheckpointError> {
-        Ok(NodeVal {
-            count: TrendVal(d.u64()?),
-            sum: TrendVal(d.u64()?),
-            cnt: TrendVal(d.u64()?),
-        })
-    }
 }
+
+codec_struct!(NodeVal { count, sum, cnt });
 
 /// Min/max lattice state for `MIN`/`MAX` queries (non-shared path).
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct MmVal(pub f64);
+
+codec_struct!(MmVal { 0 });
 
 impl MmVal {
     /// Identity for `MIN` (+∞).

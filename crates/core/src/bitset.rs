@@ -8,7 +8,7 @@
 //! opens another group for the next one — so the set is one `u64`:
 //! `Copy`, and every set operation is a word operation.
 
-use crate::checkpoint::{CheckpointError, Dec, Enc};
+use crate::checkpoint::{CheckpointError, Codec, Dec, Enc};
 use std::fmt;
 use std::ops::{BitAnd, BitOr, Not};
 
@@ -88,17 +88,18 @@ impl QSet {
     pub fn intersects(&self, other: &QSet) -> bool {
         self.0 & other.0 != 0
     }
+}
 
-    /// Serializes the set as the one-word array every checkpoint format
-    /// has held for a group of at most 64 members: `len = 1`, the word.
-    pub(crate) fn encode(&self, e: &mut Enc) {
+/// The one-word array every checkpoint format has held for a group of at
+/// most 64 members: `len = 1`, the word. Length 0 reads as the empty set;
+/// a longer array is no set of a share group.
+impl Codec for QSet {
+    fn encode(&self, e: &mut Enc) {
         e.usize(1);
         e.u64(self.0);
     }
 
-    /// Mirror of [`encode`](Self::encode); a longer array is no set of a
-    /// share group.
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<QSet, CheckpointError> {
+    fn decode(d: &mut Dec<'_>) -> Result<QSet, CheckpointError> {
         match d.seq_len()? {
             0 => Ok(QSet(0)),
             1 => Ok(QSet(d.u64()?)),
@@ -106,6 +107,19 @@ impl QSet {
                 "member set of {n} words, a share group is one wide"
             ))),
         }
+    }
+}
+
+/// The bare word, as a cell's mask is stored.
+impl From<QSet> for u64 {
+    fn from(s: QSet) -> u64 {
+        s.0
+    }
+}
+
+impl From<u64> for QSet {
+    fn from(word: u64) -> QSet {
+        QSet(word)
     }
 }
 

@@ -12,7 +12,7 @@
 
 use crate::agg::MmVal;
 use crate::bitset::QSet;
-use crate::checkpoint::{CheckpointError, Dec, Enc};
+use crate::checkpoint::{codec_struct, CheckpointError, Codec, Dec, Enc};
 use crate::executor::{DivergenceMode, EngineConfig, EngineStats};
 use crate::optimizer::{decide, DivergenceEstimator};
 use crate::run::{BurstCtx, GroupRuntime, Run};
@@ -59,21 +59,8 @@ pub struct Cell {
     pub val: u64,
 }
 
-impl Cell {
-    /// Serializes the cell (checkpoint codec).
-    pub(crate) fn encode(&self, e: &mut Enc) {
-        e.u64(self.mask.0);
-        e.u64(self.val);
-    }
-
-    /// Mirror of [`encode`](Self::encode).
-    pub(crate) fn decode(d: &mut Dec<'_>) -> Result<Cell, CheckpointError> {
-        Ok(Cell {
-            mask: QSet(d.u64()?),
-            val: d.u64()?,
-        })
-    }
-}
+// The mask is stored as its bare word, no length prefix.
+codec_struct!(Cell { mask as u64, val });
 
 /// A complete burst handed to [`Run::replay`], in the representation
 /// [`GroupRuntime::burst_repr`] assigns its type.
@@ -425,18 +412,8 @@ impl RunState {
                 e.u8(repr.tag());
                 match repr {
                     BurstRepr::Count => e.u64(self.burst_count),
-                    BurstRepr::Cells => {
-                        e.usize(self.cells.len());
-                        for c in &self.cells {
-                            c.encode(e);
-                        }
-                    }
-                    BurstRepr::Events => {
-                        e.usize(self.burst.len());
-                        for ev in &self.burst {
-                            e.event(ev);
-                        }
-                    }
+                    BurstRepr::Cells => self.cells.encode(e),
+                    BurstRepr::Events => self.burst.encode(e),
                 }
             }
         }
@@ -467,16 +444,8 @@ impl RunState {
             }
             match repr {
                 BurstRepr::Count => rs.burst_count = d.u64()?,
-                BurstRepr::Cells => {
-                    for _ in 0..d.seq_len()? {
-                        rs.cells.push(Cell::decode(d)?);
-                    }
-                }
-                BurstRepr::Events => {
-                    for _ in 0..d.seq_len()? {
-                        rs.burst.push(d.event()?);
-                    }
-                }
+                BurstRepr::Cells => rs.cells = Codec::decode(d)?,
+                BurstRepr::Events => rs.burst = Codec::decode(d)?,
             }
         }
         rs.burst_pane = d.u64()?;
@@ -494,9 +463,7 @@ impl RunState {
         if d.some()? {
             rs.burst_ty = Some(burst_type(d.usize()?, rt)?);
         }
-        for _ in 0..d.seq_len()? {
-            rs.burst.push(d.event()?);
-        }
+        rs.burst = Codec::decode(d)?;
         rs.burst_count = d.u64()?;
         rs.burst_pane = d.u64()?;
         if let Some(tl) = rs.burst_ty {

@@ -8,10 +8,12 @@
 //! serializes it into a self-describing byte blob and
 //! [`HamletEngine::restore`](crate::HamletEngine::restore) rebuilds a
 //! freshly constructed engine from it. This module holds the primitives
-//! ([`Enc`]/[`Dec`]), the error type, and the framing every record shares
-//! (engine header, delta-chain frame, container header); the engine's
-//! record itself — its body, how it is cut and how it is restored — is
-//! [`crate::record`].
+//! ([`Enc`]/[`Dec`]), the [`Codec`] trait that gives every stored type
+//! one layout (and `codec_struct!`, which derives it for a flat record
+//! from its field list), the error type, and the framing every record
+//! shares (engine header, delta-chain frame, container header); the
+//! engine's record itself — its body, how it is cut and how it is
+//! restored — is [`crate::record`].
 //!
 //! # Guarantees
 //!
@@ -36,7 +38,8 @@
 //! not serialized — they reset across a restore, which can only affect
 //! latency *metrics*, never results.
 
-use hamlet_types::{AttrValue, Event, GroupKey, Ts};
+use hamlet_query::QueryId;
+use hamlet_types::{AttrValue, Event, EventTypeId, GroupKey, TrendVal, Ts};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -320,12 +323,6 @@ impl Enc {
         self.u8(v as u8);
     }
 
-    /// `Duration` as whole nanoseconds (saturating at `u64::MAX` ≈ 584
-    /// years — far beyond any run this engine measures).
-    pub fn duration(&mut self, d: Duration) {
-        self.u64(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self, s: &str) {
         self.usize(s.len());
@@ -352,42 +349,6 @@ impl Enc {
     /// `Option` presence tag; the caller encodes the payload when `true`.
     pub fn some(&mut self, present: bool) {
         self.bool(present);
-    }
-
-    /// One attribute value (tagged union).
-    pub fn attr_value(&mut self, v: &AttrValue) {
-        match v {
-            AttrValue::Int(i) => {
-                self.u8(0);
-                self.i64(*i);
-            }
-            AttrValue::Float(f) => {
-                self.u8(1);
-                self.f64(*f);
-            }
-            AttrValue::Str(s) => {
-                self.u8(2);
-                self.str(s);
-            }
-        }
-    }
-
-    /// A group-by partition key.
-    pub fn group_key(&mut self, k: &GroupKey) {
-        self.usize(k.0.len());
-        for v in &k.0 {
-            self.attr_value(v);
-        }
-    }
-
-    /// One stream event (time, type, attributes).
-    pub fn event(&mut self, e: &Event) {
-        self.u64(e.time.ticks());
-        self.u16(e.ty.0);
-        self.usize(e.attrs.len());
-        for a in &e.attrs {
-            self.attr_value(a);
-        }
     }
 }
 
@@ -510,11 +471,6 @@ impl<'a> Dec<'a> {
         }
     }
 
-    /// `Duration` from whole nanoseconds.
-    pub fn duration(&mut self) -> Result<Duration, CheckpointError> {
-        Ok(Duration::from_nanos(self.u64()?))
-    }
-
     /// Length-prefixed UTF-8 string.
     pub fn str(&mut self) -> Result<String, CheckpointError> {
         let n = self.seq_len()?;
@@ -533,38 +489,207 @@ impl<'a> Dec<'a> {
     pub fn some(&mut self) -> Result<bool, CheckpointError> {
         self.bool()
     }
+}
 
-    /// One attribute value.
-    pub fn attr_value(&mut self) -> Result<AttrValue, CheckpointError> {
-        match self.u8()? {
-            0 => Ok(AttrValue::Int(self.i64()?)),
-            1 => Ok(AttrValue::Float(self.f64()?)),
-            2 => Ok(AttrValue::Str(Arc::from(self.str()?.as_str()))),
+/// One description of a stored value's bytes: `encode` writes its layout
+/// and `decode` reads that layout back, so every type has one way to be
+/// written. Implemented below for the primitives, the shared value types
+/// and the generic compositions (`Option`, `Vec`, tuples, fixed arrays);
+/// a flat record derives both directions from one field list with
+/// `codec_struct!`. A decoder that needs context to *check* what it
+/// read (a compiled shape, a snapshot count) decodes plainly first and
+/// checks after.
+pub trait Codec: Sized {
+    /// Appends the value's bytes.
+    fn encode(&self, e: &mut Enc);
+    /// Reads one value; bytes that are not one are an error, never a
+    /// panic.
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError>;
+}
+
+/// Fixed-width primitives: the `Enc`/`Dec` method named after the type.
+/// These and the derived record codecs are `#[inline]`: a restore makes
+/// millions of such calls, and out of line they cost it ~10%.
+macro_rules! primitive_codec {
+    ($($t:ident),*) => {$(
+        impl Codec for $t {
+            #[inline]
+            fn encode(&self, e: &mut Enc) {
+                e.$t(*self);
+            }
+            #[inline]
+            fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+                d.$t()
+            }
+        }
+    )*};
+}
+
+primitive_codec!(u8, u16, u32, u64, usize, i64, f64, bool);
+
+/// Derives [`Codec`] for a flat record from one list of its fields:
+/// `encode` writes them in the order listed and `decode` reads them back
+/// in that order, so the two directions cannot drift apart. Every field
+/// is listed (the decoder builds the record with a struct literal); one
+/// stored in another type's layout names that type after `as`, reached
+/// through `From` both ways.
+///
+/// ```text
+/// codec_struct!(LatencyRecorder { total, max, count });
+/// codec_struct!(Cell { mask as u64, val });
+/// codec_struct!(Ts { 0 });
+/// ```
+macro_rules! codec_struct {
+    (@put $e:ident, $v:expr) => {
+        $crate::checkpoint::Codec::encode(&$v, $e)
+    };
+    (@put $e:ident, $v:expr, $wire:ty) => {
+        $crate::checkpoint::Codec::encode(&<$wire>::from($v), $e)
+    };
+    (@get $d:ident) => {
+        $crate::checkpoint::Codec::decode($d)?
+    };
+    (@get $d:ident, $wire:ty) => {
+        <$wire as $crate::checkpoint::Codec>::decode($d)?.into()
+    };
+    ($ty:ty { $($field:tt $(as $wire:ty)?),* $(,)? }) => {
+        impl $crate::checkpoint::Codec for $ty {
+            #[inline]
+            fn encode(&self, e: &mut $crate::checkpoint::Enc) {
+                $($crate::checkpoint::codec_struct!(@put e, self.$field $(, $wire)?);)*
+            }
+            #[inline]
+            fn decode(
+                d: &mut $crate::checkpoint::Dec<'_>,
+            ) -> Result<Self, $crate::checkpoint::CheckpointError> {
+                Ok(Self { $($field: $crate::checkpoint::codec_struct!(@get d $(, $wire)?)),* })
+            }
+        }
+    };
+}
+
+pub(crate) use codec_struct;
+
+codec_struct!(Ts { 0 });
+codec_struct!(TrendVal { 0 });
+codec_struct!(EventTypeId { 0 });
+codec_struct!(QueryId { 0 });
+codec_struct!(GroupKey { 0 });
+codec_struct!(Event { time, ty, attrs });
+
+/// Whole nanoseconds as a `u64`, saturating at `u64::MAX` (≈ 584 years —
+/// far beyond any run this engine measures).
+impl Codec for Duration {
+    fn encode(&self, e: &mut Enc) {
+        u64::try_from(self.as_nanos()).unwrap_or(u64::MAX).encode(e);
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        Ok(Duration::from_nanos(u64::decode(d)?))
+    }
+}
+
+/// A `u8` tag (`0` Int, `1` Float, `2` Str), then the payload.
+impl Codec for AttrValue {
+    fn encode(&self, e: &mut Enc) {
+        e.u8(match self {
+            AttrValue::Int(_) => 0,
+            AttrValue::Float(_) => 1,
+            AttrValue::Str(_) => 2,
+        });
+        match self {
+            AttrValue::Int(i) => e.i64(*i),
+            AttrValue::Float(f) => e.f64(*f),
+            AttrValue::Str(s) => e.str(s),
+        }
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        match d.u8()? {
+            0 => Ok(AttrValue::Int(d.i64()?)),
+            1 => Ok(AttrValue::Float(d.f64()?)),
+            2 => Ok(AttrValue::Str(Arc::from(d.str()?.as_str()))),
             t => Err(CheckpointError::Corrupt(format!("attr tag {t}"))),
         }
     }
+}
 
-    /// A group-by partition key.
-    pub fn group_key(&mut self) -> Result<GroupKey, CheckpointError> {
-        let n = self.seq_len()?;
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(self.attr_value()?);
+/// A `bool` presence tag; the payload follows iff it is `1`.
+impl<T: Codec> Codec for Option<T> {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            None => e.some(false),
+            Some(v) => {
+                e.some(true);
+                v.encode(e);
+            }
         }
-        Ok(GroupKey(vals))
     }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        Ok(if d.some()? { Some(T::decode(d)?) } else { None })
+    }
+}
 
-    /// One stream event.
-    pub fn event(&mut self) -> Result<Event, CheckpointError> {
-        let time = Ts(self.u64()?);
-        let ty = hamlet_types::EventTypeId(self.u16()?);
-        let n = self.seq_len()?;
-        let mut attrs = Vec::with_capacity(n);
-        for _ in 0..n {
-            attrs.push(self.attr_value()?);
+/// A `u64` element count, then the elements back to back. The count is
+/// read through [`Dec::seq_len`], so nothing is allocated for a length
+/// the remaining bytes cannot hold.
+impl<T: Codec> Codec for Vec<T> {
+    fn encode(&self, e: &mut Enc) {
+        e.usize(self.len());
+        for v in self {
+            v.encode(e);
         }
-        Ok(Event { time, ty, attrs })
     }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        let n = d.seq_len()?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(T::decode(d)?);
+        }
+        Ok(out)
+    }
+}
+
+/// `N` elements back to back, no count: the length is the type's.
+impl<T: Codec + Copy + Default, const N: usize> Codec for [T; N] {
+    fn encode(&self, e: &mut Enc) {
+        self.iter().for_each(|v| v.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+        let mut out = [T::default(); N];
+        decode_into(d, &mut out)?;
+        Ok(out)
+    }
+}
+
+/// The elements in order, nothing around them.
+macro_rules! tuple_codec {
+    ($($t:ident),+) => {
+        impl<$($t: Codec),+> Codec for ($($t,)+) {
+            #[allow(non_snake_case)]
+            fn encode(&self, e: &mut Enc) {
+                let ($($t,)+) = self;
+                $($t.encode(e);)+
+            }
+            fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {
+                Ok(($($t::decode(d)?,)+))
+            }
+        }
+    };
+}
+
+tuple_codec!(A, B);
+tuple_codec!(A, B, C);
+tuple_codec!(A, B, C, D, E);
+
+/// Decodes one value into each of `slots`: values whose number the reader
+/// already knows (a matrix of the compiled shape), written with no count.
+pub(crate) fn decode_into<'s, T: Codec + 's>(
+    d: &mut Dec<'_>,
+    slots: impl IntoIterator<Item = &'s mut T>,
+) -> Result<(), CheckpointError> {
+    for slot in slots {
+        *slot = T::decode(d)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -582,7 +707,7 @@ mod tests {
         e.f64(-2.5);
         e.f64(f64::NAN);
         e.bool(true);
-        e.duration(Duration::from_micros(1234));
+        Duration::from_micros(1234).encode(&mut e);
         e.str("héllo");
         e.bytes(&[1, 2, 3]);
         e.bytes_with(|e| e.raw(&[4, 5]));
@@ -596,7 +721,10 @@ mod tests {
         assert_eq!(d.f64().unwrap(), -2.5);
         assert!(d.f64().unwrap().is_nan());
         assert!(d.bool().unwrap());
-        assert_eq!(d.duration().unwrap(), Duration::from_micros(1234));
+        assert_eq!(
+            Duration::decode(&mut d).unwrap(),
+            Duration::from_micros(1234)
+        );
         assert_eq!(d.str().unwrap(), "héllo");
         assert_eq!(d.bytes().unwrap(), [1, 2, 3]);
         assert_eq!(d.bytes().unwrap(), [4, 5], "written in place, same layout");
@@ -610,15 +738,55 @@ mod tests {
             AttrValue::Float(1.5),
             AttrValue::Str(Arc::from("d1")),
         ]);
-        let ev = Event::new(Ts(99), hamlet_types::EventTypeId(4), key.0.clone());
+        let ev = Event::new(Ts(99), EventTypeId(4), key.0.clone());
         let mut e = Enc::new();
-        e.group_key(&key);
-        e.event(&ev);
+        key.encode(&mut e);
+        ev.encode(&mut e);
         let blob = e.finish();
         let mut d = Dec::new(&blob);
-        assert_eq!(d.group_key().unwrap(), key);
-        assert_eq!(d.event().unwrap(), ev);
+        assert_eq!(GroupKey::decode(&mut d).unwrap(), key);
+        assert_eq!(Event::decode(&mut d).unwrap(), ev);
         d.expect_end().unwrap();
+    }
+
+    /// The generic compositions write today's layouts: an `Option` is a
+    /// presence byte, a `Vec` a `u64` count, tuples and arrays their
+    /// elements back to back — and a flat record its fields in order.
+    #[test]
+    fn compositions_write_the_documented_layout() {
+        let mut e = Enc::new();
+        let value: (Option<u16>, Vec<u8>, [u32; 2], Option<u8>) = (Some(7), vec![9], [1, 2], None);
+        value.0.encode(&mut e);
+        value.1.encode(&mut e);
+        value.2.encode(&mut e);
+        value.3.encode(&mut e);
+        let blob = e.finish();
+        let want: &[u8] = &[
+            1, 7, 0, 1, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 0, 0, 2, 0, 0, 0, 0,
+        ];
+        assert_eq!(blob, want);
+        let mut d = Dec::new(&blob);
+        let back: (Option<u16>, Vec<u8>, [u32; 2], Option<u8>) = (
+            Codec::decode(&mut d).unwrap(),
+            Codec::decode(&mut d).unwrap(),
+            Codec::decode(&mut d).unwrap(),
+            Codec::decode(&mut d).unwrap(),
+        );
+        assert_eq!(back, value);
+        d.expect_end().unwrap();
+
+        struct Flat {
+            a: u8,
+            b: (u16, bool),
+        }
+        codec_struct!(Flat { a, b });
+        let mut e = Enc::new();
+        Flat { a: 3, b: (4, true) }.encode(&mut e);
+        let blob = e.finish();
+        assert_eq!(blob, [3, 4, 0, 1]);
+        let flat = Flat::decode(&mut Dec::new(&blob)).unwrap();
+        assert_eq!((flat.a, flat.b), (3, (4, true)));
+        assert!(Flat::decode(&mut Dec::new(&[3, 4, 0, 2])).is_err());
     }
 
     #[test]
@@ -646,7 +814,10 @@ mod tests {
         let mut d = Dec::new(&[9]);
         assert!(matches!(d.bool(), Err(CheckpointError::Corrupt(_))));
         let mut d = Dec::new(&[9]);
-        assert!(matches!(d.attr_value(), Err(CheckpointError::Corrupt(_))));
+        assert!(matches!(
+            AttrValue::decode(&mut d),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -203,35 +203,18 @@ impl EngineStats {
         self.expiry_tombstones += o.expiry_tombstones;
         self.late_skips += o.late_skips;
     }
-
-    /// Serializes the counters (checkpoint codec).
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        self.runs.encode(e);
-        e.u64(self.decisions);
-        e.duration(self.decision_time);
-        e.u64(self.windows_emitted);
-        e.u64(self.events_routed);
-        e.u64(self.expiry_pushes);
-        e.u64(self.expiry_tombstones);
-        e.u64(self.late_skips);
-    }
-
-    /// Mirror of [`encode`](Self::encode).
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<EngineStats, crate::checkpoint::CheckpointError> {
-        Ok(EngineStats {
-            runs: RunStats::decode(d)?,
-            decisions: d.u64()?,
-            decision_time: d.duration()?,
-            windows_emitted: d.u64()?,
-            events_routed: d.u64()?,
-            expiry_pushes: d.u64()?,
-            expiry_tombstones: d.u64()?,
-            late_skips: d.u64()?,
-        })
-    }
 }
+
+crate::checkpoint::codec_struct!(EngineStats {
+    runs,
+    decisions,
+    decision_time,
+    windows_emitted,
+    events_routed,
+    expiry_pushes,
+    expiry_tombstones,
+    late_skips,
+});
 
 /// Maps a partition key to its owning shard under `total`-way sharding —
 /// the single hash both the engine's `EngineConfig::shard` filter and the

@@ -16,6 +16,7 @@
 //! sorted vectors is cheaper than hashing at that size.
 
 use crate::agg::NodeVal;
+use crate::checkpoint::{codec_struct, CheckpointError};
 use hamlet_types::TrendVal;
 
 /// Identifier of a snapshot variable within one run.
@@ -327,47 +328,29 @@ impl LinearExpr {
         std::mem::size_of::<LinearExpr>() + self.terms.len() * std::mem::size_of::<Term>()
     }
 
-    /// Serializes the expression (checkpoint codec): constant, then the
-    /// sorted term list verbatim — decode reproduces it bit-for-bit.
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        self.c.encode(e);
-        e.usize(self.terms.len());
-        for t in &self.terms {
-            e.u32(t.snap);
-            e.u64(t.a.0);
-            e.u64(t.b_sum.0);
-            e.u64(t.b_cnt.0);
+    /// Checks a decoded expression against the restored snapshot table's
+    /// size: a term referencing a snapshot beyond it is corrupt and must
+    /// fail here, not index out of bounds at the first evaluation.
+    pub(crate) fn check_snaps(&self, num_snaps: usize) -> Result<(), CheckpointError> {
+        match self.terms.iter().find(|t| t.snap as usize >= num_snaps) {
+            Some(t) => Err(CheckpointError::Corrupt(format!(
+                "expression references snapshot {} of {num_snaps}",
+                t.snap
+            ))),
+            None => Ok(()),
         }
-    }
-
-    /// Mirror of [`encode`](Self::encode). `num_snaps` is the restored
-    /// snapshot table's size: a term referencing a snapshot beyond it is
-    /// corrupt and must fail here, not index out of bounds at the first
-    /// evaluation.
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-        num_snaps: usize,
-    ) -> Result<LinearExpr, crate::checkpoint::CheckpointError> {
-        let c = NodeVal::decode(d)?;
-        let n = d.seq_len()?;
-        let mut terms = Vec::with_capacity(n);
-        for _ in 0..n {
-            let snap = d.u32()?;
-            if snap as usize >= num_snaps {
-                return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
-                    "expression references snapshot {snap} of {num_snaps}"
-                )));
-            }
-            terms.push(Term {
-                snap,
-                a: TrendVal(d.u64()?),
-                b_sum: TrendVal(d.u64()?),
-                b_cnt: TrendVal(d.u64()?),
-            });
-        }
-        Ok(LinearExpr { c, terms })
     }
 }
+
+// The constant, then the sorted term list verbatim: decoding reproduces
+// it bit for bit.
+codec_struct!(Term {
+    snap,
+    a,
+    b_sum,
+    b_cnt
+});
+codec_struct!(LinearExpr { c, terms });
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
 //! Measurement utilities for the evaluation metrics of §6.1: latency and
 //! peak memory.
 
+use crate::checkpoint::codec_struct;
 use std::time::Duration;
 
 /// `total / count` in `u128` nanoseconds (zero when `count` is zero): a
@@ -61,25 +62,9 @@ impl LatencyRecorder {
         self.max = self.max.max(o.max);
         self.count += o.count;
     }
-
-    /// Serializes the recorder (checkpoint codec).
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        e.duration(self.total);
-        e.duration(self.max);
-        e.u64(self.count);
-    }
-
-    /// Mirror of [`encode`](Self::encode).
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<LatencyRecorder, crate::checkpoint::CheckpointError> {
-        Ok(LatencyRecorder {
-            total: d.duration()?,
-            max: d.duration()?,
-            count: d.u64()?,
-        })
-    }
 }
+
+codec_struct!(LatencyRecorder { total, max, count });
 
 /// Number of log-linear buckets in a [`LatencyHistogram`]: 64 octaves of
 /// nanoseconds × 4 sub-buckets per octave.
@@ -261,23 +246,9 @@ impl MemoryGauge {
     pub fn peak(&self) -> usize {
         self.peak
     }
-
-    /// Serializes the gauge (checkpoint codec).
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        e.usize(self.peak);
-        e.usize(self.last);
-    }
-
-    /// Mirror of [`encode`](Self::encode).
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<MemoryGauge, crate::checkpoint::CheckpointError> {
-        Ok(MemoryGauge {
-            peak: d.usize()?,
-            last: d.usize()?,
-        })
-    }
 }
+
+codec_struct!(MemoryGauge { peak, last });
 
 #[cfg(test)]
 mod tests {

@@ -13,6 +13,7 @@
 //! (asserted in the integration tests).
 
 use crate::bitset::QSet;
+use crate::checkpoint::{decode_into, CheckpointError, Codec, Dec, Enc};
 
 /// Per-(type, member) exponential moving average of divergence rates.
 #[derive(Clone, Debug)]
@@ -81,61 +82,36 @@ impl DivergenceEstimator {
     /// estimator only steers sharing *decisions*, never result values,
     /// but restoring it keeps a resumed run's decision sequence — and so
     /// its performance counters — identical to an uninterrupted one.
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        e.f64(self.alpha);
-        e.usize(self.rates.len());
-        e.usize(self.rates.first().map_or(0, Vec::len));
-        for row in &self.rates {
-            for &r in row {
-                e.f64(r);
-            }
-        }
-        for row in &self.seen {
-            for &s in row {
-                e.bool(s);
-            }
-        }
+    pub(crate) fn encode(&self, e: &mut Enc) {
+        let k = self.rates.first().map_or(0, Vec::len);
+        (self.alpha, self.rates.len(), k).encode(e);
+        self.rates.iter().flatten().for_each(|v| v.encode(e));
+        self.seen.iter().flatten().for_each(|v| v.encode(e));
     }
 
     /// Mirror of [`encode`](Self::encode). `expect_nt`/`expect_k` are
     /// the compiled runtime's dimensions: a blob whose embedded shape
-    /// disagrees is corrupt, and must fail here rather than decode into
-    /// a table the executor will later index out of bounds.
+    /// disagrees is corrupt, and must fail here — before the tables are
+    /// sized — rather than decode into a table the executor will later
+    /// index out of bounds.
     pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
+        d: &mut Dec<'_>,
         expect_nt: usize,
         expect_k: usize,
-    ) -> Result<DivergenceEstimator, crate::checkpoint::CheckpointError> {
-        let alpha = d.f64()?;
+    ) -> Result<DivergenceEstimator, CheckpointError> {
+        let (alpha, nt, k): (f64, usize, usize) = Codec::decode(d)?;
         if !(0.0..=1.0).contains(&alpha) {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
-                "estimator alpha {alpha}"
-            )));
+            return Err(CheckpointError::Corrupt(format!("estimator alpha {alpha}")));
         }
-        let nt = d.seq_len()?;
-        let k = d.usize()?;
         if nt != expect_nt || (nt > 0 && k != expect_k) {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
+            return Err(CheckpointError::Corrupt(format!(
                 "estimator shape {nt}×{k}, compiled runtime is {expect_nt}×{expect_k}"
             )));
         }
-        let mut rates = Vec::with_capacity(nt);
-        for _ in 0..nt {
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(d.f64()?);
-            }
-            rates.push(row);
-        }
-        let mut seen = Vec::with_capacity(nt);
-        for _ in 0..nt {
-            let mut row = Vec::with_capacity(k);
-            for _ in 0..k {
-                row.push(d.bool()?);
-            }
-            seen.push(row);
-        }
-        Ok(DivergenceEstimator { alpha, rates, seen })
+        let mut est = DivergenceEstimator::new(nt, expect_k, alpha);
+        decode_into(d, est.rates.iter_mut().flatten())?;
+        decode_into(d, est.seen.iter_mut().flatten())?;
+        Ok(est)
     }
 }
 

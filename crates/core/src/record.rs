@@ -21,8 +21,8 @@
 
 use crate::burst::RunState;
 use crate::checkpoint::{
-    read_delta_frame, read_engine_header, write_delta_frame, write_engine_header, CheckpointError,
-    Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION,
+    codec_struct, read_delta_frame, read_engine_header, write_delta_frame, write_engine_header,
+    CheckpointError, Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION,
 };
 use crate::executor::{EngineStats, HamletEngine};
 use crate::expiry::{RunSlab, Runs};
@@ -112,35 +112,21 @@ impl DirtyLog {
 /// sharding always agree on it.
 fn fingerprint(eng: &HamletEngine) -> Vec<u8> {
     let mut e = Enc::new();
-    match eng.cfg.shard {
-        None => e.some(false),
-        Some((idx, total)) => {
-            e.some(true);
-            e.u32(idx);
-            e.u32(total);
-        }
-    }
+    eng.cfg.shard.encode(&mut e);
     e.usize(eng.groups.len());
     for g in &eng.groups {
-        e.usize(g.rt.k());
-        e.usize(g.rt.template.num_types());
-        e.u64(g.window.within);
-        e.u64(g.window.slide);
-        e.u64(g.pane);
+        let (within, slide) = (g.window.within, g.window.slide);
+        (g.rt.k(), g.rt.template.num_types(), within, slide, g.pane).encode(&mut e);
         e.usize(g.partition_attrs.len());
         for a in &g.partition_attrs {
             e.str(a);
         }
-        for q in &g.rt.queries {
-            e.u32(q.id.0);
-        }
+        g.rt.queries.iter().for_each(|q| q.id.encode(&mut e));
     }
-    e.usize(eng.combiners.len());
-    for c in &eng.combiners {
-        e.u32(c.orig.0);
-        e.u32(c.left.0);
-        e.u32(c.right.0);
-    }
+    let combiners: Vec<_> = (eng.combiners.iter())
+        .map(|c| (c.orig, c.left, c.right))
+        .collect();
+    combiners.encode(&mut e);
     e.finish()
 }
 
@@ -193,14 +179,12 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
         if delta {
             gone.sort_by(|a, b| a.total_cmp(b));
             e.usize(gone.len());
-            for key in gone {
-                e.group_key(key);
-            }
+            gone.iter().for_each(|key| key.encode(e));
         }
         live.sort_by(|(a, _), (b, _)| a.total_cmp(b));
         e.usize(live.len());
         for (key, runs) in live {
-            e.group_key(key);
+            key.encode(e);
             e.usize(runs.as_slice().len());
             for &(start, handle) in runs.as_slice() {
                 e.u64(start);
@@ -212,18 +196,15 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
     if delta {
         slots_gone.sort_by(|a, b| slot_cmp(a, b));
         e.usize(slots_gone.len());
-        for slot in slots_gone {
-            encode_pending_slot(e, slot);
-        }
+        slots_gone.iter().for_each(|slot| slot.encode(e));
     }
     slots_live.sort_by(|(a, _), (b, _)| slot_cmp(a, b));
     e.usize(slots_live.len());
-    for (slot, (id, count)) in slots_live {
-        encode_pending_slot(e, slot);
-        e.u32(id.0);
-        e.u64(*count);
+    for (slot, half) in slots_live {
+        slot.encode(e);
+        half.encode(e);
     }
-    encode_tail(eng, e);
+    Tail::of(eng).encode(e);
 }
 
 /// A chain being staged: the state it describes, built up record by
@@ -242,7 +223,17 @@ struct Staged {
     /// diffing it).
     groups: Vec<(HashMap<GroupKey, Runs>, RunSlab, DivergenceEstimator)>,
     pending: HashMap<PendingSlot, (QueryId, u64)>,
-    // The scalar tail every record body ends with; the newest wins.
+    /// The scalar tail every record body ends with; the newest wins.
+    tail: Tail,
+}
+
+/// The scalar tail of a record body, always whole. The per-group counters
+/// keep a fixed 8-slot layout (`GroupMetrics::counters`); placement fields
+/// are *not* serialized — benefit/shared are re-priced by the restoring
+/// engine's own build/churn, keeping round-trip identity independent of
+/// estimator drift.
+#[derive(Default)]
+struct Tail {
     stats: EngineStats,
     latency: LatencyRecorder,
     gauge: MemoryGauge,
@@ -251,6 +242,28 @@ struct Staged {
     /// Per-group observability counters, 8 `u64`s per group; empty when
     /// the writer had `EngineConfig::obs` off.
     obs: Vec<[u64; 8]>,
+}
+
+codec_struct!(Tail {
+    stats,
+    latency,
+    gauge,
+    event_counter,
+    watermark,
+    obs
+});
+
+impl Tail {
+    fn of(eng: &HamletEngine) -> Tail {
+        Tail {
+            stats: eng.stats,
+            latency: eng.latency.clone(),
+            gauge: eng.gauge,
+            event_counter: eng.event_counter,
+            watermark: eng.watermark,
+            obs: eng.obs.iter().map(|m| m.counters()).collect(),
+        }
+    }
 }
 
 /// Takes `key` out of a staged group: a key a later record of the chain
@@ -288,13 +301,13 @@ fn decode_body(
     for (g, (parts, slab, estimator)) in eng.groups.iter().zip(&mut state.groups) {
         if delta {
             for _ in 0..d.seq_len()? {
-                vacate(parts, slab, &d.group_key()?);
+                vacate(parts, slab, &GroupKey::decode(d)?);
             }
         }
         let n_parts = d.seq_len()?;
         parts.reserve(if delta { 0 } else { n_parts });
         for _ in 0..n_parts {
-            let key = d.group_key()?;
+            let key = GroupKey::decode(d)?;
             vacate(parts, slab, &key);
             let mut runs = Runs::default();
             for _ in 0..d.seq_len()? {
@@ -313,86 +326,37 @@ fn decode_body(
     }
     if delta {
         for _ in 0..d.seq_len()? {
-            state.pending.remove(&decode_pending_slot(eng, d)?);
+            state
+                .pending
+                .remove(&known_combiner(eng, Codec::decode(d)?)?);
         }
     }
     for _ in 0..d.seq_len()? {
-        let slot = decode_pending_slot(eng, d)?;
-        state.pending.insert(slot, (QueryId(d.u32()?), d.u64()?));
+        let slot = known_combiner(eng, Codec::decode(d)?)?;
+        state.pending.insert(slot, Codec::decode(d)?);
     }
-    decode_tail(eng, d, state)?;
-    d.expect_end()
-}
-
-fn encode_pending_slot(e: &mut Enc, slot: &PendingSlot) {
-    e.usize(slot.0);
-    e.group_key(&slot.1);
-    e.u64(slot.2);
-}
-
-/// Mirror of [`encode_pending_slot`], bounds-checked against the
-/// compiled combiners.
-fn decode_pending_slot(
-    eng: &HamletEngine,
-    d: &mut Dec<'_>,
-) -> Result<PendingSlot, CheckpointError> {
-    let ci = d.usize()?;
-    if ci >= eng.combiners.len() {
-        return Err(CheckpointError::Corrupt(format!(
-            "pending combiner index {ci} out of range"
-        )));
-    }
-    Ok((ci, d.group_key()?, d.u64()?))
-}
-
-/// Writes the scalar tail. The per-group counters keep a fixed 8-slot
-/// layout (`GroupMetrics::counters`); placement fields are *not* serialized —
-/// benefit/shared are re-priced by the restoring engine's own
-/// build/churn, keeping round-trip identity independent of estimator
-/// drift.
-fn encode_tail(eng: &HamletEngine, e: &mut Enc) {
-    eng.stats.encode(e);
-    eng.latency.encode(e);
-    eng.gauge.encode(e);
-    e.u64(eng.event_counter);
-    match eng.watermark {
-        None => e.some(false),
-        Some(wm) => {
-            e.some(true);
-            e.u64(wm.ticks());
-        }
-    }
-    e.usize(eng.obs.len());
-    for m in &eng.obs {
-        for c in m.counters() {
-            e.u64(c);
-        }
-    }
-}
-
-/// Mirror of [`encode_tail`].
-fn decode_tail(
-    eng: &HamletEngine,
-    d: &mut Dec<'_>,
-    state: &mut Staged,
-) -> Result<(), CheckpointError> {
-    state.stats = EngineStats::decode(d)?;
-    state.latency = LatencyRecorder::decode(d)?;
-    state.gauge = MemoryGauge::decode(d)?;
-    state.event_counter = d.u64()?;
-    state.watermark = if d.some()? { Some(Ts(d.u64()?)) } else { None };
-    let n_obs = d.seq_len()?;
+    state.tail = Codec::decode(d)?;
+    let n_obs = state.tail.obs.len();
     if n_obs != 0 && n_obs != eng.groups.len() {
         return Err(CheckpointError::Corrupt(format!(
             "{n_obs} observability records for {} groups",
             eng.groups.len()
         )));
     }
-    state.obs = vec![[0u64; 8]; n_obs];
-    for slot in state.obs.iter_mut().flatten() {
-        *slot = d.u64()?;
+    d.expect_end()
+}
+
+/// A decoded pending-half slot, bounds-checked against the compiled
+/// combiners.
+fn known_combiner(eng: &HamletEngine, slot: PendingSlot) -> Result<PendingSlot, CheckpointError> {
+    if slot.0 < eng.combiners.len() {
+        Ok(slot)
+    } else {
+        Err(CheckpointError::Corrupt(format!(
+            "pending combiner index {} out of range",
+            slot.0
+        )))
     }
-    Ok(())
 }
 
 /// Parses one chain record's frame. A bare engine blob
@@ -481,16 +445,17 @@ fn install(eng: &mut HamletEngine, state: Staged) {
         g.slab.drop_free(&mut g.partitions);
     }
     eng.pending = state.pending;
-    eng.stats = state.stats;
-    eng.latency = state.latency;
-    eng.gauge = state.gauge;
-    eng.event_counter = state.event_counter;
-    eng.watermark = state.watermark;
+    let tail = state.tail;
+    eng.stats = tail.stats;
+    eng.latency = tail.latency;
+    eng.gauge = tail.gauge;
+    eng.event_counter = tail.event_counter;
+    eng.watermark = tail.watermark;
     // The per-group counters replace this engine's wholesale (a record
     // without them zeroes the registry); placement fields keep what this
     // engine priced at build/churn.
     for (gi, m) in eng.obs.iter_mut().enumerate() {
-        let stored = state.obs.get(gi).copied().unwrap_or_default();
+        let stored = tail.obs.get(gi).copied().unwrap_or_default();
         for (c, v) in m.counters_mut().into_iter().zip(stored) {
             *c = v;
         }

@@ -62,6 +62,7 @@ mod edge;
 use crate::agg::{ring_of_attr, MmVal, NodeVal};
 use crate::bitset::QSet;
 use crate::burst::{Burst, BurstRepr, Cell};
+use crate::checkpoint::{codec_struct, decode_into, CheckpointError, Codec, Dec, Enc};
 use crate::expr::{LinearExpr, SnapId};
 use crate::snapshot::SnapTable;
 use crate::template::{MergedTemplate, NegKind};
@@ -280,6 +281,29 @@ struct SoloGraphlet {
     size: u64,
 }
 
+codec_struct!(SharedGraphlet {
+    members,
+    x,
+    unit,
+    sum_exprs,
+    size
+});
+
+impl SharedGraphlet {
+    /// Fails unless every snapshot the graphlet names is one of the run's
+    /// `num_snaps` (checked after a plain decode, before any lookup).
+    fn check_snaps(&self, num_snaps: usize) -> Result<(), CheckpointError> {
+        for id in [Some(self.x), self.unit].into_iter().flatten() {
+            if id as usize >= num_snaps {
+                return Err(CheckpointError::Corrupt(format!(
+                    "graphlet references snapshot {id} of {num_snaps}"
+                )));
+            }
+        }
+        self.sum_exprs.check_snaps(num_snaps)
+    }
+}
+
 impl SoloGraphlet {
     fn new(mm_identity: MmVal) -> SoloGraphlet {
         SoloGraphlet {
@@ -290,6 +314,13 @@ impl SoloGraphlet {
         }
     }
 }
+
+codec_struct!(SoloGraphlet {
+    sum,
+    mm,
+    alive,
+    size
+});
 
 /// Active graphlets of one type.
 #[derive(Default)]
@@ -336,37 +367,18 @@ impl RunStats {
     pub fn snapshots(&self) -> u64 {
         self.graphlet_snapshots + self.event_snapshots
     }
-
-    /// Serializes the counters (checkpoint codec). Kept unrolled, one
-    /// call per field, so the decode mirror below is positionally
-    /// auditable (and checked by hamlet-lint's codec-symmetry rule).
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        e.u64(self.graphlet_snapshots);
-        e.u64(self.event_snapshots);
-        e.u64(self.graphlets);
-        e.u64(self.merges);
-        e.u64(self.splits);
-        e.u64(self.shared_bursts);
-        e.u64(self.solo_bursts);
-        e.u64(self.events);
-    }
-
-    /// Mirror of [`encode`](Self::encode).
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<RunStats, crate::checkpoint::CheckpointError> {
-        Ok(RunStats {
-            graphlet_snapshots: d.u64()?,
-            event_snapshots: d.u64()?,
-            graphlets: d.u64()?,
-            merges: d.u64()?,
-            splits: d.u64()?,
-            shared_bursts: d.u64()?,
-            solo_bursts: d.u64()?,
-            events: d.u64()?,
-        })
-    }
 }
+
+codec_struct!(RunStats {
+    graphlet_snapshots,
+    event_snapshots,
+    graphlets,
+    merges,
+    splits,
+    shared_bursts,
+    solo_bursts,
+    events,
+});
 
 /// Final per-member aggregate of a finished window.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -1016,180 +1028,66 @@ impl Run {
     /// The immutable [`GroupRuntime`] is *not* serialized — the decoder
     /// receives it from the freshly compiled engine and only the mutable
     /// state travels.
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        let nt = self.rt.template.num_types();
-        e.usize(self.k);
-        e.usize(nt);
-        e.u64(self.n_events);
-        for per_ty in &self.cum {
-            for v in per_ty {
-                v.encode(e);
-            }
-        }
-        for per_ty in &self.mm_cum {
-            for v in per_ty {
-                e.f64(v.0);
-            }
-        }
-        for per_ty in &self.alive_cum {
-            for &v in per_ty {
-                e.bool(v);
-            }
-        }
-        for &b in &self.start_blocked {
-            e.bool(b);
-        }
+    pub(crate) fn encode(&self, e: &mut Enc) {
+        (self.k, self.rt.template.num_types(), self.n_events).encode(e);
+        self.cum.iter().flatten().for_each(|v| v.encode(e));
+        self.mm_cum.iter().flatten().for_each(|v| v.encode(e));
+        self.alive_cum.iter().flatten().for_each(|v| v.encode(e));
+        self.start_blocked.iter().for_each(|v| v.encode(e));
         // HashMap: impose the canonical key order so the encoding is
         // deterministic (checkpoint → restore → checkpoint is
         // byte-identical).
-        let mut gaps: Vec<(&(usize, usize, usize), &NodeVal)> = self.gap_blocked.iter().collect();
-        gaps.sort_by_key(|(k, _)| **k);
-        e.usize(gaps.len());
-        for ((q, p, s), v) in gaps {
-            e.usize(*q);
-            e.usize(*p);
-            e.usize(*s);
-            v.encode(e);
-        }
-        for v in &self.result_blocked {
-            v.encode(e);
-        }
+        let mut gaps: Vec<_> = self.gap_blocked.iter().map(|(k, v)| (*k, *v)).collect();
+        gaps.sort_by_key(|&(k, _)| k);
+        gaps.encode(e);
+        self.result_blocked.iter().for_each(|v| v.encode(e));
         self.snaps.encode(e);
         for a in &self.active {
-            match &a.shared {
-                None => e.some(false),
-                Some(sh) => {
-                    e.some(true);
-                    sh.members.encode(e);
-                    e.u32(sh.x);
-                    match sh.unit {
-                        None => e.some(false),
-                        Some(u) => {
-                            e.some(true);
-                            e.u32(u);
-                        }
-                    }
-                    sh.sum_exprs.encode(e);
-                    e.u64(sh.size);
-                }
-            }
-            for solo in &a.solo {
-                match solo {
-                    None => e.some(false),
-                    Some(s) => {
-                        e.some(true);
-                        s.sum.encode(e);
-                        e.f64(s.mm.0);
-                        e.bool(s.alive);
-                        e.u64(s.size);
-                    }
-                }
-            }
+            a.shared.encode(e);
+            a.solo.iter().for_each(|v| v.encode(e));
         }
-        for per_ty in &self.stored {
-            e.usize(per_ty.len());
-            for se in per_ty {
-                se.encode(e);
-            }
-        }
+        self.stored.iter().for_each(|v| v.encode(e));
         self.stats.encode(e);
     }
 
     /// Mirror of [`encode`](Self::encode): rebuilds a run over the given
-    /// (freshly compiled) runtime.
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-        rt: Arc<GroupRuntime>,
-    ) -> Result<Run, crate::checkpoint::CheckpointError> {
-        use crate::checkpoint::CheckpointError;
+    /// (freshly compiled) runtime. What the record holds is decoded
+    /// plainly, then checked against that runtime — its shape, and every
+    /// snapshot id against the restored table — before anything indexes
+    /// by it.
+    pub(crate) fn decode(d: &mut Dec<'_>, rt: Arc<GroupRuntime>) -> Result<Run, CheckpointError> {
         let mut run = Run::new(rt);
         let nt = run.rt.template.num_types();
-        let (k_enc, nt_enc) = (d.usize()?, d.usize()?);
+        let (k_enc, nt_enc, n_events): (usize, usize, u64) = Codec::decode(d)?;
         if k_enc != run.k || nt_enc != nt {
             return Err(CheckpointError::WorkloadMismatch(format!(
                 "run shape ({k_enc} members × {nt_enc} types) vs compiled ({} × {nt})",
                 run.k
             )));
         }
-        run.n_events = d.u64()?;
-        for per_ty in &mut run.cum {
-            for v in per_ty.iter_mut() {
-                *v = NodeVal::decode(d)?;
-            }
-        }
-        for per_ty in &mut run.mm_cum {
-            for v in per_ty.iter_mut() {
-                *v = MmVal(d.f64()?);
-            }
-        }
-        for per_ty in &mut run.alive_cum {
-            for v in per_ty.iter_mut() {
-                *v = d.bool()?;
-            }
-        }
-        for b in &mut run.start_blocked {
-            *b = d.bool()?;
-        }
-        let n_gaps = d.seq_len()?;
-        for _ in 0..n_gaps {
-            let key = (d.usize()?, d.usize()?, d.usize()?);
-            run.gap_blocked.insert(key, NodeVal::decode(d)?);
-        }
-        for v in &mut run.result_blocked {
-            *v = NodeVal::decode(d)?;
-        }
-        run.snaps = SnapTable::decode(d, run.k)?;
+        run.n_events = n_events;
+        decode_into(d, run.cum.iter_mut().flatten())?;
+        decode_into(d, run.mm_cum.iter_mut().flatten())?;
+        decode_into(d, run.alive_cum.iter_mut().flatten())?;
+        decode_into(d, &mut run.start_blocked)?;
+        let gaps: Vec<((usize, usize, usize), NodeVal)> = Codec::decode(d)?;
+        run.gap_blocked.extend(gaps);
+        decode_into(d, &mut run.result_blocked)?;
+        run.snaps = Codec::decode(d)?;
+        run.snaps.check_arity(run.k)?;
+        let num_snaps = run.snaps.len();
         for a in &mut run.active {
-            a.shared = if d.some()? {
-                let members = QSet::decode(d)?;
-                let num_snaps = run.snaps.len();
-                let snap_id = |id: SnapId| {
-                    if (id as usize) < num_snaps {
-                        Ok(id)
-                    } else {
-                        Err(crate::checkpoint::CheckpointError::Corrupt(format!(
-                            "graphlet references snapshot {id} of {num_snaps}"
-                        )))
-                    }
-                };
-                let x = snap_id(d.u32()?)?;
-                let unit = if d.some()? {
-                    Some(snap_id(d.u32()?)?)
-                } else {
-                    None
-                };
-                let sum_exprs = LinearExpr::decode(d, num_snaps)?;
-                let size = d.u64()?;
-                Some(SharedGraphlet {
-                    members,
-                    x,
-                    unit,
-                    sum_exprs,
-                    size,
-                })
-            } else {
-                None
-            };
-            for solo in a.solo.iter_mut() {
-                *solo = if d.some()? {
-                    Some(SoloGraphlet {
-                        sum: NodeVal::decode(d)?,
-                        mm: MmVal(d.f64()?),
-                        alive: d.bool()?,
-                        size: d.u64()?,
-                    })
-                } else {
-                    None
-                };
-            }
+            a.shared = Codec::decode(d)?;
+            decode_into(d, &mut a.solo)?;
+            a.shared
+                .iter()
+                .try_for_each(|sh| sh.check_snaps(num_snaps))?;
         }
         for per_ty in &mut run.stored {
-            let n = d.seq_len()?;
-            for _ in 0..n {
-                per_ty.push(StoredEvent::decode(d, run.snaps.len())?);
-            }
+            *per_ty = Codec::decode(d)?;
+            per_ty.iter().try_for_each(|se| se.check_snaps(num_snaps))?;
         }
-        run.stats = RunStats::decode(d)?;
+        run.stats = Codec::decode(d)?;
         Ok(run)
     }
 

@@ -16,7 +16,7 @@
 use super::{GroupRuntime, Run, SoloGraphlet};
 use crate::agg::{MmVal, NodeVal};
 use crate::bitset::QSet;
-use crate::checkpoint::{CheckpointError, Dec, Enc};
+use crate::checkpoint::{codec_struct, CheckpointError};
 use crate::expr::LinearExpr;
 use crate::workload::AggSkeleton;
 use hamlet_types::Event;
@@ -33,55 +33,18 @@ pub(super) struct StoredEvent {
     mm: Vec<(u16, MmVal)>,
 }
 
-impl StoredEvent {
-    /// Serializes the event and its contributions (checkpoint codec).
-    pub(super) fn encode(&self, e: &mut Enc) {
-        e.event(&self.event);
-        match &self.shared {
-            None => e.some(false),
-            Some((members, expr)) => {
-                e.some(true);
-                members.encode(e);
-                expr.encode(e);
-            }
-        }
-        e.usize(self.solo.len());
-        for (q, v) in &self.solo {
-            e.u16(*q);
-            v.encode(e);
-        }
-        e.usize(self.mm.len());
-        for (q, v) in &self.mm {
-            e.u16(*q);
-            e.f64(v.0);
-        }
-    }
+codec_struct!(StoredEvent {
+    event,
+    shared,
+    solo,
+    mm
+});
 
-    /// Mirror of [`encode`](Self::encode) in a run of `num_snaps`
-    /// snapshots.
-    pub(super) fn decode(d: &mut Dec<'_>, num_snaps: usize) -> Result<Self, CheckpointError> {
-        let event = d.event()?;
-        let shared = if d.some()? {
-            Some((QSet::decode(d)?, LinearExpr::decode(d, num_snaps)?))
-        } else {
-            None
-        };
-        let n_solo = d.seq_len()?;
-        let mut solo = Vec::with_capacity(n_solo);
-        for _ in 0..n_solo {
-            solo.push((d.u16()?, NodeVal::decode(d)?));
-        }
-        let n_mm = d.seq_len()?;
-        let mut mm = Vec::with_capacity(n_mm);
-        for _ in 0..n_mm {
-            mm.push((d.u16()?, MmVal(d.f64()?)));
-        }
-        Ok(StoredEvent {
-            event,
-            shared,
-            solo,
-            mm,
-        })
+impl StoredEvent {
+    /// Checks a decoded event's symbolic contribution against a run of
+    /// `num_snaps` snapshots.
+    pub(super) fn check_snaps(&self, num_snaps: usize) -> Result<(), CheckpointError> {
+        (self.shared.iter()).try_for_each(|(_, expr)| expr.check_snaps(num_snaps))
     }
 
     /// Byte-accounted size (§6.1 memory metric).

@@ -7,6 +7,7 @@
 //! split) and still agree.
 
 use crate::agg::NodeVal;
+use crate::checkpoint::{codec_struct, CheckpointError};
 use crate::expr::{LinearExpr, SnapId};
 
 /// Run-local table mapping `(snapshot, member query)` to a value
@@ -85,44 +86,30 @@ impl SnapTable {
         std::mem::size_of::<SnapTable>() + self.vals.len() * std::mem::size_of::<NodeVal>()
     }
 
-    /// Serializes the table (checkpoint codec): arity then the row-major
-    /// value array. Snapshot values are immutable, so this is the entire
-    /// state.
-    pub(crate) fn encode(&self, e: &mut crate::checkpoint::Enc) {
-        e.usize(self.k);
-        e.usize(self.vals.len());
-        for v in &self.vals {
-            v.encode(e);
-        }
-    }
-
-    /// Mirror of [`encode`](Self::encode). `expect_k` is the run's
-    /// member count: a blob carrying a different arity is corrupt and
-    /// must fail here, not index out of bounds at the first
+    /// Checks a decoded table against the run's member count `k`: a blob
+    /// carrying a different arity, or a partial row, is corrupt and must
+    /// fail here, not index out of bounds at the first
     /// [`value`](Self::value) lookup.
-    pub(crate) fn decode(
-        d: &mut crate::checkpoint::Dec<'_>,
-        expect_k: usize,
-    ) -> Result<SnapTable, crate::checkpoint::CheckpointError> {
-        let k = d.usize()?;
-        if k != expect_k {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
-                "snapshot table arity {k}, run has {expect_k} members"
-            )));
-        }
-        let n = d.seq_len()?;
-        if k > 0 && n % k != 0 {
-            return Err(crate::checkpoint::CheckpointError::Corrupt(format!(
+    pub(crate) fn check_arity(&self, k: usize) -> Result<(), CheckpointError> {
+        let n = self.vals.len();
+        if self.k != k {
+            Err(CheckpointError::Corrupt(format!(
+                "snapshot table arity {}, run has {k} members",
+                self.k
+            )))
+        } else if k > 0 && !n.is_multiple_of(k) {
+            Err(CheckpointError::Corrupt(format!(
                 "snapshot table of {n} values is not a multiple of arity {k}"
-            )));
+            )))
+        } else {
+            Ok(())
         }
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(NodeVal::decode(d)?);
-        }
-        Ok(SnapTable { k, vals })
     }
 }
+
+// Arity, then the row-major value array. Snapshot values are immutable,
+// so this is the entire state.
+codec_struct!(SnapTable { k, vals });
 
 #[cfg(test)]
 mod tests {

@@ -109,14 +109,20 @@ pub struct ChainMeta {
     pub fingerprint: Vec<u8>,
 }
 
+/// True iff `bytes` open one of the two container formats.
+fn is_container(bytes: &[u8]) -> bool {
+    bytes.starts_with(b"HMPC") || bytes.starts_with(b"HMPL")
+}
+
 /// Peeks the [`ChainMeta`] of any known record format. Everything but the
 /// fingerprint stays borrowed.
 fn peek_meta(bytes: &[u8]) -> Result<ChainMeta, CheckpointError> {
     // The two container formats share one header shape: magic, version,
     // worker count, per-shard records (`HMPL` is defined by the pipeline
     // crate, but its layout is specified alongside ours in
-    // docs/checkpoint-format.md, so peeking it here is sound).
-    if bytes.starts_with(b"HMPC") || bytes.starts_with(b"HMPL") {
+    // docs/checkpoint-format.md, so peeking it here is sound). A shard
+    // record is a chain record; a container inside a container is none.
+    if is_container(bytes) {
         let mut d = Dec::new(&bytes[4..]);
         let version = d.u16()?;
         let workers = d.u32()?;
@@ -125,15 +131,25 @@ fn peek_meta(bytes: &[u8]) -> Result<ChainMeta, CheckpointError> {
                 "container checkpoint with no shards".into(),
             ));
         }
+        let shard = d.bytes()?;
+        if is_container(shard) {
+            return Err(CheckpointError::Corrupt(
+                "a container holds chain records, not containers".into(),
+            ));
+        }
         return Ok(ChainMeta {
             version,
-            ..peek_meta(d.bytes()?)?
+            ..peek_record(shard)?
         });
     }
-    // A chain record (a bare engine blob being a base at seq 0). A base
-    // payload is an engine blob, whose version speaks for the record;
-    // after its header, as at the start of a delta payload, comes the
-    // workload fingerprint.
+    peek_record(bytes)
+}
+
+/// [`peek_meta`] of a chain record (a bare engine blob being a base at
+/// seq 0). A base payload is an engine blob, whose version speaks for the
+/// record; after its header, as at the start of a delta payload, comes
+/// the workload fingerprint.
+fn peek_record(bytes: &[u8]) -> Result<ChainMeta, CheckpointError> {
     let f = record::frame_of(bytes)?;
     let mut d = Dec::new(f.payload);
     let (version, parent) = if f.base {
@@ -636,6 +652,34 @@ mod tests {
         let mut fresh = engine(&reg, &qs);
         let err = fresh.restore_chain(&[base, forged]);
         assert!(matches!(err, Err(CheckpointError::WorkloadMismatch(_))));
+    }
+
+    /// A container's shard is peeked as a chain record: one container
+    /// inside another is corrupt, and 200 000 of them nested (5.2 MB) are
+    /// an error, not a stack overflow.
+    #[test]
+    fn nested_containers_are_corrupt() {
+        let (reg, qs) = setup();
+        let blob = engine(&reg, &qs).checkpoint();
+        let once = crate::checkpoint::container_header(b"HMPC", 1, 1, &[&blob]).finish();
+        assert!(Checkpoint::from_bytes(once.clone()).is_ok());
+        let twice = crate::checkpoint::container_header(b"HMPL", 2, 1, &[&once]).finish();
+        let err = Checkpoint::from_bytes(twice);
+        assert!(matches!(err, Err(CheckpointError::Corrupt(_))), "{err:?}");
+
+        const LEVELS: usize = 200_000;
+        const HEADER: usize = 4 + 2 + 4 + 8 + 8;
+        let mut deep = Vec::with_capacity(LEVELS * HEADER + blob.len());
+        for level in 0..LEVELS {
+            let below = (LEVELS - 1 - level) * HEADER + blob.len();
+            deep.extend_from_slice(b"HMPC");
+            deep.extend_from_slice(&1u16.to_le_bytes());
+            deep.extend_from_slice(&1u32.to_le_bytes());
+            deep.extend_from_slice(&1u64.to_le_bytes());
+            deep.extend_from_slice(&(below as u64).to_le_bytes());
+        }
+        deep.extend_from_slice(&blob);
+        assert!(Checkpoint::from_bytes(deep).is_err());
     }
 
     #[test]

@@ -207,6 +207,18 @@ pub fn check_source(rel: &str, src: &str, docs: Option<&str>) -> Vec<Finding> {
 /// [`check_source`] with an explicit classification (fixture tests use
 /// this to force rules on).
 pub fn check_source_with(rel: &str, src: &str, docs: Option<&str>, cls: &Class) -> Vec<Finding> {
+    analyze(rel, src, docs, cls, &mut BTreeSet::new())
+}
+
+/// [`check_source_with`], noting in `pairs_seen` the L2 pairs the file
+/// has (what [`run`] needs to find a stale one).
+fn analyze(
+    rel: &str,
+    src: &str,
+    docs: Option<&str>,
+    cls: &Class,
+    pairs_seen: &mut BTreeSet<usize>,
+) -> Vec<Finding> {
     let clean = scan::clean(src);
     let toks = scan::tokens(&clean);
     let mut findings = Vec::new();
@@ -223,7 +235,7 @@ pub fn check_source_with(rel: &str, src: &str, docs: Option<&str>, cls: &Class) 
         clean_strings: clean.strings.clone(),
         toks,
     };
-    rules::check(&cx, cls, docs, &mut findings);
+    rules::check(&cx, cls, docs, &mut findings, pairs_seen);
     findings
 }
 
@@ -258,17 +270,26 @@ const SKIP_DIRS: &[&str] = &["target", ".git", "proptest-regressions"];
 const SKIP_PREFIXES: &[&str] = &["crates/compat/", "crates/lint/tests/"];
 
 /// Walks the workspace at `root` and returns all findings, sorted by
-/// (file, line, rule). Deterministic: the walk order is sorted.
+/// (file, line, rule) — including an L2 pair no file has
+/// ([`rules::stale_pairs`]). Deterministic: the walk order is sorted.
 pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     let docs = std::fs::read_to_string(root.join("docs/checkpoint-format.md")).ok();
     let mut files = Vec::new();
     walk(root, root, &mut files)?;
     files.sort();
     let mut findings = Vec::new();
+    let mut pairs_seen = BTreeSet::new();
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
-        findings.extend(check_source(rel, &src, docs.as_deref()));
+        findings.extend(analyze(
+            rel,
+            &src,
+            docs.as_deref(),
+            &classify(rel),
+            &mut pairs_seen,
+        ));
     }
+    findings.extend(rules::stale_pairs(&pairs_seen));
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(findings)
 }

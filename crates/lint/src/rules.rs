@@ -207,18 +207,22 @@ fn sorted_nearby(toks: &[Token], idx: usize) -> bool {
 
 // ---------------------------------------------------------------- L2 --
 
+/// Line of [`PAIRS`], where a stale entry is reported.
+const PAIRS_LINE: u32 = line!() + 6;
+
 /// Encode/decode fn-name pairs checked for positional codec symmetry.
-const PAIRS: &[(&str, &str)] = &[
+/// An entry no file of the workspace pairs up is itself a finding
+/// ([`stale_pairs`]): renaming a codec fn must not silently retire its
+/// check.
+pub const PAIRS: &[(&str, &str)] = &[
+    // Every `Codec` impl, and the contextual codecs beside them.
     ("encode", "decode"),
     ("to_bytes", "from_bytes"),
     ("container_header", "read_container_any"),
     ("write_delta_frame", "read_delta_frame"),
     ("write_engine_header", "read_engine_header"),
-    // The one engine-record body (full = delta without removal lists)
-    // and the two helpers it calls on both sides.
+    // The one engine-record body (full = delta without removal lists).
     ("encode_body", "decode_body"),
-    ("encode_tail", "decode_tail"),
-    ("encode_pending_slot", "decode_pending_slot"),
 ];
 
 /// Positional class of one codec call. `Len` unifies `usize`/`seq_len`,
@@ -254,14 +258,10 @@ fn codec_class(method: &str, decode_side: bool) -> Option<Slot> {
         "i64" => Slot::Fixed("i64"),
         "f64" => Slot::Fixed("f64"),
         "bool" => Slot::Fixed("bool"),
-        "duration" => Slot::Fixed("duration"),
         "str" => Slot::Fixed("str"),
         "bytes" => Slot::Fixed("bytes"),
         // `bytes` with the blob written in place by a closure.
         "bytes_with" if !decode_side => Slot::Fixed("bytes"),
-        "attr_value" => Slot::Fixed("attr_value"),
-        "group_key" => Slot::Fixed("group_key"),
-        "event" => Slot::Fixed("event"),
         "usize" => Slot::Len,
         "seq_len" if decode_side => Slot::Len,
         "raw" if !decode_side => Slot::Raw,
@@ -273,10 +273,11 @@ fn codec_class(method: &str, decode_side: bool) -> Option<Slot> {
 
 /// L2: every encode path's codec-call sequence must positionally match
 /// its paired decode path. Runs of `some` collapse to one slot (the
-/// `Option` encode writes the tag in both match arms).
-pub fn codec_symmetry(cx: &FileCx, out: &mut Vec<Finding>) {
+/// `Option` encode writes the tag in both match arms). Notes in `seen`
+/// the index of every [`PAIRS`] entry the file pairs up.
+pub fn codec_symmetry(cx: &FileCx, out: &mut Vec<Finding>, seen: &mut BTreeSet<usize>) {
     let fns = &cx.fn_spans;
-    for &(ename, dname) in PAIRS {
+    for (pair, &(ename, dname)) in PAIRS.iter().enumerate() {
         // Group by enclosing impl (or file level for free fns).
         let mut scopes: Vec<Option<usize>> = fns.iter().map(|f| f.impl_idx).collect();
         scopes.sort_unstable();
@@ -292,6 +293,7 @@ pub fn codec_symmetry(cx: &FileCx, out: &mut Vec<Finding>) {
             if in_regions(&cx.test_regions, ef.body.0) || in_regions(&cx.test_regions, df.body.0) {
                 continue;
             }
+            seen.insert(pair);
             if allowed(&cx.allows, CODEC_SYMMETRY, ef.line)
                 || allowed(&cx.allows, CODEC_SYMMETRY, df.line)
             {
@@ -302,6 +304,24 @@ pub fn codec_symmetry(cx: &FileCx, out: &mut Vec<Finding>) {
             compare_sequences(cx, out, ef, df, &enc, &dec);
         }
     }
+}
+
+/// L2, over the whole walk: a [`PAIRS`] entry that no scanned file pairs
+/// up (`seen` holds the indices some file did) checks nothing, so it is a
+/// finding — reported at the table, to be renamed or removed.
+pub fn stale_pairs(seen: &BTreeSet<usize>) -> Vec<Finding> {
+    (PAIRS.iter().enumerate())
+        .filter(|(pair, _)| !seen.contains(pair))
+        .map(|(_, (ename, dname))| Finding {
+            rule: CODEC_SYMMETRY,
+            file: "crates/lint/src/rules.rs".into(),
+            line: PAIRS_LINE as usize,
+            message: format!(
+                "no file pairs `{ename}` with `{dname}`: the entry checks nothing — \
+                 rename it to the codec fns it should check, or remove it"
+            ),
+        })
+        .collect()
 }
 
 /// Extracts the (collapsed) codec-call sequence of one fn body.
@@ -371,11 +391,15 @@ fn codec_calls(cx: &FileCx, f: &FnSpan, decode_side: bool) -> Vec<(Slot, usize)>
                 }
             }
         }
-        // Nested sub-struct calls: `x.encode(&mut e)` / `T::decode(&mut d, ..)`,
-        // plus the shared container helpers.
+        // Nested sub-struct calls: `x.encode(&mut e)` / `T::decode(&mut d, ..)`
+        // (or `decode_into(d, ..)`, one `decode` per slot of a known-length
+        // run, paired with an `.encode` in a loop), plus the shared
+        // container helpers.
         let nested = if decode_side {
-            matches!(w, "decode" | "read_container_any" | "read_engine_header")
-                && toks.get(i + 1).is_some_and(|t| t.is_p('('))
+            matches!(
+                w,
+                "decode" | "decode_into" | "read_container_any" | "read_engine_header"
+            ) && toks.get(i + 1).is_some_and(|t| t.is_p('('))
                 && args_mention(toks, i + 1, &recvs)
         } else {
             (w == "encode" && i >= 1 && toks[i - 1].is_p('.')
@@ -714,13 +738,20 @@ pub fn forbid_unsafe(cx: &FileCx, out: &mut Vec<Finding>) {
     });
 }
 
-/// Dispatches every rule enabled for this file.
-pub fn check(cx: &FileCx, cls: &Class, docs: Option<&str>, out: &mut Vec<Finding>) {
+/// Dispatches every rule enabled for this file, noting in `pairs_seen`
+/// the [`PAIRS`] entries it pairs up.
+pub fn check(
+    cx: &FileCx,
+    cls: &Class,
+    docs: Option<&str>,
+    out: &mut Vec<Finding>,
+    pairs_seen: &mut BTreeSet<usize>,
+) {
     if cls.l1 {
         unordered_iter(cx, out);
     }
     if cls.l2 {
-        codec_symmetry(cx, out);
+        codec_symmetry(cx, out, pairs_seen);
         codec_docs(cx, docs, out);
     }
     if cls.l3 {

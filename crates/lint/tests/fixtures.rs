@@ -47,21 +47,47 @@ fn l2_catches_codec_asymmetry() {
     assert_eq!(rules_for("l2_allowed.rs"), [] as [&str; 0]);
 }
 
-/// The engine's state record: a tagged run-state payload with a nested
-/// `Cell` pair and a separately named legacy reader, under the one body
-/// pair whose removal list only a delta carries, stay clean; an
-/// asymmetry in the payload arms, in `encode_tail`/`decode_tail`, or in
-/// `encode_body`/`decode_body` is found.
+/// The engine's state record: a tagged run-state payload whose arms are
+/// generic sequences and a separately named legacy reader, a tail record,
+/// under the one body pair whose removal list only a delta carries, stay
+/// clean; an asymmetry in the payload arms, in the tail's
+/// `encode`/`decode`, or in `encode_body`/`decode_body` is found.
 #[test]
 fn l2_checks_the_run_state_record_and_the_one_body_pair() {
     assert_eq!(rules_for("l2_tagged_allowed.rs"), [] as [&str; 0]);
     let findings = hamlet_lint::check_fixture(&fixture("l2_tagged_violation.rs")).unwrap();
     assert!(findings.iter().all(|f| f.rule == "codec-symmetry"));
-    let pairs: Vec<&str> = ["`decode`", "`decode_tail`", "`decode_body`"]
-        .into_iter()
-        .filter(|name| findings.iter().any(|f| f.message.contains(name)))
-        .collect();
-    assert_eq!(pairs.len(), 3, "{findings:?}");
+    let named = |name: &str| {
+        (findings.iter())
+            .filter(|f| f.message.contains(name))
+            .count()
+    };
+    assert_eq!(
+        (named("`decode`"), named("`decode_body`")),
+        (2, 1),
+        "{findings:?}"
+    );
+}
+
+/// A pair of names no file pairs up any more checks nothing: the
+/// workspace walk reports it, at the table.
+#[test]
+fn l2_reports_a_pair_no_file_has() {
+    let all: Vec<usize> = (0..hamlet_lint::rules::PAIRS.len()).collect();
+    assert!(hamlet_lint::rules::stale_pairs(&all.iter().copied().collect()).is_empty());
+    let stale = hamlet_lint::rules::stale_pairs(&all[1..].iter().copied().collect());
+    assert_eq!(stale.len(), 1, "{stale:?}");
+    assert_eq!(stale[0].rule, "codec-symmetry");
+    assert!(
+        stale[0].message.contains("`encode`"),
+        "{}",
+        stale[0].message
+    );
+    let rules =
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("src/rules.rs"))
+            .expect("rules.rs readable");
+    let at = rules.lines().nth(stale[0].line - 1).unwrap_or_default();
+    assert!(at.starts_with("pub const PAIRS"), "reported at {at:?}");
 }
 
 #[test]

@@ -1,21 +1,20 @@
 // L2 fixture: the shape of the engine's state record — a run-state
-// record with a tagged payload whose arms nest another pair (`Cell`) and
-// a legacy reader under a name of its own, and the one body pair, whose
-// removal list is written only for a delta, with the tail helper it
-// calls on both sides. Every pair is positionally symmetric. Must be
-// clean.
+// record with a tagged payload whose arms nest generic sequences, a
+// legacy reader under a name of its own, a tail record, and the one body
+// pair, whose removal list is written only for a delta. Every pair is
+// positionally symmetric. Must be clean.
 pub struct Cell {
     mask: u64,
     val: u64,
 }
 
-impl Cell {
-    pub fn encode(&self, e: &mut Enc) {
+impl Codec for Cell {
+    fn encode(&self, e: &mut Enc) {
         e.u64(self.mask);
         e.u64(self.val);
     }
 
-    pub fn decode(d: &mut Dec<'_>) -> Result<Cell, CodecError> {
+    fn decode(d: &mut Dec<'_>) -> Result<Cell, CodecError> {
         Ok(Cell {
             mask: d.u64()?,
             val: d.u64()?,
@@ -41,18 +40,8 @@ impl RunState {
                 e.u8(tag);
                 match tag {
                     0 => e.u64(self.count),
-                    1 => {
-                        e.usize(self.cells.len());
-                        for c in &self.cells {
-                            c.encode(e);
-                        }
-                    }
-                    _ => {
-                        e.usize(self.events.len());
-                        for ev in &self.events {
-                            e.event(ev);
-                        }
-                    }
+                    1 => self.cells.encode(e),
+                    _ => self.events.encode(e),
                 }
             }
         }
@@ -68,16 +57,8 @@ impl RunState {
             rs.ty = Some(d.usize()?);
             match d.u8()? {
                 0 => rs.count = d.u64()?,
-                1 => {
-                    for _ in 0..d.seq_len()? {
-                        rs.cells.push(Cell::decode(d)?);
-                    }
-                }
-                _ => {
-                    for _ in 0..d.seq_len()? {
-                        rs.events.push(d.event()?);
-                    }
-                }
+                1 => rs.cells = Codec::decode(d)?,
+                _ => rs.events = Codec::decode(d)?,
             }
         }
         rs.pane = d.u64()?;
@@ -89,27 +70,31 @@ impl RunState {
         if d.some()? {
             rs.ty = Some(d.usize()?);
         }
-        for _ in 0..d.seq_len()? {
-            rs.events.push(d.event()?);
-        }
+        rs.events = Codec::decode(d)?;
         rs.count = d.u64()?;
         rs.pane = d.u64()?;
         Ok(rs)
     }
 }
 
-pub struct Engine {
-    gone: Vec<u64>,
-    runs: Vec<RunState>,
+pub struct Tail {
     counter: u64,
 }
 
-fn encode_tail(eng: &Engine, e: &mut Enc) {
-    e.u64(eng.counter);
+impl Codec for Tail {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.counter);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Tail, CodecError> {
+        Ok(Tail { counter: d.u64()? })
+    }
 }
 
-fn decode_tail(d: &mut Dec<'_>) -> Result<u64, CodecError> {
-    d.u64()
+pub struct Engine {
+    gone: Vec<u64>,
+    runs: Vec<RunState>,
+    tail: Tail,
 }
 
 fn encode_body(eng: &Engine, delta: bool, e: &mut Enc) {
@@ -123,7 +108,7 @@ fn encode_body(eng: &Engine, delta: bool, e: &mut Enc) {
     for rs in &eng.runs {
         rs.encode(e, 1);
     }
-    encode_tail(eng, e);
+    eng.tail.encode(e);
 }
 
 fn decode_body(d: &mut Dec<'_>, delta: bool, legacy: bool) -> Result<Engine, CodecError> {
@@ -137,10 +122,6 @@ fn decode_body(d: &mut Dec<'_>, delta: bool, legacy: bool) -> Result<Engine, Cod
     for _ in 0..d.seq_len()? {
         runs.push(RunState::decode(d, legacy)?);
     }
-    let counter = decode_tail(d)?;
-    Ok(Engine {
-        gone,
-        runs,
-        counter,
-    })
+    let tail = Tail::decode(d)?;
+    Ok(Engine { gone, runs, tail })
 }

@@ -1,6 +1,6 @@
 // L2 fixture: the state record of `l2_tagged_allowed.rs` with three
 // seeded asymmetries — the tagged payload's decode arms read cells
-// before the count, the tail helper reads a `u32` where `u64` was
+// before the count, the tail record reads a `u32` where `u64` was
 // written, and `decode_body` reads the removal list after the runs
 // where `encode_body` writes it before them. Each must be flagged.
 pub struct Cell {
@@ -8,13 +8,13 @@ pub struct Cell {
     val: u64,
 }
 
-impl Cell {
-    pub fn encode(&self, e: &mut Enc) {
+impl Codec for Cell {
+    fn encode(&self, e: &mut Enc) {
         e.u64(self.mask);
         e.u64(self.val);
     }
 
-    pub fn decode(d: &mut Dec<'_>) -> Result<Cell, CodecError> {
+    fn decode(d: &mut Dec<'_>) -> Result<Cell, CodecError> {
         Ok(Cell {
             mask: d.u64()?,
             val: d.u64()?,
@@ -40,18 +40,8 @@ impl RunState {
                 e.u8(tag);
                 match tag {
                     0 => e.u64(self.count),
-                    1 => {
-                        e.usize(self.cells.len());
-                        for c in &self.cells {
-                            c.encode(e);
-                        }
-                    }
-                    _ => {
-                        e.usize(self.events.len());
-                        for ev in &self.events {
-                            e.event(ev);
-                        }
-                    }
+                    1 => self.cells.encode(e),
+                    _ => self.events.encode(e),
                 }
             }
         }
@@ -66,17 +56,9 @@ impl RunState {
         if d.some()? {
             rs.ty = Some(d.usize()?);
             match d.u8()? {
-                1 => {
-                    for _ in 0..d.seq_len()? {
-                        rs.cells.push(Cell::decode(d)?);
-                    }
-                }
+                1 => rs.cells = Codec::decode(d)?,
                 0 => rs.count = d.u64()?,
-                _ => {
-                    for _ in 0..d.seq_len()? {
-                        rs.events.push(d.event()?);
-                    }
-                }
+                _ => rs.events = Codec::decode(d)?,
             }
         }
         rs.pane = d.u64()?;
@@ -88,27 +70,33 @@ impl RunState {
         if d.some()? {
             rs.ty = Some(d.usize()?);
         }
-        for _ in 0..d.seq_len()? {
-            rs.events.push(d.event()?);
-        }
+        rs.events = Codec::decode(d)?;
         rs.count = d.u64()?;
         rs.pane = d.u64()?;
         Ok(rs)
     }
 }
 
-pub struct Engine {
-    gone: Vec<u64>,
-    runs: Vec<RunState>,
+pub struct Tail {
     counter: u64,
 }
 
-fn encode_tail(eng: &Engine, e: &mut Enc) {
-    e.u64(eng.counter);
+impl Codec for Tail {
+    fn encode(&self, e: &mut Enc) {
+        e.u64(self.counter);
+    }
+
+    fn decode(d: &mut Dec<'_>) -> Result<Tail, CodecError> {
+        Ok(Tail {
+            counter: d.u32()? as u64,
+        })
+    }
 }
 
-fn decode_tail(d: &mut Dec<'_>) -> Result<u64, CodecError> {
-    Ok(d.u32()? as u64)
+pub struct Engine {
+    gone: Vec<u64>,
+    runs: Vec<RunState>,
+    tail: Tail,
 }
 
 fn encode_body(eng: &Engine, delta: bool, e: &mut Enc) {
@@ -122,7 +110,7 @@ fn encode_body(eng: &Engine, delta: bool, e: &mut Enc) {
     for rs in &eng.runs {
         rs.encode(e, 1);
     }
-    encode_tail(eng, e);
+    eng.tail.encode(e);
 }
 
 fn decode_body(d: &mut Dec<'_>, delta: bool, legacy: bool) -> Result<Engine, CodecError> {
@@ -136,10 +124,6 @@ fn decode_body(d: &mut Dec<'_>, delta: bool, legacy: bool) -> Result<Engine, Cod
             gone.push(d.u64()?);
         }
     }
-    let counter = decode_tail(d)?;
-    Ok(Engine {
-        gone,
-        runs,
-        counter,
-    })
+    let tail = Tail::decode(d)?;
+    Ok(Engine { gone, runs, tail })
 }

@@ -20,7 +20,7 @@
 //! ([`hamlet_core::checkpoint`]), so a checkpoint written to disk by one
 //! process restores cleanly in another.
 
-use hamlet_core::checkpoint::{CheckpointError, Dec};
+use hamlet_core::checkpoint::{CheckpointError, Codec, Dec};
 use hamlet_types::{Event, Ts};
 use std::time::Duration;
 
@@ -101,27 +101,17 @@ impl PipelineCheckpoint {
             self.workers(),
             &self.engines,
         );
-        e.usize(self.buffered.len());
-        for ev in &self.buffered {
-            e.event(ev);
-        }
-        e.u64(self.events_pulled);
-        match self.max_seen {
-            None => e.some(false),
-            Some(t) => {
-                e.some(true);
-                e.u64(t.ticks());
-            }
-        }
-        for c in self.counters {
-            e.u64(c);
-        }
+        self.buffered.encode(&mut e);
+        self.events_pulled.encode(&mut e);
+        self.max_seen.encode(&mut e);
+        self.counters.encode(&mut e);
         // v2 tail: accumulated run time, saturated to u64 nanoseconds.
-        e.u64(u64::try_from(self.elapsed.as_nanos()).unwrap_or(u64::MAX));
+        self.elapsed.encode(&mut e);
         e.finish()
     }
 
-    /// Mirror of [`to_bytes`](Self::to_bytes).
+    /// Mirror of [`to_bytes`](Self::to_bytes); a v1 container has no
+    /// accumulated run time.
     pub fn from_bytes(bytes: &[u8]) -> Result<PipelineCheckpoint, CheckpointError> {
         let mut d = Dec::new(bytes);
         let (version, _, engines) = hamlet_core::checkpoint::read_container_any(
@@ -129,19 +119,12 @@ impl PipelineCheckpoint {
             &PIPELINE_MAGIC,
             &[PIPELINE_VERSION, PIPELINE_VERSION_V1],
         )?;
-        let n_buf = d.seq_len()?;
-        let mut buffered = Vec::with_capacity(n_buf);
-        for _ in 0..n_buf {
-            buffered.push(d.event()?);
-        }
-        let events_pulled = d.u64()?;
-        let max_seen = if d.some()? { Some(Ts(d.u64()?)) } else { None };
-        let mut counters = [0u64; 4];
-        for c in &mut counters {
-            *c = d.u64()?;
-        }
+        let buffered = Codec::decode(&mut d)?;
+        let events_pulled = Codec::decode(&mut d)?;
+        let max_seen = Codec::decode(&mut d)?;
+        let counters = Codec::decode(&mut d)?;
         let elapsed = if version >= PIPELINE_VERSION {
-            Duration::from_nanos(d.u64()?)
+            Codec::decode(&mut d)?
         } else {
             Duration::ZERO
         };

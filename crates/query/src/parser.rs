@@ -474,6 +474,11 @@ pub fn parse_query(reg: &TypeRegistry, id: u32, text: &str) -> Result<Query, Par
     } else {
         within
     };
+    if slide > within {
+        return err(format!(
+            "slide {slide} longer than the window {within} would drop events"
+        ));
+    }
     if p.peek().is_some() {
         return err(format!("trailing input: {:?}", p.peek()));
     }
@@ -607,6 +612,12 @@ mod tests {
             &reg,
             0,
             "RETURN COUNT(*) PATTERN SEQ(Request, Travel+) WHERE Travel.nope < 1 WITHIN 10"
+        )
+        .is_err());
+        assert!(parse_query(
+            &reg,
+            0,
+            "RETURN COUNT(*) PATTERN SEQ(Request, Travel+) WITHIN 1 SLIDE 4"
         )
         .is_err());
         assert!(parse_pattern(&reg, "SEQ(Request, Travel+) bogus").is_err());

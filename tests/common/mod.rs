@@ -5,6 +5,17 @@
 use hamlet::prelude::*;
 use std::sync::Arc;
 
+/// The texts of [`fixture_workload`]'s queries, ids 1, 2, … in order.
+pub const FIXTURE_TEXTS: [&str; 7] = [
+    "RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE B.v < 3 GROUP BY g WITHIN 12 SLIDE 4",
+    "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE B.v < 6 GROUP BY g WITHIN 12 SLIDE 4",
+    "RETURN COUNT(B) PATTERN SEQ(A, B+) GROUP BY g WITHIN 12 SLIDE 4",
+    "RETURN MAX(B.v) PATTERN B+ WHERE B.v < 5 GROUP BY g WITHIN 12 SLIDE 4",
+    "RETURN COUNT(*) PATTERN SEQ(C, B+) GROUP BY g WITHIN 12 SLIDE 4",
+    "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v >= PREV.v GROUP BY g WITHIN 8",
+    "RETURN COUNT(*) PATTERN SEQ(A, B+, NOT C) WHERE C.v < 4 GROUP BY g WITHIN 8",
+];
+
 /// The predicate workload the v4 fixtures were cut on at the parent of
 /// PR 15: selection groups (cells now, cloned events then), a uniform
 /// group (a count), a lattice group and an edge-predicate group (events
@@ -15,16 +26,7 @@ pub fn fixture_workload() -> (Arc<TypeRegistry>, Vec<Query>) {
         reg.register(ty, &["g", "v"]);
     }
     let reg = Arc::new(reg);
-    let texts = [
-        "RETURN SUM(B.v) PATTERN SEQ(A, B+) WHERE B.v < 3 GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN AVG(B.v) PATTERN SEQ(C, B+) WHERE B.v < 6 GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN COUNT(B) PATTERN SEQ(A, B+) GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN MAX(B.v) PATTERN B+ WHERE B.v < 5 GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN COUNT(*) PATTERN SEQ(C, B+) GROUP BY g WITHIN 12 SLIDE 4",
-        "RETURN COUNT(*) PATTERN SEQ(A, B+) WHERE B.v >= PREV.v GROUP BY g WITHIN 8",
-        "RETURN COUNT(*) PATTERN SEQ(A, B+, NOT C) WHERE C.v < 4 GROUP BY g WITHIN 8",
-    ];
-    let queries = (texts.iter().enumerate())
+    let queries = (FIXTURE_TEXTS.iter().enumerate())
         .map(|(i, t)| parse_query(&reg, i as u32 + 1, t).expect("fixture query parses"))
         .collect();
     (reg, queries)

@@ -2,7 +2,8 @@
 //! first part): a seeded byte-mutation loop over the one engine-record
 //! decoder, the `HMDL` frame reader, the handle peek and both containers,
 //! seeded from the four pinned fixtures (`HMEN` v4 and v5 blobs, `HMDL`
-//! v1 and v2 chains) and from containers packed around them.
+//! v1 and v2 chains) and from containers packed around them. The query
+//! parser gets the same treatment over damaged query texts.
 //!
 //! For every mutant, every decoder either returns `Err` or a state that
 //! re-encodes (and round-trips from there); none panics; and none asks
@@ -15,7 +16,7 @@
 
 mod common;
 
-use common::{fixture, fixture_workload, unhex};
+use common::{fixture, fixture_workload, unhex, FIXTURE_TEXTS};
 use hamlet::prelude::*;
 use hamlet_core::checkpoint::{container_header, read_delta_frame};
 use proptest::mutation::mutant;
@@ -171,6 +172,55 @@ proptest! {
             "a {} byte input made a decoder ask for a {largest} byte block",
             m.len()
         );
+    }
+}
+
+/// Query texts the parser fuzz damages: the fixture workload's, and the
+/// OR / AND / equivalence-attribute forms it lacks.
+fn query_texts() -> Vec<&'static str> {
+    let mut texts = FIXTURE_TEXTS.to_vec();
+    texts.extend([
+        "RETURN COUNT(*) PATTERN SEQ(A, B+) OR C+ GROUP BY g WITHIN 20 SLIDE 5",
+        "RETURN MIN(B.v) PATTERN (SEQ(A, B+))+ AND C WHERE [g] AND B.v != 2.5 WITHIN 9",
+        "RETURN COUNT(C) PATTERN SEQ(A, NOT B, C+) WHERE A.g = 'x' GROUP BY g, v WITHIN 6 SLIDE 6",
+    ]);
+    texts
+}
+
+/// `text` with one to four characters deleted, replaced or inserted —
+/// the characters the grammar gives meaning to, and a few it does not.
+fn mutate_text(text: &str, rng: &mut TestRng) -> String {
+    const CHARS: &[char] = &[
+        '0', '1', '4', '9', '-', '(', ')', '[', ']', ',', '.', '+', '*', '<', '=', '>', '!', '\'',
+        ' ', 'A', 'B', 'g', 'é',
+    ];
+    let mut chars: Vec<char> = text.chars().collect();
+    let mut below = |n: usize| (rng.next_u64() % n.max(1) as u64) as usize;
+    for _ in 0..1 + below(4) {
+        let at = below(chars.len() + 1);
+        let c = CHARS[below(CHARS.len())];
+        match below(3) {
+            0 if at < chars.len() => drop(chars.remove(at)),
+            1 if at < chars.len() => chars[at] = c,
+            _ => chars.insert(at, c),
+        }
+    }
+    chars.into_iter().collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The query parser is a decoder of outside input too: every damaged
+    /// text parses or is a `ParseError`, and none panics.
+    #[test]
+    fn every_query_text_mutant_parses_or_is_an_error(
+        which in 0usize..query_texts().len(),
+        salt in any::<u64>(),
+    ) {
+        let (reg, _) = fixture_workload();
+        let text = mutate_text(query_texts()[which], &mut TestRng::from_seed(salt));
+        let _ = parse_query(&reg, 1, &text);
     }
 }
 

@@ -10,7 +10,7 @@
 //! an event and which partition it lands in can never disagree.
 
 use crate::burst::{Cell, Chunk, FlushEnv};
-use crate::executor::{shard_index, HamletEngine, WindowResult};
+use crate::executor::{shard_index, GroupExec, HamletEngine, WindowResult};
 use crate::expiry::Partition;
 use hamlet_obs::Stage;
 use hamlet_types::time::window_end;
@@ -93,6 +93,28 @@ impl BatchScratch {
     }
 }
 
+/// [`HamletEngine::shard_mask`] over compiled `groups` and `key_reps`,
+/// building each key into `key`: a caller that keeps one scratch key
+/// routes without allocating.
+pub(crate) fn shard_mask_into(
+    groups: &[GroupExec],
+    key_reps: &[Vec<u32>],
+    e: &Event,
+    total: u32,
+    key: &mut GroupKey,
+) -> u64 {
+    assert!(
+        (1..=64).contains(&total),
+        "shard_mask needs 1..=64 shards, got {total}"
+    );
+    let mut mask = 0u64;
+    for &gi in key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice) {
+        groups[gi as usize].partition_key_into(e, key);
+        mask |= 1u64 << shard_index(key, total);
+    }
+    mask
+}
+
 impl HamletEngine {
     /// Bitmask of the shards (under `total`-way sharding, `total` ≤ 64)
     /// that must see `e`: for each share group the event is local to, the
@@ -107,22 +129,8 @@ impl HamletEngine {
     /// fed only the events whose mask covers its index computes exactly
     /// what it would from the full stream.
     pub fn shard_mask(&self, e: &Event, total: u32) -> u64 {
-        self.shard_mask_into(e, total, &mut GroupKey(Vec::new()))
-    }
-
-    /// [`shard_mask`](Self::shard_mask), building each key into `key`: a
-    /// caller that keeps one scratch key routes without allocating.
-    pub(crate) fn shard_mask_into(&self, e: &Event, total: u32, key: &mut GroupKey) -> u64 {
-        assert!(
-            (1..=64).contains(&total),
-            "shard_mask needs 1..=64 shards, got {total}"
-        );
-        let mut mask = 0u64;
-        for &gi in self.key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice) {
-            self.groups[gi as usize].partition_key_into(e, key);
-            mask |= 1u64 << shard_index(key, total);
-        }
-        mask
+        let key = &mut GroupKey(Vec::new());
+        shard_mask_into(&self.groups, &self.key_reps, e, total, key)
     }
 
     /// Processes one event; returns results of windows closed by the

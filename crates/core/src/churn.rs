@@ -1,12 +1,17 @@
 //! Runtime query churn: registering and retiring queries on a live
 //! engine at a watermark barrier (contract on
-//! [`HamletEngine::remove_query`]). The post-churn workload is compiled
-//! from scratch by the same `HamletEngine::compile` a fresh engine
-//! uses; share groups whose member set is unchanged carry their state
-//! over, the rest drain.
+//! [`HamletEngine::remove_query`]). An op is checked against the query
+//! list by one function (`next_queries`), and the post-churn workload
+//! is compiled from scratch by the same `HamletEngine::compile` a fresh
+//! engine uses — by the engine itself, or once for all shards by a
+//! [`crate::ShardRouter`], whose plan every shard engine installs.
+//! Share groups whose member set is unchanged carry their state over,
+//! the rest drain; installing cannot fail.
 
 use crate::batch::BatchScratch;
-use crate::executor::{Combiner, EngineError, GroupExec, HamletEngine, WindowResult};
+use crate::executor::{
+    Combiner, CompiledWorkload, EngineError, GroupExec, HamletEngine, WindowResult,
+};
 use crate::optimizer::decide;
 use crate::run::Run;
 use hamlet_obs::GroupMetrics;
@@ -51,6 +56,20 @@ impl fmt::Display for ChurnError {
 }
 
 impl std::error::Error for ChurnError {}
+
+/// The query list `op` leads to from `queries`: the id check every
+/// churn op passes once, whether an engine or a shard router applies it.
+pub(crate) fn next_queries(queries: &[Query], op: &ChurnOp) -> Result<Vec<Query>, ChurnError> {
+    let known = |id| queries.iter().any(|p| p.id == id);
+    match op {
+        ChurnOp::Add(q) if known(q.id) => Err(ChurnError::Duplicate(q.id)),
+        ChurnOp::Add(q) => Ok(queries.iter().chain([q]).cloned().collect()),
+        ChurnOp::Remove(id) if known(*id) => {
+            Ok(queries.iter().filter(|p| p.id != *id).cloned().collect())
+        }
+        ChurnOp::Remove(id) => Err(ChurnError::Unknown(*id)),
+    }
+}
 
 /// Post-churn placement of one share group, with the Def. 12 benefit
 /// model re-run against the group's current stream statistics (§4.1) —
@@ -132,12 +151,7 @@ impl HamletEngine {
     /// assert_eq!(report.epoch, 2);
     /// ```
     pub fn add_query(&mut self, q: Query) -> Result<ChurnReport, ChurnError> {
-        if self.queries.iter().any(|p| p.id == q.id) {
-            return Err(ChurnError::Duplicate(q.id));
-        }
-        let mut wanted = self.queries.clone();
-        wanted.push(q);
-        self.apply_churn(wanted)
+        self.apply(ChurnOp::Add(q))
     }
 
     /// Retires a query from the live engine.
@@ -160,26 +174,17 @@ impl HamletEngine {
     /// Fails with [`ChurnError::Unknown`] on an unregistered id (double
     /// removes included); the engine is untouched on error.
     pub fn remove_query(&mut self, id: QueryId) -> Result<ChurnReport, ChurnError> {
-        if !self.queries.iter().any(|p| p.id == id) {
-            return Err(ChurnError::Unknown(id));
-        }
-        let wanted: Vec<Query> = self
-            .queries
-            .iter()
-            .filter(|p| p.id != id)
-            .cloned()
-            .collect();
-        self.apply_churn(wanted)
+        self.apply(ChurnOp::Remove(id))
     }
 
     /// Applies one churn op: [`add_query`](Self::add_query) or
-    /// [`remove_query`](Self::remove_query), whichever `op` names — what
-    /// every runtime that ships ops to shard engines calls.
+    /// [`remove_query`](Self::remove_query), whichever `op` names. The
+    /// post-churn workload is compiled before any engine state is
+    /// touched.
     pub fn apply(&mut self, op: ChurnOp) -> Result<ChurnReport, ChurnError> {
-        match op {
-            ChurnOp::Add(q) => self.add_query(q),
-            ChurnOp::Remove(id) => self.remove_query(id),
-        }
+        let next = next_queries(&self.queries, &op)?;
+        let plan = Self::compile(&self.reg, next, &self.cfg).map_err(ChurnError::Engine)?;
+        Ok(self.install(&plan))
     }
 
     /// Per-group member signature used to match groups across a churn:
@@ -214,21 +219,19 @@ impl HamletEngine {
             .collect()
     }
 
-    /// Rebuilds the engine around `final_queries`, carrying over every
-    /// share group whose membership is unchanged and draining the rest.
-    /// Strong exception safety: the workload is compiled before any
-    /// engine state is touched.
-    fn apply_churn(&mut self, final_queries: Vec<Query>) -> Result<ChurnReport, ChurnError> {
-        let mut compiled =
-            Self::compile(&self.reg, &final_queries, &self.cfg).map_err(ChurnError::Engine)?;
-
+    /// Rebuilds the engine around a compiled post-churn workload — its
+    /// own, or the plan a shard router compiled once for every shard —
+    /// carrying over every share group whose membership is unchanged and
+    /// draining the rest.
+    pub(crate) fn install(&mut self, compiled: &CompiledWorkload) -> ChurnReport {
+        let mut groups: Vec<GroupExec> = compiled.groups.iter().map(GroupExec::instance).collect();
         // Match old groups to new ones by member signature. Each
         // (query, half) lives in exactly one group on each side, so the
         // match is a partial bijection; member *order* must also agree
         // because run state is indexed by member position.
         let old_sigs = Self::group_sigs(&self.groups, &self.sub_of, &self.combiners);
-        let new_sigs = Self::group_sigs(&compiled.groups, &compiled.sub_of, &compiled.combiners);
-        let mut old_of_new: Vec<Option<usize>> = vec![None; compiled.groups.len()];
+        let new_sigs = Self::group_sigs(&groups, &compiled.sub_of, &compiled.combiners);
+        let mut old_of_new: Vec<Option<usize>> = vec![None; groups.len()];
         let mut carried_old: Vec<bool> = vec![false; self.groups.len()];
         for (oi, os) in old_sigs.iter().enumerate() {
             if let Some(ni) = new_sigs.iter().position(|ns| ns == os) {
@@ -286,12 +289,12 @@ impl HamletEngine {
         // Migrate carried groups: the group is recompiled (identical
         // runtime — deterministic from the member set), the live runs and
         // learned statistics move over, and each run re-points at the
-        // recompiled runtime.
+        // new runtime.
         let mut groups_carried = 0;
         for (ni, oi) in old_of_new.iter().enumerate() {
             let Some(oi) = *oi else { continue };
             groups_carried += 1;
-            let ng = &mut compiled.groups[ni];
+            let ng = &mut groups[ni];
             let og = &mut self.groups[oi];
             ng.partitions = std::mem::take(&mut og.partitions);
             ng.slab = std::mem::take(&mut og.slab);
@@ -306,15 +309,15 @@ impl HamletEngine {
         // Commit: swap in the compiled workload, rebuild the expiration
         // index (group indices changed), keep the stream-global state
         // (watermark, counters, metrics) running.
-        let groups_rebuilt = compiled.groups.len() - groups_carried;
-        self.groups = compiled.groups;
-        self.combiners = compiled.combiners;
-        self.sub_of = compiled.sub_of;
-        self.route = compiled.route;
-        self.key_reps = compiled.key_reps;
+        let groups_rebuilt = groups.len() - groups_carried;
+        self.groups = groups;
+        self.combiners = compiled.combiners.clone();
+        self.sub_of = compiled.sub_of.clone();
+        self.route = compiled.route.clone();
+        self.key_reps = compiled.key_reps.clone();
         self.scratch = BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes);
         self.pending = surviving_pending;
-        self.queries = final_queries;
+        self.queries = compiled.queries.clone();
         self.epoch += 1;
         // Group indices just changed meaning; the dirty log keyed by the
         // old layout is useless. The next delta cut is promoted to a
@@ -352,13 +355,13 @@ impl HamletEngine {
                 })
                 .collect();
         }
-        Ok(ChurnReport {
+        ChurnReport {
             drained,
             groups_carried,
             groups_rebuilt,
             placements,
             epoch: self.epoch,
-        })
+        }
     }
 
     /// Re-runs the Def. 12 benefit model for one group at the churn

@@ -260,6 +260,21 @@ pub(crate) struct GroupExec {
 }
 
 impl GroupExec {
+    /// A copy for one engine to own: the runtime shared, the tables
+    /// cloned, no state.
+    pub(crate) fn instance(&self) -> GroupExec {
+        GroupExec {
+            rt: self.rt.clone(),
+            partition_attrs: self.partition_attrs.clone(),
+            partition_slots: self.partition_slots.clone(),
+            partitions: HashMap::new(),
+            slab: RunSlab::default(),
+            combiner_of: self.combiner_of.clone(),
+            estimator: self.estimator.clone(),
+            ..*self
+        }
+    }
+
     /// Writes `e`'s partition key into `key` (cleared first) through the
     /// pre-resolved slots: no name lookups, and no allocation beyond what
     /// `key` already owns. Every classifier — the batch scan, the shard
@@ -277,6 +292,7 @@ impl GroupExec {
 }
 
 /// Identifies a decomposed general query's halves.
+#[derive(Clone)]
 pub(crate) struct Combiner {
     pub(crate) orig: QueryId,
     pub(crate) kind: CombineKind,
@@ -293,8 +309,12 @@ pub(crate) struct Combiner {
 /// the classifier's routing/class tables. Built identically by
 /// [`HamletEngine::new`] and by runtime query churn, so a churned engine
 /// and a fresh engine over the same final query set agree on every
-/// compiled structure (and therefore on the workload fingerprint).
+/// compiled structure (and therefore on the workload fingerprint). An
+/// engine reads it without consuming it, so a sharded runtime compiles
+/// it once per workload change and every shard engine installs it.
 pub(crate) struct CompiledWorkload {
+    /// The (original, pre-decomposition) query list compiled.
+    pub(crate) queries: Vec<Query>,
     pub(crate) groups: Vec<GroupExec>,
     pub(crate) combiners: Vec<Combiner>,
     pub(crate) sub_of: HashMap<QueryId, usize>,
@@ -374,13 +394,23 @@ impl HamletEngine {
         queries: Vec<Query>,
         cfg: EngineConfig,
     ) -> Result<HamletEngine, EngineError> {
-        let compiled = Self::compile(&reg, &queries, &cfg)?;
+        Self::compile(&reg, queries, &cfg).map(|plan| Self::from_plan(reg, cfg, &plan))
+    }
+
+    /// Builds an engine that runs a compiled workload — one
+    /// [`compile`](Self::compile)d under a configuration that differs
+    /// from `cfg` at most in `shard` — sharing its group runtimes.
+    pub(crate) fn from_plan(
+        reg: Arc<TypeRegistry>,
+        cfg: EngineConfig,
+        compiled: &CompiledWorkload,
+    ) -> HamletEngine {
         let mut eng = HamletEngine {
             reg,
             cfg,
-            groups: compiled.groups,
-            combiners: compiled.combiners,
-            sub_of: compiled.sub_of,
+            groups: compiled.groups.iter().map(GroupExec::instance).collect(),
+            combiners: compiled.combiners.clone(),
+            sub_of: compiled.sub_of.clone(),
             pending: HashMap::new(),
             expiry: BinaryHeap::new(),
             run_bytes: 0,
@@ -390,21 +420,21 @@ impl HamletEngine {
             latency: LatencyRecorder::new(),
             gauge: MemoryGauge::new(),
             scratch: BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes),
-            route: compiled.route,
-            key_reps: compiled.key_reps,
+            route: compiled.route.clone(),
+            key_reps: compiled.key_reps.clone(),
             burst_ctx: BurstCtx::default(),
             obs: Vec::new(),
             span: None,
             event_counter: 0,
             watermark: None,
-            queries,
+            queries: compiled.queries.clone(),
             epoch: 0,
             dirty: DirtyLog::default(),
         };
         if eng.cfg.obs {
             eng.obs = eng.build_obs();
         }
-        Ok(eng)
+        eng
     }
 
     /// Builds the per-group observability registry for the current
@@ -433,14 +463,14 @@ impl HamletEngine {
     /// the query list, so churn and `new` agree structure-for-structure.
     pub(crate) fn compile(
         reg: &Arc<TypeRegistry>,
-        queries: &[Query],
+        queries: Vec<Query>,
         cfg: &EngineConfig,
     ) -> Result<CompiledWorkload, EngineError> {
         let mut next_id = queries.iter().map(|q| q.id.0 + 1).max().unwrap_or(0);
         let mut simple: Vec<Arc<Query>> = Vec::new();
         let mut combiners = Vec::new();
         let mut sub_of = HashMap::new();
-        for q in queries {
+        for q in &queries {
             if !q.pattern.negated_types().is_empty()
                 && matches!(q.agg, AggFunc::Min(..) | AggFunc::Max(..))
             {
@@ -557,6 +587,7 @@ impl HamletEngine {
         let num_classes = class_tables.len().max(1);
         let num_wnd_classes = wnd_sigs.len().max(1);
         Ok(CompiledWorkload {
+            queries,
             groups,
             combiners,
             sub_of,

@@ -8,7 +8,9 @@
 //! # Architecture
 //!
 //! There is one executor, [`ParallelSession`]: `workers` shard-owning
-//! engines plus the [`ShardRouter`] that maps events to them, and
+//! engines plus the [`ShardRouter`] that maps events to them and holds
+//! the compiled workload every one of them runs (compiled once per
+//! workload change, however many shards there are), and
 //! [`ParallelSession::feed`] — the only code in the tree that buffers per
 //! shard, owns the worker channels, runs a shard's receive loop or
 //! implements a barrier. For the length of one `feed` call the caller
@@ -48,9 +50,11 @@
 //! session with four calls — `process`, [`ParallelSession::churn`],
 //! `cut` ([`crate::Snapshot`]) and `flush` — and a session starts from
 //! a stored chain with [`ParallelSession::restore_chain`]. Churn and
-//! cuts between calls run when no worker thread exists: the router and
-//! every shard engine apply them in place, with the same code at one
-//! worker and at many.
+//! cuts between calls run when no worker thread exists: the router
+//! compiles the post-churn plan, every shard engine installs it in place
+//! and cuts in place, with the same code at one worker and at many.
+//! Inside a feed the plan rides the churn barrier to every worker
+//! instead; installing it cannot fail.
 //!
 //! # Determinism
 //!
@@ -67,8 +71,8 @@
 
 use crate::checkpoint::{self, CheckpointError, Dec};
 use crate::executor::{
-    sort_results, ChurnError, ChurnOp, EngineConfig, EngineError, EngineStats, HamletEngine,
-    WindowResult,
+    sort_results, ChurnError, ChurnOp, CompiledWorkload, EngineConfig, EngineError, EngineStats,
+    HamletEngine, WindowResult,
 };
 use crate::metrics::LatencyRecorder;
 use crate::record;
@@ -92,19 +96,14 @@ const PARALLEL_VERSION: u16 = 1;
 /// FIFO order), the same stream cut on every shard.
 enum ShardMsg<T> {
     Batch(Vec<Event>, T),
-    Churn(ChurnOp),
+    /// The router's post-churn plan, for the worker's engine to install.
+    Churn(Arc<CompiledWorkload>),
     /// The worker cuts its engine's next chain record (full or delta,
     /// per the kind) and replies with `(shard, record)`.
     Cut(CutKind, mpsc::Sender<(usize, Checkpoint)>),
     /// End of stream: every open window emits. A FIFO that closes
     /// without it ends a call whose open windows stay in the engine.
     Flush,
-}
-
-/// A churn op the router accepted a moment ago cannot fail on a shard.
-fn validated<T>(step: Result<T, ChurnError>) -> T {
-    // hamlet-lint: allow(panic-hygiene) -- a shard that cannot apply an op the router accepted must not run past the cut on a diverged workload; the panic surfaces at the join
-    step.expect("the router accepted the churn op before any shard saw it")
 }
 
 /// When a shard's batch under construction is handed to its worker, and
@@ -288,16 +287,16 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
         }
     }
 
-    /// The churn barrier: the router validates `op` against the
-    /// evolving workload, compile-checks the post-churn one (so the
-    /// workers' own churn cannot fail) and re-plans routing; then every
-    /// shard applies it at the same stream position, and the lanes move
+    /// The churn barrier: the router checks `op` against the evolving
+    /// workload and compiles the post-churn plan once; then every shard
+    /// installs that plan at the same stream position, and the lanes move
     /// to the post-churn window grid. The coordinator is the only thread
     /// that routes, so re-planning before the sends is safe. A rejected
     /// op changes nothing.
     pub fn churn(&mut self, op: ChurnOp) -> Result<(), ChurnError> {
         self.router.apply(&op)?;
-        self.barrier(|| ShardMsg::Churn(op.clone()));
+        let plan = self.router.plan.clone();
+        self.barrier(|| ShardMsg::Churn(plan.clone()));
         let grid = self.router.grid;
         for lane in self.lanes.iter_mut().filter(|l| l.close != 0) {
             lane.close = next_close(lane.tick, grid);
@@ -351,11 +350,11 @@ fn shard_loop<T>(
                 let results = eng.process_batch(&events);
                 emit(eng, Some((events.len(), tag)), results);
             }
-            ShardMsg::Churn(op) => {
+            ShardMsg::Churn(plan) => {
                 // Windows of touched share groups drain here, exactly
                 // once, like any other result.
                 let t = eng.span_start();
-                let drained = validated(eng.apply(op)).drained;
+                let drained = eng.install(&plan).drained;
                 emit(eng, None, drained);
                 eng.span_end(Stage::ChurnBarrier, t, None, 0);
             }
@@ -454,7 +453,7 @@ pub struct ParallelEngine {
 }
 
 impl ParallelEngine {
-    /// Validates the workload once and prepares a `workers`-way sharding.
+    /// Compiles the workload once for a `workers`-way sharding.
     /// `workers` outside `1..=64` (the shard mask is a `u64`) is
     /// [`EngineError::Unsupported`].
     pub fn new(
@@ -463,13 +462,7 @@ impl ParallelEngine {
         cfg: EngineConfig,
         workers: u32,
     ) -> Result<Self, EngineError> {
-        let router = ShardRouter::new(reg, queries, cfg, workers)?;
-        if workers == 1 {
-            // The one-worker router compiles nothing; build the engine
-            // once so construction errors still surface here.
-            router.engines()?;
-        }
-        Ok(ParallelEngine { router })
+        ShardRouter::new(reg, queries, cfg, workers).map(|router| ParallelEngine { router })
     }
 
     /// Opens a **live session** over this engine's workload and
@@ -478,8 +471,7 @@ impl ParallelEngine {
     /// chain cuts ([`crate::Snapshot::cut`]). [`run`](Self::run) opens
     /// its own and is unaffected.
     pub fn session(&self) -> ParallelSession {
-        // hamlet-lint: allow(panic-hygiene) -- the same workload already compiled in ParallelEngine::new; reconstruction is deterministic
-        ParallelSession::open(self.router.clone()).expect("validated in new")
+        ParallelSession::open(self.router.clone())
     }
 
     /// Processes a finite stream on a fresh session to the end of the
@@ -523,12 +515,12 @@ pub struct ParallelSession {
 }
 
 impl ParallelSession {
-    /// Builds `router`'s shard engines over its current workload.
-    pub fn open(router: ShardRouter) -> Result<ParallelSession, EngineError> {
-        Ok(ParallelSession {
-            engines: router.engines()?,
+    /// Builds `router`'s shard engines from its compiled plan.
+    pub fn open(router: ShardRouter) -> ParallelSession {
+        ParallelSession {
+            engines: router.engines(),
             router,
-        })
+        }
     }
 
     /// Routes one slice of the stream to the shard engines and returns
@@ -538,17 +530,16 @@ impl ParallelSession {
     }
 
     /// Applies a churn op after everything processed so far: the router
-    /// validates it against the current workload, compile-checks the
-    /// post-churn one and re-plans routing ([`ShardRouter::apply`]), then
-    /// every shard engine applies it ([`HamletEngine::apply`]). Returns
-    /// the windows the op drained (see the churn contract on
+    /// checks it and compiles the post-churn plan ([`ShardRouter::apply`]),
+    /// then every shard engine installs that plan. Returns the windows
+    /// the op drained (see the churn contract on
     /// [`HamletEngine::remove_query`]), canonically sorted. A rejected
     /// op returns its error and changes nothing.
     pub fn churn(&mut self, op: ChurnOp) -> Result<Vec<WindowResult>, ChurnError> {
         self.router.apply(&op)?;
         let mut drained = Vec::new();
         for eng in &mut self.engines {
-            drained.append(&mut validated(eng.apply(op.clone())).drained);
+            drained.append(&mut eng.install(&self.router.plan).drained);
         }
         sort_results(&mut drained);
         Ok(drained)
@@ -1376,7 +1367,47 @@ mod tests {
             got.extend(sess.flush());
             sort_results(&mut got);
             assert_eq!(got, reference, "{workers} workers");
-            assert_eq!(sess.router.queries.len(), queries.len());
+            assert_eq!(sess.router.plan.queries.len(), queries.len());
+        }
+    }
+
+    /// A workload is compiled once per change: after `open`, after a
+    /// session churn and after a churn at the feed barrier the
+    /// pipeline's `churn_at` ops take (under its cut rule), every shard
+    /// engine runs the router's group runtimes, not compiles of its own.
+    #[test]
+    fn shard_engines_run_the_routers_plan() {
+        let (reg, queries, events) = setup();
+        let q9 = parse_query(&reg, 9, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
+        let shared = |sess: &ParallelSession| {
+            let plan = &sess.router.plan.groups;
+            sess.engines.iter().all(|eng| {
+                eng.groups.len() == plan.len()
+                    && (eng.groups.iter().zip(plan)).all(|(g, p)| Arc::ptr_eq(&g.rt, &p.rt))
+            })
+        };
+        for workers in [1u32, 2, 4] {
+            let par = ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap();
+            let mut sess = par.session();
+            assert!(shared(&sess), "{workers} workers, open");
+            sess.process(&events[..60]);
+            sess.churn(ChurnOp::Add(q9.clone())).unwrap();
+            assert!(shared(&sess), "{workers} workers, session churn");
+            sess.feed(BatchCut::SizeOrClose, &(), |feed| {
+                events[60..120]
+                    .iter()
+                    .for_each(|e| feed.push(e.clone(), ()));
+                feed.churn(ChurnOp::Remove(QueryId(2))).unwrap();
+                events[120..].iter().for_each(|e| feed.push(e.clone(), ()));
+            });
+            assert_eq!(sess.router.plan.queries.len(), 2);
+            assert!(shared(&sess), "{workers} workers, feed churn");
         }
     }
 

@@ -7,35 +7,40 @@
 //!
 //! * **routing** — [`ShardRouter::route`] hands an event to every shard
 //!   that owns one of its partition keys, using the very hash the shard
-//!   engines' `EngineConfig::shard` filter applies (the router holds a
-//!   routing-only [`HamletEngine`] compiled over the same workload and
-//!   asks it for [`HamletEngine::shard_mask`], which reads the compiled
-//!   classifier tables the shard engines' own scan reads: per routed
+//!   engines' `EngineConfig::shard` filter applies. The router holds the
+//!   workload's compiled plan (`HamletEngine::compile`, §3.1) and reads
+//!   the classifier tables the shard engines' own scan reads: per routed
 //!   event one slot-resolved key build and one hash per *key class* the
 //!   type is local to — usually one — whatever the number of share
-//!   groups); at one worker nothing is compiled and every event passes
-//!   through to shard 0;
+//!   groups. At one worker every event passes through to shard 0;
 //! * **the update step** — [`ShardRouter::apply`] is the one churn
-//!   barrier: id check, compile check of the post-churn workload, and
-//!   re-plan of the routing engine, all before any shard sees the op
-//!   (so shard engines may treat a routed-through op as infallible).
+//!   barrier: the id check and the compile of the post-churn workload,
+//!   once, before any shard sees the op. Every shard engine then
+//!   installs that plan (sharing its group runtimes), which cannot fail.
 //!
-//! Both the offline [`crate::parallel`] executor and the online
-//! `hamlet-pipeline` ingest stage drive their shards through this type;
-//! nothing else calls `shard_mask`.
+//! Every shard engine is built from the same plan
+//! ([`ShardRouter::engines`]), so a workload is compiled once per change
+//! however many shards run it. Both the offline [`crate::parallel`]
+//! executor and the online `hamlet-pipeline` ingest stage drive their
+//! shards through this type.
 
-use crate::executor::{ChurnError, ChurnOp, EngineConfig, EngineError, HamletEngine};
+use crate::batch::shard_mask_into;
+use crate::churn::next_queries;
+use crate::executor::{
+    ChurnError, ChurnOp, CompiledWorkload, EngineConfig, EngineError, HamletEngine,
+};
 use hamlet_query::Query;
 use hamlet_types::{Event, GroupKey, TypeRegistry};
 use std::sync::Arc;
 
 /// Maps events to the shards of a `workers`-way sharded runtime and
-/// tracks the workload those shards run (see the module docs).
+/// holds the compiled workload those shards run (see the module docs).
 #[derive(Clone)]
 pub struct ShardRouter {
     reg: Arc<TypeRegistry>,
-    /// The current workload; evolves with every [`apply`](Self::apply).
-    pub(crate) queries: Vec<Query>,
+    /// The current workload, compiled; replaced by every
+    /// [`apply`](Self::apply). Shared with the shards that install it.
+    pub(crate) plan: Arc<CompiledWorkload>,
     /// The workload's window grid: the gcd of every query's `within` and
     /// `slide`. Window instances start on multiples of their slide, so
     /// every window end is a multiple of it — an event can close a
@@ -44,21 +49,15 @@ pub struct ShardRouter {
     /// The shard engines' configuration (`shard` is set per shard).
     cfg: EngineConfig,
     workers: u32,
-    /// Routing-only engine: never processes an event, only answers
-    /// `shard_mask`. `None` at one worker (pass-through). Shared so a
-    /// clone of the router costs no compile.
-    engine: Option<Arc<HamletEngine>>,
     /// Scratch partition key every routed event's keys are built into.
     key: GroupKey,
 }
 
 impl ShardRouter {
-    /// Prepares a `workers`-way sharding of the workload. `workers`
+    /// Compiles the workload for a `workers`-way sharding. `workers`
     /// outside `1..=64` (the shard mask is a `u64`) is
-    /// [`EngineError::Unsupported`]. With more than one worker the
-    /// workload is compiled here, so construction errors surface
-    /// synchronously; at one worker nothing is compiled and
-    /// [`engines`](Self::engines) is where they surface.
+    /// [`EngineError::Unsupported`], and so is everything
+    /// [`HamletEngine::new`] rejects.
     pub fn new(
         reg: Arc<TypeRegistry>,
         queries: Vec<Query>,
@@ -70,31 +69,15 @@ impl ShardRouter {
                 "{workers} workers: a sharding has 1 to 64 (the shard mask is a u64)"
             )));
         }
-        let mut router = ShardRouter {
+        let plan = HamletEngine::compile(&reg, queries, &cfg)?;
+        Ok(ShardRouter {
             reg,
-            grid: grid_of(&queries),
-            queries,
+            grid: grid_of(&plan.queries),
+            plan: Arc::new(plan),
             cfg,
             workers,
-            engine: None,
             key: GroupKey::default(),
-        };
-        if workers > 1 {
-            router.engine = Some(Arc::new(router.compile(&router.queries)?));
-        }
-        Ok(router)
-    }
-
-    /// Compiles `queries` into a routing-only engine: no shard filter
-    /// (it sees every event), and none of the per-event bookkeeping a
-    /// processing engine keeps — it never processes anything.
-    fn compile(&self, queries: &[Query]) -> Result<HamletEngine, EngineError> {
-        let mut cfg = self.cfg.clone();
-        cfg.shard = None;
-        cfg.track_latency = false;
-        cfg.mem_sample_every = 0;
-        cfg.obs = false;
-        HamletEngine::new(self.reg.clone(), queries.to_vec(), cfg)
+        })
     }
 
     /// Number of shards.
@@ -102,15 +85,14 @@ impl ShardRouter {
         self.workers
     }
 
-    /// Builds one shard-owning engine per worker over the current
-    /// workload (index = shard). At one worker the engine owns every
-    /// partition.
-    pub fn engines(&self) -> Result<Vec<HamletEngine>, EngineError> {
+    /// One shard-owning engine per worker over the current plan (index =
+    /// shard). At one worker the engine owns every partition.
+    pub fn engines(&self) -> Vec<HamletEngine> {
         (0..self.workers)
             .map(|idx| {
                 let mut cfg = self.cfg.clone();
                 cfg.shard = (self.workers > 1).then_some((idx, self.workers));
-                HamletEngine::new(self.reg.clone(), self.queries.clone(), cfg)
+                HamletEngine::from_plan(self.reg.clone(), cfg, &self.plan)
             })
             .collect()
     }
@@ -123,10 +105,11 @@ impl ShardRouter {
     /// goes to shard 0 unexamined. Keys are built into the router's one
     /// scratch key, so routing allocates nothing of its own.
     pub fn route(&mut self, e: Event, mut push: impl FnMut(usize, Event)) {
-        let Some(engine) = &self.engine else {
+        if self.workers == 1 {
             return push(0, e);
-        };
-        let mut mask = engine.shard_mask_into(&e, self.workers, &mut self.key);
+        }
+        let (plan, key) = (&self.plan, &mut self.key);
+        let mut mask = shard_mask_into(&plan.groups, &plan.key_reps, &e, self.workers, key);
         while mask != 0 {
             let idx = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -137,46 +120,16 @@ impl ShardRouter {
         }
     }
 
-    /// The workload `op` leads to from `queries`, compiled: the id check
-    /// (`Duplicate` / `Unknown`) and the compile check (`Engine`) every
-    /// churn op must pass before any shard sees it.
-    fn plan(
-        &self,
-        queries: &[Query],
-        op: &ChurnOp,
-    ) -> Result<(Vec<Query>, HamletEngine), ChurnError> {
-        let mut next = queries.to_vec();
-        match op {
-            ChurnOp::Add(q) => {
-                if next.iter().any(|p| p.id == q.id) {
-                    return Err(ChurnError::Duplicate(q.id));
-                }
-                next.push(q.clone());
-            }
-            ChurnOp::Remove(id) => {
-                if !next.iter().any(|p| p.id == *id) {
-                    return Err(ChurnError::Unknown(*id));
-                }
-                next.retain(|p| p.id != *id);
-            }
-        }
-        let engine = self.compile(&next).map_err(ChurnError::Engine)?;
-        Ok((next, engine))
-    }
-
-    /// The churn step: validates `op` against the current workload and,
-    /// if it holds, re-plans routing for the post-churn workload (the
-    /// routing engine holds no window state, so the freshly compiled one
-    /// simply replaces it). Call it at the barrier — after everything
-    /// routed so far has been handed to the shards, before the op is. On
-    /// error nothing changed.
+    /// The churn step: the id check (`Duplicate` / `Unknown`) of `op`
+    /// against the current workload and, if it holds, the compile
+    /// (`Engine`) of the post-churn plan the shards then install. Call it
+    /// at the barrier — after everything routed so far has been handed to
+    /// the shards, before the op is. On error nothing changed.
     pub fn apply(&mut self, op: &ChurnOp) -> Result<(), ChurnError> {
-        let (next, engine) = self.plan(&self.queries, op)?;
-        if self.engine.is_some() {
-            self.engine = Some(Arc::new(engine));
-        }
-        self.grid = grid_of(&next);
-        self.queries = next;
+        let next = next_queries(&self.plan.queries, op)?;
+        let plan = HamletEngine::compile(&self.reg, next, &self.cfg).map_err(ChurnError::Engine)?;
+        self.grid = grid_of(&plan.queries);
+        self.plan = Arc::new(plan);
         Ok(())
     }
 
@@ -186,9 +139,9 @@ impl ShardRouter {
         &self,
         ops: impl IntoIterator<Item = &'a ChurnOp>,
     ) -> Result<(), (usize, ChurnError)> {
-        let mut sim = self.queries.clone();
+        let mut sim = self.clone();
         for (i, op) in ops.into_iter().enumerate() {
-            sim = self.plan(&sim, op).map_err(|e| (i, e))?.0;
+            sim.apply(op).map_err(|e| (i, e))?;
         }
         Ok(())
     }
@@ -296,7 +249,7 @@ mod tests {
         got
     }
 
-    /// The set bits of `shard_mask` over a plain (unstripped, unsharded)
+    /// The set bits of `shard_mask` over a plain (unsharded)
     /// engine, ascending — what `route` must push to.
     fn mask_bits(
         queries: &[Query],
@@ -344,18 +297,18 @@ mod tests {
                         let want = if workers == 1 {
                             vec![0]
                         } else {
-                            mask_bits(&router.queries, &reg, e, workers)
+                            mask_bits(&router.plan.queries, &reg, e, workers)
                         };
                         assert_eq!(owners(router, e), want, "{workers} workers, {e:?}");
                     }
                 };
                 check(&mut router);
                 for op in ops.iter().map(|&i| &pool[i]) {
-                    let before: Vec<QueryId> = router.queries.iter().map(|q| q.id).collect();
+                    let before: Vec<QueryId> = router.plan.queries.iter().map(|q| q.id).collect();
                     let dry = router.validate_schedule([op]).map_err(|(_, e)| e);
                     let applied = router.apply(op);
                     prop_assert_eq!(dry.is_ok(), applied.is_ok(), "dry run disagrees on {:?}", op);
-                    let after: Vec<QueryId> = router.queries.iter().map(|q| q.id).collect();
+                    let after: Vec<QueryId> = router.plan.queries.iter().map(|q| q.id).collect();
                     match (&applied, op) {
                         (Ok(()), ChurnOp::Add(q)) => prop_assert_eq!(after.last(), Some(&q.id)),
                         (Ok(()), ChurnOp::Remove(id)) => prop_assert!(!after.contains(id)),
@@ -367,7 +320,7 @@ mod tests {
                     check(&mut router);
                     let mut fresh = ShardRouter::new(
                         reg.clone(),
-                        router.queries.clone(),
+                        router.plan.queries.clone(),
                         EngineConfig::default(),
                         workers,
                     )
@@ -483,6 +436,6 @@ mod tests {
             Err((3, ChurnError::Unknown(QueryId(2))))
         ));
         assert!(router.validate_schedule(&schedule[..3]).is_ok());
-        assert_eq!(router.queries.len(), 2, "a dry run changes nothing");
+        assert_eq!(router.plan.queries.len(), 2, "a dry run changes nothing");
     }
 }

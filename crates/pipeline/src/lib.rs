@@ -499,7 +499,7 @@ impl PipelineBuilder {
 
         // Build (and restore) every engine up front so errors are
         // synchronous.
-        let mut session = ParallelSession::open(router).map_err(ResumeError::Engine)?;
+        let mut session = ParallelSession::open(router);
         let mut start_epoch = 0;
         if !chain.is_empty() {
             // Every shard replays its own record out of each container,
@@ -802,10 +802,7 @@ impl<Src: Source> Ingest<Src> {
     /// have invalidated an entry since (e.g. already removed the id):
     /// such entries are skipped and counted, never applied half-way.
     fn fire_scheduled_churn(&mut self, feed: &mut ShardFeed<'_>, wm: Ts) {
-        while self.scheduled.front().is_some_and(|(t, _)| *t <= wm) {
-            let Some((_, op)) = self.scheduled.pop_front() else {
-                break;
-            };
+        while let Some((_, op)) = self.scheduled.pop_front_if(|(t, _)| *t <= wm) {
             let _ = self.apply_churn(feed, op);
         }
     }

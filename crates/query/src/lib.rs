@@ -33,7 +33,7 @@ pub mod query;
 pub mod window;
 
 pub use aggregate::AggFunc;
-pub use parser::{parse_pattern, parse_query, ParseError};
+pub use parser::{parse_pattern, parse_query, ParseError, MAX_PATTERN_DEPTH};
 pub use pattern::{Pattern, PatternError};
 pub use predicate::{CmpOp, CompiledSelection, EdgePredicate, SelectionPredicate};
 pub use query::{Query, QueryId};

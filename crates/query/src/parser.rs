@@ -27,6 +27,11 @@ use hamlet_types::{AttrValue, EventTypeId, TypeRegistry};
 use std::fmt;
 use std::sync::Arc;
 
+/// Deepest nesting of pattern units (`SEQ(`, `(`, `NOT`, and each
+/// `OR` / `AND` of a chain) a text may have: deeper is a [`ParseError`],
+/// not a stack overflow.
+pub const MAX_PATTERN_DEPTH: usize = 128;
+
 /// Parse failure with a human-readable message.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ParseError(pub String);
@@ -302,15 +307,17 @@ impl<'a> P<'a> {
         Ok(f)
     }
 
-    fn pattern(&mut self) -> Result<Pattern, ParseError> {
-        let mut left = self.pattern_unit()?;
+    fn pattern(&mut self, mut depth: usize) -> Result<Pattern, ParseError> {
+        let mut left = self.pattern_unit(depth)?;
         loop {
+            // Each `OR` / `AND` nests everything before it one level down.
+            depth += 1;
             if self.eat_kw("OR") {
-                let right = self.pattern_unit()?;
+                let right = self.pattern_unit(depth)?;
                 left = Pattern::Or(Box::new(left), Box::new(right));
             } else if self.peek_kw("AND") && !self.at_clause_boundary_ahead() {
                 self.next();
-                let right = self.pattern_unit()?;
+                let right = self.pattern_unit(depth)?;
                 left = Pattern::And(Box::new(left), Box::new(right));
             } else {
                 break;
@@ -326,12 +333,15 @@ impl<'a> P<'a> {
         false
     }
 
-    fn pattern_unit(&mut self) -> Result<Pattern, ParseError> {
+    fn pattern_unit(&mut self, depth: usize) -> Result<Pattern, ParseError> {
+        if depth > MAX_PATTERN_DEPTH {
+            return err(format!("pattern nested deeper than {MAX_PATTERN_DEPTH}"));
+        }
         if self.eat_kw("SEQ") {
             self.expect(Tok::LParen)?;
             let mut parts = Vec::new();
             loop {
-                parts.push(self.pattern()?);
+                parts.push(self.pattern(depth + 1)?);
                 match self.next() {
                     Some(Tok::Comma) => continue,
                     Some(Tok::RParen) => break,
@@ -341,12 +351,12 @@ impl<'a> P<'a> {
             return Ok(Pattern::Seq(parts));
         }
         if self.eat_kw("NOT") {
-            let inner = self.pattern_unit()?;
+            let inner = self.pattern_unit(depth + 1)?;
             return Ok(Pattern::Not(Box::new(inner)));
         }
         if matches!(self.peek(), Some(Tok::LParen)) {
             self.next();
-            let inner = self.pattern()?;
+            let inner = self.pattern(depth + 1)?;
             self.expect(Tok::RParen)?;
             if matches!(self.peek(), Some(Tok::Plus)) {
                 self.next();
@@ -377,7 +387,7 @@ impl<'a> P<'a> {
 pub fn parse_pattern(reg: &TypeRegistry, text: &str) -> Result<Pattern, ParseError> {
     let toks = tokenize(text)?;
     let mut p = P { toks, pos: 0, reg };
-    let pat = p.pattern()?;
+    let pat = p.pattern(0)?;
     if p.peek().is_some() {
         return err(format!("trailing input after pattern: {:?}", p.peek()));
     }
@@ -392,7 +402,7 @@ pub fn parse_query(reg: &TypeRegistry, id: u32, text: &str) -> Result<Query, Par
     p.expect_kw("RETURN")?;
     let agg = p.agg()?;
     p.expect_kw("PATTERN")?;
-    let pattern = p.pattern()?;
+    let pattern = p.pattern(0)?;
 
     let mut selections = Vec::new();
     let mut edges = Vec::new();

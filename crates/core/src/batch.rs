@@ -5,9 +5,10 @@
 //!
 //! [`HamletEngine::process_batch`] cuts a batch into expiry-quiet
 //! segments and `process_segment` runs
-//! each; [`HamletEngine::process`] is the one-event batch. The router's
-//! [`HamletEngine::shard_mask`] reads the same tables, so which shard owns
-//! an event and which partition it lands in can never disagree.
+//! each; [`HamletEngine::process`] is the one-event batch. The router
+//! ([`crate::ShardRouter::route`]) and [`HamletEngine::shard_mask`] read
+//! the same tables (`class_shards`), so which shard owns an event and
+//! which partition it lands in can never disagree.
 
 use crate::burst::{Cell, Chunk, FlushEnv};
 use crate::executor::{shard_index, GroupExec, HamletEngine, WindowResult};
@@ -38,7 +39,7 @@ pub(crate) struct BatchScratch {
     /// Per key class (see [`HamletEngine::route`]): the key built for the
     /// current event, whether it has been built yet, and whether it
     /// passes the shard filter. Groups with identical partition-slot
-    /// tables share one key computation (and one shard hash) per event
+    /// tables share one key computation (and one shard verdict) per event
     /// instead of one per group.
     class_keys: Vec<GroupKey>,
     class_built: Vec<bool>,
@@ -93,26 +94,24 @@ impl BatchScratch {
     }
 }
 
-/// [`HamletEngine::shard_mask`] over compiled `groups` and `key_reps`,
-/// building each key into `key`: a caller that keeps one scratch key
-/// routes without allocating.
-pub(crate) fn shard_mask_into(
+/// The shard of every key class `e`'s type carries under `total`-way
+/// sharding, in `key_reps` order: `each(p, shard)` for the p-th class.
+/// Each key is built into `key`, so a caller that keeps one scratch key
+/// classifies without allocating. The router's verdicts and
+/// [`HamletEngine::shard_mask`] are both read off this one loop.
+pub(crate) fn class_shards(
     groups: &[GroupExec],
     key_reps: &[Vec<u32>],
     e: &Event,
     total: u32,
     key: &mut GroupKey,
-) -> u64 {
-    assert!(
-        (1..=64).contains(&total),
-        "shard_mask needs 1..=64 shards, got {total}"
-    );
-    let mut mask = 0u64;
-    for &gi in key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice) {
+    mut each: impl FnMut(usize, usize),
+) {
+    let reps = key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
+    for (p, &gi) in reps.iter().enumerate() {
         groups[gi as usize].partition_key_into(e, key);
-        mask |= 1u64 << shard_index(key, total);
+        each(p, shard_index(key, total) as usize);
     }
-    mask
 }
 
 impl HamletEngine {
@@ -129,8 +128,15 @@ impl HamletEngine {
     /// fed only the events whose mask covers its index computes exactly
     /// what it would from the full stream.
     pub fn shard_mask(&self, e: &Event, total: u32) -> u64 {
-        let key = &mut GroupKey(Vec::new());
-        shard_mask_into(&self.groups, &self.key_reps, e, total, key)
+        assert!(
+            (1..=64).contains(&total),
+            "shard_mask needs 1..=64 shards, got {total}"
+        );
+        let (key, mut mask) = (&mut GroupKey(Vec::new()), 0u64);
+        class_shards(&self.groups, &self.key_reps, e, total, key, |_, s| {
+            mask |= 1 << s
+        });
+        mask
     }
 
     /// Processes one event; returns results of windows closed by the
@@ -201,6 +207,20 @@ impl HamletEngine {
     /// assert_eq!(fast, slow); // batching never changes results
     /// ```
     pub fn process_batch(&mut self, events: &[Event]) -> Vec<WindowResult> {
+        self.process_routed(events, None)
+    }
+
+    /// [`process_batch`](Self::process_batch), and if `owned` is given,
+    /// of a batch the router has already classified: bit p of `owned[j]`
+    /// is set iff the p-th key class of `events[j]`'s type belongs to
+    /// this engine's shard ([`crate::ShardRouter::route`]), so the scan
+    /// reads the bit instead of hashing the key a second time.
+    pub(crate) fn process_routed(
+        &mut self,
+        events: &[Event],
+        owned: Option<&[u64]>,
+    ) -> Vec<WindowResult> {
+        debug_assert!(owned.is_none_or(|o| o.len() == events.len()));
         let batch_t = self.span_start();
         let mut out = Vec::new();
         let mut i = 0;
@@ -222,7 +242,7 @@ impl HamletEngine {
             self.emit_expired(head_wm, &mut out);
             let drained = (out.len() - before) as u64;
             self.span_end(Stage::ExpiryDrain, drain_t, Some(head_wm.ticks()), drained);
-            i = self.process_segment(events, i, head_wm);
+            i = self.process_segment(events, i, head_wm, owned);
         }
         let wm = self.watermark.map(|w| w.ticks());
         self.span_end(Stage::ProcessBatch, batch_t, wm, events.len() as u64);
@@ -231,8 +251,18 @@ impl HamletEngine {
 
     /// Consumes one expiry-quiet segment starting at `first` and returns
     /// the index of the first unconsumed event (see
-    /// [`process_batch`](Self::process_batch) for the invariant).
-    fn process_segment(&mut self, events: &[Event], first: usize, head_wm: Ts) -> usize {
+    /// [`process_batch`](Self::process_batch) for the invariant). Whether
+    /// a key class passes the shard filter is the router's bit in `owned`
+    /// if there is one — classes are built in `key_reps` order, so the
+    /// p-th built is bit p — and otherwise the hash under `cfg.shard`
+    /// (also for a type's classes past the 64th, which have no bit).
+    fn process_segment(
+        &mut self,
+        events: &[Event],
+        first: usize,
+        head_wm: Ts,
+        owned: Option<&[u64]>,
+    ) -> usize {
         // hamlet-lint: allow(wallclock) -- latency stamp (only under track_latency); feeds the recorder, not results
         let now = self.cfg.track_latency.then(Instant::now);
         let shard = self.cfg.shard;
@@ -279,6 +309,7 @@ impl HamletEngine {
                 class_built.fill(false);
                 wnd_done.fill(false);
             }
+            let mut p = 0;
             for &(gi, tl, class, wnd) in entries {
                 let (gi, ci, wi) = (gi as usize, class as usize, wnd as usize);
                 let g = &self.groups[gi];
@@ -286,10 +317,12 @@ impl HamletEngine {
                     g.partition_key_into(e, &mut class_keys[ci]);
                     class_built[ci] = true;
                     let key = &class_keys[ci];
-                    class_shard_ok[ci] = match shard {
-                        Some((idx, total)) => shard_index(key, total) == idx,
-                        None => true,
+                    class_shard_ok[ci] = match (owned, shard) {
+                        (Some(owned), _) if p < 64 => owned[j] >> p & 1 != 0,
+                        (_, Some((idx, total))) => shard_index(key, total) == idx,
+                        (_, None) => true,
                     };
+                    p += 1;
                     // Resolve the key's slot: previous event's key first
                     // (bursty streams repeat it), then one hash probe for
                     // every group in the class.

@@ -24,6 +24,7 @@ use hamlet_types::{GroupKey, TrendVal, Ts};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 
 /// One live run in the watermark expiration index.
 ///
@@ -343,6 +344,7 @@ impl HamletEngine {
                 .then_with(|| a.key.total_cmp(&b.key))
         });
         let mut outputs = std::mem::take(&mut self.outputs);
+        let mut arrivals = std::mem::take(&mut self.arrivals);
         for (gi, handle) in finished.drain(..) {
             let gi = gi as usize;
             let g = &mut self.groups[gi];
@@ -364,9 +366,7 @@ impl HamletEngine {
                 m.graphlet_snapshots += s.graphlet_snapshots;
                 m.event_snapshots += s.event_snapshots;
             }
-            if let Some(arr) = slot.rs.last_arrival {
-                self.latency.record(arr.elapsed());
-            }
+            arrivals.extend(slot.rs.last_arrival);
             // The key leaves its slot for the emission and goes back, so
             // the slot keeps the buffer.
             let (key, start) = (std::mem::take(&mut slot.key), slot.start);
@@ -376,6 +376,17 @@ impl HamletEngine {
             self.run_bytes -= slab.release(handle);
         }
         self.outputs = outputs;
+        // The drain's results become visible together, when the batch
+        // returns: one clock read after the last of them serves every
+        // latency sample of it.
+        if !arrivals.is_empty() {
+            // hamlet-lint: allow(wallclock) -- latency samples only (the recorder), one read per drain
+            let now = Instant::now();
+            for arr in arrivals.drain(..) {
+                self.latency.record(now.saturating_duration_since(arr));
+            }
+        }
+        self.arrivals = arrivals;
     }
 
     fn emit_run(

@@ -18,7 +18,9 @@
 //! ([`ShardRouter::route`]) into per-shard batch buffers, full batches go
 //! to one scoped worker thread per shard over bounded channels (routing
 //! and processing overlap, and no worker ever scans events it does not
-//! own), and the three barriers — [`Feed::churn`], [`Feed::cut`],
+//! own, nor hashes a key the router hashed: each event rides with the
+//! router's verdict on which of its key classes the shard owns), and the
+//! three barriers — [`Feed::churn`], [`Feed::cut`],
 //! [`Feed::flush`] — ride the same FIFOs, so every shard meets each at
 //! the same stream position. Each worker therefore processes ~1/w of the
 //! events against ~1/w of the live partitions and holds ~1/w of the
@@ -29,12 +31,14 @@
 //! Two front ends feed it, and what differs between them is an argument
 //! of the one loop, never a second loop: the offline
 //! [`ParallelEngine::run`] and [`ParallelSession::process`] / `flush`
-//! push slices (tag `()`, [`BatchCut::Size`], nothing observed); the
+//! push slices (no tag, [`BatchCut::Size`], nothing observed); the
 //! `hamlet-pipeline` ingest stage pushes released events as its
-//! `Source` yields them (tag = the arrival `Instant`,
-//! [`BatchCut::SizeOrClose`], a [`ShardHooks`] impl through which each
-//! worker delivers into its sink and keeps its metrics). The cut rule also fixes the batch size and the FIFO
-//! depth: the front end picks them, a user never does. The pipeline's
+//! `Source` yields them (tag = the arrival `Instant` of a held event,
+//! none for an in-order one: [`ShardHooks::stamp`] tags the batch its
+//! push ships; [`BatchCut::SizeOrClose`]; a [`ShardHooks`] impl through
+//! which each worker delivers into its sink and keeps its metrics). The
+//! cut rule also fixes the batch size and the FIFO depth: the front end
+//! picks them, a user never does. The pipeline's
 //! rule ships a batch on the event that may close windows — the first
 //! to reach the next point of the workload's window grid
 //! ([`ShardRouter`] keeps it, and moves it with churn) — and otherwise
@@ -90,12 +94,13 @@ const PARALLEL_MAGIC: [u8; 4] = *b"HMPC";
 /// Container format version.
 const PARALLEL_VERSION: u16 = 1;
 
-/// What the coordinator puts on a shard worker's FIFO: a routed batch
-/// with the tag of its last event, or one of the three barriers — every
-/// worker meets each after exactly the events routed before it (channel
-/// FIFO order), the same stream cut on every shard.
+/// What the coordinator puts on a shard worker's FIFO: a routed batch —
+/// its events, the router's verdict for each ([`ShardRouter::route`]) and
+/// the tag of its last event, if it has one — or one of the three
+/// barriers: every worker meets each after exactly the events routed
+/// before it (channel FIFO order), the same stream cut on every shard.
 enum ShardMsg<T> {
-    Batch(Vec<Event>, T),
+    Batch(Vec<Event>, Vec<u64>, Option<T>),
     /// The router's post-churn plan, for the worker's engine to install.
     Churn(Arc<CompiledWorkload>),
     /// The worker cuts its engine's next chain record (full or delta,
@@ -171,6 +176,14 @@ pub trait ShardHooks<T>: Sync {
         0
     }
 
+    /// Coordinator side: the tag of a batch whose last event was pushed
+    /// without one, taken when that push ships it — the only batches
+    /// that can emit results under [`BatchCut::SizeOrClose`]. A batch
+    /// shipped later (partial, at a barrier) stays untagged.
+    fn stamp(&self) -> Option<T> {
+        None
+    }
+
     /// Worker side: what `shard`'s engine just emitted (possibly
     /// nothing) — for a batch of `batch.0` events tagged `batch.1`, or
     /// (`None`) at a churn or flush barrier. A front end that delivers
@@ -180,7 +193,7 @@ pub trait ShardHooks<T>: Sync {
         &self,
         _shard: usize,
         _eng: &HamletEngine,
-        _batch: Option<(usize, T)>,
+        _batch: Option<(usize, Option<T>)>,
         _results: &mut Vec<WindowResult>,
     ) {
     }
@@ -193,7 +206,9 @@ impl ShardHooks<()> for () {}
 struct Lane<T> {
     tx: mpsc::SyncSender<ShardMsg<T>>,
     buf: Vec<Event>,
-    /// Tag of the last event pushed into `buf`; `None` iff it is empty.
+    /// The router's verdict for each event in `buf`.
+    owned: Vec<u64>,
+    /// Tag of the last event pushed into `buf`, if it came with one.
     tag: Option<T>,
     /// Event-time tick of the last event pushed ([`BatchCut::SizeOrClose`]).
     tick: u64,
@@ -232,10 +247,14 @@ impl<T> Lane<T> {
 
     /// Hands the batch under construction, if any, to the worker.
     fn ship(&mut self, idx: usize, batch: usize, hooks: &impl ShardHooks<T>) {
-        let Some(tag) = self.tag.take() else { return };
-        let full = std::mem::replace(&mut self.buf, Vec::with_capacity(batch));
-        hooks.queued(idx, full.len());
-        self.send(idx, ShardMsg::Batch(full, tag), hooks);
+        if self.buf.is_empty() {
+            return;
+        }
+        let events = std::mem::replace(&mut self.buf, Vec::with_capacity(batch));
+        let owned = std::mem::replace(&mut self.owned, Vec::with_capacity(batch));
+        hooks.queued(idx, events.len());
+        let msg = ShardMsg::Batch(events, owned, self.tag.take());
+        self.send(idx, msg, hooks);
     }
 }
 
@@ -253,17 +272,21 @@ pub struct Feed<'a, T, H> {
 
 impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
     /// Routes `e` to every shard owning one of its partition keys;
-    /// `tag` rides with the batch `e` is the last event of.
-    pub fn push(&mut self, e: Event, tag: T) {
+    /// `tag` rides with the batch `e` is the last event of. Without one,
+    /// a batch this push ships takes [`ShardHooks::stamp`] instead, so a
+    /// front end pays for a tag only where a result can read it.
+    pub fn push(&mut self, e: Event, tag: Option<T>) {
         let (batch, hooks, lanes) = (self.batch, self.hooks, &mut self.lanes);
         let grid = (self.cut == BatchCut::SizeOrClose).then_some(self.router.grid);
-        self.router.route(e, |idx, e| {
+        self.router.route(e, |idx, e, owned| {
             let lane = &mut lanes[idx];
             let close =
                 grid.is_some_and(|g| lane.cuts_at(e.time.ticks(), g, || hooks.backlog(idx) == 0));
             lane.buf.push(e);
-            lane.tag = Some(tag);
+            lane.owned.push(owned);
+            lane.tag = tag;
             if close || lane.buf.len() >= batch {
+                lane.tag = tag.or_else(|| hooks.stamp());
                 lane.ship(idx, batch, hooks);
             }
         });
@@ -346,8 +369,8 @@ fn shard_loop<T>(
     };
     while let Ok(msg) = rx.recv() {
         match msg {
-            ShardMsg::Batch(events, tag) => {
-                let results = eng.process_batch(&events);
+            ShardMsg::Batch(events, owned, tag) => {
+                let results = eng.process_routed(&events, Some(&owned));
                 emit(eng, Some((events.len(), tag)), results);
             }
             ShardMsg::Churn(plan) => {
@@ -601,7 +624,7 @@ impl ParallelSession {
             out
         } else {
             let body = |feed: &mut Feed<'_, (), ()>| {
-                events.iter().for_each(|e| feed.push(e.clone(), ()));
+                events.iter().for_each(|e| feed.push(e.clone(), None));
                 if flush {
                     feed.flush();
                 }
@@ -643,6 +666,7 @@ impl ParallelSession {
                     let lane = Lane {
                         tx,
                         buf: Vec::with_capacity(batch),
+                        owned: Vec::with_capacity(batch),
                         tag: None,
                         tick: 0,
                         close: 0,
@@ -855,7 +879,7 @@ mod tests {
                 let mut out = Vec::new();
                 for (i, call) in calls.iter().enumerate() {
                     let body = |feed: &mut Feed<'_, (), ()>| {
-                        call.iter().for_each(|e| feed.push(e.clone(), ()));
+                        call.iter().for_each(|e| feed.push(e.clone(), None));
                         if i + 1 == calls.len() {
                             then(feed);
                         }
@@ -904,6 +928,229 @@ mod tests {
         }
     }
 
+    /// Churn that changes which key classes a type carries, and in what
+    /// order, mid-feed: adding `q4` gives `D` a class and `B` a third
+    /// group, removing `q1` turns `B`'s classes from `[g, h]` to
+    /// `[h, g]`, so bit 0 of a verdict names another class after the
+    /// barrier. Under both cut rules, at 1 to 4 workers, in feed calls
+    /// of 7 and of 1024 events, every result is byte-identical to the
+    /// single engine's taking the same ops at the same positions.
+    #[test]
+    fn churn_that_reorders_key_classes_keeps_results() {
+        let mut reg = TypeRegistry::new();
+        let [a, b, c, d] = ["A", "B", "C", "D"].map(|ty| reg.register(ty, &["g", "h"]));
+        let reg = Arc::new(reg);
+        let q = |id, text: &str| parse_query(&reg, id, text).unwrap();
+        let queries = vec![
+            q(1, "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 20"),
+            q(2, "RETURN COUNT(*) PATTERN SEQ(C, B+) GROUP BY h WITHIN 20"),
+        ];
+        let q4 = q(4, "RETURN COUNT(*) PATTERN SEQ(D, B+) GROUP BY g WITHIN 10");
+        let ops = [(90, ChurnOp::Add(q4)), (170, ChurnOp::Remove(QueryId(1)))];
+        let events: Vec<Event> = (0..260u64)
+            .map(|i| {
+                let ty = [a, b, c, b, d, b][(i % 6) as usize];
+                let attrs = vec![
+                    AttrValue::Int((i % 5) as i64),
+                    AttrValue::Int((i % 3) as i64),
+                ];
+                Event::new(Ts(i / 2), ty, attrs)
+            })
+            .collect();
+        let classes = |router: &ShardRouter| -> Vec<Vec<Arc<str>>> {
+            let reps = &router.plan.key_reps[b.idx()];
+            reps.iter()
+                .map(|&gi| router.plan.groups[gi as usize].partition_attrs.clone())
+                .collect()
+        };
+        let mut eng =
+            HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+        let mut router =
+            ShardRouter::new(reg.clone(), queries.clone(), EngineConfig::default(), 2).unwrap();
+        let before = classes(&router);
+        let (mut want, mut pos) = (Vec::new(), 0);
+        for (at, op) in &ops {
+            want.extend(eng.process_batch(&events[pos..*at]));
+            want.extend(eng.apply(op.clone()).unwrap().drained);
+            router.apply(op).unwrap();
+            pos = *at;
+        }
+        want.extend(eng.process_batch(&events[pos..]));
+        want.extend(eng.flush());
+        sort_results(&mut want);
+        let after = classes(&router);
+        assert_eq!(before.len(), 2);
+        assert_eq!(after, before.into_iter().rev().collect::<Vec<_>>());
+        assert!(!router.plan.key_reps[d.idx()].is_empty());
+
+        for (cut, len, workers) in [BatchCut::Size, BatchCut::SizeOrClose]
+            .into_iter()
+            .flat_map(|c| [7usize, 1024].map(|l| (c, l)))
+            .flat_map(|(c, l)| [1u32, 2, 3, 4].map(|w| (c, l, w)))
+        {
+            let mut sess = ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap()
+            .session();
+            // Each op (and the final flush) is a feed call of its own.
+            let (mut got, mut pos) = (Vec::new(), 0);
+            let stops = ops.iter().map(|(at, op)| (*at, Some(op)));
+            for (at, op) in stops.chain([(events.len(), None)]) {
+                for call in events[pos..at].chunks(len) {
+                    let push = |f: &mut Feed<'_, (), ()>| {
+                        call.iter().for_each(|e| f.push(e.clone(), None));
+                    };
+                    got.extend(sess.feed(cut, &(), push).1);
+                }
+                let barrier = |f: &mut Feed<'_, (), ()>| match op {
+                    Some(op) => f.churn(op.clone()).unwrap(),
+                    None => f.flush(),
+                };
+                got.extend(sess.feed(cut, &(), barrier).1);
+                pos = at;
+            }
+            sort_results(&mut got);
+            assert_eq!(got, want, "{cut:?}, calls of {len}, {workers} workers");
+        }
+    }
+
+    /// A type with more than 64 key classes: a verdict has no bit for
+    /// the 65th and later, so the shard engines hash those keys under
+    /// their `EngineConfig::shard` — and still compute what one engine
+    /// does.
+    #[test]
+    fn key_classes_past_the_64th_are_hashed_by_their_shard() {
+        let names: Vec<String> = (0..7).map(|i| format!("a{i}")).collect();
+        let attrs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let mut reg = TypeRegistry::new();
+        let (a, b) = (reg.register("A", &attrs), reg.register("B", &attrs));
+        let reg = Arc::new(reg);
+        // One query per non-empty attribute subset 1..=66: 66 key classes.
+        let queries: Vec<Query> = (1..=66u32)
+            .map(|set| {
+                let by: Vec<&str> = (0..7)
+                    .filter(|i| set >> i & 1 == 1)
+                    .map(|i| attrs[i])
+                    .collect();
+                let text = format!(
+                    "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY {} WITHIN 20",
+                    by.join(", ")
+                );
+                parse_query(&reg, set, &text).unwrap()
+            })
+            .collect();
+        let events: Vec<Event> = (0..120u64)
+            .map(|i| {
+                let attrs = (0..7)
+                    .map(|k| AttrValue::Int(((i >> k) % 3) as i64))
+                    .collect();
+                Event::new(Ts(i / 2), if i % 3 == 0 { a } else { b }, attrs)
+            })
+            .collect();
+        let par = |workers| {
+            ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap()
+        };
+        assert_eq!(par(2).router.plan.key_reps[b.idx()].len(), 66);
+        let single = par(1).run(&events).results;
+        assert!(!single.is_empty());
+        for workers in [2, 3] {
+            assert_eq!(
+                par(workers).run(&events).results,
+                single,
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// Counts the batches the coordinator ships and the stamps it takes,
+    /// and every batch that emitted results without a tag.
+    #[derive(Default)]
+    struct Stamps {
+        shipped: AtomicUsize,
+        stamped: AtomicUsize,
+        results: AtomicUsize,
+        unstamped: AtomicUsize,
+    }
+
+    impl ShardHooks<()> for Stamps {
+        fn queued(&self, _: usize, _: usize) {
+            self.shipped.fetch_add(1, Ordering::Relaxed);
+        }
+
+        fn stamp(&self) -> Option<()> {
+            self.stamped.fetch_add(1, Ordering::Relaxed);
+            Some(())
+        }
+
+        fn emitted(
+            &self,
+            _: usize,
+            _: &HamletEngine,
+            batch: Option<(usize, Option<()>)>,
+            results: &mut Vec<WindowResult>,
+        ) {
+            let Some((_, tag)) = batch else { return };
+            self.results.fetch_add(results.len(), Ordering::Relaxed);
+            if !results.is_empty() && tag.is_none() {
+                self.unstamped.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// An in-order feed pushes its events bare: under the pipeline's cut
+    /// rule, at one worker and at two, the stamp is taken no more often
+    /// than a batch is shipped — once per push that ships one, never per
+    /// event — and every batch that emits results carries one.
+    #[test]
+    fn a_bare_push_is_stamped_only_where_it_ships_a_batch() {
+        let (reg, queries, _) = setup();
+        let events = burst_stream(&reg, 0..60, 20);
+        for workers in [1u32, 2] {
+            let hooks = Stamps::default();
+            let mut sess = ParallelEngine::new(
+                reg.clone(),
+                queries.clone(),
+                EngineConfig::default(),
+                workers,
+            )
+            .unwrap()
+            .session();
+            sess.feed(BatchCut::SizeOrClose, &hooks, |f| {
+                events.iter().for_each(|e| f.push(e.clone(), None));
+            });
+            let [shipped, stamped, results, unstamped] = [
+                &hooks.shipped,
+                &hooks.stamped,
+                &hooks.results,
+                &hooks.unstamped,
+            ]
+            .map(|n| n.load(Ordering::Relaxed));
+            assert!(
+                0 < stamped && stamped <= shipped,
+                "{workers} workers: {stamped} stamps, {shipped} batches"
+            );
+            assert!(
+                stamped < events.len() / 8,
+                "{workers} workers: {stamped} stamps"
+            );
+            assert!(results > 0, "{workers} workers: no window closed");
+            assert_eq!(
+                unstamped, 0,
+                "{workers} workers: results of an unstamped batch"
+            );
+        }
+    }
+
     /// A [`ShardHooks`] that counts each shard's backlog the way the
     /// pipeline does, records every batch its workers finish as (events,
     /// tag of the last), and holds them inside `emitted` while `held` is
@@ -929,15 +1176,17 @@ mod tests {
             &self,
             shard: usize,
             _: &HamletEngine,
-            batch: Option<(usize, usize)>,
+            batch: Option<(usize, Option<usize>)>,
             _: &mut Vec<WindowResult>,
         ) {
-            let Some(batch) = batch else { return };
+            let Some((len, last)) = batch else { return };
             while self.held.load(Ordering::Relaxed) && Instant::now() < self.until {
                 std::thread::sleep(Duration::from_millis(1));
             }
-            self.batches.lock().unwrap()[shard].push(batch);
-            self.backlog[shard].fetch_sub(batch.0, Ordering::Relaxed);
+            // Every push is tagged: an untagged batch fails the tag check.
+            let last = last.unwrap_or(usize::MAX);
+            self.batches.lock().unwrap()[shard].push((len, last));
+            self.backlog[shard].fetch_sub(len, Ordering::Relaxed);
         }
     }
 
@@ -1001,7 +1250,7 @@ mod tests {
                 router.apply(op).unwrap();
             }
             let grid = router.grid;
-            router.route(e.clone(), |idx, e| {
+            router.route(e.clone(), |idx, e, _| {
                 owners[idx].push(i);
                 shards[idx].ticks.push(e.time.ticks());
                 shards[idx].grids.push(grid);
@@ -1021,7 +1270,7 @@ mod tests {
                 while !held && hooks.backlog.iter().any(|b| b.load(Ordering::Relaxed) > 0) {
                     std::thread::yield_now();
                 }
-                feed.push(e.clone(), i);
+                feed.push(e.clone(), Some(i));
             }
             hooks.held.store(false, Ordering::Relaxed);
         };
@@ -1402,9 +1651,11 @@ mod tests {
             sess.feed(BatchCut::SizeOrClose, &(), |feed| {
                 events[60..120]
                     .iter()
-                    .for_each(|e| feed.push(e.clone(), ()));
+                    .for_each(|e| feed.push(e.clone(), None));
                 feed.churn(ChurnOp::Remove(QueryId(2))).unwrap();
-                events[120..].iter().for_each(|e| feed.push(e.clone(), ()));
+                events[120..]
+                    .iter()
+                    .for_each(|e| feed.push(e.clone(), None));
             });
             assert_eq!(sess.router.plan.queries.len(), 2);
             assert!(shared(&sess), "{workers} workers, feed churn");

@@ -7,7 +7,8 @@
 //!
 //! * **routing** — [`ShardRouter::route`] hands an event to every shard
 //!   that owns one of its partition keys, using the very hash the shard
-//!   engines' `EngineConfig::shard` filter applies. The router holds the
+//!   engines' `EngineConfig::shard` filter applies, and hands each shard
+//!   its verdict per key class with it, so no shard hashes again. The router holds the
 //!   workload's compiled plan (`HamletEngine::compile`, §3.1) and reads
 //!   the classifier tables the shard engines' own scan reads: per routed
 //!   event one slot-resolved key build and one hash per *key class* the
@@ -24,7 +25,7 @@
 //! executor and the online `hamlet-pipeline` ingest stage drive their
 //! shards through this type.
 
-use crate::batch::shard_mask_into;
+use crate::batch::class_shards;
 use crate::churn::next_queries;
 use crate::executor::{
     ChurnError, ChurnOp, CompiledWorkload, EngineConfig, EngineError, HamletEngine,
@@ -51,6 +52,9 @@ pub struct ShardRouter {
     workers: u32,
     /// Scratch partition key every routed event's keys are built into.
     key: GroupKey,
+    /// Scratch per-shard verdicts of the event being routed; all zero
+    /// between events.
+    owned: Vec<u64>,
 }
 
 impl ShardRouter {
@@ -77,6 +81,7 @@ impl ShardRouter {
             cfg,
             workers,
             key: GroupKey::default(),
+            owned: vec![0; workers as usize],
         })
     }
 
@@ -101,22 +106,33 @@ impl ShardRouter {
     /// ascending shard order: cloned for all owners but the last, which
     /// takes the event itself. Usually that is one shard (an event local
     /// to several share groups can carry several keys); an event no
-    /// share group accepts is pushed nowhere. At one worker every event
-    /// goes to shard 0 unexamined. Keys are built into the router's one
-    /// scratch key, so routing allocates nothing of its own.
-    pub fn route(&mut self, e: Event, mut push: impl FnMut(usize, Event)) {
+    /// share group accepts is pushed nowhere. Each push carries the
+    /// shard's verdict: bit p is set iff the p-th key class of `e`'s type
+    /// (in `key_reps` order) hashes to that shard, so the shard engine
+    /// reads the bit instead of hashing the key again; a class past the
+    /// 64th has no bit and is hashed there. At one worker every event
+    /// goes to shard 0 unexamined, every bit set. Keys are built into
+    /// the router's one scratch key, so routing allocates nothing of its
+    /// own.
+    pub fn route(&mut self, e: Event, mut push: impl FnMut(usize, Event, u64)) {
         if self.workers == 1 {
-            return push(0, e);
+            return push(0, e, u64::MAX);
         }
-        let (plan, key) = (&self.plan, &mut self.key);
-        let mut mask = shard_mask_into(&plan.groups, &plan.key_reps, &e, self.workers, key);
+        let (plan, key, owned) = (&self.plan, &mut self.key, &mut self.owned);
+        let mut mask = 0u64;
+        let each = |p: usize, s: usize| {
+            mask |= 1 << s;
+            owned[s] |= 1u64.checked_shl(p as u32).unwrap_or(0);
+        };
+        class_shards(&plan.groups, &plan.key_reps, &e, self.workers, key, each);
         while mask != 0 {
             let idx = mask.trailing_zeros() as usize;
             mask &= mask - 1;
+            let bits = std::mem::take(&mut owned[idx]);
             if mask == 0 {
-                return push(idx, e);
+                return push(idx, e, bits);
             }
-            push(idx, e.clone());
+            push(idx, e.clone(), bits);
         }
     }
 
@@ -158,6 +174,7 @@ fn grid_of(queries: &[Query]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::shard_index;
     use hamlet_query::{parse_query, AggFunc, Pattern, QueryId};
     use hamlet_types::EventBuilder;
     use proptest::prelude::*;
@@ -238,15 +255,37 @@ mod tests {
             .collect()
     }
 
-    /// The shards `route` pushes `e` to, in push order; every pushed
-    /// event must be `e` itself.
-    fn owners(router: &mut ShardRouter, e: &Event) -> Vec<usize> {
+    /// The shards `route` pushes `e` to, with their verdicts, in push
+    /// order; every pushed event must be `e` itself.
+    fn owners(router: &mut ShardRouter, e: &Event) -> Vec<(usize, u64)> {
         let mut got = Vec::new();
-        router.route(e.clone(), |idx, pushed| {
+        router.route(e.clone(), |idx, pushed, owned| {
             assert_eq!(&pushed, e, "a shard was handed a different event");
-            got.push(idx);
+            got.push((idx, owned));
         });
         got
+    }
+
+    /// What `route` must push `e` to at `workers > 1`, by definition:
+    /// the key classes of its type are the distinct partition-attribute
+    /// lists of the groups local to it, in group order; class p's by-name
+    /// key picks a shard, and every such shard, ascending, gets bit p.
+    fn by_name(
+        router: &ShardRouter,
+        reg: &TypeRegistry,
+        e: &Event,
+        workers: u32,
+    ) -> Vec<(usize, u64)> {
+        let mut classes: Vec<&[Arc<str>]> = Vec::new();
+        let mut owned = std::collections::BTreeMap::<usize, u64>::new();
+        for g in (router.plan.groups.iter()).filter(|g| g.rt.template.local(e.ty).is_some()) {
+            if !classes.contains(&g.partition_attrs.as_slice()) {
+                let shard = shard_index(&g.key_by_name(reg, e), workers) as usize;
+                *owned.entry(shard).or_default() |= 1 << classes.len();
+                classes.push(&g.partition_attrs);
+            }
+        }
+        owned.into_iter().collect()
     }
 
     /// The set bits of `shard_mask` over a plain (unsharded)
@@ -267,10 +306,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
         /// `route` pushes to exactly the set bits of `shard_mask`, each
-        /// owner once, ascending; one worker is a pass-through to shard
-        /// 0 even for events no share group accepts; accepted churn ops
-        /// leave the router routing like one built fresh over the
-        /// post-churn workload, rejected ones leave it unchanged.
+        /// owner once, ascending, with the by-name verdict; one worker is
+        /// a pass-through to shard 0, every bit set, even for events no
+        /// share group accepts; accepted churn ops leave the router
+        /// routing like one built fresh over the post-churn workload,
+        /// rejected ones leave it unchanged.
         #[test]
         fn route_follows_shard_mask_through_churn(
             shape in proptest::collection::vec((0usize..4, 0i64..12, 0i64..12), 1..60),
@@ -295,9 +335,13 @@ mod tests {
                 let check = |router: &mut ShardRouter| {
                     for e in &events {
                         let want = if workers == 1 {
-                            vec![0]
+                            vec![(0, u64::MAX)]
                         } else {
-                            mask_bits(&router.plan.queries, &reg, e, workers)
+                            let want = by_name(router, &reg, e, workers);
+                            let shards: Vec<usize> = want.iter().map(|o| o.0).collect();
+                            let mask = mask_bits(&router.plan.queries, &reg, e, workers);
+                            assert_eq!(shards, mask, "{workers} workers, {e:?}");
+                            want
                         };
                         assert_eq!(owners(router, e), want, "{workers} workers, {e:?}");
                     }
@@ -347,7 +391,6 @@ mod tests {
             shape in proptest::collection::vec((0usize..4, 0i64..12, 0i64..12), 1..60),
             ops in proptest::collection::vec(0usize..5, 0..6),
         ) {
-            use crate::executor::shard_index;
             let (reg, queries) = setup();
             let mut events = materialize(&reg, &shape);
             let mut alien = events[0].clone();
@@ -396,13 +439,17 @@ mod tests {
         let shape: Vec<(usize, i64, i64)> = (0..12)
             .flat_map(|g| (0..12).map(move |h| (1, g, h)))
             .collect();
-        let two: Vec<Vec<usize>> = materialize(&reg, &shape)
+        let two: Vec<Vec<(usize, u64)>> = materialize(&reg, &shape)
             .iter()
             .map(|e| owners(&mut router, e))
             .filter(|o| o.len() == 2)
             .collect();
         assert!(!two.is_empty(), "no B event had two owners");
-        assert!(two.iter().all(|o| o[0] < o[1]));
+        // Low shard first, and each owns one of the two key classes.
+        assert!(two.iter().all(|o| o[0].0 < o[1].0));
+        assert!(two
+            .iter()
+            .all(|o| o[0].1 | o[1].1 == 0b11 && o[0].1 & o[1].1 == 0));
     }
 
     /// The error an op is rejected with names its cause, and a schedule

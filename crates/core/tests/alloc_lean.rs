@@ -223,7 +223,7 @@ fn routing_a_single_owner_event_does_not_allocate() {
     shards[1].reserve(2 * n as usize);
     let mut route = |router: &mut ShardRouter, events: Vec<_>| {
         for e in events {
-            router.route(e, |idx, e| shards[idx].push(e));
+            router.route(e, |idx, e, _| shards[idx].push(e));
         }
     };
     route(&mut router, events(0));

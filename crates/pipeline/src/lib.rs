@@ -119,12 +119,13 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// A released event plus its ingest stamp (for end-to-end latency
-/// accounting).
+/// An event the reorder stage held, plus its ingest stamp (for
+/// end-to-end latency accounting).
 type Routed = (Event, Instant);
-/// The ingest stage's end of the shard executor: released events go in
-/// tagged with their ingest stamp, and the three barriers — churn, cut,
-/// end — go in between them.
+/// The ingest stage's end of the shard executor: released events go in —
+/// a held one tagged with its ingest stamp, an in-order one bare, to be
+/// stamped by the push that ships its batch ([`Observer::stamp`]) — and
+/// the three barriers — churn, cut, end — go in between them.
 type ShardFeed<'a> = Feed<'a, Instant, Observer>;
 /// How a run ends: every open window flushed into the sink, or frozen
 /// into a [`PipelineCheckpoint`].
@@ -684,8 +685,6 @@ impl<Src: Source> Ingest<Src> {
             // signal that separates a source-bound run from an
             // engine-bound one in a trace.
             self.shared.spans.record(0, Stage::Ingest, pull, None, 1);
-            // hamlet-lint: allow(wallclock) -- ingest arrival stamp; latency metrics only
-            let arrival = Instant::now();
             self.shared.ingested.fetch_add(1, Ordering::Relaxed);
             if self.max_seen.is_none_or(|m| e.time > m) {
                 self.max_seen = Some(e.time);
@@ -700,12 +699,15 @@ impl<Src: Source> Ingest<Src> {
                 continue;
             }
             let release = self.shared.spans.start();
-            if self.buffer.is_empty() && e.time <= wm {
+            let passed = if self.buffer.is_empty() && e.time <= wm {
                 // In order — nothing held, and the watermark has reached
-                // `e`: it skips the buffer, straight on to routing.
-                self.tranche.push((e, arrival));
+                // `e`: it skips the buffer, straight on to routing,
+                // unstamped (see `ShardFeed`).
+                Some(e)
             } else {
-                self.buffer.push(e, arrival);
+                // A held event's wait is part of its latency.
+                // hamlet-lint: allow(wallclock) -- ingest arrival stamp of a held event; latency metrics only
+                self.buffer.push(e, Instant::now());
                 self.buffer.release_into(wm, &mut self.tranche);
                 let depth = self.buffer.len();
                 self.shared.reorder_depth.store(depth, Ordering::Relaxed);
@@ -713,8 +715,9 @@ impl<Src: Source> Ingest<Src> {
                     self.depth_peak = depth;
                     (self.shared.reorder_depth_peak).store(depth, Ordering::Relaxed);
                 }
-            }
-            self.route_tranche(feed, release, wm);
+                None
+            };
+            self.route_tranche(feed, release, wm, passed);
             self.fire_scheduled_churn(feed, wm);
             self.maybe_cadence_cut(feed);
         }
@@ -726,7 +729,7 @@ impl<Src: Source> Ingest<Src> {
         if end != Some(End::Freeze) {
             (self.buffer).release_into(Ts(u64::MAX), &mut self.tranche);
             let release = self.shared.spans.start();
-            self.route_tranche(feed, release, Ts(u64::MAX));
+            self.route_tranche(feed, release, Ts(u64::MAX), None);
             self.shared.reorder_depth.store(0, Ordering::Relaxed);
         }
         feed.ship_partials();
@@ -778,12 +781,18 @@ impl<Src: Source> Ingest<Src> {
         None
     }
 
-    /// Routes the tranche the reorder stage let go at watermark `wm` — an
-    /// event that passed it by, or what it released, in order — to the
-    /// owning shard(s), under a release span (begun at `release`) and a
-    /// route span. The tranche is left empty, its capacity kept.
-    fn route_tranche(&mut self, feed: &mut ShardFeed<'_>, release: SpanStart, wm: Ts) {
-        let n = self.tranche.len() as u64;
+    /// Routes what the reorder stage let go at watermark `wm` — the
+    /// event that `passed` it by, or the tranche it released, in order —
+    /// to the owning shard(s), under a release span (begun at `release`)
+    /// and a route span. The tranche is left empty, its capacity kept.
+    fn route_tranche(
+        &mut self,
+        feed: &mut ShardFeed<'_>,
+        release: SpanStart,
+        wm: Ts,
+        passed: Option<Event>,
+    ) {
+        let n = self.tranche.len() as u64 + u64::from(passed.is_some());
         if n == 0 {
             return;
         }
@@ -792,7 +801,10 @@ impl<Src: Source> Ingest<Src> {
         let route = spans.start();
         self.shared.released.fetch_add(n, Ordering::Relaxed);
         for (e, arrival) in self.tranche.drain(..) {
-            feed.push(e, arrival);
+            feed.push(e, Some(arrival));
+        }
+        if let Some(e) = passed {
+            feed.push(e, None);
         }
         spans.record(0, Stage::Route, route, wm, n);
     }
@@ -971,11 +983,18 @@ impl ShardHooks<Instant> for Observer {
         self.shared.worker_depths[shard].load(Ordering::Relaxed)
     }
 
+    /// The arrival stamp of an in-order event, taken by the push that
+    /// ships its batch: the pull it came from was a route away.
+    fn stamp(&self) -> Option<Instant> {
+        // hamlet-lint: allow(wallclock) -- ingest arrival stamp of an in-order event; latency metrics only
+        Some(Instant::now())
+    }
+
     fn emitted(
         &self,
         shard: usize,
         engine: &HamletEngine,
-        batch: Option<(usize, Instant)>,
+        batch: Option<(usize, Option<Instant>)>,
         results: &mut Vec<WindowResult>,
     ) {
         let results = std::mem::take(results);
@@ -997,9 +1016,14 @@ impl ShardHooks<Instant> for Observer {
             // One lock and one weighted sample per batch, not per result:
             // N workers recording per result would contend on the shared
             // histogram and inflate the very tail latency being measured.
-            let (latency, n) = (arrival.elapsed(), results.len() as u64);
-            // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
-            (self.shared.latency.lock().expect("latency lock")).record_n(latency, n);
+            // Only a batch its last push shipped can hold results, and
+            // that push stamped it if its event came bare.
+            debug_assert!(arrival.is_some(), "results of an unstamped batch");
+            if let Some(arrival) = arrival {
+                let (latency, n) = (arrival.elapsed(), results.len() as u64);
+                // hamlet-lint: allow(panic-hygiene) -- a poisoned latency lock means a recorder panicked; propagate it
+                (self.shared.latency.lock().expect("latency lock")).record_n(latency, n);
+            }
             self.emit(results);
         }
         // Only now: until the sink has its results, `queued()` must count
@@ -2689,7 +2713,7 @@ mod tests {
         std::thread::scope(|s| {
             let worker = s.spawn(|| {
                 let mut out = results.clone();
-                observer.emitted(0, &engine, Some((5, Instant::now())), &mut out);
+                observer.emitted(0, &engine, Some((5, Some(Instant::now()))), &mut out);
             });
             for _ in 0..50 {
                 assert!(

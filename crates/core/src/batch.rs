@@ -11,13 +11,13 @@
 //! which partition it lands in can never disagree.
 
 use crate::burst::{Cell, Chunk, FlushEnv};
-use crate::executor::{shard_index, GroupExec, HamletEngine, WindowResult};
+use crate::executor::{shard_index, CompiledWorkload, GroupExec, HamletEngine, WindowResult};
 use crate::expiry::Partition;
+use crate::keyhash::{KeyMap, KeyState};
 use hamlet_obs::Stage;
 use hamlet_types::time::window_end;
 use hamlet_types::{Event, GroupKey, Ts};
 use std::cmp::Reverse;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// One key-grouped bucket of a batch segment: the events (by index into
@@ -50,7 +50,7 @@ pub(crate) struct BatchScratch {
     /// Per key class: map from partition key to *slot* — a row of
     /// per-group bucket indices in `slots` (stride = number of groups).
     /// One hash probe resolves the buckets of every group in the class.
-    slot_of: Vec<HashMap<GroupKey, u32>>,
+    slot_of: Vec<KeyMap<GroupKey, u32>>,
     /// Flat `slot × group → bucket index` table (`u32::MAX` = none yet).
     slots: Vec<u32>,
     /// Per key class: the previous event's key and its slot — bursty
@@ -75,13 +75,18 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    pub(crate) fn new(num_classes: usize, num_wnd_classes: usize) -> BatchScratch {
+    /// Buffers for `compiled`'s key and window classes, the slot tables
+    /// hashed under the engine's `keys`.
+    pub(crate) fn new(compiled: &CompiledWorkload, keys: KeyState) -> BatchScratch {
+        let (num_classes, num_wnd_classes) = (compiled.num_classes, compiled.num_wnd_classes);
         BatchScratch {
             class_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
             class_built: vec![false; num_classes],
             class_shard_ok: vec![false; num_classes],
             wnd_done: vec![false; num_wnd_classes],
-            slot_of: (0..num_classes).map(|_| HashMap::new()).collect(),
+            slot_of: (0..num_classes)
+                .map(|_| KeyMap::with_hasher(keys))
+                .collect(),
             slots: Vec::new(),
             prev_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
             prev_slot: vec![u32::MAX; num_classes],

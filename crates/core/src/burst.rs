@@ -201,7 +201,8 @@ pub(crate) struct RunState {
     pub(crate) last_arrival: Option<Instant>,
     /// [`mem_bytes`](Self::mem_bytes) as the engine's byte counter
     /// (`FlushEnv::bytes`) holds it: kept by `append`, re-measured once
-    /// per replayed burst, taken back out when the run is released.
+    /// per replayed burst another burst follows, taken back out when the
+    /// run is released.
     pub(crate) accounted: usize,
 }
 
@@ -339,10 +340,27 @@ impl RunState {
         }
     }
 
-    /// Flushes the pending burst, if any: one sharing decision (§4.2),
-    /// one replay, and the statistics fed back to the estimator.
-    pub(crate) fn flush(&mut self, env: &mut FlushEnv<'_>) {
-        let Some(tl) = self.burst_ty else { return };
+    /// Flushes the pending burst, if any, in front of the next one:
+    /// [`settle`](Self::settle) it, then re-measure the run — a replay
+    /// moves its size by what only a measurement knows (snapshots,
+    /// graphlets, stored events), so once per burst.
+    fn flush(&mut self, env: &mut FlushEnv<'_>) {
+        if self.settle(env) {
+            let now = self.mem_bytes();
+            *env.bytes = *env.bytes - self.accounted + now;
+            self.accounted = now;
+        }
+    }
+
+    /// Settles the pending burst, if any: one sharing decision (§4.2),
+    /// one replay, and the statistics fed back to the estimator. Returns
+    /// whether there was one. `accounted` is left as it was: a run closed
+    /// by this is released next, which takes `accounted` back out of the
+    /// engine's count, so re-measuring it would be thrown away.
+    pub(crate) fn settle(&mut self, env: &mut FlushEnv<'_>) -> bool {
+        let Some(tl) = self.burst_ty else {
+            return false;
+        };
         let burst = match self.run.runtime().burst_repr(tl) {
             BurstRepr::Count => Burst::Count(self.burst_count),
             BurstRepr::Cells => Burst::Cells(&self.cells),
@@ -350,7 +368,7 @@ impl RunState {
         };
         let b = burst.len();
         if b == 0 {
-            return;
+            return false;
         }
         // The clock is read only where `stats.decision_time` is reported,
         // and there for one decision in `DECISION_SAMPLE`: a clock pair
@@ -401,11 +419,7 @@ impl RunState {
         self.cells.clear();
         self.burst_count = 0;
         self.burst_ty = None;
-        // A replay moves the run's size by what only a measurement knows
-        // (snapshots, graphlets, stored events): one per burst.
-        let now = self.mem_bytes();
-        *env.bytes = *env.bytes - self.accounted + now;
-        self.accounted = now;
+        true
     }
 
     /// Serializes the run and its pending burst — the one run-state

@@ -12,6 +12,7 @@ use crate::batch::BatchScratch;
 use crate::executor::{
     Combiner, CompiledWorkload, EngineError, GroupExec, HamletEngine, WindowResult,
 };
+use crate::keyhash::KeyMap;
 use crate::optimizer::decide;
 use crate::run::Run;
 use hamlet_obs::GroupMetrics;
@@ -224,7 +225,9 @@ impl HamletEngine {
     /// carrying over every share group whose membership is unchanged and
     /// draining the rest.
     pub(crate) fn install(&mut self, compiled: &CompiledWorkload) -> ChurnReport {
-        let mut groups: Vec<GroupExec> = compiled.groups.iter().map(GroupExec::instance).collect();
+        let mut groups: Vec<GroupExec> = (compiled.groups.iter())
+            .map(|g| g.instance(self.keys))
+            .collect();
         // Match old groups to new ones by member signature. Each
         // (query, half) lives in exactly one group on each side, so the
         // match is a partial bijection; member *order* must also agree
@@ -268,7 +271,7 @@ impl HamletEngine {
             .enumerate()
             .map(|(i, c)| (c.orig.0, i))
             .collect();
-        let mut surviving_pending = HashMap::new();
+        let mut surviving_pending = KeyMap::with_hasher(self.keys);
         let mut orphaned = Vec::new();
         // hamlet-lint: allow(unordered-iter) -- re-keys into a map; settle_orphans sorts the orphaned halves canonically before emitting
         for ((ci, key, start), (id, count)) in self.pending.drain() {
@@ -296,7 +299,7 @@ impl HamletEngine {
             groups_carried += 1;
             let ng = &mut groups[ni];
             let og = &mut self.groups[oi];
-            ng.partitions = std::mem::take(&mut og.partitions);
+            std::mem::swap(&mut ng.partitions, &mut og.partitions);
             ng.slab = std::mem::take(&mut og.slab);
             std::mem::swap(&mut ng.estimator, &mut og.estimator);
             // Recycled runs of the old runtime stay behind with it.
@@ -315,7 +318,7 @@ impl HamletEngine {
         self.sub_of = compiled.sub_of.clone();
         self.route = compiled.route.clone();
         self.key_reps = compiled.key_reps.clone();
-        self.scratch = BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes);
+        self.scratch = BatchScratch::new(compiled, self.keys);
         self.pending = surviving_pending;
         self.queries = compiled.queries.clone();
         self.epoch += 1;

@@ -20,6 +20,7 @@
 use crate::batch::BatchScratch;
 use crate::expiry::{ExpiryEntry, RunSlab, Runs};
 use crate::general::{self, CombineKind};
+use crate::keyhash::{KeyMap, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::{DivergenceEstimator, SharingPolicy};
 use crate::record::{DirtyLog, PendingSlot};
@@ -255,7 +256,7 @@ pub(crate) struct GroupExec {
     /// never does per-event attribute-name lookups (string compares).
     partition_slots: Vec<Vec<Option<usize>>>,
     /// Per partition key, its live runs as handles into `slab`.
-    pub(crate) partitions: HashMap<GroupKey, Runs>,
+    pub(crate) partitions: KeyMap<GroupKey, Runs>,
     /// The group's runs (see [`RunSlab`]).
     pub(crate) slab: RunSlab,
     /// Per member: the combiner it is a half of, if it is a sub-query of
@@ -267,14 +268,14 @@ pub(crate) struct GroupExec {
 }
 
 impl GroupExec {
-    /// A copy for one engine to own: the runtime shared, the tables
-    /// cloned, no state.
-    pub(crate) fn instance(&self) -> GroupExec {
+    /// A copy for one engine to own, its partitions hashed under the
+    /// engine's `keys`: the runtime shared, the tables cloned, no state.
+    pub(crate) fn instance(&self, keys: KeyState) -> GroupExec {
         GroupExec {
             rt: self.rt.clone(),
             partition_attrs: self.partition_attrs.clone(),
             partition_slots: self.partition_slots.clone(),
-            partitions: HashMap::new(),
+            partitions: KeyMap::with_hasher(keys),
             slab: RunSlab::default(),
             combiner_of: self.combiner_of.clone(),
             estimator: self.estimator.clone(),
@@ -340,7 +341,7 @@ pub struct HamletEngine {
     /// sub-query id → combiner index.
     pub(crate) sub_of: HashMap<QueryId, usize>,
     /// (combiner, key, window) → the half that arrived first.
-    pub(crate) pending: HashMap<PendingSlot, (QueryId, u64)>,
+    pub(crate) pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// Watermark expiration index: min-heap over the window ends of every
     /// live run, across all groups (see [`ExpiryEntry`]).
     pub(crate) expiry: BinaryHeap<Reverse<ExpiryEntry>>,
@@ -395,6 +396,8 @@ pub struct HamletEngine {
     pub(crate) epoch: u64,
     /// What changed since the last chain cut (see [`DirtyLog`]).
     pub(crate) dirty: DirtyLog,
+    /// The seed of every map above keyed by a partition key.
+    pub(crate) keys: KeyState,
 }
 
 impl HamletEngine {
@@ -415,13 +418,14 @@ impl HamletEngine {
         cfg: EngineConfig,
         compiled: &CompiledWorkload,
     ) -> HamletEngine {
+        let keys = KeyState::new();
         let mut eng = HamletEngine {
             reg,
             cfg,
-            groups: compiled.groups.iter().map(GroupExec::instance).collect(),
+            groups: (compiled.groups.iter()).map(|g| g.instance(keys)).collect(),
             combiners: compiled.combiners.clone(),
             sub_of: compiled.sub_of.clone(),
-            pending: HashMap::new(),
+            pending: KeyMap::with_hasher(keys),
             expiry: BinaryHeap::new(),
             run_bytes: 0,
             finished: Vec::new(),
@@ -430,7 +434,7 @@ impl HamletEngine {
             stats: EngineStats::default(),
             latency: LatencyRecorder::new(),
             gauge: MemoryGauge::new(),
-            scratch: BatchScratch::new(compiled.num_classes, compiled.num_wnd_classes),
+            scratch: BatchScratch::new(compiled, keys),
             route: compiled.route.clone(),
             key_reps: compiled.key_reps.clone(),
             burst_ctx: BurstCtx::default(),
@@ -440,7 +444,8 @@ impl HamletEngine {
             watermark: None,
             queries: compiled.queries.clone(),
             epoch: 0,
-            dirty: DirtyLog::default(),
+            dirty: DirtyLog::new(keys),
+            keys,
         };
         if eng.cfg.obs {
             eng.obs = eng.build_obs();
@@ -548,7 +553,8 @@ impl HamletEngine {
                     pane: pane.max(1),
                     partition_attrs: g.partition_attrs.clone(),
                     partition_slots,
-                    partitions: HashMap::new(),
+                    // Never probed: every engine instances its own.
+                    partitions: KeyMap::with_hasher(KeyState::new()),
                     slab: RunSlab::default(),
                 }
             })
@@ -822,6 +828,28 @@ mod tests {
 
     fn seq(a: EventTypeId, b: EventTypeId) -> Pattern {
         Pattern::seq(vec![Pattern::Type(a), Pattern::plus(Pattern::Type(b))])
+    }
+
+    /// Which shard owns a key decides which shard record of a checkpoint
+    /// container holds it, so `shard_index` is pinned: fixed keys of
+    /// every value kind land where they always have, at 2, 4 and 64
+    /// shards — whatever hasher the engine's own maps use.
+    #[test]
+    fn shard_placement_is_pinned() {
+        let keys = [
+            GroupKey(vec![AttrValue::Int(42)]),
+            GroupKey(vec![AttrValue::Float(2.5)]),
+            GroupKey(vec![AttrValue::from("downtown")]),
+            GroupKey(vec![AttrValue::Int(7), AttrValue::from("east")]),
+            GroupKey::empty(),
+        ];
+        let placed: Vec<[u32; 3]> = (keys.iter())
+            .map(|k| [2, 4, 64].map(|total| shard_index(k, total)))
+            .collect();
+        assert_eq!(
+            placed,
+            [[0, 2, 54], [1, 3, 55], [1, 1, 13], [0, 0, 52], [1, 1, 5]]
+        );
     }
 
     fn ev(reg: &TypeRegistry, ty: EventTypeId, t: u64, g: i64, v: f64) -> Event {

@@ -15,6 +15,7 @@
 use crate::burst::{FlushEnv, RunState};
 use crate::executor::{render, AggValue, HamletEngine, WindowResult};
 use crate::general;
+use crate::keyhash::KeyMap;
 use crate::record::PendingSlot;
 use crate::run::{GroupRuntime, MemberOutput};
 use hamlet_obs::{GroupMetrics, Stage};
@@ -22,7 +23,7 @@ use hamlet_query::QueryId;
 use hamlet_types::time::window_end;
 use hamlet_types::{GroupKey, TrendVal, Ts};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -204,7 +205,7 @@ impl RunSlab {
     /// Drops the free slots. Live runs move into the holes, so their
     /// handles change: `partitions` is re-pointed here, the expiration
     /// index must be rebuilt by the caller.
-    pub(crate) fn drop_free(&mut self, partitions: &mut HashMap<GroupKey, Runs>) {
+    pub(crate) fn drop_free(&mut self, partitions: &mut KeyMap<GroupKey, Runs>) {
         // Highest first: every slot above the hole being filled is live.
         self.free.sort_unstable();
         while let Some(hole) = self.free.pop() {
@@ -349,7 +350,8 @@ impl HamletEngine {
             let gi = gi as usize;
             let g = &mut self.groups[gi];
             let slot = &mut g.slab.slots[handle as usize];
-            slot.rs.flush(&mut FlushEnv {
+            // Released below at the bytes it was accounted with.
+            slot.rs.settle(&mut FlushEnv {
                 cfg: &self.cfg,
                 estimator: &mut g.estimator,
                 stats: &mut self.stats,

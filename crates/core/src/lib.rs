@@ -50,6 +50,7 @@ pub mod executor;
 pub mod expiry;
 pub mod expr;
 pub mod general;
+mod keyhash;
 pub mod metrics;
 pub mod optimizer;
 pub mod parallel;

@@ -79,7 +79,6 @@ mod tests {
             g,
             sp,
             p: 2.0,
-            currently_shared: false,
             candidates: (0..m).collect(),
             diverging,
             has_edge,

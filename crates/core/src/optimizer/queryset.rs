@@ -121,7 +121,6 @@ mod tests {
             g,
             sp,
             p: 2.0,
-            currently_shared: false,
             diverging,
             has_edge,
             candidates,

@@ -26,12 +26,12 @@ use crate::checkpoint::{
 };
 use crate::executor::{EngineStats, HamletEngine};
 use crate::expiry::{RunSlab, Runs};
+use crate::keyhash::{KeyMap, KeySet, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::DivergenceEstimator;
 use crate::store::{ChainMeta, Checkpoint, CutKind};
 use hamlet_query::QueryId;
 use hamlet_types::{GroupKey, Ts};
-use std::collections::{HashMap, HashSet};
 
 /// Where a pending general-query half waits: `(combiner index, key,
 /// window start)`.
@@ -39,14 +39,13 @@ pub(crate) type PendingSlot = (usize, GroupKey, u64);
 
 /// What the engine touched since its last chain cut — the difference the
 /// next delta record writes.
-#[derive(Default)]
 pub(crate) struct DirtyLog {
     /// Partition keys possibly touched, per group index. At cut time a
     /// touched key still present is re-encoded wholesale (upsert); an
     /// absent one becomes a removal.
-    parts: Vec<HashSet<GroupKey>>,
+    parts: Vec<KeySet<GroupKey>>,
     /// Pending-half slots possibly touched (same present/absent rule).
-    pending: HashSet<PendingSlot>,
+    pending: KeySet<PendingSlot>,
     /// Sequence number of the last chain record cut from (or restored
     /// into) this engine; 0 = none, so the first cut is always a base.
     cut_seq: u64,
@@ -59,13 +58,25 @@ pub(crate) struct DirtyLog {
 }
 
 impl DirtyLog {
+    /// An empty log, off, hashing under the engine's `keys`.
+    pub(crate) fn new(keys: KeyState) -> DirtyLog {
+        DirtyLog {
+            parts: Vec::new(),
+            pending: KeySet::with_hasher(keys),
+            cut_seq: 0,
+            tracking: false,
+            unsound: false,
+        }
+    }
+
     /// Notes that partition `key` of group `gi` may have changed; only
     /// the first mark of a key since the last cut clones it.
     #[inline]
     pub(crate) fn mark(&mut self, gi: usize, key: &GroupKey) {
         if self.tracking {
             if self.parts.len() <= gi {
-                self.parts.resize_with(gi + 1, HashSet::new);
+                let keys = *self.pending.hasher();
+                self.parts.resize_with(gi + 1, || KeySet::with_hasher(keys));
             }
             if !self.parts[gi].contains(key) {
                 self.parts[gi].insert(key.clone());
@@ -97,7 +108,7 @@ impl DirtyLog {
     /// Starts a new interval on top of record `seq`, which now describes
     /// the engine exactly.
     fn rearm(&mut self, seq: u64) {
-        self.parts.iter_mut().for_each(HashSet::clear);
+        self.parts.iter_mut().for_each(KeySet::clear);
         self.pending.clear();
         self.cut_seq = seq;
         self.tracking = true;
@@ -211,7 +222,6 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
 /// record beside the engine whose state it will replace ([`install`]) —
 /// decoding a record applies it here, so nothing touches the engine
 /// until every record of the chain has validated and decoded.
-#[derive(Default)]
 struct Staged {
     /// The workload epoch every record of the chain was cut at.
     epoch: u64,
@@ -221,8 +231,8 @@ struct Staged {
     /// partitions with the slab their runs live in, and its divergence
     /// estimator (small, so every record carries it whole rather than
     /// diffing it).
-    groups: Vec<(HashMap<GroupKey, Runs>, RunSlab, DivergenceEstimator)>,
-    pending: HashMap<PendingSlot, (QueryId, u64)>,
+    groups: Vec<(KeyMap<GroupKey, Runs>, RunSlab, DivergenceEstimator)>,
+    pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// The scalar tail every record body ends with; the newest wins.
     tail: Tail,
 }
@@ -268,7 +278,7 @@ impl Tail {
 
 /// Takes `key` out of a staged group: a key a later record of the chain
 /// removes or re-sends gives its slots back.
-fn vacate(partitions: &mut HashMap<GroupKey, Runs>, slab: &mut RunSlab, key: &GroupKey) {
+fn vacate(partitions: &mut KeyMap<GroupKey, Runs>, slab: &mut RunSlab, key: &GroupKey) {
     for &(_, handle) in partitions.remove(key).iter().flat_map(Runs::as_slice) {
         slab.release(handle);
     }
@@ -410,9 +420,16 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
         epoch,
         seq: chain[chain.len() - 1].seq,
         groups: (eng.groups.iter())
-            .map(|g| (HashMap::new(), RunSlab::default(), g.estimator.clone()))
+            .map(|g| {
+                (
+                    KeyMap::with_hasher(eng.keys),
+                    RunSlab::default(),
+                    g.estimator.clone(),
+                )
+            })
             .collect(),
-        ..Staged::default()
+        pending: KeyMap::with_hasher(eng.keys),
+        tail: Tail::default(),
     };
     for f in chain {
         let mut d = Dec::new(f.payload);

@@ -401,8 +401,6 @@ pub struct BurstCtx {
     pub sp: usize,
     /// Average predecessor types per type per query (`p`).
     pub p: f64,
-    /// Whether the active graphlet of this type is currently shared.
-    pub currently_shared: bool,
     /// Per candidate member: events of the burst whose predicate outcome
     /// diverges from the other candidates (drives `sc`, Def. 9).
     pub diverging: Vec<u64>,
@@ -413,7 +411,39 @@ pub struct BurstCtx {
     pub candidates: Vec<usize>,
 }
 
+/// A set of a run's local types, one bit per type. A template of more
+/// than 64 types has no bit for some of them, so there every set holds
+/// all types from the start and is walked in full.
+#[derive(Clone, Copy)]
+struct TypeSet(u64);
+
+impl TypeSet {
+    /// The empty set of a template of `nt` types.
+    fn empty(nt: usize) -> TypeSet {
+        TypeSet(if nt > 64 { u64::MAX } else { 0 })
+    }
+
+    fn add(&mut self, ty: usize) {
+        if ty < 64 {
+            self.0 |= 1 << ty;
+        }
+    }
+
+    /// The set's types of a template of `nt` types, ascending.
+    fn iter(self, nt: usize) -> impl Iterator<Item = usize> {
+        let low = QSet(self.0).iter().take_while(move |&ty| ty < nt);
+        low.chain(64..nt.max(64))
+    }
+}
+
 /// The evaluation state of one (share group × partition × window instance).
+///
+/// A run of a high-cardinality stream lives for a burst or two and touches
+/// one or two of its template's types, so what a run walks per type is
+/// walked over two sets only: `open` (types whose `active` entry may hold
+/// a graphlet) and `written` (types whose `cum`, `mm_cum` and `alive_cum`
+/// rows may differ from the identity). Every other type's entry is what
+/// [`Run::new`] made it.
 pub struct Run {
     rt: Arc<GroupRuntime>,
     k: usize,
@@ -430,9 +460,8 @@ pub struct Run {
     stats: RunStats,
     mm_identity: MmVal,
     is_min: bool,
-    /// Reused expression buffer of the per-event loop's uniform shared
-    /// path — scratch only, never serialized.
-    pred_scratch: LinearExpr,
+    open: TypeSet,
+    written: TypeSet,
 }
 
 impl Run {
@@ -472,7 +501,8 @@ impl Run {
             rt,
             mm_identity,
             is_min,
-            pred_scratch: LinearExpr::zero(),
+            open: TypeSet::empty(nt),
+            written: TypeSet::empty(nt),
         }
     }
 
@@ -481,20 +511,24 @@ impl Run {
     /// back to its group's slab is the next window's empty run, and
     /// re-using it allocates nothing.
     pub(crate) fn recycle(&mut self) {
+        let nt = self.active.len();
         self.n_events = 0;
-        self.cum.iter_mut().for_each(|v| v.fill(NodeVal::ZERO));
-        (self.mm_cum.iter_mut()).for_each(|v| v.fill(self.mm_identity));
-        self.alive_cum.iter_mut().for_each(|v| v.fill(false));
+        for ty in self.written.iter(nt) {
+            self.cum[ty].fill(NodeVal::ZERO);
+            self.mm_cum[ty].fill(self.mm_identity);
+            self.alive_cum[ty].fill(false);
+        }
         self.start_blocked.fill(false);
         self.gap_blocked.clear();
         self.result_blocked.fill(NodeVal::ZERO);
         self.snaps.clear();
-        for a in &mut self.active {
-            a.shared = None;
-            a.solo.fill(None);
+        for ty in self.open.iter(nt) {
+            self.active[ty].shared = None;
+            self.active[ty].solo.fill(None);
         }
         self.stored.iter_mut().for_each(Vec::clear);
         self.stats = RunStats::default();
+        (self.open, self.written) = (TypeSet::empty(nt), TypeSet::empty(nt));
     }
 
     /// Re-points the run at a freshly compiled runtime of the *same*
@@ -550,11 +584,11 @@ impl Run {
             .extend(cands.iter().map(|q| !self.rt.edge[tl][q].is_empty()));
         ctx.diverging.clear();
         ctx.diverging.resize(cands.len(), 0);
-        (ctx.g, ctx.sp, ctx.currently_shared) = match &self.active[tl].shared {
-            Some(sh) => (sh.size, sh.sum_exprs.num_terms(), true),
+        (ctx.g, ctx.sp) = match &self.active[tl].shared {
+            Some(sh) => (sh.size, sh.sum_exprs.num_terms()),
             None => {
                 let solos = self.active[tl].solo.iter().flatten();
-                (solos.map(|s| s.size).max().unwrap_or(0), 0, false)
+                (solos.map(|s| s.size).max().unwrap_or(0), 0)
             }
         };
         ctx.n = self.n_events;
@@ -585,7 +619,7 @@ impl Run {
         // per-event match, triggers deactivation — early closure is always
         // correct, it only forgoes some sharing.
         let relevant = rt.relevant[tl];
-        for ty in (0..tpl.num_types()).filter(|&ty| ty != tl) {
+        for ty in self.open.iter(tpl.num_types()).filter(|&ty| ty != tl) {
             let shared = self.active[ty].shared.as_ref();
             if shared.is_some_and(|sh| sh.members.intersects(&relevant)) {
                 self.close_shared(ty);
@@ -622,8 +656,11 @@ impl Run {
         match burst {
             Burst::Cells(cells) if !rt.closed_form(tl) => self.replay_cells(&rt, tl, cells, share),
             Burst::Events(events) => {
+                // The uniform shared path's expression buffer, reused
+                // over the burst.
+                let mut scratch = LinearExpr::zero();
                 for e in events {
-                    self.process_event(&rt, tl, e, share);
+                    self.process_event(&rt, tl, e, share, &mut scratch);
                 }
             }
             // Cells of a closed-form type, or a count: those exist only
@@ -696,10 +733,7 @@ impl Run {
         }
 
         for q in (tpl.involved[tl] & !share).iter() {
-            if self.active[tl].solo[q].is_none() {
-                self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
-                self.stats.graphlets += 1;
-            }
+            self.open_solo(tl, q);
             let ext = self.external_pred(tl, q);
             let start = starts.contains(q);
             let self_loop = tpl.self_loop[tl].contains(q);
@@ -784,10 +818,7 @@ impl Run {
             sh.size += b;
         }
         for q in (tpl.involved[tl] & !share).iter() {
-            if self.active[tl].solo[q].is_none() {
-                self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
-                self.stats.graphlets += 1;
-            }
+            self.open_solo(tl, q);
             let mut step = self.external_pred(tl, q);
             if starts.contains(q) {
                 step.count += TrendVal::ONE;
@@ -935,6 +966,16 @@ impl Run {
             sum_exprs: LinearExpr::zero(),
             size: 0,
         });
+        self.open.add(tl);
+    }
+
+    /// Opens member `q`'s solo graphlet of type `tl` unless it is open.
+    fn open_solo(&mut self, tl: usize, q: usize) {
+        if self.active[tl].solo[q].is_none() {
+            self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
+            self.open.add(tl);
+            self.stats.graphlets += 1;
+        }
     }
 
     /// Resolves a shared graphlet's totals per member into `cum` and drops
@@ -948,6 +989,7 @@ impl Run {
                 // Shared graphlets exist only for linear skeletons; the
                 // lattice dimensions stay untouched.
             }
+            self.written.add(tl);
         }
     }
 
@@ -957,6 +999,7 @@ impl Run {
             self.cum[tl][q].add(solo.sum);
             self.mm_cum[tl][q].fold(solo.mm.0, self.is_min);
             self.alive_cum[tl][q] |= solo.alive;
+            self.written.add(tl);
         }
     }
 
@@ -997,18 +1040,20 @@ impl Run {
     /// [`finalize`](Self::finalize) into a reused buffer (cleared first):
     /// the engine finalizes every expiring run through one.
     pub fn finalize_into(&mut self, out: &mut Vec<MemberOutput>) {
-        for ty in 0..self.active.len() {
+        let nt = self.active.len();
+        for ty in self.open.iter(nt) {
             self.close_shared(ty);
             for q in 0..self.k {
                 self.close_solo(ty, q);
             }
         }
+        self.open = TypeSet::empty(nt);
         let tpl = &self.rt.template;
         out.clear();
         out.extend((0..self.k).map(|q| {
             let mut raw = NodeVal::ZERO;
             let mut mm = self.mm_identity;
-            for ty in 0..tpl.num_types() {
+            for ty in self.written.iter(nt) {
                 if tpl.end[ty].contains(q) {
                     raw.add(self.cum[ty][q]);
                     mm.fold(self.mm_cum[ty][q].0, self.is_min);
@@ -1054,9 +1099,11 @@ impl Run {
     /// (freshly compiled) runtime. What the record holds is decoded
     /// plainly, then checked against that runtime — its shape, and every
     /// snapshot id against the restored table — before anything indexes
-    /// by it.
+    /// by it. The record does not say which types it touched, so the
+    /// decoded run counts every type as open and written.
     pub(crate) fn decode(d: &mut Dec<'_>, rt: Arc<GroupRuntime>) -> Result<Run, CheckpointError> {
         let mut run = Run::new(rt);
+        (run.open, run.written) = (TypeSet(u64::MAX), TypeSet(u64::MAX));
         let nt = run.rt.template.num_types();
         let (k_enc, nt_enc, n_events): (usize, usize, u64) = Codec::decode(d)?;
         if k_enc != run.k || nt_enc != nt {
@@ -1097,7 +1144,7 @@ impl Run {
         let mut b = std::mem::size_of::<Run>();
         b += self.cum.len() * self.k * std::mem::size_of::<NodeVal>() * 3; // cum + mm + alive (approx)
         b += self.snaps.mem_bytes();
-        for a in &self.active {
+        for a in self.open.iter(self.active.len()).map(|ty| &self.active[ty]) {
             if let Some(sh) = &a.shared {
                 b += sh.sum_exprs.mem_bytes();
             }
@@ -1196,13 +1243,27 @@ mod tests {
     const D: EventTypeId = EventTypeId(3);
     const N: EventTypeId = EventTypeId(4);
 
+    /// The xorshift stream of a proptest seed.
+    fn stream_of(seed: u64) -> impl FnMut() -> u64 {
+        let mut s = seed | 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s >> 11
+        }
+    }
+
     /// One random share group around `B+`: skeleton `skel` (0 `CountOnly`,
     /// 1 `Linear`, 2 `MinMax`), 2–5 members with their own head / tail
     /// types (so `B` starts trends for some members only), Leading / Gap /
     /// Trailing negations of `N`, and per-member selections on `B` and
-    /// `N` including none and all-reject.
-    fn random_group(next: &mut impl FnMut() -> u64, skel: u64) -> Arc<GroupRuntime> {
-        use hamlet_query::{AggFunc, CmpOp, QueryId, SelectionPredicate};
+    /// `N` including none and all-reject. `shape` 1 drops the negations
+    /// and selections (with `CountOnly`, every burst is a count); `shape`
+    /// 2 gives some members an edge predicate on `B` (its bursts are the
+    /// events).
+    fn random_group(next: &mut impl FnMut() -> u64, skel: u64, shape: u64) -> Arc<GroupRuntime> {
+        use hamlet_query::{AggFunc, CmpOp, EdgePredicate, QueryId, SelectionPredicate};
         let ty = |t| Pattern::Type(t);
         let not_n = || Pattern::Not(Box::new(Pattern::Type(N)));
         let bs = || Pattern::plus(Pattern::Type(B));
@@ -1210,7 +1271,8 @@ mod tests {
         let members: Vec<Arc<Query>> = (0..2 + next() % 4)
             .map(|i| {
                 // Lattice values cannot be un-blocked: no negation there.
-                let pattern = match next() % if skel == 2 { 4 } else { 7 } {
+                let plain = skel == 2 || shape == 1;
+                let pattern = match next() % if plain { 4 } else { 7 } {
                     0 => bs(),
                     1 => Pattern::seq(vec![ty(A), bs()]),
                     2 => Pattern::seq(vec![ty(C), bs()]),
@@ -1230,6 +1292,7 @@ mod tests {
                 let mut selections = Vec::new();
                 for ty in [B, N] {
                     let (op, cut) = match next() % 4 {
+                        _ if shape == 1 => continue,
                         0 => continue,
                         1 => (CmpOp::Lt, (next() % 10) as f64),
                         2 => (CmpOp::Ge, (next() % 10) as f64),
@@ -1242,13 +1305,24 @@ mod tests {
                         value: hamlet_types::AttrValue::Float(cut),
                     });
                 }
+                let edges = if shape == 2 && !next().is_multiple_of(3) {
+                    let op = [CmpOp::Ge, CmpOp::Lt][(next() % 2) as usize];
+                    vec![EdgePredicate {
+                        ty: B,
+                        cur_attr: 0,
+                        op,
+                        prev_attr: 0,
+                    }]
+                } else {
+                    vec![]
+                };
                 let w = Window::tumbling(1000);
                 let q = Query::new(
                     QueryId(i as u32),
                     pattern,
                     agg,
                     selections,
-                    vec![],
+                    edges,
                     vec![],
                     vec![],
                     w,
@@ -1279,14 +1353,8 @@ mod tests {
         #[test]
         fn cell_replay_matches_event_loop(seed in 0u64..u64::MAX, skel in 0u64..3) {
             use proptest::prelude::{prop_assert, prop_assert_eq};
-            let mut s = seed | 1;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s >> 11
-            };
-            let rt = random_group(&mut next, skel);
+            let mut next = stream_of(seed);
+            let rt = random_group(&mut next, skel, 0);
             let (k, nt) = (rt.k(), rt.template.num_types());
             let mut fast = Run::new(rt.clone());
             let mut slow = Run::new(rt.clone());
@@ -1327,6 +1395,89 @@ mod tests {
                 RunStats { event_snapshots: 0, ..s }
             );
             prop_assert_eq!(fast.finalize(), slow.finalize());
+        }
+    }
+
+    impl Run {
+        /// [`finalize`](Run::finalize) walking every type and member: the
+        /// oracle of the walk over the type sets.
+        fn finalize_full_walk(&mut self) -> Vec<MemberOutput> {
+            let nt = self.active.len();
+            for ty in 0..nt {
+                self.close_shared(ty);
+                (0..self.k).for_each(|q| self.close_solo(ty, q));
+            }
+            let tpl = &self.rt.template;
+            (0..self.k)
+                .map(|q| {
+                    let (mut raw, mut mm) = (NodeVal::ZERO, self.mm_identity);
+                    for ty in (0..nt).filter(|&ty| tpl.end[ty].contains(q)) {
+                        raw.add(self.cum[ty][q]);
+                        mm.fold(self.mm_cum[ty][q].0, self.is_min);
+                    }
+                    let raw = raw.minus(self.result_blocked[q]);
+                    MemberOutput { raw, mm: mm.0 }
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The `open` and `written` type sets never miss a type. Random
+        /// bursts into random groups — cell, count and edge-predicate
+        /// bursts, negations, every skeleton — under never-share,
+        /// always-share and a random sharing set per burst: the masked
+        /// finalize equals the full walk, a decoded run (both sets full)
+        /// measures and finalizes the same, and a recycled run — finalized first or
+        /// not, as a restore's vacated run is not — records and measures
+        /// as `Run::new` does.
+        #[test]
+        fn type_sets_never_miss_a_type(seed in 0u64..u64::MAX, shape in 0u64..3, policy in 0u64..3) {
+            use crate::checkpoint::{Dec, Enc};
+            use proptest::prelude::prop_assert_eq;
+            let mut next = stream_of(seed);
+            let skel = if shape == 1 { 0 } else { next() % 3 };
+            let rt = random_group(&mut next, skel, shape);
+            let (k, nt) = (rt.k(), rt.template.num_types());
+            let record = |r: &Run| {
+                let mut e = Enc::new();
+                r.encode(&mut e);
+                e.finish()
+            };
+            let [mut masked, mut full, mut recycled] = [(); 3].map(|_| Run::new(rt.clone()));
+            for burst_no in 0..1 + next() % 10 {
+                let tl = (next() % nt as u64) as usize;
+                let events: Vec<Event> = (0..1 + next() % 6)
+                    .map(|i| {
+                        let v = hamlet_types::AttrValue::Float((next() % 10) as f64);
+                        Event::new(Ts(burst_no * 10 + i), rt.template.types[tl], vec![v])
+                    })
+                    .collect();
+                let shared = match policy {
+                    0 => QSet::new(),
+                    1 => QSet::all(k),
+                    _ => (0..k).filter(|_| next().is_multiple_of(2)).collect(),
+                };
+                for run in [&mut masked, &mut full, &mut recycled] {
+                    run.process_burst(tl, &events, &shared);
+                }
+            }
+            let mut decoded = Run::decode(&mut Dec::new(&record(&masked)), rt.clone()).unwrap();
+            prop_assert_eq!(masked.mem_bytes(), decoded.mem_bytes());
+            let out = masked.finalize();
+            prop_assert_eq!(&out, &full.finalize_full_walk());
+            prop_assert_eq!(&out, &decoded.finalize());
+            if next().is_multiple_of(2) {
+                recycled.finalize();
+            }
+            recycled.recycle();
+            let fresh = Run::new(rt.clone());
+            prop_assert_eq!(record(&recycled), record(&fresh));
+            prop_assert_eq!(recycled.mem_bytes(), fresh.mem_bytes());
+            decoded.recycle();
+            prop_assert_eq!(record(&decoded), record(&fresh));
         }
     }
 

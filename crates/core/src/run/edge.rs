@@ -13,7 +13,7 @@
 //! `Run::process_burst_slow` (`reference.rs`) checks `replay_cells` and
 //! the closed form.
 
-use super::{GroupRuntime, Run, SoloGraphlet};
+use super::{GroupRuntime, Run};
 use crate::agg::{MmVal, NodeVal};
 use crate::bitset::QSet;
 use crate::checkpoint::{codec_struct, CheckpointError};
@@ -120,8 +120,17 @@ impl Run {
         (mm, alive)
     }
 
-    /// Processes a single event within its (already transitioned) burst.
-    pub(super) fn process_event(&mut self, rt: &GroupRuntime, tl: usize, e: &Event, share: QSet) {
+    /// Processes a single event within its (already transitioned) burst;
+    /// `scratch` is the caller's expression buffer for the uniform shared
+    /// path.
+    pub(super) fn process_event(
+        &mut self,
+        rt: &GroupRuntime,
+        tl: usize,
+        e: &Event,
+        share: QSet,
+        scratch: &mut LinearExpr,
+    ) {
         let tpl = &rt.template;
         let (w, is_target) = rt.weight(e);
         let store_needed = rt.type_any_edge[tl];
@@ -138,10 +147,10 @@ impl Run {
             let sh = self.active[tl].shared.as_ref().expect("shared graphlet");
             let expr = if !any_edge && accepting == share {
                 // Eq. 2 symbolically: preds = x (+ unit) + in-graphlet
-                // prefix; then the per-event propagation map. Built in a
-                // reused buffer: `clone_from` keeps the term vector's
-                // capacity, so the steady state allocates nothing.
-                let mut pred = std::mem::take(&mut self.pred_scratch);
+                // prefix; then the per-event propagation map. Built in the
+                // burst's buffer: `clone_from` keeps the term vector's
+                // capacity from one event to the next.
+                let mut pred = std::mem::take(scratch);
                 pred.clone_from(&sh.sum_exprs);
                 pred.add_snapshot(sh.x);
                 if let Some(u) = sh.unit {
@@ -173,16 +182,13 @@ impl Run {
                 stored_shared = Some((sh.members, expr));
             } else {
                 // Hand the buffer back for the next event.
-                self.pred_scratch = expr;
+                *scratch = expr;
             }
         }
 
         // ---- Solo path ----------------------------------------------------
         for q in (tpl.involved[tl] & !share).iter() {
-            if self.active[tl].solo[q].is_none() {
-                self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
-                self.stats.graphlets += 1;
-            }
+            self.open_solo(tl, q);
             if !rt.selects(tl, q, e) {
                 continue;
             }

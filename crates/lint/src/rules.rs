@@ -114,8 +114,13 @@ pub fn unordered_iter(cx: &FileCx, out: &mut Vec<Finding>) {
     }
 }
 
-/// Names declared in this file with a `HashMap`/`HashSet` top-level type
-/// (fields, params, and locals; `Vec<HashMap<..>>` etc. do not count).
+/// Type names whose iteration order is a hash order: std's, and the
+/// engine's aliases of them over its key hasher.
+const HASH_CONTAINERS: &[&str] = &["HashMap", "HashSet", "KeyMap", "KeySet"];
+
+/// Names declared in this file with a hash container top-level type
+/// ([`HASH_CONTAINERS`]; fields, params, and locals — `Vec<HashMap<..>>`
+/// etc. do not count).
 fn hash_container_names(toks: &[Token]) -> BTreeSet<String> {
     let mut set = BTreeSet::new();
     for i in 0..toks.len() {
@@ -133,7 +138,7 @@ fn hash_container_names(toks: &[Token]) -> BTreeSet<String> {
                         j += 1
                     }
                     Some(t) if t.is_p(':') => j += 1,
-                    Some(t) if t.word() == Some("HashMap") || t.word() == Some("HashSet") => {
+                    Some(t) if t.word().is_some_and(|w| HASH_CONTAINERS.contains(&w)) => {
                         set.insert(name.to_string());
                         break;
                     }
@@ -151,7 +156,7 @@ fn hash_container_names(toks: &[Token]) -> BTreeSet<String> {
                     Some(t) if t.is_word("std") || t.is_word("collections") || t.is_p(':') => {
                         j += 1
                     }
-                    Some(t) if t.word() == Some("HashMap") || t.word() == Some("HashSet") => {
+                    Some(t) if t.word().is_some_and(|w| HASH_CONTAINERS.contains(&w)) => {
                         if toks.get(j + 1).is_some_and(|t| t.is_p(':')) {
                             set.insert(name.to_string());
                         }

@@ -30,6 +30,8 @@ fn l1_catches_the_unordered_emission_bug_pattern() {
     // path. This is the pattern the rule exists for.
     assert_eq!(rules_for("l1_violation.rs"), ["unordered-iter"]);
     assert_eq!(rules_for("l1_allowed.rs"), [] as [&str; 0]);
+    // The engine's `KeyMap`/`KeySet` aliases iterate in hash order too.
+    assert_eq!(rules_for("l1_keymap_violation.rs"), ["unordered-iter"]);
 }
 
 #[test]

@@ -54,11 +54,11 @@
 //! session with four calls — `process`, [`ParallelSession::churn`],
 //! `cut` ([`crate::Snapshot`]) and `flush` — and a session starts from
 //! a stored chain with [`ParallelSession::restore_chain`]. Churn and
-//! cuts between calls run when no worker thread exists: the router
-//! compiles the post-churn plan, every shard engine installs it in place
-//! and cuts in place, with the same code at one worker and at many.
-//! Inside a feed the plan rides the churn barrier to every worker
-//! instead; installing it cannot fail.
+//! cuts between calls are feeds of their own, one barrier and no events,
+//! so every barrier in the tree rides the shard FIFOs: every worker
+//! installs the router's plan, or encodes its shard's record, on its own
+//! thread, at one worker as at many. Installing the plan cannot fail:
+//! the router checked the op before it compiled it.
 //!
 //! # Determinism
 //!
@@ -81,7 +81,7 @@ use crate::executor::{
 use crate::metrics::LatencyRecorder;
 use crate::record;
 use crate::shard::ShardRouter;
-use crate::store::{Checkpoint, CutKind, Snapshot};
+use crate::store::{ChainMeta, Checkpoint, CutKind, Snapshot};
 use hamlet_obs::{merge_group_metrics, GroupMetrics, Stage};
 use hamlet_query::Query;
 use hamlet_types::{Event, TypeRegistry};
@@ -327,12 +327,23 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
         Ok(())
     }
 
-    /// The cut barrier: every shard cuts its next chain record at the
-    /// same stream position (each engine promotes a delta it cannot
-    /// vouch for to a base); blocks until all have replied and returns
-    /// the records in shard order, for
-    /// [`Checkpoint::container_meta`] to judge.
-    pub fn cut(&mut self, kind: CutKind) -> Result<Vec<Checkpoint>, CheckpointError> {
+    /// The cut barrier: every shard cuts and encodes its next chain
+    /// record on its own worker, at the same stream position; blocks
+    /// until all have replied and returns the records in shard order
+    /// with the chain position they agree on, for a container at
+    /// `version` ([`Checkpoint::container_meta`]).
+    ///
+    /// Each engine promotes a delta it cannot vouch for to a base, so
+    /// the records agree only where the shards' soundness does. A
+    /// pipeline's shards gain and lose it only at barriers every shard
+    /// meets (a cut, a churn, the restore it starts from); the offline
+    /// session, whose engines a caller may touch one by one between
+    /// calls, asks for a delta only when every shard can cut one.
+    pub fn cut(
+        &mut self,
+        kind: CutKind,
+        version: u16,
+    ) -> Result<(Vec<Checkpoint>, ChainMeta), CheckpointError> {
         let (reply, replies) = mpsc::channel();
         self.barrier(|| ShardMsg::Cut(kind, reply.clone()));
         drop(reply);
@@ -344,7 +355,8 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
             ));
         }
         shards.sort_by_key(|(idx, _)| *idx);
-        Ok(shards.into_iter().map(|(_, ck)| ck).collect())
+        let shards: Vec<Checkpoint> = shards.into_iter().map(|(_, ck)| ck).collect();
+        Checkpoint::container_meta(version, &shards).map(|meta| (shards, meta))
     }
 
     /// The end-of-stream barrier: every open window on every shard
@@ -523,11 +535,12 @@ impl ParallelEngine {
 /// canonically sorted per call, so output is identical across worker
 /// counts, call boundary by call boundary.
 ///
-/// Implements [`crate::Snapshot`]: [`cut`](crate::Snapshot::cut) takes
-/// a coordinated per-shard chain record (every shard at the same stream
-/// position — the caller is between `process` calls, so no shard has
-/// seen an event another has not been offered) and packs them into one
-/// `HMPC` container; [`restore_chain`](Self::restore_chain) decomposes a
+/// Implements [`crate::Snapshot`]: [`cut`](crate::Snapshot::cut) is a
+/// feed with one cut barrier ([`Feed::cut`]: every shard encodes its
+/// chain record on its own worker, at the same stream position) that
+/// packs the records into one `HMPC` container, and
+/// [`churn`](Self::churn) a feed with one churn barrier;
+/// [`restore_chain`](Self::restore_chain) decomposes a
 /// container chain back into per-shard chains
 /// ([`record::restore_shards`]); a failed restore leaves every shard
 /// untouched.
@@ -552,18 +565,14 @@ impl ParallelSession {
         self.drive(events, false)
     }
 
-    /// Applies a churn op after everything processed so far: the router
-    /// checks it and compiles the post-churn plan ([`ShardRouter::apply`]),
-    /// then every shard engine installs that plan. Returns the windows
-    /// the op drained (see the churn contract on
+    /// Applies a churn op after everything processed so far, at the
+    /// churn barrier of a feed of its own ([`Feed::churn`]). Returns the
+    /// windows the op drained (see the churn contract on
     /// [`HamletEngine::remove_query`]), canonically sorted. A rejected
     /// op returns its error and changes nothing.
     pub fn churn(&mut self, op: ChurnOp) -> Result<Vec<WindowResult>, ChurnError> {
-        self.router.apply(&op)?;
-        let mut drained = Vec::new();
-        for eng in &mut self.engines {
-            drained.append(&mut eng.install(&self.router.plan).drained);
-        }
+        let (applied, mut drained) = self.feed(BatchCut::Size, &(), |f| f.churn(op));
+        applied?;
         sort_results(&mut drained);
         Ok(drained)
     }
@@ -696,18 +705,15 @@ impl ParallelSession {
 impl Snapshot for ParallelSession {
     fn cut(&mut self, kind: CutKind) -> Result<Checkpoint, CheckpointError> {
         // The record kind must be uniform across shards (the container
-        // speaks for all of them with one chain position): a delta cut
+        // speaks for all of them with one chain position), and between
+        // calls one shard may have been restored alone: a delta cut
         // happens only when *every* shard can prove one sound.
         let kind = match kind {
             CutKind::Delta if self.engines.iter().all(|e| e.dirty.sound()) => CutKind::Delta,
             _ => CutKind::Full,
         };
-        let shards: Vec<Checkpoint> = self
-            .engines
-            .iter_mut()
-            .map(|e| record::cut(e, kind))
-            .collect();
-        let meta = Checkpoint::container_meta(PARALLEL_VERSION, &shards)?;
+        let (cut, _) = self.feed(BatchCut::Size, &(), |f| f.cut(kind, PARALLEL_VERSION));
+        let (shards, meta) = cut?;
         let bytes = checkpoint::container_header(
             &PARALLEL_MAGIC,
             PARALLEL_VERSION,
@@ -908,8 +914,7 @@ mod tests {
             // barrier; the victim is dropped with its windows open.
             let mut chain = Vec::new();
             let mut cut_now = |f: &mut Feed<'_, (), ()>| {
-                let shards = f.cut(CutKind::Delta).unwrap();
-                Checkpoint::container_meta(PARALLEL_VERSION, &shards).unwrap();
+                let (shards, _) = f.cut(CutKind::Delta, PARALLEL_VERSION).unwrap();
                 chain.push(container(&shards));
             };
             let mut sess = par.session();
@@ -1808,6 +1813,82 @@ mod tests {
             sort_results(&mut out);
             assert_eq!(out, offline.results, "{workers} workers");
         }
+    }
+
+    /// The cut barrier moves where each shard's record is encoded — on
+    /// its own worker — not what the record says: at 2 and 4 workers, a
+    /// session's base and the delta after it are byte-identical to the
+    /// records a twin session cuts shard by shard on the caller's thread
+    /// and packs the same way. (Latency samples and decision time are
+    /// wall-clock: both off, so that twins can agree.)
+    #[test]
+    fn a_session_cut_is_the_serial_cut_byte_for_byte() {
+        let (reg, queries, events) = setup();
+        let cfg = EngineConfig {
+            track_latency: false,
+            obs: false,
+            ..EngineConfig::default()
+        };
+        for workers in [2u32, 4] {
+            let par =
+                ParallelEngine::new(reg.clone(), queries.clone(), cfg.clone(), workers).unwrap();
+            let (mut session, mut twin) = (par.session(), par.session());
+            for (i, span) in [&events[..70], &events[70..150]].into_iter().enumerate() {
+                session.process(span);
+                twin.process(span);
+                let ck = session.cut(CutKind::Delta).unwrap();
+                let shards: Vec<Checkpoint> = (twin.engines_mut().iter_mut())
+                    .map(|eng| record::cut(eng, CutKind::Delta))
+                    .collect();
+                let serial = checkpoint::container_header(
+                    &PARALLEL_MAGIC,
+                    PARALLEL_VERSION,
+                    workers,
+                    &shards,
+                )
+                .finish();
+                assert_eq!(ck.is_delta(), i > 0, "{workers} workers, cut {i}");
+                assert_eq!(ck.as_bytes(), serial, "{workers} workers, cut {i}");
+            }
+        }
+    }
+
+    /// Between calls one shard can lose its delta interval alone:
+    /// restored from its own `checkpoint()` blob through `engines_mut`,
+    /// shard 0's dirty log is void and shard 1's is not. The cut barrier
+    /// alone would then return records that disagree; the session asks
+    /// for a base instead, which a chain restore accepts, and the
+    /// restored session's next full cut is byte-identical to the
+    /// survivor's.
+    #[test]
+    fn mixed_soundness_cuts_a_restorable_base() {
+        let (reg, queries, events) = setup();
+        let par = ParallelEngine::new(reg, queries, EngineConfig::default(), 2).unwrap();
+        let mixed = || {
+            let mut sess = par.session();
+            sess.process(&events[..80]);
+            sess.cut(CutKind::Full).unwrap();
+            sess.process(&events[80..140]);
+            let blob = sess.engines()[0].checkpoint();
+            sess.engines_mut()[0].restore(&blob).unwrap();
+            sess
+        };
+        let barrier = mixed().feed(BatchCut::Size, &(), |f| {
+            f.cut(CutKind::Delta, PARALLEL_VERSION)
+        });
+        assert!(matches!(barrier.0, Err(CheckpointError::Corrupt(_))));
+
+        let mut survivor = mixed();
+        let ck = survivor.cut(CutKind::Delta).unwrap();
+        assert!(!ck.is_delta());
+        assert_eq!(ck.seq(), 2);
+        assert!((shards_of(&ck).iter()).all(|shard| record::frame_of(shard).unwrap().base));
+        let mut restored = par.session();
+        restored.restore_chain(&[ck]).unwrap();
+        assert_eq!(
+            restored.cut(CutKind::Full).unwrap().as_bytes(),
+            survivor.cut(CutKind::Full).unwrap().as_bytes()
+        );
     }
 
     #[test]

@@ -1258,21 +1258,27 @@ mod tests {
     /// 1 `Linear`, 2 `MinMax`), 2–5 members with their own head / tail
     /// types (so `B` starts trends for some members only), Leading / Gap /
     /// Trailing negations of `N`, and per-member selections on `B` and
-    /// `N` including none and all-reject. `shape` 1 drops the negations
-    /// and selections (with `CountOnly`, every burst is a count); `shape`
-    /// 2 gives some members an edge predicate on `B` (its bursts are the
-    /// events).
+    /// `N` including none and all-reject. `shape` 0 always buffers cells:
+    /// a `CountOnly` group whose members drew no negation and no
+    /// selection on `B` gets one on its last member. `shape` 1 drops the
+    /// negations and selections (with `CountOnly`, every burst is a
+    /// count); `shape` 2 gives some members an edge predicate on `B` (its
+    /// bursts are the events).
     fn random_group(next: &mut impl FnMut() -> u64, skel: u64, shape: u64) -> Arc<GroupRuntime> {
         use hamlet_query::{AggFunc, CmpOp, EdgePredicate, QueryId, SelectionPredicate};
         let ty = |t| Pattern::Type(t);
         let not_n = || Pattern::Not(Box::new(Pattern::Type(N)));
         let bs = || Pattern::plus(Pattern::Type(B));
         let is_max = next().is_multiple_of(2);
-        let members: Vec<Arc<Query>> = (0..2 + next() % 4)
+        let n = 2 + next() % 4;
+        let mut cells = skel != 0 || shape != 0;
+        let members: Vec<Arc<Query>> = (0..n)
             .map(|i| {
                 // Lattice values cannot be un-blocked: no negation there.
                 let plain = skel == 2 || shape == 1;
-                let pattern = match next() % if plain { 4 } else { 7 } {
+                let form = next() % if plain { 4 } else { 7 };
+                cells |= form >= 4;
+                let pattern = match form {
                     0 => bs(),
                     1 => Pattern::seq(vec![ty(A), bs()]),
                     2 => Pattern::seq(vec![ty(C), bs()]),
@@ -1298,11 +1304,20 @@ mod tests {
                         2 => (CmpOp::Ge, (next() % 10) as f64),
                         _ => (CmpOp::Lt, -1.0), // rejects every event
                     };
+                    cells |= ty == B;
                     selections.push(SelectionPredicate {
                         ty,
                         attr: 0,
                         op,
                         value: hamlet_types::AttrValue::Float(cut),
+                    });
+                }
+                if !cells && i + 1 == n {
+                    selections.push(SelectionPredicate {
+                        ty: B,
+                        attr: 0,
+                        op: CmpOp::Ge,
+                        value: hamlet_types::AttrValue::Float((next() % 10) as f64),
                     });
                 }
                 let edges = if shape == 2 && !next().is_multiple_of(3) {

@@ -913,17 +913,16 @@ impl<Src: Source> Ingest<Src> {
 
     /// A coordinated checkpoint cut at the current barrier
     /// ([`Feed::cut`]: every shard serializes at exactly the same stream
-    /// position), assembled into the pipeline container with the chain
-    /// position its shard records agree on. Each worker handed its
-    /// pre-cut results to the sink before it answered the cut, so the
-    /// recorded counters are exact.
+    /// position, and the chain position its records agree on comes back
+    /// with them), assembled into the pipeline container. Each worker
+    /// handed its pre-cut results to the sink before it answered the
+    /// cut, so the recorded counters are exact.
     fn coordinated_cut(
         &mut self,
         feed: &mut ShardFeed<'_>,
         kind: CutKind,
     ) -> Result<(PipelineCheckpoint, ChainMeta), CheckpointError> {
-        let shards = feed.cut(kind)?;
-        let meta = Checkpoint::container_meta(PIPELINE_VERSION, &shards)?;
+        let (shards, meta) = feed.cut(kind, PIPELINE_VERSION)?;
         let engines = shards.into_iter().map(Checkpoint::into_bytes).collect();
         let counters = self.shared.counters();
         let container = PipelineCheckpoint {

@@ -11,7 +11,7 @@
 //! which partition it lands in can never disagree.
 
 use crate::burst::{Cell, Chunk, FlushEnv};
-use crate::executor::{shard_index, CompiledWorkload, GroupExec, HamletEngine, WindowResult};
+use crate::executor::{shard_index, CompiledWorkload, HamletEngine, WindowResult};
 use crate::expiry::Partition;
 use crate::keyhash::{KeyMap, KeyState};
 use hamlet_obs::Stage;
@@ -36,7 +36,7 @@ struct Bucket {
 /// allocation. Pure scratch: cleared between segments, never serialized,
 /// and holds no semantic state.
 pub(crate) struct BatchScratch {
-    /// Per key class (see [`HamletEngine::route`]): the key built for the
+    /// Per key class (see [`CompiledWorkload::route`]): the key built for the
     /// current event, whether it has been built yet, and whether it
     /// passes the shard filter. Groups with identical partition-slot
     /// tables share one key computation (and one shard verdict) per event
@@ -105,16 +105,15 @@ impl BatchScratch {
 /// classifies without allocating. The router's verdicts and
 /// [`HamletEngine::shard_mask`] are both read off this one loop.
 pub(crate) fn class_shards(
-    groups: &[GroupExec],
-    key_reps: &[Vec<u32>],
+    plan: &CompiledWorkload,
     e: &Event,
     total: u32,
     key: &mut GroupKey,
     mut each: impl FnMut(usize, usize),
 ) {
-    let reps = key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
+    let reps = plan.key_reps.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
     for (p, &gi) in reps.iter().enumerate() {
-        groups[gi as usize].partition_key_into(e, key);
+        plan.groups[gi as usize].partition_key_into(e, key);
         each(p, shard_index(key, total) as usize);
     }
 }
@@ -138,9 +137,7 @@ impl HamletEngine {
             "shard_mask needs 1..=64 shards, got {total}"
         );
         let (key, mut mask) = (&mut GroupKey(Vec::new()), 0u64);
-        class_shards(&self.groups, &self.key_reps, e, total, key, |_, s| {
-            mask |= 1 << s
-        });
+        class_shards(&self.plan, e, total, key, |_, s| mask |= 1 << s);
         mask
     }
 
@@ -270,7 +267,7 @@ impl HamletEngine {
     ) -> usize {
         // hamlet-lint: allow(wallclock) -- latency stamp (only under track_latency); feeds the recorder, not results
         let now = self.cfg.track_latency.then(Instant::now);
-        let shard = self.cfg.shard;
+        let (shard, plan) = (self.cfg.shard, &*self.plan);
         let BatchScratch {
             class_keys,
             class_built,
@@ -296,7 +293,7 @@ impl HamletEngine {
         // below must use each event's own fold-order watermark.
         debug_assert!(buckets.is_empty());
         wms.clear();
-        let stride = self.groups.len();
+        let stride = plan.groups.len();
         let mut min_end = (self.expiry.peek()).map_or(u64::MAX, |Reverse(e)| e.end);
         let mut wm = head_wm.ticks();
         let mut n_routed = 0u64;
@@ -309,7 +306,7 @@ impl HamletEngine {
             }
             wm = new_wm;
             let mut routed = false;
-            let entries = self.route.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
+            let entries = plan.route.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
             if !entries.is_empty() {
                 class_built.fill(false);
                 wnd_done.fill(false);
@@ -317,7 +314,7 @@ impl HamletEngine {
             let mut p = 0;
             for &(gi, tl, class, wnd) in entries {
                 let (gi, ci, wi) = (gi as usize, class as usize, wnd as usize);
-                let g = &self.groups[gi];
+                let g = &plan.groups[gi];
                 if !class_built[ci] {
                     g.partition_key_into(e, &mut class_keys[ci]);
                     class_built[ci] = true;
@@ -392,18 +389,18 @@ impl HamletEngine {
                 m.events_routed += b.events.len() as u64;
             }
             self.dirty.mark(gi, &b.key);
-            let g = &mut self.groups[gi];
+            let (g, st) = (&plan.groups[gi], &mut self.groups[gi]);
             let window = g.window;
             let within = window.within;
             let pane = g.pane;
             // One partition probe per (segment, key); only a first-seen
             // key pays a second one and the clone into the map.
             let mut part = Partition {
-                runs: match g.partitions.get_mut(&b.key) {
+                runs: match st.partitions.get_mut(&b.key) {
                     Some(runs) => runs,
-                    None => g.partitions.entry(b.key.clone()).or_default(),
+                    None => st.partitions.entry(b.key.clone()).or_default(),
                 },
-                slab: &mut g.slab,
+                slab: &mut st.slab,
                 group: gi,
                 key: &b.key,
                 rt: &g.rt,
@@ -412,7 +409,7 @@ impl HamletEngine {
             };
             let mut env = FlushEnv {
                 cfg: &self.cfg,
-                estimator: &mut g.estimator,
+                estimator: &mut st.estimator,
                 stats: &mut self.stats,
                 ctx: &mut self.burst_ctx,
                 bytes: &mut self.run_bytes,
@@ -492,7 +489,7 @@ impl HamletEngine {
             // A first-seen key whose every window instance was late would
             // leave an empty run map behind — drop it, it holds no state.
             if late_skipped && part.runs.is_empty() {
-                g.partitions.remove(&b.key);
+                st.partitions.remove(&b.key);
             }
             b.events.clear();
             spare.push(b);

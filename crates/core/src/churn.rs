@@ -9,9 +9,7 @@
 //! the rest drain; installing cannot fail.
 
 use crate::batch::BatchScratch;
-use crate::executor::{
-    Combiner, CompiledWorkload, EngineError, GroupExec, HamletEngine, WindowResult,
-};
+use crate::executor::{CompiledWorkload, EngineError, GroupState, HamletEngine, WindowResult};
 use crate::keyhash::KeyMap;
 use crate::optimizer::decide;
 use crate::run::Run;
@@ -19,6 +17,7 @@ use hamlet_obs::GroupMetrics;
 use hamlet_query::{Query, QueryId};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// One workload-churn operation: register or retire a query on a live
 /// engine (see [`HamletEngine::add_query`] /
@@ -183,70 +182,33 @@ impl HamletEngine {
     /// post-churn workload is compiled before any engine state is
     /// touched.
     pub fn apply(&mut self, op: ChurnOp) -> Result<ChurnReport, ChurnError> {
-        let next = next_queries(&self.queries, &op)?;
-        let plan = Self::compile(&self.reg, next, &self.cfg).map_err(ChurnError::Engine)?;
-        Ok(self.install(&plan))
+        let next = next_queries(&self.plan.queries, &op)?;
+        let plan = Self::compile(&self.plan.reg, next, &self.cfg).map_err(ChurnError::Engine)?;
+        Ok(self.install(Arc::new(plan)))
     }
 
-    /// Per-group member signature used to match groups across a churn:
-    /// `(original query id, half tag)` per member, in member order. Half
-    /// ids of decomposed general queries are renumbered whenever the
-    /// query set changes (`compile` numbers them from `max(id)+1`), so
-    /// identity must go through the original id plus which half it is
-    /// (0 = the query itself, 1 = left half, 2 = right half).
-    pub(crate) fn group_sigs(
-        groups: &[GroupExec],
-        sub_of: &HashMap<QueryId, usize>,
-        combiners: &[Combiner],
-    ) -> Vec<Vec<(u32, u8)>> {
-        groups
-            .iter()
-            .map(|g| {
-                g.rt.queries
-                    .iter()
-                    .map(|q| match sub_of.get(&q.id) {
-                        None => (q.id.0, 0u8),
-                        Some(&ci) => {
-                            let c = &combiners[ci];
-                            if q.id == c.left {
-                                (c.orig.0, 1)
-                            } else {
-                                (c.orig.0, 2)
-                            }
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Rebuilds the engine around a compiled post-churn workload — its
-    /// own, or the plan a shard router compiled once for every shard —
-    /// carrying over every share group whose membership is unchanged and
-    /// draining the rest.
-    pub(crate) fn install(&mut self, compiled: &CompiledWorkload) -> ChurnReport {
-        let mut groups: Vec<GroupExec> = (compiled.groups.iter())
-            .map(|g| g.instance(self.keys))
-            .collect();
+    /// Switches the engine to a compiled post-churn workload — its own,
+    /// or the plan a shard router compiled once for every shard —
+    /// carrying over the state of every share group whose membership is
+    /// unchanged and draining the rest.
+    pub(crate) fn install(&mut self, plan: Arc<CompiledWorkload>) -> ChurnReport {
         // Match old groups to new ones by member signature. Each
         // (query, half) lives in exactly one group on each side, so the
         // match is a partial bijection; member *order* must also agree
         // because run state is indexed by member position.
-        let old_sigs = Self::group_sigs(&self.groups, &self.sub_of, &self.combiners);
-        let new_sigs = Self::group_sigs(&groups, &compiled.sub_of, &compiled.combiners);
-        let mut old_of_new: Vec<Option<usize>> = vec![None; groups.len()];
+        let mut old_of_new: Vec<Option<usize>> = vec![None; plan.groups.len()];
         let mut carried_old: Vec<bool> = vec![false; self.groups.len()];
-        for (oi, os) in old_sigs.iter().enumerate() {
-            if let Some(ni) = new_sigs.iter().position(|ns| ns == os) {
+        for (oi, og) in self.plan.groups.iter().enumerate() {
+            if let Some(ni) = plan.groups.iter().position(|ng| ng.sig == og.sig) {
                 old_of_new[ni] = Some(oi);
                 carried_old[oi] = true;
             }
         }
 
         // Drain the in-flight windows of every group that does not carry
-        // over, through the normal finalization path (the old groups,
-        // estimators, and combiners are still installed, so general-query
-        // halves pair correctly).
+        // over, through the normal finalization path (the old plan and
+        // estimators are still installed, so general-query halves pair
+        // correctly).
         let mut finished = Vec::new();
         for (oi, carried) in carried_old.iter().enumerate() {
             if *carried {
@@ -265,7 +227,7 @@ impl HamletEngine {
         // query survives are re-keyed to the new combiner table and keep
         // waiting; entries of removed queries emit now with the missing
         // half = 0, as their window's close would have.
-        let new_ci_of_orig: HashMap<u32, usize> = compiled
+        let new_ci_of_orig: HashMap<u32, usize> = plan
             .combiners
             .iter()
             .enumerate()
@@ -275,10 +237,10 @@ impl HamletEngine {
         let mut orphaned = Vec::new();
         // hamlet-lint: allow(unordered-iter) -- re-keys into a map; settle_orphans sorts the orphaned halves canonically before emitting
         for ((ci, key, start), (id, count)) in self.pending.drain() {
-            let oc = &self.combiners[ci];
+            let oc = &self.plan.combiners[ci];
             match new_ci_of_orig.get(&oc.orig.0) {
                 Some(&nci) => {
-                    let nc = &compiled.combiners[nci];
+                    let nc = &plan.combiners[nci];
                     let nid = if id == oc.left { nc.left } else { nc.right };
                     surviving_pending.insert((nci, key, start), (nid, count));
                 }
@@ -289,38 +251,36 @@ impl HamletEngine {
         // is attributed to the (old) group that held it.
         self.settle_orphans(orphaned, &mut drained);
 
-        // Migrate carried groups: the group is recompiled (identical
-        // runtime — deterministic from the member set), the live runs and
-        // learned statistics move over, and each run re-points at the
-        // new runtime.
-        let mut groups_carried = 0;
-        for (ni, oi) in old_of_new.iter().enumerate() {
-            let Some(oi) = *oi else { continue };
-            groups_carried += 1;
-            let ng = &mut groups[ni];
-            let og = &mut self.groups[oi];
-            std::mem::swap(&mut ng.partitions, &mut og.partitions);
-            ng.slab = std::mem::take(&mut og.slab);
-            std::mem::swap(&mut ng.estimator, &mut og.estimator);
-            // Recycled runs of the old runtime stay behind with it.
-            ng.slab.drop_free(&mut ng.partitions);
-            for slot in ng.slab.slots_mut() {
-                slot.rs.run.retarget(ng.rt.clone());
-            }
-        }
+        // Carry over: a carried group's live runs and learned statistics
+        // move to its new index, and each run re-points at the new plan's
+        // runtime (identical — deterministic from the member set); every
+        // other group starts empty.
+        let mut before: Vec<Option<GroupState>> = std::mem::take(&mut self.groups)
+            .into_iter()
+            .map(Some)
+            .collect();
+        self.groups = (plan.groups.iter().zip(&old_of_new))
+            .map(|(g, oi)| match oi.and_then(|oi| before[oi].take()) {
+                Some(mut s) => {
+                    // Recycled runs of the old runtime stay behind with it.
+                    s.slab.drop_free(&mut s.partitions);
+                    for slot in s.slab.slots_mut() {
+                        slot.rs.run.retarget(g.rt.clone());
+                    }
+                    s
+                }
+                None => GroupState::new(g, plan.alpha, self.keys),
+            })
+            .collect();
+        let groups_carried = old_of_new.iter().flatten().count();
+        let groups_rebuilt = old_of_new.len() - groups_carried;
 
-        // Commit: swap in the compiled workload, rebuild the expiration
-        // index (group indices changed), keep the stream-global state
-        // (watermark, counters, metrics) running.
-        let groups_rebuilt = groups.len() - groups_carried;
-        self.groups = groups;
-        self.combiners = compiled.combiners.clone();
-        self.sub_of = compiled.sub_of.clone();
-        self.route = compiled.route.clone();
-        self.key_reps = compiled.key_reps.clone();
-        self.scratch = BatchScratch::new(compiled, self.keys);
+        // Commit: the new plan, the expiration index rebuilt (group
+        // indices changed); the stream-global state (watermark, counters,
+        // metrics) keeps running.
+        self.scratch = BatchScratch::new(&plan, self.keys);
+        self.plan = plan;
         self.pending = surviving_pending;
-        self.queries = compiled.queries.clone();
         self.epoch += 1;
         // Group indices just changed meaning; the dirty log keyed by the
         // old layout is useless. The next delta cut is promoted to a
@@ -328,13 +288,9 @@ impl HamletEngine {
         self.dirty.void();
         self.rebuild_expiry();
 
-        let placements: Vec<GroupPlacement> = self
-            .groups
-            .iter()
-            .enumerate()
-            .map(|(ni, g)| self.placement_for(g, old_of_new[ni].is_some()))
+        let placements: Vec<GroupPlacement> = (0..self.groups.len())
+            .map(|ni| self.placement_for(ni, old_of_new[ni].is_some()))
             .collect();
-
         // Rebuild the observability registry for the new group layout:
         // carried groups keep their counters (moved via the signature
         // match), rebuilt groups start at zero (their history was
@@ -342,16 +298,15 @@ impl HamletEngine {
         // benefit model just re-priced.
         if self.cfg.obs {
             let old_obs = std::mem::take(&mut self.obs);
-            self.obs = new_sigs
-                .iter()
+            self.obs = (self.plan.groups.iter())
                 .enumerate()
-                .map(|(ni, sig)| {
+                .map(|(ni, g)| {
                     let mut m = match old_of_new[ni].and_then(|oi| old_obs.get(oi)) {
                         Some(old) => old.clone(),
                         None => GroupMetrics::default(),
                     };
                     m.group = ni as u32;
-                    m.sig = sig.clone();
+                    m.sig = g.sig.clone();
                     m.shared = placements[ni].shared;
                     m.benefit = placements[ni].benefit;
                     m
@@ -373,7 +328,8 @@ impl HamletEngine {
     /// group's divergence statistics (learned, for carried groups; the
     /// optimistic zero-divergence prior for fresh ones — the same bias
     /// the per-burst optimizer starts from).
-    pub(crate) fn placement_for(&self, g: &GroupExec, carried_over: bool) -> GroupPlacement {
+    pub(crate) fn placement_for(&self, gi: usize, carried_over: bool) -> GroupPlacement {
+        let (g, estimator) = (&self.plan.groups[gi], &self.groups[gi].estimator);
         let members: Vec<QueryId> = g.rt.queries.iter().map(|q| q.id).collect();
         if g.rt.k() < 2 {
             return GroupPlacement {
@@ -395,7 +351,7 @@ impl HamletEngine {
             ctx.diverging = ctx
                 .candidates
                 .iter()
-                .map(|&q| g.estimator.predict(tl, q, NOMINAL_BURST))
+                .map(|&q| estimator.predict(tl, q, NOMINAL_BURST))
                 .collect();
             // Def. 12 benefit of sharing the *whole* candidate set (can be
             // negative — the optimizer would then process solo or share a

@@ -246,7 +246,9 @@ pub fn sort_results(results: &mut [WindowResult]) {
     });
 }
 
-pub(crate) struct GroupExec {
+/// One share group as compiled: what every engine running the plan
+/// reads and none of them changes.
+pub(crate) struct GroupPlan {
     pub(crate) rt: Arc<GroupRuntime>,
     pub(crate) window: Window,
     pub(crate) pane: u64,
@@ -255,34 +257,19 @@ pub(crate) struct GroupExec {
     /// partition attribute, resolved once at build time so the hot path
     /// never does per-event attribute-name lookups (string compares).
     partition_slots: Vec<Vec<Option<usize>>>,
-    /// Per partition key, its live runs as handles into `slab`.
-    pub(crate) partitions: KeyMap<GroupKey, Runs>,
-    /// The group's runs (see [`RunSlab`]).
-    pub(crate) slab: RunSlab,
     /// Per member: the combiner it is a half of, if it is a sub-query of
     /// a decomposed general query (`sub_of`, resolved once).
     pub(crate) combiner_of: Vec<Option<usize>>,
-    /// Stream statistics for O(k) dynamic decisions (shared across the
-    /// group's partitions — divergence is a property of the stream).
-    pub(crate) estimator: DivergenceEstimator,
+    /// The member signature a churn matches groups by: `(original query
+    /// id, half tag)` per member, in member order. Half ids of decomposed
+    /// general queries are renumbered whenever the query set changes
+    /// (`compile` numbers them from `max(id)+1`), so identity goes
+    /// through the original id plus which half it is (0 = the query
+    /// itself, 1 = left half, 2 = right half).
+    pub(crate) sig: Vec<(u32, u8)>,
 }
 
-impl GroupExec {
-    /// A copy for one engine to own, its partitions hashed under the
-    /// engine's `keys`: the runtime shared, the tables cloned, no state.
-    pub(crate) fn instance(&self, keys: KeyState) -> GroupExec {
-        GroupExec {
-            rt: self.rt.clone(),
-            partition_attrs: self.partition_attrs.clone(),
-            partition_slots: self.partition_slots.clone(),
-            partitions: KeyMap::with_hasher(keys),
-            slab: RunSlab::default(),
-            combiner_of: self.combiner_of.clone(),
-            estimator: self.estimator.clone(),
-            ..*self
-        }
-    }
-
+impl GroupPlan {
     /// Writes `e`'s partition key into `key` (cleared first) through the
     /// pre-resolved slots: no name lookups, and no allocation beyond what
     /// `key` already owns. Every classifier — the batch scan, the shard
@@ -295,6 +282,30 @@ impl GroupExec {
                 Some(v) => v.clone(),
                 None => AttrValue::Int(0),
             });
+        }
+    }
+}
+
+/// One share group's state in one engine, parallel to the plan's
+/// [`GroupPlan`] of the same index.
+pub(crate) struct GroupState {
+    /// Per partition key, its live runs as handles into `slab`.
+    pub(crate) partitions: KeyMap<GroupKey, Runs>,
+    /// The group's runs (see [`RunSlab`]).
+    pub(crate) slab: RunSlab,
+    /// Stream statistics for O(k) dynamic decisions (shared across the
+    /// group's partitions — divergence is a property of the stream).
+    pub(crate) estimator: DivergenceEstimator,
+}
+
+impl GroupState {
+    /// No runs, and the estimator's prior, its partitions hashed under
+    /// the engine's `keys`.
+    pub(crate) fn new(g: &GroupPlan, alpha: f64, keys: KeyState) -> GroupState {
+        GroupState {
+            partitions: KeyMap::with_hasher(keys),
+            slab: RunSlab::default(),
+            estimator: DivergenceEstimator::new(g.rt.template.num_types(), g.rt.k(), alpha),
         }
     }
 }
@@ -318,28 +329,45 @@ pub(crate) struct Combiner {
 /// [`HamletEngine::new`] and by runtime query churn, so a churned engine
 /// and a fresh engine over the same final query set agree on every
 /// compiled structure (and therefore on the workload fingerprint). An
-/// engine reads it without consuming it, so a sharded runtime compiles
-/// it once per workload change and every shard engine installs it.
+/// engine holds it behind an `Arc` and never changes it: a sharded
+/// runtime compiles it once per workload change and every shard engine
+/// holds the same one.
 pub(crate) struct CompiledWorkload {
+    /// The registry the queries were compiled against.
+    pub(crate) reg: Arc<TypeRegistry>,
     /// The (original, pre-decomposition) query list compiled.
     pub(crate) queries: Vec<Query>,
-    pub(crate) groups: Vec<GroupExec>,
+    pub(crate) groups: Vec<GroupPlan>,
     pub(crate) combiners: Vec<Combiner>,
-    pub(crate) sub_of: HashMap<QueryId, usize>,
+    /// `route[type]` — the `(group, local type, key class, window class)`
+    /// rows of every group the type is local to, so the batched scan only
+    /// touches matching groups. Key classes number groups with identical
+    /// partition-slot tables (one class = one key build per event);
+    /// window classes additionally fold in the window, deduplicating the
+    /// segment-boundary computation.
     pub(crate) route: Vec<Vec<(u32, u32, u32, u32)>>,
+    /// `key_reps[type]` — one representative group per key class among
+    /// `route[type]`'s rows: the keys (and shard hashes) an event of the
+    /// type carries, each built once ([`HamletEngine::shard_mask`]).
     pub(crate) key_reps: Vec<Vec<u32>>,
     pub(crate) num_classes: usize,
     pub(crate) num_wnd_classes: usize,
+    /// The EMA smoothing factor a fresh group's estimator starts with.
+    pub(crate) alpha: f64,
+    /// The window grid: the gcd of every query's `within` and `slide`.
+    /// Window instances start on multiples of their slide, so every
+    /// window end is a multiple of it — an event can close a window only
+    /// by reaching the next one. 1 for an empty workload.
+    pub(crate) grid: u64,
 }
 
 /// The multi-query trend aggregation engine (§2.2).
 pub struct HamletEngine {
-    pub(crate) reg: Arc<TypeRegistry>,
     pub(crate) cfg: EngineConfig,
-    pub(crate) groups: Vec<GroupExec>,
-    pub(crate) combiners: Vec<Combiner>,
-    /// sub-query id → combiner index.
-    pub(crate) sub_of: HashMap<QueryId, usize>,
+    /// The compiled workload the engine runs; replaced whole by a churn.
+    pub(crate) plan: Arc<CompiledWorkload>,
+    /// Per share group of `plan`, the engine's state of it.
+    pub(crate) groups: Vec<GroupState>,
     /// (combiner, key, window) → the half that arrived first.
     pub(crate) pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// Watermark expiration index: min-heap over the window ends of every
@@ -360,17 +388,6 @@ pub struct HamletEngine {
     pub(crate) gauge: MemoryGauge,
     /// Reusable batch-path buffers (see [`BatchScratch`]).
     pub(crate) scratch: BatchScratch,
-    /// `route[type]` — the `(group, local type, key class, window class)`
-    /// rows of every group the type is local to, so the batched scan only
-    /// touches matching groups. Key classes number groups with identical
-    /// partition-slot tables (one class = one key build per event);
-    /// window classes additionally fold in the window, deduplicating the
-    /// segment-boundary computation.
-    pub(crate) route: Vec<Vec<(u32, u32, u32, u32)>>,
-    /// `key_reps[type]` — one representative group per key class among
-    /// `route[type]`'s rows: the keys (and shard hashes) an event of the
-    /// type carries, each built once ([`Self::shard_mask`]).
-    pub(crate) key_reps: Vec<Vec<u32>>,
     /// Reused optimizer inputs of the per-burst decision — scratch only.
     pub(crate) burst_ctx: BurstCtx,
     pub(crate) event_counter: u64,
@@ -387,9 +404,6 @@ pub struct HamletEngine {
     /// Attached stage-span recorder and the lane to record on
     /// (`None` = spans off; see [`Self::attach_span_recorder`]).
     span: Option<(Arc<SpanRecorder>, u32)>,
-    /// The original (pre-decomposition) query set, kept so runtime churn
-    /// can recompile the workload from scratch.
-    pub(crate) queries: Vec<Query>,
     /// Workload epoch: 0 at construction, +1 per successful churn.
     /// Stamped into checkpoints so restore can reject state taken under
     /// a different query set generation.
@@ -407,24 +421,20 @@ impl HamletEngine {
         queries: Vec<Query>,
         cfg: EngineConfig,
     ) -> Result<HamletEngine, EngineError> {
-        Self::compile(&reg, queries, &cfg).map(|plan| Self::from_plan(reg, cfg, &plan))
+        Self::compile(&reg, queries, &cfg).map(|plan| Self::from_plan(cfg, Arc::new(plan)))
     }
 
-    /// Builds an engine that runs a compiled workload — one
-    /// [`compile`](Self::compile)d under a configuration that differs
-    /// from `cfg` at most in `shard` — sharing its group runtimes.
-    pub(crate) fn from_plan(
-        reg: Arc<TypeRegistry>,
-        cfg: EngineConfig,
-        compiled: &CompiledWorkload,
-    ) -> HamletEngine {
+    /// Builds an engine that runs `plan` — one [`compile`](Self::compile)d
+    /// under a configuration with `cfg`'s `divergence`, the one setting
+    /// the compile reads — and holds it rather than a copy: every engine
+    /// built from one `Arc` shares its tables and group runtimes.
+    pub(crate) fn from_plan(cfg: EngineConfig, plan: Arc<CompiledWorkload>) -> HamletEngine {
         let keys = KeyState::new();
         let mut eng = HamletEngine {
-            reg,
             cfg,
-            groups: (compiled.groups.iter()).map(|g| g.instance(keys)).collect(),
-            combiners: compiled.combiners.clone(),
-            sub_of: compiled.sub_of.clone(),
+            groups: (plan.groups.iter())
+                .map(|g| GroupState::new(g, plan.alpha, keys))
+                .collect(),
             pending: KeyMap::with_hasher(keys),
             expiry: BinaryHeap::new(),
             run_bytes: 0,
@@ -434,15 +444,13 @@ impl HamletEngine {
             stats: EngineStats::default(),
             latency: LatencyRecorder::new(),
             gauge: MemoryGauge::new(),
-            scratch: BatchScratch::new(compiled, keys),
-            route: compiled.route.clone(),
-            key_reps: compiled.key_reps.clone(),
+            scratch: BatchScratch::new(&plan, keys),
+            plan,
             burst_ctx: BurstCtx::default(),
             obs: Vec::new(),
             span: None,
             event_counter: 0,
             watermark: None,
-            queries: compiled.queries.clone(),
             epoch: 0,
             dirty: DirtyLog::new(keys),
             keys,
@@ -458,14 +466,10 @@ impl HamletEngine {
     /// sharing decision exactly as a churn barrier would
     /// ([`Self::placement_for`]); counters start at zero.
     fn build_obs(&self) -> Vec<GroupMetrics> {
-        let sigs = Self::group_sigs(&self.groups, &self.sub_of, &self.combiners);
-        self.groups
-            .iter()
-            .zip(sigs)
-            .enumerate()
-            .map(|(gi, (g, sig))| {
-                let p = self.placement_for(g, false);
-                let mut m = GroupMetrics::new(gi as u32, sig);
+        (0..self.groups.len())
+            .map(|gi| {
+                let p = self.placement_for(gi, false);
+                let mut m = GroupMetrics::new(gi as u32, self.plan.groups[gi].sig.clone());
                 m.shared = p.shared;
                 m.benefit = p.benefit;
                 m
@@ -528,7 +532,7 @@ impl HamletEngine {
             DivergenceMode::Exact => 0.5,
         };
         let plan = workload::analyze(&simple).map_err(EngineError::Workload)?;
-        let groups: Vec<GroupExec> = plan
+        let groups: Vec<GroupPlan> = plan
             .groups
             .iter()
             .map(|g| {
@@ -543,19 +547,26 @@ impl HamletEngine {
                             .collect()
                     })
                     .collect();
-                GroupExec {
-                    estimator: DivergenceEstimator::new(rt.template.num_types(), rt.k(), alpha),
-                    combiner_of: (rt.queries.iter())
-                        .map(|q| sub_of.get(&q.id).copied())
-                        .collect(),
+                let combiner_of: Vec<Option<usize>> = (rt.queries.iter())
+                    .map(|q| sub_of.get(&q.id).copied())
+                    .collect();
+                let sig = (rt.queries.iter().zip(&combiner_of))
+                    .map(|(q, ci)| match *ci {
+                        None => (q.id.0, 0),
+                        Some(ci) => {
+                            let c = &combiners[ci];
+                            (c.orig.0, if q.id == c.left { 1 } else { 2 })
+                        }
+                    })
+                    .collect();
+                GroupPlan {
+                    combiner_of,
+                    sig,
                     rt,
                     window: g.window,
                     pane: pane.max(1),
                     partition_attrs: g.partition_attrs.clone(),
                     partition_slots,
-                    // Never probed: every engine instances its own.
-                    partitions: KeyMap::with_hasher(KeyState::new()),
-                    slab: RunSlab::default(),
                 }
             })
             .collect();
@@ -601,23 +612,27 @@ impl HamletEngine {
                 reps
             })
             .collect();
-        let num_classes = class_tables.len().max(1);
-        let num_wnd_classes = wnd_sigs.len().max(1);
+        let (num_classes, num_wnd_classes) = (class_tables.len().max(1), wnd_sigs.len().max(1));
+        let spans = queries
+            .iter()
+            .flat_map(|q| [q.window.within, q.window.slide]);
         Ok(CompiledWorkload {
+            reg: reg.clone(),
+            grid: hamlet_types::time::gcd_all(spans).unwrap_or(1).max(1),
             queries,
             groups,
             combiners,
-            sub_of,
             route,
             key_reps,
             num_classes,
             num_wnd_classes,
+            alpha,
         })
     }
 
     /// Number of share groups (singletons included).
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
+        self.plan.groups.len()
     }
 
     /// Event-time watermark: the maximum event timestamp processed so
@@ -634,8 +649,9 @@ impl HamletEngine {
     pub fn explain(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let _ = writeln!(out, "workload plan: {} share group(s)", self.groups.len());
-        for (gi, g) in self.groups.iter().enumerate() {
+        let (plan, reg) = (&self.plan, &self.plan.reg);
+        let _ = writeln!(out, "workload plan: {} share group(s)", plan.groups.len());
+        for (gi, g) in plan.groups.iter().enumerate() {
             let tpl = &g.rt.template;
             let members: Vec<String> = g.rt.queries.iter().map(|q| format!("{}", q.id)).collect();
             let _ = writeln!(
@@ -657,7 +673,7 @@ impl HamletEngine {
                     let _ = writeln!(
                         out,
                         "  sharable Kleene sub-pattern: {}+ (members {:?})",
-                        self.reg.name(*ty),
+                        reg.name(*ty),
                         tpl.self_loop[tl].iter().collect::<Vec<_>>(),
                     );
                 }
@@ -666,8 +682,8 @@ impl HamletEngine {
                 let _ = writeln!(
                     out,
                     "  {} -> {} [{}]",
-                    self.reg.name(from),
-                    self.reg.name(to),
+                    reg.name(from),
+                    reg.name(to),
                     qs.iter()
                         .map(|q| format!("{}", g.rt.queries[*q].id))
                         .collect::<Vec<_>>()
@@ -774,7 +790,7 @@ impl HamletEngine {
 
     /// The registered (original, pre-decomposition) query set.
     pub fn queries(&self) -> &[Query] {
-        &self.queries
+        &self.plan.queries
     }
 }
 
@@ -1325,7 +1341,7 @@ mod tests {
             };
             let mk = |queries: &[Query]| HamletEngine::new(reg.clone(), queries.to_vec(), cfg.clone()).unwrap();
             let mut eng = mk(&queries);
-            let reprs: std::collections::BTreeSet<u8> = (eng.groups.iter())
+            let reprs: std::collections::BTreeSet<u8> = (eng.plan.groups.iter())
                 .flat_map(|g| (0..g.rt.template.num_types()).map(|tl| g.rt.burst_repr(tl).tag()))
                 .collect();
             prop_assert_eq!(reprs.len(), 3, "counts, cells and events are all buffered");

@@ -314,7 +314,7 @@ impl HamletEngine {
     /// records the removal. A half that a churn drained mid-window has
     /// not closed yet and keeps waiting for its partner.
     fn settle_closed(&mut self, wm: u64, out: &mut Vec<WindowResult>) {
-        let combiners = &self.combiners;
+        let combiners = &self.plan.combiners;
         // Out of a HashMap: settle_orphans sorts before emitting.
         let closed: Vec<_> = (self.pending)
             .extract_if(|(ci, _, start), _| window_end(*start, combiners[*ci].within) <= wm)
@@ -400,7 +400,7 @@ impl HamletEngine {
         out: &mut Vec<WindowResult>,
     ) {
         for (qi, o) in outputs.iter().enumerate() {
-            let g = &self.groups[gi];
+            let g = &self.plan.groups[gi];
             let q = &g.rt.queries[qi];
             let (id, value) = (q.id, render(&q.agg, o));
             if let Some(ci) = g.combiner_of[qi] {
@@ -446,7 +446,7 @@ impl HamletEngine {
         gi: Option<usize>,
         out: &mut Vec<WindowResult>,
     ) {
-        let c = &self.combiners[ci];
+        let c = &self.plan.combiners[ci];
         let (c1, c2) = if id == c.left {
             (count, other)
         } else {
@@ -478,12 +478,13 @@ impl HamletEngine {
         out: &mut Vec<WindowResult>,
     ) {
         orphans.sort_by(|((ca, ka, sa), _), ((cb, kb, sb), _)| {
-            (sa, self.combiners[*ca].orig)
-                .cmp(&(sb, self.combiners[*cb].orig))
+            (sa, self.plan.combiners[*ca].orig)
+                .cmp(&(sb, self.plan.combiners[*cb].orig))
                 .then_with(|| ka.total_cmp(kb))
         });
         for (slot, half) in orphans {
-            let gi = (self.groups.iter()).position(|g| g.rt.queries.iter().any(|q| q.id == half.0));
+            let gi =
+                (self.plan.groups.iter()).position(|g| g.rt.queries.iter().any(|q| q.id == half.0));
             self.emit_general(slot, half, 0, gi, out);
         }
     }
@@ -535,9 +536,9 @@ impl HamletEngine {
     /// count.
     pub(crate) fn rebuild_expiry(&mut self) {
         self.expiry.clear();
-        for (group, g) in (0u32..).zip(&self.groups) {
-            for handle in g.slab.live() {
-                let start = g.slab.get(handle).start;
+        for (group, (g, st)) in (0u32..).zip(self.plan.groups.iter().zip(&self.groups)) {
+            for handle in st.slab.live() {
+                let start = st.slab.get(handle).start;
                 self.expiry.push(Reverse(ExpiryEntry {
                     end: window_end(start, g.window.within),
                     start,
@@ -734,14 +735,14 @@ mod tests {
         assert!(!eng.groups[0].slab.free.is_empty());
         let report = eng.add_query(query(2, a, b, 25)).unwrap();
         assert_eq!(report.groups_carried, 1);
-        let carried = (eng.groups.iter())
+        let carried = (eng.plan.groups.iter())
             .position(|g| g.window.within == 10)
             .unwrap();
         assert!(eng.groups[carried].slab.free.is_empty());
         out.extend(eng.process_batch(&stream(&reg, a, b, 45, 40)));
-        for g in &eng.groups {
-            assert!(!g.slab.slots.is_empty());
-            for slot in &g.slab.slots {
+        for (g, st) in eng.plan.groups.iter().zip(&eng.groups) {
+            assert!(!st.slab.slots.is_empty());
+            for slot in &st.slab.slots {
                 assert!(std::ptr::eq(slot.rs.run.runtime(), &*g.rt));
             }
         }

@@ -3,14 +3,19 @@
 //! HAMLET partitions the stream by grouping/equivalence attributes (§2.2);
 //! partitions are independent, so the classic scale-out move applies: run
 //! one [`HamletEngine`] per worker, each owning the partitions whose key
-//! hashes to its shard (`EngineConfig::shard`).
+//! hashes to its shard. The router decides which: every event reaches a
+//! shard with its verdict bits ([`ShardRouter::route`]), and the shard's
+//! `EngineConfig::shard` — the same hash — is only the fallback, for a
+//! direct `process_batch` caller and for a type's key classes past the
+//! 64th.
 //!
 //! # Architecture
 //!
 //! There is one executor, [`ParallelSession`]: `workers` shard-owning
 //! engines plus the [`ShardRouter`] that maps events to them and holds
 //! the compiled workload every one of them runs (compiled once per
-//! workload change, however many shards there are), and
+//! workload change and shared, one `Arc`, however many shards there
+//! are), and
 //! [`ParallelSession::feed`] — the only code in the tree that buffers per
 //! shard, owns the worker channels, runs a shard's receive loop or
 //! implements a barrier. For the length of one `feed` call the caller
@@ -277,7 +282,7 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
     /// front end pays for a tag only where a result can read it.
     pub fn push(&mut self, e: Event, tag: Option<T>) {
         let (batch, hooks, lanes) = (self.batch, self.hooks, &mut self.lanes);
-        let grid = (self.cut == BatchCut::SizeOrClose).then_some(self.router.grid);
+        let grid = (self.cut == BatchCut::SizeOrClose).then_some(self.router.plan.grid);
         self.router.route(e, |idx, e, owned| {
             let lane = &mut lanes[idx];
             let close =
@@ -320,7 +325,7 @@ impl<T: Copy, H: ShardHooks<T>> Feed<'_, T, H> {
         self.router.apply(&op)?;
         let plan = self.router.plan.clone();
         self.barrier(|| ShardMsg::Churn(plan.clone()));
-        let grid = self.router.grid;
+        let grid = self.router.plan.grid;
         for lane in self.lanes.iter_mut().filter(|l| l.close != 0) {
             lane.close = next_close(lane.tick, grid);
         }
@@ -389,7 +394,7 @@ fn shard_loop<T>(
                 // Windows of touched share groups drain here, exactly
                 // once, like any other result.
                 let t = eng.span_start();
-                let drained = eng.install(&plan).drained;
+                let drained = eng.install(plan).drained;
                 emit(eng, None, drained);
                 eng.span_end(Stage::ChurnBarrier, t, None, 0);
             }
@@ -1254,7 +1259,7 @@ mod tests {
             if let Some((_, op)) = churn.as_ref().filter(|(at, _)| *at == i) {
                 router.apply(op).unwrap();
             }
-            let grid = router.grid;
+            let grid = router.plan.grid;
             router.route(e.clone(), |idx, e, _| {
                 owners[idx].push(i);
                 shards[idx].ticks.push(e.time.ticks());
@@ -1625,34 +1630,42 @@ mod tests {
         }
     }
 
-    /// A workload is compiled once per change: after `open`, after a
-    /// session churn and after a churn at the feed barrier the
-    /// pipeline's `churn_at` ops take (under its cut rule), every shard
-    /// engine runs the router's group runtimes, not compiles of its own.
+    /// A workload is compiled once per change and held once: after
+    /// `open`, after a session churn, after a churn at the feed barrier
+    /// the pipeline's `churn_at` ops take (under its cut rule) and after a
+    /// chain restore, every shard engine holds the router's plan itself,
+    /// and nothing else does. A lone engine's churn frees the plan it
+    /// replaced.
     #[test]
     fn shard_engines_run_the_routers_plan() {
         let (reg, queries, events) = setup();
         let q9 = parse_query(&reg, 9, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 10").unwrap();
-        let shared = |sess: &ParallelSession| {
-            let plan = &sess.router.plan.groups;
-            sess.engines.iter().all(|eng| {
-                eng.groups.len() == plan.len()
-                    && (eng.groups.iter().zip(plan)).all(|(g, p)| Arc::ptr_eq(&g.rt, &p.rt))
-            })
+        let check = |sess: &ParallelSession, at: &str| {
+            let plan = &sess.router.plan;
+            let workers = sess.engines.len();
+            assert!(
+                (sess.engines.iter()).all(|eng| Arc::ptr_eq(&eng.plan, plan)),
+                "{workers} workers, {at}"
+            );
+            assert_eq!(
+                Arc::strong_count(plan),
+                workers + 1,
+                "{workers} workers, {at}"
+            );
         };
         for workers in [1u32, 2, 4] {
-            let par = ParallelEngine::new(
+            let router = ShardRouter::new(
                 reg.clone(),
                 queries.clone(),
                 EngineConfig::default(),
                 workers,
             )
             .unwrap();
-            let mut sess = par.session();
-            assert!(shared(&sess), "{workers} workers, open");
+            let mut sess = ParallelSession::open(router);
+            check(&sess, "open");
             sess.process(&events[..60]);
             sess.churn(ChurnOp::Add(q9.clone())).unwrap();
-            assert!(shared(&sess), "{workers} workers, session churn");
+            check(&sess, "session churn");
             sess.feed(BatchCut::SizeOrClose, &(), |feed| {
                 events[60..120]
                     .iter()
@@ -1663,8 +1676,16 @@ mod tests {
                     .for_each(|e| feed.push(e.clone(), None));
             });
             assert_eq!(sess.router.plan.queries.len(), 2);
-            assert!(shared(&sess), "{workers} workers, feed churn");
+            check(&sess, "feed churn");
+            let ck = sess.cut(CutKind::Full).unwrap();
+            sess.restore_chain(&[ck]).unwrap();
+            check(&sess, "chain restore");
         }
+        let mut eng = HamletEngine::new(reg, queries, EngineConfig::default()).unwrap();
+        let replaced = Arc::downgrade(&eng.plan);
+        eng.apply(ChurnOp::Add(q9)).unwrap();
+        assert_eq!(Arc::strong_count(&eng.plan), 1);
+        assert!(replaced.upgrade().is_none(), "the old plan was freed");
     }
 
     /// A legacy container of bare engine blobs taken after churn

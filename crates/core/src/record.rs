@@ -24,8 +24,8 @@ use crate::checkpoint::{
     codec_struct, read_delta_frame, read_engine_header, write_delta_frame, write_engine_header,
     CheckpointError, Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION,
 };
-use crate::executor::{EngineStats, HamletEngine};
-use crate::expiry::{RunSlab, Runs};
+use crate::executor::{EngineStats, GroupState, HamletEngine};
+use crate::expiry::Runs;
 use crate::keyhash::{KeyMap, KeySet, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::DivergenceEstimator;
@@ -124,8 +124,8 @@ impl DirtyLog {
 fn fingerprint(eng: &HamletEngine) -> Vec<u8> {
     let mut e = Enc::new();
     eng.cfg.shard.encode(&mut e);
-    e.usize(eng.groups.len());
-    for g in &eng.groups {
+    e.usize(eng.plan.groups.len());
+    for g in &eng.plan.groups {
         let (within, slide) = (g.window.within, g.window.slide);
         (g.rt.k(), g.rt.template.num_types(), within, slide, g.pane).encode(&mut e);
         e.usize(g.partition_attrs.len());
@@ -134,7 +134,7 @@ fn fingerprint(eng: &HamletEngine) -> Vec<u8> {
         }
         g.rt.queries.iter().for_each(|q| q.id.encode(&mut e));
     }
-    let combiners: Vec<_> = (eng.combiners.iter())
+    let combiners: Vec<_> = (eng.plan.combiners.iter())
         .map(|c| (c.orig, c.left, c.right))
         .collect();
     combiners.encode(&mut e);
@@ -227,11 +227,11 @@ struct Staged {
     epoch: u64,
     /// Sequence number of the chain's last record.
     seq: u64,
-    /// Per share group (parallel to `HamletEngine::groups`), its
-    /// partitions with the slab their runs live in, and its divergence
+    /// Per share group, its state as `HamletEngine::groups` holds it: the
+    /// partitions with the slab their runs live in, and the divergence
     /// estimator (small, so every record carries it whole rather than
     /// diffing it).
-    groups: Vec<(KeyMap<GroupKey, Runs>, RunSlab, DivergenceEstimator)>,
+    groups: Vec<GroupState>,
     pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// The scalar tail every record body ends with; the newest wins.
     tail: Tail,
@@ -276,11 +276,13 @@ impl Tail {
     }
 }
 
-/// Takes `key` out of a staged group: a key a later record of the chain
-/// removes or re-sends gives its slots back.
-fn vacate(partitions: &mut KeyMap<GroupKey, Runs>, slab: &mut RunSlab, key: &GroupKey) {
-    for &(_, handle) in partitions.remove(key).iter().flat_map(Runs::as_slice) {
-        slab.release(handle);
+impl GroupState {
+    /// Takes `key` out of a staged group: a key a later record of the
+    /// chain removes or re-sends gives its slots back.
+    fn vacate(&mut self, key: &GroupKey) {
+        for &(_, handle) in self.partitions.remove(key).iter().flat_map(Runs::as_slice) {
+            self.slab.release(handle);
+        }
     }
 }
 
@@ -308,17 +310,17 @@ fn decode_body(
             eng.groups.len()
         )));
     }
-    for (g, (parts, slab, estimator)) in eng.groups.iter().zip(&mut state.groups) {
+    for (g, st) in eng.plan.groups.iter().zip(&mut state.groups) {
         if delta {
             for _ in 0..d.seq_len()? {
-                vacate(parts, slab, &GroupKey::decode(d)?);
+                st.vacate(&GroupKey::decode(d)?);
             }
         }
         let n_parts = d.seq_len()?;
-        parts.reserve(if delta { 0 } else { n_parts });
+        st.partitions.reserve(if delta { 0 } else { n_parts });
         for _ in 0..n_parts {
             let key = GroupKey::decode(d)?;
-            vacate(parts, slab, &key);
+            st.vacate(&key);
             let mut runs = Runs::default();
             for _ in 0..d.seq_len()? {
                 let start = d.u64()?;
@@ -328,11 +330,11 @@ fn decode_body(
                     )));
                 };
                 let rs = RunState::decode(d, &g.rt, legacy)?;
-                runs.insert(at, start, slab.occupy(&g.rt, &key, start, Some(rs)));
+                runs.insert(at, start, st.slab.occupy(&g.rt, &key, start, Some(rs)));
             }
-            parts.insert(key, runs);
+            st.partitions.insert(key, runs);
         }
-        *estimator = DivergenceEstimator::decode(d, g.rt.template.num_types(), g.rt.k())?;
+        st.estimator = DivergenceEstimator::decode(d, g.rt.template.num_types(), g.rt.k())?;
     }
     if delta {
         for _ in 0..d.seq_len()? {
@@ -359,7 +361,7 @@ fn decode_body(
 /// A decoded pending-half slot, bounds-checked against the compiled
 /// combiners.
 fn known_combiner(eng: &HamletEngine, slot: PendingSlot) -> Result<PendingSlot, CheckpointError> {
-    if slot.0 < eng.combiners.len() {
+    if slot.0 < eng.plan.combiners.len() {
         Ok(slot)
     } else {
         Err(CheckpointError::Corrupt(format!(
@@ -419,14 +421,8 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
     let mut state = Staged {
         epoch,
         seq: chain[chain.len() - 1].seq,
-        groups: (eng.groups.iter())
-            .map(|g| {
-                (
-                    KeyMap::with_hasher(eng.keys),
-                    RunSlab::default(),
-                    g.estimator.clone(),
-                )
-            })
+        groups: (eng.plan.groups.iter())
+            .map(|g| GroupState::new(g, eng.plan.alpha, eng.keys))
             .collect(),
         pending: KeyMap::with_hasher(eng.keys),
         tail: Tail::default(),
@@ -456,8 +452,8 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
 /// state mutation; all validation happened in [`stage`].
 fn install(eng: &mut HamletEngine, state: Staged) {
     eng.epoch = state.epoch;
-    for (g, (parts, slab, estimator)) in eng.groups.iter_mut().zip(state.groups) {
-        (g.partitions, g.slab, g.estimator) = (parts, slab, estimator);
+    eng.groups = state.groups;
+    for g in &mut eng.groups {
         // Slots a delta of the chain vacated: not state, not installed.
         g.slab.drop_free(&mut g.partitions);
     }

@@ -4,7 +4,7 @@
 //!
 //! * [`HamletEngine::process_reference`] — the pre-batching per-event
 //!   body: every group, classified by attribute *name*
-//!   ([`GroupExec::key_by_name`]), no routing tables, no segments;
+//!   ([`GroupPlan::key_by_name`]), no routing tables, no segments;
 //! * [`HamletEngine::process_scan_expiry`] /
 //!   [`flush_scan_expiry`](HamletEngine::flush_scan_expiry) — expiry by
 //!   the pre-index full scan over every live partition;
@@ -16,14 +16,14 @@
 
 use crate::bitset::QSet;
 use crate::burst::{Burst, Chunk, FlushEnv};
-use crate::executor::{shard_index, GroupExec, HamletEngine, WindowResult};
+use crate::executor::{shard_index, GroupPlan, HamletEngine, WindowResult};
 use crate::expiry::Partition;
 use crate::run::Run;
 use hamlet_types::time::window_end;
 use hamlet_types::{AttrValue, Event, GroupKey, Ts, TypeRegistry};
 use std::time::Instant;
 
-impl GroupExec {
+impl GroupPlan {
     /// `e`'s partition key by definition: each partition attribute looked
     /// up by name in the event's schema (absent → `Int(0)`).
     pub(crate) fn key_by_name(&self, reg: &TypeRegistry, e: &Event) -> GroupKey {
@@ -56,11 +56,12 @@ impl HamletEngine {
         self.emit_expired(wm, &mut out);
 
         let mut routed = false;
-        for gi in 0..self.groups.len() {
-            let Some(tl) = self.groups[gi].rt.template.local(e.ty) else {
+        let plan = &self.plan;
+        for (gi, g) in plan.groups.iter().enumerate() {
+            let Some(tl) = g.rt.template.local(e.ty) else {
                 continue;
             };
-            let key = self.groups[gi].key_by_name(&self.reg, e);
+            let key = g.key_by_name(&plan.reg, e);
             if let Some((idx, total)) = self.cfg.shard {
                 if shard_index(&key, total) != idx {
                     continue;
@@ -71,7 +72,7 @@ impl HamletEngine {
                 m.events_routed += 1;
             }
             self.dirty.mark(gi, &key);
-            let g = &mut self.groups[gi];
+            let st = &mut self.groups[gi];
             let within = g.window.within;
             let pane_idx = e.time.ticks() / g.pane;
             let starts: Vec<Ts> = g.window.instances_containing(e.time).collect();
@@ -84,8 +85,8 @@ impl HamletEngine {
                 &mut self.scratch.cells,
             );
             let mut part = Partition {
-                runs: g.partitions.entry(key.clone()).or_default(),
-                slab: &mut g.slab,
+                runs: st.partitions.entry(key.clone()).or_default(),
+                slab: &mut st.slab,
                 group: gi,
                 key: &key,
                 rt: &g.rt,
@@ -94,7 +95,7 @@ impl HamletEngine {
             };
             let mut env = FlushEnv {
                 cfg: &self.cfg,
-                estimator: &mut g.estimator,
+                estimator: &mut st.estimator,
                 stats: &mut self.stats,
                 ctx: &mut self.burst_ctx,
                 bytes: &mut self.run_bytes,
@@ -115,7 +116,7 @@ impl HamletEngine {
             // A first-seen key whose every window instance was late would
             // leave an empty run map behind — drop it, it holds no state.
             if late_skipped && part.runs.is_empty() {
-                g.partitions.remove(&key);
+                st.partitions.remove(&key);
             }
         }
         if routed {
@@ -138,7 +139,7 @@ impl HamletEngine {
     fn emit_expired_scan(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
         let mut finished = Vec::new();
         for gi in 0..self.groups.len() {
-            let within = self.groups[gi].window.within;
+            let within = self.plan.groups[gi].window.within;
             for (key, runs) in self.groups[gi].partitions.iter_mut() {
                 while let Some(&(start, _)) = runs.as_slice().first() {
                     if window_end(start, within) > watermark.ticks() {

@@ -6,9 +6,12 @@
 //! `workers`-way sharded runtime needs exactly two things argued once:
 //!
 //! * **routing** — [`ShardRouter::route`] hands an event to every shard
-//!   that owns one of its partition keys, using the very hash the shard
-//!   engines' `EngineConfig::shard` filter applies, and hands each shard
-//!   its verdict per key class with it, so no shard hashes again. The router holds the
+//!   that owns one of its partition keys, with that shard's verdict per
+//!   key class: the shard engine reads the verdict bits instead of
+//!   hashing again, so the router decides which partitions a shard owns.
+//!   A shard engine's `EngineConfig::shard` (the same hash) is only the
+//!   fallback, for a direct `process_batch` caller and for a type's key
+//!   classes past the 64th, which have no bit. The router holds the
 //!   workload's compiled plan (`HamletEngine::compile`, §3.1) and reads
 //!   the classifier tables the shard engines' own scan reads: per routed
 //!   event one slot-resolved key build and one hash per *key class* the
@@ -17,13 +20,13 @@
 //! * **the update step** — [`ShardRouter::apply`] is the one churn
 //!   barrier: the id check and the compile of the post-churn workload,
 //!   once, before any shard sees the op. Every shard engine then
-//!   installs that plan (sharing its group runtimes), which cannot fail.
+//!   installs that plan, which cannot fail.
 //!
-//! Every shard engine is built from the same plan
-//! ([`ShardRouter::engines`]), so a workload is compiled once per change
-//! however many shards run it. Both the offline [`crate::parallel`]
-//! executor and the online `hamlet-pipeline` ingest stage drive their
-//! shards through this type.
+//! Every shard engine holds the router's plan — one `Arc`, not a copy
+//! ([`ShardRouter::engines`]) — so a workload is compiled once per change
+//! and held once however many shards run it. Both the offline
+//! [`crate::parallel`] executor and the online `hamlet-pipeline` ingest
+//! stage drive their shards through this type.
 
 use crate::batch::class_shards;
 use crate::churn::next_queries;
@@ -38,15 +41,9 @@ use std::sync::Arc;
 /// holds the compiled workload those shards run (see the module docs).
 #[derive(Clone)]
 pub struct ShardRouter {
-    reg: Arc<TypeRegistry>,
     /// The current workload, compiled; replaced by every
-    /// [`apply`](Self::apply). Shared with the shards that install it.
+    /// [`apply`](Self::apply). Every shard engine holds this one `Arc`.
     pub(crate) plan: Arc<CompiledWorkload>,
-    /// The workload's window grid: the gcd of every query's `within` and
-    /// `slide`. Window instances start on multiples of their slide, so
-    /// every window end is a multiple of it — an event can close a
-    /// window only by reaching the next one. 1 for an empty workload.
-    pub(crate) grid: u64,
     /// The shard engines' configuration (`shard` is set per shard).
     cfg: EngineConfig,
     workers: u32,
@@ -75,8 +72,6 @@ impl ShardRouter {
         }
         let plan = HamletEngine::compile(&reg, queries, &cfg)?;
         Ok(ShardRouter {
-            reg,
-            grid: grid_of(&plan.queries),
             plan: Arc::new(plan),
             cfg,
             workers,
@@ -91,13 +86,14 @@ impl ShardRouter {
     }
 
     /// One shard-owning engine per worker over the current plan (index =
-    /// shard). At one worker the engine owns every partition.
+    /// shard), each holding the router's `Arc` of it. At one worker the
+    /// engine owns every partition.
     pub fn engines(&self) -> Vec<HamletEngine> {
         (0..self.workers)
             .map(|idx| {
                 let mut cfg = self.cfg.clone();
                 cfg.shard = (self.workers > 1).then_some((idx, self.workers));
-                HamletEngine::from_plan(self.reg.clone(), cfg, &self.plan)
+                HamletEngine::from_plan(cfg, self.plan.clone())
             })
             .collect()
     }
@@ -124,7 +120,7 @@ impl ShardRouter {
             mask |= 1 << s;
             owned[s] |= 1u64.checked_shl(p as u32).unwrap_or(0);
         };
-        class_shards(&plan.groups, &plan.key_reps, &e, self.workers, key, each);
+        class_shards(plan, &e, self.workers, key, each);
         while mask != 0 {
             let idx = mask.trailing_zeros() as usize;
             mask &= mask - 1;
@@ -143,9 +139,8 @@ impl ShardRouter {
     /// the shards, before the op is. On error nothing changed.
     pub fn apply(&mut self, op: &ChurnOp) -> Result<(), ChurnError> {
         let next = next_queries(&self.plan.queries, op)?;
-        let plan = HamletEngine::compile(&self.reg, next, &self.cfg).map_err(ChurnError::Engine)?;
-        self.grid = grid_of(&plan.queries);
-        self.plan = Arc::new(plan);
+        let plan = HamletEngine::compile(&self.plan.reg, next, &self.cfg);
+        self.plan = Arc::new(plan.map_err(ChurnError::Engine)?);
         Ok(())
     }
 
@@ -161,14 +156,6 @@ impl ShardRouter {
         }
         Ok(())
     }
-}
-
-/// The gcd of every query's `within` and `slide`; 1 when there is none.
-fn grid_of(queries: &[Query]) -> u64 {
-    let spans = queries
-        .iter()
-        .flat_map(|q| [q.window.within, q.window.slide]);
-    hamlet_types::time::gcd_all(spans).unwrap_or(1).max(1)
 }
 
 #[cfg(test)]
@@ -409,7 +396,7 @@ mod tests {
             let check = |eng: &HamletEngine| {
                 for workers in [1u32, 2, 3, 4, 64] {
                     for e in &events {
-                        let want = (eng.groups.iter())
+                        let want = (eng.plan.groups.iter())
                             .filter(|g| g.rt.template.local(e.ty).is_some())
                             .fold(0u64, |m, g| {
                                 m | 1 << shard_index(&g.key_by_name(&reg, e), workers)

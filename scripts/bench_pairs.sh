@@ -12,10 +12,16 @@
 # --trace 0 [ARGS]`, S being BENCHMARK.json's run_seconds unless
 # BENCH_SECONDS is set. Pair i runs REV first when i is odd and the working
 # tree first when it is even, so a host that slows down mid-pair does not
-# always tax the same side. Prints per pair throughput_eps, peak_state_mb,
-# setup_s and failed, then per side the median with its quartiles, and the
-# number of pairs whose throughput the working tree won. Touches nothing in
-# the repository; the build directories are removed on exit.
+# always tax the same side. Prints per pair every end-to-end metric
+# BENCHMARK.json names and the failed count; then per side the runs that
+# produced no result, the median with its quartiles and the total failed;
+# the number of pairs whose throughput the working tree won; one verdict
+# per end-to-end metric against its `bound` (ok, WORSE, or unresolved when
+# REV's quartile spread is wider than the bound or a run produced no
+# result); and whether the claim
+# rule for a gain holds (better in 9 of 10 pairs, median gain larger than
+# REV's inter-quartile range). Touches nothing in the repository; the
+# build directories are removed on exit.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -65,42 +71,82 @@ for i in $(seq 1 "$pairs"); do
     echo "pair $i/$pairs done" >&2
 done
 
-python3 - "$work/base.jsonl" "$work/head.jsonl" "$rev" <<'EOF'
+python3 - "$work/base.jsonl" "$work/head.jsonl" "$rev" "$root/BENCHMARK.json" <<'EOF'
 import json, statistics, sys
+
+rules = json.load(open(sys.argv[4]))["end_to_end"]
+names = [r["name"] for r in rules]
 
 def rows(path):
     out = []
     for line in open(path):
         try:
             r = json.loads(line)
-            m = r["metrics"]
-            out.append((m["throughput_eps"]["value"], m["peak_state_mb"]["value"],
-                        m["setup_s"]["value"], r["failed"]))
-        except (ValueError, KeyError):
+            out.append(({n: r["metrics"][n]["value"] for n in names}, r["failed"]))
+        except (ValueError, KeyError, TypeError):
             out.append(None)
     return out
 
+def quartiles(xs):
+    xs = sorted(xs)
+    return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
+
 base, head, rev = rows(sys.argv[1]), rows(sys.argv[2]), sys.argv[3]
-print(f"{'pair':>4}  {'side':<8} {'throughput_eps':>15} {'peak_state_mb':>14} {'setup_s':>9} {'failed':>7}")
+print(f"{'pair':>4}  {'side':<8} " + " ".join(f"{n:>15}" for n in names) + f" {'failed':>7}")
 for i, (b, h) in enumerate(zip(base, head), 1):
     for side, r in ((rev, b), ("tree", h)):
-        cells = "(no result)" if r is None else f"{r[0]:>15.0f} {r[1]:>14.4f} {r[2]:>9.4f} {r[3]:>7}"
+        cells = "(no result)" if r is None else " ".join(f"{r[0][n]:>15.6g}" for n in names) + f" {r[1]:>7}"
         print(f"{i:>4}  {side[:8]:<8} {cells}")
 
+# Per side: the runs that produced no result, then the median and
+# quartiles of the runs that did, and their failed operations.
 def summary(side, runs):
+    lost = [i for i, r in enumerate(runs, 1) if r is None]
     runs = [r for r in runs if r is not None]
+    print(f"{side[:8]:<8} {'no result':<15} {len(lost)} of {len(lost) + len(runs)} runs"
+          + (f" (pairs {lost})" if lost else ""))
     if not runs:
-        print(f"{side}: no run produced a result")
-        return
-    for col, name in ((0, "throughput_eps"), (1, "peak_state_mb"), (2, "setup_s")):
-        xs = sorted(r[col] for r in runs)
-        q = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
-        print(f"{side[:8]:<8} {name:<15} median {q[1]:.6g}  quartiles [{q[0]:.6g}, {q[2]:.6g}]  n={len(xs)}")
-    print(f"{side[:8]:<8} failed          total {sum(r[3] for r in runs)}")
+        return None
+    qs = {n: quartiles([r[0][n] for r in runs]) for n in names}
+    for n, q in qs.items():
+        print(f"{side[:8]:<8} {n:<15} median {q[1]:.6g}  quartiles [{q[0]:.6g}, {q[2]:.6g}]  n={len(runs)}")
+    print(f"{side[:8]:<8} {'failed':<15} total {sum(r[1] for r in runs)}")
+    return qs
 
-summary(rev, base)
-summary("tree", head)
-won = sum(1 for b, h in zip(base, head) if b and h and h[0] > b[0])
-both = sum(1 for b, h in zip(base, head) if b and h)
-print(f"tree won throughput_eps in {won} of {both} pairs")
+qb, qh = summary(rev, base), summary("tree", head)
+paired = [(b[0], h[0]) for b, h in zip(base, head) if b and h]
+won = sum(1 for b, h in paired if h["throughput_eps"] > b["throughput_eps"])
+print(f"tree won throughput_eps in {won} of {len(paired)} pairs")
+
+# The acceptance rules, one line per end-to-end metric: the tree's median
+# over REV's, and `WORSE` beyond the bound in the bad direction,
+# `unresolved` where REV's quartile spread (over its median) is wider
+# than the bound or a run produced no result, `ok` otherwise.
+lost = any(r is None for r in base + head)
+for rule in rules:
+    n, bound, higher = rule["name"], rule["bound"], rule["better"] == "higher"
+    if qb is None or qh is None or qb[n][1] == 0:
+        print(f"verdict  {n:<15} unresolved (no median to compare)")
+        continue
+    ratio = qh[n][1] / qb[n][1]
+    spread = (qb[n][2] - qb[n][0]) / qb[n][1]
+    worse = ratio < 1 - bound if higher else ratio > 1 + bound
+    verdict = "WORSE" if worse else "unresolved" if spread > bound or lost else "ok"
+    print(f"verdict  {n:<15} tree/{rev[:8]} {ratio:.4f}  ({rule['better']} is better, "
+          f"bound {bound:.0%}, {rev[:8]} spread {spread:.1%}): {verdict}")
+
+# The claim rule: a gain counts only if the tree is better in at least 9
+# of every 10 pairs and its median beats REV's by more than REV's
+# inter-quartile range.
+for rule in rules:
+    n, higher = rule["name"], rule["better"] == "higher"
+    if qb is None or qh is None:
+        print(f"claim    {n:<15} does not hold (a side has no result)")
+        continue
+    better = sum(1 for b, h in paired if (h[n] > b[n] if higher else h[n] < b[n]))
+    gain = (qh[n][1] - qb[n][1]) * (1 if higher else -1) + 0.0  # no "-0"
+    iqr = qb[n][2] - qb[n][0]
+    holds = better * 10 >= 9 * len(paired) and gain > iqr and not lost
+    print(f"claim    {n:<15} tree better in {better} of {len(paired)} pairs (needs 9/10), "
+          f"median gain {gain:.6g} vs {rev[:8]} IQR {iqr:.6g}: {'holds' if holds else 'does not hold'}")
 EOF

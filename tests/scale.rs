@@ -136,7 +136,7 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
     );
     let (never, _) = drive_hamlet(
         &reg,
-        queries,
+        queries.clone(),
         &events,
         SharingPolicy::NeverShare,
         DivergenceMode::Exact,
@@ -149,6 +149,154 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
         "{se:?}"
     );
     assert!(sm.decisions > 0);
+
+    // No result comparison sees what the optimizer decides — every
+    // policy produces the same results — so the decision sequence itself
+    // is pinned: three policies under exact divergence and the dynamic
+    // one under EMA. A change to how a decision is assembled or priced
+    // that moves any of these is a behaviour change.
+    //
+    // A 41st query of the same generator, under a fresh id.
+    let mut extra = stock::workload_diverse(&reg, 42, 2024).pop().unwrap();
+    extra.id = hamlet_query::QueryId(1000);
+    // The eight groups' build-time benefits, the same under every policy
+    // (a placement prices the group, the policy only decides on it).
+    const BUILT: [u64; 8] = [
+        4642591970870217933,
+        4634204016564240384,
+        0,
+        4642591970870217933,
+        4629700416936869888,
+        4640959416005296128,
+        4629700416936869888,
+        0,
+    ];
+    // The placements' benefits after the add under exact divergence.
+    const CHURNED: [u64; 8] = [
+        13882750471648575488,
+        4634204016564240384,
+        0,
+        4642591970870217933,
+        13871368327277838336,
+        4642341202254602985,
+        4629700416936869888,
+        0,
+    ];
+    let with = |shared: [bool; 8], bits: [u64; 8]| -> Vec<(bool, u64)> {
+        shared.into_iter().zip(bits).collect()
+    };
+    let (t, f) = (true, false);
+    let cases = [
+        (
+            SharingPolicy::Dynamic,
+            DivergenceMode::Exact,
+            (
+                771,
+                [277, 498, 1121, 11, 4, 301, 470, 47463],
+                with([t, t, f, t, t, t, t, f], BUILT),
+                with([t, t, f, t, f, t, t, f], CHURNED),
+            ),
+        ),
+        (
+            SharingPolicy::AlwaysShare,
+            DivergenceMode::Exact,
+            (
+                771,
+                [302, 3828, 1032, 0, 0, 302, 469, 47463],
+                with([t, t, f, t, t, t, t, f], BUILT),
+                with([t, t, f, t, t, t, t, f], CHURNED),
+            ),
+        ),
+        (
+            SharingPolicy::NeverShare,
+            DivergenceMode::Exact,
+            (
+                771,
+                [0, 0, 1447, 0, 0, 0, 771, 47463],
+                with([f; 8], BUILT),
+                with([f; 8], CHURNED),
+            ),
+        ),
+        (
+            SharingPolicy::Dynamic,
+            DivergenceMode::Ema { alpha: 0.4 },
+            (
+                771,
+                [275, 1600, 1153, 26, 1, 275, 496, 47463],
+                with([t, t, f, t, t, t, t, f], BUILT),
+                with(
+                    [f, t, f, t, f, t, t, f],
+                    [
+                        13873451242105497190,
+                        4634204016564240384,
+                        0,
+                        4642591970870217933,
+                        13868272102534021120,
+                        4642341202254602985,
+                        4629700416936869888,
+                        0,
+                    ],
+                ),
+            ),
+        ),
+    ];
+    for (policy, divergence, want) in cases {
+        let got = decision_trace(
+            &reg,
+            queries.clone(),
+            extra.clone(),
+            &events,
+            policy,
+            divergence,
+        );
+        assert_eq!(got, want, "{policy:?} under {divergence:?}");
+    }
+}
+
+/// What the optimizer decided on one run: `EngineStats::decisions`, the
+/// eight `RunStats` counters, every group's placement as
+/// `(shared, benefit bits)` from `group_metrics()`, and the placements an
+/// `add_query` on the drained engine re-prices, in the same form.
+type DecisionTrace = (u64, [u64; 8], Vec<(bool, u64)>, Vec<(bool, u64)>);
+
+fn decision_trace(
+    reg: &std::sync::Arc<hamlet_types::TypeRegistry>,
+    queries: Vec<hamlet_query::Query>,
+    extra: hamlet_query::Query,
+    events: &[hamlet_types::Event],
+    policy: SharingPolicy,
+    divergence: DivergenceMode,
+) -> DecisionTrace {
+    let cfg = EngineConfig {
+        policy,
+        divergence,
+        ..EngineConfig::default()
+    };
+    let mut eng = HamletEngine::new(reg.clone(), queries, cfg).expect("engine builds");
+    for e in events {
+        eng.process(e);
+    }
+    eng.flush();
+    let s = *eng.stats();
+    let r = &s.runs;
+    let counters = [
+        r.graphlet_snapshots,
+        r.event_snapshots,
+        r.graphlets,
+        r.merges,
+        r.splits,
+        r.shared_bursts,
+        r.solo_bursts,
+        r.events,
+    ];
+    let groups = (eng.group_metrics().iter())
+        .map(|m| (m.shared, m.benefit.to_bits()))
+        .collect();
+    let report = eng.add_query(extra).expect("the extra query is new");
+    let placements = (report.placements.iter())
+        .map(|p| (p.shared, p.benefit.to_bits()))
+        .collect();
+    (s.decisions, counters, groups, placements)
 }
 
 #[test]

@@ -13,7 +13,7 @@
 use crate::agg::MmVal;
 use crate::bitset::QSet;
 use crate::checkpoint::{codec_struct, CheckpointError, Codec, Dec, Enc};
-use crate::executor::{DivergenceMode, EngineConfig, EngineStats};
+use crate::executor::{EngineConfig, EngineStats};
 use crate::optimizer::{decide, DivergenceEstimator};
 use crate::run::{BurstCtx, GroupRuntime, Run};
 use crate::workload::AggSkeleton;
@@ -379,16 +379,10 @@ impl RunState {
             && env.stats.decisions % DECISION_SAMPLE == DECISION_SAMPLE - 1;
         // hamlet-lint: allow(wallclock) -- decision-time accounting only (stats.decision_time)
         let t0 = timed.then(Instant::now);
-        let ctx = &mut *env.ctx;
+        let (ctx, mode) = (&mut *env.ctx, env.cfg.divergence);
         self.run.burst_shape_into(tl, ctx);
-        let exact = matches!(env.cfg.divergence, DivergenceMode::Exact);
-        if exact {
-            (self.run.runtime()).divergence(tl, &burst, &mut ctx.diverging);
-        } else {
-            for (d, &q) in ctx.diverging.iter_mut().zip(&ctx.candidates) {
-                *d = env.estimator.predict(tl, q, b);
-            }
-        }
+        let rt = self.run.runtime();
+        (env.estimator).diverging_into(mode, tl, b, ctx, |d| rt.divergence(tl, &burst, d));
         let dec = decide(env.cfg.policy, ctx, b);
         if let Some(t0) = t0 {
             env.stats.decision_time += t0.elapsed() * DECISION_SAMPLE as u32;
@@ -396,25 +390,8 @@ impl RunState {
         env.stats.decisions += 1;
         let snaps_before = self.run.stats().event_snapshots;
         self.run.replay(tl, burst, dec.share);
-        // Feed the statistics back: exact mode learns the true per-member
-        // divergence; EMA mode attributes the event-level snapshots the
-        // burst actually created across the sharing members.
-        if exact {
-            for (&q, &d) in ctx.candidates.iter().zip(&ctx.diverging) {
-                env.estimator.observe(tl, q, d, b);
-            }
-        } else {
-            let created = self.run.stats().event_snapshots - snaps_before;
-            if dec.share.is_empty() {
-                // No sharing happened; decay gently toward the prediction.
-                for &q in &ctx.candidates {
-                    let predicted = env.estimator.predict(tl, q, b);
-                    env.estimator.observe(tl, q, predicted, b);
-                }
-            } else {
-                env.estimator.observe_aggregate(tl, dec.share, created, b);
-            }
-        }
+        let created = self.run.stats().event_snapshots - snaps_before;
+        (env.estimator).learn(mode, tl, b, ctx, dec.share, created);
         self.burst.clear();
         self.cells.clear();
         self.burst_count = 0;

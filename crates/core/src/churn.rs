@@ -11,8 +11,7 @@
 use crate::batch::BatchScratch;
 use crate::executor::{CompiledWorkload, EngineError, GroupState, HamletEngine, WindowResult};
 use crate::keyhash::KeyMap;
-use crate::optimizer::decide;
-use crate::run::Run;
+use crate::optimizer;
 use hamlet_obs::GroupMetrics;
 use hamlet_query::{Query, QueryId};
 use std::collections::HashMap;
@@ -288,31 +287,13 @@ impl HamletEngine {
         self.dirty.void();
         self.rebuild_expiry();
 
-        let placements: Vec<GroupPlacement> = (0..self.groups.len())
-            .map(|ni| self.placement_for(ni, old_of_new[ni].is_some()))
-            .collect();
         // Rebuild the observability registry for the new group layout:
         // carried groups keep their counters (moved via the signature
         // match), rebuilt groups start at zero (their history was
         // drained above), and every group takes the placement the
         // benefit model just re-priced.
-        if self.cfg.obs {
-            let old_obs = std::mem::take(&mut self.obs);
-            self.obs = (self.plan.groups.iter())
-                .enumerate()
-                .map(|(ni, g)| {
-                    let mut m = match old_of_new[ni].and_then(|oi| old_obs.get(oi)) {
-                        Some(old) => old.clone(),
-                        None => GroupMetrics::default(),
-                    };
-                    m.group = ni as u32;
-                    m.sig = g.sig.clone();
-                    m.shared = placements[ni].shared;
-                    m.benefit = placements[ni].benefit;
-                    m
-                })
-                .collect();
-        }
+        let old_obs = std::mem::take(&mut self.obs);
+        let placements = self.place(&old_of_new, old_obs);
         ChurnReport {
             drained,
             groups_carried,
@@ -322,64 +303,42 @@ impl HamletEngine {
         }
     }
 
-    /// Re-runs the Def. 12 benefit model for one group at the churn
-    /// barrier: for each type of the group's template, the a-priori
-    /// sharing decision for a nominal burst, with `sc` predicted from the
-    /// group's divergence statistics (learned, for carried groups; the
-    /// optimistic zero-divergence prior for fresh ones — the same bias
-    /// the per-burst optimizer starts from).
-    pub(crate) fn placement_for(&self, gi: usize, carried_over: bool) -> GroupPlacement {
-        let (g, estimator) = (&self.plan.groups[gi], &self.groups[gi].estimator);
-        let members: Vec<QueryId> = g.rt.queries.iter().map(|q| q.id).collect();
-        if g.rt.k() < 2 {
-            return GroupPlacement {
-                members,
-                carried_over,
-                benefit: 0.0,
-                shared: false,
-            };
-        }
-        const NOMINAL_BURST: u64 = 16;
-        let probe = Run::new(g.rt.clone());
-        let mut total_benefit = 0.0;
-        let mut shared = false;
-        for tl in 0..g.rt.template.num_types() {
-            let mut ctx = probe.burst_shape(tl);
-            if ctx.candidates.len() < 2 {
-                continue;
-            }
-            ctx.diverging = ctx
-                .candidates
-                .iter()
-                .map(|&q| estimator.predict(tl, q, NOMINAL_BURST))
+    /// Every group's placement under the installed plan, the Def. 12
+    /// benefit model re-run against its current stream statistics
+    /// ([`optimizer::placement`]); `old_of_new[gi]` is the group it carried
+    /// its state over from, if any. With the observability registry on,
+    /// it is rebuilt here — the one place a placement reaches the metrics:
+    /// group `gi` keeps its old group's counters in `old_obs` (zero for a
+    /// fresh group) and takes its placement.
+    pub(crate) fn place(
+        &mut self,
+        old_of_new: &[Option<usize>],
+        mut old_obs: Vec<GroupMetrics>,
+    ) -> Vec<GroupPlacement> {
+        let placements: Vec<GroupPlacement> = (self.plan.groups.iter().zip(&self.groups))
+            .zip(old_of_new)
+            .map(|((g, st), old)| {
+                let (benefit, shared) = optimizer::placement(self.cfg.policy, &g.rt, &st.estimator);
+                GroupPlacement {
+                    members: g.rt.queries.iter().map(|q| q.id).collect(),
+                    carried_over: old.is_some(),
+                    benefit,
+                    shared,
+                }
+            })
+            .collect();
+        if self.cfg.obs {
+            self.obs = (self.plan.groups.iter().zip(&placements).zip(old_of_new))
+                .enumerate()
+                .map(|(gi, ((g, p), old))| {
+                    let carried = old.and_then(|oi| old_obs.get_mut(oi)).map(std::mem::take);
+                    let mut m = carried.unwrap_or_default();
+                    (m.group, m.sig) = (gi as u32, g.sig.clone());
+                    (m.shared, m.benefit) = (p.shared, p.benefit);
+                    m
+                })
                 .collect();
-            // Def. 12 benefit of sharing the *whole* candidate set (can be
-            // negative — the optimizer would then process solo or share a
-            // subset, which is what `decide` below settles).
-            let bf = NOMINAL_BURST as f64;
-            let sc = 1.0
-                + ctx
-                    .diverging
-                    .iter()
-                    .zip(&ctx.has_edge)
-                    .map(|(&d, &e)| d as f64 + if e { bf } else { 0.0 })
-                    .sum::<f64>();
-            let factors = crate::optimizer::CostFactors {
-                b: bf,
-                n: ctx.n as f64,
-                g: (ctx.g + NOMINAL_BURST) as f64,
-                sp: (ctx.sp as f64).max(1.0),
-                p: ctx.p,
-            };
-            total_benefit += crate::optimizer::benefit(ctx.candidates.len() as f64, sc, &factors);
-            let dec = decide(self.cfg.policy, &ctx, NOMINAL_BURST);
-            shared |= dec.share.len() >= 2;
         }
-        GroupPlacement {
-            members,
-            carried_over,
-            benefit: total_benefit,
-            shared,
-        }
+        placements
     }
 }

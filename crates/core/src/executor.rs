@@ -36,20 +36,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use crate::churn::{ChurnError, ChurnOp, ChurnReport, GroupPlacement};
-
-/// How the optimizer obtains per-burst divergence counts (`sc`, §4.1).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum DivergenceMode {
-    /// Pre-scan each burst's predicates exactly — O(k·b) per decision.
-    Exact,
-    /// Predict from exponential moving averages of past bursts — O(k) per
-    /// decision, the paper's "locally available stream statistics" (§4.2).
-    /// `alpha` is the EMA smoothing factor.
-    Ema {
-        /// Weight of the newest observation.
-        alpha: f64,
-    },
-}
+pub use crate::optimizer::DivergenceMode;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -455,26 +442,9 @@ impl HamletEngine {
             dirty: DirtyLog::new(keys),
             keys,
         };
-        if eng.cfg.obs {
-            eng.obs = eng.build_obs();
-        }
+        // Every group placed as a churn barrier would, counters at zero.
+        eng.place(&vec![None; eng.groups.len()], Vec::new());
         eng
-    }
-
-    /// Builds the per-group observability registry for the current
-    /// compiled workload, pricing each group's Def. 12 benefit and
-    /// sharing decision exactly as a churn barrier would
-    /// ([`Self::placement_for`]); counters start at zero.
-    fn build_obs(&self) -> Vec<GroupMetrics> {
-        (0..self.groups.len())
-            .map(|gi| {
-                let p = self.placement_for(gi, false);
-                let mut m = GroupMetrics::new(gi as u32, self.plan.groups[gi].sig.clone());
-                m.shared = p.shared;
-                m.benefit = p.benefit;
-                m
-            })
-            .collect()
     }
 
     /// Compiles a query list into executable share groups: decomposes

@@ -12,76 +12,62 @@
 //! `hamlet-core`'s own unit tests (`#[cfg(test)] mod exhaustive`), like
 //! `reference.rs`.
 
-use super::benefit::{nonshared_cost, shared_cost, CostFactors};
-use crate::bitset::QSet;
+use super::benefit::{nonshared_cost, shared_cost};
+use super::queryset::Pricing;
 use crate::run::BurstCtx;
 
-/// Cost of the plan that shares exactly `share_idx` (indices into
-/// `ctx.candidates`) and runs everyone else solo.
+/// Cost of the plan that shares exactly the `share_idx`-th candidates
+/// and runs everyone else solo, priced by the optimizer's own `Pricing`
+/// (what is checked is the search, not the model).
 pub fn plan_cost(ctx: &BurstCtx, b: u64, share_idx: &[usize]) -> f64 {
-    let bf = b as f64;
-    let g = (ctx.g + b) as f64;
-    let factors = CostFactors {
-        b: bf,
-        n: ctx.n as f64,
-        g,
-        sp: (ctx.sp as f64).max(1.0),
-        p: ctx.p,
-    };
-    let k_total = ctx.candidates.len();
+    let priced = Pricing::new(ctx, b);
+    let solo = nonshared_cost(1.0, &priced.factors);
     let k_shared = share_idx.len();
-    let k_solo = (k_total - k_shared) as f64;
-    let mut cost = k_solo * nonshared_cost(1.0, &factors);
+    let mut cost = (ctx.candidates.len() - k_shared) as f64 * solo;
     if k_shared >= 2 {
-        let sc: f64 = 1.0
-            + share_idx
-                .iter()
-                .map(|&i| ctx.diverging[i] as f64 + if ctx.has_edge[i] { bf } else { 0.0 })
-                .sum::<f64>();
-        cost += shared_cost(k_shared as f64, sc, &factors);
+        let sc = 1.0 + share_idx.iter().map(|&i| priced.sc(i)).sum::<f64>();
+        cost += shared_cost(k_shared as f64, sc, &priced.factors);
     } else {
         // A "shared" set of < 2 queries is just solo execution.
-        cost += k_shared as f64 * nonshared_cost(1.0, &factors);
+        cost += k_shared as f64 * solo;
     }
     cost
 }
 
-/// Brute-force minimum over all one-shared-set plans. Returns the best
-/// share set (as member indices) and its cost.
-pub fn best_plan(ctx: &BurstCtx, b: u64) -> (QSet, f64) {
+/// Brute-force minimum cost over all one-shared-set plans.
+pub fn best_plan_cost(ctx: &BurstCtx, b: u64) -> f64 {
     let m = ctx.candidates.len();
     assert!(m <= 20, "exhaustive search is for small candidate sets");
-    let mut best: (Vec<usize>, f64) = (Vec::new(), plan_cost(ctx, b, &[]));
+    let mut best = plan_cost(ctx, b, &[]);
     for mask in 1u32..(1 << m) {
         let share_idx: Vec<usize> = (0..m).filter(|i| mask & (1 << i) != 0).collect();
         if share_idx.len() == 1 {
             continue; // identical to the all-solo plan
         }
-        let cost = plan_cost(ctx, b, &share_idx);
-        if cost < best.1 {
-            best = (share_idx, cost);
-        }
+        best = best.min(plan_cost(ctx, b, &share_idx));
     }
-    let set: QSet = best.0.iter().map(|&i| ctx.candidates[i]).collect();
-    (set, best.1)
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bitset::QSet;
     use crate::optimizer::choose_query_set;
     use proptest::prelude::*;
 
+    /// Candidates `0..m`, so a candidate's position is its member index.
     fn ctx(n: u64, g: u64, sp: usize, diverging: Vec<u64>, has_edge: Vec<bool>) -> BurstCtx {
-        let m = diverging.len();
         BurstCtx {
             n,
             g,
             sp,
             p: 2.0,
-            candidates: (0..m).collect(),
+            candidates: QSet::all(diverging.len()),
+            edge: (has_edge.iter().enumerate())
+                .filter_map(|(q, &e)| e.then_some(q))
+                .collect(),
             diverging,
-            has_edge,
         }
     }
 
@@ -105,11 +91,9 @@ mod tests {
             let c = ctx(n, g, 1, diverging.clone(), vec![false; m]);
             let b = 16;
             let pruned = choose_query_set(&c, b);
-            let pruned_idx: Vec<usize> = (0..m)
-                .filter(|&i| pruned.share.contains(c.candidates[i]))
-                .collect();
+            let pruned_idx: Vec<usize> = (0..m).filter(|&i| pruned.share.contains(i)).collect();
             let pruned_cost = plan_cost(&c, b, &pruned_idx);
-            let (_, best_cost) = best_plan(&c, b);
+            let best_cost = best_plan_cost(&c, b);
             assert!(
                 pruned_cost <= best_cost + 1e-6,
                 "diverging {diverging:?}: pruned {pruned_cost} vs best {best_cost}"
@@ -135,11 +119,9 @@ mod tests {
             let has_edge = edge_bits[..m].to_vec();
             let c = ctx(n, g, sp, diverging, has_edge);
             let pruned = choose_query_set(&c, b);
-            let pruned_idx: Vec<usize> = (0..m)
-                .filter(|&i| pruned.share.contains(c.candidates[i]))
-                .collect();
+            let pruned_idx: Vec<usize> = (0..m).filter(|&i| pruned.share.contains(i)).collect();
             let pruned_cost = plan_cost(&c, b, &pruned_idx);
-            let (_, best_cost) = best_plan(&c, b);
+            let best_cost = best_plan_cost(&c, b);
             prop_assert!(
                 pruned_cost <= best_cost + 1e-6 * best_cost.abs().max(1.0),
                 "pruned {} vs exhaustive best {}",

@@ -5,6 +5,12 @@
 //! statistics (§4.1, Def. 12 / Eq. 8), (ii) chooses the subset of queries
 //! worth sharing with (§4.3, Theorems 4.1–4.2), and (iii) instructs the
 //! executor to split or merge graphlets accordingly (§4.2).
+//!
+//! Every price the engine puts on sharing goes through one `Pricing`
+//! (`queryset.rs`): the per-burst decision ([`decide`]) and a share
+//! group's a-priori placement, at build and at churn (`placement`).
+//! Where a burst's divergence counts come from, and what the estimator
+//! learns from its outcome, sit beside the estimator (`stats.rs`).
 
 pub mod benefit;
 #[cfg(test)]
@@ -14,9 +20,10 @@ pub mod stats;
 
 pub use benefit::{benefit, nonshared_cost, shared_cost, CostFactors};
 pub use queryset::{choose_query_set, Decision};
-pub use stats::DivergenceEstimator;
+pub use stats::{DivergenceEstimator, DivergenceMode};
 
-use crate::run::BurstCtx;
+use crate::run::{BurstCtx, GroupRuntime};
+use queryset::Pricing;
 
 /// Executor-level sharing policy.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -33,12 +40,39 @@ pub enum SharingPolicy {
 
 /// Decides the sharing set for one burst under the given policy.
 pub fn decide(policy: SharingPolicy, ctx: &BurstCtx, burst_len: u64) -> Decision {
-    match policy {
-        SharingPolicy::AlwaysShare if ctx.candidates.len() >= 2 => Decision {
-            share: ctx.candidates.iter().copied().collect(),
-            estimated_benefit: 0.0,
-        },
-        SharingPolicy::NeverShare | SharingPolicy::AlwaysShare => Decision::none(),
-        SharingPolicy::Dynamic => choose_query_set(ctx, burst_len),
+    if ctx.candidates.len() < 2 || policy == SharingPolicy::NeverShare {
+        return Decision::default();
     }
+    Pricing::new(ctx, burst_len).decide(policy)
+}
+
+/// The burst a placement prices: nominal, since a group is placed before
+/// any of its windows has seen one.
+const NOMINAL_BURST: u64 = 16;
+
+/// A share group's a-priori placement (§4.1), re-priced at every churn
+/// barrier: per type of its template, a nominal burst on a fresh run, with
+/// `sc` predicted from `estimator` — learned, for a group that carried its
+/// state over; the optimistic zero-divergence prior for a fresh one, the
+/// same bias the per-burst decision starts from. Returns the Def. 12
+/// benefit of sharing each type's whole candidate set, summed (negative
+/// when sharing loses; 0 for a group with nothing to share), and whether
+/// `policy` would share any type's burst.
+pub(crate) fn placement(
+    policy: SharingPolicy,
+    rt: &GroupRuntime,
+    estimator: &DivergenceEstimator,
+) -> (f64, bool) {
+    let mut ctx = BurstCtx::default();
+    let (mut benefit, mut shared) = (0.0, false);
+    for tl in 0..rt.template.num_types() {
+        rt.burst_shape_into(tl, &mut ctx);
+        if ctx.candidates.len() >= 2 {
+            estimator.predict_into(tl, NOMINAL_BURST, &mut ctx);
+            let priced = Pricing::new(&ctx, NOMINAL_BURST);
+            benefit += priced.whole_set_benefit();
+            shared |= priced.decide(policy).share.len() >= 2;
+        }
+    }
+    (benefit, shared)
 }

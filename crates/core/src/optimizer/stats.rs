@@ -11,9 +11,28 @@
 //! The estimator only influences *decisions*, never results: whichever
 //! sharing set is chosen, the run engine produces exact aggregates
 //! (asserted in the integration tests).
+//!
+//! Which source a decision's divergence counts come from
+//! ([`DivergenceMode`]), and how a settled burst is fed back, are the
+//! estimator's two engine-facing calls: `diverging_into` and `learn`.
 
 use crate::bitset::QSet;
 use crate::checkpoint::{decode_into, CheckpointError, Codec, Dec, Enc};
+use crate::run::BurstCtx;
+
+/// How the optimizer obtains per-burst divergence counts (`sc`, §4.1).
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum DivergenceMode {
+    /// Pre-scan each burst's predicates exactly — O(k·b) per decision.
+    Exact,
+    /// Predict from exponential moving averages of past bursts — O(k) per
+    /// decision, the paper's "locally available stream statistics" (§4.2).
+    /// `alpha` is the EMA smoothing factor.
+    Ema {
+        /// Weight of the newest observation.
+        alpha: f64,
+    },
+}
 
 /// Per-(type, member) exponential moving average of divergence rates.
 #[derive(Clone, Debug)]
@@ -70,6 +89,59 @@ impl DivergenceEstimator {
         let per_member = snapshots / members.len() as u64;
         for q in members.iter() {
             self.observe(ty, q, per_member.min(b), b);
+        }
+    }
+
+    /// Fills `ctx.diverging` for a burst of `b` events of local type `tl`
+    /// from the source `mode` names: `exact` counts them off the burst
+    /// (Def. 9), EMA predicts them.
+    pub(crate) fn diverging_into(
+        &self,
+        mode: DivergenceMode,
+        tl: usize,
+        b: u64,
+        ctx: &mut BurstCtx,
+        exact: impl FnOnce(&mut [u64]),
+    ) {
+        match mode {
+            DivergenceMode::Exact => exact(&mut ctx.diverging),
+            DivergenceMode::Ema { .. } => self.predict_into(tl, b, ctx),
+        }
+    }
+
+    /// [`predict`](Self::predict) for every candidate of `ctx`.
+    pub(crate) fn predict_into(&self, tl: usize, b: u64, ctx: &mut BurstCtx) {
+        for (d, q) in ctx.diverging.iter_mut().zip(ctx.candidates.iter()) {
+            *d = self.predict(tl, q, b);
+        }
+    }
+
+    /// Feeds a settled burst back — `ctx` as `diverging_into` filled it
+    /// from this estimator, `share` the members that shared the burst,
+    /// `created` the event-level snapshots its replay took. EMA mode
+    /// attributes those snapshots across the sharing members. Otherwise
+    /// every candidate observes its `diverging` count: exact mode learns
+    /// the true divergence; an EMA burst nobody shared created no
+    /// snapshot to attribute, and observing the prediction it was decided
+    /// on decays each rate gently toward it.
+    pub(crate) fn learn(
+        &mut self,
+        mode: DivergenceMode,
+        tl: usize,
+        b: u64,
+        ctx: &BurstCtx,
+        share: QSet,
+        created: u64,
+    ) {
+        match mode {
+            DivergenceMode::Ema { .. } if !share.is_empty() => {
+                self.observe_aggregate(tl, share, created, b)
+            }
+            _ => {
+                for (q, &d) in ctx.candidates.iter().zip(&ctx.diverging) {
+                    self.observe(tl, q, d, b);
+                }
+            }
         }
     }
 

@@ -102,6 +102,8 @@ pub struct GroupRuntime {
     pub candidates: Vec<QSet>,
     /// `sel_members[type]` — the members with a selection on the type.
     pub(crate) sel_members: Vec<QSet>,
+    /// `edge_members[type]` — the members with an edge predicate on it.
+    edge_members: Vec<QSet>,
     /// [`GroupRuntime::burst_repr`] per type.
     pub(crate) repr: Vec<BurstRepr>,
     /// Average predecessor types per type per query (`p` of Table 2).
@@ -158,10 +160,11 @@ impl GroupRuntime {
                 negs[nl].push((qi, kind));
             }
         }
-        let type_any_edge = edge
+        let edge_members: Vec<QSet> = edge
             .iter()
-            .map(|per_q| per_q.iter().any(|v| !v.is_empty()))
+            .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
             .collect();
+        let type_any_edge = edge_members.iter().map(|m| !m.is_empty()).collect();
         let relevant = (0..nt)
             .map(|tl| tpl.involved[tl] | tpl.neg_involved[tl])
             .collect();
@@ -188,6 +191,7 @@ impl GroupRuntime {
             relevant,
             candidates,
             sel_members,
+            edge_members,
             repr: Vec::new(),
         };
         rt.repr = (0..nt).map(|tl| rt.resolve_repr(tl)).collect();
@@ -247,6 +251,18 @@ impl GroupRuntime {
             }
             AggSkeleton::MinMax { .. } => (TrendVal::ZERO, false),
         }
+    }
+
+    /// The optimizer inputs of a burst of local type `tl` on a fresh run,
+    /// into a reused context: the type's candidates and the members among
+    /// them with an edge predicate, a zeroed divergence slot per
+    /// candidate, `p`, and no events yet (`n = g = sp = 0`).
+    pub(crate) fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
+        ctx.candidates = self.candidates[tl];
+        ctx.edge = self.candidates[tl] & self.edge_members[tl];
+        ctx.diverging.clear();
+        ctx.diverging.resize(ctx.candidates.len(), 0);
+        (ctx.n, ctx.g, ctx.sp, ctx.p) = (0, 0, 0, self.p);
     }
 
     /// True iff member `q`'s selection predicates accept `e` (type `tl`).
@@ -401,14 +417,16 @@ pub struct BurstCtx {
     pub sp: usize,
     /// Average predecessor types per type per query (`p`).
     pub p: f64,
-    /// Per candidate member: events of the burst whose predicate outcome
-    /// diverges from the other candidates (drives `sc`, Def. 9).
+    /// The members that may share the burst (involved, Kleene self-loop,
+    /// linear aggregate).
+    pub candidates: QSet,
+    /// The candidates whose edge predicates force an event-level snapshot
+    /// on every event.
+    pub edge: QSet,
+    /// Per candidate, in ascending member order: events of the burst whose
+    /// predicate outcome diverges from the other candidates (drives `sc`,
+    /// Def. 9).
     pub diverging: Vec<u64>,
-    /// Per candidate member: whether edge predicates force event-level
-    /// snapshots on every event.
-    pub has_edge: Vec<bool>,
-    /// Candidate member indices (involved, Kleene self-loop, linear agg).
-    pub candidates: Vec<usize>,
 }
 
 /// A set of a run's local types, one bit per type. A template of more
@@ -573,17 +591,10 @@ impl Run {
     }
 
     /// [`burst_shape`](Self::burst_shape) into a reused context: once its
-    /// vectors have grown to the group's width, a decision allocates
-    /// nothing.
+    /// divergence slots have grown to the group's width, a decision
+    /// allocates nothing.
     pub fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
-        let cands = self.rt.candidates[tl];
-        ctx.candidates.clear();
-        ctx.candidates.extend(cands.iter());
-        ctx.has_edge.clear();
-        ctx.has_edge
-            .extend(cands.iter().map(|q| !self.rt.edge[tl][q].is_empty()));
-        ctx.diverging.clear();
-        ctx.diverging.resize(cands.len(), 0);
+        self.rt.burst_shape_into(tl, ctx);
         (ctx.g, ctx.sp) = match &self.active[tl].shared {
             Some(sh) => (sh.size, sh.sum_exprs.num_terms()),
             None => {
@@ -592,7 +603,6 @@ impl Run {
             }
         };
         ctx.n = self.n_events;
-        ctx.p = self.rt.p;
     }
 
     /// Processes one complete burst of local type `tl`.

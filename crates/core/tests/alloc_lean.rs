@@ -11,6 +11,9 @@
 //! keys and a few key clones, not the ~45 allocations of building one.
 //! The third pins the router: a warm `ShardRouter` builds keys into its
 //! one scratch key, so routing a single-owner event allocates nothing.
+//! The fourth holds the first case's bound over a share group of 19
+//! members with a head type each, whose bursts open and close graphlets
+//! of many types.
 //!
 //! Lives in its own integration binary on purpose (it replaces the global
 //! allocator); the counter is per thread, so the cases — which the
@@ -234,4 +237,61 @@ fn routing_a_single_owner_event_does_not_allocate() {
     assert_eq!(spent, 0, "{spent} allocations routing {n} events");
     assert_eq!(shards.iter().map(Vec::len).sum::<usize>(), 2 * n as usize);
     assert!(shards.iter().all(|s| !s.is_empty()), "both shards own keys");
+}
+
+/// The same bound over one share group of 19 `SEQ(H_i, B+)` members with
+/// a head type each (20 types): head bursts of many types between `B`
+/// bursts open and close solo graphlets of many types per burst, and a
+/// warm run reuses their storage.
+#[cfg(debug_assertions)]
+#[test]
+fn many_head_types_are_allocation_lean() {
+    use hamlet_core::executor::{EngineConfig, HamletEngine};
+    use hamlet_query::{Pattern, Query, Window};
+    use hamlet_types::{EventBuilder, TypeRegistry};
+    use std::sync::Arc;
+
+    let mut reg = TypeRegistry::new();
+    let b = reg.register("B", &["v"]);
+    let heads: Vec<_> = (0..19)
+        .map(|i| reg.register(&format!("H{i}"), &["v"]))
+        .collect();
+    let reg = Arc::new(reg);
+    let queries = (heads.iter().zip(1..))
+        .map(|(&head, id)| {
+            let pat = Pattern::seq(vec![Pattern::Type(head), Pattern::plus(Pattern::Type(b))]);
+            Query::count_star(id, pat, Window::new(1_000_000, 1_000_000))
+        })
+        .collect();
+    let cfg = EngineConfig {
+        mem_sample_every: 0,
+        track_latency: false,
+        ..EngineConfig::default()
+    };
+    let mut eng = HamletEngine::new(reg.clone(), queries, cfg).unwrap();
+    assert_eq!(eng.num_groups(), 1);
+    // Per 16 events: three heads of different types, then 13 B events.
+    let n: u64 = 1024;
+    let events = |from: u64| -> Vec<_> {
+        (from..from + n)
+            .map(|t| {
+                let ty = if t % 16 < 3 {
+                    heads[(t * 7 % 19) as usize]
+                } else {
+                    b
+                };
+                EventBuilder::new(&reg, ty, t).attr("v", 0.0).build()
+            })
+            .collect()
+    };
+    let (warm, measured) = (events(0), events(n));
+    eng.process_batch(&warm);
+    let before = allocs();
+    eng.process_batch(&measured);
+    let spent = allocs() - before;
+    assert!(
+        spent < n / 8,
+        "{spent} allocations for {n} events (budget {})",
+        n / 8
+    );
 }

@@ -102,7 +102,7 @@ impl GroupRuntime {
     pub(crate) fn resolve_repr(&self, tl: usize) -> BurstRepr {
         if self.uniform_bursts() {
             BurstRepr::Count
-        } else if self.type_any_edge[tl] {
+        } else if !self.edge_members[tl].is_empty() {
             BurstRepr::Events
         } else {
             BurstRepr::Cells

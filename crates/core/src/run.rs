@@ -88,9 +88,6 @@ pub struct GroupRuntime {
     pub sel: Vec<Vec<Vec<CompiledSelection>>>,
     /// `edge[type][member]` — edge predicates whose head is that type.
     pub edge: Vec<Vec<Vec<EdgePredicate>>>,
-    /// Per type: true iff any member has an edge predicate on it (forces
-    /// event storage and pairwise scans).
-    pub type_any_edge: Vec<bool>,
     /// Negation constraints indexed by the *negated* type:
     /// `(member, kind)` pairs in local type indices.
     pub negs: Vec<Vec<(usize, LocalNegKind)>>,
@@ -102,8 +99,9 @@ pub struct GroupRuntime {
     pub candidates: Vec<QSet>,
     /// `sel_members[type]` — the members with a selection on the type.
     pub(crate) sel_members: Vec<QSet>,
-    /// `edge_members[type]` — the members with an edge predicate on it.
-    edge_members: Vec<QSet>,
+    /// `edge_members[type]` — the members with an edge predicate on it
+    /// (a type with any buffers its events and scans them pairwise).
+    pub(crate) edge_members: Vec<QSet>,
     /// [`GroupRuntime::burst_repr`] per type.
     pub(crate) repr: Vec<BurstRepr>,
     /// Average predecessor types per type per query (`p` of Table 2).
@@ -164,7 +162,6 @@ impl GroupRuntime {
             .iter()
             .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
             .collect();
-        let type_any_edge = edge_members.iter().map(|m| !m.is_empty()).collect();
         let relevant = (0..nt)
             .map(|tl| tpl.involved[tl] | tpl.neg_involved[tl])
             .collect();
@@ -186,7 +183,6 @@ impl GroupRuntime {
             skeleton: group.skeleton.clone(),
             sel,
             edge,
-            type_any_edge,
             negs,
             relevant,
             candidates,
@@ -215,7 +211,7 @@ impl GroupRuntime {
     /// bare count instead of cloned events.
     pub fn uniform_bursts(&self) -> bool {
         matches!(self.skeleton, AggSkeleton::CountOnly)
-            && !self.type_any_edge.iter().any(|&b| b)
+            && self.edge_members.iter().all(QSet::is_empty)
             && self.sel.iter().all(|per_q| per_q.iter().all(Vec::is_empty))
             && self.negs.iter().all(Vec::is_empty)
     }
@@ -227,7 +223,7 @@ impl GroupRuntime {
     /// selection on `tl` among the involved members.
     fn closed_form(&self, tl: usize) -> bool {
         matches!(self.skeleton, AggSkeleton::CountOnly)
-            && !self.type_any_edge.iter().any(|&b| b)
+            && self.edge_members.iter().all(QSet::is_empty)
             && !self.sel_members[tl].intersects(&self.template.involved[tl])
     }
 
@@ -289,7 +285,7 @@ struct SharedGraphlet {
 }
 
 /// A per-member (non-shared) graphlet (§3.2).
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 struct SoloGraphlet {
     sum: NodeVal,
     mm: MmVal,
@@ -338,11 +334,13 @@ codec_struct!(SoloGraphlet {
     size
 });
 
-/// Active graphlets of one type.
-#[derive(Default)]
+/// Active graphlets of one type: the shared one, if open, and a solo
+/// slot per member, of which only the members in `solos` hold an open
+/// graphlet — every walk over a type's solo graphlets walks that set.
 struct Active {
     shared: Option<SharedGraphlet>,
-    solo: Vec<Option<SoloGraphlet>>,
+    solos: QSet,
+    solo: Vec<SoloGraphlet>,
 }
 
 /// Counters exposed for the evaluation section's figures.
@@ -447,6 +445,12 @@ impl TypeSet {
         }
     }
 
+    fn remove(&mut self, ty: usize) {
+        if ty < 64 {
+            self.0 &= !(1 << ty);
+        }
+    }
+
     /// The set's types of a template of `nt` types, ascending.
     fn iter(self, nt: usize) -> impl Iterator<Item = usize> {
         let low = QSet(self.0).iter().take_while(move |&ty| ty < nt);
@@ -458,10 +462,13 @@ impl TypeSet {
 ///
 /// A run of a high-cardinality stream lives for a burst or two and touches
 /// one or two of its template's types, so what a run walks per type is
-/// walked over two sets only: `open` (types whose `active` entry may hold
-/// a graphlet) and `written` (types whose `cum`, `mm_cum` and `alive_cum`
-/// rows may differ from the identity). Every other type's entry is what
-/// [`Run::new`] made it.
+/// walked over two sets only: `open` (exactly the types whose `active`
+/// entry holds a graphlet) and `written` (types whose `cum`, `mm_cum` and
+/// `alive_cum` rows may differ from the identity). Every other type's
+/// entry is what [`Run::new`] made it. Within an open type, what a run
+/// walks per member is walked over the members whose solo graphlet is
+/// open (`Active::solos`), so a burst closes what it closes, not every
+/// open type × every member.
 pub struct Run {
     rt: Arc<GroupRuntime>,
     k: usize,
@@ -511,7 +518,8 @@ impl Run {
             active: (0..nt)
                 .map(|_| Active {
                     shared: None,
-                    solo: vec![None; k],
+                    solos: QSet::new(),
+                    solo: vec![SoloGraphlet::new(mm_identity); k],
                 })
                 .collect(),
             stored: (0..nt).map(|_| Vec::new()).collect(),
@@ -542,7 +550,7 @@ impl Run {
         self.snaps.clear();
         for ty in self.open.iter(nt) {
             self.active[ty].shared = None;
-            self.active[ty].solo.fill(None);
+            self.active[ty].solos = QSet::new();
         }
         self.stored.iter_mut().for_each(Vec::clear);
         self.stats = RunStats::default();
@@ -595,11 +603,12 @@ impl Run {
     /// allocates nothing.
     pub fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
         self.rt.burst_shape_into(tl, ctx);
-        (ctx.g, ctx.sp) = match &self.active[tl].shared {
+        let a = &self.active[tl];
+        (ctx.g, ctx.sp) = match &a.shared {
             Some(sh) => (sh.size, sh.sum_exprs.num_terms()),
             None => {
-                let solos = self.active[tl].solo.iter().flatten();
-                (solos.map(|s| s.size).max().unwrap_or(0), 0)
+                let sizes = a.solos.iter().map(|q| a.solo[q].size);
+                (sizes.max().unwrap_or(0), 0)
             }
         };
         ctx.n = self.n_events;
@@ -634,9 +643,7 @@ impl Run {
             if shared.is_some_and(|sh| sh.members.intersects(&relevant)) {
                 self.close_shared(ty);
             }
-            for q in relevant.iter() {
-                self.close_solo(ty, q);
-            }
+            self.close_solos(ty, relevant);
         }
 
         // Negation constraints fire before positive processing (§5): the
@@ -755,8 +762,7 @@ impl Run {
                 alive_ext |= self.alive_cum[p][q];
             }
             let is_min = self.is_min;
-            // hamlet-lint: allow(panic-hygiene) -- opened just above if it was not already active
-            let solo = self.active[tl].solo[q].as_mut().expect("solo graphlet");
+            let solo = &mut self.active[tl].solo[q];
             for c in cells.iter().filter(|c| c.mask.contains(q)) {
                 let mut pred = ext;
                 if self_loop {
@@ -833,8 +839,7 @@ impl Run {
             if starts.contains(q) {
                 step.count += TrendVal::ONE;
             }
-            // hamlet-lint: allow(panic-hygiene) -- a solo query reaching here implies its solo graphlet was created when the burst opened
-            let solo = self.active[tl].solo[q].as_mut().expect("solo graphlet");
+            let solo = &mut self.active[tl].solo[q];
             if tpl.self_loop[tl].contains(q) {
                 solo.sum.scale(m);
                 solo.sum.add_scaled(step, g);
@@ -888,8 +893,8 @@ impl Run {
                         out.add(self.snaps.eval(&sh.sum_exprs, q));
                     }
                 }
-                if let Some(solo) = &self.active[ty].solo[q] {
-                    out.add(solo.sum);
+                if self.active[ty].solos.contains(q) {
+                    out.add(self.active[ty].solo[q].sum);
                 }
             }
         }
@@ -908,26 +913,18 @@ impl Run {
             self.close_shared(tl);
             self.stats.splits += 1;
         }
-        if !share.is_empty() && self.active[tl].shared.is_none() {
-            // Merge: members' solo graphlets collapse into cum, and one
-            // consolidated graphlet-level snapshot is created (Fig. 6(f)).
-            let mut was_solo = false;
-            for q in share.iter() {
-                if self.active[tl].solo[q].is_some() {
-                    self.close_solo(tl, q);
-                    was_solo = true;
-                }
-            }
-            if was_solo {
-                self.stats.merges += 1;
-            }
-            self.open_shared(rt, tl, share);
-        }
+        // Merge: members' solo graphlets collapse into cum, and one
+        // consolidated graphlet-level snapshot is created (Fig. 6(f)).
         // Solo members keep (or lazily open) their graphlets in the
-        // replay; members newly covered by the shared graphlet must not
-        // also run solo.
-        for q in share.iter() {
-            self.close_solo(tl, q);
+        // replay; members covered by the shared graphlet must not also
+        // run solo.
+        let merge = !share.is_empty() && self.active[tl].shared.is_none();
+        if merge && share.intersects(&self.active[tl].solos) {
+            self.stats.merges += 1;
+        }
+        self.close_solos(tl, share);
+        if merge {
+            self.open_shared(rt, tl, share);
         }
     }
 
@@ -981,8 +978,9 @@ impl Run {
 
     /// Opens member `q`'s solo graphlet of type `tl` unless it is open.
     fn open_solo(&mut self, tl: usize, q: usize) {
-        if self.active[tl].solo[q].is_none() {
-            self.active[tl].solo[q] = Some(SoloGraphlet::new(self.mm_identity));
+        let a = &mut self.active[tl];
+        if a.solos.insert(q) {
+            a.solo[q] = SoloGraphlet::new(self.mm_identity);
             self.open.add(tl);
             self.stats.graphlets += 1;
         }
@@ -1000,16 +998,34 @@ impl Run {
                 // lattice dimensions stay untouched.
             }
             self.written.add(tl);
+            self.vacate(tl);
         }
     }
 
-    /// Folds a solo graphlet into `cum` / lattice accumulators.
-    fn close_solo(&mut self, tl: usize, q: usize) {
-        if let Some(solo) = self.active[tl].solo[q].take() {
+    /// Folds the open solo graphlets of type `tl` among `members` into
+    /// `cum` / lattice accumulators.
+    fn close_solos(&mut self, tl: usize, members: QSet) {
+        let a = &mut self.active[tl];
+        let closing = a.solos & members;
+        if closing.is_empty() {
+            return;
+        }
+        a.solos = a.solos & !closing;
+        for q in closing.iter() {
+            let solo = &self.active[tl].solo[q];
             self.cum[tl][q].add(solo.sum);
             self.mm_cum[tl][q].fold(solo.mm.0, self.is_min);
             self.alive_cum[tl][q] |= solo.alive;
-            self.written.add(tl);
+        }
+        self.written.add(tl);
+        self.vacate(tl);
+    }
+
+    /// Drops `tl` from `open` once it holds no graphlet.
+    fn vacate(&mut self, tl: usize) {
+        let a = &self.active[tl];
+        if a.shared.is_none() && a.solos.is_empty() {
+            self.open.remove(tl);
         }
     }
 
@@ -1053,11 +1069,8 @@ impl Run {
         let nt = self.active.len();
         for ty in self.open.iter(nt) {
             self.close_shared(ty);
-            for q in 0..self.k {
-                self.close_solo(ty, q);
-            }
+            self.close_solos(ty, self.active[ty].solos);
         }
-        self.open = TypeSet::empty(nt);
         let tpl = &self.rt.template;
         out.clear();
         out.extend((0..self.k).map(|q| {
@@ -1099,7 +1112,9 @@ impl Run {
         self.snaps.encode(e);
         for a in &self.active {
             a.shared.encode(e);
-            a.solo.iter().for_each(|v| v.encode(e));
+            for (q, solo) in a.solo.iter().enumerate() {
+                a.solos.contains(q).then_some(*solo).encode(e);
+            }
         }
         self.stored.iter().for_each(|v| v.encode(e));
         self.stats.encode(e);
@@ -1109,11 +1124,12 @@ impl Run {
     /// (freshly compiled) runtime. What the record holds is decoded
     /// plainly, then checked against that runtime — its shape, and every
     /// snapshot id against the restored table — before anything indexes
-    /// by it. The record does not say which types it touched, so the
-    /// decoded run counts every type as open and written.
+    /// by it. The record does not say which types' totals it wrote, so the
+    /// decoded run counts every type as written; `open` and each type's
+    /// open members follow exactly from the graphlets it holds.
     pub(crate) fn decode(d: &mut Dec<'_>, rt: Arc<GroupRuntime>) -> Result<Run, CheckpointError> {
         let mut run = Run::new(rt);
-        (run.open, run.written) = (TypeSet(u64::MAX), TypeSet(u64::MAX));
+        run.written = TypeSet(u64::MAX);
         let nt = run.rt.template.num_types();
         let (k_enc, nt_enc, n_events): (usize, usize, u64) = Codec::decode(d)?;
         if k_enc != run.k || nt_enc != nt {
@@ -1133,12 +1149,20 @@ impl Run {
         run.snaps = Codec::decode(d)?;
         run.snaps.check_arity(run.k)?;
         let num_snaps = run.snaps.len();
-        for a in &mut run.active {
+        for (ty, a) in run.active.iter_mut().enumerate() {
             a.shared = Codec::decode(d)?;
-            decode_into(d, &mut a.solo)?;
+            for (q, slot) in a.solo.iter_mut().enumerate() {
+                if let Some(solo) = Codec::decode(d)? {
+                    *slot = solo;
+                    a.solos.insert(q);
+                }
+            }
             a.shared
                 .iter()
                 .try_for_each(|sh| sh.check_snaps(num_snaps))?;
+            if a.shared.is_some() || !a.solos.is_empty() {
+                run.open.add(ty);
+            }
         }
         for per_ty in &mut run.stored {
             *per_ty = Codec::decode(d)?;
@@ -1158,7 +1182,7 @@ impl Run {
             if let Some(sh) = &a.shared {
                 b += sh.sum_exprs.mem_bytes();
             }
-            b += a.solo.iter().flatten().count() * std::mem::size_of::<SoloGraphlet>();
+            b += a.solos.len() * std::mem::size_of::<SoloGraphlet>();
         }
         b + (self.stored.iter().flatten())
             .map(StoredEvent::mem_bytes)
@@ -1430,7 +1454,7 @@ mod tests {
             let nt = self.active.len();
             for ty in 0..nt {
                 self.close_shared(ty);
-                (0..self.k).for_each(|q| self.close_solo(ty, q));
+                self.close_solos(ty, QSet::all(self.k));
             }
             let tpl = &self.rt.template;
             (0..self.k)

@@ -73,11 +73,10 @@ impl Run {
         for &p in &tpl.pt[tl][q] {
             mm.fold(self.mm_cum[p][q].0, self.is_min);
             alive |= self.alive_cum[p][q];
-            if p == tl {
-                if let Some(solo) = &self.active[p].solo[q] {
-                    mm.fold(solo.mm.0, self.is_min);
-                    alive |= solo.alive;
-                }
+            if p == tl && self.active[p].solos.contains(q) {
+                let solo = &self.active[p].solo[q];
+                mm.fold(solo.mm.0, self.is_min);
+                alive |= solo.alive;
             }
         }
         (mm, alive)
@@ -133,7 +132,7 @@ impl Run {
     ) {
         let tpl = &rt.template;
         let (w, is_target) = rt.weight(e);
-        let store_needed = rt.type_any_edge[tl];
+        let store_needed = !rt.edge_members[tl].is_empty();
         let starts = self.starts(tpl, tl);
         let mut stored_shared: Option<(QSet, LinearExpr)> = None;
         let mut stored_solo: Vec<(u16, NodeVal)> = Vec::new();
@@ -197,9 +196,7 @@ impl Run {
             if has_edge {
                 pred.add(self.scan_pred(tl, q, e));
             } else if tpl.self_loop[tl].contains(q) {
-                if let Some(solo) = &self.active[tl].solo[q] {
-                    pred.add(solo.sum);
-                }
+                pred.add(self.active[tl].solo[q].sum);
             }
             let start = starts.contains(q);
             let val = NodeVal::propagate(pred, start, w, is_target);
@@ -225,8 +222,7 @@ impl Run {
                 }
             }
 
-            // hamlet-lint: allow(panic-hygiene) -- opened just above if it was not already active
-            let solo = self.active[tl].solo[q].as_mut().expect("solo graphlet");
+            let solo = &mut self.active[tl].solo[q];
             solo.sum.add(val);
             solo.mm.fold(mmv.0, self.is_min);
             solo.alive |= alive_out;

@@ -1,34 +1,37 @@
 #!/usr/bin/env bash
 # Interleaved A/B pairs of the benchmark BENCHMARK.json declares: the
-# committed tree at REV against the working tree, on one workload.
+# committed tree at REV against the working tree, on one or more
+# workloads.
 #
-#   scripts/bench_pairs.sh REV WORKLOAD N [BENCHMARK ARGS...]
+#   scripts/bench_pairs.sh REV WORKLOADS N [BENCHMARK ARGS...]
 #   scripts/bench_pairs.sh HEAD~1 rides_shared_w2 10
-#   scripts/bench_pairs.sh HEAD~1 rides_shared_w2 3 --seed 11
+#   scripts/bench_pairs.sh HEAD~1 stock_diverse_w1,rides_ops_w2 5 --seed 11
 #
-# Both sides are built offline in release from copies under $TMPDIR —
-# REV's committed files (`git archive`) and the working tree's tracked and
-# untracked files — and run as `hamlet_benchmark --workload WORKLOAD --seconds S
-# --trace 0 [ARGS]`, S being BENCHMARK.json's run_seconds unless
-# BENCH_SECONDS is set. Pair i runs REV first when i is odd and the working
-# tree first when it is even, so a host that slows down mid-pair does not
-# always tax the same side. Prints per pair every end-to-end metric
+# WORKLOADS is a comma-separated list. Both sides are built once, offline
+# in release, from copies under $TMPDIR — REV's committed files (`git
+# archive`) and the working tree's tracked and untracked files — and run
+# N pairs per workload, one workload after the other, as
+# `hamlet_benchmark --workload WORKLOAD --seconds S --trace 0 [ARGS]`, S
+# being BENCHMARK.json's run_seconds unless BENCH_SECONDS is set. Pair i
+# runs REV first when i is odd and the working tree first when it is
+# even, so a host that slows down mid-pair does not always tax the same
+# side. Per workload it prints per pair every end-to-end metric
 # BENCHMARK.json names and the failed count; then per side the runs that
 # produced no result, the median with its quartiles and the total failed;
 # the number of pairs whose throughput the working tree won; one verdict
 # per end-to-end metric against its `bound` (ok, WORSE, or unresolved when
 # REV's quartile spread is wider than the bound or a run produced no
-# result); and whether the claim
-# rule for a gain holds (better in 9 of 10 pairs, median gain larger than
-# REV's inter-quartile range). Touches nothing in the repository; the
-# build directories are removed on exit.
+# result); and whether the claim rule for a gain holds (better in 9 of 10
+# pairs, median gain larger than REV's inter-quartile range). Every
+# `verdict` and `claim` line starts with its workload. Touches nothing in
+# the repository; the build directories are removed on exit.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
-    echo "usage: $0 REV WORKLOAD N [BENCHMARK ARGS...]" >&2
+    echo "usage: $0 REV WORKLOADS N [BENCHMARK ARGS...]" >&2
     exit 2
 fi
-rev=$1 workload=$2 pairs=$3
+rev=$1 workloads=$2 pairs=$3
 shift 3
 root=$(git rev-parse --show-toplevel)
 manifest=crates/bench/src/bin/hamlet_benchmark/Cargo.toml
@@ -52,26 +55,18 @@ build() {
 base_bin=$(build base)
 head_bin=$(build head)
 
-# run SIDE BIN [ARGS...]: one run; appends its last line (the result
-# JSON) to $work/SIDE.jsonl.
+# run SIDE BIN [ARGS...]: one run of $workload; appends its last line
+# (the result JSON) to $work/SIDE-$workload.jsonl.
 run() {
     local side=$1 bin=$2
     shift 2
     "$bin" --workload "$workload" --seconds "$seconds" --trace 0 "$@" 2>/dev/null |
-        tail -n 1 >>"$work/$side.jsonl" || true
+        tail -n 1 >>"$work/$side-$workload.jsonl" || true
 }
-for i in $(seq 1 "$pairs"); do
-    if [ $((i % 2)) = 1 ]; then
-        run base "$base_bin" "$@"
-        run head "$head_bin" "$@"
-    else
-        run head "$head_bin" "$@"
-        run base "$base_bin" "$@"
-    fi
-    echo "pair $i/$pairs done" >&2
-done
 
-python3 - "$work/base.jsonl" "$work/head.jsonl" "$rev" "$root/BENCHMARK.json" <<'EOF'
+# report WORKLOAD: the table, summaries, verdicts and claims of its pairs.
+report() {
+    python3 - "$work/base-$1.jsonl" "$work/head-$1.jsonl" "$rev" "$root/BENCHMARK.json" "$1" <<'EOF'
 import json, statistics, sys
 
 rules = json.load(open(sys.argv[4]))["end_to_end"]
@@ -91,7 +86,7 @@ def quartiles(xs):
     xs = sorted(xs)
     return statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else [xs[0]] * 3
 
-base, head, rev = rows(sys.argv[1]), rows(sys.argv[2]), sys.argv[3]
+base, head, rev, wl = rows(sys.argv[1]), rows(sys.argv[2]), sys.argv[3], sys.argv[5]
 print(f"{'pair':>4}  {'side':<8} " + " ".join(f"{n:>15}" for n in names) + f" {'failed':>7}")
 for i, (b, h) in enumerate(zip(base, head), 1):
     for side, r in ((rev, b), ("tree", h)):
@@ -126,13 +121,13 @@ lost = any(r is None for r in base + head)
 for rule in rules:
     n, bound, higher = rule["name"], rule["bound"], rule["better"] == "higher"
     if qb is None or qh is None or qb[n][1] == 0:
-        print(f"verdict  {n:<15} unresolved (no median to compare)")
+        print(f"{wl}  verdict  {n:<15} unresolved (no median to compare)")
         continue
     ratio = qh[n][1] / qb[n][1]
     spread = (qb[n][2] - qb[n][0]) / qb[n][1]
     worse = ratio < 1 - bound if higher else ratio > 1 + bound
     verdict = "WORSE" if worse else "unresolved" if spread > bound or lost else "ok"
-    print(f"verdict  {n:<15} tree/{rev[:8]} {ratio:.4f}  ({rule['better']} is better, "
+    print(f"{wl}  verdict  {n:<15} tree/{rev[:8]} {ratio:.4f}  ({rule['better']} is better, "
           f"bound {bound:.0%}, {rev[:8]} spread {spread:.1%}): {verdict}")
 
 # The claim rule: a gain counts only if the tree is better in at least 9
@@ -141,12 +136,28 @@ for rule in rules:
 for rule in rules:
     n, higher = rule["name"], rule["better"] == "higher"
     if qb is None or qh is None:
-        print(f"claim    {n:<15} does not hold (a side has no result)")
+        print(f"{wl}  claim    {n:<15} does not hold (a side has no result)")
         continue
     better = sum(1 for b, h in paired if (h[n] > b[n] if higher else h[n] < b[n]))
     gain = (qh[n][1] - qb[n][1]) * (1 if higher else -1) + 0.0  # no "-0"
     iqr = qb[n][2] - qb[n][0]
     holds = better * 10 >= 9 * len(paired) and gain > iqr and not lost
-    print(f"claim    {n:<15} tree better in {better} of {len(paired)} pairs (needs 9/10), "
+    print(f"{wl}  claim    {n:<15} tree better in {better} of {len(paired)} pairs (needs 9/10), "
           f"median gain {gain:.6g} vs {rev[:8]} IQR {iqr:.6g}: {'holds' if holds else 'does not hold'}")
 EOF
+}
+
+for workload in ${workloads//,/ }; do
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) = 1 ]; then
+            run base "$base_bin" "$@"
+            run head "$head_bin" "$@"
+        else
+            run head "$head_bin" "$@"
+            run base "$base_bin" "$@"
+        fi
+        echo "$workload: pair $i/$pairs done" >&2
+    done
+    echo "== $workload"
+    report "$workload"
+done

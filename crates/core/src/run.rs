@@ -1448,6 +1448,16 @@ mod tests {
     }
 
     impl Run {
+        /// True iff `open` holds exactly the types with a graphlet.
+        fn open_is_exact(&self) -> bool {
+            let nt = self.active.len();
+            (0..nt).all(|ty| {
+                let a = &self.active[ty];
+                let held = a.shared.is_some() || !a.solos.is_empty();
+                self.open.iter(nt).any(|t| t == ty) == held
+            })
+        }
+
         /// [`finalize`](Run::finalize) walking every type and member: the
         /// oracle of the walk over the type sets.
         fn finalize_full_walk(&mut self) -> Vec<MemberOutput> {
@@ -1478,14 +1488,15 @@ mod tests {
         /// bursts into random groups — cell, count and edge-predicate
         /// bursts, negations, every skeleton — under never-share,
         /// always-share and a random sharing set per burst: the masked
-        /// finalize equals the full walk, a decoded run (both sets full)
-        /// measures and finalizes the same, and a recycled run — finalized first or
-        /// not, as a restore's vacated run is not — records and measures
-        /// as `Run::new` does.
+        /// finalize equals the full walk, a decoded run (`written` full)
+        /// measures and finalizes the same, `open` is exact before and
+        /// after decoding and empty after finalizing, and a recycled run —
+        /// finalized first or not, as a restore's vacated run is not —
+        /// records and measures as `Run::new` does.
         #[test]
         fn type_sets_never_miss_a_type(seed in 0u64..u64::MAX, shape in 0u64..3, policy in 0u64..3) {
             use crate::checkpoint::{Dec, Enc};
-            use proptest::prelude::prop_assert_eq;
+            use proptest::prelude::{prop_assert, prop_assert_eq};
             let mut next = stream_of(seed);
             let skel = if shape == 1 { 0 } else { next() % 3 };
             let rt = random_group(&mut next, skel, shape);
@@ -1515,7 +1526,9 @@ mod tests {
             }
             let mut decoded = Run::decode(&mut Dec::new(&record(&masked)), rt.clone()).unwrap();
             prop_assert_eq!(masked.mem_bytes(), decoded.mem_bytes());
+            prop_assert!(masked.open_is_exact() && decoded.open_is_exact());
             let out = masked.finalize();
+            prop_assert!(masked.open_is_exact() && masked.open.iter(nt).next().is_none());
             prop_assert_eq!(&out, &full.finalize_full_walk());
             prop_assert_eq!(&out, &decoded.finalize());
             if next().is_multiple_of(2) {

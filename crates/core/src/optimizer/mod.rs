@@ -16,6 +16,8 @@ pub mod benefit;
 #[cfg(test)]
 mod exhaustive;
 pub mod queryset;
+#[cfg(test)]
+pub(crate) mod script;
 pub mod stats;
 
 pub use benefit::{benefit, nonshared_cost, shared_cost, CostFactors};
@@ -40,6 +42,13 @@ pub enum SharingPolicy {
 
 /// Decides the sharing set for one burst under the given policy.
 pub fn decide(policy: SharingPolicy, ctx: &BurstCtx, burst_len: u64) -> Decision {
+    #[cfg(test)]
+    if let Some(share) = script::draw(ctx.candidates) {
+        return Decision {
+            share,
+            estimated_benefit: 0.0,
+        };
+    }
     if ctx.candidates.len() < 2 || policy == SharingPolicy::NeverShare {
         return Decision::default();
     }

@@ -84,7 +84,8 @@ const CHECKS: &[Check] = &[
     // The second worker must not collapse the parallel path. A no-collapse
     // floor, not a scaling bar: on a 2-core host two workers and the
     // router share two cores (0.645 the lowest of PR 20's twenty-five
-    // sweeps). ROADMAP direction 3 raises it to 1.3.
+    // sweeps). ROADMAP direction 10(d) raises it once par2 ÷ par1 exceeds
+    // 1.1 on five of five sweeps.
     Check {
         name: "scaling",
         figures: &["fig_scaling"],

@@ -280,7 +280,7 @@ pub const SWEEPS: &[Sweep] = &[
     // Scale-out (beyond the paper): high-cardinality grouping, the
     // regime sharding targets — each shard owns ~1/w of the keys and
     // receives only its own events from the batching router. Two points:
-    // the host has two cores (ROADMAP direction 3(e)).
+    // the host has two cores (ROADMAP direction 10).
     Sweep {
         id: "fig_scaling",
         title: "Scale-out: shared HAMLET throughput vs workers (Ridesharing Kleene, 10 queries)",

@@ -23,11 +23,12 @@ use std::time::Instant;
 
 /// How the executor buffers a pending burst of one type. A function of
 /// the compiled group and the type alone — never configured.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum BurstRepr {
     /// [`GroupRuntime::uniform_bursts`] groups: a burst is its length.
     Count,
     /// Types without an edge predicate: a burst is a column of [`Cell`]s.
+    #[default]
     Cells,
     /// Types with an edge predicate, and no other: pairwise scans need
     /// the events, so they are cloned.
@@ -380,8 +381,8 @@ impl RunState {
         // hamlet-lint: allow(wallclock) -- decision-time accounting only (stats.decision_time)
         let t0 = timed.then(Instant::now);
         let (ctx, mode) = (&mut *env.ctx, env.cfg.divergence);
-        self.run.burst_shape_into(tl, ctx);
         let rt = self.run.runtime();
+        rt.burst_shape_into(tl, ctx);
         (env.estimator).diverging_into(mode, tl, b, ctx, |d| rt.divergence(tl, &burst, d));
         let dec = decide(env.cfg.policy, ctx, b);
         if let Some(t0) = t0 {

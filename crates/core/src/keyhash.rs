@@ -132,8 +132,18 @@ mod tests {
             for keys in [&floats, &ints] {
                 let low: HashSet<u64> = keys.iter().map(|k| hash(s, k) & 1023).collect();
                 let top: HashSet<u64> = keys.iter().map(|k| hash(s, k) >> 57).collect();
-                assert!(low.len() > 560, "seed {:#x}: {} of 1024 low buckets", s.0, low.len());
-                assert!(top.len() > 112, "seed {:#x}: {} of 128 top values", s.0, top.len());
+                assert!(
+                    low.len() > 560,
+                    "seed {:#x}: {} of 1024 low buckets",
+                    s.0,
+                    low.len()
+                );
+                assert!(
+                    top.len() > 112,
+                    "seed {:#x}: {} of 128 top values",
+                    s.0,
+                    top.len()
+                );
             }
         }
     }

@@ -1,53 +1,117 @@
-//! The dynamic sharing benefit model (§4.1, Def. 12 / Eq. 8).
+//! The sharing benefit model (§4.1, Def. 12), priced in nanoseconds of
+//! what [`Run::replay`](crate::run::Run::replay) executes.
 //!
-//! For a burst `B_E` of `b` events of a sharable type `E`:
+//! The paper prices a burst `B_E` of `b` events of a sharable type `E`
+//! with Eq. 8:
 //!
 //! ```text
-//! Shared(G_E, Q_E)    = sc·k·g·p + b·(log₂g + n·sp)
+//! Shared(G_E, Q_E)     = sc·k·g·p + b·(log₂g + n·sp)
 //! NonShared(Gⁱ_E, Q_E) = k·b·(log₂g + n)
-//! Benefit             = NonShared − Shared
+//! Benefit              = NonShared − Shared
 //! ```
 //!
-//! where `k` = queries sharing, `g` = events per graphlet, `n` = events per
-//! window, `p` = predecessor types per type per query, `sc` = snapshots
-//! created from the burst, `sp` = snapshots propagated while processing it
-//! (Table 2). Sharing pays off when the re-computation saved across `k`
-//! queries outweighs the snapshot-maintenance overhead.
+//! (`k` queries sharing, `g` events per graphlet, `n` events per window,
+//! `p` predecessor types, `sc` snapshots created, `sp` snapshots
+//! propagated; Table 2). Its non-shared term charges every query a pass
+//! over the window's `n` events per burst event — a GRETA that recomputes
+//! each event's count from its predecessors. This engine pays nothing of
+//! the sort: per-member totals of closed graphlets are resolved into one
+//! number per type (`cum`), so a member's step is O(p) whatever `n` is.
+//! Priced with Eq. 8, sharing won almost every burst, and the dynamic
+//! optimizer ran slower than never sharing on every benchmark workload.
+//! What the replay really does, per burst of `b` events:
+//!
+//! | Eq. 8 term | what this engine executes instead | priced here as |
+//! |---|---|---|
+//! | `k·b·(log₂g + n)` | a solo member: one closed-form step for a count burst; for cells, its predecessor sums and then one pass over the cells | `k·COUNT_SOLO_NS`, or `k·(CELL_SOLO_FIXED_NS + b·CELL_SOLO_NS)` |
+//! | `b·log₂g` | a count burst: one closed-form step of the shared sum; cells: each cell absorbed into a running sum of `TERMS` terms | `COUNT_SHARED_NS`, or `b·TERMS·CELL_TERM_NS` |
+//! | `b·n·sp` | — (nothing is re-read from the window) | — |
+//! | `sc·k·g·p` | an event-level snapshot: one folded row, a value per sharing member | `sc·(FOLD_NS + k·FOLD_MEMBER_NS)` |
+//! | — | opening a graphlet: a graphlet-level snapshot row (Def. 8), each member's predecessor sum; closing it: each member's total resolved into `cum` | `OPEN_NS + k·(OPEN_MEMBER_NS + CLOSE_MEMBER_NS)`, charged to every burst that shares |
+//!
+//! The constants were measured with the timestamp counter around each of
+//! these code paths (EXPERIMENTS.md, "Pricing what the replay does"):
+//! per call, divided by the members or cells it handled, on the four
+//! benchmark workloads and on the figures' shapes. Their spread across
+//! workloads is up to 2× (a cold run pays more for every term alike), so
+//! only their ratios steer a decision. Every plan that shares is charged
+//! its graphlet's open and close: on every workload measured a shared
+//! graphlet served exactly one burst — the next burst of another type
+//! closed it — so that is what sharing a burst costs. Where a solo step
+//! is about as cheap as the shared one (a count burst), the charge keeps
+//! a burst from opening a graphlet it cannot amortize, whose snapshot
+//! row would stay in the run until it ends.
+//!
+//! Pairwise edge-predicate scans (the per-event loop of `run/edge.rs`)
+//! are the same under both plans — each edge member scans the stored
+//! events either way — so they are not priced; an edge member that
+//! shares forces one event-level snapshot per event, which is.
 
-/// Stream statistics the model plugs in (all observed locally, making each
-/// decision O(1) — §4.2 complexity analysis).
+use crate::burst::BurstRepr;
+
+/// A solo member's closed-form step over a count burst: its external
+/// predecessor sum and one ring step.
+pub const COUNT_SOLO_NS: f64 = 30.0;
+/// A solo member's setup for a cell burst: opening its graphlet, the
+/// external and lattice predecessor sums.
+pub const CELL_SOLO_FIXED_NS: f64 = 45.0;
+/// A solo member per buffered cell (its mask filter visits every one).
+pub const CELL_SOLO_NS: f64 = 6.0;
+/// The shared sum's closed-form step over a count burst.
+pub const COUNT_SHARED_NS: f64 = 50.0;
+/// A shared cell, per term of the running sum it is absorbed into.
+pub const CELL_TERM_NS: f64 = 7.0;
+/// An event-level snapshot: its row and the fold.
+pub const FOLD_NS: f64 = 30.0;
+/// An event-level snapshot, per sharing member: the evaluated value.
+pub const FOLD_MEMBER_NS: f64 = 10.0;
+/// Opening a shared graphlet: its graphlet-level (and unit) snapshot row.
+pub const OPEN_NS: f64 = 100.0;
+/// Opening a shared graphlet, per member: its predecessor sum.
+pub const OPEN_MEMBER_NS: f64 = 14.0;
+/// Closing a shared graphlet, per member: its total resolved into `cum`.
+pub const CLOSE_MEMBER_NS: f64 = 10.0;
+/// Terms a shared graphlet's running sum propagates: the graphlet-level
+/// snapshot and, where the type starts trends, the unit (a fold replaces
+/// both with one, and the next uniform cell brings them back).
+pub const TERMS: f64 = 2.0;
+
+/// The burst as the replay sees it.
 #[derive(Copy, Clone, Debug, PartialEq)]
 pub struct CostFactors {
     /// Events in the burst (`b`).
     pub b: f64,
-    /// Events per window so far (`n`).
-    pub n: f64,
-    /// Events in the (prospective) graphlet (`g`).
-    pub g: f64,
-    /// Snapshots propagated at a time (`sp`).
-    pub sp: f64,
-    /// Predecessor types per type per query (`p`).
-    pub p: f64,
+    /// How the replay advances it: [`BurstRepr::Count`] in closed form,
+    /// otherwise cell by cell (or event by event, at the same price).
+    pub repr: BurstRepr,
 }
 
-#[inline]
-fn log2(g: f64) -> f64 {
-    g.max(1.0).log2()
+/// One solo member's replay of the burst.
+pub fn solo_member_cost(f: &CostFactors) -> f64 {
+    match f.repr {
+        BurstRepr::Count => COUNT_SOLO_NS,
+        BurstRepr::Cells | BurstRepr::Events => CELL_SOLO_FIXED_NS + f.b * CELL_SOLO_NS,
+    }
 }
 
-/// Cost of processing the burst in a graphlet shared by `k` queries,
-/// creating `sc` snapshots (Eq. 8, first line).
-pub fn shared_cost(k: f64, sc: f64, f: &CostFactors) -> f64 {
-    sc * k * f.g * f.p + f.b * (log2(f.g) + f.n * f.sp)
-}
-
-/// Cost of processing the burst in `k` separate per-query graphlets
-/// (Eq. 8, second line).
+/// `k` members replaying the burst solo.
 pub fn nonshared_cost(k: f64, f: &CostFactors) -> f64 {
-    k * f.b * (log2(f.g) + f.n)
+    k * solo_member_cost(f)
 }
 
-/// `Benefit = NonShared − Shared`; positive means sharing wins (Def. 12).
+/// `k` members sharing the burst in a graphlet opened for it, taking
+/// `sc` event-level snapshots.
+pub fn shared_cost(k: f64, sc: f64, f: &CostFactors) -> f64 {
+    let open = OPEN_NS + k * (OPEN_MEMBER_NS + CLOSE_MEMBER_NS);
+    let burst = match f.repr {
+        BurstRepr::Count => COUNT_SHARED_NS,
+        BurstRepr::Cells | BurstRepr::Events => f.b * TERMS * CELL_TERM_NS,
+    };
+    open + burst + sc * (FOLD_NS + k * FOLD_MEMBER_NS)
+}
+
+/// `Benefit = NonShared − Shared` in ns; positive means sharing wins
+/// (Def. 12).
 pub fn benefit(k: f64, sc: f64, f: &CostFactors) -> f64 {
     nonshared_cost(k, f) - shared_cost(k, sc, f)
 }
@@ -56,104 +120,47 @@ pub fn benefit(k: f64, sc: f64, f: &CostFactors) -> f64 {
 mod tests {
     use super::*;
 
-    /// Paper Eq. 9: b=4, n=7, sp=1, sc=1, k=2, g=4, p=2 (the example uses
-    /// the simplified Def. 11 without the log₂ term; with Eq. 8 the log₂g
-    /// terms appear on both sides).
-    ///
-    /// Def. 11 (Eq. 9): Shared = 4·7·1 + 1·2·4·2 = 44, NonShared = 2·4·7 =
-    /// 56, Benefit = 12 > 0. Eq. 8 adds b·log₂g = 8 to Shared and
-    /// k·b·log₂g = 16 to NonShared → Benefit = 12 + 8 = 20 > 0: same
-    /// decision.
-    #[test]
-    fn equation9_decision_to_share() {
-        let f = CostFactors {
-            b: 4.0,
-            n: 7.0,
-            g: 4.0,
-            sp: 1.0,
-            p: 2.0,
-        };
-        let shared = shared_cost(2.0, 1.0, &f);
-        let nonshared = nonshared_cost(2.0, &f);
-        assert_eq!(shared, 44.0 + 4.0 * 2.0); // Def. 11 value + b·log₂g
-        assert_eq!(nonshared, 56.0 + 8.0 * 2.0); // Def. 11 value + k·b·log₂g
-        assert!(benefit(2.0, 1.0, &f) > 0.0);
+    fn burst(b: f64, repr: BurstRepr) -> CostFactors {
+        CostFactors { b, repr }
     }
 
-    /// Paper Eq. 10: predicates force sp=2, sc=1, g=8, n=11 → sharing
-    /// loses. Def. 11: Shared = 4·11·2 + 1·2·8·2 = 120, NonShared = 2·4·11
-    /// = 88, Benefit = −32. Eq. 8 adds 4·3 = 12 vs 2·4·3 = 24 → −32 + 12 =
-    /// −20 < 0: same decision (split).
+    /// A count burst costs a solo member one step whatever `b` is, so
+    /// sharing one pays only above 25 members.
     #[test]
-    fn equation10_decision_to_split() {
-        let f = CostFactors {
-            b: 4.0,
-            n: 11.0,
-            g: 8.0,
-            sp: 2.0,
-            p: 2.0,
-        };
-        assert_eq!(shared_cost(2.0, 1.0, &f), 120.0 + 4.0 * 3.0);
-        assert_eq!(nonshared_cost(2.0, &f), 88.0 + 8.0 * 3.0);
-        assert!(benefit(2.0, 1.0, &f) < 0.0);
+    fn count_bursts_share_only_wide() {
+        for b in [1.0, 64.0, 1e6] {
+            let f = burst(b, BurstRepr::Count);
+            assert!(benefit(25.0, 0.0, &f) <= 0.0);
+            assert!(benefit(26.0, 0.0, &f) > 0.0);
+        }
     }
 
-    /// Paper Eq. 11: burst without new divergence merges again: n=15,
-    /// g=4, sp=1, sc=1 → Benefit = 120 − 76 = 44 > 0 (Def. 11); Eq. 8
-    /// preserves the sign.
+    /// Cells without divergence: a solo member re-reads every cell, the
+    /// shared graphlet absorbs each once, so a long enough burst shares.
     #[test]
-    fn equation11_decision_to_merge() {
-        let f = CostFactors {
-            b: 4.0,
-            n: 15.0,
-            g: 4.0,
-            sp: 1.0,
-            p: 2.0,
-        };
-        assert_eq!(shared_cost(2.0, 1.0, &f), 76.0 + 4.0 * 2.0);
-        assert_eq!(nonshared_cost(2.0, &f), 120.0 + 8.0 * 2.0);
-        assert!(benefit(2.0, 1.0, &f) > 0.0);
+    fn uniform_cells_share_once_the_burst_is_long() {
+        assert!(benefit(4.0, 0.0, &burst(1.0, BurstRepr::Cells)) < 0.0);
+        assert!(benefit(4.0, 0.0, &burst(16.0, BurstRepr::Cells)) > 0.0);
     }
 
+    /// An event-level snapshot costs more than the solo work it saves, so
+    /// a burst where most events diverge runs solo at any width.
     #[test]
-    fn more_queries_increase_benefit() {
-        // §4.1: the more queries share, the higher the benefit.
-        let f = CostFactors {
-            b: 10.0,
-            n: 100.0,
-            g: 20.0,
-            sp: 1.0,
-            p: 1.5,
-        };
-        let b2 = benefit(2.0, 1.0, &f);
-        let b10 = benefit(10.0, 1.0, &f);
-        assert!(b10 > b2);
+    fn diverging_bursts_run_solo() {
+        for k in [2.0, 8.0, 64.0] {
+            let f = burst(16.0, BurstRepr::Cells);
+            assert!(benefit(k, 16.0, &f) < 0.0, "k = {k}");
+            assert!(benefit(k, 16.0, &f) < benefit(k, 1.0, &f));
+        }
     }
 
+    /// One more sharing member adds its open, close and fold shares and
+    /// saves its solo pass.
     #[test]
-    fn more_snapshots_decrease_benefit() {
-        let f = CostFactors {
-            b: 10.0,
-            n: 100.0,
-            g: 20.0,
-            sp: 1.0,
-            p: 1.5,
-        };
-        assert!(benefit(5.0, 1.0, &f) > benefit(5.0, 10.0, &f));
-        let f_heavy = CostFactors { sp: 8.0, ..f };
-        assert!(benefit(5.0, 1.0, &f) > benefit(5.0, 1.0, &f_heavy));
-    }
-
-    #[test]
-    fn log_term_is_safe_at_zero() {
-        let f = CostFactors {
-            b: 1.0,
-            n: 0.0,
-            g: 0.0,
-            sp: 0.0,
-            p: 1.0,
-        };
-        assert_eq!(shared_cost(1.0, 0.0, &f), 0.0);
-        assert_eq!(nonshared_cost(1.0, &f), 0.0);
+    fn a_member_moves_the_benefit_by_its_own_terms() {
+        let f = burst(8.0, BurstRepr::Events);
+        let step = benefit(6.0, 2.0, &f) - benefit(5.0, 2.0, &f);
+        let own = solo_member_cost(&f) - OPEN_MEMBER_NS - CLOSE_MEMBER_NS - 2.0 * FOLD_MEMBER_NS;
+        assert!((step - own).abs() < 1e-9, "{step} vs {own}");
     }
 }

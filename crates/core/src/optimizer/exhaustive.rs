@@ -12,7 +12,6 @@
 //! `hamlet-core`'s own unit tests (`#[cfg(test)] mod exhaustive`), like
 //! `reference.rs`.
 
-use super::benefit::{nonshared_cost, shared_cost};
 use super::queryset::Pricing;
 use crate::run::BurstCtx;
 
@@ -20,18 +19,8 @@ use crate::run::BurstCtx;
 /// and runs everyone else solo, priced by the optimizer's own `Pricing`
 /// (what is checked is the search, not the model).
 pub fn plan_cost(ctx: &BurstCtx, b: u64, share_idx: &[usize]) -> f64 {
-    let priced = Pricing::new(ctx, b);
-    let solo = nonshared_cost(1.0, &priced.factors);
-    let k_shared = share_idx.len();
-    let mut cost = (ctx.candidates.len() - k_shared) as f64 * solo;
-    if k_shared >= 2 {
-        let sc = 1.0 + share_idx.iter().map(|&i| priced.sc(i)).sum::<f64>();
-        cost += shared_cost(k_shared as f64, sc, &priced.factors);
-    } else {
-        // A "shared" set of < 2 queries is just solo execution.
-        cost += k_shared as f64 * solo;
-    }
-    cost
+    let chosen = share_idx.iter().fold(0u64, |bits, &i| bits | 1 << i);
+    Pricing::new(ctx, b).cost(chosen)
 }
 
 /// Brute-force minimum cost over all one-shared-set plans.
@@ -53,16 +42,13 @@ pub fn best_plan_cost(ctx: &BurstCtx, b: u64) -> f64 {
 mod tests {
     use super::*;
     use crate::bitset::QSet;
-    use crate::optimizer::choose_query_set;
+    use crate::burst::BurstRepr;
     use proptest::prelude::*;
 
     /// Candidates `0..m`, so a candidate's position is its member index.
-    fn ctx(n: u64, g: u64, sp: usize, diverging: Vec<u64>, has_edge: Vec<bool>) -> BurstCtx {
+    fn ctx(repr: BurstRepr, diverging: Vec<u64>, has_edge: Vec<bool>) -> BurstCtx {
         BurstCtx {
-            n,
-            g,
-            sp,
-            p: 2.0,
+            repr,
             candidates: QSet::all(diverging.len()),
             edge: (has_edge.iter().enumerate())
                 .filter_map(|(q, &e)| e.then_some(q))
@@ -71,32 +57,39 @@ mod tests {
         }
     }
 
+    /// The priced search's choice (`Dynamic` shares a count burst whole
+    /// without it), at the exhaustive oracle's price.
+    fn pruned_cost(c: &BurstCtx, b: u64) -> f64 {
+        let pruned = Pricing::new(c, b).cheapest();
+        let m = c.candidates.len();
+        let pruned_idx: Vec<usize> = (0..m).filter(|&i| pruned.share.contains(i)).collect();
+        plan_cost(c, b, &pruned_idx)
+    }
+
     #[test]
     fn all_solo_plan_cost_is_k_times_single() {
-        let c = ctx(100, 10, 1, vec![0, 0, 0], vec![false; 3]);
+        let c = ctx(BurstRepr::Cells, vec![0, 0, 0], vec![false; 3]);
         let solo = plan_cost(&c, 8, &[]);
-        let single = plan_cost(&ctx(100, 10, 1, vec![0], vec![false]), 8, &[]);
+        let single = plan_cost(&ctx(BurstRepr::Cells, vec![0], vec![false]), 8, &[]);
         assert!((solo - 3.0 * single).abs() < 1e-9);
     }
 
     #[test]
     fn pruned_choice_matches_exhaustive_on_examples() {
-        for (n, g, diverging) in [
-            (1000u64, 0u64, vec![0u64, 0, 0, 0]),
-            (1000, 0, vec![0, 0, 500, 0]),
-            (10, 300, vec![5, 5, 5, 5]),
-            (5000, 50, vec![0, 3, 0, 80]),
+        for (repr, diverging) in [
+            (BurstRepr::Cells, vec![0u64, 0, 0, 0]),
+            (BurstRepr::Cells, vec![0, 0, 500, 0]),
+            (BurstRepr::Cells, vec![5, 5, 5, 5]),
+            (BurstRepr::Count, vec![0; 12]),
+            (BurstRepr::Events, vec![0, 3, 0, 80]),
         ] {
-            let m = diverging.len();
-            let c = ctx(n, g, 1, diverging.clone(), vec![false; m]);
+            let c = ctx(repr, diverging.clone(), vec![false; diverging.len()]);
             let b = 16;
-            let pruned = choose_query_set(&c, b);
-            let pruned_idx: Vec<usize> = (0..m).filter(|&i| pruned.share.contains(i)).collect();
-            let pruned_cost = plan_cost(&c, b, &pruned_idx);
             let best_cost = best_plan_cost(&c, b);
+            let pruned_cost = pruned_cost(&c, b);
             assert!(
                 pruned_cost <= best_cost + 1e-6,
-                "diverging {diverging:?}: pruned {pruned_cost} vs best {best_cost}"
+                "{repr:?}, diverging {diverging:?}: pruned {pruned_cost} vs best {best_cost}"
             );
         }
     }
@@ -104,24 +97,21 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
-        /// Theorems 4.1/4.2: the O(m) pruned choice achieves the
+        /// Theorems 4.1/4.2: the O(m log m) pruned choice achieves the
         /// exhaustive minimum plan cost over randomized burst statistics.
         #[test]
         fn pruning_is_optimal(
-            n in 1u64..100_000,
-            g in 0u64..5_000,
-            sp in 0usize..8,
+            repr in 0usize..3,
             b in 1u64..512,
             diverging in proptest::collection::vec(0u64..512, 2..9),
             edge_bits in proptest::collection::vec(any::<bool>(), 9),
         ) {
             let m = diverging.len();
             let has_edge = edge_bits[..m].to_vec();
-            let c = ctx(n, g, sp, diverging, has_edge);
-            let pruned = choose_query_set(&c, b);
-            let pruned_idx: Vec<usize> = (0..m).filter(|&i| pruned.share.contains(i)).collect();
-            let pruned_cost = plan_cost(&c, b, &pruned_idx);
+            let repr = [BurstRepr::Count, BurstRepr::Cells, BurstRepr::Events][repr];
+            let c = ctx(repr, diverging, has_edge);
             let best_cost = best_plan_cost(&c, b);
+            let pruned_cost = pruned_cost(&c, b);
             prop_assert!(
                 pruned_cost <= best_cost + 1e-6 * best_cost.abs().max(1.0),
                 "pruned {} vs exhaustive best {}",

@@ -20,8 +20,8 @@ pub mod queryset;
 pub(crate) mod script;
 pub mod stats;
 
-pub use benefit::{benefit, nonshared_cost, shared_cost, CostFactors};
-pub use queryset::{choose_query_set, Decision};
+pub use benefit::{benefit, nonshared_cost, shared_cost, solo_member_cost, CostFactors};
+pub use queryset::Decision;
 pub use stats::{DivergenceEstimator, DivergenceMode};
 
 use crate::run::{BurstCtx, GroupRuntime};

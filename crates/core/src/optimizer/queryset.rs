@@ -11,17 +11,20 @@
 //!   snapshot-introducing query is beneficial is monotone in its snapshot
 //!   cost, so candidates can be ranked once.
 //!
-//! Under Eq. 8 the snapshot-maintenance term is `sc·k·g·p` — the snapshot
-//! count multiplies the member count — so the cheapest plan that shares
-//! `k` queries always consists of the `k` smallest-`sc` candidates. The
-//! optimizer therefore sorts candidates by their snapshot cost and picks
-//! the cost-minimal prefix: O(m log m), *exactly* optimal over the
-//! Level-1/2 plan space (validated against the exhaustive search of the
-//! `#[cfg(test)]` oracle `optimizer/exhaustive.rs`).
+//! Under the model of `benefit.rs` a plan's price depends on its shared
+//! set only through the set's size and the event-level snapshots it
+//! takes — at most the sum of its members' `sc`, and at most one per
+//! event. So among the plans that share `k` queries the cheapest consists
+//! of the `k` smallest-`sc` candidates. The optimizer therefore sorts
+//! candidates by their snapshot cost, prices every prefix and keeps the
+//! cheapest: O(m log m), *exactly* optimal over the Level-1/2 plan space
+//! (validated against the exhaustive search of the `#[cfg(test)]` oracle
+//! `optimizer/exhaustive.rs`).
 
-use super::benefit::{benefit, nonshared_cost, shared_cost, CostFactors};
+use super::benefit::{nonshared_cost, shared_cost, solo_member_cost, CostFactors};
 use super::SharingPolicy;
 use crate::bitset::QSet;
+use crate::burst::BurstRepr;
 use crate::run::BurstCtx;
 
 /// Outcome of the per-burst optimization; the default shares nothing.
@@ -30,66 +33,89 @@ pub struct Decision {
     /// Members that share the burst's graphlet (empty ⇒ no sharing).
     pub share: QSet,
     /// Estimated `Benefit(G_E, Q_E)` of the chosen plan over all-solo
-    /// execution (Eq. 8 / Def. 12).
+    /// execution, in ns (Def. 12, priced by `benefit.rs`).
     pub estimated_benefit: f64,
 }
 
-/// Chooses the subset of candidate queries to share a burst with
-/// (Theorems 4.1–4.2): the cost-minimal sharing plan under the Eq. 8
-/// model, compared against fully non-shared execution (Def. 12).
-pub fn choose_query_set(ctx: &BurstCtx, b: u64) -> Decision {
-    super::decide(SharingPolicy::Dynamic, ctx, b)
-}
-
-/// A burst of at least two candidates priced under Eq. 8: the factors
+/// A burst of at least two candidates priced by `benefit.rs`: the factors
 /// every plan for it shares, and each candidate's snapshot estimate `sc`.
 /// The one place a burst's shape becomes prices — for the per-burst
-/// decision and for a group's placement alike.
+/// decision and for a group's placement alike. Plans name candidates by
+/// position: bit `i` is the `i`-th candidate.
 pub(crate) struct Pricing<'a> {
     ctx: &'a BurstCtx,
-    pub(super) factors: CostFactors,
+    /// Events in the burst.
+    b: u64,
+    factors: CostFactors,
     /// Bit `i`: the `i`-th candidate has an edge predicate.
     edge: u64,
 }
 
 impl<'a> Pricing<'a> {
-    /// Prices a burst of `b` events of the shape `ctx`; it joins (or
-    /// forms) a graphlet of `g + b` events.
+    /// Prices a burst of `b` events of the shape `ctx`.
     pub(crate) fn new(ctx: &'a BurstCtx, b: u64) -> Pricing<'a> {
-        let edge = (ctx.candidates.iter().enumerate())
-            .filter(|&(_, q)| ctx.edge.contains(q))
-            .fold(0, |bits, (i, _)| bits | 1 << i);
+        let edge = match ctx.edge.is_empty() {
+            true => 0,
+            false => (ctx.candidates.iter().enumerate())
+                .filter(|&(_, q)| ctx.edge.contains(q))
+                .fold(0, |bits, (i, _)| bits | 1 << i),
+        };
         let factors = CostFactors {
             b: b as f64,
-            n: ctx.n as f64,
-            g: (ctx.g + b) as f64,
-            sp: (ctx.sp as f64).max(1.0),
-            p: ctx.p,
+            repr: ctx.repr,
         };
-        Pricing { ctx, factors, edge }
+        Pricing {
+            ctx,
+            b,
+            factors,
+            edge,
+        }
     }
 
     /// `sc` of the `i`-th candidate: selection divergence counts one
     /// event-level snapshot per diverging event (Def. 9); edge predicates
     /// force one per burst event.
-    pub(super) fn sc(&self, i: usize) -> f64 {
-        self.ctx.diverging[i] as f64 + (self.edge >> i & 1) as f64 * self.factors.b
+    pub(super) fn sc(&self, i: usize) -> u64 {
+        self.ctx.diverging[i] + (self.edge >> i & 1) * self.b
     }
 
-    /// The Def. 12 benefit of sharing every candidate: one graphlet-level
-    /// snapshot (Def. 8) plus every candidate's `sc`. Negative when
+    /// What the plan sharing the candidates of `chosen` costs: a shared
+    /// set of fewer than two runs solo.
+    pub(super) fn cost(&self, chosen: u64) -> f64 {
+        let k = chosen.count_ones() as usize;
+        if k < 2 {
+            return nonshared_cost(self.ctx.candidates.len() as f64, &self.factors);
+        }
+        let sc = (0..self.ctx.candidates.len())
+            .filter(|&i| chosen >> i & 1 == 1)
+            .map(|i| self.sc(i))
+            .sum();
+        self.plan(k, sc)
+    }
+
+    /// [`cost`](Self::cost) of a shared set of `k ≥ 2` candidates whose
+    /// `sc` sum to `sc`: at most one event-level snapshot per event.
+    fn plan(&self, k: usize, sc: u64) -> f64 {
+        let solo = (self.ctx.candidates.len() - k) as f64 * solo_member_cost(&self.factors);
+        shared_cost(k as f64, sc.min(self.b) as f64, &self.factors) + solo
+    }
+
+    /// The Def. 12 benefit of sharing every candidate. Negative when
     /// sharing the whole set loses, though a subset may still win.
     pub(crate) fn whole_set_benefit(&self) -> f64 {
         let m = self.ctx.candidates.len();
-        let sc = 1.0 + (0..m).map(|i| self.sc(i)).sum::<f64>();
-        benefit(m as f64, sc, &self.factors)
+        nonshared_cost(m as f64, &self.factors) - self.cost(u64::MAX >> (64 - m))
     }
 
     /// What `policy` decides for the burst, with the benefit of its plan.
+    /// `Dynamic` shares a count burst whole: its two plans differ only in
+    /// a few fixed terms, by less than the measured spread of the
+    /// constants at any width (`benefit.rs`), so it keeps the paper's
+    /// plan and skips the pricing.
     pub(crate) fn decide(&self, policy: SharingPolicy) -> Decision {
         match policy {
-            SharingPolicy::Dynamic => self.cheapest(),
-            SharingPolicy::AlwaysShare => Decision {
+            SharingPolicy::Dynamic if self.factors.repr != BurstRepr::Count => self.cheapest(),
+            SharingPolicy::Dynamic | SharingPolicy::AlwaysShare => Decision {
                 share: self.ctx.candidates,
                 estimated_benefit: self.whole_set_benefit(),
             },
@@ -98,43 +124,73 @@ impl<'a> Pricing<'a> {
     }
 
     /// The cost-minimal plan. Candidates are members of one share group,
-    /// so their ranking by `sc` (ties by position) fits on the stack.
-    fn cheapest(&self) -> Decision {
+    /// so their ranking by `sc` (ties by position) fits on the stack. The
+    /// ranking is skipped where no plan can win, priced with a floor on
+    /// its snapshots — the common case, so that a decision costs about
+    /// what reading the burst's shape does.
+    pub(super) fn cheapest(&self) -> Decision {
         let m = self.ctx.candidates.len();
-        let mut ranked: [usize; QSet::CAPACITY] = std::array::from_fn(|i| i);
-        let ranked = &mut ranked[..m];
-        ranked.sort_unstable_by(|&a, &b| self.sc(a).total_cmp(&self.sc(b)).then(a.cmp(&b)));
-
-        let solo_one = nonshared_cost(1.0, &self.factors);
-        let all_solo = m as f64 * solo_one;
-
-        // Cost-minimal prefix: sharing the k smallest-sc candidates,
-        // k = 2..m. `acc` accumulates 1 (the graphlet-level snapshot,
-        // Def. 8) plus the prefix's per-query snapshot estimates.
-        let mut best_cost = all_solo;
-        let mut best_k = 0usize;
-        let mut acc = 1.0;
-        for (k, &i) in ranked.iter().enumerate() {
-            acc += self.sc(i);
-            let members = k + 1;
-            if members < 2 {
-                continue;
-            }
-            let cost =
-                shared_cost(members as f64, acc, &self.factors) + (m - members) as f64 * solo_one;
-            if cost < best_cost {
-                best_cost = cost;
-                best_k = members;
-            }
-        }
-
-        if best_k < 2 {
+        let all_solo = nonshared_cost(m as f64, &self.factors);
+        // Without snapshots a plan's cost is linear in its width: if
+        // neither the narrowest nor the widest wins, none does.
+        if self.plan(2, 0).min(self.plan(m, 0)) >= all_solo {
             return Decision::default();
         }
-        let chosen = ranked[..best_k].iter().fold(0u64, |bits, &i| bits | 1 << i);
+        // Any k members take at least `least` snapshots per member past
+        // the `zeros` that take none: a floor under every plan of k
+        // members. It is linear in k up to `zeros`, convex from there
+        // until its snapshots reach b (the model's snapshot term grows
+        // with k), and linear after that, so its least value is at an end
+        // of one of the three stretches or at the bottom of the middle one.
+        let sc = |i| self.sc(i).min(self.b);
+        let (mut zeros, mut least) = (0, u64::MAX);
+        for s in (0..m).map(sc) {
+            match s {
+                0 => zeros += 1,
+                s => least = least.min(s),
+            }
+        }
+        let floor = |k: usize| self.plan(k, (k.saturating_sub(zeros) as u64).saturating_mul(least));
+        let lo = zeros.clamp(2, m);
+        let hi = match least {
+            u64::MAX => m,
+            least => (zeros + (self.b / least) as usize).clamp(lo, m),
+        };
+        let (mut bottom, mut top) = (lo, hi);
+        while bottom < top {
+            let mid = (bottom + top) / 2;
+            match floor(mid + 1) < floor(mid) {
+                true => bottom = mid + 1,
+                false => top = mid,
+            }
+        }
+        let kinks = [2, lo, bottom, hi, (hi + 1).min(m), m];
+        if kinks.into_iter().all(|k| floor(k) >= all_solo) {
+            return Decision::default();
+        }
+        // Ranked by `sc`, ties by position: one sortable word each.
+        let mut ranked = [0u64; QSet::CAPACITY];
+        for (i, r) in ranked[..m].iter_mut().enumerate() {
+            *r = sc(i) << 6 | i as u64;
+        }
+        let ranked = &mut ranked[..m];
+        if !ranked.is_sorted() {
+            ranked.sort_unstable();
+        }
+        // Cost-minimal prefix: sharing the k smallest-sc candidates,
+        // k = 2..m.
+        let (mut best_cost, mut best) = (all_solo, 0u64);
+        let (mut chosen, mut sum) = (0u64, 0u64);
+        for (k, &r) in (1..).zip(ranked.iter()) {
+            (chosen, sum) = (chosen | 1 << (r & 63), sum + (r >> 6));
+            let cost = self.plan(k, sum);
+            if k > 1 && cost < best_cost {
+                (best_cost, best) = (cost, chosen);
+            }
+        }
         Decision {
             share: (self.ctx.candidates.iter().enumerate())
-                .filter(|&(i, _)| chosen >> i & 1 == 1)
+                .filter(|&(i, _)| best >> i & 1 == 1)
                 .map(|(_, q)| q)
                 .collect(),
             estimated_benefit: all_solo - best_cost,
@@ -145,125 +201,101 @@ impl<'a> Pricing<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::burst::BurstRepr;
+    use crate::optimizer::{benefit, decide};
 
-    fn ctx(
-        n: u64,
-        g: u64,
-        sp: usize,
-        candidates: Vec<usize>,
-        diverging: Vec<u64>,
-        has_edge: Vec<bool>,
-    ) -> BurstCtx {
+    /// A burst of `repr` over `candidates`, nothing open.
+    fn ctx(repr: BurstRepr, candidates: &[usize], diverging: &[u64], edge: &[usize]) -> BurstCtx {
         BurstCtx {
-            n,
-            g,
-            sp,
-            p: 2.0,
-            edge: (candidates.iter().zip(has_edge))
-                .filter_map(|(&q, e)| e.then_some(q))
-                .collect(),
-            candidates: candidates.into_iter().collect(),
-            diverging,
+            repr,
+            candidates: candidates.iter().copied().collect(),
+            edge: edge.iter().copied().collect(),
+            diverging: diverging.to_vec(),
         }
     }
 
+    fn dynamic(c: &BurstCtx, b: u64) -> Decision {
+        decide(SharingPolicy::Dynamic, c, b)
+    }
+
     #[test]
-    fn no_divergence_shares_everyone() {
-        let c = ctx(100, 0, 0, vec![0, 1, 2], vec![0, 0, 0], vec![false; 3]);
-        let d = choose_query_set(&c, 10);
-        assert_eq!(d.share.len(), 3);
+    fn uniform_cells_share_everyone() {
+        let c = ctx(BurstRepr::Cells, &[0, 1, 2, 3], &[0; 4], &[]);
+        let d = dynamic(&c, 16);
+        assert_eq!(d.share.len(), 4);
         assert!(d.estimated_benefit > 0.0);
     }
 
     #[test]
     fn single_candidate_never_shares() {
-        let c = ctx(100, 0, 0, vec![0], vec![0], vec![false]);
-        assert!(choose_query_set(&c, 10).share.is_empty());
+        let c = ctx(BurstRepr::Cells, &[0], &[0], &[]);
+        assert!(dynamic(&c, 10).share.is_empty());
+    }
+
+    /// A count burst is shared whole, whatever its width, with the
+    /// model's price of that plan.
+    #[test]
+    fn count_bursts_are_shared_whole() {
+        for m in [2, 19] {
+            let members: Vec<usize> = (0..m).collect();
+            let c = ctx(BurstRepr::Count, &members, &vec![0; m], &[]);
+            let d = dynamic(&c, 40);
+            assert_eq!(d.share, c.candidates);
+            let priced = Pricing::new(&c, 40);
+            assert_eq!(d.estimated_benefit, priced.whole_set_benefit());
+            assert!(
+                priced.cheapest().share.is_empty(),
+                "priced, solo wins at {m}"
+            );
+        }
     }
 
     #[test]
     fn heavy_divergers_are_excluded() {
-        // Query 2 diverges massively — its snapshot-maintenance cost
-        // dominates — while the snapshot-free queries still share.
-        let c = ctx(
-            50,
-            0,
-            0,
-            vec![0, 1, 2],
-            vec![0, 0, 400],
-            vec![false, false, false],
-        );
-        let d = choose_query_set(&c, 4);
-        assert!(d.share.contains(0) && d.share.contains(1));
-        assert!(!d.share.contains(2));
-    }
-
-    #[test]
-    fn snapshot_free_queries_always_kept_with_light_divergers() {
-        // A lightly diverging query is kept when n is large (re-computation
-        // dominates), mirroring the merge decision of Eq. 11.
-        let c = ctx(10_000, 0, 1, vec![0, 1], vec![0, 2], vec![false, false]);
-        let d = choose_query_set(&c, 50);
-        assert_eq!(d.share.len(), 2);
-        assert!(d.estimated_benefit > 0.0);
+        // Member 2 diverges on every event: its snapshots would cost more
+        // than its solo pass, while the snapshot-free members still share.
+        let c = ctx(BurstRepr::Cells, &[0, 1, 2, 4], &[0, 0, 32, 0], &[]);
+        let d = dynamic(&c, 32);
+        assert_eq!(d.share, [0, 1, 4].into_iter().collect());
     }
 
     #[test]
     fn all_heavy_divergence_disables_sharing() {
-        // Everyone needs a snapshot per event on a tiny window — Eq. 10
-        // style split: benefit negative, no sharing.
-        let c = ctx(2, 512, 6, vec![0, 1], vec![2, 2], vec![true, true]);
-        let d = choose_query_set(&c, 2);
-        assert!(d.share.is_empty());
+        let c = ctx(BurstRepr::Cells, &[0, 1, 2], &[8, 8, 8], &[]);
+        assert!(dynamic(&c, 8).share.is_empty());
     }
 
     #[test]
     fn edge_predicates_count_as_per_event_snapshots() {
-        // With a tiny window, an edge-predicate member is excluded while
-        // the clean members share.
-        let c = ctx(
-            40,
-            0,
-            0,
-            vec![3, 5, 9],
-            vec![0, 0, 0],
-            vec![false, true, false],
-        );
-        let d = choose_query_set(&c, 16);
-        assert!(d.share.contains(3) && d.share.contains(9));
-        assert!(!d.share.contains(5));
+        let c = ctx(BurstRepr::Events, &[3, 5, 9, 11], &[0; 4], &[5]);
+        let d = dynamic(&c, 16);
+        assert_eq!(d.share, [3, 9, 11].into_iter().collect());
     }
 
     #[test]
     fn policy_dispatch() {
-        use crate::optimizer::{decide, SharingPolicy};
-        let c = ctx(100, 0, 0, vec![0, 1], vec![0, 0], vec![false, false]);
+        let c = ctx(BurstRepr::Cells, &[0, 1], &[0, 0], &[]);
         assert!(decide(SharingPolicy::NeverShare, &c, 10).share.is_empty());
         assert_eq!(decide(SharingPolicy::AlwaysShare, &c, 10).share.len(), 2);
-        assert_eq!(decide(SharingPolicy::Dynamic, &c, 10).share.len(), 2);
         // AlwaysShare with a single candidate still cannot share.
-        let c1 = ctx(100, 0, 0, vec![0], vec![0], vec![false]);
+        let c1 = ctx(BurstRepr::Cells, &[0], &[0], &[]);
         assert!(decide(SharingPolicy::AlwaysShare, &c1, 10).share.is_empty());
     }
 
     #[test]
     fn always_share_estimates_the_whole_set_benefit() {
-        use crate::optimizer::{benefit, decide, SharingPolicy};
-        // On a short window, member 1 rejects every event of the burst:
-        // sharing both loses, and an always-share plan's estimate says by
-        // how much.
-        let c = ctx(10, 0, 0, vec![0, 1], vec![0, 10], vec![false, false]);
+        // Member 1 rejects every event the others accept: sharing both
+        // loses, and an always-share plan's estimate says by how much —
+        // at most one event-level snapshot per event.
+        let c = ctx(BurstRepr::Cells, &[0, 1], &[0, 30], &[]);
         let d = decide(SharingPolicy::AlwaysShare, &c, 10);
         assert_eq!(d.share.len(), 2);
         let f = CostFactors {
             b: 10.0,
-            n: 10.0,
-            g: 10.0,
-            sp: 1.0,
-            p: 2.0,
+            repr: BurstRepr::Cells,
         };
-        assert_eq!(d.estimated_benefit, benefit(2.0, 1.0 + 0.0 + 10.0, &f));
+        assert_eq!(d.estimated_benefit, benefit(2.0, 10.0, &f));
         assert!(d.estimated_benefit < 0.0, "{}", d.estimated_benefit);
-        assert!(decide(SharingPolicy::Dynamic, &c, 10).share.is_empty());
+        assert!(dynamic(&c, 10).share.is_empty());
     }
 }

@@ -64,9 +64,11 @@ impl DivergenceEstimator {
         (self.rates[ty][q] * b as f64).round() as u64
     }
 
-    /// Records the observed divergence of one burst.
+    /// Records the observed divergence of one burst. A seen cell at rate 0
+    /// that observes none stays as it is — the common case, a count
+    /// burst, costs a compare.
     pub fn observe(&mut self, ty: usize, q: usize, diverged: u64, b: u64) {
-        if b == 0 {
+        if b == 0 || diverged == 0 && self.seen[ty][q] && self.rates[ty][q] == 0.0 {
             return;
         }
         let rate = (diverged as f64 / b as f64).clamp(0.0, 1.0);

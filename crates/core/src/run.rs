@@ -104,8 +104,6 @@ pub struct GroupRuntime {
     pub(crate) edge_members: Vec<QSet>,
     /// [`GroupRuntime::burst_repr`] per type.
     pub(crate) repr: Vec<BurstRepr>,
-    /// Average predecessor types per type per query (`p` of Table 2).
-    p: f64,
 }
 
 /// [`NegKind`] with local type indices.
@@ -177,7 +175,6 @@ impl GroupRuntime {
             .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
             .collect();
         let mut rt = GroupRuntime {
-            p: tpl.avg_pred_types().max(1.0),
             template: tpl,
             queries: group.queries.clone(),
             skeleton: group.skeleton.clone(),
@@ -249,16 +246,21 @@ impl GroupRuntime {
         }
     }
 
-    /// The optimizer inputs of a burst of local type `tl` on a fresh run,
-    /// into a reused context: the type's candidates and the members among
-    /// them with an edge predicate, a zeroed divergence slot per
-    /// candidate, `p`, and no events yet (`n = g = sp = 0`).
+    /// The optimizer inputs of a burst of local type `tl`, into a reused
+    /// context: how the replay advances the burst, the type's candidates
+    /// and the members among them with an edge predicate, and a zeroed
+    /// divergence slot per candidate. Once the slots have grown to the
+    /// group's width, a decision allocates nothing.
     pub(crate) fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
         ctx.candidates = self.candidates[tl];
         ctx.edge = self.candidates[tl] & self.edge_members[tl];
         ctx.diverging.clear();
         ctx.diverging.resize(ctx.candidates.len(), 0);
-        (ctx.n, ctx.g, ctx.sp, ctx.p) = (0, 0, 0, self.p);
+        ctx.repr = if self.closed_form(tl) {
+            BurstRepr::Count
+        } else {
+            self.repr[tl]
+        };
     }
 
     /// True iff member `q`'s selection predicates accept `e` (type `tl`).
@@ -406,15 +408,11 @@ pub struct MemberOutput {
 /// Inputs the dynamic optimizer reads before deciding on a burst (§4.1).
 #[derive(Clone, Debug, Default)]
 pub struct BurstCtx {
-    /// Events per window so far (`n`).
-    pub n: u64,
-    /// Events in the currently active graphlet of the type (`g`).
-    pub g: u64,
-    /// Snapshot terms currently propagated in the active shared graphlet
-    /// (`sp`).
-    pub sp: usize,
-    /// Average predecessor types per type per query (`p`).
-    pub p: f64,
+    /// How [`Run::replay`] advances the burst: [`BurstRepr::Count`] where
+    /// it does so in closed form (a count, or cells of a type
+    /// `GroupRuntime::closed_form` holds for), otherwise how the burst is
+    /// buffered.
+    pub repr: BurstRepr,
     /// The members that may share the burst (involved, Kleene self-loop,
     /// linear aggregate).
     pub candidates: QSet,
@@ -588,30 +586,6 @@ impl Run {
     /// Number of snapshots in the table.
     pub fn num_snapshots(&self) -> usize {
         self.snaps.len()
-    }
-
-    /// Collects the cheap structural optimizer inputs for a burst of local
-    /// type `tl` — everything except the divergence counts (§4.1). O(k).
-    pub fn burst_shape(&self, tl: usize) -> BurstCtx {
-        let mut ctx = BurstCtx::default();
-        self.burst_shape_into(tl, &mut ctx);
-        ctx
-    }
-
-    /// [`burst_shape`](Self::burst_shape) into a reused context: once its
-    /// divergence slots have grown to the group's width, a decision
-    /// allocates nothing.
-    pub fn burst_shape_into(&self, tl: usize, ctx: &mut BurstCtx) {
-        self.rt.burst_shape_into(tl, ctx);
-        let a = &self.active[tl];
-        (ctx.g, ctx.sp) = match &a.shared {
-            Some(sh) => (sh.size, sh.sum_exprs.num_terms()),
-            None => {
-                let sizes = a.solos.iter().map(|q| a.solo[q].size);
-                (sizes.max().unwrap_or(0), 0)
-            }
-        };
-        ctx.n = self.n_events;
     }
 
     /// Processes one complete burst of local type `tl`.
@@ -1433,8 +1407,10 @@ mod tests {
                 fast.process_burst(tl, &events, &shared);
                 slow.process_burst_slow(tl, &events, &shared);
                 prop_assert_eq!(fast.stats().event_snapshots - before, partial);
-                prop_assert!(fast.burst_shape(tl).sp <= 3);
-                prop_assert_eq!(fast.burst_shape(tl).g, slow.burst_shape(tl).g);
+                let shared = |r: &Run| r.active[tl].shared.as_ref().map(|sh| (sh.members, sh.size));
+                let terms = fast.active[tl].shared.as_ref().map_or(0, |sh| sh.sum_exprs.num_terms());
+                prop_assert!(terms <= 3);
+                prop_assert_eq!(shared(&fast), shared(&slow));
             }
             prop_assert_eq!(fast.n_events(), slow.n_events());
             let (f, s) = (*fast.stats(), *slow.stats());

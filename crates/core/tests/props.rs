@@ -9,8 +9,10 @@
 
 use hamlet_core::agg::NodeVal;
 use hamlet_core::bitset::QSet;
+use hamlet_core::burst::BurstRepr;
 use hamlet_core::expr::LinearExpr;
-use hamlet_core::optimizer::{benefit, nonshared_cost, shared_cost, CostFactors};
+use hamlet_core::optimizer::benefit::{CLOSE_MEMBER_NS, FOLD_MEMBER_NS, OPEN_MEMBER_NS};
+use hamlet_core::optimizer::{benefit, nonshared_cost, shared_cost, solo_member_cost, CostFactors};
 use hamlet_core::snapshot::SnapTable;
 use hamlet_types::TrendVal;
 use proptest::prelude::*;
@@ -201,30 +203,27 @@ proptest! {
         prop_assert_eq!(a.intersects(&b), xs.intersection(&ys).next().is_some());
     }
 
-    /// Benefit = NonShared − Shared identically (Def. 12), and the benefit
-    /// is monotone in k for snapshot-free sharing.
+    /// Benefit = NonShared − Shared identically (Def. 12), and one more
+    /// sharing member moves the benefit by exactly what it adds: the solo
+    /// pass it no longer runs, less its value in every event-level
+    /// snapshot, its predecessor sum at the graphlet's open and its
+    /// resolution at the close.
     #[test]
     fn benefit_model_identities(
         b in 1.0f64..1e4,
-        n in 0.0f64..1e6,
-        g in 0.0f64..1e5,
-        sp in 0.0f64..64.0,
-        p in 1.0f64..8.0,
-        k in 2.0f64..100.0,
+        repr in 0usize..3,
+        k in 2.0f64..64.0,
         sc in 0.0f64..1e3,
     ) {
-        let f = CostFactors { b, n, g, sp, p };
+        let repr = [BurstRepr::Count, BurstRepr::Cells, BurstRepr::Events][repr];
+        let f = CostFactors { b, repr };
         let lhs = benefit(k, sc, &f);
         let rhs = nonshared_cost(k, &f) - shared_cost(k, sc, &f);
         prop_assert!((lhs - rhs).abs() <= 1e-6 * lhs.abs().max(1.0));
-        // Marginal benefit of one more query (Def. 12 algebra): one more
-        // query saves one non-shared pass `b·(log₂g + n)` and costs one
-        // more share of snapshot upkeep `sc·g·p`. Benefit is monotone in k
-        // exactly when the saved pass outweighs the upkeep — not
-        // unconditionally (tiny bursts over a huge graphlet reverse it).
         let marginal = benefit(k + 1.0, sc, &f) - benefit(k, sc, &f);
-        let expected = b * (g.max(1.0).log2() + n) - sc * g * p;
-        // `marginal` is a difference of values up to ~1e12, so the
+        let open = OPEN_MEMBER_NS + CLOSE_MEMBER_NS;
+        let expected = solo_member_cost(&f) - sc * FOLD_MEMBER_NS - open;
+        // `marginal` is a difference of values up to ~1e7, so the
         // tolerance must scale with the cost magnitude, not with
         // `expected` (which legitimately passes through 0).
         let tol = 1e-9 * nonshared_cost(k + 1.0, &f).abs().max(shared_cost(k + 1.0, sc, &f).abs()).max(1.0);

@@ -101,10 +101,15 @@ impl<'a> Pricing<'a> {
     }
 
     /// The Def. 12 benefit of sharing every candidate. Negative when
-    /// sharing the whole set loses, though a subset may still win.
+    /// sharing the whole set loses, though a subset may still win. A
+    /// count burst takes no snapshot.
     pub(crate) fn whole_set_benefit(&self) -> f64 {
         let m = self.ctx.candidates.len();
-        nonshared_cost(m as f64, &self.factors) - self.cost(u64::MAX >> (64 - m))
+        let shared = match self.factors.repr {
+            BurstRepr::Count => self.plan(m, 0),
+            _ => self.cost(u64::MAX >> (64 - m)),
+        };
+        nonshared_cost(m as f64, &self.factors) - shared
     }
 
     /// What `policy` decides for the burst, with the benefit of its plan.

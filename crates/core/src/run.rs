@@ -104,6 +104,9 @@ pub struct GroupRuntime {
     pub(crate) edge_members: Vec<QSet>,
     /// [`GroupRuntime::burst_repr`] per type.
     pub(crate) repr: Vec<BurstRepr>,
+    /// Per type, how [`Run::replay`] advances a burst: `Count` where it
+    /// does so in closed form, otherwise its `repr`.
+    advance: Vec<BurstRepr>,
 }
 
 /// [`NegKind`] with local type indices.
@@ -186,8 +189,15 @@ impl GroupRuntime {
             sel_members,
             edge_members,
             repr: Vec::new(),
+            advance: Vec::new(),
         };
         rt.repr = (0..nt).map(|tl| rt.resolve_repr(tl)).collect();
+        rt.advance = (0..nt)
+            .map(|tl| match rt.closed_form(tl) {
+                true => BurstRepr::Count,
+                false => rt.repr[tl],
+            })
+            .collect();
         Arc::new(rt)
     }
 
@@ -256,11 +266,7 @@ impl GroupRuntime {
         ctx.edge = self.candidates[tl] & self.edge_members[tl];
         ctx.diverging.clear();
         ctx.diverging.resize(ctx.candidates.len(), 0);
-        ctx.repr = if self.closed_form(tl) {
-            BurstRepr::Count
-        } else {
-            self.repr[tl]
-        };
+        ctx.repr = self.advance[tl];
     }
 
     /// True iff member `q`'s selection predicates accept `e` (type `tl`).

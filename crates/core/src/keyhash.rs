@@ -6,10 +6,11 @@
 //! pending general-query halves. A key is a few words (a length, a tag
 //! and a value per attribute), and std's SipHash spends more on them than
 //! the probe itself. [`KeyHasher`] takes one multiply-rotate step per word
-//! (the FxHash construction) and, at the end, an xor-shift and one folded
-//! 64 × 64 → 128-bit multiply, which carry the high bits into the low
-//! ones the table indexes by — float keys often differ only in their top
-//! bits.
+//! (the FxHash construction) and, at the end, two rounds of an xor-shift
+//! and a folded 64 × 64 → 128-bit multiply, which carry the high bits
+//! into the low ones the table indexes by — float keys often differ only
+//! in their top bits. One round left, for about one seed in a hundred,
+//! such keys on half of the low buckets.
 //!
 //! Keys come from event attributes, that is from outside the program.
 //! [`KeyState`] is seeded once per engine from [`RandomState`], so a set

@@ -126,9 +126,38 @@ pub fn benefit(k: f64, sc: f64, f: &CostFactors) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::{decide, SharingPolicy};
+    use crate::run::BurstCtx;
 
     fn burst(b: f64, repr: BurstRepr) -> CostFactors {
         CostFactors { b, repr }
+    }
+
+    /// The situation of the paper's Eq. 9: two `COUNT(*)` queries, a
+    /// burst of 4 `B` events on which they agree. Priced, sharing it
+    /// loses (a solo step is one ring operation here); a count burst's
+    /// plans are within the constants' spread, so `Dynamic` shares it,
+    /// as the paper does.
+    #[test]
+    fn equation9_decision_to_share() {
+        assert!(benefit(2.0, 0.0, &burst(4.0, BurstRepr::Count)) < 0.0);
+        let ctx = BurstCtx {
+            repr: BurstRepr::Count,
+            candidates: [0, 1].into_iter().collect(),
+            diverging: vec![0, 0],
+            ..BurstCtx::default()
+        };
+        assert_eq!(decide(SharingPolicy::Dynamic, &ctx, 4).share.len(), 2);
+    }
+
+    /// The situation of the paper's Eq. 10: predicates make the two
+    /// members disagree on the burst's events, one snapshot per event —
+    /// split.
+    #[test]
+    fn equation10_decision_to_split() {
+        let f = burst(4.0, BurstRepr::Cells);
+        assert!(benefit(2.0, 4.0, &f) < 0.0);
+        assert!(benefit(2.0, 4.0, &f) < benefit(2.0, 0.0, &f));
     }
 
     /// A count burst costs a solo member one step whatever `b` is, so
@@ -150,10 +179,19 @@ mod tests {
         assert!(benefit(4.0, 0.0, &burst(16.0, BurstRepr::Cells)) > 0.0);
     }
 
+    /// §4.1: the more queries share a divergence-free burst, the higher
+    /// the benefit — here, once a member's solo pass costs more than its
+    /// share of the graphlet.
+    #[test]
+    fn more_queries_increase_benefit() {
+        let f = burst(16.0, BurstRepr::Cells);
+        assert!(benefit(10.0, 0.0, &f) > benefit(2.0, 0.0, &f));
+    }
+
     /// An event-level snapshot costs more than the solo work it saves, so
     /// a burst where most events diverge runs solo at any width.
     #[test]
-    fn diverging_bursts_run_solo() {
+    fn more_snapshots_decrease_benefit() {
         for k in [2.0, 8.0, 64.0] {
             let f = burst(16.0, BurstRepr::Cells);
             assert!(benefit(k, 16.0, &f) < 0.0, "k = {k}");

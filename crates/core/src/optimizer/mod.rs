@@ -2,7 +2,8 @@
 //!
 //! Per burst of events of a sharable type, the optimizer (i) estimates the
 //! benefit of shared vs. non-shared execution from locally available stream
-//! statistics (§4.1, Def. 12 / Eq. 8), (ii) chooses the subset of queries
+//! statistics (§4.1, Def. 12; priced in ns of what the replay executes,
+//! not by Eq. 8 — see `benefit.rs`), (ii) chooses the subset of queries
 //! worth sharing with (§4.3, Theorems 4.1–4.2), and (iii) instructs the
 //! executor to split or merge graphlets accordingly (§4.2).
 //!
@@ -64,9 +65,9 @@ const NOMINAL_BURST: u64 = 16;
 /// `sc` predicted from `estimator` — learned, for a group that carried its
 /// state over; the optimistic zero-divergence prior for a fresh one, the
 /// same bias the per-burst decision starts from. Returns the Def. 12
-/// benefit of sharing each type's whole candidate set, summed (negative
-/// when sharing loses; 0 for a group with nothing to share), and whether
-/// `policy` would share any type's burst.
+/// benefit of sharing each type's whole candidate set, in ns per nominal
+/// burst, summed (negative when sharing loses; 0 for a group with nothing
+/// to share), and whether `policy` would share any type's burst.
 pub(crate) fn placement(
     policy: SharingPolicy,
     rt: &GroupRuntime,

@@ -130,9 +130,8 @@ impl<'a> Pricing<'a> {
 
     /// The cost-minimal plan. Candidates are members of one share group,
     /// so their ranking by `sc` (ties by position) fits on the stack. The
-    /// ranking is skipped where no plan can win, priced with a floor on
-    /// its snapshots — the common case, so that a decision costs about
-    /// what reading the burst's shape does.
+    /// ranking is skipped where no plan could win even without a
+    /// snapshot.
     pub(super) fn cheapest(&self) -> Decision {
         let m = self.ctx.candidates.len();
         let all_solo = nonshared_cost(m as f64, &self.factors);
@@ -141,42 +140,11 @@ impl<'a> Pricing<'a> {
         if self.plan(2, 0).min(self.plan(m, 0)) >= all_solo {
             return Decision::default();
         }
-        // Any k members take at least `least` snapshots per member past
-        // the `zeros` that take none: a floor under every plan of k
-        // members. It is linear in k up to `zeros`, convex from there
-        // until its snapshots reach b (the model's snapshot term grows
-        // with k), and linear after that, so its least value is at an end
-        // of one of the three stretches or at the bottom of the middle one.
-        let sc = |i| self.sc(i).min(self.b);
-        let (mut zeros, mut least) = (0, u64::MAX);
-        for s in (0..m).map(sc) {
-            match s {
-                0 => zeros += 1,
-                s => least = least.min(s),
-            }
-        }
-        let floor = |k: usize| self.plan(k, (k.saturating_sub(zeros) as u64).saturating_mul(least));
-        let lo = zeros.clamp(2, m);
-        let hi = match least {
-            u64::MAX => m,
-            least => (zeros + (self.b / least) as usize).clamp(lo, m),
-        };
-        let (mut bottom, mut top) = (lo, hi);
-        while bottom < top {
-            let mid = (bottom + top) / 2;
-            match floor(mid + 1) < floor(mid) {
-                true => bottom = mid + 1,
-                false => top = mid,
-            }
-        }
-        let kinks = [2, lo, bottom, hi, (hi + 1).min(m), m];
-        if kinks.into_iter().all(|k| floor(k) >= all_solo) {
-            return Decision::default();
-        }
-        // Ranked by `sc`, ties by position: one sortable word each.
+        // Ranked by `sc` (at most b counts), ties by position: one
+        // sortable word each.
         let mut ranked = [0u64; QSet::CAPACITY];
         for (i, r) in ranked[..m].iter_mut().enumerate() {
-            *r = sc(i) << 6 | i as u64;
+            *r = self.sc(i).min(self.b) << 6 | i as u64;
         }
         let ranked = &mut ranked[..m];
         if !ranked.is_sorted() {
@@ -224,10 +192,20 @@ mod tests {
     }
 
     #[test]
-    fn uniform_cells_share_everyone() {
+    fn no_divergence_shares_everyone() {
         let c = ctx(BurstRepr::Cells, &[0, 1, 2, 3], &[0; 4], &[]);
         let d = dynamic(&c, 16);
         assert_eq!(d.share.len(), 4);
+        assert!(d.estimated_benefit > 0.0);
+    }
+
+    /// A lightly diverging member is kept when the burst is long: its
+    /// one snapshot costs less than its solo pass.
+    #[test]
+    fn snapshot_free_queries_always_kept_with_light_divergers() {
+        let c = ctx(BurstRepr::Cells, &[0, 1, 2], &[0, 0, 1], &[]);
+        let d = dynamic(&c, 50);
+        assert_eq!(d.share.len(), 3);
         assert!(d.estimated_benefit > 0.0);
     }
 

@@ -36,7 +36,8 @@ pub struct GroupMetrics {
     pub sig: Vec<(u32, u8)>,
     /// Whether the optimizer placed this group as shared.
     pub shared: bool,
-    /// Def. 12 benefit priced at placement (re-priced at each churn).
+    /// Def. 12 benefit priced at placement (re-priced at each churn), in
+    /// estimated ns saved per nominal burst.
     pub benefit: f64,
     /// Events appended to this group's bursts.
     pub events_routed: u64,

@@ -39,13 +39,13 @@
 //! graphlet served exactly one burst — the next burst of another type
 //! closed it — so that is what sharing a burst costs.
 //!
-//! A count burst's two plans differ only in fixed terms: `k·COUNT_SOLO_NS`
-//! against `OPEN_NS + COUNT_SHARED_NS + k·(OPEN_MEMBER_NS +
-//! CLOSE_MEMBER_NS)`, a few ns per member apart — inside the constants'
-//! spread at every width, and independent of everything the burst
-//! carries. `Pricing` therefore shares a count burst whole, the paper's
-//! plan, without ranking it; these prices still give its estimated
-//! benefit. Measured end to end, never sharing count bursts is a tie on
+//! A count burst's two plans — all or nobody — differ only in fixed
+//! terms: `k·COUNT_SOLO_NS` against `OPEN_NS + COUNT_SHARED_NS +
+//! k·(OPEN_MEMBER_NS + CLOSE_MEMBER_NS)`, independent of everything the
+//! burst carries. Sharing is priced dearer below 26 members, but from 10
+//! members on by less than the constants' spread (`queryset::TIE`, a
+//! third of the solo price), and `Pricing` keeps the paper's plan there:
+//! it shares. Measured end to end, never sharing such bursts is a tie on
 //! the uniform stock workload and a few percent faster on the
 //! ridesharing ones (ROADMAP direction 1).
 //!

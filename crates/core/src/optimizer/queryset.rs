@@ -189,10 +189,9 @@ impl<'a> Pricing<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::burst::BurstRepr;
     use crate::optimizer::{benefit, decide};
 
-    /// A burst of `repr` over `candidates`, nothing open.
+    /// A burst of `repr` over `candidates`.
     fn ctx(repr: BurstRepr, candidates: &[usize], diverging: &[u64], edge: &[usize]) -> BurstCtx {
         BurstCtx {
             repr,

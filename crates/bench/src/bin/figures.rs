@@ -39,13 +39,12 @@ fn print_overhead(quick: bool) {
         "- one-time workload analysis: {:?} (paper: ≤ 81 ms)",
         r.analysis
     );
-    for (label, (total, n, wall)) in [("Exact pre-scan", r.exact), ("EMA statistics", r.ema)] {
-        println!(
-            "- {label}: {n} decisions took {total:?} = {:.3}% of {wall:?} \
-             processing (paper, statistics-based: < 0.2%)",
-            100.0 * total.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-        );
-    }
+    let (total, n, wall) = r.decisions;
+    println!(
+        "- decisions: {n} took {total:?} = {:.3}% of {wall:?} processing \
+         (paper, statistics-based: < 0.2%)",
+        100.0 * total.as_secs_f64() / wall.as_secs_f64().max(1e-9),
+    );
 }
 
 fn main() {

@@ -554,46 +554,32 @@ impl Sweep {
 }
 
 /// §6.2 overhead experiment: one-time workload analysis latency and the
-/// per-burst decision overhead as a fraction of total processing time,
-/// under both divergence-statistics modes.
+/// per-burst decision overhead as a fraction of total processing time.
 pub struct OverheadReport {
     /// Static workload-analysis (engine construction) time.
     pub analysis: Duration,
-    /// Exact-mode (O(k·b) pre-scan) decision totals.
-    pub exact: (Duration, u64, Duration),
-    /// EMA-mode (O(k) statistics) decision totals.
-    pub ema: (Duration, u64, Duration),
+    /// Decision totals: time spent deciding (divergence read off the
+    /// buffered burst, then priced), decisions, processing wall.
+    pub decisions: (Duration, u64, Duration),
 }
 
 /// Measures the optimizer overheads (paper: analysis ≤ 81 ms, decisions
 /// < 0.2% of latency) on the `fig_churn` stream and workload.
 pub fn overhead(quick: bool) -> OverheadReport {
-    use hamlet_core::executor::DivergenceMode;
     let p = sweep("fig_churn").expect("a table row").point(quick, 0);
-    let mut analysis = Duration::ZERO;
-    let mut run_mode = |mode: DivergenceMode| {
-        let cfg = EngineConfig {
-            divergence: mode,
-            ..EngineConfig::default()
-        };
-        let t0 = Instant::now();
-        let mut eng = p.engine(cfg);
-        analysis = t0.elapsed();
-        let t0 = Instant::now();
-        for e in &p.events {
-            eng.process(e);
-        }
-        eng.flush();
-        let wall = t0.elapsed();
-        let stats = eng.stats();
-        (stats.decision_time, stats.decisions, wall)
-    };
-    let exact = run_mode(DivergenceMode::Exact);
-    let ema = run_mode(DivergenceMode::Ema { alpha: 0.3 });
+    let t0 = Instant::now();
+    let mut eng = p.engine(EngineConfig::default());
+    let analysis = t0.elapsed();
+    let t0 = Instant::now();
+    for e in &p.events {
+        eng.process(e);
+    }
+    eng.flush();
+    let wall = t0.elapsed();
+    let stats = eng.stats();
     OverheadReport {
         analysis,
-        exact,
-        ema,
+        decisions: (stats.decision_time, stats.decisions, wall),
     }
 }
 
@@ -957,14 +943,11 @@ mod tests {
     #[test]
     fn overhead_is_small_fraction() {
         let r = overhead(true);
-        let (exact_total, exact_n, exact_wall) = r.exact;
-        let (ema_total, ema_n, _) = r.ema;
-        assert!(exact_n > 0 && ema_n > 0);
+        let (total, n, wall) = r.decisions;
+        assert!(n > 0);
         // The paper reports < 0.2% of latency for statistics-based
         // decisions; allow loose bounds in the quick setting (tiny
         // absolute times are noisy).
-        assert!(exact_total <= exact_wall.mul_f64(0.25).max(Duration::from_millis(50)));
-        // EMA decisions are much cheaper than the exact pre-scan.
-        assert!(ema_total < exact_total);
+        assert!(total <= wall.mul_f64(0.25).max(Duration::from_millis(50)));
     }
 }

@@ -5,10 +5,13 @@
 //! event type) from the compiled group alone ([`BurstRepr`]): a count, a
 //! column of [`Cell`]s, or the events. This module holds that choice,
 //! the cell constructor and codec, what can be read off a buffered burst
-//! without replaying it (exact divergence), and the buffer itself — a
-//! run with its pending burst (`RunState`: append, flush with one
-//! sharing decision, the run-state record of the checkpoint formats).
-//! The replay is [`crate::run::Run::replay`].
+//! without replaying it (exact divergence: the `sc` of every sharing
+//! decision), and the buffer itself — a run with its pending burst
+//! (`RunState`: append, flush with one sharing decision, the run-state
+//! record of the checkpoint formats). The group's estimator learns from
+//! those exact counts only to serve as placement's prior
+//! ([`crate::optimizer::stats`]). The replay is
+//! [`crate::run::Run::replay`].
 
 use crate::agg::MmVal;
 use crate::bitset::QSet;
@@ -158,8 +161,8 @@ impl GroupRuntime {
     /// an event "diverges" for a member when the member rejects it while
     /// at least one other candidate accepts — the Def. 9 snapshot
     /// trigger. A cell column answers from its masks (word ops, no second
-    /// predicate pass); only buffered events are scanned, O(k·b). The EMA
-    /// estimator ([`crate::optimizer::stats`]) avoids both.
+    /// predicate pass); only buffered events are scanned, O(k·b). Every
+    /// sharing decision reads its `sc` from here.
     pub fn divergence(&self, tl: usize, burst: &Burst<'_>, diverging: &mut [u64]) {
         let cands = self.candidates[tl];
         let mut count = |accepting: QSet| {
@@ -353,8 +356,9 @@ impl RunState {
         }
     }
 
-    /// Settles the pending burst, if any: one sharing decision (§4.2),
-    /// one replay, and the statistics fed back to the estimator. Returns
+    /// Settles the pending burst, if any: one sharing decision (§4.2) on
+    /// its exact divergence counts, one replay, and the counts fed to the
+    /// group's estimator (placement's prior). Returns
     /// whether there was one. `accounted` is left as it was: a run closed
     /// by this is released next, which takes `accounted` back out of the
     /// engine's count, so re-measuring it would be thrown away.
@@ -380,19 +384,16 @@ impl RunState {
             && env.stats.decisions % DECISION_SAMPLE == DECISION_SAMPLE - 1;
         // hamlet-lint: allow(wallclock) -- decision-time accounting only (stats.decision_time)
         let t0 = timed.then(Instant::now);
-        let (ctx, mode) = (&mut *env.ctx, env.cfg.divergence);
-        let rt = self.run.runtime();
+        let (ctx, rt) = (&mut *env.ctx, self.run.runtime());
         rt.burst_shape_into(tl, ctx);
-        (env.estimator).diverging_into(mode, tl, b, ctx, |d| rt.divergence(tl, &burst, d));
+        rt.divergence(tl, &burst, &mut ctx.diverging);
         let dec = decide(env.cfg.policy, ctx, b);
         if let Some(t0) = t0 {
             env.stats.decision_time += t0.elapsed() * DECISION_SAMPLE as u32;
         }
         env.stats.decisions += 1;
-        let snaps_before = self.run.stats().event_snapshots;
         self.run.replay(tl, burst, dec.share);
-        let created = self.run.stats().event_snapshots - snaps_before;
-        (env.estimator).learn(mode, tl, b, ctx, dec.share, created);
+        env.estimator.learn(tl, b, ctx);
         self.burst.clear();
         self.cells.clear();
         self.burst_count = 0;

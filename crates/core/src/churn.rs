@@ -182,7 +182,7 @@ impl HamletEngine {
     /// touched.
     pub fn apply(&mut self, op: ChurnOp) -> Result<ChurnReport, ChurnError> {
         let next = next_queries(&self.plan.queries, &op)?;
-        let plan = Self::compile(&self.plan.reg, next, &self.cfg).map_err(ChurnError::Engine)?;
+        let plan = Self::compile(&self.plan.reg, next).map_err(ChurnError::Engine)?;
         Ok(self.install(Arc::new(plan)))
     }
 
@@ -268,7 +268,7 @@ impl HamletEngine {
                     }
                     s
                 }
-                None => GroupState::new(g, plan.alpha, self.keys),
+                None => GroupState::new(g, self.keys),
             })
             .collect();
         let groups_carried = old_of_new.iter().flatten().count();

@@ -13,8 +13,8 @@
 //! This module holds the engine itself — configuration, result and
 //! statistics types, [`HamletEngine`] with the workload compiler and the
 //! accessors. What the engine *does* lives beside it, one file per path:
-//! [`crate::batch`] (an event's way in), [`crate::expiry`] (a window's
-//! way out), [`crate::churn`] (the workload changing underneath) and
+//! `crate::batch` (an event's way in), `crate::expiry` (a window's
+//! way out), `crate::churn` (the workload changing underneath) and
 //! [`crate::record`] (the state as bytes).
 
 use crate::batch::BatchScratch;
@@ -22,6 +22,7 @@ use crate::expiry::{ExpiryEntry, RunSlab, Runs};
 use crate::general::{self, CombineKind};
 use crate::keyhash::{KeyMap, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
+use crate::optimizer::stats::ALPHA;
 use crate::optimizer::{DivergenceEstimator, SharingPolicy};
 use crate::record::{DirtyLog, PendingSlot};
 use crate::run::{BurstCtx, GroupRuntime, MemberOutput, RunStats};
@@ -36,7 +37,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 pub use crate::churn::{ChurnError, ChurnOp, ChurnReport, GroupPlacement};
-pub use crate::optimizer::DivergenceMode;
 
 /// Engine configuration.
 #[derive(Clone, Debug)]
@@ -44,8 +44,6 @@ pub struct EngineConfig {
     /// Sharing policy (dynamic HAMLET, static always-share, or GRETA-style
     /// never-share).
     pub policy: SharingPolicy,
-    /// Divergence statistics for dynamic decisions.
-    pub divergence: DivergenceMode,
     /// Sample the byte-accounted state size every this many events
     /// (0 disables the memory gauge). A sample reads a counter
     /// ([`HamletEngine::state_bytes`] is O(1)), so the interval sets the
@@ -69,7 +67,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             policy: SharingPolicy::Dynamic,
-            divergence: DivergenceMode::Exact,
             mem_sample_every: 256,
             track_latency: true,
             shard: None,
@@ -162,10 +159,9 @@ pub struct EngineStats {
     /// timed and counts for 16 (a clock pair costs about what a decision
     /// does), where `decisions` is exact. Measured only under
     /// `EngineConfig::obs` or `track_latency`, else zero. This repository
-    /// measures 0.9–1.4% of processing with EMA statistics and 2.6–2.8%
-    /// with the exact pre-scan (`figures overhead --quick`, EXPERIMENTS.md
-    /// "Pay per batch"); the paper (§6.2) reports < 0.2% of latency for
-    /// statistics-based decisions.
+    /// measures 2.6–2.7% of processing (`figures overhead --quick`,
+    /// EXPERIMENTS.md "One divergence source"); the paper (§6.2) reports
+    /// < 0.2% of latency for statistics-based decisions.
     pub decision_time: Duration,
     /// Window results emitted.
     pub windows_emitted: u64,
@@ -280,19 +276,20 @@ pub(crate) struct GroupState {
     pub(crate) partitions: KeyMap<GroupKey, Runs>,
     /// The group's runs (see [`RunSlab`]).
     pub(crate) slab: RunSlab,
-    /// Stream statistics for O(k) dynamic decisions (shared across the
-    /// group's partitions — divergence is a property of the stream).
+    /// Placement's prior: divergence rates learned from every settled
+    /// burst's exact counts (shared across the group's partitions —
+    /// divergence is a property of the stream).
     pub(crate) estimator: DivergenceEstimator,
 }
 
 impl GroupState {
     /// No runs, and the estimator's prior, its partitions hashed under
     /// the engine's `keys`.
-    pub(crate) fn new(g: &GroupPlan, alpha: f64, keys: KeyState) -> GroupState {
+    pub(crate) fn new(g: &GroupPlan, keys: KeyState) -> GroupState {
         GroupState {
             partitions: KeyMap::with_hasher(keys),
             slab: RunSlab::default(),
-            estimator: DivergenceEstimator::new(g.rt.template.num_types(), g.rt.k(), alpha),
+            estimator: DivergenceEstimator::new(g.rt.template.num_types(), g.rt.k(), ALPHA),
         }
     }
 }
@@ -339,8 +336,6 @@ pub(crate) struct CompiledWorkload {
     pub(crate) key_reps: Vec<Vec<u32>>,
     pub(crate) num_classes: usize,
     pub(crate) num_wnd_classes: usize,
-    /// The EMA smoothing factor a fresh group's estimator starts with.
-    pub(crate) alpha: f64,
     /// The window grid: the gcd of every query's `within` and `slide`.
     /// Window instances start on multiples of their slide, so every
     /// window end is a multiple of it — an event can close a window only
@@ -408,19 +403,18 @@ impl HamletEngine {
         queries: Vec<Query>,
         cfg: EngineConfig,
     ) -> Result<HamletEngine, EngineError> {
-        Self::compile(&reg, queries, &cfg).map(|plan| Self::from_plan(cfg, Arc::new(plan)))
+        Self::compile(&reg, queries).map(|plan| Self::from_plan(cfg, Arc::new(plan)))
     }
 
-    /// Builds an engine that runs `plan` — one [`compile`](Self::compile)d
-    /// under a configuration with `cfg`'s `divergence`, the one setting
-    /// the compile reads — and holds it rather than a copy: every engine
-    /// built from one `Arc` shares its tables and group runtimes.
+    /// Builds an engine that runs `plan` and holds it rather than a copy:
+    /// every engine built from one `Arc` shares its tables and group
+    /// runtimes.
     pub(crate) fn from_plan(cfg: EngineConfig, plan: Arc<CompiledWorkload>) -> HamletEngine {
         let keys = KeyState::new();
         let mut eng = HamletEngine {
             cfg,
             groups: (plan.groups.iter())
-                .map(|g| GroupState::new(g, plan.alpha, keys))
+                .map(|g| GroupState::new(g, keys))
                 .collect(),
             pending: KeyMap::with_hasher(keys),
             expiry: BinaryHeap::new(),
@@ -454,7 +448,6 @@ impl HamletEngine {
     pub(crate) fn compile(
         reg: &Arc<TypeRegistry>,
         queries: Vec<Query>,
-        cfg: &EngineConfig,
     ) -> Result<CompiledWorkload, EngineError> {
         let mut next_id = queries.iter().map(|q| q.id.0 + 1).max().unwrap_or(0);
         let mut simple: Vec<Arc<Query>> = Vec::new();
@@ -492,15 +485,6 @@ impl HamletEngine {
                 None => simple.push(Arc::new(q.clone())),
             }
         }
-        let alpha = match cfg.divergence {
-            DivergenceMode::Ema { alpha } if (0.0..=1.0).contains(&alpha) => alpha,
-            DivergenceMode::Ema { alpha } => {
-                return Err(EngineError::Unsupported(format!(
-                    "EMA smoothing factor {alpha} is outside [0, 1]"
-                )))
-            }
-            DivergenceMode::Exact => 0.5,
-        };
         let plan = workload::analyze(&simple).map_err(EngineError::Workload)?;
         let groups: Vec<GroupPlan> = plan
             .groups
@@ -596,7 +580,6 @@ impl HamletEngine {
             key_reps,
             num_classes,
             num_wnd_classes,
-            alpha,
         })
     }
 
@@ -1387,8 +1370,8 @@ mod tests {
         /// `process_batch` output and counters are identical to folding
         /// `process` (the one-element wrapper) and `process_reference`
         /// (the preserved pre-batching body) over the same stream —
-        /// including duplicate timestamps, bounded lateness, grouped
-        /// partitions, and both divergence modes.
+        /// including duplicate timestamps, bounded lateness and grouped
+        /// partitions.
         #[test]
         fn process_batch_matches_fold(
             seed in 0u64..10_000,
@@ -1401,25 +1384,12 @@ mod tests {
             use proptest::prelude::prop_assert_eq;
             let (reg, a, b, c) = registry();
             let slide = (within / slide_div).max(1);
-            let mode = if seed % 2 == 0 {
-                DivergenceMode::Exact
-            } else {
-                DivergenceMode::Ema { alpha: 0.3 }
-            };
             let mk = || {
                 let mut q1 = Query::count_star(1, seq(a, b), Window::new(within, slide));
                 q1.group_by = vec![Arc::from("g")];
                 let mut q2 = Query::count_star(2, seq(c, b), Window::new(within, slide));
                 q2.group_by = vec![Arc::from("g")];
-                HamletEngine::new(
-                    reg.clone(),
-                    vec![q1, q2],
-                    EngineConfig {
-                        divergence: mode,
-                        ..EngineConfig::default()
-                    },
-                )
-                .unwrap()
+                HamletEngine::new(reg.clone(), vec![q1, q2], EngineConfig::default()).unwrap()
             };
             // Deterministic pseudo-random stream (xorshift) with repeated
             // ticks and bounded out-of-order arrivals.
@@ -2268,24 +2238,5 @@ mod tests {
             windows(&out, 2),
             "OR query covers the same windows"
         );
-    }
-
-    /// An EMA smoothing factor outside `[0, 1]`, or NaN, is a compile
-    /// error — from the engine and from the sharded executor built on it
-    /// — not a panic inside the divergence estimator.
-    #[test]
-    fn ema_alpha_outside_the_unit_interval_is_an_error() {
-        let (reg, a, b, _) = registry();
-        let q = Query::count_star(1, seq(a, b), Window::tumbling(20));
-        for alpha in [-0.1, 1.5, f64::NAN] {
-            let cfg = EngineConfig {
-                divergence: DivergenceMode::Ema { alpha },
-                ..EngineConfig::default()
-            };
-            let eng = HamletEngine::new(reg.clone(), vec![q.clone()], cfg.clone());
-            assert!(matches!(eng, Err(EngineError::Unsupported(_))), "{alpha}");
-            let par = crate::ParallelEngine::new(reg.clone(), vec![q.clone()], cfg, 2);
-            assert!(matches!(par, Err(EngineError::Unsupported(_))), "{alpha}");
-        }
     }
 }

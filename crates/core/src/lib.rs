@@ -41,15 +41,15 @@
 #![warn(missing_docs)]
 
 pub mod agg;
-pub mod batch;
+mod batch;
 pub mod bitset;
 pub mod burst;
 pub mod checkpoint;
-pub mod churn;
+mod churn;
 pub mod executor;
-pub mod expiry;
+mod expiry;
 pub mod expr;
-pub mod general;
+mod general;
 mod keyhash;
 pub mod metrics;
 pub mod optimizer;
@@ -58,9 +58,9 @@ pub mod record;
 #[cfg(test)]
 mod reference;
 pub mod run;
-pub mod shard;
+mod shard;
 pub mod snapshot;
-pub mod store;
+mod store;
 pub mod template;
 pub mod workload;
 

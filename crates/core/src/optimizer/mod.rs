@@ -10,8 +10,9 @@
 //! Every price the engine puts on sharing goes through one `Pricing`
 //! (`queryset.rs`): the per-burst decision ([`decide`]) and a share
 //! group's a-priori placement, at build and at churn (`placement`).
-//! Where a burst's divergence counts come from, and what the estimator
-//! learns from its outcome, sit beside the estimator (`stats.rs`).
+//! A burst's divergence counts are read off the burst itself
+//! (`GroupRuntime::divergence`); the estimator that learns from them is
+//! placement's prior (`stats.rs`).
 
 pub mod benefit;
 #[cfg(test)]
@@ -23,7 +24,7 @@ pub mod stats;
 
 pub use benefit::{benefit, nonshared_cost, shared_cost, solo_member_cost, CostFactors};
 pub use queryset::Decision;
-pub use stats::{DivergenceEstimator, DivergenceMode};
+pub use stats::DivergenceEstimator;
 
 use crate::run::{BurstCtx, GroupRuntime};
 use queryset::Pricing;

@@ -1,38 +1,25 @@
-//! Runtime stream statistics for O(1) sharing decisions (§4.2).
+//! Placement's prior: per-(type, member) divergence rates (§4.2).
 //!
-//! The paper's optimizer "simply plugs in locally available stream
-//! statistics" — it does not re-scan the burst. This module maintains
-//! exponential moving averages of each member query's *divergence rate*
-//! per event type (the fraction of burst events whose predicate outcome
-//! differs from the other sharing candidates, the Def. 9 snapshot
-//! trigger). The executor can then predict `sc` for a new burst in O(k)
-//! instead of O(k·b).
+//! Every per-burst decision reads the exact Def. 9 counts off the
+//! buffered burst (`GroupRuntime::divergence`, at `RunState::settle`).
+//! A share group's a-priori placement (`optimizer::placement`, at build
+//! and at every churn barrier) has no burst to read, so it prices a
+//! nominal one from what this estimator learned: an exponential moving
+//! average of each member query's *divergence rate* per event type (the
+//! fraction of burst events whose predicate outcome differs from the
+//! other sharing candidates), fed the exact counts of every settled
+//! burst (`DivergenceEstimator::learn`).
 //!
 //! The estimator only influences *decisions*, never results: whichever
 //! sharing set is chosen, the run engine produces exact aggregates
 //! (asserted in the integration tests).
-//!
-//! Which source a decision's divergence counts come from
-//! ([`DivergenceMode`]), and how a settled burst is fed back, are the
-//! estimator's two engine-facing calls: `diverging_into` and `learn`.
 
-use crate::bitset::QSet;
 use crate::checkpoint::{decode_into, CheckpointError, Codec, Dec, Enc};
 use crate::run::BurstCtx;
 
-/// How the optimizer obtains per-burst divergence counts (`sc`, §4.1).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum DivergenceMode {
-    /// Pre-scan each burst's predicates exactly — O(k·b) per decision.
-    Exact,
-    /// Predict from exponential moving averages of past bursts — O(k) per
-    /// decision, the paper's "locally available stream statistics" (§4.2).
-    /// `alpha` is the EMA smoothing factor.
-    Ema {
-        /// Weight of the newest observation.
-        alpha: f64,
-    },
-}
+/// The smoothing factor of a fresh estimator (a restored one keeps the
+/// factor it was cut with).
+pub(crate) const ALPHA: f64 = 0.5;
 
 /// Per-(type, member) exponential moving average of divergence rates.
 #[derive(Clone, Debug)]
@@ -81,36 +68,6 @@ impl DivergenceEstimator {
         }
     }
 
-    /// Records an aggregate observation (event-level snapshots created
-    /// per burst, attributed uniformly across `members`) — used when the
-    /// exact per-member scan was skipped.
-    pub fn observe_aggregate(&mut self, ty: usize, members: QSet, snapshots: u64, b: u64) {
-        if members.is_empty() || b == 0 {
-            return;
-        }
-        let per_member = snapshots / members.len() as u64;
-        for q in members.iter() {
-            self.observe(ty, q, per_member.min(b), b);
-        }
-    }
-
-    /// Fills `ctx.diverging` for a burst of `b` events of local type `tl`
-    /// from the source `mode` names: `exact` counts them off the burst
-    /// (Def. 9), EMA predicts them.
-    pub(crate) fn diverging_into(
-        &self,
-        mode: DivergenceMode,
-        tl: usize,
-        b: u64,
-        ctx: &mut BurstCtx,
-        exact: impl FnOnce(&mut [u64]),
-    ) {
-        match mode {
-            DivergenceMode::Exact => exact(&mut ctx.diverging),
-            DivergenceMode::Ema { .. } => self.predict_into(tl, b, ctx),
-        }
-    }
-
     /// [`predict`](Self::predict) for every candidate of `ctx`.
     pub(crate) fn predict_into(&self, tl: usize, b: u64, ctx: &mut BurstCtx) {
         for (d, q) in ctx.diverging.iter_mut().zip(ctx.candidates.iter()) {
@@ -118,38 +75,12 @@ impl DivergenceEstimator {
         }
     }
 
-    /// Feeds a settled burst back — `ctx` as `diverging_into` filled it
-    /// from this estimator, `share` the members that shared the burst,
-    /// `created` the event-level snapshots its replay took. EMA mode
-    /// attributes those snapshots across the sharing members. Otherwise
-    /// every candidate observes its `diverging` count: exact mode learns
-    /// the true divergence; an EMA burst nobody shared created no
-    /// snapshot to attribute, and observing the prediction it was decided
-    /// on decays each rate gently toward it.
-    pub(crate) fn learn(
-        &mut self,
-        mode: DivergenceMode,
-        tl: usize,
-        b: u64,
-        ctx: &BurstCtx,
-        share: QSet,
-        created: u64,
-    ) {
-        match mode {
-            DivergenceMode::Ema { .. } if !share.is_empty() => {
-                self.observe_aggregate(tl, share, created, b)
-            }
-            _ => {
-                for (q, &d) in ctx.candidates.iter().zip(&ctx.diverging) {
-                    self.observe(tl, q, d, b);
-                }
-            }
+    /// Feeds a settled burst of `b` events of local type `tl` back: every
+    /// candidate of `ctx` observes its exact `diverging` count.
+    pub(crate) fn learn(&mut self, tl: usize, b: u64, ctx: &BurstCtx) {
+        for (q, &d) in ctx.candidates.iter().zip(&ctx.diverging) {
+            self.observe(tl, q, d, b);
         }
-    }
-
-    /// Current rate estimate (for inspection/tests).
-    pub fn rate(&self, ty: usize, q: usize) -> f64 {
-        self.rates[ty][q]
     }
 
     /// Serializes the learned statistics (checkpoint codec). The
@@ -197,14 +128,14 @@ mod tests {
     fn cold_cells_predict_zero() {
         let e = DivergenceEstimator::new(2, 3, 0.5);
         assert_eq!(e.predict(0, 0, 100), 0);
-        assert_eq!(e.rate(1, 2), 0.0);
+        assert_eq!(e.rates[1][2], 0.0);
     }
 
     #[test]
     fn first_observation_sets_rate() {
         let mut e = DivergenceEstimator::new(1, 1, 0.1);
         e.observe(0, 0, 30, 100);
-        assert!((e.rate(0, 0) - 0.3).abs() < 1e-9);
+        assert!((e.rates[0][0] - 0.3).abs() < 1e-9);
         assert_eq!(e.predict(0, 0, 10), 3);
     }
 
@@ -215,30 +146,20 @@ mod tests {
         for _ in 0..10 {
             e.observe(0, 0, 100, 100);
         }
-        assert!(e.rate(0, 0) > 0.99);
+        assert!(e.rates[0][0] > 0.99);
         // And back down.
         for _ in 0..10 {
             e.observe(0, 0, 0, 100);
         }
-        assert!(e.rate(0, 0) < 0.01);
+        assert!(e.rates[0][0] < 0.01);
     }
 
     #[test]
     fn empty_burst_ignored() {
         let mut e = DivergenceEstimator::new(1, 1, 0.5);
         e.observe(0, 0, 0, 0);
-        assert_eq!(e.rate(0, 0), 0.0);
+        assert_eq!(e.rates[0][0], 0.0);
         assert_eq!(e.predict(0, 0, 0), 0);
-    }
-
-    #[test]
-    fn aggregate_attribution() {
-        let mut e = DivergenceEstimator::new(1, 4, 1.0);
-        e.observe_aggregate(0, [1, 3].into_iter().collect(), 20, 40);
-        assert!((e.rate(0, 1) - 0.25).abs() < 1e-9);
-        assert!((e.rate(0, 3) - 0.25).abs() < 1e-9);
-        assert_eq!(e.rate(0, 0), 0.0);
-        e.observe_aggregate(0, QSet::new(), 20, 40); // no-op
     }
 
     #[test]

@@ -422,7 +422,7 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
         epoch,
         seq: chain[chain.len() - 1].seq,
         groups: (eng.plan.groups.iter())
-            .map(|g| GroupState::new(g, eng.plan.alpha, eng.keys))
+            .map(|g| GroupState::new(g, eng.keys))
             .collect(),
         pending: KeyMap::with_hasher(eng.keys),
         tail: Tail::default(),

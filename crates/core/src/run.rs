@@ -1429,6 +1429,52 @@ mod tests {
         }
     }
 
+    /// [`GroupRuntime::divergence`] — the `sc` of every sharing decision,
+    /// which no result can show — counts Def. 9 exactly. On random groups
+    /// with selections (and, for `shape` 2, edge predicates on `B`), for
+    /// every type without an edge predicate, three counts agree: off the
+    /// cell column `burst_of` builds, off the same events as
+    /// `Burst::Events`, and by brute force — the member rejects the event
+    /// while some other candidate accepts it.
+    #[test]
+    fn divergence_counts_def9_on_cells_and_events() {
+        let mut diverged = 0;
+        for seed in 0..200u64 {
+            let mut next = stream_of(seed);
+            let (skel, shape) = (next() % 3, 2 * (seed % 2));
+            let rt = random_group(&mut next, skel, shape);
+            for tl in 0..rt.template.num_types() {
+                if rt.burst_repr(tl) != BurstRepr::Cells {
+                    continue;
+                }
+                let events: Vec<Event> = (0..1 + next() % 8)
+                    .map(|i| {
+                        let v = hamlet_types::AttrValue::Float((next() % 10) as f64);
+                        Event::new(Ts(i), rt.template.types[tl], vec![v])
+                    })
+                    .collect();
+                let cands = rt.candidates[tl];
+                let brute: Vec<u64> = (cands.iter())
+                    .map(|q| {
+                        let diverges = |e: &&Event| {
+                            !rt.selects(tl, q, e)
+                                && cands.iter().any(|o| o != q && rt.selects(tl, o, e))
+                        };
+                        events.iter().filter(diverges).count() as u64
+                    })
+                    .collect();
+                let mut cells = Vec::new();
+                let [mut from_cells, mut from_events] = [(); 2].map(|_| vec![0; cands.len()]);
+                rt.divergence(tl, &rt.burst_of(tl, &events, &mut cells), &mut from_cells);
+                rt.divergence(tl, &Burst::Events(&events), &mut from_events);
+                assert_eq!(from_cells, brute, "seed {seed}, type {tl}: cells");
+                assert_eq!(from_events, brute, "seed {seed}, type {tl}: events");
+                diverged += brute.iter().sum::<u64>();
+            }
+        }
+        assert!(diverged > 0, "some event diverged");
+    }
+
     impl Run {
         /// True iff `open` holds exactly the types with a graphlet.
         fn open_is_exact(&self) -> bool {

@@ -70,7 +70,7 @@ impl ShardRouter {
                 "{workers} workers: a sharding has 1 to 64 (the shard mask is a u64)"
             )));
         }
-        let plan = HamletEngine::compile(&reg, queries, &cfg)?;
+        let plan = HamletEngine::compile(&reg, queries)?;
         Ok(ShardRouter {
             plan: Arc::new(plan),
             cfg,
@@ -139,7 +139,7 @@ impl ShardRouter {
     /// the shards, before the op is. On error nothing changed.
     pub fn apply(&mut self, op: &ChurnOp) -> Result<(), ChurnError> {
         let next = next_queries(&self.plan.queries, op)?;
-        let plan = HamletEngine::compile(&self.plan.reg, next, &self.cfg);
+        let plan = HamletEngine::compile(&self.plan.reg, next);
         self.plan = Arc::new(plan.map_err(ChurnError::Engine)?);
         Ok(())
     }

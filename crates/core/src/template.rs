@@ -16,7 +16,7 @@ use std::fmt;
 /// Errors raised while compiling a pattern to a template.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TemplateError {
-    /// `OR`/`AND` patterns must be decomposed (via [`crate::general`])
+    /// `OR`/`AND` patterns must be decomposed (via `crate::general`)
     /// before template construction (§5 computes them from sub-pattern
     /// counts).
     UnsupportedOperator(&'static str),

@@ -2121,8 +2121,7 @@ mod tests {
 
     /// Zero cadences and a cadence without a store are construction
     /// errors from `spawn` and from `resume_from`, not panics in the
-    /// builder or on the spawning thread; so is an invalid engine
-    /// configuration.
+    /// builder or on the spawning thread.
     #[test]
     fn invalid_cadences_are_errors_from_spawn_and_resume() {
         let (reg, queries, events) = setup();
@@ -2135,16 +2134,11 @@ mod tests {
             .spawn(ReplaySource::new(events[..50].to_vec()), NullSink)
             .unwrap()
             .drain();
-        let ema = EngineConfig {
-            divergence: hamlet_core::executor::DivergenceMode::Ema { alpha: 2.0 },
-            ..EngineConfig::default()
-        };
         let bad = [
             builder().checkpoint_every(10),
             with_store().checkpoint_every(0),
             with_store().checkpoint_every(10).compact_every(0),
             with_store().compact_every(0),
-            builder().engine_config(ema),
         ];
         for (i, b) in bad.into_iter().enumerate() {
             let res = b.spawn(ReplaySource::new(events.clone()), NullSink);

@@ -1,12 +1,13 @@
-//! Every decoder is total on arbitrary bytes (ROADMAP direction 5(b), the
-//! first part): a seeded byte-mutation loop over the one engine-record
-//! decoder, the `HMDL` frame reader, the handle peek and both containers,
-//! seeded from the four pinned fixtures (`HMEN` v4 and v5 blobs, `HMDL`
-//! v1 and v2 chains) and from containers packed around them. The query
-//! parser gets the same treatment over damaged query texts, the bench
-//! crate's JSON reader over damaged `--metrics-json` and `BENCH_20.json`
-//! lines, and `DirStore::load_chain` over damaged record file names; both
-//! text readers also climb a nesting ladder past their depth bound.
+//! Every decoder is total on arbitrary bytes (ROADMAP aim 3; direction
+//! 3(c) adds the checksummed-frame case here): a seeded byte-mutation
+//! loop over the one engine-record decoder, the `HMDL` frame reader, the
+//! handle peek and both containers, seeded from the four pinned fixtures
+//! (`HMEN` v4 and v5 blobs, `HMDL` v1 and v2 chains) and from containers
+//! packed around them. The query parser gets the same treatment over
+//! damaged query texts, the bench crate's JSON reader over damaged
+//! `--metrics-json` and `BENCH_20.json` lines, and `DirStore::load_chain`
+//! over damaged record file names; both text readers also climb a
+//! nesting ladder past their depth bound.
 //!
 //! For every mutant, every decoder either returns `Err` or a state that
 //! re-encodes (and round-trips from there); none panics; and none asks

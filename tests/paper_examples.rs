@@ -317,43 +317,3 @@ fn min_max_stay_non_shared() {
         assert_eq!(r.value, hamlet_core::AggValue::Float(2.0));
     }
 }
-
-/// The EMA divergence estimator changes only *decisions*, never results:
-/// exact-scan and EMA modes agree bit-exactly on a divergent workload.
-#[test]
-fn ema_divergence_mode_preserves_results() {
-    use hamlet_core::executor::DivergenceMode;
-    let reg = hamlet_stream::stock::registry();
-    let cfg = hamlet_stream::GenConfig {
-        events_per_min: 1_000,
-        minutes: 2,
-        mean_burst: 60.0,
-        num_groups: 8,
-        group_skew: 0.0,
-        seed: 77,
-        max_lateness: 0,
-    };
-    let events = hamlet_stream::stock::generate(&reg, &cfg);
-    let queries = hamlet_stream::stock::workload_diverse(&reg, 16, 42);
-    let run_mode = |divergence| {
-        let mut eng = HamletEngine::new(
-            reg.clone(),
-            queries.clone(),
-            EngineConfig {
-                divergence,
-                ..EngineConfig::default()
-            },
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        for e in &events {
-            out.extend(eng.process(e));
-        }
-        out.extend(eng.flush());
-        out.sort_by_key(|r| (r.query, r.window_start, format!("{}", r.group_key)));
-        out
-    };
-    let exact = run_mode(DivergenceMode::Exact);
-    let ema = run_mode(DivergenceMode::Ema { alpha: 0.3 });
-    assert_eq!(exact, ema);
-}

@@ -4,7 +4,6 @@
 //! shared and solo execution on divergent workloads.
 
 use hamlet_baselines::GretaEngine;
-use hamlet_core::executor::DivergenceMode;
 use hamlet_core::{AggValue, EngineConfig, HamletEngine, SharingPolicy, WindowResult};
 use hamlet_stream::{ridesharing, smart_home, stock, GenConfig};
 
@@ -28,14 +27,12 @@ fn drive_hamlet(
     queries: Vec<hamlet_query::Query>,
     events: &[hamlet_types::Event],
     policy: SharingPolicy,
-    divergence: DivergenceMode,
 ) -> (Vec<WindowResult>, hamlet_core::EngineStats) {
     let mut eng = HamletEngine::new(
         reg.clone(),
         queries,
         EngineConfig {
             policy,
-            divergence,
             ..EngineConfig::default()
         },
     )
@@ -67,30 +64,12 @@ fn ridesharing_10k_events_all_policies_and_greta_agree() {
     assert_eq!(events.len(), 10_000);
     let queries = ridesharing::workload_shared_kleene(&reg, 12, 30);
 
-    let (dynamic, stats) = drive_hamlet(
-        &reg,
-        queries.clone(),
-        &events,
-        SharingPolicy::Dynamic,
-        DivergenceMode::Exact,
-    );
+    let (dynamic, stats) = drive_hamlet(&reg, queries.clone(), &events, SharingPolicy::Dynamic);
     assert!(stats.runs.shared_bursts > 0, "sharing exercised: {stats:?}");
     assert!(stats.windows_emitted > 0);
 
-    let (always, _) = drive_hamlet(
-        &reg,
-        queries.clone(),
-        &events,
-        SharingPolicy::AlwaysShare,
-        DivergenceMode::Exact,
-    );
-    let (never, _) = drive_hamlet(
-        &reg,
-        queries.clone(),
-        &events,
-        SharingPolicy::NeverShare,
-        DivergenceMode::Exact,
-    );
+    let (always, _) = drive_hamlet(&reg, queries.clone(), &events, SharingPolicy::AlwaysShare);
+    let (never, _) = drive_hamlet(&reg, queries.clone(), &events, SharingPolicy::NeverShare);
     let mut greta = GretaEngine::new(reg.clone(), queries).unwrap();
     let mut gout = Vec::new();
     for e in &events {
@@ -106,7 +85,7 @@ fn ridesharing_10k_events_all_policies_and_greta_agree() {
 }
 
 #[test]
-fn stock_diverse_workload_with_ema_agrees_with_exact() {
+fn stock_diverse_workload_pins_every_policys_decisions() {
     let reg = stock::registry();
     let cfg = GenConfig {
         events_per_min: 2_000,
@@ -120,41 +99,19 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
     let events = stock::generate(&reg, &cfg);
     let queries = stock::workload_diverse(&reg, 40, 2024);
 
-    let (exact, se) = drive_hamlet(
-        &reg,
-        queries.clone(),
-        &events,
-        SharingPolicy::Dynamic,
-        DivergenceMode::Exact,
-    );
-    let (ema, sm) = drive_hamlet(
-        &reg,
-        queries.clone(),
-        &events,
-        SharingPolicy::Dynamic,
-        DivergenceMode::Ema { alpha: 0.4 },
-    );
-    let (never, _) = drive_hamlet(
-        &reg,
-        queries.clone(),
-        &events,
-        SharingPolicy::NeverShare,
-        DivergenceMode::Exact,
-    );
-    assert_eq!(norm(exact.clone()), norm(ema), "exact vs EMA results");
-    assert_eq!(norm(exact), norm(never), "dynamic vs never results");
-    // Both modes took real decisions and mixed shared/solo bursts.
+    let (dynamic, se) = drive_hamlet(&reg, queries.clone(), &events, SharingPolicy::Dynamic);
+    let (never, _) = drive_hamlet(&reg, queries.clone(), &events, SharingPolicy::NeverShare);
+    assert_eq!(norm(dynamic), norm(never), "dynamic vs never results");
+    // Real decisions, mixing shared and solo bursts.
     assert!(
         se.runs.shared_bursts > 0 && se.runs.solo_bursts > 0,
         "{se:?}"
     );
-    assert!(sm.decisions > 0);
 
     // No result comparison sees what the optimizer decides — every
     // policy produces the same results — so the decision sequence itself
-    // is pinned: three policies under exact divergence and the dynamic
-    // one under EMA. A change to how a decision is assembled or priced
-    // that moves any of these is a behaviour change.
+    // is pinned under all three policies. A change to how a decision is
+    // assembled or priced that moves any of these is a behaviour change.
     //
     // A 41st query of the same generator, under a fresh id.
     let mut extra = stock::workload_diverse(&reg, 42, 2024).pop().unwrap();
@@ -171,7 +128,7 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
         4628293042053316608,
         0,
     ];
-    // The placements' benefits after the add under exact divergence.
+    // The placements' benefits after the add.
     const CHURNED: [u64; 8] = [
         13875946693695897600,
         4639270566145032192,
@@ -189,7 +146,6 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
     let cases = [
         (
             SharingPolicy::Dynamic,
-            DivergenceMode::Exact,
             (
                 771,
                 [248, 1, 1138, 3, 1, 275, 496, 47463],
@@ -199,7 +155,6 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
         ),
         (
             SharingPolicy::AlwaysShare,
-            DivergenceMode::Exact,
             (
                 771,
                 [302, 3828, 1032, 0, 0, 302, 469, 47463],
@@ -209,7 +164,6 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
         ),
         (
             SharingPolicy::NeverShare,
-            DivergenceMode::Exact,
             (
                 771,
                 [0, 0, 1447, 0, 0, 0, 771, 47463],
@@ -217,39 +171,10 @@ fn stock_diverse_workload_with_ema_agrees_with_exact() {
                 with([f; 8], CHURNED),
             ),
         ),
-        (
-            SharingPolicy::Dynamic,
-            DivergenceMode::Ema { alpha: 0.4 },
-            (
-                771,
-                [248, 725, 1172, 13, 0, 248, 523, 47463],
-                with([t, t, f, t, t, t, t, f], BUILT),
-                with(
-                    [f, t, f, t, f, t, t, f],
-                    [
-                        13864788849697226752,
-                        4639270566145032192,
-                        0,
-                        4647415748283596800,
-                        13862959262348607488,
-                        4647415748283596800,
-                        4628293042053316608,
-                        0,
-                    ],
-                ),
-            ),
-        ),
     ];
-    for (policy, divergence, want) in cases {
-        let got = decision_trace(
-            &reg,
-            queries.clone(),
-            extra.clone(),
-            &events,
-            policy,
-            divergence,
-        );
-        assert_eq!(got, want, "{policy:?} under {divergence:?}");
+    for (policy, want) in cases {
+        let got = decision_trace(&reg, queries.clone(), extra.clone(), &events, policy);
+        assert_eq!(got, want, "{policy:?}");
     }
 }
 
@@ -265,11 +190,9 @@ fn decision_trace(
     extra: hamlet_query::Query,
     events: &[hamlet_types::Event],
     policy: SharingPolicy,
-    divergence: DivergenceMode,
 ) -> DecisionTrace {
     let cfg = EngineConfig {
         policy,
-        divergence,
         ..EngineConfig::default()
     };
     let mut eng = HamletEngine::new(reg.clone(), queries, cfg).expect("engine builds");
@@ -313,13 +236,7 @@ fn smart_home_sliding_windows_roll_over_long_stream() {
     };
     let events = smart_home::generate(&reg, &cfg);
     let queries = smart_home::workload(&reg, 8, 60);
-    let (results, stats) = drive_hamlet(
-        &reg,
-        queries,
-        &events,
-        SharingPolicy::Dynamic,
-        DivergenceMode::Exact,
-    );
+    let (results, stats) = drive_hamlet(&reg, queries, &events, SharingPolicy::Dynamic);
     // 3 minutes of stream with 60 s tumbling windows → results from at
     // least 2 fully-closed window generations plus the flush.
     let mut starts: Vec<u64> = results.iter().map(|r| r.window_start.ticks()).collect();

@@ -8,16 +8,14 @@
 //! without replaying it (exact divergence: the `sc` of every sharing
 //! decision), and the buffer itself — a run with its pending burst
 //! (`RunState`: append, flush with one sharing decision, the run-state
-//! record of the checkpoint formats). The group's estimator learns from
-//! those exact counts only to serve as placement's prior
-//! ([`crate::optimizer::stats`]). The replay is
+//! record of the checkpoint formats). The replay is
 //! [`crate::run::Run::replay`].
 
 use crate::agg::MmVal;
 use crate::bitset::QSet;
 use crate::checkpoint::{codec_struct, CheckpointError, Codec, Dec, Enc};
 use crate::executor::{EngineConfig, EngineStats};
-use crate::optimizer::{decide, DivergenceEstimator};
+use crate::optimizer::decide;
 use crate::run::{BurstCtx, GroupRuntime, Run};
 use crate::workload::AggSkeleton;
 use hamlet_types::Event;
@@ -255,7 +253,6 @@ impl<'a> Chunk<'a> {
 /// inputs and scratch, and the places a decision is accounted.
 pub(crate) struct FlushEnv<'a> {
     pub(crate) cfg: &'a EngineConfig,
-    pub(crate) estimator: &'a mut DivergenceEstimator,
     pub(crate) stats: &'a mut EngineStats,
     pub(crate) ctx: &'a mut BurstCtx,
     /// The engine's count of byte-accounted run state
@@ -357,11 +354,10 @@ impl RunState {
     }
 
     /// Settles the pending burst, if any: one sharing decision (§4.2) on
-    /// its exact divergence counts, one replay, and the counts fed to the
-    /// group's estimator (placement's prior). Returns
-    /// whether there was one. `accounted` is left as it was: a run closed
-    /// by this is released next, which takes `accounted` back out of the
-    /// engine's count, so re-measuring it would be thrown away.
+    /// its exact divergence counts and one replay. Returns whether there
+    /// was one. `accounted` is left as it was: a run closed by this is
+    /// released next, which takes `accounted` back out of the engine's
+    /// count, so re-measuring it would be thrown away.
     pub(crate) fn settle(&mut self, env: &mut FlushEnv<'_>) -> bool {
         let Some(tl) = self.burst_ty else {
             return false;
@@ -393,7 +389,6 @@ impl RunState {
         }
         env.stats.decisions += 1;
         self.run.replay(tl, burst, dec.share);
-        env.estimator.learn(tl, b, ctx);
         self.burst.clear();
         self.cells.clear();
         self.burst_count = 0;

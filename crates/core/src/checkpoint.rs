@@ -49,14 +49,21 @@ pub const ENGINE_MAGIC: [u8; 4] = *b"HMEN";
 /// Engine checkpoint format version. v4 ended every blob with the
 /// per-share-group observability counters; v5 tags the pending-burst
 /// record with its representation and writes non-edge bursts as a cell
-/// column instead of events. v4 blobs still restore, their buffered
-/// events converted to the representation this build buffers; v2 and v3
-/// (pre-PR 9, never pinned by a fixture) are no longer read (see
-/// `docs/checkpoint-format.md`).
-pub const ENGINE_VERSION: u16 = 5;
+/// column instead of events; v6 drops the per-group divergence estimator
+/// section (placement is priced from the compiled group). v4 and v5
+/// blobs still restore: a v4 blob's buffered events are converted to the
+/// representation this build buffers, and either's estimator section is
+/// checked and discarded. v2 and v3 (never pinned by a fixture) are no
+/// longer read (see `docs/checkpoint-format.md`).
+pub const ENGINE_VERSION: u16 = 6;
 
-/// The v4 engine format version (pending bursts as events plus a
-/// count-only tail), still accepted by [`crate::HamletEngine::restore`].
+/// The v5 engine format version (v6 plus an estimator section after each
+/// group's partitions), still accepted by [`crate::HamletEngine::restore`].
+pub const ENGINE_VERSION_V5: u16 = 5;
+
+/// The v4 engine format version (v5's estimator sections, pending bursts
+/// as events plus a count-only tail), still accepted by
+/// [`crate::HamletEngine::restore`].
 pub const ENGINE_VERSION_V4: u16 = 4;
 
 /// Writes an engine blob's header up to the workload epoch: magic,
@@ -74,7 +81,7 @@ pub fn write_engine_header(e: &mut Enc, epoch: u64) {
 pub fn read_engine_header(d: &mut Dec<'_>) -> Result<(u16, u64), CheckpointError> {
     d.magic(&ENGINE_MAGIC)?;
     match d.u16()? {
-        v @ (ENGINE_VERSION_V4 | ENGINE_VERSION) => Ok((v, d.u64()?)),
+        v @ (ENGINE_VERSION_V4 | ENGINE_VERSION_V5 | ENGINE_VERSION) => Ok((v, d.u64()?)),
         other => Err(CheckpointError::BadVersion(other)),
     }
 }
@@ -85,10 +92,14 @@ pub fn read_engine_header(d: &mut Dec<'_>) -> Result<(u16, u64), CheckpointError
 /// counters touched since the previous cut). See
 /// `docs/checkpoint-format.md` for the layout and the chain rules.
 pub const DELTA_MAGIC: [u8; 4] = *b"HMDL";
-/// Delta-chain record format version. v2 delta payloads carry the
-/// `HMEN` v5 run-state record; v1 records (the `HMEN` v4 one) still
-/// restore.
-pub const DELTA_VERSION: u16 = 2;
+/// Delta-chain record format version. A delta payload is the body of
+/// the `HMEN` version of its era: v3 the v6 body, v2 the v5 one, v1 the
+/// v4 one; v1 and v2 records still restore.
+pub const DELTA_VERSION: u16 = 3;
+
+/// The v2 delta-chain record version, still accepted by
+/// [`read_delta_frame`].
+pub const DELTA_VERSION_V2: u16 = 2;
 
 /// The v1 delta-chain record version, still accepted by
 /// [`read_delta_frame`].
@@ -149,7 +160,7 @@ pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame<'_>, CheckpointError>
     let mut d = Dec::new(bytes);
     d.magic(&DELTA_MAGIC)?;
     let version = d.u16()?;
-    if version != DELTA_VERSION && version != DELTA_VERSION_V1 {
+    if !matches!(version, DELTA_VERSION_V1 | DELTA_VERSION_V2 | DELTA_VERSION) {
         return Err(CheckpointError::BadVersion(version));
     }
     let base = match d.u8()? {

@@ -70,11 +70,13 @@ pub(crate) fn next_queries(queries: &[Query], op: &ChurnOp) -> Result<Vec<Query>
     }
 }
 
-/// Post-churn placement of one share group, with the Def. 12 benefit
-/// model re-run against the group's current stream statistics (§4.1) —
-/// the *a-priori* shared-vs-solo call for the new workload. Runtime
-/// per-burst decisions still re-price continuously; this records what
-/// the optimizer thinks at the churn barrier.
+/// Post-churn placement of one share group: the Def. 12 benefit model
+/// run on a nominal burst with no member diverging (§4.1) — the
+/// *a-priori* shared-vs-solo call for the new workload, priced from the
+/// compiled group and the policy alone, so equal on every shard and for
+/// a carried group what a fresh build over the same queries reports.
+/// Runtime per-burst decisions re-price every burst from its exact
+/// divergence; this records what the optimizer expects at the barrier.
 #[derive(Clone, Debug)]
 pub struct GroupPlacement {
     /// Member (original) query ids.
@@ -101,8 +103,9 @@ pub struct ChurnReport {
     /// `(window_start, group, key)` order. Untouched groups keep their
     /// in-flight state and are not represented here.
     pub drained: Vec<WindowResult>,
-    /// Share groups whose member set was unchanged: their live runs,
-    /// partitions, and learned divergence statistics carried over.
+    /// Share groups whose member set was unchanged: their live runs and
+    /// partitions carried over (their placement is re-priced like every
+    /// other group's, from the compiled group).
     pub groups_carried: usize,
     /// Share groups that were created or restructured by the churn and
     /// start empty (their prior in-flight windows are in `drained`).
@@ -119,9 +122,9 @@ impl HamletEngine {
     /// [`remove_query`](Self::remove_query)).
     ///
     /// Only the share groups the new query restructures are rebuilt;
-    /// every other group keeps its in-flight runs and learned statistics
-    /// — a *full* group (`QSet::CAPACITY` members) among them: the query
-    /// it would have joined opens the next group instead.
+    /// every other group keeps its in-flight runs — a *full* group
+    /// (`QSet::CAPACITY` members) among them: the query it would have
+    /// joined opens the next group instead.
     /// The Def. 12 benefit model is re-run for the post-churn workload
     /// ([`ChurnReport::placements`]). Fails with
     /// [`ChurnError::Duplicate`] if the id is already registered, or
@@ -205,9 +208,8 @@ impl HamletEngine {
         }
 
         // Drain the in-flight windows of every group that does not carry
-        // over, through the normal finalization path (the old plan and
-        // estimators are still installed, so general-query halves pair
-        // correctly).
+        // over, through the normal finalization path (the old plan is
+        // still installed, so general-query halves pair correctly).
         let mut finished = Vec::new();
         for (oi, carried) in carried_old.iter().enumerate() {
             if *carried {
@@ -250,10 +252,10 @@ impl HamletEngine {
         // is attributed to the (old) group that held it.
         self.settle_orphans(orphaned, &mut drained);
 
-        // Carry over: a carried group's live runs and learned statistics
-        // move to its new index, and each run re-points at the new plan's
-        // runtime (identical — deterministic from the member set); every
-        // other group starts empty.
+        // Carry over: a carried group's live runs move to its new index,
+        // and each run re-points at the new plan's runtime (identical —
+        // deterministic from the member set); every other group starts
+        // empty.
         let mut before: Vec<Option<GroupState>> = std::mem::take(&mut self.groups)
             .into_iter()
             .map(Some)
@@ -268,7 +270,7 @@ impl HamletEngine {
                     }
                     s
                 }
-                None => GroupState::new(g, self.keys),
+                None => GroupState::new(self.keys),
             })
             .collect();
         let groups_carried = old_of_new.iter().flatten().count();
@@ -303,9 +305,9 @@ impl HamletEngine {
         }
     }
 
-    /// Every group's placement under the installed plan, the Def. 12
-    /// benefit model re-run against its current stream statistics
-    /// ([`optimizer::placement`]); `old_of_new[gi]` is the group it carried
+    /// Every group's placement under the installed plan, priced a priori
+    /// from the compiled group ([`optimizer::placement`]) and so the same
+    /// on every shard; `old_of_new[gi]` is the group it carried
     /// its state over from, if any. With the observability registry on,
     /// it is rebuilt here — the one place a placement reaches the metrics:
     /// group `gi` keeps its old group's counters in `old_obs` (zero for a
@@ -315,10 +317,9 @@ impl HamletEngine {
         old_of_new: &[Option<usize>],
         mut old_obs: Vec<GroupMetrics>,
     ) -> Vec<GroupPlacement> {
-        let placements: Vec<GroupPlacement> = (self.plan.groups.iter().zip(&self.groups))
-            .zip(old_of_new)
-            .map(|((g, st), old)| {
-                let (benefit, shared) = optimizer::placement(self.cfg.policy, &g.rt, &st.estimator);
+        let placements: Vec<GroupPlacement> = (self.plan.groups.iter().zip(old_of_new))
+            .map(|(g, old)| {
+                let (benefit, shared) = optimizer::placement(self.cfg.policy, &g.rt);
                 GroupPlacement {
                     members: g.rt.queries.iter().map(|q| q.id).collect(),
                     carried_over: old.is_some(),

@@ -22,8 +22,7 @@ use crate::expiry::{ExpiryEntry, RunSlab, Runs};
 use crate::general::{self, CombineKind};
 use crate::keyhash::{KeyMap, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
-use crate::optimizer::stats::ALPHA;
-use crate::optimizer::{DivergenceEstimator, SharingPolicy};
+use crate::optimizer::SharingPolicy;
 use crate::record::{DirtyLog, PendingSlot};
 use crate::run::{BurstCtx, GroupRuntime, MemberOutput, RunStats};
 use crate::workload::{self, WorkloadError};
@@ -276,20 +275,14 @@ pub(crate) struct GroupState {
     pub(crate) partitions: KeyMap<GroupKey, Runs>,
     /// The group's runs (see [`RunSlab`]).
     pub(crate) slab: RunSlab,
-    /// Placement's prior: divergence rates learned from every settled
-    /// burst's exact counts (shared across the group's partitions —
-    /// divergence is a property of the stream).
-    pub(crate) estimator: DivergenceEstimator,
 }
 
 impl GroupState {
-    /// No runs, and the estimator's prior, its partitions hashed under
-    /// the engine's `keys`.
-    pub(crate) fn new(g: &GroupPlan, keys: KeyState) -> GroupState {
+    /// No runs, its partitions hashed under the engine's `keys`.
+    pub(crate) fn new(keys: KeyState) -> GroupState {
         GroupState {
             partitions: KeyMap::with_hasher(keys),
             slab: RunSlab::default(),
-            estimator: DivergenceEstimator::new(g.rt.template.num_types(), g.rt.k(), ALPHA),
         }
     }
 }
@@ -414,7 +407,7 @@ impl HamletEngine {
         let mut eng = HamletEngine {
             cfg,
             groups: (plan.groups.iter())
-                .map(|g| GroupState::new(g, keys))
+                .map(|_| GroupState::new(keys))
                 .collect(),
             pending: KeyMap::with_hasher(keys),
             expiry: BinaryHeap::new(),

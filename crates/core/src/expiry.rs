@@ -353,7 +353,6 @@ impl HamletEngine {
             // Released below at the bytes it was accounted with.
             slot.rs.settle(&mut FlushEnv {
                 cfg: &self.cfg,
-                estimator: &mut g.estimator,
                 stats: &mut self.stats,
                 ctx: &mut self.burst_ctx,
                 bytes: &mut self.run_bytes,

@@ -69,7 +69,7 @@ pub use executor::{
     sort_results, AggValue, ChurnError, ChurnOp, ChurnReport, EngineConfig, EngineError,
     EngineStats, GroupPlacement, HamletEngine, WindowResult,
 };
-pub use hamlet_obs::{GroupMetrics, Span, SpanRecorder, Stage};
+pub use hamlet_obs::{merge_group_metrics, GroupMetrics, Span, SpanRecorder, Stage};
 pub use metrics::{LatencyHistogram, LatencyRecorder};
 pub use optimizer::SharingPolicy;
 pub use parallel::{ParallelEngine, ParallelReport, ParallelSession};

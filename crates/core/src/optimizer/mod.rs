@@ -11,8 +11,8 @@
 //! (`queryset.rs`): the per-burst decision ([`decide`]) and a share
 //! group's a-priori placement, at build and at churn (`placement`).
 //! A burst's divergence counts are read off the burst itself
-//! (`GroupRuntime::divergence`); the estimator that learns from them is
-//! placement's prior (`stats.rs`).
+//! (`GroupRuntime::divergence`); a placement, which has no burst, prices
+//! the zero-divergence prior.
 
 pub mod benefit;
 #[cfg(test)]
@@ -20,11 +20,9 @@ mod exhaustive;
 pub mod queryset;
 #[cfg(test)]
 pub(crate) mod script;
-pub mod stats;
 
 pub use benefit::{benefit, nonshared_cost, shared_cost, solo_member_cost, CostFactors};
 pub use queryset::Decision;
-pub use stats::DivergenceEstimator;
 
 use crate::run::{BurstCtx, GroupRuntime};
 use queryset::Pricing;
@@ -62,24 +60,20 @@ pub fn decide(policy: SharingPolicy, ctx: &BurstCtx, burst_len: u64) -> Decision
 const NOMINAL_BURST: u64 = 16;
 
 /// A share group's a-priori placement (§4.1), re-priced at every churn
-/// barrier: per type of its template, a nominal burst on a fresh run, with
-/// `sc` predicted from `estimator` — learned, for a group that carried its
-/// state over; the optimistic zero-divergence prior for a fresh one, the
-/// same bias the per-burst decision starts from. Returns the Def. 12
-/// benefit of sharing each type's whole candidate set, in ns per nominal
-/// burst, summed (negative when sharing loses; 0 for a group with nothing
-/// to share), and whether `policy` would share any type's burst.
-pub(crate) fn placement(
-    policy: SharingPolicy,
-    rt: &GroupRuntime,
-    estimator: &DivergenceEstimator,
-) -> (f64, bool) {
+/// barrier: per type of its template, a nominal burst on a fresh run with
+/// no member diverging — the optimistic prior the per-burst decision
+/// starts from. A function of the compiled group and `policy` alone, so
+/// every shard of one engine, a restored engine and a churned one price
+/// the same group alike. Returns the Def. 12 benefit of sharing each
+/// type's whole candidate set, in ns per nominal burst, summed (negative
+/// when sharing loses; 0 for a group with nothing to share), and whether
+/// `policy` would share any type's burst.
+pub(crate) fn placement(policy: SharingPolicy, rt: &GroupRuntime) -> (f64, bool) {
     let mut ctx = BurstCtx::default();
     let (mut benefit, mut shared) = (0.0, false);
     for tl in 0..rt.template.num_types() {
         rt.burst_shape_into(tl, &mut ctx);
         if ctx.candidates.len() >= 2 {
-            estimator.predict_into(tl, NOMINAL_BURST, &mut ctx);
             let priced = Pricing::new(&ctx, NOMINAL_BURST);
             benefit += priced.whole_set_benefit();
             shared |= priced.decide(policy).share.len() >= 2;

@@ -22,13 +22,14 @@
 use crate::burst::RunState;
 use crate::checkpoint::{
     codec_struct, read_delta_frame, read_engine_header, write_delta_frame, write_engine_header,
-    CheckpointError, Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION,
+    CheckpointError, Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, DELTA_VERSION_V1,
+    DELTA_VERSION_V2, ENGINE_VERSION, ENGINE_VERSION_V4, ENGINE_VERSION_V5,
 };
 use crate::executor::{EngineStats, GroupState, HamletEngine};
 use crate::expiry::Runs;
 use crate::keyhash::{KeyMap, KeySet, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
-use crate::optimizer::DivergenceEstimator;
+use crate::run::GroupRuntime;
 use crate::store::{ChainMeta, Checkpoint, CutKind};
 use hamlet_query::QueryId;
 use hamlet_types::{GroupKey, Ts};
@@ -202,7 +203,6 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
                 g.slab.get(handle).rs.encode(e);
             }
         }
-        g.estimator.encode(e);
     }
     if delta {
         slots_gone.sort_by(|a, b| slot_cmp(a, b));
@@ -228,9 +228,7 @@ struct Staged {
     /// Sequence number of the chain's last record.
     seq: u64,
     /// Per share group, its state as `HamletEngine::groups` holds it: the
-    /// partitions with the slab their runs live in, and the divergence
-    /// estimator (small, so every record carries it whole rather than
-    /// diffing it).
+    /// partitions with the slab their runs live in.
     groups: Vec<GroupState>,
     pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// The scalar tail every record body ends with; the newest wins.
@@ -239,9 +237,8 @@ struct Staged {
 
 /// The scalar tail of a record body, always whole. The per-group counters
 /// keep a fixed 8-slot layout (`GroupMetrics::counters`); placement fields
-/// are *not* serialized — benefit/shared are re-priced by the restoring
-/// engine's own build/churn, keeping round-trip identity independent of
-/// estimator drift.
+/// are *not* serialized — benefit/shared are a function of the compiled
+/// group, which the restoring engine's own build/churn prices.
 #[derive(Default)]
 struct Tail {
     stats: EngineStats,
@@ -286,18 +283,21 @@ impl GroupState {
     }
 }
 
-/// Mirror of [`encode_body`]: decodes one body — with removal lists iff
-/// `delta`, run-state records of the previous format iff `legacy` (as in
-/// [`RunState::decode`]) — onto `state`, checking it against `eng`'s
-/// fingerprint and bounds. `eng` is only read.
+/// Mirror of [`encode_body`]: decodes one body laid out as `HMEN`
+/// `version`'s — with removal lists iff `delta`, the v4 run-state record
+/// (as in [`RunState::decode`]) and the v4–v5 estimator sections
+/// ([`skip_estimator`]) where that version has them — onto `state`,
+/// checking it against `eng`'s fingerprint and bounds. `eng` is only
+/// read.
 fn decode_body(
     eng: &HamletEngine,
     fingerprint: &[u8],
     d: &mut Dec<'_>,
     delta: bool,
-    legacy: bool,
+    version: u16,
     state: &mut Staged,
 ) -> Result<(), CheckpointError> {
+    let legacy = version == ENGINE_VERSION_V4;
     if d.bytes()? != fingerprint {
         return Err(CheckpointError::WorkloadMismatch(
             "compiled workload, sharding, or combiners differ from the record".into(),
@@ -334,7 +334,9 @@ fn decode_body(
             }
             st.partitions.insert(key, runs);
         }
-        st.estimator = DivergenceEstimator::decode(d, g.rt.template.num_types(), g.rt.k())?;
+        if version < ENGINE_VERSION {
+            skip_estimator(d, &g.rt)?;
+        }
     }
     if delta {
         for _ in 0..d.seq_len()? {
@@ -356,6 +358,31 @@ fn decode_body(
         )));
     }
     d.expect_end()
+}
+
+/// Reads past the divergence estimator an `HMEN` v4–v5 / `HMDL` v1–v2
+/// body carries after each group's partitions and drops it — a
+/// placement is priced from the compiled group — under the checks its
+/// decoder made: `alpha` in [0, 1], a shape equal to the compiled runtime's (types
+/// × members), then that many rates and that many 0/1 `seen` flags.
+fn skip_estimator(d: &mut Dec<'_>, rt: &GroupRuntime) -> Result<(), CheckpointError> {
+    let (alpha, nt, k): (f64, usize, usize) = Codec::decode(d)?;
+    if !(0.0..=1.0).contains(&alpha) {
+        return Err(CheckpointError::Corrupt(format!("estimator alpha {alpha}")));
+    }
+    let (want_nt, want_k) = (rt.template.num_types(), rt.k());
+    if nt != want_nt || (nt > 0 && k != want_k) {
+        return Err(CheckpointError::Corrupt(format!(
+            "estimator shape {nt}×{k}, compiled runtime is {want_nt}×{want_k}"
+        )));
+    }
+    for _ in 0..nt * want_k {
+        d.f64()?;
+    }
+    for _ in 0..nt * want_k {
+        d.bool()?;
+    }
+    Ok(())
 }
 
 /// A decoded pending-half slot, bounds-checked against the compiled
@@ -422,7 +449,7 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
         epoch,
         seq: chain[chain.len() - 1].seq,
         groups: (eng.plan.groups.iter())
-            .map(|g| GroupState::new(g, eng.keys))
+            .map(|_| GroupState::new(eng.keys))
             .collect(),
         pending: KeyMap::with_hasher(eng.keys),
         tail: Tail::default(),
@@ -430,19 +457,23 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
     for f in chain {
         let mut d = Dec::new(f.payload);
         // A base payload is an engine blob under its own version; a delta
-        // payload's run-state record follows the frame's.
-        let legacy = if f.base {
+        // payload is the body of its frame version's era.
+        let version = if f.base {
             let (version, blob_epoch) = read_engine_header(&mut d)?;
             if blob_epoch != epoch {
                 return Err(CheckpointError::Corrupt(
                     "base frame epoch disagrees with its payload".into(),
                 ));
             }
-            version < ENGINE_VERSION
+            version
         } else {
-            f.version < DELTA_VERSION
+            match f.version {
+                DELTA_VERSION_V1 => ENGINE_VERSION_V4,
+                DELTA_VERSION_V2 => ENGINE_VERSION_V5,
+                _ => ENGINE_VERSION,
+            }
         };
-        decode_body(eng, &fp, &mut d, !f.base, legacy, &mut state)?;
+        decode_body(eng, &fp, &mut d, !f.base, version, &mut state)?;
     }
     Ok(state)
 }
@@ -559,9 +590,8 @@ impl HamletEngine {
     /// Serializes the engine's complete mutable state into a versioned,
     /// self-describing blob: every live run (with its snapshot table and
     /// active graphlets), buffered bursts, pending general-query halves,
-    /// learned divergence statistics, counters, metrics, and the
-    /// watermark. The expiration index is *not* serialized — it is
-    /// derivable (one entry per live run) and
+    /// counters, metrics, and the watermark. The expiration index is *not*
+    /// serialized — it is derivable (one entry per live run) and
     /// [`restore`](Self::restore) rebuilds it.
     ///
     /// The encoding is deterministic: hash maps are written in their

@@ -95,7 +95,6 @@ impl HamletEngine {
             };
             let mut env = FlushEnv {
                 cfg: &self.cfg,
-                estimator: &mut st.estimator,
                 stats: &mut self.stats,
                 ctx: &mut self.burst_ctx,
                 bytes: &mut self.run_bytes,

@@ -1645,11 +1645,6 @@ mod tests {
         let cfg = crate::executor::EngineConfig::default();
         let mut env = FlushEnv {
             cfg: &cfg,
-            estimator: &mut crate::optimizer::DivergenceEstimator::new(
-                rt.template.num_types(),
-                4,
-                0.5,
-            ),
             stats: &mut crate::executor::EngineStats::default(),
             ctx: &mut BurstCtx::default(),
             bytes: &mut bytes,

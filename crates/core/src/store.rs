@@ -342,13 +342,15 @@ impl MemStore {
     }
 }
 
-/// The linkage rule of [`CheckpointStore::append`]: a delta must extend
-/// the stored chain's tip; a full record may follow anything.
-fn check_extends(ck: &Checkpoint, tip_seq: Option<u64>) -> Result<(), CheckpointError> {
+/// The linkage rule of [`CheckpointStore::append`], the one both stores
+/// apply: a delta must extend the stored chain's tip `(seq, epoch)` —
+/// name it as its parent and be cut at its workload epoch; a full record
+/// may follow anything.
+fn check_extends(ck: &Checkpoint, tip: Option<(u64, u64)>) -> Result<(), CheckpointError> {
     if !ck.is_delta() {
         return Ok(());
     }
-    let Some(tip_seq) = tip_seq else {
+    let Some((tip_seq, tip_epoch)) = tip else {
         return Err(CheckpointError::Corrupt(
             "delta record appended to an empty store (no base to extend)".into(),
         ));
@@ -358,6 +360,12 @@ fn check_extends(ck: &Checkpoint, tip_seq: Option<u64>) -> Result<(), Checkpoint
             "delta seq {} expects parent seq {:?} but the stored tip is seq {tip_seq}",
             ck.seq(),
             ck.parent(),
+        )));
+    }
+    if ck.epoch() != tip_epoch {
+        return Err(CheckpointError::WorkloadMismatch(format!(
+            "delta cut at workload epoch {} appended to a chain at epoch {tip_epoch}",
+            ck.epoch(),
         )));
     }
     Ok(())
@@ -370,17 +378,11 @@ fn lock_err<T>(_: T) -> CheckpointError {
 impl CheckpointStore for MemStore {
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         let mut chain = self.chain.lock().map_err(lock_err)?;
-        check_extends(ck, chain.last().map(Checkpoint::seq))?;
+        check_extends(ck, chain.last().map(|tip| (tip.seq(), tip.epoch())))?;
         if !ck.is_delta() {
             // A full record starts a new chain; the old one is
             // compacted away.
             chain.clear();
-        } else if let Some(tip) = chain.last().filter(|tip| tip.epoch() != ck.epoch()) {
-            return Err(CheckpointError::WorkloadMismatch(format!(
-                "delta cut at workload epoch {} appended to a chain at epoch {}",
-                ck.epoch(),
-                tip.epoch()
-            )));
         }
         chain.push(ck.clone());
         Ok(())
@@ -400,6 +402,10 @@ impl CheckpointStore for MemStore {
 #[derive(Debug)]
 pub struct DirStore {
     dir: PathBuf,
+    /// `(seq, epoch)` of the newest record this store wrote or read, so
+    /// that a delta's epoch check reads the tip's file only when another
+    /// writer (or an earlier process) put it there.
+    tip: Mutex<Option<(u64, u64)>>,
 }
 
 /// `(seq, is_base)` parsed from a `DirStore` record file name, or
@@ -429,7 +435,10 @@ impl DirStore {
     pub fn open(dir: impl Into<PathBuf>) -> Result<DirStore, CheckpointError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir).map_err(|e| io_err("create", &dir, e))?;
-        Ok(DirStore { dir })
+        Ok(DirStore {
+            dir,
+            tip: Mutex::new(None),
+        })
     }
 
     /// The directory this store writes into.
@@ -455,13 +464,29 @@ impl DirStore {
         let kind = if base { "base" } else { "delta" };
         self.dir.join(format!("ck-{seq:020}-{kind}.hmck"))
     }
+
+    /// `(seq, epoch)` of the newest record in `listing`: remembered if
+    /// this store wrote or read it last, else read from its file.
+    fn tip(&self, listing: &[(u64, bool)]) -> Result<Option<(u64, u64)>, CheckpointError> {
+        let Some(&(seq, base)) = listing.last() else {
+            return Ok(None);
+        };
+        let mut known = self.tip.lock().map_err(lock_err)?;
+        if known.is_none_or(|(s, _)| s != seq) {
+            let path = self.record_path(seq, base);
+            let bytes = std::fs::read(&path).map_err(|e| io_err("read", &path, e))?;
+            *known = Some((seq, Checkpoint::from_bytes(bytes)?.epoch()));
+        }
+        Ok(*known)
+    }
 }
 
 impl CheckpointStore for DirStore {
     fn append(&self, ck: &Checkpoint) -> Result<(), CheckpointError> {
         let listing = self.listing()?;
         let base = !ck.is_delta();
-        check_extends(ck, listing.last().map(|&(seq, _)| seq))?;
+        // Only a delta reads its tip.
+        check_extends(ck, if base { None } else { self.tip(&listing)? })?;
         let final_path = self.record_path(ck.seq(), base);
         let tmp_path = self.dir.join(format!(".tmp-ck-{:020}", ck.seq()));
         {
@@ -472,6 +497,7 @@ impl CheckpointStore for DirStore {
             f.sync_all().map_err(|e| io_err("sync", &tmp_path, e))?;
         }
         std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err("rename", &tmp_path, e))?;
+        *self.tip.lock().map_err(lock_err)? = Some((ck.seq(), ck.epoch()));
         if base {
             // Compaction GC: the new base obsoletes everything before
             // it. Best-effort — a leftover file is skipped by

@@ -153,8 +153,10 @@ impl GroupMetrics {
 ///
 /// Counters for groups with the same signature are summed; placement
 /// fields (`shared`, `benefit`, `group`) are taken from the first
-/// shard that reports the signature (all shards of one engine carry
-/// identical placements, so this is not a tie-break in practice). The
+/// shard that reports the signature. All shards of one engine carry
+/// identical `shared` and `benefit` — a placement is priced a priori
+/// from the compiled group and the policy, never from a shard's share of
+/// the stream — so this is not a tie-break in practice. The
 /// result is sorted by signature, which makes the merge insensitive to
 /// both shard order and group order within a shard — a 1-worker run
 /// and a 4-worker run of the same plan produce byte-identical output.

@@ -18,7 +18,8 @@
 
 mod common;
 
-use common::{fixture, fixture_workload, unhex};
+use common::{finish_pinned, fixture_events, fixture_workload, pinned, PINNED};
+use hamlet::hamlet_core::checkpoint::ENGINE_VERSION;
 use hamlet::prelude::*;
 use hamlet_stream::{bounded_delay_shuffle, max_observed_lateness, ridesharing};
 use proptest::prelude::*;
@@ -353,175 +354,112 @@ proptest! {
     }
 }
 
-// ---- Format compatibility: state cut by the previous format ---------
+// ---- Format compatibility: every pinned record ----------------------
 
-/// The fixture stream: bursty (`B` three times in five), three keys,
-/// non-decreasing time — fixed forever, the blobs were cut on it.
-fn fixture_events(reg: &TypeRegistry) -> Vec<Event> {
-    let mut s = 0x9E37_79B9_7F4A_7C15u64;
-    let mut step = || {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        s
-    };
-    let mut t = 0u64;
-    (0..240)
-        .map(|_| {
-            t += step() % 2;
-            let ty = ["A", "C", "B", "B", "B"][(step() % 5) as usize];
-            EventBuilder::new(reg, reg.type_id(ty).expect("registered"), t)
-                .attr("g", (step() % 3) as i64)
-                .attr("v", (step() % 8) as f64)
-                .build()
-        })
-        .collect()
+/// A fresh engine over the fixture workload.
+fn fixture_engine(reg: &Arc<TypeRegistry>, queries: &[Query]) -> HamletEngine {
+    HamletEngine::new(reg.clone(), queries.to_vec(), EngineConfig::default()).expect("builds")
 }
 
-/// Events processed before the fixtures' cuts: the full blob (and the
-/// chain's base) after `FIXTURE_CUT`, the chain's delta after
-/// `FIXTURE_CUT_DELTA`.
-const FIXTURE_CUT: usize = 121;
-const FIXTURE_CUT_DELTA: usize = 167;
-
-/// One result per line, the form `tests/fixtures/*.expected` holds.
-fn fixture_lines(results: &[WindowResult]) -> Vec<String> {
-    results
-        .iter()
-        .map(|r| {
-            format!(
-                "{} {:?} {} {:?}",
-                r.query.0,
-                r.group_key,
-                r.window_start.ticks(),
-                r.value
-            )
-        })
-        .collect()
-}
-
-/// What one engine that never stops emits from event `from` on (flush
-/// included), in raw emission order.
-fn uninterrupted_from(
-    reg: &Arc<TypeRegistry>,
-    queries: &[Query],
-    events: &[Event],
-    from: usize,
-) -> Vec<WindowResult> {
-    let mut eng = HamletEngine::new(reg.clone(), queries.to_vec(), EngineConfig::default())
-        .expect("engine builds");
-    for e in &events[..from] {
-        let _ = eng.process(e);
+/// Every pinned blob of the fixture workload (`PINNED`, one row per
+/// `HMEN` version read) restores, carries its version, and finishes the
+/// stream as the engine that cut it did and as an engine that never
+/// stopped. The current version's blob also re-encodes to the very same
+/// bytes: the encoder writes what the pinned cut wrote.
+#[test]
+fn pinned_blobs_restore_and_finish_identically() {
+    let (reg, queries) = fixture_workload();
+    let events = fixture_events(&reg);
+    for row in PINNED.iter().filter(|p| !p.is_chain()) {
+        let blob = row.records().remove(0);
+        let ck = Checkpoint::from_bytes(blob.clone()).unwrap();
+        assert_eq!(ck.version(), row.version, "{}", row.name);
+        let mut survivor = fixture_engine(&reg, &queries);
+        survivor.restore(&blob).unwrap();
+        if row.is_current() {
+            assert_eq!(survivor.checkpoint(), blob, "{}", row.name);
+        }
+        let fresh = fixture_engine(&reg, &queries);
+        let rest = finish_pinned(row.name, &events, row.cut(), survivor, fresh, |_| {});
+        assert!(rest.len() > 100, "the cut left most of the stream to go");
     }
-    let mut out: Vec<WindowResult> = events[from..].iter().flat_map(|e| eng.process(e)).collect();
-    out.extend(eng.flush());
-    out
 }
 
-/// An `HMEN` v4 blob cut at the parent of PR 15 — mid-burst, its
+/// An `HMEN` v4 blob cut before bursts became cell columns — mid-burst, its
 /// pending bursts still cloned events (plus, in the uniform group, the
 /// old mixed events + count-only tail) — restores into this engine,
-/// which buffers the same bursts as cell columns and bare counts, and
-/// finishes the stream byte-identically: to what the old engine went on
-/// to emit (pinned beside the blob), and to this engine never stopping.
-/// From there on the state is v5, and round-trips.
+/// which buffers the same bursts as cell columns and bare counts: its
+/// re-cut is the current version, smaller, round-trips, and the state
+/// restored from it finishes the stream as pinned.
 #[test]
 fn v4_blob_cut_mid_burst_restores_and_finishes_identically() {
     let (reg, queries) = fixture_workload();
     let events = fixture_events(&reg);
-    let mk = || HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
-
-    let blob = unhex(&fixture("hmen_v4_midburst.hex")[0]);
-    assert_eq!(Checkpoint::from_bytes(blob.clone()).unwrap().version(), 4);
-    let mut survivor = mk();
+    let row = pinned("hmen_v4_midburst");
+    let blob = row.records().remove(0);
+    let mut survivor = fixture_engine(&reg, &queries);
     survivor.restore(&blob).unwrap();
 
-    let v5 = survivor.checkpoint();
-    assert_eq!(Checkpoint::from_bytes(v5.clone()).unwrap().version(), 5);
+    let recut = survivor.checkpoint();
+    let version = Checkpoint::from_bytes(recut.clone()).unwrap().version();
+    assert_eq!(version, ENGINE_VERSION);
     assert!(
-        v5.len() < blob.len(),
+        recut.len() < blob.len(),
         "cells and counts are smaller than events"
     );
-    let mut again = mk();
-    again.restore(&v5).unwrap();
+    let mut again = fixture_engine(&reg, &queries);
+    again.restore(&recut).unwrap();
     assert_eq!(
         again.checkpoint(),
-        v5,
-        "checkpoint → restore → checkpoint at v5"
+        recut,
+        "checkpoint → restore → checkpoint"
     );
-
-    let mut rest = Vec::new();
-    for e in &events[FIXTURE_CUT..] {
-        rest.extend(survivor.process(e));
-    }
-    rest.extend(survivor.flush());
-    assert!(rest.len() > 100, "the cut left most of the stream to go");
-    assert_eq!(
-        rest,
-        uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT)
-    );
-    assert_eq!(fixture_lines(&rest), fixture("hmen_v4_midburst.expected"));
+    let fresh = fixture_engine(&reg, &queries);
+    finish_pinned(row.name, &events, row.cut(), again, fresh, |_| {});
 }
 
-/// The current format is pinned too, so "byte formats do not change" is
-/// an assertion: an `HMEN` v5 blob cut at the parent of PR 16 (before
-/// the record codec moved to `core::record`) restores, *re-encodes to
-/// the very same bytes* — the encoder writes what the parent's wrote —
-/// and finishes the stream as the parent's engine did.
+/// An `HMEN` v5 blob, cut before the record codec moved to
+/// `core::record`, restores; its estimator sections are read and
+/// dropped, so its re-cut is the current version, smaller, and
+/// re-encodes to the very same bytes from there on — the byte-for-byte
+/// pin of the layout itself is the current row of `PINNED` — and the
+/// state restored from the re-cut finishes the stream as pinned.
 #[test]
 fn v5_blob_cut_at_the_parent_re_encodes_byte_identically() {
     let (reg, queries) = fixture_workload();
     let events = fixture_events(&reg);
-    let blob = unhex(&fixture("hmen_v5_midburst.hex")[0]);
-    assert_eq!(Checkpoint::from_bytes(blob.clone()).unwrap().version(), 5);
-    let mut survivor =
-        HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+    let row = pinned("hmen_v5_midburst");
+    let blob = row.records().remove(0);
+    let mut survivor = fixture_engine(&reg, &queries);
     survivor.restore(&blob).unwrap();
-    assert_eq!(survivor.checkpoint(), blob);
-    let mut rest = Vec::new();
-    for e in &events[FIXTURE_CUT..] {
-        rest.extend(survivor.process(e));
-    }
-    rest.extend(survivor.flush());
-    assert_eq!(fixture_lines(&rest), fixture("hmen_v5_midburst.expected"));
-    assert_eq!(
-        rest,
-        uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT)
-    );
+    let recut = survivor.checkpoint();
+    let version = Checkpoint::from_bytes(recut.clone()).unwrap().version();
+    assert_eq!(version, ENGINE_VERSION);
+    assert!(recut.len() < blob.len(), "the estimator sections are gone");
+    let mut again = fixture_engine(&reg, &queries);
+    again.restore(&recut).unwrap();
+    assert_eq!(again.checkpoint(), recut);
+    let fresh = fixture_engine(&reg, &queries);
+    finish_pinned(row.name, &events, row.cut(), again, fresh, |_| {});
 }
 
-/// The same for pinned chains: an `HMDL` v1 base (wrapping an `HMEN` v4
-/// blob) plus a v1 delta, whose run-state records are the v4 ones, cut
-/// at the parent of PR 15; and a v2 base + delta cut at the parent of
-/// PR 16.
+/// The same for pinned chains, a base plus a delta per `HMDL` version
+/// read: v1 (wrapping an `HMEN` v4 blob, its delta's run-state records
+/// the v4 ones) cut before bursts became cell columns, v2 before the
+/// codec moved to `core::record`, and the current one.
 #[test]
 fn pinned_delta_chains_restore_and_finish_identically() {
     let (reg, queries) = fixture_workload();
     let events = fixture_events(&reg);
-    for (name, version) in [("hmdl_v1_chain", 1), ("hmdl_v2_chain", 2)] {
-        let chain: Vec<Checkpoint> = fixture(&format!("{name}.hex"))
-            .iter()
-            .map(|line| Checkpoint::from_bytes(unhex(line)).unwrap())
+    for row in PINNED.iter().filter(|p| p.is_chain()) {
+        let chain: Vec<Checkpoint> = (row.records().into_iter())
+            .map(|bytes| Checkpoint::from_bytes(bytes).unwrap())
             .collect();
-        assert!(!chain[0].is_delta() && chain[1].is_delta());
-        assert_eq!(chain[1].version(), version, "{name}");
-        let mut survivor =
-            HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+        assert!(!chain[0].is_delta() && chain[1].is_delta(), "{}", row.name);
+        assert_eq!(chain[1].version(), row.version, "{}", row.name);
+        let mut survivor = fixture_engine(&reg, &queries);
         survivor.restore_chain(&chain).unwrap();
-        let mut rest = Vec::new();
-        for e in &events[FIXTURE_CUT_DELTA..] {
-            rest.extend(survivor.process(e));
-        }
-        rest.extend(survivor.flush());
-        assert_eq!(
-            fixture_lines(&rest),
-            fixture(&format!("{name}.expected")),
-            "{name}"
-        );
-        assert_eq!(
-            rest,
-            uninterrupted_from(&reg, &queries, &events, FIXTURE_CUT_DELTA),
-            "{name}"
-        );
+        let fresh = fixture_engine(&reg, &queries);
+        finish_pinned(row.name, &events, row.cut(), survivor, fresh, |_| {});
     }
 }

@@ -8,6 +8,8 @@
 //!   a single-engine reference that applies the same ops at the same
 //!   stream positions, in canonical order;
 //! * a proptest over churn positions × stream shapes;
+//! * placements after a churn equal on every shard and at every worker
+//!   count (a placement is priced from the compiled group alone);
 //! * checkpoint/restore **mid-churn**: a blob taken after churn restores
 //!   only into an engine at the same workload epoch (built with the
 //!   post-churn query set; a chain restore adopts the blob's epoch) and
@@ -18,8 +20,9 @@
 //! face of Def. 12: re-planning happens online, and correctness is
 //! independent of *when* the workload changed.
 
+use hamlet::hamlet_core::merge_group_metrics;
 use hamlet::prelude::*;
-use hamlet_stream::ridesharing;
+use hamlet_stream::{ridesharing, stock};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -136,6 +139,63 @@ fn parallel_churn_matches_single_engine_at_1_and_4_workers() {
             gold,
             "{workers} workers: churned run diverged from the reference"
         );
+    }
+}
+
+/// A placement is priced from the compiled group alone, so after a
+/// churn every shard of a session reports the same `(shared, benefit)`
+/// for each group — a carried group too, whichever partitions its shard
+/// saw before the barrier — and the merged placements are the 1-worker
+/// session's. The stream and 40 queries of `tests/scale.rs`'s
+/// stock-diverse workload, half the stream in, then that test's 41st
+/// query (id 1000) joins.
+#[test]
+fn churned_placements_are_equal_on_every_shard_and_worker_count() {
+    let reg = stock::registry();
+    let events = stock::generate(
+        &reg,
+        &GenConfig {
+            events_per_min: 2_000,
+            minutes: 3,
+            mean_burst: 120.0,
+            num_groups: 16,
+            group_skew: 0.0,
+            seed: 5,
+            max_lateness: 0,
+        },
+    );
+    let queries = stock::workload_diverse(&reg, 40, 2024);
+    let mut extra = stock::workload_diverse(&reg, 42, 2024).pop().unwrap();
+    extra.id = QueryId(1000);
+    let placements = |ms: &[GroupMetrics]| {
+        (ms.iter())
+            .map(|m| (m.sig.clone(), m.shared, m.benefit.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    let mut merged = Vec::new();
+    for workers in [1u32, 2, 4] {
+        let par = ParallelEngine::new(
+            reg.clone(),
+            queries.clone(),
+            EngineConfig::default(),
+            workers,
+        )
+        .unwrap();
+        let mut session = par.session();
+        session.process(&events[..events.len() / 2]);
+        session.churn(ChurnOp::Add(extra.clone())).unwrap();
+        let shards: Vec<_> = (session.engines().iter())
+            .map(|e| placements(e.group_metrics()))
+            .collect();
+        assert!(!shards[0].is_empty());
+        for (idx, shard) in shards.iter().enumerate() {
+            assert_eq!(shard, &shards[0], "shard {idx} of {workers}");
+        }
+        let all = session.engines().iter().map(|e| e.group_metrics().to_vec());
+        merged.push(placements(&merge_group_metrics(all)));
+    }
+    for (workers, m) in [2, 4].into_iter().zip(&merged[1..]) {
+        assert_eq!(m, &merged[0], "{workers} workers vs 1");
     }
 }
 

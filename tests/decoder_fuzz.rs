@@ -1,9 +1,11 @@
 //! Every decoder is total on arbitrary bytes (ROADMAP aim 3; direction
 //! 3(c) adds the checksummed-frame case here): a seeded byte-mutation
 //! loop over the one engine-record decoder, the `HMDL` frame reader, the
-//! handle peek and both containers, seeded from the four pinned fixtures
-//! (`HMEN` v4 and v5 blobs, `HMDL` v1 and v2 chains) and from containers
-//! packed around them. The query parser gets the same treatment over
+//! handle peek and both containers, seeded from every record pinned on
+//! the fixture workload (`HMEN` v4–v6 blobs, `HMDL` v1–v3 chains) and
+//! from containers packed around one. The estimator sections older
+//! records carry, which the reader checks and drops, are also damaged
+//! by hand: out-of-range, mis-shaped, and spliced into a current record. The query parser gets the same treatment over
 //! damaged query texts, the bench crate's JSON reader over damaged
 //! `--metrics-json` and `BENCH_20.json` lines, and `DirStore::load_chain`
 //! over damaged record file names; both text readers also climb a
@@ -20,7 +22,7 @@
 
 mod common;
 
-use common::{fixture, fixture_workload, unhex, FIXTURE_TEXTS};
+use common::{fixture, fixture_workload, unhex, FIXTURE_TEXTS, PINNED};
 use hamlet::prelude::*;
 use hamlet_core::checkpoint::{container_header, read_delta_frame};
 use hamlet_query::MAX_PATTERN_DEPTH;
@@ -72,13 +74,12 @@ struct Seed {
     at: usize,
 }
 
-/// The four fixtures, record by record, plus an `HMPC` and an `HMPL`
-/// container around the v5 blob (which a 1-worker runtime restores).
+/// Every pinned record of the fixture workload, record by record, plus
+/// an `HMPC` and an `HMPL` container around the v5 blob (which a 1-worker
+/// runtime restores).
 fn seeds() -> &'static [Seed] {
     static SEEDS: OnceLock<Vec<Seed>> = OnceLock::new();
     SEEDS.get_or_init(|| {
-        let records =
-            |name: &str| -> Vec<Vec<u8>> { fixture(name).iter().map(|line| unhex(line)).collect() };
         let v5 = records("hmen_v5_midburst.hex");
         let mut pipeline = container_header(b"HMPL", 2, 1, &v5);
         // No buffered events, cursor 121, no watermark seed, four
@@ -90,14 +91,11 @@ fn seeds() -> &'static [Seed] {
             pipeline.u64(c);
         }
         let mut seeds = Vec::new();
-        for chain in [
-            records("hmen_v4_midburst.hex"),
-            v5.clone(),
-            records("hmdl_v1_chain.hex"),
-            records("hmdl_v2_chain.hex"),
+        let containers = [
             vec![container_header(b"HMPC", 1, 1, &v5).finish()],
             vec![pipeline.finish()],
-        ] {
+        ];
+        for chain in PINNED.iter().map(|row| row.records()).chain(containers) {
             seeds.extend((0..chain.len()).map(|at| Seed {
                 chain: chain.clone(),
                 at,
@@ -105,6 +103,117 @@ fn seeds() -> &'static [Seed] {
         }
         seeds
     })
+}
+
+/// The records of the fixture `name`, one per line.
+fn records(name: &str) -> Vec<Vec<u8>> {
+    fixture(name).iter().map(|line| unhex(line)).collect()
+}
+
+/// `(offset, length)` of every estimator section in an `HMEN` v4–v5 /
+/// `HMDL` v1–v2 record: a run of bytes laid out as one — the fresh
+/// estimator's alpha 0.5, a shape `nt × k` of small counts, `nt·k` rates
+/// in [0, 1], `nt·k` 0/1 flags.
+fn estimator_sections(record: &[u8]) -> Vec<(usize, usize)> {
+    let u64_at = |at: usize| {
+        let b = record.get(at..at + 8)?;
+        Some(u64::from_le_bytes(b.try_into().expect("eight bytes")))
+    };
+    let mut out = Vec::new();
+    let mut at = 0;
+    while at < record.len() {
+        let section = (u64_at(at) == Some(0.5f64.to_bits()))
+            .then(|| Some((u64_at(at + 8)?, u64_at(at + 16)?)))
+            .flatten()
+            .filter(|&(nt, k)| (1..=8).contains(&nt) && (1..=64).contains(&k))
+            .and_then(|(nt, k)| {
+                let cells = (nt * k) as usize;
+                let (rates, flags) = (at + 24, at + 24 + 8 * cells);
+                let end = flags + cells;
+                let rate_ok = |c| u64_at(rates + 8 * c).map(f64::from_bits);
+                let ok = end <= record.len()
+                    && (0..cells).all(|c| rate_ok(c).is_some_and(|r| (0.0..=1.0).contains(&r)))
+                    && record[flags..end].iter().all(|&b| b <= 1);
+                ok.then_some((at, end - at))
+            });
+        match section {
+            Some((_, len)) => {
+                out.push((at, len));
+                at += len;
+            }
+            None => at += 1,
+        }
+    }
+    out
+}
+
+/// The estimator section an `HMEN` v4–v5 / `HMDL` v1–v2 record carries
+/// per group is read under the checks its decoder always made and then
+/// dropped — so a damaged one is an error, never a panic and never a
+/// restored state: alpha 2.0 in a v5 blob, a shape one type or one
+/// member off in an `HMDL` v2 delta, and a v5 section spliced into a v6
+/// record (whose reader expects none). The sections are found by their
+/// layout, and checked to be all a v5 blob holds beyond its v6 re-cut.
+#[test]
+fn damaged_estimator_sections_are_errors() {
+    let (reg, queries) = fixture_workload();
+    let mk = || HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
+    let groups = mk().group_metrics().len();
+    let untouched = mk().checkpoint();
+    let rejected = |chain: &[Vec<u8>], what: &str| {
+        let chain: Vec<Checkpoint> = (chain.iter())
+            .map(|r| Checkpoint::from_bytes(r.clone()).expect("the frame is intact"))
+            .collect();
+        let mut eng = mk();
+        let err = eng.restore_chain(&chain);
+        assert!(
+            matches!(err, Err(CheckpointError::Corrupt(_))),
+            "{what}: {err:?}"
+        );
+        assert_eq!(
+            eng.checkpoint(),
+            untouched,
+            "{what}: the engine is untouched"
+        );
+        if let [blob] = chain.as_slice() {
+            assert!(mk().restore(blob.as_bytes()).is_err(), "{what}");
+        }
+    };
+
+    let v5 = records("hmen_v5_midburst.hex").remove(0);
+    let sections = estimator_sections(&v5);
+    assert_eq!(sections.len(), groups, "one section per group");
+    let mut eng = mk();
+    eng.restore(&v5).unwrap();
+    let v6 = eng.checkpoint();
+    let mut stripped = v5[..4].to_vec();
+    stripped.extend(6u16.to_le_bytes());
+    let mut from = 6;
+    for &(at, len) in &sections {
+        stripped.extend(&v5[from..at]);
+        from = at + len;
+    }
+    stripped.extend(&v5[from..]);
+    assert_eq!(stripped, v6, "a v5 blob is its v6 re-cut plus the sections");
+
+    let (first, len) = sections[0];
+    let mut alpha = v5.clone();
+    alpha[first..first + 8].copy_from_slice(&2.0f64.to_le_bytes());
+    rejected(&[alpha], "alpha 2.0");
+
+    let chain = records("hmdl_v2_chain.hex");
+    let in_delta = estimator_sections(&chain[1]);
+    assert_eq!(in_delta.len(), groups, "a delta carries every section");
+    for (field, what) in [(8, "one type more"), (16, "one member more")] {
+        let mut delta = chain[1].clone();
+        let at = in_delta[0].0 + field;
+        let n = u64::from_le_bytes(delta[at..at + 8].try_into().unwrap());
+        delta[at..at + 8].copy_from_slice(&(n + 1).to_le_bytes());
+        rejected(&[chain[0].clone(), delta], what);
+    }
+
+    let spliced = [&v6[..first], &v5[first..first + len], &v6[first..]].concat();
+    rejected(&[spliced], "a v5 section in a v6 record");
 }
 
 /// An engine restore that succeeded must have produced a state the

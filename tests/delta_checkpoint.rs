@@ -381,7 +381,9 @@ fn truncated_chains_are_rejected() {
 /// A chain whose delta was cut at a different workload epoch than its
 /// base (the query set churned mid-chain) is rejected with
 /// [`CheckpointError::WorkloadMismatch`] — both by the engine's
-/// `restore_chain` and by the store's `append` linkage check.
+/// `restore_chain` and by every store's `append` linkage check: a
+/// [`MemStore`], a [`DirStore`] that wrote the base itself, and one
+/// opened on a directory an earlier store wrote it into.
 #[test]
 fn cross_epoch_chains_are_rejected() {
     let (reg, queries) = workload();
@@ -429,14 +431,39 @@ fn cross_epoch_chains_are_rejected() {
         "cross-epoch chain must be WorkloadMismatch, got {err:?}"
     );
 
-    // The store refuses to build such a chain in the first place.
-    let store = MemStore::new();
-    store.append(&base).unwrap();
-    let err = store.append(&delta).unwrap_err();
-    assert!(
-        matches!(err, CheckpointError::WorkloadMismatch(_)),
-        "store append across epochs must be WorkloadMismatch, got {err:?}"
+    // The stores refuse to build such a chain in the first place.
+    let (dir, dir_reopened) = (
+        scratch_dir("cross-epoch"),
+        scratch_dir("cross-epoch-reopened"),
     );
+    let mem = MemStore::new();
+    let disk = DirStore::open(&dir).unwrap();
+    for store in [
+        &mem as &dyn CheckpointStore,
+        &disk,
+        &DirStore::open(&dir_reopened).unwrap(),
+    ] {
+        store.append(&base).unwrap();
+    }
+    let reopened = DirStore::open(&dir_reopened).unwrap();
+    let stores: [(&str, &dyn CheckpointStore); 3] = [
+        ("MemStore", &mem),
+        ("DirStore", &disk),
+        ("reopened DirStore", &reopened),
+    ];
+    for (name, store) in stores {
+        let err = store.append(&delta).unwrap_err();
+        assert!(
+            matches!(err, CheckpointError::WorkloadMismatch(_)),
+            "{name}: append across epochs must be WorkloadMismatch, got {err:?}"
+        );
+        let chain = store.load_chain().unwrap();
+        assert_eq!(chain.len(), 1, "{name}: the rejected delta was not stored");
+        assert_eq!(chain[0].as_bytes(), base.as_bytes(), "{name}");
+    }
+    for d in [dir, dir_reopened] {
+        let _ = std::fs::remove_dir_all(d);
+    }
 }
 
 proptest! {

@@ -1,15 +1,18 @@
-//! Records the four older fixtures do not pin, cut before the checkpoint
-//! codec became one `Codec` description per record: a pipeline container
-//! (`HMPL` v2) frozen with its reorder buffer full, a parallel container
-//! (`HMPC` v1) of two shards, and an `HMEN` v5 blob cut after a churn —
-//! at epoch 1, with the drained halves of an OR and an AND query waiting
-//! for their partners, over a string partition key. Each must decode and
-//! re-encode to the very same bytes, and the two that restore must finish
-//! the stream as the engine that cut them did (pinned beside them).
+//! Records the fixture workload's records do not pin: a pipeline
+//! container (`HMPL` v2) frozen with its reorder buffer full, a parallel
+//! container (`HMPC` v1) of two shards, and `HMEN` blobs cut after a
+//! churn — at epoch 1, with the drained halves of an OR and an AND query
+//! waiting for their partners, over a string partition key — in v5 and
+//! in the current v6. The first three were cut before the checkpoint
+//! codec became one `Codec` description per record. Each record of a
+//! version this build writes must decode and re-encode to the very same
+//! bytes, and each that restores must finish the stream as the engine
+//! that cut it did (pinned beside it).
 
 mod common;
 
-use common::{fixture, unhex};
+use common::{finish_pinned, fixture, unhex};
+use hamlet::hamlet_core::checkpoint::ENGINE_VERSION;
 use hamlet::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -66,24 +69,9 @@ fn events(reg: &TypeRegistry) -> Vec<Event> {
         .collect()
 }
 
-/// Events processed before the cuts (the churn of the `HMEN` blob comes
+/// Events processed before the cuts (the churn of the `HMEN` blobs comes
 /// right after them).
 const CUT: usize = 121;
-
-/// One result per line, the form `tests/fixtures/*.expected` holds.
-fn lines(results: &[WindowResult]) -> Vec<String> {
-    (results.iter())
-        .map(|r| {
-            format!(
-                "{} {:?} {} {:?}",
-                r.query.0,
-                r.group_key,
-                r.window_start.ticks(),
-                r.value
-            )
-        })
-        .collect()
-}
 
 /// A pipeline frozen mid-stream at two workers: the container decodes and
 /// re-encodes to its own bytes, buffered events, cursor and clock
@@ -111,55 +99,63 @@ fn hmpc_v1_container_restores_and_finishes_identically() {
     assert_eq!(ck.version(), 1);
     let mut survivor = par.session();
     survivor.restore_chain(&[ck]).unwrap();
-    let mut rest = survivor.process(&events[CUT..]);
-    rest.extend(survivor.flush());
+    let rest = finish_pinned("hmpc_v1_cut", &events, CUT, survivor, par.session(), |_| {});
     assert!(rest.len() > 20, "the cut left most of the stream to go");
-    assert_eq!(lines(&rest), fixture("hmpc_v1_cut.expected"));
-
-    let mut never_stopped = par.session();
-    never_stopped.process(&events[..CUT]);
-    let mut want = never_stopped.process(&events[CUT..]);
-    want.extend(never_stopped.flush());
-    assert_eq!(rest, want);
 }
 
-/// An engine blob cut right after a churn — epoch 1, the OR and AND
-/// queries' left halves drained and waiting — restores into an engine
-/// with the same churn history, re-encodes to the very same bytes, and
-/// finishes the stream as the engine that cut it did.
-#[test]
-fn hmen_v5_blob_after_churn_re_encodes_and_finishes_identically() {
+/// An engine with the churned blobs' churn history: built over the
+/// initial queries, then `added`.
+fn churned_engine(reg: &Arc<TypeRegistry>, queries: &[Query], added: &Query) -> HamletEngine {
+    let mut eng =
+        HamletEngine::new(reg.clone(), queries.to_vec(), EngineConfig::default()).expect("builds");
+    eng.add_query(added.clone()).expect("the query is new");
+    eng
+}
+
+/// Restores the churned blob pinned as `name` (at `version`, epoch 1)
+/// into an engine with the same churn history, and finishes the stream
+/// as the engine that cut it did and as one that never stopped (the
+/// churn applied right after the cut's events). Returns the restored
+/// engine's own checkpoint, taken before it went on.
+fn finish_churned(name: &str, version: u16) -> (Vec<u8>, Vec<u8>) {
     let (reg, queries, added) = workload();
     let events = events(&reg);
-    let mk = || {
-        let mut eng =
-            HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
-        eng.add_query(added.clone()).unwrap();
-        eng
-    };
-    let blob = unhex(&fixture("hmen_v5_churned.hex")[0]);
-    let ck = Checkpoint::from_bytes(blob.clone()).unwrap();
-    assert_eq!((ck.version(), ck.epoch()), (5, 1));
-    let mut survivor = mk();
-    survivor.restore(&blob).unwrap();
-    assert_eq!(survivor.checkpoint(), blob);
-    let mut rest: Vec<WindowResult> = events[CUT..]
-        .iter()
-        .flat_map(|e| survivor.process(e))
-        .collect();
-    rest.extend(survivor.flush());
-    assert_eq!(lines(&rest), fixture("hmen_v5_churned.expected"));
+    let blob = unhex(&fixture(&format!("{name}.hex"))[0]);
+    let ck = Checkpoint::from_bytes(blob.clone()).expect("peeks");
+    assert_eq!((ck.version(), ck.epoch()), (version, 1), "{name}");
+    let mut survivor = churned_engine(&reg, &queries, &added);
+    survivor.restore(&blob).expect("restores");
+    let recut = survivor.checkpoint();
+    let fresh = HamletEngine::new(reg.clone(), queries, EngineConfig::default()).expect("builds");
+    finish_pinned(name, &events, CUT, survivor, fresh, |eng| {
+        eng.add_query(added).expect("the query is new");
+    });
+    (blob, recut)
+}
 
-    let mut never_stopped =
-        HamletEngine::new(reg.clone(), queries.clone(), EngineConfig::default()).unwrap();
-    for e in &events[..CUT] {
-        never_stopped.process(e);
-    }
-    never_stopped.add_query(added.clone()).unwrap();
-    let mut want: Vec<WindowResult> = events[CUT..]
-        .iter()
-        .flat_map(|e| never_stopped.process(e))
-        .collect();
-    want.extend(never_stopped.flush());
-    assert_eq!(rest, want);
+/// An `HMEN` v5 engine blob cut right after a churn — epoch 1, the OR
+/// and AND queries' left halves drained and waiting — restores into an
+/// engine with the same churn history and finishes the stream as the
+/// engine that cut it did. Its estimator sections are dropped, so its
+/// re-cut is the current version at the same epoch and re-encodes to the
+/// very same bytes from there on; the byte-for-byte pin of the layout is
+/// `hmen_v6_churned`'s.
+#[test]
+fn hmen_v5_blob_after_churn_re_encodes_and_finishes_identically() {
+    let (blob, recut) = finish_churned("hmen_v5_churned", 5);
+    let ck = Checkpoint::from_bytes(recut.clone()).unwrap();
+    assert_eq!((ck.version(), ck.epoch()), (ENGINE_VERSION, 1));
+    assert!(recut.len() < blob.len(), "the estimator sections are gone");
+    let (reg, queries, added) = workload();
+    let mut again = churned_engine(&reg, &queries, &added);
+    again.restore(&recut).unwrap();
+    assert_eq!(again.checkpoint(), recut);
+}
+
+/// The same blob cut by the current encoder re-encodes to the very same
+/// bytes, and finishes the stream as pinned.
+#[test]
+fn hmen_v6_blob_after_churn_re_encodes_and_finishes_identically() {
+    let (blob, recut) = finish_churned("hmen_v6_churned", 6);
+    assert_eq!(recut, blob);
 }

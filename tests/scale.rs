@@ -128,17 +128,6 @@ fn stock_diverse_workload_pins_every_policys_decisions() {
         4628293042053316608,
         0,
     ];
-    // The placements' benefits after the add.
-    const CHURNED: [u64; 8] = [
-        13875946693695897600,
-        4639270566145032192,
-        0,
-        4647415748283596800,
-        13867937850999177216,
-        4647415748283596800,
-        4628293042053316608,
-        0,
-    ];
     let with = |shared: [bool; 8], bits: [u64; 8]| -> Vec<(bool, u64)> {
         shared.into_iter().zip(bits).collect()
     };
@@ -150,7 +139,6 @@ fn stock_diverse_workload_pins_every_policys_decisions() {
                 771,
                 [248, 1, 1138, 3, 1, 275, 496, 47463],
                 with([t, t, f, t, t, t, t, f], BUILT),
-                with([t, t, f, t, f, t, t, f], CHURNED),
             ),
         ),
         (
@@ -159,17 +147,11 @@ fn stock_diverse_workload_pins_every_policys_decisions() {
                 771,
                 [302, 3828, 1032, 0, 0, 302, 469, 47463],
                 with([t, t, f, t, t, t, t, f], BUILT),
-                with([t, t, f, t, t, t, t, f], CHURNED),
             ),
         ),
         (
             SharingPolicy::NeverShare,
-            (
-                771,
-                [0, 0, 1447, 0, 0, 0, 771, 47463],
-                with([f; 8], BUILT),
-                with([f; 8], CHURNED),
-            ),
+            (771, [0, 0, 1447, 0, 0, 0, 771, 47463], with([f; 8], BUILT)),
         ),
     ];
     for (policy, want) in cases {
@@ -179,11 +161,28 @@ fn stock_diverse_workload_pins_every_policys_decisions() {
 }
 
 /// What the optimizer decided on one run: `EngineStats::decisions`, the
-/// eight `RunStats` counters, every group's placement as
-/// `(shared, benefit bits)` from `group_metrics()`, and the placements an
-/// `add_query` on the drained engine re-prices, in the same form.
-type DecisionTrace = (u64, [u64; 8], Vec<(bool, u64)>, Vec<(bool, u64)>);
+/// eight `RunStats` counters and every group's placement as
+/// `(shared, benefit bits)` from `group_metrics()`.
+type DecisionTrace = (u64, [u64; 8], Vec<(bool, u64)>);
 
+/// A group's placement: `(signature, shared, benefit bits)`.
+type Placement = (Vec<(u32, u8)>, bool, u64);
+
+/// Every group's placement, in signature order.
+fn placements(eng: &HamletEngine) -> Vec<Placement> {
+    let mut v: Vec<_> = (eng.group_metrics().iter())
+        .map(|m| (m.sig.clone(), m.shared, m.benefit.to_bits()))
+        .collect();
+    v.sort();
+    v
+}
+
+/// [`DecisionTrace`] of one run; then `extra` joins the drained engine,
+/// and every group's re-priced placement (reported and in
+/// `group_metrics()`) must be what an engine built over the post-churn
+/// query set prices for the group of the same signature — carried
+/// groups included: a placement is a function of the compiled group and
+/// the policy alone, not of the stream a group has seen.
 fn decision_trace(
     reg: &std::sync::Arc<hamlet_types::TypeRegistry>,
     queries: Vec<hamlet_query::Query>,
@@ -195,7 +194,8 @@ fn decision_trace(
         policy,
         ..EngineConfig::default()
     };
-    let mut eng = HamletEngine::new(reg.clone(), queries, cfg).expect("engine builds");
+    let mut eng =
+        HamletEngine::new(reg.clone(), queries.clone(), cfg.clone()).expect("engine builds");
     for e in events {
         eng.process(e);
     }
@@ -215,11 +215,24 @@ fn decision_trace(
     let groups = (eng.group_metrics().iter())
         .map(|m| (m.shared, m.benefit.to_bits()))
         .collect();
-    let report = eng.add_query(extra).expect("the extra query is new");
-    let placements = (report.placements.iter())
+    let report = eng
+        .add_query(extra.clone())
+        .expect("the extra query is new");
+    assert!(
+        report.groups_carried > 0,
+        "{policy:?}: a group carried its state"
+    );
+    let reported: Vec<(bool, u64)> = (report.placements.iter())
         .map(|p| (p.shared, p.benefit.to_bits()))
         .collect();
-    (s.decisions, counters, groups, placements)
+    let registered: Vec<(bool, u64)> = (eng.group_metrics().iter())
+        .map(|m| (m.shared, m.benefit.to_bits()))
+        .collect();
+    assert_eq!(reported, registered, "{policy:?}");
+    let post: Vec<_> = queries.into_iter().chain([extra]).collect();
+    let built = HamletEngine::new(reg.clone(), post, cfg).expect("engine builds");
+    assert_eq!(placements(&eng), placements(&built), "{policy:?}");
+    (s.decisions, counters, groups)
 }
 
 #[test]

@@ -756,8 +756,8 @@ mod tests {
         // single-threaded engine got faster — the expiration index, the
         // batched core, recycled runs — and on two cores the second worker
         // competes with the router for one of them; see ROADMAP's
-        // `fig_scaling` row for the measured ratio. Direction 3 is to make
-        // it a speedup.
+        // `fig_scaling` row for the measured ratio. ROADMAP direction 10
+        // is to make it a speedup.
         assert!(
             tp("2") > tp("1") * 0.6,
             "2 workers collapsed vs 1: {} vs {}",

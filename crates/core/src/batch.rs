@@ -63,12 +63,19 @@ pub(crate) struct BatchScratch {
     /// Emptied buckets recycled between segments, key and event buffers
     /// kept.
     spare: Vec<Bucket>,
-    /// Window starts of the most recently looked-up event time.
+    /// Window starts of the most recently looked-up pane.
     starts: Vec<Ts>,
     /// Per segment event: the watermark the fold would have seen at that
     /// event — the late-guard boundary (grouping reorders processing, so
     /// the guard must use each event's own fold-order watermark).
     wms: Vec<u64>,
+    /// Per segment event: its tick.
+    ticks: Vec<u64>,
+    /// Per segment event: its row of the workload's selection table
+    /// ([`CompiledWorkload::selections`]), [`CompiledWorkload::row`]
+    /// words apart — written once per event, read by every group's cells
+    /// (zero for an event no group reads a row of).
+    rows: Vec<u64>,
     /// Cells of the range being appended: computed once per (event,
     /// group), copied into each window instance's burst.
     pub(crate) cells: Vec<Cell>,
@@ -94,6 +101,8 @@ impl BatchScratch {
             spare: Vec::new(),
             starts: Vec::new(),
             wms: Vec::new(),
+            ticks: Vec::new(),
+            rows: Vec::new(),
             cells: Vec::new(),
         }
     }
@@ -281,6 +290,8 @@ impl HamletEngine {
             spare,
             starts,
             wms,
+            ticks,
+            rows,
             cells,
         } = &mut self.scratch;
 
@@ -289,10 +300,15 @@ impl HamletEngine {
         // below every pending window end: the expiry heap's minimum plus
         // the earliest end any admitted event could create a run with.
         // Each event also records the watermark the fold would have seen
-        // at it (`wms`) — grouping reorders processing, so the late guard
-        // below must use each event's own fold-order watermark.
+        // at it (`wms`: grouping reorders processing, so the late guard
+        // below must use each event's own fold-order watermark), its tick,
+        // and, if some group buffers its type as cells, its row of the
+        // selection table, evaluated here once for every group.
         debug_assert!(buckets.is_empty());
         wms.clear();
+        ticks.clear();
+        rows.clear();
+        let width = plan.row;
         let stride = plan.groups.len();
         let mut min_end = (self.expiry.peek()).map_or(u64::MAX, |Reverse(e)| e.end);
         let mut wm = head_wm.ticks();
@@ -373,10 +389,17 @@ impl HamletEngine {
                 }
                 buckets[bi as usize].events.push(((j - first) as u32, tl));
             }
-            if routed {
-                n_routed += 1;
-            }
             wms.push(wm);
+            ticks.push(e.time.ticks());
+            if width > 0 {
+                let at = rows.len();
+                rows.resize(at + width, 0);
+                let sels = &plan.selections[e.ty.idx()];
+                if routed && sels.width() > 0 {
+                    sels.row_into(e, &mut rows[at..]);
+                }
+            }
+            n_routed += u64::from(routed);
             j += 1;
         }
         self.watermark = Some(Ts(wm));
@@ -414,48 +437,33 @@ impl HamletEngine {
                 bytes: &mut self.run_bytes,
             };
             let mut late_skipped = false;
-            let mut last_time: Option<u64> = None;
             // Watermark at the segment tail — if a window's end beats it,
             // no event in the segment is late for that window.
             let seg_wm = wms.last().copied().unwrap_or(0);
-            // Consecutive events that agree on type-local, pane, and
-            // window-instance set form a *range*: one run-map probe, one
-            // flush check, and one expiry push cover the whole range, so
-            // the per-event work shrinks to the burst append itself.
+            // Consecutive events that agree on type-local and pane form a
+            // *range*: one run-map probe, one flush check, and one expiry
+            // push cover the whole range, so the per-event work shrinks to
+            // the burst append itself. Instances start on multiples of
+            // `slide` and `pane` divides both `slide` and `within`, so
+            // events of one pane lie in the same window instances.
             let nb = b.events.len();
             let mut idx = 0;
+            let mut last_pane = None;
+            let tick = |sj: u32| ticks[sj as usize];
             while idx < nb {
-                let (si0, tl) = b.events[idx];
-                let e0 = &seg[si0 as usize];
-                let tl = tl as usize;
-                let t0 = e0.time.ticks();
+                let (si0, tl0) = b.events[idx];
+                let t0 = tick(si0);
                 let pane_idx = t0 / pane;
-                if last_time != Some(t0) {
+                if last_pane != Some(pane_idx) {
                     starts.clear();
-                    starts.extend(window.instances_containing(e0.time));
-                    last_time = Some(t0);
+                    starts.extend(window.instances_containing(Ts(t0)));
+                    last_pane = Some(pane_idx);
                 }
-                let mut end_idx = idx + 1;
-                while end_idx < nb {
-                    let (sj, tlj) = b.events[end_idx];
-                    if tlj as usize != tl {
-                        break;
-                    }
-                    let tj = seg[sj as usize].time.ticks();
-                    // Same pane but a different tick: join only if the
-                    // instance set is unchanged.
-                    if tj != t0
-                        && (tj / pane != pane_idx
-                            || !window
-                                .instances_containing(Ts(tj))
-                                .eq(starts.iter().copied()))
-                    {
-                        break;
-                    }
-                    end_idx += 1;
-                }
+                let same = |&&(sj, tl): &&(u32, u32)| tl == tl0 && tick(sj) / pane == pane_idx;
+                let end_idx = idx + 1 + b.events[idx + 1..].iter().take_while(same).count();
+                let tl = tl0 as usize;
                 let range = &b.events[idx..end_idx];
-                let chunk = Chunk::of(&g.rt, tl, seg, range, cells);
+                let chunk = Chunk::of(&g.rt, tl, seg, range, (rows, width), cells);
                 for &start in starts.iter() {
                     let end = window_end(start.ticks(), within);
                     // Late-event guard, against each event's own fold-order

@@ -11,14 +11,15 @@
 //! record of the checkpoint formats). The replay is
 //! [`crate::run::Run::replay`].
 
-use crate::agg::MmVal;
+use crate::agg::{ring_of_attr, MmVal};
 use crate::bitset::QSet;
 use crate::checkpoint::{codec_struct, CheckpointError, Codec, Dec, Enc};
 use crate::executor::{EngineConfig, EngineStats};
 use crate::optimizer::decide;
 use crate::run::{BurstCtx, GroupRuntime, Run};
-use crate::workload::AggSkeleton;
-use hamlet_types::Event;
+use crate::workload::{AggSkeleton, ShareGroup};
+use hamlet_query::{CompiledSelection, SelectionPredicate};
+use hamlet_types::{AttrValue, Event};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -63,6 +64,123 @@ pub struct Cell {
 
 // The mask is stored as its bare word, no length prefix.
 codec_struct!(Cell { mask as u64, val });
+
+/// The value a cell carries, as a group's skeleton reads it off an event
+/// of one type.
+#[derive(Clone, Debug, PartialEq)]
+enum Fact {
+    /// The same for every event: 0 without a weight, the lattice
+    /// identity off the `MIN` / `MAX` target type.
+    Const(u64),
+    /// The attribute's ring weight (`SUM` / `AVG` target type).
+    Ring(usize),
+    /// The attribute's `f64` bits, or the lattice identity without it
+    /// (`MIN` / `MAX` target type).
+    Lattice { attr: usize, id: u64 },
+}
+
+impl Fact {
+    #[inline]
+    fn read(&self, e: &Event) -> u64 {
+        match *self {
+            Fact::Const(v) => v,
+            Fact::Ring(a) => e.attr(a).map_or(0, |v| ring_of_attr(v.as_f64()).0),
+            Fact::Lattice { attr, id } => e.attr(attr).map_or(id, |v| v.as_f64().to_bits()),
+        }
+    }
+}
+
+/// The per-event facts every share group's cells of one event type are
+/// made of: the distinct selections on the type of every group that
+/// buffers it as cells, then their distinct values. The scan evaluates
+/// each once per event into the event's *row*
+/// ([`Selections::row_into`]); a group's cell is its need masks applied
+/// to the row's words plus one of its values ([`GroupRuntime::cell`]).
+#[derive(Debug, Default)]
+pub struct Selections {
+    preds: Vec<CompiledSelection>,
+    facts: Vec<Fact>,
+}
+
+impl Selections {
+    /// Words of a row's selection bits: one per 64 selections.
+    #[inline]
+    pub fn words(&self) -> usize {
+        self.preds.len().div_ceil(64)
+    }
+
+    /// Length of a row: its words, then its values.
+    #[inline]
+    pub fn width(&self) -> usize {
+        self.words() + self.facts.len()
+    }
+
+    /// Writes `e`'s row into the first [`width`](Self::width) words of
+    /// `row`: bit `i` of the words iff the `i`-th selection accepts `e`,
+    /// then each value.
+    #[inline]
+    pub fn row_into(&self, e: &Event, row: &mut [u64]) {
+        let (words, vals) = row.split_at_mut(self.words());
+        words.fill(0);
+        for (i, p) in self.preds.iter().enumerate() {
+            words[i / 64] |= u64::from(p.matches(e)) << (i % 64);
+        }
+        for (v, f) in vals.iter_mut().zip(&self.facts) {
+            *v = f.read(e);
+        }
+    }
+}
+
+/// Selection equality as evaluation sees it: the constant compared by
+/// variant and bits, since `total_cmp` tells `0.0` from `-0.0` where `==`
+/// does not.
+fn same_selection(a: &SelectionPredicate, b: &SelectionPredicate) -> bool {
+    let value = match (&a.value, &b.value) {
+        (AttrValue::Float(x), AttrValue::Float(y)) => x.to_bits() == y.to_bits(),
+        (x, y) => x == y,
+    };
+    a.ty == b.ty && a.attr == b.attr && a.op == b.op && value
+}
+
+/// The runtimes of `groups` over one selection table, and the table
+/// (indexed by event type id): per type, the distinct selections and
+/// values of every group that buffers the type as cells, so a workload
+/// evaluates each once per event however many groups read it.
+pub fn compile_groups(groups: &[ShareGroup]) -> (Vec<Arc<GroupRuntime>>, Vec<Arc<Selections>>) {
+    let mut rts: Vec<GroupRuntime> = groups.iter().map(GroupRuntime::unbound).collect();
+    let nty = (rts.iter().flat_map(|rt| &rt.template.types))
+        .map(|t| t.idx() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut keys: Vec<Vec<SelectionPredicate>> = vec![Vec::new(); nty];
+    let mut facts: Vec<Vec<Fact>> = vec![Vec::new(); nty];
+    for rt in &rts {
+        for (tl, ty) in rt.template.types.iter().enumerate() {
+            if rt.repr[tl] != BurstRepr::Cells {
+                continue;
+            }
+            let (keys, facts) = (&mut keys[ty.idx()], &mut facts[ty.idx()]);
+            for s in rt.queries.iter().flat_map(|q| &q.selections) {
+                if s.ty == *ty && !keys.iter().any(|k| same_selection(k, s)) {
+                    keys.push(s.clone());
+                }
+            }
+            if !facts.contains(&rt.fact(tl)) {
+                facts.push(rt.fact(tl));
+            }
+        }
+    }
+    let table: Vec<Arc<Selections>> = (keys.iter().zip(facts))
+        .map(|(keys, facts)| {
+            let preds = keys.iter().map(CompiledSelection::new).collect();
+            Arc::new(Selections { preds, facts })
+        })
+        .collect();
+    for rt in &mut rts {
+        rt.bind(&keys, &table);
+    }
+    (rts.into_iter().map(Arc::new).collect(), table)
+}
 
 /// A complete burst handed to [`Run::replay`], in the representation
 /// [`GroupRuntime::burst_repr`] assigns its type.
@@ -111,29 +229,84 @@ impl GroupRuntime {
         }
     }
 
-    /// The cell of `e`, an event of local type `tl`
-    /// ([`BurstRepr::Cells`] types only).
+    /// The cell of an event of local type `tl` ([`BurstRepr::Cells`]
+    /// types only) from its row of the type's selection table
+    /// ([`Selections::row_into`]). Member `q` accepts iff every selection
+    /// bit it needs is set.
     #[inline]
-    pub fn cell(&self, tl: usize, e: &Event) -> Cell {
+    pub fn cell(&self, tl: usize, row: &[u64]) -> Cell {
+        let (need, nw) = (&self.need[tl], self.sels[tl].words());
         let mut mask = !QSet::new();
         for q in self.sel_members[tl].iter() {
-            if !self.selects(tl, q, e) {
+            if (need[q * nw..(q + 1) * nw].iter().zip(row)).any(|(n, w)| n & !w != 0) {
                 mask.remove(q);
             }
         }
-        let val = match &self.skeleton {
+        let val = row[self.val[tl]];
+        Cell { mask, val }
+    }
+
+    /// [`cell`](Self::cell) of `e` alone: its row is evaluated first,
+    /// into `row` (reused).
+    pub(crate) fn event_cell(&self, tl: usize, e: &Event, row: &mut Vec<u64>) -> Cell {
+        row.resize(self.sels[tl].width(), 0);
+        self.sels[tl].row_into(e, row);
+        self.cell(tl, row)
+    }
+
+    /// Attaches the selection table `table` (per event type, from
+    /// [`compile_groups`]; `keys` its selections as interned): every
+    /// member's selections on a [`BurstRepr::Cells`] type become bits of
+    /// the type's word row, the cell value one of the row's values.
+    fn bind(&mut self, keys: &[Vec<SelectionPredicate>], table: &[Arc<Selections>]) {
+        let (mut sels, mut need, mut val) = (Vec::new(), Vec::new(), Vec::new());
+        for tl in 0..self.template.num_types() {
+            let ty = self.template.types[tl].idx();
+            if self.repr[tl] != BurstRepr::Cells {
+                sels.push(Arc::new(Selections::default()));
+                need.push(Vec::new());
+                val.push(0);
+                continue;
+            }
+            let nw = table[ty].words();
+            let mut bits = vec![0u64; self.k() * nw];
+            for (q, query) in self.queries.iter().enumerate() {
+                for s in query.selections.iter().filter(|s| s.ty.idx() == ty) {
+                    let i = keys[ty].iter().position(|k| same_selection(k, s));
+                    // hamlet-lint: allow(panic-hygiene) -- the table interned every selection of every group it was built from
+                    let i = i.expect("selection interned");
+                    bits[q * nw + i / 64] |= 1 << (i % 64);
+                }
+            }
+            let f = table[ty].facts.iter().position(|f| *f == self.fact(tl));
+            // hamlet-lint: allow(panic-hygiene) -- as above, for values
+            val.push(nw + f.expect("value interned"));
+            sels.push(table[ty].clone());
+            need.push(bits);
+        }
+        (self.sels, self.need, self.val) = (sels, need, val);
+    }
+
+    /// The value a cell of local type `tl` carries.
+    fn fact(&self, tl: usize) -> Fact {
+        let target = |ty| ty == self.template.types[tl];
+        match self.skeleton {
+            AggSkeleton::Linear { ty, attr: Some(a) } if target(ty) => Fact::Ring(a),
             AggSkeleton::MinMax { ty, attr, is_min } => {
-                let v = if e.ty == *ty { e.attr(*attr) } else { None };
-                let id = if *is_min {
+                let id = if is_min {
                     MmVal::MIN_IDENTITY
                 } else {
                     MmVal::MAX_IDENTITY
                 };
-                v.map_or(id.0, |v| v.as_f64()).to_bits()
+                let id = id.0.to_bits();
+                if target(ty) {
+                    Fact::Lattice { attr, id }
+                } else {
+                    Fact::Const(id)
+                }
             }
-            _ => self.weight(e).0 .0,
-        };
-        Cell { mask, val }
+            _ => Fact::Const(0),
+        }
     }
 
     /// `events` (all of local type `tl`) as the burst the executor would
@@ -147,7 +320,8 @@ impl GroupRuntime {
         match self.burst_repr(tl) {
             BurstRepr::Count => Burst::Count(events.len() as u64),
             BurstRepr::Cells => {
-                cells.extend(events.iter().map(|e| self.cell(tl, e)));
+                let row = &mut Vec::new();
+                cells.extend(events.iter().map(|e| self.event_cell(tl, e, row)));
                 Burst::Cells(cells)
             }
             BurstRepr::Events => Burst::Events(events),
@@ -220,19 +394,24 @@ pub(crate) enum Chunk<'a> {
 
 impl<'a> Chunk<'a> {
     /// `range` of `seg` (all of `rt`'s local type `tl`) as a chunk in the
-    /// type's representation; `cells` backs the column if there is one.
+    /// type's representation; `rows` holds the segment's rows of the
+    /// selection table and the width of one, `cells` backs the column if
+    /// there is one.
     pub(crate) fn of(
         rt: &GroupRuntime,
         tl: usize,
         seg: &'a [Event],
         range: &'a [(u32, u32)],
+        rows: (&[u64], usize),
         cells: &'a mut Vec<Cell>,
     ) -> Chunk<'a> {
         match rt.burst_repr(tl) {
             BurstRepr::Count => Chunk::Count(range.len() as u64),
             BurstRepr::Cells => {
                 cells.clear();
-                cells.extend(range.iter().map(|&(sj, _)| rt.cell(tl, &seg[sj as usize])));
+                let (rows, width) = rows;
+                let row = |sj: u32| &rows[sj as usize * width..][..width];
+                cells.extend(range.iter().map(|&(sj, _)| rt.cell(tl, row(sj))));
                 Chunk::Cells(cells)
             }
             BurstRepr::Events => Chunk::Events(seg, range),
@@ -473,7 +652,10 @@ impl RunState {
             }
             match repr {
                 BurstRepr::Count => rs.burst_count += rs.burst.drain(..).count() as u64,
-                BurstRepr::Cells => rs.cells.extend(rs.burst.drain(..).map(|e| rt.cell(tl, &e))),
+                BurstRepr::Cells => {
+                    let row = &mut Vec::new();
+                    (rs.cells).extend(rs.burst.drain(..).map(|e| rt.event_cell(tl, &e, row)));
+                }
                 BurstRepr::Events => {}
             }
         }

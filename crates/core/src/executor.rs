@@ -18,6 +18,7 @@
 //! [`crate::record`] (the state as bytes).
 
 use crate::batch::BatchScratch;
+use crate::burst::{compile_groups, Selections};
 use crate::expiry::{ExpiryEntry, RunSlab, Runs};
 use crate::general::{self, CombineKind};
 use crate::keyhash::{KeyMap, KeyState};
@@ -329,6 +330,13 @@ pub(crate) struct CompiledWorkload {
     pub(crate) key_reps: Vec<Vec<u32>>,
     pub(crate) num_classes: usize,
     pub(crate) num_wnd_classes: usize,
+    /// `selections[type]` — the distinct selections and skeleton values
+    /// every group that buffers the type as cells reads off its events,
+    /// interned across groups like the key and window classes: the scan
+    /// evaluates each once per event ([`crate::burst::Selections`]).
+    pub(crate) selections: Vec<Arc<Selections>>,
+    /// The widest row of `selections`.
+    pub(crate) row: usize,
     /// The window grid: the gcd of every query's `within` and `slide`.
     /// Window instances start on multiples of their slide, so every
     /// window end is a multiple of it — an event can close a window only
@@ -479,12 +487,11 @@ impl HamletEngine {
             }
         }
         let plan = workload::analyze(&simple).map_err(EngineError::Workload)?;
-        let groups: Vec<GroupPlan> = plan
-            .groups
-            .iter()
-            .map(|g| {
+        let (rts, mut selections) = compile_groups(&plan.groups);
+        selections.resize_with(reg.len(), Default::default);
+        let groups: Vec<GroupPlan> = (plan.groups.iter().zip(rts))
+            .map(|(g, rt)| {
                 let pane = hamlet_types::time::gcd(g.window.within, g.window.slide);
-                let rt = GroupRuntime::new(g);
                 let partition_slots = (0..reg.len())
                     .map(|t| {
                         let id = hamlet_types::EventTypeId(t as u16);
@@ -560,6 +567,7 @@ impl HamletEngine {
             })
             .collect();
         let (num_classes, num_wnd_classes) = (class_tables.len().max(1), wnd_sigs.len().max(1));
+        let row = selections.iter().map(|s| s.width()).max().unwrap_or(0);
         let spans = queries
             .iter()
             .flat_map(|q| [q.window.within, q.window.slide]);
@@ -573,6 +581,8 @@ impl HamletEngine {
             key_reps,
             num_classes,
             num_wnd_classes,
+            selections,
+            row,
         })
     }
 

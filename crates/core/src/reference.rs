@@ -9,16 +9,20 @@
 //!   [`flush_scan_expiry`](HamletEngine::flush_scan_expiry) — expiry by
 //!   the pre-index full scan over every live partition;
 //! * [`Run::process_burst_slow`] — the raw events through the per-event
-//!   replay loop (`run/edge.rs`), whatever their type buffers.
+//!   replay loop (`run/edge.rs`), whatever their type buffers;
+//! * [`GroupRuntime::cell_by_members`] — a cell from each member's own
+//!   selections, not from the workload's selection table.
 //!
 //! All of them share the engine's state with the path they check, so a
 //! test may interleave them with it freely.
 
+use crate::agg::MmVal;
 use crate::bitset::QSet;
-use crate::burst::{Burst, Chunk, FlushEnv};
+use crate::burst::{Burst, BurstRepr, Cell, Chunk, FlushEnv};
 use crate::executor::{shard_index, GroupPlan, HamletEngine, WindowResult};
 use crate::expiry::Partition;
-use crate::run::Run;
+use crate::run::{GroupRuntime, Run};
+use crate::workload::AggSkeleton;
 use hamlet_types::time::window_end;
 use hamlet_types::{AttrValue, Event, GroupKey, Ts, TypeRegistry};
 use std::time::Instant;
@@ -76,14 +80,17 @@ impl HamletEngine {
             let within = g.window.within;
             let pane_idx = e.time.ticks() / g.pane;
             let starts: Vec<Ts> = g.window.instances_containing(e.time).collect();
-            // A one-event range through the batched path's constructor.
-            let chunk = Chunk::of(
-                &g.rt,
-                tl,
-                std::slice::from_ref(e),
-                &[(0, 0)],
-                &mut self.scratch.cells,
-            );
+            // A one-event chunk, its cell from the members' own selections.
+            let cells = &mut self.scratch.cells;
+            let chunk = match g.rt.burst_repr(tl) {
+                BurstRepr::Count => Chunk::Count(1),
+                BurstRepr::Cells => {
+                    cells.clear();
+                    cells.push(g.rt.cell_by_members(tl, e));
+                    Chunk::Cells(cells)
+                }
+                BurstRepr::Events => Chunk::Events(std::slice::from_ref(e), &[(0, 0)]),
+            };
             let mut part = Partition {
                 runs: st.partitions.entry(key.clone()).or_default(),
                 slab: &mut st.slab,
@@ -186,5 +193,32 @@ impl Run {
         shared_members: &QSet,
     ) {
         self.replay(tl, Burst::Events(events), *shared_members)
+    }
+}
+
+impl GroupRuntime {
+    /// The cell of `e` (local type `tl`) by definition: every member's
+    /// selections evaluated on their own, the value read off the
+    /// skeleton — what [`cell`](Self::cell) of the event's row must equal.
+    pub(crate) fn cell_by_members(&self, tl: usize, e: &Event) -> Cell {
+        let mut mask = !QSet::new();
+        for q in self.sel_members[tl].iter() {
+            if !self.selects(tl, q, e) {
+                mask.remove(q);
+            }
+        }
+        let val = match &self.skeleton {
+            AggSkeleton::MinMax { ty, attr, is_min } => {
+                let v = if e.ty == *ty { e.attr(*attr) } else { None };
+                let id = if *is_min {
+                    MmVal::MIN_IDENTITY
+                } else {
+                    MmVal::MAX_IDENTITY
+                };
+                v.map_or(id.0, |v| v.as_f64()).to_bits()
+            }
+            _ => self.weight(e).0 .0,
+        };
+        Cell { mask, val }
     }
 }

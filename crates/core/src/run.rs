@@ -61,7 +61,7 @@ mod edge;
 
 use crate::agg::{ring_of_attr, MmVal, NodeVal};
 use crate::bitset::QSet;
-use crate::burst::{Burst, BurstRepr, Cell};
+use crate::burst::{Burst, BurstRepr, Cell, Selections};
 use crate::checkpoint::{codec_struct, decode_into, CheckpointError, Codec, Dec, Enc};
 use crate::expr::{LinearExpr, SnapId};
 use crate::snapshot::SnapTable;
@@ -107,6 +107,15 @@ pub struct GroupRuntime {
     /// Per type, how [`Run::replay`] advances a burst: `Count` where it
     /// does so in closed form, otherwise its `repr`.
     advance: Vec<BurstRepr>,
+    /// Per type, the selection table its cells are read off — the
+    /// workload's, shared by every group that buffers the type as cells
+    /// (empty for the other types).
+    pub(crate) sels: Vec<Arc<Selections>>,
+    /// Per type, member `q`'s selections as bits of that table's word
+    /// row: `need[tl][q * words..][..words]`.
+    pub(crate) need: Vec<Vec<u64>>,
+    /// Per type, the index of a cell's value in the type's row.
+    pub(crate) val: Vec<usize>,
 }
 
 /// [`NegKind`] with local type indices.
@@ -126,8 +135,18 @@ pub enum LocalNegKind {
 }
 
 impl GroupRuntime {
-    /// Builds the runtime tables for a share group.
+    /// Builds the runtime tables for a share group, its cells read off
+    /// a selection table of its own (a workload's groups share one:
+    /// [`crate::burst::compile_groups`]).
     pub fn new(group: &ShareGroup) -> Arc<GroupRuntime> {
+        let (mut rts, _) = crate::burst::compile_groups(std::slice::from_ref(group));
+        // hamlet-lint: allow(panic-hygiene) -- one group in, one runtime out
+        rts.pop().expect("one runtime per group")
+    }
+
+    /// The runtime of `group` without its selection table
+    /// ([`GroupRuntime::bind`] attaches one).
+    pub(crate) fn unbound(group: &ShareGroup) -> GroupRuntime {
         let tpl = group.template.clone();
         let nt = tpl.num_types();
         let k = tpl.k;
@@ -190,6 +209,9 @@ impl GroupRuntime {
             edge_members,
             repr: Vec::new(),
             advance: Vec::new(),
+            sels: Vec::new(),
+            need: Vec::new(),
+            val: Vec::new(),
         };
         rt.repr = (0..nt).map(|tl| rt.resolve_repr(tl)).collect();
         rt.advance = (0..nt)
@@ -198,7 +220,7 @@ impl GroupRuntime {
                 false => rt.repr[tl],
             })
             .collect();
-        Arc::new(rt)
+        rt
     }
 
     /// Number of members.
@@ -1405,7 +1427,7 @@ mod tests {
                 let share = if share.len() < 2 { QSet::new() } else { share };
                 let partial = events
                     .iter()
-                    .map(|e| rt.cell(tl, e).mask & share)
+                    .map(|e| rt.cell_by_members(tl, e).mask & share)
                     .filter(|&m| !m.is_empty() && m != share)
                     .count() as u64;
 

@@ -13,7 +13,9 @@
 //! one scratch key, so routing a single-owner event allocates nothing.
 //! The fourth holds the first case's bound over a share group of 19
 //! members with a head type each, whose bursts open and close graphlets
-//! of many types.
+//! of many types. The fifth pins a stock-like workload of 12 share
+//! groups with selections and value skeletons: the per-event selection
+//! rows every group's cells are read from are reused scratch.
 //!
 //! Lives in its own integration binary on purpose (it replaces the global
 //! allocator); the counter is per thread, so the cases — which the
@@ -293,5 +295,92 @@ fn many_head_types_are_allocation_lean() {
         spent < n / 8,
         "{spent} allocations for {n} events (budget {})",
         n / 8
+    );
+}
+
+/// Twelve share groups (four windows × three partitionings), four
+/// members each with selections on the Kleene type drawn from one pool
+/// (shared between groups and not) and `SUM` / `MIN` / `COUNT`
+/// skeletons: once warm, 4 096 events in batches of 256 allocate 8 313
+/// times, 8 160 of them for the results the closed windows hand out —
+/// the count of the engine before the selection rows, which are written
+/// into reused buffers.
+#[cfg(debug_assertions)]
+#[test]
+fn twelve_groups_with_selections_are_allocation_lean() {
+    use hamlet_core::executor::{EngineConfig, HamletEngine};
+    use hamlet_query::{AggFunc, CmpOp, Pattern, Query, QueryId, SelectionPredicate, Window};
+    use hamlet_types::{AttrValue, EventBuilder, TypeRegistry};
+    use std::sync::Arc;
+
+    let mut reg = TypeRegistry::new();
+    let a = reg.register("A", &["sym", "sector", "price"]);
+    let b = reg.register("B", &["sym", "sector", "price"]);
+    let reg = Arc::new(reg);
+    let mut queries = Vec::new();
+    for (wi, within) in [20u64, 30, 40, 60].into_iter().enumerate() {
+        for (pi, by) in [&[][..], &["sym"][..], &["sector"][..]]
+            .into_iter()
+            .enumerate()
+        {
+            for m in 0..4 {
+                let id = (wi * 12 + pi * 4 + m) as u32;
+                let agg = [AggFunc::Sum(b, 2), AggFunc::Min(b, 2), AggFunc::CountStar][pi].clone();
+                let ops = [CmpOp::Gt, CmpOp::Lt, CmpOp::Ge, CmpOp::Ne];
+                let sel = |k: usize| SelectionPredicate {
+                    ty: b,
+                    attr: 2,
+                    op: ops[k % 4],
+                    value: AttrValue::Float((k % 7) as f64 * 10.0),
+                };
+                let pat = Pattern::seq(vec![Pattern::Type(a), Pattern::plus(Pattern::Type(b))]);
+                let by: Vec<Arc<str>> = by.iter().map(|&s| Arc::from(s)).collect();
+                let window = Window::new(within, within / 2);
+                let selections = vec![sel(m + wi), sel(id as usize)];
+                let q = Query::new(
+                    QueryId(id),
+                    pat,
+                    agg,
+                    selections,
+                    vec![],
+                    by,
+                    vec![],
+                    window,
+                );
+                queries.push(q.unwrap());
+            }
+        }
+    }
+    let cfg = EngineConfig {
+        mem_sample_every: 0,
+        track_latency: false,
+        ..EngineConfig::default()
+    };
+    let mut eng = HamletEngine::new(reg.clone(), queries, cfg).unwrap();
+    assert_eq!(eng.num_groups(), 12);
+    let n: u64 = 4096;
+    let events = |from: u64| -> Vec<_> {
+        (from..from + n)
+            .map(|i| {
+                EventBuilder::new(&reg, if i.is_multiple_of(8) { a } else { b }, i / 4)
+                    .attr("sym", (i % 5) as i64)
+                    .attr("sector", (i % 2) as i64)
+                    .attr("price", (i * 37 % 70) as f64)
+                    .build()
+            })
+            .collect()
+    };
+    let feed = |eng: &mut HamletEngine, events: &[_]| -> usize {
+        events.chunks(256).map(|c| eng.process_batch(c).len()).sum()
+    };
+    let (warm, measured) = (events(0), events(n));
+    feed(&mut eng, &warm);
+    let before = allocs();
+    let results = feed(&mut eng, &measured);
+    let spent = allocs() - before;
+    assert_eq!(results, 8_160, "windows closed in the measured batches");
+    assert!(
+        spent <= 8_313,
+        "{spent} allocations for {n} events and {results} results (budget 8 313)"
     );
 }

@@ -1,5 +1,6 @@
 //! Property-based tests of the core algebra: linear snapshot expressions,
-//! the per-event propagation map, bitsets, and the benefit model.
+//! the per-event propagation map, bitsets, the benefit model, and the
+//! per-event facts a workload's cells are assembled from.
 //!
 //! The correctness of shared execution rests on two algebraic facts:
 //! evaluation is a *ring homomorphism* from expressions to per-query
@@ -7,16 +8,19 @@
 //! propagation map commutes with evaluation. Both are asserted here on
 //! randomized inputs.
 
-use hamlet_core::agg::NodeVal;
+use hamlet_core::agg::{ring_of_attr, MmVal, NodeVal};
 use hamlet_core::bitset::QSet;
-use hamlet_core::burst::BurstRepr;
+use hamlet_core::burst::{compile_groups, BurstRepr};
 use hamlet_core::expr::LinearExpr;
 use hamlet_core::optimizer::benefit::{CLOSE_MEMBER_NS, FOLD_MEMBER_NS, OPEN_MEMBER_NS};
 use hamlet_core::optimizer::{benefit, nonshared_cost, shared_cost, solo_member_cost, CostFactors};
 use hamlet_core::snapshot::SnapTable;
-use hamlet_types::TrendVal;
+use hamlet_core::{analyze, AggSkeleton};
+use hamlet_query::{AggFunc, CmpOp, Pattern, Query, QueryId, SelectionPredicate, Window};
+use hamlet_types::{AttrValue, Event, EventTypeId, TrendVal, Ts};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 fn nodeval() -> impl Strategy<Value = NodeVal> {
     (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(c, s, n)| NodeVal {
@@ -233,6 +237,140 @@ proptest! {
         );
         if expected >= tol {
             prop_assert!(benefit(k + 1.0, sc, &f) + tol >= benefit(k, sc, &f));
+        }
+    }
+}
+
+/// A splitmix64 stream: the random workloads and events below are drawn
+/// from one seed.
+fn stream_of(mut seed: u64) -> impl FnMut() -> u64 {
+    move || {
+        seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
+/// A small attribute value of either numeric variant, signed zeros
+/// included, so selections compare across variants and `0.0` / `-0.0`.
+fn small_value(next: &mut impl FnMut() -> u64) -> AttrValue {
+    let v = (next() % 5) as i64 - 1;
+    match next() % 4 {
+        0 => AttrValue::Int(v),
+        1 => AttrValue::Float(-0.0),
+        _ => AttrValue::Float(v as f64 * 0.5),
+    }
+}
+
+proptest! {
+    /// Every group's cell of an event, read off the workload's one
+    /// selection row, equals what the members' own selections and the
+    /// group's skeleton say, for every group, type and event. The
+    /// workloads mix windows (several groups), `COUNT` / `SUM` / `AVG` /
+    /// `MIN` / `MAX`, selections shared between groups and not, and more
+    /// than 64 distinct selections on the head type (a row of two words).
+    #[test]
+    fn cells_from_the_selection_row_match_each_member(seed in any::<u64>()) {
+        let mut next = stream_of(seed);
+        let (a, b) = (EventTypeId(0), EventTypeId(1));
+        let n = 14 + next() % 10;
+        let queries: Vec<Arc<Query>> = (0..n)
+            .map(|i| {
+                let within = [10, 20, 30][(next() % 3) as usize];
+                let agg = match next() % 6 {
+                    0 => AggFunc::CountStar,
+                    1 => AggFunc::CountType(b),
+                    2 => AggFunc::Sum(b, 1),
+                    3 => AggFunc::Avg(b, 1),
+                    4 => AggFunc::Min(b, 1),
+                    _ => AggFunc::Max(b, 1),
+                };
+                let ops = [CmpOp::Lt, CmpOp::Le, CmpOp::Gt, CmpOp::Ge, CmpOp::Eq, CmpOp::Ne];
+                let op = |r: u64| ops[(r % 6) as usize];
+                // Five selections on `A` no other query has (70+ in all).
+                let mut selections: Vec<SelectionPredicate> = (0..5)
+                    .map(|j| SelectionPredicate {
+                        ty: a,
+                        attr: 0,
+                        op: op(next()),
+                        value: AttrValue::Int((5 * i + j) as i64),
+                    })
+                    .collect();
+                // A few on `B` from a small pool, shared across groups.
+                for _ in 0..next() % 3 {
+                    let (attr, op) = ((next() % 2) as usize, op(next()));
+                    let value = small_value(&mut next);
+                    selections.push(SelectionPredicate { ty: b, attr, op, value });
+                }
+                let pat = Pattern::seq(vec![Pattern::Type(a), Pattern::plus(Pattern::Type(b))]);
+                let window = Window::tumbling(within);
+                let q = Query::new(QueryId(i as u32), pat, agg, selections, vec![], vec![], vec![], window);
+                Arc::new(q.unwrap())
+            })
+            .collect();
+        let plan = analyze(&queries).unwrap();
+        prop_assert!(plan.groups.len() > 1);
+        let (rts, table) = compile_groups(&plan.groups);
+        prop_assert!(table[a.idx()].words() >= 2, "over 64 distinct selections on A");
+        for t in 0..200u64 {
+            let ty = if next().is_multiple_of(4) { a } else { b };
+            let first = match ty == a {
+                true => AttrValue::Int((next() % 130) as i64),
+                false => small_value(&mut next),
+            };
+            let e = Event::new(Ts(t), ty, vec![first, small_value(&mut next)]);
+            let sels = &table[ty.idx()];
+            let mut row = vec![0; sels.width()];
+            sels.row_into(&e, &mut row);
+            for rt in &rts {
+                let Some(tl) = rt.template.local(ty) else { continue };
+                if rt.burst_repr(tl) != BurstRepr::Cells {
+                    continue;
+                }
+                let cell = rt.cell(tl, &row);
+                for q in 0..rt.k() {
+                    let accepts = rt.sel[tl][q].iter().all(|p| p.matches(&e));
+                    prop_assert_eq!(cell.mask.contains(q), accepts, "member {} type {}", q, tl);
+                }
+                let identity = |is_min| match is_min {
+                    true => MmVal::MIN_IDENTITY.0,
+                    false => MmVal::MAX_IDENTITY.0,
+                };
+                let val = match rt.skeleton {
+                    AggSkeleton::Linear { ty: t, attr: Some(at) } if t == ty => {
+                        e.attr(at).map_or(0, |v| ring_of_attr(v.as_f64()).0)
+                    }
+                    AggSkeleton::MinMax { ty: t, attr, is_min } if t == ty => {
+                        e.attr(attr).map_or(identity(is_min), |v| v.as_f64()).to_bits()
+                    }
+                    AggSkeleton::MinMax { is_min, .. } => identity(is_min).to_bits(),
+                    _ => 0,
+                };
+                prop_assert_eq!(cell.val, val);
+            }
+        }
+    }
+
+    /// The window instances containing a tick depend only on its pane
+    /// (`gcd(within, slide)`): instances start on multiples of `slide`,
+    /// which the pane divides, as it divides `within`. The batched scan
+    /// groups events into ranges by pane alone on this.
+    #[test]
+    fn every_tick_of_a_pane_lies_in_the_same_instances(
+        within in 1u64..60,
+        slide_seed in 1u64..60,
+        t in 0u64..10_000,
+    ) {
+        let slide = 1 + (slide_seed - 1) % within;
+        let w = Window::new(within, slide);
+        let pane = hamlet_types::time::gcd(within, slide);
+        let first = t / pane * pane;
+        let of = |t: u64| w.instances_containing(Ts(t)).collect::<Vec<_>>();
+        let expected = of(first);
+        for tick in first..first + pane {
+            prop_assert_eq!(of(tick), expected.clone(), "tick {} of pane {}", tick, t / pane);
         }
     }
 }

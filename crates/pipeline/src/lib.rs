@@ -673,9 +673,15 @@ impl<Src: Source> Ingest<Src> {
             // barrier. A source blocked inside `next_event` delays
             // pending requests until it yields. A drain told early only
             // settles how the run ends: the source is still pulled dry.
-            if let Ok(request) = self.control.try_recv() {
-                end = self.obey(feed, request, true).or(end);
-                continue;
+            // The channel is polled only while the handle's flag is up;
+            // a request taken leaves it up, so the next pass looks again
+            // until the channel is empty.
+            if self.shared.control_pending.swap(false, Ordering::Acquire) {
+                if let Ok(request) = self.control.try_recv() {
+                    self.shared.control_pending.store(true, Ordering::Relaxed);
+                    end = self.obey(feed, request, true).or(end);
+                    continue;
+                }
             }
             let pull = self.shared.spans.start();
             let Some(e) = self.source.next_event() else {
@@ -685,7 +691,10 @@ impl<Src: Source> Ingest<Src> {
             // signal that separates a source-bound run from an
             // engine-bound one in a trace.
             self.shared.spans.record(0, Stage::Ingest, pull, None, 1);
-            self.shared.ingested.fetch_add(1, Ordering::Relaxed);
+            // `ingested` and `released` have one writer, this stage: a
+            // load and a store publish them.
+            let ingested = self.shared.ingested.load(Ordering::Relaxed);
+            self.shared.ingested.store(ingested + 1, Ordering::Relaxed);
             if self.max_seen.is_none_or(|m| e.time > m) {
                 self.max_seen = Some(e.time);
             }
@@ -799,7 +808,8 @@ impl<Src: Source> Ingest<Src> {
         let (spans, wm) = (&self.shared.spans, Some(wm.ticks()));
         spans.record(0, Stage::ReorderRelease, release, wm, n);
         let route = spans.start();
-        self.shared.released.fetch_add(n, Ordering::Relaxed);
+        let released = self.shared.released.load(Ordering::Relaxed);
+        self.shared.released.store(released + n, Ordering::Relaxed);
         for (e, arrival) in self.tranche.drain(..) {
             feed.push(e, Some(arrival));
         }
@@ -1130,8 +1140,18 @@ impl<S: Sink> PipelineHandle<S> {
     /// answer; `None` when the ingest stage is gone.
     fn ask<T>(&self, request: impl FnOnce(mpsc::Sender<T>) -> Control) -> Option<T> {
         let (ack, answer) = mpsc::channel();
-        self.control.send(request(ack)).ok()?;
+        if !self.send(request(ack)) {
+            return None;
+        }
         answer.recv().ok()
+    }
+
+    /// Sends `request` down the control channel and raises the flag the
+    /// ingest stage polls it by; false when the ingest stage is gone.
+    fn send(&self, request: Control) -> bool {
+        let sent = self.control.send(request).is_ok();
+        self.shared.control_pending.store(true, Ordering::Release);
+        sent
     }
 
     /// Tells the ingest stage how the run ends and joins it — the one way
@@ -1139,7 +1159,7 @@ impl<S: Sink> PipelineHandle<S> {
     /// stage's feed; a worker's panic, or its sink's, arrives as its.)
     fn finish(self, end: End) -> (Arc<SharedStats>, ParallelSession, IngestOutput, S) {
         // A failed send means ingest died; its join below says how.
-        let _ = self.control.send(Control::End(end));
+        self.send(Control::End(end));
         // hamlet-lint: allow(panic-hygiene) -- join propagates the thread's panic; swallowing it would fake a clean end
         let (session, frozen, sink) = self.ingest.join().expect("ingest thread panicked");
         (self.shared, session, frozen, sink)
@@ -2559,9 +2579,10 @@ mod tests {
     }
 
     /// Telling a pipeline to drain settles how its run ends, not when:
-    /// the source is pulled dry first. The request is sent by hand (it
-    /// is the first thing `drain()` does) so that it provably arrives
-    /// with half the stream still to come.
+    /// the source is pulled dry first. The request is sent through the
+    /// handle's `send` before any event (it is the first thing `drain()`
+    /// does) so that it provably arrives with the whole stream still to
+    /// come.
     #[test]
     fn drain_does_not_cut_a_flowing_source_short() {
         let (reg, queries, events) = setup();
@@ -2570,7 +2591,7 @@ mod tests {
         let handle = Pipeline::builder(reg, queries)
             .spawn(ChannelSource(rx_ev), VecSink::new())
             .unwrap();
-        handle.control.send(Control::End(End::Drain)).unwrap();
+        assert!(handle.send(Control::End(End::Drain)));
         for e in &events {
             tx_ev.send(e.clone()).unwrap();
         }

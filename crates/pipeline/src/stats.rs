@@ -43,6 +43,10 @@ pub(crate) struct SharedStats {
     /// the ingest stage when a shard worker died. Relaxed everywhere — it
     /// publishes nothing but itself.
     pub(crate) stop: AtomicBool,
+    /// Raised by the handle after each request it sends down the control
+    /// channel; the ingest stage looks at the channel only while it is
+    /// up.
+    pub(crate) control_pending: AtomicBool,
     /// The source is no longer pulled (it ended, or `stop()` or a freeze
     /// cut it) and everything released has been flushed downstream.
     pub(crate) source_done: AtomicBool,
@@ -86,6 +90,7 @@ impl SharedStats {
             watermark: AtomicU64::new(0),
             watermark_set: AtomicBool::new(false),
             stop: AtomicBool::new(false),
+            control_pending: AtomicBool::new(false),
             source_done: AtomicBool::new(false),
             reorder_depth: AtomicUsize::new(0),
             reorder_depth_peak: AtomicUsize::new(0),

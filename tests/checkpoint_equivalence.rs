@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::{finish_pinned, fixture_events, fixture_workload, pinned, PINNED};
+use common::{finish_pinned, fixture_events, fixture_workload, pinned, FIXTURE_CUT, PINNED};
 use hamlet::hamlet_core::checkpoint::ENGINE_VERSION;
 use hamlet::prelude::*;
 use hamlet_stream::{bounded_delay_shuffle, max_observed_lateness, ridesharing};
@@ -58,6 +58,31 @@ fn offline(reg: &Arc<TypeRegistry>, queries: &[Query], events: &[Event]) -> Vec<
     }
     out.extend(eng.flush());
     out
+}
+
+/// A record's tail holds two measured durations (`decision_time`, the
+/// latency recorder); with `obs` and `track_latency` off nothing reads
+/// the clock, and two fresh engines over the fixture workload cut the
+/// same bytes at `FIXTURE_CUT` (docs/checkpoint-format.md,
+/// "Determinism").
+#[test]
+fn engines_without_clocks_cut_identical_records() {
+    let (reg, queries) = fixture_workload();
+    let events = fixture_events(&reg);
+    let cut = || {
+        let cfg = EngineConfig {
+            obs: false,
+            track_latency: false,
+            ..EngineConfig::default()
+        };
+        let mut eng = HamletEngine::new(reg.clone(), queries.clone(), cfg).unwrap();
+        for e in &events[..FIXTURE_CUT] {
+            eng.process(e);
+        }
+        assert!(eng.stats().decisions > 0, "the cut follows decisions");
+        eng.checkpoint()
+    };
+    assert!(cut() == cut(), "two clock-free cuts differ");
 }
 
 /// Single engine: process a prefix, checkpoint, **drop the engine**

@@ -146,11 +146,6 @@ impl MmVal {
     pub fn fold(&mut self, v: f64, is_min: bool) {
         self.0 = if is_min { self.0.min(v) } else { self.0.max(v) };
     }
-
-    /// True iff still the identity (no target event seen).
-    pub fn is_identity(&self) -> bool {
-        self.0.is_infinite()
-    }
 }
 
 #[cfg(test)]
@@ -217,7 +212,6 @@ mod tests {
     #[test]
     fn mm_fold() {
         let mut m = MmVal::MIN_IDENTITY;
-        assert!(m.is_identity());
         m.fold(3.0, true);
         m.fold(1.0, true);
         m.fold(2.0, true);

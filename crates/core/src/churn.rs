@@ -81,9 +81,6 @@ pub(crate) fn next_queries(queries: &[Query], op: &ChurnOp) -> Result<Vec<Query>
 pub struct GroupPlacement {
     /// Member (original) query ids.
     pub members: Vec<QueryId>,
-    /// Whether the group carried live state over from before the churn
-    /// (an untouched group) or started fresh (touched/rebuilt).
-    pub carried_over: bool,
     /// Def. 12 benefit estimate for sharing this group's sharable burst
     /// processing (`NonShared − Shared`; positive favors sharing).
     /// Singleton groups have nothing to share and report 0.
@@ -317,12 +314,11 @@ impl HamletEngine {
         old_of_new: &[Option<usize>],
         mut old_obs: Vec<GroupMetrics>,
     ) -> Vec<GroupPlacement> {
-        let placements: Vec<GroupPlacement> = (self.plan.groups.iter().zip(old_of_new))
-            .map(|(g, old)| {
+        let placements: Vec<GroupPlacement> = (self.plan.groups.iter())
+            .map(|g| {
                 let (benefit, shared) = optimizer::placement(self.cfg.policy, &g.rt);
                 GroupPlacement {
                     members: g.rt.queries.iter().map(|q| q.id).collect(),
-                    carried_over: old.is_some(),
                     benefit,
                     shared,
                 }

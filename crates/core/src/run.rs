@@ -91,9 +91,6 @@ pub struct GroupRuntime {
     /// Negation constraints indexed by the *negated* type:
     /// `(member, kind)` pairs in local type indices.
     pub negs: Vec<Vec<(usize, LocalNegKind)>>,
-    /// `relevant[type]` = `involved ∪ neg_involved`: the members whose
-    /// graphlets of *other* types a burst of the type deactivates.
-    pub relevant: Vec<QSet>,
     /// `candidates[type]` — the members that may share a burst of the
     /// type (involved, Kleene self-loop, linear skeleton).
     pub candidates: Vec<QSet>,
@@ -116,6 +113,11 @@ pub struct GroupRuntime {
     pub(crate) need: Vec<Vec<u64>>,
     /// Per type, the index of a cell's value in the type's row.
     pub(crate) val: Vec<usize>,
+    /// The lattice identity every `MIN`/`MAX` total starts from (the
+    /// `MIN` one for the other skeletons, whose lattice is unread).
+    mm_identity: MmVal,
+    /// Whether the lattice folds by `MIN` (else `MAX`).
+    is_min: bool,
 }
 
 /// [`NegKind`] with local type indices.
@@ -182,9 +184,6 @@ impl GroupRuntime {
             .iter()
             .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
             .collect();
-        let relevant = (0..nt)
-            .map(|tl| tpl.involved[tl] | tpl.neg_involved[tl])
-            .collect();
         let candidates = if group.skeleton.supports_sharing() {
             (0..nt)
                 .map(|tl| tpl.involved[tl] & tpl.self_loop[tl])
@@ -196,6 +195,10 @@ impl GroupRuntime {
             .iter()
             .map(|per_q| (0..k).filter(|&q| !per_q[q].is_empty()).collect())
             .collect();
+        let (mm_identity, is_min) = match group.skeleton {
+            AggSkeleton::MinMax { is_min: false, .. } => (MmVal::MAX_IDENTITY, false),
+            _ => (MmVal::MIN_IDENTITY, true),
+        };
         let mut rt = GroupRuntime {
             template: tpl,
             queries: group.queries.clone(),
@@ -203,7 +206,6 @@ impl GroupRuntime {
             sel,
             edge,
             negs,
-            relevant,
             candidates,
             sel_members,
             edge_members,
@@ -212,6 +214,8 @@ impl GroupRuntime {
             sels: Vec::new(),
             need: Vec::new(),
             val: Vec::new(),
+            mm_identity,
+            is_min,
         };
         rt.repr = (0..nt).map(|tl| rt.resolve_repr(tl)).collect();
         rt.advance = (0..nt)
@@ -497,8 +501,6 @@ impl TypeSet {
 /// open type × every member.
 pub struct Run {
     rt: Arc<GroupRuntime>,
-    k: usize,
-    n_events: u64,
     cum: Vec<Vec<NodeVal>>,
     mm_cum: Vec<Vec<MmVal>>,
     alive_cum: Vec<Vec<bool>>,
@@ -509,8 +511,6 @@ pub struct Run {
     active: Vec<Active>,
     stored: Vec<Vec<StoredEvent>>,
     stats: RunStats,
-    mm_identity: MmVal,
-    is_min: bool,
     open: TypeSet,
     written: TypeSet,
 }
@@ -519,21 +519,8 @@ impl Run {
     /// Creates an empty run.
     pub fn new(rt: Arc<GroupRuntime>) -> Run {
         let nt = rt.template.num_types();
-        let k = rt.k();
-        let (mm_identity, is_min) = match rt.skeleton {
-            AggSkeleton::MinMax { is_min, .. } => (
-                if is_min {
-                    MmVal::MIN_IDENTITY
-                } else {
-                    MmVal::MAX_IDENTITY
-                },
-                is_min,
-            ),
-            _ => (MmVal::MIN_IDENTITY, true),
-        };
+        let (k, mm_identity) = (rt.k(), rt.mm_identity);
         Run {
-            k,
-            n_events: 0,
             cum: vec![vec![NodeVal::ZERO; k]; nt],
             mm_cum: vec![vec![mm_identity; k]; nt],
             alive_cum: vec![vec![false; k]; nt],
@@ -551,8 +538,6 @@ impl Run {
             stored: (0..nt).map(|_| Vec::new()).collect(),
             stats: RunStats::default(),
             rt,
-            mm_identity,
-            is_min,
             open: TypeSet::empty(nt),
             written: TypeSet::empty(nt),
         }
@@ -564,10 +549,9 @@ impl Run {
     /// re-using it allocates nothing.
     pub(crate) fn recycle(&mut self) {
         let nt = self.active.len();
-        self.n_events = 0;
         for ty in self.written.iter(nt) {
             self.cum[ty].fill(NodeVal::ZERO);
-            self.mm_cum[ty].fill(self.mm_identity);
+            self.mm_cum[ty].fill(self.rt.mm_identity);
             self.alive_cum[ty].fill(false);
         }
         self.start_blocked.fill(false);
@@ -599,11 +583,6 @@ impl Run {
     /// The group runtime the run evaluates.
     pub fn runtime(&self) -> &GroupRuntime {
         &self.rt
-    }
-
-    /// Events processed so far (`n`).
-    pub fn n_events(&self) -> u64 {
-        self.n_events
     }
 
     /// Run statistics.
@@ -639,7 +618,7 @@ impl Run {
         // (Algorithm 1 lines 4–6). Conservative: type relevance, not
         // per-event match, triggers deactivation — early closure is always
         // correct, it only forgoes some sharing.
-        let relevant = rt.relevant[tl];
+        let relevant = tpl.involved[tl] | tpl.neg_involved[tl];
         for ty in self.open.iter(tpl.num_types()).filter(|&ty| ty != tl) {
             let shared = self.active[ty].shared.as_ref();
             if shared.is_some_and(|sh| sh.members.intersects(&relevant)) {
@@ -687,7 +666,6 @@ impl Run {
             // hold by construction.
             Burst::Cells(_) | Burst::Count(_) => self.advance_closed_form(&rt, tl, b, share),
         }
-        self.n_events += b;
         self.stats.events += b;
     }
 
@@ -758,12 +736,12 @@ impl Run {
             let self_loop = tpl.self_loop[tl].contains(q);
             // Lattice predecessors in closed graphlets (the active one of
             // this type is folded in per event).
-            let (mut mm_ext, mut alive_ext) = (self.mm_identity, start);
+            let (mut mm_ext, mut alive_ext) = (self.rt.mm_identity, start);
             for &p in &tpl.pt[tl][q] {
-                mm_ext.fold(self.mm_cum[p][q].0, self.is_min);
+                mm_ext.fold(self.mm_cum[p][q].0, self.rt.is_min);
                 alive_ext |= self.alive_cum[p][q];
             }
-            let is_min = self.is_min;
+            let is_min = self.rt.is_min;
             let solo = &mut self.active[tl].solo[q];
             for c in cells.iter().filter(|c| c.mask.contains(q)) {
                 let mut pred = ext;
@@ -982,7 +960,7 @@ impl Run {
     fn open_solo(&mut self, tl: usize, q: usize) {
         let a = &mut self.active[tl];
         if a.solos.insert(q) {
-            a.solo[q] = SoloGraphlet::new(self.mm_identity);
+            a.solo[q] = SoloGraphlet::new(self.rt.mm_identity);
             self.open.add(tl);
             self.stats.graphlets += 1;
         }
@@ -1016,7 +994,7 @@ impl Run {
         for q in closing.iter() {
             let solo = &self.active[tl].solo[q];
             self.cum[tl][q].add(solo.sum);
-            self.mm_cum[tl][q].fold(solo.mm.0, self.is_min);
+            self.mm_cum[tl][q].fold(solo.mm.0, self.rt.is_min);
             self.alive_cum[tl][q] |= solo.alive;
         }
         self.written.add(tl);
@@ -1060,7 +1038,7 @@ impl Run {
     /// Closes all graphlets and returns the per-member window outputs
     /// (Eq. 3 over end-type totals, minus trailing-negation blocks).
     pub fn finalize(&mut self) -> Vec<MemberOutput> {
-        let mut out = Vec::with_capacity(self.k);
+        let mut out = Vec::with_capacity(self.rt.k());
         self.finalize_into(&mut out);
         out
     }
@@ -1075,13 +1053,13 @@ impl Run {
         }
         let tpl = &self.rt.template;
         out.clear();
-        out.extend((0..self.k).map(|q| {
+        out.extend((0..tpl.k).map(|q| {
             let mut raw = NodeVal::ZERO;
-            let mut mm = self.mm_identity;
+            let mut mm = self.rt.mm_identity;
             for ty in self.written.iter(nt) {
                 if tpl.end[ty].contains(q) {
                     raw.add(self.cum[ty][q]);
-                    mm.fold(self.mm_cum[ty][q].0, self.is_min);
+                    mm.fold(self.mm_cum[ty][q].0, self.rt.is_min);
                 }
             }
             MemberOutput {
@@ -1099,7 +1077,7 @@ impl Run {
     /// receives it from the freshly compiled engine and only the mutable
     /// state travels.
     pub(crate) fn encode(&self, e: &mut Enc) {
-        (self.k, self.rt.template.num_types(), self.n_events).encode(e);
+        (self.rt.k(), self.rt.template.num_types(), self.stats.events).encode(e);
         self.cum.iter().flatten().for_each(|v| v.encode(e));
         self.mm_cum.iter().flatten().for_each(|v| v.encode(e));
         self.alive_cum.iter().flatten().for_each(|v| v.encode(e));
@@ -1126,21 +1104,21 @@ impl Run {
     /// (freshly compiled) runtime. What the record holds is decoded
     /// plainly, then checked against that runtime — its shape, and every
     /// snapshot id against the restored table — before anything indexes
-    /// by it. The record does not say which types' totals it wrote, so the
+    /// by it. The header's event count only repeats the trailing
+    /// `RunStats::events`, so a record where the two disagree is corrupt.
+    /// The record does not say which types' totals it wrote, so the
     /// decoded run counts every type as written; `open` and each type's
     /// open members follow exactly from the graphlets it holds.
     pub(crate) fn decode(d: &mut Dec<'_>, rt: Arc<GroupRuntime>) -> Result<Run, CheckpointError> {
         let mut run = Run::new(rt);
         run.written = TypeSet(u64::MAX);
-        let nt = run.rt.template.num_types();
-        let (k_enc, nt_enc, n_events): (usize, usize, u64) = Codec::decode(d)?;
-        if k_enc != run.k || nt_enc != nt {
+        let (k, nt) = (run.rt.k(), run.rt.template.num_types());
+        let (k_enc, nt_enc, events): (usize, usize, u64) = Codec::decode(d)?;
+        if k_enc != k || nt_enc != nt {
             return Err(CheckpointError::WorkloadMismatch(format!(
-                "run shape ({k_enc} members × {nt_enc} types) vs compiled ({} × {nt})",
-                run.k
+                "run shape ({k_enc} members × {nt_enc} types) vs compiled ({k} × {nt})"
             )));
         }
-        run.n_events = n_events;
         decode_into(d, run.cum.iter_mut().flatten())?;
         decode_into(d, run.mm_cum.iter_mut().flatten())?;
         decode_into(d, run.alive_cum.iter_mut().flatten())?;
@@ -1149,7 +1127,7 @@ impl Run {
         run.gap_blocked.extend(gaps);
         decode_into(d, &mut run.result_blocked)?;
         run.snaps = Codec::decode(d)?;
-        run.snaps.check_arity(run.k)?;
+        run.snaps.check_arity(k)?;
         let num_snaps = run.snaps.len();
         for (ty, a) in run.active.iter_mut().enumerate() {
             a.shared = Codec::decode(d)?;
@@ -1171,6 +1149,12 @@ impl Run {
             per_ty.iter().try_for_each(|se| se.check_snaps(num_snaps))?;
         }
         run.stats = Codec::decode(d)?;
+        if run.stats.events != events {
+            return Err(CheckpointError::Corrupt(format!(
+                "run header counts {events} events, its stats {}",
+                run.stats.events
+            )));
+        }
         Ok(run)
     }
 
@@ -1178,7 +1162,7 @@ impl Run {
     /// events, snapshot expressions, snapshot values, per-member totals).
     pub fn mem_bytes(&self) -> usize {
         let mut b = std::mem::size_of::<Run>();
-        b += self.cum.len() * self.k * std::mem::size_of::<NodeVal>() * 3; // cum + mm + alive (approx)
+        b += self.cum.len() * self.rt.k() * std::mem::size_of::<NodeVal>() * 3; // cum + mm + alive (approx)
         b += self.snaps.mem_bytes();
         for a in self.open.iter(self.active.len()).map(|ty| &self.active[ty]) {
             if let Some(sh) = &a.shared {
@@ -1264,7 +1248,7 @@ mod tests {
             fast.process_burst(*ty, burst, share);
             slow.process_burst_slow(*ty, burst, share);
         }
-        assert_eq!(fast.n_events(), slow.n_events());
+        assert_eq!(fast.stats().events, slow.stats().events);
         assert_eq!(fast.stats().events, slow.stats().events);
         assert_eq!(fast.stats().graphlets, slow.stats().graphlets);
         let bytes = |r: &Run| {
@@ -1440,7 +1424,7 @@ mod tests {
                 prop_assert!(terms <= 3);
                 prop_assert_eq!(shared(&fast), shared(&slow));
             }
-            prop_assert_eq!(fast.n_events(), slow.n_events());
+            prop_assert_eq!(fast.stats().events, slow.stats().events);
             let (f, s) = (*fast.stats(), *slow.stats());
             prop_assert!(f.event_snapshots <= s.event_snapshots);
             prop_assert_eq!(
@@ -1514,15 +1498,15 @@ mod tests {
             let nt = self.active.len();
             for ty in 0..nt {
                 self.close_shared(ty);
-                self.close_solos(ty, QSet::all(self.k));
+                self.close_solos(ty, QSet::all(self.rt.k()));
             }
             let tpl = &self.rt.template;
-            (0..self.k)
+            (0..tpl.k)
                 .map(|q| {
-                    let (mut raw, mut mm) = (NodeVal::ZERO, self.mm_identity);
+                    let (mut raw, mut mm) = (NodeVal::ZERO, self.rt.mm_identity);
                     for ty in (0..nt).filter(|&ty| tpl.end[ty].contains(q)) {
                         raw.add(self.cum[ty][q]);
-                        mm.fold(self.mm_cum[ty][q].0, self.is_min);
+                        mm.fold(self.mm_cum[ty][q].0, self.rt.is_min);
                     }
                     let raw = raw.minus(self.result_blocked[q]);
                     MemberOutput { raw, mm: mm.0 }

@@ -68,14 +68,14 @@ impl Run {
     /// Lattice predecessor fold for member `q` at type `tl`.
     fn mm_pred(&self, tl: usize, q: usize) -> (MmVal, bool) {
         let tpl = &self.rt.template;
-        let mut mm = self.mm_identity;
+        let mut mm = self.rt.mm_identity;
         let mut alive = false;
         for &p in &tpl.pt[tl][q] {
-            mm.fold(self.mm_cum[p][q].0, self.is_min);
+            mm.fold(self.mm_cum[p][q].0, self.rt.is_min);
             alive |= self.alive_cum[p][q];
             if p == tl && self.active[p].solos.contains(q) {
                 let solo = &self.active[p].solo[q];
-                mm.fold(solo.mm.0, self.is_min);
+                mm.fold(solo.mm.0, self.rt.is_min);
                 alive |= solo.alive;
             }
         }
@@ -105,14 +105,14 @@ impl Run {
 
     /// Lattice variant of [`Run::scan_pred`].
     fn scan_mm(&self, tl: usize, q: usize, e: &Event) -> (MmVal, bool) {
-        let mut mm = self.mm_identity;
+        let mut mm = self.rt.mm_identity;
         let mut alive = false;
         for se in &self.stored[tl] {
             if !self.rt.edge_holds(tl, q, &se.event, e) {
                 continue;
             }
             if let Some((_, sv)) = se.mm.iter().find(|(m, _)| *m as usize == q) {
-                mm.fold(sv.0, self.is_min);
+                mm.fold(sv.0, self.rt.is_min);
                 alive = true;
             }
         }
@@ -159,7 +159,7 @@ impl Run {
                 pred
             } else {
                 // Event-level snapshot (Def. 9): per-member numeric values.
-                let mut vals = vec![NodeVal::ZERO; self.k];
+                let mut vals = vec![NodeVal::ZERO; rt.k()];
                 for q in accepting.iter() {
                     let mut pred = self.snaps.value(sh.x, q);
                     if !rt.edge[tl][q].is_empty() {
@@ -202,7 +202,7 @@ impl Run {
             let val = NodeVal::propagate(pred, start, w, is_target);
 
             // Lattice propagation for MIN/MAX members.
-            let mut mmv = self.mm_identity;
+            let mut mmv = rt.mm_identity;
             let mut alive_out = false;
             if let AggSkeleton::MinMax { ty, attr, .. } = &rt.skeleton {
                 let (mut mm, mut alive) = if has_edge {
@@ -214,7 +214,7 @@ impl Run {
                 if alive {
                     if e.ty == *ty {
                         if let Some(v) = e.attr(*attr) {
-                            mm.fold(v.as_f64(), self.is_min);
+                            mm.fold(v.as_f64(), rt.is_min);
                         }
                     }
                     mmv = mm;
@@ -224,7 +224,7 @@ impl Run {
 
             let solo = &mut self.active[tl].solo[q];
             solo.sum.add(val);
-            solo.mm.fold(mmv.0, self.is_min);
+            solo.mm.fold(mmv.0, rt.is_min);
             solo.alive |= alive_out;
             solo.size += 1;
             if store_needed {

@@ -334,26 +334,6 @@ impl MergedTemplate {
         self.types.len()
     }
 
-    /// Average number of predecessor types per type per query — the cost
-    /// factor `p` of Table 2.
-    pub fn avg_pred_types(&self) -> f64 {
-        let mut total = 0usize;
-        let mut cells = 0usize;
-        for per_type in &self.pt {
-            for preds in per_type {
-                if !preds.is_empty() {
-                    total += preds.len();
-                    cells += 1;
-                }
-            }
-        }
-        if cells == 0 {
-            0.0
-        } else {
-            total as f64 / cells as f64
-        }
-    }
-
     /// The transition relation with query-set labels, for inspection and
     /// tests (Fig. 3(b)).
     pub fn labeled_edges(&self) -> BTreeMap<(EventTypeId, EventTypeId), Vec<usize>> {
@@ -471,7 +451,6 @@ mod tests {
         assert!(m.start[m.local(A).unwrap()].contains(0));
         assert!(!m.start[m.local(A).unwrap()].contains(1));
         assert!(m.end[bl].contains(0) && m.end[bl].contains(1));
-        assert!(m.avg_pred_types() > 0.0);
         assert_eq!(m.num_types(), 3);
     }
 

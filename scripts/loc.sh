@@ -9,10 +9,11 @@
 # five largest files by the same measure follow the table: that is where
 # "no module a newcomer cannot hold" stays visible.
 #
-# `--check` makes it a ratchet: it fails when the total exceeds the number
-# committed in scripts/loc.ceiling. A PR that must add lines raises the
-# ceiling in its own diff, where a reviewer sees it; one that removes
-# lines lowers it.
+# `--check` makes it a ratchet: it fails unless the total equals the
+# number committed in scripts/loc.ceiling. A PR that must add lines raises
+# the ceiling in its own diff, where a reviewer sees it; one that removes
+# lines lowers it there too, so a deletion cannot leave slack for the next
+# change to spend unseen.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -46,5 +47,9 @@ if [ "${1:-}" = "--check" ]; then
         printf 'loc: total %d exceeds scripts/loc.ceiling (%d)\n' "$total" "$ceiling" >&2
         exit 1
     fi
-    printf 'loc: total %d within scripts/loc.ceiling (%d)\n' "$total" "$ceiling"
+    if [ "$total" -lt "$ceiling" ]; then
+        printf 'loc: total %d is below scripts/loc.ceiling (%d): lower it\n' "$total" "$ceiling" >&2
+        exit 1
+    fi
+    printf 'loc: total %d equals scripts/loc.ceiling\n' "$total"
 fi

@@ -5,7 +5,9 @@
 //! the fixture workload (`HMEN` v4–v6 blobs, `HMDL` v1–v3 chains) and
 //! from containers packed around one. The estimator sections older
 //! records carry, which the reader checks and drops, are also damaged
-//! by hand: out-of-range, mis-shaped, and spliced into a current record. The query parser gets the same treatment over
+//! by hand: out-of-range, mis-shaped, and spliced into a current record;
+//! so is a current run record's event count, which its header repeats.
+//! The query parser gets the same treatment over
 //! damaged query texts, the bench crate's JSON reader over damaged
 //! `--metrics-json` and `BENCH_20.json` lines, and `DirStore::load_chain`
 //! over damaged record file names; both text readers also climb a
@@ -31,7 +33,7 @@ use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 thread_local! {
     /// Largest single block this thread has asked for since last reset.
@@ -214,6 +216,49 @@ fn damaged_estimator_sections_are_errors() {
 
     let spliced = [&v6[..first], &v5[first..first + len], &v6[first..]].concat();
     rejected(&[spliced], "a v5 section in a v6 record");
+}
+
+/// A run record opens with `(k, nt, events)` and ends with its
+/// `RunStats`, whose last field counts the same events: a current record
+/// whose header slot disagrees is `Corrupt`, and the restoring engine
+/// keeps the state it had.
+#[test]
+fn a_run_header_that_miscounts_its_events_is_corrupt() {
+    let mut reg = TypeRegistry::new();
+    for ty in ["A", "B"] {
+        reg.register(ty, &["v"]);
+    }
+    let reg = Arc::new(reg);
+    let q = parse_query(&reg, 1, "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 100").unwrap();
+    let mk = || HamletEngine::new(reg.clone(), vec![q.clone()], EngineConfig::default()).unwrap();
+    let event = |ty: &str, t: u64| EventBuilder::new(&reg, reg.type_id(ty).unwrap(), t).build();
+    let mut eng = mk();
+    for (t, ty) in ["A", "B", "B", "B", "A"].into_iter().enumerate() {
+        eng.process(&event(ty, t as u64 + 1));
+    }
+    let record = eng.checkpoint();
+    mk().restore(&record).expect("the record as cut restores");
+
+    // The one run: 1 member × 2 types, 4 events replayed (the last `A`
+    // is the pending burst).
+    let header: Vec<u8> = [1u64, 2, 4].iter().flat_map(|v| v.to_le_bytes()).collect();
+    let at: Vec<usize> = (0..record.len().saturating_sub(23))
+        .filter(|&i| record[i..i + 24] == header[..])
+        .collect();
+    assert_eq!(at.len(), 1, "one run header in the record");
+    let mut miscounted = record;
+    miscounted[at[0] + 16] += 1;
+
+    let mut target = mk();
+    target.process(&event("A", 50));
+    let before = target.checkpoint();
+    let err = target.restore(&miscounted);
+    assert!(matches!(err, Err(CheckpointError::Corrupt(_))), "{err:?}");
+    assert_eq!(target.checkpoint(), before, "the engine is untouched");
+    let chain = [Checkpoint::from_bytes(miscounted).expect("the frame is intact")];
+    let err = target.restore_chain(&chain);
+    assert!(matches!(err, Err(CheckpointError::Corrupt(_))), "{err:?}");
+    assert_eq!(target.checkpoint(), before, "the engine is untouched");
 }
 
 /// An engine restore that succeeded must have produced a state the

@@ -17,7 +17,6 @@ use crate::keyhash::{KeyMap, KeyState};
 use hamlet_obs::Stage;
 use hamlet_types::time::window_end;
 use hamlet_types::{Event, GroupKey, Ts};
-use std::cmp::Reverse;
 use std::time::Instant;
 
 /// One key-grouped bucket of a batch segment: the events (by index into
@@ -245,9 +244,9 @@ impl HamletEngine {
                 _ => events[i].time,
             };
             self.watermark = Some(head_wm);
-            // Span only the drains that will actually pop something —
-            // the per-segment no-op case stays a heap peek.
-            let pops = (self.expiry.peek()).is_some_and(|Reverse(e)| e.end <= head_wm.ticks());
+            // Span only the drains that will actually take something —
+            // the per-segment no-op case stays one comparison.
+            let pops = (self.expiry.min_end()).is_some_and(|end| end <= head_wm.ticks());
             let drain_t = if pops { self.span_start() } else { None };
             let before = out.len();
             self.emit_expired(head_wm, &mut out);
@@ -297,7 +296,7 @@ impl HamletEngine {
 
         // ---- Scan + bucket phase (fold order) --------------------------
         // The segment extends while the running watermark stays strictly
-        // below every pending window end: the expiry heap's minimum plus
+        // below every pending window end: the expiry index's earliest plus
         // the earliest end any admitted event could create a run with.
         // Each event also records the watermark the fold would have seen
         // at it (`wms`: grouping reorders processing, so the late guard
@@ -310,7 +309,7 @@ impl HamletEngine {
         rows.clear();
         let width = plan.row;
         let stride = plan.groups.len();
-        let mut min_end = (self.expiry.peek()).map_or(u64::MAX, |Reverse(e)| e.end);
+        let mut min_end = self.expiry.min_end().unwrap_or(u64::MAX);
         let mut wm = head_wm.ticks();
         let mut n_routed = 0u64;
         let mut j = first;

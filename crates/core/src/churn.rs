@@ -213,7 +213,8 @@ impl HamletEngine {
                 continue;
             }
             self.groups[oi].partitions.clear();
-            finished.extend(self.groups[oi].slab.live().map(|h| (oi as u32, h)));
+            let slab = &self.groups[oi].slab;
+            finished.extend(slab.live().map(|h| slab.entry(oi as u32, h)));
         }
         let mut drained = Vec::new();
         self.finalize_finished(&mut finished, &mut drained);

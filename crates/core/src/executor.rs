@@ -19,7 +19,7 @@
 
 use crate::batch::BatchScratch;
 use crate::burst::{compile_groups, Selections};
-use crate::expiry::{ExpiryEntry, RunSlab, Runs};
+use crate::expiry::{ExpiryEntry, ExpiryIndex, RunSlab, Runs};
 use crate::general::{self, CombineKind};
 use crate::keyhash::{KeyMap, KeyState};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
@@ -30,8 +30,7 @@ use crate::workload::{self, WorkloadError};
 use hamlet_obs::{GroupMetrics, SpanRecorder, SpanStart, Stage};
 use hamlet_query::{AggFunc, Query, QueryId, Window};
 use hamlet_types::{AttrValue, Event, GroupKey, Ts, TypeRegistry};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -353,15 +352,15 @@ pub struct HamletEngine {
     pub(crate) groups: Vec<GroupState>,
     /// (combiner, key, window) → the half that arrived first.
     pub(crate) pending: KeyMap<PendingSlot, (QueryId, u64)>,
-    /// Watermark expiration index: min-heap over the window ends of every
-    /// live run, across all groups (see [`ExpiryEntry`]).
-    pub(crate) expiry: BinaryHeap<Reverse<ExpiryEntry>>,
+    /// Watermark expiration index: every live run, across all groups,
+    /// in a bucket of its window end (see [`ExpiryIndex`]).
+    pub(crate) expiry: ExpiryIndex,
     /// Byte-accounted size of the live runs, kept by deltas where it
     /// changes (see [`Self::state_bytes`]).
     pub(crate) run_bytes: usize,
     /// Reused buffers of `emit_expired`: the expired runs of one drain,
     /// and one run's member outputs — scratch only.
-    pub(crate) finished: Vec<(u32, u32)>,
+    pub(crate) finished: Vec<ExpiryEntry>,
     pub(crate) outputs: Vec<MemberOutput>,
     /// Reused buffer of `emit_expired`: the arrival stamps of one drain's
     /// runs, sampled together when it ends — scratch only.
@@ -418,7 +417,7 @@ impl HamletEngine {
                 .map(|_| GroupState::new(keys))
                 .collect(),
             pending: KeyMap::with_hasher(keys),
-            expiry: BinaryHeap::new(),
+            expiry: ExpiryIndex::default(),
             run_bytes: 0,
             finished: Vec::new(),
             outputs: Vec::new(),
@@ -1174,17 +1173,17 @@ mod tests {
         let stats = eng.stats();
         assert!(stats.expiry_pushes > 0, "runs were indexed");
         assert_eq!(stats.expiry_tombstones, 0, "no out-of-band drains");
-        assert_eq!(eng.expiry_index_len(), 0, "flush drained the heap");
+        assert_eq!(eng.expiry_index_len(), 0, "flush drained the index");
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(16))]
 
-        /// The heap-indexed expiry is bit-identical — per process() call
-        /// and at flush — to the old full-partition scan (kept in
+        /// The bucketed expiry index is bit-identical — per process()
+        /// call and at flush — to the old full-partition scan (kept in
         /// `crate::reference` as the oracle).
         #[test]
-        fn heap_expiry_matches_scan_oracle(
+        fn bucketed_expiry_matches_scan_oracle(
             seed in 0u64..10_000,
             within in 4u64..20,
             slide_div in 1u64..4,
@@ -1200,7 +1199,7 @@ mod tests {
                 q2.group_by = vec![Arc::from("g")];
                 HamletEngine::new(reg.clone(), vec![q1, q2], EngineConfig::default()).unwrap()
             };
-            let mut heap_eng = mk();
+            let mut indexed_eng = mk();
             let mut scan_eng = mk();
             // Deterministic pseudo-random stream from the seed (xorshift).
             let mut s = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).max(1);
@@ -1220,9 +1219,9 @@ mod tests {
                 };
                 let g = (step() % keys as u64) as i64;
                 let e = ev(&reg, ty, t, g, 0.0);
-                prop_assert_eq!(heap_eng.process(&e), scan_eng.process_scan_expiry(&e));
+                prop_assert_eq!(indexed_eng.process(&e), scan_eng.process_scan_expiry(&e));
             }
-            prop_assert_eq!(heap_eng.flush(), scan_eng.flush_scan_expiry());
+            prop_assert_eq!(indexed_eng.flush(), scan_eng.flush_scan_expiry());
         }
     }
 
@@ -1606,10 +1605,10 @@ mod tests {
         assert_eq!(mixed.flush(), fold.flush());
     }
 
-    /// Direct evidence for the O(P)→O(log n) claim: at high partition
+    /// Direct evidence for the O(P)→O(k) claim: at high partition
     /// cardinality the indexed expiry path beats the old full scan by a
     /// wide margin, because the scan pays O(live partitions) on every
-    /// event while the heap pays O(1) when nothing expires.
+    /// event while the index pays one comparison when nothing expires.
     #[test]
     #[ignore = "slow tier: expiry-cost scaling; run with `cargo test --release -- --ignored`"]
     fn indexed_expiry_beats_full_scan_at_high_cardinality() {

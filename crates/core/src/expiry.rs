@@ -4,7 +4,7 @@
 //! A run occupies a slot of its share group's `RunSlab` and is known
 //! everywhere else by that slot's handle: its key's `Runs` list, the
 //! expiration index. It is indexed once, when its first event creates it
-//! (`Partition::run_at`); `HamletEngine::emit_expired` pops exactly
+//! (`Partition::run_at`); `HamletEngine::emit_expired` takes exactly
 //! the runs whose window end the watermark has passed, finalizes them in
 //! the canonical `(window_start, group, key)` order, renders one result
 //! per member query — pairing the two halves of a decomposed general
@@ -22,30 +22,83 @@ use hamlet_obs::{GroupMetrics, Stage};
 use hamlet_query::QueryId;
 use hamlet_types::time::window_end;
 use hamlet_types::{GroupKey, TrendVal, Ts};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One live run in the watermark expiration index.
-///
-/// The engine keeps a min-heap of these ordered by `(end, start, group,
-/// handle)` — integers only: `emit_expired(wm)` pops exactly the runs
-/// whose window end has passed `wm` — O(k log n) for k expirations —
-/// instead of scanning every live partition of every group per event. An
-/// entry is pushed once per run creation; if the run is gone by the time
-/// its entry surfaces (lazy invalidation) the pop is a tombstone and is
-/// skipped.
-#[derive(PartialEq, Eq, PartialOrd, Ord)]
+/// One live run in the watermark expiration index, filed under its
+/// window end: four integers, enough to emit it in the canonical
+/// `(window_start, group, key)` order without reading its key — `ord`
+/// is the key's [`GroupKey::order_prefix`], computed once when the run is
+/// created, so only runs whose keys share a prefix are compared through
+/// the slab. If the run is gone by the time its bucket comes due (lazy
+/// invalidation) the entry is a tombstone and is skipped.
+#[derive(Clone, Copy)]
 pub(crate) struct ExpiryEntry {
-    /// Window end (`start + within`, saturating — see [`window_end`]).
-    pub(crate) end: u64,
     /// Window instance start.
     start: u64,
+    /// The run's key as [`GroupKey::order_prefix`].
+    ord: u64,
     /// Owning share group index.
     group: u32,
     /// The run's slot in the group's [`RunSlab`].
     handle: u32,
+}
+
+/// The watermark expiration index: every live run's [`ExpiryEntry`] in a
+/// bucket of its window end, the buckets ascending by end. Window ends
+/// lie on the workload's window grid, so the open buckets number at most
+/// the longest window over the grid, plus one, and a new run's end is
+/// almost always the last bucket's: a push is a compare and an append. A
+/// drain takes the due buckets whole — O(1) when nothing is due, the
+/// common per-segment case — and hands their vectors back for later
+/// buckets to reuse.
+#[derive(Default)]
+pub(crate) struct ExpiryIndex {
+    /// `(window end, entries)`, ascending by end; none is empty.
+    buckets: VecDeque<(u64, Vec<ExpiryEntry>)>,
+    /// Emptied bucket vectors, capacity kept.
+    spare: Vec<Vec<ExpiryEntry>>,
+}
+
+impl ExpiryIndex {
+    /// Files `entry` under window end `end`.
+    fn push(&mut self, end: u64, entry: ExpiryEntry) {
+        // Ascending ends: the bucket is found from the back.
+        let at = self.buckets.iter().rposition(|b| b.0 <= end);
+        if let Some(at) = at.filter(|&at| self.buckets[at].0 == end) {
+            self.buckets[at].1.push(entry);
+            return;
+        }
+        let mut bucket = self.spare.pop().unwrap_or_default();
+        bucket.push(entry);
+        self.buckets
+            .insert(at.map_or(0, |at| at + 1), (end, bucket));
+    }
+
+    /// The earliest window end of any entry.
+    pub(crate) fn min_end(&self) -> Option<u64> {
+        self.buckets.front().map(|b| b.0)
+    }
+
+    /// Entries held, tombstones included.
+    pub(crate) fn len(&self) -> usize {
+        self.buckets.iter().map(|b| b.1.len()).sum()
+    }
+
+    /// Takes the next bucket whose window end is at or before `wm`.
+    fn pop_due(&mut self, wm: u64) -> Option<Vec<ExpiryEntry>> {
+        if self.min_end()? > wm {
+            return None;
+        }
+        self.buckets.pop_front().map(|b| b.1)
+    }
+
+    /// Hands a drained bucket's vector back.
+    fn recycle(&mut self, mut bucket: Vec<ExpiryEntry>) {
+        bucket.clear();
+        self.spare.push(bucket);
+    }
 }
 
 /// Entries a key's run list holds in place; tumbling and moderately
@@ -162,6 +215,17 @@ impl RunSlab {
         (0..self.slots.len() as u32).filter(|&h| self.slots[h as usize].live)
     }
 
+    /// The expiration-index entry of live run `handle` of group `group`.
+    pub(crate) fn entry(&self, group: u32, handle: u32) -> ExpiryEntry {
+        let slot = self.get(handle);
+        ExpiryEntry {
+            start: slot.start,
+            ord: slot.key.order_prefix(),
+            group,
+            handle,
+        }
+    }
+
     /// Puts a run for `(key, start)` in a slot — `decoded` if given, else
     /// an empty one: a recycled slot's if there is one, a new
     /// [`RunState::new`] over `rt` otherwise.
@@ -228,7 +292,7 @@ pub(crate) struct Partition<'a> {
     pub(crate) group: usize,
     pub(crate) key: &'a GroupKey,
     pub(crate) rt: &'a Arc<GroupRuntime>,
-    pub(crate) expiry: &'a mut BinaryHeap<Reverse<ExpiryEntry>>,
+    pub(crate) expiry: &'a mut ExpiryIndex,
     pub(crate) obs: Option<&'a mut GroupMetrics>,
 }
 
@@ -236,19 +300,20 @@ impl Partition<'_> {
     /// The run of window instance `[start, end)`, created on first touch
     /// — the one moment a run is indexed for expiry and enters the byte
     /// count. Re-touching an existing `(key, start)` finds its handle, so
-    /// the heap never holds duplicate live entries.
+    /// the index never holds duplicate live entries.
     pub(crate) fn run_at(&mut self, start: u64, end: u64, env: &mut FlushEnv<'_>) -> &mut RunState {
         let handle = match self.runs.find(start) {
             Ok(at) => self.runs.as_slice()[at].1,
             Err(at) => {
                 let handle = self.slab.occupy(self.rt, self.key, start, None);
                 self.runs.insert(at, start, handle);
-                self.expiry.push(Reverse(ExpiryEntry {
-                    end,
+                let entry = ExpiryEntry {
                     start,
+                    ord: self.key.order_prefix(),
                     group: self.group as u32,
                     handle,
-                }));
+                };
+                self.expiry.push(end, entry);
                 env.stats.expiry_pushes += 1;
                 *env.bytes += self.slab.get(handle).rs.accounted;
                 if let Some(m) = &mut self.obs {
@@ -261,43 +326,70 @@ impl Partition<'_> {
     }
 }
 
+/// Takes run `(start, handle)` off `key`'s list in `partitions`, and the
+/// key out of the map with its last run; false if the key has none (the
+/// run's index entry is then a tombstone). A tumbling window's key holds
+/// one run at a time, so there the key leaves in one probe.
+fn take_run(
+    partitions: &mut KeyMap<GroupKey, Runs>,
+    key: &GroupKey,
+    (start, handle): (u64, u32),
+    tumbling: bool,
+) -> bool {
+    if tumbling {
+        let runs = partitions.remove(key);
+        debug_assert!(runs
+            .as_ref()
+            .is_none_or(|r| r.as_slice() == [(start, handle)]));
+        return runs.is_some();
+    }
+    let Some(runs) = partitions.get_mut(key) else {
+        return false;
+    };
+    if let Ok(at) = runs.find(start) {
+        runs.remove(at);
+    }
+    if runs.is_empty() {
+        partitions.remove(key);
+    }
+    true
+}
+
 impl HamletEngine {
     /// Emits every window whose end has passed the watermark.
     ///
-    /// Pops the expiration index instead of scanning live partitions:
-    /// O(k log n) for k expirations, O(1) when nothing expires — the
-    /// common per-event case. Emission follows the defined total order
-    /// `(window_start, group, key)`, so single-threaded output is
-    /// deterministic by construction (the same order
-    /// [`sort_results`](crate::sort_results) /
+    /// Takes the due buckets of the expiration index instead of scanning
+    /// live partitions: O(k log k) for k expirations, O(1) when nothing
+    /// expires — the common per-segment case. Emission follows the
+    /// defined total order `(window_start, group, key)`, so
+    /// single-threaded output is deterministic by construction (the same
+    /// order [`sort_results`](crate::sort_results) /
     /// [`crate::parallel::ParallelReport`] guarantee within one window
     /// instance).
     pub(crate) fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
         let wm = watermark.ticks();
         let mut finished = std::mem::take(&mut self.finished);
-        while self.expiry.peek().is_some_and(|Reverse(e)| e.end <= wm) {
-            let Some(Reverse(e)) = self.expiry.pop() else {
-                break;
-            };
-            let g = &mut self.groups[e.group as usize];
-            // Lazy invalidation: skip entries whose run is already gone
-            // (its slot free, or taken by a run of another window).
-            let live =
-                (g.slab.slots.get(e.handle as usize)).filter(|s| s.live && s.start == e.start);
-            let Some((key, runs)) =
-                live.and_then(|s| Some((&s.key, g.partitions.get_mut(&s.key)?)))
-            else {
-                self.stats.expiry_tombstones += 1;
-                continue;
-            };
-            if let Ok(at) = runs.find(e.start) {
-                runs.remove(at);
+        while let Some(bucket) = self.expiry.pop_due(wm) {
+            for &e in &bucket {
+                let gi = e.group as usize;
+                let (g, window) = (&mut self.groups[gi], self.plan.groups[gi].window);
+                // Lazy invalidation: skip entries whose run is already
+                // gone (its slot free, or taken by a run of another
+                // window).
+                let live =
+                    (g.slab.slots.get(e.handle as usize)).filter(|s| s.live && s.start == e.start);
+                let tumbling = window.slide == window.within;
+                let taken = live
+                    .map(|s| &s.key)
+                    .filter(|key| take_run(&mut g.partitions, key, (e.start, e.handle), tumbling));
+                let Some(key) = taken else {
+                    self.stats.expiry_tombstones += 1;
+                    continue;
+                };
+                self.dirty.mark(gi, key);
+                finished.push(e);
             }
-            if runs.is_empty() {
-                g.partitions.remove(key);
-            }
-            self.dirty.mark(e.group as usize, key);
-            finished.push((e.group, e.handle));
+            self.expiry.recycle(bucket);
         }
         self.finalize_finished(&mut finished, out);
         self.finished = finished;
@@ -325,29 +417,38 @@ impl HamletEngine {
         self.settle_orphans(closed, out);
     }
 
-    /// Finalizes a batch of expired runs — `(group, handle)` of runs
-    /// already taken off their keys' lists — emits their results in the
-    /// defined total order `(window_start, group, key)`, and hands their
-    /// slots back. Leaves `finished` empty.
+    /// Finalizes a batch of expired runs — the entries of runs already
+    /// taken off their keys' lists — emits their results in the defined
+    /// total order `(window_start, group, key)`, and hands their slots
+    /// back. Leaves `finished` empty.
+    ///
+    /// The order is the entries' as integers, `(start, group, ord)`: `ord`
+    /// never contradicts the key order, so only runs of one window and
+    /// group whose keys share an `ord` are told apart by their keys.
     pub(crate) fn finalize_finished(
         &mut self,
-        finished: &mut Vec<(u32, u32)>,
+        finished: &mut Vec<ExpiryEntry>,
         out: &mut Vec<WindowResult>,
     ) {
         let groups = &self.groups;
-        finished.sort_by(|&(ga, ha), &(gb, hb)| {
-            let (a, b) = (
-                groups[ga as usize].slab.get(ha),
-                groups[gb as usize].slab.get(hb),
-            );
-            (a.start, ga)
-                .cmp(&(b.start, gb))
-                .then_with(|| a.key.total_cmp(&b.key))
+        finished.sort_unstable_by(|a, b| {
+            (a.start, a.group, a.ord)
+                .cmp(&(b.start, b.group, b.ord))
+                .then_with(|| {
+                    let key = |e: &ExpiryEntry| &groups[e.group as usize].slab.get(e.handle).key;
+                    key(a).total_cmp(key(b))
+                })
         });
+        let plan = &self.plan;
+        out.reserve(
+            (finished.iter())
+                .map(|e| plan.groups[e.group as usize].rt.queries.len())
+                .sum(),
+        );
         let mut outputs = std::mem::take(&mut self.outputs);
         let mut arrivals = std::mem::take(&mut self.arrivals);
-        for (gi, handle) in finished.drain(..) {
-            let gi = gi as usize;
+        for ExpiryEntry { group, handle, .. } in finished.drain(..) {
+            let gi = group as usize;
             let g = &mut self.groups[gi];
             let slot = &mut g.slab.slots[handle as usize];
             // Released below at the bytes it was accounted with.
@@ -534,16 +635,12 @@ impl HamletEngine {
     /// exactly one entry per run, as `process()` maintains — and the byte
     /// count.
     pub(crate) fn rebuild_expiry(&mut self) {
-        self.expiry.clear();
+        self.expiry = ExpiryIndex::default();
         for (group, (g, st)) in (0u32..).zip(self.plan.groups.iter().zip(&self.groups)) {
             for handle in st.slab.live() {
-                let start = st.slab.get(handle).start;
-                self.expiry.push(Reverse(ExpiryEntry {
-                    end: window_end(start, g.window.within),
-                    start,
-                    group,
-                    handle,
-                }));
+                let entry = st.slab.entry(group, handle);
+                self.expiry
+                    .push(window_end(entry.start, g.window.within), entry);
             }
         }
         self.run_bytes = self.walk_run_bytes();
@@ -612,6 +709,93 @@ mod tests {
             runs.remove(0);
         }
         assert!(runs.find(20).is_err());
+    }
+
+    /// An entry is four integers: `state_bytes` counts 24 bytes for each,
+    /// so a wider entry would move every peak-memory reading.
+    #[test]
+    fn an_expiry_entry_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<ExpiryEntry>(), 24);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(24))]
+
+        /// The bucketed drain emits what the by-name reference path does,
+        /// byte for byte, over keys whose order prefixes tie or change
+        /// variant (numeric ties across variants, ints `f64` cannot tell
+        /// apart, signed zeros, NaNs of both signs, strings sharing eight
+        /// bytes, the empty key and two-attribute keys), several groups
+        /// and tumbling and sliding windows.
+        #[test]
+        fn drains_match_the_reference_whatever_the_prefixes_tie(seed in 0u64..u64::MAX) {
+            use hamlet_query::parse_query;
+            use hamlet_types::AttrValue;
+            let mut reg = TypeRegistry::new();
+            let (a, b) = (reg.register("A", &["g", "h"]), reg.register("B", &["g", "h"]));
+            let reg = Arc::new(reg);
+            let texts = [
+                "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 10",
+                "RETURN COUNT(*) PATTERN SEQ(B, A+) GROUP BY g WITHIN 20 SLIDE 5",
+                "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY h, g WITHIN 12 SLIDE 4",
+                "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 15",
+            ];
+            let queries: Vec<Query> = (0u32..).zip(texts)
+                .map(|(id, text)| parse_query(&reg, id, text).unwrap())
+                .collect();
+            let big = 1i64 << 53;
+            let pool = [
+                AttrValue::Int(2),
+                AttrValue::Float(2.0),
+                AttrValue::Int(big),
+                AttrValue::Int(big + 1),
+                AttrValue::Int(-3),
+                AttrValue::Float(0.0),
+                AttrValue::Float(-0.0),
+                AttrValue::Float(f64::NAN),
+                AttrValue::Float(-f64::NAN),
+                AttrValue::from("abcdefgh1"),
+                AttrValue::from("abcdefgh2"),
+                AttrValue::from(""),
+            ];
+            let mut s = seed | 1;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let mut t = 0;
+            let events: Vec<Event> = (0..300)
+                .map(|_| {
+                    t += next() % 2;
+                    let ty = if next().is_multiple_of(3) { a } else { b };
+                    let g = pool[(next() % pool.len() as u64) as usize].clone();
+                    Event::new(Ts(t), ty, vec![g, AttrValue::Int((next() % 2) as i64)])
+                })
+                .collect();
+            let mk = || HamletEngine::new(reg.clone(), queries.clone(), cfg()).unwrap();
+            let (mut eng, mut reference) = (mk(), mk());
+            let mut out = Vec::new();
+            for chunk in events.chunks(1 + (seed % 40) as usize) {
+                let want: Vec<_> = chunk.iter().flat_map(|e| reference.process_reference(e)).collect();
+                let got = eng.process_batch(chunk);
+                proptest::prelude::prop_assert_eq!(&got, &want);
+                out.extend(got);
+            }
+            let last = eng.flush();
+            proptest::prelude::prop_assert_eq!(&last, &reference.flush());
+            out.extend(last);
+            // The order itself, which the reference shares: each window's
+            // keys ascend under `total_cmp`, query by query.
+            for (i, r) in out.iter().enumerate() {
+                let prev = out[..i].iter().rev()
+                    .find(|p| (p.window_start, p.query) == (r.window_start, r.query));
+                if let Some(p) = prev {
+                    proptest::prelude::prop_assert!(p.group_key.total_cmp(&r.group_key).is_lt());
+                }
+            }
+        }
     }
 
     /// Free slots are not state: a record cut beside a warm free list

@@ -29,7 +29,7 @@
 //! [`Feed::flush`] — ride the same FIFOs, so every shard meets each at
 //! the same stream position. Each worker therefore processes ~1/w of the
 //! events against ~1/w of the live partitions and holds ~1/w of the
-//! state. (Window expiry is an index pop, not a scan of live partitions,
+//! state. (Window expiry takes due index buckets, not a scan of live partitions,
 //! so sharding's win comes from core parallelism and per-shard state
 //! locality rather than from dividing an O(P) expiry term.)
 //!

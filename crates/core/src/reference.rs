@@ -146,18 +146,18 @@ impl HamletEngine {
         let mut finished = Vec::new();
         for gi in 0..self.groups.len() {
             let within = self.plan.groups[gi].window.within;
-            for (key, runs) in self.groups[gi].partitions.iter_mut() {
+            let g = &mut self.groups[gi];
+            for (key, runs) in g.partitions.iter_mut() {
                 while let Some(&(start, _)) = runs.as_slice().first() {
                     if window_end(start, within) > watermark.ticks() {
                         break;
                     }
                     self.dirty.mark(gi, key);
-                    finished.push((gi as u32, runs.remove(0)));
+                    let handle = runs.remove(0);
+                    finished.push(g.slab.entry(gi as u32, handle));
                 }
             }
-            self.groups[gi]
-                .partitions
-                .retain(|_, runs| !runs.is_empty());
+            g.partitions.retain(|_, runs| !runs.is_empty());
         }
         self.finalize_finished(&mut finished, out);
     }

@@ -384,3 +384,74 @@ fn twelve_groups_with_selections_are_allocation_lean() {
         "{spent} allocations for {n} events and {results} results (budget 8 313)"
     );
 }
+
+/// Expiry at high cardinality: 10 000 keys recurring Zipf-like
+/// (exponent 0.8, as `rides_highcard_w1` draws them) over tumbling
+/// windows of 100 ticks, 6 000 bursts a window, so every close expires
+/// about 3 000 runs at once. Once warm, three windows allocate no more
+/// than they did under the heap-ordered expiry index (52 880 times for
+/// 8 969 runs and 26 964 results): the result keys, the key clones of a
+/// key first seen in a segment or a window, and the result vectors'
+/// growth — nothing per expiry entry, bucket or sort.
+#[cfg(debug_assertions)]
+#[test]
+fn expiring_ten_thousand_zipf_keys_is_allocation_lean() {
+    use hamlet_core::executor::{EngineConfig, HamletEngine};
+    use hamlet_query::{Pattern, Query, Window};
+    use hamlet_types::{EventBuilder, TypeRegistry};
+    use std::sync::Arc;
+
+    let mut reg = TypeRegistry::new();
+    let b = reg.register("B", &["g"]);
+    let heads = ["A", "C", "D"].map(|name| reg.register(name, &["g"]));
+    let reg = Arc::new(reg);
+    let queries = (heads.iter().zip(1..))
+        .map(|(&head, id)| {
+            let pat = Pattern::seq(vec![Pattern::Type(head), Pattern::plus(Pattern::Type(b))]);
+            let mut q = Query::count_star(id, pat, Window::tumbling(100));
+            q.group_by = vec![Arc::from("g")];
+            q
+        })
+        .collect();
+    let cfg = EngineConfig {
+        track_latency: false,
+        ..EngineConfig::default()
+    };
+    let mut eng = HamletEngine::new(reg.clone(), queries, cfg).unwrap();
+
+    // Per burst a head and two B events of one key, its rank drawn by
+    // inverting the Zipf(0.8) distribution function over 1..=10 000.
+    let mut s = 0x2545_f491_4f6c_dd1d_u64;
+    let mut rank = move || {
+        s ^= s << 13;
+        s ^= s >> 7;
+        s ^= s << 17;
+        let u = (s >> 11) as f64 / (1u64 << 53) as f64;
+        let r = (1.0 + u * (10_000f64.powf(0.2) - 1.0)).powf(5.0);
+        (r as i64).clamp(1, 10_000)
+    };
+    let mut window = |w: u64| -> Vec<_> {
+        (0..6_000u64)
+            .flat_map(|i| {
+                let g = rank();
+                [heads[(i % 3) as usize], b, b].map(move |ty| (ty, g, w * 100 + i / 60))
+            })
+            .map(|(ty, g, t)| EventBuilder::new(&reg, ty, t).attr("g", g).build())
+            .collect()
+    };
+    let feed = |eng: &mut HamletEngine, events: &[_]| -> u64 {
+        let batches = events.chunks(256);
+        batches.map(|c| eng.process_batch(c).len() as u64).sum()
+    };
+    let warm: Vec<_> = (0..3).flat_map(&mut window).collect();
+    feed(&mut eng, &warm);
+    let measured: Vec<_> = (3..6).flat_map(&mut window).collect();
+    let (before, runs_before) = (allocs(), eng.stats().expiry_pushes);
+    let results = feed(&mut eng, &measured);
+    let (spent, runs) = (allocs() - before, eng.stats().expiry_pushes - runs_before);
+    assert_eq!((runs, results), (8_969, 26_964));
+    assert!(
+        spent <= 52_880,
+        "{spent} allocations for {runs} runs and {results} results (budget 52 880)"
+    );
+}

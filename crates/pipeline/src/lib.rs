@@ -675,8 +675,13 @@ impl<Src: Source> Ingest<Src> {
             // settles how the run ends: the source is still pulled dry.
             // The channel is polled only while the handle's flag is up;
             // a request taken leaves it up, so the next pass looks again
-            // until the channel is empty.
-            if self.shared.control_pending.swap(false, Ordering::Acquire) {
+            // until the channel is empty. A relaxed load keeps the locked
+            // swap off the per-event path while the flag is down (8.8–12.1
+            // ns a swap against under 1 ns a load, EXPERIMENTS.md "What
+            // the control flag costs per event"); the swap that takes it
+            // down still acquires what the sender released.
+            let flag = &self.shared.control_pending;
+            if flag.load(Ordering::Relaxed) && flag.swap(false, Ordering::Acquire) {
                 if let Ok(request) = self.control.try_recv() {
                     self.shared.control_pending.store(true, Ordering::Relaxed);
                     end = self.obey(feed, request, true).or(end);

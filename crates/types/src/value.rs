@@ -12,7 +12,7 @@ use std::sync::Arc;
 /// (price, speed, measurements) and strings (request type). Attribute values
 /// are small and cheap to clone; strings are reference-counted since the
 /// same value (e.g. a district name) recurs across many events.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub enum AttrValue {
     /// Signed integer attribute (ids, counts, districts).
     Int(i64),
@@ -65,6 +65,22 @@ impl AttrValue {
             (Str(a), Str(b)) => a.cmp(b),
             (Str(_), _) => std::cmp::Ordering::Greater,
             (_, Str(_)) => std::cmp::Ordering::Less,
+        }
+    }
+}
+
+/// Equality as a partition key needs it: floats compare by their bits,
+/// as [`Hash`] reads them and [`AttrValue::total_cmp`] orders them, so a
+/// NaN is one key with itself (per sign and payload) and `0.0` and `-0.0`
+/// are two. Predicates never ask this; they compare with `total_cmp`.
+impl PartialEq for AttrValue {
+    fn eq(&self, other: &AttrValue) -> bool {
+        use AttrValue::*;
+        match (self, other) {
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.to_bits() == b.to_bits(),
+            (Str(a), Str(b)) => a == b,
+            _ => false,
         }
     }
 }
@@ -155,6 +171,35 @@ impl GroupKey {
             }
         }
         self.0.len().cmp(&other.0.len())
+    }
+
+    /// A word that [`total_cmp`](Self::total_cmp) orders no other way:
+    /// `a < b` implies `a.order_prefix() <= b.order_prefix()`, so keys
+    /// sort by it as integers and only its ties need `total_cmp`. It
+    /// reads the first attribute alone: numbers by the `f64` they
+    /// compare as (the top bit clear), strings by their first bytes (the
+    /// top bit set). The empty key is 0.
+    pub fn order_prefix(&self) -> u64 {
+        /// `f64::total_cmp` as unsigned integer order.
+        fn float_word(x: f64) -> u64 {
+            let b = x.to_bits();
+            if b >> 63 == 1 {
+                !b
+            } else {
+                b | 1 << 63
+            }
+        }
+        match self.0.first() {
+            None => 0,
+            Some(AttrValue::Int(i)) => float_word(*i as f64) >> 1,
+            Some(AttrValue::Float(x)) => float_word(*x) >> 1,
+            Some(AttrValue::Str(s)) => {
+                let mut w = [0u8; 8];
+                let n = s.len().min(8);
+                w[..n].copy_from_slice(&s.as_bytes()[..n]);
+                1 << 63 | u64::from_be_bytes(w) >> 1
+            }
+        }
     }
 }
 
@@ -302,6 +347,13 @@ mod tests {
         let b = AttrValue::Float(1.5);
         assert_eq!(hash_of(&a), hash_of(&b));
         assert_eq!(a, b);
+        // Equal exactly where the hash is: a NaN finds its own partition,
+        // and the two zeros are two.
+        let nan = AttrValue::Float(f64::NAN);
+        assert_eq!(nan, nan.clone());
+        assert_ne!(nan, AttrValue::Float(-f64::NAN));
+        assert_ne!(AttrValue::Float(0.0), AttrValue::Float(-0.0));
+        assert_ne!(AttrValue::Int(2), AttrValue::Float(2.0));
     }
 
     #[test]
@@ -324,6 +376,54 @@ mod tests {
         assert_eq!(ki.total_cmp(&kf), Less);
         assert_eq!(kf.total_cmp(&ki), Greater);
         assert_eq!(ki.total_cmp(&ki.clone()), Equal);
+    }
+
+    /// The prefix never contradicts `total_cmp`, on the keys where it is
+    /// easiest to: numeric ties across variants, ints `f64` cannot tell
+    /// apart, signed zeros, NaNs of both signs, strings that agree on
+    /// their first eight bytes, the empty key and two-attribute keys.
+    #[test]
+    fn order_prefix_is_monotone_under_total_cmp() {
+        let big = 1i64 << 53;
+        let values = [
+            AttrValue::Int(i64::MIN),
+            AttrValue::Int(-3),
+            AttrValue::Int(0),
+            AttrValue::Int(2),
+            AttrValue::Int(big),
+            AttrValue::Int(big + 1),
+            AttrValue::Int(i64::MAX),
+            AttrValue::Float(f64::NAN),
+            AttrValue::Float(-f64::NAN),
+            AttrValue::Float(f64::NEG_INFINITY),
+            AttrValue::Float(-0.0),
+            AttrValue::Float(0.0),
+            AttrValue::Float(2.0),
+            AttrValue::Float(big as f64),
+            AttrValue::from(""),
+            AttrValue::from("a"),
+            AttrValue::from("abcdefgh"),
+            AttrValue::from("abcdefghij"),
+            AttrValue::from("abcdefgi"),
+        ];
+        let mut keys = vec![GroupKey::empty()];
+        for v in &values {
+            keys.push(GroupKey(vec![v.clone()]));
+            for w in &values[..4] {
+                keys.push(GroupKey(vec![v.clone(), w.clone()]));
+            }
+        }
+        for a in &keys {
+            for b in &keys {
+                if a.total_cmp(b).is_lt() {
+                    assert!(a.order_prefix() <= b.order_prefix(), "{a:?} < {b:?}");
+                }
+            }
+        }
+        let k = |v: AttrValue| GroupKey(vec![v]).order_prefix();
+        assert_eq!(k(AttrValue::Int(2)), k(AttrValue::Float(2.0)));
+        assert_eq!(k(AttrValue::Int(big)), k(AttrValue::Int(big + 1)));
+        assert!(k(AttrValue::Int(-3)) < k(AttrValue::Int(2)));
     }
 
     #[test]

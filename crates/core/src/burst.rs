@@ -15,7 +15,7 @@ use crate::agg::{ring_of_attr, MmVal};
 use crate::bitset::QSet;
 use crate::checkpoint::{codec_struct, CheckpointError, Codec, Dec, Enc};
 use crate::executor::{EngineConfig, EngineStats};
-use crate::optimizer::{decide, SharingPolicy};
+use crate::optimizer::decide;
 use crate::run::{BurstCtx, GroupRuntime, Run};
 use crate::workload::{AggSkeleton, ShareGroup};
 use hamlet_query::{CompiledSelection, SelectionPredicate};
@@ -353,30 +353,6 @@ impl GroupRuntime {
                 .for_each(|e| count(cands.iter().filter(|&q| self.selects(tl, q, e)).collect())),
         }
     }
-
-    /// The members `policy` shares `burst` (of local type `tl`) with: the
-    /// plan compiled for a type that advances in closed form, otherwise
-    /// one `decide` on the burst's exact divergence counts, read into the
-    /// reused `ctx`.
-    pub(crate) fn share(
-        &self,
-        tl: usize,
-        policy: SharingPolicy,
-        burst: &Burst<'_>,
-        ctx: &mut BurstCtx,
-    ) -> QSet {
-        if let Some(plans) = self.count_plans[tl] {
-            // A test script draws this decision as it draws any other.
-            #[cfg(test)]
-            if let Some(share) = crate::optimizer::script::draw(self.candidates[tl]) {
-                return share;
-            }
-            return plans[policy as usize];
-        }
-        self.burst_shape_into(tl, ctx);
-        self.divergence(tl, burst, &mut ctx.diverging);
-        decide(policy, ctx, burst.len()).share
-    }
 }
 
 /// One decision in this many is timed; each timed one stands for all of
@@ -556,9 +532,9 @@ impl RunState {
         }
     }
 
-    /// Settles the pending burst, if any: one sharing decision (§4.2,
-    /// [`GroupRuntime::share`]) and one replay. Returns whether there was
-    /// one. `accounted` is left as it was: a run closed by this is
+    /// Settles the pending burst, if any: one sharing decision (§4.2) on
+    /// its exact divergence counts and one replay. Returns whether there
+    /// was one. `accounted` is left as it was: a run closed by this is
     /// released next, which takes `accounted` back out of the engine's
     /// count, so re-measuring it would be thrown away.
     pub(crate) fn settle(&mut self, env: &mut FlushEnv<'_>) -> bool {
@@ -570,7 +546,8 @@ impl RunState {
             BurstRepr::Cells => Burst::Cells(&self.cells),
             BurstRepr::Events => Burst::Events(&self.burst),
         };
-        if burst.is_empty() {
+        let b = burst.len();
+        if b == 0 {
             return false;
         }
         // The clock is read only where `stats.decision_time` is reported,
@@ -582,12 +559,15 @@ impl RunState {
             && env.stats.decisions % DECISION_SAMPLE == DECISION_SAMPLE - 1;
         // hamlet-lint: allow(wallclock) -- decision-time accounting only (stats.decision_time)
         let t0 = timed.then(Instant::now);
-        let share = (self.run.runtime()).share(tl, env.cfg.policy, &burst, env.ctx);
+        let (ctx, rt) = (&mut *env.ctx, self.run.runtime());
+        rt.burst_shape_into(tl, ctx);
+        rt.divergence(tl, &burst, &mut ctx.diverging);
+        let dec = decide(env.cfg.policy, ctx, b);
         if let Some(t0) = t0 {
             env.stats.decision_time += t0.elapsed() * DECISION_SAMPLE as u32;
         }
         env.stats.decisions += 1;
-        self.run.replay(tl, burst, share);
+        self.run.replay(tl, burst, dec.share);
         self.burst.clear();
         self.cells.clear();
         self.burst_count = 0;

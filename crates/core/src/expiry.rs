@@ -48,15 +48,16 @@ pub(crate) struct ExpiryEntry {
 /// The watermark expiration index: every live run's [`ExpiryEntry`] in a
 /// bucket of its window end, the buckets ascending by end. Window ends
 /// lie on the workload's window grid, so the open buckets number at most
-/// the longest window over the grid, plus one, and a new run's end is
-/// almost always the last bucket's: a push is a compare and an append. A
-/// drain takes the due buckets whole — O(1) when nothing is due, the
-/// common per-segment case — and hands their vectors back for later
-/// buckets to reuse.
+/// the longest window over the grid, plus one, and a push finds its
+/// bucket by binary search over them. A drain takes the due buckets
+/// whole — O(1) when nothing is due, the common per-segment case — and
+/// hands their vectors back for later buckets to reuse.
 #[derive(Default)]
 pub(crate) struct ExpiryIndex {
     /// `(window end, entries)`, ascending by end; none is empty.
     buckets: VecDeque<(u64, Vec<ExpiryEntry>)>,
+    /// Entries held across the buckets.
+    len: usize,
     /// Emptied bucket vectors, capacity kept.
     spare: Vec<Vec<ExpiryEntry>>,
 }
@@ -64,16 +65,16 @@ pub(crate) struct ExpiryIndex {
 impl ExpiryIndex {
     /// Files `entry` under window end `end`.
     fn push(&mut self, end: u64, entry: ExpiryEntry) {
-        // Ascending ends: the bucket is found from the back.
-        let at = self.buckets.iter().rposition(|b| b.0 <= end);
-        if let Some(at) = at.filter(|&at| self.buckets[at].0 == end) {
-            self.buckets[at].1.push(entry);
-            return;
+        self.len += 1;
+        let at = self.buckets.partition_point(|b| b.0 < end);
+        match self.buckets.get_mut(at) {
+            Some((e, bucket)) if *e == end => bucket.push(entry),
+            _ => {
+                let mut bucket = self.spare.pop().unwrap_or_default();
+                bucket.push(entry);
+                self.buckets.insert(at, (end, bucket));
+            }
         }
-        let mut bucket = self.spare.pop().unwrap_or_default();
-        bucket.push(entry);
-        self.buckets
-            .insert(at.map_or(0, |at| at + 1), (end, bucket));
     }
 
     /// The earliest window end of any entry.
@@ -83,7 +84,7 @@ impl ExpiryIndex {
 
     /// Entries held, tombstones included.
     pub(crate) fn len(&self) -> usize {
-        self.buckets.iter().map(|b| b.1.len()).sum()
+        self.len
     }
 
     /// Takes the next bucket whose window end is at or before `wm`.
@@ -91,7 +92,9 @@ impl ExpiryIndex {
         if self.min_end()? > wm {
             return None;
         }
-        self.buckets.pop_front().map(|b| b.1)
+        let (_, bucket) = self.buckets.pop_front()?;
+        self.len -= bucket.len();
+        Some(bucket)
     }
 
     /// Hands a drained bucket's vector back.
@@ -326,35 +329,6 @@ impl Partition<'_> {
     }
 }
 
-/// Takes run `(start, handle)` off `key`'s list in `partitions`, and the
-/// key out of the map with its last run; false if the key has none (the
-/// run's index entry is then a tombstone). A tumbling window's key holds
-/// one run at a time, so there the key leaves in one probe.
-fn take_run(
-    partitions: &mut KeyMap<GroupKey, Runs>,
-    key: &GroupKey,
-    (start, handle): (u64, u32),
-    tumbling: bool,
-) -> bool {
-    if tumbling {
-        let runs = partitions.remove(key);
-        debug_assert!(runs
-            .as_ref()
-            .is_none_or(|r| r.as_slice() == [(start, handle)]));
-        return runs.is_some();
-    }
-    let Some(runs) = partitions.get_mut(key) else {
-        return false;
-    };
-    if let Ok(at) = runs.find(start) {
-        runs.remove(at);
-    }
-    if runs.is_empty() {
-        partitions.remove(key);
-    }
-    true
-}
-
 impl HamletEngine {
     /// Emits every window whose end has passed the watermark.
     ///
@@ -372,20 +346,24 @@ impl HamletEngine {
         while let Some(bucket) = self.expiry.pop_due(wm) {
             for &e in &bucket {
                 let gi = e.group as usize;
-                let (g, window) = (&mut self.groups[gi], self.plan.groups[gi].window);
+                let g = &mut self.groups[gi];
                 // Lazy invalidation: skip entries whose run is already
                 // gone (its slot free, or taken by a run of another
                 // window).
                 let live =
                     (g.slab.slots.get(e.handle as usize)).filter(|s| s.live && s.start == e.start);
-                let tumbling = window.slide == window.within;
-                let taken = live
-                    .map(|s| &s.key)
-                    .filter(|key| take_run(&mut g.partitions, key, (e.start, e.handle), tumbling));
-                let Some(key) = taken else {
+                let Some((key, runs)) =
+                    live.and_then(|s| Some((&s.key, g.partitions.get_mut(&s.key)?)))
+                else {
                     self.stats.expiry_tombstones += 1;
                     continue;
                 };
+                if let Ok(at) = runs.find(e.start) {
+                    runs.remove(at);
+                }
+                if runs.is_empty() {
+                    g.partitions.remove(key);
+                }
                 self.dirty.mark(gi, key);
                 finished.push(e);
             }
@@ -439,12 +417,6 @@ impl HamletEngine {
                     key(a).total_cmp(key(b))
                 })
         });
-        let plan = &self.plan;
-        out.reserve(
-            (finished.iter())
-                .map(|e| plan.groups[e.group as usize].rt.queries.len())
-                .sum(),
-        );
         let mut outputs = std::mem::take(&mut self.outputs);
         let mut arrivals = std::mem::take(&mut self.arrivals);
         for ExpiryEntry { group, handle, .. } in finished.drain(..) {
@@ -723,21 +695,25 @@ mod tests {
 
         /// The bucketed drain emits what the by-name reference path does,
         /// byte for byte, over keys whose order prefixes tie or change
-        /// variant (numeric ties across variants, ints `f64` cannot tell
-        /// apart, signed zeros, NaNs of both signs, strings sharing eight
-        /// bytes, the empty key and two-attribute keys), several groups
-        /// and tumbling and sliding windows.
+        /// variant (`Int(2)` beside `Float(2.0)`, ints past 2⁵³ that round
+        /// to one `f64`, signed zeros, NaNs of both signs, strings sharing
+        /// their first eight bytes, the empty key and two-attribute keys),
+        /// several groups and tumbling and sliding windows: each `(window,
+        /// query)`'s keys strictly ascend under `total_cmp`, and every
+        /// value is what the query computes in an engine of its own.
         #[test]
         fn drains_match_the_reference_whatever_the_prefixes_tie(seed in 0u64..u64::MAX) {
             use hamlet_query::parse_query;
             use hamlet_types::AttrValue;
+            use proptest::prelude::{prop_assert, prop_assert_eq};
             let mut reg = TypeRegistry::new();
             let (a, b) = (reg.register("A", &["g", "h"]), reg.register("B", &["g", "h"]));
             let reg = Arc::new(reg);
             let texts = [
                 "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 10",
                 "RETURN COUNT(*) PATTERN SEQ(B, A+) GROUP BY g WITHIN 20 SLIDE 5",
-                "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY h, g WITHIN 12 SLIDE 4",
+                "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g, h WITHIN 10",
+                "RETURN SUM(B.h) PATTERN SEQ(A, B+) GROUP BY h, g WITHIN 12 SLIDE 4",
                 "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 15",
             ];
             let queries: Vec<Query> = (0u32..).zip(texts)
@@ -749,14 +725,19 @@ mod tests {
                 AttrValue::Float(2.0),
                 AttrValue::Int(big),
                 AttrValue::Int(big + 1),
+                AttrValue::Float(big as f64),
                 AttrValue::Int(-3),
+                AttrValue::Int(i64::MIN),
+                AttrValue::Float(-1.5),
                 AttrValue::Float(0.0),
                 AttrValue::Float(-0.0),
                 AttrValue::Float(f64::NAN),
                 AttrValue::Float(-f64::NAN),
+                AttrValue::from(""),
+                AttrValue::from("abcdefgh"),
                 AttrValue::from("abcdefgh1"),
                 AttrValue::from("abcdefgh2"),
-                AttrValue::from(""),
+                AttrValue::from("abcdefgi"),
             ];
             let mut s = seed | 1;
             let mut next = move || {
@@ -766,34 +747,40 @@ mod tests {
                 s
             };
             let mut t = 0;
-            let events: Vec<Event> = (0..300)
+            let events: Vec<Event> = (0..400)
                 .map(|_| {
                     t += next() % 2;
                     let ty = if next().is_multiple_of(3) { a } else { b };
                     let g = pool[(next() % pool.len() as u64) as usize].clone();
-                    Event::new(Ts(t), ty, vec![g, AttrValue::Int((next() % 2) as i64)])
+                    Event::new(Ts(t), ty, vec![g, AttrValue::Int((next() % 3) as i64)])
                 })
                 .collect();
-            let mk = || HamletEngine::new(reg.clone(), queries.clone(), cfg()).unwrap();
-            let (mut eng, mut reference) = (mk(), mk());
+            let mk = |queries: Vec<Query>| HamletEngine::new(reg.clone(), queries, cfg()).unwrap();
+            let (mut eng, mut reference) = (mk(queries.clone()), mk(queries.clone()));
+            prop_assert!(eng.num_groups() >= 4);
             let mut out = Vec::new();
             for chunk in events.chunks(1 + (seed % 40) as usize) {
                 let want: Vec<_> = chunk.iter().flat_map(|e| reference.process_reference(e)).collect();
                 let got = eng.process_batch(chunk);
-                proptest::prelude::prop_assert_eq!(&got, &want);
+                prop_assert_eq!(&got, &want);
                 out.extend(got);
             }
             let last = eng.flush();
-            proptest::prelude::prop_assert_eq!(&last, &reference.flush());
+            prop_assert_eq!(&last, &reference.flush());
             out.extend(last);
-            // The order itself, which the reference shares: each window's
-            // keys ascend under `total_cmp`, query by query.
             for (i, r) in out.iter().enumerate() {
                 let prev = out[..i].iter().rev()
                     .find(|p| (p.window_start, p.query) == (r.window_start, r.query));
                 if let Some(p) = prev {
-                    proptest::prelude::prop_assert!(p.group_key.total_cmp(&r.group_key).is_lt());
+                    prop_assert!(p.group_key.total_cmp(&r.group_key).is_lt(), "{:?} after {:?}", r, p);
                 }
+            }
+            for q in &queries {
+                let mut alone = mk(vec![q.clone()]);
+                let mut own = alone.process_batch(&events);
+                own.extend(alone.flush());
+                let of_q: Vec<&WindowResult> = out.iter().filter(|r| r.query == q.id).collect();
+                prop_assert_eq!(of_q, own.iter().collect::<Vec<_>>(), "query {:?}", q.id);
             }
         }
     }

@@ -24,7 +24,6 @@ pub(crate) mod script;
 pub use benefit::{benefit, nonshared_cost, shared_cost, solo_member_cost, CostFactors};
 pub use queryset::Decision;
 
-use crate::bitset::QSet;
 use crate::run::{BurstCtx, GroupRuntime};
 use queryset::Pricing;
 
@@ -50,29 +49,10 @@ pub fn decide(policy: SharingPolicy, ctx: &BurstCtx, burst_len: u64) -> Decision
             estimated_benefit: 0.0,
         };
     }
-    priced(policy, ctx, burst_len)
-}
-
-/// [`decide`] by the prices alone.
-fn priced(policy: SharingPolicy, ctx: &BurstCtx, burst_len: u64) -> Decision {
     if ctx.candidates.len() < 2 || policy == SharingPolicy::NeverShare {
         return Decision::default();
     }
     Pricing::new(ctx, burst_len).decide(policy)
-}
-
-/// What each policy decides for every burst of local type `tl` of `rt`,
-/// a type that advances in closed form, in declaration order (`policy
-/// as usize`). Nothing diverges in such a burst — no candidate has a
-/// selection on the type or an edge predicate — and a count burst's two
-/// plans, all or nobody, are priced by fixed terms alone (`benefit.rs`),
-/// so one nominal burst stands for every burst the group will see.
-pub(crate) fn count_plans(rt: &GroupRuntime, tl: usize) -> [QSet; 3] {
-    use SharingPolicy::*;
-    let mut ctx = BurstCtx::default();
-    rt.burst_shape_into(tl, &mut ctx);
-    debug_assert_eq!(ctx.repr, crate::burst::BurstRepr::Count);
-    [Dynamic, AlwaysShare, NeverShare].map(|policy| priced(policy, &ctx, NOMINAL_BURST).share)
 }
 
 /// The burst a placement prices: nominal, since a group is placed before

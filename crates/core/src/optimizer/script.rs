@@ -25,7 +25,7 @@ pub(crate) fn scripted<R>(seed: u64, f: impl FnOnce() -> R) -> R {
 
 /// The next scripted sharing set for a burst with `candidates`, if a
 /// script runs: nobody, everybody, or a random subset, a third each.
-pub(crate) fn draw(candidates: QSet) -> Option<QSet> {
+pub(super) fn draw(candidates: QSet) -> Option<QSet> {
     let mut s = SCRIPT.get()?;
     let mut next = || {
         s ^= s << 13;

@@ -64,7 +64,6 @@ use crate::bitset::QSet;
 use crate::burst::{Burst, BurstRepr, Cell, Selections};
 use crate::checkpoint::{codec_struct, decode_into, CheckpointError, Codec, Dec, Enc};
 use crate::expr::{LinearExpr, SnapId};
-use crate::optimizer;
 use crate::snapshot::SnapTable;
 use crate::template::{MergedTemplate, NegKind};
 use crate::workload::{AggSkeleton, ShareGroup};
@@ -105,12 +104,6 @@ pub struct GroupRuntime {
     /// Per type, how [`Run::replay`] advances a burst: `Count` where it
     /// does so in closed form, otherwise its `repr`.
     advance: Vec<BurstRepr>,
-    /// Per type that advances in closed form, the members each
-    /// [`SharingPolicy`](optimizer::SharingPolicy) shares its bursts
-    /// with, at `policy as usize`: nothing diverges in such a burst and
-    /// its price depends on nothing it carries, so it is decided once,
-    /// here ([`optimizer::count_plans`]).
-    pub(crate) count_plans: Vec<Option<[QSet; 3]>>,
     /// Per type, the selection table its cells are read off — the
     /// workload's, shared by every group that buffers the type as cells
     /// (empty for the other types).
@@ -218,7 +211,6 @@ impl GroupRuntime {
             edge_members,
             repr: Vec::new(),
             advance: Vec::new(),
-            count_plans: Vec::new(),
             sels: Vec::new(),
             need: Vec::new(),
             val: Vec::new(),
@@ -231,9 +223,6 @@ impl GroupRuntime {
                 true => BurstRepr::Count,
                 false => rt.repr[tl],
             })
-            .collect();
-        rt.count_plans = (0..nt)
-            .map(|tl| (rt.advance[tl] == BurstRepr::Count).then(|| optimizer::count_plans(&rt, tl)))
             .collect();
         rt
     }

@@ -374,107 +374,3 @@ proptest! {
         }
     }
 }
-
-/// A partition key value where `GroupKey::order_prefix` ties or changes
-/// variant: `Int(2)` beside `Float(2.0)`, ints past 2⁵³ that round to
-/// one `f64`, signed zeros, NaNs of both signs, negative ints, and
-/// strings sharing their first eight bytes.
-fn awkward_value(next: &mut impl FnMut() -> u64) -> AttrValue {
-    let big = 1i64 << 53;
-    let pool = [
-        AttrValue::Int(2),
-        AttrValue::Float(2.0),
-        AttrValue::Int(big),
-        AttrValue::Int(big + 1),
-        AttrValue::Float(big as f64),
-        AttrValue::Int(-3),
-        AttrValue::Int(i64::MIN),
-        AttrValue::Float(-1.5),
-        AttrValue::Float(0.0),
-        AttrValue::Float(-0.0),
-        AttrValue::Float(f64::NAN),
-        AttrValue::Float(-f64::NAN),
-        AttrValue::from(""),
-        AttrValue::from("abcdefgh"),
-        AttrValue::from("abcdefgh1"),
-        AttrValue::from("abcdefgh2"),
-        AttrValue::from("abcdefgi"),
-    ];
-    pool[(next() % pool.len() as u64) as usize].clone()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Expiry emits every window's results in key order however the
-    /// keys' order prefixes tie: over several share groups — tumbling
-    /// and sliding windows, one- and two-attribute keys, the empty key —
-    /// the batched engine emits exactly what the per-event fold does,
-    /// each `(window, query)`'s keys strictly ascending under
-    /// `GroupKey::total_cmp`, and every value what the query computes in
-    /// an engine of its own.
-    #[test]
-    fn expiry_emits_in_key_order_whatever_the_order_prefixes_tie(seed in any::<u64>()) {
-        use hamlet_core::{EngineConfig, HamletEngine, WindowResult};
-        use hamlet_query::parse_query;
-        use hamlet_types::TypeRegistry;
-        use std::collections::HashMap;
-
-        let mut reg = TypeRegistry::new();
-        let (a, b) = (reg.register("A", &["g", "h"]), reg.register("B", &["g", "h"]));
-        let reg = Arc::new(reg);
-        let texts = [
-            "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g WITHIN 10",
-            "RETURN COUNT(*) PATTERN SEQ(B, A+) GROUP BY g WITHIN 20 SLIDE 5",
-            "RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY g, h WITHIN 10",
-            "RETURN SUM(B.h) PATTERN SEQ(A, B+) GROUP BY h, g WITHIN 12 SLIDE 4",
-            "RETURN COUNT(*) PATTERN SEQ(A, B+) WITHIN 15",
-        ];
-        let queries: Vec<Query> = (0u32..).zip(texts)
-            .map(|(id, text)| parse_query(&reg, id, text).unwrap())
-            .collect();
-        let mk = |queries: Vec<Query>| {
-            HamletEngine::new(reg.clone(), queries, EngineConfig::default()).unwrap()
-        };
-        let mut next = stream_of(seed);
-        let (mut events, mut t) = (Vec::new(), 0u64);
-        while events.len() < 400 {
-            t += next() % 2;
-            let ty = if next().is_multiple_of(3) { a } else { b };
-            let h = AttrValue::Int((next() % 3) as i64);
-            events.push(Event::new(Ts(t), ty, vec![awkward_value(&mut next), h]));
-        }
-
-        let mut batched = mk(queries.clone());
-        prop_assert!(batched.num_groups() >= 4);
-        let mut out = Vec::new();
-        let mut rest = &events[..];
-        while !rest.is_empty() {
-            let (chunk, tail) = rest.split_at(rest.len().min(1 + (next() % 64) as usize));
-            out.extend(batched.process_batch(chunk));
-            rest = tail;
-        }
-        out.extend(batched.flush());
-        let mut folded = mk(queries.clone());
-        let mut fold: Vec<WindowResult> = events.iter().flat_map(|e| folded.process(e)).collect();
-        fold.extend(folded.flush());
-        prop_assert_eq!(&out, &fold);
-
-        let mut last: HashMap<(Ts, QueryId), &WindowResult> = HashMap::new();
-        for r in &out {
-            if let Some(prev) = last.insert((r.window_start, r.query), r) {
-                prop_assert!(
-                    prev.group_key.total_cmp(&r.group_key).is_lt(),
-                    "{:?} emitted after {:?}", r, prev
-                );
-            }
-        }
-        for q in &queries {
-            let mut alone = mk(vec![q.clone()]);
-            let mut own = alone.process_batch(&events);
-            own.extend(alone.flush());
-            let of_q: Vec<&WindowResult> = out.iter().filter(|r| r.query == q.id).collect();
-            prop_assert_eq!(of_q, own.iter().collect::<Vec<_>>(), "query {:?}", q.id);
-        }
-    }
-}

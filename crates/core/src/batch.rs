@@ -31,31 +31,25 @@ struct Bucket {
 }
 
 /// Reusable buffers of [`HamletEngine::process_batch`], kept on the
-/// engine so steady-state batch processing performs no per-event
-/// allocation. Pure scratch: cleared between segments, never serialized,
-/// and holds no semantic state.
+/// engine so a warm segment allocates only one key copy per key it sees
+/// first (the key of `slot_of`, cleared with it at the segment's end).
+/// Pure scratch: cleared between segments, never serialized, and holds
+/// no semantic state.
 pub(crate) struct BatchScratch {
-    /// Per key class (see [`CompiledWorkload::route`]): the key built for the
-    /// current event, whether it has been built yet, and whether it
-    /// passes the shard filter. Groups with identical partition-slot
-    /// tables share one key computation (and one shard verdict) per event
-    /// instead of one per group.
+    /// Per key class (see [`CompiledWorkload::route`]): the key built for
+    /// the current event, whether it has been built yet, and its slot in
+    /// `slots` (`u32::MAX` if another shard owns it). Groups with
+    /// identical partition-slot tables share one key computation, one
+    /// shard verdict and one slot per event instead of one per group.
     class_keys: Vec<GroupKey>,
     class_built: Vec<bool>,
-    class_shard_ok: Vec<bool>,
-    /// Per window class: whether this event already folded its earliest
-    /// window end into the segment boundary.
-    wnd_done: Vec<bool>,
+    class_slot: Vec<u32>,
     /// Per key class: map from partition key to *slot* — a row of
     /// per-group bucket indices in `slots` (stride = number of groups).
     /// One hash probe resolves the buckets of every group in the class.
     slot_of: Vec<KeyMap<GroupKey, u32>>,
     /// Flat `slot × group → bucket index` table (`u32::MAX` = none yet).
     slots: Vec<u32>,
-    /// Per key class: the previous event's key and its slot — bursty
-    /// streams mostly repeat the key, skipping even the one hash probe.
-    prev_keys: Vec<GroupKey>,
-    prev_slot: Vec<u32>,
     /// Buckets of the current segment, in first-appearance order — a
     /// deterministic processing order, unlike hash iteration.
     buckets: Vec<Bucket>,
@@ -64,10 +58,6 @@ pub(crate) struct BatchScratch {
     spare: Vec<Bucket>,
     /// Window starts of the most recently looked-up pane.
     starts: Vec<Ts>,
-    /// Per segment event: the watermark the fold would have seen at that
-    /// event — the late-guard boundary (grouping reorders processing, so
-    /// the guard must use each event's own fold-order watermark).
-    wms: Vec<u64>,
     /// Per segment event: its tick.
     ticks: Vec<u64>,
     /// Per segment event: its row of the workload's selection table
@@ -81,25 +71,21 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// Buffers for `compiled`'s key and window classes, the slot tables
-    /// hashed under the engine's `keys`.
+    /// Buffers for `compiled`'s key classes, the slot tables hashed under
+    /// the engine's `keys`.
     pub(crate) fn new(compiled: &CompiledWorkload, keys: KeyState) -> BatchScratch {
-        let (num_classes, num_wnd_classes) = (compiled.num_classes, compiled.num_wnd_classes);
+        let num_classes = compiled.num_classes;
         BatchScratch {
             class_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
             class_built: vec![false; num_classes],
-            class_shard_ok: vec![false; num_classes],
-            wnd_done: vec![false; num_wnd_classes],
+            class_slot: vec![u32::MAX; num_classes],
             slot_of: (0..num_classes)
                 .map(|_| KeyMap::with_hasher(keys))
                 .collect(),
             slots: Vec::new(),
-            prev_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
-            prev_slot: vec![u32::MAX; num_classes],
             buckets: Vec::new(),
             spare: Vec::new(),
             starts: Vec::new(),
-            wms: Vec::new(),
             ticks: Vec::new(),
             rows: Vec::new(),
             cells: Vec::new(),
@@ -181,10 +167,15 @@ impl HamletEngine {
     /// Output and state evolution are **equal to folding
     /// [`process`](Self::process) over the batch** — batching is purely an
     /// execution strategy (this is asserted by the equivalence suite).
-    /// The batch is cut into *expiry-quiet segments*: maximal stretches
-    /// during which the running watermark stays below every pending
-    /// window end, so no window can close mid-segment and the fold's
-    /// per-event expiry drains are all no-ops. Within a segment events
+    /// The batch is cut into *expiry-quiet segments*. A segment's head
+    /// advances the watermark and drains closed windows as the fold
+    /// does; the segment then runs up to, not including, the first event
+    /// at or past the plan's next window end — the earliest end after the
+    /// head's watermark of any share group's window. Every live run and
+    /// waiting half belongs to a window of the plan, so none closes
+    /// mid-segment and the fold's per-event drains are all no-ops; and a
+    /// window instance is late for the whole segment (it ended at or
+    /// before the head's watermark) or for none of it. Within a segment events
     /// are grouped by `(share group, partition key)` and appended
     /// bucket-at-a-time, so each partition probe and run touch happens
     /// once per (segment, key) instead of once per event.
@@ -224,7 +215,9 @@ impl HamletEngine {
     /// of a batch the router has already classified: bit p of `owned[j]`
     /// is set iff the p-th key class of `events[j]`'s type belongs to
     /// this engine's shard ([`crate::ShardRouter::route`]), so the scan
-    /// reads the bit instead of hashing the key a second time.
+    /// reads the bit instead of hashing the key a second time. Each
+    /// segment's head is drained here, the rest of the segment consumed
+    /// by `process_segment`.
     pub(crate) fn process_routed(
         &mut self,
         events: &[Event],
@@ -259,8 +252,10 @@ impl HamletEngine {
         out
     }
 
-    /// Consumes one expiry-quiet segment starting at `first` and returns
-    /// the index of the first unconsumed event (see
+    /// Consumes the expiry-quiet segment whose head is `first`: every
+    /// event before the first one after it that reaches the plan's next
+    /// window end past `head_wm` ([`CompiledWorkload::next_end`], once per
+    /// segment), and returns that event's index (see
     /// [`process_batch`](Self::process_batch) for the invariant). Whether
     /// a key class passes the shard filter is the router's bit in `owned`
     /// if there is one — classes are built in `key_reps` order, so the
@@ -279,104 +274,74 @@ impl HamletEngine {
         let BatchScratch {
             class_keys,
             class_built,
-            class_shard_ok,
-            wnd_done,
+            class_slot,
             slot_of,
             slots,
-            prev_keys,
-            prev_slot,
             buckets,
             spare,
             starts,
-            wms,
             ticks,
             rows,
             cells,
         } = &mut self.scratch;
 
         // ---- Scan + bucket phase (fold order) --------------------------
-        // The segment extends while the running watermark stays strictly
-        // below every pending window end: the expiry index's earliest plus
-        // the earliest end any admitted event could create a run with.
-        // Each event also records the watermark the fold would have seen
-        // at it (`wms`: grouping reorders processing, so the late guard
-        // below must use each event's own fold-order watermark), its tick,
-        // and, if some group buffers its type as cells, its row of the
-        // selection table, evaluated here once for every group.
+        // The segment ends before the first event that reaches the plan's
+        // next window end past `head_wm`: no window closes inside it.
+        // Each event records its tick and, if some group buffers its type
+        // as cells, its row of the selection table, evaluated here once
+        // for every group.
         debug_assert!(buckets.is_empty());
-        wms.clear();
         ticks.clear();
         rows.clear();
         let width = plan.row;
         let stride = plan.groups.len();
-        let mut min_end = self.expiry.min_end().unwrap_or(u64::MAX);
+        let bound = plan.next_end(head_wm);
         let mut wm = head_wm.ticks();
         let mut n_routed = 0u64;
         let mut j = first;
         while j < events.len() {
             let e = &events[j];
-            let new_wm = wm.max(e.time.ticks());
-            if j > first && new_wm >= min_end {
+            if j > first && e.time.ticks() >= bound {
                 break; // a window would close here — next segment
             }
-            wm = new_wm;
+            wm = wm.max(e.time.ticks());
             let mut routed = false;
             let entries = plan.route.get(e.ty.idx()).map_or(&[][..], Vec::as_slice);
             if !entries.is_empty() {
                 class_built.fill(false);
-                wnd_done.fill(false);
             }
             let mut p = 0;
-            for &(gi, tl, class, wnd) in entries {
-                let (gi, ci, wi) = (gi as usize, class as usize, wnd as usize);
-                let g = &plan.groups[gi];
+            for &(gi, tl, class) in entries {
+                let (gi, ci) = (gi as usize, class as usize);
                 if !class_built[ci] {
-                    g.partition_key_into(e, &mut class_keys[ci]);
+                    let key = &mut class_keys[ci];
+                    plan.groups[gi].partition_key_into(e, key);
                     class_built[ci] = true;
-                    let key = &class_keys[ci];
-                    class_shard_ok[ci] = match (owned, shard) {
+                    let ok = match (owned, shard) {
                         (Some(owned), _) if p < 64 => owned[j] >> p & 1 != 0,
                         (_, Some((idx, total))) => shard_index(key, total) == idx,
                         (_, None) => true,
                     };
                     p += 1;
-                    // Resolve the key's slot: previous event's key first
-                    // (bursty streams repeat it), then one hash probe for
-                    // every group in the class.
-                    if class_shard_ok[ci] {
-                        let sl = if prev_slot[ci] != u32::MAX && prev_keys[ci] == *key {
-                            prev_slot[ci]
-                        } else {
-                            let sl = match slot_of[ci].get(key) {
-                                Some(&sl) => sl,
-                                None => {
-                                    let sl = (slots.len() / stride) as u32;
-                                    slot_of[ci].insert(key.clone(), sl);
-                                    slots.resize(slots.len() + stride, u32::MAX);
-                                    sl
-                                }
-                            };
-                            prev_keys[ci].0.clone_from(&key.0);
+                    // One hash probe resolves the key's slot for every
+                    // group in the class.
+                    class_slot[ci] = match ok.then(|| slot_of[ci].get(key)) {
+                        None => u32::MAX,
+                        Some(Some(&sl)) => sl,
+                        Some(None) => {
+                            let sl = (slots.len() / stride) as u32;
+                            slot_of[ci].insert(key.clone(), sl);
+                            slots.resize(slots.len() + stride, u32::MAX);
                             sl
-                        };
-                        prev_slot[ci] = sl;
-                    }
+                        }
+                    };
                 }
-                if !class_shard_ok[ci] {
+                if class_slot[ci] == u32::MAX {
                     continue;
                 }
                 routed = true;
-                // Any run this event creates ends no earlier than its
-                // earliest containing instance (instances yield starts
-                // ascending, so the first has the smallest end) — folded
-                // into the segment boundary once per window class.
-                if !wnd_done[wi] {
-                    wnd_done[wi] = true;
-                    if let Some(s) = g.window.instances_containing(e.time).next() {
-                        min_end = min_end.min(window_end(s.ticks(), g.window.within));
-                    }
-                }
-                let cell = prev_slot[ci] as usize * stride + gi;
+                let cell = class_slot[ci] as usize * stride + gi;
                 let mut bi = slots[cell];
                 if bi == u32::MAX {
                     bi = buckets.len() as u32;
@@ -388,7 +353,6 @@ impl HamletEngine {
                 }
                 buckets[bi as usize].events.push(((j - first) as u32, tl));
             }
-            wms.push(wm);
             ticks.push(e.time.ticks());
             if width > 0 {
                 let at = rows.len();
@@ -436,9 +400,6 @@ impl HamletEngine {
                 bytes: &mut self.run_bytes,
             };
             let mut late_skipped = false;
-            // Watermark at the segment tail — if a window's end beats it,
-            // no event in the segment is late for that window.
-            let seg_wm = wms.last().copied().unwrap_or(0);
             // Consecutive events that agree on type-local and pane form a
             // *range*: one run-map probe, one flush check, and one expiry
             // push cover the whole range, so the per-event work shrinks to
@@ -465,30 +426,22 @@ impl HamletEngine {
                 let chunk = Chunk::of(&g.rt, tl, seg, range, (rows, width), cells);
                 for &start in starts.iter() {
                     let end = window_end(start.ticks(), within);
-                    // Late-event guard, against each event's own fold-order
-                    // watermark: an instance whose end is at or behind it
-                    // was already emitted, and re-creating its run would
-                    // double-emit the window at the next flush. Never
-                    // fires on in-order streams. `wms` is monotone over the
-                    // segment, so the range splits into an on-time prefix
-                    // and a late suffix.
-                    let split = if end > seg_wm {
-                        range.len()
-                    } else {
-                        range.partition_point(|&(sj, _)| end > wms[sj as usize])
-                    };
-                    if split < range.len() {
-                        env.stats.late_skips += (range.len() - split) as u64;
+                    // Late-event guard: an instance that ended at or
+                    // before `head_wm` was already emitted, and re-creating
+                    // its run would double-emit the window at the next
+                    // flush. No window of the plan ends inside the
+                    // segment, so an instance is late for all of it or for
+                    // none of it. Never fires on in-order streams.
+                    if end <= head_wm.ticks() {
+                        env.stats.late_skips += range.len() as u64;
                         late_skipped = true;
-                    }
-                    if split == 0 {
                         continue;
                     }
                     let rs = part.run_at(start.ticks(), end, &mut env);
                     // Uniform group: the burst is its length; otherwise a
                     // memcpy of the range's cells (or, for edge-predicate
                     // types, clones of its events) per instance.
-                    rs.append(tl, pane_idx, chunk.take(split), now, &mut env);
+                    rs.append(tl, pane_idx, chunk, now, &mut env);
                 }
                 idx = end_idx;
             }
@@ -504,7 +457,6 @@ impl HamletEngine {
             m.clear();
         }
         slots.clear();
-        prev_slot.fill(u32::MAX);
 
         self.stats.events_routed += n_routed;
         let m = self.cfg.mem_sample_every;

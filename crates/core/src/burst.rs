@@ -417,15 +417,6 @@ impl<'a> Chunk<'a> {
             BurstRepr::Events => Chunk::Events(seg, range),
         }
     }
-
-    /// The first `n` events of the chunk.
-    pub(crate) fn take(self, n: usize) -> Chunk<'a> {
-        match self {
-            Chunk::Count(_) => Chunk::Count(n as u64),
-            Chunk::Cells(c) => Chunk::Cells(&c[..n]),
-            Chunk::Events(seg, range) => Chunk::Events(seg, &range[..n]),
-        }
-    }
 }
 
 /// What flushing a pending burst needs besides the run: the decision's

@@ -316,22 +316,19 @@ pub(crate) struct CompiledWorkload {
     pub(crate) queries: Vec<Query>,
     pub(crate) groups: Vec<GroupPlan>,
     pub(crate) combiners: Vec<Combiner>,
-    /// `route[type]` — the `(group, local type, key class, window class)`
-    /// rows of every group the type is local to, so the batched scan only
-    /// touches matching groups. Key classes number groups with identical
-    /// partition-slot tables (one class = one key build per event);
-    /// window classes additionally fold in the window, deduplicating the
-    /// segment-boundary computation.
-    pub(crate) route: Vec<Vec<(u32, u32, u32, u32)>>,
+    /// `route[type]` — the `(group, local type, key class)` rows of every
+    /// group the type is local to, so the batched scan only touches
+    /// matching groups. Key classes number groups with identical
+    /// partition-slot tables (one class = one key build per event).
+    pub(crate) route: Vec<Vec<(u32, u32, u32)>>,
     /// `key_reps[type]` — one representative group per key class among
     /// `route[type]`'s rows: the keys (and shard hashes) an event of the
     /// type carries, each built once ([`HamletEngine::shard_mask`]).
     pub(crate) key_reps: Vec<Vec<u32>>,
     pub(crate) num_classes: usize,
-    pub(crate) num_wnd_classes: usize,
     /// `selections[type]` — the distinct selections and skeleton values
     /// every group that buffers the type as cells reads off its events,
-    /// interned across groups like the key and window classes: the scan
+    /// interned across groups like the key classes: the scan
     /// evaluates each once per event ([`crate::burst::Selections`]).
     pub(crate) selections: Vec<Arc<Selections>>,
     /// The widest row of `selections`.
@@ -341,6 +338,20 @@ pub(crate) struct CompiledWorkload {
     /// window end is a multiple of it — an event can close a window only
     /// by reaching the next one. 1 for an empty workload.
     pub(crate) grid: u64,
+}
+
+impl CompiledWorkload {
+    /// The plan's first window end after `wm`: over the share groups'
+    /// windows, the least end of the first instance containing `wm`
+    /// (`u64::MAX` for an empty plan). Every live run and waiting half
+    /// belongs to a window of the plan, so once the drain at `wm` is done
+    /// none of them closes before it.
+    pub(crate) fn next_end(&self, wm: Ts) -> u64 {
+        (self.groups.iter())
+            .filter_map(|g| Some(g.window.end_of(g.window.instances_containing(wm).next()?)))
+            .min()
+            .map_or(u64::MAX, Ts::ticks)
+    }
 }
 
 /// The multi-query trend aggregation engine (§2.2).
@@ -523,31 +534,23 @@ impl HamletEngine {
                 }
             })
             .collect();
-        // Key classes: one per distinct partition-slot table. Window
-        // classes: one per distinct (window, key class) pair — the
-        // segment-boundary fold is identical within a class, so the scan
-        // computes it once per event.
+        // Key classes: one per distinct partition-slot table.
         let mut class_tables = Vec::new();
-        let mut wnd_sigs = Vec::new();
-        let classes: Vec<(u32, u32)> = groups
+        let classes: Vec<u32> = groups
             .iter()
-            .map(|g| {
-                let class = intern(&mut class_tables, &g.partition_slots);
-                let sig = (g.window.within, g.window.slide, class);
-                (class, intern(&mut wnd_sigs, sig))
-            })
+            .map(|g| intern(&mut class_tables, &g.partition_slots))
             .collect();
-        let route: Vec<Vec<(u32, u32, u32, u32)>> = (0..reg.len())
+        let route: Vec<Vec<(u32, u32, u32)>> = (0..reg.len())
             .map(|t| {
                 let id = hamlet_types::EventTypeId(t as u16);
                 groups
                     .iter()
                     .zip(&classes)
                     .enumerate()
-                    .filter_map(|(gi, (g, &(class, wnd)))| {
+                    .filter_map(|(gi, (g, &class))| {
                         g.rt.template
                             .local(id)
-                            .map(|tl| (gi as u32, tl as u32, class, wnd))
+                            .map(|tl| (gi as u32, tl as u32, class))
                     })
                     .collect()
             })
@@ -556,7 +559,7 @@ impl HamletEngine {
             .iter()
             .map(|rows| {
                 let (mut seen, mut reps) = (Vec::new(), Vec::new());
-                for &(gi, _, class, _) in rows {
+                for &(gi, _, class) in rows {
                     if !seen.contains(&class) {
                         seen.push(class);
                         reps.push(gi);
@@ -565,7 +568,7 @@ impl HamletEngine {
                 reps
             })
             .collect();
-        let (num_classes, num_wnd_classes) = (class_tables.len().max(1), wnd_sigs.len().max(1));
+        let num_classes = class_tables.len().max(1);
         let row = selections.iter().map(|s| s.width()).max().unwrap_or(0);
         let spans = queries
             .iter()
@@ -579,7 +582,6 @@ impl HamletEngine {
             route,
             key_reps,
             num_classes,
-            num_wnd_classes,
             selections,
             row,
         })
@@ -2240,5 +2242,54 @@ mod tests {
             windows(&out, 2),
             "OR query covers the same windows"
         );
+    }
+
+    /// A half a churn drained into waiting, with no partner run and no
+    /// event routed to its window, still settles where the fold settles
+    /// it: a batch's segment ends at every window end of the plan, not
+    /// only at those of live runs and routed events.
+    #[test]
+    fn batched_churned_half_settles_in_fold_order() {
+        let (reg, a, b, c) = registry();
+        let mut regm = (*reg).clone();
+        let d = regm.register("D", &["g", "v"]);
+        let reg = Arc::new(regm);
+        let mut q2 = Query::count_star(2, seq(a, b), Window::tumbling(20));
+        q2.pattern = Pattern::Or(
+            Box::new(seq(a, b)),
+            Box::new(Pattern::plus(Pattern::Type(c))),
+        );
+        let q3 = Query::count_star(3, Pattern::plus(Pattern::Type(d)), Window::tumbling(30));
+        let churned = || {
+            let mut eng = HamletEngine::new(
+                reg.clone(),
+                vec![q2.clone(), q3.clone()],
+                EngineConfig::default(),
+            )
+            .unwrap();
+            for (ty, t) in [(a, 1), (b, 2), (b, 3), (d, 4)] {
+                assert!(eng.process(&ev(&reg, ty, t, 0, 0.0)).is_empty());
+            }
+            // Joins q2's left half's group: the half drains and waits.
+            let rep = eng
+                .add_query(Query::count_star(4, seq(a, b), Window::tumbling(20)))
+                .unwrap();
+            assert!(rep.drained.is_empty());
+            eng
+        };
+        let tail: Vec<Event> = (6..=35).map(|t| ev(&reg, d, t, 0, 0.0)).collect();
+        let (mut folded, mut batched) = (churned(), churned());
+        let mut slow: Vec<_> = tail.iter().flat_map(|e| folded.process(e)).collect();
+        let mut fast = batched.process_batch(&tail);
+        let order = |rs: &[WindowResult]| -> Vec<(u32, u64)> {
+            rs.iter()
+                .map(|r| (r.query.0, r.window_start.ticks()))
+                .collect()
+        };
+        assert_eq!(order(&slow), [(2, 0), (3, 0)]);
+        assert_eq!(fast, slow);
+        slow.extend(folded.flush());
+        fast.extend(batched.flush());
+        assert_eq!(fast, slow);
     }
 }

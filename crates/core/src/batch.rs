@@ -13,48 +13,48 @@
 use crate::burst::{Cell, Chunk, FlushEnv};
 use crate::executor::{shard_index, CompiledWorkload, HamletEngine, WindowResult};
 use crate::expiry::Partition;
-use crate::keyhash::{KeyMap, KeyState};
 use hamlet_obs::Stage;
 use hamlet_types::time::window_end;
 use hamlet_types::{Event, GroupKey, Ts};
 use std::time::Instant;
 
 /// One key-grouped bucket of a batch segment: the events (by index into
-/// the segment, with their local type) that one `(group, key)` partition
-/// receives, in stream order.
+/// the segment, with their local type) that one `(group, key id)`
+/// partition receives, in stream order.
 #[derive(Default)]
 struct Bucket {
     group: u32,
-    key: GroupKey,
+    /// The partition's id in the group's key table.
+    id: u32,
     /// `(segment index, local type)` per event.
     events: Vec<(u32, u32)>,
 }
 
 /// Reusable buffers of [`HamletEngine::process_batch`], kept on the
-/// engine so a warm segment allocates only one key copy per key it sees
-/// first (the key of `slot_of`, cleared with it at the segment's end).
-/// Pure scratch: cleared between segments, never serialized, and holds
-/// no semantic state.
+/// engine so a warm segment allocates nothing: a key the scan meets is
+/// interned in its class's key table (`HamletEngine::tables`), which
+/// copies a new key into a freed id's buffer. Pure scratch: cleared
+/// between segments, never serialized, and holds no semantic state.
 pub(crate) struct BatchScratch {
     /// Per key class (see [`CompiledWorkload::route`]): the key built for
-    /// the current event, whether it has been built yet, and its slot in
-    /// `slots` (`u32::MAX` if another shard owns it). Groups with
-    /// identical partition-slot tables share one key computation, one
-    /// shard verdict and one slot per event instead of one per group.
+    /// the current event, whether it has been built yet, and its id in
+    /// the class's key table (`u32::MAX` if another shard owns it).
+    /// Groups with identical partition-slot tables share one key
+    /// computation, one shard verdict and one table probe per event
+    /// instead of one per group.
     class_keys: Vec<GroupKey>,
     class_built: Vec<bool>,
-    class_slot: Vec<u32>,
-    /// Per key class: map from partition key to *slot* — a row of
-    /// per-group bucket indices in `slots` (stride = number of groups).
-    /// One hash probe resolves the buckets of every group in the class.
-    slot_of: Vec<KeyMap<GroupKey, u32>>,
-    /// Flat `slot × group → bucket index` table (`u32::MAX` = none yet).
-    slots: Vec<u32>,
+    class_id: Vec<u32>,
+    /// Per group, by key id: `(segment, bucket index)` — the bucket of
+    /// that partition if the stamp is the current segment's, none
+    /// otherwise, so a segment starts without clearing anything.
+    bucket_of: Vec<Vec<(u32, u32)>>,
+    /// The current segment's stamp, never 0 (the stamp of no segment).
+    segment: u32,
     /// Buckets of the current segment, in first-appearance order — a
     /// deterministic processing order, unlike hash iteration.
     buckets: Vec<Bucket>,
-    /// Emptied buckets recycled between segments, key and event buffers
-    /// kept.
+    /// Emptied buckets recycled between segments, event buffers kept.
     spare: Vec<Bucket>,
     /// Window starts of the most recently looked-up pane.
     starts: Vec<Ts>,
@@ -71,18 +71,15 @@ pub(crate) struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// Buffers for `compiled`'s key classes, the slot tables hashed under
-    /// the engine's `keys`.
-    pub(crate) fn new(compiled: &CompiledWorkload, keys: KeyState) -> BatchScratch {
-        let num_classes = compiled.num_classes;
+    /// Buffers for `compiled`'s groups and key classes.
+    pub(crate) fn new(compiled: &CompiledWorkload) -> BatchScratch {
+        let num_classes = compiled.classes.len();
         BatchScratch {
             class_keys: (0..num_classes).map(|_| GroupKey(Vec::new())).collect(),
             class_built: vec![false; num_classes],
-            class_slot: vec![u32::MAX; num_classes],
-            slot_of: (0..num_classes)
-                .map(|_| KeyMap::with_hasher(keys))
-                .collect(),
-            slots: Vec::new(),
+            class_id: vec![u32::MAX; num_classes],
+            bucket_of: compiled.groups.iter().map(|_| Vec::new()).collect(),
+            segment: 0,
             buckets: Vec::new(),
             spare: Vec::new(),
             starts: Vec::new(),
@@ -177,8 +174,9 @@ impl HamletEngine {
     /// window instance is late for the whole segment (it ended at or
     /// before the head's watermark) or for none of it. Within a segment events
     /// are grouped by `(share group, partition key)` and appended
-    /// bucket-at-a-time, so each partition probe and run touch happens
-    /// once per (segment, key) instead of once per event.
+    /// bucket-at-a-time, so each run touch happens once per (segment,
+    /// key) instead of once per event; the key itself is hashed once per
+    /// event and key class, to find its id in the class's key table.
     /// The two observable deviations from the fold are timing-only: the
     /// memory gauge samples at segment (not event) granularity, and
     /// per-burst arrival stamps are taken once per segment.
@@ -261,6 +259,9 @@ impl HamletEngine {
     /// if there is one — classes are built in `key_reps` order, so the
     /// p-th built is bit p — and otherwise the hash under `cfg.shard`
     /// (also for a type's classes past the 64th, which have no bit).
+    /// Only an owned key is interned. A bucket reaches its group's runs
+    /// by key id; a key the segment left with no run in any group of its
+    /// class (every instance late) leaves its table again at the end.
     fn process_segment(
         &mut self,
         events: &[Event],
@@ -274,9 +275,9 @@ impl HamletEngine {
         let BatchScratch {
             class_keys,
             class_built,
-            class_slot,
-            slot_of,
-            slots,
+            class_id,
+            bucket_of,
+            segment,
             buckets,
             spare,
             starts,
@@ -295,7 +296,11 @@ impl HamletEngine {
         ticks.clear();
         rows.clear();
         let width = plan.row;
-        let stride = plan.groups.len();
+        *segment = segment.wrapping_add(1);
+        if *segment == 0 {
+            bucket_of.iter_mut().for_each(|b| b.fill((0, 0)));
+            *segment = 1;
+        }
         let bound = plan.next_end(head_wm);
         let mut wm = head_wm.ticks();
         let mut n_routed = 0u64;
@@ -324,34 +329,33 @@ impl HamletEngine {
                         (_, None) => true,
                     };
                     p += 1;
-                    // One hash probe resolves the key's slot for every
+                    // One table probe resolves the key's id for every
                     // group in the class.
-                    class_slot[ci] = match ok.then(|| slot_of[ci].get(key)) {
-                        None => u32::MAX,
-                        Some(Some(&sl)) => sl,
-                        Some(None) => {
-                            let sl = (slots.len() / stride) as u32;
-                            slot_of[ci].insert(key.clone(), sl);
-                            slots.resize(slots.len() + stride, u32::MAX);
-                            sl
-                        }
+                    class_id[ci] = if ok {
+                        self.tables[ci].intern(key)
+                    } else {
+                        u32::MAX
                     };
                 }
-                if class_slot[ci] == u32::MAX {
+                let id = class_id[ci];
+                if id == u32::MAX {
                     continue;
                 }
                 routed = true;
-                let cell = class_slot[ci] as usize * stride + gi;
-                let mut bi = slots[cell];
-                if bi == u32::MAX {
-                    bi = buckets.len() as u32;
-                    slots[cell] = bi;
+                let stamps = &mut bucket_of[gi];
+                if stamps.len() <= id as usize {
+                    stamps.resize(id as usize + 1, (0, 0));
+                }
+                let stamp = &mut stamps[id as usize];
+                if stamp.0 != *segment {
+                    *stamp = (*segment, buckets.len() as u32);
                     let mut b = spare.pop().unwrap_or_default();
-                    b.group = gi as u32;
-                    b.key.0.clone_from(&class_keys[ci].0);
+                    (b.group, b.id) = (gi as u32, id);
                     buckets.push(b);
                 }
-                buckets[bi as usize].events.push(((j - first) as u32, tl));
+                buckets[stamp.1 as usize]
+                    .events
+                    .push(((j - first) as u32, tl));
             }
             ticks.push(e.time.ticks());
             if width > 0 {
@@ -370,25 +374,23 @@ impl HamletEngine {
 
         // ---- Processing phase (first-appearance bucket order) ----------
         for mut b in buckets.drain(..) {
-            let gi = b.group as usize;
+            let (gi, id) = (b.group as usize, b.id);
             if let Some(m) = self.obs.get_mut(gi) {
                 m.events_routed += b.events.len() as u64;
             }
-            self.dirty.mark(gi, &b.key);
-            let (g, st) = (&plan.groups[gi], &mut self.groups[gi]);
+            let g = &plan.groups[gi];
+            let key = self.tables[g.class as usize].key(id);
+            self.dirty.mark(gi, key);
             let window = g.window;
             let within = window.within;
             let pane = g.pane;
-            // One partition probe per (segment, key); only a first-seen
-            // key pays a second one and the clone into the map.
+            let (runs, slab) = self.groups[gi].partition(id);
             let mut part = Partition {
-                runs: match st.partitions.get_mut(&b.key) {
-                    Some(runs) => runs,
-                    None => st.partitions.entry(b.key.clone()).or_default(),
-                },
-                slab: &mut st.slab,
+                runs,
+                slab,
                 group: gi,
-                key: &b.key,
+                id,
+                key,
                 rt: &g.rt,
                 expiry: &mut self.expiry,
                 obs: self.obs.get_mut(gi),
@@ -399,9 +401,8 @@ impl HamletEngine {
                 ctx: &mut self.burst_ctx,
                 bytes: &mut self.run_bytes,
             };
-            let mut late_skipped = false;
             // Consecutive events that agree on type-local and pane form a
-            // *range*: one run-map probe, one flush check, and one expiry
+            // *range*: one run-list search, one flush check, and one expiry
             // push cover the whole range, so the per-event work shrinks to
             // the burst append itself. Instances start on multiples of
             // `slide` and `pane` divides both `slide` and `within`, so
@@ -434,7 +435,6 @@ impl HamletEngine {
                     // none of it. Never fires on in-order streams.
                     if end <= head_wm.ticks() {
                         env.stats.late_skips += range.len() as u64;
-                        late_skipped = true;
                         continue;
                     }
                     let rs = part.run_at(start.ticks(), end, &mut env);
@@ -445,18 +445,14 @@ impl HamletEngine {
                 }
                 idx = end_idx;
             }
-            // A first-seen key whose every window instance was late would
-            // leave an empty run map behind — drop it, it holds no state.
-            if late_skipped && part.runs.is_empty() {
-                st.partitions.remove(&b.key);
+            // Every window instance was late: the key may hold no run.
+            if part.runs.is_empty() {
+                self.emptied.push((g.class, id));
             }
             b.events.clear();
             spare.push(b);
         }
-        for m in slot_of.iter_mut() {
-            m.clear();
-        }
-        slots.clear();
+        self.release_emptied();
 
         self.stats.events_routed += n_routed;
         let m = self.cfg.mem_sample_every;

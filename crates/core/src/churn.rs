@@ -10,7 +10,7 @@
 
 use crate::batch::BatchScratch;
 use crate::executor::{CompiledWorkload, EngineError, GroupState, HamletEngine, WindowResult};
-use crate::keyhash::KeyMap;
+use crate::keyhash::{KeyMap, KeyTable};
 use crate::optimizer;
 use hamlet_obs::GroupMetrics;
 use hamlet_query::{Query, QueryId};
@@ -212,9 +212,10 @@ impl HamletEngine {
             if *carried {
                 continue;
             }
-            self.groups[oi].partitions.clear();
+            self.groups[oi].runs.clear();
             let slab = &self.groups[oi].slab;
-            finished.extend(slab.live().map(|h| slab.entry(oi as u32, h)));
+            let keys = &self.tables[self.plan.groups[oi].class as usize];
+            finished.extend(slab.live().map(|h| slab.entry(oi as u32, h, keys)));
         }
         let mut drained = Vec::new();
         self.finalize_finished(&mut finished, &mut drained);
@@ -253,31 +254,51 @@ impl HamletEngine {
         // Carry over: a carried group's live runs move to its new index,
         // and each run re-points at the new plan's runtime (identical —
         // deterministic from the member set); every other group starts
-        // empty.
+        // empty. The new plan numbers its key classes afresh, so every
+        // carried key is re-interned in its new class's table and its run
+        // list and slots follow it to its new id.
         let mut before: Vec<Option<GroupState>> = std::mem::take(&mut self.groups)
             .into_iter()
             .map(Some)
             .collect();
-        self.groups = (plan.groups.iter().zip(&old_of_new))
-            .map(|(g, oi)| match oi.and_then(|oi| before[oi].take()) {
-                Some(mut s) => {
-                    // Recycled runs of the old runtime stay behind with it.
-                    s.slab.drop_free(&mut s.partitions);
-                    for slot in s.slab.slots_mut() {
-                        slot.rs.run.retarget(g.rt.clone());
-                    }
-                    s
-                }
-                None => GroupState::new(self.keys),
-            })
+        let mut tables: Vec<KeyTable> = (plan.classes.iter())
+            .map(|_| KeyTable::new(self.keys))
             .collect();
+        for (g, oi) in plan.groups.iter().zip(&old_of_new) {
+            let carried = oi.and_then(|oi| Some((oi, before[oi].take()?)));
+            let Some((oi, mut s)) = carried else {
+                self.groups.push(GroupState::default());
+                continue;
+            };
+            // Recycled runs of the old runtime stay behind with it.
+            s.slab.drop_free(&mut s.runs);
+            let (old, new) = (
+                &self.tables[self.plan.groups[oi].class as usize],
+                &mut tables[g.class as usize],
+            );
+            for (old_id, runs) in (0u32..).zip(std::mem::take(&mut s.runs)) {
+                if runs.is_empty() {
+                    continue;
+                }
+                let id = new.intern(old.key(old_id));
+                for &(_, handle) in runs.as_slice() {
+                    s.slab.slots_mut()[handle as usize].id = id;
+                }
+                *s.partition(id).0 = runs;
+            }
+            for slot in s.slab.slots_mut() {
+                slot.rs.run.retarget(g.rt.clone());
+            }
+            self.groups.push(s);
+        }
+        self.tables = tables;
         let groups_carried = old_of_new.iter().flatten().count();
         let groups_rebuilt = old_of_new.len() - groups_carried;
 
         // Commit: the new plan, the expiration index rebuilt (group
         // indices changed); the stream-global state (watermark, counters,
         // metrics) keeps running.
-        self.scratch = BatchScratch::new(&plan, self.keys);
+        self.scratch = BatchScratch::new(&plan);
         self.plan = plan;
         self.pending = surviving_pending;
         self.epoch += 1;

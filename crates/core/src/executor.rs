@@ -21,7 +21,7 @@ use crate::batch::BatchScratch;
 use crate::burst::{compile_groups, Selections};
 use crate::expiry::{ExpiryEntry, ExpiryIndex, RunSlab, Runs};
 use crate::general::{self, CombineKind};
-use crate::keyhash::{KeyMap, KeyState};
+use crate::keyhash::{KeyMap, KeyState, KeyTable};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::optimizer::SharingPolicy;
 use crate::record::{DirtyLog, PendingSlot};
@@ -239,6 +239,10 @@ pub(crate) struct GroupPlan {
     /// partition attribute, resolved once at build time so the hot path
     /// never does per-event attribute-name lookups (string compares).
     partition_slots: Vec<Vec<Option<usize>>>,
+    /// The group's key class: the index of its partition-slot table among
+    /// the plan's distinct ones, and of the engine's key table its
+    /// partitions are addressed through.
+    pub(crate) class: u32,
     /// Per member: the combiner it is a half of, if it is a sub-query of
     /// a decomposed general query (`sub_of`, resolved once).
     pub(crate) combiner_of: Vec<Option<usize>>,
@@ -270,20 +274,41 @@ impl GroupPlan {
 
 /// One share group's state in one engine, parallel to the plan's
 /// [`GroupPlan`] of the same index.
+#[derive(Default)]
 pub(crate) struct GroupState {
-    /// Per partition key, its live runs as handles into `slab`.
-    pub(crate) partitions: KeyMap<GroupKey, Runs>,
+    /// Per key id of the group's class ([`KeyTable`]), that partition's
+    /// live runs as handles into `slab`; empty for a key the group holds
+    /// no run of.
+    pub(crate) runs: Vec<Runs>,
     /// The group's runs (see [`RunSlab`]).
     pub(crate) slab: RunSlab,
 }
 
 impl GroupState {
-    /// No runs, its partitions hashed under the engine's `keys`.
-    pub(crate) fn new(keys: KeyState) -> GroupState {
-        GroupState {
-            partitions: KeyMap::with_hasher(keys),
-            slab: RunSlab::default(),
+    /// Partition `id`'s run list, grown into if new, and the slab.
+    pub(crate) fn partition(&mut self, id: u32) -> (&mut Runs, &mut RunSlab) {
+        let id = id as usize;
+        if self.runs.len() <= id {
+            self.runs.resize_with(id + 1, Runs::default);
         }
+        (&mut self.runs[id], &mut self.slab)
+    }
+}
+
+/// Frees key `id` of class `ci` unless a group of the class still holds a
+/// run under it — the one moment a key leaves its table.
+pub(crate) fn release_key(
+    plan: &CompiledWorkload,
+    groups: &[GroupState],
+    tables: &mut [KeyTable],
+    ci: usize,
+    id: u32,
+) {
+    let held = plan.classes[ci].iter().any(|&gi| {
+        (groups[gi as usize].runs.get(id as usize)).is_some_and(|runs| !runs.is_empty())
+    });
+    if !held {
+        tables[ci].free(id);
     }
 }
 
@@ -325,7 +350,8 @@ pub(crate) struct CompiledWorkload {
     /// `route[type]`'s rows: the keys (and shard hashes) an event of the
     /// type carries, each built once ([`HamletEngine::shard_mask`]).
     pub(crate) key_reps: Vec<Vec<u32>>,
-    pub(crate) num_classes: usize,
+    /// `classes[class]` — the groups of each key class, ascending.
+    pub(crate) classes: Vec<Vec<u32>>,
     /// `selections[type]` — the distinct selections and skeleton values
     /// every group that buffers the type as cells reads off its events,
     /// interned across groups like the key classes: the scan
@@ -361,6 +387,12 @@ pub struct HamletEngine {
     pub(crate) plan: Arc<CompiledWorkload>,
     /// Per share group of `plan`, the engine's state of it.
     pub(crate) groups: Vec<GroupState>,
+    /// Per key class of `plan`, the keys its groups' partitions are
+    /// addressed by (see [`KeyTable`]).
+    pub(crate) tables: Vec<KeyTable>,
+    /// `(class, key id)` of every run list that emptied since the last
+    /// [`release_emptied`](Self::release_emptied) — scratch only.
+    pub(crate) emptied: Vec<(u32, u32)>,
     /// (combiner, key, window) → the half that arrived first.
     pub(crate) pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// Watermark expiration index: every live run, across all groups,
@@ -425,8 +457,10 @@ impl HamletEngine {
         let mut eng = HamletEngine {
             cfg,
             groups: (plan.groups.iter())
-                .map(|_| GroupState::new(keys))
+                .map(|_| GroupState::default())
                 .collect(),
+            tables: plan.classes.iter().map(|_| KeyTable::new(keys)).collect(),
+            emptied: Vec::new(),
             pending: KeyMap::with_hasher(keys),
             expiry: ExpiryIndex::default(),
             run_bytes: 0,
@@ -436,7 +470,7 @@ impl HamletEngine {
             stats: EngineStats::default(),
             latency: LatencyRecorder::new(),
             gauge: MemoryGauge::new(),
-            scratch: BatchScratch::new(&plan, keys),
+            scratch: BatchScratch::new(&plan),
             plan,
             burst_ctx: BurstCtx::default(),
             obs: Vec::new(),
@@ -499,7 +533,7 @@ impl HamletEngine {
         let plan = workload::analyze(&simple).map_err(EngineError::Workload)?;
         let (rts, mut selections) = compile_groups(&plan.groups);
         selections.resize_with(reg.len(), Default::default);
-        let groups: Vec<GroupPlan> = (plan.groups.iter().zip(rts))
+        let mut groups: Vec<GroupPlan> = (plan.groups.iter().zip(rts))
             .map(|(g, rt)| {
                 let pane = hamlet_types::time::gcd(g.window.within, g.window.slide);
                 let partition_slots = (0..reg.len())
@@ -524,6 +558,7 @@ impl HamletEngine {
                     })
                     .collect();
                 GroupPlan {
+                    class: 0,
                     combiner_of,
                     sig,
                     rt,
@@ -536,21 +571,21 @@ impl HamletEngine {
             .collect();
         // Key classes: one per distinct partition-slot table.
         let mut class_tables = Vec::new();
-        let classes: Vec<u32> = groups
-            .iter()
+        let class_of: Vec<u32> = (groups.iter())
             .map(|g| intern(&mut class_tables, &g.partition_slots))
             .collect();
+        let mut classes = vec![Vec::new(); class_tables.len()];
+        for (gi, (g, class)) in (0u32..).zip(groups.iter_mut().zip(class_of)) {
+            g.class = class;
+            classes[class as usize].push(gi);
+        }
         let route: Vec<Vec<(u32, u32, u32)>> = (0..reg.len())
             .map(|t| {
                 let id = hamlet_types::EventTypeId(t as u16);
-                groups
-                    .iter()
-                    .zip(&classes)
-                    .enumerate()
-                    .filter_map(|(gi, (g, &class))| {
-                        g.rt.template
-                            .local(id)
-                            .map(|tl| (gi as u32, tl as u32, class))
+                (0u32..)
+                    .zip(&groups)
+                    .filter_map(|(gi, g)| {
+                        g.rt.template.local(id).map(|tl| (gi, tl as u32, g.class))
                     })
                     .collect()
             })
@@ -568,7 +603,6 @@ impl HamletEngine {
                 reps
             })
             .collect();
-        let num_classes = class_tables.len().max(1);
         let row = selections.iter().map(|s| s.width()).max().unwrap_or(0);
         let spans = queries
             .iter()
@@ -581,7 +615,7 @@ impl HamletEngine {
             combiners,
             route,
             key_reps,
-            num_classes,
+            classes,
             selections,
             row,
         })
@@ -721,8 +755,7 @@ impl HamletEngine {
     pub(crate) fn walk_run_bytes(&self) -> usize {
         let mut b = 0;
         for g in &self.groups {
-            // hamlet-lint: allow(unordered-iter) -- commutative sum (memory accounting)
-            for runs in g.partitions.values() {
+            for runs in &g.runs {
                 for &(_, handle) in runs.as_slice() {
                     b += g.slab.get(handle).rs.mem_bytes();
                 }

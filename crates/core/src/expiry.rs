@@ -3,19 +3,22 @@
 //!
 //! A run occupies a slot of its share group's `RunSlab` and is known
 //! everywhere else by that slot's handle: its key's `Runs` list, the
-//! expiration index. It is indexed once, when its first event creates it
-//! (`Partition::run_at`); `HamletEngine::emit_expired` takes exactly
+//! expiration index. A slot names its key by id in the group's key table
+//! (`crate::keyhash::KeyTable`), and a key's `Runs` list is the group's
+//! entry of that id. A run is indexed once, when its first event creates
+//! it (`Partition::run_at`); `HamletEngine::emit_expired` takes exactly
 //! the runs whose window end the watermark has passed, finalizes them in
 //! the canonical `(window_start, group, key)` order, renders one result
 //! per member query — pairing the two halves of a decomposed general
 //! (`OR`/`AND`) query on the way — and hands each slot back for the next
-//! run to reuse. [`HamletEngine::flush`] is the same drain at the end of
-//! time.
+//! run to reuse, and each key that no run of its class holds any more
+//! back to its table. [`HamletEngine::flush`] is the same drain at the
+//! end of time.
 
 use crate::burst::{FlushEnv, RunState};
-use crate::executor::{render, AggValue, HamletEngine, WindowResult};
+use crate::executor::{release_key, render, AggValue, GroupState, HamletEngine, WindowResult};
 use crate::general;
-use crate::keyhash::KeyMap;
+use crate::keyhash::KeyTable;
 use crate::record::PendingSlot;
 use crate::run::{GroupRuntime, MemberOutput};
 use hamlet_obs::{GroupMetrics, Stage};
@@ -181,10 +184,11 @@ impl Runs {
     }
 }
 
-/// One slot of a [`RunSlab`]: a run with the `(key, window start)` it
+/// One slot of a [`RunSlab`]: a run with the `(key id, window start)` it
 /// currently evaluates, or — free — a recycled run waiting for the next.
 pub(crate) struct Slot {
-    pub(crate) key: GroupKey,
+    /// The run's key, by id in its group's key table.
+    pub(crate) id: u32,
     pub(crate) start: u64,
     live: bool,
     pub(crate) rs: RunState,
@@ -218,38 +222,38 @@ impl RunSlab {
         (0..self.slots.len() as u32).filter(|&h| self.slots[h as usize].live)
     }
 
-    /// The expiration-index entry of live run `handle` of group `group`.
-    pub(crate) fn entry(&self, group: u32, handle: u32) -> ExpiryEntry {
+    /// The expiration-index entry of live run `handle` of group `group`,
+    /// whose key table is `keys`.
+    pub(crate) fn entry(&self, group: u32, handle: u32, keys: &KeyTable) -> ExpiryEntry {
         let slot = self.get(handle);
         ExpiryEntry {
             start: slot.start,
-            ord: slot.key.order_prefix(),
+            ord: keys.key(slot.id).order_prefix(),
             group,
             handle,
         }
     }
 
-    /// Puts a run for `(key, start)` in a slot — `decoded` if given, else
-    /// an empty one: a recycled slot's if there is one, a new
+    /// Puts a run for `(key id, start)` in a slot — `decoded` if given,
+    /// else an empty one: a recycled slot's if there is one, a new
     /// [`RunState::new`] over `rt` otherwise.
     pub(crate) fn occupy(
         &mut self,
         rt: &Arc<GroupRuntime>,
-        key: &GroupKey,
+        id: u32,
         start: u64,
         decoded: Option<RunState>,
     ) -> u32 {
         if let Some(handle) = self.free.pop() {
             let slot = &mut self.slots[handle as usize];
-            slot.key.0.clone_from(&key.0);
-            (slot.start, slot.live) = (start, true);
+            (slot.id, slot.start, slot.live) = (id, start, true);
             if let Some(rs) = decoded {
                 slot.rs = rs;
             }
             return handle;
         }
         self.slots.push(Slot {
-            key: key.clone(),
+            id,
             start,
             live: true,
             rs: decoded.unwrap_or_else(|| RunState::new(rt.clone())),
@@ -270,17 +274,15 @@ impl RunSlab {
     }
 
     /// Drops the free slots. Live runs move into the holes, so their
-    /// handles change: `partitions` is re-pointed here, the expiration
-    /// index must be rebuilt by the caller.
-    pub(crate) fn drop_free(&mut self, partitions: &mut KeyMap<GroupKey, Runs>) {
+    /// handles change: the group's run lists `runs` are re-pointed here,
+    /// the expiration index must be rebuilt by the caller.
+    pub(crate) fn drop_free(&mut self, runs: &mut [Runs]) {
         // Highest first: every slot above the hole being filled is live.
         self.free.sort_unstable();
         while let Some(hole) = self.free.pop() {
             self.slots.swap_remove(hole as usize);
             if let Some(moved) = self.slots.get(hole as usize) {
-                if let Some(runs) = partitions.get_mut(&moved.key) {
-                    runs.repoint(moved.start, hole);
-                }
+                runs[moved.id as usize].repoint(moved.start, hole);
             }
         }
     }
@@ -293,6 +295,8 @@ pub(crate) struct Partition<'a> {
     pub(crate) runs: &'a mut Runs,
     pub(crate) slab: &'a mut RunSlab,
     pub(crate) group: usize,
+    /// The partition's key and its id in the group's key table.
+    pub(crate) id: u32,
     pub(crate) key: &'a GroupKey,
     pub(crate) rt: &'a Arc<GroupRuntime>,
     pub(crate) expiry: &'a mut ExpiryIndex,
@@ -308,7 +312,7 @@ impl Partition<'_> {
         let handle = match self.runs.find(start) {
             Ok(at) => self.runs.as_slice()[at].1,
             Err(at) => {
-                let handle = self.slab.occupy(self.rt, self.key, start, None);
+                let handle = self.slab.occupy(self.rt, self.id, start, None);
                 self.runs.insert(at, start, handle);
                 let entry = ExpiryEntry {
                     start,
@@ -339,38 +343,41 @@ impl HamletEngine {
     /// single-threaded output is deterministic by construction (the same
     /// order [`sort_results`](crate::sort_results) /
     /// [`crate::parallel::ParallelReport`] guarantee within one window
-    /// instance).
+    /// instance). A run leaves its key's list by key id; a key that no
+    /// group of its class holds a run under any more leaves its table
+    /// once the drain's results are out.
     pub(crate) fn emit_expired(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
         let wm = watermark.ticks();
         let mut finished = std::mem::take(&mut self.finished);
         while let Some(bucket) = self.expiry.pop_due(wm) {
             for &e in &bucket {
                 let gi = e.group as usize;
-                let g = &mut self.groups[gi];
+                let GroupState { runs, slab } = &mut self.groups[gi];
                 // Lazy invalidation: skip entries whose run is already
                 // gone (its slot free, or taken by a run of another
                 // window).
                 let live =
-                    (g.slab.slots.get(e.handle as usize)).filter(|s| s.live && s.start == e.start);
-                let Some((key, runs)) =
-                    live.and_then(|s| Some((&s.key, g.partitions.get_mut(&s.key)?)))
-                else {
+                    (slab.slots.get(e.handle as usize)).filter(|s| s.live && s.start == e.start);
+                let Some(id) = live.map(|s| s.id) else {
                     self.stats.expiry_tombstones += 1;
                     continue;
                 };
+                let runs = &mut runs[id as usize];
                 if let Ok(at) = runs.find(e.start) {
                     runs.remove(at);
                 }
+                let class = self.plan.groups[gi].class;
                 if runs.is_empty() {
-                    g.partitions.remove(key);
+                    self.emptied.push((class, id));
                 }
-                self.dirty.mark(gi, key);
+                self.dirty.mark(gi, self.tables[class as usize].key(id));
                 finished.push(e);
             }
             self.expiry.recycle(bucket);
         }
         self.finalize_finished(&mut finished, out);
         self.finished = finished;
+        self.release_emptied();
         if !self.pending.is_empty() {
             self.settle_closed(wm, out);
         }
@@ -408,12 +415,18 @@ impl HamletEngine {
         finished: &mut Vec<ExpiryEntry>,
         out: &mut Vec<WindowResult>,
     ) {
-        let groups = &self.groups;
+        // Out of the engine while results render: nothing here interns.
+        let tables = std::mem::take(&mut self.tables);
+        let (plan, groups) = (&self.plan, &self.groups);
         finished.sort_unstable_by(|a, b| {
             (a.start, a.group, a.ord)
                 .cmp(&(b.start, b.group, b.ord))
                 .then_with(|| {
-                    let key = |e: &ExpiryEntry| &groups[e.group as usize].slab.get(e.handle).key;
+                    let key = |e: &ExpiryEntry| {
+                        let gi = e.group as usize;
+                        let table = &tables[plan.groups[gi].class as usize];
+                        table.key(groups[gi].slab.get(e.handle).id)
+                    };
                     key(a).total_cmp(key(b))
                 })
         });
@@ -441,14 +454,12 @@ impl HamletEngine {
                 m.event_snapshots += s.event_snapshots;
             }
             arrivals.extend(slot.rs.last_arrival);
-            // The key leaves its slot for the emission and goes back, so
-            // the slot keeps the buffer.
-            let (key, start) = (std::mem::take(&mut slot.key), slot.start);
-            self.emit_run(gi, &key, start, &outputs, out);
-            let slab = &mut self.groups[gi].slab;
-            slab.slots[handle as usize].key = key;
-            self.run_bytes -= slab.release(handle);
+            let (id, start) = (slot.id, slot.start);
+            let key = tables[self.plan.groups[gi].class as usize].key(id);
+            self.emit_run(gi, key, start, &outputs, out);
+            self.run_bytes -= self.groups[gi].slab.release(handle);
         }
+        self.tables = tables;
         self.outputs = outputs;
         // The drain's results become visible together, when the batch
         // returns: one clock read after the last of them serves every
@@ -592,10 +603,14 @@ impl HamletEngine {
         self.watermark = Some(Ts(u64::MAX));
         self.emit_expired(Ts(u64::MAX), &mut out);
         // Every run just ended: what the slabs hold is free slots, and
-        // nothing after the end of time can take one.
+        // the tables freed ids; nothing after the end of time takes one.
         for g in &mut self.groups {
-            debug_assert!(g.partitions.is_empty());
-            g.slab = RunSlab::default();
+            debug_assert!(g.runs.iter().all(Runs::is_empty));
+            *g = GroupState::default();
+        }
+        for table in &mut self.tables {
+            debug_assert_eq!(table.len(), 0);
+            *table = KeyTable::new(self.keys);
         }
         debug_assert!(self.pending.is_empty(), "every window closed");
         self.span_end(Stage::Flush, flush_t, wm_before, out.len() as u64);
@@ -610,12 +625,20 @@ impl HamletEngine {
         self.expiry = ExpiryIndex::default();
         for (group, (g, st)) in (0u32..).zip(self.plan.groups.iter().zip(&self.groups)) {
             for handle in st.slab.live() {
-                let entry = st.slab.entry(group, handle);
+                let entry = st.slab.entry(group, handle, &self.tables[g.class as usize]);
                 self.expiry
                     .push(window_end(entry.start, g.window.within), entry);
             }
         }
         self.run_bytes = self.walk_run_bytes();
+    }
+
+    /// Frees the key id of every run list in `emptied` that no group of
+    /// its class holds a run under any more.
+    pub(crate) fn release_emptied(&mut self) {
+        for (ci, id) in self.emptied.drain(..) {
+            release_key(&self.plan, &self.groups, &mut self.tables, ci as usize, id);
+        }
     }
 }
 
@@ -924,5 +947,112 @@ mod tests {
         gold.extend(plain.flush());
         out.retain(|r| r.query == QueryId(1));
         assert_eq!(out, gold);
+    }
+
+    /// Key ids are recycled: 50 tumbling windows, each over 1 000 keys no
+    /// earlier window saw. After every close the table indexes exactly
+    /// the keys that hold live runs, and its id space never outgrows one
+    /// window's keys: a window's close frees its ids before the next
+    /// window's keys are interned.
+    #[test]
+    fn key_ids_are_recycled() {
+        let (reg, a, b) = registry();
+        let mut eng = HamletEngine::new(reg.clone(), vec![query(1, a, b, 10)], cfg()).unwrap();
+        let keys = 1_000;
+        let mut results = 0;
+        for w in 0..50u64 {
+            let events: Vec<Event> = (0..keys)
+                .flat_map(|k| [a, b].map(|ty| (ty, k)))
+                .map(|(ty, k)| {
+                    EventBuilder::new(&reg, ty, w * 10 + k * 10 / keys)
+                        .attr("g", (w * keys + k) as i64)
+                        .build()
+                })
+                .collect();
+            for chunk in events.chunks(256) {
+                results += eng.process_batch(chunk).len();
+            }
+            assert_eq!(results as u64, w * keys, "window {w} closed the one before");
+            let (table, runs) = (&eng.tables[0], &eng.groups[0].runs);
+            assert!(table.ids() <= keys as usize, "{} ids", table.ids());
+            for id in 0..table.ids() as u32 {
+                let held = runs.get(id as usize).is_some_and(|r| !r.is_empty());
+                assert_eq!(table.get(table.key(id)) == Some(id), held, "id {id}");
+            }
+            assert_eq!(table.len(), keys as usize);
+        }
+        assert_eq!(eng.flush().len() as u64, keys);
+        assert_eq!(eng.tables[0].len(), 0);
+    }
+
+    /// Removing a `GROUP BY driver` query ahead of two `GROUP BY
+    /// district` ones renumbers the district group's key class (1 → 0)
+    /// while the group carries its runs over: the carried queries still
+    /// compute what each computes alone, and a full cut right after the
+    /// churn restores and finishes byte-identical.
+    #[test]
+    fn a_churn_that_renumbers_a_key_class_carries_its_keys() {
+        use hamlet_query::parse_query;
+        let mut reg = TypeRegistry::new();
+        let (a, b) = (
+            reg.register("A", &["driver", "district"]),
+            reg.register("B", &["driver", "district"]),
+        );
+        let reg = Arc::new(reg);
+        let q = |id, by, within| {
+            let text = format!("RETURN COUNT(*) PATTERN SEQ(A, B+) GROUP BY {by} WITHIN {within}");
+            parse_query(&reg, id, &text).unwrap()
+        };
+        let (by_driver, by_district) = (
+            q(1, "driver", 20),
+            [q(2, "district", 20), q(3, "district", 20)],
+        );
+        let stream = |from: u64, n: u64| -> Vec<Event> {
+            (from..from + n)
+                .map(|t| {
+                    EventBuilder::new(&reg, if t % 4 == 0 { a } else { b }, t / 2)
+                        .attr("driver", (t % 11) as i64)
+                        .attr("district", 100 + (t % 3) as i64)
+                        .build()
+                })
+                .collect()
+        };
+        let mk = |queries: Vec<Query>| HamletEngine::new(reg.clone(), queries, cfg()).unwrap();
+        let mut queries = vec![by_driver];
+        queries.extend(by_district.clone());
+        let mut eng = mk(queries);
+        let district = |eng: &HamletEngine| {
+            let g = eng
+                .plan
+                .groups
+                .iter()
+                .find(|g| g.partition_attrs[0].as_ref() == "district");
+            g.unwrap().class
+        };
+        assert_eq!(district(&eng), 1);
+        let mut out = eng.process_batch(&stream(0, 50));
+        let report = eng.remove_query(QueryId(1)).unwrap();
+        assert_eq!((report.groups_carried, district(&eng)), (1, 0));
+        out.extend(report.drained);
+
+        let base = eng.cut(CutKind::Full).unwrap();
+        let mut restored = mk(by_district.to_vec());
+        restored.restore_chain(&[base]).unwrap();
+        assert_eq!(restored.checkpoint(), eng.checkpoint());
+        let rest = stream(50, 70);
+        let more = eng.process_batch(&rest);
+        assert_eq!(restored.process_batch(&rest), more);
+        out.extend(more);
+        let last = eng.flush();
+        assert_eq!(restored.flush(), last);
+        out.extend(last);
+
+        for q in by_district {
+            let mut alone = mk(vec![q.clone()]);
+            let mut gold = alone.process_batch(&stream(0, 120));
+            gold.extend(alone.flush());
+            let of_q: Vec<_> = out.iter().filter(|r| r.query == q.id).cloned().collect();
+            assert_eq!(of_q, gold, "query {:?}", q.id);
+        }
     }
 }

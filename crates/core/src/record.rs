@@ -25,9 +25,9 @@ use crate::checkpoint::{
     CheckpointError, Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, DELTA_VERSION_V1,
     DELTA_VERSION_V2, ENGINE_VERSION, ENGINE_VERSION_V4, ENGINE_VERSION_V5,
 };
-use crate::executor::{EngineStats, GroupState, HamletEngine};
+use crate::executor::{release_key, CompiledWorkload, EngineStats, GroupState, HamletEngine};
 use crate::expiry::Runs;
-use crate::keyhash::{KeyMap, KeySet, KeyState};
+use crate::keyhash::{KeyMap, KeySet, KeyState, KeyTable};
 use crate::metrics::{LatencyRecorder, MemoryGauge};
 use crate::run::GroupRuntime;
 use crate::store::{ChainMeta, Checkpoint, CutKind};
@@ -154,19 +154,24 @@ fn slot_cmp(a: &PendingSlot, b: &PendingSlot) -> std::cmp::Ordering {
 /// the engine's dirty log holds, split into what vanished (removals) and
 /// what is still there (re-sent whole). Either way in canonical order —
 /// the partition and pending maps are `HashMap`s — and ending in the
-/// scalar tail. Mirrored by [`decode_body`].
+/// scalar tail. Mirrored by [`decode_body`]. A partition is present
+/// when its group holds a run under the key.
 fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc) {
     let n = eng.groups.len();
     let mut gone: Vec<Vec<&GroupKey>> = vec![Vec::new(); n];
     let mut live: Vec<Vec<(&GroupKey, &Runs)>> = vec![Vec::new(); n];
     let mut slots_gone: Vec<&PendingSlot> = Vec::new();
     let mut slots_live: Vec<(&PendingSlot, &(QueryId, u64))> = Vec::new();
+    let table = |gi: usize| &eng.tables[eng.plan.groups[gi].class as usize];
     if delta {
         for (gi, keys) in eng.dirty.parts.iter().enumerate() {
             // hamlet-lint: allow(unordered-iter) -- only buckets per group; every bucket is sorted canonically before it is written below
             for key in keys {
-                match eng.groups[gi].partitions.get_key_value(key) {
-                    Some(kv) => live[gi].push(kv),
+                let runs = table(gi)
+                    .get(key)
+                    .and_then(|id| eng.groups[gi].runs.get(id as usize));
+                match runs.filter(|runs| !runs.is_empty()) {
+                    Some(runs) => live[gi].push((key, runs)),
                     None => gone[gi].push(key),
                 }
             }
@@ -179,8 +184,9 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
             }
         }
     } else {
-        for (g, live) in eng.groups.iter().zip(&mut live) {
-            live.extend(&g.partitions);
+        for (gi, (g, live)) in eng.groups.iter().zip(&mut live).enumerate() {
+            let held = (0u32..).zip(&g.runs).filter(|(_, runs)| !runs.is_empty());
+            live.extend(held.map(|(id, runs)| (table(gi).key(id), runs)));
         }
         slots_live.extend(&eng.pending);
     }
@@ -230,6 +236,9 @@ struct Staged {
     /// Per share group, its state as `HamletEngine::groups` holds it: the
     /// partitions with the slab their runs live in.
     groups: Vec<GroupState>,
+    /// Per key class, the keys those partitions are addressed by, as
+    /// `HamletEngine::tables` holds them.
+    tables: Vec<KeyTable>,
     pending: KeyMap<PendingSlot, (QueryId, u64)>,
     /// The scalar tail every record body ends with; the newest wins.
     tail: Tail,
@@ -273,13 +282,22 @@ impl Tail {
     }
 }
 
-impl GroupState {
-    /// Takes `key` out of a staged group: a key a later record of the
-    /// chain removes or re-sends gives its slots back.
-    fn vacate(&mut self, key: &GroupKey) {
-        for &(_, handle) in self.partitions.remove(key).iter().flat_map(Runs::as_slice) {
-            self.slab.release(handle);
+impl Staged {
+    /// Takes `key` out of staged group `gi`: a key a later record of the
+    /// chain removes or re-sends gives its slots back, and its id too if
+    /// no group of its class holds it any more.
+    fn vacate(&mut self, plan: &CompiledWorkload, gi: usize, key: &GroupKey) {
+        let ci = plan.groups[gi].class as usize;
+        let Some(id) = self.tables[ci].get(key) else {
+            return;
+        };
+        let st = &mut self.groups[gi];
+        if let Some(runs) = st.runs.get_mut(id as usize) {
+            for &(_, handle) in std::mem::take(runs).as_slice() {
+                st.slab.release(handle);
+            }
         }
+        release_key(plan, &self.groups, &mut self.tables, ci, id);
     }
 }
 
@@ -310,18 +328,19 @@ fn decode_body(
             eng.groups.len()
         )));
     }
-    for (g, st) in eng.plan.groups.iter().zip(&mut state.groups) {
+    let plan = &*eng.plan;
+    for (gi, g) in plan.groups.iter().enumerate() {
         if delta {
             for _ in 0..d.seq_len()? {
-                st.vacate(&GroupKey::decode(d)?);
+                state.vacate(plan, gi, &GroupKey::decode(d)?);
             }
         }
-        let n_parts = d.seq_len()?;
-        st.partitions.reserve(if delta { 0 } else { n_parts });
-        for _ in 0..n_parts {
+        for _ in 0..d.seq_len()? {
             let key = GroupKey::decode(d)?;
-            st.vacate(&key);
-            let mut runs = Runs::default();
+            state.vacate(plan, gi, &key);
+            let ci = g.class as usize;
+            let id = state.tables[ci].intern(&key);
+            let (runs, slab) = state.groups[gi].partition(id);
             for _ in 0..d.seq_len()? {
                 let start = d.u64()?;
                 let Err(at) = runs.find(start) else {
@@ -330,9 +349,10 @@ fn decode_body(
                     )));
                 };
                 let rs = RunState::decode(d, &g.rt, legacy)?;
-                runs.insert(at, start, st.slab.occupy(&g.rt, &key, start, Some(rs)));
+                runs.insert(at, start, slab.occupy(&g.rt, id, start, Some(rs)));
             }
-            st.partitions.insert(key, runs);
+            // A partition of no runs holds nothing, and neither does its id.
+            release_key(plan, &state.groups, &mut state.tables, ci, id);
         }
         if version < ENGINE_VERSION {
             skip_estimator(d, &g.rt)?;
@@ -449,7 +469,10 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
         epoch,
         seq: chain[chain.len() - 1].seq,
         groups: (eng.plan.groups.iter())
-            .map(|_| GroupState::new(eng.keys))
+            .map(|_| GroupState::default())
+            .collect(),
+        tables: (eng.plan.classes.iter())
+            .map(|_| KeyTable::new(eng.keys))
             .collect(),
         pending: KeyMap::with_hasher(eng.keys),
         tail: Tail::default(),
@@ -484,9 +507,10 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
 fn install(eng: &mut HamletEngine, state: Staged) {
     eng.epoch = state.epoch;
     eng.groups = state.groups;
+    eng.tables = state.tables;
     for g in &mut eng.groups {
         // Slots a delta of the chain vacated: not state, not installed.
-        g.slab.drop_free(&mut g.partitions);
+        g.slab.drop_free(&mut g.runs);
     }
     eng.pending = state.pending;
     let tail = state.tail;

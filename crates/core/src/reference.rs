@@ -19,7 +19,9 @@
 use crate::agg::MmVal;
 use crate::bitset::QSet;
 use crate::burst::{Burst, BurstRepr, Cell, Chunk, FlushEnv};
-use crate::executor::{shard_index, GroupPlan, HamletEngine, WindowResult};
+use crate::executor::{
+    release_key, shard_index, GroupPlan, GroupState, HamletEngine, WindowResult,
+};
 use crate::expiry::Partition;
 use crate::run::{GroupRuntime, Run};
 use crate::workload::AggSkeleton;
@@ -76,7 +78,8 @@ impl HamletEngine {
                 m.events_routed += 1;
             }
             self.dirty.mark(gi, &key);
-            let st = &mut self.groups[gi];
+            let ci = g.class as usize;
+            let id = self.tables[ci].intern(&key);
             let within = g.window.within;
             let pane_idx = e.time.ticks() / g.pane;
             let starts: Vec<Ts> = g.window.instances_containing(e.time).collect();
@@ -91,10 +94,12 @@ impl HamletEngine {
                 }
                 BurstRepr::Events => Chunk::Events(std::slice::from_ref(e), &[(0, 0)]),
             };
+            let (runs, slab) = self.groups[gi].partition(id);
             let mut part = Partition {
-                runs: st.partitions.entry(key.clone()).or_default(),
-                slab: &mut st.slab,
+                runs,
+                slab,
                 group: gi,
+                id,
                 key: &key,
                 rt: &g.rt,
                 expiry: &mut self.expiry,
@@ -106,24 +111,19 @@ impl HamletEngine {
                 ctx: &mut self.burst_ctx,
                 bytes: &mut self.run_bytes,
             };
-            let mut late_skipped = false;
             for start in starts {
                 let end = window_end(start.ticks(), within);
                 // Late-event guard: this window instance was already
                 // emitted, so the contribution is dropped.
                 if end <= wm.ticks() {
                     env.stats.late_skips += 1;
-                    late_skipped = true;
                     continue;
                 }
                 let rs = part.run_at(start.ticks(), end, &mut env);
                 rs.append(tl, pane_idx, chunk, now, &mut env);
             }
-            // A first-seen key whose every window instance was late would
-            // leave an empty run map behind — drop it, it holds no state.
-            if late_skipped && part.runs.is_empty() {
-                st.partitions.remove(&key);
-            }
+            // Every window instance was late: the key may hold no run.
+            release_key(plan, &self.groups, &mut self.tables, ci, id);
         }
         if routed {
             self.stats.events_routed += 1;
@@ -144,22 +144,26 @@ impl HamletEngine {
     /// indexed path, so any divergence is in *which* runs expire.
     fn emit_expired_scan(&mut self, watermark: Ts, out: &mut Vec<WindowResult>) {
         let mut finished = Vec::new();
-        for gi in 0..self.groups.len() {
-            let within = self.plan.groups[gi].window.within;
-            let g = &mut self.groups[gi];
-            for (key, runs) in g.partitions.iter_mut() {
+        for (gi, g) in self.plan.groups.iter().enumerate() {
+            let (within, class) = (g.window.within, g.class);
+            let keys = &self.tables[class as usize];
+            let GroupState { runs, slab } = &mut self.groups[gi];
+            for (id, runs) in (0u32..).zip(runs.iter_mut()) {
                 while let Some(&(start, _)) = runs.as_slice().first() {
                     if window_end(start, within) > watermark.ticks() {
                         break;
                     }
-                    self.dirty.mark(gi, key);
+                    self.dirty.mark(gi, keys.key(id));
                     let handle = runs.remove(0);
-                    finished.push(g.slab.entry(gi as u32, handle));
+                    finished.push(slab.entry(gi as u32, handle, keys));
+                    if runs.is_empty() {
+                        self.emptied.push((class, id));
+                    }
                 }
             }
-            g.partitions.retain(|_, runs| !runs.is_empty());
         }
         self.finalize_finished(&mut finished, out);
+        self.release_emptied();
     }
 
     /// [`process`](Self::process) with expiry decided by the full scan:

@@ -7,8 +7,8 @@
 //! that property with a counting global allocator so the churn cannot
 //! silently return: a warmed engine must process a 1024-event batch with
 //! fewer than one allocation per 8 events. The second case pins what
-//! creating a run costs once its share group's slab is warm: the result
-//! keys and a few key clones, not the ~45 allocations of building one.
+//! creating a run costs once its share group's slab and key table are
+//! warm: the result keys, not the ~45 allocations of building one.
 //! The third pins the router: a warm `ShardRouter` builds keys into its
 //! one scratch key, so routing a single-owner event allocates nothing.
 //! The fourth holds the first case's bound over a share group of 19
@@ -126,11 +126,11 @@ fn batched_hot_path_is_allocation_lean() {
 }
 
 /// Creating a run in a warm share group allocates what leaves the engine
-/// with it or outlives the call — the k result keys, the key's entry in
-/// the partition map, its entry in the segment's bucket index — and
-/// nothing for the run itself: the slab hands back a recycled one, the
-/// expiry entry is four integers, the key's run list sits in its map
-/// entry. With the memory gauge at its default: a sample reads a counter.
+/// with it — the k result keys — and nothing for the run or its key: the
+/// slab hands back a recycled run, the key table a freed id with its key
+/// buffer, the expiry entry is four integers, and the key's run list is
+/// its id's entry of the group's lists. With the memory gauge at its
+/// default: a sample reads a counter.
 #[cfg(debug_assertions)]
 #[test]
 fn run_creation_in_a_warm_group_is_allocation_lean() {
@@ -301,10 +301,13 @@ fn many_head_types_are_allocation_lean() {
 /// Twelve share groups (four windows × three partitionings), four
 /// members each with selections on the Kleene type drawn from one pool
 /// (shared between groups and not) and `SUM` / `MIN` / `COUNT`
-/// skeletons: once warm, 4 096 events in batches of 256 allocate 8 313
-/// times, 8 160 of them for the results the closed windows hand out —
-/// the count of the engine before the selection rows, which are written
-/// into reused buffers.
+/// skeletons: once warm, 4 096 events in batches of 256 allocate 7 272
+/// times, for the 8 160 results the closed windows hand out (a result of
+/// the four ungrouped groups clones an empty key, which allocates
+/// nothing) and the output vectors' growth. The selection rows are
+/// written into reused buffers, and a key the scan meets is interned in
+/// its class's key table, which reuses a freed id's key buffer: no
+/// partition key is copied per segment or per window.
 #[cfg(debug_assertions)]
 #[test]
 fn twelve_groups_with_selections_are_allocation_lean() {
@@ -380,19 +383,19 @@ fn twelve_groups_with_selections_are_allocation_lean() {
     let spent = allocs() - before;
     assert_eq!(results, 8_160, "windows closed in the measured batches");
     assert!(
-        spent <= 8_313,
-        "{spent} allocations for {n} events and {results} results (budget 8 313)"
+        spent <= 7_272,
+        "{spent} allocations for {n} events and {results} results (budget 7 272)"
     );
 }
 
 /// Expiry at high cardinality: 10 000 keys recurring Zipf-like
 /// (exponent 0.8, as `rides_highcard_w1` draws them) over tumbling
 /// windows of 100 ticks, 6 000 bursts a window, so every close expires
-/// about 3 000 runs at once. Once warm, three windows allocate no more
-/// than they did under the heap-ordered expiry index (52 880 times for
-/// 8 969 runs and 26 964 results): the result keys, the key clones of a
-/// key first seen in a segment or a window, and the result vectors'
-/// growth — nothing per expiry entry, bucket or sort.
+/// about 3 000 runs at once. Once warm, three windows allocate 27 046
+/// times for 8 969 runs and 26 964 results: the result keys and the
+/// result vectors' growth — nothing per expiry entry, bucket or sort, and
+/// nothing per key: a key enters its class's key table once, into a
+/// freed id's buffer, and leaves it with its last run.
 #[cfg(debug_assertions)]
 #[test]
 fn expiring_ten_thousand_zipf_keys_is_allocation_lean() {
@@ -451,7 +454,7 @@ fn expiring_ten_thousand_zipf_keys_is_allocation_lean() {
     let (spent, runs) = (allocs() - before, eng.stats().expiry_pushes - runs_before);
     assert_eq!((runs, results), (8_969, 26_964));
     assert!(
-        spent <= 52_880,
-        "{spent} allocations for {runs} runs and {results} results (budget 52 880)"
+        spent <= 27_046,
+        "{spent} allocations for {runs} runs and {results} results (budget 27 046)"
     );
 }

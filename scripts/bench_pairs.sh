@@ -24,8 +24,11 @@
 # per end-to-end metric against its `bound` (ok, WORSE, or unresolved when
 # REV's quartile spread is wider than the bound or a run produced no
 # result); and whether the claim rule for a gain holds (better in 9 of 10
-# pairs, median gain larger than REV's inter-quartile range). Every
-# `verdict` and `claim` line starts with its workload. Touches nothing in
+# pairs, median gain larger than REV's inter-quartile range, no run
+# without a result, and no more failed operations than REV). A run whose
+# result line reads `"correct": false` counts as a run with no result, so
+# its workload's verdicts all read unresolved. Every `verdict` and
+# `claim` line starts with its workload. Touches nothing in
 # the repository; the build directories are removed on exit.
 set -euo pipefail
 
@@ -74,12 +77,15 @@ import json, statistics, sys
 rules = json.load(open(sys.argv[4]))["end_to_end"]
 names = [r["name"] for r in rules]
 
+# One row per run: its metrics and failed count, or None when the run
+# produced no result or a wrong one.
 def rows(path):
     out = []
     for line in open(path):
         try:
             r = json.loads(line)
-            out.append(({n: r["metrics"][n]["value"] for n in names}, r["failed"]))
+            row = ({n: r["metrics"][n]["value"] for n in names}, r["failed"])
+            out.append(row if r["correct"] is True else None)
         except (ValueError, KeyError, TypeError):
             out.append(None)
     return out
@@ -132,13 +138,14 @@ for rule in rules:
     ratio = qh[n][1] / qb[n][1]
     spread = (qb[n][2] - qb[n][0]) / qb[n][1]
     worse = ratio < 1 - bound if higher else ratio > 1 + bound
-    verdict = "WORSE" if worse else "unresolved" if spread > bound or lost else "ok"
+    verdict = "unresolved" if lost else "WORSE" if worse else "unresolved" if spread > bound else "ok"
     print(f"{wl}  verdict  {n:<15} tree/{rev[:8]} {ratio:.4f}  ({rule['better']} is better, "
           f"bound {bound:.0%}, {rev[:8]} spread {spread:.1%}): {verdict}")
 
 # The claim rule: a gain counts only if the tree is better in at least 9
-# of every 10 pairs and its median beats REV's by more than REV's
-# inter-quartile range.
+# of every 10 pairs, its median beats REV's by more than REV's
+# inter-quartile range, and it failed no more operations than REV.
+failed = [sum(r[1] for r in runs if r is not None) for runs in (base, head)]
 for rule in rules:
     n, higher = rule["name"], rule["better"] == "higher"
     if qb is None or qh is None:
@@ -147,9 +154,10 @@ for rule in rules:
     better = sum(1 for b, h in paired if (h[n] > b[n] if higher else h[n] < b[n]))
     gain = (qh[n][1] - qb[n][1]) * (1 if higher else -1) + 0.0  # no "-0"
     iqr = qb[n][2] - qb[n][0]
-    holds = better * 10 >= 9 * len(paired) and gain > iqr and not lost
+    holds = better * 10 >= 9 * len(paired) and gain > iqr and not lost and failed[1] <= failed[0]
     print(f"{wl}  claim    {n:<15} tree better in {better} of {len(paired)} pairs (needs 9/10), "
-          f"median gain {gain:.6g} vs {rev[:8]} IQR {iqr:.6g}: {'holds' if holds else 'does not hold'}")
+          f"median gain {gain:.6g} vs {rev[:8]} IQR {iqr:.6g}, failed {failed[1]} vs {failed[0]}: "
+          f"{'holds' if holds else 'does not hold'}")
 EOF
 }
 

@@ -126,7 +126,8 @@ fn batched_hot_path_is_allocation_lean() {
 }
 
 /// Creating a run in a warm share group allocates what leaves the engine
-/// with it — the k result keys — and nothing for the run or its key: the
+/// with it — the k result keys (18 036 allocations for 6 000 runs of
+/// three members) — and nothing for the run or its key: the
 /// slab hands back a recycled run, the key table a freed id with its key
 /// buffer, the expiry entry is four integers, and the key's run list is
 /// its id's entry of the group's lists. With the memory gauge at its
@@ -187,9 +188,8 @@ fn run_creation_in_a_warm_group_is_allocation_lean() {
     let (spent, runs) = (allocs() - before, eng.stats().expiry_pushes - runs_before);
     assert_eq!((runs, results), (3 * keys, 3 * keys * k));
     assert!(
-        spent <= runs * (k + 4),
-        "{spent} allocations for {runs} runs of {k} members (budget {} each)",
-        k + 4
+        spent <= runs * k + 64,
+        "{spent} allocations for {runs} runs of {k} members (budget {k} each, plus 64)"
     );
     assert!(eng.peak_memory() > 0);
 }

@@ -949,6 +949,38 @@ mod tests {
         assert_eq!(out, gold);
     }
 
+    /// A shard interns only the keys it owns, whether it hashes them
+    /// itself (`EngineConfig::shard`) or reads the router's verdicts.
+    #[test]
+    fn a_shard_interns_only_the_keys_it_owns() {
+        use crate::executor::shard_index;
+        let (reg, a, b) = registry();
+        let events = stream(&reg, a, b, 0, 40);
+        let mk = |shard| {
+            let cfg = EngineConfig { shard, ..cfg() };
+            HamletEngine::new(reg.clone(), vec![query(1, a, b, 100)], cfg).unwrap()
+        };
+        let mut interned = 0;
+        for idx in 0..2 {
+            let mut hashed = mk(Some((idx, 2)));
+            hashed.process_batch(&events);
+            let mut routed = mk(None);
+            let owned: Vec<u64> = (events.iter())
+                .map(|e| routed.shard_mask(e, 2) >> idx & 1)
+                .collect();
+            routed.process_routed(&events, Some(&owned));
+            for eng in [&hashed, &routed] {
+                let table = &eng.tables[0];
+                for id in 0..table.ids() as u32 {
+                    assert_eq!(shard_index(table.key(id), 2), idx);
+                }
+                assert_eq!(table.len(), hashed.tables[0].len());
+            }
+            interned += hashed.tables[0].len();
+        }
+        assert_eq!(interned, 7, "the two shards split the seven keys");
+    }
+
     /// Key ids are recycled: 50 tumbling windows, each over 1 000 keys no
     /// earlier window saw. After every close the table indexes exactly
     /// the keys that hold live runs, and its id space never outgrows one

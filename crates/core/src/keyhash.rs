@@ -162,16 +162,17 @@ impl KeyTable {
     /// The id of `key`, given one if it has none: a freed id and its key
     /// buffer if there is one.
     pub(crate) fn intern(&mut self, key: &GroupKey) -> u32 {
-        // Room for one more first: a present key may see the index
-        // double one insert early.
-        if 2 * (self.len() + 1) > self.index.len() {
-            self.grow();
-        }
         let hash = self.state.hash_one(key) as u32;
-        let at = match self.find(key, hash) {
+        let mut at = match self.find(key, hash) {
             Ok(at) => return self.index[at].1,
             Err(at) => at,
         };
+        if 2 * (self.len() + 1) > self.index.len() {
+            self.grow();
+            at = match self.find(key, hash) {
+                Ok(at) | Err(at) => at,
+            };
+        }
         let id = match self.free.pop() {
             Some(id) => {
                 let entry = &mut self.entries[id as usize];

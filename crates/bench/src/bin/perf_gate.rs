@@ -211,12 +211,23 @@ const CHECKS: &[Check] = &[
     // The sustained price of cutting a delta every CUT_CADENCE events
     // (`pause` sees only the per-cut stall), against the same loop uncut.
     // State is tiny at low cardinality, so the fixed per-cut cost looms
-    // large there.
+    // large there. Since run records hold only what a run wrote (`HMEN`
+    // v7) five sweeps read 0.518-0.599 (the parent's five 0.390-0.424); each
+    // floor here is the highest all five clear.
     Check {
         name: "cadence-overhead",
         figures: &["fig_checkpoint"],
         of: [("HAMLET-delta", TP, None), ("HAMLET-nockpt", TP, None)],
-        needs: AtLeast(0.4),
+        needs: AtLeast(0.51),
+    },
+    // The same price at 4 workers, where each cut is a barrier across the
+    // shards and every shard encodes its own record: 0.162-0.319 in the
+    // same five sweeps (0.163-0.268 on the parent), a no-collapse floor.
+    Check {
+        name: "cadence-overhead-4-workers",
+        figures: &["fig_checkpoint"],
+        of: [("HAMLET-par4-delta", TP, None), ("HAMLET-nockpt", TP, None)],
+        needs: AtLeast(0.16),
     },
     // A delta must be incremental: mean delta over full base at 10^4
     // keys, where at most CUT_CADENCE of them are touched between cuts.

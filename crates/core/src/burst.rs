@@ -14,6 +14,7 @@
 use crate::agg::{ring_of_attr, MmVal};
 use crate::bitset::QSet;
 use crate::checkpoint::{codec_struct, CheckpointError, Codec, Dec, Enc};
+use crate::checkpoint::{ENGINE_VERSION, ENGINE_VERSION_V4};
 use crate::executor::{EngineConfig, EngineStats};
 use crate::optimizer::decide;
 use crate::run::{BurstCtx, GroupRuntime, Run};
@@ -571,35 +572,34 @@ impl RunState {
     /// `docs/checkpoint-format.md`).
     pub(crate) fn encode(&self, e: &mut Enc) {
         self.run.encode(e);
-        match self.burst_ty {
-            None => e.some(false),
-            Some(tl) => {
-                e.some(true);
-                e.usize(tl);
-                let repr = self.run.runtime().burst_repr(tl);
-                e.u8(repr.tag());
-                match repr {
-                    BurstRepr::Count => e.u64(self.burst_count),
-                    BurstRepr::Cells => self.cells.encode(e),
-                    BurstRepr::Events => self.burst.encode(e),
-                }
+        e.some(self.burst_ty.is_some());
+        if let Some(tl) = self.burst_ty {
+            e.usize(tl);
+            let repr = self.run.runtime().burst_repr(tl);
+            e.u8(repr.tag());
+            match repr {
+                BurstRepr::Count => e.u64(self.burst_count),
+                BurstRepr::Cells => self.cells.encode(e),
+                BurstRepr::Events => self.burst.encode(e),
             }
         }
         e.u64(self.burst_pane);
     }
 
     /// Mirror of [`encode`](Self::encode) over a group's compiled
-    /// runtime. `legacy` selects the record of `HMEN` v2–v4 / `HMDL` v1
-    /// ([`decode_v4`](Self::decode_v4)).
+    /// runtime, for a record of `HMEN` `version`: before v7 its run is
+    /// the dense one (`Run::decode`), and v4's is the record of `HMEN`
+    /// v2–v4 / `HMDL` v1 ([`decode_v4`](Self::decode_v4)).
     pub(crate) fn decode(
         d: &mut Dec<'_>,
         rt: &Arc<GroupRuntime>,
-        legacy: bool,
+        version: u16,
     ) -> Result<RunState, CheckpointError> {
-        if legacy {
+        if version == ENGINE_VERSION_V4 {
             return Self::decode_v4(d, rt);
         }
-        let mut rs = RunState::around(Run::decode(d, rt.clone())?);
+        let run = Run::decode(d, rt.clone(), version < ENGINE_VERSION)?;
+        let mut rs = RunState::around(run);
         if d.some()? {
             let tl = burst_type(d.usize()?, rt)?;
             rs.burst_ty = Some(tl);
@@ -627,7 +627,7 @@ impl RunState {
     /// engine would have buffered — including the old *mixed* burst of a
     /// uniform group (events and a tail), which becomes a bare count.
     fn decode_v4(d: &mut Dec<'_>, rt: &Arc<GroupRuntime>) -> Result<RunState, CheckpointError> {
-        let mut rs = RunState::around(Run::decode(d, rt.clone())?);
+        let mut rs = RunState::around(Run::decode(d, rt.clone(), true)?);
         if d.some()? {
             rs.burst_ty = Some(burst_type(d.usize()?, rt)?);
         }

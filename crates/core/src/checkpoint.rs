@@ -50,12 +50,20 @@ pub const ENGINE_MAGIC: [u8; 4] = *b"HMEN";
 /// per-share-group observability counters; v5 tags the pending-burst
 /// record with its representation and writes non-edge bursts as a cell
 /// column instead of events; v6 drops the per-group divergence estimator
-/// section (placement is priced from the compiled group). v4 and v5
-/// blobs still restore: a v4 blob's buffered events are converted to the
-/// representation this build buffers, and either's estimator section is
-/// checked and discarded. v2 and v3 (never pinned by a fixture) are no
-/// longer read (see `docs/checkpoint-format.md`).
-pub const ENGINE_VERSION: u16 = 6;
+/// section (placement is priced from the compiled group); v7 writes a run
+/// as its difference from a fresh one (the types it wrote, the graphlets
+/// it holds, the blocks it set) and drops three fields nothing read. v4–v6
+/// blobs still restore: their runs are read as v7 runs with every type
+/// written and open and every section present, a v4 blob's buffered
+/// events are converted to the representation this build buffers, and a
+/// v4–v5 estimator section is checked and discarded. v2 and v3 (never
+/// pinned by a fixture) are no longer read (see
+/// `docs/checkpoint-format.md`).
+pub const ENGINE_VERSION: u16 = 7;
+
+/// The v6 engine format version (every run written densely, plus the
+/// fields v7 dropped), still accepted by [`crate::HamletEngine::restore`].
+pub const ENGINE_VERSION_V6: u16 = 6;
 
 /// The v5 engine format version (v6 plus an estimator section after each
 /// group's partitions), still accepted by [`crate::HamletEngine::restore`].
@@ -81,7 +89,7 @@ pub fn write_engine_header(e: &mut Enc, epoch: u64) {
 pub fn read_engine_header(d: &mut Dec<'_>) -> Result<(u16, u64), CheckpointError> {
     d.magic(&ENGINE_MAGIC)?;
     match d.u16()? {
-        v @ (ENGINE_VERSION_V4 | ENGINE_VERSION_V5 | ENGINE_VERSION) => Ok((v, d.u64()?)),
+        v @ ENGINE_VERSION_V4..=ENGINE_VERSION => Ok((v, d.u64()?)),
         other => Err(CheckpointError::BadVersion(other)),
     }
 }
@@ -93,9 +101,13 @@ pub fn read_engine_header(d: &mut Dec<'_>) -> Result<(u16, u64), CheckpointError
 /// `docs/checkpoint-format.md` for the layout and the chain rules.
 pub const DELTA_MAGIC: [u8; 4] = *b"HMDL";
 /// Delta-chain record format version. A delta payload is the body of
-/// the `HMEN` version of its era: v3 the v6 body, v2 the v5 one, v1 the
-/// v4 one; v1 and v2 records still restore.
-pub const DELTA_VERSION: u16 = 3;
+/// the `HMEN` version of its era: v4 the v7 body, v3 the v6 one, v2 the
+/// v5 one, v1 the v4 one; v1–v3 records still restore.
+pub const DELTA_VERSION: u16 = 4;
+
+/// The v3 delta-chain record version, still accepted by
+/// [`read_delta_frame`].
+pub const DELTA_VERSION_V3: u16 = 3;
 
 /// The v2 delta-chain record version, still accepted by
 /// [`read_delta_frame`].
@@ -160,7 +172,7 @@ pub fn read_delta_frame(bytes: &[u8]) -> Result<DeltaFrame<'_>, CheckpointError>
     let mut d = Dec::new(bytes);
     d.magic(&DELTA_MAGIC)?;
     let version = d.u16()?;
-    if !matches!(version, DELTA_VERSION_V1 | DELTA_VERSION_V2 | DELTA_VERSION) {
+    if !(DELTA_VERSION_V1..=DELTA_VERSION).contains(&version) {
         return Err(CheckpointError::BadVersion(version));
     }
     let base = match d.u8()? {
@@ -357,9 +369,11 @@ impl Enc {
         self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
     }
 
-    /// `Option` presence tag; the caller encodes the payload when `true`.
-    pub fn some(&mut self, present: bool) {
+    /// `Option` presence tag, handed back: the caller encodes the payload
+    /// iff it is `true` (as [`Dec::some`] hands the read tag back).
+    pub fn some(&mut self, present: bool) -> bool {
         self.bool(present);
+        present
     }
 }
 
@@ -409,6 +423,12 @@ impl<'a> Dec<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Reads past an 8-byte field iff `present`: one an older layout
+    /// carries and this build no longer keeps.
+    pub(crate) fn skip_word(&mut self, present: bool) -> Result<(), CheckpointError> {
+        self.take(if present { 8 } else { 0 }).map(drop)
     }
 
     /// One byte.
@@ -626,12 +646,9 @@ impl Codec for AttrValue {
 /// A `bool` presence tag; the payload follows iff it is `1`.
 impl<T: Codec> Codec for Option<T> {
     fn encode(&self, e: &mut Enc) {
-        match self {
-            None => e.some(false),
-            Some(v) => {
-                e.some(true);
-                v.encode(e);
-            }
+        e.some(self.is_some());
+        if let Some(v) = self {
+            v.encode(e);
         }
     }
     fn decode(d: &mut Dec<'_>) -> Result<Self, CheckpointError> {

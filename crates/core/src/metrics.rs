@@ -225,7 +225,6 @@ impl LatencyHistogram {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MemoryGauge {
     peak: usize,
-    last: usize,
 }
 
 impl MemoryGauge {
@@ -236,7 +235,6 @@ impl MemoryGauge {
 
     /// Feeds a current state size sample.
     pub fn sample(&mut self, bytes: usize) {
-        self.last = bytes;
         if bytes > self.peak {
             self.peak = bytes;
         }
@@ -248,7 +246,7 @@ impl MemoryGauge {
     }
 }
 
-codec_struct!(MemoryGauge { peak, last });
+codec_struct!(MemoryGauge { peak });
 
 #[cfg(test)]
 mod tests {

@@ -21,9 +21,8 @@
 
 use crate::burst::RunState;
 use crate::checkpoint::{
-    codec_struct, read_delta_frame, read_engine_header, write_delta_frame, write_engine_header,
-    CheckpointError, Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, DELTA_VERSION_V1,
-    DELTA_VERSION_V2, ENGINE_VERSION, ENGINE_VERSION_V4, ENGINE_VERSION_V5,
+    read_delta_frame, read_engine_header, write_delta_frame, write_engine_header, CheckpointError,
+    Codec, Dec, DeltaFrame, Enc, DELTA_MAGIC, DELTA_VERSION, ENGINE_VERSION, ENGINE_VERSION_V6,
 };
 use crate::executor::{release_key, CompiledWorkload, EngineStats, GroupState, HamletEngine};
 use crate::expiry::Runs;
@@ -221,7 +220,9 @@ fn encode_body(eng: &HamletEngine, fingerprint: &[u8], delta: bool, e: &mut Enc)
         slot.encode(e);
         half.encode(e);
     }
-    Tail::of(eng).encode(e);
+    (eng.stats, eng.latency.clone(), eng.gauge).encode(e);
+    let obs: Vec<_> = eng.obs.iter().map(|m| m.counters()).collect();
+    (eng.event_counter, eng.watermark, obs).encode(e);
 }
 
 /// A chain being staged: the state it describes, built up record by
@@ -244,7 +245,9 @@ struct Staged {
     tail: Tail,
 }
 
-/// The scalar tail of a record body, always whole. The per-group counters
+/// The scalar tail of a record body, always whole: `(stats, latency,
+/// gauge)` then `(event_counter, watermark, obs)`, which v4–v6 wrote with
+/// `MemoryGauge::last` between them. The per-group counters
 /// keep a fixed 8-slot layout (`GroupMetrics::counters`); placement fields
 /// are *not* serialized — benefit/shared are a function of the compiled
 /// group, which the restoring engine's own build/churn prices.
@@ -258,28 +261,6 @@ struct Tail {
     /// Per-group observability counters, 8 `u64`s per group; empty when
     /// the writer had `EngineConfig::obs` off.
     obs: Vec<[u64; 8]>,
-}
-
-codec_struct!(Tail {
-    stats,
-    latency,
-    gauge,
-    event_counter,
-    watermark,
-    obs
-});
-
-impl Tail {
-    fn of(eng: &HamletEngine) -> Tail {
-        Tail {
-            stats: eng.stats,
-            latency: eng.latency.clone(),
-            gauge: eng.gauge,
-            event_counter: eng.event_counter,
-            watermark: eng.watermark,
-            obs: eng.obs.iter().map(|m| m.counters()).collect(),
-        }
-    }
 }
 
 impl Staged {
@@ -315,7 +296,6 @@ fn decode_body(
     version: u16,
     state: &mut Staged,
 ) -> Result<(), CheckpointError> {
-    let legacy = version == ENGINE_VERSION_V4;
     if d.bytes()? != fingerprint {
         return Err(CheckpointError::WorkloadMismatch(
             "compiled workload, sharding, or combiners differ from the record".into(),
@@ -348,13 +328,13 @@ fn decode_body(
                         "window start {start} twice in one partition"
                     )));
                 };
-                let rs = RunState::decode(d, &g.rt, legacy)?;
+                let rs = RunState::decode(d, &g.rt, version)?;
                 runs.insert(at, start, slab.occupy(&g.rt, id, start, Some(rs)));
             }
             // A partition of no runs holds nothing, and neither does its id.
             release_key(plan, &state.groups, &mut state.tables, ci, id);
         }
-        if version < ENGINE_VERSION {
+        if version < ENGINE_VERSION_V6 {
             skip_estimator(d, &g.rt)?;
         }
     }
@@ -369,7 +349,18 @@ fn decode_body(
         let slot = known_combiner(eng, Codec::decode(d)?)?;
         state.pending.insert(slot, Codec::decode(d)?);
     }
-    state.tail = Codec::decode(d)?;
+    let (stats, latency, gauge) = Codec::decode(d)?;
+    // v4–v6: `MemoryGauge::last`, which nothing read.
+    d.skip_word(version < ENGINE_VERSION)?;
+    let (event_counter, watermark, obs) = Codec::decode(d)?;
+    state.tail = Tail {
+        stats,
+        latency,
+        gauge,
+        event_counter,
+        watermark,
+        obs,
+    };
     let n_obs = state.tail.obs.len();
     if n_obs != 0 && n_obs != eng.groups.len() {
         return Err(CheckpointError::Corrupt(format!(
@@ -480,7 +471,8 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
     for f in chain {
         let mut d = Dec::new(f.payload);
         // A base payload is an engine blob under its own version; a delta
-        // payload is the body of its frame version's era.
+        // payload is the body of its frame version's era: the two formats
+        // bump together, `HMDL` v1–v4 carrying the `HMEN` v4–v7 body.
         let version = if f.base {
             let (version, blob_epoch) = read_engine_header(&mut d)?;
             if blob_epoch != epoch {
@@ -490,11 +482,7 @@ fn stage(eng: &HamletEngine, frames: &[DeltaFrame<'_>]) -> Result<Staged, Checkp
             }
             version
         } else {
-            match f.version {
-                DELTA_VERSION_V1 => ENGINE_VERSION_V4,
-                DELTA_VERSION_V2 => ENGINE_VERSION_V5,
-                _ => ENGINE_VERSION,
-            }
+            f.version + (ENGINE_VERSION - DELTA_VERSION)
         };
         decode_body(eng, &fp, &mut d, !f.base, version, &mut state)?;
     }

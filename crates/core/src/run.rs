@@ -314,8 +314,6 @@ struct SharedGraphlet {
     /// Σ of member events' expressions (doubles as the self-loop
     /// predecessor prefix and the close-time resolution source).
     sum_exprs: LinearExpr,
-    /// Events in this graphlet (`g`).
-    size: u64,
 }
 
 /// A per-member (non-shared) graphlet (§3.2).
@@ -324,15 +322,13 @@ struct SoloGraphlet {
     sum: NodeVal,
     mm: MmVal,
     alive: bool,
-    size: u64,
 }
 
 codec_struct!(SharedGraphlet {
     members,
     x,
     unit,
-    sum_exprs,
-    size
+    sum_exprs
 });
 
 impl SharedGraphlet {
@@ -356,17 +352,11 @@ impl SoloGraphlet {
             sum: NodeVal::ZERO,
             mm: mm_identity,
             alive: false,
-            size: 0,
         }
     }
 }
 
-codec_struct!(SoloGraphlet {
-    sum,
-    mm,
-    alive,
-    size
-});
+codec_struct!(SoloGraphlet { sum, mm, alive });
 
 /// Active graphlets of one type: the shared one, if open, and a solo
 /// slot per member, of which only the members in `solos` hold an open
@@ -459,9 +449,11 @@ pub struct BurstCtx {
 
 /// A set of a run's local types, one bit per type. A template of more
 /// than 64 types has no bit for some of them, so there every set holds
-/// all types from the start and is walked in full.
-#[derive(Clone, Copy)]
+/// all types from the start and is walked in full. Recorded as its word.
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct TypeSet(u64);
+
+codec_struct!(TypeSet { 0 });
 
 impl TypeSet {
     /// The empty set of a template of `nt` types.
@@ -475,8 +467,11 @@ impl TypeSet {
         }
     }
 
-    fn remove(&mut self, ty: usize) {
-        if ty < 64 {
+    /// Removes `ty` from a set of a template of `nt` types: a no-op past
+    /// 64 types, whose sets hold every type for good, so a run's sets are
+    /// a function of what it holds and its record re-encodes to its bytes.
+    fn remove(&mut self, ty: usize, nt: usize) {
+        if nt <= 64 {
             self.0 &= !(1 << ty);
         }
     }
@@ -726,7 +721,6 @@ impl Run {
                 }
                 // An event no sharing member accepts contributes zero.
             }
-            sh.size += cells.len() as u64;
         }
 
         for q in (tpl.involved[tl] & !share).iter() {
@@ -750,7 +744,6 @@ impl Run {
                 }
                 solo.sum
                     .add(NodeVal::propagate(pred, start, weight(c), is_target));
-                solo.size += 1;
                 if minmax {
                     let (mut mm, mut alive) = (mm_ext, alive_ext);
                     if self_loop {
@@ -811,7 +804,6 @@ impl Run {
             if let Some(u) = unit {
                 sh.sum_exprs.add_snapshot_scaled(u, g);
             }
-            sh.size += b;
         }
         for q in (tpl.involved[tl] & !share).iter() {
             self.open_solo(tl, q);
@@ -826,7 +818,6 @@ impl Run {
             } else {
                 solo.sum.add_scaled(step, TrendVal(b));
             }
-            solo.size += b;
         }
     }
 
@@ -951,7 +942,6 @@ impl Run {
             x,
             unit,
             sum_exprs: LinearExpr::zero(),
-            size: 0,
         });
         self.open.add(tl);
     }
@@ -1005,7 +995,7 @@ impl Run {
     fn vacate(&mut self, tl: usize) {
         let a = &self.active[tl];
         if a.shared.is_none() && a.solos.is_empty() {
-            self.open.remove(tl);
+            self.open.remove(tl, self.active.len());
         }
     }
 
@@ -1069,72 +1059,120 @@ impl Run {
         }));
     }
 
-    /// Serializes the run's complete evaluation state (checkpoint codec):
-    /// per-type/member cumulative totals, negation blocks, the snapshot
-    /// table, active shared/solo graphlets (symbolic expressions
-    /// included), stored events for edge-predicate scans, and counters.
-    /// The immutable [`GroupRuntime`] is *not* serialized — the decoder
-    /// receives it from the freshly compiled engine and only the mutable
-    /// state travels.
+    /// Serializes the run as its difference from [`Run::new`] over the
+    /// same runtime (checkpoint codec): the shape, the `written` and
+    /// `open` type sets, the totals of the written types, the negation
+    /// blocks where any is set, the snapshot table, the graphlets of the
+    /// open types, the stored events of the types that hold some, and the
+    /// counters. The immutable [`GroupRuntime`] is *not* serialized — the
+    /// decoder receives it from the freshly compiled engine and only the
+    /// mutable state travels.
     pub(crate) fn encode(&self, e: &mut Enc) {
-        (self.rt.k(), self.rt.template.num_types(), self.stats.events).encode(e);
-        self.cum.iter().flatten().for_each(|v| v.encode(e));
-        self.mm_cum.iter().flatten().for_each(|v| v.encode(e));
-        self.alive_cum.iter().flatten().for_each(|v| v.encode(e));
-        self.start_blocked.iter().for_each(|v| v.encode(e));
+        let nt = self.active.len();
+        (self.rt.k(), nt).encode(e);
+        (self.written, self.open).encode(e);
+        for ty in self.written.iter(nt) {
+            self.cum[ty].iter().for_each(|v| v.encode(e));
+        }
+        for ty in self.written.iter(nt) {
+            self.mm_cum[ty].iter().for_each(|v| v.encode(e));
+        }
+        for ty in self.written.iter(nt) {
+            self.alive_cum[ty].iter().for_each(|v| v.encode(e));
+        }
+        if e.some(self.start_blocked.contains(&true)) {
+            self.start_blocked.iter().for_each(|v| v.encode(e));
+        }
         // HashMap: impose the canonical key order so the encoding is
         // deterministic (checkpoint → restore → checkpoint is
         // byte-identical).
         let mut gaps: Vec<_> = self.gap_blocked.iter().map(|(k, v)| (*k, *v)).collect();
         gaps.sort_by_key(|&(k, _)| k);
         gaps.encode(e);
-        self.result_blocked.iter().for_each(|v| v.encode(e));
+        if e.some(self.result_blocked.iter().any(|v| *v != NodeVal::ZERO)) {
+            self.result_blocked.iter().for_each(|v| v.encode(e));
+        }
         self.snaps.encode(e);
-        for a in &self.active {
+        for a in self.open.iter(nt).map(|ty| &self.active[ty]) {
             a.shared.encode(e);
             for (q, solo) in a.solo.iter().enumerate() {
                 a.solos.contains(q).then_some(*solo).encode(e);
             }
         }
-        self.stored.iter().for_each(|v| v.encode(e));
+        for stored in &self.stored {
+            if e.some(!stored.is_empty()) {
+                stored.encode(e);
+            }
+        }
         self.stats.encode(e);
     }
 
     /// Mirror of [`encode`](Self::encode): rebuilds a run over the given
-    /// (freshly compiled) runtime. What the record holds is decoded
-    /// plainly, then checked against that runtime — its shape, and every
-    /// snapshot id against the restored table — before anything indexes
-    /// by it. The header's event count only repeats the trailing
-    /// `RunStats::events`, so a record where the two disagree is corrupt.
-    /// The record does not say which types' totals it wrote, so the
-    /// decoded run counts every type as written; `open` and each type's
-    /// open members follow exactly from the graphlets it holds.
-    pub(crate) fn decode(d: &mut Dec<'_>, rt: Arc<GroupRuntime>) -> Result<Run, CheckpointError> {
+    /// (freshly compiled) runtime, every part the record leaves out as
+    /// [`Run::new`] makes it. What the record holds is decoded plainly,
+    /// then checked against that runtime — its shape, its type sets, and
+    /// every snapshot id against the restored table — before anything
+    /// indexes by it. The decoded run's `written` set is the record's;
+    /// `open` and each type's open members follow exactly from the
+    /// graphlets it holds. `dense` reads the run of `HMEN` v4–v6 /
+    /// `HMDL` v1–v3: every type written and open, every section present,
+    /// and three fields since dropped (the header's event count, each
+    /// graphlet's size), which it reads past.
+    pub(crate) fn decode(
+        d: &mut Dec<'_>,
+        rt: Arc<GroupRuntime>,
+        dense: bool,
+    ) -> Result<Run, CheckpointError> {
         let mut run = Run::new(rt);
-        run.written = TypeSet(u64::MAX);
         let (k, nt) = (run.rt.k(), run.rt.template.num_types());
-        let (k_enc, nt_enc, events): (usize, usize, u64) = Codec::decode(d)?;
+        let (k_enc, nt_enc): (usize, usize) = Codec::decode(d)?;
         if k_enc != k || nt_enc != nt {
             return Err(CheckpointError::WorkloadMismatch(format!(
                 "run shape ({k_enc} members × {nt_enc} types) vs compiled ({k} × {nt})"
             )));
         }
-        decode_into(d, run.cum.iter_mut().flatten())?;
-        decode_into(d, run.mm_cum.iter_mut().flatten())?;
-        decode_into(d, run.alive_cum.iter_mut().flatten())?;
-        decode_into(d, &mut run.start_blocked)?;
+        d.skip_word(dense)?;
+        // Every type of the template (a template has at least one).
+        let full = TypeSet(u64::MAX >> (64 - nt.clamp(1, 64)));
+        let (written, open): (TypeSet, TypeSet) = match dense {
+            true => (full, full),
+            false => Codec::decode(d)?,
+        };
+        if (written.0 | open.0) & !full.0 != 0 {
+            return Err(CheckpointError::Corrupt(format!(
+                "a type set names a type past the template's {nt}"
+            )));
+        }
+        run.written = written;
+        for ty in run.written.iter(nt) {
+            decode_into(d, &mut run.cum[ty])?;
+        }
+        for ty in run.written.iter(nt) {
+            decode_into(d, &mut run.mm_cum[ty])?;
+        }
+        for ty in run.written.iter(nt) {
+            decode_into(d, &mut run.alive_cum[ty])?;
+        }
+        if dense || d.some()? {
+            decode_into(d, &mut run.start_blocked)?;
+        }
         let gaps: Vec<((usize, usize, usize), NodeVal)> = Codec::decode(d)?;
         run.gap_blocked.extend(gaps);
-        decode_into(d, &mut run.result_blocked)?;
+        if dense || d.some()? {
+            decode_into(d, &mut run.result_blocked)?;
+        }
         run.snaps = Codec::decode(d)?;
         run.snaps.check_arity(k)?;
         let num_snaps = run.snaps.len();
-        for (ty, a) in run.active.iter_mut().enumerate() {
+        for ty in open.iter(nt) {
+            let a = &mut run.active[ty];
             a.shared = Codec::decode(d)?;
+            d.skip_word(dense && a.shared.is_some())?;
             for (q, slot) in a.solo.iter_mut().enumerate() {
                 if let Some(solo) = Codec::decode(d)? {
                     *slot = solo;
                     a.solos.insert(q);
+                    d.skip_word(dense)?;
                 }
             }
             a.shared
@@ -1144,17 +1182,13 @@ impl Run {
                 run.open.add(ty);
             }
         }
-        for per_ty in &mut run.stored {
-            *per_ty = Codec::decode(d)?;
-            per_ty.iter().try_for_each(|se| se.check_snaps(num_snaps))?;
+        for stored in &mut run.stored {
+            if dense || d.some()? {
+                *stored = Codec::decode(d)?;
+                stored.iter().try_for_each(|se| se.check_snaps(num_snaps))?;
+            }
         }
         run.stats = Codec::decode(d)?;
-        if run.stats.events != events {
-            return Err(CheckpointError::Corrupt(format!(
-                "run header counts {events} events, its stats {}",
-                run.stats.events
-            )));
-        }
         Ok(run)
     }
 
@@ -1419,7 +1453,7 @@ mod tests {
                 fast.process_burst(tl, &events, &shared);
                 slow.process_burst_slow(tl, &events, &shared);
                 prop_assert_eq!(fast.stats().event_snapshots - before, partial);
-                let shared = |r: &Run| r.active[tl].shared.as_ref().map(|sh| (sh.members, sh.size));
+                let shared = |r: &Run| r.active[tl].shared.as_ref().map(|sh| sh.members);
                 let terms = fast.active[tl].shared.as_ref().map_or(0, |sh| sh.sum_exprs.num_terms());
                 prop_assert!(terms <= 3);
                 prop_assert_eq!(shared(&fast), shared(&slow));
@@ -1522,9 +1556,10 @@ mod tests {
         /// bursts into random groups — cell, count and edge-predicate
         /// bursts, negations, every skeleton — under never-share,
         /// always-share and a random sharing set per burst: the masked
-        /// finalize equals the full walk, a decoded run (`written` full)
-        /// measures and finalizes the same, `open` is exact before and
-        /// after decoding and empty after finalizing, and a recycled run —
+        /// finalize equals the full walk; a decoded run has the cut run's
+        /// `written` and `open` sets, re-encodes to the very same bytes,
+        /// and measures and finalizes the same; `open` is exact before and
+        /// after decoding and empty after finalizing; and a recycled run —
         /// finalized first or not, as a restore's vacated run is not —
         /// records and measures as `Run::new` does.
         #[test]
@@ -1558,7 +1593,10 @@ mod tests {
                     run.process_burst(tl, &events, &shared);
                 }
             }
-            let mut decoded = Run::decode(&mut Dec::new(&record(&masked)), rt.clone()).unwrap();
+            let cut = record(&masked);
+            let mut decoded = Run::decode(&mut Dec::new(&cut), rt.clone(), false).unwrap();
+            prop_assert_eq!((decoded.written, decoded.open), (masked.written, masked.open));
+            prop_assert_eq!(record(&decoded), cut);
             prop_assert_eq!(masked.mem_bytes(), decoded.mem_bytes());
             prop_assert!(masked.open_is_exact() && decoded.open_is_exact());
             let out = masked.finalize();
@@ -1575,6 +1613,67 @@ mod tests {
             decoded.recycle();
             prop_assert_eq!(record(&decoded), record(&fresh));
         }
+    }
+
+    /// A fresh run records only what it is: its shape, two empty type
+    /// sets, two absent blocks, no gaps, an empty snapshot table, an absent
+    /// stored-event list per type and zero counters — 122 bytes plus one
+    /// per type, whatever the group's width. A record that fell back to
+    /// dense rows (33 bytes or more per member and type) fails here.
+    #[test]
+    fn a_fresh_run_records_no_rows() {
+        let mut next = stream_of(7);
+        for shape in (0..3).cycle().take(60) {
+            let skel = if shape == 1 { 0 } else { next() % 3 };
+            let rt = random_group(&mut next, skel, shape);
+            let nt = rt.template.num_types();
+            let mut e = Enc::new();
+            Run::new(rt).encode(&mut e);
+            assert_eq!(e.finish().len(), 122 + nt);
+        }
+    }
+
+    /// A template wider than 64 types has no type-set bit for the types
+    /// past the 64th, so a record always writes their rows and slots: a
+    /// run of 64 members × 65 types that touched types on both sides of
+    /// the 64th decodes to the same sets, re-encodes to the same bytes and
+    /// finalizes the same.
+    #[test]
+    fn a_run_wider_than_64_types_round_trips() {
+        use crate::checkpoint::Dec;
+        let queries: Vec<Arc<Query>> = (0..64)
+            .map(|i| {
+                let head = EventTypeId(10 + i);
+                Arc::new(Query::count_star(
+                    i as u32,
+                    seq(head, B),
+                    Window::tumbling(1000),
+                ))
+            })
+            .collect();
+        let plan = crate::workload::analyze(&queries).unwrap();
+        let rt = GroupRuntime::new(&plan.groups[0]);
+        let nt = rt.template.num_types();
+        assert_eq!((rt.k(), nt), (64, 65));
+        let record = |r: &Run| {
+            let mut e = Enc::new();
+            r.encode(&mut e);
+            e.finish()
+        };
+        let mut run = Run::new(rt.clone());
+        for (i, ty) in [EventTypeId(10), EventTypeId(73), B]
+            .into_iter()
+            .enumerate()
+        {
+            let tl = rt.template.local(ty).unwrap();
+            let burst: Vec<Event> = (0..3).map(|t| ev(ty, 10 * i as u64 + t)).collect();
+            run.process_burst(tl, &burst, &QSet::all(64));
+        }
+        let cut = record(&run);
+        let mut decoded = Run::decode(&mut Dec::new(&cut), rt.clone(), false).unwrap();
+        assert_eq!((decoded.written, decoded.open), (run.written, run.open));
+        assert_eq!(record(&decoded), cut);
+        assert_eq!(decoded.finalize(), run.finalize());
     }
 
     /// A run that has been through everything a run can hold — shared and

@@ -176,7 +176,6 @@ impl Run {
             // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
             let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
             sh.sum_exprs.add_assign(&expr);
-            sh.size += 1;
             if store_needed {
                 stored_shared = Some((sh.members, expr));
             } else {
@@ -226,7 +225,6 @@ impl Run {
             solo.sum.add(val);
             solo.mm.fold(mmv.0, rt.is_min);
             solo.alive |= alive_out;
-            solo.size += 1;
             if store_needed {
                 stored_solo.push((q as u16, val));
                 if alive_out {

@@ -396,9 +396,13 @@ impl CheckpointStore for MemStore {
 /// A directory-backed [`CheckpointStore`]: one file per record, named
 /// `ck-<seq padded to 20>-<base|delta>.hmck`, written via a temp file +
 /// `sync_all` + atomic rename so a crash mid-append never leaves a
-/// torn record in the chain. Appending a base garbage-collects every
-/// earlier record (compaction); `load_chain` reads from the newest
-/// base and ignores stray temp files and foreign names.
+/// torn record in the chain. The directory itself is then synced, so the
+/// rename is durable before `append` returns and before a base's
+/// compaction unlinks the chain it replaces: without that sync POSIX
+/// does not order the two, and a crash between them could leave deltas
+/// with no base. Appending a base garbage-collects every earlier record
+/// (compaction); `load_chain` reads from the newest base and ignores
+/// stray temp files and foreign names.
 #[derive(Debug)]
 pub struct DirStore {
     dir: PathBuf,
@@ -497,6 +501,8 @@ impl CheckpointStore for DirStore {
             f.sync_all().map_err(|e| io_err("sync", &tmp_path, e))?;
         }
         std::fs::rename(&tmp_path, &final_path).map_err(|e| io_err("rename", &tmp_path, e))?;
+        (std::fs::File::open(&self.dir).and_then(|dir| dir.sync_all()))
+            .map_err(|e| io_err("sync", &self.dir, e))?;
         *self.tip.lock().map_err(lock_err)? = Some((ck.seq(), ck.epoch()));
         if base {
             // Compaction GC: the new base obsoletes everything before

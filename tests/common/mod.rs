@@ -124,7 +124,7 @@ impl Pinned {
 /// engine has read: each cut by the commit before the one that changed
 /// its reader, or, for the current version, by the commit that made it.
 /// A format bump pins its layout with one row (and its two files).
-pub const PINNED: [Pinned; 6] = [
+pub const PINNED: [Pinned; 8] = [
     Pinned {
         name: "hmen_v4_midburst",
         version: 4,
@@ -138,6 +138,10 @@ pub const PINNED: [Pinned; 6] = [
         version: 6,
     },
     Pinned {
+        name: "hmen_v7_midburst",
+        version: 7,
+    },
+    Pinned {
         name: "hmdl_v1_chain",
         version: 1,
     },
@@ -148,6 +152,10 @@ pub const PINNED: [Pinned; 6] = [
     Pinned {
         name: "hmdl_v3_chain",
         version: 3,
+    },
+    Pinned {
+        name: "hmdl_v4_chain",
+        version: 4,
     },
 ];
 

@@ -2,11 +2,12 @@
 //! 3(c) adds the checksummed-frame case here): a seeded byte-mutation
 //! loop over the one engine-record decoder, the `HMDL` frame reader, the
 //! handle peek and both containers, seeded from every record pinned on
-//! the fixture workload (`HMEN` v4–v6 blobs, `HMDL` v1–v3 chains) and
+//! the fixture workload (`HMEN` v4–v7 blobs, `HMDL` v1–v4 chains) and
 //! from containers packed around one. The estimator sections older
 //! records carry, which the reader checks and drops, are also damaged
-//! by hand: out-of-range, mis-shaped, and spliced into a current record;
-//! so is a current run record's event count, which its header repeats.
+//! by hand: out-of-range, mis-shaped, and spliced into a later record;
+//! so are a current run record's type sets (naming a type the template
+//! lacks) and presence bytes (neither 0 nor 1).
 //! The query parser gets the same treatment over
 //! damaged query texts, the bench crate's JSON reader over damaged
 //! `--metrics-json` and `BENCH_20.json` lines, and `DirStore::load_chain`
@@ -155,7 +156,8 @@ fn estimator_sections(record: &[u8]) -> Vec<(usize, usize)> {
 /// restored state: alpha 2.0 in a v5 blob, a shape one type or one
 /// member off in an `HMDL` v2 delta, and a v5 section spliced into a v6
 /// record (whose reader expects none). The sections are found by their
-/// layout, and checked to be all a v5 blob holds beyond its v6 re-cut.
+/// layout, and checked to be all a v5 blob holds beyond a v6 one: the v5
+/// blob less its sections, labelled v6, restores to the same state.
 #[test]
 fn damaged_estimator_sections_are_errors() {
     let (reg, queries) = fixture_workload();
@@ -185,18 +187,24 @@ fn damaged_estimator_sections_are_errors() {
     let v5 = records("hmen_v5_midburst.hex").remove(0);
     let sections = estimator_sections(&v5);
     assert_eq!(sections.len(), groups, "one section per group");
-    let mut eng = mk();
-    eng.restore(&v5).unwrap();
-    let v6 = eng.checkpoint();
-    let mut stripped = v5[..4].to_vec();
-    stripped.extend(6u16.to_le_bytes());
+    let mut v6 = v5[..4].to_vec();
+    v6.extend(6u16.to_le_bytes());
     let mut from = 6;
     for &(at, len) in &sections {
-        stripped.extend(&v5[from..at]);
+        v6.extend(&v5[from..at]);
         from = at + len;
     }
-    stripped.extend(&v5[from..]);
-    assert_eq!(stripped, v6, "a v5 blob is its v6 re-cut plus the sections");
+    v6.extend(&v5[from..]);
+    let recut = |blob: &[u8]| {
+        let mut eng = mk();
+        eng.restore(blob).unwrap();
+        eng.checkpoint()
+    };
+    assert_eq!(
+        recut(&v6),
+        recut(&v5),
+        "a v5 blob is a v6 blob plus the sections"
+    );
 
     let (first, len) = sections[0];
     let mut alpha = v5.clone();
@@ -218,12 +226,14 @@ fn damaged_estimator_sections_are_errors() {
     rejected(&[spliced], "a v5 section in a v6 record");
 }
 
-/// A run record opens with `(k, nt, events)` and ends with its
-/// `RunStats`, whose last field counts the same events: a current record
-/// whose header slot disagrees is `Corrupt`, and the restoring engine
-/// keeps the state it had.
+/// A run record opens with `(k, nt)` and its `written` and `open` type
+/// sets, one word each, and marks each section a fresh run leaves empty
+/// with a presence byte. In a current record a set that names a type the
+/// compiled template lacks is `Corrupt`, and so is a presence byte other
+/// than 0/1 — the start and result blocks' and each type's stored
+/// events' — and the restoring engine keeps the state it had.
 #[test]
-fn a_run_header_that_miscounts_its_events_is_corrupt() {
+fn damaged_type_sets_and_presence_bytes_are_corrupt() {
     let mut reg = TypeRegistry::new();
     for ty in ["A", "B"] {
         reg.register(ty, &["v"]);
@@ -239,26 +249,61 @@ fn a_run_header_that_miscounts_its_events_is_corrupt() {
     let record = eng.checkpoint();
     mk().restore(&record).expect("the record as cut restores");
 
-    // The one run: 1 member × 2 types, 4 events replayed (the last `A`
-    // is the pending burst).
-    let header: Vec<u8> = [1u64, 2, 4].iter().flat_map(|v| v.to_le_bytes()).collect();
-    let at: Vec<usize> = (0..record.len().saturating_sub(23))
-        .filter(|&i| record[i..i + 24] == header[..])
-        .collect();
-    assert_eq!(at.len(), 1, "one run header in the record");
-    let mut miscounted = record;
-    miscounted[at[0] + 16] += 1;
+    let word = |at: usize| u64::from_le_bytes(record[at..at + 8].try_into().unwrap());
+    let find = |hit: &dyn Fn(usize) -> bool| -> Vec<usize> {
+        (0..record.len().saturating_sub(32))
+            .filter(|&i| hit(i))
+            .collect()
+    };
+    // The one run: 1 member × 2 types, then its two sets of those types
+    // (the first such run of words: the sets and rows can read as one).
+    let head =
+        find(&|i| word(i) == 1 && word(i + 8) == 2 && word(i + 16) < 4 && word(i + 24) < 4)[0];
+    let (written, open) = (head + 16, head + 24);
+    assert_ne!(word(written), 0, "the run closed a graphlet");
+    // Per written type, the member's totals: a `NodeVal`, an `MmVal`, a
+    // `bool`; then the start block's presence, no gaps, the result's.
+    let start = open + 8 + 33 * word(written).count_ones() as usize;
+    let result = start + 1 + 8;
+    // The run's counters end with its 4 replayed events, and the pending
+    // `A` burst follows them; before them, a presence byte per type.
+    let events = find(&|i| word(i) == 4 && record[i + 8] == 1 && word(i + 9) < 2);
+    assert_eq!(events.len(), 1, "one run event count");
+    let stored = events[0] - 7 * 8 - 2;
 
+    let mut damaged = Vec::new();
+    for (at, ty) in [(written, 2), (open, 2), (written, 63), (open, 40)] {
+        let mut r = record.clone();
+        r[at + ty / 8] |= 1 << (ty % 8);
+        damaged.push((r, format!("type {ty} in the set at {at}")));
+    }
+    for at in [start, result, stored, stored + 1] {
+        assert_eq!(record[at], 0, "an absent section at {at}");
+        let mut r = record.clone();
+        r[at] = 2;
+        damaged.push((r, format!("presence byte 2 at {at}")));
+    }
     let mut target = mk();
     target.process(&event("A", 50));
     let before = target.checkpoint();
-    let err = target.restore(&miscounted);
-    assert!(matches!(err, Err(CheckpointError::Corrupt(_))), "{err:?}");
-    assert_eq!(target.checkpoint(), before, "the engine is untouched");
-    let chain = [Checkpoint::from_bytes(miscounted).expect("the frame is intact")];
-    let err = target.restore_chain(&chain);
-    assert!(matches!(err, Err(CheckpointError::Corrupt(_))), "{err:?}");
-    assert_eq!(target.checkpoint(), before, "the engine is untouched");
+    for (r, what) in damaged {
+        let err = target.restore(&r);
+        assert!(
+            matches!(err, Err(CheckpointError::Corrupt(_))),
+            "{what}: {err:?}"
+        );
+        let chain = [Checkpoint::from_bytes(r).expect("the frame is intact")];
+        let err = target.restore_chain(&chain);
+        assert!(
+            matches!(err, Err(CheckpointError::Corrupt(_))),
+            "{what}: {err:?}"
+        );
+        assert_eq!(
+            target.checkpoint(),
+            before,
+            "{what}: the engine is untouched"
+        );
+    }
 }
 
 /// An engine restore that succeeded must have produced a state the

@@ -2,8 +2,8 @@
 //! container (`HMPL` v2) frozen with its reorder buffer full, a parallel
 //! container (`HMPC` v1) of two shards, and `HMEN` blobs cut after a
 //! churn — at epoch 1, with the drained halves of an OR and an AND query
-//! waiting for their partners, over a string partition key — in v5 and
-//! in the current v6. The first three were cut before the checkpoint
+//! waiting for their partners, over a string partition key — in v5, v6
+//! and the current v7. The first three were cut before the checkpoint
 //! codec became one `Codec` description per record. Each record of a
 //! version this build writes must decode and re-encode to the very same
 //! bytes, and each that restores must finish the stream as the engine
@@ -139,7 +139,7 @@ fn finish_churned(name: &str, version: u16) -> (Vec<u8>, Vec<u8>) {
 /// engine that cut it did. Its estimator sections are dropped, so its
 /// re-cut is the current version at the same epoch and re-encodes to the
 /// very same bytes from there on; the byte-for-byte pin of the layout is
-/// `hmen_v6_churned`'s.
+/// the current version's (`hmen_v7_churned`).
 #[test]
 fn hmen_v5_blob_after_churn_re_encodes_and_finishes_identically() {
     let (blob, recut) = finish_churned("hmen_v5_churned", 5);
@@ -152,10 +152,27 @@ fn hmen_v5_blob_after_churn_re_encodes_and_finishes_identically() {
     assert_eq!(again.checkpoint(), recut);
 }
 
-/// The same blob cut by the current encoder re-encodes to the very same
-/// bytes, and finishes the stream as pinned.
+/// The same blob cut as `HMEN` v6 — every run written densely — restores
+/// and finishes the stream as pinned. Its runs are read as v7 runs with
+/// every type written, so its re-cut is the current version at the same
+/// epoch, no larger, and re-encodes to the very same bytes from there on.
 #[test]
 fn hmen_v6_blob_after_churn_re_encodes_and_finishes_identically() {
     let (blob, recut) = finish_churned("hmen_v6_churned", 6);
+    let ck = Checkpoint::from_bytes(recut.clone()).unwrap();
+    assert_eq!((ck.version(), ck.epoch()), (ENGINE_VERSION, 1));
+    assert!(recut.len() <= blob.len(), "no field grew");
+    let (reg, queries, added) = workload();
+    let mut again = churned_engine(&reg, &queries, &added);
+    again.restore(&recut).unwrap();
+    assert_eq!(again.checkpoint(), recut);
+}
+
+/// The same blob cut by the current encoder — each run as its difference
+/// from a fresh one — re-encodes to the very same bytes, and finishes the
+/// stream as pinned.
+#[test]
+fn hmen_v7_blob_after_churn_re_encodes_and_finishes_identically() {
+    let (blob, recut) = finish_churned("hmen_v7_churned", 7);
     assert_eq!(recut, blob);
 }

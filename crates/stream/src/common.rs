@@ -1,9 +1,85 @@
-//! Shared generator machinery: rate control, bursty type sequencing, and
-//! attribute sampling.
+//! Shared generator machinery: rate control, bursty type sequencing,
+//! attribute sampling, and the `Spec` each data set module is
+//! described by.
 
-use hamlet_types::{Event, EventTypeId, Ts};
+use hamlet_query::{parse_query, Query};
+use hamlet_types::{Event, EventTypeId, Ts, TypeRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// One data set's description: every type carries every attribute; `hot`
+/// is the Kleene type the workload shares, drawn with weight
+/// `hot_weight` against 1 for each other type; the workload groups by
+/// `group_by`.
+pub(crate) struct Spec {
+    pub(crate) types: &'static [&'static str],
+    pub(crate) attrs: &'static [&'static str],
+    pub(crate) hot: &'static str,
+    pub(crate) hot_weight: f64,
+    pub(crate) group_by: &'static str,
+}
+
+impl Spec {
+    /// Registers every type, in order, with every attribute.
+    pub(crate) fn registry(&self) -> Arc<TypeRegistry> {
+        let mut reg = TypeRegistry::new();
+        for t in self.types {
+            reg.register(t, self.attrs);
+        }
+        Arc::new(reg)
+    }
+
+    /// Every type but the hot one, in schema order.
+    pub(crate) fn cold(&self) -> Vec<&'static str> {
+        self.types
+            .iter()
+            .copied()
+            .filter(|t| *t != self.hot)
+            .collect()
+    }
+
+    /// The stream under `cfg`, attributes from `make`: the hot type
+    /// arrives in bursts of `cfg.mean_burst`, every other type in runs of
+    /// `min(2, mean_burst)`.
+    pub(crate) fn generate(
+        &self,
+        reg: &TypeRegistry,
+        cfg: &GenConfig,
+        make: impl FnMut(&mut StdRng, Ts, EventTypeId, u64) -> Event,
+    ) -> Vec<Event> {
+        let mix: Vec<(EventTypeId, f64, f64)> = self
+            .types
+            .iter()
+            .map(|t| {
+                let id = reg.type_id(t).expect("registered");
+                if *t == self.hot {
+                    (id, self.hot_weight, cfg.mean_burst)
+                } else {
+                    (id, 1.0, 2.0_f64.min(cfg.mean_burst))
+                }
+            })
+            .collect();
+        generate_stream(cfg, BurstyMix::with_bursts(&mix), make)
+    }
+
+    /// `k` queries `SEQ(X, Hot+)` that differ only in `X`, which cycles
+    /// through [`Spec::cold`]: the shared-Kleene workload of §6.1.
+    pub(crate) fn workload(&self, reg: &TypeRegistry, k: usize, window_secs: u64) -> Vec<Query> {
+        let firsts = self.cold();
+        (0..k)
+            .map(|i| {
+                let text = format!(
+                    "RETURN COUNT(*) PATTERN SEQ({}, {}+) GROUP BY {} WITHIN {window_secs}",
+                    firsts[i % firsts.len()],
+                    self.hot,
+                    self.group_by
+                );
+                parse_query(reg, i as u32, &text).expect("workload query parses")
+            })
+            .collect()
+    }
+}
 
 /// Generation parameters common to all data sets.
 #[derive(Clone, Debug)]
@@ -17,7 +93,7 @@ pub struct GenConfig {
     /// ~120 events per burst (§6.2).
     pub mean_burst: f64,
     /// Number of distinct partition-key values (districts / houses /
-    /// companies).
+    /// companies); 0 is read as 1.
     pub num_groups: u64,
     /// Zipf exponent for the key distribution (0 = uniform, ~1 = realistic
     /// hot-key skew).
@@ -51,25 +127,6 @@ impl GenConfig {
     pub fn total_events(&self) -> u64 {
         self.events_per_min * self.minutes
     }
-
-    /// Convenience: override the rate.
-    pub fn with_rate(mut self, events_per_min: u64) -> Self {
-        self.events_per_min = events_per_min;
-        self
-    }
-
-    /// Convenience: override the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Convenience: emit the stream out of order, with every event at
-    /// most `max_lateness` ticks behind the running timestamp maximum.
-    pub fn with_max_lateness(mut self, max_lateness: u64) -> Self {
-        self.max_lateness = max_lateness;
-        self
-    }
 }
 
 /// Weighted event-type mix with bursty (geometric run-length) sequencing.
@@ -87,14 +144,6 @@ pub struct BurstyMix {
 }
 
 impl BurstyMix {
-    /// Creates a mix from `(type, weight)` pairs with one mean burst length
-    /// for every type.
-    pub fn new(mix: &[(EventTypeId, f64)], mean_burst: f64) -> Self {
-        let triples: Vec<(EventTypeId, f64, f64)> =
-            mix.iter().map(|(t, w)| (*t, *w, mean_burst)).collect();
-        Self::with_bursts(&triples)
-    }
-
     /// Creates a mix from `(type, weight, mean_burst)` triples — Kleene
     /// types typically get long runs, bookkeeping types short ones.
     pub fn with_bursts(mix: &[(EventTypeId, f64, f64)]) -> Self {
@@ -166,7 +215,8 @@ pub fn generate_stream(
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let total = cfg.total_events();
     let span_secs = (cfg.minutes * 60).max(1);
-    let zipf = crate::zipf::Zipf::new(cfg.num_groups.max(1), cfg.group_skew);
+    let groups = cfg.num_groups.max(1);
+    let zipf = crate::zipf::Zipf::new(groups, cfg.group_skew);
     let mut out = Vec::with_capacity(total as usize);
     for i in 0..total {
         let t = Ts(i * span_secs / total.max(1));
@@ -174,7 +224,7 @@ pub fn generate_stream(
         let group = if cfg.group_skew > 0.0 {
             zipf.sample(&mut rng)
         } else {
-            rng.gen_range(0..cfg.num_groups)
+            rng.gen_range(0..groups)
         };
         out.push(make(&mut rng, t, ty, group));
     }
@@ -263,25 +313,23 @@ pub fn max_observed_lateness(events: &[Event]) -> u64 {
     late
 }
 
-/// Measures the empirical mean same-type run length of a stream (used in
-/// tests to validate the burst model).
-pub fn mean_run_length(events: &[Event]) -> f64 {
-    if events.is_empty() {
-        return 0.0;
-    }
-    let mut runs = 1u64;
-    for w in events.windows(2) {
-        if w[0].ty != w[1].ty {
-            runs += 1;
-        }
-    }
-    events.len() as f64 / runs as f64
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use hamlet_types::TypeRegistry;
+
+    /// The empirical mean same-type run length of a stream.
+    pub(crate) fn mean_run_length(events: &[Event]) -> f64 {
+        if events.is_empty() {
+            return 0.0;
+        }
+        let mut runs = 1u64;
+        for w in events.windows(2) {
+            if w[0].ty != w[1].ty {
+                runs += 1;
+            }
+        }
+        events.len() as f64 / runs as f64
+    }
 
     fn mini_registry() -> (TypeRegistry, Vec<EventTypeId>) {
         let mut reg = TypeRegistry::new();
@@ -303,7 +351,7 @@ mod tests {
             seed: 1,
             max_lateness: 0,
         };
-        let mix = BurstyMix::new(&[(ts[0], 1.0), (ts[1], 1.0)], cfg.mean_burst);
+        let mix = BurstyMix::with_bursts(&[(ts[0], 1.0, 5.0), (ts[1], 1.0, 5.0)]);
         let evs = generate_stream(&cfg, mix, |_, t, ty, g| {
             Event::new(t, ty, vec![hamlet_types::AttrValue::Int(g as i64)])
         });
@@ -325,7 +373,11 @@ mod tests {
                 seed: 42,
                 max_lateness: 0,
             };
-            let mix = BurstyMix::new(&[(ts[0], 1.0), (ts[1], 1.0), (ts[2], 1.0)], cfg.mean_burst);
+            let mix = BurstyMix::with_bursts(&[
+                (ts[0], 1.0, target),
+                (ts[1], 1.0, target),
+                (ts[2], 1.0, target),
+            ]);
             let evs = generate_stream(&cfg, mix, |_, t, ty, _| Event::new(t, ty, vec![]));
             let got = mean_run_length(&evs);
             assert!(
@@ -338,19 +390,22 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let (_, ts) = mini_registry();
-        let cfg = GenConfig::default().with_rate(1000).with_seed(9);
+        let cfg = GenConfig {
+            events_per_min: 1000,
+            seed: 9,
+            ..GenConfig::default()
+        };
         let make = |_: &mut StdRng, t: Ts, ty: EventTypeId, _: u64| Event::new(t, ty, vec![]);
-        let mix1 = BurstyMix::new(&[(ts[0], 1.0), (ts[1], 2.0)], cfg.mean_burst);
-        let mix2 = BurstyMix::new(&[(ts[0], 1.0), (ts[1], 2.0)], cfg.mean_burst);
-        let a = generate_stream(&cfg, mix1, make);
-        let b = generate_stream(&cfg, mix2, make);
+        let mix = || BurstyMix::with_bursts(&[(ts[0], 1.0, 40.0), (ts[1], 2.0, 40.0)]);
+        let a = generate_stream(&cfg, mix(), make);
+        let b = generate_stream(&cfg, mix(), make);
         assert_eq!(a, b);
     }
 
     #[test]
     #[should_panic(expected = "empty type mix")]
     fn empty_mix_rejected() {
-        BurstyMix::new(&[], 2.0);
+        BurstyMix::with_bursts(&[]);
     }
 
     #[test]
@@ -365,7 +420,7 @@ mod tests {
             seed: 11,
             max_lateness: 0,
         };
-        let mix = BurstyMix::new(&[(ts[0], 1.0), (ts[1], 1.0)], cfg.mean_burst);
+        let mix = BurstyMix::with_bursts(&[(ts[0], 1.0, 5.0), (ts[1], 1.0, 5.0)]);
         let make = |_: &mut StdRng, t: Ts, ty: EventTypeId, g: u64| {
             Event::new(t, ty, vec![hamlet_types::AttrValue::Int(g as i64)])
         };
@@ -436,15 +491,41 @@ mod tests {
     fn gen_config_applies_max_lateness() {
         let (_, ts) = mini_registry();
         let make = |_: &mut StdRng, t: Ts, ty: EventTypeId, _: u64| Event::new(t, ty, vec![]);
-        let cfg = GenConfig::default().with_rate(2_000);
-        let mix = || BurstyMix::new(&[(ts[0], 1.0), (ts[1], 1.0)], cfg.mean_burst);
+        let cfg = GenConfig {
+            events_per_min: 2_000,
+            ..GenConfig::default()
+        };
+        let mix = || BurstyMix::with_bursts(&[(ts[0], 1.0, 40.0), (ts[1], 1.0, 40.0)]);
         let ordered = generate_stream(&cfg, mix(), make);
-        let late_cfg = cfg.clone().with_max_lateness(10);
+        let late_cfg = GenConfig {
+            max_lateness: 10,
+            ..cfg.clone()
+        };
         let shuffled = generate_stream(&late_cfg, mix(), make);
         assert!(max_observed_lateness(&shuffled) > 0, "lateness injected");
         assert!(max_observed_lateness(&shuffled) <= 10);
         let mut restored = shuffled.clone();
         restored.sort_by_key(|e| e.time);
         assert_eq!(restored, ordered, "same content, different delivery");
+    }
+
+    #[test]
+    fn zero_groups_is_one_group() {
+        let (_, ts) = mini_registry();
+        for group_skew in [0.0, 0.8] {
+            let cfg = GenConfig {
+                num_groups: 0,
+                group_skew,
+                ..GenConfig::default()
+            };
+            let mix = BurstyMix::with_bursts(&[(ts[0], 1.0, 4.0), (ts[1], 1.0, 4.0)]);
+            let mut groups = Vec::new();
+            generate_stream(&cfg, mix, |_, t, ty, g| {
+                groups.push(g);
+                Event::new(t, ty, vec![])
+            });
+            assert_eq!(groups.len(), 10_000);
+            assert!(groups.iter().all(|&g| g == 0), "skew {group_skew}");
+        }
     }
 }

@@ -3,11 +3,19 @@
 //! Bursty event stream generators and query-workload builders mirroring the
 //! four data sets of the HAMLET evaluation (§6.1):
 //!
-//! * [`ridesharing`] — the paper's synthetic ridesharing stream (20 event
-//!   types, 10K events/minute default);
-//! * [`nyc_taxi`] — NYC-taxi-like trips (200 events/minute default);
-//! * [`smart_home`] — DEBS-2014-like plug measurements (20K events/minute);
-//! * [`stock`] — stock-transaction-like ticks (4.5K events/minute).
+//! | module | types | default rate (events/min) | hot Kleene type (weight) | workload groups by |
+//! |---|---|---|---|---|
+//! | [`ridesharing`] — the paper's own synthetic stream | 20 | 10K | `Travel` (12) | `district` |
+//! | [`nyc_taxi`] — NYC-taxi-like trips | 8 | 200 | `Travel` (8) | `district` |
+//! | [`smart_home`] — DEBS-2014-like plug measurements | 6 | 20K | `Load` (20) | `house` |
+//! | [`stock`] — stock-transaction-like ticks | 10 | 4.5K | `Tick` (15) | `company` |
+//!
+//! Each row is one module's description: every type carries every
+//! attribute of the module's `ATTRS`; each other type weighs 1 in the mix
+//! and arrives in runs of at most 2 events, while the hot type arrives in
+//! bursts of `GenConfig::mean_burst`; the shared-Kleene workload is `k`
+//! queries `SEQ(X, Hot+)` over the other types `X`. Only the per-event
+//! attribute draws are written out per module.
 //!
 //! The real data sets are not redistributable; these generators reproduce
 //! their published stream statistics — schemas, default rates, type mixes —

@@ -1,10 +1,12 @@
 //! NYC-taxi-like stream (§6.1): trip events with driver and rider
 //! identifiers, pick-up/drop-off districts, passenger counts and price.
 //! Default rate 200 events/minute (the slowest of the paper's data sets).
+//! Its description row: hot Kleene type `Travel` at weight 8, workload
+//! grouped by `district`.
 
-use crate::common::{generate_stream, BurstyMix, GenConfig};
-use hamlet_query::{parse_query, Query};
-use hamlet_types::{AttrValue, Event, EventTypeId, TypeRegistry};
+use crate::common::{GenConfig, Spec};
+use hamlet_query::Query;
+use hamlet_types::{AttrValue, Event, TypeRegistry};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -23,35 +25,25 @@ pub const ATTRS: [&str; 6] = [
     "price",
 ];
 
+const SPEC: Spec = Spec {
+    types: &TYPES,
+    attrs: &ATTRS,
+    hot: "Travel",
+    hot_weight: 8.0,
+    group_by: "district",
+};
+
 /// Default events per minute for this data set (§6.1).
 pub const DEFAULT_RATE: u64 = 200;
 
 /// Registers the taxi schema.
 pub fn registry() -> Arc<TypeRegistry> {
-    let mut reg = TypeRegistry::new();
-    for t in TYPES {
-        reg.register(t, &ATTRS);
-    }
-    Arc::new(reg)
+    SPEC.registry()
 }
 
 /// Generates a bursty taxi stream.
 pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
-    // The Kleene type arrives in long bursts of the configured mean
-    // length; bookkeeping types arrive in short runs.
-    let mix: Vec<(EventTypeId, f64, f64)> = TYPES
-        .iter()
-        .map(|t| {
-            let id = reg.type_id(t).expect("registered");
-            let (w, burst) = if *t == "Travel" {
-                (8.0, cfg.mean_burst)
-            } else {
-                (1.0, 2.0_f64.min(cfg.mean_burst))
-            };
-            (id, w, burst)
-        })
-        .collect();
-    generate_stream(cfg, BurstyMix::with_bursts(&mix), |rng, t, ty, g| {
+    SPEC.generate(reg, cfg, |rng, t, ty, g| {
         Event::new(
             t,
             ty,
@@ -70,21 +62,7 @@ pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
 /// Workload of `k` trip-statistics queries sharing `Travel+` (per-district
 /// trip counts, Example 1).
 pub fn workload(reg: &TypeRegistry, k: usize, window_secs: u64) -> Vec<Query> {
-    let firsts: Vec<&str> = TYPES.iter().copied().filter(|t| *t != "Travel").collect();
-    (0..k)
-        .map(|i| {
-            let first = firsts[i % firsts.len()];
-            parse_query(
-                reg,
-                i as u32,
-                &format!(
-                    "RETURN COUNT(*) PATTERN SEQ({first}, Travel+) \
-                     GROUP BY district WITHIN {window_secs}"
-                ),
-            )
-            .expect("workload query parses")
-        })
-        .collect()
+    SPEC.workload(reg, k, window_secs)
 }
 
 #[cfg(test)]

@@ -1,11 +1,12 @@
 //! Ridesharing stream (the paper's own generator, §6.1): 20 event types —
 //! request, pickup, travel, dropoff, cancel, etc. — with timestamps in
 //! seconds, driver/rider ids, request type, district, duration and price.
-//! Default rate 10K events/minute.
+//! Default rate 10K events/minute. Its description row: hot Kleene type
+//! `Travel` at weight 12, workload grouped by `district`.
 
-use crate::common::{generate_stream, BurstyMix, GenConfig};
-use hamlet_query::{parse_query, Query};
-use hamlet_types::{AttrValue, Event, EventTypeId, TypeRegistry};
+use crate::common::{GenConfig, Spec};
+use hamlet_query::Query;
+use hamlet_types::{AttrValue, Event, TypeRegistry};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -37,33 +38,23 @@ pub const TYPES: [&str; 20] = [
 /// Attribute schema shared by all ridesharing types.
 pub const ATTRS: [&str; 6] = ["district", "driver", "rider", "speed", "duration", "price"];
 
+const SPEC: Spec = Spec {
+    types: &TYPES,
+    attrs: &ATTRS,
+    hot: "Travel",
+    hot_weight: 12.0,
+    group_by: "district",
+};
+
 /// Registers the ridesharing schema.
 pub fn registry() -> Arc<TypeRegistry> {
-    let mut reg = TypeRegistry::new();
-    for t in TYPES {
-        reg.register(t, &ATTRS);
-    }
-    Arc::new(reg)
+    SPEC.registry()
 }
 
 /// Generates a bursty ridesharing stream. `Travel` events dominate the mix
 /// (trips consist of long `Travel+` runs punctuated by bookkeeping events).
 pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
-    // The Kleene type arrives in long bursts of the configured mean
-    // length; bookkeeping types arrive in short runs.
-    let mix: Vec<(EventTypeId, f64, f64)> = TYPES
-        .iter()
-        .map(|t| {
-            let id = reg.type_id(t).expect("registered");
-            let (w, burst) = if *t == "Travel" {
-                (12.0, cfg.mean_burst)
-            } else {
-                (1.0, 2.0_f64.min(cfg.mean_burst))
-            };
-            (id, w, burst)
-        })
-        .collect();
-    generate_stream(cfg, BurstyMix::with_bursts(&mix), |rng, t, ty, g| {
+    SPEC.generate(reg, cfg, |rng, t, ty, g| {
         Event::new(
             t,
             ty,
@@ -84,54 +75,13 @@ pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
 /// predicates and aggregate — queries like `SEQ(Request, Travel+)`,
 /// `SEQ(Accept, Travel+)`, … (Fig. 1 / Examples 2–9).
 pub fn workload_shared_kleene(reg: &TypeRegistry, k: usize, window_secs: u64) -> Vec<Query> {
-    let firsts: Vec<&str> = TYPES.iter().copied().filter(|t| *t != "Travel").collect();
-    (0..k)
-        .map(|i| {
-            let first = firsts[i % firsts.len()];
-            parse_query(
-                reg,
-                i as u32,
-                &format!(
-                    "RETURN COUNT(*) PATTERN SEQ({first}, Travel+) \
-                     GROUP BY district WITHIN {window_secs}"
-                ),
-            )
-            .expect("workload query parses")
-        })
-        .collect()
-}
-
-/// Variant with a shared selection predicate on the Kleene type (all
-/// queries carry the same predicate, so sharing stays uniform — used to
-/// exercise the predicate path without divergence).
-pub fn workload_with_speed_predicate(
-    reg: &TypeRegistry,
-    k: usize,
-    window_secs: u64,
-    max_speed: f64,
-) -> Vec<Query> {
-    let firsts: Vec<&str> = TYPES.iter().copied().filter(|t| *t != "Travel").collect();
-    (0..k)
-        .map(|i| {
-            let first = firsts[i % firsts.len()];
-            parse_query(
-                reg,
-                i as u32,
-                &format!(
-                    "RETURN COUNT(*) PATTERN SEQ({first}, Travel+) \
-                     WHERE Travel.speed < {max_speed} \
-                     GROUP BY district WITHIN {window_secs}"
-                ),
-            )
-            .expect("workload query parses")
-        })
-        .collect()
+    SPEC.workload(reg, k, window_secs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::mean_run_length;
+    use crate::common::tests::mean_run_length;
 
     #[test]
     fn schema_registers_20_types() {
@@ -171,12 +121,5 @@ mod tests {
             .all(|q| q.pattern.kleene_types().contains(&travel)));
         // Patterns differ across (at least the first 19) queries.
         assert_ne!(qs[0].pattern, qs[1].pattern);
-    }
-
-    #[test]
-    fn predicate_workload_parses() {
-        let reg = registry();
-        let qs = workload_with_speed_predicate(&reg, 5, 300, 10.0);
-        assert!(qs.iter().all(|q| q.selections.len() == 1));
     }
 }

@@ -1,10 +1,12 @@
 //! Smart-home-like stream (DEBS 2014 grand challenge, §6.1): load and work
 //! measurements for plugs in houses. Default rate 20K events/minute (the
 //! fastest of the paper's data sets).
+//! Its description row: hot Kleene type `Load` at weight 20, workload
+//! grouped by `house`.
 
-use crate::common::{generate_stream, BurstyMix, GenConfig};
-use hamlet_query::{parse_query, Query};
-use hamlet_types::{AttrValue, Event, EventTypeId, TypeRegistry};
+use crate::common::{GenConfig, Spec};
+use hamlet_query::Query;
+use hamlet_types::{AttrValue, Event, TypeRegistry};
 use rand::Rng;
 use std::sync::Arc;
 
@@ -15,36 +17,26 @@ pub const TYPES: [&str; 6] = ["Start", "Load", "Work", "Spike", "Idle", "Stop"];
 /// Attribute schema: house and plug identifiers plus the voltage value.
 pub const ATTRS: [&str; 3] = ["house", "plug", "value"];
 
+const SPEC: Spec = Spec {
+    types: &TYPES,
+    attrs: &ATTRS,
+    hot: "Load",
+    hot_weight: 20.0,
+    group_by: "house",
+};
+
 /// Default events per minute for this data set (§6.1).
 pub const DEFAULT_RATE: u64 = 20_000;
 
 /// Registers the smart-home schema.
 pub fn registry() -> Arc<TypeRegistry> {
-    let mut reg = TypeRegistry::new();
-    for t in TYPES {
-        reg.register(t, &ATTRS);
-    }
-    Arc::new(reg)
+    SPEC.registry()
 }
 
 /// Generates a bursty measurement stream (40 houses in the real data set;
 /// `cfg.num_groups` controls it here).
 pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
-    // The Kleene type arrives in long bursts of the configured mean
-    // length; bookkeeping types arrive in short runs.
-    let mix: Vec<(EventTypeId, f64, f64)> = TYPES
-        .iter()
-        .map(|t| {
-            let id = reg.type_id(t).expect("registered");
-            let (w, burst) = if *t == "Load" {
-                (20.0, cfg.mean_burst)
-            } else {
-                (1.0, 2.0_f64.min(cfg.mean_burst))
-            };
-            (id, w, burst)
-        })
-        .collect();
-    generate_stream(cfg, BurstyMix::with_bursts(&mix), |rng, t, ty, g| {
+    SPEC.generate(reg, cfg, |rng, t, ty, g| {
         Event::new(
             t,
             ty,
@@ -59,27 +51,13 @@ pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
 
 /// Workload of `k` per-house measurement-trend queries sharing `Load+`.
 pub fn workload(reg: &TypeRegistry, k: usize, window_secs: u64) -> Vec<Query> {
-    let firsts: Vec<&str> = TYPES.iter().copied().filter(|t| *t != "Load").collect();
-    (0..k)
-        .map(|i| {
-            let first = firsts[i % firsts.len()];
-            parse_query(
-                reg,
-                i as u32,
-                &format!(
-                    "RETURN COUNT(*) PATTERN SEQ({first}, Load+) \
-                     GROUP BY house WITHIN {window_secs}"
-                ),
-            )
-            .expect("workload query parses")
-        })
-        .collect()
+    SPEC.workload(reg, k, window_secs)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::mean_run_length;
+    use crate::common::tests::mean_run_length;
 
     #[test]
     fn stream_is_load_dominated() {

@@ -3,10 +3,12 @@
 //! dynamic-vs-static sharing experiments (Figs. 12–13), so its workload
 //! builder produces the *diverse* second workload: Kleene patterns of
 //! length 1–3, varying windows, aggregates, group-bys and predicates.
+//! Its description row: hot Kleene type `Tick` at weight 15, uniform
+//! workload grouped by `company`.
 
-use crate::common::{generate_stream, BurstyMix, GenConfig};
+use crate::common::{GenConfig, Spec};
 use hamlet_query::{parse_query, Query};
-use hamlet_types::{AttrValue, Event, EventTypeId, TypeRegistry};
+use hamlet_types::{AttrValue, Event, TypeRegistry};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -19,36 +21,26 @@ pub const TYPES: [&str; 10] = [
 /// Attribute schema.
 pub const ATTRS: [&str; 4] = ["company", "sector", "price", "volume"];
 
+const SPEC: Spec = Spec {
+    types: &TYPES,
+    attrs: &ATTRS,
+    hot: "Tick",
+    hot_weight: 15.0,
+    group_by: "company",
+};
+
 /// Default events per minute for this data set (§6.1).
 pub const DEFAULT_RATE: u64 = 4_500;
 
 /// Registers the stock schema.
 pub fn registry() -> Arc<TypeRegistry> {
-    let mut reg = TypeRegistry::new();
-    for t in TYPES {
-        reg.register(t, &ATTRS);
-    }
-    Arc::new(reg)
+    SPEC.registry()
 }
 
 /// Generates a bursty tick stream. The paper's bursts average ~120 events
 /// (§6.2); pass `mean_burst: 120.0` to match.
 pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
-    // The Kleene type arrives in long bursts of the configured mean
-    // length; bookkeeping types arrive in short runs.
-    let mix: Vec<(EventTypeId, f64, f64)> = TYPES
-        .iter()
-        .map(|t| {
-            let id = reg.type_id(t).expect("registered");
-            let (w, burst) = if *t == "Tick" {
-                (15.0, cfg.mean_burst)
-            } else {
-                (1.0, 2.0_f64.min(cfg.mean_burst))
-            };
-            (id, w, burst)
-        })
-        .collect();
-    generate_stream(cfg, BurstyMix::with_bursts(&mix), |rng, t, ty, g| {
+    SPEC.generate(reg, cfg, |rng, t, ty, g| {
         Event::new(
             t,
             ty,
@@ -65,21 +57,7 @@ pub fn generate(reg: &TypeRegistry, cfg: &GenConfig) -> Vec<Event> {
 /// The paper's first-workload analogue on stock data: `k` queries sharing
 /// `Tick+` uniformly (same window, grouping, aggregate, no predicates).
 pub fn workload_uniform(reg: &TypeRegistry, k: usize, window_secs: u64) -> Vec<Query> {
-    let firsts: Vec<&str> = TYPES.iter().copied().filter(|t| *t != "Tick").collect();
-    (0..k)
-        .map(|i| {
-            let first = firsts[i % firsts.len()];
-            parse_query(
-                reg,
-                i as u32,
-                &format!(
-                    "RETURN COUNT(*) PATTERN SEQ({first}, Tick+) \
-                     GROUP BY company WITHIN {window_secs}"
-                ),
-            )
-            .expect("workload query parses")
-        })
-        .collect()
+    SPEC.workload(reg, k, window_secs)
 }
 
 /// The paper's second, diverse workload (§6.1, Figs. 12–13): sharable
@@ -90,7 +68,7 @@ pub fn workload_uniform(reg: &TypeRegistry, k: usize, window_secs: u64) -> Vec<Q
 /// backfire.
 pub fn workload_diverse(reg: &TypeRegistry, k: usize, seed: u64) -> Vec<Query> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let firsts: Vec<&str> = TYPES.iter().copied().filter(|t| *t != "Tick").collect();
+    let firsts = SPEC.cold();
     (0..k)
         .map(|i| {
             let len = 1 + (i % 3);

@@ -130,7 +130,7 @@ impl NodeVal {
 codec_struct!(NodeVal { count, sum, cnt });
 
 /// Min/max lattice state for `MIN`/`MAX` queries (non-shared path).
-#[derive(Copy, Clone, PartialEq, Debug)]
+#[derive(Copy, Clone, PartialEq, Debug, Default)]
 pub struct MmVal(pub f64);
 
 codec_struct!(MmVal { 0 });

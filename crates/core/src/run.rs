@@ -6,10 +6,11 @@
 //! decision — which members process the burst in a shared graphlet versus
 //! per-query solo graphlets (§4.2). The run maintains:
 //!
-//! * `cum[type][member]` — the resolved per-member sum of intermediate
-//!   aggregates of all *closed* graphlets of each type. Snapshot values and
-//!   external predecessor contributions are read off these (Def. 8:
-//!   `value(x, q) = Σ sum(G_E', q)`).
+//! * per type and member, the *closed total* — the resolved sum of
+//!   intermediate aggregates of all *closed* graphlets of the type.
+//!   Snapshot values and external predecessor contributions are read off
+//!   these (Def. 8: `value(x, q) = Σ sum(G_E', q)`). A run holds them in a
+//!   row per type it has touched; an untouched type's totals are zero.
 //! * one *active* graphlet per type: either a shared graphlet whose events
 //!   carry [`LinearExpr`] aggregates over snapshots, or per-member solo
 //!   graphlets with numeric aggregates (§3.2), or both (when the optimizer
@@ -17,7 +18,7 @@
 //! * the snapshot table `S` (Algorithm 1).
 //!
 //! Because `fcount(q) = Σ count(e, q)` over end-type events (Eq. 3), the
-//! final aggregate per member is just the end-type totals of `cum` at
+//! final aggregate per member is just the end-type closed totals at
 //! window close — no per-event result bookkeeping is needed.
 //!
 //! # What a burst is, and the `sp ≤ 3` invariant
@@ -71,6 +72,7 @@ use edge::StoredEvent;
 use hamlet_query::{CompiledSelection, EdgePredicate, Query};
 use hamlet_types::{Event, TrendVal};
 use std::collections::HashMap;
+use std::iter::repeat_n;
 use std::sync::Arc;
 
 /// Immutable per-group runtime info shared by all of the group's runs:
@@ -316,12 +318,27 @@ struct SharedGraphlet {
     sum_exprs: LinearExpr,
 }
 
-/// A per-member (non-shared) graphlet (§3.2).
-#[derive(Clone, Copy)]
-struct SoloGraphlet {
-    sum: NodeVal,
+/// Member `q`'s cell of a held type (§3.2): the total, lattice value and
+/// alive flag (the lattice value extends a trend) of the type's closed
+/// graphlets, and the same three of the member's solo graphlet — open iff
+/// `q` is in its row's `solos`.
+#[derive(Clone, Copy, Default)]
+struct Member {
+    total: NodeVal,
     mm: MmVal,
     alive: bool,
+    solo: NodeVal,
+    solo_mm: MmVal,
+    solo_alive: bool,
+}
+
+/// A held type's row: its shared graphlet, if open, and the members whose
+/// solo graphlet is open — every walk over a type's solo graphlets walks
+/// that set. Its `k` [`Member`] cells sit at its index in `Run::cells`.
+#[derive(Default)]
+struct Row {
+    shared: Option<SharedGraphlet>,
+    solos: QSet,
 }
 
 codec_struct!(SharedGraphlet {
@@ -344,27 +361,6 @@ impl SharedGraphlet {
         }
         self.sum_exprs.check_snaps(num_snaps)
     }
-}
-
-impl SoloGraphlet {
-    fn new(mm_identity: MmVal) -> SoloGraphlet {
-        SoloGraphlet {
-            sum: NodeVal::ZERO,
-            mm: mm_identity,
-            alive: false,
-        }
-    }
-}
-
-codec_struct!(SoloGraphlet { sum, mm, alive });
-
-/// Active graphlets of one type: the shared one, if open, and a solo
-/// slot per member, of which only the members in `solos` hold an open
-/// graphlet — every walk over a type's solo graphlets walks that set.
-struct Active {
-    shared: Option<SharedGraphlet>,
-    solos: QSet,
-    solo: Vec<SoloGraphlet>,
 }
 
 /// Counters exposed for the evaluation section's figures.
@@ -483,27 +479,34 @@ impl TypeSet {
     }
 }
 
+/// [`Run::index`]'s entry for a type without a row.
+const NO_ROW: u8 = u8::MAX;
+
 /// The evaluation state of one (share group × partition × window instance).
 ///
 /// A run of a high-cardinality stream lives for a burst or two and touches
-/// one or two of its template's types, so what a run walks per type is
-/// walked over two sets only: `open` (exactly the types whose `active`
-/// entry holds a graphlet) and `written` (types whose `cum`, `mm_cum` and
-/// `alive_cum` rows may differ from the identity). Every other type's
-/// entry is what [`Run::new`] made it. Within an open type, what a run
-/// walks per member is walked over the members whose solo graphlet is
-/// open (`Active::solos`), so a burst closes what it closes, not every
-/// open type × every member.
+/// one or two of its template's types, so a run holds a `Row` and its
+/// `k` `Member` cells only for the types in `written` (whose closed
+/// totals may differ from the identity) or `open` (exactly the types
+/// with an open graphlet), in the order it first touched them: `index`
+/// finds a type's row, and every other type reads as the zero total, the
+/// lattice identity and no graphlet without touching memory. Within an
+/// open type, what a run walks per member is walked over the
+/// members whose solo graphlet is open (`Row::solos`), so a burst closes
+/// what it closes, not every open type × every member.
 pub struct Run {
     rt: Arc<GroupRuntime>,
-    cum: Vec<Vec<NodeVal>>,
-    mm_cum: Vec<Vec<MmVal>>,
-    alive_cum: Vec<Vec<bool>>,
-    start_blocked: Vec<bool>,
+    /// Per type below the 64th, the index of its row (or [`NO_ROW`]); a
+    /// type past it, whose row every run holds, has the row of its index.
+    index: [u8; 64],
+    rows: Vec<Row>,
+    /// `k` cells per row: member `q` of row `r` at `r * k + q`.
+    cells: Vec<Member>,
+    start_blocked: QSet,
     gap_blocked: HashMap<(usize, usize, usize), NodeVal>,
+    /// Empty until a trailing negation blocks, then one total per member.
     result_blocked: Vec<NodeVal>,
     snaps: SnapTable,
-    active: Vec<Active>,
     stored: Vec<Vec<StoredEvent>>,
     stats: RunStats,
     open: TypeSet,
@@ -514,28 +517,22 @@ impl Run {
     /// Creates an empty run.
     pub fn new(rt: Arc<GroupRuntime>) -> Run {
         let nt = rt.template.num_types();
-        let (k, mm_identity) = (rt.k(), rt.mm_identity);
-        Run {
-            cum: vec![vec![NodeVal::ZERO; k]; nt],
-            mm_cum: vec![vec![mm_identity; k]; nt],
-            alive_cum: vec![vec![false; k]; nt],
-            start_blocked: vec![false; k],
+        let mut run = Run {
+            index: [NO_ROW; 64],
+            rows: Vec::new(),
+            cells: Vec::new(),
+            start_blocked: QSet::new(),
             gap_blocked: HashMap::new(),
-            result_blocked: vec![NodeVal::ZERO; k],
-            snaps: SnapTable::new(k),
-            active: (0..nt)
-                .map(|_| Active {
-                    shared: None,
-                    solos: QSet::new(),
-                    solo: vec![SoloGraphlet::new(mm_identity); k],
-                })
-                .collect(),
+            result_blocked: Vec::new(),
+            snaps: SnapTable::new(rt.k()),
             stored: (0..nt).map(|_| Vec::new()).collect(),
             stats: RunStats::default(),
             rt,
             open: TypeSet::empty(nt),
             written: TypeSet::empty(nt),
-        }
+        };
+        run.fill_rows();
+        run
     }
 
     /// Puts every field back to what [`Run::new`] gives it for the same
@@ -543,23 +540,85 @@ impl Run {
     /// back to its group's slab is the next window's empty run, and
     /// re-using it allocates nothing.
     pub(crate) fn recycle(&mut self) {
-        let nt = self.active.len();
-        for ty in self.written.iter(nt) {
-            self.cum[ty].fill(NodeVal::ZERO);
-            self.mm_cum[ty].fill(self.rt.mm_identity);
-            self.alive_cum[ty].fill(false);
-        }
-        self.start_blocked.fill(false);
+        let nt = self.nt();
+        self.index = [NO_ROW; 64];
+        self.rows.clear();
+        self.cells.clear();
+        self.start_blocked = QSet::new();
         self.gap_blocked.clear();
-        self.result_blocked.fill(NodeVal::ZERO);
+        self.result_blocked.clear();
         self.snaps.clear();
-        for ty in self.open.iter(nt) {
-            self.active[ty].shared = None;
-            self.active[ty].solos = QSet::new();
-        }
         self.stored.iter_mut().for_each(Vec::clear);
         self.stats = RunStats::default();
         (self.open, self.written) = (TypeSet::empty(nt), TypeSet::empty(nt));
+        self.fill_rows();
+    }
+
+    fn nt(&self) -> usize {
+        self.rt.template.num_types()
+    }
+
+    fn held(&self) -> TypeSet {
+        TypeSet(self.written.0 | self.open.0)
+    }
+
+    /// The index of held type `ty`'s row.
+    fn at(&self, ty: usize) -> usize {
+        self.index.get(ty).map_or(ty, |&r| r as usize)
+    }
+
+    /// The index of `ty`'s row, if the run holds one.
+    fn row_of(&self, ty: usize) -> Option<usize> {
+        Some(self.at(ty)).filter(|&r| r < self.rows.len())
+    }
+
+    /// Appends an empty row for each held type without one (a template of
+    /// more than 64 types holds them all from the start).
+    fn fill_rows(&mut self) {
+        for ty in self.held().iter(self.nt()) {
+            if self.row_of(ty).is_none() {
+                self.push_row(ty);
+            }
+        }
+    }
+
+    /// Opens `ty`: its row, appended empty unless held.
+    fn open_row(&mut self, ty: usize) -> usize {
+        self.open.add(ty);
+        self.row_of(ty).unwrap_or_else(|| self.push_row(ty))
+    }
+
+    /// Appends an empty row for `ty`. The store's first row reserves room
+    /// for every type, so a run — and each later run its slab slot holds —
+    /// allocates the store once.
+    fn push_row(&mut self, ty: usize) -> usize {
+        let (nt, k, mm) = (self.nt(), self.rt.k(), self.rt.mm_identity);
+        self.rows.reserve_exact(nt - self.rows.len());
+        self.cells.reserve_exact((nt - self.rows.len()) * k);
+        if let Some(r) = self.index.get_mut(ty) {
+            *r = self.rows.len() as u8;
+        }
+        self.rows.push(Row::default());
+        let mut blank = Member::default();
+        (blank.mm, blank.solo_mm) = (mm, mm);
+        self.cells.extend(repeat_n(blank, k));
+        self.rows.len() - 1
+    }
+
+    /// Member `q`'s cell of type `ty`, if the run holds the type.
+    fn cell(&self, ty: usize, q: usize) -> Option<&Member> {
+        let at = self.row_of(ty)? * self.rt.k() + q;
+        Some(&self.cells[at])
+    }
+
+    /// Member `q`'s closed total of type `ty`.
+    fn total(&self, ty: usize, q: usize) -> NodeVal {
+        self.cell(ty, q).map_or(NodeVal::ZERO, |c| c.total)
+    }
+
+    /// Type `ty`'s open shared graphlet.
+    fn shared(&self, ty: usize) -> Option<&SharedGraphlet> {
+        self.row_of(ty).and_then(|r| self.rows[r].shared.as_ref())
     }
 
     /// Re-points the run at a freshly compiled runtime of the *same*
@@ -615,8 +674,7 @@ impl Run {
         // correct, it only forgoes some sharing.
         let relevant = tpl.involved[tl] | tpl.neg_involved[tl];
         for ty in self.open.iter(tpl.num_types()).filter(|&ty| ty != tl) {
-            let shared = self.active[ty].shared.as_ref();
-            if shared.is_some_and(|sh| sh.members.intersects(&relevant)) {
+            if (self.shared(ty)).is_some_and(|sh| sh.members.intersects(&relevant)) {
                 self.close_shared(ty);
             }
             self.close_solos(ty, relevant);
@@ -692,8 +750,9 @@ impl Run {
         let starts = self.starts(tpl, tl);
 
         if !share.is_empty() {
+            let r = self.at(tl);
             // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
-            let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
+            let sh = self.rows[r].shared.as_mut().expect("shared graphlet");
             let (x, unit) = (sh.x, sh.unit);
             for c in cells {
                 let (w, m) = (weight(c), c.mask & share);
@@ -731,29 +790,29 @@ impl Run {
             // Lattice predecessors in closed graphlets (the active one of
             // this type is folded in per event).
             let (mut mm_ext, mut alive_ext) = (self.rt.mm_identity, start);
-            for &p in &tpl.pt[tl][q] {
-                mm_ext.fold(self.mm_cum[p][q].0, self.rt.is_min);
-                alive_ext |= self.alive_cum[p][q];
+            for c in tpl.pt[tl][q].iter().filter_map(|&p| self.cell(p, q)) {
+                mm_ext.fold(c.mm.0, rt.is_min);
+                alive_ext |= c.alive;
             }
-            let is_min = self.rt.is_min;
-            let solo = &mut self.active[tl].solo[q];
+            let (is_min, at) = (rt.is_min, self.at(tl) * rt.k() + q);
+            let solo = &mut self.cells[at];
             for c in cells.iter().filter(|c| c.mask.contains(q)) {
                 let mut pred = ext;
                 if self_loop {
-                    pred.add(solo.sum);
+                    pred.add(solo.solo);
                 }
-                solo.sum
+                solo.solo
                     .add(NodeVal::propagate(pred, start, weight(c), is_target));
                 if minmax {
                     let (mut mm, mut alive) = (mm_ext, alive_ext);
                     if self_loop {
-                        mm.fold(solo.mm.0, is_min);
-                        alive |= solo.alive;
+                        mm.fold(solo.solo_mm.0, is_min);
+                        alive |= solo.solo_alive;
                     }
                     if alive {
                         mm.fold(f64::from_bits(c.val), is_min);
-                        solo.mm.fold(mm.0, is_min);
-                        solo.alive = true;
+                        solo.solo_mm.fold(mm.0, is_min);
+                        solo.solo_alive = true;
                     }
                 }
             }
@@ -764,9 +823,7 @@ impl Run {
     /// now: the type's start set less the members a leading negation has
     /// blocked.
     fn starts(&self, tpl: &MergedTemplate, tl: usize) -> QSet {
-        (tpl.start[tl].iter())
-            .filter(|&q| !self.start_blocked[q])
-            .collect()
+        tpl.start[tl] & !self.start_blocked
     }
 
     /// Closed-form burst advance for predicate-free COUNT(*) bursts
@@ -796,8 +853,9 @@ impl Run {
         let m = TrendVal(if b >= 64 { 0 } else { 1u64 << b });
         let g = m - TrendVal::ONE;
         if !share.is_empty() {
+            let r = self.at(tl);
             // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
-            let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
+            let sh = self.rows[r].shared.as_mut().expect("shared graphlet");
             let (x, unit) = (sh.x, sh.unit);
             sh.sum_exprs.scale(m);
             sh.sum_exprs.add_snapshot_scaled(x, g);
@@ -811,12 +869,13 @@ impl Run {
             if starts.contains(q) {
                 step.count += TrendVal::ONE;
             }
-            let solo = &mut self.active[tl].solo[q];
+            let at = self.at(tl) * rt.k() + q;
+            let solo = &mut self.cells[at].solo;
             if tpl.self_loop[tl].contains(q) {
-                solo.sum.scale(m);
-                solo.sum.add_scaled(step, g);
+                solo.scale(m);
+                solo.add_scaled(step, g);
             } else {
-                solo.sum.add_scaled(step, TrendVal(b));
+                solo.add_scaled(step, TrendVal(b));
             }
         }
     }
@@ -835,37 +894,41 @@ impl Run {
                 continue;
             }
             match kind {
-                LocalNegKind::Leading => self.start_blocked[*q] = true,
+                LocalNegKind::Leading => _ = self.start_blocked.insert(*q),
                 LocalNegKind::Gap { pred, succ } => {
                     for &p in pred {
                         for &s in succ {
-                            let v = self.cum[p][*q];
+                            let v = self.total(p, *q);
                             self.gap_blocked.insert((*q, p, s), v);
                         }
                     }
                 }
                 LocalNegKind::Trailing => {
+                    self.result_blocked.resize(rt.k(), NodeVal::ZERO);
                     self.result_blocked[*q] = self.result_total(*q);
                 }
             }
         }
     }
 
-    /// Current Σ of end-type totals for member `q` (Eq. 3 over `cum`).
+    /// Current Σ of end-type totals for member `q` (Eq. 3 over the closed
+    /// totals and the open graphlets).
     fn result_total(&self, q: usize) -> NodeVal {
-        let tpl = &self.rt.template;
+        let (tpl, k) = (&self.rt.template, self.rt.k());
         let mut out = NodeVal::ZERO;
-        for ty in 0..tpl.num_types() {
+        for ty in self.held().iter(tpl.num_types()) {
             if tpl.end[ty].contains(q) {
-                out.add(self.cum[ty][q]);
+                let r = self.at(ty);
+                let (row, cell) = (&self.rows[r], &self.cells[r * k + q]);
+                out.add(cell.total);
                 // Include active graphlets (they haven't been folded yet).
-                if let Some(sh) = &self.active[ty].shared {
+                if let Some(sh) = &row.shared {
                     if sh.members.contains(q) {
                         out.add(self.snaps.eval(&sh.sum_exprs, q));
                     }
                 }
-                if self.active[ty].solos.contains(q) {
-                    out.add(self.active[ty].solo[q].sum);
+                if row.solos.contains(q) {
+                    out.add(cell.solo);
                 }
             }
         }
@@ -875,22 +938,20 @@ impl Run {
     /// Opens/closes graphlets of type `tl` so the active configuration
     /// matches the sharing decision (§4.2 split & merge).
     fn transition_graphlets(&mut self, rt: &GroupRuntime, tl: usize, share: QSet) {
-        let keep_shared = self.active[tl]
-            .shared
-            .as_ref()
-            .is_some_and(|sh| sh.members == share);
-        if !keep_shared && self.active[tl].shared.is_some() {
+        let shared = self.shared(tl).map(|sh| sh.members);
+        if shared.is_some_and(|members| members != share) {
             // Split (or re-form with a different member set).
             self.close_shared(tl);
             self.stats.splits += 1;
         }
-        // Merge: members' solo graphlets collapse into cum, and one
-        // consolidated graphlet-level snapshot is created (Fig. 6(f)).
-        // Solo members keep (or lazily open) their graphlets in the
+        // Merge: members' solo graphlets collapse into the closed totals,
+        // and one consolidated graphlet-level snapshot is created (Fig.
+        // 6(f)). Solo members keep (or lazily open) their graphlets in the
         // replay; members covered by the shared graphlet must not also
         // run solo.
-        let merge = !share.is_empty() && self.active[tl].shared.is_none();
-        if merge && share.intersects(&self.active[tl].solos) {
+        let merge = !share.is_empty() && shared != Some(share);
+        let solos = self.row_of(tl).map_or(QSet::new(), |r| self.rows[r].solos);
+        if merge && share.intersects(&solos) {
             self.stats.merges += 1;
         }
         self.close_solos(tl, share);
@@ -917,7 +978,7 @@ impl Run {
                     .get(&(q, p, tl))
                     .copied()
                     .unwrap_or(NodeVal::ZERO);
-                v.add(self.cum[p][q].minus(blocked));
+                v.add(self.total(p, q).minus(blocked));
             }
             self.snaps.set(x, q, v);
         }
@@ -937,33 +998,35 @@ impl Run {
             }
             u
         });
-        self.active[tl].shared = Some(SharedGraphlet {
+        let r = self.open_row(tl);
+        self.rows[r].shared = Some(SharedGraphlet {
             members,
             x,
             unit,
             sum_exprs: LinearExpr::zero(),
         });
-        self.open.add(tl);
     }
 
     /// Opens member `q`'s solo graphlet of type `tl` unless it is open.
     fn open_solo(&mut self, tl: usize, q: usize) {
-        let a = &mut self.active[tl];
-        if a.solos.insert(q) {
-            a.solo[q] = SoloGraphlet::new(self.rt.mm_identity);
-            self.open.add(tl);
+        let r = self.open_row(tl);
+        if self.rows[r].solos.insert(q) {
+            let cell = &mut self.cells[r * self.rt.k() + q];
+            (cell.solo, cell.solo_mm, cell.solo_alive) =
+                (NodeVal::ZERO, self.rt.mm_identity, false);
             self.stats.graphlets += 1;
         }
     }
 
-    /// Resolves a shared graphlet's totals per member into `cum` and drops
-    /// its symbolic state ("the snapshot is replaced by its value",
-    /// Fig. 6(d)).
+    /// Resolves a shared graphlet's totals per member into its row's
+    /// closed totals and drops its symbolic state ("the snapshot is
+    /// replaced by its value", Fig. 6(d)).
     fn close_shared(&mut self, tl: usize) {
-        if let Some(sh) = self.active[tl].shared.take() {
+        let Some(r) = self.row_of(tl) else { return };
+        if let Some(sh) = self.rows[r].shared.take() {
             for q in sh.members.iter() {
                 let v = self.snaps.eval(&sh.sum_exprs, q);
-                self.cum[tl][q].add(v);
+                self.cells[r * self.rt.k() + q].total.add(v);
                 // Shared graphlets exist only for linear skeletons; the
                 // lattice dimensions stay untouched.
             }
@@ -973,29 +1036,37 @@ impl Run {
     }
 
     /// Folds the open solo graphlets of type `tl` among `members` into
-    /// `cum` / lattice accumulators.
+    /// its row's closed totals and lattice values.
     fn close_solos(&mut self, tl: usize, members: QSet) {
-        let a = &mut self.active[tl];
-        let closing = a.solos & members;
+        let Some(r) = self.row_of(tl) else { return };
+        let row = &mut self.rows[r];
+        let closing = row.solos & members;
         if closing.is_empty() {
             return;
         }
-        a.solos = a.solos & !closing;
+        row.solos = row.solos & !closing;
         for q in closing.iter() {
-            let solo = &self.active[tl].solo[q];
-            self.cum[tl][q].add(solo.sum);
-            self.mm_cum[tl][q].fold(solo.mm.0, self.rt.is_min);
-            self.alive_cum[tl][q] |= solo.alive;
+            let cell = &mut self.cells[r * self.rt.k() + q];
+            cell.total.add(cell.solo);
+            cell.mm.fold(cell.solo_mm.0, self.rt.is_min);
+            cell.alive |= cell.solo_alive;
         }
         self.written.add(tl);
         self.vacate(tl);
     }
 
-    /// Drops `tl` from `open` once it holds no graphlet.
+    /// Drops `tl` from `open` once it holds no graphlet, and its row
+    /// unless written: only a decoded record's graphlet-less type, whose
+    /// row is the last.
     fn vacate(&mut self, tl: usize) {
-        let a = &self.active[tl];
-        if a.shared.is_none() && a.solos.is_empty() {
-            self.open.remove(tl, self.active.len());
+        let r = self.at(tl);
+        if self.rows[r].shared.is_none() && self.rows[r].solos.is_empty() {
+            self.open.remove(tl, self.nt());
+            if (self.written.0.checked_shr(tl as u32)).is_some_and(|w| w & 1 == 0) {
+                self.rows.pop();
+                self.cells.truncate(r * self.rt.k());
+                self.index[tl] = NO_ROW;
+            }
         }
     }
 
@@ -1012,7 +1083,7 @@ impl Run {
                 }
                 // Closed same-type graphlets; the active one is added by
                 // the caller (prefix / sum_exprs).
-                v.add(self.cum[p][q]);
+                v.add(self.total(p, q));
                 continue;
             }
             let blocked = self
@@ -1020,7 +1091,7 @@ impl Run {
                 .get(&(q, p, tl))
                 .copied()
                 .unwrap_or(NodeVal::ZERO);
-            v.add(self.cum[p][q].minus(blocked));
+            v.add(self.total(p, q).minus(blocked));
         }
         v
     }
@@ -1036,24 +1107,24 @@ impl Run {
     /// [`finalize`](Self::finalize) into a reused buffer (cleared first):
     /// the engine finalizes every expiring run through one.
     pub fn finalize_into(&mut self, out: &mut Vec<MemberOutput>) {
-        let nt = self.active.len();
+        let (nt, k) = (self.nt(), self.rt.k());
         for ty in self.open.iter(nt) {
             self.close_shared(ty);
-            self.close_solos(ty, self.active[ty].solos);
+            self.close_solos(ty, !QSet::new());
         }
         let tpl = &self.rt.template;
         out.clear();
-        out.extend((0..tpl.k).map(|q| {
+        out.extend((0..k).map(|q| {
             let mut raw = NodeVal::ZERO;
             let mut mm = self.rt.mm_identity;
-            for ty in self.written.iter(nt) {
-                if tpl.end[ty].contains(q) {
-                    raw.add(self.cum[ty][q]);
-                    mm.fold(self.mm_cum[ty][q].0, self.rt.is_min);
-                }
+            for ty in self.held().iter(nt).filter(|&ty| tpl.end[ty].contains(q)) {
+                let cell = &self.cells[self.at(ty) * k + q];
+                raw.add(cell.total);
+                mm.fold(cell.mm.0, self.rt.is_min);
             }
+            let blocked = self.result_blocked.get(q).copied();
             MemberOutput {
-                raw: raw.minus(self.result_blocked[q]),
+                raw: raw.minus(blocked.unwrap_or(NodeVal::ZERO)),
                 mm: mm.0,
             }
         }));
@@ -1068,20 +1139,21 @@ impl Run {
     /// decoder receives it from the freshly compiled engine and only the
     /// mutable state travels.
     pub(crate) fn encode(&self, e: &mut Enc) {
-        let nt = self.active.len();
-        (self.rt.k(), nt).encode(e);
+        let (nt, k) = (self.nt(), self.rt.k());
+        (k, nt).encode(e);
         (self.written, self.open).encode(e);
+        let cells = |ty| &self.cells[self.at(ty) * k..][..k];
         for ty in self.written.iter(nt) {
-            self.cum[ty].iter().for_each(|v| v.encode(e));
+            cells(ty).iter().for_each(|c| c.total.encode(e));
         }
         for ty in self.written.iter(nt) {
-            self.mm_cum[ty].iter().for_each(|v| v.encode(e));
+            cells(ty).iter().for_each(|c| c.mm.encode(e));
         }
         for ty in self.written.iter(nt) {
-            self.alive_cum[ty].iter().for_each(|v| v.encode(e));
+            cells(ty).iter().for_each(|c| c.alive.encode(e));
         }
-        if e.some(self.start_blocked.contains(&true)) {
-            self.start_blocked.iter().for_each(|v| v.encode(e));
+        if e.some(!self.start_blocked.is_empty()) {
+            (0..k).for_each(|q| e.bool(self.start_blocked.contains(q)));
         }
         // HashMap: impose the canonical key order so the encoding is
         // deterministic (checkpoint → restore → checkpoint is
@@ -1093,10 +1165,12 @@ impl Run {
             self.result_blocked.iter().for_each(|v| v.encode(e));
         }
         self.snaps.encode(e);
-        for a in self.open.iter(nt).map(|ty| &self.active[ty]) {
-            a.shared.encode(e);
-            for (q, solo) in a.solo.iter().enumerate() {
-                a.solos.contains(q).then_some(*solo).encode(e);
+        for ty in self.open.iter(nt) {
+            let row = &self.rows[self.at(ty)];
+            row.shared.encode(e);
+            for (q, c) in cells(ty).iter().enumerate() {
+                let solo = (c.solo, c.solo_mm, c.solo_alive);
+                row.solos.contains(q).then_some(solo).encode(e);
             }
         }
         for stored in &self.stored {
@@ -1112,7 +1186,8 @@ impl Run {
     /// [`Run::new`] makes it. What the record holds is decoded plainly,
     /// then checked against that runtime — its shape, its type sets, and
     /// every snapshot id against the restored table — before anything
-    /// indexes by it. The decoded run's `written` set is the record's;
+    /// indexes by it. The decoded run's `written` set is the record's,
+    /// and it holds a row for exactly those types and the open ones;
     /// `open` and each type's open members follow exactly from the
     /// graphlets it holds. `dense` reads the run of `HMEN` v4–v6 /
     /// `HMDL` v1–v3: every type written and open, every section present,
@@ -1124,7 +1199,7 @@ impl Run {
         dense: bool,
     ) -> Result<Run, CheckpointError> {
         let mut run = Run::new(rt);
-        let (k, nt) = (run.rt.k(), run.rt.template.num_types());
+        let (k, nt) = (run.rt.k(), run.nt());
         let (k_enc, nt_enc): (usize, usize) = Codec::decode(d)?;
         if k_enc != k || nt_enc != nt {
             return Err(CheckpointError::WorkloadMismatch(format!(
@@ -1143,44 +1218,39 @@ impl Run {
                 "a type set names a type past the template's {nt}"
             )));
         }
+        // The written types' rows, which are all the run holds so far.
         run.written = written;
-        for ty in run.written.iter(nt) {
-            decode_into(d, &mut run.cum[ty])?;
-        }
-        for ty in run.written.iter(nt) {
-            decode_into(d, &mut run.mm_cum[ty])?;
-        }
-        for ty in run.written.iter(nt) {
-            decode_into(d, &mut run.alive_cum[ty])?;
-        }
+        run.fill_rows();
+        decode_into(d, run.cells.iter_mut().map(|c| &mut c.total))?;
+        decode_into(d, run.cells.iter_mut().map(|c| &mut c.mm))?;
+        decode_into(d, run.cells.iter_mut().map(|c| &mut c.alive))?;
         if dense || d.some()? {
-            decode_into(d, &mut run.start_blocked)?;
+            let blocked: Vec<bool> = (0..k).map(|_| d.bool()).collect::<Result<_, _>>()?;
+            run.start_blocked = (0..k).filter(|&q| blocked[q]).collect();
         }
         let gaps: Vec<((usize, usize, usize), NodeVal)> = Codec::decode(d)?;
         run.gap_blocked.extend(gaps);
         if dense || d.some()? {
+            run.result_blocked.resize(k, NodeVal::ZERO);
             decode_into(d, &mut run.result_blocked)?;
         }
         run.snaps = Codec::decode(d)?;
         run.snaps.check_arity(k)?;
         let num_snaps = run.snaps.len();
         for ty in open.iter(nt) {
-            let a = &mut run.active[ty];
-            a.shared = Codec::decode(d)?;
-            d.skip_word(dense && a.shared.is_some())?;
-            for (q, slot) in a.solo.iter_mut().enumerate() {
+            let r = run.open_row(ty);
+            let row = &mut run.rows[r];
+            row.shared = Codec::decode(d)?;
+            d.skip_word(dense && row.shared.is_some())?;
+            for (q, c) in run.cells[r * k..][..k].iter_mut().enumerate() {
                 if let Some(solo) = Codec::decode(d)? {
-                    *slot = solo;
-                    a.solos.insert(q);
+                    (c.solo, c.solo_mm, c.solo_alive) = solo;
+                    row.solos.insert(q);
                     d.skip_word(dense)?;
                 }
             }
-            a.shared
-                .iter()
-                .try_for_each(|sh| sh.check_snaps(num_snaps))?;
-            if a.shared.is_some() || !a.solos.is_empty() {
-                run.open.add(ty);
-            }
+            (row.shared.iter()).try_for_each(|sh| sh.check_snaps(num_snaps))?;
+            run.vacate(ty);
         }
         for stored in &mut run.stored {
             if dense || d.some()? {
@@ -1192,17 +1262,14 @@ impl Run {
         Ok(run)
     }
 
-    /// Approximate state footprint in bytes (§6.1 memory metric: stored
-    /// events, snapshot expressions, snapshot values, per-member totals).
+    /// State footprint in bytes (§6.1 memory metric): the run, its rows
+    /// — one per held type, of `k` cells — the snapshot table and shared
+    /// expressions, and the stored events.
     pub fn mem_bytes(&self) -> usize {
-        let mut b = std::mem::size_of::<Run>();
-        b += self.cum.len() * self.rt.k() * std::mem::size_of::<NodeVal>() * 3; // cum + mm + alive (approx)
-        b += self.snaps.mem_bytes();
-        for a in self.open.iter(self.active.len()).map(|ty| &self.active[ty]) {
-            if let Some(sh) = &a.shared {
-                b += sh.sum_exprs.mem_bytes();
-            }
-            b += a.solos.len() * std::mem::size_of::<SoloGraphlet>();
+        let row = size_of::<Row>() + self.rt.k() * size_of::<Member>();
+        let mut b = size_of::<Run>() + self.rows.len() * row + self.snaps.mem_bytes();
+        for sh in self.rows.iter().filter_map(|r| r.shared.as_ref()) {
+            b += sh.sum_exprs.mem_bytes();
         }
         b + (self.stored.iter().flatten())
             .map(StoredEvent::mem_bytes)
@@ -1453,8 +1520,8 @@ mod tests {
                 fast.process_burst(tl, &events, &shared);
                 slow.process_burst_slow(tl, &events, &shared);
                 prop_assert_eq!(fast.stats().event_snapshots - before, partial);
-                let shared = |r: &Run| r.active[tl].shared.as_ref().map(|sh| sh.members);
-                let terms = fast.active[tl].shared.as_ref().map_or(0, |sh| sh.sum_exprs.num_terms());
+                let shared = |r: &Run| r.shared(tl).map(|sh| sh.members);
+                let terms = fast.shared(tl).map_or(0, |sh| sh.sum_exprs.num_terms());
                 prop_assert!(terms <= 3);
                 prop_assert_eq!(shared(&fast), shared(&slow));
             }
@@ -1516,20 +1583,24 @@ mod tests {
     }
 
     impl Run {
-        /// True iff `open` holds exactly the types with a graphlet.
+        /// True iff `open` holds exactly the types with a graphlet and
+        /// the run a row of `k` cells for exactly the written and open
+        /// types.
         fn open_is_exact(&self) -> bool {
-            let nt = self.active.len();
-            (0..nt).all(|ty| {
-                let a = &self.active[ty];
-                let held = a.shared.is_some() || !a.solos.is_empty();
-                self.open.iter(nt).any(|t| t == ty) == held
-            })
+            let (nt, rows) = (self.nt(), self.held().iter(self.nt()).count());
+            let sized = self.rows.len() == rows && self.cells.len() == rows * self.rt.k();
+            sized
+                && (0..nt).all(|ty| {
+                    let row = self.row_of(ty).map(|r| &self.rows[r]);
+                    let held = row.is_some_and(|a| a.shared.is_some() || !a.solos.is_empty());
+                    self.open.iter(nt).any(|t| t == ty) == held
+                })
         }
 
         /// [`finalize`](Run::finalize) walking every type and member: the
         /// oracle of the walk over the type sets.
         fn finalize_full_walk(&mut self) -> Vec<MemberOutput> {
-            let nt = self.active.len();
+            let nt = self.nt();
             for ty in 0..nt {
                 self.close_shared(ty);
                 self.close_solos(ty, QSet::all(self.rt.k()));
@@ -1539,10 +1610,12 @@ mod tests {
                 .map(|q| {
                     let (mut raw, mut mm) = (NodeVal::ZERO, self.rt.mm_identity);
                     for ty in (0..nt).filter(|&ty| tpl.end[ty].contains(q)) {
-                        raw.add(self.cum[ty][q]);
-                        mm.fold(self.mm_cum[ty][q].0, self.rt.is_min);
+                        raw.add(self.total(ty, q));
+                        let closed = self.cell(ty, q).map_or(self.rt.mm_identity, |c| c.mm);
+                        mm.fold(closed.0, self.rt.is_min);
                     }
-                    let raw = raw.minus(self.result_blocked[q]);
+                    let blocked = self.result_blocked.get(q).copied();
+                    let raw = raw.minus(blocked.unwrap_or(NodeVal::ZERO));
                     MemberOutput { raw, mm: mm.0 }
                 })
                 .collect()
@@ -1631,6 +1704,52 @@ mod tests {
             Run::new(rt).encode(&mut e);
             assert_eq!(e.finish().len(), 122 + nt);
         }
+    }
+
+    /// A fresh run holds no row, so what it measures does not depend on
+    /// its group's shape: runs of 60 random groups (2–5 members over 2–5
+    /// types) measure what a run of two members over three types does —
+    /// the run and an empty snapshot table.
+    #[test]
+    fn a_fresh_runs_size_does_not_depend_on_its_shape() {
+        let fresh = Run::new(rt_two_queries()).mem_bytes();
+        assert_eq!(fresh, size_of::<Run>() + size_of::<SnapTable>());
+        let mut next = stream_of(11);
+        let mut shapes = std::collections::BTreeSet::new();
+        for shape in (0..3).cycle().take(60) {
+            let skel = if shape == 1 { 0 } else { next() % 3 };
+            let rt = random_group(&mut next, skel, shape);
+            shapes.insert((rt.k(), rt.template.num_types()));
+            assert_eq!(Run::new(rt).mem_bytes(), fresh);
+        }
+        assert!(shapes.len() > 4, "{shapes:?}");
+    }
+
+    /// After a scripted replay a run measures exactly the rows it holds:
+    /// a solo burst of `A` adds `A`'s row; a shared burst of `B` adds
+    /// `B`'s, its snapshots and its running sum; `C`, never touched,
+    /// holds no row; finalizing drops the running sum and keeps both rows.
+    #[test]
+    fn mem_bytes_counts_the_rows_a_run_holds() {
+        let rt = rt_two_queries();
+        let tl = |t| rt.template.local(t).unwrap();
+        let row = size_of::<Row>() + rt.k() * size_of::<Member>();
+        let mut run = Run::new(rt.clone());
+        let fresh = run.mem_bytes();
+        run.process_burst(tl(A), &[ev(A, 1), ev(A, 2)], &QSet::new());
+        assert_eq!(run.mem_bytes(), fresh + row);
+        run.process_burst(tl(B), &[ev(B, 3), ev(B, 4)], &QSet::all(2));
+        let sum = run
+            .shared(tl(B))
+            .expect("B is shared")
+            .sum_exprs
+            .mem_bytes();
+        let snaps = run.snaps.mem_bytes() - size_of::<SnapTable>();
+        assert!(snaps > 0 && run.row_of(tl(C)).is_none());
+        assert_eq!(run.mem_bytes(), fresh + 2 * row + snaps + sum);
+        run.finalize();
+        assert_eq!((run.written, run.open), (run.held(), TypeSet(0)));
+        assert_eq!(run.mem_bytes(), fresh + 2 * row + snaps);
     }
 
     /// A template wider than 64 types has no type-set bit for the types

@@ -71,12 +71,12 @@ impl Run {
         let mut mm = self.rt.mm_identity;
         let mut alive = false;
         for &p in &tpl.pt[tl][q] {
-            mm.fold(self.mm_cum[p][q].0, self.rt.is_min);
-            alive |= self.alive_cum[p][q];
-            if p == tl && self.active[p].solos.contains(q) {
-                let solo = &self.active[p].solo[q];
-                mm.fold(solo.mm.0, self.rt.is_min);
-                alive |= solo.alive;
+            let Some(c) = self.cell(p, q) else { continue };
+            mm.fold(c.mm.0, self.rt.is_min);
+            alive |= c.alive;
+            if p == tl && self.rows[self.at(p)].solos.contains(q) {
+                mm.fold(c.solo_mm.0, self.rt.is_min);
+                alive |= c.solo_alive;
             }
         }
         (mm, alive)
@@ -143,7 +143,7 @@ impl Run {
             let accepting: QSet = share.iter().filter(|&q| rt.selects(tl, q, e)).collect();
             let any_edge = share.iter().any(|q| !rt.edge[tl][q].is_empty());
             // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
-            let sh = self.active[tl].shared.as_ref().expect("shared graphlet");
+            let sh = self.shared(tl).expect("shared graphlet");
             let expr = if !any_edge && accepting == share {
                 // Eq. 2 symbolically: preds = x (+ unit) + in-graphlet
                 // prefix; then the per-event propagation map. Built in the
@@ -173,8 +173,9 @@ impl Run {
                 self.stats.event_snapshots += 1;
                 LinearExpr::snapshot(z)
             };
+            let r = self.at(tl);
             // hamlet-lint: allow(panic-hygiene) -- a non-empty share set implies the shared graphlet was created when the burst opened
-            let sh = self.active[tl].shared.as_mut().expect("shared graphlet");
+            let sh = self.rows[r].shared.as_mut().expect("shared graphlet");
             sh.sum_exprs.add_assign(&expr);
             if store_needed {
                 stored_shared = Some((sh.members, expr));
@@ -195,7 +196,7 @@ impl Run {
             if has_edge {
                 pred.add(self.scan_pred(tl, q, e));
             } else if tpl.self_loop[tl].contains(q) {
-                pred.add(self.active[tl].solo[q].sum);
+                pred.add(self.cells[self.at(tl) * rt.k() + q].solo);
             }
             let start = starts.contains(q);
             let val = NodeVal::propagate(pred, start, w, is_target);
@@ -221,10 +222,11 @@ impl Run {
                 }
             }
 
-            let solo = &mut self.active[tl].solo[q];
-            solo.sum.add(val);
-            solo.mm.fold(mmv.0, rt.is_min);
-            solo.alive |= alive_out;
+            let at = self.at(tl) * rt.k() + q;
+            let solo = &mut self.cells[at];
+            solo.solo.add(val);
+            solo.solo_mm.fold(mmv.0, rt.is_min);
+            solo.solo_alive |= alive_out;
             if store_needed {
                 stored_solo.push((q as u16, val));
                 if alive_out {

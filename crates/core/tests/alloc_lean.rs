@@ -15,7 +15,9 @@
 //! members with a head type each, whose bursts open and close graphlets
 //! of many types. The fifth pins a stock-like workload of 12 share
 //! groups with selections and value skeletons: the per-event selection
-//! rows every group's cells are read from are reused scratch.
+//! rows every group's cells are read from are reused scratch. The sixth
+//! pins what a run costs where no recycled one is at hand: the same
+//! allocations whatever the width of its share group.
 //!
 //! Lives in its own integration binary on purpose (it replaces the global
 //! allocator); the counter is per thread, so the cases — which the
@@ -457,4 +459,49 @@ fn expiring_ten_thousand_zipf_keys_is_allocation_lean() {
         spent <= 27_046,
         "{spent} allocations for {runs} runs and {results} results (budget 27 046)"
     );
+}
+
+/// Creating a run in a cold group — no recycled run to hand out — makes
+/// the same allocations per run whatever the group's shape: one (the
+/// per-type stored-event list) for a 20-type, 19-member `SEQ(H_i, B+)`
+/// group, the shape of `rides_shared_w2`'s, as for a 2-type, 1-member
+/// one. A run holds rows only for the types it touches, so creating it
+/// builds none (it once built 4·nt + 7 blocks: 87 here).
+#[cfg(debug_assertions)]
+#[test]
+fn creating_a_run_in_a_cold_group_does_not_depend_on_its_width() {
+    use hamlet_core::{analyze, GroupRuntime, Run};
+    use hamlet_query::{Pattern, Query, Window};
+    use hamlet_types::EventTypeId;
+    use std::sync::Arc;
+
+    let group = |heads: u16| {
+        let b = Pattern::plus(Pattern::Type(EventTypeId(0)));
+        let queries: Vec<Arc<Query>> = (1..=heads)
+            .map(|i| {
+                let pat = Pattern::seq(vec![Pattern::Type(EventTypeId(i)), b.clone()]);
+                Arc::new(Query::count_star(i.into(), pat, Window::tumbling(100)))
+            })
+            .collect();
+        let plan = analyze(&queries).unwrap();
+        assert_eq!(plan.groups.len(), 1);
+        GroupRuntime::new(&plan.groups[0])
+    };
+    let per_run = |rt: &Arc<GroupRuntime>| {
+        let mut runs = Vec::with_capacity(100);
+        let before = allocs();
+        runs.extend((0..100).map(|_| Run::new(rt.clone())));
+        let spent = allocs() - before;
+        assert_eq!(spent % 100, 0, "{spent} allocations for 100 runs");
+        spent / 100
+    };
+    let (wide, narrow) = (group(19), group(1));
+    assert_eq!((wide.k(), wide.template.num_types()), (19, 20));
+    assert_eq!((narrow.k(), narrow.template.num_types()), (1, 2));
+    let (wide, narrow) = (per_run(&wide), per_run(&narrow));
+    assert_eq!(
+        wide, narrow,
+        "allocations per run: 20 types {wide}, 2 types {narrow}"
+    );
+    assert!(wide <= 1, "{wide} allocations per run");
 }

@@ -39,16 +39,6 @@ impl Zipf {
         let x = rng.gen::<f64>();
         self.cdf.partition_point(|&c| c < x) as u64
     }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.cdf.len()
-    }
-
-    /// True iff there is exactly one key (degenerate).
-    pub fn is_empty(&self) -> bool {
-        self.cdf.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -58,7 +48,7 @@ mod tests {
 
     fn histogram(z: &Zipf, draws: usize, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut h = vec![0u64; z.len()];
+        let mut h = vec![0u64; z.cdf.len()];
         for _ in 0..draws {
             h[z.sample(&mut rng) as usize] += 1;
         }
@@ -93,8 +83,7 @@ mod tests {
         for _ in 0..10_000 {
             assert!(z.sample(&mut rng) < 7);
         }
-        assert_eq!(z.len(), 7);
-        assert!(!z.is_empty());
+        assert_eq!(z.cdf.len(), 7);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 # side. Per workload it prints per pair every end-to-end metric
 # BENCHMARK.json names and the failed count; then per side the runs that
 # produced no result, the median with its quartiles and the total failed;
-# the number of pairs whose throughput the working tree won; one `ratio`
-# line with each pair's throughput_eps ratio (tree ÷ REV) and their
-# median; one verdict
+# per end-to-end metric the number of pairs the working tree won (better
+# in the metric's direction) and one `ratio` line with each pair's ratio
+# (tree ÷ REV) and their median; one verdict
 # per end-to-end metric against its `bound` (ok, WORSE, or unresolved when
 # REV's quartile spread is wider than the bound or a run produced no
 # result); and whether the claim rule for a gain holds (better in 9 of 10
@@ -117,13 +117,17 @@ def summary(side, runs):
     return qs
 
 qb, qh = summary(rev, base), summary("tree", head)
+# Per end-to-end metric: the pairs the tree won (better in the metric's
+# direction) and each pair's ratio, tree ÷ REV, with their median.
 paired = [(b[0], h[0]) for b, h in zip(base, head) if b and h]
-won = sum(1 for b, h in paired if h["throughput_eps"] > b["throughput_eps"])
-print(f"tree won throughput_eps in {won} of {len(paired)} pairs")
-ratios = [h["throughput_eps"] / b["throughput_eps"] for b, h in paired if b["throughput_eps"] > 0]
-if ratios:
-    print(f"{wl}  ratio    throughput_eps  tree/{rev[:8]} per pair "
-          + " ".join(f"{r:.3f}" for r in ratios) + f"  median {statistics.median(ratios):.3f}")
+for rule in rules:
+    n, higher = rule["name"], rule["better"] == "higher"
+    won = sum(1 for b, h in paired if (h[n] > b[n] if higher else h[n] < b[n]))
+    print(f"tree won {n} in {won} of {len(paired)} pairs ({rule['better']} is better)")
+    ratios = [h[n] / b[n] for b, h in paired if b[n] > 0]
+    if ratios:
+        print(f"{wl}  ratio    {n:<15} tree/{rev[:8]} per pair "
+              + " ".join(f"{r:.3f}" for r in ratios) + f"  median {statistics.median(ratios):.3f}")
 
 # The acceptance rules, one line per end-to-end metric: the tree's median
 # over REV's, and `WORSE` beyond the bound in the bad direction,

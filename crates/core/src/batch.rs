@@ -437,11 +437,11 @@ impl HamletEngine {
                         env.stats.late_skips += range.len() as u64;
                         continue;
                     }
-                    let rs = part.run_at(start.ticks(), end, &mut env);
+                    let handle = part.run_at(start.ticks(), end, &mut env);
                     // Uniform group: the burst is its length; otherwise a
                     // memcpy of the range's cells (or, for edge-predicate
                     // types, clones of its events) per instance.
-                    rs.append(tl, pane_idx, chunk, now, &mut env);
+                    (part.slab).lending(handle, |rs| rs.append(tl, pane_idx, chunk, now, &mut env));
                 }
                 idx = end_idx;
             }

@@ -20,7 +20,7 @@ use crate::executor::{release_key, render, AggValue, GroupState, HamletEngine, W
 use crate::general;
 use crate::keyhash::KeyTable;
 use crate::record::PendingSlot;
-use crate::run::{GroupRuntime, MemberOutput};
+use crate::run::{GroupRuntime, MemberOutput, Stores};
 use hamlet_obs::{GroupMetrics, Stage};
 use hamlet_query::QueryId;
 use hamlet_types::time::window_end;
@@ -196,14 +196,17 @@ pub(crate) struct Slot {
 
 /// A share group's runs, by handle. A finished run's slot goes on the
 /// free list recycled ([`RunState::recycle`]) and the next run created
-/// takes it, so steady-state run creation allocates nothing. Free slots
-/// are not state: never serialized, never byte-accounted, at most the
-/// group's peak live run count, and dropped at `flush()`, on churn and on
+/// takes it, so steady-state run creation allocates nothing. The runs'
+/// row stores circulate through `stores`, lent to a run while it
+/// replays or is recycled ([`lending`](Self::lending)). Free slots and
+/// spare stores are not state: never serialized, never byte-accounted,
+/// at most the group's peak, and dropped at `flush()`, on churn and on
 /// restore ([`drop_free`](Self::drop_free)).
 #[derive(Default)]
 pub(crate) struct RunSlab {
     slots: Vec<Slot>,
     free: Vec<u32>,
+    stores: Option<Box<Stores>>,
 }
 
 impl RunSlab {
@@ -268,15 +271,26 @@ impl RunSlab {
         debug_assert!(slot.live);
         let bytes = slot.rs.accounted;
         slot.live = false;
-        slot.rs.recycle();
+        self.lending(handle, RunState::recycle);
         self.free.push(handle);
         bytes
     }
 
-    /// Drops the free slots. Live runs move into the holes, so their
-    /// handles change: the group's run lists `runs` are re-pointed here,
-    /// the expiration index must be rebuilt by the caller.
+    /// `f` on run `handle` with the slab's spare row stores lent to it.
+    pub(crate) fn lending<R>(&mut self, handle: u32, f: impl FnOnce(&mut RunState) -> R) -> R {
+        self.stores.get_or_insert_default();
+        let rs = &mut self.slots[handle as usize].rs;
+        rs.run.lend(&mut self.stores);
+        let out = f(rs);
+        rs.run.lend(&mut self.stores);
+        out
+    }
+
+    /// Drops the free slots and the spare stores. Live runs move into the
+    /// holes, so their handles change: the group's run lists `runs` are
+    /// re-pointed here, the expiration index must be rebuilt by the caller.
     pub(crate) fn drop_free(&mut self, runs: &mut [Runs]) {
+        self.stores = None;
         // Highest first: every slot above the hole being filled is live.
         self.free.sort_unstable();
         while let Some(hole) = self.free.pop() {
@@ -304,11 +318,11 @@ pub(crate) struct Partition<'a> {
 }
 
 impl Partition<'_> {
-    /// The run of window instance `[start, end)`, created on first touch
+    /// The handle of window instance `[start, end)`'s run, created on first touch
     /// — the one moment a run is indexed for expiry and enters the byte
     /// count. Re-touching an existing `(key, start)` finds its handle, so
     /// the index never holds duplicate live entries.
-    pub(crate) fn run_at(&mut self, start: u64, end: u64, env: &mut FlushEnv<'_>) -> &mut RunState {
+    pub(crate) fn run_at(&mut self, start: u64, end: u64, env: &mut FlushEnv<'_>) -> u32 {
         let handle = match self.runs.find(start) {
             Ok(at) => self.runs.as_slice()[at].1,
             Err(at) => {
@@ -329,7 +343,7 @@ impl Partition<'_> {
                 handle
             }
         };
-        &mut self.slab.slots[handle as usize].rs
+        handle
     }
 }
 
@@ -432,17 +446,26 @@ impl HamletEngine {
         });
         let mut outputs = std::mem::take(&mut self.outputs);
         let mut arrivals = std::mem::take(&mut self.arrivals);
+        // At most one result per member of each finished run.
+        out.reserve(
+            finished
+                .iter()
+                .map(|e| self.plan.groups[e.group as usize].rt.k())
+                .sum(),
+        );
         for ExpiryEntry { group, handle, .. } in finished.drain(..) {
             let gi = group as usize;
             let g = &mut self.groups[gi];
-            let slot = &mut g.slab.slots[handle as usize];
             // Released below at the bytes it was accounted with.
-            slot.rs.settle(&mut FlushEnv {
-                cfg: &self.cfg,
-                stats: &mut self.stats,
-                ctx: &mut self.burst_ctx,
-                bytes: &mut self.run_bytes,
+            g.slab.lending(handle, |rs| {
+                rs.settle(&mut FlushEnv {
+                    cfg: &self.cfg,
+                    stats: &mut self.stats,
+                    ctx: &mut self.burst_ctx,
+                    bytes: &mut self.run_bytes,
+                })
             });
+            let slot = &mut g.slab.slots[handle as usize];
             slot.rs.run.finalize_into(&mut outputs);
             let s = slot.rs.run.stats();
             self.stats.runs.add(s);

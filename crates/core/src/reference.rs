@@ -119,8 +119,8 @@ impl HamletEngine {
                     env.stats.late_skips += 1;
                     continue;
                 }
-                let rs = part.run_at(start.ticks(), end, &mut env);
-                rs.append(tl, pane_idx, chunk, now, &mut env);
+                let handle = part.run_at(start.ticks(), end, &mut env);
+                (part.slab).lending(handle, |rs| rs.append(tl, pane_idx, chunk, now, &mut env));
             }
             // Every window instance was late: the key may hold no run.
             release_key(plan, &self.groups, &mut self.tables, ci, id);

@@ -73,6 +73,7 @@ use hamlet_query::{CompiledSelection, EdgePredicate, Query};
 use hamlet_types::{Event, TrendVal};
 use std::collections::HashMap;
 use std::iter::repeat_n;
+use std::mem::replace;
 use std::sync::Arc;
 
 /// Immutable per-group runtime info shared by all of the group's runs:
@@ -482,6 +483,32 @@ impl TypeSet {
 /// [`Run::index`]'s entry for a type without a row.
 const NO_ROW: u8 = u8::MAX;
 
+/// A run's row store, `Run::rows` and `Run::cells`, with room for some
+/// number of rows.
+type Store = (Vec<Row>, Vec<Member>);
+
+/// Empty row stores left by a share group's runs, by the rows they have
+/// room for: a run whose store is full takes a bigger one from here and
+/// leaves its old one, and a finished run leaves its own, so a warm
+/// group's runs allocate no rows while each holds room only for about
+/// the rows it uses. Like a free slab slot, not state.
+#[derive(Default)]
+pub(crate) struct Stores(Vec<Vec<Store>>);
+
+impl Stores {
+    /// A spare store with room for exactly `rows` (≥ 1) rows.
+    fn take(&mut self, rows: usize) -> Option<Store> {
+        self.0.get_mut(rows - 1)?.pop()
+    }
+
+    fn put(&mut self, store: Store) {
+        if let Some(at) = store.0.capacity().checked_sub(1) {
+            self.0.resize_with(self.0.len().max(at + 1), Vec::new);
+            self.0[at].push(store);
+        }
+    }
+}
+
 /// The evaluation state of one (share group × partition × window instance).
 ///
 /// A run of a high-cardinality stream lives for a burst or two and touches
@@ -493,7 +520,13 @@ const NO_ROW: u8 = u8::MAX;
 /// lattice identity and no graphlet without touching memory. Within an
 /// open type, what a run walks per member is walked over the
 /// members whose solo graphlet is open (`Row::solos`), so a burst closes
-/// what it closes, not every open type × every member.
+/// what it closes, not every open type × every member. The row store has
+/// room for the rows held rounded up to a power of two, or past 16 rows
+/// to an even count (at most every type): a function of the rows alone,
+/// so a restored run measures what the cut one did, few moves while a
+/// run grows, and at most one spare row once rows are many. A full store
+/// is traded for a bigger one from the group's [`Stores`] while they are
+/// lent to the run, and allocated otherwise.
 pub struct Run {
     rt: Arc<GroupRuntime>,
     /// Per type below the 64th, the index of its row (or [`NO_ROW`]); a
@@ -511,6 +544,8 @@ pub struct Run {
     stats: RunStats,
     open: TypeSet,
     written: TypeSet,
+    /// The group's spare stores while they are lent to the run.
+    spare: Option<Box<Stores>>,
 }
 
 impl Run {
@@ -530,20 +565,23 @@ impl Run {
             rt,
             open: TypeSet::empty(nt),
             written: TypeSet::empty(nt),
+            spare: None,
         };
         run.fill_rows();
         run
     }
 
     /// Puts every field back to what [`Run::new`] gives it for the same
-    /// runtime, keeping every buffer's capacity: a finished run handed
-    /// back to its group's slab is the next window's empty run, and
-    /// re-using it allocates nothing.
+    /// runtime, keeping every buffer's capacity but the row store's, which
+    /// goes to the lent [`Stores`]: a finished run handed back to its
+    /// group's slab is the next window's empty run, and re-using it
+    /// allocates nothing.
     pub(crate) fn recycle(&mut self) {
         let nt = self.nt();
         self.index = [NO_ROW; 64];
         self.rows.clear();
         self.cells.clear();
+        self.move_store(0);
         self.start_blocked = QSet::new();
         self.gap_blocked.clear();
         self.result_blocked.clear();
@@ -575,11 +613,46 @@ impl Run {
     /// Appends an empty row for each held type without one (a template of
     /// more than 64 types holds them all from the start).
     fn fill_rows(&mut self) {
+        let held = self.held().iter(self.nt());
+        let rows = self.rows.len() + held.filter(|&ty| self.row_of(ty).is_none()).count();
+        if rows > self.rows.capacity() {
+            self.move_store(rows);
+        }
         for ty in self.held().iter(self.nt()) {
             if self.row_of(ty).is_none() {
                 self.push_row(ty);
             }
         }
+    }
+
+    /// Moves the rows into a store with room for `rows` rows, rounded up
+    /// as [`Run`] says — a lent spare of that size, else a new one — and
+    /// the old store to the lent spares (dropped if none are lent). `rows`
+    /// 0 leaves none.
+    fn move_store(&mut self, rows: usize) {
+        let k = self.rt.k();
+        let rows = match rows {
+            0 => 0,
+            1..=16 => rows.next_power_of_two(),
+            _ => rows.next_multiple_of(2),
+        }
+        .min(self.nt());
+        let spare = (self.spare.as_mut().filter(|_| rows > 0)).and_then(|s| s.take(rows));
+        let (mut new_rows, mut new_cells) =
+            spare.unwrap_or_else(|| (Vec::with_capacity(rows), Vec::with_capacity(rows * k)));
+        new_rows.append(&mut self.rows);
+        new_cells.append(&mut self.cells);
+        let old_rows = replace(&mut self.rows, new_rows);
+        let old = (old_rows, replace(&mut self.cells, new_cells));
+        if let Some(s) = &mut self.spare {
+            s.put(old);
+        }
+    }
+
+    /// Swaps `stores` into the run: lent to it on the first call, taken
+    /// back on the second.
+    pub(crate) fn lend(&mut self, stores: &mut Option<Box<Stores>>) {
+        std::mem::swap(&mut self.spare, stores);
     }
 
     /// Opens `ty`: its row, appended empty unless held.
@@ -588,13 +661,13 @@ impl Run {
         self.row_of(ty).unwrap_or_else(|| self.push_row(ty))
     }
 
-    /// Appends an empty row for `ty`. The store's first row reserves room
-    /// for every type, so a run — and each later run its slab slot holds —
-    /// allocates the store once.
+    /// Appends an empty row for `ty`, in a bigger store if this one is
+    /// full.
     fn push_row(&mut self, ty: usize) -> usize {
-        let (nt, k, mm) = (self.nt(), self.rt.k(), self.rt.mm_identity);
-        self.rows.reserve_exact(nt - self.rows.len());
-        self.cells.reserve_exact((nt - self.rows.len()) * k);
+        let (k, mm) = (self.rt.k(), self.rt.mm_identity);
+        if self.rows.len() == self.rows.capacity() {
+            self.move_store(self.rows.len() + 1);
+        }
         if let Some(r) = self.index.get_mut(ty) {
             *r = self.rows.len() as u8;
         }
@@ -1055,18 +1128,11 @@ impl Run {
         self.vacate(tl);
     }
 
-    /// Drops `tl` from `open` once it holds no graphlet, and its row
-    /// unless written: only a decoded record's graphlet-less type, whose
-    /// row is the last.
+    /// Drops `tl` from `open` once it holds no graphlet.
     fn vacate(&mut self, tl: usize) {
-        let r = self.at(tl);
-        if self.rows[r].shared.is_none() && self.rows[r].solos.is_empty() {
+        let row = &self.rows[self.at(tl)];
+        if row.shared.is_none() && row.solos.is_empty() {
             self.open.remove(tl, self.nt());
-            if (self.written.0.checked_shr(tl as u32)).is_some_and(|w| w & 1 == 0) {
-                self.rows.pop();
-                self.cells.truncate(r * self.rt.k());
-                self.index[tl] = NO_ROW;
-            }
         }
     }
 
@@ -1213,9 +1279,10 @@ impl Run {
             true => (full, full),
             false => Codec::decode(d)?,
         };
-        if (written.0 | open.0) & !full.0 != 0 {
+        // Past 64 types both sets hold every type for good.
+        if (written.0 | open.0) & !full.0 != 0 || nt > 64 && (written, open) != (full, full) {
             return Err(CheckpointError::Corrupt(format!(
-                "a type set names a type past the template's {nt}"
+                "type sets {written:?} / {open:?} do not fit a {nt}-type template"
             )));
         }
         // The written types' rows, which are all the run holds so far.
@@ -1238,19 +1305,22 @@ impl Run {
         run.snaps.check_arity(k)?;
         let num_snaps = run.snaps.len();
         for ty in open.iter(nt) {
-            let r = run.open_row(ty);
-            let row = &mut run.rows[r];
-            row.shared = Codec::decode(d)?;
-            d.skip_word(dense && row.shared.is_some())?;
-            for (q, c) in run.cells[r * k..][..k].iter_mut().enumerate() {
+            let shared: Option<SharedGraphlet> = Codec::decode(d)?;
+            d.skip_word(dense && shared.is_some())?;
+            if let Some(sh) = shared {
+                sh.check_snaps(num_snaps)?;
+                let r = run.open_row(ty);
+                run.rows[r].shared = Some(sh);
+            }
+            for q in 0..k {
                 if let Some(solo) = Codec::decode(d)? {
-                    (c.solo, c.solo_mm, c.solo_alive) = solo;
-                    row.solos.insert(q);
                     d.skip_word(dense)?;
+                    let r = run.open_row(ty);
+                    run.rows[r].solos.insert(q);
+                    let c = &mut run.cells[r * k + q];
+                    (c.solo, c.solo_mm, c.solo_alive) = solo;
                 }
             }
-            (row.shared.iter()).try_for_each(|sh| sh.check_snaps(num_snaps))?;
-            run.vacate(ty);
         }
         for stored in &mut run.stored {
             if dense || d.some()? {
@@ -1262,12 +1332,14 @@ impl Run {
         Ok(run)
     }
 
-    /// State footprint in bytes (§6.1 memory metric): the run, its rows
-    /// — one per held type, of `k` cells — the snapshot table and shared
-    /// expressions, and the stored events.
+    /// State footprint in bytes (§6.1 memory metric): the run, its row
+    /// store — the room it holds, rows of `k` cells for the held types
+    /// rounded up — the snapshot table and shared expressions, and the
+    /// stored events.
     pub fn mem_bytes(&self) -> usize {
-        let row = size_of::<Row>() + self.rt.k() * size_of::<Member>();
-        let mut b = size_of::<Run>() + self.rows.len() * row + self.snaps.mem_bytes();
+        let store =
+            self.rows.capacity() * size_of::<Row>() + self.cells.capacity() * size_of::<Member>();
+        let mut b = size_of::<Run>() + store + self.snaps.mem_bytes();
         for sh in self.rows.iter().filter_map(|r| r.shared.as_ref()) {
             b += sh.sum_exprs.mem_bytes();
         }
@@ -1793,6 +1865,117 @@ mod tests {
         assert_eq!((decoded.written, decoded.open), (run.written, run.open));
         assert_eq!(record(&decoded), cut);
         assert_eq!(decoded.finalize(), run.finalize());
+    }
+
+    /// Past 64 types every type set is full, so a record of a 65-type run
+    /// whose `written` or `open` word leaves out a type below the 64th is
+    /// corrupt — decoded, it would be a run holding the wrong rows.
+    #[test]
+    fn a_wide_record_missing_a_type_is_corrupt() {
+        use crate::checkpoint::Dec;
+        let queries: Vec<Arc<Query>> = (0..64)
+            .map(|i| {
+                let pat = seq(EventTypeId(10 + i), B);
+                Arc::new(Query::count_star(i as u32, pat, Window::tumbling(1000)))
+            })
+            .collect();
+        let plan = crate::workload::analyze(&queries).unwrap();
+        let rt = GroupRuntime::new(&plan.groups[0]);
+        assert_eq!(rt.template.num_types(), 65);
+        let mut run = Run::new(rt.clone());
+        run.process_burst(rt.template.local(B).unwrap(), &[ev(B, 1)], &QSet::all(64));
+        let mut e = Enc::new();
+        run.encode(&mut e);
+        let cut = e.finish();
+        assert!(Run::decode(&mut Dec::new(&cut), rt.clone(), false).is_ok());
+        // The shape is two words; `written`, then `open`, follow it.
+        for word in [16, 24] {
+            for bit in [0, 7] {
+                let mut bad = cut.clone();
+                bad[word] ^= 1 << bit;
+                let err = Run::decode(&mut Dec::new(&bad), rt.clone(), false).err();
+                assert!(
+                    matches!(err, Some(CheckpointError::Corrupt(_))),
+                    "{word} {bit}"
+                );
+            }
+        }
+    }
+
+    /// A run's room is a function of the rows it holds — doubling to 16,
+    /// then even, at most every type — so the run a record decodes to
+    /// measures what the cut run did, at every size: 17 heads and the
+    /// Kleene type of a 20-type, 19-member group, one burst each.
+    #[test]
+    fn room_follows_the_rows_held() {
+        use crate::checkpoint::Dec;
+        let queries: Vec<Arc<Query>> = (1..=19)
+            .map(|i| {
+                Arc::new(Query::count_star(
+                    i,
+                    seq(EventTypeId(10 + i as u16), B),
+                    Window::tumbling(1000),
+                ))
+            })
+            .collect();
+        let plan = crate::workload::analyze(&queries).unwrap();
+        let rt = GroupRuntime::new(&plan.groups[0]);
+        assert_eq!((rt.k(), rt.template.num_types()), (19, 20));
+        let mut run = Run::new(rt.clone());
+        let mut rooms = Vec::new();
+        for (t, ty) in (11..=27).map(EventTypeId).chain([B]).enumerate() {
+            run.process_burst(
+                rt.template.local(ty).unwrap(),
+                &[ev(ty, t as u64)],
+                &QSet::new(),
+            );
+            assert_eq!(run.cells.capacity(), run.rows.capacity() * rt.k());
+            rooms.push(run.rows.capacity());
+            let mut e = Enc::new();
+            run.encode(&mut e);
+            let decoded = Run::decode(&mut Dec::new(&e.finish()), rt.clone(), false).unwrap();
+            assert_eq!(
+                decoded.mem_bytes(),
+                run.mem_bytes(),
+                "{} rows",
+                run.rows.len()
+            );
+        }
+        let want = [
+            1, 2, 4, 4, 8, 8, 8, 8, 16, 16, 16, 16, 16, 16, 16, 16, 18, 18,
+        ];
+        assert_eq!(rooms, want);
+    }
+
+    /// Lent spares, a run trades its full store for a bigger one and
+    /// leaves the old one there, and recycled it leaves its own: the next
+    /// run takes those, and each holds room for just its two rows.
+    #[test]
+    fn lent_stores_circulate() {
+        let rt = rt_two_queries();
+        let tl = |t| rt.template.local(t).unwrap();
+        let mut spares = Some(Box::<Stores>::default());
+        // Spare stores of one row and of two.
+        let classes = |s: &Option<Box<Stores>>| -> [usize; 2] {
+            let by_rows = &s.as_ref().unwrap().0;
+            [0, 1].map(|r| by_rows.get(r).map_or(0, Vec::len))
+        };
+        let mut run = Run::new(rt.clone());
+        for _ in 0..2 {
+            run.lend(&mut spares);
+            run.process_burst(tl(A), &[ev(A, 1)], &QSet::new());
+            let one = run.rows.as_ptr();
+            run.process_burst(tl(B), &[ev(B, 2), ev(B, 3)], &QSet::all(2));
+            assert_eq!((run.rows.capacity(), run.cells.capacity()), (2, 2 * rt.k()));
+            assert_ne!(run.rows.as_ptr(), one, "a full store is traded");
+            run.lend(&mut spares);
+            assert_eq!(classes(&spares), [1, 0], "the one-row store is spare");
+            run.lend(&mut spares);
+            run.recycle();
+            run.lend(&mut spares);
+            assert_eq!(classes(&spares), [1, 1]);
+            assert_eq!(run.mem_bytes(), Run::new(rt.clone()).mem_bytes());
+        }
     }
 
     /// A run that has been through everything a run can hold — shared and
